@@ -1,20 +1,20 @@
-//! Execution-backend comparison: reference interpreter vs the
-//! specialized compiled-kernel backend.
+//! Execution-backend comparison: the sequential oracle (`interp`) vs
+//! the production micro-op executor (`specialized`) at 1 and 4 threads.
 //!
-//! The specialized backend monomorphizes every lowered kernel into a
-//! dispatch-free closure at prepare time — shapes, stage assignments,
-//! aggregation kinds, and the fusion plan are resolved once instead of
-//! per launch — while performing the identical floating-point work in
-//! the identical order (pinned by `tests/backend_parity.rs`). This
-//! bench measures what that buys on warm forward passes and full
-//! training steps for all three built-in models, sequentially (the
-//! dispatch overhead the specialization removes is per-kernel host
-//! work, so the sequential path shows it undiluted).
+//! The production executor resolves every lowered kernel into micro-ops
+//! at prepare time — operands, stage assignments, aggregation kinds,
+//! and the fusion plan are resolved once instead of per launch — while
+//! performing the identical floating-point work in the identical order
+//! (pinned by `tests/backend_parity.rs`). This bench measures what that
+//! buys on warm forward passes and full training steps for all three
+//! built-in models: the 1-thread column shows the per-kernel host work
+//! the resolution removes undiluted, the 4-thread column that the win
+//! composes with chunking (the ROADMAP's "specialized × threads" row).
 //!
-//! Every row first asserts bit-identity between the two backends, so a
-//! speedup can never come from diverging numerics. The headline row is
-//! the HGT train step — the deepest kernel pipeline of the three
-//! models — with a ≥1.2× speedup target.
+//! Every row first asserts bit-identity between the oracle and both
+//! production runs, so a speedup can never come from diverging
+//! numerics. The headline row is the HGT train step — the deepest
+//! kernel pipeline of the three models — with a ≥1.2× speedup target.
 //!
 //! With `HECTOR_BENCH_JSON=<path>` the measurements are appended to the
 //! perf-regression artifact (`backend_compare` fragment; wall clock is
@@ -47,18 +47,28 @@ struct Run {
     bits: Vec<u32>,
 }
 
-fn forward_run(kind: ModelKind, g: &GraphData, backend: BackendKind, iters: usize) -> Run {
+fn session(backend: BackendKind, threads: usize) -> Session {
+    Session::with_backend(
+        DeviceConfig::rtx3090(),
+        Mode::Real,
+        ParallelConfig::sequential().with_threads(threads),
+        backend,
+    )
+    .expect("backend is available")
+}
+
+fn forward_run(
+    kind: ModelKind,
+    g: &GraphData,
+    backend: BackendKind,
+    threads: usize,
+    iters: usize,
+) -> Run {
     let module = hector::compile_model_cached(kind, DIMS, DIMS, &CompileOptions::best());
     let mut rng = seeded_rng(42);
     let mut params = ParamStore::init(&module.forward, g, &mut rng);
     let bindings = Bindings::standard(&module.forward, g, &mut rng);
-    let mut session = Session::with_backend(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        ParallelConfig::sequential(),
-        backend,
-    )
-    .expect("backend is available");
+    let mut session = session(backend, threads);
     session
         .forward(&module, g, &mut params, &bindings)
         .expect("warm-up fits");
@@ -82,7 +92,13 @@ fn forward_run(kind: ModelKind, g: &GraphData, backend: BackendKind, iters: usiz
     Run { wall_ms, bits }
 }
 
-fn train_run(kind: ModelKind, g: &GraphData, backend: BackendKind, iters: usize) -> Run {
+fn train_run(
+    kind: ModelKind,
+    g: &GraphData,
+    backend: BackendKind,
+    threads: usize,
+    iters: usize,
+) -> Run {
     let module = hector::compile_model_cached(
         kind,
         DIMS,
@@ -94,13 +110,7 @@ fn train_run(kind: ModelKind, g: &GraphData, backend: BackendKind, iters: usize)
     let bindings = Bindings::standard(&module.forward, g, &mut rng);
     let labels: Vec<usize> = (0..g.graph().num_nodes()).map(|i| i % 4).collect();
     let mut opt = Adam::new(0.01);
-    let mut session = Session::with_backend(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        ParallelConfig::sequential(),
-        backend,
-    )
-    .expect("backend is available");
+    let mut session = session(backend, threads);
     session
         .train_step(&module, g, &mut params, &bindings, &labels, &mut opt)
         .expect("warm-up fits");
@@ -122,49 +132,57 @@ fn train_run(kind: ModelKind, g: &GraphData, backend: BackendKind, iters: usize)
 
 fn main() {
     let s = scale();
-    banner("backend_compare: interpreter vs specialized backend", s);
+    banner("backend_compare: oracle vs production executor", s);
     let g = generated(s);
     println!(
-        "graph: {} nodes, {} edges; dims {DIMS}; sequential\n",
+        "graph: {} nodes, {} edges; dims {DIMS}; {} core(s) available\n",
         g.graph().num_nodes(),
-        g.graph().num_edges()
+        g.graph().num_edges(),
+        std::thread::available_parallelism().map_or(1, usize::from)
     );
     let iters = if s >= 1.0 { 3 } else { 5 };
     let mut out = JsonWriter::from_env("backend_compare");
 
     println!(
-        "{:<16}{:>12}{:>14}{:>10}  bit-identical",
-        "workload", "interp ms", "specialized", "speedup"
+        "{:<16}{:>12}{:>12}{:>12}{:>10}{:>10}  bit-identical",
+        "workload", "interp ms", "spec t1 ms", "spec t4 ms", "t1 x", "t4/t1 x"
     );
     let mut hgt_train_speedup = 0.0;
     for kind in ModelKind::all() {
         for training in [false, true] {
             let run = if training { train_run } else { forward_run };
-            let interp = run(kind, &g, BackendKind::Interp, iters);
-            let spec = run(kind, &g, BackendKind::Specialized, iters);
-            assert_eq!(
-                interp.bits,
-                spec.bits,
-                "{} {}: backends diverged — a speedup from different numerics is meaningless",
-                kind.name(),
-                if training { "train" } else { "fwd" }
-            );
+            let interp = run(kind, &g, BackendKind::Interp, 1, iters);
+            let spec = run(kind, &g, BackendKind::Specialized, 1, iters);
+            let spec_t4 = run(kind, &g, BackendKind::Specialized, 4, iters);
+            for (threads, got) in [(1, &spec), (4, &spec_t4)] {
+                assert_eq!(
+                    interp.bits,
+                    got.bits,
+                    "{} {} threads={threads}: production diverged from the oracle — \
+                     a speedup from different numerics is meaningless",
+                    kind.name(),
+                    if training { "train" } else { "fwd" }
+                );
+            }
             let speedup = interp.wall_ms / spec.wall_ms;
+            let scaling_t4 = spec.wall_ms / spec_t4.wall_ms;
             let row = format!(
                 "{}_{}",
                 kind.name().to_lowercase(),
                 if training { "train" } else { "fwd" }
             );
             println!(
-                "{row:<16}{:>12.3}{:>14.3}{:>9.2}x  yes",
-                interp.wall_ms, spec.wall_ms, speedup
+                "{row:<16}{:>12.3}{:>12.3}{:>12.3}{:>9.2}x{:>9.2}x  yes",
+                interp.wall_ms, spec.wall_ms, spec_t4.wall_ms, speedup, scaling_t4
             );
             out.record(
                 &row,
                 &[
                     ("interp_ms", interp.wall_ms),
                     ("specialized_ms", spec.wall_ms),
+                    ("specialized_t4_ms", spec_t4.wall_ms),
                     ("speedup", speedup),
+                    ("scaling_t4", scaling_t4),
                 ],
             );
             if kind == ModelKind::Hgt && training {
@@ -174,7 +192,8 @@ fn main() {
     }
     out.finish();
     println!(
-        "\nheadline: HGT train step {hgt_train_speedup:.2}x (target >=1.2x; \
-         every row asserted bit-identical before timing was compared)"
+        "\nheadline: HGT train step {hgt_train_speedup:.2}x at 1 thread (target >=1.2x; \
+         every row asserted bit-identical before timing was compared; \
+         the 4-thread column is informational — no wall-clock gate)"
     );
 }

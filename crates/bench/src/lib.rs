@@ -309,6 +309,26 @@ pub mod alloc_counter {
         ALLOC_EVENTS.load(Ordering::Relaxed)
     }
 
+    /// Blocks until the process has been allocation-quiet for a few
+    /// milliseconds (bounded at a quarter second). The counter is
+    /// process-global, so a measured window also sees the test harness's
+    /// own threads — reporting the previous test, spawning the next —
+    /// which run right as a test takes over the serializing lock. Call
+    /// this once the lock is held, before the first window.
+    pub fn settle() {
+        let mut quiet = 0;
+        let mut seen = alloc_events();
+        for _ in 0..125 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let now = alloc_events();
+            quiet = if now == seen { quiet + 1 } else { 0 };
+            seen = now;
+            if quiet == 3 {
+                return;
+            }
+        }
+    }
+
     static ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
     /// Debug aid: while armed, every allocation event prints a capture

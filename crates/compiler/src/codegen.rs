@@ -17,9 +17,9 @@
 //! **The emission is text-only**: no CUDA toolchain exists in this
 //! environment, so the source is never compiled, loaded, or executed.
 //! Execution runs the *kernel specs* on the CPU through an
-//! `hector-runtime` execution backend — the reference interpreter or
-//! the specialized compiled-closure backend, selected via
-//! `EngineBuilder::backend` / `HECTOR_BACKEND`.
+//! `hector-runtime` execution backend — the production micro-op
+//! executor, or the sequential oracle when selected via
+//! `EngineBuilder::backend`.
 
 use hector_ir::{
     AdjacencyAccess, Endpoint, Gather, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain,
@@ -32,7 +32,7 @@ use hector_ir::{
 /// source, host wrappers, and Python bindings that document each
 /// template instance and reproduce the paper's generated-line counts.
 /// Nothing here is ever compiled or executed: runs go through an
-/// `hector-runtime` execution backend (`HECTOR_BACKEND`), which
+/// `hector-runtime` execution backend (`EngineBuilder::backend`), which
 /// operates on the kernel *specifications*, not this source.
 #[derive(Clone, Debug, Default)]
 pub struct GeneratedCode {

@@ -112,9 +112,9 @@ pub use hector_graph::{
 pub use hector_ir::{builder::ModelSource, ModelBuilder};
 pub use hector_models::{source as model_source, stacked, ModelKind};
 pub use hector_runtime::{
-    chunk_ranges, trace, Backend, BackendCaps, BackendKind, Batch, Bindings, Bound, Engine,
-    EngineBuilder, EpochReport, ExecPlan, GraphData, HectorError, Minibatches, Mode,
-    ParallelConfig, ParamStore, ProfileReport, RunReport, Session, TraceConfig, Trainer,
+    chunk_ranges, trace, Backend, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder,
+    EpochReport, ExecPlan, GraphData, HectorError, Minibatches, Mode, ParallelConfig, ParamStore,
+    ProfileReport, RunReport, Session, TraceConfig, Trainer,
 };
 pub use hector_serve as serve;
 pub use hector_shard as shard;

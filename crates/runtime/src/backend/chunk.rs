@@ -1,0 +1,465 @@
+//! Chunk infrastructure of the production executor: the raw row views,
+//! per-chunk staging, and the deterministic merge that let one prepared
+//! micro-op plan run over many disjoint row ranges at once.
+//!
+//! The scheme that keeps `HECTOR_THREADS` from changing a single output
+//! bit:
+//!
+//! * **Row-aligned writes** (the output row *is* the iterated row) go
+//!   straight into the shared output tensor through a [`RawRows`] view —
+//!   chunks claim disjoint row ranges, so the writes never alias.
+//! * **Aggregate and scatter writes** whose target row may belong to
+//!   another chunk are *recorded* per chunk in a [`ContribBuf`] and
+//!   replayed on the calling thread afterwards, in ascending chunk index
+//!   and recorded order within each chunk. The replay applies exactly
+//!   the floating-point operations of the one-chunk loop in exactly its
+//!   order — the per-row *computation* runs in parallel, never the
+//!   order-sensitive accumulation.
+//! * **Weight-gradient GEMMs** split over per-type gradient slabs
+//!   ([`RawSlabs`]) instead of rows: each chunk owns whole slabs and
+//!   accumulates their rows in ascending row order.
+//!
+//! A kernel whose dataflow would *read* a deferred aggregate
+//! ([`par_traversal_safe`] says no) simply runs as one chunk.
+//!
+//! # Pooled worker arenas
+//!
+//! The session owns one [`WorkerArenas`]: a [`WorkerSlot`] per chunk
+//! index (scratch block + contribution buffer), the per-launch
+//! [`RawRows`] table, and the GradW type buckets. Every buffer's
+//! capacity persists across kernels and runs, so warm runs perform
+//! **zero** heap allocations at any thread count (`tests/run_alloc.rs`);
+//! slot growth events are folded into the session scratch counter after
+//! each launch so the device statistics see every allocation.
+
+use std::cell::UnsafeCell;
+use std::collections::HashSet;
+use std::ops::Range;
+
+use hector_ir::{Endpoint, OpKind, Operand, Program, Space, TraversalDomain, TraversalSpec, VarId};
+use hector_par::{chunk_count, ThreadPool};
+use hector_tensor::Tensor;
+
+use crate::scratch::Scratch;
+use crate::store::VarStore;
+
+/// Records one worker-chunk span (runs on the pool worker that executed
+/// the chunk, so the span lands in that worker's timeline lane). One
+/// span per executed pool job means the trace cross-checks
+/// `ParallelStats.chunks` exactly: both derive from the pool's
+/// per-kernel `executed` delta.
+pub(crate) fn record_chunk_span(start: Option<u64>, rows: usize, chunk: usize) {
+    if let Some(t0) = start {
+        hector_trace::record_span(
+            "worker/chunk",
+            hector_trace::SpanCat::Worker,
+            t0,
+            rows as u64,
+            u32::try_from(chunk).unwrap_or(u32::MAX),
+            0.0,
+        );
+    }
+}
+
+/// Raw row-major view of one variable's tensor, valid for one kernel
+/// launch and shared by every chunk of it.
+///
+/// # Safety contract
+///
+/// The pointer stays valid for the whole launch: the owning `VarStore`
+/// is mutably borrowed by the launch's `ExecCtx`, and nothing inserts,
+/// removes, or reshapes a buffer until the launch's table is cleared.
+/// Callers only write rows their chunk owns and only read rows no other
+/// chunk writes — that disjointness is what makes the concurrent
+/// accesses sound.
+#[derive(Clone, Copy)]
+pub(crate) struct RawRows {
+    ptr: *mut f32,
+    rows: usize,
+    width: usize,
+}
+
+// SAFETY: a `RawRows` is a pointer plus two lengths; sending or sharing
+// it moves no data. Every dereference goes through the `unsafe` row
+// accessors, whose callers uphold the disjoint-rows contract above.
+unsafe impl Send for RawRows {}
+// SAFETY: see `Send`.
+unsafe impl Sync for RawRows {}
+
+impl RawRows {
+    pub(crate) fn of(t: &mut Tensor) -> RawRows {
+        let rows = t.shape()[0];
+        let width = t.width();
+        RawRows {
+            ptr: t.data_mut().as_mut_ptr(),
+            rows,
+            width,
+        }
+    }
+
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// # Safety
+    ///
+    /// The launch is live (see the type docs) and no other chunk writes
+    /// row `r` concurrently.
+    pub(crate) unsafe fn row(&self, r: usize) -> &[f32] {
+        assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
+        // SAFETY: `r < rows` keeps the range inside the tensor the view
+        // was built from; liveness and non-aliasing are the caller's.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(r * self.width), self.width) }
+    }
+
+    /// # Safety
+    ///
+    /// The launch is live and the calling chunk owns row `r`: no other
+    /// reference to it exists for the returned borrow's lifetime.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
+        assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
+        // SAFETY: as in `row`; exclusivity is the caller's.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.width) }
+    }
+}
+
+/// Metadata of one deferred scatter/aggregate write; the values live in
+/// the owning [`ContribBuf`]'s flat vector.
+struct Contribution {
+    /// Launch-table slot of the output variable.
+    out: usize,
+    row: usize,
+    /// Offset into [`ContribBuf::vals`].
+    off: usize,
+    len: usize,
+    max: bool,
+}
+
+/// Flat per-chunk store of deferred contributions: one metadata record
+/// per (output row, value run), all values in a single growable vector —
+/// no per-row heap allocation.
+#[derive(Default)]
+pub(crate) struct ContribBuf {
+    meta: Vec<Contribution>,
+    /// For sums the values are pre-scaled (`x * s`), so the replay's
+    /// `acc += v` performs the identical f32 operations as the
+    /// in-place `acc += x * s`.
+    vals: Vec<f32>,
+}
+
+impl ContribBuf {
+    pub(crate) fn push(
+        &mut self,
+        out: usize,
+        row: usize,
+        vals: impl Iterator<Item = f32>,
+        max: bool,
+    ) {
+        let off = self.vals.len();
+        self.vals.extend(vals);
+        self.meta.push(Contribution {
+            out,
+            row,
+            off,
+            len: self.vals.len() - off,
+            max,
+        });
+    }
+
+    /// Empties the buffer for the next kernel; capacity persists.
+    fn clear(&mut self) {
+        self.meta.clear();
+        self.vals.clear();
+    }
+
+    /// Applies every recorded contribution in recorded order.
+    ///
+    /// # Safety
+    ///
+    /// `table` is the live launch table the contributions were recorded
+    /// against, and no chunk of the launch is still running.
+    unsafe fn replay(&self, table: &[RawRows]) {
+        for c in &self.meta {
+            let vals = &self.vals[c.off..c.off + c.len];
+            // SAFETY: every chunk has finished (caller contract), so the
+            // merging thread is the only one touching any row.
+            let row = unsafe { table[c.out].row_mut(c.row) };
+            if c.max {
+                for (acc, x) in row.iter_mut().zip(vals) {
+                    *acc = acc.max(*x);
+                }
+            } else {
+                for (acc, x) in row.iter_mut().zip(vals) {
+                    *acc += *x;
+                }
+            }
+        }
+    }
+}
+
+/// One chunk's pooled working state: a scratch block (scatter-GEMM row
+/// staging) and the deferred-contribution buffer. Reused across kernels
+/// and runs — every buffer grows to its high-water mark once, then warm
+/// runs never allocate.
+struct WorkerSlot {
+    scratch: Scratch,
+    buf: ContribBuf,
+    /// Scratch growth events already folded into the session counter.
+    folded_grows: usize,
+}
+
+impl WorkerSlot {
+    /// Growth events since the last fold (see `folded_grows`).
+    fn take_grows(&mut self) -> usize {
+        let total = self.scratch.grows();
+        let delta = total - self.folded_grows;
+        self.folded_grows = total;
+        delta
+    }
+}
+
+/// Interior-mutable slot cell.
+struct SlotCell(UnsafeCell<WorkerSlot>);
+
+// SAFETY: slots are only reached by chunk index inside a
+// `ThreadPool::for_each_chunk` job, which hands out every index exactly
+// once (an atomic `fetch_add`): two threads never hold the same index,
+// and distinct indices reach distinct slots. The merge runs after
+// `for_each_chunk` returns, which happens-after every chunk completion.
+unsafe impl Sync for SlotCell {}
+
+/// Session-owned pool of per-chunk worker state — the reason warm
+/// threaded runs are as allocation-free as one-chunk ones. See the
+/// module docs ("Pooled worker arenas").
+pub(crate) struct WorkerArenas {
+    slots: Vec<SlotCell>,
+    /// Launch table: one view per variable the running kernel touches,
+    /// indexed by the kernel's prepare-time slot numbers. Rebuilt
+    /// (capacity retained) by [`WorkerArenas::bind`] and cleared by
+    /// [`WorkerArenas::unbind`], so no pointer outlives its launch.
+    table: Vec<RawRows>,
+    /// Pooled per-type row buckets for the type-parallel GradW path.
+    rows_by_type: Vec<Vec<u32>>,
+}
+
+impl std::fmt::Debug for WorkerArenas {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerArenas")
+            .field("slots", &self.slots.len())
+            .field("table_vars", &self.table.len())
+            .field("type_buckets", &self.rows_by_type.len())
+            .finish()
+    }
+}
+
+impl WorkerArenas {
+    pub(crate) fn new() -> WorkerArenas {
+        WorkerArenas {
+            slots: Vec::new(),
+            table: Vec::new(),
+            rows_by_type: Vec::new(),
+        }
+    }
+
+    /// Opens a launch: points the table at `vars`' buffers, in order.
+    /// Callers keep `store` mutably borrowed until [`Self::unbind`] —
+    /// that borrow is what keeps the table's pointers live.
+    fn bind(&mut self, vars: &[VarId], store: &mut VarStore) {
+        self.table.clear();
+        for &v in vars {
+            let view = RawRows::of(store.get_mut(v).tensor_mut());
+            self.table.push(view);
+        }
+    }
+
+    /// Closes the launch opened by [`Self::bind`].
+    fn unbind(&mut self) {
+        self.table.clear();
+    }
+
+    /// Runs `f(table, buckets)` with the launch table bound to `vars`
+    /// (`store` stays borrowed for the whole call, so the table is live
+    /// throughout) and `types` emptied per-type row buckets.
+    pub(crate) fn with_table<R>(
+        &mut self,
+        vars: &[VarId],
+        store: &mut VarStore,
+        types: usize,
+        f: impl FnOnce(&[RawRows], &mut [Vec<u32>]) -> R,
+    ) -> R {
+        self.bind(vars, store);
+        if self.rows_by_type.len() < types {
+            self.rows_by_type.resize_with(types, Vec::new);
+        }
+        for bucket in &mut self.rows_by_type[..types] {
+            bucket.clear();
+        }
+        let r = f(&self.table, &mut self.rows_by_type[..types]);
+        self.unbind();
+        r
+    }
+
+    /// Runs `body(table, range, scratch, sink)` over `0..rows` with the
+    /// launch table bound to `vars` (`store` stays borrowed for the
+    /// whole call, so the table is live throughout). With no `pool` the
+    /// whole domain is one chunk on the caller: the sink is `None` and
+    /// aggregates fold in place. With a pool the domain splits as
+    /// [`hector_par::chunk_ranges`] predicts; whenever that is more than
+    /// one chunk the sink is the chunk's [`ContribBuf`], replayed here
+    /// in ascending chunk order. Returns whether the launch split, and
+    /// the slots' scratch growth events for the caller to fold into the
+    /// session counter.
+    pub(crate) fn run_chunks(
+        &mut self,
+        vars: &[VarId],
+        store: &mut VarStore,
+        pool: Option<&ThreadPool>,
+        min_chunk: usize,
+        rows: usize,
+        body: impl Fn(&[RawRows], Range<usize>, &mut Scratch, Option<&mut ContribBuf>) + Sync,
+    ) -> (bool, usize) {
+        self.bind(vars, store);
+        let chunks = pool.map_or(1, |p| chunk_count(rows, min_chunk, p.parallelism()));
+        while self.slots.len() < chunks {
+            self.slots.push(SlotCell(UnsafeCell::new(WorkerSlot {
+                scratch: Scratch::new(),
+                buf: ContribBuf::default(),
+                folded_grows: 0,
+            })));
+        }
+        let (slots, table): (&[SlotCell], &[RawRows]) = (&self.slots, &self.table);
+        let run = |ci: usize, range: Range<usize>| {
+            // SAFETY: each chunk index is claimed exactly once per launch
+            // (see `SlotCell`), so this slot has one user.
+            let slot = unsafe { &mut *slots[ci].0.get() };
+            slot.buf.clear();
+            let sink = (chunks > 1).then_some(&mut slot.buf);
+            body(table, range, &mut slot.scratch, sink);
+        };
+        let executed = match pool {
+            None => {
+                run(0, 0..rows);
+                1
+            }
+            Some(pool) => pool.for_each_chunk(rows, min_chunk, |ci, range| {
+                let tw = hector_trace::span_start();
+                let n = range.len();
+                run(ci, range);
+                record_chunk_span(tw, n, ci);
+            }),
+        };
+        debug_assert!(pool.is_none() || executed == chunks);
+        // Deterministic merge: ascending chunk index, recorded order
+        // within each chunk — exactly the one-chunk accumulation order.
+        let mut grows = 0;
+        for cell in &mut self.slots[..executed] {
+            let slot = cell.0.get_mut();
+            // SAFETY: `for_each_chunk` has returned, so every chunk is
+            // done, and `self.table` — bound above from `store`, which
+            // is still borrowed — is the table `body` recorded against.
+            unsafe { slot.buf.replay(&self.table) };
+            grows += slot.take_grows();
+        }
+        self.unbind();
+        (executed > 1, grows)
+    }
+}
+
+/// Raw per-type slab view of a gradient stack for the type-parallel
+/// `TypedLinearGradW` path.
+pub(crate) struct RawSlabs {
+    ptr: *mut f32,
+    slabs: usize,
+    slab_elems: usize,
+}
+
+// SAFETY: a pointer plus two lengths; every dereference goes through
+// `slab_mut`, whose callers own disjoint slabs.
+unsafe impl Send for RawSlabs {}
+// SAFETY: see `Send`.
+unsafe impl Sync for RawSlabs {}
+
+impl RawSlabs {
+    pub(crate) fn of(grad: &mut Tensor) -> RawSlabs {
+        RawSlabs {
+            slabs: grad.shape()[0],
+            slab_elems: grad.shape()[1] * grad.shape()[2],
+            ptr: grad.data_mut().as_mut_ptr(),
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The gradient tensor outlives the launch (it is borrowed from the
+    /// launch's `ParamStore`) and the caller owns slab `ty` exclusively.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn slab_mut(&self, ty: usize) -> &mut [f32] {
+        assert!(ty < self.slabs, "type {ty} outside {} slabs", self.slabs);
+        // SAFETY: `ty < slabs` keeps the range inside the tensor.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.ptr.add(ty * self.slab_elems), self.slab_elems)
+        }
+    }
+}
+
+/// Aggregate outputs whose target row can belong to a different chunk
+/// than the one producing the contribution — these must be deferred.
+/// In dst-node kernels, aggregation into the owned destination row is
+/// chunk-private and applies immediately (staged passes read it back).
+pub(crate) fn buffered_agg_outs(spec: &TraversalSpec, program: &Program) -> HashSet<VarId> {
+    let mut set = HashSet::new();
+    for op in &spec.ops {
+        if let OpKind::NodeAggregate { out, endpoint, .. } = &op.kind {
+            let dst_private = spec.domain == TraversalDomain::DstNodes
+                && program.var(*out).space == Space::Node
+                && *endpoint == Endpoint::Dst;
+            if !dst_private {
+                set.insert(*out);
+            }
+        }
+    }
+    set
+}
+
+/// Whether the kernel's dataflow permits the chunked execution scheme.
+/// One chunk it is when an op would *read* a deferred aggregate (its
+/// value would still be a partial sum), when a dst-node op reads an
+/// in-kernel value at a source endpoint (a row another chunk owns), or
+/// when a variable mixes aggregate and direct writes (replay would
+/// reorder them).
+pub(crate) fn par_traversal_safe(spec: &TraversalSpec, program: &Program) -> bool {
+    let buffered = buffered_agg_outs(spec, program);
+    let mut agg_outs = HashSet::new();
+    let mut direct_outs = HashSet::new();
+    for op in &spec.ops {
+        if let Some(v) = op.kind.out_var() {
+            if matches!(op.kind, OpKind::NodeAggregate { .. }) {
+                agg_outs.insert(v);
+            } else {
+                direct_outs.insert(v);
+            }
+        }
+    }
+    if agg_outs.intersection(&direct_outs).next().is_some() {
+        return false;
+    }
+    let all_outs: HashSet<VarId> = agg_outs.union(&direct_outs).copied().collect();
+    for op in &spec.ops {
+        for o in op.kind.operands() {
+            if let Some(v) = o.var() {
+                if buffered.contains(&v) {
+                    return false;
+                }
+                if spec.domain == TraversalDomain::DstNodes {
+                    if let Operand::Node(nv, Endpoint::Src) = o {
+                        if all_outs.contains(nv) {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    true
+}

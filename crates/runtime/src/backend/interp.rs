@@ -1,19 +1,18 @@
-//! The reference interpreter backend.
+//! The sequential oracle backend.
 //!
 //! Executes each kernel spec exactly as `crates/runtime/src/exec.rs`
-//! (sequential) and `par_exec.rs` (deterministic parallel) define it —
-//! this is the numerics baseline every other backend is pinned against.
+//! defines it — one row at a time, on the calling thread — and is the
+//! numerics baseline the production executor is pinned against.
 
 use hector_compiler::CompiledModule;
 use hector_device::Phase;
 use hector_ir::KernelSpec;
 
 use crate::exec::{exec_gemm, exec_traversal};
-use crate::par_exec::{exec_gemm_par, exec_traversal_par};
 
-use super::{plan_of, prepare_trav, Backend, BackendCaps, BackendKind, ExecCtx, ExecPlan};
+use super::{Backend, BackendKind, ExecCtx, ExecPlan};
 
-/// The reference interpreter (see module docs).
+/// The sequential oracle (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct InterpBackend;
 
@@ -22,88 +21,38 @@ impl Backend for InterpBackend {
         BackendKind::Interp
     }
 
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            parallel: true,
-            zero_alloc_warm: true,
-            trace_spans: true,
-        }
-    }
-
     fn prepare(&self, module: &CompiledModule) -> ExecPlan {
-        let fw = prepare_trav(&module.fw_kernels, &module.forward);
-        let bw = match &module.backward {
-            Some(p) => prepare_trav(&module.bw_kernels, p),
-            None => Vec::new(),
-        };
-        plan_of(self.kind(), module, fw, bw)
+        ExecPlan::new(self.kind(), module, Vec::new(), Vec::new())
     }
 
     fn run_kernel(
         &self,
-        plan: &ExecPlan,
-        phase: Phase,
-        index: usize,
+        _plan: &ExecPlan,
+        _phase: Phase,
+        _index: usize,
         spec: &KernelSpec,
         ctx: &mut ExecCtx<'_>,
     ) -> bool {
-        run_interp(plan, phase, index, spec, ctx)
+        run_oracle(spec, ctx)
     }
 }
 
-/// Interpreter dispatch for one kernel — shared with the specialized
-/// backend's fallback paths. Mirrors the session's historical inline
-/// `match (spec, pool)` exactly.
-pub(crate) fn run_interp(
-    plan: &ExecPlan,
-    phase: Phase,
-    index: usize,
-    spec: &KernelSpec,
-    ctx: &mut ExecCtx<'_>,
-) -> bool {
-    match (spec, ctx.pool) {
-        (KernelSpec::Gemm(g), Some(pool)) => exec_gemm_par(
-            g,
-            ctx.program,
-            ctx.graph,
-            ctx.params,
-            ctx.vars,
-            pool,
-            ctx.min_chunk,
-            ctx.scratch,
-            ctx.arenas,
-        ),
-        (KernelSpec::Gemm(g), None) => {
+/// Runs one kernel through the oracle's routines — also the production
+/// executor's one-chunk route for weight preps and kernels its resolver
+/// declined. Never splits, so always reports `false`.
+pub(crate) fn run_oracle(spec: &KernelSpec, ctx: &mut ExecCtx<'_>) -> bool {
+    match spec {
+        KernelSpec::Gemm(g) => {
             exec_gemm(g, ctx.program, ctx.graph, ctx.params, ctx.vars, ctx.scratch);
-            false
         }
-        (KernelSpec::Traversal(t), Some(pool)) => {
-            let prep = plan.kernels(phase)[index]
-                .trav
-                .as_ref()
-                .expect("traversal kernels carry TravPrep");
-            exec_traversal_par(
-                t,
-                prep,
-                ctx.program,
-                ctx.graph,
-                ctx.params,
-                ctx.vars,
-                pool,
-                ctx.min_chunk,
-                ctx.scratch,
-                ctx.arenas,
-            )
-        }
-        (KernelSpec::Traversal(t), None) => {
+        KernelSpec::Traversal(t) => {
             exec_traversal(t, ctx.program, ctx.graph, ctx.params, ctx.vars, ctx.scratch);
-            false
         }
-        (KernelSpec::Fallback(f), _) => {
+        KernelSpec::Fallback(f) => {
             if let Some(i) = f.prep_index {
                 ctx.params.run_prep(&ctx.program.preps[i], ctx.program);
             }
-            false
         }
     }
+    false
 }

@@ -1,27 +1,32 @@
-//! Execution backends: pluggable strategies for running compiled kernels.
+//! Execution backends: the production executor and its oracle.
 //!
 //! The compiler lowers a model to a sequence of [`KernelSpec`]s; *how*
 //! those kernels execute is a backend decision. [`Session`] routes every
 //! real-mode kernel launch through a [`Backend`]:
 //!
-//! * [`Backend::prepare`] runs once per (session, module) — it analyses
-//!   the kernel sequence and builds an [`ExecPlan`] of per-kernel
-//!   prepared state (parallel-safety verdicts, deferred-aggregate sets,
-//!   monomorphized kernel bodies). The plan is cached on the session, so
-//!   warm runs pay none of the analysis and stay allocation-free.
+//! * [`Backend::prepare`] runs once per (session, module) and builds an
+//!   [`ExecPlan`] of per-kernel prepared state. The plan is cached on
+//!   the session, keyed on the module's id, so warm runs pay none of the
+//!   analysis and stay allocation-free.
 //! * [`Backend::run_kernel`] executes one kernel of the plan against an
 //!   [`ExecCtx`] (graph, parameters, variable buffers, scratch arenas).
 //!
-//! Two backends ship today:
+//! Two backends, two roles:
 //!
-//! * **`interp`** ([`BackendKind::Interp`], the default) — the reference
-//!   interpreter: walks each kernel spec per row, sequentially or across
-//!   the deterministic thread pool.
-//! * **`specialized`** ([`BackendKind::Specialized`]) — resolves shapes,
-//!   stage assignments, aggregation kinds, and the fusion schedule once
-//!   at `prepare` time, monomorphizing each kernel into a dispatch-free
-//!   closure. Bit-identical to the interpreter (pinned by
-//!   `tests/backend_parity.rs`), faster on traversal-heavy models.
+//! * **`specialized`** ([`BackendKind::Specialized`], the default) is the
+//!   **production executor**. It resolves operands, row maps, stage
+//!   schedules, and aggregation kinds once at `prepare` time into
+//!   micro-op kernels (`spec.rs`), and runs them over row chunks: one
+//!   chunk with aggregates folded in place on a single thread, disjoint
+//!   chunks on the session's pool with an ordered merge otherwise
+//!   (`chunk.rs`). Outputs are bit-identical at every thread count.
+//! * **`interp`** ([`BackendKind::Interp`]) is the **sequential
+//!   oracle**: the small, obviously-correct row-at-a-time interpreter in
+//!   `exec.rs` that the parity suites compare production against
+//!   (`tests/backend_parity.rs`). It is sequential by definition — it
+//!   ignores the session's thread count and creates no pool — and shares
+//!   only leaf numerics (dot products, elementwise ops, the GEMM row
+//!   microkernels) with production.
 //!
 //! The CUDA code generator (`CompiledModule::code`) is *not* a backend:
 //! it is a text-only emission target — nothing in this crate executes
@@ -33,35 +38,40 @@ use std::sync::Arc;
 
 use hector_compiler::CompiledModule;
 use hector_device::Phase;
-use hector_ir::{KernelSpec, Program, VarId};
+use hector_ir::{KernelSpec, Program};
 use hector_par::ThreadPool;
 
-use crate::par_exec::{buffered_agg_outs, par_traversal_safe, WorkerArenas};
 use crate::scratch::Scratch;
 use crate::store::VarStore;
 use crate::{GraphData, ParamStore};
 
+mod chunk;
 mod interp;
 mod spec;
 
+pub(crate) use chunk::WorkerArenas;
+use spec::PreparedKernel;
+
 /// Which execution backend a session runs kernels on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The reference interpreter: executes each kernel spec directly,
-    /// matching on op kinds per row. Sequential and parallel paths are
-    /// bit-identical; this is the numerics baseline every other backend
-    /// is pinned against.
+    /// The sequential oracle: executes each kernel spec directly, one
+    /// row at a time, matching on op kinds per row. Always one thread —
+    /// the session's thread count is ignored. This is the numerics
+    /// baseline the production executor is pinned against.
     Interp,
-    /// The specialized compiled-kernel backend: monomorphizes each
-    /// lowered kernel into a dispatch-free closure at prepare time
-    /// (shapes, stage schedules, aggregation kinds resolved once, not
-    /// matched per row per run). Bit-identical to [`BackendKind::Interp`].
+    /// The production executor (the default): each lowered kernel is
+    /// resolved into micro-ops at prepare time and run over row chunks —
+    /// in place on one thread, across the session's pool with an ordered
+    /// merge on many. Bit-identical to [`BackendKind::Interp`] at every
+    /// thread count.
+    #[default]
     Specialized,
 }
 
 impl BackendKind {
-    /// Stable lower-case name (the `HECTOR_BACKEND` value and the label
-    /// surfaced through counters, profiles, and trace metadata).
+    /// Stable lower-case name (the label surfaced through counters,
+    /// profiles, and trace metadata).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -70,11 +80,11 @@ impl BackendKind {
         }
     }
 
-    /// Parses a backend name as accepted by `HECTOR_BACKEND`.
+    /// Parses a backend name ([`BackendKind::name`] or a common alias).
     #[must_use]
     pub fn from_name(s: &str) -> Option<BackendKind> {
         match s.trim() {
-            "" | "interp" | "interpreter" => Some(BackendKind::Interp),
+            "interp" | "interpreter" => Some(BackendKind::Interp),
             "specialized" | "spec" => Some(BackendKind::Specialized),
             _ => None,
         }
@@ -94,40 +104,6 @@ impl BackendKind {
             name: s.to_string(),
         })
     }
-
-    /// Backend selection from the environment: `HECTOR_BACKEND=interp`
-    /// (default) or `HECTOR_BACKEND=specialized`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a misspelt backend silently
-    /// falling back to the default would invalidate any benchmark or CI
-    /// matrix leg that set it.
-    #[must_use]
-    pub fn from_env() -> BackendKind {
-        match std::env::var("HECTOR_BACKEND") {
-            Ok(v) => BackendKind::from_name(&v).unwrap_or_else(|| {
-                panic!("unknown HECTOR_BACKEND '{v}' (expected 'interp' or 'specialized')")
-            }),
-            Err(_) => BackendKind::Interp,
-        }
-    }
-}
-
-/// Capability flags a backend advertises. Purely informational — the
-/// session does not gate behaviour on them — but they document the
-/// contract each backend is tested against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackendCaps {
-    /// Executes across the deterministic thread pool when the session
-    /// has one (`HECTOR_THREADS > 1`).
-    pub parallel: bool,
-    /// Warm runs perform zero heap allocations (pinned by
-    /// `tests/run_alloc.rs`).
-    pub zero_alloc_warm: bool,
-    /// Emits the standard kernel/phase/worker trace spans (the golden
-    /// schema in `tests/trace_schema.rs` holds under this backend).
-    pub trace_spans: bool,
 }
 
 /// Everything a backend needs to execute one kernel: the program and
@@ -148,43 +124,13 @@ pub struct ExecCtx<'a> {
     pub(crate) arenas: &'a mut WorkerArenas,
 }
 
-/// Prepared parallel-execution metadata for one traversal kernel,
-/// computed once per module instead of per launch: whether the chunked
-/// scheme is safe at all, and which aggregate outputs must be deferred
-/// to the record-and-replay merge.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TravPrep {
-    /// Verdict of [`par_traversal_safe`] — `false` forces the sequential
-    /// interpreter even when a pool exists.
-    pub(crate) par_safe: bool,
-    /// Sorted [`buffered_agg_outs`] result: aggregate outputs whose
-    /// target row may belong to another chunk.
-    pub(crate) buffered: Vec<VarId>,
-}
-
-/// A monomorphized kernel body built by the specialized backend: one
-/// closure per kernel, with every prepare-time decision already baked
-/// in. Returns whether the kernel actually split across chunks.
-pub(crate) type KernelFn = Box<dyn Fn(&mut ExecCtx<'_>) -> bool + Send + Sync>;
-
-/// Per-kernel prepared state inside an [`ExecPlan`].
-#[derive(Default)]
-pub(crate) struct PreparedKernel {
-    /// Parallel metadata (traversal kernels only).
-    pub(crate) trav: Option<TravPrep>,
-    /// Monomorphized body (specialized backend only); `None` falls back
-    /// to the interpreter dispatch in [`Backend::run_kernel`].
-    pub(crate) body: Option<KernelFn>,
-}
-
-/// A backend's prepared execution state for one [`CompiledModule`]:
-/// per-kernel analysis results and (for compiling backends) the
-/// monomorphized kernel bodies. Built by [`Backend::prepare`], cached by
-/// the session, and keyed to the module it was built from.
+/// A backend's prepared execution state for one [`CompiledModule`]: the
+/// production executor's micro-op kernels (the oracle prepares
+/// nothing). Built by [`Backend::prepare`], cached by the session, and
+/// keyed to the module it was built from.
 pub struct ExecPlan {
     kind: BackendKind,
-    module_ptr: usize,
-    module_name: String,
+    module_id: u64,
     fw: Vec<PreparedKernel>,
     bw: Vec<PreparedKernel>,
 }
@@ -193,7 +139,7 @@ impl std::fmt::Debug for ExecPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecPlan")
             .field("kind", &self.kind)
-            .field("module", &self.module_name)
+            .field("module_id", &self.module_id)
             .field("fw_kernels", &self.fw.len())
             .field("bw_kernels", &self.bw.len())
             .finish()
@@ -201,24 +147,36 @@ impl std::fmt::Debug for ExecPlan {
 }
 
 impl ExecPlan {
+    fn new(
+        kind: BackendKind,
+        module: &CompiledModule,
+        fw: Vec<PreparedKernel>,
+        bw: Vec<PreparedKernel>,
+    ) -> ExecPlan {
+        ExecPlan {
+            kind,
+            module_id: module.id,
+            fw,
+            bw,
+        }
+    }
+
     /// The backend kind this plan was prepared by.
     #[must_use]
     pub fn kind(&self) -> BackendKind {
         self.kind
     }
 
-    /// Whether this plan was prepared from `module` (same address, name,
-    /// and kernel counts) by a backend of `kind` — the session's cache
-    /// key for skipping re-preparation on warm runs.
+    /// Whether this plan was prepared from `module` by a backend of
+    /// `kind` — the session's cache key for skipping re-preparation on
+    /// warm runs. Module ids are process-unique per compilation, so two
+    /// modules that merely share an address (or a name and kernel
+    /// counts) never alias.
     pub(crate) fn matches(&self, kind: BackendKind, module: &CompiledModule) -> bool {
-        self.kind == kind
-            && self.module_ptr == std::ptr::from_ref(module) as usize
-            && self.module_name == module.name
-            && self.fw.len() == module.fw_kernels.len()
-            && self.bw.len() == module.bw_kernels.len()
+        self.kind == kind && self.module_id == module.id
     }
 
-    pub(crate) fn kernels(&self, phase: Phase) -> &[PreparedKernel] {
+    fn kernels(&self, phase: Phase) -> &[PreparedKernel] {
         match phase {
             Phase::Forward => &self.fw,
             Phase::Backward => &self.bw,
@@ -226,51 +184,13 @@ impl ExecPlan {
     }
 }
 
-/// Builds the interpreter-level prepared state shared by every backend:
-/// parallel-safety and deferred-aggregate analysis per traversal kernel.
-fn prepare_trav(kernels: &[KernelSpec], program: &Program) -> Vec<PreparedKernel> {
-    kernels
-        .iter()
-        .map(|spec| match spec {
-            KernelSpec::Traversal(t) => {
-                let mut buffered: Vec<VarId> = buffered_agg_outs(t, program).into_iter().collect();
-                buffered.sort_unstable_by_key(|v| v.0);
-                PreparedKernel {
-                    trav: Some(TravPrep {
-                        par_safe: par_traversal_safe(t, program),
-                        buffered,
-                    }),
-                    body: None,
-                }
-            }
-            _ => PreparedKernel::default(),
-        })
-        .collect()
-}
-
-/// Plan skeleton: per-phase prepared kernels plus the module cache key.
-fn plan_of(
-    kind: BackendKind,
-    module: &CompiledModule,
-    fw: Vec<PreparedKernel>,
-    bw: Vec<PreparedKernel>,
-) -> ExecPlan {
-    ExecPlan {
-        kind,
-        module_ptr: std::ptr::from_ref(module) as usize,
-        module_name: module.name.clone(),
-        fw,
-        bw,
-    }
-}
-
 /// An execution strategy for compiled kernel sequences.
 ///
-/// Implementations must keep outputs **bit-identical** to the reference
-/// interpreter ([`BackendKind::Interp`]) — `tests/backend_parity.rs`
-/// pins forward outputs, losses, and trained weights across backends and
-/// thread counts. The trait is sealed to this crate ([`ExecCtx`]'s
-/// fields are crate-private).
+/// Implementations must keep outputs **bit-identical** to the oracle
+/// ([`BackendKind::Interp`]) — `tests/backend_parity.rs` pins forward
+/// outputs, losses, and trained weights across backends and thread
+/// counts. The trait is sealed to this crate ([`ExecCtx`]'s fields are
+/// crate-private).
 pub trait Backend: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -279,9 +199,6 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str {
         self.kind().name()
     }
-
-    /// Capability flags (see [`BackendCaps`]).
-    fn caps(&self) -> BackendCaps;
 
     /// Analyses `module` and builds the prepared per-kernel state this
     /// backend needs. Called once per (session, module); the session
@@ -320,8 +237,8 @@ mod tests {
         for kind in [BackendKind::Interp, BackendKind::Specialized] {
             assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(BackendKind::from_name(""), Some(BackendKind::Interp));
         assert_eq!(BackendKind::from_name("wgpu"), None);
+        assert_eq!(BackendKind::default(), BackendKind::Specialized);
     }
 
     #[test]
@@ -330,9 +247,6 @@ mod tests {
             let b = create(kind);
             assert_eq!(b.kind(), kind);
             assert_eq!(b.name(), kind.name());
-            assert!(b.caps().parallel);
-            assert!(b.caps().zero_alloc_warm);
-            assert!(b.caps().trace_spans);
         }
     }
 }

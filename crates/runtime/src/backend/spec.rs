@@ -1,60 +1,67 @@
-//! The specialized compiled-kernel backend.
+//! The production executor: prepared micro-op plans run over row chunks.
 //!
-//! Where the interpreter re-derives scheduling facts on every launch —
-//! scanning the whole fused op list per edge per pass, testing
-//! `hoisted.contains(op)` per op, re-matching aggregation kinds and
-//! re-resolving weight slabs per row — this backend resolves all of it
-//! **once**, at [`Backend::prepare`] time, and monomorphizes each
-//! lowered kernel into a dispatch-free closure:
+//! [`Backend::prepare`] resolves every scheduling fact of a lowered
+//! kernel **once** — each `Operand` match, variable lookup, space and
+//! endpoint decision, aggregation kind, the dst-node pass schedule —
+//! into a [`MicroKernel`]: a list of [`MicroOp`]s over a per-launch table
+//! of row views. One routine, [`run_rows`], holds each op's row
+//! semantics; a launch hands it **(row range, aggregate sink)** pairs:
 //!
-//! * **Linear-domain traversals** (edges, unique pairs, nodes): the
-//!   fused op list is compiled to [`MicroOp`]s — every `Operand` match,
-//!   variable-store hash lookup, and space/endpoint decision is made at
-//!   prepare time — and executed **op-at-a-time**: one tight loop over
-//!   all rows per op, with the operand tensors bound once per launch and
-//!   results written straight into the output rows (no scratch staging
-//!   copy). The interchange is bit-exact: per-row ops are row-local, and
-//!   aggregates fold contributions in the same ascending-row order as
-//!   the interpreter's row-at-a-time loop. Kernels where an aggregate's
-//!   output is read back in the same kernel (where interchange would
-//!   observe different partial sums) are detected at prepare time and
-//!   fall back to the interpreter.
-//! * **Dst-node traversals** (edge softmax and friends): the per-pass
-//!   schedule is compiled to direct op-index lists (`edge_ops[pass]`,
-//!   `node_ops[pass]`) and per-pass `-inf` sweep targets, so the hot
-//!   per-edge loop touches exactly the ops that run — no stage scan, no
-//!   `contains` probes.
-//! * **Shared-weight dense GEMMs**: the weight slab and its finiteness
-//!   bit are resolved once per kernel instead of once per row.
-//! * Everything else falls back to the interpreter's own routines, so
-//!   numerics are the interpreter's by construction.
+//! * **One chunk** (one thread, or a kernel that must not split): the
+//!   range is the whole domain and the sink is absent — aggregates and
+//!   scatters fold where they land, in ascending-row order.
+//! * **Many chunks**: disjoint ranges on the pool, row-aligned outputs
+//!   written directly, aggregate/scatter contributions recorded per
+//!   chunk and replayed in ascending chunk order (see [`super::chunk`]
+//!   for why that is bit-exact).
 //!
-//! Every closure reuses the session [`Scratch`] arena and, on the
-//! parallel path, delegates to the same deterministic chunked executor
-//! as the interpreter — warm runs stay 0-alloc and outputs stay
-//! bit-identical across backends and thread counts
-//! (`tests/backend_parity.rs`).
+//! Kernel shapes:
+//!
+//! * **Row domains** (edges, unique pairs, nodes; `TypedLinear` GEMMs
+//!   are one-op kernels of this shape) run **op-at-a-time**: one tight
+//!   loop over the chunk's rows per op. The interchange is bit-exact
+//!   because pure ops are row-local and aggregates fold in ascending
+//!   row order — except where an aggregate's output is read back in the
+//!   same kernel: the reader must observe the *partial* sum over the
+//!   rows so far, so those ops (and everything between them) form a
+//!   per-row window that replays row-major order, and the kernel runs
+//!   as one chunk.
+//! * **Dst-node kernels** (edge softmax and friends) walk each
+//!   destination's in-edges once per inner pass: per-edge ops resolved
+//!   in the edge context, hoisted ops in the node context, with the
+//!   mid-pass `-inf` sweeps a zero-in-degree destination needs.
+//! * **`TypedLinearGradW`** splits over type slabs instead of rows.
+//!
+//! A kernel the resolver declines (an operand shape outside it, an op
+//! reading its own output, two ops folding into one aggregate) runs
+//! through the oracle's loop as one chunk; `every_model_kernel_compiles`
+//! pins that no built-in model produces one.
+
+use std::collections::HashSet;
+use std::ops::Range;
 
 use hector_compiler::CompiledModule;
 use hector_device::Phase;
 use hector_ir::{
     AggNorm, BinOp, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
-    TraversalDomain, TraversalSpec, UnOp, VarId, WeightId,
+    TraversalDomain, TraversalSpec, TypeIndex, UnOp, VarId, WeightId,
 };
 use hector_tensor::Tensor;
 
 use crate::exec::{
-    apply_binary_into, apply_unary_into, dot, dst_private_max_aggs, exec_gemm, exec_op,
-    exec_traversal, gemm_row_into, max_agg_outputs, read_operand, row_ctx, Ctx,
+    apply_binary_into, apply_unary_into, dot, dst_private_max_aggs, gemm_row_into, grad_w_row,
+    max_agg_outputs, sweep_neg_inf, weight_type_index,
 };
-use crate::par_exec::{buffered_agg_outs, exec_gemm_par, exec_traversal_par, par_traversal_safe};
+use crate::scratch::Scratch;
+use crate::{GraphData, ParamStore};
 
-use super::{
-    plan_of, Backend, BackendCaps, BackendKind, ExecCtx, ExecPlan, KernelFn, PreparedKernel,
-    TravPrep,
+use super::chunk::{
+    buffered_agg_outs, par_traversal_safe, record_chunk_span, ContribBuf, RawRows, RawSlabs,
 };
+use super::interp::run_oracle;
+use super::{Backend, BackendKind, ExecCtx, ExecPlan};
 
-/// The specialized compiled-kernel backend (see module docs).
+/// The production backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SpecializedBackend;
 
@@ -63,21 +70,13 @@ impl Backend for SpecializedBackend {
         BackendKind::Specialized
     }
 
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            parallel: true,
-            zero_alloc_warm: true,
-            trace_spans: true,
-        }
-    }
-
     fn prepare(&self, module: &CompiledModule) -> ExecPlan {
         let fw = compile_kernels(&module.fw_kernels, &module.forward);
         let bw = match &module.backward {
             Some(p) => compile_kernels(&module.bw_kernels, p),
             None => Vec::new(),
         };
-        plan_of(self.kind(), module, fw, bw)
+        ExecPlan::new(self.kind(), module, fw, bw)
     }
 
     fn run_kernel(
@@ -85,96 +84,43 @@ impl Backend for SpecializedBackend {
         plan: &ExecPlan,
         phase: Phase,
         index: usize,
-        _spec: &KernelSpec,
+        spec: &KernelSpec,
         ctx: &mut ExecCtx<'_>,
     ) -> bool {
-        let body = plan.kernels(phase)[index]
-            .body
-            .as_ref()
-            .expect("specialized plans carry a body per kernel");
-        body(ctx)
+        match &plan.kernels(phase)[index] {
+            PreparedKernel::Micro(k) => k.run(ctx),
+            PreparedKernel::GradW(k) => k.run(ctx),
+            PreparedKernel::Oracle => run_oracle(spec, ctx),
+        }
     }
+}
+
+/// One kernel of a prepared plan.
+pub(crate) enum PreparedKernel {
+    /// A traversal or `TypedLinear` GEMM compiled to micro-ops.
+    Micro(MicroKernel),
+    /// A `TypedLinearGradW` GEMM (type-slab scheme).
+    GradW(GradWKernel),
+    /// No micro-op body — weight-prep fallbacks, and kernels the
+    /// resolver declined: the oracle's routine runs it, as one chunk.
+    Oracle,
 }
 
 fn compile_kernels(kernels: &[KernelSpec], program: &Program) -> Vec<PreparedKernel> {
     kernels
         .iter()
-        .map(|spec| {
-            let (trav, body) = match spec {
-                KernelSpec::Traversal(t) => {
-                    let prep = trav_prep(t, program);
-                    let body = compile_traversal(t, program, prep.clone());
-                    (Some(prep), body)
-                }
-                KernelSpec::Gemm(g) => (None, compile_gemm(g)),
-                KernelSpec::Fallback(f) => {
-                    let prep_index = f.prep_index;
-                    let body: KernelFn = Box::new(move |ctx: &mut ExecCtx<'_>| {
-                        if let Some(i) = prep_index {
-                            ctx.params.run_prep(&ctx.program.preps[i], ctx.program);
-                        }
-                        false
-                    });
-                    (None, body)
-                }
-            };
-            PreparedKernel {
-                trav,
-                body: Some(body),
+        .map(|spec| match spec {
+            KernelSpec::Traversal(t) => {
+                compile_traversal(t, program).map_or(PreparedKernel::Oracle, PreparedKernel::Micro)
             }
+            KernelSpec::Gemm(g) => compile_gemm(g, program).unwrap_or(PreparedKernel::Oracle),
+            KernelSpec::Fallback(_) => PreparedKernel::Oracle,
         })
         .collect()
 }
 
-fn trav_prep(spec: &TraversalSpec, program: &Program) -> TravPrep {
-    let mut buffered: Vec<VarId> = buffered_agg_outs(spec, program).into_iter().collect();
-    buffered.sort_unstable_by_key(|v| v.0);
-    TravPrep {
-        par_safe: par_traversal_safe(spec, program),
-        buffered,
-    }
-}
-
-/// The prepare-time-resolved schedule of a dst-node kernel: exactly
-/// which op indices run where in each inner pass, and which max-agg
-/// rows need the mid-pass `-inf` sweep.
-struct DstSched {
-    max_stage: usize,
-    /// Per pass: indices (into `ops`) of per-edge ops.
-    edge_ops: Vec<Vec<usize>>,
-    /// Per pass: indices of hoisted per-node ops.
-    node_ops: Vec<Vec<usize>>,
-    /// Per pass: dst-private max-aggregate outputs to sweep mid-pass.
-    mid_sweeps: Vec<Vec<VarId>>,
-}
-
-fn dst_sched(spec: &TraversalSpec, program: &Program) -> DstSched {
-    let st = &spec.stages;
-    let max_stage = st.iter().copied().max().unwrap_or(0);
-    let mut edge_ops = vec![Vec::new(); max_stage + 1];
-    let mut node_ops = vec![Vec::new(); max_stage + 1];
-    let mut mid_sweeps = vec![Vec::new(); max_stage + 1];
-    for (i, op) in spec.ops.iter().enumerate() {
-        if spec.hoisted.contains(&op.id) {
-            node_ops[st[i]].push(i);
-        } else {
-            edge_ops[st[i]].push(i);
-        }
-    }
-    for (pass, sweeps) in mid_sweeps.iter_mut().enumerate() {
-        sweeps.extend(dst_private_max_aggs(spec, program, pass));
-    }
-    DstSched {
-        max_stage,
-        edge_ops,
-        node_ops,
-        mid_sweeps,
-    }
-}
-
 /// Per-row index mapping of a pre-resolved operand or aggregate target,
-/// fixed at prepare time from the traversal domain and the variable's
-/// space — the decision `read_operand` re-derives per row.
+/// fixed at prepare time from the row domain and the variable's space.
 #[derive(Clone, Copy, Debug)]
 enum RowMap {
     /// The iterated row itself.
@@ -189,179 +135,161 @@ enum RowMap {
     UniqueRowIdx,
 }
 
-/// Which per-row edge-type array selects a weight-vector slab.
-#[derive(Clone, Copy, Debug)]
-enum ESel {
-    /// `graph.etype()` (edge rows).
-    Edge,
-    /// `graph.unique_etype()` (unique-pair rows).
-    Unique,
-}
-
-/// A traversal operand with every space/endpoint decision already made:
-/// execution binds the referenced storage once per launch and indexes it
-/// per row — no `Operand` match, no var-store hash lookup in the loop.
+/// An operand with every space/endpoint decision already made:
+/// execution binds the referenced storage once per op per chunk and
+/// indexes it per row — no `Operand` match, no hash lookup in the loop.
 #[derive(Clone, Copy, Debug)]
 enum PreOperand {
     /// An inline IR constant (broadcast scalar).
     Const(f32),
-    /// Per-edge-type weight vector; the slab index comes from `ESel`.
-    WVec(WeightId, ESel),
-    /// A variable row through a prepare-time-resolved index map.
-    Var(VarId, RowMap),
+    /// Per-edge-type weight vector; the slab index comes from the
+    /// iterated domain's edge-type array (`true`: unique-pair rows).
+    WVec(WeightId, bool),
+    /// A launch-table variable through a prepare-time row map.
+    Var(usize, RowMap),
 }
 
-impl PreOperand {
-    fn var(&self) -> Option<VarId> {
-        match self {
-            PreOperand::Var(v, _) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// One fused traversal op compiled for op-at-a-time execution.
+/// One kernel op compiled for execution over a row range. `a` is the
+/// first operand every op kind reads; `out` the launch-table slot of
+/// the variable it writes.
 #[derive(Clone, Debug)]
-enum MicroOp {
-    Dot {
-        a: PreOperand,
-        b: PreOperand,
-        out: VarId,
-    },
-    Bin {
-        op: BinOp,
-        a: PreOperand,
-        b: PreOperand,
-        out: VarId,
-    },
-    Un {
-        op: UnOp,
-        a: PreOperand,
-        out: VarId,
-    },
+struct MicroOp {
+    a: PreOperand,
+    out: usize,
+    kind: Kind,
+}
+
+#[derive(Clone, Debug)]
+enum Kind {
+    Dot(PreOperand),
+    Bin(BinOp, PreOperand),
+    Un(UnOp),
     Agg {
-        val: PreOperand,
         scale: Option<PreOperand>,
         max: bool,
-        out: VarId,
         map: RowMap,
+        /// The target row may belong to another chunk: record the
+        /// contribution instead of folding it when the launch splits.
+        deferred: bool,
+    },
+    Linear {
+        weight: WeightId,
+        transpose_w: bool,
+        types: TypeIndex,
+        rows: RowDomain,
+        scale: Option<PreOperand>,
+        /// Accumulate into the mapped row instead of storing row-aligned.
+        scatter: Option<RowMap>,
     },
 }
 
 impl MicroOp {
-    fn out(&self) -> VarId {
-        match self {
-            MicroOp::Dot { out, .. }
-            | MicroOp::Bin { out, .. }
-            | MicroOp::Un { out, .. }
-            | MicroOp::Agg { out, .. } => *out,
-        }
-    }
-
-    fn read_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        let (a, b) = match self {
-            MicroOp::Dot { a, b, .. } | MicroOp::Bin { a, b, .. } => (Some(a), Some(b)),
-            MicroOp::Un { a, .. } => (Some(a), None),
-            MicroOp::Agg { val, scale, .. } => (Some(val), scale.as_ref()),
+    /// Launch-table slots of the variables this op reads.
+    fn reads(&self) -> impl Iterator<Item = usize> + '_ {
+        let second = match &self.kind {
+            Kind::Dot(b) | Kind::Bin(_, b) => Some(b),
+            Kind::Un(_) => None,
+            Kind::Agg { scale, .. } | Kind::Linear { scale, .. } => scale.as_ref(),
         };
-        a.and_then(PreOperand::var)
-            .into_iter()
-            .chain(b.and_then(PreOperand::var))
+        std::iter::once(&self.a)
+            .chain(second)
+            .filter_map(|o| match o {
+                PreOperand::Var(slot, _) => Some(*slot),
+                _ => None,
+            })
+    }
+
+    /// `run_rows` holds a shared view of every operand row and a mutable
+    /// one of the output row at once; they must never be the same row,
+    /// so the resolver declines such an op.
+    fn reads_own_output(&self) -> bool {
+        self.reads().any(|v| v == self.out)
     }
 }
 
-fn resolve_operand(o: &Operand, domain: TraversalDomain, program: &Program) -> Option<PreOperand> {
-    Some(match o {
-        Operand::Const(c) => PreOperand::Const(*c),
-        Operand::WeightVec(w) => match domain {
-            TraversalDomain::Edges => PreOperand::WVec(*w, ESel::Edge),
-            TraversalDomain::UniquePairs => PreOperand::WVec(*w, ESel::Unique),
-            _ => return None,
-        },
-        Operand::Node(v, ep) => {
-            let map = match (domain, ep) {
-                (TraversalDomain::Edges, Endpoint::Src) => RowMap::Src,
-                (TraversalDomain::Edges, Endpoint::Dst) => RowMap::Dst,
-                (TraversalDomain::UniquePairs, Endpoint::Src) => RowMap::UniqueRowIdx,
-                (TraversalDomain::Nodes, Endpoint::This | Endpoint::Dst) => RowMap::This,
-                _ => return None,
-            };
-            PreOperand::Var(*v, map)
-        }
-        Operand::Edge(v) => {
-            let map = match (domain, program.var(*v).space) {
-                (TraversalDomain::Edges, Space::Edge) => RowMap::This,
-                (TraversalDomain::Edges, Space::Compact) => RowMap::EdgeToUnique,
-                (TraversalDomain::UniquePairs, Space::Compact) => RowMap::This,
-                _ => return None,
-            };
-            PreOperand::Var(*v, map)
-        }
-    })
-}
-
-/// The row space a pure (non-aggregate) op writes in each linear domain
-/// — mirrors `write_row`'s accepted combinations.
-fn pure_out_space(domain: TraversalDomain) -> Space {
-    match domain {
-        TraversalDomain::Edges => Space::Edge,
-        TraversalDomain::UniquePairs => Space::Compact,
-        TraversalDomain::Nodes => Space::Node,
-        TraversalDomain::DstNodes => unreachable!("linear domains only"),
+/// The row space a row-aligned store lands in, per row domain.
+fn space_of(rows: RowDomain) -> Space {
+    match rows {
+        RowDomain::Edges => Space::Edge,
+        RowDomain::UniquePairs => Space::Compact,
+        RowDomain::Nodes => Space::Node,
     }
 }
 
-/// One compiled execution segment of a linear-domain traversal.
-enum Seg {
-    /// Interchange-safe ops, executed op-at-a-time: one tight loop over
-    /// all rows per op, operands bound once.
-    Oat(Vec<MicroOp>),
-    /// A hazard window (`spec.ops` index range): ops that must interleave
-    /// per row — an aggregate whose output is read back in-kernel (the
-    /// reader observes *partial* sums, per the interpreter's row-major
-    /// order) or an op reading its own output. Executed through
-    /// [`exec_op`], row-at-a-time, exactly like the interpreter.
-    PerRow(std::ops::Range<usize>),
+/// Prepare-time operand/op resolution; collects the kernel's variables
+/// into launch-table slot order as it goes.
+struct Resolver<'a> {
+    program: &'a Program,
+    vars: Vec<VarId>,
 }
 
-/// Compiles a linear-domain (edges / unique pairs / nodes) traversal into
-/// execution segments, or `None` when the whole kernel must fall back to
-/// the interpreter loop.
-///
-/// Op-at-a-time execution (the loop interchange) is bit-exact for an op
-/// whose reads and writes are row-local, and for aggregates folded in
-/// ascending-row order — which is every shape **except** reading a
-/// variable some aggregate of the same kernel writes: the interpreter's
-/// row-major interleave makes such a read observe the partial sum over
-/// rows processed so far. Those ops (and everything between them, to
-/// preserve relative order) are carved into a [`Seg::PerRow`] window that
-/// replays the interpreter's own per-row loop; the ops before and after
-/// still run op-at-a-time.
-///
-/// Full fallback triggers only when an operand shape is outside the
-/// resolver (a compiler-invariant breach) or two ops write the same
-/// aggregate output (segmenting would reorder the interleaved
-/// accumulation).
-fn compile_linear(spec: &TraversalSpec, program: &Program) -> Option<Vec<Seg>> {
-    let domain = spec.domain;
-    let mut mops = Vec::with_capacity(spec.ops.len());
-    for op in &spec.ops {
-        let m = match &op.kind {
-            OpKind::DotProduct { a, b, out } => MicroOp::Dot {
-                a: resolve_operand(a, domain, program)?,
-                b: resolve_operand(b, domain, program)?,
-                out: (program.var(*out).space == pure_out_space(domain)).then_some(*out)?,
+impl Resolver<'_> {
+    fn slot(&mut self, v: VarId) -> usize {
+        self.vars.iter().position(|&x| x == v).unwrap_or_else(|| {
+            self.vars.push(v);
+            self.vars.len() - 1
+        })
+    }
+
+    /// Mirrors the oracle's `read_operand` context × operand table;
+    /// `None` for any combination it calls unreachable.
+    fn operand(&mut self, o: &Operand, rows: RowDomain) -> Option<PreOperand> {
+        Some(match o {
+            Operand::Const(c) => PreOperand::Const(*c),
+            Operand::WeightVec(w) => match rows {
+                RowDomain::Edges => PreOperand::WVec(*w, false),
+                RowDomain::UniquePairs => PreOperand::WVec(*w, true),
+                RowDomain::Nodes => return None,
             },
-            OpKind::Binary { op, a, b, out } => MicroOp::Bin {
-                op: *op,
-                a: resolve_operand(a, domain, program)?,
-                b: resolve_operand(b, domain, program)?,
-                out: (program.var(*out).space == pure_out_space(domain)).then_some(*out)?,
+            Operand::Node(v, ep) => {
+                let map = match (rows, ep) {
+                    (RowDomain::Edges, Endpoint::Src) => RowMap::Src,
+                    (RowDomain::Edges, Endpoint::Dst) => RowMap::Dst,
+                    (RowDomain::UniquePairs, Endpoint::Src) => RowMap::UniqueRowIdx,
+                    (RowDomain::Nodes, Endpoint::This | Endpoint::Dst) => RowMap::This,
+                    _ => return None,
+                };
+                PreOperand::Var(self.slot(*v), map)
+            }
+            Operand::Edge(v) => {
+                let map = match (rows, self.program.var(*v).space) {
+                    (RowDomain::Edges, Space::Edge) => RowMap::This,
+                    (RowDomain::Edges, Space::Compact) => RowMap::EdgeToUnique,
+                    (RowDomain::UniquePairs, Space::Compact) => RowMap::This,
+                    _ => return None,
+                };
+                PreOperand::Var(self.slot(*v), map)
+            }
+        })
+    }
+
+    /// A row-aligned output: its space must be the iterated domain's.
+    fn aligned_out(&mut self, out: VarId, rows: RowDomain) -> Option<usize> {
+        (self.program.var(out).space == space_of(rows)).then(|| self.slot(out))
+    }
+
+    /// One fused traversal op, resolved in the `rows` context.
+    fn traversal_op(
+        &mut self,
+        kind: &OpKind,
+        rows: RowDomain,
+        deferred: &HashSet<VarId>,
+    ) -> Option<MicroOp> {
+        Some(match kind {
+            OpKind::DotProduct { a, b, out } => MicroOp {
+                a: self.operand(a, rows)?,
+                kind: Kind::Dot(self.operand(b, rows)?),
+                out: self.aligned_out(*out, rows)?,
             },
-            OpKind::Unary { op, a, out } => MicroOp::Un {
-                op: *op,
-                a: resolve_operand(a, domain, program)?,
-                out: (program.var(*out).space == pure_out_space(domain)).then_some(*out)?,
+            OpKind::Binary { op, a, b, out } => MicroOp {
+                a: self.operand(a, rows)?,
+                kind: Kind::Bin(*op, self.operand(b, rows)?),
+                out: self.aligned_out(*out, rows)?,
+            },
+            OpKind::Unary { op, a, out } => MicroOp {
+                a: self.operand(a, rows)?,
+                kind: Kind::Un(*op),
+                out: self.aligned_out(*out, rows)?,
             },
             OpKind::NodeAggregate {
                 edge_val,
@@ -370,447 +298,696 @@ fn compile_linear(spec: &TraversalSpec, program: &Program) -> Option<Vec<Seg>> {
                 endpoint,
                 out,
             } => {
-                let map = match (domain, program.var(*out).space, endpoint) {
-                    (TraversalDomain::Edges, Space::Node, Endpoint::Dst) => RowMap::Dst,
-                    (TraversalDomain::Edges, Space::Node, Endpoint::Src) => RowMap::Src,
-                    (TraversalDomain::Edges, Space::Compact, _) => RowMap::EdgeToUnique,
-                    (TraversalDomain::UniquePairs, Space::Node, _) => RowMap::UniqueRowIdx,
+                let map = match (rows, self.program.var(*out).space, endpoint) {
+                    (RowDomain::Edges, Space::Node, Endpoint::Dst) => RowMap::Dst,
+                    (RowDomain::Edges, Space::Node, Endpoint::Src) => RowMap::Src,
+                    (RowDomain::Edges, Space::Compact, _) => RowMap::EdgeToUnique,
+                    (RowDomain::UniquePairs, Space::Node, _) => RowMap::UniqueRowIdx,
                     _ => return None,
                 };
-                MicroOp::Agg {
-                    val: resolve_operand(edge_val, domain, program)?,
-                    scale: match scale {
-                        Some(s) => Some(resolve_operand(s, domain, program)?),
-                        None => None,
+                MicroOp {
+                    a: self.operand(edge_val, rows)?,
+                    kind: Kind::Agg {
+                        scale: match scale {
+                            Some(s) => Some(self.operand(s, rows)?),
+                            None => None,
+                        },
+                        max: *norm == AggNorm::Max,
+                        map,
+                        deferred: deferred.contains(out),
                     },
-                    max: *norm == AggNorm::Max,
-                    out: *out,
-                    map,
+                    out: self.slot(*out),
                 }
             }
-            _ => return None,
-        };
-        mops.push(m);
-    }
-
-    // Mark the ops that cannot interchange.
-    let mut hazard = vec![false; mops.len()];
-    for (i, m) in mops.iter().enumerate() {
-        let out = m.out();
-        if m.read_vars().any(|v| v == out) {
-            hazard[i] = true;
-        }
-        if matches!(m, MicroOp::Agg { .. }) {
-            if mops
-                .iter()
-                .enumerate()
-                .any(|(j, o)| j != i && o.out() == out)
-            {
-                return None;
-            }
-            for (j, o) in mops.iter().enumerate() {
-                if o.read_vars().any(|v| v == out) {
-                    hazard[i] = true;
-                    hazard[j] = true;
-                }
-            }
-        }
-    }
-
-    // One contiguous per-row window from the first hazard op to the
-    // last (relative op order inside it matches the interpreter);
-    // op-at-a-time segments on both sides.
-    let mut segs = Vec::new();
-    match (
-        hazard.iter().position(|&h| h),
-        hazard.iter().rposition(|&h| h),
-    ) {
-        (Some(lo), Some(hi)) => {
-            if lo > 0 {
-                segs.push(Seg::Oat(mops[..lo].to_vec()));
-            }
-            segs.push(Seg::PerRow(lo..hi + 1));
-            if hi + 1 < mops.len() {
-                segs.push(Seg::Oat(mops[hi + 1..].to_vec()));
-            }
-        }
-        _ => segs.push(Seg::Oat(mops)),
-    }
-    Some(segs)
-}
-
-/// A [`PreOperand`] bound to its storage for one launch.
-enum BoundOperand<'a> {
-    Scalar(f32),
-    Rows(&'a Tensor, Option<&'a [u32]>),
-    WVec(&'a Tensor, &'a [u32]),
-}
-
-impl BoundOperand<'_> {
-    #[inline]
-    fn row(&self, r: usize) -> &[f32] {
-        match self {
-            BoundOperand::Scalar(v) => std::slice::from_ref(v),
-            BoundOperand::Rows(t, None) => t.row(r),
-            BoundOperand::Rows(t, Some(m)) => t.row(m[r] as usize),
-            BoundOperand::WVec(t, et) => t.slab(et[r] as usize),
-        }
+            OpKind::TypedLinear { .. } | OpKind::TypedLinearGradW { .. } => return None,
+        })
     }
 }
 
-fn bind_map<'a>(map: RowMap, ctx: &'a ExecCtx<'_>) -> Option<&'a [u32]> {
-    match map {
-        RowMap::This => None,
-        RowMap::Src => Some(ctx.graph.graph().src()),
-        RowMap::Dst => Some(ctx.graph.graph().dst()),
-        RowMap::EdgeToUnique => Some(ctx.graph.compact().edge_to_unique()),
-        RowMap::UniqueRowIdx => Some(ctx.graph.compact().unique_row_idx()),
-    }
+/// The prepare-time-resolved schedule of a dst-node kernel: exactly
+/// which ops run where in each inner pass, and which max-aggregate rows
+/// need the mid-pass `-inf` sweep.
+struct DstSched {
+    /// Per pass: indices (into the kernel's ops) of per-edge ops.
+    edge_ops: Vec<Vec<usize>>,
+    /// Per pass: indices of hoisted per-node ops.
+    node_ops: Vec<Vec<usize>>,
+    /// Per pass: launch-table slots of the dst-private max-aggregate
+    /// outputs to sweep once the destination's in-edge loop is done.
+    mid_sweeps: Vec<Vec<usize>>,
 }
 
-fn bind<'a>(o: &PreOperand, ctx: &'a ExecCtx<'_>) -> BoundOperand<'a> {
-    match o {
-        PreOperand::Const(c) => BoundOperand::Scalar(*c),
-        PreOperand::WVec(w, sel) => BoundOperand::WVec(
-            ctx.params.weight(*w),
-            match sel {
-                ESel::Edge => ctx.graph.graph().etype(),
-                ESel::Unique => ctx.graph.unique_etype(),
-            },
-        ),
-        PreOperand::Var(v, map) => BoundOperand::Rows(ctx.vars.tensor(*v), bind_map(*map, ctx)),
-    }
+/// How a [`MicroKernel`] walks its domain.
+enum Shape {
+    /// `ops[..per_row.start]` op-at-a-time, the `per_row` hazard window
+    /// row-at-a-time, `ops[per_row.end..]` op-at-a-time.
+    Rows {
+        domain: RowDomain,
+        per_row: Range<usize>,
+    },
+    /// Destination nodes with staged inner passes over their in-edges.
+    DstNodes(DstSched),
 }
 
-/// Runs one micro-op over all `rows` — the op-at-a-time twin of
-/// [`exec_op`]'s row-at-a-time dispatch, performing the identical float
-/// operations in the identical ascending-row order. The output buffer is
-/// detached from the store for the loop (resolution guarantees no op
-/// reads its own output), which lets results land directly in the output
-/// rows instead of staging through scratch.
-fn run_micro_op(m: &MicroOp, rows: usize, ctx: &mut ExecCtx<'_>) {
-    let out = m.out();
-    let mut out_buf = ctx
-        .vars
-        .remove(out)
-        .expect("traversal outputs are allocated before launch");
-    {
-        let t = out_buf.tensor_mut();
-        let cx: &ExecCtx<'_> = ctx;
-        match m {
-            MicroOp::Dot { a, b, .. } => {
-                let (ab, bb) = (bind(a, cx), bind(b, cx));
-                for r in 0..rows {
-                    t.set_row(r, &[dot(ab.row(r), bb.row(r))]);
-                }
-            }
-            MicroOp::Bin { op, a, b, .. } => {
-                let (ab, bb) = (bind(a, cx), bind(b, cx));
-                for r in 0..rows {
-                    apply_binary_into(*op, ab.row(r), bb.row(r), t.row_mut(r));
-                }
-            }
-            MicroOp::Un { op, a, .. } => {
-                let ab = bind(a, cx);
-                for r in 0..rows {
-                    apply_unary_into(*op, ab.row(r), t.row_mut(r));
-                }
-            }
-            MicroOp::Agg {
-                val,
-                scale,
-                max,
-                map,
-                ..
-            } => {
-                let vb = bind(val, cx);
-                let sb = scale.as_ref().map(|s| bind(s, cx));
-                let idx = bind_map(*map, cx);
-                for r in 0..rows {
-                    let x = vb.row(r);
-                    let i = match idx {
-                        Some(m) => m[r] as usize,
-                        None => r,
-                    };
-                    let row = t.row_mut(i);
-                    if *max {
-                        // Rows are seeded with -inf before the kernel
-                        // runs, exactly as in `exec_traversal`.
-                        for (acc, v) in row.iter_mut().zip(x) {
-                            *acc = acc.max(*v);
-                        }
-                    } else {
-                        let s = match &sb {
-                            Some(b) => b.row(r)[0],
-                            None => 1.0,
-                        };
-                        for (acc, &v) in row.iter_mut().zip(x) {
-                            *acc += v * s;
-                        }
-                    }
-                }
+/// A traversal or `TypedLinear` kernel compiled to micro-ops.
+pub(crate) struct MicroKernel {
+    /// Variables the kernel touches; micro-ops name them by index.
+    vars: Vec<VarId>,
+    ops: Vec<MicroOp>,
+    /// Slots of max-aggregate outputs: seeded `-inf` before the launch
+    /// so the true maximum survives all-negative inputs, swept back to
+    /// `0` afterwards for groups no edge touched.
+    max_outs: Vec<usize>,
+    /// The dataflow forbids splitting: always one chunk.
+    solo: bool,
+    shape: Shape,
+}
+
+/// The per-row window a row-domain kernel must replay in row-major
+/// order: from the first to the last op involved in an in-kernel
+/// read-back of an aggregate output (empty when there is none). `None`
+/// when two ops write one aggregate output — segmenting would reorder
+/// their interleaved accumulation.
+fn hazard_window(ops: &[MicroOp]) -> Option<Range<usize>> {
+    let mut hazard = vec![false; ops.len()];
+    for (i, m) in ops.iter().enumerate() {
+        if !matches!(m.kind, Kind::Agg { .. }) {
+            continue;
+        }
+        if ops
+            .iter()
+            .enumerate()
+            .any(|(j, o)| j != i && o.out == m.out)
+        {
+            return None;
+        }
+        for (j, o) in ops.iter().enumerate() {
+            if o.reads().any(|v| v == m.out) {
+                hazard[i] = true;
+                hazard[j] = true;
             }
         }
     }
-    ctx.vars.insert(out, out_buf);
+    Some(
+        match (
+            hazard.iter().position(|&h| h),
+            hazard.iter().rposition(|&h| h),
+        ) {
+            (Some(lo), Some(hi)) => lo..hi + 1,
+            _ => ops.len()..ops.len(),
+        },
+    )
 }
 
-/// Monomorphizes one traversal kernel. Dst-node kernels get the compiled
-/// per-pass schedule; linear domains get the op-at-a-time micro-op
-/// pipeline (falling back to the interpreter loop when [`resolve_linear`]
-/// declines).
-fn compile_traversal(spec: &TraversalSpec, program: &Program, prep: TravPrep) -> KernelFn {
-    let spec = spec.clone();
-    let max_outs: Vec<VarId> = max_agg_outputs(&spec).collect();
-    match spec.domain {
-        TraversalDomain::DstNodes => {
-            let sched = dst_sched(&spec, program);
-            Box::new(move |ctx: &mut ExecCtx<'_>| {
-                if let Some(pool) = ctx.pool {
-                    return exec_traversal_par(
-                        &spec,
-                        &prep,
-                        ctx.program,
-                        ctx.graph,
-                        ctx.params,
-                        ctx.vars,
-                        pool,
-                        ctx.min_chunk,
-                        ctx.scratch,
-                        ctx.arenas,
-                    );
-                }
-                for &v in &max_outs {
-                    ctx.vars
-                        .get_mut(v)
-                        .tensor_mut()
-                        .data_mut()
-                        .fill(f32::NEG_INFINITY);
-                }
-                let csc = ctx.graph.csc();
-                for v in 0..ctx.graph.graph().num_nodes() {
-                    for pass in 0..=sched.max_stage {
-                        for &eidx in csc.in_edges(v) {
-                            let e = eidx as usize;
-                            for &i in &sched.edge_ops[pass] {
-                                exec_op(
-                                    &spec.ops[i].kind,
-                                    Ctx::Edge(e),
-                                    ctx.program,
-                                    ctx.graph,
-                                    ctx.params,
-                                    ctx.vars,
-                                    ctx.scratch,
-                                );
-                            }
-                        }
-                        // Same mid-pass sweep as the interpreter: a
-                        // zero-in-degree `v` still holds the `-inf` seed
-                        // and later stages read the row mid-kernel.
-                        for &out in &sched.mid_sweeps[pass] {
-                            for x in ctx.vars.get_mut(out).tensor_mut().row_mut(v) {
-                                if *x == f32::NEG_INFINITY {
-                                    *x = 0.0;
-                                }
-                            }
-                        }
-                        for &i in &sched.node_ops[pass] {
-                            exec_op(
-                                &spec.ops[i].kind,
-                                Ctx::Node(v),
-                                ctx.program,
-                                ctx.graph,
-                                ctx.params,
-                                ctx.vars,
-                                ctx.scratch,
-                            );
-                        }
-                    }
-                }
-                for &v in &max_outs {
-                    for x in ctx.vars.get_mut(v).tensor_mut().data_mut() {
-                        if *x == f32::NEG_INFINITY {
-                            *x = 0.0;
-                        }
-                    }
-                }
-                false
-            })
-        }
-        _ => {
-            let segs = compile_linear(&spec, program);
-            let rows_domain = match spec.domain {
-                TraversalDomain::Edges => RowDomain::Edges,
-                TraversalDomain::UniquePairs => RowDomain::UniquePairs,
-                TraversalDomain::Nodes => RowDomain::Nodes,
-                TraversalDomain::DstNodes => unreachable!("handled above"),
-            };
-            Box::new(move |ctx: &mut ExecCtx<'_>| {
-                if let Some(pool) = ctx.pool {
-                    return exec_traversal_par(
-                        &spec,
-                        &prep,
-                        ctx.program,
-                        ctx.graph,
-                        ctx.params,
-                        ctx.vars,
-                        pool,
-                        ctx.min_chunk,
-                        ctx.scratch,
-                        ctx.arenas,
-                    );
-                }
-                match &segs {
-                    Some(segs) => {
-                        for &v in &max_outs {
-                            ctx.vars
-                                .get_mut(v)
-                                .tensor_mut()
-                                .data_mut()
-                                .fill(f32::NEG_INFINITY);
-                        }
-                        let rows = ctx.graph.rows_of(rows_domain);
-                        for seg in segs {
-                            match seg {
-                                Seg::Oat(mops) => {
-                                    for m in mops {
-                                        run_micro_op(m, rows, ctx);
-                                    }
-                                }
-                                Seg::PerRow(range) => {
-                                    for r in 0..rows {
-                                        let c = row_ctx(rows_domain, r);
-                                        for op in &spec.ops[range.clone()] {
-                                            exec_op(
-                                                &op.kind,
-                                                c,
-                                                ctx.program,
-                                                ctx.graph,
-                                                ctx.params,
-                                                ctx.vars,
-                                                ctx.scratch,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        for &v in &max_outs {
-                            for x in ctx.vars.get_mut(v).tensor_mut().data_mut() {
-                                if *x == f32::NEG_INFINITY {
-                                    *x = 0.0;
-                                }
-                            }
-                        }
-                    }
-                    None => exec_traversal(
-                        &spec,
-                        ctx.program,
-                        ctx.graph,
-                        ctx.params,
-                        ctx.vars,
-                        ctx.scratch,
-                    ),
-                }
-                false
-            })
-        }
-    }
-}
-
-/// Monomorphizes one GEMM kernel. A shared-weight dense `TypedLinear`
-/// (one slab, row-aligned store) gets the slab and its finiteness bit
-/// resolved once per launch; every other shape reuses the interpreter's
-/// loop (which already hoists what it can).
-fn compile_gemm(spec: &GemmSpec) -> KernelFn {
-    let spec = spec.clone();
-    let shared_dense = matches!(
-        &spec.op.kind,
-        OpKind::TypedLinear {
-            weight: _,
-            scatter: None,
-            ..
-        } if spec.weight_index == hector_ir::TypeIndex::Shared
-    );
-    Box::new(move |ctx: &mut ExecCtx<'_>| {
-        if let Some(pool) = ctx.pool {
-            return exec_gemm_par(
-                &spec,
-                ctx.program,
-                ctx.graph,
-                ctx.params,
-                ctx.vars,
-                pool,
-                ctx.min_chunk,
-                ctx.scratch,
-                ctx.arenas,
-            );
-        }
-        if shared_dense {
-            exec_gemm_shared_dense(&spec, ctx);
+fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKernel> {
+    let mut rs = Resolver {
+        program,
+        vars: Vec::new(),
+    };
+    let buffered = buffered_agg_outs(spec, program);
+    let domain = match spec.domain {
+        TraversalDomain::Edges => Some(RowDomain::Edges),
+        TraversalDomain::UniquePairs => Some(RowDomain::UniquePairs),
+        TraversalDomain::Nodes => Some(RowDomain::Nodes),
+        TraversalDomain::DstNodes => None,
+    };
+    let mut ops = Vec::with_capacity(spec.ops.len());
+    for op in &spec.ops {
+        // Dst-node kernels: hoisted ops see the node, the rest an in-edge.
+        let rows = domain.unwrap_or(if spec.hoisted.contains(&op.id) {
+            RowDomain::Nodes
         } else {
-            exec_gemm(
-                &spec,
-                ctx.program,
-                ctx.graph,
-                ctx.params,
-                ctx.vars,
-                ctx.scratch,
-            );
+            RowDomain::Edges
+        });
+        ops.push(rs.traversal_op(&op.kind, rows, &buffered)?);
+    }
+    if ops.iter().any(MicroOp::reads_own_output) {
+        return None;
+    }
+    let shape = match domain {
+        Some(domain) => Shape::Rows {
+            domain,
+            per_row: hazard_window(&ops)?,
+        },
+        None => {
+            let passes = spec.stages.iter().copied().max().unwrap_or(0) + 1;
+            let mut sched = DstSched {
+                edge_ops: vec![Vec::new(); passes],
+                node_ops: vec![Vec::new(); passes],
+                mid_sweeps: vec![Vec::new(); passes],
+            };
+            for (i, op) in spec.ops.iter().enumerate() {
+                if spec.hoisted.contains(&op.id) {
+                    sched.node_ops[spec.stages[i]].push(i);
+                } else {
+                    sched.edge_ops[spec.stages[i]].push(i);
+                }
+            }
+            for (pass, sweeps) in sched.mid_sweeps.iter_mut().enumerate() {
+                sweeps.extend(dst_private_max_aggs(spec, program, pass).map(|v| rs.slot(v)));
+            }
+            Shape::DstNodes(sched)
         }
-        false
+    };
+    let windowed = matches!(&shape, Shape::Rows { per_row, .. } if !per_row.is_empty());
+    Some(MicroKernel {
+        max_outs: max_agg_outputs(spec).map(|v| rs.slot(v)).collect(),
+        solo: windowed || !par_traversal_safe(spec, program),
+        vars: rs.vars,
+        ops,
+        shape,
     })
 }
 
-/// Sequential shared-slab dense `TypedLinear`: identical float operations
-/// to [`exec_gemm`]'s loop, with the per-row type-index resolution and
-/// slab/finiteness lookups hoisted out (the slab is always slab 0).
-fn exec_gemm_shared_dense(spec: &GemmSpec, ctx: &mut ExecCtx<'_>) {
-    let OpKind::TypedLinear {
-        input,
-        weight,
-        transpose_w,
-        scatter: None,
-        fused_scale,
-        out,
-    } = &spec.op.kind
-    else {
-        unreachable!("gated by compile_gemm");
+fn compile_gemm(spec: &GemmSpec, program: &Program) -> Option<PreparedKernel> {
+    let mut rs = Resolver {
+        program,
+        vars: Vec::new(),
     };
-    let m = ctx.graph.rows_of(spec.rows);
-    let params: &crate::ParamStore = ctx.params;
-    let wt = params.weight(*weight);
-    let (wrows, wcols) = (wt.shape()[1], wt.shape()[2]);
-    let out_width = ctx.program.var(*out).width;
-    if !*transpose_w {
-        ctx.scratch.set_slab_finite(wt);
-    }
-    let slab = wt.slab(0);
-    let slab_finite = *transpose_w || ctx.scratch.slab_finite(0);
-    for r in 0..m {
-        let rctx = row_ctx(spec.rows, r);
-        {
-            let x = read_operand(input, rctx, ctx.program, ctx.graph, params, ctx.vars);
-            let y = ctx.scratch.y_zeroed(out_width);
-            gemm_row_into(
-                x.as_slice(),
-                slab,
-                wrows,
-                wcols,
-                *transpose_w,
-                slab_finite,
-                y,
-            );
+    let rows = spec.rows;
+    Some(match &spec.op.kind {
+        OpKind::TypedLinear {
+            input,
+            weight,
+            transpose_w,
+            scatter,
+            fused_scale,
+            out,
+        } => {
+            // Mirrors the oracle's `scatter_index` table.
+            let scatter = match (scatter, rows) {
+                (None, _) => None,
+                (Some(Endpoint::Src), RowDomain::Edges) => Some(RowMap::Src),
+                (Some(Endpoint::Dst), RowDomain::Edges) => Some(RowMap::Dst),
+                (Some(Endpoint::Src), RowDomain::UniquePairs) => Some(RowMap::UniqueRowIdx),
+                (Some(Endpoint::This), RowDomain::Edges) | (Some(_), RowDomain::Nodes) => {
+                    Some(RowMap::This)
+                }
+                (Some(_), RowDomain::UniquePairs) => return None,
+            };
+            let op = MicroOp {
+                a: rs.operand(input, rows)?,
+                out: match scatter {
+                    None => rs.aligned_out(*out, rows)?,
+                    Some(_) => rs.slot(*out),
+                },
+                kind: Kind::Linear {
+                    weight: *weight,
+                    transpose_w: *transpose_w,
+                    types: spec.weight_index,
+                    rows,
+                    scale: match fused_scale {
+                        Some(s) => Some(rs.operand(s, rows)?),
+                        None => None,
+                    },
+                    scatter,
+                },
+            };
+            if op.reads_own_output() {
+                return None;
+            }
+            PreparedKernel::Micro(MicroKernel {
+                vars: rs.vars,
+                ops: vec![op],
+                max_outs: Vec::new(),
+                solo: false,
+                shape: Shape::Rows {
+                    domain: rows,
+                    per_row: 1..1, // no hazard window
+                },
+            })
         }
-        if let Some(s) = fused_scale {
-            let sv = read_operand(s, rctx, ctx.program, ctx.graph, params, ctx.vars).scalar();
-            for v in ctx.scratch.y_mut(out_width) {
-                *v *= sv;
+        OpKind::TypedLinearGradW { x, dy, out_w } => PreparedKernel::GradW(GradWKernel {
+            x: rs.operand(x, rows)?,
+            dy: rs.operand(dy, rows)?,
+            out_w: *out_w,
+            types: spec.weight_index,
+            rows,
+            vars: rs.vars,
+        }),
+        _ => return None,
+    })
+}
+
+/// Everything the chunks of one launch share, read-only.
+struct Launch<'a> {
+    graph: &'a GraphData,
+    params: &'a ParamStore,
+    table: &'a [RawRows],
+    /// The session arena holding the launch's per-slab finiteness bits.
+    flags: &'a Scratch,
+}
+
+/// A [`PreOperand`] bound to its storage for one op of one chunk.
+enum Bound<'a> {
+    Scalar(f32),
+    Rows(RawRows, Option<&'a [u32]>),
+    WVec(&'a Tensor, &'a [u32]),
+}
+
+impl Bound<'_> {
+    /// # Safety
+    ///
+    /// The launch table this operand was bound from is live, and no
+    /// chunk concurrently writes the row `r` maps to.
+    #[inline]
+    unsafe fn row(&self, r: usize) -> &[f32] {
+        match self {
+            Bound::Scalar(v) => std::slice::from_ref(v),
+            // SAFETY: forwarded to the caller.
+            Bound::Rows(t, None) => unsafe { t.row(r) },
+            // SAFETY: forwarded to the caller.
+            Bound::Rows(t, Some(m)) => unsafe { t.row(m[r] as usize) },
+            Bound::WVec(t, et) => t.slab(et[r] as usize),
+        }
+    }
+}
+
+impl<'a> Launch<'a> {
+    fn map(&self, map: RowMap) -> Option<&'a [u32]> {
+        match map {
+            RowMap::This => None,
+            RowMap::Src => Some(self.graph.graph().src()),
+            RowMap::Dst => Some(self.graph.graph().dst()),
+            RowMap::EdgeToUnique => Some(self.graph.compact().edge_to_unique()),
+            RowMap::UniqueRowIdx => Some(self.graph.compact().unique_row_idx()),
+        }
+    }
+
+    fn bind(&self, o: &PreOperand) -> Bound<'a> {
+        match o {
+            PreOperand::Const(c) => Bound::Scalar(*c),
+            PreOperand::WVec(w, unique) => Bound::WVec(
+                self.params.weight(*w),
+                if *unique {
+                    self.graph.unique_etype()
+                } else {
+                    self.graph.graph().etype()
+                },
+            ),
+            PreOperand::Var(slot, map) => Bound::Rows(self.table[*slot], self.map(*map)),
+        }
+    }
+}
+
+/// The rows one chunk may write in place.
+#[derive(Clone, Copy)]
+struct Claim<'a> {
+    /// The chunk's range of the launch domain (destination nodes, in a
+    /// dst-node kernel).
+    rows: &'a Range<usize>,
+    /// The iterated rows are in-edges of claimed destinations (per-edge
+    /// ops of dst-node kernels) rather than claimed rows themselves.
+    via_dst: bool,
+}
+
+impl Claim<'_> {
+    fn holds(&self, r: usize, graph: &GraphData) -> bool {
+        let key = if self.via_dst {
+            graph.graph().dst()[r] as usize
+        } else {
+            r
+        };
+        self.rows.contains(&key)
+    }
+}
+
+/// Runs one micro-op over `rows` of chunk `own` — the single home of
+/// each op kind's row semantics, performing the identical float
+/// operations in the identical ascending-row order whatever the chunking.
+/// Row-aligned results land directly in the output rows; aggregate and
+/// scatter contributions fold in place, or — when the launch split
+/// (`sink` present) and the target row may be another chunk's — are
+/// recorded in `sink` for the ordered merge.
+///
+/// # Safety
+///
+/// `cx.table` is the live launch table of the kernel `m` belongs to,
+/// and the calling chunk holds `own` exclusively: no other chunk of the
+/// launch writes a row `own` holds, and (when the launch split) the
+/// kernel passed [`par_traversal_safe`], so every operand row is
+/// read-only in this kernel, written by this chunk, or the owned
+/// destination's. With that, each write below targets a row the chunk
+/// owns (row-aligned stores and in-place aggregates assert it; a launch
+/// that did not split owns every row), and since prepare rejects ops
+/// that read their own output, no shared and mutable view of one row
+/// ever coexist.
+unsafe fn run_rows(
+    m: &MicroOp,
+    rows: Range<usize>,
+    own: Claim<'_>,
+    cx: &Launch<'_>,
+    scratch: &mut Scratch,
+    sink: Option<&mut ContribBuf>,
+) {
+    let out = cx.table[m.out];
+    let a = cx.bind(&m.a);
+    match &m.kind {
+        Kind::Dot(b) => {
+            let b = cx.bind(b);
+            for r in rows {
+                debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
+                out.row_mut(r).copy_from_slice(&[dot(a.row(r), b.row(r))]);
             }
         }
-        ctx.vars
-            .get_mut(*out)
-            .tensor_mut()
-            .set_row(r, ctx.scratch.y(out_width));
+        Kind::Bin(op, b) => {
+            let b = cx.bind(b);
+            for r in rows {
+                debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
+                apply_binary_into(*op, a.row(r), b.row(r), out.row_mut(r));
+            }
+        }
+        Kind::Un(op) => {
+            for r in rows {
+                debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
+                apply_unary_into(*op, a.row(r), out.row_mut(r));
+            }
+        }
+        Kind::Agg {
+            scale,
+            max,
+            map,
+            deferred,
+        } => {
+            let scale = scale.as_ref().map(|s| cx.bind(s));
+            let idx = cx.map(*map);
+            let split = sink.is_some();
+            // (value row, target row, scale) of iterated row `r`.
+            let at = |r: usize| {
+                let s = scale.as_ref().map_or(1.0, |b| b.row(r)[0]);
+                (a.row(r), idx.map_or(r, |ix| ix[r] as usize), s)
+            };
+            match sink.filter(|_| *deferred) {
+                Some(buf) => {
+                    for r in rows {
+                        let (x, i, s) = at(r);
+                        if *max {
+                            buf.push(m.out, i, x.iter().copied(), true);
+                        } else {
+                            buf.push(m.out, i, x.iter().map(|v| v * s), false);
+                        }
+                    }
+                }
+                None => {
+                    for r in rows {
+                        let (x, i, s) = at(r);
+                        debug_assert!(
+                            !split || own.rows.contains(&i),
+                            "in-place aggregate target {i} is not the chunk-owned destination"
+                        );
+                        let acc = out.row_mut(i);
+                        if *max {
+                            for (acc, v) in acc.iter_mut().zip(x) {
+                                *acc = acc.max(*v);
+                            }
+                        } else {
+                            for (acc, &v) in acc.iter_mut().zip(x) {
+                                *acc += v * s;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Kind::Linear {
+            weight,
+            transpose_w,
+            types,
+            rows: domain,
+            scale,
+            scatter,
+        } => {
+            let scale = scale.as_ref().map(|s| cx.bind(s));
+            let wt = cx.params.weight(*weight);
+            let (t_count, wrows, wcols) = (wt.shape()[0], wt.shape()[1], wt.shape()[2]);
+            let slab_of = |ty: usize| (wt.slab(ty), *transpose_w || cx.flags.slab_finite(ty));
+            // A shared weight has one slab: resolve it and its
+            // finiteness bit once, not per row.
+            let shared = (*types == TypeIndex::Shared).then(|| slab_of(0));
+            let idx = scatter.map(|map| cx.map(map));
+            let mut sink = sink;
+            for r in rows {
+                let (slab, finite) = shared.unwrap_or_else(|| {
+                    slab_of(weight_type_index(t_count, *types, *domain, r, cx.graph))
+                });
+                // Row-aligned stores compute in the output row itself;
+                // scatters stage the row, then accumulate it.
+                let y = match idx {
+                    None => {
+                        debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
+                        let y = out.row_mut(r);
+                        y.fill(0.0);
+                        y
+                    }
+                    Some(_) => scratch.y_zeroed(out.width()),
+                };
+                gemm_row_into(a.row(r), slab, wrows, wcols, *transpose_w, finite, y);
+                if let Some(s) = &scale {
+                    let sv = s.row(r)[0];
+                    for v in y.iter_mut() {
+                        *v *= sv;
+                    }
+                }
+                if let Some(ix) = idx {
+                    let i = ix.map_or(r, |ix| ix[r] as usize);
+                    match &mut sink {
+                        Some(buf) => buf.push(m.out, i, y.iter().copied(), false),
+                        None => {
+                            for (acc, v) in out.row_mut(i).iter_mut().zip(&*y) {
+                                *acc += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl MicroKernel {
+    /// One chunk's share of the launch: `range` of the kernel's domain.
+    ///
+    /// # Safety
+    ///
+    /// `cx.table` is this kernel's live launch table and the caller
+    /// holds `range` exclusively: no other chunk of the launch is given
+    /// an overlapping range, and a `solo` kernel is given the whole
+    /// domain as its only chunk.
+    unsafe fn run_chunk(
+        &self,
+        range: Range<usize>,
+        cx: &Launch<'_>,
+        scratch: &mut Scratch,
+        mut sink: Option<&mut ContribBuf>,
+    ) {
+        let own = Claim {
+            rows: &range,
+            via_dst: false,
+        };
+        // Every `run_rows` call below inherits this function's contract:
+        // the rows it iterates are `range`'s (row domains), or a claimed
+        // destination `v` and `v`'s in-edges (dst-node kernels).
+        match &self.shape {
+            Shape::Rows { per_row, .. } => {
+                for m in &self.ops[..per_row.start] {
+                    run_rows(m, range.clone(), own, cx, scratch, sink.as_deref_mut());
+                }
+                if !per_row.is_empty() {
+                    for r in range.clone() {
+                        for m in &self.ops[per_row.clone()] {
+                            run_rows(m, r..r + 1, own, cx, scratch, sink.as_deref_mut());
+                        }
+                    }
+                }
+                for m in &self.ops[per_row.end..] {
+                    run_rows(m, range.clone(), own, cx, scratch, sink.as_deref_mut());
+                }
+            }
+            Shape::DstNodes(sched) => {
+                let own_edges = Claim {
+                    via_dst: true,
+                    ..own
+                };
+                let csc = cx.graph.csc();
+                for v in range.clone() {
+                    for pass in 0..sched.edge_ops.len() {
+                        for &e in csc.in_edges(v) {
+                            let e = e as usize;
+                            for &i in &sched.edge_ops[pass] {
+                                let m = &self.ops[i];
+                                run_rows(m, e..e + 1, own_edges, cx, scratch, sink.as_deref_mut());
+                            }
+                        }
+                        // A zero-in-degree `v` still holds the `-inf`
+                        // seed, and the hoisted ops below and later
+                        // passes read the row mid-kernel — long before
+                        // the end-of-launch sweep.
+                        for &out in &sched.mid_sweeps[pass] {
+                            sweep_neg_inf(cx.table[out].row_mut(v));
+                        }
+                        for &i in &sched.node_ops[pass] {
+                            let m = &self.ops[i];
+                            run_rows(m, v..v + 1, own, cx, scratch, sink.as_deref_mut());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
+        for &slot in &self.max_outs {
+            let t = ctx.vars.get_mut(self.vars[slot]).tensor_mut();
+            t.data_mut().fill(f32::NEG_INFINITY);
+        }
+        for m in &self.ops {
+            if let Kind::Linear {
+                weight,
+                transpose_w: false,
+                ..
+            } = m.kind
+            {
+                ctx.scratch.set_slab_finite(ctx.params.weight(weight));
+            }
+        }
+        let graph = ctx.graph;
+        let rows = match &self.shape {
+            Shape::Rows { domain, .. } => graph.rows_of(*domain),
+            Shape::DstNodes(_) => graph.graph().num_nodes(),
+        };
+        let (params, flags): (&ParamStore, &Scratch) = (ctx.params, ctx.scratch);
+        let (split, grows) = ctx.arenas.run_chunks(
+            &self.vars,
+            ctx.vars,
+            ctx.pool.filter(|_| !self.solo),
+            ctx.min_chunk,
+            rows,
+            |table, range, scratch, sink| {
+                let cx = Launch {
+                    graph,
+                    params,
+                    table,
+                    flags,
+                };
+                // SAFETY: `table` is the table `run_chunks` built from
+                // this kernel's variables, live until it returns;
+                // `run_chunks` hands every chunk a disjoint `range`,
+                // and a `solo` kernel got no pool — one chunk.
+                unsafe { self.run_chunk(range, &cx, scratch, sink) };
+            },
+        );
+        ctx.scratch.note_external_grows(grows);
+        for &slot in &self.max_outs {
+            sweep_neg_inf(ctx.vars.get_mut(self.vars[slot]).tensor_mut().data_mut());
+        }
+        split
+    }
+}
+
+/// A `TypedLinearGradW` kernel: `dW[type(r)] += x[r]ᵀ · dy[r]`.
+pub(crate) struct GradWKernel {
+    vars: Vec<VarId>,
+    x: PreOperand,
+    dy: PreOperand,
+    out_w: WeightId,
+    types: TypeIndex,
+    rows: RowDomain,
+}
+
+impl GradWKernel {
+    /// One chunk walks the rows in ascending order. A split launch
+    /// buckets the rows per type first (one O(m) pass, ascending within
+    /// each bucket) and hands each chunk whole type slabs — the
+    /// identical association order per slab.
+    fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
+        let graph = ctx.graph;
+        let m = graph.rows_of(self.rows);
+        let t_count = ctx.params.type_count(self.out_w);
+        let type_of = |r: usize| weight_type_index(t_count, self.types, self.rows, r, graph);
+        let slabs = RawSlabs::of(ctx.params.grad_mut(self.out_w));
+        let (params, flags, pool): (&ParamStore, &Scratch, _) = (ctx.params, ctx.scratch, ctx.pool);
+        let launch = |table: &[RawRows], buckets: &mut [Vec<u32>]| {
+            let cx = Launch {
+                graph,
+                params,
+                table,
+                flags,
+            };
+            let (x, dy) = (cx.bind(&self.x), cx.bind(&self.dy));
+            // SAFETY: `table` is live for this whole closure, and `x`
+            // and `dy` are variables, which a weight-gradient kernel
+            // only reads.
+            let step =
+                |r: usize, slab: &mut [f32]| unsafe { grad_w_row(x.row(r), dy.row(r), slab) };
+            // A single shared slab has no type parallelism.
+            let Some(pool) = pool.filter(|_| t_count >= 2 && m > 0) else {
+                for r in 0..m {
+                    // SAFETY: the only chunk owns every slab, one at a time.
+                    step(r, unsafe { slabs.slab_mut(type_of(r)) });
+                }
+                return false;
+            };
+            for r in 0..m {
+                buckets[type_of(r)].push(r as u32);
+            }
+            let buckets: &[Vec<u32>] = buckets;
+            pool.for_each_chunk(t_count, 1, |ci, types| {
+                let tw = hector_trace::span_start();
+                let n = types.len();
+                for ty in types {
+                    // SAFETY: chunks claim disjoint ranges of type
+                    // slabs; rows of other types are never touched.
+                    let slab = unsafe { slabs.slab_mut(ty) };
+                    for &r in &buckets[ty] {
+                        step(r as usize, slab);
+                    }
+                }
+                record_chunk_span(tw, n, ci);
+            });
+            true
+        };
+        ctx.arenas.with_table(&self.vars, ctx.vars, t_count, launch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hector_compiler::{compile, CompileOptions};
+
+    /// "Specialized × threads composes" as a checked fact: every
+    /// traversal and GEMM kernel of every built-in model, under every
+    /// option combination, forward and backward, compiles to a micro-op
+    /// body — the resolver never hands a kernel back to the oracle.
+    #[test]
+    fn every_model_kernel_compiles() {
+        for kind in hector_models::ModelKind::all() {
+            for opts in [
+                CompileOptions::unopt(),
+                CompileOptions::compact_only(),
+                CompileOptions::reorder_only(),
+                CompileOptions::best(),
+            ] {
+                let src = hector_models::source(kind, 8, 8);
+                let module = compile(&src, &opts.with_training(true));
+                let bw = module.backward.as_ref().expect("compiled for training");
+                for (phase, kernels, program) in [
+                    ("fw", &module.fw_kernels, &module.forward),
+                    ("bw", &module.bw_kernels, bw),
+                ] {
+                    let prepared = compile_kernels(kernels, program);
+                    for (spec, k) in kernels.iter().zip(&prepared) {
+                        let declined = matches!(k, PreparedKernel::Oracle);
+                        assert_eq!(
+                            declined,
+                            matches!(spec, KernelSpec::Fallback(_)),
+                            "{} / {} / {phase}: {spec:?}",
+                            kind.name(),
+                            module.options.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

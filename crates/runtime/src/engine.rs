@@ -245,9 +245,10 @@ impl EngineBuilder {
     }
 
     /// Execution backend for real-mode kernels (defaults to
-    /// `HECTOR_BACKEND` via [`BackendKind::from_env`], i.e. the
-    /// reference interpreter). Backends are bit-identical; `specialized`
-    /// trades a one-time prepare for faster warm launches.
+    /// [`BackendKind::Specialized`], the production executor). Backends
+    /// are bit-identical; [`BackendKind::Interp`] is the sequential
+    /// oracle the parity suites compare against, and ignores the thread
+    /// count.
     #[must_use]
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = Some(backend);
@@ -382,7 +383,7 @@ impl EngineBuilder {
             None => out_width,
         };
         let par = self.par.unwrap_or_else(ParallelConfig::from_env);
-        let backend = self.backend.unwrap_or_else(BackendKind::from_env);
+        let backend = self.backend.unwrap_or_default();
         let session = Session::with_backend(self.device, self.mode, par, backend)?;
         Ok(Engine {
             module,

@@ -1,4 +1,12 @@
-//! Functional interpretation of kernel specs (real execution mode).
+//! The sequential oracle: functional interpretation of kernel specs.
+//!
+//! This is the small, obviously-correct definition of what every kernel
+//! computes — one row at a time, in ascending row order, on the calling
+//! thread — that the production micro-op executor
+//! ([`crate::backend`]) is pinned against bit for bit. Production shares
+//! only this module's leaf numerics ([`dot`], [`apply_unary_into`],
+//! [`apply_binary_into`], [`gemm_row_into`], [`grad_w_row`]) and index
+//! helpers, never its loops.
 //!
 //! Each kernel spec is executed exactly as the generated CUDA would run:
 //! GEMM instances gather rows through their access schemes, apply the
@@ -28,7 +36,7 @@ use crate::{GraphData, ParamStore, VarStore};
 
 /// A row position in one of the three iteration spaces.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Ctx {
+enum Ctx {
     Edge(usize),
     Unique(usize),
     Node(usize),
@@ -42,7 +50,7 @@ pub(crate) enum Ctx {
 /// back only after every operand view is dropped (the lifetime contract
 /// documented in [`crate::scratch`]).
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum OperandRef<'a> {
+enum OperandRef<'a> {
     /// Borrowed row data.
     Slice(&'a [f32]),
     /// An inline scalar (an IR constant), broadcast over the row.
@@ -51,7 +59,7 @@ pub(crate) enum OperandRef<'a> {
 
 impl OperandRef<'_> {
     /// The view as a slice (scalars become one-element slices).
-    pub(crate) fn as_slice(&self) -> &[f32] {
+    fn as_slice(&self) -> &[f32] {
         match self {
             OperandRef::Slice(s) => s,
             OperandRef::Scalar(v) => std::slice::from_ref(v),
@@ -60,14 +68,14 @@ impl OperandRef<'_> {
 
     /// First element — for operands contractually scalar (fused scales,
     /// aggregate scales).
-    pub(crate) fn scalar(&self) -> f32 {
+    fn scalar(&self) -> f32 {
         self.as_slice()[0]
     }
 }
 
 /// Computes one `TypedLinear` output row into `y`: `y = x · W` (or
-/// `x · Wᵀ`), the shared inner loop of the sequential and parallel GEMM
-/// executors, running on the register-blocked
+/// `x · Wᵀ`), the inner loop the oracle and the production executor
+/// share, running on the register-blocked
 /// [`hector_tensor::microkernel`]s (`f32x8`-style column panels with a
 /// scalar tail; bit-identical to the scalar loops they replaced).
 ///
@@ -190,7 +198,8 @@ pub(crate) fn exec_gemm(
 }
 
 /// Accumulates one row's outer product `xᵀ · dy` into a weight-gradient
-/// slab — the shared `TypedLinearGradW` inner loop of both executors,
+/// slab — the `TypedLinearGradW` inner loop the oracle and the
+/// production executor share,
 /// running on the register-blocked outer-product microkernel (the `dy`
 /// panel stays in vector registers across all slab rows).
 /// The `xv == 0.0` skip is gated on `dy` being finite, checked once per
@@ -202,7 +211,7 @@ pub(crate) fn grad_w_row(x: &[f32], dy: &[f32], slab: &mut [f32]) {
 
 /// Trace-span name and row count for one kernel spec — the per-kernel
 /// metadata `Session::run_kernels` attaches to the span wrapping each
-/// invocation (sequential and parallel executors alike). Names are
+/// invocation (on either backend). Names are
 /// stable `category/domain` strings so profile aggregation and the
 /// chrome-trace golden schema stay deterministic.
 pub(crate) fn kernel_trace_meta(spec: &KernelSpec, graph: &GraphData) -> (&'static str, u64) {
@@ -229,7 +238,7 @@ pub(crate) fn kernel_trace_meta(spec: &KernelSpec, graph: &GraphData) -> (&'stat
     }
 }
 
-pub(crate) fn row_ctx(rows: RowDomain, r: usize) -> Ctx {
+fn row_ctx(rows: RowDomain, r: usize) -> Ctx {
     match rows {
         RowDomain::Edges => Ctx::Edge(r),
         RowDomain::UniquePairs => Ctx::Unique(r),
@@ -237,7 +246,7 @@ pub(crate) fn row_ctx(rows: RowDomain, r: usize) -> Ctx {
     }
 }
 
-pub(crate) fn scatter_index(rows: RowDomain, ep: Endpoint, r: usize, graph: &GraphData) -> usize {
+fn scatter_index(rows: RowDomain, ep: Endpoint, r: usize, graph: &GraphData) -> usize {
     match rows {
         RowDomain::Edges => match ep {
             Endpoint::Src => graph.graph().src()[r] as usize,
@@ -278,7 +287,7 @@ pub(crate) fn weight_type_index(
 
 /// Resolves one operand to a borrowed row view — no copy, no allocation.
 /// See [`OperandRef`] for the lifetime contract.
-pub(crate) fn read_operand<'a>(
+fn read_operand<'a>(
     o: &Operand,
     ctx: Ctx,
     program: &Program,
@@ -400,11 +409,6 @@ pub(crate) fn apply_binary_into(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]
     }
 }
 
-/// Executes a traversal-template instance.
-///
-/// # Panics
-///
-/// Panics on spec/program inconsistencies (compiler bugs).
 /// Max-aggregate outputs of a kernel: seeded to `-inf` before execution so
 /// the true maximum survives all-negative inputs, and swept back to `0`
 /// afterwards for groups no edge touched (those rows are never read, but
@@ -418,6 +422,16 @@ pub(crate) fn max_agg_outputs(spec: &TraversalSpec) -> impl Iterator<Item = VarI
         } => Some(out),
         _ => None,
     })
+}
+
+/// The max-aggregate sweep-back: a group no edge touched still holds its
+/// `-inf` seed; the 0-neighbor convention is `0`.
+pub(crate) fn sweep_neg_inf(xs: &mut [f32]) {
+    for x in xs {
+        if *x == f32::NEG_INFINITY {
+            *x = 0.0;
+        }
+    }
 }
 
 /// Max-aggregates of a dst-node kernel at stage `pass` that write the
@@ -445,6 +459,11 @@ pub(crate) fn dst_private_max_aggs<'a>(
         })
 }
 
+/// Executes a traversal-template instance.
+///
+/// # Panics
+///
+/// Panics on spec/program inconsistencies (compiler bugs).
 pub(crate) fn exec_traversal(
     spec: &TraversalSpec,
     program: &Program,
@@ -538,11 +557,7 @@ pub(crate) fn exec_traversal(
                     // ops below and later passes read the row mid-kernel,
                     // long before the end-of-kernel sweep.
                     for out in dst_private_max_aggs(spec, program, pass) {
-                        for x in vars.get_mut(out).tensor_mut().row_mut(v) {
-                            if *x == f32::NEG_INFINITY {
-                                *x = 0.0;
-                            }
-                        }
+                        sweep_neg_inf(vars.get_mut(out).tensor_mut().row_mut(v));
                     }
                     for (i, op) in spec.ops.iter().enumerate() {
                         if st[i] != pass || !spec.hoisted.contains(&op.id) {
@@ -563,21 +578,17 @@ pub(crate) fn exec_traversal(
         }
     }
     for v in max_agg_outputs(spec) {
-        for x in vars.get_mut(v).tensor_mut().data_mut() {
-            if *x == f32::NEG_INFINITY {
-                *x = 0.0;
-            }
-        }
+        sweep_neg_inf(vars.get_mut(v).tensor_mut().data_mut());
     }
 }
 
-/// Sequential op interpreter. Has a parallel twin (`exec_op_par` in
-/// `par_exec`) that must mirror these numerics exactly; divergence is
-/// caught by `tests/par_determinism.rs`, which CI runs on every push.
+/// The oracle's op interpreter: one op at one row. The production
+/// executor's `run_rows` must reproduce these float operations in this
+/// order; divergence is caught by `tests/backend_parity.rs`.
 ///
 /// Results are computed into `scratch` while the operand views borrow
 /// `vars`, then written back — see the scratch-arena lifetime contract.
-pub(crate) fn exec_op(
+fn exec_op(
     kind: &OpKind,
     ctx: Ctx,
     program: &Program,
@@ -661,8 +672,8 @@ pub(crate) fn exec_op(
     }
 }
 
-/// Sequential dot product — shared with the parallel twin so both fold
-/// in the identical order.
+/// Sequential dot product — shared with the production executor so
+/// both fold in the identical order.
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).fold(0.0f32, |acc, (&x, &y)| acc + x * y)

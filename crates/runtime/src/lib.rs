@@ -42,13 +42,12 @@ mod graphdata;
 mod loss;
 mod minibatch;
 mod optim;
-mod par_exec;
 mod params;
 mod scratch;
 mod session;
 mod store;
 
-pub use backend::{Backend, BackendCaps, BackendKind, ExecCtx, ExecPlan};
+pub use backend::{Backend, BackendKind, ExecCtx, ExecPlan};
 pub use engine::{Bound, Engine, EngineBuilder, EpochReport, Trainer};
 pub use error::HectorError;
 pub use graphdata::GraphData;

@@ -3,9 +3,9 @@
 //! The real-mode interpreter used to allocate a fresh `Vec<f32>` for
 //! every operand read, every unary/binary op result, and every GEMM
 //! output row — allocator traffic dominated arithmetic at every thread
-//! count. A [`Scratch`] arena replaces all of that: the executor owns
-//! one arena for its whole lifetime (the parallel executor hands one
-//! block to each worker chunk), buffers grow to the widest row a kernel
+//! count. A [`Scratch`] arena replaces all of that: the session owns
+//! one arena for its whole lifetime (the production executor also pools
+//! one block per chunk), buffers grow to the widest row a kernel
 //! produces and are then reused verbatim, so a steady-state forward pass
 //! performs **zero per-row heap allocations** (pinned by
 //! `tests/interp_alloc.rs` with a counting global allocator).
@@ -123,9 +123,9 @@ impl Scratch {
         self.grows
     }
 
-    /// Adds externally observed growth events (worker-chunk arenas of
-    /// the parallel executor report theirs through the owning session's
-    /// arena so the device counters see every allocation).
+    /// Adds externally observed growth events (the production
+    /// executor's per-chunk arenas report theirs through the owning
+    /// session's arena so the device counters see every allocation).
     pub(crate) fn note_external_grows(&mut self, n: usize) {
         self.grows += n;
     }

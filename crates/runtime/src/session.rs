@@ -25,13 +25,12 @@ use rand::{Rng, SeedableRng};
 
 use hector_trace::{record_span, span_start, SpanCat};
 
-use crate::backend::{self, Backend, BackendKind, ExecCtx, ExecPlan};
+use crate::backend::{self, Backend, BackendKind, ExecCtx, ExecPlan, WorkerArenas};
 use crate::cost::{kernel_cost, var_bytes};
 use crate::error::HectorError;
 use crate::exec::kernel_trace_meta;
 use crate::loss::nll_loss_and_grad_into;
 use crate::optim::Optimizer;
-use crate::par_exec::WorkerArenas;
 use crate::scratch::Scratch;
 use crate::store::{Buffer, VarStore};
 use crate::{GraphData, ParamStore};
@@ -318,19 +317,20 @@ pub struct Session {
     device: Device,
     mode: Mode,
     par: ParallelConfig,
-    /// Worker pool for the parallel real-mode executor. `None` when
-    /// `num_threads == 1` (the exact sequential code path) or in modeled
-    /// mode (nothing to execute).
+    /// Worker pool of the production executor. `None` when
+    /// `num_threads == 1` (every kernel is one chunk), on the sequential
+    /// oracle backend, or in modeled mode (nothing to execute).
     pool: Option<ThreadPool>,
-    /// Reusable scratch arena for the real-mode interpreter hot path:
+    /// Reusable scratch arena for the real-mode hot path (the oracle's
+    /// row staging, the production executor's per-launch weight flags):
     /// buffers grow to the widest kernel row once, then every later
     /// kernel (and run) reuses them — zero per-row heap allocations in
     /// steady state. Growth events and footprint surface through
     /// [`hector_device::ScratchStats`] on the device counters.
     scratch: Scratch,
-    /// Pooled per-chunk worker state for the parallel executor (scratch
-    /// blocks, contribution buffers, scatter staging) — the threaded
-    /// twin of `scratch`, making warm parallel runs allocation-free too.
+    /// Pooled per-chunk state of the production executor (scratch
+    /// blocks, contribution buffers, the launch table) — what makes
+    /// warm runs allocation-free at every thread count.
     arenas: WorkerArenas,
     /// The execution backend every real-mode kernel launch routes
     /// through — see [`crate::backend`].
@@ -351,26 +351,26 @@ impl Session {
         Session::with_parallel(config, mode, ParallelConfig::from_env())
     }
 
-    /// Creates a session with an explicit parallel configuration.
-    /// `num_threads = 1` takes the exact sequential code path (no pool
-    /// is created); any higher count executes real-mode kernels across a
-    /// work-stealing pool with outputs bit-identical to the sequential
-    /// path (see the `par_exec` module docs for the merge-order scheme).
+    /// Creates a session on the default (production) backend with an
+    /// explicit parallel configuration. `num_threads = 1` runs every
+    /// kernel as one chunk (no pool is created); any higher count splits
+    /// real-mode kernels across a work-stealing pool with outputs
+    /// bit-identical to the one-chunk run (see the [`crate::backend`]
+    /// module docs).
     ///
     /// # Panics
     ///
     /// Panics on an invalid `par` (zero threads / zero chunk rows — use
-    /// [`Session::with_backend`] for the fallible form) or if
-    /// `HECTOR_BACKEND` is set to an unrecognised value (see
-    /// [`BackendKind::from_env`]).
+    /// [`Session::with_backend`] for the fallible form).
     #[must_use]
     pub fn with_parallel(config: DeviceConfig, mode: Mode, par: ParallelConfig) -> Session {
-        Session::with_backend(config, mode, par, BackendKind::from_env())
+        Session::with_backend(config, mode, par, BackendKind::default())
             .expect("valid parallel configuration")
     }
 
     /// Creates a session with an explicit parallel configuration and
-    /// execution backend (overriding `HECTOR_BACKEND`).
+    /// execution backend. [`BackendKind::Interp`] is sequential by
+    /// definition: it ignores `par.num_threads` and creates no pool.
     ///
     /// # Errors
     ///
@@ -394,7 +394,7 @@ impl Session {
                 detail: "ParallelConfig.min_chunk_rows must be >= 1".into(),
             });
         }
-        let pool = if mode == Mode::Real {
+        let pool = if mode == Mode::Real && kind == BackendKind::Specialized {
             ThreadPool::from_config(&par)
         } else {
             None
@@ -623,8 +623,8 @@ impl Session {
                     arenas: &mut self.arenas,
                 };
                 // Whether the kernel actually split across chunks —
-                // safety fallbacks and unsplittable domains count as
-                // sequential in the ParallelStats report.
+                // one-chunk launches count as sequential in the
+                // ParallelStats report.
                 let ran_parallel = self
                     .backend
                     .run_kernel(exec_plan, phase, ki, spec, &mut ctx);

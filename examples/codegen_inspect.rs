@@ -6,9 +6,8 @@
 //! Note the CUDA-like source is a **text-only emission target**: it is
 //! never compiled or executed (no CUDA toolchain exists here). Runs
 //! execute the kernel *specs* on the CPU through an execution backend —
-//! the reference interpreter or the specialized compiled-closure
-//! backend — selected with `HECTOR_BACKEND` or
-//! `EngineBuilder::backend`.
+//! the production micro-op executor by default, or the sequential
+//! oracle when selected with `EngineBuilder::backend`.
 
 use hector::prelude::*;
 use hector_ir::{AggNorm, KernelSpec};
@@ -56,9 +55,9 @@ fn main() {
     }
 
     println!(
-        "\nexecution: specs run on the '{}' backend (HECTOR_BACKEND also honoured); \
+        "\nexecution: specs run on the '{}' backend by default; \
          the CUDA text below is emission-only and never executes",
-        BackendKind::from_env().name()
+        BackendKind::default().name()
     );
 
     println!(

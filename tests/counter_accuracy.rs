@@ -219,6 +219,60 @@ fn backend_stats_count_prepares_reuses_and_kernels() {
     }
 }
 
+/// Regression: the session's plan cache used to key on the module's
+/// *address* (+ name + kernel counts), so two modules occupying one
+/// stack slot — same model, same kernel counts, different options —
+/// shared a plan, and the second ran closures built from the first.
+#[test]
+fn plan_cache_does_not_alias_modules_sharing_an_address() {
+    let _g = LOCK.lock().unwrap();
+    let graph = known_graph();
+    let session = |kind| {
+        Session::with_backend(
+            DeviceConfig::rtx3090(),
+            Mode::Real,
+            ParallelConfig::sequential(),
+            kind,
+        )
+        .expect("valid parallel configuration")
+    };
+    for kind in [BackendKind::Interp, BackendKind::Specialized] {
+        let mut reused = session(kind);
+        for opts in [
+            CompileOptions::compact_only(),
+            CompileOptions::reorder_only(),
+        ] {
+            // One loop-body local: both modules live at the same address.
+            let module = (*hector::compile_model_cached(ModelKind::Rgat, 8, 8, &opts)).clone();
+            let bits = |s: &mut Session| -> Vec<u32> {
+                let mut rng = hector_tensor::seeded_rng(5);
+                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
+                let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
+                let (vars, _) = s
+                    .forward(&module, &graph, &mut params, &bindings)
+                    .expect("tiny graph fits");
+                let out = vars.tensor(module.forward.outputs[0]);
+                out.data().iter().map(|v| v.to_bits()).collect()
+            };
+            let got = bits(&mut reused);
+            let b = *reused.device().counters().backend();
+            assert_eq!(
+                b.prepares,
+                1,
+                "{kind:?} / {}: a different module must be prepared afresh",
+                opts.label()
+            );
+            assert_eq!(b.plan_reuses, 0);
+            assert_eq!(
+                got,
+                bits(&mut session(kind)),
+                "{kind:?} / {}: output differs from a fresh session's",
+                opts.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn profile_report_names_the_backend() {
     let _g = LOCK.lock().unwrap();

@@ -27,6 +27,20 @@ use hector_tensor::seeded_rng;
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// The allocation counter is process-global, so concurrently running
+/// tests would pollute each other's measured windows. Every test
+/// serializes on this lock, then lets the harness's own allocations
+/// (reporting the test that just released it) die down.
+static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serialize() -> std::sync::MutexGuard<'static, ()> {
+    let guard = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    hector_bench::alloc_counter::settle();
+    guard
+}
+
 fn graph(nodes: usize, edges: usize) -> GraphData {
     GraphData::new(hector::generate(&DatasetSpec {
         name: "alloc".into(),
@@ -80,6 +94,7 @@ fn forward_allocs(p: &mut Prepared) -> usize {
 
 #[test]
 fn steady_state_forward_pass_allocations_do_not_scale_with_rows() {
+    let _g = serialize();
     for kind in ModelKind::all() {
         let mut small = prepare(kind, 60, 360);
         let mut large = prepare(kind, 240, 2880);
@@ -107,6 +122,7 @@ fn steady_state_forward_pass_allocations_do_not_scale_with_rows() {
 
 #[test]
 fn scratch_counters_report_zero_growth_once_warm() {
+    let _g = serialize();
     let mut p = prepare(ModelKind::Rgat, 80, 640);
     forward_allocs(&mut p); // warm-up run grows the arena
     forward_allocs(&mut p);

@@ -36,12 +36,17 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 /// The allocation counter is process-global, so concurrently running
 /// tests would see each other's warm-up allocations inside their
-/// measured windows. Every test serializes on this lock.
+/// measured windows. Every test serializes on this lock, then lets the
+/// harness's own allocations (reporting the test that just released it,
+/// spawning the next) die down.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    let guard = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    hector_bench::alloc_counter::settle();
+    guard
 }
 
 fn graph() -> GraphData {
@@ -82,9 +87,9 @@ fn threaded_session() -> Session {
 fn warm_threaded_train_steps_allocate_nothing() {
     let _g = serialize();
     // The HECTOR_THREADS=4 twin of `warm_train_steps_allocate_nothing`:
-    // pooled per-chunk worker arenas make the threaded executor
-    // allocation-free once warm, for every model and either backend
-    // (`HECTOR_BACKEND` is honoured via `Session::with_parallel`).
+    // pooled per-chunk worker arenas make the chunked production
+    // executor (`Session::with_parallel`'s backend) allocation-free
+    // once warm, for every model.
     for kind in ModelKind::all() {
         let graph = graph();
         let module =
