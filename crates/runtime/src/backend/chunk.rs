@@ -118,9 +118,23 @@ impl RawRows {
     /// reference to it exists for the returned borrow's lifetime.
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
-        // SAFETY: as in `row`; exclusivity is the caller's.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.width) }
+        // SAFETY: forwarded to the caller.
+        unsafe { self.rows_mut(&(r..r + 1)) }
+    }
+
+    /// The contiguous block of rows `rs`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::row_mut`], for every row of `rs`.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn rows_mut(&self, rs: &Range<usize>) -> &mut [f32] {
+        let (start, len) = (rs.start * self.width, rs.len() * self.width);
+        let inside = rs.start <= rs.end && rs.end <= self.rows;
+        assert!(inside, "rows {rs:?} outside a {}-row view", self.rows);
+        // SAFETY: the assert keeps the block inside the tensor the view
+        // was built from; liveness and exclusivity are the caller's.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
 }
 
@@ -260,6 +274,13 @@ impl WorkerArenas {
             table: Vec::new(),
             rows_by_type: Vec::new(),
         }
+    }
+
+    /// Footprint of the pooled scratch blocks and launch table, bytes.
+    pub(crate) fn bytes(&mut self) -> usize {
+        let slots = self.slots.iter_mut();
+        slots.map(|c| c.0.get_mut().scratch.bytes()).sum::<usize>()
+            + self.table.capacity() * std::mem::size_of::<RawRows>()
     }
 
     /// Opens a launch: points the table at `vars`' buffers, in order.

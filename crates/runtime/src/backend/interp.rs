@@ -50,7 +50,8 @@ pub(crate) fn run_oracle(spec: &KernelSpec, ctx: &mut ExecCtx<'_>) -> bool {
         }
         KernelSpec::Fallback(f) => {
             if let Some(i) = f.prep_index {
-                ctx.params.run_prep(&ctx.program.preps[i], ctx.program);
+                ctx.params
+                    .run_prep(&ctx.program.preps[i], ctx.program, ctx.graph);
             }
         }
     }

@@ -17,9 +17,11 @@
 //!
 //! Kernel shapes:
 //!
-//! * **Row domains** (edges, unique pairs, nodes; `TypedLinear` GEMMs
-//!   are one-op kernels of this shape) run **op-at-a-time**: one tight
-//!   loop over the chunk's rows per op. The interchange is bit-exact
+//! * **Row domains** (edges, unique pairs, nodes) run **op-at-a-time**:
+//!   one tight loop over the chunk's rows per op. `TypedLinear` GEMMs
+//!   are one-op kernels of this shape whose loop walks the chunk as runs
+//!   of rows sharing a weight slab, each run through the segment tiles
+//!   of `hector_tensor::microkernel`. The interchange is bit-exact
 //!   because pure ops are row-local and aggregates fold in ascending
 //!   row order — except where an aggregate's output is read back in the
 //!   same kernel: the reader must observe the *partial* sum over the
@@ -30,7 +32,8 @@
 //!   destination's in-edges once per inner pass: per-edge ops resolved
 //!   in the edge context, hoisted ops in the node context, with the
 //!   mid-pass `-inf` sweeps a zero-in-degree destination needs.
-//! * **`TypedLinearGradW`** splits over type slabs instead of rows.
+//! * **`TypedLinearGradW`** splits over type slabs instead of rows, each
+//!   slab accumulating its rows through the gradient tile.
 //!
 //! A kernel the resolver declines (an operand shape outside it, an op
 //! reading its own output, two ops folding into one aggregate) runs
@@ -46,11 +49,14 @@ use hector_ir::{
     AggNorm, BinOp, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
     TraversalDomain, TraversalSpec, TypeIndex, UnOp, VarId, WeightId,
 };
+use hector_tensor::microkernel::{
+    for_each_run, gemm_rows, outer_rows, pack_transposed, Isa, BLOCK_ROWS,
+};
 use hector_tensor::Tensor;
 
 use crate::exec::{
-    apply_binary_into, apply_unary_into, dot, dst_private_max_aggs, gemm_row_into, grad_w_row,
-    max_agg_outputs, sweep_neg_inf, weight_type_index,
+    apply_binary_into, apply_unary_into, dot, dst_private_max_aggs, max_agg_outputs, sweep_neg_inf,
+    weight_type_index,
 };
 use crate::scratch::Scratch;
 use crate::{GraphData, ParamStore};
@@ -534,8 +540,6 @@ struct Launch<'a> {
     graph: &'a GraphData,
     params: &'a ParamStore,
     table: &'a [RawRows],
-    /// The session arena holding the launch's per-slab finiteness bits.
-    flags: &'a Scratch,
 }
 
 /// A [`PreOperand`] bound to its storage for one op of one chunk.
@@ -720,46 +724,54 @@ unsafe fn run_rows(
             let scale = scale.as_ref().map(|s| cx.bind(s));
             let wt = cx.params.weight(*weight);
             let (t_count, wrows, wcols) = (wt.shape()[0], wt.shape()[1], wt.shape()[2]);
-            let slab_of = |ty: usize| (wt.slab(ty), *transpose_w || cx.flags.slab_finite(ty));
-            // A shared weight has one slab: resolve it and its
-            // finiteness bit once, not per row.
-            let shared = (*types == TypeIndex::Shared).then(|| slab_of(0));
+            let (isa, n) = (Isa::best(), out.width());
             let idx = scatter.map(|map| cx.map(map));
+            // `x · Wᵀ` packs each run's `Wᵀ` once; scatters stage a block
+            // of rows, row-aligned stores compute in the output rows.
+            let (pack, stage) = scratch.a_and_y(
+                if *transpose_w { wrows * wcols } else { 0 },
+                if idx.is_some() { BLOCK_ROWS * n } else { 0 },
+            );
             let mut sink = sink;
-            for r in rows {
-                let (slab, finite) = shared.unwrap_or_else(|| {
-                    slab_of(weight_type_index(t_count, *types, *domain, r, cx.graph))
-                });
-                // Row-aligned stores compute in the output row itself;
-                // scatters stage the row, then accumulate it.
-                let y = match idx {
-                    None => {
-                        debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
-                        let y = out.row_mut(r);
-                        y.fill(0.0);
-                        y
-                    }
-                    Some(_) => scratch.y_zeroed(out.width()),
+            let type_of = |r| weight_type_index(t_count, *types, *domain, r, cx.graph);
+            for_each_run(rows, type_of, |ty, run| {
+                let slab = if *transpose_w {
+                    pack_transposed(wt.slab(ty), wrows, wcols, pack);
+                    &*pack
+                } else {
+                    wt.slab(ty)
                 };
-                gemm_row_into(a.row(r), slab, wrows, wcols, *transpose_w, finite, y);
-                if let Some(s) = &scale {
-                    let sv = s.row(r)[0];
-                    for v in y.iter_mut() {
-                        *v *= sv;
-                    }
-                }
-                if let Some(ix) = idx {
-                    let i = ix.map_or(r, |ix| ix[r] as usize);
-                    match &mut sink {
-                        Some(buf) => buf.push(m.out, i, y.iter().copied(), false),
+                for b in run.clone().step_by(BLOCK_ROWS) {
+                    let block = b..(b + BLOCK_ROWS).min(run.end);
+                    let ys = match idx {
                         None => {
-                            for (acc, v) in out.row_mut(i).iter_mut().zip(&*y) {
-                                *acc += v;
+                            debug_assert!(block.clone().all(|r| own.holds(r, cx.graph)));
+                            out.rows_mut(&block)
+                        }
+                        Some(_) => &mut stage[..block.len() * n],
+                    };
+                    gemm_rows(isa, block.clone().map(|r| a.row(r)), slab, n, ys);
+                    for (r, y) in block.zip(ys.chunks_exact_mut(n.max(1))) {
+                        if let Some(s) = &scale {
+                            let sv = s.row(r)[0];
+                            for v in y.iter_mut() {
+                                *v *= sv;
+                            }
+                        }
+                        if let Some(ix) = idx {
+                            let i = ix.map_or(r, |ix| ix[r] as usize);
+                            match &mut sink {
+                                Some(buf) => buf.push(m.out, i, y.iter().copied(), false),
+                                None => {
+                                    for (acc, v) in out.row_mut(i).iter_mut().zip(&*y) {
+                                        *acc += v;
+                                    }
+                                }
                             }
                         }
                     }
                 }
-            }
+            });
         }
     }
 }
@@ -840,22 +852,12 @@ impl MicroKernel {
             let t = ctx.vars.get_mut(self.vars[slot]).tensor_mut();
             t.data_mut().fill(f32::NEG_INFINITY);
         }
-        for m in &self.ops {
-            if let Kind::Linear {
-                weight,
-                transpose_w: false,
-                ..
-            } = m.kind
-            {
-                ctx.scratch.set_slab_finite(ctx.params.weight(weight));
-            }
-        }
         let graph = ctx.graph;
         let rows = match &self.shape {
             Shape::Rows { domain, .. } => graph.rows_of(*domain),
             Shape::DstNodes(_) => graph.graph().num_nodes(),
         };
-        let (params, flags): (&ParamStore, &Scratch) = (ctx.params, ctx.scratch);
+        let params: &ParamStore = ctx.params;
         let (split, grows) = ctx.arenas.run_chunks(
             &self.vars,
             ctx.vars,
@@ -867,7 +869,6 @@ impl MicroKernel {
                     graph,
                     params,
                     table,
-                    flags,
                 };
                 // SAFETY: `table` is the table `run_chunks` built from
                 // this kernel's variables, live until it returns;
@@ -895,36 +896,38 @@ pub(crate) struct GradWKernel {
 }
 
 impl GradWKernel {
-    /// One chunk walks the rows in ascending order. A split launch
-    /// buckets the rows per type first (one O(m) pass, ascending within
-    /// each bucket) and hands each chunk whole type slabs — the
-    /// identical association order per slab.
+    /// One chunk walks the rows as runs of one type, in ascending order.
+    /// A split launch buckets the rows per type first (one O(m) pass,
+    /// ascending within each bucket) and hands each chunk whole type
+    /// slabs — the identical association order per slab.
     fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
         let graph = ctx.graph;
         let m = graph.rows_of(self.rows);
         let t_count = ctx.params.type_count(self.out_w);
         let type_of = |r: usize| weight_type_index(t_count, self.types, self.rows, r, graph);
+        let n = ctx.params.grad(self.out_w).shape()[2];
         let slabs = RawSlabs::of(ctx.params.grad_mut(self.out_w));
-        let (params, flags, pool): (&ParamStore, &Scratch, _) = (ctx.params, ctx.scratch, ctx.pool);
+        let (params, pool): (&ParamStore, _) = (ctx.params, ctx.pool);
         let launch = |table: &[RawRows], buckets: &mut [Vec<u32>]| {
             let cx = Launch {
                 graph,
                 params,
                 table,
-                flags,
             };
-            let (x, dy) = (cx.bind(&self.x), cx.bind(&self.dy));
-            // SAFETY: `table` is live for this whole closure, and `x`
-            // and `dy` are variables, which a weight-gradient kernel
-            // only reads.
-            let step =
-                |r: usize, slab: &mut [f32]| unsafe { grad_w_row(x.row(r), dy.row(r), slab) };
+            let (x, dy, isa) = (cx.bind(&self.x), cx.bind(&self.dy), Isa::best());
+            let accumulate = |rows: &mut dyn Iterator<Item = usize>, slab: &mut [f32]| {
+                // SAFETY: `table` is live for this whole closure, and `x`
+                // and `dy` are variables, which a weight-gradient kernel
+                // only reads.
+                let rows = rows.map(|r| unsafe { (x.row(r), dy.row(r)) });
+                outer_rows(isa, rows, n, slab);
+            };
             // A single shared slab has no type parallelism.
             let Some(pool) = pool.filter(|_| t_count >= 2 && m > 0) else {
-                for r in 0..m {
+                for_each_run(0..m, type_of, |ty, mut run| {
                     // SAFETY: the only chunk owns every slab, one at a time.
-                    step(r, unsafe { slabs.slab_mut(type_of(r)) });
-                }
+                    accumulate(&mut run, unsafe { slabs.slab_mut(ty) });
+                });
                 return false;
             };
             for r in 0..m {
@@ -933,16 +936,14 @@ impl GradWKernel {
             let buckets: &[Vec<u32>] = buckets;
             pool.for_each_chunk(t_count, 1, |ci, types| {
                 let tw = hector_trace::span_start();
-                let n = types.len();
+                let n_types = types.len();
                 for ty in types {
                     // SAFETY: chunks claim disjoint ranges of type
                     // slabs; rows of other types are never touched.
                     let slab = unsafe { slabs.slab_mut(ty) };
-                    for &r in &buckets[ty] {
-                        step(r as usize, slab);
-                    }
+                    accumulate(&mut buckets[ty].iter().map(|&r| r as usize), slab);
                 }
-                record_chunk_span(tw, n, ci);
+                record_chunk_span(tw, n_types, ci);
             });
             true
         };

@@ -192,7 +192,9 @@ pub fn traversal_cost(
 
 /// Cost of a framework-fallback kernel (weight preps and unsupported
 /// operators). Prep costs are weight-space only — independent of the
-/// graph's edge count, which is exactly why reordering pays off.
+/// graph's edge count, which is exactly why reordering pays off. Pair
+/// preps are charged for the `(ntype, etype)` pairs the graph's edges
+/// use, the only slabs the prep computes.
 #[must_use]
 pub fn fallback_cost(
     prep_index: Option<usize>,
@@ -215,13 +217,14 @@ pub fn fallback_cost(
             WeightPrep::MatMulPairs { a, b, .. } => {
                 let ia = program.weight(*a);
                 let ib = program.weight(*b);
-                let nt = graph.type_count(ia.per) as f64;
-                let et = graph.type_count(ib.per) as f64;
+                let pairs = graph.live_pairs().len() as f64;
+                let nt = (graph.type_count(ia.per) as f64).min(pairs);
+                let et = (graph.type_count(ib.per) as f64).min(pairs);
                 let (k, m, n) = (ia.rows as f64, ia.cols as f64, ib.cols as f64);
-                c.flops = 2.0 * nt * et * k * m * n;
+                c.flops = 2.0 * pairs * k * m * n;
                 c.bytes_read = (nt * k * m + et * m * n) * 4.0;
-                c.bytes_written = nt * et * k * n * 4.0;
-                c.items = nt * et * k * n / 32.0;
+                c.bytes_written = pairs * k * n * 4.0;
+                c.items = pairs * k * n / 32.0;
             }
         }
     }

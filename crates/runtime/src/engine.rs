@@ -1653,4 +1653,71 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&a.module, &b.module), "one shared module");
     }
+
+    /// Live-pair preps against the dense-pair reference (all `nt × et`
+    /// slabs visited, as before): edge type 0 has sources of two node
+    /// types, 7 of 12 pairs are dead, and every sampled batch's live set
+    /// is a strict subset of the bound graph's, one pair dying and coming
+    /// back — outputs, base weights and gradients agree bit for bit.
+    #[test]
+    fn live_pair_preps_match_the_dense_pair_reference() {
+        let mut b = HeteroGraphBuilder::new();
+        for _ in 0..3 {
+            b.add_node_type(4);
+        }
+        for (s, d, t) in [
+            (0, 5, 0),
+            (4, 1, 0),
+            (1, 9, 0),
+            (5, 10, 0),
+            (2, 6, 1),
+            (3, 8, 1),
+        ] {
+            b.add_edge(s, d, t);
+        }
+        for (s, d, t) in [(8, 0, 2), (9, 4, 2), (10, 2, 3), (11, 7, 3)] {
+            b.add_edge(s, d, t);
+        }
+        let live = GraphData::new(b.build());
+        assert_eq!(live.live_pairs(), [0, 1, 4, 10, 11]);
+        let run = |dense: bool| {
+            let t = EngineBuilder::new(ModelKind::Hgt).dims(8, 8).seed(3);
+            let mut t = t.build_trainer(Adam::new(0.01)).unwrap();
+            let bound = [live.clone(), live.clone().with_dense_pairs()];
+            t.bind(&bound[usize::from(dense)]).unwrap();
+            let (mut bits, mut lives) = (Vec::new(), Vec::new());
+            let mut record = |t: &Trainer| {
+                let (params, program) = (t.engine().params(), &t.engine().module().forward);
+                bits.extend(t.engine().output().data().iter().map(|v| v.to_bits()));
+                for (w, _) in (0u32..).zip(&program.weights).filter(|(_, i)| !i.derived) {
+                    let w = hector_ir::WeightId(w);
+                    bits.extend(params.weight(w).data().iter().map(|v| v.to_bits()));
+                    bits.extend(params.grad(w).data().iter().map(|v| v.to_bits()));
+                }
+            };
+            for _ in 0..5 {
+                t.step().unwrap();
+                record(&t);
+            }
+            for mut batch in t.minibatch(&SamplerConfig::new(2).fanouts(&[2])) {
+                lives.push(batch.graph.live_pairs().to_vec());
+                if dense {
+                    batch.graph = batch.graph.with_dense_pairs();
+                }
+                t.train_batch(&batch).unwrap();
+                record(&t);
+            }
+            (bits, lives)
+        };
+        let ((got, lives), (want, _)) = (run(false), run(true));
+        assert_eq!(got, want);
+        assert!(lives.iter().all(|l| l.len() < live.live_pairs().len()));
+        let flips = |p| {
+            lives
+                .windows(2)
+                .filter(|w| w[0].contains(p) != w[1].contains(p))
+                .count()
+        };
+        assert!(live.live_pairs().iter().any(|p| flips(p) >= 3), "{lives:?}");
+    }
 }

@@ -4,9 +4,12 @@
 //! computes — one row at a time, in ascending row order, on the calling
 //! thread — that the production micro-op executor
 //! ([`crate::backend`]) is pinned against bit for bit. Production shares
-//! only this module's leaf numerics ([`dot`], [`apply_unary_into`],
-//! [`apply_binary_into`], [`gemm_row_into`], [`grad_w_row`]) and index
-//! helpers, never its loops.
+//! only this module's elementwise leaf numerics ([`dot`],
+//! [`apply_unary_into`], [`apply_binary_into`]) and index helpers, never
+//! its loops — and not its GEMM rows: the oracle runs one zero-skipping
+//! row kernel per row behind a finiteness gate, production runs
+//! segment tiles that never skip (`hector_tensor::microkernel` argues
+//! why the two agree; the backend parity suites check it).
 //!
 //! Each kernel spec is executed exactly as the generated CUDA would run:
 //! GEMM instances gather rows through their access schemes, apply the
@@ -73,36 +76,6 @@ impl OperandRef<'_> {
     }
 }
 
-/// Computes one `TypedLinear` output row into `y`: `y = x · W` (or
-/// `x · Wᵀ`), the inner loop the oracle and the production executor
-/// share, running on the register-blocked
-/// [`hector_tensor::microkernel`]s (`f32x8`-style column panels with a
-/// scalar tail; bit-identical to the scalar loops they replaced).
-///
-/// `slab_finite` gates the `xv == 0.0` skip: skipping a zero input
-/// element is only IEEE-sound when the weight slab holds no `inf`/`NaN`
-/// (`0 × inf` must produce `NaN`). Callers check the slab once per
-/// kernel ([`Scratch::set_slab_finite`]), not per element.
-pub(crate) fn gemm_row_into(
-    x: &[f32],
-    slab: &[f32],
-    wrows: usize,
-    wcols: usize,
-    transpose_w: bool,
-    slab_finite: bool,
-    y: &mut [f32],
-) {
-    if transpose_w {
-        // y = x · Wᵀ where W is [wrows, wcols]: x has wcols elems.
-        debug_assert_eq!(x.len(), wcols);
-        debug_assert_eq!(y.len(), wrows);
-        microkernel::gemm_row_tb_blocked(x, slab, wcols, y);
-    } else {
-        debug_assert_eq!(x.len(), wrows);
-        microkernel::gemm_row_blocked(x, slab, wcols, slab_finite, y);
-    }
-}
-
 /// Executes a GEMM-template instance.
 ///
 /// # Panics
@@ -139,16 +112,15 @@ pub(crate) fn exec_gemm(
                 let slab_finite = *transpose_w || scratch.slab_finite(ty);
                 {
                     let x = read_operand(input, ctx, program, graph, params, vars);
-                    let y = scratch.y_zeroed(out_width);
-                    gemm_row_into(
-                        x.as_slice(),
-                        wt.slab(ty),
-                        wrows,
-                        wcols,
-                        *transpose_w,
-                        slab_finite,
-                        y,
-                    );
+                    let (x, y) = (x.as_slice(), scratch.y_zeroed(out_width));
+                    debug_assert_eq!(x.len(), if *transpose_w { wcols } else { wrows });
+                    if *transpose_w {
+                        microkernel::gemm_row_tb_blocked(x, wt.slab(ty), wcols, y);
+                    } else {
+                        // The `x == 0.0` skip is only IEEE-sound over a
+                        // finite slab (`0 × inf` must produce `NaN`).
+                        microkernel::gemm_row_blocked(x, wt.slab(ty), wcols, slab_finite, y);
+                    }
                 }
                 if let Some(s) = fused_scale {
                     let sv = read_operand(s, ctx, program, graph, params, vars).scalar();
@@ -186,7 +158,10 @@ pub(crate) fn exec_gemm(
                 let ty = weight_type_index(t_count, spec.weight_index, spec.rows, r, graph);
                 let g = params.grad_mut(*out_w);
                 let slab = &mut g.data_mut()[ty * k * n..(ty + 1) * k * n];
-                grad_w_row(scratch.a(k), scratch.b(n), slab);
+                // Skipping `0 × inf` would hide the IEEE-mandated `NaN`:
+                // the skip is gated on `dy` being finite, once per row.
+                let dy_finite = scratch.b(n).iter().all(|v| v.is_finite());
+                microkernel::outer_accum_blocked(scratch.a(k), scratch.b(n), slab, dy_finite);
             }
         }
         other => unreachable!("not a GEMM op: {other:?}"),
@@ -195,18 +170,6 @@ pub(crate) fn exec_gemm(
         spec.scatter,
         Scatter::None | Scatter::AtomicNode(_)
     ));
-}
-
-/// Accumulates one row's outer product `xᵀ · dy` into a weight-gradient
-/// slab — the `TypedLinearGradW` inner loop the oracle and the
-/// production executor share,
-/// running on the register-blocked outer-product microkernel (the `dy`
-/// panel stays in vector registers across all slab rows).
-/// The `xv == 0.0` skip is gated on `dy` being finite, checked once per
-/// row: skipping `0 × inf` would hide the IEEE-mandated `NaN`.
-pub(crate) fn grad_w_row(x: &[f32], dy: &[f32], slab: &mut [f32]) {
-    let dy_finite = dy.iter().all(|v| v.is_finite());
-    microkernel::outer_accum_blocked(x, dy, slab, dy_finite);
 }
 
 /// Trace-span name and row count for one kernel spec — the per-kernel

@@ -13,6 +13,10 @@ pub struct GraphData {
     csc: Csc,
     compact: CompactionMap,
     unique_etype: Vec<u32>,
+    /// Sorted `(ntype(src), etype)` pair ids (see
+    /// [`GraphData::pair_type_of`]) at least one edge uses: the only
+    /// slabs of a reorder-fused pair weight any kernel reads.
+    live_pairs: Vec<u32>,
 }
 
 impl GraphData {
@@ -27,12 +31,34 @@ impl GraphData {
         let csc = graph.csc();
         let compact = graph.compaction_map();
         let unique_etype = compact.unique_etype();
-        GraphData {
+        let mut data = GraphData {
             graph,
             csc,
             compact,
             unique_etype,
+            live_pairs: Vec::new(),
+        };
+        let mut live = vec![false; data.type_count(hector_ir::TypeIndex::NodeEdgePair)];
+        for e in 0..data.graph.num_edges() {
+            live[data.pair_type_of(hector_ir::RowDomain::Edges, e)] = true;
         }
+        data.live_pairs = (0..live.len() as u32)
+            .filter(|&p| live[p as usize])
+            .collect();
+        data
+    }
+
+    /// The dense-pair reference: every pair marked live, as if preps
+    /// still visited all `nt × et` slabs.
+    #[cfg(test)]
+    pub(crate) fn with_dense_pairs(mut self) -> GraphData {
+        let pairs = self.type_count(hector_ir::TypeIndex::NodeEdgePair);
+        self.live_pairs = (0..pairs as u32).collect();
+        self
+    }
+
+    pub(crate) fn live_pairs(&self) -> &[u32] {
+        &self.live_pairs
     }
 
     /// The underlying graph.

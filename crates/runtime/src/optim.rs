@@ -94,28 +94,17 @@ impl Optimizer for Adam {
             if program.weights[i].derived {
                 continue;
             }
-            let id = WeightId(i as u32);
             // Moment tensors materialise on the first step and are
             // updated in place afterwards: a warm step is allocation-free.
-            {
-                let g = params.grad(id);
-                let m = self.m[i].get_or_insert_with(|| Tensor::zeros(g.shape()));
-                for (mv, &gv) in m.data_mut().iter_mut().zip(g.data()) {
-                    *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
-                }
-                let v = self.v[i].get_or_insert_with(|| Tensor::zeros(g.shape()));
-                for (vv, &gv) in v.data_mut().iter_mut().zip(g.data()) {
-                    *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
-                }
-            }
-            let (m, v) = (
-                self.m[i].as_ref().expect("moment initialised above"),
-                self.v[i].as_ref().expect("moment initialised above"),
-            );
-            let w = params.weight_mut(id);
-            for ((wv, &mv), &vv) in w.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let mhat = mv / bc1;
-                let vhat = vv / bc2;
+            let (w, g) = params.weight_and_grad_mut(WeightId(i as u32));
+            let m = self.m[i].get_or_insert_with(|| Tensor::zeros(g.shape()));
+            let v = self.v[i].get_or_insert_with(|| Tensor::zeros(g.shape()));
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((wv, &gv), (mv, vv)) in w.data_mut().iter_mut().zip(g.data()).zip(moments) {
+                *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
+                *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
+                let mhat = *mv / bc1;
+                let vhat = *vv / bc2;
                 *wv -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }

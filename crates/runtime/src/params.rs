@@ -2,7 +2,8 @@
 //! (reorder-fused) weight machinery.
 
 use hector_ir::{Program, TypeIndex, WeightId, WeightPrep};
-use hector_tensor::{matmul_into, microkernel, xavier_uniform, Tensor};
+use hector_tensor::microkernel::{gemm_rows, outer_rows, pack_transposed, Isa};
+use hector_tensor::{xavier_uniform, Tensor};
 use rand::rngs::StdRng;
 
 use crate::GraphData;
@@ -22,11 +23,16 @@ pub struct ParamStore {
     weights: Vec<Tensor>,
     grads: Vec<Tensor>,
     type_counts: Vec<usize>,
-    /// Reusable staging buffers for the prep chain rule
+    /// Which weights are derived: their gradients are cleared by
+    /// [`ParamStore::backprop_preps`], not [`ParamStore::zero_grads`].
+    derived: Vec<bool>,
+    /// A derived gradient was handed out mutably since the last
+    /// [`ParamStore::backprop_preps`] cleared them.
+    derived_grads_dirty: bool,
+    /// Reusable staging buffer for the prep chain rule
     /// ([`ParamStore::backprop_preps`]): grown monotonically on first
     /// use, then reused — warm training steps never touch the heap.
-    prep_a: Vec<f32>,
-    prep_b: Vec<f32>,
+    prep: Vec<f32>,
 }
 
 impl ParamStore {
@@ -53,8 +59,9 @@ impl ParamStore {
             weights,
             grads,
             type_counts,
-            prep_a: Vec::new(),
-            prep_b: Vec::new(),
+            derived: program.weights.iter().map(|info| info.derived).collect(),
+            derived_grads_dirty: false,
+            prep: Vec::new(),
         }
     }
 
@@ -62,6 +69,12 @@ impl ParamStore {
     #[must_use]
     pub fn weight(&self, w: WeightId) -> &Tensor {
         &self.weights[w.0 as usize]
+    }
+
+    /// `[types, rows, cols]` of `w`'s stack.
+    fn dims(&self, w: WeightId) -> [usize; 3] {
+        let shape = self.weight(w).shape();
+        [shape[0], shape[1], shape[2]]
     }
 
     /// Mutable weight access (tests, manual initialisation).
@@ -77,6 +90,7 @@ impl ParamStore {
 
     /// Mutable gradient access (the executor accumulates into this).
     pub fn grad_mut(&mut self, w: WeightId) -> &mut Tensor {
+        self.derived_grads_dirty |= self.derived[w.0 as usize];
         &mut self.grads[w.0 as usize]
     }
 
@@ -112,27 +126,29 @@ impl ParamStore {
         self.weights.iter().map(Tensor::byte_size).sum()
     }
 
-    /// Zeroes all gradients (start of a training step).
+    /// Zeroes all gradients (start of a training step). Derived
+    /// gradients are skipped while they are known clear: they start at
+    /// zero and [`ParamStore::backprop_preps`] clears what a step wrote.
     pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            for v in g.data_mut() {
-                *v = 0.0;
+        for (g, &derived) in self.grads.iter_mut().zip(&self.derived) {
+            if !derived || self.derived_grads_dirty {
+                g.data_mut().fill(0.0);
             }
         }
+        self.derived_grads_dirty = false;
     }
 
     /// Executes one weight prep (called by the fallback kernels at the
     /// start of every forward pass, since base weights change between
     /// steps). Writes into the derived weight's existing storage — the
     /// tensor was shaped at [`ParamStore::init`] — so a warm prep run
-    /// performs no heap allocation.
-    pub fn run_prep(&mut self, prep: &WeightPrep, program: &Program) {
+    /// performs no heap allocation. Pair preps fill only the
+    /// `(ntype, etype)` slabs `graph`'s edges use: no kernel on `graph`
+    /// reads another.
+    pub fn run_prep(&mut self, prep: &WeightPrep, program: &Program, graph: &GraphData) {
         match prep {
             WeightPrep::MatVec { w, v, out } => {
-                let (t, k, n) = {
-                    let ws = self.weight(*w);
-                    (ws.shape()[0], ws.shape()[1], ws.shape()[2])
-                };
+                let [t, k, n] = self.dims(*w);
                 debug_assert_eq!(program.weight(*out).rows, k);
                 // Detach the derived tensor so the base weights stay
                 // readable while we fill it (disjoint indices of the
@@ -154,32 +170,16 @@ impl ParamStore {
                 self.weights[out.0 as usize] = fused;
             }
             WeightPrep::MatMulPairs { a, b, out } => {
-                let (nt, k, m) = {
-                    let ws = self.weight(*a);
-                    (ws.shape()[0], ws.shape()[1], ws.shape()[2])
-                };
-                let (et, m2, n) = {
-                    let ws = self.weight(*b);
-                    (ws.shape()[0], ws.shape()[1], ws.shape()[2])
-                };
+                let ([nt, k, m], [et, m2, n]) = (self.dims(*a), self.dims(*b));
                 assert_eq!(m, m2, "prep inner dims must agree");
                 debug_assert_eq!(program.weight(*out).per, TypeIndex::NodeEdgePair);
                 let mut fused = std::mem::take(&mut self.weights[out.0 as usize]);
                 debug_assert_eq!(fused.shape(), &[nt * et, k, n]);
-                for i in 0..nt {
-                    for j in 0..et {
-                        let idx = i * et + j;
-                        let dst = &mut fused.data_mut()[idx * k * n..(idx + 1) * k * n];
-                        dst.fill(0.0);
-                        matmul_into(
-                            self.weight(*a).slab(i),
-                            self.weight(*b).slab(j),
-                            dst,
-                            k,
-                            m,
-                            n,
-                        );
-                    }
+                for &pair in graph.live_pairs() {
+                    let idx = pair as usize;
+                    let dst = &mut fused.data_mut()[idx * k * n..(idx + 1) * k * n];
+                    let arows = self.weight(*a).slab(idx / et).chunks_exact(m.max(1));
+                    gemm_rows(Isa::best(), arows, self.weight(*b).slab(idx % et), n, dst);
                 }
                 self.weights[out.0 as usize] = fused;
             }
@@ -187,19 +187,20 @@ impl ParamStore {
     }
 
     /// Runs every prep of `program` (forward-pass entry).
-    pub fn run_preps(&mut self, program: &Program) {
+    pub fn run_preps(&mut self, program: &Program, graph: &GraphData) {
         for prep in &program.preps {
-            self.run_prep(prep, program);
+            self.run_prep(prep, program, graph);
         }
     }
 
     /// Distributes gradients accumulated on derived weights back to their
     /// base weights (chain rule through the weight-space products), then
     /// clears the derived gradients. Staging goes through the store's
-    /// reusable `prep_a`/`prep_b` buffers (preserving the exact
-    /// accumulation order of the former temporary-tensor formulation),
-    /// so warm steps are allocation-free.
-    pub fn backprop_preps(&mut self, program: &Program) {
+    /// reusable `prep` buffer (preserving the exact accumulation
+    /// order of the former temporary-tensor formulation), so warm steps
+    /// are allocation-free. Pair preps visit only `graph`'s live pairs:
+    /// no kernel on `graph` wrote another pair's gradient slab.
+    pub fn backprop_preps(&mut self, program: &Program, graph: &GraphData) {
         for prep in program.preps.iter().rev() {
             match prep {
                 WeightPrep::MatVec { w, v, out } => {
@@ -207,8 +208,7 @@ impl ParamStore {
                     // dW[t][i,j] += dout[t][i] · v[t][j]
                     // dv[t][j]   += Σ_i dout[t][i] · W[t][i,j]
                     let mut dout = std::mem::take(&mut self.grads[out.0 as usize]);
-                    let (t, k) = (dout.shape()[0], dout.shape()[1]);
-                    let n = self.weight(*w).shape()[2];
+                    let [t, k, n] = self.dims(*w);
                     for ty in 0..t {
                         let dslab = dout.slab(ty); // [k]
                         {
@@ -240,69 +240,38 @@ impl ParamStore {
                     // out[(i,j)] = A[i]·B[j]
                     // dA[i] += Σ_j dout[(i,j)]·B[j]^T ; dB[j] += Σ_i A[i]^T·dout[(i,j)]
                     let mut dout = std::mem::take(&mut self.grads[out.0 as usize]);
-                    let (nt, k, m) = {
-                        let ws = self.weight(*a);
-                        (ws.shape()[0], ws.shape()[1], ws.shape()[2])
-                    };
-                    let (et, _, n) = {
-                        let ws = self.weight(*b);
-                        (ws.shape()[0], ws.shape()[1], ws.shape()[2])
-                    };
-                    if self.prep_a.len() < k * m {
-                        self.prep_a.resize(k * m, 0.0);
-                    }
-                    if self.prep_b.len() < m * n {
-                        self.prep_b.resize(m * n, 0.0);
-                    }
-                    let mut da_buf = std::mem::take(&mut self.prep_a);
-                    let mut db_buf = std::mem::take(&mut self.prep_b);
-                    for i in 0..nt {
-                        for j in 0..et {
-                            let idx = i * et + j;
-                            let d = dout.slab(idx); // [k, n]
-                            let da = &mut da_buf[..k * m];
-                            {
-                                // da = d · Bᵀ, row by row through the
-                                // transposed microkernel (≡ matmul_tb).
-                                let bslab = self.weights[b.0 as usize].slab(j); // [m, n]
-                                for (drow, darow) in d.chunks_exact(n).zip(da.chunks_exact_mut(m)) {
-                                    microkernel::gemm_row_tb_blocked(drow, bslab, n, darow);
-                                }
-                            }
-                            let db = &mut db_buf[..m * n];
-                            {
-                                // db = Aᵀ · d: one rank-1 update per
-                                // shared row (≡ matmul_ta).
-                                db.fill(0.0);
-                                let aslab = self.weights[a.0 as usize].slab(i); // [k, m]
-                                for p in 0..k {
-                                    microkernel::outer_accum_blocked(
-                                        &aslab[p * m..(p + 1) * m],
-                                        &d[p * n..(p + 1) * n],
-                                        db,
-                                        true,
-                                    );
-                                }
-                            }
-                            let ga = &mut self.grads[a.0 as usize].data_mut()
-                                [i * k * m..(i + 1) * k * m];
-                            for (g, &x) in ga.iter_mut().zip(&*da) {
-                                *g += x;
-                            }
-                            let gb = &mut self.grads[b.0 as usize].data_mut()
-                                [j * m * n..(j + 1) * m * n];
-                            for (g, &x) in gb.iter_mut().zip(&*db) {
-                                *g += x;
-                            }
+                    let ([_, k, m], [et, _, n]) = (self.dims(*a), self.dims(*b));
+                    let mut prep = std::mem::take(&mut self.prep);
+                    prep.resize(k * m + 2 * m * n, 0.0);
+                    let (da, rest) = prep.split_at_mut(k * m);
+                    let (db, bt) = rest.split_at_mut(m * n);
+                    let isa = Isa::best();
+                    for &pair in graph.live_pairs() {
+                        let (i, j) = (pair as usize / et, pair as usize % et);
+                        let d = dout.slab(pair as usize).chunks_exact(n.max(1)); // [k, n]
+                                                                                 // da = d · Bᵀ through the packed slab (≡ matmul_tb).
+                        pack_transposed(self.weights[b.0 as usize].slab(j), m, n, bt);
+                        gemm_rows(isa, d.clone(), bt, m, da);
+                        // db = Aᵀ · d, one shared row at a time (≡ matmul_ta).
+                        db.fill(0.0);
+                        let arows = self.weights[a.0 as usize].slab(i).chunks_exact(m.max(1));
+                        outer_rows(isa, arows.zip(d), n, db);
+                        let ga = &mut self.grads[a.0 as usize].data_mut()[i * k * m..][..k * m];
+                        for (g, &x) in ga.iter_mut().zip(&*da) {
+                            *g += x;
                         }
+                        let gb = &mut self.grads[b.0 as usize].data_mut()[j * m * n..][..m * n];
+                        for (g, &x) in gb.iter_mut().zip(&*db) {
+                            *g += x;
+                        }
+                        dout.data_mut()[pair as usize * k * n..][..k * n].fill(0.0);
                     }
-                    self.prep_a = da_buf;
-                    self.prep_b = db_buf;
-                    dout.data_mut().fill(0.0);
+                    self.prep = prep;
                     self.grads[out.0 as usize] = dout;
                 }
             }
         }
+        self.derived_grads_dirty = false;
     }
 }
 
@@ -358,7 +327,7 @@ mod tests {
         let g = toy_graph();
         let mut rng = seeded_rng(2);
         let mut ps = ParamStore::init(&p, &g, &mut rng);
-        ps.run_preps(&p);
+        ps.run_preps(&p, &g);
         let fused = hector_ir::WeightId((p.weights.len() - 1) as u32);
         // fused[t][i] = Σ_j W[t][i,j] v[t][j]
         for ty in 0..2 {
@@ -388,13 +357,13 @@ mod tests {
         let g = toy_graph();
         let mut rng = seeded_rng(3);
         let mut ps = ParamStore::init(&p, &g, &mut rng);
-        ps.run_preps(&p);
+        ps.run_preps(&p, &g);
         let fused = hector_ir::WeightId((p.weights.len() - 1) as u32);
         // Pretend dLoss/dfused = 1 everywhere; then dW[t][i][j] = v[t][j].
         for x in ps.grad_mut(fused).data_mut() {
             *x = 1.0;
         }
-        ps.backprop_preps(&p);
+        ps.backprop_preps(&p, &g);
         for ty in 0..2 {
             for i in 0..2 {
                 for j in 0..2 {

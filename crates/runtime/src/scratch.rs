@@ -26,7 +26,8 @@
 pub(crate) struct Scratch {
     /// Output-row slot: GEMM rows and unary/binary/dot results.
     y: Vec<f32>,
-    /// Staged operand copy A (aggregate values, `GradW` x rows).
+    /// Staged operand copy A (aggregate values, `GradW` x rows; the
+    /// production executor's packed `Wᵀ` slab).
     a: Vec<f32>,
     /// Staged operand copy B (`GradW` dy rows).
     b: Vec<f32>,
@@ -64,6 +65,15 @@ impl Scratch {
     pub(crate) fn y_uninit(&mut self, n: usize) -> &mut [f32] {
         Self::grow_to(&mut self.y, n, &mut self.grows);
         &mut self.y[..n]
+    }
+
+    /// Slot A (`a` wide) beside the output slot (`y` wide), contents
+    /// unspecified: a tiled GEMM reads the `Wᵀ` slab it packed into one
+    /// while it fills the other.
+    pub(crate) fn a_and_y(&mut self, a: usize, y: usize) -> (&mut [f32], &mut [f32]) {
+        Self::grow_to(&mut self.a, a, &mut self.grows);
+        Self::grow_to(&mut self.y, y, &mut self.grows);
+        (&mut self.a[..a], &mut self.y[..y])
     }
 
     /// The first `n` finished elements of the output slot.

@@ -630,8 +630,9 @@ impl Session {
                     .run_kernel(exec_plan, phase, ki, spec, &mut ctx);
                 if !matches!(spec, KernelSpec::Fallback(_)) {
                     let wall_us = start.elapsed().as_secs_f64() * 1e6;
+                    let bytes = self.scratch.bytes() + self.arenas.bytes();
                     self.device
-                        .record_scratch(self.scratch.grows() - grows_before, self.scratch.bytes());
+                        .record_scratch(self.scratch.grows() - grows_before, bytes);
                     let (chunks, steals) = match (stats_before, self.pool.as_ref()) {
                         (Some(before), Some(pool)) => {
                             let after = pool.stats();
@@ -837,7 +838,7 @@ impl Session {
         )?;
         let tr = span_start();
         if self.mode == Mode::Real {
-            params.backprop_preps(&module.forward);
+            params.backprop_preps(&module.forward, graph);
             optimizer.step(params, &module.forward);
         }
         // Prep backward + optimizer run as framework calls.

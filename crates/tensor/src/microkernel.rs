@@ -1,32 +1,77 @@
 //! Register-blocked GEMM microkernels.
 //!
-//! Every dense inner loop in Hector — the interpreter's `TypedLinear`
-//! rows, its weight-gradient outer products, and the tensor-level
-//! `matmul` family — funnels through the three kernels here. They
-//! process the weight slab in `f32x8`-style column panels with a small
-//! accumulator array the compiler keeps in vector registers, instead of
-//! streaming partial sums through the output buffer: the scalar loops
-//! re-load and re-store `y` once per input element, while the blocked
-//! loops touch memory once per panel. A scalar tail loop handles
-//! dimensions that are not a multiple of the lane width.
+//! Every dense inner loop in Hector funnels through this module. It has
+//! two families:
+//!
+//! * **Segment tiles** ([`gemm_rows`], [`outer_rows`]) — the production
+//!   GEMM template. Rows arrive type-sorted, so the executor walks each
+//!   chunk as *runs* of consecutive rows sharing one weight slab
+//!   ([`for_each_run`]) and
+//!   hands a run to a tile block by block: a register tile of gathered
+//!   input rows × a column panel of `W` for `y = x · W`, a tile of `dW`
+//!   rows × a column panel over a block of rows for `dW += xᵀ · dy`.
+//!   `y = x · Wᵀ` packs `Wᵀ` once per run ([`pack_transposed`]) and
+//!   reuses the forward tile.
+//! * **Row kernels** (`gemm_row_*`, `outer_accum_*`) — one GEMV / rank-1
+//!   update per row, used by the sequential oracle (`exec.rs`), the
+//!   tensor-level `matmul` family, and as the scalar references the
+//!   tiles are pinned against.
 //!
 //! # Bit-identity contract
 //!
-//! Blocked and scalar kernels produce **bit-identical** results: for
-//! every output element the floating-point contributions are added in
-//! the same order (ascending input index). Blocking only changes
+//! Every kernel here adds the contributions of one output element in
+//! the same order (ascending reduction index, starting from the
+//! element's prior value or `+0.0`). Blocking and tiling only change
 //! *which* outputs advance together, never the per-output association
-//! order — so the sequential/parallel executor equivalence and the
-//! blocked/scalar equivalence (pinned by `tests/simd_gemm.rs` proptests
-//! over ragged dims) both hold exactly.
+//! order — so tiles, row kernels and scalar references agree **bit for
+//! bit** (pinned by `tests/simd_gemm.rs` over ragged dims, run lengths
+//! around the tile height, gathered rows and non-finite values).
+//! *Whether* an output is NaN is inside the contract; a NaN's sign and
+//! payload are not — Rust leaves them unspecified, and they follow the
+//! operand order the compiler picks when two NaNs meet in an addition.
 //!
-//! # Zero-skip gate
+//! # Segment/tile contract
 //!
-//! All kernels accept a `skip_zero_x` flag mirroring the interpreter's
-//! finiteness gate: skipping a zero input element is only IEEE-sound
-//! when the corresponding weight panel holds no `inf`/`NaN` (`0 × inf`
-//! must produce `NaN`). Callers decide the flag once per slab (or per
-//! `dy` row), never per element.
+//! A tile call is one run block: every input row multiplies the *same*
+//! slab. Callers gather the rows (any order of references, usually
+//! through a row map), the tile writes a contiguous row block; rows
+//! beyond the last full tile and columns beyond the last full panel
+//! take the same generic body at tile height 1 / panel width
+//! [`LANES`] / 1, so a run of any length and any `k`, `n` is covered
+//! without a second code path.
+//!
+//! The tile bodies are `#[inline(always)]` generics instantiated once
+//! plainly and, on x86-64, once more under
+//! `#[target_feature(enable = "avx2")]`; an [`Isa`] names an
+//! instantiation the host can run. `fma` is deliberately not enabled:
+//! Rust never contracts `a * b + c`, so both instantiations perform the
+//! same IEEE operations and differ only in register width.
+//!
+//! # Zeros are not skipped — the signed-zero argument
+//!
+//! The row kernels take a `skip_zero_x` flag: skipping a zero input
+//! element saves a panel of multiply-adds, but is only IEEE-sound when
+//! the slab holds no `inf`/`NaN` (`0 × inf` must produce `NaN`), so
+//! their callers scan the slab for finiteness first. The tiles drop
+//! both the branch and the scan, and still agree with a gated row
+//! kernel bit for bit:
+//!
+//! * a product with a zero input and a *finite* weight is `±0`;
+//! * an accumulator that starts at `+0.0` can never become `-0.0` under
+//!   round-to-nearest (a sum is `-0.0` only when both addends are), so
+//!   adding `±0` to it is the identity — whether the accumulator is
+//!   still `+0.0` or already non-zero;
+//! * against a *non-finite* slab the gate was off and nothing was
+//!   skipped to begin with.
+//!
+//! Forward outputs start at `+0.0` by construction and weight gradients
+//! are zero-filled before every step, so the premise holds wherever the
+//! executor calls a tile. Measured, the branch *costs* time once it is
+//! taken half the time (mispredictions), which is why it left the
+//! production path instead of being kept as an optimisation.
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// SIMD lane width the panels are built from (`f32x8`, one AVX2
 /// register; narrower ISAs split each panel into several registers).
@@ -240,6 +285,374 @@ pub fn outer_accum_scalar(x: &[f32], dy: &[f32], slab: &mut [f32], skip_zero_x: 
     }
 }
 
+/// An instantiation of the tile kernels that the host can run: the
+/// generic body, or (x86-64 with AVX2) the same body compiled for
+/// 256-bit registers. Values only come from [`Isa::GENERIC`],
+/// [`Isa::best`] and [`Isa::available`], so holding one proves the
+/// instantiation is runnable here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Isa(Level);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Level {
+    Generic,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The plain instantiation, available on every target.
+    pub const GENERIC: Isa = Isa(Level::Generic);
+
+    /// Every instantiation the host can run, narrowest first.
+    pub fn available() -> impl Iterator<Item = Isa> {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2").then_some(Isa(Level::Avx2));
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = None;
+        std::iter::once(Isa::GENERIC).chain(avx2)
+    }
+
+    /// The widest instantiation the host can run, detected once per
+    /// process.
+    pub fn best() -> Isa {
+        static BEST: OnceLock<Isa> = OnceLock::new();
+        *BEST.get_or_init(|| Isa::available().last().unwrap_or(Isa::GENERIC))
+    }
+}
+
+/// Calls `f(type, run)` for every maximal run of consecutive rows of
+/// `rows` sharing a weight type. Rows are type-sorted in every row
+/// domain, so a run is a whole type segment (or a chunk's share of
+/// one) — the unit a tile call works on.
+pub fn for_each_run(
+    rows: Range<usize>,
+    type_of: impl Fn(usize) -> usize,
+    mut f: impl FnMut(usize, Range<usize>),
+) {
+    let mut start = rows.start;
+    while start < rows.end {
+        let ty = type_of(start);
+        let end = (start + 1..rows.end)
+            .find(|&r| type_of(r) != ty)
+            .unwrap_or(rows.end);
+        f(ty, start..end);
+        start = end;
+    }
+}
+
+/// Rows gathered per tile call: a multiple of every instantiation's
+/// tile height, so only a run's last block ends in short tiles, and
+/// small enough that a block's `x` and `dy` rows stay cache-resident
+/// while the gradient tiles sweep them.
+pub const BLOCK_ROWS: usize = 48;
+
+/// Tile shape (rows × panel columns) of the plain instantiation: one
+/// row × a [`BLOCK`]-wide panel is what 128-bit baseline registers hold
+/// without spilling (taller tiles measured slower there).
+const GENERIC_TILE: (usize, usize) = (1, BLOCK);
+
+/// Tile shape of the AVX2 instantiation: 6 rows × two 8-lane panels is
+/// 12 of the 16 vector registers in accumulators, leaving the panel
+/// pair, the broadcast and the product.
+#[cfg(target_arch = "x86_64")]
+const AVX2_TILE: (usize, usize) = (6, 2 * LANES);
+
+/// One register tile of `y = x · W`: `R` gathered rows × columns
+/// `[j, j + NW)`, accumulated from `+0.0` in ascending `p` and stored
+/// once.
+#[inline(always)]
+fn gemm_panel_tile<const R: usize, const NW: usize>(
+    xs: &[&[f32]; R],
+    slab: &[f32],
+    n: usize,
+    j: usize,
+    ys: &mut [f32],
+) {
+    let mut acc = [[0.0f32; NW]; R];
+    for (p, wrow) in slab.chunks_exact(n).enumerate() {
+        let w: &[f32; NW] = wrow[j..j + NW].try_into().expect("panel width");
+        for (a, x) in acc.iter_mut().zip(xs) {
+            let xv = x[p];
+            for (av, &wv) in a.iter_mut().zip(w) {
+                *av += xv * wv;
+            }
+        }
+    }
+    for (a, y) in acc.iter().zip(ys.chunks_exact_mut(n)) {
+        y[j..j + NW].copy_from_slice(a);
+    }
+}
+
+/// `R` rows across all of `W`'s columns: `NW`-wide panels, then
+/// [`LANES`]-wide, then single columns.
+#[inline(always)]
+fn gemm_row_tile<const R: usize, const NW: usize>(
+    xs: &[&[f32]; R],
+    slab: &[f32],
+    n: usize,
+    ys: &mut [f32],
+) {
+    let mut j = 0;
+    while j + NW <= n {
+        gemm_panel_tile::<R, NW>(xs, slab, n, j, ys);
+        j += NW;
+    }
+    while j + LANES <= n {
+        gemm_panel_tile::<R, LANES>(xs, slab, n, j, ys);
+        j += LANES;
+    }
+    while j < n {
+        gemm_panel_tile::<R, 1>(xs, slab, n, j, ys);
+        j += 1;
+    }
+}
+
+#[inline(always)]
+fn gemm_tile_body<const R: usize, const NW: usize>(
+    xs: &[&[f32]],
+    slab: &[f32],
+    n: usize,
+    ys: &mut [f32],
+) {
+    assert_eq!(ys.len(), xs.len() * n, "output block must be [rows, n]");
+    if n == 0 {
+        return;
+    }
+    let k = slab.len() / n;
+    assert_eq!(slab.len(), k * n, "weight slab must be [k, n]");
+    assert!(xs.iter().all(|x| x.len() == k), "input rows must be k wide");
+    let mut xt = xs.chunks_exact(R);
+    let mut yt = ys.chunks_exact_mut(R * n);
+    for (x, y) in (&mut xt).zip(&mut yt) {
+        let x: &[&[f32]; R] = x.try_into().expect("tile height");
+        gemm_row_tile::<R, NW>(x, slab, n, y);
+    }
+    let ytail = yt.into_remainder().chunks_exact_mut(n);
+    for (x, y) in xt.remainder().iter().zip(ytail) {
+        gemm_row_tile::<1, NW>(&[x], slab, n, y);
+    }
+}
+
+/// [`gemm_tile_body`] compiled for 256-bit registers.
+///
+/// # Safety
+///
+/// The host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_tile_avx2(xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) {
+    gemm_tile_body::<{ AVX2_TILE.0 }, { AVX2_TILE.1 }>(xs, slab, n, ys);
+}
+
+/// One block (≤ [`BLOCK_ROWS`] rows) of [`gemm_rows`] on `isa`.
+fn gemm_tile(isa: Isa, xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) {
+    match isa.0 {
+        Level::Generic => {
+            gemm_tile_body::<{ GENERIC_TILE.0 }, { GENERIC_TILE.1 }>(xs, slab, n, ys);
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` naming AVX2 only comes from `Isa::available`,
+        // which detected the feature on this host.
+        Level::Avx2 => unsafe { gemm_tile_avx2(xs, slab, n, ys) },
+    }
+}
+
+/// Segment-tiled `ys[r] = xs[r] · W` for a run of rows sharing one
+/// slab: `W` is `[k, n]` row-major, `xs` yields the (gathered) input
+/// rows, each `k` wide, and `ys` is the run's `[rows, n]` output block
+/// (overwritten). Each output accumulates from `+0.0` in ascending `p`
+/// without skipping zeros — bit-identical to [`gemm_row_scalar`] into a
+/// zeroed row with the skip gate off, and (see the module docs) with it
+/// on over a finite slab.
+///
+/// # Panics
+///
+/// Panics if the slab is not `[k, n]`, an input row is not `k` wide, or
+/// `ys` is not `rows * n` long.
+pub fn gemm_rows<'a>(
+    isa: Isa,
+    xs: impl IntoIterator<Item = &'a [f32]>,
+    slab: &[f32],
+    n: usize,
+    mut ys: &mut [f32],
+) {
+    let mut xs = xs.into_iter();
+    loop {
+        let mut block: [&[f32]; BLOCK_ROWS] = [&[]; BLOCK_ROWS];
+        let mut rows = 0;
+        for (slot, x) in block.iter_mut().zip(&mut xs) {
+            *slot = x;
+            rows += 1;
+        }
+        if rows == 0 {
+            break;
+        }
+        assert!(ys.len() >= rows * n, "output block shorter than the run");
+        let (head, rest) = std::mem::take(&mut ys).split_at_mut(rows * n);
+        gemm_tile(isa, &block[..rows], slab, n, head);
+        ys = rest;
+    }
+    assert!(ys.is_empty(), "output block longer than the run");
+}
+
+/// Packs `Wᵀ` of a `[rows, cols]` row-major slab into `out`
+/// (`[cols, rows]`), so `x · Wᵀ` runs through [`gemm_rows`]: each output
+/// still sums `x[p] · W[j, p]` from `+0.0` in ascending `p`, the order
+/// of [`gemm_row_tb_scalar`].
+///
+/// # Panics
+///
+/// Panics if `slab` or `out` is not `rows * cols` long.
+pub fn pack_transposed(slab: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
+    assert_eq!(slab.len(), rows * cols, "slab must be [rows, cols]");
+    assert_eq!(out.len(), rows * cols, "packed slab must be [cols, rows]");
+    if cols == 0 {
+        return;
+    }
+    for (j, wrow) in slab.chunks_exact(cols).enumerate() {
+        for (p, &wv) in wrow.iter().enumerate() {
+            out[p * rows + j] = wv;
+        }
+    }
+}
+
+/// One register tile of `dW += xᵀ · dy`: `I` slab rows from `i` ×
+/// columns `[j, j + NW)`, loaded once, advanced over every row of the
+/// block in ascending order, stored once.
+#[inline(always)]
+fn outer_panel_tile<const I: usize, const NW: usize>(
+    xs: &[&[f32]],
+    dys: &[&[f32]],
+    i: usize,
+    n: usize,
+    j: usize,
+    tile: &mut [f32],
+) {
+    let mut acc = [[0.0f32; NW]; I];
+    for (a, t) in acc.iter_mut().zip(tile.chunks_exact(n)) {
+        a.copy_from_slice(&t[j..j + NW]);
+    }
+    for (x, dy) in xs.iter().zip(dys) {
+        let d: &[f32; NW] = dy[j..j + NW].try_into().expect("panel width");
+        let xi: &[f32; I] = x[i..i + I].try_into().expect("tile height");
+        for (a, &xv) in acc.iter_mut().zip(xi) {
+            for (av, &dv) in a.iter_mut().zip(d) {
+                *av += xv * dv;
+            }
+        }
+    }
+    for (a, t) in acc.iter().zip(tile.chunks_exact_mut(n)) {
+        t[j..j + NW].copy_from_slice(a);
+    }
+}
+
+#[inline(always)]
+fn outer_row_tile<const I: usize, const NW: usize>(
+    xs: &[&[f32]],
+    dys: &[&[f32]],
+    i: usize,
+    n: usize,
+    tile: &mut [f32],
+) {
+    let mut j = 0;
+    while j + NW <= n {
+        outer_panel_tile::<I, NW>(xs, dys, i, n, j, tile);
+        j += NW;
+    }
+    while j + LANES <= n {
+        outer_panel_tile::<I, LANES>(xs, dys, i, n, j, tile);
+        j += LANES;
+    }
+    while j < n {
+        outer_panel_tile::<I, 1>(xs, dys, i, n, j, tile);
+        j += 1;
+    }
+}
+
+#[inline(always)]
+fn outer_tile_body<const I: usize, const NW: usize>(
+    xs: &[&[f32]],
+    dys: &[&[f32]],
+    n: usize,
+    slab: &mut [f32],
+) {
+    assert_eq!(xs.len(), dys.len(), "one dy row per x row");
+    if n == 0 {
+        return;
+    }
+    let k = slab.len() / n;
+    assert_eq!(slab.len(), k * n, "gradient slab must be [k, n]");
+    assert!(xs.iter().all(|x| x.len() == k), "x rows must be k wide");
+    assert!(dys.iter().all(|d| d.len() == n), "dy rows must be n wide");
+    let mut tiles = slab.chunks_exact_mut(I * n);
+    let mut i = 0;
+    for tile in &mut tiles {
+        outer_row_tile::<I, NW>(xs, dys, i, n, tile);
+        i += I;
+    }
+    for tile in tiles.into_remainder().chunks_exact_mut(n) {
+        outer_row_tile::<1, NW>(xs, dys, i, n, tile);
+        i += 1;
+    }
+}
+
+/// [`outer_tile_body`] compiled for 256-bit registers.
+///
+/// # Safety
+///
+/// The host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn outer_tile_avx2(xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32]) {
+    outer_tile_body::<{ AVX2_TILE.0 }, { AVX2_TILE.1 }>(xs, dys, n, slab);
+}
+
+/// One block (≤ [`BLOCK_ROWS`] rows) of [`outer_rows`] on `isa`.
+fn outer_tile(isa: Isa, xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32]) {
+    match isa.0 {
+        Level::Generic => {
+            outer_tile_body::<{ GENERIC_TILE.0 }, { GENERIC_TILE.1 }>(xs, dys, n, slab);
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_tile`.
+        Level::Avx2 => unsafe { outer_tile_avx2(xs, dys, n, slab) },
+    }
+}
+
+/// Segment-tiled `slab += Σ_r x[r] ⊗ dy[r]` over a run of rows sharing
+/// one `[k, n]` gradient slab: `rows` yields the (gathered) `(x, dy)`
+/// row pairs, `k` and `n` wide. Every slab element receives the rows'
+/// contributions in ascending `r` without skipping zeros —
+/// bit-identical to one [`outer_accum_scalar`] per row with the skip
+/// gate off, and (see the module docs) with it on over finite `dy` rows
+/// when the slab was accumulated from `+0.0`.
+///
+/// # Panics
+///
+/// Panics if the slab is not `[k, n]` or a row has the wrong width.
+pub fn outer_rows<'a>(
+    isa: Isa,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a [f32])>,
+    n: usize,
+    slab: &mut [f32],
+) {
+    let mut rows = rows.into_iter();
+    loop {
+        let mut xs: [&[f32]; BLOCK_ROWS] = [&[]; BLOCK_ROWS];
+        let mut dys: [&[f32]; BLOCK_ROWS] = [&[]; BLOCK_ROWS];
+        let mut count = 0;
+        for ((xslot, dslot), (x, dy)) in xs.iter_mut().zip(&mut dys).zip(&mut rows) {
+            (*xslot, *dslot) = (x, dy);
+            count += 1;
+        }
+        if count == 0 {
+            break;
+        }
+        outer_tile(isa, &xs[..count], &dys[..count], n, slab);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,5 +750,41 @@ mod tests {
         let mut y = [10.0f32, 20.0];
         gemm_row_blocked(&x, &w, 2, true, &mut y);
         assert_eq!(y, [12.0, 23.0]);
+    }
+
+    #[test]
+    fn runs_are_maximal_and_cover_the_range() {
+        let types = [3usize, 3, 3, 0, 5, 5, 3];
+        let mut seen = Vec::new();
+        for_each_run(1..7, |r| types[r], |ty, run| seen.push((ty, run)));
+        assert_eq!(seen, [(3, 1..3), (0, 3..4), (5, 4..6), (3, 6..7)]);
+        for_each_run(4..4, |r| types[r], |_, _| panic!("empty range has no run"));
+    }
+
+    #[test]
+    fn tiles_match_the_row_kernels_on_every_instantiation() {
+        // 15 rows = two AVX2 tiles + three single-row tails; 19 columns
+        // = one 16-panel (or none of the generic 32) + scalar columns.
+        let (rows, k, n) = (15, 9, 19);
+        let (x, w, dy) = (
+            pattern(rows * k, 0.3),
+            pattern(k * n, 0.8),
+            pattern(rows * n, 1.1),
+        );
+        let (mut want_y, mut want_g) = (vec![0.0f32; rows * n], pattern(k * n, 2.0));
+        let start_g = want_g.clone();
+        for r in 0..rows {
+            gemm_row_scalar(&x[r * k..][..k], &w, n, false, &mut want_y[r * n..][..n]);
+            outer_accum_scalar(&x[r * k..][..k], &dy[r * n..][..n], &mut want_g, false);
+        }
+        let mut wt = vec![0.0f32; k * n];
+        pack_transposed(&w, k, n, &mut wt);
+        assert_eq!(wt[3 * k + 2], w[2 * n + 3]);
+        for isa in Isa::available() {
+            let (mut y, mut g) = (vec![f32::NAN; rows * n], start_g.clone());
+            gemm_rows(isa, x.chunks_exact(k), &w, n, &mut y);
+            outer_rows(isa, x.chunks_exact(k).zip(dy.chunks_exact(n)), n, &mut g);
+            assert_eq!((y, g), (want_y.clone(), want_g.clone()), "{isa:?}");
+        }
     }
 }

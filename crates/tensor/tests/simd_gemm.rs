@@ -3,10 +3,18 @@
 //! the register layout — including at dimensions that are not a multiple
 //! of the lane width (scalar-tail coverage at 1, 7, 9, 31, 33) and for
 //! non-finite weight slabs flowing through the zero-skip gate.
+//!
+//! The segment tiles (`gemm_rows`, `outer_rows`, and `x · Wᵀ` through
+//! `pack_transposed`) are pinned against the same scalar row references:
+//! ragged `k`/`n`, run lengths around the tile height and the block
+//! size, gathered rows, signed zeros and non-finite values — on the
+//! generic instantiation **and** every one the host detects, so the
+//! fallback body is exercised on AVX2 machines too.
 
 use hector_tensor::microkernel::{
-    gemm_row_blocked, gemm_row_scalar, gemm_row_tb_blocked, gemm_row_tb_scalar,
-    outer_accum_blocked, outer_accum_scalar, BLOCK, LANES,
+    gemm_row_blocked, gemm_row_scalar, gemm_row_tb_blocked, gemm_row_tb_scalar, gemm_rows,
+    outer_accum_blocked, outer_accum_scalar, outer_rows, pack_transposed, Isa, BLOCK, BLOCK_ROWS,
+    LANES,
 };
 use proptest::prelude::*;
 
@@ -145,4 +153,184 @@ fn ragged_dim_matrix_is_bit_identical() {
             assert_eq!(bits(&gb), bits(&gs), "outer k={k} n={n}");
         }
     }
+}
+
+/// Run lengths the tile proptests draw from: `0..=2R + 1` for the
+/// tallest tile (`R = 6`), then lengths straddling one and two gather
+/// blocks.
+fn run_len() -> impl Strategy<Value = usize> {
+    let b = BLOCK_ROWS;
+    (0usize..20).prop_map(move |i| match i {
+        0..=13 => i,
+        14..=16 => b + i - 15,
+        _ => 2 * b + i - 18,
+    })
+}
+
+/// How the tile proptests fill a buffer: the share of (randomly signed)
+/// zeros, and whether `inf` / `NaN` / `-0.0` are sprinkled in.
+#[derive(Clone, Copy, Debug)]
+struct Fill {
+    zero_pct: u64,
+    special: bool,
+}
+
+fn fill() -> impl Strategy<Value = Fill> {
+    (0u64..3, any::<bool>()).prop_map(|(z, special)| Fill {
+        zero_pct: z * 50,
+        special,
+    })
+}
+
+/// Deterministic values from a SplitMix64 stream.
+fn values(len: usize, seed: &mut u64, fill: Fill) -> Vec<f32> {
+    let mut next = || {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..len)
+        .map(|_| {
+            let r = next();
+            if r % 100 < fill.zero_pct {
+                return if r & 128 == 0 { 0.0 } else { -0.0 };
+            }
+            if fill.special && (r >> 8) % 13 == 0 {
+                return [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0][(r >> 16) as usize % 4];
+            }
+            ((r >> 20) % 4001) as f32 / 1000.0 - 2.0
+        })
+        .collect()
+}
+
+/// `rows` gathered rows of width `k` out of a shuffled pool (with
+/// repeats): the tiles take row references, not a dense matrix.
+fn gathered(pool: &[f32], k: usize, rows: usize, seed: u64) -> Vec<&[f32]> {
+    let pool_rows = pool.len() / k;
+    (0..rows as u64)
+        .map(|r| {
+            let i = (seed
+                .wrapping_mul(31)
+                .wrapping_add(r.wrapping_mul(0x9E37_79B9))
+                >> 7) as usize;
+            &pool[(i % pool_rows) * k..][..k]
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN folded to one: *whether* an output is
+/// NaN is part of the tile contract, its sign and payload are not (Rust
+/// leaves them unspecified, and they differ with the operand order the
+/// compiler picks for an addition of two NaNs).
+fn tile_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+fn finite(v: &[f32]) -> bool {
+    v.iter().all(|x| x.is_finite())
+}
+
+proptest! {
+    #[test]
+    fn tile_gemm_is_bit_identical_to_the_scalar_rows(
+        (k, n, rows) in (1usize..=70, 1usize..=70, run_len()),
+        (xfill, wfill) in (fill(), fill()),
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed;
+        let pool = values((rows + 3) * k, &mut s, xfill);
+        let slab = values(k * n, &mut s, wfill);
+        let xs = gathered(&pool, k, rows, seed);
+        // Reference: one scalar row per input row from a zeroed output,
+        // gate off — and, over a finite slab, gate on as well (the
+        // signed-zero argument: skipping changes nothing).
+        let mut want = vec![0.0f32; rows * n];
+        for (x, y) in xs.iter().zip(want.chunks_exact_mut(n)) {
+            gemm_row_scalar(x, &slab, n, false, y);
+            if finite(&slab) {
+                let mut skipped = vec![0.0f32; n];
+                gemm_row_scalar(x, &slab, n, true, &mut skipped);
+                prop_assert_eq!(tile_bits(&skipped), tile_bits(y), "skip gate k={} n={}", k, n);
+            }
+        }
+        for isa in Isa::available() {
+            let mut got = vec![f32::NAN; rows * n]; // tiles overwrite
+            gemm_rows(isa, xs.iter().copied(), &slab, n, &mut got);
+            prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} k={} n={} rows={}", isa, k, n, rows);
+        }
+    }
+
+    #[test]
+    fn tile_transposed_gemm_is_bit_identical_to_the_scalar_dots(
+        (k, n, rows) in (1usize..=70, 1usize..=70, run_len()),
+        (xfill, wfill) in (fill(), fill()),
+        seed in any::<u64>(),
+    ) {
+        // y = x · Wᵀ with W [n, k]: x is k wide, y is n wide.
+        let mut s = seed;
+        let pool = values((rows + 3) * k, &mut s, xfill);
+        let slab = values(n * k, &mut s, wfill);
+        let xs = gathered(&pool, k, rows, seed);
+        let mut want = vec![0.0f32; rows * n];
+        for (x, y) in xs.iter().zip(want.chunks_exact_mut(n)) {
+            gemm_row_tb_scalar(x, &slab, k, y);
+        }
+        let mut packed = vec![0.0f32; n * k];
+        pack_transposed(&slab, n, k, &mut packed);
+        for isa in Isa::available() {
+            let mut got = vec![f32::NAN; rows * n];
+            gemm_rows(isa, xs.iter().copied(), &packed, n, &mut got);
+            prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} k={} n={} rows={}", isa, k, n, rows);
+        }
+    }
+
+    #[test]
+    fn tile_outer_is_bit_identical_to_the_scalar_rank1_updates(
+        (k, n, rows) in (1usize..=70, 1usize..=70, run_len()),
+        (xfill, dfill) in (fill(), fill()),
+        from_zero in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed;
+        let xpool = values((rows + 3) * k, &mut s, xfill);
+        let dpool = values((rows + 2) * n, &mut s, dfill);
+        let xs = gathered(&xpool, k, rows, seed);
+        let dys = gathered(&dpool, n, rows, seed ^ 0x55);
+        // A gradient slab mid-accumulation (any values), or a freshly
+        // zeroed one — where the gated skip must change nothing either.
+        let start = if from_zero {
+            vec![0.0f32; k * n]
+        } else {
+            values(k * n, &mut s, Fill { zero_pct: 0, special: true })
+        };
+        let mut want = start.clone();
+        for (x, dy) in xs.iter().zip(&dys) {
+            outer_accum_scalar(x, dy, &mut want, false);
+        }
+        if from_zero {
+            let mut gated = start.clone();
+            for (x, dy) in xs.iter().zip(&dys) {
+                outer_accum_scalar(x, dy, &mut gated, finite(dy));
+            }
+            prop_assert_eq!(tile_bits(&gated), tile_bits(&want), "skip gate k={} n={}", k, n);
+        }
+        for isa in Isa::available() {
+            let mut got = start.clone();
+            outer_rows(isa, xs.iter().copied().zip(dys.iter().copied()), n, &mut got);
+            prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} k={} n={} rows={}", isa, k, n, rows);
+        }
+    }
+}
+
+/// The generic body is always the first instantiation offered, and the
+/// production choice is the last (widest) one.
+#[test]
+fn generic_instantiation_is_always_available() {
+    let all: Vec<Isa> = Isa::available().collect();
+    assert_eq!(all[0], Isa::GENERIC);
+    assert_eq!(Isa::best(), *all.last().expect("generic at least"));
 }

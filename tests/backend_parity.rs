@@ -203,3 +203,40 @@ proptest! {
         prop_assert_eq!(interp, spec);
     }
 }
+
+/// Generated graphs give every edge type one source node type, so a
+/// pair-typed weight changes slab only where the edge type does. Here
+/// edge type 0 interleaves sources of two node types — its rows are runs
+/// of one or two edges alternating between two pair slabs — and most
+/// `(ntype, etype)` pairs have no edge at all.
+#[test]
+fn interleaved_pair_runs_are_bit_identical_across_backends() {
+    let mut b = hector::HeteroGraphBuilder::new();
+    for _ in 0..3 {
+        b.add_node_type(8);
+    }
+    for i in 0..24u32 {
+        // Sources alternate between node types 0 and 1 (ids 0..8, 8..16).
+        b.add_edge((i % 2) * 8 + (i / 2) % 8, (i * 7) % 24, 0);
+    }
+    for i in 0..8u32 {
+        b.add_edge(16 + i, i * 3, 1 + i % 3);
+    }
+    let g = GraphData::new(b.build());
+    let opts = CompileOptions::best().with_training(true);
+    for kind in ModelKind::all() {
+        for threads in [1usize, 4] {
+            let interp = inference_bits(kind, &opts, &g, BackendKind::Interp, threads);
+            let spec = inference_bits(kind, &opts, &g, BackendKind::Specialized, threads);
+            assert_eq!(interp, spec, "{} / threads={threads}: forward", kind.name());
+            let interp = training_bits(kind, &opts, &g, BackendKind::Interp, threads);
+            let spec = training_bits(kind, &opts, &g, BackendKind::Specialized, threads);
+            assert_eq!(
+                interp,
+                spec,
+                "{} / threads={threads}: training",
+                kind.name()
+            );
+        }
+    }
+}
