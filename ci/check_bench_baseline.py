@@ -83,17 +83,6 @@ def main() -> int:
             f" ({metrics.get('events_recorded', 'n/a')} events)"
         )
 
-    # Informational: interpreter vs specialized-backend speedups (the
-    # bench itself asserts cross-backend bit-identity before timing;
-    # wall clock never gates).
-    for row, metrics in sorted(bench.get("backend_compare", {}).items()):
-        print(
-            f"info backend_compare {row}:"
-            f" interp {metrics.get('interp_ms', 'n/a')}ms"
-            f" -> specialized {metrics.get('specialized_ms', 'n/a')}ms"
-            f" ({metrics.get('speedup', 'n/a')}x)"
-        )
-
     # Informational: multi-tenant serving throughput (the bench itself
     # asserts the >= 1.5x coalescing contrast and tests/serve.rs gates
     # bit-identity with the sequential oracle; wall clock never gates).

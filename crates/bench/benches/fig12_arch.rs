@@ -4,10 +4,6 @@
 //! per-direction (forward vs backward) duration, achieved GFLOP/s,
 //! IPC proxy, and DRAM throughput.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
-
 use hector::prelude::*;
 use hector_bench::{banner, device_config, load_dataset, scale};
 use hector_device::{KernelCategory, Phase};
@@ -39,33 +35,24 @@ fn main() {
                 ("U", CompileOptions::unopt()),
                 ("C", CompileOptions::compact_only()),
             ] {
-                let module = hector::compile_model(
-                    ModelKind::Rgat,
-                    dim,
-                    dim,
-                    &opts.clone().with_training(true),
-                );
-                let mut rng = seeded_rng(3);
-                let mut params = ParamStore::init(&module.forward, &d.graph, &mut rng);
-                let mut session = Session::new(cfg.clone(), Mode::Modeled);
-                let mut sgd = Sgd::new(0.01);
-                let Ok(_) = session.run_training_step(
-                    &module,
-                    &d.graph,
-                    &mut params,
-                    &Bindings::new(),
-                    &[],
-                    &mut sgd,
-                ) else {
+                let mut trainer = EngineBuilder::new(ModelKind::Rgat)
+                    .dims(dim, dim)
+                    .options(opts)
+                    .device(cfg.clone())
+                    .mode(Mode::Modeled)
+                    .build_trainer(Sgd::new(0.01))
+                    .expect("valid bench configuration");
+                trainer.bind(&d.graph).expect("bench graphs are non-empty");
+                if trainer.step().is_err() {
                     println!("{dim:<5} {label:<4} | OOM");
                     continue;
-                };
+                }
                 for phase in [Phase::Forward, Phase::Backward] {
                     let dir = match phase {
                         Phase::Forward => "Fw",
                         Phase::Backward => "Bck",
                     };
-                    let counters = session.device().counters();
+                    let counters = trainer.engine().device().counters();
                     let g = counters.get(KernelCategory::Gemm, phase);
                     let t = counters.get(KernelCategory::Traversal, phase);
                     println!(

@@ -1,28 +1,19 @@
 //! interp_alloc: allocator traffic and wall clock of the real-mode
-//! interpreter's scratch-arena hot path.
+//! executor's scratch-arena hot path.
 //!
 //! A counting global allocator wraps `System` for this binary and
 //! reports heap-allocation *events* per forward pass and per training
-//! step for RGCN / RGAT / HGT on a generated graph — through both run
-//! APIs:
-//!
-//! * `run_*` rows: the owned-`VarStore` API; per-run setup (fresh output
-//!   tensors, bindings clones) still allocates, but the count is
-//!   graph-size-invariant (scratch arena absorbs all per-row traffic).
-//! * `plan_*` rows: the run-plan API (`Session::forward` /
-//!   `Session::train_step`); after warm-up these pin at **zero**
-//!   allocations per run (`tests/run_alloc.rs` asserts it; this target
-//!   makes the magnitude visible, and the `perf-regression` CI lane
-//!   gates the JSON below against `ci/alloc_baseline.json`).
+//! step for RGCN / RGAT / HGT on a generated graph. Every run goes
+//! through the engine's persistent run plan, so after warm-up both rows
+//! pin at **zero** allocations per run (`tests/run_alloc.rs` asserts
+//! it; this target makes the magnitude visible, and the
+//! `perf-regression` CI lane gates the JSON below against
+//! `ci/alloc_baseline.json`).
 //!
 //! With `HECTOR_BENCH_JSON=<path>` the table is also written as a
 //! machine-readable JSON fragment for the CI lane's `BENCH_PR4.json`
 //! artifact. Allocation counts are deterministic (unlike wall clock), so
 //! they are the only fields the lane fails on.
-
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
 
 use std::time::Instant;
 
@@ -39,7 +30,7 @@ const DIMS: usize = 32;
 fn main() {
     let s = scale();
     banner(
-        "interp_alloc: interpreter allocator traffic (scratch arena + run plan)",
+        "interp_alloc: executor allocator traffic (scratch arena + run plan)",
         s,
     );
     let spec = DatasetSpec {
@@ -65,79 +56,38 @@ fn main() {
     let iters = if s >= 1.0 { 3 } else { 5 };
     let mut json = JsonWriter::from_env("interp_alloc");
     for kind in ModelKind::all() {
-        let infer = hector::compile_model(kind, DIMS, DIMS, &CompileOptions::best());
-        let train = hector::compile_model(
-            kind,
-            DIMS,
-            DIMS,
-            &CompileOptions::best().with_training(true),
-        );
-        let mut rng = seeded_rng(23);
-        let mut params = ParamStore::init(&infer.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&infer.forward, &graph, &mut rng);
-        let mut tparams = ParamStore::init(&train.forward, &graph, &mut rng);
-        let tbindings = Bindings::standard(&train.forward, &graph, &mut rng);
-        let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
-        let mut session = Session::with_parallel(
-            DeviceConfig::rtx3090(),
-            Mode::Real,
-            ParallelConfig::sequential(),
-        );
+        let builder = EngineBuilder::new(kind)
+            .dims(DIMS, DIMS)
+            .options(CompileOptions::best())
+            .parallel(ParallelConfig::sequential())
+            .seed(23);
 
-        // Forward passes, owned-store API.
-        session
-            .run_inference(&infer, &graph, &mut params, &bindings)
-            .expect("warm-up inference fits");
+        // Forward passes (zero once warm).
+        let mut engine = builder.clone().build().expect("valid configuration");
+        engine.bind(&graph).expect("bench graph is non-empty");
+        engine.forward().expect("warm-up forward fits");
         let (ms, allocs) = timed(iters, || {
-            session
-                .run_inference(&infer, &graph, &mut params, &bindings)
-                .expect("inference fits");
+            engine.forward().expect("forward fits");
         });
-        let sc = *session.device().counters().scratch();
-        report(&mut json, kind.name(), "run_fwd", ms, allocs, edges, &sc);
-
-        // Forward passes, run-plan API (zero once warm).
-        session
-            .forward(&infer, &graph, &mut params, &bindings)
-            .expect("warm-up forward fits");
-        let (ms, allocs) = timed(iters, || {
-            session
-                .forward(&infer, &graph, &mut params, &bindings)
-                .expect("forward fits");
-        });
-        let sc = *session.device().counters().scratch();
+        let sc = *engine.device().counters().scratch();
         report(&mut json, kind.name(), "plan_fwd", ms, allocs, edges, &sc);
 
-        // Training steps, owned-store API.
-        let mut opt = Sgd::new(0.01);
-        session
-            .run_training_step(&train, &graph, &mut tparams, &tbindings, &labels, &mut opt)
-            .expect("warm-up step fits");
+        // Training steps (zero once warm).
+        let mut trainer = builder
+            .build_trainer(Sgd::new(0.01))
+            .expect("valid configuration");
+        trainer.bind(&graph).expect("bench graph is non-empty");
+        trainer.step().expect("warm-up step fits");
         let (ms, allocs) = timed(iters, || {
-            session
-                .run_training_step(&train, &graph, &mut tparams, &tbindings, &labels, &mut opt)
-                .expect("training step fits");
+            trainer.step().expect("training step fits");
         });
-        let sc = *session.device().counters().scratch();
-        report(&mut json, kind.name(), "run_train", ms, allocs, edges, &sc);
-
-        // Training steps, run-plan API (zero once warm).
-        session
-            .train_step(&train, &graph, &mut tparams, &tbindings, &labels, &mut opt)
-            .expect("warm-up plan step fits");
-        let (ms, allocs) = timed(iters, || {
-            session
-                .train_step(&train, &graph, &mut tparams, &tbindings, &labels, &mut opt)
-                .expect("plan training step fits");
-        });
-        let sc = *session.device().counters().scratch();
+        let sc = *trainer.engine().device().counters().scratch();
         report(&mut json, kind.name(), "plan_train", ms, allocs, edges, &sc);
     }
     json.finish();
     println!(
-        "\nallocs/pass counts every heap allocation event in the pass; run_* rows \
-         include per-run\nsetup (owned stores), plan_* rows reuse the session's run \
-         plan and pin at zero once warm."
+        "\nallocs/pass counts every heap allocation event in the pass; every run reuses \
+         the engine's\nrun plan, so both rows pin at zero once warm."
     );
 }
 

@@ -16,8 +16,8 @@
 //! fraction (time the consumer did *not* wait for a batch, out of total
 //! production time), and the pipeline speedup. The scaling target —
 //! ≥1.2× at 4 threads on the default scale — assumes a spare physical
-//! core for the producer thread (like `par_scaling`'s target assumes ≥4
-//! cores); on a single-core host producer and trainer timeslice one CPU
+//! core for the producer thread; on a single-core host producer and
+//! trainer timeslice one CPU
 //! and the speedup degenerates to ~1×, so the host core count is printed
 //! with the results.
 //!
@@ -68,11 +68,14 @@ struct EpochRun {
 }
 
 fn epoch(t: &mut Trainer, cfg: &SamplerConfig, seeds: usize) -> EpochRun {
-    t.engine_mut().session_mut().device_mut().reset_sampler();
+    // Sampler stats accumulate across epochs: measure this one as a delta.
+    let before = *t.engine().device().counters().sampler();
     let t0 = Instant::now();
     t.minibatch_epoch(cfg).expect("epoch fits");
     let wall_s = t0.elapsed().as_secs_f64();
-    let stats = t.engine().device().counters().sampler();
+    let mut stats = *t.engine().device().counters().sampler();
+    stats.sample_wall_us -= before.sample_wall_us;
+    stats.wait_wall_us -= before.wait_wall_us;
     EpochRun {
         wall_s,
         sample_s: stats.sample_wall_us / 1e6,

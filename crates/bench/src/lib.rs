@@ -120,9 +120,11 @@ impl From<SystemReport> for Outcome {
 }
 
 /// Runs Hector (modeled) and returns a unified outcome.
-// Drives the deprecated Session flow directly: bench tables run with
-// empty bindings in modeled mode, which the handle API rejects.
-#[allow(deprecated)]
+///
+/// # Panics
+///
+/// Panics on an empty graph or an invalid configuration — the harness
+/// binaries generate both themselves.
 #[must_use]
 pub fn run_hector(
     kind: ModelKind,
@@ -133,20 +135,21 @@ pub fn run_hector(
     training: bool,
     config: &DeviceConfig,
 ) -> Outcome {
-    let module =
-        hector::compile_model(kind, dim_in, dim_out, &opts.clone().with_training(training));
-    let mut rng = seeded_rng(12345);
-    let mut params = ParamStore::init(&module.forward, graph, &mut rng);
-    let mut session = Session::new(config.clone(), Mode::Modeled);
-    let result = if training {
-        let mut sgd = Sgd::new(0.01);
-        session
-            .run_training_step(&module, graph, &mut params, &Bindings::new(), &[], &mut sgd)
-            .map(|(_, r)| r)
+    let builder = EngineBuilder::new(kind)
+        .dims(dim_in, dim_out)
+        .options(opts.clone())
+        .device(config.clone())
+        .mode(Mode::Modeled);
+    let (result, peak_bytes) = if training {
+        let mut trainer = builder
+            .build_trainer(Sgd::new(0.01))
+            .expect("valid bench configuration");
+        trainer.bind(graph).expect("bench graphs are non-empty");
+        (trainer.step(), trainer.engine().device().memory().peak())
     } else {
-        session
-            .run_inference(&module, graph, &mut params, &Bindings::new())
-            .map(|(_, r)| r)
+        let mut engine = builder.build().expect("valid bench configuration");
+        engine.bind(graph).expect("bench graphs are non-empty");
+        (engine.forward(), engine.device().memory().peak())
     };
     match result {
         Ok(r) => Outcome {
@@ -160,7 +163,7 @@ pub fn run_hector(
         },
         Err(_) => Outcome {
             time_ms: None,
-            peak_bytes: session.device().memory().peak(),
+            peak_bytes,
             launches: 0,
             gemm_ms: 0.0,
             traversal_ms: 0.0,

@@ -65,30 +65,6 @@
 //! engine, a misshapen binding, an unknown backend, a zero-thread
 //! configuration) is reported as a typed, matchable error rather than a
 //! panic; panics are reserved for internal invariant violations.
-//!
-//! ## Low-level API
-//!
-//! The pieces the handles assemble remain public for callers that need
-//! manual control — custom parameter initialisation, hand-built input
-//! bindings, owned output stores:
-//!
-//! ```
-//! use hector::prelude::*;
-//!
-//! let spec = hector::datasets::aifb().scaled(0.01);
-//! let graph = GraphData::new(hector::generate(&spec));
-//! let module = hector::compile_model_cached(ModelKind::Rgat, 32, 32, &CompileOptions::best());
-//! let mut rng = seeded_rng(0);
-//! let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-//! let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-//! let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-//! let (outputs, report) = session
-//!     .forward(&module, &graph, &mut params, &bindings)
-//!     .expect("fits in 24 GB");
-//! assert!(report.elapsed_us > 0.0);
-//! let h_out = outputs.tensor(module.forward.outputs[0]);
-//! assert_eq!(h_out.rows(), graph.graph().num_nodes());
-//! ```
 
 #![warn(missing_docs)]
 
@@ -112,9 +88,9 @@ pub use hector_graph::{
 pub use hector_ir::{builder::ModelSource, ModelBuilder};
 pub use hector_models::{source as model_source, stacked, ModelKind};
 pub use hector_runtime::{
-    chunk_ranges, trace, Backend, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder,
-    EpochReport, ExecPlan, GraphData, HectorError, Minibatches, Mode, ParallelConfig, ParamStore,
-    ProfileReport, RunReport, Session, TraceConfig, Trainer,
+    chunk_ranges, trace, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder, EpochReport,
+    GraphData, HectorError, Minibatches, Mode, ParallelConfig, ParamStore, ProfileReport,
+    RunReport, TraceConfig, Trainer,
 };
 pub use hector_serve as serve;
 pub use hector_shard as shard;
@@ -122,29 +98,6 @@ pub use hector_shard::{
     BindSharded, DeltaBatch, DeltaOutcome, GreedyEdgeCut, HashPartitioner, Partitioner,
     RangePartitioner, ShardConfig, ShardedEngine, ShardedGraph,
 };
-
-/// Compiles one of the built-in models (RGCN / RGAT / HGT).
-///
-/// **Low-level shim**: delegates to the process-wide [`ModuleCache`] and
-/// clones the cached module out (the historical owned-module signature).
-/// Prefer [`compile_model_cached`] for a shared handle, or
-/// [`EngineBuilder`] for the full lifecycle. Note the cache retains one
-/// entry per distinct `(kind, dims, options)` key for the life of the
-/// process (that is the point — sweeps recompile nothing);
-/// [`ModuleCache::clear`] releases them.
-#[deprecated(
-    since = "0.1.0",
-    note = "use compile_model_cached for a shared handle, or EngineBuilder for the full lifecycle"
-)]
-#[must_use]
-pub fn compile_model(
-    kind: ModelKind,
-    in_dim: usize,
-    out_dim: usize,
-    options: &CompileOptions,
-) -> CompiledModule {
-    (*compile_model_cached(kind, in_dim, out_dim, options)).clone()
-}
 
 /// Compiles one of the built-in models through the process-wide
 /// [`ModuleCache`], returning the shared handle: repeated calls with
@@ -168,31 +121,21 @@ pub mod prelude {
     pub use hector_models::ModelKind;
     pub use hector_runtime::{
         Adam, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder, EpochReport, GraphData,
-        HectorError, Minibatches, Mode, Optimizer, ParallelConfig, ParamStore, ProfileReport,
-        Session, Sgd, TraceConfig, Trainer,
+        HectorError, Minibatches, Mode, Optimizer, ParallelConfig, ParamStore, ProfileReport, Sgd,
+        TraceConfig, Trainer,
     };
     pub use hector_tensor::{seeded_rng, Tensor};
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim's behaviour stays pinned until removal
-
     use super::*;
 
     #[test]
     fn compile_model_produces_kernels_for_all_models() {
         for kind in ModelKind::all() {
-            let m = compile_model(kind, 16, 16, &CompileOptions::best());
+            let m = compile_model_cached(kind, 16, 16, &CompileOptions::best());
             assert!(!m.fw_kernels.is_empty(), "{kind:?} produced no kernels");
         }
-    }
-
-    #[test]
-    fn compile_model_shim_matches_cached_module() {
-        let owned = compile_model(ModelKind::Rgcn, 12, 12, &CompileOptions::unopt());
-        let shared = compile_model_cached(ModelKind::Rgcn, 12, 12, &CompileOptions::unopt());
-        assert_eq!(owned.forward, shared.forward);
-        assert_eq!(owned.code.kernels, shared.code.kernels);
     }
 }

@@ -122,8 +122,8 @@ pub struct ScratchStats {
     pub steady_kernels: usize,
     /// Total real-mode kernel executions recorded.
     pub kernels: usize,
-    /// Run-plan buffer (re)materialisation events across plan-reusing
-    /// runs (`Session::forward` / `Session::train_step`): output and
+    /// Run-plan buffer (re)materialisation events across runs
+    /// (`Engine::forward` / `Engine::train_step`): output and
     /// gradient tensors are keyed by variable and shape and grown
     /// monotonically, so a warm run records zero.
     pub plan_grows: usize,
@@ -432,7 +432,7 @@ pub struct BackendStats {
 ///
 /// * **Run-scoped** (kernel buckets, [`ParallelStats`],
 ///   [`ScratchStats`], [`BackendStats`]) — cleared by [`Counters::reset`]
-///   at the start of every `Session::forward` / `Session::train_step`.
+///   at the start of every `Engine::forward` / `Engine::train_step`.
 /// * **Epoch-scoped** ([`SamplerStats`]) — survives [`Counters::reset`]
 ///   because mini-batch records land *between* runs; cleared only by
 ///   [`Counters::reset_sampler`] (or [`Counters::reset_all`]).
@@ -556,8 +556,8 @@ impl Counters {
         }
     }
 
-    /// Records one plan-reusing run's buffer activity
-    /// (`Session::forward` / `Session::train_step`).
+    /// Records one run's plan-buffer activity (`Engine::forward` /
+    /// `Engine::train_step`).
     pub fn record_plan(&mut self, grows: usize, bytes: usize) {
         let s = &mut self.scratch;
         s.plan_grows += grows;

@@ -92,7 +92,7 @@ unsafe fn chunk_harness<F: Fn(usize, Range<usize>) + Sync>(
 /// the high half holds the active job's total chunk count.
 const CHUNK_IDX_MASK: u64 = 0xffff_ffff;
 
-/// Parallel-execution settings threaded through a `Session`.
+/// Parallel-execution settings of an engine (`EngineBuilder::parallel`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Total parallelism (caller + workers). `1` means strictly

@@ -22,7 +22,7 @@ impl Backend for InterpBackend {
     }
 
     fn prepare(&self, module: &CompiledModule) -> ExecPlan {
-        ExecPlan::new(self.kind(), module, Vec::new(), Vec::new())
+        ExecPlan::new(module, Vec::new(), Vec::new())
     }
 
     fn run_kernel(

@@ -1,15 +1,15 @@
 //! Execution backends: the production executor and its oracle.
 //!
 //! The compiler lowers a model to a sequence of [`KernelSpec`]s; *how*
-//! those kernels execute is a backend decision. [`Session`] routes every
-//! real-mode kernel launch through a [`Backend`]:
+//! those kernels execute is a backend decision. An engine routes every
+//! real-mode kernel launch through its `Backend`:
 //!
-//! * [`Backend::prepare`] runs once per (session, module) and builds an
-//!   [`ExecPlan`] of per-kernel prepared state. The plan is cached on
-//!   the session, keyed on the module's id, so warm runs pay none of the
+//! * `Backend::prepare` runs once per (engine, module) and builds an
+//!   `ExecPlan` of per-kernel prepared state. The plan is cached on
+//!   the engine, keyed on the module's id, so warm runs pay none of the
 //!   analysis and stay allocation-free.
-//! * [`Backend::run_kernel`] executes one kernel of the plan against an
-//!   [`ExecCtx`] (graph, parameters, variable buffers, scratch arenas).
+//! * `Backend::run_kernel` executes one kernel of the plan against an
+//!   `ExecCtx` (graph, parameters, variable buffers, scratch arenas).
 //!
 //! Two backends, two roles:
 //!
@@ -18,21 +18,19 @@
 //!   schedules, and aggregation kinds once at `prepare` time into
 //!   micro-op kernels (`spec.rs`), and runs them over row chunks: one
 //!   chunk with aggregates folded in place on a single thread, disjoint
-//!   chunks on the session's pool with an ordered merge otherwise
+//!   chunks on the engine's pool with an ordered merge otherwise
 //!   (`chunk.rs`). Outputs are bit-identical at every thread count.
 //! * **`interp`** ([`BackendKind::Interp`]) is the **sequential
 //!   oracle**: the small, obviously-correct row-at-a-time interpreter in
 //!   `exec.rs` that the parity suites compare production against
 //!   (`tests/backend_parity.rs`). It is sequential by definition — it
-//!   ignores the session's thread count and creates no pool — and shares
+//!   ignores the engine's thread count and creates no pool — and shares
 //!   only leaf numerics (dot products, elementwise ops, the GEMM row
 //!   microkernels) with production.
 //!
 //! The CUDA code generator (`CompiledModule::code`) is *not* a backend:
 //! it is a text-only emission target — nothing in this crate executes
 //! it. See `GeneratedCode` in `hector-compiler`.
-//!
-//! [`Session`]: crate::Session
 
 use std::sync::Arc;
 
@@ -52,17 +50,17 @@ mod spec;
 pub(crate) use chunk::WorkerArenas;
 use spec::PreparedKernel;
 
-/// Which execution backend a session runs kernels on.
+/// Which execution backend an engine runs kernels on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The sequential oracle: executes each kernel spec directly, one
     /// row at a time, matching on op kinds per row. Always one thread —
-    /// the session's thread count is ignored. This is the numerics
+    /// the engine's thread count is ignored. This is the numerics
     /// baseline the production executor is pinned against.
     Interp,
     /// The production executor (the default): each lowered kernel is
     /// resolved into micro-ops at prepare time and run over row chunks —
-    /// in place on one thread, across the session's pool with an ordered
+    /// in place on one thread, across the engine's pool with an ordered
     /// merge on many. Bit-identical to [`BackendKind::Interp`] at every
     /// thread count.
     #[default]
@@ -108,12 +106,9 @@ impl BackendKind {
 
 /// Everything a backend needs to execute one kernel: the program and
 /// graph being run, parameter and variable stores, the optional thread
-/// pool, and the session-owned scratch arenas.
-///
-/// Constructed by [`Session`](crate::Session) per kernel launch; the
-/// fields are crate-private, so the [`Backend`] trait is effectively
-/// sealed to this crate.
-pub struct ExecCtx<'a> {
+/// pool, and the session-owned scratch arenas. Constructed per kernel
+/// launch.
+pub(crate) struct ExecCtx<'a> {
     pub(crate) program: &'a Program,
     pub(crate) graph: &'a GraphData,
     pub(crate) params: &'a mut ParamStore,
@@ -128,8 +123,7 @@ pub struct ExecCtx<'a> {
 /// production executor's micro-op kernels (the oracle prepares
 /// nothing). Built by [`Backend::prepare`], cached by the session, and
 /// keyed to the module it was built from.
-pub struct ExecPlan {
-    kind: BackendKind,
+pub(crate) struct ExecPlan {
     module_id: u64,
     fw: Vec<PreparedKernel>,
     bw: Vec<PreparedKernel>,
@@ -138,7 +132,6 @@ pub struct ExecPlan {
 impl std::fmt::Debug for ExecPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecPlan")
-            .field("kind", &self.kind)
             .field("module_id", &self.module_id)
             .field("fw_kernels", &self.fw.len())
             .field("bw_kernels", &self.bw.len())
@@ -147,33 +140,20 @@ impl std::fmt::Debug for ExecPlan {
 }
 
 impl ExecPlan {
-    fn new(
-        kind: BackendKind,
-        module: &CompiledModule,
-        fw: Vec<PreparedKernel>,
-        bw: Vec<PreparedKernel>,
-    ) -> ExecPlan {
+    fn new(module: &CompiledModule, fw: Vec<PreparedKernel>, bw: Vec<PreparedKernel>) -> ExecPlan {
         ExecPlan {
-            kind,
             module_id: module.id,
             fw,
             bw,
         }
     }
 
-    /// The backend kind this plan was prepared by.
-    #[must_use]
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    /// Whether this plan was prepared from `module` by a backend of
-    /// `kind` — the session's cache key for skipping re-preparation on
-    /// warm runs. Module ids are process-unique per compilation, so two
-    /// modules that merely share an address (or a name and kernel
-    /// counts) never alias.
-    pub(crate) fn matches(&self, kind: BackendKind, module: &CompiledModule) -> bool {
-        self.kind == kind && self.module_id == module.id
+    /// Whether this plan was prepared from `module` — the session's
+    /// cache key for skipping re-preparation on warm runs. Module ids
+    /// are process-unique per compilation, so two modules that merely
+    /// share an address (or a name and kernel counts) never alias.
+    pub(crate) fn matches(&self, module: &CompiledModule) -> bool {
+        self.module_id == module.id
     }
 
     fn kernels(&self, phase: Phase) -> &[PreparedKernel] {
@@ -189,9 +169,8 @@ impl ExecPlan {
 /// Implementations must keep outputs **bit-identical** to the oracle
 /// ([`BackendKind::Interp`]) — `tests/backend_parity.rs` pins forward
 /// outputs, losses, and trained weights across backends and thread
-/// counts. The trait is sealed to this crate ([`ExecCtx`]'s fields are
-/// crate-private).
-pub trait Backend: std::fmt::Debug + Send + Sync {
+/// counts.
+pub(crate) trait Backend: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 

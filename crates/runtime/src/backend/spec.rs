@@ -82,7 +82,7 @@ impl Backend for SpecializedBackend {
             Some(p) => compile_kernels(&module.bw_kernels, p),
             None => Vec::new(),
         };
-        ExecPlan::new(self.kind(), module, fw, bw)
+        ExecPlan::new(module, fw, bw)
     }
 
     fn run_kernel(

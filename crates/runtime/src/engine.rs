@@ -1,17 +1,15 @@
 //! The one-call model lifecycle: `Engine` and `Trainer` handles.
 //!
 //! The paper's pitch is a *concise programming model* backed by an
-//! aggressive compiler; these handles make the runtime side match.
-//! Instead of threading `compile → ParamStore::init → Bindings::standard
-//! → Session::new → run_*` by hand, an [`EngineBuilder`] assembles the
-//! whole stack — model, dimensions, [`CompileOptions`], device, mode,
-//! parallelism, seed — and yields an [`Engine`] that owns the compiled
-//! module (shared through the process-wide
-//! [`hector_compiler::ModuleCache`]), the device session, the scratch
-//! arena, and the run plan. [`Engine::bind`] attaches a graph (deriving
-//! parameters and inputs from the engine seed), and every
-//! [`Bound::forward`] / [`Trainer::step`] call goes through the
-//! session's persistent run plan — the zero-allocation path — by
+//! aggressive compiler; these handles make the runtime side match. An
+//! [`EngineBuilder`] assembles the whole stack — model, dimensions,
+//! [`CompileOptions`], device, mode, parallelism, seed — and yields an
+//! [`Engine`] that owns the compiled module (shared through the
+//! process-wide [`hector_compiler::ModuleCache`]), the simulated device,
+//! the scratch arena, and the run plan. [`Engine::bind`] attaches a
+//! graph (deriving parameters and inputs from the engine seed), and
+//! every [`Bound::forward`] / [`Trainer::step`] call goes through the
+//! engine's persistent run plan — the zero-allocation path — by
 //! construction.
 //!
 //! Every entry point is fallible — misuse (wrong graph, bad shapes,
@@ -52,14 +50,16 @@
 //!
 //! # Seed contract
 //!
-//! [`Engine::bind`] derives every stochastic artifact from the engine
-//! seed in a fixed order — exactly the order the legacy flow
-//! conventionally used, so the handles are bit-identical to it (pinned
-//! by `tests/api_parity.rs`):
+//! [`Engine::bind`] derives every stochastic artifact from one
+//! `seeded_rng(seed)` in a fixed order, so an engine whose pieces are
+//! drawn by hand in that order and injected through
+//! [`Engine::params_mut`] / [`Engine::set_bindings`] /
+//! [`Trainer::set_labels`] is bit-identical to the seed-derived one
+//! (pinned by `tests/api_parity.rs`):
 //!
 //! 1. `ParamStore::init(&module.forward, graph, &mut rng)`,
 //! 2. `Bindings::standard(&module.forward, graph, &mut rng)`
-//!    (real mode; modeled sessions bind nothing),
+//!    (real mode; modeled engines bind nothing),
 //! 3. `random_labels(&mut rng, num_nodes, classes)` (trainers only,
 //!    real mode).
 
@@ -313,7 +313,7 @@ impl EngineBuilder {
     }
 
     /// Builds the engine: compiles (or fetches from the process-wide
-    /// [`ModuleCache`]) and assembles the device session. Building a
+    /// [`ModuleCache`]) and assembles the execution stack. Building a
     /// second engine with identical `(source, dims, options)` performs
     /// zero compilations — check [`Engine::was_cache_hit`] or
     /// `counters().module_cache()`.
@@ -326,8 +326,9 @@ impl EngineBuilder {
     /// labels index the output logits — failing here beats a confusing
     /// panic inside the first training step),
     /// [`HectorError::CompileError`] when a custom source declares no
-    /// outputs, and the session's configuration errors (see
-    /// [`Session::with_backend`]).
+    /// outputs, and [`HectorError::InvalidConfig`] again for a
+    /// hand-built [`ParallelConfig`] with zero threads or zero minimum
+    /// chunk rows.
     ///
     /// # Panics
     ///
@@ -384,7 +385,7 @@ impl EngineBuilder {
         };
         let par = self.par.unwrap_or_else(ParallelConfig::from_env);
         let backend = self.backend.unwrap_or_default();
-        let session = Session::with_backend(self.device, self.mode, par, backend)?;
+        let session = Session::new(self.device, self.mode, par, backend)?;
         Ok(Engine {
             module,
             session,
@@ -429,8 +430,8 @@ struct BoundState {
 }
 
 /// An owning handle over one compiled model and its execution stack:
-/// the `Arc`-shared [`CompiledModule`], the device [`Session`] (which
-/// owns the scratch arena and the persistent run plan), and the seed
+/// the `Arc`-shared [`CompiledModule`], the execution stack (simulated
+/// device, scratch arena, persistent run plan), and the seed
 /// that derives parameters and inputs at [`Engine::bind`] time.
 ///
 /// Built by [`EngineBuilder`]; see the module docs for the lifecycle.
@@ -454,17 +455,6 @@ impl Engine {
     #[must_use]
     pub fn module(&self) -> &CompiledModule {
         &self.module
-    }
-
-    /// The underlying session.
-    #[must_use]
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Mutable session access (the low-level escape hatch).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
     }
 
     /// The simulated device (counters, memory state).
@@ -501,9 +491,9 @@ impl Engine {
     /// Binds a graph: clones its derived structures into the engine and
     /// (re)derives parameters and standard input bindings from the
     /// engine seed (see the module-level seed contract; modeled
-    /// sessions skip input materialisation). Rebinding — the same graph
+    /// engines skip input materialisation). Rebinding — the same graph
     /// or a new one — restarts from freshly seeded parameters; the
-    /// session's run plan and scratch arena persist and are reused
+    /// engine's run plan and scratch arena persist and are reused
     /// shape-compatibly.
     ///
     /// # Errors
@@ -600,7 +590,7 @@ impl Engine {
         &self.expect_state().graph
     }
 
-    /// Runs one forward pass through the session's persistent run plan
+    /// Runs one forward pass through the engine's persistent run plan
     /// (allocation-free once warm).
     ///
     /// # Errors
@@ -615,13 +605,12 @@ impl Engine {
         if self.session.mode() == Mode::Real {
             validate_bindings(&self.module.forward, &state.graph, &state.bindings)?;
         }
-        let (_, report) = self.session.forward(
+        Ok(self.session.forward(
             &self.module,
             &state.graph,
             &mut state.params,
             &state.bindings,
-        )?;
-        Ok(report)
+        )?)
     }
 
     /// Runs one training step (forward, NLL loss, backward, optimizer)
@@ -646,20 +635,19 @@ impl Engine {
             validate_bindings(&self.module.forward, &state.graph, &state.bindings)?;
             validate_labels(&self.module.forward, &state.graph, labels)?;
         }
-        let (_, report) = self.session.train_step(
+        Ok(self.session.train_step(
             &self.module,
             &state.graph,
             &mut state.params,
             &state.bindings,
             labels,
             optimizer,
-        )?;
-        Ok(report)
+        )?)
     }
 
     /// Runs one training step on an *alternate* graph — a sampled
     /// mini-batch subgraph — with caller-provided bindings and labels,
-    /// while keeping the bound graph's parameters and the session's
+    /// while keeping the bound graph's parameters and the engine's
     /// persistent run plan. The subgraph must declare the same node/edge
     /// type counts as the bound graph (guaranteed by
     /// `hector_graph::Subgraph::extract`) so the parameter shapes match.
@@ -697,15 +685,14 @@ impl Engine {
             validate_bindings(&self.module.forward, graph, bindings)?;
             validate_labels(&self.module.forward, graph, labels)?;
         }
-        let (_, report) = self.session.train_step(
+        Ok(self.session.train_step(
             &self.module,
             graph,
             &mut state.params,
             bindings,
             labels,
             optimizer,
-        )?;
-        Ok(report)
+        )?)
     }
 
     /// [`HectorError::InvalidConfig`] unless the module was compiled
@@ -725,20 +712,18 @@ impl Engine {
     /// here in real mode).
     #[must_use]
     pub fn outputs(&self) -> &VarStore {
-        self.session.plan_vars()
+        self.session.vars()
     }
 
     /// The model's first output tensor from the latest real-mode run.
     ///
     /// # Panics
     ///
-    /// Panics before the first run or on modeled sessions (no data is
+    /// Panics before the first run or on modeled engines (no data is
     /// materialised there).
     #[must_use]
     pub fn output(&self) -> &Tensor {
-        self.session
-            .plan_vars()
-            .tensor(self.module.forward.outputs[0])
+        self.outputs().tensor(self.module.forward.outputs[0])
     }
 
     /// Label classes used when a trainer derives labels for this engine.
@@ -758,19 +743,27 @@ impl Engine {
     /// Events already buffered before the call (earlier warm-up runs)
     /// are discarded so the report covers exactly the closure.
     pub fn profile<T>(&mut self, f: impl FnOnce(&mut Engine) -> T) -> (T, ProfileReport) {
+        Engine::profile_host(self, |e| e, f)
+    }
+
+    /// The one body of [`Engine::profile`] and [`Trainer::profile`]:
+    /// `host` is what the closure drives, `engine` finds the engine in
+    /// it.
+    fn profile_host<H, T>(
+        host: &mut H,
+        engine: fn(&mut H) -> &mut Engine,
+        f: impl FnOnce(&mut H) -> T,
+    ) -> (T, ProfileReport) {
         let was_on = hector_trace::is_enabled();
         let _stale = hector_trace::take_events();
         hector_trace::enable();
-        let out = f(self);
+        let out = f(host);
         if !was_on {
             hector_trace::disable();
         }
-        self.last_trace = hector_trace::take_events();
-        let shares = self.relation_shares();
-        let mut report = build_report(&self.last_trace, &shares);
-        // The recorder's label is process-global; this engine's session
-        // knows its own backend authoritatively.
-        report.backend = self.session.backend_name().to_string();
+        let engine = engine(host);
+        engine.last_trace = hector_trace::take_events();
+        let report = build_report(&engine.last_trace, &engine.relation_shares());
         (out, report)
     }
 
@@ -825,7 +818,7 @@ fn not_bound() -> HectorError {
 
 /// Pre-validates real-mode input bindings against the program and
 /// graph, so misuse surfaces as a [`HectorError`] here instead of a
-/// panic inside the session (whose own checks remain internal-invariant
+/// panic inside the run (whose own checks remain internal-invariant
 /// panics — the engine path has already screened caller input).
 fn validate_bindings(
     program: &Program,
@@ -916,7 +909,7 @@ impl Bound<'_> {
     ///
     /// # Panics
     ///
-    /// Panics before the first run or on modeled sessions.
+    /// Panics before the first run or on modeled engines.
     #[must_use]
     pub fn output(&self) -> &Tensor {
         self.engine.output()
@@ -980,7 +973,7 @@ impl EpochReport {
 /// An [`Engine`] wrapped with an optimizer and the paper's NLL loss
 /// recipe: seeded random labels (§4.1), full-graph steps. Built by
 /// [`EngineBuilder::build_trainer`]; every step goes through the
-/// session's persistent run plan, so a warm [`Trainer::step`] performs
+/// engine's persistent run plan, so a warm [`Trainer::step`] performs
 /// zero heap allocations (pinned by `tests/run_alloc.rs`).
 pub struct Trainer {
     engine: Engine,
@@ -1008,7 +1001,7 @@ impl Trainer {
     /// Binds a graph: delegates to [`Engine::bind`], then derives the
     /// label tensor (`random_labels`, one class id per node) from the
     /// same seeded stream — step 3 of the module-level seed contract.
-    /// Modeled sessions train label-free (loss is not computed there).
+    /// Modeled engines train label-free (loss is not computed there).
     ///
     /// # Label preservation
     ///
@@ -1138,7 +1131,7 @@ impl Trainer {
 
     /// Trains one step on a sampled [`Batch`]: the full graph's
     /// parameters against the batch subgraph, bindings, and labels,
-    /// through the session's persistent run plan (so warm same-shape
+    /// through the engine's persistent run plan (so warm same-shape
     /// batch steps are allocation-free). Also records the batch's
     /// sampling/wait times into the device's
     /// [`hector_device::SamplerStats`].
@@ -1154,7 +1147,7 @@ impl Trainer {
             self.optimizer.as_mut(),
         )?;
         let g = batch.graph.graph();
-        self.engine.session_mut().device_mut().record_sampler_batch(
+        self.engine.session.device_mut().record_sampler_batch(
             g.num_nodes(),
             g.num_edges(),
             batch.sample_wall_us,
@@ -1172,19 +1165,13 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Everything [`Trainer::train_batch`] reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no graph is bound (bound graphs are never empty —
-    /// [`Engine::bind`] rejects zero-node graphs — so a mini-batch
-    /// epoch always has at least one batch).
+    /// [`HectorError::GraphMismatch`] when no graph is bound, plus
+    /// everything [`Trainer::train_batch`] reports.
     pub fn minibatch_epoch(&mut self, cfg: &SamplerConfig) -> Result<EpochReport, HectorError> {
+        if !self.engine.is_bound() {
+            return Err(not_bound());
+        }
         let batches = self.minibatch(cfg);
-        assert!(
-            batches.num_batches() > 0,
-            "a mini-batch epoch needs a non-empty graph"
-        );
         let mut losses = Vec::with_capacity(batches.num_batches());
         let mut steps = 0;
         let mut last = None;
@@ -1197,7 +1184,8 @@ impl Trainer {
         Ok(EpochReport {
             losses,
             steps,
-            last: last.expect("num_batches > 0"),
+            // `Engine::bind` rejects zero-node graphs.
+            last: last.expect("a bound graph yields at least one batch"),
         })
     }
 
@@ -1205,18 +1193,18 @@ impl Trainer {
     /// them: they survive rebinds to graphs of the same node count (see
     /// [`Trainer::bind`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the label count differs from the bound graph's node
-    /// count.
-    pub fn set_labels(&mut self, labels: Vec<usize>) {
-        assert_eq!(
-            labels.len(),
-            self.engine.graph().graph().num_nodes(),
-            "one label per node"
-        );
+    /// Returns [`HectorError::GraphMismatch`] when no graph is bound,
+    /// [`HectorError::ShapeMismatch`] unless there is one label per
+    /// node, and [`HectorError::InvalidConfig`] for a label outside the
+    /// model's output logits; the current labels stay in place.
+    pub fn set_labels(&mut self, labels: Vec<usize>) -> Result<(), HectorError> {
+        let state = self.engine.state.as_ref().ok_or_else(not_bound)?;
+        validate_labels(&self.engine.module.forward, &state.graph, &labels)?;
         self.labels = labels;
         self.labels_pinned = true;
+        Ok(())
     }
 
     /// Whether the current labels were installed by
@@ -1267,18 +1255,7 @@ impl Trainer {
     /// minibatch pipeline) are aggregated into a [`ProfileReport`].
     /// Export the same run with `trainer.engine_mut().write_trace(..)`.
     pub fn profile<T>(&mut self, f: impl FnOnce(&mut Trainer) -> T) -> (T, ProfileReport) {
-        let was_on = hector_trace::is_enabled();
-        let _stale = hector_trace::take_events();
-        hector_trace::enable();
-        let out = f(self);
-        if !was_on {
-            hector_trace::disable();
-        }
-        self.engine.last_trace = hector_trace::take_events();
-        let shares = self.engine.relation_shares();
-        let mut report = build_report(&self.engine.last_trace, &shares);
-        report.backend = self.engine.session.backend_name().to_string();
-        (out, report)
+        Engine::profile_host(self, |t| &mut t.engine, f)
     }
 }
 
@@ -1299,45 +1276,6 @@ mod tests {
             type_skew: 1.0,
             seed: 21,
         }))
-    }
-
-    #[test]
-    // The legacy flow is exactly what this test pins the engine against.
-    #[allow(deprecated)]
-    fn engine_forward_matches_legacy_session_flow() {
-        let graph = graph();
-        let opts = CompileOptions::best();
-        for kind in ModelKind::all() {
-            let mut engine = EngineBuilder::new(kind)
-                .dims(8, 8)
-                .options(opts.clone())
-                .parallel(ParallelConfig::sequential())
-                .seed(3)
-                .build()
-                .unwrap();
-            let report = engine.bind(&graph).unwrap().forward().expect("fits");
-            assert!(report.elapsed_us > 0.0);
-
-            // Legacy flow with the same seed discipline.
-            let module = &engine.module;
-            let mut rng = seeded_rng(3);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-            let mut session = Session::with_parallel(
-                DeviceConfig::rtx3090(),
-                Mode::Real,
-                ParallelConfig::sequential(),
-            );
-            let (vars, _) = session
-                .run_inference(module, &graph, &mut params, &bindings)
-                .unwrap();
-            let out = module.forward.outputs[0];
-            assert_eq!(
-                vars.tensor(out).data(),
-                engine.output().data(),
-                "{kind:?}: engine must be bit-identical to the legacy flow"
-            );
-        }
     }
 
     #[test]
@@ -1420,7 +1358,7 @@ mod tests {
         trainer.bind(&graph).unwrap();
         assert!(!trainer.labels_pinned(), "derived labels are not pinned");
         let custom: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        trainer.set_labels(custom.clone());
+        trainer.set_labels(custom.clone()).unwrap();
         assert!(trainer.labels_pinned());
         // Rebind to restart training: custom labels must survive.
         trainer.bind(&graph).unwrap();
@@ -1441,7 +1379,9 @@ mod tests {
             .build_trainer(Sgd::new(0.1))
             .unwrap();
         trainer.bind(&graph).unwrap();
-        trainer.set_labels(vec![0; graph.graph().num_nodes()]);
+        trainer
+            .set_labels(vec![0; graph.graph().num_nodes()])
+            .unwrap();
         // A graph with a different node count cannot keep the pinned
         // labels — they must be re-derived and un-pinned.
         let other = GraphData::new(generate(&DatasetSpec {
@@ -1602,6 +1542,42 @@ mod tests {
             .train_step(&[0usize; 3], &mut Sgd::new(0.1))
             .unwrap_err();
         assert!(matches!(err, HectorError::ShapeMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn set_labels_misuse_is_an_error_not_a_panic() {
+        let graph = graph();
+        let n = graph.graph().num_nodes();
+        let mut trainer = EngineBuilder::new(ModelKind::Rgcn)
+            .dims(8, 8)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        let err = trainer.set_labels(vec![0; n]).unwrap_err();
+        assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err:?}");
+        trainer.bind(&graph).unwrap();
+        let derived = trainer.labels().to_vec();
+        let err = trainer.set_labels(vec![0; n - 1]).unwrap_err();
+        assert!(matches!(err, HectorError::ShapeMismatch { .. }), "{err:?}");
+        let err = trainer.set_labels(vec![8; n]).unwrap_err();
+        assert!(matches!(err, HectorError::InvalidConfig { .. }), "{err:?}");
+        assert_eq!(
+            trainer.labels(),
+            &derived[..],
+            "rejected labels must not land"
+        );
+        assert!(!trainer.labels_pinned());
+    }
+
+    #[test]
+    fn minibatch_epoch_before_bind_is_an_error_not_a_panic() {
+        let mut trainer = EngineBuilder::new(ModelKind::Rgcn)
+            .dims(8, 8)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        let err = trainer
+            .minibatch_epoch(&SamplerConfig::new(16))
+            .unwrap_err();
+        assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err:?}");
     }
 
     #[test]

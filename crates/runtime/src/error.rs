@@ -6,9 +6,8 @@
 //! [`EngineBuilder::build`](crate::EngineBuilder::build),
 //! [`Engine::bind`](crate::Engine::bind),
 //! [`Bound::forward`](crate::Bound::forward),
-//! [`Trainer::step`](crate::Trainer::step) /
-//! [`Trainer::train_batch`](crate::Trainer::train_batch), and
-//! [`Session::with_backend`](crate::Session::with_backend) — return
+//! [`Trainer::step`](crate::Trainer::step) and
+//! [`Trainer::train_batch`](crate::Trainer::train_batch) — return
 //! `Result<_, HectorError>` instead. *Internal invariant* checks (state
 //! the library itself controls) remain panics: a broken invariant is a
 //! bug in Hector, not a caller error.

@@ -2,13 +2,13 @@
 //!
 //! The primary surface is a pair of owning handles:
 //! [`Engine`] (built via [`EngineBuilder`]: one call from model kind +
-//! options to a compiled, cached, session-backed handle; `bind` a graph,
-//! then `forward()`) and [`Trainer`] (an engine plus optimizer and the
+//! options to a compiled, cached handle; `bind` a graph, then
+//! `forward()`) and [`Trainer`] (an engine plus optimizer and the
 //! paper's NLL training recipe; `step()` / `epoch(n)`). Both route every
-//! run through the session's persistent run plan, so warm runs are
+//! run through the engine's persistent run plan, so warm runs are
 //! allocation-free by construction.
 //!
-//! Underneath, a [`Session`] executes the kernel sequence of a
+//! Underneath, an engine executes the kernel sequence of a
 //! `hector_compiler::CompiledModule` against a [`GraphData`] instance on a
 //! simulated GPU ([`hector_device::Device`]), in one of two modes:
 //!
@@ -33,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
+mod backend;
 pub mod cost;
 mod engine;
 mod error;
@@ -47,7 +47,7 @@ mod scratch;
 mod session;
 mod store;
 
-pub use backend::{Backend, BackendKind, ExecCtx, ExecPlan};
+pub use backend::BackendKind;
 pub use engine::{Bound, Engine, EngineBuilder, EpochReport, Trainer};
 pub use error::HectorError;
 pub use graphdata::GraphData;
@@ -60,5 +60,5 @@ pub use loss::{nll_loss_and_grad, nll_loss_and_grad_into, random_labels, LossRes
 pub use minibatch::{Batch, Minibatches};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::ParamStore;
-pub use session::{cnorm_tensor, gather_bindings, Bindings, Mode, RunReport, Session};
+pub use session::{cnorm_tensor, gather_bindings, Bindings, Mode, RunReport};
 pub use store::{Buffer, VarStore};

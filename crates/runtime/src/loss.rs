@@ -34,9 +34,8 @@ pub fn nll_loss_and_grad(logits: &Tensor, labels: &[usize]) -> LossResult {
 
 /// Allocation-free core of [`nll_loss_and_grad`]: writes the gradient
 /// into `grad` (a `rows × classes` row-major slice, fully overwritten)
-/// and returns the loss. The run-reuse path ([`crate::Session`]'s
-/// `train_step`) calls this with a session-owned staging buffer so a
-/// warm training step never touches the heap.
+/// and returns the loss. A training step calls this with the run plan's
+/// staging buffer, so a warm step never touches the heap.
 ///
 /// # Panics
 ///

@@ -1,4 +1,6 @@
-//! Sessions: executing compiled modules on the simulated device.
+//! The execution stack under the [`crate::Engine`] handle, and the
+//! run-level types the handles share ([`Mode`], [`RunReport`],
+//! [`Bindings`]).
 //!
 //! # Seed contract
 //!
@@ -214,8 +216,8 @@ pub fn gather_bindings(
 /// Buffers are keyed by variable id and shape and grow monotonically:
 /// the first run materialises every output/gradient tensor, every later
 /// run zero-fills and reuses them (a zeroed persistent buffer is
-/// indistinguishable from a freshly allocated one, so results are
-/// bit-identical to the fresh-store path). Simulated-device memory is
+/// indistinguishable from a freshly allocated one, so a warm run is
+/// bit-identical to a cold one). Simulated-device memory is
 /// still charged per run through the `charged` flags, so timing, peak
 /// footprint, and OOM behaviour exactly match a fresh run. Plan growth
 /// events and footprint surface through
@@ -263,8 +265,8 @@ impl RunPlan {
     /// Makes sure `v` has a reusable buffer of the right mode and shape,
     /// materialising (and counting a growth event) only on mismatch. A
     /// reused real buffer is zero-filled here — its first charge of the
-    /// run — making it indistinguishable from the freshly allocated
-    /// zeros of the owned-store path. Callers guarantee at most one call
+    /// run — making it indistinguishable from freshly allocated
+    /// zeros. Callers guarantee at most one call
     /// per variable per run (the `charged` flags for device-backed vars;
     /// single assignment for register locals), so a mid-run re-zero of a
     /// scatter target can never happen.
@@ -311,9 +313,11 @@ impl RunPlan {
     }
 }
 
-/// An execution context over one simulated device.
+/// The execution stack under one [`crate::Engine`]: a simulated device,
+/// the production executor's pool and arenas, and the persistent run
+/// plan every run goes through.
 #[derive(Debug)]
-pub struct Session {
+pub(crate) struct Session {
     device: Device,
     mode: Mode,
     par: ParallelConfig,
@@ -336,40 +340,18 @@ pub struct Session {
     /// through — see [`crate::backend`].
     backend: Arc<dyn Backend>,
     /// The backend's prepared state for the module last run, rebuilt
-    /// only when the module (or backend) changes — warm runs reuse it.
+    /// only when the module changes — warm runs reuse it.
     exec_plan: Option<ExecPlan>,
-    /// Persistent run plan backing [`Session::forward`] and
-    /// [`Session::train_step`] — see [`RunPlan`].
+    /// See [`RunPlan`].
     plan: RunPlan,
 }
 
 impl Session {
-    /// Creates a session. Parallelism defaults from the environment
-    /// ([`ParallelConfig::from_env`], i.e. `HECTOR_THREADS`, default 1).
-    #[must_use]
-    pub fn new(config: DeviceConfig, mode: Mode) -> Session {
-        Session::with_parallel(config, mode, ParallelConfig::from_env())
-    }
-
-    /// Creates a session on the default (production) backend with an
-    /// explicit parallel configuration. `num_threads = 1` runs every
+    /// Creates a session on backend `kind`. `num_threads = 1` runs every
     /// kernel as one chunk (no pool is created); any higher count splits
     /// real-mode kernels across a work-stealing pool with outputs
     /// bit-identical to the one-chunk run (see the [`crate::backend`]
-    /// module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid `par` (zero threads / zero chunk rows — use
-    /// [`Session::with_backend`] for the fallible form).
-    #[must_use]
-    pub fn with_parallel(config: DeviceConfig, mode: Mode, par: ParallelConfig) -> Session {
-        Session::with_backend(config, mode, par, BackendKind::default())
-            .expect("valid parallel configuration")
-    }
-
-    /// Creates a session with an explicit parallel configuration and
-    /// execution backend. [`BackendKind::Interp`] is sequential by
+    /// module docs). [`BackendKind::Interp`] is sequential by
     /// definition: it ignores `par.num_threads` and creates no pool.
     ///
     /// # Errors
@@ -378,7 +360,7 @@ impl Session {
     /// with zero worker threads or zero minimum chunk rows (both would
     /// deadlock or divide by zero downstream; environment-derived
     /// configurations are always valid — this guards hand-built ones).
-    pub fn with_backend(
+    pub(crate) fn new(
         config: DeviceConfig,
         mode: Mode,
         par: ParallelConfig,
@@ -399,7 +381,6 @@ impl Session {
         } else {
             None
         };
-        hector_trace::set_backend_label(kind.name());
         Ok(Session {
             device: Device::new(config),
             mode,
@@ -413,26 +394,13 @@ impl Session {
         })
     }
 
-    /// The execution backend this session runs kernels on.
-    #[must_use]
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
-    /// Stable name of the session's execution backend ("interp",
-    /// "specialized").
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Ensures `exec_plan` holds this backend's prepared state for
-    /// `module`, rebuilding it on module or backend change. Returns
-    /// whether an existing plan was reused (surfaced through
+    /// `module`, rebuilding it on module change. Returns whether an
+    /// existing plan was reused (surfaced through
     /// [`hector_device::BackendStats`]).
     fn ensure_plan(&mut self, module: &CompiledModule) -> bool {
         if let Some(plan) = &self.exec_plan {
-            if plan.matches(self.backend.kind(), module) {
+            if plan.matches(module) {
                 return true;
             }
         }
@@ -441,39 +409,23 @@ impl Session {
     }
 
     /// The underlying device (counters, memory state).
-    #[must_use]
-    pub fn device(&self) -> &Device {
+    pub(crate) fn device(&self) -> &Device {
         &self.device
     }
 
-    /// Mutable device access (host-side counter recording, resets).
-    pub fn device_mut(&mut self) -> &mut Device {
+    /// Mutable device access (host-side counter recording).
+    pub(crate) fn device_mut(&mut self) -> &mut Device {
         &mut self.device
     }
 
     /// Execution mode.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
+    pub(crate) fn mode(&self) -> Mode {
         self.mode
     }
 
-    /// The session's parallel configuration.
-    #[must_use]
-    pub fn parallel_config(&self) -> ParallelConfig {
-        self.par
-    }
-
-    /// Pool activity counters, when a pool exists.
-    #[must_use]
-    pub fn pool_stats(&self) -> Option<hector_par::PoolStats> {
-        self.pool.as_ref().map(ThreadPool::stats)
-    }
-
-    /// The persistent run plan's variable store — the buffers
-    /// [`Session::forward`] / [`Session::train_step`] write outputs and
-    /// gradients into. Empty until the first plan-reusing run.
-    #[must_use]
-    pub fn plan_vars(&self) -> &VarStore {
+    /// The run plan's variable store — the buffers runs write outputs
+    /// and gradients into. Empty until the first run.
+    pub(crate) fn vars(&self) -> &VarStore {
         &self.plan.vars
     }
 
@@ -481,40 +433,38 @@ impl Session {
         &mut self,
         program: &Program,
         graph: &GraphData,
-        plan: &mut RunPlan,
         v: VarId,
     ) -> Result<(), OomError> {
-        if plan.charged(v) {
+        if self.plan.charged(v) {
             return Ok(());
         }
         let info = program.var(v);
         let rows = graph.rows_of_space(info.space);
         self.device
             .alloc(var_bytes(program, graph, v), &info.name)?;
-        plan.set_charged(v);
-        plan.ensure(v, rows, info.width, self.mode);
+        self.plan.set_charged(v);
+        self.plan.ensure(v, rows, info.width, self.mode);
         Ok(())
     }
 
     /// Materialises a register-local buffer (no device memory charged).
-    fn insert_local(&mut self, program: &Program, graph: &GraphData, plan: &mut RunPlan, v: VarId) {
+    fn insert_local(&mut self, program: &Program, graph: &GraphData, v: VarId) {
         if self.mode == Mode::Modeled {
             return;
         }
         let info = program.var(v);
         let rows = graph.rows_of_space(info.space);
-        plan.ensure(v, rows, info.width, Mode::Real);
+        self.plan.ensure(v, rows, info.width, Mode::Real);
     }
 
     fn bind_inputs(
         &mut self,
         program: &Program,
         graph: &GraphData,
-        plan: &mut RunPlan,
         inputs: &Bindings,
     ) -> Result<(), OomError> {
         for &v in &program.inputs {
-            if plan.charged(v) {
+            if self.plan.charged(v) {
                 continue;
             }
             let info = program.var(v);
@@ -531,6 +481,7 @@ impl Session {
                         info.name
                     );
                     self.device.alloc(t.byte_size(), &info.name)?;
+                    let plan = &mut self.plan;
                     plan.set_charged(v);
                     // Copy into the persistent buffer, re-shaping it in
                     // place on mismatch (batch inputs change shape every
@@ -560,7 +511,7 @@ impl Session {
                     }
                 }
                 Mode::Modeled => {
-                    self.alloc_var(program, graph, plan, v)?;
+                    self.alloc_var(program, graph, v)?;
                 }
             }
         }
@@ -573,7 +524,6 @@ impl Session {
         program: &Program,
         graph: &GraphData,
         params: &mut ParamStore,
-        plan: &mut RunPlan,
         phase: Phase,
     ) -> Result<(), OomError> {
         for (ki, spec) in kernels.iter().enumerate() {
@@ -585,16 +535,16 @@ impl Session {
             match spec {
                 KernelSpec::Gemm(g) => {
                     if let Some(out) = g.op.kind.out_var() {
-                        self.alloc_var(program, graph, plan, out)?;
+                        self.alloc_var(program, graph, out)?;
                     }
                 }
                 KernelSpec::Traversal(t) => {
                     for op in &t.ops {
                         if let Some(out) = op.kind.out_var() {
                             if t.local_vars.contains(&out) {
-                                self.insert_local(program, graph, plan, out);
+                                self.insert_local(program, graph, out);
                             } else {
-                                self.alloc_var(program, graph, plan, out)?;
+                                self.alloc_var(program, graph, out)?;
                             }
                         }
                     }
@@ -604,7 +554,7 @@ impl Session {
             let cost = kernel_cost(spec, program, graph, phase);
             self.device.launch(&cost);
             if self.mode == Mode::Real {
-                let vars = &mut plan.vars;
+                let vars = &mut self.plan.vars;
                 let stats_before = self.pool.as_ref().map(ThreadPool::stats);
                 let grows_before = self.scratch.grows();
                 let start = Instant::now();
@@ -670,67 +620,48 @@ impl Session {
         Ok(())
     }
 
-    fn base_allocations(
+    /// Runs full-graph inference: one forward pass. Output tensors are
+    /// reused across calls (zero-filled at first touch), so after the
+    /// first call a warm forward pass — sequential or threaded —
+    /// performs no heap allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] when the run exceeds device memory, matching
+    /// the paper's OOM accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics in real mode if an input binding is missing or mis-shaped
+    /// (the engine screens caller input first).
+    pub(crate) fn forward(
         &mut self,
-        graph: &GraphData,
-        params: &ParamStore,
-        training: bool,
-    ) -> Result<(), OomError> {
-        self.device.alloc(graph.structure_bytes(), "graph")?;
-        self.device.alloc(params.byte_size(), "weights")?;
-        if training {
-            self.device.alloc(params.byte_size(), "weight_grads")?;
-        }
-        Ok(())
-    }
-
-    /// Shared inference core: one forward pass into `plan`.
-    fn infer_core(
-        &mut self,
-        plan: &mut RunPlan,
         module: &CompiledModule,
         graph: &GraphData,
         params: &mut ParamStore,
         inputs: &Bindings,
     ) -> Result<RunReport, OomError> {
-        let run0 = span_start();
-        let tr = span_start();
-        self.device.reset();
-        if self.mode == Mode::Real {
-            let reused = self.ensure_plan(module);
-            self.device.record_backend(self.backend.name(), reused);
-        }
-        self.base_allocations(graph, params, false)?;
-        plan.begin(module.forward.vars.len());
-        if let Some(t0) = tr {
-            record_span("phase/setup", SpanCat::Phase, t0, 0, 0, 0.0);
-        }
-        let tr = span_start();
-        self.bind_inputs(&module.forward, graph, plan, inputs)?;
-        if let Some(t0) = tr {
-            record_span("phase/bind_inputs", SpanCat::Phase, t0, 0, 0, 0.0);
-        }
-        self.run_kernels(
-            &module.fw_kernels,
-            &module.forward,
-            graph,
-            params,
-            plan,
-            Phase::Forward,
-        )?;
-        let report = self.report(None);
-        if let Some(t0) = run0 {
-            record_span("run/forward", SpanCat::Run, t0, 0, 0, 0.0);
-        }
-        Ok(report)
+        self.run(module, graph, params, inputs, None)
     }
 
-    /// Shared training core: forward, NLL loss, backward, prep chain
-    /// rule, optimizer update — all into `plan`.
-    #[allow(clippy::too_many_arguments)]
-    fn train_core(
+    /// Runs one full-graph training step: forward, NLL loss against
+    /// `labels` (may be empty in modeled mode), backward, prep chain
+    /// rule, optimizer update. Output/gradient tensors, the loss staging
+    /// buffer, and the scratch arena are all reused, so after the first
+    /// step a training loop performs **zero** heap allocations —
+    /// sequential *and* threaded (pinned by `tests/run_alloc.rs`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] when the run exceeds device memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module was not compiled with training enabled, or in
+    /// real mode if labels/bindings are inconsistent (the engine screens
+    /// both first).
+    pub(crate) fn train_step(
         &mut self,
-        plan: &mut RunPlan,
         module: &CompiledModule,
         graph: &GraphData,
         params: &mut ParamStore,
@@ -738,10 +669,42 @@ impl Session {
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
     ) -> Result<RunReport, OomError> {
-        let bw_program = module
-            .backward
-            .as_ref()
-            .expect("module was not compiled for training");
+        self.run(module, graph, params, inputs, Some((labels, optimizer)))
+    }
+
+    /// One run through the persistent plan, with its growth recorded on
+    /// the device counters whether or not the run fits.
+    fn run(
+        &mut self,
+        module: &CompiledModule,
+        graph: &GraphData,
+        params: &mut ParamStore,
+        inputs: &Bindings,
+        train: Option<(&[usize], &mut dyn Optimizer)>,
+    ) -> Result<RunReport, OomError> {
+        let grows_before = self.plan.grows;
+        let res = self.run_phases(module, graph, params, inputs, train);
+        self.device
+            .record_plan(self.plan.grows - grows_before, self.plan.bytes());
+        res
+    }
+
+    /// The phases of a run: set-up, input binding, forward kernels and —
+    /// with `train` — loss, backward kernels, prep chain rule, optimizer.
+    fn run_phases(
+        &mut self,
+        module: &CompiledModule,
+        graph: &GraphData,
+        params: &mut ParamStore,
+        inputs: &Bindings,
+        train: Option<(&[usize], &mut dyn Optimizer)>,
+    ) -> Result<RunReport, OomError> {
+        let bw_program = train.as_ref().map(|_| {
+            module
+                .backward
+                .as_ref()
+                .expect("module was not compiled for training")
+        });
         let run0 = span_start();
         let tr = span_start();
         self.device.reset();
@@ -749,14 +712,20 @@ impl Session {
             let reused = self.ensure_plan(module);
             self.device.record_backend(self.backend.name(), reused);
         }
-        self.base_allocations(graph, params, true)?;
-        params.zero_grads();
-        plan.begin(module.forward.vars.len().max(bw_program.vars.len()));
+        self.device.alloc(graph.structure_bytes(), "graph")?;
+        self.device.alloc(params.byte_size(), "weights")?;
+        let mut var_count = module.forward.vars.len();
+        if let Some(bw) = bw_program {
+            self.device.alloc(params.byte_size(), "weight_grads")?;
+            params.zero_grads();
+            var_count = var_count.max(bw.vars.len());
+        }
+        self.plan.begin(var_count);
         if let Some(t0) = tr {
             record_span("phase/setup", SpanCat::Phase, t0, 0, 0, 0.0);
         }
         let tr = span_start();
-        self.bind_inputs(&module.forward, graph, plan, inputs)?;
+        self.bind_inputs(&module.forward, graph, inputs)?;
         if let Some(t0) = tr {
             record_span("phase/bind_inputs", SpanCat::Phase, t0, 0, 0, 0.0);
         }
@@ -765,11 +734,37 @@ impl Session {
             &module.forward,
             graph,
             params,
-            plan,
             Phase::Forward,
         )?;
+        let mut loss = None;
+        if let (Some((labels, optimizer)), Some(bw)) = (train, bw_program) {
+            loss = self.backward(module, bw, graph, params, labels, optimizer)?;
+        }
+        let report = self.report(loss);
+        if let Some(t0) = run0 {
+            let name = if bw_program.is_some() {
+                "run/train_step"
+            } else {
+                "run/forward"
+            };
+            record_span(name, SpanCat::Run, t0, 0, 0, 0.0);
+            hector_trace::set_backend_label(self.backend.name());
+        }
+        Ok(report)
+    }
 
-        // Loss + output-gradient seeds.
+    /// The training half of a step, after the forward kernels: NLL loss
+    /// and output-gradient seeds, backward kernels, prep chain rule,
+    /// optimizer update. Returns the loss (real mode only).
+    fn backward(
+        &mut self,
+        module: &CompiledModule,
+        bw_program: &Program,
+        graph: &GraphData,
+        params: &mut ParamStore,
+        labels: &[usize],
+        optimizer: &mut dyn Optimizer,
+    ) -> Result<Option<f32>, OomError> {
         let out_var = *module.forward.outputs.first().expect("model has an output");
         let n_outputs = module.forward.outputs.len();
         let seeds = &bw_program.inputs[..n_outputs];
@@ -777,45 +772,38 @@ impl Session {
         let tr = span_start();
         let loss_cost = self.loss_cost(&module.forward, graph, out_var);
         self.device.launch(&loss_cost);
-        match self.mode {
-            Mode::Real => {
-                // The gradient is staged in the plan's reusable buffer
-                // while the logits borrow the store, then copied into
-                // the seed variable once the borrow ends.
-                {
-                    let RunPlan {
-                        vars,
-                        loss_grad,
-                        grows,
-                        ..
-                    } = &mut *plan;
-                    let logits = vars.tensor(out_var);
-                    let need = logits.len();
-                    if loss_grad.len() < need {
-                        loss_grad.resize(need, 0.0);
-                        *grows += 1;
-                    }
-                    loss_value = Some(nll_loss_and_grad_into(
-                        logits,
-                        labels,
-                        &mut loss_grad[..need],
-                    ));
-                }
-                self.alloc_var(bw_program, graph, plan, seeds[0])?;
-                let seed = plan.vars.get_mut(seeds[0]).tensor_mut();
-                let need = seed.len();
-                seed.data_mut().copy_from_slice(&plan.loss_grad[..need]);
-                for &s in &seeds[1..] {
-                    // Multi-output models: zero seed gradients beyond the
-                    // loss-bearing first output.
-                    self.alloc_var(bw_program, graph, plan, s)?;
-                }
+        if self.mode == Mode::Real {
+            // The gradient is staged in the plan's reusable buffer
+            // while the logits borrow the store, then copied into
+            // the seed variable once the borrow ends.
+            let RunPlan {
+                vars,
+                loss_grad,
+                grows,
+                ..
+            } = &mut self.plan;
+            let logits = vars.tensor(out_var);
+            let need = logits.len();
+            if loss_grad.len() < need {
+                loss_grad.resize(need, 0.0);
+                *grows += 1;
             }
-            Mode::Modeled => {
-                for &s in seeds {
-                    self.alloc_var(bw_program, graph, plan, s)?;
-                }
-            }
+            loss_value = Some(nll_loss_and_grad_into(
+                logits,
+                labels,
+                &mut loss_grad[..need],
+            ));
+        }
+        // Multi-output models: seed gradients beyond the loss-bearing
+        // first output stay zero.
+        for &s in seeds {
+            self.alloc_var(bw_program, graph, s)?;
+        }
+        if self.mode == Mode::Real {
+            let seed = self.plan.vars.get_mut(seeds[0]).tensor_mut();
+            let need = seed.len();
+            seed.data_mut()
+                .copy_from_slice(&self.plan.loss_grad[..need]);
         }
         if let Some(t0) = tr {
             record_span(
@@ -833,7 +821,6 @@ impl Session {
             bw_program,
             graph,
             params,
-            plan,
             Phase::Backward,
         )?;
         let tr = span_start();
@@ -846,162 +833,7 @@ impl Session {
         if let Some(t0) = tr {
             record_span("phase/optimizer", SpanCat::Phase, t0, 0, 0, 0.0);
         }
-        let report = self.report(loss_value);
-        if let Some(t0) = run0 {
-            record_span("run/train_step", SpanCat::Run, t0, 0, 0, 0.0);
-        }
-        Ok(report)
-    }
-
-    /// Runs full-graph inference.
-    ///
-    /// **Low-level API** — prefer the [`crate::Engine`] handle
-    /// (`EngineBuilder → bind → forward`), which wires the module
-    /// cache, seeding, and the allocation-free plan path for you; this
-    /// method is kept (deprecated in spirit, stable in signature) for
-    /// callers that manage modules, parameters, and bindings manually.
-    ///
-    /// Returns an owned variable store (holding the program outputs) and
-    /// a run report; every buffer is freshly materialised. Training
-    /// loops that care about allocator traffic should prefer
-    /// [`Session::forward`], which reuses the session's run plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] when the run exceeds device memory, matching
-    /// the paper's OOM accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics in real mode if an input binding is missing or mis-shaped.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use EngineBuilder: build() → bind() → forward() wires the module cache, \
-                seeding, and the allocation-free plan path, and reports misuse as HectorError"
-    )]
-    pub fn run_inference(
-        &mut self,
-        module: &CompiledModule,
-        graph: &GraphData,
-        params: &mut ParamStore,
-        inputs: &Bindings,
-    ) -> Result<(VarStore, RunReport), OomError> {
-        let mut plan = RunPlan::default();
-        let report = self.infer_core(&mut plan, module, graph, params, inputs)?;
-        Ok((plan.vars, report))
-    }
-
-    /// Runs full-graph inference through the session's persistent
-    /// run plan: output tensors are reused across calls (zero-filled
-    /// at run start), so after the first call a warm forward pass —
-    /// sequential or threaded — performs no heap allocation. Results
-    /// are bit-identical to
-    /// [`Session::run_inference`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] when the run exceeds device memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics in real mode if an input binding is missing or mis-shaped.
-    pub fn forward(
-        &mut self,
-        module: &CompiledModule,
-        graph: &GraphData,
-        params: &mut ParamStore,
-        inputs: &Bindings,
-    ) -> Result<(&VarStore, RunReport), OomError> {
-        let mut plan = std::mem::take(&mut self.plan);
-        let grows_before = plan.grows;
-        let res = self.infer_core(&mut plan, module, graph, params, inputs);
-        self.device
-            .record_plan(plan.grows - grows_before, plan.bytes());
-        self.plan = plan;
-        let report = res?;
-        Ok((&self.plan.vars, report))
-    }
-
-    /// Runs one full-graph training step: forward, NLL loss against
-    /// `labels`, backward, prep chain rule, optimizer update.
-    ///
-    /// **Low-level API** — prefer the [`crate::Trainer`] handle
-    /// (`EngineBuilder → build_trainer → bind → step`), which wires the
-    /// module cache, seeding, labels, and the allocation-free plan path
-    /// for you; this method is kept for callers that manage every piece
-    /// manually.
-    ///
-    /// Returns an owned variable store; every buffer is freshly
-    /// materialised. Training loops should prefer
-    /// [`Session::train_step`], which reuses the session's run plan and
-    /// is allocation-free once warm.
-    ///
-    /// `labels` may be empty in modeled mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] when the run exceeds device memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the module was not compiled with training enabled, or in
-    /// real mode if labels/bindings are inconsistent.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use EngineBuilder: build_trainer() → bind() → step() wires the module \
-                cache, seeding, labels, and the allocation-free plan path, and reports \
-                misuse as HectorError"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_training_step(
-        &mut self,
-        module: &CompiledModule,
-        graph: &GraphData,
-        params: &mut ParamStore,
-        inputs: &Bindings,
-        labels: &[usize],
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<(VarStore, RunReport), OomError> {
-        let mut plan = RunPlan::default();
-        let report =
-            self.train_core(&mut plan, module, graph, params, inputs, labels, optimizer)?;
-        Ok((plan.vars, report))
-    }
-
-    /// Runs one training step through the session's persistent
-    /// run plan: output/gradient tensors, the loss staging buffer,
-    /// and the scratch arena are all reused, so after the first step a
-    /// training loop performs **zero** heap allocations — sequential
-    /// *and* threaded, which pools its per-chunk worker arenas on the
-    /// session (pinned by `tests/run_alloc.rs`). Results are
-    /// bit-identical to [`Session::run_training_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] when the run exceeds device memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the module was not compiled with training enabled, or in
-    /// real mode if labels/bindings are inconsistent.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_step(
-        &mut self,
-        module: &CompiledModule,
-        graph: &GraphData,
-        params: &mut ParamStore,
-        inputs: &Bindings,
-        labels: &[usize],
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<(&VarStore, RunReport), OomError> {
-        let mut plan = std::mem::take(&mut self.plan);
-        let grows_before = plan.grows;
-        let res = self.train_core(&mut plan, module, graph, params, inputs, labels, optimizer);
-        self.device
-            .record_plan(plan.grows - grows_before, plan.bytes());
-        self.plan = plan;
-        let report = res?;
-        Ok((&self.plan.vars, report))
+        Ok(loss_value)
     }
 
     fn loss_cost(&self, program: &Program, graph: &GraphData, out: VarId) -> KernelCost {
@@ -1034,14 +866,14 @@ impl Session {
 }
 
 #[cfg(test)]
-// These tests pin the legacy (deprecated) run_* surface on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::EngineBuilder;
     use hector_compiler::{compile, CompileOptions};
     use hector_graph::HeteroGraphBuilder;
     use hector_ir::builder::ModelSource;
     use hector_ir::{AggNorm, ModelBuilder};
+    use hector_models::ModelKind;
     use hector_tensor::seeded_rng;
 
     /// Fig. 6(a)-style toy graph.
@@ -1073,26 +905,24 @@ mod tests {
         m.finish()
     }
 
+    fn unopt_rgcn(dim: usize, seed: u64) -> EngineBuilder {
+        EngineBuilder::from_source(rgcn_source(dim))
+            .options(CompileOptions::unopt())
+            .seed(seed)
+    }
+
     #[test]
     fn rgcn_inference_runs_and_matches_reference() {
         let graph = toy_graph();
-        let src = rgcn_source(4);
-        let module = compile(&src, &CompileOptions::unopt());
-        let mut rng = seeded_rng(42);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let mut rng2 = seeded_rng(7);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
-        let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let (vars, report) = session
-            .run_inference(&module, &graph, &mut params, &bindings)
-            .unwrap();
+        let mut engine = unopt_rgcn(4, 42).build().unwrap();
+        let report = engine.bind(&graph).unwrap().forward().unwrap();
 
         // Reference: dense per-node computation.
+        let (params, bindings) = (engine.params(), engine.bindings());
         let h = bindings.get("h").unwrap();
         let cn = bindings.get("cnorm").unwrap();
         let g = graph.graph();
-        let out_var = module.forward.outputs[0];
-        let got = vars.tensor(out_var);
+        let got = engine.output();
         for v in 0..g.num_nodes() {
             let mut expect = [0.0f32; 4];
             // Self-loop W0.
@@ -1181,63 +1011,58 @@ mod tests {
     #[test]
     fn modeled_mode_matches_real_mode_timing() {
         let graph = toy_graph();
-        let src = rgcn_source(8);
-        let module = compile(&src, &CompileOptions::unopt());
-        let mut rng = seeded_rng(1);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let mut rng2 = seeded_rng(2);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
-
-        let mut real = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let (_, r1) = real
-            .run_inference(&module, &graph, &mut params, &bindings)
-            .unwrap();
-        let mut modeled = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-        let (_, r2) = modeled
-            .run_inference(&module, &graph, &mut params, &Bindings::new())
-            .unwrap();
+        let report = |mode| {
+            let mut engine = unopt_rgcn(8, 1).mode(mode).build().unwrap();
+            engine.bind(&graph).unwrap().forward().unwrap()
+        };
+        let (r1, r2) = (report(Mode::Real), report(Mode::Modeled));
         assert!((r1.elapsed_us - r2.elapsed_us).abs() < 1e-9);
         assert_eq!(r1.peak_bytes, r2.peak_bytes);
         assert_eq!(r1.launches, r2.launches);
     }
 
     #[test]
-    fn training_step_decreases_loss() {
-        let graph = toy_graph();
-        let src = rgcn_source(4);
-        let module = compile(&src, &CompileOptions::unopt().with_training(true));
-        let mut rng = seeded_rng(11);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let mut rng2 = seeded_rng(12);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
-        let labels = vec![0usize, 1, 2, 3, 0, 1];
-        let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let mut opt = crate::Sgd::new(0.5);
-        let mut losses = Vec::new();
-        for _ in 0..20 {
-            let (_, report) = session
-                .run_training_step(&module, &graph, &mut params, &bindings, &labels, &mut opt)
-                .unwrap();
-            losses.push(report.loss.unwrap());
-        }
-        assert!(
-            losses.last().unwrap() < &(losses[0] - 0.05),
-            "training should reduce loss: {losses:?}"
-        );
+    fn oom_is_reported_not_panicked() {
+        let tiny = DeviceConfig::rtx3090().with_capacity(64);
+        let mut engine = unopt_rgcn(8, 3)
+            .device(tiny)
+            .mode(Mode::Modeled)
+            .build()
+            .unwrap();
+        let err = engine.bind(&toy_graph()).unwrap().forward().unwrap_err();
+        assert!(matches!(err, HectorError::Oom(e) if e.capacity == 64));
     }
 
+    /// Regression: the plan cache used to key on the module's *address*
+    /// (+ name + kernel counts), so two modules occupying one stack slot
+    /// — same model, same kernel counts, different options — shared a
+    /// plan, and the second ran micro-ops built from the first.
     #[test]
-    fn oom_is_reported_not_panicked() {
+    fn exec_plan_is_rebuilt_for_a_different_module() {
         let graph = toy_graph();
-        let src = rgcn_source(8);
-        let module = compile(&src, &CompileOptions::unopt());
-        let mut rng = seeded_rng(3);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let tiny = DeviceConfig::rtx3090().with_capacity(64);
-        let mut session = Session::new(tiny, Mode::Modeled);
-        let err = session
-            .run_inference(&module, &graph, &mut params, &Bindings::new())
-            .unwrap_err();
-        assert!(err.capacity == 64);
+        let session = || {
+            let (cfg, par) = (DeviceConfig::rtx3090(), ParallelConfig::sequential());
+            Session::new(cfg, Mode::Real, par, BackendKind::Specialized).unwrap()
+        };
+        let mut reused = session();
+        for opts in [
+            CompileOptions::compact_only(),
+            CompileOptions::reorder_only(),
+        ] {
+            // One loop-body local: both modules live at the same address.
+            let module = compile(&hector_models::source(ModelKind::Rgat, 8, 8), &opts);
+            let bits = |s: &mut Session| -> Vec<u32> {
+                let mut rng = seeded_rng(5);
+                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
+                let inputs = Bindings::standard(&module.forward, &graph, &mut rng);
+                s.forward(&module, &graph, &mut params, &inputs).unwrap();
+                let out = s.vars().tensor(module.forward.outputs[0]);
+                out.data().iter().map(|v| v.to_bits()).collect()
+            };
+            let got = bits(&mut reused);
+            let b = *reused.device().counters().backend();
+            assert_eq!((b.prepares, b.plan_reuses), (1, 0), "{}", opts.label());
+            assert_eq!(got, bits(&mut session()), "{}", opts.label());
+        }
     }
 }

@@ -3,12 +3,7 @@
 //! runtime level; the model-level checks live in the workspace-root
 //! `gradients.rs` integration test).
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
-
-use hector_compiler::{compile, CompileOptions};
-use hector_device::DeviceConfig;
+use hector_compiler::CompileOptions;
 use hector_graph::HeteroGraphBuilder;
 use hector_ir::{AggNorm, ModelBuilder, Program, WeightId};
 use hector_runtime::*;
@@ -27,53 +22,79 @@ fn graph() -> GraphData {
     GraphData::new(b.build())
 }
 
-fn check(src: hector_ir::builder::ModelSource, names: &[&str]) {
-    let module = compile(&src, &CompileOptions::unopt().with_training(true));
-    let g = graph();
-    let mut rng = seeded_rng(5);
-    let mut params = ParamStore::init(&module.forward, &g, &mut rng);
-    let mut rng2 = seeded_rng(6);
-    let bindings = Bindings::standard(&module.forward, &g, &mut rng2);
-    let labels = vec![0usize, 1, 0];
-    let mut sess = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut noop = NoOp;
-    sess.run_training_step(&module, &g, &mut params, &bindings, &labels, &mut noop)
+fn generated_graph() -> GraphData {
+    GraphData::new(hector_graph::generate(&hector_graph::DatasetSpec {
+        name: "g".into(),
+        num_nodes: 14,
+        num_node_types: 2,
+        num_edges: 40,
+        num_edge_types: 3,
+        compaction_ratio: 0.6,
+        type_skew: 1.0,
+        seed: 77,
+    }))
+}
+
+/// Compares the analytic gradients of one (no-op optimizer) training
+/// step of `src` on `g` against central finite differences, over the
+/// first `max_idx` entries of every non-derived weight in `names` (all
+/// of them when `None`). Prints each entry beyond `abs_tol + 10 %` and
+/// returns how many there were.
+fn fd_mismatches(
+    src: hector_ir::builder::ModelSource,
+    g: &GraphData,
+    labels: &[usize],
+    names: Option<&[&str]>,
+    max_idx: usize,
+    abs_tol: f32,
+) -> usize {
+    let mut engine = EngineBuilder::from_source(src)
+        .options(CompileOptions::unopt())
+        .training(true)
+        .seed(5)
+        .build()
         .unwrap();
+    engine.bind(g).unwrap();
+    let features = Bindings::standard(&engine.module().forward, g, &mut seeded_rng(6));
+    engine.set_bindings(features);
+    engine.train_step(labels, &mut NoOp).unwrap();
+    let weights = engine.module().forward.weights.clone();
     let eps = 1e-3f32;
-    for (wi, info) in module.forward.weights.iter().enumerate() {
-        if info.derived || !names.contains(&info.name.as_str()) {
+    let mut bad = 0;
+    for (wi, info) in weights.iter().enumerate() {
+        if info.derived || names.is_some_and(|n| !n.contains(&info.name.as_str())) {
             continue;
         }
         let wid = WeightId(wi as u32);
-        for idx in 0..params.weight(wid).len() {
-            let orig = params.weight(wid).data()[idx];
-            params.weight_mut(wid).data_mut()[idx] = orig + eps;
-            let (v1, _) = sess
-                .run_inference(&module, &g, &mut params, &bindings)
-                .unwrap();
-            let up = nll_loss_and_grad(v1.tensor(module.forward.outputs[0]), &labels).loss;
-            params.weight_mut(wid).data_mut()[idx] = orig - eps;
-            let (v2, _) = sess
-                .run_inference(&module, &g, &mut params, &bindings)
-                .unwrap();
-            let down = nll_loss_and_grad(v2.tensor(module.forward.outputs[0]), &labels).loss;
-            params.weight_mut(wid).data_mut()[idx] = orig;
+        for idx in 0..engine.params().weight(wid).len().min(max_idx) {
+            let orig = engine.params().weight(wid).data()[idx];
+            let mut loss_with = |v: f32| {
+                engine.params_mut().weight_mut(wid).data_mut()[idx] = v;
+                engine.forward().unwrap();
+                nll_loss_and_grad(engine.output(), labels).loss
+            };
+            let up = loss_with(orig + eps);
+            let down = loss_with(orig - eps);
+            engine.params_mut().weight_mut(wid).data_mut()[idx] = orig;
             let fd = (up - down) / (2.0 * eps);
-            let an = params.grad(wid).data()[idx];
-            println!(
-                "{}[{}]: fd={:.6} analytic={:.6} {}",
-                info.name,
-                idx,
-                fd,
-                an,
-                if (fd - an).abs() > 1e-2 + 0.1 * fd.abs().max(an.abs()) {
-                    "MISMATCH"
-                } else {
-                    ""
-                }
-            );
+            let an = engine.params().grad(wid).data()[idx];
+            if (fd - an).abs() > abs_tol + 0.1 * fd.abs().max(an.abs()) {
+                println!(
+                    "  {}[{idx}]: fd={fd:.6} analytic={an:.6} MISMATCH",
+                    info.name
+                );
+                bad += 1;
+            }
         }
     }
+    bad
+}
+
+/// The toy-graph probes print their mismatches without failing: they
+/// keep the programs that once broke backward generation compiling and
+/// running; the generated-graph checks below assert.
+fn check(src: hector_ir::builder::ModelSource, names: &[&str]) {
+    fd_mismatches(src, &graph(), &[0, 1, 0], Some(names), usize::MAX, 1e-2);
 }
 
 #[test]
@@ -124,17 +145,7 @@ fn full_rgat_tiny() {
 
 #[test]
 fn full_rgat_generated_graph() {
-    let spec = hector_graph::DatasetSpec {
-        name: "g".into(),
-        num_nodes: 14,
-        num_node_types: 2,
-        num_edges: 40,
-        num_edge_types: 3,
-        compaction_ratio: 0.6,
-        type_skew: 1.0,
-        seed: 77,
-    };
-    let g = GraphData::new(hector_graph::generate(&spec));
+    let g = generated_graph();
     let dim = 4;
     let mut m = ModelBuilder::new("mini4", dim);
     let h = m.node_input("h", dim);
@@ -150,107 +161,14 @@ fn full_rgat_generated_graph() {
     let att = m.edge_softmax("att", act);
     let out = m.aggregate("out", m.edge(hs), Some(m.edge(att)), AggNorm::None);
     m.output(out);
-    let src = m.finish();
-    let module = compile(&src, &CompileOptions::unopt().with_training(true));
-    let mut rng = seeded_rng(5);
-    let mut params = ParamStore::init(&module.forward, &g, &mut rng);
-    let mut rng2 = seeded_rng(6);
-    let bindings = Bindings::standard(&module.forward, &g, &mut rng2);
     let labels: Vec<usize> = (0..g.graph().num_nodes()).map(|i| i % 4).collect();
-    let mut sess = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut noop = NoOp;
-    sess.run_training_step(&module, &g, &mut params, &bindings, &labels, &mut noop)
-        .unwrap();
-    let eps = 1e-3f32;
-    for (wi, info) in module.forward.weights.iter().enumerate() {
-        if info.derived {
-            continue;
-        }
-        let wid = WeightId(wi as u32);
-        for idx in 0..params.weight(wid).len().min(8) {
-            let orig = params.weight(wid).data()[idx];
-            params.weight_mut(wid).data_mut()[idx] = orig + eps;
-            let (v1, _) = sess
-                .run_inference(&module, &g, &mut params, &bindings)
-                .unwrap();
-            let up = nll_loss_and_grad(v1.tensor(module.forward.outputs[0]), &labels).loss;
-            params.weight_mut(wid).data_mut()[idx] = orig - eps;
-            let (v2, _) = sess
-                .run_inference(&module, &g, &mut params, &bindings)
-                .unwrap();
-            let down = nll_loss_and_grad(v2.tensor(module.forward.outputs[0]), &labels).loss;
-            params.weight_mut(wid).data_mut()[idx] = orig;
-            let fd = (up - down) / (2.0 * eps);
-            let an = params.grad(wid).data()[idx];
-            println!(
-                "{}[{}]: fd={:.6} analytic={:.6} {}",
-                info.name,
-                idx,
-                fd,
-                an,
-                if (fd - an).abs() > 5e-3 + 0.1 * fd.abs().max(an.abs()) {
-                    "MISMATCH"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
+    fd_mismatches(m.finish(), &g, &labels, None, 8, 5e-3);
 }
 
 fn check_on_generated(src: hector_ir::builder::ModelSource, names: &[&str]) {
-    let spec = hector_graph::DatasetSpec {
-        name: "g".into(),
-        num_nodes: 14,
-        num_node_types: 2,
-        num_edges: 40,
-        num_edge_types: 3,
-        compaction_ratio: 0.6,
-        type_skew: 1.0,
-        seed: 77,
-    };
-    let g = GraphData::new(hector_graph::generate(&spec));
-    let module = compile(&src, &CompileOptions::unopt().with_training(true));
-    let mut rng = seeded_rng(5);
-    let mut params = ParamStore::init(&module.forward, &g, &mut rng);
-    let mut rng2 = seeded_rng(6);
-    let bindings = Bindings::standard(&module.forward, &g, &mut rng2);
+    let g = generated_graph();
     let labels: Vec<usize> = (0..g.graph().num_nodes()).map(|i| i % 2).collect();
-    let mut sess = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut noop = NoOp;
-    sess.run_training_step(&module, &g, &mut params, &bindings, &labels, &mut noop)
-        .unwrap();
-    let eps = 1e-3f32;
-    let mut bad = 0;
-    for (wi, info) in module.forward.weights.iter().enumerate() {
-        if info.derived || !names.contains(&info.name.as_str()) {
-            continue;
-        }
-        let wid = WeightId(wi as u32);
-        for idx in 0..params.weight(wid).len().min(6) {
-            let orig = params.weight(wid).data()[idx];
-            params.weight_mut(wid).data_mut()[idx] = orig + eps;
-            let (v1, _) = sess
-                .run_inference(&module, &g, &mut params, &bindings)
-                .unwrap();
-            let up = nll_loss_and_grad(v1.tensor(module.forward.outputs[0]), &labels).loss;
-            params.weight_mut(wid).data_mut()[idx] = orig - eps;
-            let (v2, _) = sess
-                .run_inference(&module, &g, &mut params, &bindings)
-                .unwrap();
-            let down = nll_loss_and_grad(v2.tensor(module.forward.outputs[0]), &labels).loss;
-            params.weight_mut(wid).data_mut()[idx] = orig;
-            let fd = (up - down) / (2.0 * eps);
-            let an = params.grad(wid).data()[idx];
-            if (fd - an).abs() > 5e-3 + 0.1f32 * fd.abs().max(an.abs()) {
-                println!(
-                    "  {}[{}]: fd={:.6} analytic={:.6} MISMATCH",
-                    info.name, idx, fd, an
-                );
-                bad += 1;
-            }
-        }
-    }
+    let bad = fd_mismatches(src, &g, &labels, Some(names), 6, 5e-3);
     assert_eq!(bad, 0, "{} mismatches", bad);
 }
 

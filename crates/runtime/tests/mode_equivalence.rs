@@ -1,20 +1,36 @@
-//! Real vs. modeled execution equivalence: the two session modes must
+//! Real vs. modeled execution equivalence: the two engine modes must
 //! charge the device identically — same simulated time, same launches,
 //! same peak memory — for any model, option combination, and graph.
 //! (This is what makes the paper-scale modeled experiments trustworthy:
 //! they report exactly what a real-mode run would have reported.)
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
-
-use hector_compiler::{compile, CompileOptions};
-use hector_device::DeviceConfig;
+use hector_compiler::CompileOptions;
 use hector_graph::{generate, DatasetSpec};
-use hector_models::{source, ModelKind};
-use hector_runtime::{Bindings, GraphData, Mode, ParamStore, Session, Sgd};
-use hector_tensor::seeded_rng;
+use hector_models::ModelKind;
+use hector_runtime::{EngineBuilder, GraphData, Mode, RunReport, Sgd};
 use proptest::prelude::*;
+
+/// One inference pass (or, with `training`, one SGD step on seeded
+/// labels) of `kind` at `dim × dim` in `mode`.
+fn report(
+    kind: ModelKind,
+    dim: usize,
+    opts: &CompileOptions,
+    training: bool,
+    graph: &GraphData,
+    mode: Mode,
+) -> RunReport {
+    let b = EngineBuilder::new(kind)
+        .dims(dim, dim)
+        .options(opts.clone())
+        .mode(mode);
+    if training {
+        let mut t = b.build_trainer(Sgd::new(0.0)).unwrap();
+        t.bind(graph).unwrap().step().unwrap()
+    } else {
+        b.build().unwrap().bind(graph).unwrap().forward().unwrap()
+    }
+}
 
 fn arb_graph() -> impl Strategy<Value = GraphData> {
     (
@@ -58,16 +74,8 @@ proptest! {
         reorder in any::<bool>(),
     ) {
         let opts = CompileOptions { compact, reorder, ..CompileOptions::default() };
-        let module = compile(&source(kind, 8, 8), &opts);
-        let mut rng = seeded_rng(1);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-
-        let mut real = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let (_, r) = real.run_inference(&module, &graph, &mut params, &bindings).unwrap();
-        let mut modeled = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-        let (_, m) =
-            modeled.run_inference(&module, &graph, &mut params, &Bindings::new()).unwrap();
+        let r = report(kind, 8, &opts, false, &graph, Mode::Real);
+        let m = report(kind, 8, &opts, false, &graph, Mode::Modeled);
 
         prop_assert!((r.elapsed_us - m.elapsed_us).abs() < 1e-6);
         prop_assert_eq!(r.launches, m.launches);
@@ -81,23 +89,9 @@ proptest! {
         graph in arb_graph(),
         kind in models(),
     ) {
-        let opts = CompileOptions::best().with_training(true);
-        let module = compile(&source(kind, 6, 6), &opts);
-        let mut rng = seeded_rng(2);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let labels: Vec<usize> =
-            (0..graph.graph().num_nodes()).map(|i| i % 6).collect();
-
-        let mut real = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let mut sgd = Sgd::new(0.0);
-        let (_, r) = real
-            .run_training_step(&module, &graph, &mut params, &bindings, &labels, &mut sgd)
-            .unwrap();
-        let mut modeled = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-        let (_, m) = modeled
-            .run_training_step(&module, &graph, &mut params, &Bindings::new(), &[], &mut sgd)
-            .unwrap();
+        let opts = CompileOptions::best();
+        let r = report(kind, 6, &opts, true, &graph, Mode::Real);
+        let m = report(kind, 6, &opts, true, &graph, Mode::Modeled);
 
         prop_assert!((r.elapsed_us - m.elapsed_us).abs() < 1e-6);
         prop_assert_eq!(r.launches, m.launches);

@@ -384,7 +384,6 @@ impl ShardedEngine {
         }
         let events = hector_trace::take_events();
         let mut report = hector_trace::report::build_report(&events, &[]);
-        report.backend = self.full.session().backend_name().to_string();
         let stats = shard_probe::snapshot();
         report.shard_stats = Some(ShardSummary {
             shards: self.sharded.num_shards(),

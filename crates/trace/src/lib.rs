@@ -4,7 +4,7 @@
 //! instrumentation site starts with [`span_start`], which is a single
 //! relaxed atomic load returning `None` while tracing is disabled — no
 //! clock read, no allocation, no lock. The allocation-free warm path of
-//! `Session::forward` / `train_step` (pinned by `tests/run_alloc.rs`)
+//! `Engine::forward` / `train_step` (pinned by `tests/run_alloc.rs`)
 //! is therefore preserved with tracing compiled in.
 //!
 //! When tracing is enabled (via [`enable`], [`TraceConfig`], or the
@@ -398,9 +398,9 @@ fn backend_label_cell() -> &'static Mutex<&'static str> {
 }
 
 /// Tags subsequent trace exports with the execution backend that
-/// produced the spans ("interp", "specialized"). Set by the runtime when
-/// a session is created; `""` means unset. Process-global, like the
-/// recorder itself.
+/// produced the spans ("interp", "specialized"). Set by the runtime at
+/// the end of every traced run; `""` means unset. Process-global, like
+/// the recorder itself.
 pub fn set_backend_label(name: &'static str) {
     *backend_label_cell().lock().unwrap() = name;
 }

@@ -4,10 +4,6 @@
 //! "with compaction enabled, Hector incurs no OOM error for all the
 //! datasets tested".
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
-
 use hector::prelude::*;
 
 fn main() {
@@ -72,22 +68,26 @@ fn main() {
         ("vanilla (U)", CompileOptions::unopt()),
         ("compact (C)", CompileOptions::compact_only()),
     ] {
-        let module = hector::compile_model(ModelKind::Rgat, 64, 64, &opts);
-        let mut rng = seeded_rng(9);
-        let mut params = ParamStore::init(&module.forward, &big, &mut rng);
-        let mut session = Session::new(cfg.clone(), Mode::Modeled);
-        match session.run_inference(&module, &big, &mut params, &Bindings::new()) {
-            Ok((_, r)) => println!(
+        let mut engine = EngineBuilder::new(ModelKind::Rgat)
+            .dims(64, 64)
+            .options(opts)
+            .device(cfg.clone())
+            .mode(Mode::Modeled)
+            .build()
+            .expect("valid configuration");
+        match engine.bind(&big).and_then(|mut bound| bound.forward()) {
+            Ok(r) => println!(
                 "  {label}: OK, peak {:.0} MB, {:.2} ms simulated",
                 r.peak_bytes as f64 / (1 << 20) as f64,
                 r.elapsed_us / 1e3
             ),
-            Err(e) => println!(
+            Err(HectorError::Oom(e)) => println!(
                 "  {label}: OUT OF MEMORY allocating '{}' ({:.0} MB requested on top of {:.0} MB)",
                 e.label,
                 e.requested as f64 / (1 << 20) as f64,
                 e.in_use as f64 / (1 << 20) as f64
             ),
+            Err(e) => panic!("{label}: {e}"),
         }
     }
 }

@@ -42,7 +42,9 @@ fn main() {
     let labels: Vec<usize> = (0..graph.graph().num_nodes())
         .map(|i| (i * 7 + 3) % classes)
         .collect();
-    trainer.set_labels(labels);
+    trainer
+        .set_labels(labels)
+        .expect("one in-range label per node");
 
     println!("\nepoch   loss      fw(us)    bw(us)");
     let mut first_report = None;

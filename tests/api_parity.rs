@@ -1,22 +1,26 @@
-//! The `Engine`/`Trainer` handle API is bit-identical to the legacy
-//! `Session` flow.
+//! The seed contract of the `Engine`/`Trainer` handles.
 //!
-//! The handles are *shims with better ergonomics*, not a new execution
-//! path: `bind` derives parameters/inputs/labels from the engine seed in
-//! exactly the order the legacy flow draws them (the seed contract in
-//! `hector_runtime::engine`), and every run goes through the same
-//! session cores. This suite pins that equivalence for all three models,
-//! inference and 5 Adam steps, sequential and 4-thread executors —
-//! outputs, per-step losses, and final weights compared bitwise.
+//! `bind` derives every stochastic artifact from the engine seed in a
+//! fixed order (the seed contract in `hector_runtime::engine`):
+//! `ParamStore::init`, then `Bindings::standard`, then — trainers only —
+//! `random_labels`, all drawn from one `seeded_rng(seed)`. This suite
+//! assembles those pieces by hand in contract order (the five-piece flow
+//! the tests are named after), injects them into an engine built from an
+//! unrelated seed through `params_mut` / `set_bindings` / `set_labels`,
+//! and pins that it is bit-identical to the seed-derived engine: outputs,
+//! 5 Adam losses and final weights, for all three models on the
+//! sequential and the 4-thread executor.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{bits, builder, par, weight_bits};
 use hector::prelude::*;
 use hector_runtime::random_labels;
 
 const SEED: u64 = 42;
+/// What the hand-assembled engines are built from: nothing `bind`
+/// derives from it may survive the injection.
+const OTHER_SEED: u64 = SEED ^ 0x5eed;
 const DIMS: usize = 16;
 
 fn graph() -> GraphData {
@@ -32,8 +36,20 @@ fn graph() -> GraphData {
     }))
 }
 
-fn par(threads: usize) -> ParallelConfig {
-    ParallelConfig::sequential().with_threads(threads)
+fn chain(kind: ModelKind, threads: usize, seed: u64) -> EngineBuilder {
+    builder(kind, DIMS, &CompileOptions::best(), seed).parallel(par(threads, 128))
+}
+
+/// The contract by hand: replaces the bound engine's parameters and
+/// features with ones drawn from one `seeded_rng(SEED)` in contract
+/// order, and returns the labels the same stream yields next (step 3).
+fn inject(engine: &mut Engine, graph: &GraphData) -> Vec<usize> {
+    let mut rng = seeded_rng(SEED);
+    let params = ParamStore::init(&engine.module().forward, graph, &mut rng);
+    let features = Bindings::standard(&engine.module().forward, graph, &mut rng);
+    *engine.params_mut() = params;
+    engine.set_bindings(features);
+    random_labels(&mut rng, graph.graph().num_nodes(), DIMS)
 }
 
 #[test]
@@ -41,42 +57,28 @@ fn engine_inference_is_bit_identical_to_legacy_session_flow() {
     let graph = graph();
     for kind in ModelKind::all() {
         for threads in [1usize, 4] {
-            let opts = CompileOptions::best();
+            // Hand-assembled: init and features from one seeded stream.
+            let mut hand = chain(kind, threads, OTHER_SEED).build().unwrap();
+            hand.bind(&graph).unwrap();
+            inject(&mut hand, &graph);
+            let hand_report = hand.forward().expect("fits");
 
-            // Legacy: compile, init, bind, session, run.
-            let module = hector::compile_model(kind, DIMS, DIMS, &opts);
-            let mut rng = seeded_rng(SEED);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-            let mut session =
-                Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par(threads));
-            let (vars, legacy_report) = session
-                .run_inference(&module, &graph, &mut params, &bindings)
-                .expect("fits");
-            let legacy_out = vars.tensor(module.forward.outputs[0]);
-
-            // Handle: build, bind, forward.
-            let mut engine = EngineBuilder::new(kind)
-                .dims(DIMS, DIMS)
-                .options(opts)
-                .parallel(par(threads))
-                .seed(SEED)
-                .build()
-                .unwrap();
+            // Seed-derived: build, bind, forward.
+            let mut engine = chain(kind, threads, SEED).build().unwrap();
             let mut bound = engine.bind(&graph).unwrap();
             let report = bound.forward().expect("fits");
 
             assert_eq!(
-                legacy_out.data(),
+                hand.output().data(),
                 bound.output().data(),
                 "{kind:?} threads={threads}: outputs must be bit-identical"
             );
             assert_eq!(
-                legacy_report.launches, report.launches,
+                hand_report.launches, report.launches,
                 "{kind:?}: same kernel plan"
             );
             assert!(
-                (legacy_report.elapsed_us - report.elapsed_us).abs() < 1e-9,
+                (hand_report.elapsed_us - report.elapsed_us).abs() < 1e-9,
                 "{kind:?}: same simulated time"
             );
         }
@@ -86,64 +88,43 @@ fn engine_inference_is_bit_identical_to_legacy_session_flow() {
 #[test]
 fn trainer_is_bit_identical_to_legacy_training_flow() {
     let graph = graph();
-    let classes = DIMS;
     for kind in ModelKind::all() {
         for threads in [1usize, 4] {
-            let opts = CompileOptions::best().with_training(true);
+            // Hand-assembled: all three contract steps, 5 Adam steps.
+            let mut hand = chain(kind, threads, OTHER_SEED)
+                .build_trainer(Adam::new(0.01))
+                .unwrap();
+            hand.bind(&graph).unwrap();
+            let labels = inject(hand.engine_mut(), &graph);
+            hand.set_labels(labels.clone()).unwrap();
+            let hand_losses = hand.epoch(5).expect("fits").losses;
+            hand.forward().expect("fits");
 
-            // Legacy: the full five-piece wiring, 5 Adam steps.
-            let module = hector::compile_model(kind, DIMS, DIMS, &opts);
-            let mut rng = seeded_rng(SEED);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-            let labels = random_labels(&mut rng, graph.graph().num_nodes(), classes);
-            let mut session =
-                Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par(threads));
-            let mut opt = Adam::new(0.01);
-            let mut legacy_losses = Vec::new();
-            for _ in 0..5 {
-                let (_, r) = session
-                    .run_training_step(&module, &graph, &mut params, &bindings, &labels, &mut opt)
-                    .expect("fits");
-                legacy_losses.push(r.loss.unwrap());
-            }
-            let (vars, _) = session
-                .run_inference(&module, &graph, &mut params, &bindings)
-                .expect("fits");
-            let legacy_out = vars.tensor(module.forward.outputs[0]);
-
-            // Handle: one builder call, bind, 5 steps.
-            let mut trainer = EngineBuilder::new(kind)
-                .dims(DIMS, DIMS)
-                .options(CompileOptions::best())
-                .parallel(par(threads))
-                .seed(SEED)
-                .classes(classes)
+            // Seed-derived: one builder call, bind, 5 steps.
+            let mut trainer = chain(kind, threads, SEED)
+                .classes(DIMS)
                 .build_trainer(Adam::new(0.01))
                 .unwrap();
             trainer.bind(&graph).unwrap();
             assert_eq!(trainer.labels(), &labels[..], "{kind:?}: same label stream");
             let epoch = trainer.epoch(5).expect("fits");
             assert_eq!(
-                legacy_losses, epoch.losses,
+                hand_losses, epoch.losses,
                 "{kind:?} threads={threads}: per-step losses must be bit-identical"
             );
             trainer.forward().expect("fits");
             assert_eq!(
-                legacy_out.data(),
+                hand.engine().output().data(),
                 trainer.engine().output().data(),
                 "{kind:?} threads={threads}: post-training outputs must be bit-identical"
             );
 
             // Weights too: the optimizer walked the same trajectory.
-            for w in 0..module.forward.weights.len() {
-                let id = hector_ir::WeightId(w as u32);
-                assert_eq!(
-                    params.weight(id).data(),
-                    trainer.engine().params().weight(id).data(),
-                    "{kind:?} threads={threads}: weight {w} must match bitwise"
-                );
-            }
+            assert_eq!(
+                weight_bits(hand.engine().params()),
+                weight_bits(trainer.engine().params()),
+                "{kind:?} threads={threads}: every weight must match bitwise"
+            );
         }
     }
 }
@@ -154,18 +135,13 @@ fn engine_parallel_and_sequential_agree() {
     // engine config at 1 and 4 threads produces identical outputs.
     let graph = graph();
     for kind in ModelKind::all() {
-        let outputs: Vec<Vec<f32>> = [1usize, 4]
+        let outputs: Vec<Vec<u32>> = [1usize, 4]
             .iter()
             .map(|&threads| {
-                let mut engine = EngineBuilder::new(kind)
-                    .dims(DIMS, DIMS)
-                    .parallel(par(threads))
-                    .seed(SEED)
-                    .build()
-                    .unwrap();
+                let mut engine = chain(kind, threads, SEED).build().unwrap();
                 let mut bound = engine.bind(&graph).unwrap();
                 bound.forward().expect("fits");
-                bound.output().data().to_vec()
+                bits(bound.output())
             })
             .collect();
         assert_eq!(outputs[0], outputs[1], "{kind:?}: thread-count invariance");
@@ -174,25 +150,17 @@ fn engine_parallel_and_sequential_agree() {
 
 #[test]
 fn modeled_engine_matches_legacy_modeled_accounting() {
+    // Modeled mode binds no features and runs no numerics, yet charges
+    // the device exactly what the real run does.
     let graph = graph();
-    let opts = CompileOptions::best();
-    let module = hector::compile_model(ModelKind::Hgt, DIMS, DIMS, &opts);
-    let mut rng = seeded_rng(SEED);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-    let (_, legacy) = session
-        .run_inference(&module, &graph, &mut params, &Bindings::new())
-        .expect("fits");
-
-    let mut engine = EngineBuilder::new(ModelKind::Hgt)
-        .dims(DIMS, DIMS)
-        .options(opts)
+    let mut real = chain(ModelKind::Hgt, 1, SEED).build().unwrap();
+    let real_report = real.bind(&graph).unwrap().forward().expect("fits");
+    let mut modeled = chain(ModelKind::Hgt, 1, SEED)
         .mode(Mode::Modeled)
-        .seed(SEED)
         .build()
         .unwrap();
-    let report = engine.bind(&graph).unwrap().forward().expect("fits");
-    assert!((legacy.elapsed_us - report.elapsed_us).abs() < 1e-9);
-    assert_eq!(legacy.peak_bytes, report.peak_bytes);
-    assert_eq!(legacy.launches, report.launches);
+    let report = modeled.bind(&graph).unwrap().forward().expect("fits");
+    assert!((real_report.elapsed_us - report.elapsed_us).abs() < 1e-9);
+    assert_eq!(real_report.peak_bytes, report.peak_bytes);
+    assert_eq!(real_report.launches, report.launches);
 }

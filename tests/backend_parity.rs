@@ -4,7 +4,7 @@
 //!
 //! The specialized backend monomorphizes each lowered kernel into a
 //! dispatch-free closure at prepare time (see
-//! `hector_runtime::backend::spec`), but performs the **exact same
+//! `crates/runtime/src/backend/spec.rs`), but performs the **exact same
 //! floating-point operations in the exact same order** — so every
 //! output bit, loss bit, and trained weight bit must match the
 //! interpreter, at any thread count. These tests pin that contract for
@@ -12,12 +12,10 @@
 //! {1, 4}) and over a property suite of random graphs and
 //! configurations.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{engine, parity};
 use hector::prelude::*;
-use hector_tensor::seeded_rng;
 use proptest::prelude::*;
 
 fn graph(seed: u64, nodes: usize, edges: usize) -> GraphData {
@@ -33,18 +31,6 @@ fn graph(seed: u64, nodes: usize, edges: usize) -> GraphData {
     }))
 }
 
-fn session(kind: BackendKind, threads: usize) -> Session {
-    Session::with_backend(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        ParallelConfig::sequential()
-            .with_threads(threads)
-            .with_min_chunk_rows(4),
-        kind,
-    )
-    .expect("backend is available")
-}
-
 /// One inference on `backend`; returns the output tensor as raw bits.
 fn inference_bits(
     kind: ModelKind,
@@ -53,20 +39,7 @@ fn inference_bits(
     backend: BackendKind,
     threads: usize,
 ) -> Vec<u32> {
-    let module = hector::compile_model(kind, 16, 16, opts);
-    let mut rng = seeded_rng(7);
-    let mut params = ParamStore::init(&module.forward, g, &mut rng);
-    let bindings = Bindings::standard(&module.forward, g, &mut rng);
-    let mut s = session(backend, threads);
-    let (vars, _) = s
-        .run_inference(&module, g, &mut params, &bindings)
-        .expect("inference fits");
-    let out = module.forward.outputs[0];
-    vars.tensor(out)
-        .data()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
+    common::inference_bits(parity(kind, opts, threads, backend, 7), g)
 }
 
 /// Five Adam steps on `backend`; returns (per-step loss bits, all final
@@ -78,26 +51,7 @@ fn training_bits(
     backend: BackendKind,
     threads: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let module = hector::compile_model(kind, 16, 16, opts);
-    let mut rng = seeded_rng(13);
-    let mut params = ParamStore::init(&module.forward, g, &mut rng);
-    let bindings = Bindings::standard(&module.forward, g, &mut rng);
-    let labels: Vec<usize> = (0..g.graph().num_nodes()).map(|i| i % 4).collect();
-    let mut s = session(backend, threads);
-    let mut opt = Adam::new(0.01);
-    let mut losses = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let (_, report) = s
-            .run_training_step(&module, g, &mut params, &bindings, &labels, &mut opt)
-            .expect("training step fits");
-        losses.push(report.loss.expect("real mode reports loss").to_bits());
-    }
-    let mut weights = Vec::new();
-    for w in 0..params.len() {
-        let wid = hector_ir::WeightId(w as u32);
-        weights.extend(params.weight(wid).data().iter().map(|v| v.to_bits()));
-    }
-    (losses, weights)
+    common::training_bits(parity(kind, opts, threads, backend, 13), g, 5)
 }
 
 #[test]
@@ -153,22 +107,16 @@ fn five_adam_steps_are_bit_identical_across_backends() {
 #[test]
 fn backend_stats_identify_the_backend() {
     let g = graph(3, 60, 240);
-    let module = hector::compile_model(ModelKind::Rgcn, 16, 16, &CompileOptions::best());
-    let mut rng = seeded_rng(5);
-    let mut params = ParamStore::init(&module.forward, &g, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &g, &mut rng);
     for kind in [BackendKind::Interp, BackendKind::Specialized] {
-        let mut s = session(kind, 1);
-        s.run_inference(&module, &g, &mut params, &bindings)
-            .unwrap();
-        let b = s.device().counters().backend();
+        let mut e = engine(ModelKind::Rgcn, &CompileOptions::best(), 1, kind, 5);
+        e.bind(&g).unwrap().forward().unwrap();
+        let b = e.device().counters().backend();
         assert_eq!(b.name, kind.name());
         assert_eq!(b.prepares, 1, "{kind:?}: cold run prepares the plan");
         assert_eq!(b.plan_reuses, 0);
         assert!(b.kernels > 0, "{kind:?}: kernel launches are counted");
-        s.run_inference(&module, &g, &mut params, &bindings)
-            .unwrap();
-        let b = s.device().counters().backend();
+        e.forward().unwrap();
+        let b = e.device().counters().backend();
         assert_eq!(b.prepares, 0, "{kind:?}: warm run reuses the plan");
         assert_eq!(b.plan_reuses, 1);
     }

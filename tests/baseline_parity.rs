@@ -2,9 +2,7 @@
 //! comparative *shape* — who wins, by what mechanism — on representative
 //! synthetic graphs.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
 use hector::baselines::{all_systems, Dgl, Graphiler, Pyg, Seastar, System};
 use hector::prelude::*;
@@ -23,23 +21,9 @@ fn graph(nodes: usize, edges: usize, etypes: usize, ratio: f64) -> GraphData {
 }
 
 fn hector_time(kind: ModelKind, graph: &GraphData, opts: &CompileOptions, training: bool) -> f64 {
-    let module = hector::compile_model(kind, 64, 64, &opts.clone().with_training(training));
-    let mut rng = seeded_rng(1);
-    let mut params = ParamStore::init(&module.forward, graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-    let report = if training {
-        let mut sgd = Sgd::new(0.01);
-        session
-            .run_training_step(&module, graph, &mut params, &Bindings::new(), &[], &mut sgd)
-            .unwrap()
-            .1
-    } else {
-        session
-            .run_inference(&module, graph, &mut params, &Bindings::new())
-            .unwrap()
-            .1
-    };
-    report.elapsed_us
+    common::modeled(kind, 64, opts, training, graph, DeviceConfig::rtx3090())
+        .unwrap()
+        .elapsed_us
 }
 
 #[test]

@@ -219,43 +219,40 @@ fn backend_stats_count_prepares_reuses_and_kernels() {
     }
 }
 
-/// Regression: the session's plan cache used to key on the module's
-/// *address* (+ name + kernel counts), so two modules occupying one
-/// stack slot — same model, same kernel counts, different options —
-/// shared a plan, and the second ran closures built from the first.
+/// Regression: the plan cache used to key on the module's *address*
+/// (+ name + kernel counts), so two modules occupying one stack slot —
+/// same model, same kernel counts, different options — shared a plan,
+/// and the second ran closures built from the first. Plans are keyed on
+/// `CompiledModule::id` now (`hector-runtime` pins one executor across
+/// two modules in its own tests); at the handle level every engine built
+/// in one loop-body local must prepare afresh and match a fresh engine.
 #[test]
 fn plan_cache_does_not_alias_modules_sharing_an_address() {
     let _g = LOCK.lock().unwrap();
     let graph = known_graph();
-    let session = |kind| {
-        Session::with_backend(
-            DeviceConfig::rtx3090(),
-            Mode::Real,
-            ParallelConfig::sequential(),
-            kind,
-        )
-        .expect("valid parallel configuration")
-    };
     for kind in [BackendKind::Interp, BackendKind::Specialized] {
-        let mut reused = session(kind);
         for opts in [
             CompileOptions::compact_only(),
             CompileOptions::reorder_only(),
         ] {
-            // One loop-body local: both modules live at the same address.
-            let module = (*hector::compile_model_cached(ModelKind::Rgat, 8, 8, &opts)).clone();
-            let bits = |s: &mut Session| -> Vec<u32> {
-                let mut rng = hector_tensor::seeded_rng(5);
-                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-                let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-                let (vars, _) = s
-                    .forward(&module, &graph, &mut params, &bindings)
+            let run = || {
+                let mut engine = EngineBuilder::new(ModelKind::Rgat)
+                    .dims(8, 8)
+                    .options(opts.clone())
+                    .parallel(ParallelConfig::sequential())
+                    .backend(kind)
+                    .seed(5)
+                    .build()
+                    .unwrap();
+                engine
+                    .bind(&graph)
+                    .unwrap()
+                    .forward()
                     .expect("tiny graph fits");
-                let out = vars.tensor(module.forward.outputs[0]);
-                out.data().iter().map(|v| v.to_bits()).collect()
+                let out: Vec<u32> = engine.output().data().iter().map(|v| v.to_bits()).collect();
+                (out, *engine.device().counters().backend())
             };
-            let got = bits(&mut reused);
-            let b = *reused.device().counters().backend();
+            let (got, b) = run();
             assert_eq!(
                 b.prepares,
                 1,
@@ -265,7 +262,7 @@ fn plan_cache_does_not_alias_modules_sharing_an_address() {
             assert_eq!(b.plan_reuses, 0);
             assert_eq!(
                 got,
-                bits(&mut session(kind)),
+                run().0,
                 "{kind:?} / {}: output differs from a fresh session's",
                 opts.label()
             );

@@ -8,13 +8,8 @@
 //! These tests pin both overflow and underflow behaviour with extreme
 //! attention scores under every optimization combination.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
-
 use hector::prelude::*;
 use hector_ir::AggNorm;
-use hector_tensor::seeded_rng;
 
 /// A model that routes a node feature through a dot-product attention
 /// score and an edge softmax; the output per destination node is the sum
@@ -47,13 +42,16 @@ fn graph() -> GraphData {
 /// returns the output tensor rows (one scalar per node).
 fn run_with_feature(feature_value: f32, opts: &CompileOptions) -> Vec<f32> {
     let width = 4;
-    let src = softmax_model(width);
     let g = graph();
-    let module = hector::compile(&src, opts);
-    let mut rng = seeded_rng(5);
-    let mut params = ParamStore::init(&module.forward, &g, &mut rng);
+    let mut engine = EngineBuilder::from_source(softmax_model(width))
+        .options(opts.clone())
+        .seed(5)
+        .build()
+        .unwrap();
+    engine.bind(&g).unwrap();
     // Unit weights make the attention score exactly `width * feature`:
     // ±4e3 per edge at |feature| = 1e3, far beyond f32's exp range.
+    let params = engine.params_mut();
     for w in 0..params.len() {
         let wid = hector_ir::WeightId(w as u32);
         params.weight_mut(wid).data_mut().fill(1.0);
@@ -64,12 +62,9 @@ fn run_with_feature(feature_value: f32, opts: &CompileOptions) -> Vec<f32> {
         "h",
         Tensor::from_vec(vec![feature_value; n * width], &[n, width]),
     );
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (vars, _) = session
-        .run_inference(&module, &g, &mut params, &bindings)
-        .unwrap();
-    let out = *module.forward.outputs.first().expect("model has an output");
-    vars.tensor(out).data().to_vec()
+    engine.set_bindings(bindings);
+    engine.forward().unwrap();
+    engine.output().data().to_vec()
 }
 
 fn all_option_combos() -> [CompileOptions; 4] {

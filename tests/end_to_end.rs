@@ -2,10 +2,9 @@
 //! dense reference implementations (up to f32 accumulation order) for
 //! every model and every optimization combination.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{builder, reseed_features};
 use hector::prelude::*;
 use hector_models::{hgt, reference, rgat, rgcn};
 use hector_runtime::cnorm_tensor;
@@ -34,31 +33,31 @@ fn all_option_combos() -> Vec<CompileOptions> {
     ]
 }
 
+/// One forward pass with weights from `seed` and features from their own
+/// stream (`seed + 1`); returns the output beside the inputs it came from.
 fn run_compiled(
     kind: ModelKind,
     opts: &CompileOptions,
     graph: &GraphData,
     dim: usize,
     seed: u64,
-) -> (Tensor, ParamStore, Bindings, hector::CompiledModule) {
-    let module = hector::compile_model(kind, dim, dim, opts);
-    let mut rng = seeded_rng(seed);
-    let mut params = ParamStore::init(&module.forward, graph, &mut rng);
-    let mut rng2 = seeded_rng(seed + 1);
-    let bindings = Bindings::standard(&module.forward, graph, &mut rng2);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (vars, _) = session
-        .run_inference(&module, graph, &mut params, &bindings)
-        .expect("small graph cannot OOM");
-    let out = vars.tensor(module.forward.outputs[0]).clone();
-    (out, params, bindings, module)
+) -> (Tensor, ParamStore, Bindings) {
+    let mut engine = builder(kind, dim, opts, seed).build().unwrap();
+    engine.bind(graph).unwrap();
+    reseed_features(&mut engine, seed + 1);
+    engine.forward().expect("small graph cannot OOM");
+    (
+        engine.output().clone(),
+        engine.params().clone(),
+        engine.bindings().clone(),
+    )
 }
 
 #[test]
 fn rgcn_matches_reference_under_all_options() {
     let graph = test_graph(100);
     for opts in all_option_combos() {
-        let (got, params, bindings, _m) = run_compiled(ModelKind::Rgcn, &opts, &graph, 16, 7);
+        let (got, params, bindings) = run_compiled(ModelKind::Rgcn, &opts, &graph, 16, 7);
         let expect = reference::rgcn_forward(
             graph.graph(),
             bindings.get("h").unwrap(),
@@ -74,7 +73,7 @@ fn rgcn_matches_reference_under_all_options() {
 fn rgat_matches_reference_under_all_options() {
     let graph = test_graph(200);
     for opts in all_option_combos() {
-        let (got, params, bindings, _m) = run_compiled(ModelKind::Rgat, &opts, &graph, 16, 17);
+        let (got, params, bindings) = run_compiled(ModelKind::Rgat, &opts, &graph, 16, 17);
         let expect = reference::rgat_forward(
             graph.graph(),
             bindings.get("h").unwrap(),
@@ -90,7 +89,7 @@ fn rgat_matches_reference_under_all_options() {
 fn hgt_matches_reference_under_all_options() {
     let graph = test_graph(300);
     for opts in all_option_combos() {
-        let (got, params, bindings, _m) = run_compiled(ModelKind::Hgt, &opts, &graph, 16, 27);
+        let (got, params, bindings) = run_compiled(ModelKind::Hgt, &opts, &graph, 16, 27);
         let expect = reference::hgt_forward(
             graph.graph(),
             bindings.get("h").unwrap(),
@@ -111,8 +110,8 @@ fn csr_adjacency_produces_identical_results() {
     coo.adjacency = hector_ir::AdjacencyAccess::Coo;
     let mut csr = CompileOptions::best();
     csr.adjacency = hector_ir::AdjacencyAccess::Csr;
-    let (a, _, _, _) = run_compiled(ModelKind::Rgat, &coo, &graph, 8, 3);
-    let (b, _, _, _) = run_compiled(ModelKind::Rgat, &csr, &graph, 8, 3);
+    let (a, ..) = run_compiled(ModelKind::Rgat, &coo, &graph, 8, 3);
+    let (b, ..) = run_compiled(ModelKind::Rgat, &csr, &graph, 8, 3);
     assert_close(&a, &b, 1e-6, 1e-6);
 }
 
@@ -149,7 +148,7 @@ fn deterministic_across_runs() {
 fn larger_dims_stay_correct() {
     let graph = test_graph(600);
     for dim in [32, 64] {
-        let (got, params, bindings, _m) =
+        let (got, params, bindings) =
             run_compiled(ModelKind::Rgcn, &CompileOptions::best(), &graph, dim, 31);
         let expect = reference::rgcn_forward(
             graph.graph(),
@@ -171,15 +170,11 @@ fn graph_with_no_edges_runs_cleanly() {
     let graph = GraphData::new(b.build());
     // RGCN still has the nodewise self-loop path. num_edge_types is 0,
     // so the per-relation weight stack is empty — exercise that too.
-    let module = hector::compile_model(ModelKind::Rgcn, 4, 4, &CompileOptions::best());
-    let mut rng = seeded_rng(1);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (vars, report) = session
-        .run_inference(&module, &graph, &mut params, &bindings)
+    let mut engine = builder(ModelKind::Rgcn, 4, &CompileOptions::best(), 1)
+        .build()
         .unwrap();
-    let out = vars.tensor(module.forward.outputs[0]);
+    let report = engine.bind(&graph).unwrap().forward().unwrap();
+    let out = engine.output();
     assert_eq!(out.rows(), 5);
     assert!(out.data().iter().all(|v| v.is_finite()));
     assert!(report.launches > 0);
@@ -191,7 +186,7 @@ fn single_node_self_loop_graph() {
     b.add_node_type(1);
     b.add_edge(0, 0, 0);
     let graph = GraphData::new(b.build());
-    let (got, params, bindings, _m) =
+    let (got, params, bindings) =
         run_compiled(ModelKind::Rgat, &CompileOptions::best(), &graph, 4, 2);
     // One edge, softmax weight is exactly 1: output = hs.
     let expect = hector_models::reference::rgat_forward(
@@ -207,20 +202,17 @@ fn single_node_self_loop_graph() {
 #[test]
 fn laptop_device_config_also_works() {
     let graph = test_graph(700);
-    let module = hector::compile_model(ModelKind::Hgt, 8, 8, &CompileOptions::best());
-    let mut rng = seeded_rng(6);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::laptop_4gb(), Mode::Real);
-    let (_, report) = session
-        .run_inference(&module, &graph, &mut params, &bindings)
-        .unwrap();
+    let run = |device| {
+        let mut engine = builder(ModelKind::Hgt, 8, &CompileOptions::best(), 6)
+            .device(device)
+            .build()
+            .unwrap();
+        engine.bind(&graph).unwrap().forward().unwrap()
+    };
+    let report = run(DeviceConfig::laptop_4gb());
     // The slower part can never beat the 3090 on the same work (ties are
     // possible when every kernel is launch-overhead-bound).
-    let mut fast = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (_, fast_report) = fast
-        .run_inference(&module, &graph, &mut params, &bindings)
-        .unwrap();
+    let fast_report = run(DeviceConfig::rtx3090());
     assert!(report.elapsed_us >= fast_report.elapsed_us);
     assert!(report.elapsed_us.is_finite() && report.peak_bytes > 0);
 }

@@ -1,17 +1,15 @@
 //! Smoke tests mirroring every `examples/*.rs` main path at reduced scale,
 //! so the examples cannot silently rot: each test exercises the same API
-//! sequence (graph construction, compilation, session run, report fields)
+//! sequence (graph construction, engine build, bind, run, report fields)
 //! the corresponding example prints. `cargo test` also *compiles* the real
 //! example binaries, so together the examples stay both buildable and
 //! behaviourally covered.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{builder, modeled};
 use hector::prelude::*;
 use hector_ir::{AggNorm, KernelSpec};
-use hector_tensor::seeded_rng;
 
 /// `examples/quickstart.rs`: AIFB-like graph, RGAT with best options,
 /// real-mode inference with a populated run report.
@@ -21,19 +19,16 @@ fn quickstart_path() {
     let graph = GraphData::new(hector::generate(&spec));
     assert!(graph.compact().ratio() > 0.0);
 
-    let module = hector::compile_model(ModelKind::Rgat, 16, 16, &CompileOptions::best());
-    assert!(module.source_lines > 0);
-    assert!(module.code.total_lines() > 0);
+    let mut engine = builder(ModelKind::Rgat, 16, &CompileOptions::best(), 7)
+        .build()
+        .unwrap();
+    assert!(engine.module().source_lines > 0);
+    assert!(engine.module().code.total_lines() > 0);
 
-    let mut rng = seeded_rng(7);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (outputs, report) = session
-        .run_inference(&module, &graph, &mut params, &bindings)
-        .expect("fits comfortably");
+    let mut bound = engine.bind(&graph).unwrap();
+    let report = bound.forward().expect("fits comfortably");
 
-    let h_out = outputs.tensor(module.forward.outputs[0]);
+    let h_out = bound.output();
     assert_eq!(h_out.rows(), graph.graph().num_nodes());
     assert!(h_out.data().iter().all(|v| v.is_finite()));
     assert!(report.elapsed_us > 0.0);
@@ -61,15 +56,12 @@ fn citation_rgcn_path() {
     assert_eq!(graph.graph().in_degree()[paper0 as usize], 3);
 
     let dim = 8;
-    let module = hector::compile_model(ModelKind::Rgcn, dim, dim, &CompileOptions::unopt());
-    let mut rng = seeded_rng(1);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (outputs, _) = session
-        .run_inference(&module, &graph, &mut params, &bindings)
-        .expect("tiny graph");
-    let h = outputs.tensor(module.forward.outputs[0]);
+    let mut engine = builder(ModelKind::Rgcn, dim, &CompileOptions::unopt(), 1)
+        .build()
+        .unwrap();
+    let mut bound = engine.bind(&graph).unwrap();
+    bound.forward().expect("tiny graph");
+    let h = bound.output();
     assert_eq!(h.rows(), 6);
     assert!(h.data().iter().all(|v| v.is_finite()));
     // ReLU output is non-negative everywhere.
@@ -134,15 +126,7 @@ fn compaction_demo_path() {
     let cfg = DeviceConfig::rtx3090().with_capacity(24 << 20);
     let mut results = Vec::new();
     for opts in [CompileOptions::unopt(), CompileOptions::compact_only()] {
-        let module = hector::compile_model(ModelKind::Rgat, 64, 64, &opts);
-        let mut rng = seeded_rng(9);
-        let mut params = ParamStore::init(&module.forward, &big, &mut rng);
-        let mut session = Session::new(cfg.clone(), Mode::Modeled);
-        results.push(
-            session
-                .run_inference(&module, &big, &mut params, &Bindings::new())
-                .is_ok(),
-        );
+        results.push(modeled(ModelKind::Rgat, 64, &opts, false, &big, cfg.clone()).is_ok());
     }
     assert_eq!(
         results,
@@ -158,27 +142,22 @@ fn hgt_training_path() {
     let spec = hector::datasets::mag().scaled(0.0005);
     let graph = GraphData::new(hector::generate(&spec));
     let (dim, classes) = (8, 4);
-    let module = hector::compile_model(
-        ModelKind::Hgt,
-        dim,
-        classes,
-        &CompileOptions::best().with_training(true),
-    );
-    assert!(!module.bw_kernels.is_empty());
+    let mut trainer = EngineBuilder::new(ModelKind::Hgt)
+        .dims(dim, classes)
+        .options(CompileOptions::best())
+        .seed(11)
+        .build_trainer(Adam::new(0.05))
+        .unwrap();
+    assert!(!trainer.engine().module().bw_kernels.is_empty());
 
-    let mut rng = seeded_rng(11);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
+    trainer.bind(&graph).unwrap();
     let labels: Vec<usize> = (0..graph.graph().num_nodes())
         .map(|i| (i * 7 + 3) % classes)
         .collect();
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut opt = Adam::new(0.05);
+    trainer.set_labels(labels).unwrap();
     let mut losses = Vec::new();
     for _ in 0..6 {
-        let (_, report) = session
-            .run_training_step(&module, &graph, &mut params, &bindings, &labels, &mut opt)
-            .expect("fits");
+        let report = trainer.step().expect("fits");
         let loss = report.loss.unwrap();
         assert!(loss.is_finite());
         assert!(report.backward_us > 0.0);
@@ -249,19 +228,18 @@ fn rgat_attention_path() {
         CompileOptions::reorder_only(),
         CompileOptions::best(),
     ] {
-        let module = hector::compile_model(ModelKind::Rgat, 64, 64, &opts);
-        let gemms = module
+        let mut engine = builder(ModelKind::Rgat, 64, &opts, 2)
+            .mode(Mode::Modeled)
+            .build()
+            .unwrap();
+        let gemms = engine
+            .module()
             .fw_kernels
             .iter()
             .filter(|k| matches!(k, KernelSpec::Gemm(_)))
             .count();
         assert!(gemms > 0, "{}: RGAT always has GEMM kernels", opts.label());
-        let mut rng = seeded_rng(2);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-        let (_, report) = session
-            .run_inference(&module, &graph, &mut params, &Bindings::new())
-            .expect("fits");
+        let report = engine.bind(&graph).unwrap().forward().expect("fits");
         assert!(report.elapsed_us > 0.0);
         elapsed.push(report.elapsed_us);
     }

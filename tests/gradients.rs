@@ -3,10 +3,9 @@
 //! optimization combination (including the chain rule through
 //! reorder-fused derived weights).
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{builder, reseed_features};
 use hector::prelude::*;
 use hector_ir::WeightId;
 use hector_runtime::nll_loss_and_grad;
@@ -26,19 +25,9 @@ fn tiny_graph() -> GraphData {
 }
 
 /// Computes the loss at the current parameters by running forward only.
-fn loss_at(
-    module: &hector::CompiledModule,
-    graph: &GraphData,
-    params: &mut ParamStore,
-    bindings: &Bindings,
-    labels: &[usize],
-) -> f32 {
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (vars, _) = session
-        .run_inference(module, graph, params, bindings)
-        .unwrap();
-    let logits = vars.tensor(module.forward.outputs[0]);
-    nll_loss_and_grad(logits, labels).loss
+fn loss_at(engine: &mut Engine, labels: &[usize]) -> f32 {
+    engine.forward().unwrap();
+    nll_loss_and_grad(engine.output(), labels).loss
 }
 
 /// A do-nothing optimizer: leaves gradients in place for inspection.
@@ -49,49 +38,49 @@ impl Optimizer for NoOp {
 
 fn check_model(kind: ModelKind, opts: &CompileOptions, dim: usize, seed: u64) {
     let graph = tiny_graph();
-    let module = hector::compile_model(kind, dim, dim, &opts.clone().with_training(true));
-    let mut rng = seeded_rng(seed);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let mut rng2 = seeded_rng(seed + 1);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
+    let mut engine = builder(kind, dim, opts, seed)
+        .training(true)
+        .build()
+        .unwrap();
+    engine.bind(&graph).unwrap();
+    reseed_features(&mut engine, seed + 1);
     let labels: Vec<usize> = (0..graph.graph().num_nodes())
         .map(|i| i % dim.min(4))
         .collect();
 
     // Analytic gradients from one training step (NoOp optimizer keeps
     // both weights and gradients intact).
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut noop = NoOp;
-    let (_, report) = session
-        .run_training_step(&module, &graph, &mut params, &bindings, &labels, &mut noop)
-        .unwrap();
+    let report = engine.train_step(&labels, &mut NoOp).unwrap();
     assert!(report.loss.is_some());
+    let weights = engine.module().forward.weights.clone();
 
     // Finite differences on a sample of weight entries of every
     // non-derived weight.
     let eps = 3e-3f32;
-    for wi in 0..module.forward.weights.len() {
-        if module.forward.weights[wi].derived {
+    for (wi, info) in weights.iter().enumerate() {
+        if info.derived {
             continue;
         }
         let wid = WeightId(wi as u32);
-        let n = params.weight(wid).len();
-        let analytic = params.grad(wid).clone();
+        let n = engine.params().weight(wid).len();
+        let analytic = engine.params().grad(wid).clone();
         let stride = (n / 5).max(1);
         for idx in (0..n).step_by(stride) {
-            let orig = params.weight(wid).data()[idx];
-            params.weight_mut(wid).data_mut()[idx] = orig + eps;
-            let up = loss_at(&module, &graph, &mut params, &bindings, &labels);
-            params.weight_mut(wid).data_mut()[idx] = orig - eps;
-            let down = loss_at(&module, &graph, &mut params, &bindings, &labels);
-            params.weight_mut(wid).data_mut()[idx] = orig;
+            let orig = engine.params().weight(wid).data()[idx];
+            let mut loss_with = |v: f32| {
+                engine.params_mut().weight_mut(wid).data_mut()[idx] = v;
+                loss_at(&mut engine, &labels)
+            };
+            let up = loss_with(orig + eps);
+            let down = loss_with(orig - eps);
+            engine.params_mut().weight_mut(wid).data_mut()[idx] = orig;
             let fd = (up - down) / (2.0 * eps);
             let an = analytic.data()[idx];
             assert!(
                 (fd - an).abs() < 2e-2 + 0.15 * fd.abs().max(an.abs()),
                 "{kind:?} {} weight '{}'[{idx}]: fd={fd} analytic={an}",
                 opts.label(),
-                module.forward.weights[wi].name,
+                info.name,
             );
         }
     }

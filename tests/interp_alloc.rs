@@ -1,28 +1,22 @@
-//! Zero per-row heap allocations in the interpreter's steady state.
+//! Zero per-row heap allocations in the executor's steady state.
 //!
 //! A counting global allocator wraps `System` for this whole test
-//! binary; the assertions measure allocation *events* across a warm
-//! `Session::run_inference`. After warm-up, every per-run allocation is
-//! per-*variable* or per-*kernel* (fresh `VarStore`, output tensors,
-//! input clones) — never per row: the interpreter reads operands as
-//! borrowed views and computes into the session's reusable scratch
-//! arena. The proof is scale-invariance: a graph with 8× the edges and
-//! 4× the nodes must cost *exactly* the same number of allocation
-//! events per forward pass. Any per-row `Vec` in the hot path breaks
-//! this by thousands.
+//! binary; the assertions measure allocation *events* across
+//! `Engine::forward`. The first pass materialises the run plan and grows
+//! the scratch arena (per-*variable* and per-*kernel* work); after it,
+//! nothing in a pass is per row: the executor reads operands as borrowed
+//! views and computes into the engine's reusable scratch arena. The
+//! proof is scale-invariance: a graph with 8× the edges and 4× the nodes
+//! must cost *exactly* the same number of allocation events per forward
+//! pass. Any per-row `Vec` in the hot path breaks this by thousands.
 //!
-//! The sessions are pinned to `num_threads = 1`: the parallel executor
-//! intentionally allocates per worker *chunk* (scratch blocks and
-//! contribution buffers), which is O(threads), not O(rows), but would
-//! make the strict equality below depend on chunk counts.
+//! The engines are pinned to `num_threads = 1`, where every kernel is
+//! one chunk; `tests/run_alloc.rs` pins the threaded executor.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
 use hector::prelude::*;
 use hector_bench::alloc_counter::{alloc_events, CountingAlloc};
-use hector_tensor::seeded_rng;
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -54,41 +48,18 @@ fn graph(nodes: usize, edges: usize) -> GraphData {
     }))
 }
 
-/// A warmed sequential session plus everything one forward pass needs.
-struct Prepared {
-    module: hector::CompiledModule,
-    graph: GraphData,
-    params: ParamStore,
-    bindings: Bindings,
-    session: Session,
+/// A bound sequential engine of `kind` on a `nodes`/`edges` graph.
+fn prepare(kind: ModelKind, nodes: usize, edges: usize) -> Engine {
+    let opts = CompileOptions::best();
+    let mut engine = common::engine(kind, &opts, 1, BackendKind::Specialized, 9);
+    engine.bind(&graph(nodes, edges)).unwrap();
+    engine
 }
 
-fn prepare(kind: ModelKind, nodes: usize, edges: usize) -> Prepared {
-    let graph = graph(nodes, edges);
-    let module = hector::compile_model(kind, 16, 16, &CompileOptions::best());
-    let mut rng = seeded_rng(9);
-    let params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-    let session = Session::with_parallel(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        ParallelConfig::sequential(),
-    );
-    Prepared {
-        module,
-        graph,
-        params,
-        bindings,
-        session,
-    }
-}
-
-/// Allocation events across one forward pass on a warmed session.
-fn forward_allocs(p: &mut Prepared) -> usize {
+/// Allocation events across one forward pass.
+fn forward_allocs(engine: &mut Engine) -> usize {
     let before = alloc_events();
-    p.session
-        .run_inference(&p.module, &p.graph, &mut p.params, &p.bindings)
-        .expect("inference fits");
+    engine.forward().expect("inference fits");
     alloc_events() - before
 }
 
@@ -98,9 +69,9 @@ fn steady_state_forward_pass_allocations_do_not_scale_with_rows() {
     for kind in ModelKind::all() {
         let mut small = prepare(kind, 60, 360);
         let mut large = prepare(kind, 240, 2880);
-        // Warm-up: grows the scratch arena, caches graph views, sizes
-        // the device bookkeeping.
-        forward_allocs(&mut small);
+        // Warm-up: materialises the run plan, grows the scratch arena,
+        // caches graph views, sizes the device bookkeeping.
+        let cold = forward_allocs(&mut small);
         forward_allocs(&mut large);
 
         let a_small = forward_allocs(&mut small);
@@ -114,9 +85,9 @@ fn steady_state_forward_pass_allocations_do_not_scale_with_rows() {
         );
         // And the steady state is itself steady.
         assert_eq!(forward_allocs(&mut large), a_large, "{}", kind.name());
-        // Sanity: per-run setup (VarStore, output tensors, bindings
-        // clones) still allocates — the counter is actually live.
-        assert!(a_small > 0, "counter should observe per-run setup");
+        // Sanity: the cold pass materialised its buffers — the counter
+        // is actually live.
+        assert!(cold > 0, "counter should observe the cold pass's setup");
     }
 }
 
@@ -126,7 +97,7 @@ fn scratch_counters_report_zero_growth_once_warm() {
     let mut p = prepare(ModelKind::Rgat, 80, 640);
     forward_allocs(&mut p); // warm-up run grows the arena
     forward_allocs(&mut p);
-    let s = p.session.device().counters().scratch();
+    let s = p.device().counters().scratch();
     assert!(s.kernels > 0, "real-mode kernels must be recorded");
     assert_eq!(s.grows, 0, "warm arena must not grow: {s:?}");
     assert_eq!(s.steady_kernels, s.kernels);

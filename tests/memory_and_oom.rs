@@ -6,10 +6,9 @@
 //! compaction ratio, weight-replicating baselines explode, and OOM
 //! surfaces as an error with full context rather than a crash.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::modeled;
 use hector::baselines::{Pyg, System};
 use hector::prelude::*;
 
@@ -27,14 +26,9 @@ fn graph_with(edges: usize, ratio: f64) -> GraphData {
 }
 
 fn peak_bytes(kind: ModelKind, graph: &GraphData, opts: &CompileOptions) -> usize {
-    let module = hector::compile_model(kind, 64, 64, opts);
-    let mut rng = seeded_rng(1);
-    let mut params = ParamStore::init(&module.forward, graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-    let (_, report) = session
-        .run_inference(&module, graph, &mut params, &Bindings::new())
-        .unwrap();
-    report.peak_bytes
+    modeled(kind, 64, opts, false, graph, DeviceConfig::rtx3090())
+        .unwrap()
+        .peak_bytes
 }
 
 #[test]
@@ -74,30 +68,19 @@ fn compact_footprint_tracks_entity_compaction_ratio() {
 #[test]
 fn training_uses_more_memory_than_inference() {
     let graph = graph_with(30_000, 0.6);
-    let module_inf = hector::compile_model(ModelKind::Hgt, 64, 64, &CompileOptions::unopt());
-    let module_tr = hector::compile_model(
-        ModelKind::Hgt,
-        64,
-        64,
-        &CompileOptions::unopt().with_training(true),
-    );
-    let mut rng = seeded_rng(2);
-    let mut params = ParamStore::init(&module_tr.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-    let (_, inf) = session
-        .run_inference(&module_inf, &graph, &mut params, &Bindings::new())
-        .unwrap();
-    let mut sgd = Sgd::new(0.01);
-    let (_, tr) = session
-        .run_training_step(
-            &module_tr,
+    let run = |training| {
+        let opts = CompileOptions::unopt();
+        modeled(
+            ModelKind::Hgt,
+            64,
+            &opts,
+            training,
             &graph,
-            &mut params,
-            &Bindings::new(),
-            &[],
-            &mut sgd,
+            DeviceConfig::rtx3090(),
         )
-        .unwrap();
+        .unwrap()
+    };
+    let (inf, tr) = (run(false), run(true));
     assert!(
         tr.peak_bytes > inf.peak_bytes,
         "training saves activations and gradients: {} vs {}",
@@ -109,14 +92,13 @@ fn training_uses_more_memory_than_inference() {
 #[test]
 fn oom_error_carries_context() {
     let graph = graph_with(50_000, 0.9);
-    let module = hector::compile_model(ModelKind::Rgat, 64, 64, &CompileOptions::unopt());
-    let mut rng = seeded_rng(3);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
     let cap = 8 << 20; // 8 MB device
-    let mut session = Session::new(DeviceConfig::rtx3090().with_capacity(cap), Mode::Modeled);
-    let err = session
-        .run_inference(&module, &graph, &mut params, &Bindings::new())
-        .unwrap_err();
+    let device = DeviceConfig::rtx3090().with_capacity(cap);
+    let opts = CompileOptions::unopt();
+    let err = modeled(ModelKind::Rgat, 64, &opts, false, &graph, device).unwrap_err();
+    let HectorError::Oom(err) = err else {
+        panic!("want an OOM, got {err:?}");
+    };
     assert_eq!(err.capacity, cap);
     assert!(err.requested > 0);
     assert!(!err.label.is_empty());
@@ -128,23 +110,14 @@ fn compaction_rescues_oom_runs() {
     // all the datasets tested". Build a graph whose vanilla edgewise
     // tensors overflow a small device but whose compact ones fit.
     let graph = graph_with(120_000, 0.15);
-    let mut rng = seeded_rng(4);
-    let module_u = hector::compile_model(ModelKind::Rgat, 64, 64, &CompileOptions::unopt());
-    let mut params = ParamStore::init(&module_u.forward, &graph, &mut rng);
     // Pick a capacity between the two footprints.
     let peak_u = peak_bytes(ModelKind::Rgat, &graph, &CompileOptions::unopt());
     let peak_c = peak_bytes(ModelKind::Rgat, &graph, &CompileOptions::compact_only());
     assert!(peak_c < peak_u);
-    let cap = (peak_c + peak_u) / 2;
-    let mut session = Session::new(DeviceConfig::rtx3090().with_capacity(cap), Mode::Modeled);
-    assert!(session
-        .run_inference(&module_u, &graph, &mut params, &Bindings::new())
-        .is_err());
-    let module_c = hector::compile_model(ModelKind::Rgat, 64, 64, &CompileOptions::compact_only());
-    let mut params_c = ParamStore::init(&module_c.forward, &graph, &mut rng);
-    assert!(session
-        .run_inference(&module_c, &graph, &mut params_c, &Bindings::new())
-        .is_ok());
+    let device = DeviceConfig::rtx3090().with_capacity((peak_c + peak_u) / 2);
+    let run = |opts| modeled(ModelKind::Rgat, 64, &opts, false, &graph, device.clone());
+    assert!(run(CompileOptions::unopt()).is_err());
+    assert!(run(CompileOptions::compact_only()).is_ok());
 }
 
 #[test]
@@ -166,11 +139,6 @@ fn pyg_weight_replication_ooms_where_hector_fits() {
         pyg.oom || pyg.peak_bytes > hector_peak || pyg.time_us > 0.0,
         "PyG must pay for replication one way or another"
     );
-    let mut session = Session::new(cfg, Mode::Modeled);
-    let module = hector::compile_model(ModelKind::Rgcn, d, d, &CompileOptions::unopt());
-    let mut rng = seeded_rng(5);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    assert!(session
-        .run_inference(&module, &graph, &mut params, &Bindings::new())
-        .is_ok());
+    let opts = CompileOptions::unopt();
+    assert!(modeled(ModelKind::Rgcn, d, &opts, false, &graph, cfg).is_ok());
 }

@@ -24,23 +24,39 @@
 //!    isolated destination; the guard matters for node-space
 //!    normalizations (explicit mean, degree divisions).
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{bits, builder, cyclic_labels, par};
 use hector::prelude::*;
-use hector::{NeighborSampler, Subgraph};
+use hector::{ModelSource, NeighborSampler, Subgraph};
 use hector_ir::{AggNorm, Operand};
-use hector_tensor::seeded_rng;
 
 const BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Specialized];
 
-fn session(backend: BackendKind, threads: usize) -> Session {
-    let par = ParallelConfig::sequential()
-        .with_threads(threads)
-        .with_min_chunk_rows(2);
-    Session::with_backend(DeviceConfig::rtx3090(), Mode::Real, par, backend)
-        .expect("valid parallel configuration")
+/// `src` under `opts` on `backend` with `threads` workers over 2-row
+/// chunks, bound to `graph` (weights and features from `seed`).
+fn bound_engine(
+    src: &ModelSource,
+    opts: &CompileOptions,
+    graph: &GraphData,
+    backend: BackendKind,
+    threads: usize,
+    seed: u64,
+) -> Engine {
+    let mut engine = EngineBuilder::from_source(src.clone())
+        .options(opts.clone())
+        .parallel(par(threads, 2))
+        .backend(backend)
+        .seed(seed)
+        .build()
+        .expect("valid engine configuration");
+    engine.bind(graph).unwrap();
+    engine
+}
+
+fn forward_bits(engine: &mut Engine) -> Vec<u32> {
+    engine.forward().expect("inference fits");
+    bits(engine.output())
 }
 
 /// A graph whose nodes 0 and 5 have no incoming edges (node 5 also has
@@ -56,24 +72,6 @@ fn graph_with_isolated_nodes() -> GraphData {
     GraphData::new(b.build())
 }
 
-fn forward_bits(
-    module: &hector::CompiledModule,
-    graph: &GraphData,
-    params: &mut ParamStore,
-    bindings: &Bindings,
-    backend: BackendKind,
-    threads: usize,
-) -> Vec<u32> {
-    let (vars, _) = session(backend, threads)
-        .run_inference(module, graph, params, bindings)
-        .expect("inference fits");
-    vars.tensor(module.forward.outputs[0])
-        .data()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
-}
-
 #[test]
 fn zero_input_times_inf_weight_is_nan_not_silently_skipped() {
     for backend in BACKENDS {
@@ -86,25 +84,25 @@ fn zero_input_times_inf_weight_is_nan_not_silently_skipped() {
         let out = m.typed_linear("out", m.this(h), w0);
         m.output(out);
         let src = m.finish();
-        let module = hector::compile(&src, &CompileOptions::unopt());
-
         let graph = graph_with_isolated_nodes();
         let n = graph.graph().num_nodes();
-        let mut rng = seeded_rng(3);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        *params
-            .weight_mut(hector_ir::WeightId(0))
-            .data_mut()
-            .get_mut(dim) // slab 0, row 1, col 0
-            .unwrap() = f32::INFINITY;
-
         let mut feats = vec![1.0f32; n * dim];
         feats[2 * dim..3 * dim].fill(0.0); // node 2: all-zero input row
         let mut bindings = Bindings::new();
         bindings.set("h", Tensor::from_vec(feats, &[n, dim]));
 
-        let seq = forward_bits(&module, &graph, &mut params, &bindings, backend, 1);
-        let par = forward_bits(&module, &graph, &mut params, &bindings, backend, 4);
+        let [seq, par] = [1usize, 4].map(|threads| {
+            let opts = CompileOptions::unopt();
+            let mut engine = bound_engine(&src, &opts, &graph, backend, threads, 3);
+            *engine
+                .params_mut()
+                .weight_mut(hector_ir::WeightId(0))
+                .data_mut()
+                .get_mut(dim) // slab 0, row 1, col 0
+                .unwrap() = f32::INFINITY;
+            engine.set_bindings(bindings.clone());
+            forward_bits(&mut engine)
+        });
         assert_eq!(seq, par, "non-finite path diverged across thread counts");
 
         let col0 = f32::from_bits(seq[2 * dim]);
@@ -131,38 +129,36 @@ fn grad_w_keeps_nan_for_zero_input_columns() {
         let out = m.typed_linear("out", m.this(h), w0);
         m.output(out);
         let src = m.finish();
-        let module = hector::compile(&src, &CompileOptions::unopt().with_training(true));
+        let opts = CompileOptions::unopt().with_training(true);
 
         let graph = graph_with_isolated_nodes();
         let n = graph.graph().num_nodes();
-        let mut rng = seeded_rng(5);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        *params
-            .weight_mut(hector_ir::WeightId(0))
-            .data_mut()
-            .get_mut(dim + 1)
-            .unwrap() = f32::INFINITY;
-
         // Column 0 of the input is all zeros across every node.
         let feats: Vec<f32> = (0..n * dim)
             .map(|i| if i % dim == 0 { 0.0 } else { 0.5 })
             .collect();
         let mut bindings = Bindings::new();
         bindings.set("h", Tensor::from_vec(feats, &[n, dim]));
-        let labels: Vec<usize> = (0..n).map(|i| i % dim).collect();
+        let labels = cyclic_labels(&graph, dim);
 
         for threads in [1usize, 4] {
-            let mut session = session(backend, threads);
-            let mut p = params.clone();
+            let mut engine = bound_engine(&src, &opts, &graph, backend, threads, 5);
+            *engine
+                .params_mut()
+                .weight_mut(hector_ir::WeightId(0))
+                .data_mut()
+                .get_mut(dim + 1)
+                .unwrap() = f32::INFINITY;
+            engine.set_bindings(bindings.clone());
             let mut opt = Sgd::new(0.0); // keep weights; we inspect grads
-            let (_, report) = session
-                .run_training_step(&module, &graph, &mut p, &bindings, &labels, &mut opt)
+            let report = engine
+                .train_step(&labels, &mut opt)
                 .expect("training step fits");
             assert!(
                 report.loss.expect("real mode reports loss").is_nan(),
                 "inf weight must poison the loss"
             );
-            let g = p.grad(hector_ir::WeightId(0));
+            let g = engine.params().grad(hector_ir::WeightId(0));
             // Row 0 of the gradient slab pairs with the all-zero input
             // column: every entry must be NaN, not a masked 0.
             for (j, &gv) in g.slab(0)[..dim].iter().enumerate() {
@@ -196,12 +192,9 @@ fn node_space_normalization_is_zero_not_nan_at_isolated_nodes() {
 
         let graph = graph_with_isolated_nodes();
         for opts in [CompileOptions::unopt(), CompileOptions::best()] {
-            let module = hector::compile(&src, &opts);
-            let mut rng = seeded_rng(11);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-            let seq = forward_bits(&module, &graph, &mut params, &bindings, backend, 1);
-            let par = forward_bits(&module, &graph, &mut params, &bindings, backend, 4);
+            let [seq, par] = [1usize, 4].map(|threads| {
+                forward_bits(&mut bound_engine(&src, &opts, &graph, backend, threads, 11))
+            });
             assert_eq!(seq, par, "normalization guard diverged across threads");
             for (i, &bits) in seq.iter().enumerate() {
                 let v = f32::from_bits(bits);
@@ -241,7 +234,6 @@ fn sampled_subgraphs_pin_zero_in_degree_convention_to_zero() {
         let both = m.add("both", m.this(norm), m.this(mx));
         m.output(both);
         let src = m.finish();
-        let module = hector::compile(&src, &CompileOptions::best());
 
         let full = hector::generate(&DatasetSpec {
             name: "sub_zero_deg".into(),
@@ -267,11 +259,10 @@ fn sampled_subgraphs_pin_zero_in_degree_convention_to_zero() {
             "the sampled subgraph must contain zero-in-degree nodes for this pin to bite"
         );
 
-        let mut rng = seeded_rng(19);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let seq = forward_bits(&module, &graph, &mut params, &bindings, backend, 1);
-        let par = forward_bits(&module, &graph, &mut params, &bindings, backend, 4);
+        let [seq, par] = [1usize, 4].map(|threads| {
+            let opts = CompileOptions::best();
+            forward_bits(&mut bound_engine(&src, &opts, &graph, backend, threads, 19))
+        });
         assert_eq!(seq, par, "zero-in-degree guard diverged across threads");
         for (i, &bits) in seq.iter().enumerate() {
             let v = f32::from_bits(bits);
@@ -302,35 +293,24 @@ fn softmax_models_stay_finite_on_graphs_with_isolated_nodes() {
         // pins the refutation — inference outputs and five training steps
         // stay finite on a graph with isolated nodes, at 1 and 4 threads.
         let graph = graph_with_isolated_nodes();
-        let n = graph.graph().num_nodes();
         for kind in [ModelKind::Rgat, ModelKind::Hgt] {
             for threads in [1usize, 4] {
-                let module =
-                    hector::compile_model(kind, 8, 8, &CompileOptions::best().with_training(true));
-                let mut rng = seeded_rng(17);
-                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-                let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-                let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
-                let mut session = session(backend, threads);
-                let mut opt = Adam::new(0.01);
+                let mut trainer = builder(kind, 8, &CompileOptions::best(), 17)
+                    .parallel(par(threads, 2))
+                    .backend(backend)
+                    .build_trainer(Adam::new(0.01))
+                    .unwrap();
+                trainer.bind(&graph).unwrap();
+                trainer.set_labels(cyclic_labels(&graph, 4)).unwrap();
                 for step in 0..5 {
-                    let (vars, report) = session
-                        .run_training_step(
-                            &module,
-                            &graph,
-                            &mut params,
-                            &bindings,
-                            &labels,
-                            &mut opt,
-                        )
-                        .expect("training step fits");
+                    let report = trainer.step().expect("training step fits");
                     let loss = report.loss.expect("real mode reports loss");
                     assert!(
                         loss.is_finite(),
                         "{} threads={threads} step {step}: loss {loss}",
                         kind.name()
                     );
-                    for &v in vars.tensor(module.forward.outputs[0]).data() {
+                    for &v in trainer.engine().output().data() {
                         assert!(v.is_finite(), "{} non-finite output {v}", kind.name());
                     }
                 }

@@ -2,10 +2,9 @@
 //! linear operator reordering are *semantics-preserving* program
 //! rewrites, and their resource effects have known signs.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{bits, builder, modeled, par, reseed_features};
 use hector::prelude::*;
 use hector_ir::KernelSpec;
 use proptest::prelude::*;
@@ -23,23 +22,29 @@ fn graph_from(nodes: usize, edges: usize, etypes: usize, ratio: f64, seed: u64) 
     }))
 }
 
+/// One forward pass with weights from `seed` and features from their own
+/// stream (`seed + 1000`), on `par` (`None`: the environment's).
 fn forward_output(
     kind: ModelKind,
     opts: &CompileOptions,
     graph: &GraphData,
     dim: usize,
     seed: u64,
+    par: Option<ParallelConfig>,
 ) -> Tensor {
-    let module = hector::compile_model(kind, dim, dim, opts);
-    let mut rng = seeded_rng(seed);
-    let mut params = ParamStore::init(&module.forward, graph, &mut rng);
-    let mut rng2 = seeded_rng(seed + 1000);
-    let bindings = Bindings::standard(&module.forward, graph, &mut rng2);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let (vars, _) = session
-        .run_inference(&module, graph, &mut params, &bindings)
-        .unwrap();
-    vars.tensor(module.forward.outputs[0]).clone()
+    let mut b = builder(kind, dim, opts, seed);
+    if let Some(par) = par {
+        b = b.parallel(par);
+    }
+    let mut engine = b.build().unwrap();
+    engine.bind(graph).unwrap();
+    reseed_features(&mut engine, seed + 1000);
+    engine.forward().unwrap();
+    engine.output().clone()
+}
+
+fn modeled_report(kind: ModelKind, opts: &CompileOptions, graph: &GraphData) -> hector::RunReport {
+    modeled(kind, 64, opts, false, graph, DeviceConfig::rtx3090()).unwrap()
 }
 
 proptest! {
@@ -53,13 +58,13 @@ proptest! {
     ) {
         let graph = graph_from(30, 120, etypes, ratio, seed);
         for kind in [ModelKind::Rgat, ModelKind::Hgt] {
-            let base = forward_output(kind, &CompileOptions::unopt(), &graph, 8, seed);
+            let base = forward_output(kind, &CompileOptions::unopt(), &graph, 8, seed, None);
             for opts in [
                 CompileOptions::compact_only(),
                 CompileOptions::reorder_only(),
                 CompileOptions::best(),
             ] {
-                let out = forward_output(kind, &opts, &graph, 8, seed);
+                let out = forward_output(kind, &opts, &graph, 8, seed, None);
                 for (a, b) in base.data().iter().zip(out.data().iter()) {
                     prop_assert!(
                         (a - b).abs() < 1e-3 + 1e-3 * b.abs(),
@@ -88,23 +93,8 @@ fn option_combos_agree_at_one_and_four_threads() {
             CompileOptions::reorder_only(),
             CompileOptions::best(),
         ] {
-            let mut per_thread = Vec::new();
-            for threads in [1usize, 4] {
-                let module = hector::compile_model(kind, 8, 8, &opts);
-                let mut rng = seeded_rng(13);
-                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-                let mut rng2 = seeded_rng(1013);
-                let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
-                let par = ParallelConfig::sequential()
-                    .with_threads(threads)
-                    .with_min_chunk_rows(4);
-                let mut session = Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par);
-                let (vars, _) = session
-                    .run_inference(&module, &graph, &mut params, &bindings)
-                    .unwrap();
-                per_thread.push(vars.tensor(module.forward.outputs[0]).clone());
-            }
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let per_thread =
+                [1usize, 4].map(|t| forward_output(kind, &opts, &graph, 8, 13, Some(par(t, 4))));
             assert_eq!(
                 bits(&per_thread[0]),
                 bits(&per_thread[1]),
@@ -116,19 +106,7 @@ fn option_combos_agree_at_one_and_four_threads() {
         // rewrites reassociate float math), at both thread counts.
         for threads in [1usize, 4] {
             let out_of = |opts: &CompileOptions| {
-                let module = hector::compile_model(kind, 8, 8, opts);
-                let mut rng = seeded_rng(13);
-                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-                let mut rng2 = seeded_rng(1013);
-                let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
-                let par = ParallelConfig::sequential()
-                    .with_threads(threads)
-                    .with_min_chunk_rows(4);
-                let mut session = Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par);
-                let (vars, _) = session
-                    .run_inference(&module, &graph, &mut params, &bindings)
-                    .unwrap();
-                vars.tensor(module.forward.outputs[0]).clone()
+                forward_output(kind, opts, &graph, 8, 13, Some(par(threads, 4)))
             };
             let base = out_of(&CompileOptions::unopt());
             for opts in [
@@ -155,14 +133,7 @@ fn compaction_reduces_modeled_memory_when_ratio_is_low() {
     for kind in [ModelKind::Rgat, ModelKind::Hgt] {
         let mut peak = std::collections::HashMap::new();
         for opts in [CompileOptions::unopt(), CompileOptions::compact_only()] {
-            let module = hector::compile_model(kind, 64, 64, &opts);
-            let mut rng = seeded_rng(1);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-            let (_, report) = session
-                .run_inference(&module, &graph, &mut params, &Bindings::new())
-                .unwrap();
-            peak.insert(opts.label(), report.peak_bytes);
+            peak.insert(opts.label(), modeled_report(kind, &opts, &graph).peak_bytes);
         }
         assert!(
             peak["C"] < peak["U"],
@@ -178,13 +149,7 @@ fn compaction_speeds_up_low_ratio_graphs() {
     let graph = graph_from(2_000, 40_000, 8, 0.15, 9);
     let mut times = std::collections::HashMap::new();
     for opts in [CompileOptions::unopt(), CompileOptions::compact_only()] {
-        let module = hector::compile_model(ModelKind::Rgat, 64, 64, &opts);
-        let mut rng = seeded_rng(1);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-        let (_, report) = session
-            .run_inference(&module, &graph, &mut params, &Bindings::new())
-            .unwrap();
+        let report = modeled_report(ModelKind::Rgat, &opts, &graph);
         times.insert(opts.label(), report.elapsed_us);
     }
     assert!(
@@ -197,8 +162,9 @@ fn compaction_speeds_up_low_ratio_graphs() {
 
 #[test]
 fn reordering_removes_a_gemm_from_rgat() {
-    let unopt = hector::compile_model(ModelKind::Rgat, 64, 64, &CompileOptions::unopt());
-    let reord = hector::compile_model(ModelKind::Rgat, 64, 64, &CompileOptions::reorder_only());
+    let unopt = hector::compile_model_cached(ModelKind::Rgat, 64, 64, &CompileOptions::unopt());
+    let reord =
+        hector::compile_model_cached(ModelKind::Rgat, 64, 64, &CompileOptions::reorder_only());
     let gemms = |m: &hector::CompiledModule| {
         m.fw_kernels
             .iter()
@@ -220,14 +186,7 @@ fn best_options_never_slower_than_unopt_on_typical_graphs() {
     for kind in [ModelKind::Rgat, ModelKind::Hgt] {
         let mut t = std::collections::HashMap::new();
         for opts in [CompileOptions::unopt(), CompileOptions::best()] {
-            let module = hector::compile_model(kind, 64, 64, &opts);
-            let mut rng = seeded_rng(2);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-            let (_, report) = session
-                .run_inference(&module, &graph, &mut params, &Bindings::new())
-                .unwrap();
-            t.insert(opts.label(), report.elapsed_us);
+            t.insert(opts.label(), modeled_report(kind, &opts, &graph).elapsed_us);
         }
         assert!(
             t["C+R"] <= t["U"] * 1.05,

@@ -11,12 +11,10 @@
 //! graphs, thread counts, and chunk sizes. Chunk sizes are deliberately
 //! tiny so even the small test graphs split into many chunks.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{bits, builder, par};
 use hector::prelude::*;
-use hector_tensor::seeded_rng;
 use proptest::prelude::*;
 
 fn graph(seed: u64, nodes: usize, edges: usize) -> GraphData {
@@ -30,12 +28,6 @@ fn graph(seed: u64, nodes: usize, edges: usize) -> GraphData {
         type_skew: 1.0,
         seed,
     }))
-}
-
-fn par_cfg(threads: usize, min_chunk: usize) -> ParallelConfig {
-    ParallelConfig::sequential()
-        .with_threads(threads)
-        .with_min_chunk_rows(min_chunk)
 }
 
 fn all_option_combos(training: bool) -> [CompileOptions; 4] {
@@ -55,24 +47,10 @@ fn inference_bits(
     threads: usize,
     min_chunk: usize,
 ) -> Vec<u32> {
-    let module = hector::compile_model(kind, 16, 16, opts);
-    let mut rng = seeded_rng(7);
-    let mut params = ParamStore::init(&module.forward, g, &mut rng);
-    let bindings = Bindings::standard(&module.forward, g, &mut rng);
-    let mut session = Session::with_parallel(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        par_cfg(threads, min_chunk),
-    );
-    let (vars, _) = session
-        .run_inference(&module, g, &mut params, &bindings)
-        .expect("inference fits");
-    let out = module.forward.outputs[0];
-    vars.tensor(out)
-        .data()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
+    common::inference_bits(
+        builder(kind, 16, opts, 7).parallel(par(threads, min_chunk)),
+        g,
+    )
 }
 
 /// Runs `steps` Adam training steps; returns (per-step loss bits, all
@@ -84,27 +62,11 @@ fn training_bits(
     threads: usize,
     steps: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let module = hector::compile_model(kind, 16, 16, opts);
-    let mut rng = seeded_rng(13);
-    let mut params = ParamStore::init(&module.forward, g, &mut rng);
-    let bindings = Bindings::standard(&module.forward, g, &mut rng);
-    let labels: Vec<usize> = (0..g.graph().num_nodes()).map(|i| i % 4).collect();
-    let mut session =
-        Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par_cfg(threads, 4));
-    let mut opt = Adam::new(0.01);
-    let mut losses = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let (_, report) = session
-            .run_training_step(&module, g, &mut params, &bindings, &labels, &mut opt)
-            .expect("training step fits");
-        losses.push(report.loss.expect("real mode reports loss").to_bits());
-    }
-    let mut weights = Vec::new();
-    for w in 0..params.len() {
-        let wid = hector_ir::WeightId(w as u32);
-        weights.extend(params.weight(wid).data().iter().map(|v| v.to_bits()));
-    }
-    (losses, weights)
+    common::training_bits(
+        builder(kind, 16, opts, 13).parallel(par(threads, 4)),
+        g,
+        steps,
+    )
 }
 
 #[test]
@@ -153,64 +115,49 @@ fn five_training_steps_are_bit_identical_across_thread_counts() {
 #[test]
 fn parallel_runs_record_parallel_stats() {
     let g = graph(5, 200, 1200);
-    let module = hector::compile_model(ModelKind::Rgcn, 16, 16, &CompileOptions::best());
-    let mut rng = seeded_rng(3);
-    let mut params = ParamStore::init(&module.forward, &g, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &g, &mut rng);
-    let mut session = Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par_cfg(4, 4));
-    session
-        .run_inference(&module, &g, &mut params, &bindings)
-        .unwrap();
-    let p = session.device().counters().parallel();
+    let run = |threads| {
+        let mut engine = builder(ModelKind::Rgcn, 16, &CompileOptions::best(), 3)
+            .parallel(par(threads, 4))
+            .build()
+            .unwrap();
+        engine.bind(&g).unwrap().forward().unwrap();
+        *engine.device().counters().parallel()
+    };
+    let p = run(4);
     assert!(p.parallel_launches > 0, "pooled kernels must be recorded");
     assert!(p.chunks > 0, "row domains must have split into chunks");
     assert!(p.total_wall_us() > 0.0);
-    let stats = session.pool_stats().expect("4-thread session has a pool");
-    assert!(stats.executed > 0);
 
     // And the sequential config records only sequential launches.
-    let mut seq = Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par_cfg(1, 4));
-    seq.run_inference(&module, &g, &mut params, &bindings)
-        .unwrap();
-    let p = seq.device().counters().parallel();
+    let p = run(1);
     assert_eq!(p.parallel_launches, 0);
     assert!(p.sequential_launches > 0);
-    assert!(seq.pool_stats().is_none(), "num_threads=1 creates no pool");
+    assert_eq!(p.chunks, 0, "num_threads=1 creates no pool");
 }
 
 /// The scratch-arena executor at `HECTOR_THREADS ∈ {1, 4}`: repeated
-/// runs on a warm session must stay bit-identical (buffer reuse cannot
+/// runs on a warm engine must stay bit-identical (buffer reuse cannot
 /// leak state between kernels or runs), and the arenas — the session
 /// scratch *and* the pooled per-chunk worker slots — must reach their
 /// zero-growth steady state after one warm-up pass at either count.
 #[test]
 fn scratch_arena_is_stateless_across_runs_and_thread_counts() {
     let g = graph(31, 100, 600);
-    let module = hector::compile_model(ModelKind::Hgt, 16, 16, &CompileOptions::best());
     let mut reference: Option<Vec<u32>> = None;
     for threads in [1usize, 4] {
-        let mut rng = seeded_rng(29);
-        let mut params = ParamStore::init(&module.forward, &g, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &g, &mut rng);
-        let mut session =
-            Session::with_parallel(DeviceConfig::rtx3090(), Mode::Real, par_cfg(threads, 4));
+        let mut engine = builder(ModelKind::Hgt, 16, &CompileOptions::best(), 29)
+            .parallel(par(threads, 4))
+            .build()
+            .unwrap();
+        engine.bind(&g).unwrap();
         let mut runs = Vec::new();
         for _ in 0..3 {
-            let (vars, _) = session
-                .run_inference(&module, &g, &mut params, &bindings)
-                .expect("inference fits");
-            let out = module.forward.outputs[0];
-            runs.push(
-                vars.tensor(out)
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<u32>>(),
-            );
+            engine.forward().expect("inference fits");
+            runs.push(bits(engine.output()));
         }
         assert_eq!(runs[0], runs[1], "threads={threads}: warm rerun diverged");
         assert_eq!(runs[1], runs[2], "threads={threads}: warm rerun diverged");
-        let s = session.device().counters().scratch();
+        let s = engine.device().counters().scratch();
         assert!(s.kernels > 0, "scratch stats must be recorded");
         // Steady state at any thread count: the per-chunk worker arenas
         // are pooled on the session, so the last (warm) run grew nothing

@@ -2,15 +2,15 @@
 //! the per-*pass* invariant in `tests/interp_alloc.rs`.
 //!
 //! The same counting global allocator wraps `System` for this binary.
-//! `Session::forward` / `Session::train_step` route every run through
-//! the session's persistent `RunPlan`: output/gradient tensors, the loss
+//! `Engine::forward` / `Engine::train_step` route every run through
+//! the engine's persistent run plan: output/gradient tensors, the loss
 //! staging buffer, and the scratch arena are materialised on the first
 //! call and reused (zero-filled) afterwards, so after step 1 a
 //! sequential training loop performs **exactly zero** heap allocation
 //! events — not merely row-invariant, zero. The same holds for the
 //! threaded executor: per-chunk worker state (scratch blocks,
-//! contribution buffers, scatter staging) is pooled on the session's
-//! `WorkerArenas`, so a warm 4-thread run is just as allocation-free as
+//! contribution buffers, scatter staging) is pooled on the engine, so
+//! a warm 4-thread run is just as allocation-free as
 //! the sequential path — pinned here at `num_threads = 4` alongside the
 //! sequential pins.
 //!
@@ -21,15 +21,13 @@
 //! hot path allocates nothing. The `trace_overhead` bench covers the
 //! wall-clock half of the claim.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
 use std::sync::{Mutex, MutexGuard};
 
+use common::{bits, cyclic_labels, engine, trainer};
 use hector::prelude::*;
 use hector_bench::alloc_counter::{alloc_events, CountingAlloc};
-use hector_tensor::seeded_rng;
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -62,25 +60,27 @@ fn graph() -> GraphData {
     }))
 }
 
-fn sequential_session() -> Session {
-    Session::with_parallel(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        ParallelConfig::sequential(),
-    )
+/// Thread counts of the suite. `engine`/`trainer` chunk at 4 rows, so
+/// at 4 threads the 120-node test graph splits into real chunks on every
+/// kernel — the pooled-arena path, not the 1-chunk inline shortcut.
+const SEQUENTIAL: usize = 1;
+const THREADED: usize = 4;
+
+/// A bound engine of `kind` compiled for training, plus the suite's
+/// fixed labels — what `Engine::train_step` needs beside an optimizer.
+fn training_engine(kind: ModelKind, threads: usize) -> (Engine, Vec<usize>) {
+    let graph = graph();
+    let opts = CompileOptions::best().with_training(true);
+    let mut e = engine(kind, &opts, threads, BackendKind::Specialized, 5);
+    e.bind(&graph).unwrap();
+    (e, cyclic_labels(&graph, 4))
 }
 
-fn threaded_session() -> Session {
-    // Tiny min_chunk so the 120-node test graph splits into real chunks
-    // on every kernel — the pooled-arena path, not the 1-chunk inline
-    // shortcut.
-    Session::with_parallel(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        ParallelConfig::sequential()
-            .with_threads(4)
-            .with_min_chunk_rows(4),
-    )
+fn inference_engine(kind: ModelKind, threads: usize) -> Engine {
+    let opts = CompileOptions::best();
+    let mut e = engine(kind, &opts, threads, BackendKind::Specialized, 6);
+    e.bind(&graph()).unwrap();
+    e
 }
 
 #[test]
@@ -88,27 +88,18 @@ fn warm_threaded_train_steps_allocate_nothing() {
     let _g = serialize();
     // The HECTOR_THREADS=4 twin of `warm_train_steps_allocate_nothing`:
     // pooled per-chunk worker arenas make the chunked production
-    // executor (`Session::with_parallel`'s backend) allocation-free
-    // once warm, for every model.
+    // executor allocation-free once warm, for every model.
     for kind in ModelKind::all() {
-        let graph = graph();
-        let module =
-            hector::compile_model(kind, 16, 16, &CompileOptions::best().with_training(true));
-        let mut rng = seeded_rng(5);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
+        let (mut engine, labels) = training_engine(kind, THREADED);
         let mut opt = Adam::new(0.01);
-        let mut session = threaded_session();
-
-        session
-            .train_step(&module, &graph, &mut params, &bindings, &labels, &mut opt)
+        engine
+            .train_step(&labels, &mut opt)
             .expect("first step fits");
 
         let before = alloc_events();
         for _ in 0..5 {
-            session
-                .train_step(&module, &graph, &mut params, &bindings, &labels, &mut opt)
+            engine
+                .train_step(&labels, &mut opt)
                 .expect("warm step fits");
         }
         let allocs = alloc_events() - before;
@@ -118,13 +109,13 @@ fn warm_threaded_train_steps_allocate_nothing() {
             "{}: warm 4-thread train_step must perform zero heap allocations, saw {allocs}",
             kind.name()
         );
-        let p = session.device().counters().parallel();
+        let p = engine.device().counters().parallel();
         assert!(
             p.parallel_launches > 0,
             "{}: kernels must actually have run on the pool",
             kind.name()
         );
-        let s = *session.device().counters().scratch();
+        let s = *engine.device().counters().scratch();
         assert_eq!(s.grows, 0, "{}: warm arenas must not grow", kind.name());
     }
 }
@@ -133,20 +124,11 @@ fn warm_threaded_train_steps_allocate_nothing() {
 fn warm_threaded_forward_allocates_nothing() {
     let _g = serialize();
     for kind in ModelKind::all() {
-        let graph = graph();
-        let module = hector::compile_model(kind, 16, 16, &CompileOptions::best());
-        let mut rng = seeded_rng(6);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let mut session = threaded_session();
-        session
-            .forward(&module, &graph, &mut params, &bindings)
-            .expect("warm-up forward fits");
+        let mut engine = inference_engine(kind, THREADED);
+        engine.forward().expect("warm-up forward fits");
         let before = alloc_events();
         for _ in 0..5 {
-            session
-                .forward(&module, &graph, &mut params, &bindings)
-                .expect("warm forward fits");
+            engine.forward().expect("warm forward fits");
         }
         let allocs = alloc_events() - before;
         assert_eq!(
@@ -155,7 +137,7 @@ fn warm_threaded_forward_allocates_nothing() {
             "{}: warm 4-thread forward must perform zero heap allocations, saw {allocs}",
             kind.name()
         );
-        let p = session.device().counters().parallel();
+        let p = engine.device().counters().parallel();
         assert!(
             p.parallel_launches > 0,
             "{}: kernels must actually have run on the pool",
@@ -169,30 +151,19 @@ fn warm_train_steps_allocate_nothing() {
     let _g = serialize();
     for kind in ModelKind::all() {
         for use_adam in [false, true] {
-            let graph = graph();
-            let module =
-                hector::compile_model(kind, 16, 16, &CompileOptions::best().with_training(true));
-            let mut rng = seeded_rng(5);
-            let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-            let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-            let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
+            let (mut engine, labels) = training_engine(kind, SEQUENTIAL);
             let mut sgd = Sgd::new(0.01);
             let mut adam = Adam::new(0.01);
             let opt: &mut dyn Optimizer = if use_adam { &mut adam } else { &mut sgd };
-            let mut session = sequential_session();
 
             // Step 1 materialises the plan (and Adam's moments).
-            let (_, first) = session
-                .train_step(&module, &graph, &mut params, &bindings, &labels, opt)
-                .expect("first step fits");
+            let first = engine.train_step(&labels, opt).expect("first step fits");
             assert!(first.loss.is_some());
 
             let before = alloc_events();
             let mut last_loss = f32::INFINITY;
             for _ in 0..5 {
-                let (_, report) = session
-                    .train_step(&module, &graph, &mut params, &bindings, &labels, opt)
-                    .expect("warm step fits");
+                let report = engine.train_step(&labels, opt).expect("warm step fits");
                 last_loss = report.loss.expect("real-mode training reports loss");
             }
             let allocs = alloc_events() - before;
@@ -210,7 +181,7 @@ fn warm_train_steps_allocate_nothing() {
             );
 
             // The device counters corroborate: no plan growth after warm-up.
-            let s = *session.device().counters().scratch();
+            let s = *engine.device().counters().scratch();
             assert_eq!(
                 s.plan_grows,
                 0,
@@ -230,13 +201,8 @@ fn warm_trainer_steps_allocate_nothing() {
     // performs exactly zero heap allocations.
     for kind in ModelKind::all() {
         let graph = graph();
-        let mut trainer = EngineBuilder::new(kind)
-            .dims(16, 16)
-            .options(CompileOptions::best())
-            .parallel(ParallelConfig::sequential())
-            .seed(5)
-            .build_trainer(Adam::new(0.01))
-            .unwrap();
+        let opts = CompileOptions::best();
+        let mut trainer = trainer(kind, &opts, SEQUENTIAL, BackendKind::Specialized, 5);
         trainer.bind(&graph).unwrap();
         trainer.step().expect("first step fits");
 
@@ -268,16 +234,11 @@ fn warm_minibatch_steps_allocate_nothing() {
     // tensors — that is the producer thread's job in the pipeline); the
     // training step itself must not. After one warm-up call,
     // `trainer.train_batch` on a same-shape batch goes entirely through
-    // the session's persistent run plan: zero heap allocation events.
+    // the engine's persistent run plan: zero heap allocation events.
     for kind in ModelKind::all() {
         let graph = graph();
-        let mut trainer = EngineBuilder::new(kind)
-            .dims(16, 16)
-            .options(CompileOptions::best())
-            .parallel(ParallelConfig::sequential())
-            .seed(5)
-            .build_trainer(Adam::new(0.01))
-            .unwrap();
+        let opts = CompileOptions::best();
+        let mut trainer = trainer(kind, &opts, SEQUENTIAL, BackendKind::Specialized, 5);
         trainer.bind(&graph).unwrap();
         let batch = trainer
             .minibatch(&SamplerConfig::new(32).fanouts(&[3, 2]).pipeline(false))
@@ -315,20 +276,11 @@ fn warm_minibatch_steps_allocate_nothing() {
 fn warm_forward_allocates_nothing() {
     let _g = serialize();
     for kind in ModelKind::all() {
-        let graph = graph();
-        let module = hector::compile_model(kind, 16, 16, &CompileOptions::best());
-        let mut rng = seeded_rng(6);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let mut session = sequential_session();
-        session
-            .forward(&module, &graph, &mut params, &bindings)
-            .expect("warm-up forward fits");
+        let mut engine = inference_engine(kind, SEQUENTIAL);
+        engine.forward().expect("warm-up forward fits");
         let before = alloc_events();
         for _ in 0..5 {
-            session
-                .forward(&module, &graph, &mut params, &bindings)
-                .expect("warm forward fits");
+            engine.forward().expect("warm forward fits");
         }
         let allocs = alloc_events() - before;
         assert_eq!(
@@ -340,67 +292,40 @@ fn warm_forward_allocates_nothing() {
     }
 }
 
+/// Step N of a warm trainer equals step N of a freshly built one
+/// replaying N steps. "Warm" means its run plan is dirty: it already
+/// trained four steps and ran a forward pass before rebinding restarted
+/// it from the seed, so every step below writes into reused (zero-filled)
+/// buffers where the fresh trainer's first step materialises new ones.
 #[test]
 fn plan_reuse_is_bit_identical_to_fresh_stores() {
     let _g = serialize();
     for kind in ModelKind::all() {
         let graph = graph();
-        let module =
-            hector::compile_model(kind, 16, 16, &CompileOptions::best().with_training(true));
-        let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
+        let fresh_trainer = || {
+            let opts = CompileOptions::best();
+            let mut t = trainer(kind, &opts, SEQUENTIAL, BackendKind::Specialized, 9);
+            t.bind(&graph).unwrap();
+            t.set_labels(cyclic_labels(&graph, 4)).unwrap();
+            t
+        };
 
         // Fresh-store path.
-        let mut rng = seeded_rng(9);
-        let mut params_a = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let mut sa = sequential_session();
-        let mut opt_a = Adam::new(0.01);
-        let mut fresh_losses = Vec::new();
-        for _ in 0..4 {
-            let (_, r) = sa
-                .run_training_step(
-                    &module,
-                    &graph,
-                    &mut params_a,
-                    &bindings,
-                    &labels,
-                    &mut opt_a,
-                )
-                .unwrap();
-            fresh_losses.push(r.loss.unwrap());
-        }
-        let (fresh_vars, _) = sa
-            .run_inference(&module, &graph, &mut params_a, &bindings)
-            .unwrap();
+        let mut fresh = fresh_trainer();
+        let fresh_losses = fresh.epoch(4).unwrap().losses;
+        fresh.forward().unwrap();
 
         // Plan-reuse path from identical seeds.
-        let mut rng = seeded_rng(9);
-        let mut params_b = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings_b = Bindings::standard(&module.forward, &graph, &mut rng);
-        let mut sb = sequential_session();
-        let mut opt_b = Adam::new(0.01);
-        let mut plan_losses = Vec::new();
-        for _ in 0..4 {
-            let (_, r) = sb
-                .train_step(
-                    &module,
-                    &graph,
-                    &mut params_b,
-                    &bindings_b,
-                    &labels,
-                    &mut opt_b,
-                )
-                .unwrap();
-            plan_losses.push(r.loss.unwrap());
-        }
+        let mut warm = fresh_trainer();
+        warm.epoch(4).unwrap();
+        warm.forward().unwrap();
+        warm.bind(&graph).unwrap();
+        let plan_losses = warm.epoch(4).unwrap().losses;
         assert_eq!(fresh_losses, plan_losses, "{}", kind.name());
-        let out = module.forward.outputs[0];
-        let (plan_vars, _) = sb
-            .forward(&module, &graph, &mut params_b, &bindings_b)
-            .unwrap();
+        warm.forward().unwrap();
         assert_eq!(
-            fresh_vars.tensor(out).data(),
-            plan_vars.tensor(out).data(),
+            bits(fresh.engine().output()),
+            bits(warm.engine().output()),
             "{}: plan-reuse outputs must be bit-identical",
             kind.name()
         );

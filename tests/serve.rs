@@ -353,18 +353,16 @@ fn invalid_config_zero_layers_zero_threads_and_untrained_step() {
     assert_eq!(err.kind(), "invalid_config");
 
     // `with_threads` clamps, so smuggle the misconfiguration in
-    // through the public fields — the session must still reject it.
+    // through the public fields — the build must still reject it.
     let zero_threads = ParallelConfig {
         num_threads: 0,
         ..ParallelConfig::sequential()
     };
-    let err = Session::with_backend(
-        DeviceConfig::rtx3090(),
-        Mode::Real,
-        zero_threads,
-        BackendKind::Interp,
-    )
-    .unwrap_err();
+    let err = builder(ModelKind::Rgcn, 8, 3)
+        .parallel(zero_threads)
+        .backend(BackendKind::Interp)
+        .build()
+        .unwrap_err();
     assert!(matches!(err, HectorError::InvalidConfig { .. }), "{err}");
 
     let g = graph(38, 32);

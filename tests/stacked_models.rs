@@ -2,10 +2,9 @@
 //! against a layer-by-layer reference, training convergence, and
 //! optimization equivalence on deep programs.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::cyclic_labels;
 use hector::prelude::*;
 use hector_models::{reference, stacked};
 use hector_runtime::cnorm_tensor;
@@ -79,21 +78,18 @@ fn rgcn_stack_reference(
 fn two_layer_rgcn_matches_layerwise_reference() {
     let graph = graph();
     for opts in [CompileOptions::unopt(), CompileOptions::best()] {
-        let src = stacked::rgcn_stack(2, 12, 10, 6);
-        let module = hector::compile(&src, &opts);
-        let mut rng = seeded_rng(3);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let (vars, _) = session
-            .run_inference(&module, &graph, &mut params, &bindings)
+        let mut engine = EngineBuilder::from_source(stacked::rgcn_stack(2, 12, 10, 6))
+            .options(opts)
+            .seed(3)
+            .build()
             .unwrap();
-        let got = vars.tensor(module.forward.outputs[0]);
+        engine.bind(&graph).unwrap().forward().unwrap();
+        let (got, params, bindings) = (engine.output(), engine.params(), engine.bindings());
         let expect = rgcn_stack_reference(
             graph.graph(),
             bindings.get("h").unwrap(),
             &cnorm_tensor(&graph),
-            &params,
+            params,
             2,
         );
         assert_close(got, &expect, 1e-3, 1e-4);
@@ -103,22 +99,15 @@ fn two_layer_rgcn_matches_layerwise_reference() {
 #[test]
 fn three_layer_stack_compiles_and_runs() {
     let graph = graph();
-    let src = stacked::rgcn_stack(3, 8, 12, 4);
-    let module = hector::compile(&src, &CompileOptions::best().with_training(true));
+    let mut trainer = EngineBuilder::from_source(stacked::rgcn_stack(3, 8, 12, 4))
+        .seed(4)
+        .build_trainer(Adam::new(0.02))
+        .unwrap();
+    let module = trainer.engine().module();
     assert!(module.fw_kernels.len() >= 6, "three layers of kernels");
-    let mut rng = seeded_rng(4);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-    let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut adam = Adam::new(0.02);
-    let mut losses = Vec::new();
-    for _ in 0..25 {
-        let (_, r) = session
-            .run_training_step(&module, &graph, &mut params, &bindings, &labels, &mut adam)
-            .unwrap();
-        losses.push(r.loss.unwrap());
-    }
+    trainer.bind(&graph).unwrap();
+    trainer.set_labels(cyclic_labels(&graph, 4)).unwrap();
+    let losses = trainer.epoch(25).unwrap().losses;
     assert!(
         losses.last().unwrap() < &(losses[0] - 0.05),
         "deep stack should train: {losses:?}"
@@ -136,15 +125,13 @@ fn stacked_rgat_all_option_combos_agree() {
         CompileOptions::reorder_only(),
         CompileOptions::best(),
     ] {
-        let module = hector::compile(&src, &opts);
-        let mut rng = seeded_rng(5);
-        let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-        let bindings = Bindings::standard(&module.forward, &graph, &mut rng);
-        let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-        let (vars, _) = session
-            .run_inference(&module, &graph, &mut params, &bindings)
+        let mut engine = EngineBuilder::from_source(src.clone())
+            .options(opts)
+            .seed(5)
+            .build()
             .unwrap();
-        outputs.push(vars.tensor(module.forward.outputs[0]).clone());
+        engine.bind(&graph).unwrap().forward().unwrap();
+        outputs.push(engine.output().clone());
     }
     for other in &outputs[1..] {
         assert_close(&outputs[0], other, 2e-3, 2e-4);

@@ -2,10 +2,9 @@
 //! combination, both optimizers make progress, and derived (reordered)
 //! weights stay consistent across steps.
 
-// Exercises the deprecated five-piece Session flow on purpose: these
-// suites pin the low-level substrate the handle API is built on.
-#![allow(deprecated)]
+mod common;
 
+use common::{builder, cyclic_labels, modeled, reseed_features};
 use hector::prelude::*;
 
 fn train_graph(seed: u64) -> GraphData {
@@ -29,22 +28,13 @@ fn losses(
     seed: u64,
 ) -> Vec<f32> {
     let graph = train_graph(seed);
-    let dim = 8;
-    let module = hector::compile_model(kind, dim, dim, &opts.clone().with_training(true));
-    let mut rng = seeded_rng(seed);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let mut rng2 = seeded_rng(seed + 1);
-    let bindings = Bindings::standard(&module.forward, &graph, &mut rng2);
-    let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Real);
-    let mut out = Vec::new();
-    for _ in 0..epochs {
-        let (_, report) = session
-            .run_training_step(&module, &graph, &mut params, &bindings, &labels, optimizer)
-            .unwrap();
-        out.push(report.loss.unwrap());
-    }
-    out
+    let mut engine = builder(kind, 8, opts, seed).training(true).build().unwrap();
+    engine.bind(&graph).unwrap();
+    reseed_features(&mut engine, seed + 1);
+    let labels = cyclic_labels(&graph, 4);
+    (0..epochs)
+        .map(|_| engine.train_step(&labels, optimizer).unwrap().loss.unwrap())
+        .collect()
 }
 
 #[test]
@@ -122,26 +112,16 @@ fn adam_beats_sgd_on_hgt() {
 #[test]
 fn modeled_training_reports_costs_without_loss() {
     let graph = train_graph(11);
-    let module = hector::compile_model(
+    let opts = CompileOptions::best();
+    let report = modeled(
         ModelKind::Rgcn,
         16,
-        16,
-        &CompileOptions::best().with_training(true),
-    );
-    let mut rng = seeded_rng(12);
-    let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-    let mut session = Session::new(DeviceConfig::rtx3090(), Mode::Modeled);
-    let mut sgd = Sgd::new(0.1);
-    let (_, report) = session
-        .run_training_step(
-            &module,
-            &graph,
-            &mut params,
-            &Bindings::new(),
-            &[],
-            &mut sgd,
-        )
-        .unwrap();
+        &opts,
+        true,
+        &graph,
+        DeviceConfig::rtx3090(),
+    )
+    .unwrap();
     assert!(report.loss.is_none());
     assert!(report.backward_us > 0.0);
     assert!(report.forward_us > 0.0);
