@@ -1,11 +1,13 @@
 //! Shared harness utilities for regenerating the paper's tables and
-//! figures.
+//! figures, plus the counting allocator ([`alloc_counter`]) the two
+//! allocation suites share.
 //!
 //! Every `[[bench]] harness = false` binary in this crate reproduces one
 //! table or figure of the paper's evaluation (see `DESIGN.md` §4 for the
 //! index). They share the machinery here: dataset loading at a
 //! configurable scale, a unified way to run Hector and the baselines, and
-//! text-table formatting.
+//! text-table formatting. Wall-clock numbers are not measured here — the
+//! `hector_benchmark` package is the repo's only source of those.
 //!
 //! # Scaling
 //!
@@ -207,88 +209,11 @@ pub fn human_bytes(b: usize) -> String {
     }
 }
 
-pub mod json {
-    //! Minimal machine-readable output for the `perf-regression` CI
-    //! lane: bench targets opt in via the `HECTOR_BENCH_JSON`
-    //! environment variable and append a flat JSON object of numeric
-    //! metrics. No serde — the environment is offline and the format is
-    //! a plain two-level map: `{"<target>": {"<row>": {"<metric>": n}}}`.
-
-    use std::io::Write;
-
-    /// Collects `(row, metric, value)` triples and writes them as JSON
-    /// on [`JsonWriter::finish`] when `HECTOR_BENCH_JSON` is set.
-    pub struct JsonWriter {
-        target: String,
-        path: Option<String>,
-        rows: Vec<(String, Vec<(String, f64)>)>,
-    }
-
-    impl JsonWriter {
-        /// A writer for one bench target; inert unless
-        /// `HECTOR_BENCH_JSON` names an output path.
-        #[must_use]
-        pub fn from_env(target: &str) -> JsonWriter {
-            JsonWriter {
-                target: target.to_string(),
-                path: std::env::var("HECTOR_BENCH_JSON").ok(),
-                rows: Vec::new(),
-            }
-        }
-
-        /// Records one row of named numeric metrics.
-        pub fn record(&mut self, row: &str, metrics: &[(&str, f64)]) {
-            if self.path.is_none() {
-                return;
-            }
-            self.rows.push((
-                row.to_string(),
-                metrics
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), *v))
-                    .collect(),
-            ));
-        }
-
-        /// Serialises and writes the collected metrics (no-op when the
-        /// env var is unset).
-        ///
-        /// # Panics
-        ///
-        /// Panics if the output file cannot be written — in CI a silent
-        /// skip would mask a broken artifact.
-        pub fn finish(self) {
-            let Some(path) = self.path else { return };
-            let mut out = String::from("{");
-            out.push_str(&format!("\"{}\":{{", self.target));
-            for (i, (row, metrics)) in self.rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{row}\":{{"));
-                for (j, (k, v)) in metrics.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let v = if v.is_finite() { *v } else { -1.0 };
-                    out.push_str(&format!("\"{k}\":{v}"));
-                }
-                out.push('}');
-            }
-            out.push_str("}}\n");
-            let mut f = std::fs::File::create(&path)
-                .unwrap_or_else(|e| panic!("HECTOR_BENCH_JSON={path}: {e}"));
-            f.write_all(out.as_bytes())
-                .unwrap_or_else(|e| panic!("HECTOR_BENCH_JSON={path}: {e}"));
-        }
-    }
-}
-
 pub mod alloc_counter {
-    //! Counting global allocator shared by the `interp_alloc` bench
-    //! target and the root `tests/interp_alloc.rs` suite (via the
-    //! `hector` crate's dev-dependency on this lib), so both measure
-    //! allocation *events* with the identical instrument.
+    //! Counting global allocator shared by the root `tests/run_alloc.rs`
+    //! and `tests/interp_alloc.rs` suites (via the `hector` crate's
+    //! dev-dependency on this lib), so both measure allocation *events*
+    //! with the identical instrument.
     //!
     //! Each binary opts in with:
     //!

@@ -1,7 +1,5 @@
 //! The end-to-end compilation pipeline: the `@hector.compile` equivalent.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use hector_ir::builder::ModelSource;
 use hector_ir::{AdjacencyAccess, GemmSchedule, KernelSpec, Program};
 
@@ -99,11 +97,6 @@ impl CompileOptions {
 /// generated source artifacts.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
-    /// Process-unique id stamped by [`compile`] and preserved by `Clone`
-    /// — the key executors cache per-module prepared state under (an
-    /// address, or a name plus kernel counts, can alias between two
-    /// compilations; this cannot).
-    pub id: u64,
     /// Module name (model name).
     pub name: String,
     /// Optimized forward program.
@@ -215,10 +208,7 @@ pub fn compile(src: &ModelSource, options: &CompileOptions) -> CompiledModule {
     }
     pass("compile/codegen", t0);
 
-    static NEXT_ID: AtomicU64 = AtomicU64::new(0);
     CompiledModule {
-        // Relaxed: the counter publishes no other data.
-        id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         name: src.program.name.clone(),
         forward: fw,
         backward,

@@ -5,8 +5,6 @@ use std::collections::HashMap;
 
 use crate::{DeviceConfig, KernelCategory, KernelCost, Phase};
 
-pub use hector_trace::TraceStats;
-
 /// Aggregated metrics for one `(category, phase)` bucket.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CategoryMetrics {
@@ -287,8 +285,8 @@ pub mod module_cache_probe {
 /// activity of `hector-shard`. Process-global like [`ModuleCacheStats`] —
 /// sharded execution spans many per-shard devices, so the numbers live in
 /// a shared probe ([`shard_probe`]) rather than any single device's
-/// counter store, and [`Counters::reset`] / [`Counters::reset_all`] do
-/// not touch them (clear with [`shard_probe::reset`]).
+/// counter store, and [`Counters::reset`] does not touch them (clear
+/// with [`shard_probe::reset`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Partitioning passes performed (initial + delta-forced repartitions).
@@ -327,10 +325,9 @@ impl ShardStats {
     }
 }
 
-/// Process-global probe `hector-shard` reports into. The device crate
-/// hosts the storage (it is the observability leaf of the workspace DAG)
-/// so [`Counters::shard`] can surface sharding activity without a
-/// dependency on the shard crate.
+/// Process-global probe `hector-shard` reports into and
+/// [`shard_probe::snapshot`] reads back. The device crate hosts the
+/// storage because it is the observability leaf of the workspace DAG.
 pub mod shard_probe {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -408,17 +405,16 @@ pub mod shard_probe {
 
 /// Execution-backend statistics for one run (real mode only). Identifies
 /// *which* backend (`hector_runtime::BackendKind`) ran the kernels and
-/// whether its prepared execution plan was reused from the session cache
-/// or rebuilt — a warm run reports `plan_reuses = 1`, `prepares = 0`.
+/// whether the engine's execution plan was built by this run or reused —
+/// a warm run reports `plan_reuses = 1`, `prepares = 0`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Stable backend name ("interp", "specialized"); `""` until a
     /// real-mode run records.
     pub name: &'static str,
-    /// Backend `prepare` invocations (plan builds) this run: 1 on the
-    /// first run of a module, 0 once the session plan cache is warm.
+    /// Plan builds this run: 1 on an engine's first real run, 0 after.
     pub prepares: u64,
-    /// Runs that reused the session's cached execution plan.
+    /// Runs that reused the engine's execution plan.
     pub plan_reuses: u64,
     /// Kernel launches routed through the backend this run.
     pub kernels: u64,
@@ -428,19 +424,20 @@ pub struct BackendStats {
 ///
 /// # Reset contract
 ///
-/// Counters fall into three scopes with distinct lifetimes:
+/// Counters fall into two scopes with distinct lifetimes:
 ///
 /// * **Run-scoped** (kernel buckets, [`ParallelStats`],
 ///   [`ScratchStats`], [`BackendStats`]) — cleared by [`Counters::reset`]
 ///   at the start of every `Engine::forward` / `Engine::train_step`.
-/// * **Epoch-scoped** ([`SamplerStats`]) — survives [`Counters::reset`]
-///   because mini-batch records land *between* runs; cleared only by
-///   [`Counters::reset_sampler`] (or [`Counters::reset_all`]).
-/// * **Process-global probes** ([`ModuleCacheStats`] via
-///   [`Counters::module_cache`], [`ShardStats`] via [`Counters::shard`],
-///   [`TraceStats`] via [`Counters::trace`]) — snapshots of shared state
-///   that no `Counters` method clears; use `ModuleCache::clear` /
-///   [`shard_probe::reset`] / `hector_trace::clear` respectively.
+/// * **Accumulating** ([`SamplerStats`]) — survives [`Counters::reset`]
+///   because mini-batch records land *between* runs; measure an epoch as
+///   the difference of two snapshots.
+///
+/// The process-global probes ([`ModuleCacheStats`] via
+/// [`Counters::module_cache`], [`ShardStats`] via
+/// [`shard_probe::snapshot`], `hector_trace::stats()`) are snapshots of
+/// shared state no `Counters` method clears; use `ModuleCache::clear` /
+/// [`shard_probe::reset`] / `hector_trace::clear` respectively.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
     buckets: HashMap<(KernelCategory, Phase), CategoryMetrics>,
@@ -571,8 +568,8 @@ impl Counters {
     }
 
     /// Records which execution backend this run launches kernels on and
-    /// whether its prepared plan came from the session cache. Called
-    /// once per real-mode run, right after the per-run reset.
+    /// whether its plan was reused. Called once per real-mode run, right
+    /// after the per-run reset.
     pub fn record_backend(&mut self, name: &'static str, plan_reused: bool) {
         let b = &mut self.backend;
         b.name = name;
@@ -618,101 +615,23 @@ impl Counters {
         &self.sampler
     }
 
-    /// Snapshot of the process-wide compiled-module cache. The cache is
-    /// shared across sessions and devices (see [`ModuleCacheStats`]);
-    /// this accessor lives on `Counters` so every observability surface
-    /// hangs off `session.device().counters()`.
+    /// Snapshot of the process-wide compiled-module cache, shared across
+    /// engines and devices (see [`ModuleCacheStats`]).
     #[must_use]
     pub fn module_cache(&self) -> ModuleCacheStats {
         module_cache_probe::snapshot()
-    }
-
-    /// Snapshot of the process-wide sharded-execution probe
-    /// (`hector-shard`). Like [`Counters::module_cache`], this reads
-    /// shared process state and is unaffected by [`Counters::reset`] /
-    /// [`Counters::reset_all`]; clear with
-    /// [`shard_probe::reset`](crate::counters::shard_probe::reset).
-    #[must_use]
-    pub fn shard(&self) -> ShardStats {
-        shard_probe::snapshot()
-    }
-
-    /// Snapshot of the process-wide trace recorder (`hector_trace`):
-    /// whether tracing is enabled and how many events have been
-    /// recorded/dropped across all threads. Like
-    /// [`Counters::module_cache`], this reads shared process state and is
-    /// unaffected by [`Counters::reset`] / [`Counters::reset_all`].
-    #[must_use]
-    pub fn trace(&self) -> TraceStats {
-        hector_trace::stats()
     }
 
     /// Clears the per-run counters (kernel buckets, parallel, scratch,
     /// backend). Sampler statistics survive: they describe a mini-batch
     /// *epoch* spanning many runs — the per-run reset at the start of
     /// each training step must not wipe the batches recorded between
-    /// runs. Clear them explicitly with [`Counters::reset_sampler`].
+    /// runs.
     pub fn reset(&mut self) {
         self.buckets.clear();
         self.parallel = ParallelStats::default();
         self.scratch = ScratchStats::default();
         self.backend = BackendStats::default();
-    }
-
-    /// Clears the epoch-scoped sampler statistics.
-    pub fn reset_sampler(&mut self) {
-        self.sampler = SamplerStats::default();
-    }
-
-    /// Clears everything this store owns: the per-run counters *and* the
-    /// epoch-scoped sampler statistics ([`Counters::reset`] +
-    /// [`Counters::reset_sampler`]). Process-global probes
-    /// ([`Counters::module_cache`], [`Counters::trace`]) are snapshots of
-    /// shared state and remain untouched.
-    pub fn reset_all(&mut self) {
-        self.reset();
-        self.reset_sampler();
-    }
-
-    /// Merges another counter store into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        let p = &mut self.parallel;
-        p.parallel_launches += other.parallel.parallel_launches;
-        p.sequential_launches += other.parallel.sequential_launches;
-        p.chunks += other.parallel.chunks;
-        p.steals += other.parallel.steals;
-        p.gemm_wall_us += other.parallel.gemm_wall_us;
-        p.traversal_wall_us += other.parallel.traversal_wall_us;
-        let s = &mut self.scratch;
-        s.grows += other.scratch.grows;
-        s.bytes = s.bytes.max(other.scratch.bytes);
-        s.steady_kernels += other.scratch.steady_kernels;
-        s.kernels += other.scratch.kernels;
-        s.plan_grows += other.scratch.plan_grows;
-        s.plan_bytes = s.plan_bytes.max(other.scratch.plan_bytes);
-        let b = &mut self.backend;
-        if b.name.is_empty() {
-            b.name = other.backend.name;
-        }
-        b.prepares += other.backend.prepares;
-        b.plan_reuses += other.backend.plan_reuses;
-        b.kernels += other.backend.kernels;
-        let sa = &mut self.sampler;
-        sa.batches += other.sampler.batches;
-        sa.nodes += other.sampler.nodes;
-        sa.edges += other.sampler.edges;
-        sa.sample_wall_us += other.sampler.sample_wall_us;
-        sa.wait_wall_us += other.sampler.wait_wall_us;
-        for (k, m) in &other.buckets {
-            let e = self.buckets.entry(*k).or_default();
-            e.launches += m.launches;
-            e.duration_us += m.duration_us;
-            e.busy_us += m.busy_us;
-            e.flops += m.flops;
-            e.bytes += m.bytes;
-            e.atomics += m.atomics;
-            e.ipc_weighted += m.ipc_weighted;
-        }
     }
 }
 
@@ -767,19 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
-        let cfg = DeviceConfig::rtx3090();
-        let mut a = Counters::new();
-        let mut b = Counters::new();
-        a.record(&cost(KernelCategory::Gemm, Phase::Forward, 1e9), &cfg);
-        b.record(&cost(KernelCategory::Gemm, Phase::Forward, 1e9), &cfg);
-        a.merge(&b);
-        assert_eq!(a.get(KernelCategory::Gemm, Phase::Forward).launches, 2);
-        a.reset();
-        assert_eq!(a.total_launches(), 0);
-    }
-
-    #[test]
     fn parallel_stats_record_merge_reset() {
         let mut c = Counters::new();
         c.record_host_exec(KernelCategory::Gemm, true, 120.0, 8, 3);
@@ -794,11 +700,6 @@ mod tests {
         assert!((p.traversal_wall_us - 85.0).abs() < 1e-12);
         assert!((p.total_wall_us() - 205.0).abs() < 1e-12);
         assert!((p.parallel_fraction() - 2.0 / 3.0).abs() < 1e-12);
-
-        let mut other = Counters::new();
-        other.record_host_exec(KernelCategory::Gemm, false, 1.0, 0, 0);
-        c.merge(&other);
-        assert_eq!(c.parallel().sequential_launches, 2);
 
         c.reset();
         assert_eq!(*c.parallel(), ParallelStats::default());
@@ -849,8 +750,7 @@ mod tests {
     }
 
     /// The shard probe accumulates across records, derives the edge-cut
-    /// fraction safely, and clears only via its own `reset` — never via
-    /// the run-scoped `Counters::reset`.
+    /// fraction safely, and clears via its own `reset`.
     #[test]
     fn shard_probe_records_and_resets() {
         shard_probe::reset();
@@ -860,9 +760,7 @@ mod tests {
         shard_probe::record_exchange(500);
         shard_probe::record_invalidations(2);
         shard_probe::record_delta(3);
-        let mut c = Counters::new();
-        c.reset_all();
-        let s = c.shard();
+        let s = shard_probe::snapshot();
         assert_eq!(s.partitions, 1);
         assert_eq!(s.shards, 4);
         assert!((s.edge_cut_fraction() - 0.25).abs() < 1e-12);
@@ -873,11 +771,11 @@ mod tests {
         assert_eq!(s.delta_batches, 1);
         assert_eq!(s.delta_ops, 3);
         shard_probe::reset();
-        assert_eq!(c.shard(), ShardStats::default());
+        assert_eq!(shard_probe::snapshot(), ShardStats::default());
     }
 
-    /// `reset()` is run-scoped: sampler stats survive it. `reset_all()`
-    /// clears both. Process-global probes are unaffected by either.
+    /// `reset()` is run-scoped: sampler stats survive it and keep
+    /// accumulating.
     #[test]
     fn reset_scopes() {
         let cfg = DeviceConfig::rtx3090();
@@ -895,12 +793,8 @@ mod tests {
         assert_eq!(c.sampler().nodes, 100);
 
         c.record_sampler_batch(10, 5, 2.0, 1.0);
-        c.reset_all();
-        assert_eq!(c.total_launches(), 0);
-        assert_eq!(*c.sampler(), SamplerStats::default());
-
-        // Probe snapshots read process state, not this store.
-        let _ = c.module_cache();
-        let _ = c.trace();
+        c.reset();
+        assert_eq!(c.sampler().batches, 2);
+        assert_eq!(c.sampler().nodes, 110);
     }
 }

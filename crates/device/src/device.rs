@@ -124,13 +124,6 @@ impl Device {
             .record_sampler_batch(nodes, edges, sample_wall_us, wait_wall_us);
     }
 
-    /// Clears the epoch-scoped sampler statistics (they deliberately
-    /// survive [`Device::reset`] — see [`crate::Counters::reset`]), so a
-    /// caller can measure one epoch in isolation.
-    pub fn reset_sampler(&mut self) {
-        self.counters.reset_sampler();
-    }
-
     /// Charges pure host-side API overhead (framework dispatch without a
     /// kernel), as eager per-relation Python loops do.
     pub fn charge_api_call(&mut self) {

@@ -37,7 +37,7 @@ pub use config::DeviceConfig;
 pub use cost::{KernelCategory, KernelCost, Phase};
 pub use counters::{
     module_cache_probe, shard_probe, BackendStats, CategoryMetrics, Counters, ModuleCacheStats,
-    ParallelStats, SamplerStats, ScratchStats, ShardStats, TraceStats,
+    ParallelStats, SamplerStats, ScratchStats, ShardStats,
 };
 pub use device::Device;
 pub use memory::{AllocId, MemoryPool, OomError};

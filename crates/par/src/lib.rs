@@ -3,7 +3,7 @@
 //!
 //! The build environment has no crates.io access, so the rayon-style
 //! work splitting the parallel real-mode executor needs is vendored here,
-//! like the `rand`/`proptest`/`criterion` stand-ins under `crates/vendor/`.
+//! like the `rand`/`proptest` stand-ins under `crates/vendor/`.
 //! The API surface is the small slice Hector uses:
 //!
 //! * [`ThreadPool::scope`] — structured task spawning borrowing stack

@@ -1,21 +1,19 @@
 //! Execution backends: the production executor and its oracle.
 //!
 //! The compiler lowers a model to a sequence of [`KernelSpec`]s; *how*
-//! those kernels execute is a backend decision. An engine routes every
-//! real-mode kernel launch through its `Backend`:
-//!
-//! * `Backend::prepare` runs once per (engine, module) and builds an
-//!   `ExecPlan` of per-kernel prepared state. The plan is cached on
-//!   the engine, keyed on the module's id, so warm runs pay none of the
-//!   analysis and stay allocation-free.
-//! * `Backend::run_kernel` executes one kernel of the plan against an
-//!   `ExecCtx` (graph, parameters, variable buffers, scratch arenas).
+//! those kernels execute is decided once per engine, when its first
+//! real-mode run prepares an `ExecPlan` — one `PreparedKernel` per
+//! lowered kernel — for the engine's module and [`BackendKind`]. Every
+//! later run reuses the plan, so warm runs pay none of the analysis and
+//! stay allocation-free; `ExecPlan::run_kernel` executes one kernel of
+//! it against an `ExecCtx` (graph, parameters, variable buffers, scratch
+//! arenas).
 //!
 //! Two backends, two roles:
 //!
 //! * **`specialized`** ([`BackendKind::Specialized`], the default) is the
 //!   **production executor**. It resolves operands, row maps, stage
-//!   schedules, and aggregation kinds once at `prepare` time into
+//!   schedules, and aggregation kinds once at prepare time into
 //!   micro-op kernels (`spec.rs`), and runs them over row chunks: one
 //!   chunk with aggregates folded in place on a single thread, disjoint
 //!   chunks on the engine's pool with an ordered merge otherwise
@@ -23,7 +21,8 @@
 //! * **`interp`** ([`BackendKind::Interp`]) is the **sequential
 //!   oracle**: the small, obviously-correct row-at-a-time interpreter in
 //!   `exec.rs` that the parity suites compare production against
-//!   (`tests/backend_parity.rs`). It is sequential by definition — it
+//!   (`tests/backend_parity.rs`). Its plan is every kernel
+//!   `PreparedKernel::Oracle`. It is sequential by definition — it
 //!   ignores the engine's thread count and creates no pool — and shares
 //!   only leaf numerics (dot products, elementwise ops, the GEMM row
 //!   microkernels) with production.
@@ -32,19 +31,17 @@
 //! it is a text-only emission target — nothing in this crate executes
 //! it. See `GeneratedCode` in `hector-compiler`.
 
-use std::sync::Arc;
-
 use hector_compiler::CompiledModule;
 use hector_device::Phase;
 use hector_ir::{KernelSpec, Program};
 use hector_par::ThreadPool;
 
+use crate::exec::{exec_gemm, exec_traversal};
 use crate::scratch::Scratch;
 use crate::store::VarStore;
 use crate::{GraphData, ParamStore};
 
 mod chunk;
-mod interp;
 mod spec;
 
 pub(crate) use chunk::WorkerArenas;
@@ -104,7 +101,7 @@ impl BackendKind {
     }
 }
 
-/// Everything a backend needs to execute one kernel: the program and
+/// Everything a prepared kernel needs to execute: the program and
 /// graph being run, parameter and variable stores, the optional thread
 /// pool, and the session-owned scratch arenas. Constructed per kernel
 /// launch.
@@ -119,12 +116,10 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) arenas: &'a mut WorkerArenas,
 }
 
-/// A backend's prepared execution state for one [`CompiledModule`]: the
-/// production executor's micro-op kernels (the oracle prepares
-/// nothing). Built by [`Backend::prepare`], cached by the session, and
-/// keyed to the module it was built from.
+/// The prepared execution state of one [`CompiledModule`] on one
+/// [`BackendKind`]: a [`PreparedKernel`] per lowered kernel. Built once
+/// by [`ExecPlan::prepare`] and kept by the session for its lifetime.
 pub(crate) struct ExecPlan {
-    module_id: u64,
     fw: Vec<PreparedKernel>,
     bw: Vec<PreparedKernel>,
 }
@@ -132,7 +127,6 @@ pub(crate) struct ExecPlan {
 impl std::fmt::Debug for ExecPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecPlan")
-            .field("module_id", &self.module_id)
             .field("fw_kernels", &self.fw.len())
             .field("bw_kernels", &self.bw.len())
             .finish()
@@ -140,71 +134,71 @@ impl std::fmt::Debug for ExecPlan {
 }
 
 impl ExecPlan {
-    fn new(module: &CompiledModule, fw: Vec<PreparedKernel>, bw: Vec<PreparedKernel>) -> ExecPlan {
+    /// Analyses `module` for backend `kind`: the production executor
+    /// resolves each kernel into micro-ops, the oracle's plan is every
+    /// kernel [`PreparedKernel::Oracle`].
+    ///
+    /// Outputs must stay **bit-identical** across kinds —
+    /// `tests/backend_parity.rs` pins forward outputs, losses, and
+    /// trained weights across backends and thread counts.
+    pub(crate) fn prepare(kind: BackendKind, module: &CompiledModule) -> ExecPlan {
+        let prepare = |kernels: &[KernelSpec], program: &Program| match kind {
+            BackendKind::Interp => kernels.iter().map(|_| PreparedKernel::Oracle).collect(),
+            BackendKind::Specialized => spec::compile_kernels(kernels, program),
+        };
         ExecPlan {
-            module_id: module.id,
-            fw,
-            bw,
+            fw: prepare(&module.fw_kernels, &module.forward),
+            bw: match &module.backward {
+                Some(p) => prepare(&module.bw_kernels, p),
+                None => Vec::new(),
+            },
         }
     }
-
-    /// Whether this plan was prepared from `module` — the session's
-    /// cache key for skipping re-preparation on warm runs. Module ids
-    /// are process-unique per compilation, so two modules that merely
-    /// share an address (or a name and kernel counts) never alias.
-    pub(crate) fn matches(&self, module: &CompiledModule) -> bool {
-        self.module_id == module.id
-    }
-
-    fn kernels(&self, phase: Phase) -> &[PreparedKernel] {
-        match phase {
-            Phase::Forward => &self.fw,
-            Phase::Backward => &self.bw,
-        }
-    }
-}
-
-/// An execution strategy for compiled kernel sequences.
-///
-/// Implementations must keep outputs **bit-identical** to the oracle
-/// ([`BackendKind::Interp`]) — `tests/backend_parity.rs` pins forward
-/// outputs, losses, and trained weights across backends and thread
-/// counts.
-pub(crate) trait Backend: std::fmt::Debug + Send + Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Stable backend name (see [`BackendKind::name`]).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Analyses `module` and builds the prepared per-kernel state this
-    /// backend needs. Called once per (session, module); the session
-    /// caches the result so warm runs skip it entirely.
-    fn prepare(&self, module: &CompiledModule) -> ExecPlan;
 
     /// Executes kernel `index` of `phase` (`spec` is
-    /// `module.fw_kernels[index]` / `bw_kernels[index]`, `plan` the
-    /// matching [`Backend::prepare`] result). Returns whether the kernel
-    /// actually split across pool chunks (for
-    /// [`hector_device::ParallelStats`] accounting).
-    fn run_kernel(
+    /// `module.fw_kernels[index]` / `bw_kernels[index]` of the module
+    /// this plan was prepared from). Returns whether the kernel actually
+    /// split across pool chunks (for [`hector_device::ParallelStats`]
+    /// accounting).
+    pub(crate) fn run_kernel(
         &self,
-        plan: &ExecPlan,
         phase: Phase,
         index: usize,
         spec: &KernelSpec,
         ctx: &mut ExecCtx<'_>,
-    ) -> bool;
+    ) -> bool {
+        let kernels = match phase {
+            Phase::Forward => &self.fw,
+            Phase::Backward => &self.bw,
+        };
+        match &kernels[index] {
+            PreparedKernel::Micro(k) => k.run(ctx),
+            PreparedKernel::GradW(k) => k.run(ctx),
+            PreparedKernel::Oracle => run_oracle(spec, ctx),
+        }
+    }
 }
 
-/// Instantiates the backend for `kind`.
-pub(crate) fn create(kind: BackendKind) -> Arc<dyn Backend> {
-    match kind {
-        BackendKind::Interp => Arc::new(interp::InterpBackend),
-        BackendKind::Specialized => Arc::new(spec::SpecializedBackend),
+/// Runs one kernel through the oracle's routines (`exec.rs`): the whole
+/// of [`BackendKind::Interp`], and the production executor's one-chunk
+/// route for weight preps and kernels its resolver declined. Never
+/// splits, so always reports `false`.
+fn run_oracle(spec: &KernelSpec, ctx: &mut ExecCtx<'_>) -> bool {
+    match spec {
+        KernelSpec::Gemm(g) => {
+            exec_gemm(g, ctx.program, ctx.graph, ctx.params, ctx.vars, ctx.scratch);
+        }
+        KernelSpec::Traversal(t) => {
+            exec_traversal(t, ctx.program, ctx.graph, ctx.params, ctx.vars, ctx.scratch);
+        }
+        KernelSpec::Fallback(f) => {
+            if let Some(i) = f.prep_index {
+                ctx.params
+                    .run_prep(&ctx.program.preps[i], ctx.program, ctx.graph);
+            }
+        }
     }
+    false
 }
 
 #[cfg(test)]
@@ -218,14 +212,5 @@ mod tests {
         }
         assert_eq!(BackendKind::from_name("wgpu"), None);
         assert_eq!(BackendKind::default(), BackendKind::Specialized);
-    }
-
-    #[test]
-    fn created_backends_report_their_kind() {
-        for kind in [BackendKind::Interp, BackendKind::Specialized] {
-            let b = create(kind);
-            assert_eq!(b.kind(), kind);
-            assert_eq!(b.name(), kind.name());
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The production executor: prepared micro-op plans run over row chunks.
 //!
-//! [`Backend::prepare`] resolves every scheduling fact of a lowered
+//! [`compile_kernels`] resolves every scheduling fact of a lowered
 //! kernel **once** — each `Operand` match, variable lookup, space and
 //! endpoint decision, aggregation kind, the dst-node pass schedule —
 //! into a [`MicroKernel`]: a list of [`MicroOp`]s over a per-launch table
@@ -43,8 +43,6 @@
 use std::collections::HashSet;
 use std::ops::Range;
 
-use hector_compiler::CompiledModule;
-use hector_device::Phase;
 use hector_ir::{
     AggNorm, BinOp, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
     TraversalDomain, TraversalSpec, TypeIndex, UnOp, VarId, WeightId,
@@ -64,42 +62,7 @@ use crate::{GraphData, ParamStore};
 use super::chunk::{
     buffered_agg_outs, par_traversal_safe, record_chunk_span, ContribBuf, RawRows, RawSlabs,
 };
-use super::interp::run_oracle;
-use super::{Backend, BackendKind, ExecCtx, ExecPlan};
-
-/// The production backend (see module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SpecializedBackend;
-
-impl Backend for SpecializedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Specialized
-    }
-
-    fn prepare(&self, module: &CompiledModule) -> ExecPlan {
-        let fw = compile_kernels(&module.fw_kernels, &module.forward);
-        let bw = match &module.backward {
-            Some(p) => compile_kernels(&module.bw_kernels, p),
-            None => Vec::new(),
-        };
-        ExecPlan::new(module, fw, bw)
-    }
-
-    fn run_kernel(
-        &self,
-        plan: &ExecPlan,
-        phase: Phase,
-        index: usize,
-        spec: &KernelSpec,
-        ctx: &mut ExecCtx<'_>,
-    ) -> bool {
-        match &plan.kernels(phase)[index] {
-            PreparedKernel::Micro(k) => k.run(ctx),
-            PreparedKernel::GradW(k) => k.run(ctx),
-            PreparedKernel::Oracle => run_oracle(spec, ctx),
-        }
-    }
-}
+use super::ExecCtx;
 
 /// One kernel of a prepared plan.
 pub(crate) enum PreparedKernel {
@@ -112,7 +75,8 @@ pub(crate) enum PreparedKernel {
     Oracle,
 }
 
-fn compile_kernels(kernels: &[KernelSpec], program: &Program) -> Vec<PreparedKernel> {
+/// Resolves each lowered kernel of `program` into its prepared form.
+pub(super) fn compile_kernels(kernels: &[KernelSpec], program: &Program) -> Vec<PreparedKernel> {
     kernels
         .iter()
         .map(|spec| match spec {
@@ -847,7 +811,7 @@ impl MicroKernel {
         }
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
+    pub(super) fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
         for &slot in &self.max_outs {
             let t = ctx.vars.get_mut(self.vars[slot]).tensor_mut();
             t.data_mut().fill(f32::NEG_INFINITY);
@@ -900,7 +864,7 @@ impl GradWKernel {
     /// A split launch buckets the rows per type first (one O(m) pass,
     /// ascending within each bucket) and hands each chunk whole type
     /// slabs — the identical association order per slab.
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
+    pub(super) fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
         let graph = ctx.graph;
         let m = graph.rows_of(self.rows);
         let t_count = ctx.params.type_count(self.out_w);

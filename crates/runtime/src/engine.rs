@@ -63,8 +63,6 @@
 //! 3. `random_labels(&mut rng, num_nodes, classes)` (trainers only,
 //!    real mode).
 
-use std::sync::Arc;
-
 use hector_compiler::{CompileOptions, CompiledModule, ModuleCache};
 use hector_device::{Device, DeviceConfig};
 use hector_ir::builder::ModelSource;
@@ -385,9 +383,8 @@ impl EngineBuilder {
         };
         let par = self.par.unwrap_or_else(ParallelConfig::from_env);
         let backend = self.backend.unwrap_or_default();
-        let session = Session::new(self.device, self.mode, par, backend)?;
+        let session = Session::new(module, self.device, self.mode, par, backend)?;
         Ok(Engine {
-            module,
             session,
             seed: self.seed,
             classes,
@@ -437,7 +434,6 @@ struct BoundState {
 /// Built by [`EngineBuilder`]; see the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct Engine {
-    module: Arc<CompiledModule>,
     session: Session,
     seed: u64,
     classes: usize,
@@ -454,7 +450,7 @@ impl Engine {
     /// the same `(source, dims, options)` key).
     #[must_use]
     pub fn module(&self) -> &CompiledModule {
-        &self.module
+        self.session.module()
     }
 
     /// The simulated device (counters, memory state).
@@ -515,9 +511,10 @@ impl Engine {
             });
         }
         let mut rng = seeded_rng(self.seed);
-        let params = ParamStore::init(&self.module.forward, graph, &mut rng);
+        let program = &self.module().forward;
+        let params = ParamStore::init(program, graph, &mut rng);
         let bindings = match self.session.mode() {
-            Mode::Real => Bindings::standard(&self.module.forward, graph, &mut rng),
+            Mode::Real => Bindings::standard(program, graph, &mut rng),
             Mode::Modeled => Bindings::new(),
         };
         self.state = Some(BoundState {
@@ -602,15 +599,13 @@ impl Engine {
     /// memory.
     pub fn forward(&mut self) -> Result<RunReport, HectorError> {
         let state = self.state.as_mut().ok_or_else(not_bound)?;
+        let program = &self.session.module().forward;
         if self.session.mode() == Mode::Real {
-            validate_bindings(&self.module.forward, &state.graph, &state.bindings)?;
+            validate_bindings(program, &state.graph, &state.bindings)?;
         }
-        Ok(self.session.forward(
-            &self.module,
-            &state.graph,
-            &mut state.params,
-            &state.bindings,
-        )?)
+        Ok(self
+            .session
+            .forward(&state.graph, &mut state.params, &state.bindings)?)
     }
 
     /// Runs one training step (forward, NLL loss, backward, optimizer)
@@ -631,12 +626,12 @@ impl Engine {
     ) -> Result<RunReport, HectorError> {
         self.check_trainable()?;
         let state = self.state.as_mut().ok_or_else(not_bound)?;
+        let program = &self.session.module().forward;
         if self.session.mode() == Mode::Real {
-            validate_bindings(&self.module.forward, &state.graph, &state.bindings)?;
-            validate_labels(&self.module.forward, &state.graph, labels)?;
+            validate_bindings(program, &state.graph, &state.bindings)?;
+            validate_labels(program, &state.graph, labels)?;
         }
         Ok(self.session.train_step(
-            &self.module,
             &state.graph,
             &mut state.params,
             &state.bindings,
@@ -681,24 +676,20 @@ impl Engine {
                 ),
             });
         }
+        let program = &self.session.module().forward;
         if self.session.mode() == Mode::Real {
-            validate_bindings(&self.module.forward, graph, bindings)?;
-            validate_labels(&self.module.forward, graph, labels)?;
+            validate_bindings(program, graph, bindings)?;
+            validate_labels(program, graph, labels)?;
         }
-        Ok(self.session.train_step(
-            &self.module,
-            graph,
-            &mut state.params,
-            bindings,
-            labels,
-            optimizer,
-        )?)
+        Ok(self
+            .session
+            .train_step(graph, &mut state.params, bindings, labels, optimizer)?)
     }
 
     /// [`HectorError::InvalidConfig`] unless the module was compiled
     /// for training.
     fn check_trainable(&self) -> Result<(), HectorError> {
-        if self.module.backward.is_none() {
+        if self.module().backward.is_none() {
             return Err(HectorError::InvalidConfig {
                 detail: "module was not compiled for training \
                          (build with .training(true) or build_trainer)"
@@ -723,7 +714,7 @@ impl Engine {
     /// materialised there).
     #[must_use]
     pub fn output(&self) -> &Tensor {
-        self.outputs().tensor(self.module.forward.outputs[0])
+        self.outputs().tensor(self.module().forward.outputs[0])
     }
 
     /// Label classes used when a trainer derives labels for this engine.
@@ -1201,7 +1192,7 @@ impl Trainer {
     /// model's output logits; the current labels stay in place.
     pub fn set_labels(&mut self, labels: Vec<usize>) -> Result<(), HectorError> {
         let state = self.engine.state.as_ref().ok_or_else(not_bound)?;
-        validate_labels(&self.engine.module.forward, &state.graph, &labels)?;
+        validate_labels(&self.engine.module().forward, &state.graph, &labels)?;
         self.labels = labels;
         self.labels_pinned = true;
         Ok(())
@@ -1627,7 +1618,10 @@ mod tests {
             b.was_cache_hit(),
             "second identical engine must not compile"
         );
-        assert!(Arc::ptr_eq(&a.module, &b.module), "one shared module");
+        assert!(
+            std::sync::Arc::ptr_eq(a.session.module(), b.session.module()),
+            "one shared module"
+        );
     }
 
     /// Live-pair preps against the dense-pair reference (all `nt × et`

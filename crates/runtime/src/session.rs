@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use hector_trace::{record_span, span_start, SpanCat};
 
-use crate::backend::{self, Backend, BackendKind, ExecCtx, ExecPlan, WorkerArenas};
+use crate::backend::{BackendKind, ExecCtx, ExecPlan, WorkerArenas};
 use crate::cost::{kernel_cost, var_bytes};
 use crate::error::HectorError;
 use crate::exec::kernel_trace_meta;
@@ -313,11 +313,14 @@ impl RunPlan {
     }
 }
 
-/// The execution stack under one [`crate::Engine`]: a simulated device,
-/// the production executor's pool and arenas, and the persistent run
-/// plan every run goes through.
+/// The execution stack under one [`crate::Engine`]: the compiled module
+/// it runs, a simulated device, the production executor's pool and
+/// arenas, and the persistent run plan every run goes through.
 #[derive(Debug)]
 pub(crate) struct Session {
+    /// The one module this session runs (shared through the module
+    /// cache with every engine built from the same key).
+    module: Arc<CompiledModule>,
     device: Device,
     mode: Mode,
     par: ParallelConfig,
@@ -336,23 +339,23 @@ pub(crate) struct Session {
     /// blocks, contribution buffers, the launch table) — what makes
     /// warm runs allocation-free at every thread count.
     arenas: WorkerArenas,
-    /// The execution backend every real-mode kernel launch routes
-    /// through — see [`crate::backend`].
-    backend: Arc<dyn Backend>,
-    /// The backend's prepared state for the module last run, rebuilt
-    /// only when the module changes — warm runs reuse it.
+    /// Which executor real-mode kernels run on — see [`crate::backend`].
+    backend: BackendKind,
+    /// `module` prepared for `backend`: built by the first real-mode run,
+    /// reused by every later one.
     exec_plan: Option<ExecPlan>,
     /// See [`RunPlan`].
     plan: RunPlan,
 }
 
 impl Session {
-    /// Creates a session on backend `kind`. `num_threads = 1` runs every
-    /// kernel as one chunk (no pool is created); any higher count splits
-    /// real-mode kernels across a work-stealing pool with outputs
-    /// bit-identical to the one-chunk run (see the [`crate::backend`]
-    /// module docs). [`BackendKind::Interp`] is sequential by
-    /// definition: it ignores `par.num_threads` and creates no pool.
+    /// Creates a session running `module` on backend `kind`.
+    /// `num_threads = 1` runs every kernel as one chunk (no pool is
+    /// created); any higher count splits real-mode kernels across a
+    /// work-stealing pool with outputs bit-identical to the one-chunk run
+    /// (see the [`crate::backend`] module docs). [`BackendKind::Interp`]
+    /// is sequential by definition: it ignores `par.num_threads` and
+    /// creates no pool.
     ///
     /// # Errors
     ///
@@ -361,6 +364,7 @@ impl Session {
     /// deadlock or divide by zero downstream; environment-derived
     /// configurations are always valid — this guards hand-built ones).
     pub(crate) fn new(
+        module: Arc<CompiledModule>,
         config: DeviceConfig,
         mode: Mode,
         par: ParallelConfig,
@@ -382,30 +386,22 @@ impl Session {
             None
         };
         Ok(Session {
+            module,
             device: Device::new(config),
             mode,
             par,
             pool,
             scratch: Scratch::new(),
             arenas: WorkerArenas::new(),
-            backend: backend::create(kind),
+            backend: kind,
             exec_plan: None,
             plan: RunPlan::default(),
         })
     }
 
-    /// Ensures `exec_plan` holds this backend's prepared state for
-    /// `module`, rebuilding it on module change. Returns whether an
-    /// existing plan was reused (surfaced through
-    /// [`hector_device::BackendStats`]).
-    fn ensure_plan(&mut self, module: &CompiledModule) -> bool {
-        if let Some(plan) = &self.exec_plan {
-            if plan.matches(module) {
-                return true;
-            }
-        }
-        self.exec_plan = Some(self.backend.prepare(module));
-        false
+    /// The compiled module this session runs.
+    pub(crate) fn module(&self) -> &Arc<CompiledModule> {
+        &self.module
     }
 
     /// The underlying device (counters, memory state).
@@ -575,9 +571,7 @@ impl Session {
                 // Whether the kernel actually split across chunks —
                 // one-chunk launches count as sequential in the
                 // ParallelStats report.
-                let ran_parallel = self
-                    .backend
-                    .run_kernel(exec_plan, phase, ki, spec, &mut ctx);
+                let ran_parallel = exec_plan.run_kernel(phase, ki, spec, &mut ctx);
                 if !matches!(spec, KernelSpec::Fallback(_)) {
                     let wall_us = start.elapsed().as_secs_f64() * 1e6;
                     let bytes = self.scratch.bytes() + self.arenas.bytes();
@@ -636,12 +630,11 @@ impl Session {
     /// (the engine screens caller input first).
     pub(crate) fn forward(
         &mut self,
-        module: &CompiledModule,
         graph: &GraphData,
         params: &mut ParamStore,
         inputs: &Bindings,
     ) -> Result<RunReport, OomError> {
-        self.run(module, graph, params, inputs, None)
+        self.run(graph, params, inputs, None)
     }
 
     /// Runs one full-graph training step: forward, NLL loss against
@@ -662,28 +655,26 @@ impl Session {
     /// both first).
     pub(crate) fn train_step(
         &mut self,
-        module: &CompiledModule,
         graph: &GraphData,
         params: &mut ParamStore,
         inputs: &Bindings,
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
     ) -> Result<RunReport, OomError> {
-        self.run(module, graph, params, inputs, Some((labels, optimizer)))
+        self.run(graph, params, inputs, Some((labels, optimizer)))
     }
 
     /// One run through the persistent plan, with its growth recorded on
     /// the device counters whether or not the run fits.
     fn run(
         &mut self,
-        module: &CompiledModule,
         graph: &GraphData,
         params: &mut ParamStore,
         inputs: &Bindings,
         train: Option<(&[usize], &mut dyn Optimizer)>,
     ) -> Result<RunReport, OomError> {
         let grows_before = self.plan.grows;
-        let res = self.run_phases(module, graph, params, inputs, train);
+        let res = self.run_phases(graph, params, inputs, train);
         self.device
             .record_plan(self.plan.grows - grows_before, self.plan.bytes());
         res
@@ -693,29 +684,33 @@ impl Session {
     /// with `train` — loss, backward kernels, prep chain rule, optimizer.
     fn run_phases(
         &mut self,
-        module: &CompiledModule,
         graph: &GraphData,
         params: &mut ParamStore,
         inputs: &Bindings,
         train: Option<(&[usize], &mut dyn Optimizer)>,
     ) -> Result<RunReport, OomError> {
-        let bw_program = train.as_ref().map(|_| {
-            module
-                .backward
-                .as_ref()
-                .expect("module was not compiled for training")
-        });
+        // An owned handle (a refcount bump, no allocation), so the
+        // `&mut self` helpers below can run beside the module borrow.
+        let module = &Arc::clone(&self.module);
+        let training = train.is_some();
         let run0 = span_start();
         let tr = span_start();
         self.device.reset();
         if self.mode == Mode::Real {
-            let reused = self.ensure_plan(module);
+            // Prepared lazily, so counters attribute the build to the
+            // first real run: `prepares` 1 cold, `plan_reuses` 1 warm.
+            let reused = self.exec_plan.is_some();
+            if !reused {
+                self.exec_plan = Some(ExecPlan::prepare(self.backend, module));
+            }
             self.device.record_backend(self.backend.name(), reused);
         }
         self.device.alloc(graph.structure_bytes(), "graph")?;
         self.device.alloc(params.byte_size(), "weights")?;
         let mut var_count = module.forward.vars.len();
-        if let Some(bw) = bw_program {
+        if training {
+            let bw = module.backward.as_ref();
+            let bw = bw.expect("module was not compiled for training");
             self.device.alloc(params.byte_size(), "weight_grads")?;
             params.zero_grads();
             var_count = var_count.max(bw.vars.len());
@@ -737,12 +732,12 @@ impl Session {
             Phase::Forward,
         )?;
         let mut loss = None;
-        if let (Some((labels, optimizer)), Some(bw)) = (train, bw_program) {
-            loss = self.backward(module, bw, graph, params, labels, optimizer)?;
+        if let Some((labels, optimizer)) = train {
+            loss = self.backward(graph, params, labels, optimizer)?;
         }
         let report = self.report(loss);
         if let Some(t0) = run0 {
-            let name = if bw_program.is_some() {
+            let name = if training {
                 "run/train_step"
             } else {
                 "run/forward"
@@ -758,13 +753,13 @@ impl Session {
     /// optimizer update. Returns the loss (real mode only).
     fn backward(
         &mut self,
-        module: &CompiledModule,
-        bw_program: &Program,
         graph: &GraphData,
         params: &mut ParamStore,
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
     ) -> Result<Option<f32>, OomError> {
+        let module = &Arc::clone(&self.module);
+        let bw_program = module.backward.as_ref().expect("checked by the caller");
         let out_var = *module.forward.outputs.first().expect("model has an output");
         let n_outputs = module.forward.outputs.len();
         let seeds = &bw_program.inputs[..n_outputs];
@@ -869,11 +864,10 @@ impl Session {
 mod tests {
     use super::*;
     use crate::EngineBuilder;
-    use hector_compiler::{compile, CompileOptions};
+    use hector_compiler::CompileOptions;
     use hector_graph::HeteroGraphBuilder;
     use hector_ir::builder::ModelSource;
     use hector_ir::{AggNorm, ModelBuilder};
-    use hector_models::ModelKind;
     use hector_tensor::seeded_rng;
 
     /// Fig. 6(a)-style toy graph.
@@ -1031,38 +1025,5 @@ mod tests {
             .unwrap();
         let err = engine.bind(&toy_graph()).unwrap().forward().unwrap_err();
         assert!(matches!(err, HectorError::Oom(e) if e.capacity == 64));
-    }
-
-    /// Regression: the plan cache used to key on the module's *address*
-    /// (+ name + kernel counts), so two modules occupying one stack slot
-    /// — same model, same kernel counts, different options — shared a
-    /// plan, and the second ran micro-ops built from the first.
-    #[test]
-    fn exec_plan_is_rebuilt_for_a_different_module() {
-        let graph = toy_graph();
-        let session = || {
-            let (cfg, par) = (DeviceConfig::rtx3090(), ParallelConfig::sequential());
-            Session::new(cfg, Mode::Real, par, BackendKind::Specialized).unwrap()
-        };
-        let mut reused = session();
-        for opts in [
-            CompileOptions::compact_only(),
-            CompileOptions::reorder_only(),
-        ] {
-            // One loop-body local: both modules live at the same address.
-            let module = compile(&hector_models::source(ModelKind::Rgat, 8, 8), &opts);
-            let bits = |s: &mut Session| -> Vec<u32> {
-                let mut rng = seeded_rng(5);
-                let mut params = ParamStore::init(&module.forward, &graph, &mut rng);
-                let inputs = Bindings::standard(&module.forward, &graph, &mut rng);
-                s.forward(&module, &graph, &mut params, &inputs).unwrap();
-                let out = s.vars().tensor(module.forward.outputs[0]);
-                out.data().iter().map(|v| v.to_bits()).collect()
-            };
-            let got = bits(&mut reused);
-            let b = *reused.device().counters().backend();
-            assert_eq!((b.prepares, b.plan_reuses), (1, 0), "{}", opts.label());
-            assert_eq!(got, bits(&mut session()), "{}", opts.label());
-        }
     }
 }

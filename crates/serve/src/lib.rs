@@ -122,8 +122,8 @@ pub struct ServeConfig {
     /// Maximum queued requests before [`ServeHandle::submit`] sheds load.
     pub queue_capacity: usize,
     /// Maximum requests folded into one traversal per deployment per
-    /// tick. `1` disables coalescing (the naive baseline the
-    /// `serve_throughput` bench compares against).
+    /// tick. `1` disables coalescing (the naive baseline
+    /// `tests/serve.rs` contrasts traversal counts against).
     pub max_coalesce: usize,
     /// Queue-residency budget per request; exceeded ⇒ [`ServeError::Timeout`].
     pub default_timeout: Duration,
@@ -198,7 +198,8 @@ pub struct DeploymentStats {
     pub shed: u64,
     /// Requests expired in the queue.
     pub timed_out: u64,
-    /// Requests failed by an engine error.
+    /// Requests failed at dispatch: an engine error, or a node a swap /
+    /// delta removed while the request was queued.
     pub failed: u64,
     /// Batched traversals executed (`Engine::forward` calls).
     pub forwards: u64,
@@ -527,7 +528,9 @@ impl ServeHandle {
     /// Rejects immediately with [`ServeError::UnknownDeployment`],
     /// [`ServeError::BadRequest`] (node out of range),
     /// [`ServeError::Overloaded`] (queue full), or
-    /// [`ServeError::ShuttingDown`].
+    /// [`ServeError::ShuttingDown`]. A node that a swap or delta removes
+    /// while the request is queued fails the *ticket* with
+    /// [`ServeError::BadRequest`] instead.
     pub fn submit(&self, deployment: &str, node: usize) -> Result<Ticket, ServeError> {
         self.submit_with_timeout(deployment, &[node], self.inner.config.default_timeout)
     }
@@ -810,15 +813,30 @@ fn run_group(dep: &Deployment, reqs: Vec<Request>) {
     // it (tests and dashboards read stats right after wait()).
     match slot.forward() {
         Ok(_) => {
+            let out = slot.output();
+            // Submit-time range checks saw the graph deployed *then*; a
+            // swap or delta may have installed a smaller one since. Such
+            // a request fails alone — indexing past `out` would panic
+            // under the slot lock and poison the deployment.
+            let in_range = |r: &Request| r.nodes.iter().all(|&n| n < out.rows());
+            let stale = reqs.iter().filter(|r| !in_range(r)).count() as u64;
             dep.stats.forwards.fetch_add(1, Ordering::Relaxed);
             dep.stats
                 .coalesced_requests
                 .fetch_add(coalesced as u64, Ordering::Relaxed);
             dep.stats
                 .completed
-                .fetch_add(coalesced as u64, Ordering::Relaxed);
-            let out = slot.output();
+                .fetch_add(coalesced as u64 - stale, Ordering::Relaxed);
+            dep.stats.failed.fetch_add(stale, Ordering::Relaxed);
             for r in &reqs {
+                if !in_range(r) {
+                    r.ticket.fulfill(Err(ServeError::BadRequest(format!(
+                        "node out of range for '{}' v{version} ({} nodes)",
+                        dep.name,
+                        out.rows()
+                    ))));
+                    continue;
+                }
                 let rows: Vec<Vec<f32>> = r.nodes.iter().map(|&n| out.row(n).to_vec()).collect();
                 r.ticket.fulfill(Ok(Response {
                     rows,
@@ -1005,6 +1023,29 @@ mod tests {
             srv.swap("ghost", builder(), &g2).err(),
             Some(ServeError::UnknownDeployment(_))
         ));
+        srv.shutdown();
+    }
+
+    /// Regression: a request range-checked against the graph deployed at
+    /// submit time used to index past the output of a smaller graph
+    /// swapped in before dispatch, panicking under the slot lock and
+    /// poisoning the deployment for every later caller.
+    #[test]
+    fn request_queued_across_a_shrinking_swap_fails_alone() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        srv.deploy("m", builder(), &graph(13, 96)).unwrap();
+        srv.pause();
+        let stale = srv.submit("m", 95).unwrap();
+        let live = srv.submit("m", 3).unwrap();
+        srv.swap("m", builder(), &graph(14, 48)).unwrap();
+        srv.resume();
+        assert!(matches!(stale.wait(), Err(ServeError::BadRequest(_))));
+        let r = live.wait().unwrap();
+        assert_eq!((r.version, r.coalesced), (2, 2));
+        // The deployment keeps serving.
+        assert_eq!(srv.submit("m", 47).unwrap().wait().unwrap().version, 2);
+        let stats = srv.stats("m").unwrap();
+        assert_eq!((stats.failed, stats.completed), (1, 2));
         srv.shutdown();
     }
 

@@ -45,7 +45,7 @@
 //! destination** (other shards just shift their edge remap tables);
 //! node batches force a full re-partition. Every apply bumps
 //! [`ShardedGraph::version`], which `hector-serve` hot-swap consumes.
-//! Activity is observable via `counters().shard()`
+//! Activity is observable via `hector_device::shard_probe::snapshot()`
 //! ([`hector_device::ShardStats`]).
 
 #![warn(missing_docs)]
@@ -230,7 +230,7 @@ impl std::fmt::Debug for ShardedGraph {
 impl ShardedGraph {
     /// Partitions `full` with the given partitioner. Records the
     /// partitioning's quality numbers into the process-global shard
-    /// probe (`counters().shard()`).
+    /// probe (`hector_device::shard_probe`).
     ///
     /// # Panics
     ///

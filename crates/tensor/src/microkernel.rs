@@ -146,8 +146,7 @@ pub fn gemm_row_blocked(x: &[f32], slab: &[f32], wcols: usize, skip_zero_x: bool
 }
 
 /// Scalar reference for [`gemm_row_blocked`]: the pre-blocking axpy loop
-/// (kept for the bit-identity proptests and the `simd_gemm` bench
-/// baseline).
+/// (kept as the reference of the bit-identity proptests).
 pub fn gemm_row_scalar(x: &[f32], slab: &[f32], wcols: usize, skip_zero_x: bool, y: &mut [f32]) {
     assert_eq!(y.len(), wcols, "output width must equal weight columns");
     if wcols == 0 {
