@@ -424,8 +424,17 @@ fn emit_traversal(p: &Program, t: &TraversalSpec) -> String {
              \x20 return (a == 0.0f && b == 0.0f) ? 0.0f : a / b;\n}\n",
         );
     }
+    // Max-aggregates with a private per-destination accumulator; the
+    // rest go through the CAS helper.
     let max_outs = max_aggregate_outputs(t);
-    if !max_outs.is_empty() && t.atomic {
+    let private_max: Vec<hector_ir::VarId> = t
+        .ops
+        .iter()
+        .filter(|op| t.dst_private(p, &op.kind))
+        .filter_map(|op| op.kind.out_var())
+        .filter(|out| max_outs.contains(out))
+        .collect();
+    if max_outs.len() > private_max.len() {
         s.push_str(
             "__device__ __forceinline__ float atomicMaxFloat(float* addr, float value) {\n\
              \x20 // CAS loop: CUDA has no native float atomicMax.\n\
@@ -442,13 +451,11 @@ fn emit_traversal(p: &Program, t: &TraversalSpec) -> String {
         "__global__ void {}(HectorGraphView g, HectorTensorViews data) {{\n",
         t.name
     ));
-    if !t.atomic {
-        for out in &max_outs {
-            s.push_str(&format!(
-                "  float {}_acc = -INFINITY; // per-thread partial max seed\n",
-                p.var(*out).name
-            ));
-        }
+    for out in &private_max {
+        s.push_str(&format!(
+            "  float {}_acc = -INFINITY; // per-thread partial max seed\n",
+            p.var(*out).name
+        ));
     }
     match t.domain {
         TraversalDomain::Edges => {
@@ -555,11 +562,12 @@ fn emit_traversal(p: &Program, t: &TraversalSpec) -> String {
                     .as_ref()
                     .map(|s0| format!(" * {}", operand_expr(p, s0)))
                     .unwrap_or_default();
+                let atomic = !t.dst_private(p, &op.kind);
                 if *norm == hector_ir::AggNorm::Max {
                     // The host wrapper fills the output with -INFINITY
                     // before launch (see emit_host_wrapper), and
                     // atomicMaxFloat is the CAS helper emitted above.
-                    if t.atomic {
+                    if atomic {
                         format!(
                             "      atomicMaxFloat(&{}[groupKey], {});",
                             p.var(*out).name,
@@ -573,7 +581,7 @@ fn emit_traversal(p: &Program, t: &TraversalSpec) -> String {
                             operand_expr(p, edge_val)
                         )
                     }
-                } else if t.atomic {
+                } else if atomic {
                     format!(
                         "      atomicAdd(&{}[groupKey], {}{});",
                         p.var(*out).name,

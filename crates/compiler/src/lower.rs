@@ -135,13 +135,24 @@ struct Group {
     /// outputs (compact targets, source-endpoint scatters): unreadable
     /// within the same kernel.
     unreadable_defs: HashSet<VarId>,
-    has_agg: bool,
+    has_dst_agg: bool,
     has_non_dst_agg: bool,
+    /// An admitted op relies on the dst-node loop: an edge op reads an
+    /// in-group per-destination value (and is staged one pass after its
+    /// producer), or a nodewise op rides along hoisted.
+    dst_bound: bool,
 }
 
 impl Group {
+    /// Whether the group lowers to a dst-node loop. A group that only
+    /// aggregates per destination does; one that also scatters elsewhere
+    /// (compact rows, source endpoints) runs edge-order with atomics —
+    /// unless an op already relies on the dst-node loop: in edge order
+    /// its staged read would see the partial sum over the edges so far,
+    /// so the loop stays and the scatter rides along as the kernel's
+    /// one atomic store.
     fn dst_grouped(&self) -> bool {
-        self.has_agg && !self.has_non_dst_agg
+        self.has_dst_agg && (!self.has_non_dst_agg || self.dst_bound)
     }
 }
 
@@ -285,17 +296,22 @@ impl<'a> Lowerer<'a> {
     fn admit(&mut self, op: &Op) {
         let sp = op_iter_space(self.p, &op.kind);
         let g = &mut self.group;
-        if g.ops.is_empty() {
-            g.space = Some(sp);
-        } else if sp != IterSpace::Nodes || g.space == Some(IterSpace::Nodes) {
-            // Keep the primary space; nodewise riders don't change it.
+        // The first op sets the primary space; nodewise riders keep it.
+        let gspace = *g.space.get_or_insert(sp);
+        if gspace == IterSpace::Edges {
+            let reads_node_def = op
+                .kind
+                .operands()
+                .any(|o| o.var().is_some_and(|v| g.node_defs.contains(&v)));
+            // Either was only admitted because the group is dst-grouped.
+            g.dst_bound |= sp == IterSpace::Nodes || reads_node_def;
         }
         if let OpKind::NodeAggregate { endpoint, out, .. } = &op.kind {
-            g.has_agg = true;
             let dst_node = self.p.var(*out).space == Space::Node
                 && *endpoint == Endpoint::Dst
                 && sp == IterSpace::Edges;
             if dst_node {
+                g.has_dst_agg = true;
                 g.node_defs.insert(*out);
             } else {
                 g.has_non_dst_agg = true;
@@ -328,9 +344,10 @@ impl<'a> Lowerer<'a> {
             IterSpace::Compact => TraversalDomain::UniquePairs,
             IterSpace::Nodes => TraversalDomain::Nodes,
         };
-        // Kernels that aggregate outside a dst-node loop need atomics
-        // (multiple simultaneous updaters, Algorithm 1/2 note).
-        let atomic = g.has_agg && domain != TraversalDomain::DstNodes;
+        // Aggregates outside a dst-node loop, and scatters riding along
+        // in one, need atomics (multiple simultaneous updaters,
+        // Algorithm 1/2 note). A group with none of them is dst-grouped.
+        let atomic = g.has_non_dst_agg;
         let hoisted = g
             .ops
             .iter()

@@ -4,7 +4,7 @@
 
 use hector_compiler::{compile, CompileOptions};
 use hector_ir::builder::ModelSource;
-use hector_ir::{KernelSpec, OpKind, VarId};
+use hector_ir::{KernelSpec, OpKind, TraversalDomain, VarId};
 use hector_models::{source, ModelKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -135,6 +135,36 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Only a dst-node loop completes a per-destination aggregate before
+    /// a later op reads it (the read is staged one pass after). In edge
+    /// or unique-pair order the read would see the partial sum over the
+    /// rows so far — HGT's backward once did, under compaction.
+    #[test]
+    fn aggregates_are_read_back_only_inside_dst_node_loops(
+        kind in models(),
+        opts in options(),
+    ) {
+        let module = compile(&source(kind, 16, 16), &opts);
+        let kernels = module.fw_kernels.iter().chain(&module.bw_kernels);
+        for k in kernels {
+            let KernelSpec::Traversal(t) = k else { continue };
+            let aggregated: HashSet<VarId> = t
+                .ops
+                .iter()
+                .filter(|o| matches!(o.kind, OpKind::NodeAggregate { .. }))
+                .filter_map(|o| o.kind.out_var())
+                .collect();
+            let mut reads = t.ops.iter().flat_map(|o| o.kind.operands().filter_map(|x| x.var()));
+            let reads_back = reads.any(|v| aggregated.contains(&v));
+            prop_assert!(
+                !reads_back || t.domain == TraversalDomain::DstNodes,
+                "{} ({:?}) reads an aggregate it is still accumulating",
+                t.name,
+                t.domain
+            );
         }
     }
 

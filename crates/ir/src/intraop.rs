@@ -175,7 +175,8 @@ pub struct TraversalSpec {
     /// before touching global memory (applied by default during
     /// lowering, §3.4.1).
     pub partial_agg: bool,
-    /// Whether stores use atomic accumulation.
+    /// Whether any aggregate store uses atomic accumulation (every
+    /// aggregate that is not [`TraversalSpec::dst_private`]).
     pub atomic: bool,
     /// Variables defined and consumed entirely inside this kernel: they
     /// live in registers and are never materialised in global memory
@@ -190,6 +191,22 @@ pub struct TraversalSpec {
     /// the node's edges contributed). Precomputing this here keeps the
     /// interpreter's per-kernel execution allocation-free.
     pub stages: Vec<usize>,
+}
+
+impl TraversalSpec {
+    /// Whether aggregate `kind` of this kernel accumulates into the
+    /// iterated destination's own node row: a private accumulator that
+    /// is complete once the destination's in-edge loop ends, so later
+    /// passes of the same kernel may read it. Every other aggregate
+    /// targets a row other work items update too — an atomic store on
+    /// the GPU, a deferred contribution on the chunked CPU executor —
+    /// and is unreadable inside the kernel.
+    #[must_use]
+    pub fn dst_private(&self, program: &crate::Program, kind: &crate::interop::OpKind) -> bool {
+        use crate::interop::{Endpoint, OpKind, Space};
+        matches!(kind, OpKind::NodeAggregate { out, endpoint: Endpoint::Dst, .. }
+            if self.domain == TraversalDomain::DstNodes && program.var(*out).space == Space::Node)
+    }
 }
 
 /// Stage assignment for a dst-node kernel's fused op list: edgewise ops

@@ -19,18 +19,26 @@
 //!   ([`RawSlabs`]) instead of rows: each chunk owns whole slabs and
 //!   accumulates their rows in ascending row order.
 //!
-//! A kernel whose dataflow would *read* a deferred aggregate
-//! ([`par_traversal_safe`] says no) simply runs as one chunk.
+//! A traversal chunk runs the block-fused loop of [`super::spec`] over
+//! its range: every op over a block of rows, then the next block, with
+//! the kernel's register-local variables in the chunk's own scratch
+//! ([`block_resident`]) — so two chunks never share a local, and the
+//! three rules above cover everything a chunk writes outside it. A
+//! kernel whose dataflow does not fit them runs as one chunk: a dst-node
+//! op reading an in-kernel value at a source endpoint
+//! ([`par_traversal_safe`] says no), and — through the oracle, because
+//! the resolver declines it — one that reads back a deferred aggregate.
 //!
 //! # Pooled worker arenas
 //!
 //! The session owns one [`WorkerArenas`]: a [`WorkerSlot`] per chunk
-//! index (scratch block + contribution buffer), the per-launch
-//! [`RawRows`] table, and the GradW type buckets. Every buffer's
-//! capacity persists across kernels and runs, so warm runs perform
-//! **zero** heap allocations at any thread count (`tests/run_alloc.rs`);
-//! slot growth events are folded into the session scratch counter after
-//! each launch so the device statistics see every allocation.
+//! index (scratch block for GEMM staging and traversal locals, bound-op
+//! list, contribution buffer), the per-launch [`RawRows`] table, and the
+//! GradW type buckets. Every buffer's capacity persists across kernels
+//! and runs, so warm runs perform **zero** heap allocations at any
+//! thread count (`tests/run_alloc.rs`); slot growth events are folded
+//! into the session scratch counter after each launch so the device
+//! statistics see every allocation.
 
 use std::cell::UnsafeCell;
 use std::collections::HashSet;
@@ -42,6 +50,8 @@ use hector_tensor::Tensor;
 
 use crate::scratch::Scratch;
 use crate::store::VarStore;
+
+use super::spec::BoundOp;
 
 /// Records one worker-chunk span (runs on the pool worker that executed
 /// the chunk, so the span lands in that worker's timeline lane). One
@@ -88,13 +98,32 @@ unsafe impl Sync for RawRows {}
 
 impl RawRows {
     pub(crate) fn of(t: &mut Tensor) -> RawRows {
-        let rows = t.shape()[0];
-        let width = t.width();
+        RawRows::at(t.data_mut().as_mut_ptr(), t.shape()[0], t.width())
+    }
+
+    /// `rows` rows of `width` floats from `ptr`: what the row accessors
+    /// take on trust, so it must describe memory the launch keeps live
+    /// (a chunk's scratch block, for views not built from a tensor).
+    pub(crate) fn at(ptr: *mut f32, rows: usize, width: usize) -> RawRows {
+        RawRows { ptr, rows, width }
+    }
+
+    /// A read-only view of `data` as rows of `width` floats.
+    ///
+    /// The result must never reach [`Self::row_mut`] or
+    /// [`Self::rows_mut`]: it points into shared data (weights, an
+    /// inline constant), which the executor only ever binds as an
+    /// operand.
+    pub(crate) fn reading(data: &[f32], width: usize) -> RawRows {
         RawRows {
-            ptr: t.data_mut().as_mut_ptr(),
-            rows,
+            ptr: data.as_ptr().cast_mut(),
+            rows: data.len().checked_div(width).unwrap_or(0),
             width,
         }
+    }
+
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
     }
 
     pub(crate) fn width(&self) -> usize {
@@ -103,36 +132,43 @@ impl RawRows {
 
     /// # Safety
     ///
-    /// The launch is live (see the type docs) and no other chunk writes
-    /// row `r` concurrently.
+    /// The launch is live (see the type docs), `r < self.rows()` — the
+    /// executor checks the range once per bound operand, not per row —
+    /// and no other chunk writes row `r` concurrently.
+    #[inline]
     pub(crate) unsafe fn row(&self, r: usize) -> &[f32] {
-        assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
-        // SAFETY: `r < rows` keeps the range inside the tensor the view
-        // was built from; liveness and non-aliasing are the caller's.
+        debug_assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
+        // SAFETY: `r < rows` (caller) keeps the range inside the buffer
+        // the view was built from; liveness and non-aliasing are the
+        // caller's too.
         unsafe { std::slice::from_raw_parts(self.ptr.add(r * self.width), self.width) }
     }
 
     /// # Safety
     ///
-    /// The launch is live and the calling chunk owns row `r`: no other
-    /// reference to it exists for the returned borrow's lifetime.
+    /// The launch is live, `r < self.rows()`, and the calling chunk owns
+    /// row `r`: no other reference to it exists for the returned
+    /// borrow's lifetime.
     #[allow(clippy::mut_from_ref)]
+    #[inline]
     pub(crate) unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
-        // SAFETY: forwarded to the caller.
-        unsafe { self.rows_mut(&(r..r + 1)) }
+        debug_assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
+        // SAFETY: as in `row`, with exclusivity the caller's.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.width) }
     }
 
     /// The contiguous block of rows `rs`.
     ///
     /// # Safety
     ///
-    /// As [`Self::row_mut`], for every row of `rs`.
+    /// As [`Self::row_mut`], for every row of `rs` (the range itself is
+    /// checked here, once per block).
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn rows_mut(&self, rs: &Range<usize>) -> &mut [f32] {
         let (start, len) = (rs.start * self.width, rs.len() * self.width);
         let inside = rs.start <= rs.end && rs.end <= self.rows;
         assert!(inside, "rows {rs:?} outside a {}-row view", self.rows);
-        // SAFETY: the assert keeps the block inside the tensor the view
+        // SAFETY: the assert keeps the block inside the buffer the view
         // was built from; liveness and exclusivity are the caller's.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
@@ -196,9 +232,12 @@ impl ContribBuf {
     unsafe fn replay(&self, table: &[RawRows]) {
         for c in &self.meta {
             let vals = &self.vals[c.off..c.off + c.len];
-            // SAFETY: every chunk has finished (caller contract), so the
-            // merging thread is the only one touching any row.
-            let row = unsafe { table[c.out].row_mut(c.row) };
+            let view = table[c.out];
+            assert!(c.row < view.rows(), "contribution outside its output");
+            // SAFETY: the row is in range, and every chunk has finished
+            // (caller contract), so the merging thread is the only one
+            // touching any row.
+            let row = unsafe { view.row_mut(c.row) };
             if c.max {
                 for (acc, x) in row.iter_mut().zip(vals) {
                     *acc = acc.max(*x);
@@ -213,11 +252,15 @@ impl ContribBuf {
 }
 
 /// One chunk's pooled working state: a scratch block (scatter-GEMM row
-/// staging) and the deferred-contribution buffer. Reused across kernels
-/// and runs — every buffer grows to its high-water mark once, then warm
-/// runs never allocate.
+/// staging, block-resident locals), the bound-op list of the running
+/// traversal, and the deferred-contribution buffer. Reused across
+/// kernels and runs — every buffer grows to its high-water mark once,
+/// then warm runs never allocate.
 struct WorkerSlot {
     scratch: Scratch,
+    /// Always empty between chunks: only its capacity is pooled, which
+    /// is why the `'static` never names a real borrow.
+    ops: Vec<BoundOp<'static>>,
     buf: ContribBuf,
     /// Scratch growth events already folded into the session counter.
     folded_grows: usize,
@@ -231,6 +274,17 @@ impl WorkerSlot {
         self.folded_grows = total;
         delta
     }
+}
+
+/// What [`WorkerArenas::run_chunks`] hands one chunk of a launch.
+pub(super) struct Chunk<'a> {
+    pub(super) scratch: &'a mut Scratch,
+    /// Pooled storage for the chunk's bound ops (empty on entry; leave
+    /// it empty).
+    pub(super) ops: &'a mut Vec<BoundOp<'static>>,
+    /// Present when the launch split: where contributions to rows that
+    /// may be another chunk's are recorded.
+    pub(super) sink: Option<&'a mut ContribBuf>,
 }
 
 /// Interior-mutable slot cell.
@@ -276,10 +330,14 @@ impl WorkerArenas {
         }
     }
 
-    /// Footprint of the pooled scratch blocks and launch table, bytes.
+    /// Footprint of the pooled scratch blocks, bound-op lists and launch
+    /// table, bytes.
     pub(crate) fn bytes(&mut self) -> usize {
-        let slots = self.slots.iter_mut();
-        slots.map(|c| c.0.get_mut().scratch.bytes()).sum::<usize>()
+        let slot_bytes = |c: &mut SlotCell| {
+            let slot = c.0.get_mut();
+            slot.scratch.bytes() + slot.ops.capacity() * std::mem::size_of::<BoundOp<'_>>()
+        };
+        self.slots.iter_mut().map(slot_bytes).sum::<usize>()
             + self.table.capacity() * std::mem::size_of::<RawRows>()
     }
 
@@ -321,7 +379,7 @@ impl WorkerArenas {
         r
     }
 
-    /// Runs `body(table, range, scratch, sink)` over `0..rows` with the
+    /// Runs `body(table, range, chunk)` over `0..rows` with the
     /// launch table bound to `vars` (`store` stays borrowed for the
     /// whole call, so the table is live throughout). With no `pool` the
     /// whole domain is one chunk on the caller: the sink is `None` and
@@ -331,20 +389,21 @@ impl WorkerArenas {
     /// in ascending chunk order. Returns whether the launch split, and
     /// the slots' scratch growth events for the caller to fold into the
     /// session counter.
-    pub(crate) fn run_chunks(
+    pub(super) fn run_chunks(
         &mut self,
         vars: &[VarId],
         store: &mut VarStore,
         pool: Option<&ThreadPool>,
         min_chunk: usize,
         rows: usize,
-        body: impl Fn(&[RawRows], Range<usize>, &mut Scratch, Option<&mut ContribBuf>) + Sync,
+        body: impl Fn(&[RawRows], Range<usize>, Chunk<'_>) + Sync,
     ) -> (bool, usize) {
         self.bind(vars, store);
         let chunks = pool.map_or(1, |p| chunk_count(rows, min_chunk, p.parallelism()));
         while self.slots.len() < chunks {
             self.slots.push(SlotCell(UnsafeCell::new(WorkerSlot {
                 scratch: Scratch::new(),
+                ops: Vec::new(),
                 buf: ContribBuf::default(),
                 folded_grows: 0,
             })));
@@ -355,8 +414,12 @@ impl WorkerArenas {
             // (see `SlotCell`), so this slot has one user.
             let slot = unsafe { &mut *slots[ci].0.get() };
             slot.buf.clear();
-            let sink = (chunks > 1).then_some(&mut slot.buf);
-            body(table, range, &mut slot.scratch, sink);
+            let chunk = Chunk {
+                scratch: &mut slot.scratch,
+                ops: &mut slot.ops,
+                sink: (chunks > 1).then_some(&mut slot.buf),
+            };
+            body(table, range, chunk);
         };
         let executed = match pool {
             None => {
@@ -431,16 +494,45 @@ impl RawSlabs {
 pub(crate) fn buffered_agg_outs(spec: &TraversalSpec, program: &Program) -> HashSet<VarId> {
     let mut set = HashSet::new();
     for op in &spec.ops {
-        if let OpKind::NodeAggregate { out, endpoint, .. } = &op.kind {
-            let dst_private = spec.domain == TraversalDomain::DstNodes
-                && program.var(*out).space == Space::Node
-                && *endpoint == Endpoint::Dst;
-            if !dst_private {
+        if let OpKind::NodeAggregate { out, .. } = &op.kind {
+            if !spec.dst_private(program, &op.kind) {
                 set.insert(*out);
             }
         }
     }
     set
+}
+
+/// The register-local variables of `spec` that live in block scratch on
+/// the production executor and never get a buffer: those every in-kernel
+/// access addresses through the iterated row itself. In a row domain
+/// that is a local of the iterated space written by a pure op; in a
+/// dst-node kernel an edge-space local (addressed by in-edge position,
+/// so it survives from one pass of a destination to the next) or a
+/// node-space one (one row, the owned destination's) that is written by
+/// a pure op or a dst-private aggregate and never read at a source
+/// endpoint. Anything else — and every local of a kernel the resolver
+/// declines — is materialised like a global.
+pub(crate) fn block_resident(spec: &TraversalSpec, program: &Program) -> Vec<VarId> {
+    let row_space = match spec.domain {
+        TraversalDomain::Edges => Some(Space::Edge),
+        TraversalDomain::UniquePairs => Some(Space::Compact),
+        TraversalDomain::Nodes => Some(Space::Node),
+        TraversalDomain::DstNodes => None,
+    };
+    let resident = |&&v: &&VarId| {
+        let space = program.var(v).space;
+        let in_space = row_space.map_or(space != Space::Compact, |s| s == space);
+        in_space
+            && spec.ops.iter().all(|op| {
+                let at_src = |o: &Operand| matches!(o, Operand::Node(x, Endpoint::Src) if *x == v);
+                let scattered = op.kind.out_var() == Some(v)
+                    && matches!(op.kind, OpKind::NodeAggregate { .. })
+                    && !spec.dst_private(program, &op.kind);
+                !scattered && !op.kind.operands().any(at_src)
+            })
+    };
+    spec.local_vars.iter().filter(resident).copied().collect()
 }
 
 /// Whether the kernel's dataflow permits the chunked execution scheme.

@@ -14,10 +14,13 @@
 //! * **`specialized`** ([`BackendKind::Specialized`], the default) is the
 //!   **production executor**. It resolves operands, row maps, stage
 //!   schedules, and aggregation kinds once at prepare time into
-//!   micro-op kernels (`spec.rs`), and runs them over row chunks: one
-//!   chunk with aggregates folded in place on a single thread, disjoint
-//!   chunks on the engine's pool with an ordered merge otherwise
-//!   (`chunk.rs`). Outputs are bit-identical at every thread count.
+//!   micro-op kernels (`spec.rs`: traversals as one block-fused loop
+//!   whose register-local variables stay in per-chunk scratch;
+//!   `gemm.rs`: the typed-linear tiles), and runs them over row chunks:
+//!   one chunk with aggregates folded in place on a single thread,
+//!   disjoint chunks on the engine's pool with an ordered merge
+//!   otherwise (`chunk.rs`). Outputs are bit-identical at every thread
+//!   count.
 //! * **`interp`** ([`BackendKind::Interp`]) is the **sequential
 //!   oracle**: the small, obviously-correct row-at-a-time interpreter in
 //!   `exec.rs` that the parity suites compare production against
@@ -33,7 +36,7 @@
 
 use hector_compiler::CompiledModule;
 use hector_device::Phase;
-use hector_ir::{KernelSpec, Program};
+use hector_ir::{KernelSpec, Program, VarId};
 use hector_par::ThreadPool;
 
 use crate::exec::{exec_gemm, exec_traversal};
@@ -42,6 +45,7 @@ use crate::store::VarStore;
 use crate::{GraphData, ParamStore};
 
 mod chunk;
+mod gemm;
 mod spec;
 
 pub(crate) use chunk::WorkerArenas;
@@ -155,6 +159,21 @@ impl ExecPlan {
         }
     }
 
+    /// Whether register-local variable `v` of kernel `index` of `phase`
+    /// lives in the executor's block scratch, so the run needs no buffer
+    /// for it. Never on the oracle, which reads and writes every
+    /// variable through the store.
+    pub(crate) fn holds_local(&self, phase: Phase, index: usize, v: VarId) -> bool {
+        self.kernels(phase)[index].holds_local(v)
+    }
+
+    fn kernels(&self, phase: Phase) -> &[PreparedKernel] {
+        match phase {
+            Phase::Forward => &self.fw,
+            Phase::Backward => &self.bw,
+        }
+    }
+
     /// Executes kernel `index` of `phase` (`spec` is
     /// `module.fw_kernels[index]` / `bw_kernels[index]` of the module
     /// this plan was prepared from). Returns whether the kernel actually
@@ -167,12 +186,9 @@ impl ExecPlan {
         spec: &KernelSpec,
         ctx: &mut ExecCtx<'_>,
     ) -> bool {
-        let kernels = match phase {
-            Phase::Forward => &self.fw,
-            Phase::Backward => &self.bw,
-        };
-        match &kernels[index] {
+        match &self.kernels(phase)[index] {
             PreparedKernel::Micro(k) => k.run(ctx),
+            PreparedKernel::Linear(k) => k.run(ctx),
             PreparedKernel::GradW(k) => k.run(ctx),
             PreparedKernel::Oracle => run_oracle(spec, ctx),
         }

@@ -2,10 +2,10 @@
 //!
 //! [`compile_kernels`] resolves every scheduling fact of a lowered
 //! kernel **once** — each `Operand` match, variable lookup, space and
-//! endpoint decision, aggregation kind, the dst-node pass schedule —
-//! into a [`MicroKernel`]: a list of [`MicroOp`]s over a per-launch table
-//! of row views. One routine, [`run_rows`], holds each op's row
-//! semantics; a launch hands it **(row range, aggregate sink)** pairs:
+//! endpoint decision, aggregation kind, the dst-node pass schedule, which
+//! register-local variables never leave the core — into a prepared
+//! kernel. A launch hands each chunk a **(row range, aggregate sink)**
+//! pair:
 //!
 //! * **One chunk** (one thread, or a kernel that must not split): the
 //!   range is the whole domain and the sink is absent — aggregates and
@@ -15,28 +15,30 @@
 //!   chunk and replayed in ascending chunk order (see [`super::chunk`]
 //!   for why that is bit-exact).
 //!
-//! Kernel shapes:
+//! **Traversals** ([`MicroKernel`]) run one block-fused loop. A chunk
+//! binds every op's operands, row maps and output once ([`BoundOp`]),
+//! then walks its rows in blocks of [`BLOCK`] and runs *all* ops over a
+//! block before moving on; dispatch on the op kind is per (op, block),
+//! never per element. Row domains (edges, unique pairs, nodes) block
+//! their range; a dst-node kernel (edge softmax and friends) runs the
+//! same body per destination, passing over blocks of its in-edge list
+//! once per inner pass, with the hoisted node ops and the mid-pass `-inf`
+//! sweep a zero-in-degree destination needs after each pass. The
+//! **register-local** variables of the kernel ([`block_resident`]) are
+//! rows of the chunk's scratch — a block per local, or a destination's
+//! in-edge list — so a fused temporary is written and read back while it
+//! is still in cache and no `[E, w]` tensor exists for it.
 //!
-//! * **Row domains** (edges, unique pairs, nodes) run **op-at-a-time**:
-//!   one tight loop over the chunk's rows per op. `TypedLinear` GEMMs
-//!   are one-op kernels of this shape whose loop walks the chunk as runs
-//!   of rows sharing a weight slab, each run through the segment tiles
-//!   of `hector_tensor::microkernel`. The interchange is bit-exact
-//!   because pure ops are row-local and aggregates fold in ascending
-//!   row order — except where an aggregate's output is read back in the
-//!   same kernel: the reader must observe the *partial* sum over the
-//!   rows so far, so those ops (and everything between them) form a
-//!   per-row window that replays row-major order, and the kernel runs
-//!   as one chunk.
-//! * **Dst-node kernels** (edge softmax and friends) walk each
-//!   destination's in-edges once per inner pass: per-edge ops resolved
-//!   in the edge context, hoisted ops in the node context, with the
-//!   mid-pass `-inf` sweeps a zero-in-degree destination needs.
-//! * **`TypedLinearGradW`** splits over type slabs instead of rows, each
-//!   slab accumulating its rows through the gradient tile.
+//! This is the oracle's row-major order (`for row { for op }`)
+//! interchanged only *inside* a block, which is bit-exact: pure ops are
+//! row-local, and every aggregate output still receives its
+//! contributions in ascending iterated-row order, because the resolver
+//! declines a kernel in which two ops write one output or an op reads
+//! back an aggregate other than the owned destination's (whose reads the
+//! compiler stages into a later pass).
 //!
-//! A kernel the resolver declines (an operand shape outside it, an op
-//! reading its own output, two ops folding into one aggregate) runs
+//! **GEMMs** ([`LinearKernel`], [`GradWKernel`]) are resolved and bound
+//! here and run by [`super::gemm`]. A kernel the resolver declines runs
 //! through the oracle's loop as one chunk; `every_model_kernel_compiles`
 //! pins that no built-in model produces one.
 
@@ -44,35 +46,47 @@ use std::collections::HashSet;
 use std::ops::Range;
 
 use hector_ir::{
-    AggNorm, BinOp, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
-    TraversalDomain, TraversalSpec, TypeIndex, UnOp, VarId, WeightId,
+    AggNorm, BinOp, Endpoint, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
+    TraversalDomain, TraversalSpec, UnOp, VarId, WeightId,
 };
-use hector_tensor::microkernel::{
-    for_each_run, gemm_rows, outer_rows, pack_transposed, Isa, BLOCK_ROWS,
-};
-use hector_tensor::Tensor;
 
 use crate::exec::{
-    apply_binary_into, apply_unary_into, dot, dst_private_max_aggs, max_agg_outputs, sweep_neg_inf,
-    weight_type_index,
+    binary_row, dot, dot_lanes, dst_private_max_aggs, max_agg_outputs, sweep_neg_inf, unary_row,
+    with_binary_fn, with_unary_fn,
 };
-use crate::scratch::Scratch;
 use crate::{GraphData, ParamStore};
 
 use super::chunk::{
-    buffered_agg_outs, par_traversal_safe, record_chunk_span, ContribBuf, RawRows, RawSlabs,
+    block_resident, buffered_agg_outs, par_traversal_safe, Chunk, ContribBuf, RawRows,
 };
+use super::gemm::{compile_gemm, GradWKernel, LinearKernel};
 use super::ExecCtx;
+
+/// Rows a traversal runs every op over before moving to the next rows:
+/// large enough that the per-(op, block) dispatch vanishes and `Edge×1`
+/// attention scalars are short vector loops, small enough that a block
+/// of 64-wide locals stays in L1.
+const BLOCK: usize = 32;
 
 /// One kernel of a prepared plan.
 pub(crate) enum PreparedKernel {
-    /// A traversal or `TypedLinear` GEMM compiled to micro-ops.
+    /// A traversal compiled to micro-ops.
     Micro(MicroKernel),
+    /// A `TypedLinear` GEMM.
+    Linear(LinearKernel),
     /// A `TypedLinearGradW` GEMM (type-slab scheme).
     GradW(GradWKernel),
-    /// No micro-op body — weight-prep fallbacks, and kernels the
+    /// No prepared body — weight-prep fallbacks, and kernels the
     /// resolver declined: the oracle's routine runs it, as one chunk.
     Oracle,
+}
+
+impl PreparedKernel {
+    /// Whether register-local `v` of this kernel lives in block scratch
+    /// and needs no buffer.
+    pub(super) fn holds_local(&self, v: VarId) -> bool {
+        matches!(self, PreparedKernel::Micro(k) if k.locals.iter().any(|l| l.var == v))
+    }
 }
 
 /// Resolves each lowered kernel of `program` into its prepared form.
@@ -91,8 +105,8 @@ pub(super) fn compile_kernels(kernels: &[KernelSpec], program: &Program) -> Vec<
 
 /// Per-row index mapping of a pre-resolved operand or aggregate target,
 /// fixed at prepare time from the row domain and the variable's space.
-#[derive(Clone, Copy, Debug)]
-enum RowMap {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum RowMap {
     /// The iterated row itself.
     This,
     /// Edge row → source node row.
@@ -105,11 +119,11 @@ enum RowMap {
     UniqueRowIdx,
 }
 
-/// An operand with every space/endpoint decision already made:
-/// execution binds the referenced storage once per op per chunk and
-/// indexes it per row — no `Operand` match, no hash lookup in the loop.
-#[derive(Clone, Copy, Debug)]
-enum PreOperand {
+/// An operand (or output) with every space/endpoint decision already
+/// made: a chunk binds the referenced storage once and indexes it per
+/// row — no `Operand` match, no hash lookup in the loop.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum PreOperand {
     /// An inline IR constant (broadcast scalar).
     Const(f32),
     /// Per-edge-type weight vector; the slab index comes from the
@@ -117,68 +131,39 @@ enum PreOperand {
     WVec(WeightId, bool),
     /// A launch-table variable through a prepare-time row map.
     Var(usize, RowMap),
+    /// A block-resident local (index into [`MicroKernel::locals`]).
+    Local(usize),
 }
 
-/// One kernel op compiled for execution over a row range. `a` is the
-/// first operand every op kind reads; `out` the launch-table slot of
-/// the variable it writes.
+/// One fused traversal op compiled for execution over blocks of rows.
 #[derive(Clone, Debug)]
 struct MicroOp {
     a: PreOperand,
-    out: usize,
+    /// The second operand of a dot product or binary op; an aggregate's
+    /// scale.
+    b: Option<PreOperand>,
+    out: PreOperand,
     kind: Kind,
+    /// The row context the op was resolved in (a dst-node kernel's
+    /// hoisted ops see the node, the rest an in-edge).
+    rows: RowDomain,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Kind {
-    Dot(PreOperand),
-    Bin(BinOp, PreOperand),
+    Dot,
+    Bin(BinOp),
     Un(UnOp),
     Agg {
-        scale: Option<PreOperand>,
         max: bool,
-        map: RowMap,
         /// The target row may belong to another chunk: record the
         /// contribution instead of folding it when the launch splits.
         deferred: bool,
     },
-    Linear {
-        weight: WeightId,
-        transpose_w: bool,
-        types: TypeIndex,
-        rows: RowDomain,
-        scale: Option<PreOperand>,
-        /// Accumulate into the mapped row instead of storing row-aligned.
-        scatter: Option<RowMap>,
-    },
-}
-
-impl MicroOp {
-    /// Launch-table slots of the variables this op reads.
-    fn reads(&self) -> impl Iterator<Item = usize> + '_ {
-        let second = match &self.kind {
-            Kind::Dot(b) | Kind::Bin(_, b) => Some(b),
-            Kind::Un(_) => None,
-            Kind::Agg { scale, .. } | Kind::Linear { scale, .. } => scale.as_ref(),
-        };
-        std::iter::once(&self.a)
-            .chain(second)
-            .filter_map(|o| match o {
-                PreOperand::Var(slot, _) => Some(*slot),
-                _ => None,
-            })
-    }
-
-    /// `run_rows` holds a shared view of every operand row and a mutable
-    /// one of the output row at once; they must never be the same row,
-    /// so the resolver declines such an op.
-    fn reads_own_output(&self) -> bool {
-        self.reads().any(|v| v == self.out)
-    }
 }
 
 /// The row space a row-aligned store lands in, per row domain.
-fn space_of(rows: RowDomain) -> Space {
+pub(super) fn space_of(rows: RowDomain) -> Space {
     match rows {
         RowDomain::Edges => Space::Edge,
         RowDomain::UniquePairs => Space::Compact,
@@ -188,22 +173,32 @@ fn space_of(rows: RowDomain) -> Space {
 
 /// Prepare-time operand/op resolution; collects the kernel's variables
 /// into launch-table slot order as it goes.
-struct Resolver<'a> {
-    program: &'a Program,
-    vars: Vec<VarId>,
+pub(super) struct Resolver<'a> {
+    pub(super) program: &'a Program,
+    pub(super) vars: Vec<VarId>,
+    /// The kernel's block-resident locals, in [`MicroKernel::locals`]
+    /// order: resolved to [`PreOperand::Local`], never given a slot.
+    pub(super) resident: Vec<VarId>,
 }
 
 impl Resolver<'_> {
-    fn slot(&mut self, v: VarId) -> usize {
+    pub(super) fn slot(&mut self, v: VarId) -> usize {
         self.vars.iter().position(|&x| x == v).unwrap_or_else(|| {
             self.vars.push(v);
             self.vars.len() - 1
         })
     }
 
+    fn var(&mut self, v: VarId, map: RowMap) -> PreOperand {
+        match self.resident.iter().position(|&x| x == v) {
+            Some(i) => PreOperand::Local(i),
+            None => PreOperand::Var(self.slot(v), map),
+        }
+    }
+
     /// Mirrors the oracle's `read_operand` context × operand table;
     /// `None` for any combination it calls unreachable.
-    fn operand(&mut self, o: &Operand, rows: RowDomain) -> Option<PreOperand> {
+    pub(super) fn operand(&mut self, o: &Operand, rows: RowDomain) -> Option<PreOperand> {
         Some(match o {
             Operand::Const(c) => PreOperand::Const(*c),
             Operand::WeightVec(w) => match rows {
@@ -219,7 +214,7 @@ impl Resolver<'_> {
                     (RowDomain::Nodes, Endpoint::This | Endpoint::Dst) => RowMap::This,
                     _ => return None,
                 };
-                PreOperand::Var(self.slot(*v), map)
+                self.var(*v, map)
             }
             Operand::Edge(v) => {
                 let map = match (rows, self.program.var(*v).space) {
@@ -228,14 +223,14 @@ impl Resolver<'_> {
                     (RowDomain::UniquePairs, Space::Compact) => RowMap::This,
                     _ => return None,
                 };
-                PreOperand::Var(self.slot(*v), map)
+                self.var(*v, map)
             }
         })
     }
 
     /// A row-aligned output: its space must be the iterated domain's.
-    fn aligned_out(&mut self, out: VarId, rows: RowDomain) -> Option<usize> {
-        (self.program.var(out).space == space_of(rows)).then(|| self.slot(out))
+    fn aligned_out(&mut self, out: VarId, rows: RowDomain) -> Option<PreOperand> {
+        (self.program.var(out).space == space_of(rows)).then(|| self.var(out, RowMap::This))
     }
 
     /// One fused traversal op, resolved in the `rows` context.
@@ -245,22 +240,14 @@ impl Resolver<'_> {
         rows: RowDomain,
         deferred: &HashSet<VarId>,
     ) -> Option<MicroOp> {
-        Some(match kind {
-            OpKind::DotProduct { a, b, out } => MicroOp {
-                a: self.operand(a, rows)?,
-                kind: Kind::Dot(self.operand(b, rows)?),
-                out: self.aligned_out(*out, rows)?,
-            },
-            OpKind::Binary { op, a, b, out } => MicroOp {
-                a: self.operand(a, rows)?,
-                kind: Kind::Bin(*op, self.operand(b, rows)?),
-                out: self.aligned_out(*out, rows)?,
-            },
-            OpKind::Unary { op, a, out } => MicroOp {
-                a: self.operand(a, rows)?,
-                kind: Kind::Un(*op),
-                out: self.aligned_out(*out, rows)?,
-            },
+        let (a, b, out, kind) = match kind {
+            OpKind::DotProduct { a, b, out } => {
+                (a, Some(b), self.aligned_out(*out, rows)?, Kind::Dot)
+            }
+            OpKind::Binary { op, a, b, out } => {
+                (a, Some(b), self.aligned_out(*out, rows)?, Kind::Bin(*op))
+            }
+            OpKind::Unary { op, a, out } => (a, None, self.aligned_out(*out, rows)?, Kind::Un(*op)),
             OpKind::NodeAggregate {
                 edge_val,
                 scale,
@@ -275,21 +262,23 @@ impl Resolver<'_> {
                     (RowDomain::UniquePairs, Space::Node, _) => RowMap::UniqueRowIdx,
                     _ => return None,
                 };
-                MicroOp {
-                    a: self.operand(edge_val, rows)?,
-                    kind: Kind::Agg {
-                        scale: match scale {
-                            Some(s) => Some(self.operand(s, rows)?),
-                            None => None,
-                        },
-                        max: *norm == AggNorm::Max,
-                        map,
-                        deferred: deferred.contains(out),
-                    },
-                    out: self.slot(*out),
-                }
+                let kind = Kind::Agg {
+                    max: *norm == AggNorm::Max,
+                    deferred: deferred.contains(out),
+                };
+                (edge_val, scale.as_ref(), self.var(*out, map), kind)
             }
             OpKind::TypedLinear { .. } | OpKind::TypedLinearGradW { .. } => return None,
+        };
+        Some(MicroOp {
+            a: self.operand(a, rows)?,
+            b: match b {
+                Some(b) => Some(self.operand(b, rows)?),
+                None => None,
+            },
+            out,
+            kind,
+            rows,
         })
     }
 }
@@ -302,86 +291,72 @@ struct DstSched {
     edge_ops: Vec<Vec<usize>>,
     /// Per pass: indices of hoisted per-node ops.
     node_ops: Vec<Vec<usize>>,
-    /// Per pass: launch-table slots of the dst-private max-aggregate
-    /// outputs to sweep once the destination's in-edge loop is done.
+    /// Per pass: indices of the dst-private max-aggregates whose output
+    /// row is swept once the destination's in-edge loop is done.
     mid_sweeps: Vec<Vec<usize>>,
 }
 
 /// How a [`MicroKernel`] walks its domain.
 enum Shape {
-    /// `ops[..per_row.start]` op-at-a-time, the `per_row` hazard window
-    /// row-at-a-time, `ops[per_row.end..]` op-at-a-time.
-    Rows {
-        domain: RowDomain,
-        per_row: Range<usize>,
-    },
-    /// Destination nodes with staged inner passes over their in-edges.
+    /// Blocks of the chunk's row range.
+    Rows(RowDomain),
+    /// Destination nodes with staged inner passes over blocks of their
+    /// in-edges.
     DstNodes(DstSched),
 }
 
-/// A traversal or `TypedLinear` kernel compiled to micro-ops.
+/// A register-local variable kept in the chunk's scratch.
+struct LocalVar {
+    var: VarId,
+    width: usize,
+    /// Only row 0 is used (a dst-node kernel's per-destination value)
+    /// rather than one row per block position.
+    one: bool,
+    /// Offset in the chunk's locals block, in rows of one float per
+    /// position.
+    offset: usize,
+}
+
+/// A traversal kernel compiled to micro-ops.
 pub(crate) struct MicroKernel {
-    /// Variables the kernel touches; micro-ops name them by index.
+    /// Buffer-backed variables the kernel touches; micro-ops name them
+    /// by index.
     vars: Vec<VarId>,
+    locals: Vec<LocalVar>,
     ops: Vec<MicroOp>,
-    /// Slots of max-aggregate outputs: seeded `-inf` before the launch
-    /// so the true maximum survives all-negative inputs, swept back to
-    /// `0` afterwards for groups no edge touched.
+    /// Slots of buffer-backed max-aggregate outputs: seeded `-inf`
+    /// before the launch so the true maximum survives all-negative
+    /// inputs, swept back to `0` afterwards for groups no edge touched.
     max_outs: Vec<usize>,
     /// The dataflow forbids splitting: always one chunk.
     solo: bool,
     shape: Shape,
 }
 
-/// The per-row window a row-domain kernel must replay in row-major
-/// order: from the first to the last op involved in an in-kernel
-/// read-back of an aggregate output (empty when there is none). `None`
-/// when two ops write one aggregate output — segmenting would reorder
-/// their interleaved accumulation.
-fn hazard_window(ops: &[MicroOp]) -> Option<Range<usize>> {
-    let mut hazard = vec![false; ops.len()];
-    for (i, m) in ops.iter().enumerate() {
-        if !matches!(m.kind, Kind::Agg { .. }) {
-            continue;
-        }
-        if ops
-            .iter()
-            .enumerate()
-            .any(|(j, o)| j != i && o.out == m.out)
-        {
-            return None;
-        }
-        for (j, o) in ops.iter().enumerate() {
-            if o.reads().any(|v| v == m.out) {
-                hazard[i] = true;
-                hazard[j] = true;
-            }
-        }
-    }
-    Some(
-        match (
-            hazard.iter().position(|&h| h),
-            hazard.iter().rposition(|&h| h),
-        ) {
-            (Some(lo), Some(hi)) => lo..hi + 1,
-            _ => ops.len()..ops.len(),
-        },
-    )
-}
-
 fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKernel> {
     let mut rs = Resolver {
         program,
         vars: Vec::new(),
+        resident: block_resident(spec, program),
     };
     let buffered = buffered_agg_outs(spec, program);
+    // The block interchange keeps the oracle's bits only while no op
+    // sees a partially folded aggregate other than through the staged
+    // passes of a dst-node kernel.
+    let reads_back = |op: &hector_ir::Op| {
+        let mut vars = op.kind.operands().filter_map(Operand::var);
+        vars.any(|v| buffered.contains(&v))
+    };
+    if spec.ops.iter().any(reads_back) {
+        return None;
+    }
     let domain = match spec.domain {
         TraversalDomain::Edges => Some(RowDomain::Edges),
         TraversalDomain::UniquePairs => Some(RowDomain::UniquePairs),
         TraversalDomain::Nodes => Some(RowDomain::Nodes),
         TraversalDomain::DstNodes => None,
     };
-    let mut ops = Vec::with_capacity(spec.ops.len());
+    let mut ops: Vec<MicroOp> = Vec::with_capacity(spec.ops.len());
     for op in &spec.ops {
         // Dst-node kernels: hoisted ops see the node, the rest an in-edge.
         let rows = domain.unwrap_or(if spec.hoisted.contains(&op.id) {
@@ -389,16 +364,21 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKer
         } else {
             RowDomain::Edges
         });
-        ops.push(rs.traversal_op(&op.kind, rows, &buffered)?);
-    }
-    if ops.iter().any(MicroOp::reads_own_output) {
-        return None;
+        let m = rs.traversal_op(&op.kind, rows, &buffered)?;
+        // A bound op holds a shared view of its operand rows and a
+        // mutable one of its output row at once, and two ops folding
+        // into one output would interleave differently per block.
+        let is_out = |o: PreOperand| match (o, m.out) {
+            (PreOperand::Var(x, _), PreOperand::Var(y, _)) => x == y,
+            (x, y) => x == y,
+        };
+        if is_out(m.a) || m.b.is_some_and(is_out) || ops.iter().any(|o| is_out(o.out)) {
+            return None;
+        }
+        ops.push(m);
     }
     let shape = match domain {
-        Some(domain) => Shape::Rows {
-            domain,
-            per_row: hazard_window(&ops)?,
-        },
+        Some(domain) => Shape::Rows(domain),
         None => {
             let passes = spec.stages.iter().copied().max().unwrap_or(0) + 1;
             let mut sched = DstSched {
@@ -414,125 +394,146 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKer
                 }
             }
             for (pass, sweeps) in sched.mid_sweeps.iter_mut().enumerate() {
-                sweeps.extend(dst_private_max_aggs(spec, program, pass).map(|v| rs.slot(v)));
+                sweeps.extend(dst_private_max_aggs(spec, program, pass).map(|(i, _)| i));
             }
             Shape::DstNodes(sched)
         }
     };
-    let windowed = matches!(&shape, Shape::Rows { per_row, .. } if !per_row.is_empty());
+    let mut offset = 0;
+    let locals = rs.resident.iter().map(|&var| {
+        let info = program.var(var);
+        offset += info.width;
+        LocalVar {
+            var,
+            width: info.width,
+            one: domain.is_none() && info.space == Space::Node,
+            offset: offset - info.width,
+        }
+    });
     Some(MicroKernel {
-        max_outs: max_agg_outputs(spec).map(|v| rs.slot(v)).collect(),
-        solo: windowed || !par_traversal_safe(spec, program),
+        locals: locals.collect(),
+        max_outs: max_agg_outputs(spec)
+            .filter_map(|v| match rs.var(v, RowMap::This) {
+                PreOperand::Var(slot, _) => Some(slot),
+                _ => None,
+            })
+            .collect(),
+        solo: !par_traversal_safe(spec, program),
         vars: rs.vars,
         ops,
         shape,
     })
 }
 
-fn compile_gemm(spec: &GemmSpec, program: &Program) -> Option<PreparedKernel> {
-    let mut rs = Resolver {
-        program,
-        vars: Vec::new(),
-    };
-    let rows = spec.rows;
-    Some(match &spec.op.kind {
-        OpKind::TypedLinear {
-            input,
-            weight,
-            transpose_w,
-            scatter,
-            fused_scale,
-            out,
-        } => {
-            // Mirrors the oracle's `scatter_index` table.
-            let scatter = match (scatter, rows) {
-                (None, _) => None,
-                (Some(Endpoint::Src), RowDomain::Edges) => Some(RowMap::Src),
-                (Some(Endpoint::Dst), RowDomain::Edges) => Some(RowMap::Dst),
-                (Some(Endpoint::Src), RowDomain::UniquePairs) => Some(RowMap::UniqueRowIdx),
-                (Some(Endpoint::This), RowDomain::Edges) | (Some(_), RowDomain::Nodes) => {
-                    Some(RowMap::This)
-                }
-                (Some(_), RowDomain::UniquePairs) => return None,
-            };
-            let op = MicroOp {
-                a: rs.operand(input, rows)?,
-                out: match scatter {
-                    None => rs.aligned_out(*out, rows)?,
-                    Some(_) => rs.slot(*out),
-                },
-                kind: Kind::Linear {
-                    weight: *weight,
-                    transpose_w: *transpose_w,
-                    types: spec.weight_index,
-                    rows,
-                    scale: match fused_scale {
-                        Some(s) => Some(rs.operand(s, rows)?),
-                        None => None,
-                    },
-                    scatter,
-                },
-            };
-            if op.reads_own_output() {
-                return None;
-            }
-            PreparedKernel::Micro(MicroKernel {
-                vars: rs.vars,
-                ops: vec![op],
-                max_outs: Vec::new(),
-                solo: false,
-                shape: Shape::Rows {
-                    domain: rows,
-                    per_row: 1..1, // no hazard window
-                },
-            })
-        }
-        OpKind::TypedLinearGradW { x, dy, out_w } => PreparedKernel::GradW(GradWKernel {
-            x: rs.operand(x, rows)?,
-            dy: rs.operand(dy, rows)?,
-            out_w: *out_w,
-            types: spec.weight_index,
-            rows,
-            vars: rs.vars,
-        }),
-        _ => return None,
-    })
-}
-
 /// Everything the chunks of one launch share, read-only.
-struct Launch<'a> {
-    graph: &'a GraphData,
-    params: &'a ParamStore,
-    table: &'a [RawRows],
+pub(super) struct Launch<'a> {
+    pub(super) graph: &'a GraphData,
+    pub(super) params: &'a ParamStore,
+    pub(super) table: &'a [RawRows],
 }
 
-/// A [`PreOperand`] bound to its storage for one op of one chunk.
-enum Bound<'a> {
-    Scalar(f32),
-    Rows(RawRows, Option<&'a [u32]>),
-    WVec(&'a Tensor, &'a [u32]),
+/// Which row of a bound view a row position addresses.
+#[derive(Clone, Copy)]
+pub(super) enum Idx<'a> {
+    /// The iterated row.
+    This,
+    /// The iterated row through a row map (or, for a weight vector, the
+    /// edge-type array).
+    Map(&'a [u32]),
+    /// The owned destination's row (dst-node kernels).
+    Owned,
+    /// The block position: a block-resident local.
+    Pos,
+    /// Row 0: a block-resident per-destination local.
+    One,
+}
+
+/// A [`PreOperand`] bound to its storage for one chunk.
+#[derive(Clone, Copy)]
+pub(super) enum Bound<'a> {
+    Const(f32),
+    Rows(RawRows, Idx<'a>),
 }
 
 impl Bound<'_> {
+    /// The operand at iterated row `r` of a row domain (GEMM kernels,
+    /// which bind through [`Launch::bind`] only).
+    ///
     /// # Safety
     ///
-    /// The launch table this operand was bound from is live, and no
-    /// chunk concurrently writes the row `r` maps to.
+    /// The launch this operand was bound in is live, `r` is a row of the
+    /// domain it was bound for, and no chunk concurrently writes the row.
     #[inline]
-    unsafe fn row(&self, r: usize) -> &[f32] {
+    pub(super) unsafe fn row(&self, r: usize) -> &[f32] {
         match self {
-            Bound::Scalar(v) => std::slice::from_ref(v),
-            // SAFETY: forwarded to the caller.
-            Bound::Rows(t, None) => unsafe { t.row(r) },
-            // SAFETY: forwarded to the caller.
-            Bound::Rows(t, Some(m)) => unsafe { t.row(m[r] as usize) },
-            Bound::WVec(t, et) => t.slab(et[r] as usize),
+            Bound::Const(v) => std::slice::from_ref(v),
+            // SAFETY: `Launch::bind` checked the view against the space
+            // the index lands in; the rest is the caller's.
+            Bound::Rows(t, Idx::This) => unsafe { t.row(r) },
+            // SAFETY: as above.
+            Bound::Rows(t, Idx::Map(m)) => unsafe { t.row(m[r] as usize) },
+            Bound::Rows(..) => unreachable!("block addressing outside a traversal"),
         }
+    }
+
+    /// Resolves the operand's row for every position of `blk`: the one
+    /// place a block looks at the addressing mode. The cursor points
+    /// into `self` for a constant, so it must not outlive the operand.
+    #[inline]
+    fn cursor(&self, blk: &Block<'_>) -> Cursor {
+        fn fill(rows: &mut [usize], row_of: impl Fn(usize) -> usize) {
+            (0..).zip(rows).for_each(|(j, row)| *row = row_of(j));
+        }
+        let mut rows = [0usize; BLOCK];
+        let at = &mut rows[..blk.len];
+        let view = match self {
+            Bound::Const(v) => RawRows::reading(std::slice::from_ref(v), 1),
+            Bound::Rows(t, idx) => {
+                match idx {
+                    Idx::This => fill(at, |j| blk.row(j)),
+                    Idx::Map(m) => fill(at, |j| m[blk.row(j)] as usize),
+                    Idx::Owned => at.fill(blk.v),
+                    Idx::Pos => fill(at, |j| blk.p0 + j),
+                    Idx::One => {}
+                }
+                *t
+            }
+        };
+        debug_assert!(rows[..blk.len].iter().all(|&r| r < view.rows()));
+        Cursor { view, rows }
+    }
+}
+
+/// One operand's rows over a block, ready to index by block position.
+struct Cursor {
+    view: RawRows,
+    rows: [usize; BLOCK],
+}
+
+impl Cursor {
+    /// # Safety
+    ///
+    /// `j` is a position of the block the cursor was made for, under the
+    /// contract of [`BoundOp::run`].
+    #[inline]
+    unsafe fn get(&self, j: usize) -> &[f32] {
+        // SAFETY: forwarded to the caller.
+        unsafe { self.view.row(self.rows[j]) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`Self::get`], and the chunk owns the row.
+    #[allow(clippy::mut_from_ref)]
+    #[inline]
+    unsafe fn get_mut(&self, j: usize) -> &mut [f32] {
+        // SAFETY: forwarded to the caller.
+        unsafe { self.view.row_mut(self.rows[j]) }
     }
 }
 
 impl<'a> Launch<'a> {
-    fn map(&self, map: RowMap) -> Option<&'a [u32]> {
+    pub(super) fn map(&self, map: RowMap) -> Option<&'a [u32]> {
         match map {
             RowMap::This => None,
             RowMap::Src => Some(self.graph.graph().src()),
@@ -542,205 +543,237 @@ impl<'a> Launch<'a> {
         }
     }
 
-    fn bind(&self, o: &PreOperand) -> Bound<'a> {
+    /// Binds `o` for rows of `rows`. This is the range check of every
+    /// later unchecked row access through the result, once per operand
+    /// instead of once per row: the view must cover the whole space the
+    /// row map lands in, and the graph's index arrays only hold rows of
+    /// that space.
+    pub(super) fn bind(&self, o: &PreOperand, rows: RowDomain) -> Bound<'a> {
         match o {
-            PreOperand::Const(c) => Bound::Scalar(*c),
-            PreOperand::WVec(w, unique) => Bound::WVec(
-                self.params.weight(*w),
-                if *unique {
+            PreOperand::Const(c) => Bound::Const(*c),
+            PreOperand::WVec(w, unique) => {
+                let (wt, et) = (self.params.weight(*w), self.graph.graph().num_edge_types());
+                assert!(
+                    wt.shape()[0] >= et,
+                    "weight vector without a slab per edge type"
+                );
+                let etype = if *unique {
                     self.graph.unique_etype()
                 } else {
                     self.graph.graph().etype()
-                },
-            ),
-            PreOperand::Var(slot, map) => Bound::Rows(self.table[*slot], self.map(*map)),
+                };
+                Bound::Rows(RawRows::reading(wt.data(), wt.width()), Idx::Map(etype))
+            }
+            PreOperand::Var(slot, map) => {
+                let view = self.table[*slot];
+                let target = match map {
+                    RowMap::This => self.graph.rows_of(rows),
+                    RowMap::Src | RowMap::Dst | RowMap::UniqueRowIdx => {
+                        self.graph.graph().num_nodes()
+                    }
+                    RowMap::EdgeToUnique => self.graph.compact().num_unique(),
+                };
+                assert!(view.rows() >= target, "variable narrower than its space");
+                Bound::Rows(view, self.map(*map).map_or(Idx::This, Idx::Map))
+            }
+            PreOperand::Local(_) => unreachable!("locals are bound by their kernel"),
         }
     }
 }
 
-/// The rows one chunk may write in place.
-#[derive(Clone, Copy)]
-struct Claim<'a> {
-    /// The chunk's range of the launch domain (destination nodes, in a
-    /// dst-node kernel).
-    rows: &'a Range<usize>,
-    /// The iterated rows are in-edges of claimed destinations (per-edge
-    /// ops of dst-node kernels) rather than claimed rows themselves.
-    via_dst: bool,
+/// One block of a chunk: up to [`BLOCK`] iterated rows — consecutive
+/// from `start`, or the listed in-edges of destination `v` — whose
+/// block-resident locals sit at positions `p0..`.
+struct Block<'a> {
+    ids: Option<&'a [u32]>,
+    start: usize,
+    len: usize,
+    p0: usize,
+    v: usize,
 }
 
-impl Claim<'_> {
-    fn holds(&self, r: usize, graph: &GraphData) -> bool {
-        let key = if self.via_dst {
-            graph.graph().dst()[r] as usize
-        } else {
-            r
-        };
-        self.rows.contains(&key)
+impl<'a> Block<'a> {
+    /// `len` consecutive rows from `start` (for a node-level position of
+    /// a dst-node kernel: the destination itself).
+    fn rows(start: usize, len: usize) -> Block<'a> {
+        Block {
+            ids: None,
+            start,
+            len,
+            p0: 0,
+            v: start,
+        }
+    }
+
+    /// In-edges `ids` of destination `v`, the first at position `p0`.
+    fn in_edges(ids: &'a [u32], p0: usize, v: usize) -> Block<'a> {
+        Block {
+            ids: Some(ids),
+            start: 0,
+            len: ids.len(),
+            p0,
+            v,
+        }
+    }
+
+    /// The iterated row at position `j`.
+    #[inline]
+    fn row(&self, j: usize) -> usize {
+        self.ids.map_or(self.start + j, |ids| ids[j] as usize)
     }
 }
 
-/// Runs one micro-op over `rows` of chunk `own` — the single home of
-/// each op kind's row semantics, performing the identical float
-/// operations in the identical ascending-row order whatever the chunking.
-/// Row-aligned results land directly in the output rows; aggregate and
-/// scatter contributions fold in place, or — when the launch split
-/// (`sink` present) and the target row may be another chunk's — are
-/// recorded in `sink` for the ordered merge.
-///
-/// # Safety
-///
-/// `cx.table` is the live launch table of the kernel `m` belongs to,
-/// and the calling chunk holds `own` exclusively: no other chunk of the
-/// launch writes a row `own` holds, and (when the launch split) the
-/// kernel passed [`par_traversal_safe`], so every operand row is
-/// read-only in this kernel, written by this chunk, or the owned
-/// destination's. With that, each write below targets a row the chunk
-/// owns (row-aligned stores and in-place aggregates assert it; a launch
-/// that did not split owns every row), and since prepare rejects ops
-/// that read their own output, no shared and mutable view of one row
-/// ever coexist.
-unsafe fn run_rows(
-    m: &MicroOp,
-    rows: Range<usize>,
-    own: Claim<'_>,
-    cx: &Launch<'_>,
-    scratch: &mut Scratch,
-    sink: Option<&mut ContribBuf>,
-) {
-    let out = cx.table[m.out];
-    let a = cx.bind(&m.a);
-    match &m.kind {
-        Kind::Dot(b) => {
-            let b = cx.bind(b);
-            for r in rows {
-                debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
-                out.row_mut(r).copy_from_slice(&[dot(a.row(r), b.row(r))]);
-            }
-        }
-        Kind::Bin(op, b) => {
-            let b = cx.bind(b);
-            for r in rows {
-                debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
-                apply_binary_into(*op, a.row(r), b.row(r), out.row_mut(r));
-            }
-        }
-        Kind::Un(op) => {
-            for r in rows {
-                debug_assert!(own.holds(r, cx.graph), "row {r} outside the chunk");
-                apply_unary_into(*op, a.row(r), out.row_mut(r));
-            }
-        }
-        Kind::Agg {
-            scale,
-            max,
-            map,
-            deferred,
-        } => {
-            let scale = scale.as_ref().map(|s| cx.bind(s));
-            let idx = cx.map(*map);
-            let split = sink.is_some();
-            // (value row, target row, scale) of iterated row `r`.
-            let at = |r: usize| {
-                let s = scale.as_ref().map_or(1.0, |b| b.row(r)[0]);
-                (a.row(r), idx.map_or(r, |ix| ix[r] as usize), s)
-            };
-            match sink.filter(|_| *deferred) {
-                Some(buf) => {
-                    for r in rows {
-                        let (x, i, s) = at(r);
-                        if *max {
-                            buf.push(m.out, i, x.iter().copied(), true);
-                        } else {
-                            buf.push(m.out, i, x.iter().map(|v| v * s), false);
+/// A [`MicroOp`] bound for one chunk: nothing left to look up per row.
+pub(super) struct BoundOp<'a> {
+    a: Bound<'a>,
+    /// `Const(1.0)` for an unscaled aggregate.
+    b: Bound<'a>,
+    out: Bound<'a>,
+    kind: Kind,
+    /// Launch-table slot of a deferred aggregate's output.
+    slot: usize,
+    /// What a per-destination local aggregate starts every destination
+    /// from: `0` for sums, `-inf` for maxima.
+    seed: Option<f32>,
+}
+
+impl BoundOp<'_> {
+    /// Runs the op over every row of `blk` — the single home of each op
+    /// kind's row semantics, performing the oracle's float operations in
+    /// ascending row order. Row-aligned results land directly in the
+    /// output rows; aggregate contributions fold in place, or — when the
+    /// launch split (`sink` present) and the target row may be another
+    /// chunk's — are recorded in `sink` for the ordered merge.
+    ///
+    /// # Safety
+    ///
+    /// The op was bound for the calling chunk of a live launch, `blk`
+    /// lies inside that chunk (its rows, or a claimed destination and
+    /// that destination's in-edges, at positions inside the locals
+    /// block), and the chunk holds its range exclusively. With that,
+    /// every row a cursor resolves is inside its view (sized and checked
+    /// at bind time against the space the graph's index arrays land in),
+    /// each write targets a row only this chunk touches (its own rows,
+    /// its scratch, the owned destination; a launch that did not split
+    /// owns every row), every operand row is read-only in this kernel,
+    /// written by this chunk, or the owned destination's
+    /// ([`par_traversal_safe`]), and since prepare rejects ops that read
+    /// their own output no shared and mutable view of one row coexist.
+    unsafe fn run(&self, blk: &Block<'_>, sink: Option<&mut ContribBuf>) {
+        let (a, b, out) = (self.a.cursor(blk), self.b.cursor(blk), self.out.cursor(blk));
+        let rows = 0..blk.len;
+        // SAFETY: every `get`/`get_mut` below is at a position of `blk`,
+        // under this function's contract.
+        unsafe {
+            match self.kind {
+                Kind::Dot => {
+                    let lanes = blk.len - blk.len % 4;
+                    for j in (0..lanes).step_by(4) {
+                        let at = [j, j + 1, j + 2, j + 3];
+                        let dots = dot_lanes(at.map(|j| a.get(j)), at.map(|j| b.get(j)));
+                        for (j, d) in at.into_iter().zip(dots) {
+                            out.get_mut(j).copy_from_slice(&[d]);
                         }
                     }
+                    for j in lanes..blk.len {
+                        out.get_mut(j).copy_from_slice(&[dot(a.get(j), b.get(j))]);
+                    }
                 }
-                None => {
-                    for r in rows {
-                        let (x, i, s) = at(r);
-                        debug_assert!(
-                            !split || own.rows.contains(&i),
-                            "in-place aggregate target {i} is not the chunk-owned destination"
-                        );
-                        let acc = out.row_mut(i);
-                        if *max {
+                Kind::Bin(op) => with_binary_fn!(op, f => rows.for_each(|j| {
+                    binary_row(f, a.get(j), b.get(j), out.get_mut(j));
+                })),
+                Kind::Un(op) => with_unary_fn!(op, f => rows.for_each(|j| {
+                    unary_row(f, a.get(j), out.get_mut(j));
+                })),
+                Kind::Agg { max, deferred } => match sink.filter(|_| deferred) {
+                    Some(buf) => rows.for_each(|j| {
+                        let (x, i) = (a.get(j), out.rows[j]);
+                        if max {
+                            buf.push(self.slot, i, x.iter().copied(), true);
+                        } else {
+                            let s = b.get(j)[0];
+                            buf.push(self.slot, i, x.iter().map(|v| v * s), false);
+                        }
+                    }),
+                    None => rows.for_each(|j| {
+                        let (x, acc) = (a.get(j), out.get_mut(j));
+                        if max {
                             for (acc, v) in acc.iter_mut().zip(x) {
                                 *acc = acc.max(*v);
                             }
                         } else {
+                            let s = b.get(j)[0];
                             for (acc, &v) in acc.iter_mut().zip(x) {
                                 *acc += v * s;
                             }
                         }
-                    }
-                }
+                    }),
+                },
             }
         }
-        Kind::Linear {
-            weight,
-            transpose_w,
-            types,
-            rows: domain,
-            scale,
-            scatter,
-        } => {
-            let scale = scale.as_ref().map(|s| cx.bind(s));
-            let wt = cx.params.weight(*weight);
-            let (t_count, wrows, wcols) = (wt.shape()[0], wt.shape()[1], wt.shape()[2]);
-            let (isa, n) = (Isa::best(), out.width());
-            let idx = scatter.map(|map| cx.map(map));
-            // `x · Wᵀ` packs each run's `Wᵀ` once; scatters stage a block
-            // of rows, row-aligned stores compute in the output rows.
-            let (pack, stage) = scratch.a_and_y(
-                if *transpose_w { wrows * wcols } else { 0 },
-                if idx.is_some() { BLOCK_ROWS * n } else { 0 },
-            );
-            let mut sink = sink;
-            let type_of = |r| weight_type_index(t_count, *types, *domain, r, cx.graph);
-            for_each_run(rows, type_of, |ty, run| {
-                let slab = if *transpose_w {
-                    pack_transposed(wt.slab(ty), wrows, wcols, pack);
-                    &*pack
-                } else {
-                    wt.slab(ty)
-                };
-                for b in run.clone().step_by(BLOCK_ROWS) {
-                    let block = b..(b + BLOCK_ROWS).min(run.end);
-                    let ys = match idx {
-                        None => {
-                            debug_assert!(block.clone().all(|r| own.holds(r, cx.graph)));
-                            out.rows_mut(&block)
-                        }
-                        Some(_) => &mut stage[..block.len() * n],
-                    };
-                    gemm_rows(isa, block.clone().map(|r| a.row(r)), slab, n, ys);
-                    for (r, y) in block.zip(ys.chunks_exact_mut(n.max(1))) {
-                        if let Some(s) = &scale {
-                            let sv = s.row(r)[0];
-                            for v in y.iter_mut() {
-                                *v *= sv;
-                            }
-                        }
-                        if let Some(ix) = idx {
-                            let i = ix.map_or(r, |ix| ix[r] as usize);
-                            match &mut sink {
-                                Some(buf) => buf.push(m.out, i, y.iter().copied(), false),
-                                None => {
-                                    for (acc, v) in out.row_mut(i).iter_mut().zip(&*y) {
-                                        *acc += v;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
+    }
+
+    /// Hands `f` the output row of the node-level position `node` (a
+    /// dst-node kernel's owned destination, or its stand-in in the
+    /// chunk's scratch).
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::run`], for the one-row block `node`.
+    unsafe fn with_out_row(&self, node: &Block<'_>, f: impl FnOnce(&mut [f32])) {
+        // SAFETY: forwarded to the caller.
+        f(unsafe { self.out.cursor(node).get_mut(0) });
     }
 }
 
 impl MicroKernel {
+    /// Binds op `m` for a chunk whose locals block starts at `locals`
+    /// and holds `positions` rows per block-position local.
+    fn bind<'a>(
+        &self,
+        m: &MicroOp,
+        cx: &Launch<'a>,
+        locals: *mut f32,
+        positions: usize,
+    ) -> BoundOp<'a> {
+        let dst_kernel = matches!(self.shape, Shape::DstNodes(_));
+        let bind = |o: &PreOperand| match *o {
+            PreOperand::Local(i) => {
+                let l = &self.locals[i];
+                // SAFETY: the caller sized the block at `locals` for
+                // every local of this kernel at `positions` rows, so the
+                // local's `positions * width` floats from its offset lie
+                // inside it.
+                let at = unsafe { locals.add(l.offset * positions) };
+                let idx = if l.one { Idx::One } else { Idx::Pos };
+                Bound::Rows(RawRows::at(at, positions, l.width), idx)
+            }
+            // Every in-edge of a destination maps back to it.
+            PreOperand::Var(_, RowMap::Dst) if dst_kernel => match cx.bind(o, m.rows) {
+                Bound::Rows(view, _) => Bound::Rows(view, Idx::Owned),
+                constant => constant,
+            },
+            _ => cx.bind(o, m.rows),
+        };
+        let out = bind(&m.out);
+        BoundOp {
+            a: bind(&m.a),
+            b: m.b.as_ref().map_or(Bound::Const(1.0), bind),
+            seed: match (m.kind, &out) {
+                (Kind::Agg { max, .. }, Bound::Rows(_, Idx::One)) => {
+                    Some(if max { f32::NEG_INFINITY } else { 0.0 })
+                }
+                _ => None,
+            },
+            slot: match m.out {
+                PreOperand::Var(slot, _) => slot,
+                _ => usize::MAX,
+            },
+            out,
+            kind: m.kind,
+        }
+    }
+
     /// One chunk's share of the launch: `range` of the kernel's domain.
     ///
     /// # Safety
@@ -749,66 +782,85 @@ impl MicroKernel {
     /// holds `range` exclusively: no other chunk of the launch is given
     /// an overlapping range, and a `solo` kernel is given the whole
     /// domain as its only chunk.
-    unsafe fn run_chunk(
-        &self,
-        range: Range<usize>,
-        cx: &Launch<'_>,
-        scratch: &mut Scratch,
-        mut sink: Option<&mut ContribBuf>,
-    ) {
-        let own = Claim {
-            rows: &range,
-            via_dst: false,
+    unsafe fn run_chunk(&self, range: Range<usize>, cx: &Launch<'_>, chunk: Chunk<'_>) {
+        let Chunk {
+            scratch,
+            ops: pooled,
+            mut sink,
+        } = chunk;
+        let csc = cx.graph.csc();
+        // Rows per local: a block, or (dst-node kernels, whose edge locals
+        // survive from pass to pass) the chunk's longest in-edge list.
+        let positions = match &self.shape {
+            Shape::Rows(_) => BLOCK,
+            Shape::DstNodes(_) => {
+                let degrees = range.clone().map(|v| csc.in_edges(v).len());
+                degrees.max().unwrap_or(0).max(1)
+            }
         };
-        // Every `run_rows` call below inherits this function's contract:
-        // the rows it iterates are `range`'s (row domains), or a claimed
+        let floats = self.locals.iter().map(|l| l.width * positions);
+        // The pooled list is empty, so shortening its element lifetime to
+        // this launch's borrows (covariance) moves no borrow anywhere.
+        let mut ops: Vec<BoundOp<'_>> = std::mem::take(pooled);
+        if ops.capacity() < self.ops.len() {
+            scratch.note_external_grows(1);
+        }
+        let locals = scratch.locals(floats.sum()).as_mut_ptr();
+        ops.extend(self.ops.iter().map(|m| self.bind(m, cx, locals, positions)));
+        // Every `BoundOp::run` below inherits this function's contract:
+        // the rows of a block are `range`'s (row domains), or a claimed
         // destination `v` and `v`'s in-edges (dst-node kernels).
         match &self.shape {
-            Shape::Rows { per_row, .. } => {
-                for m in &self.ops[..per_row.start] {
-                    run_rows(m, range.clone(), own, cx, scratch, sink.as_deref_mut());
-                }
-                if !per_row.is_empty() {
-                    for r in range.clone() {
-                        for m in &self.ops[per_row.clone()] {
-                            run_rows(m, r..r + 1, own, cx, scratch, sink.as_deref_mut());
-                        }
+            Shape::Rows(_) => {
+                for start in range.clone().step_by(BLOCK) {
+                    let blk = Block::rows(start, BLOCK.min(range.end - start));
+                    for op in &ops {
+                        // SAFETY: see above.
+                        unsafe { op.run(&blk, sink.as_deref_mut()) };
                     }
-                }
-                for m in &self.ops[per_row.end..] {
-                    run_rows(m, range.clone(), own, cx, scratch, sink.as_deref_mut());
                 }
             }
             Shape::DstNodes(sched) => {
-                let own_edges = Claim {
-                    via_dst: true,
-                    ..own
-                };
-                let csc = cx.graph.csc();
                 for v in range.clone() {
+                    let node = Block::rows(v, 1);
+                    // The scratch row still holds the previous
+                    // destination's value: start over, exactly as a
+                    // zero-filled (`-inf`-seeded) tensor row would.
+                    for op in &ops {
+                        if let Some(seed) = op.seed {
+                            // SAFETY: the chunk's own scratch row.
+                            unsafe { op.with_out_row(&node, |row| row.fill(seed)) };
+                        }
+                    }
                     for pass in 0..sched.edge_ops.len() {
-                        for &e in csc.in_edges(v) {
-                            let e = e as usize;
+                        for (b, ids) in csc.in_edges(v).chunks(BLOCK).enumerate() {
+                            let blk = Block::in_edges(ids, b * BLOCK, v);
                             for &i in &sched.edge_ops[pass] {
-                                let m = &self.ops[i];
-                                run_rows(m, e..e + 1, own_edges, cx, scratch, sink.as_deref_mut());
+                                // SAFETY: see above.
+                                unsafe { ops[i].run(&blk, sink.as_deref_mut()) };
                             }
                         }
                         // A zero-in-degree `v` still holds the `-inf`
                         // seed, and the hoisted ops below and later
                         // passes read the row mid-kernel — long before
                         // the end-of-launch sweep.
-                        for &out in &sched.mid_sweeps[pass] {
-                            sweep_neg_inf(cx.table[out].row_mut(v));
+                        for &i in &sched.mid_sweeps[pass] {
+                            // SAFETY: the owned destination's row (or its
+                            // stand-in in the chunk's scratch).
+                            unsafe { ops[i].with_out_row(&node, sweep_neg_inf) };
                         }
                         for &i in &sched.node_ops[pass] {
-                            let m = &self.ops[i];
-                            run_rows(m, v..v + 1, own, cx, scratch, sink.as_deref_mut());
+                            // SAFETY: see above.
+                            unsafe { ops[i].run(&node, sink.as_deref_mut()) };
                         }
                     }
                 }
             }
         }
+        ops.clear();
+        // SAFETY: the vector is empty, and a lifetime parameter does not
+        // change `BoundOp`'s layout: only the allocation changes hands.
+        *pooled = unsafe { std::mem::transmute::<Vec<BoundOp<'_>>, Vec<BoundOp<'static>>>(ops) };
     }
 
     pub(super) fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
@@ -818,7 +870,7 @@ impl MicroKernel {
         }
         let graph = ctx.graph;
         let rows = match &self.shape {
-            Shape::Rows { domain, .. } => graph.rows_of(*domain),
+            Shape::Rows(domain) => graph.rows_of(*domain),
             Shape::DstNodes(_) => graph.graph().num_nodes(),
         };
         let params: &ParamStore = ctx.params;
@@ -828,7 +880,7 @@ impl MicroKernel {
             ctx.pool.filter(|_| !self.solo),
             ctx.min_chunk,
             rows,
-            |table, range, scratch, sink| {
+            |table, range, chunk| {
                 let cx = Launch {
                     graph,
                     params,
@@ -838,7 +890,7 @@ impl MicroKernel {
                 // this kernel's variables, live until it returns;
                 // `run_chunks` hands every chunk a disjoint `range`,
                 // and a `solo` kernel got no pool — one chunk.
-                unsafe { self.run_chunk(range, &cx, scratch, sink) };
+                unsafe { self.run_chunk(range, &cx, chunk) };
             },
         );
         ctx.scratch.note_external_grows(grows);
@@ -849,110 +901,58 @@ impl MicroKernel {
     }
 }
 
-/// A `TypedLinearGradW` kernel: `dW[type(r)] += x[r]ᵀ · dy[r]`.
-pub(crate) struct GradWKernel {
-    vars: Vec<VarId>,
-    x: PreOperand,
-    dy: PreOperand,
-    out_w: WeightId,
-    types: TypeIndex,
-    rows: RowDomain,
-}
-
-impl GradWKernel {
-    /// One chunk walks the rows as runs of one type, in ascending order.
-    /// A split launch buckets the rows per type first (one O(m) pass,
-    /// ascending within each bucket) and hands each chunk whole type
-    /// slabs — the identical association order per slab.
-    pub(super) fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
-        let graph = ctx.graph;
-        let m = graph.rows_of(self.rows);
-        let t_count = ctx.params.type_count(self.out_w);
-        let type_of = |r: usize| weight_type_index(t_count, self.types, self.rows, r, graph);
-        let n = ctx.params.grad(self.out_w).shape()[2];
-        let slabs = RawSlabs::of(ctx.params.grad_mut(self.out_w));
-        let (params, pool): (&ParamStore, _) = (ctx.params, ctx.pool);
-        let launch = |table: &[RawRows], buckets: &mut [Vec<u32>]| {
-            let cx = Launch {
-                graph,
-                params,
-                table,
-            };
-            let (x, dy, isa) = (cx.bind(&self.x), cx.bind(&self.dy), Isa::best());
-            let accumulate = |rows: &mut dyn Iterator<Item = usize>, slab: &mut [f32]| {
-                // SAFETY: `table` is live for this whole closure, and `x`
-                // and `dy` are variables, which a weight-gradient kernel
-                // only reads.
-                let rows = rows.map(|r| unsafe { (x.row(r), dy.row(r)) });
-                outer_rows(isa, rows, n, slab);
-            };
-            // A single shared slab has no type parallelism.
-            let Some(pool) = pool.filter(|_| t_count >= 2 && m > 0) else {
-                for_each_run(0..m, type_of, |ty, mut run| {
-                    // SAFETY: the only chunk owns every slab, one at a time.
-                    accumulate(&mut run, unsafe { slabs.slab_mut(ty) });
-                });
-                return false;
-            };
-            for r in 0..m {
-                buckets[type_of(r)].push(r as u32);
-            }
-            let buckets: &[Vec<u32>] = buckets;
-            pool.for_each_chunk(t_count, 1, |ci, types| {
-                let tw = hector_trace::span_start();
-                let n_types = types.len();
-                for ty in types {
-                    // SAFETY: chunks claim disjoint ranges of type
-                    // slabs; rows of other types are never touched.
-                    let slab = unsafe { slabs.slab_mut(ty) };
-                    accumulate(&mut buckets[ty].iter().map(|&r| r as usize), slab);
-                }
-                record_chunk_span(tw, n_types, ci);
-            });
-            true
-        };
-        ctx.arenas.with_table(&self.vars, ctx.vars, t_count, launch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hector_compiler::{compile, CompileOptions};
 
-    /// "Specialized × threads composes" as a checked fact: every
-    /// traversal and GEMM kernel of every built-in model, under every
-    /// option combination, forward and backward, compiles to a micro-op
-    /// body — the resolver never hands a kernel back to the oracle.
-    #[test]
-    fn every_model_kernel_compiles() {
-        for kind in hector_models::ModelKind::all() {
-            for opts in [
-                CompileOptions::unopt(),
-                CompileOptions::compact_only(),
-                CompileOptions::reorder_only(),
-                CompileOptions::best(),
+    /// `check(where, lowered kernel, prepared kernel)` for every kernel
+    /// of every built-in model × option combination, forward and backward.
+    fn for_each_model_kernel(check: impl Fn(&str, &KernelSpec, &PreparedKernel)) {
+        let combos = [
+            CompileOptions::unopt(),
+            CompileOptions::compact_only(),
+            CompileOptions::reorder_only(),
+            CompileOptions::best(),
+        ];
+        for (kind, opts) in hector_models::ModelKind::all()
+            .into_iter()
+            .flat_map(|kind| combos.iter().map(move |opts| (kind, opts)))
+        {
+            let src = hector_models::source(kind, 8, 8);
+            let module = compile(&src, &opts.clone().with_training(true));
+            let bw = module.backward.as_ref().expect("compiled for training");
+            for (phase, kernels, program) in [
+                ("fw", &module.fw_kernels, &module.forward),
+                ("bw", &module.bw_kernels, bw),
             ] {
-                let src = hector_models::source(kind, 8, 8);
-                let module = compile(&src, &opts.with_training(true));
-                let bw = module.backward.as_ref().expect("compiled for training");
-                for (phase, kernels, program) in [
-                    ("fw", &module.fw_kernels, &module.forward),
-                    ("bw", &module.bw_kernels, bw),
-                ] {
-                    let prepared = compile_kernels(kernels, program);
-                    for (spec, k) in kernels.iter().zip(&prepared) {
-                        let declined = matches!(k, PreparedKernel::Oracle);
-                        assert_eq!(
-                            declined,
-                            matches!(spec, KernelSpec::Fallback(_)),
-                            "{} / {} / {phase}: {spec:?}",
-                            kind.name(),
-                            module.options.label()
-                        );
-                    }
+                let at = format!("{} / {} / {phase}", kind.name(), opts.label());
+                for (spec, k) in kernels.iter().zip(&compile_kernels(kernels, program)) {
+                    check(&format!("{at}: {spec:?}"), spec, k);
                 }
             }
         }
+    }
+
+    /// "Specialized × threads composes" as a checked fact: every
+    /// traversal and GEMM kernel compiles to a prepared body — the
+    /// resolver never hands a kernel back to the oracle.
+    #[test]
+    fn every_model_kernel_compiles() {
+        for_each_model_kernel(|at, spec, k| {
+            let declined = matches!(k, PreparedKernel::Oracle);
+            assert_eq!(declined, matches!(spec, KernelSpec::Fallback(_)), "{at}");
+        });
+    }
+
+    /// Register-local means register-local: no local variable of any
+    /// model needs a buffer.
+    #[test]
+    fn every_model_local_is_block_resident() {
+        for_each_model_kernel(|at, spec, k| {
+            if let KernelSpec::Traversal(t) = spec {
+                assert!(t.local_vars.iter().all(|&v| k.holds_local(v)), "{at}");
+            }
+        });
     }
 }

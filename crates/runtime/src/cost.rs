@@ -151,7 +151,7 @@ pub fn traversal_cost(
             OpKind::NodeAggregate { edge_val, out, .. } => {
                 let w = operand_width(program, edge_val);
                 c.flops += rows * w * 2.0;
-                if t.atomic {
+                if !t.dst_private(program, &op.kind) {
                     c.atomic_ops += rows * w;
                     // Warp-aggregated read-modify-write traffic.
                     c.bytes_written += 2.0 * rows * w * 4.0 / 4.0;

@@ -1269,6 +1269,68 @@ mod tests {
         }))
     }
 
+    /// After a warm production step no register-local variable has a
+    /// buffer in the plan, and the executor's scratch is a few blocks —
+    /// `(BLOCK + max in-degree) × Σ widths` per chunk, plus GEMM staging
+    /// — where the locals used to be `[E, w]` tensors.
+    #[test]
+    fn plan_holds_no_buffer_for_block_resident_locals() {
+        let graph = GraphData::new(generate(&DatasetSpec {
+            name: "locals".into(),
+            num_nodes: 40,
+            num_node_types: 2,
+            num_edges: 4_000,
+            num_edge_types: 3,
+            compaction_ratio: 0.3,
+            type_skew: 1.0,
+            seed: 9,
+        }));
+        let (dim, edges) = (8, graph.graph().num_edges());
+        let max_in_degree = *graph.graph().in_degree().iter().max().unwrap() as usize;
+        for kind in ModelKind::all() {
+            let mut trainer = EngineBuilder::new(kind)
+                .dims(dim, dim)
+                .parallel(ParallelConfig::sequential())
+                .build_trainer(Adam::new(0.01))
+                .unwrap();
+            trainer.bind(&graph).unwrap();
+            trainer.step().unwrap();
+            trainer.step().unwrap();
+            let engine = trainer.engine();
+            let vars = engine.session.vars();
+            let module = engine.module();
+            let bw = module.backward.as_ref().unwrap();
+            let (mut locals, mut widest) = (0, 0);
+            for (kernels, program) in [
+                (&module.fw_kernels, &module.forward),
+                (&module.bw_kernels, bw),
+            ] {
+                for spec in kernels {
+                    let hector_ir::KernelSpec::Traversal(t) = spec else {
+                        continue;
+                    };
+                    for &v in &t.local_vars {
+                        assert!(!vars.contains(v), "{kind:?}: local {v:?} has a buffer");
+                    }
+                    locals += t.local_vars.len();
+                    widest = widest.max(t.local_vars.iter().map(|&v| program.var(v).width).sum());
+                }
+            }
+            assert!(locals > 0, "{kind:?} fuses temporaries");
+            let gemm_staging = dim * dim + hector_tensor::microkernel::BLOCK_ROWS * dim;
+            let bound = 4 * ((32 + max_in_degree) * widest + gemm_staging) + 4096;
+            let scratch = engine.device().counters().scratch().bytes;
+            assert!(
+                scratch <= bound,
+                "{kind:?}: {scratch} B of scratch > {bound} B"
+            );
+            assert!(
+                bound < 4 * edges * dim,
+                "the bound is not a per-edge tensor"
+            );
+        }
+    }
+
     #[test]
     fn trainer_loss_decreases_and_steps_count() {
         let graph = graph();

@@ -4,8 +4,9 @@
 //! computes — one row at a time, in ascending row order, on the calling
 //! thread — that the production micro-op executor
 //! ([`crate::backend`]) is pinned against bit for bit. Production shares
-//! only this module's elementwise leaf numerics ([`dot`],
-//! [`apply_unary_into`], [`apply_binary_into`]) and index helpers, never
+//! only this module's elementwise leaf numerics ([`dot`] and its
+//! row-interleaved [`dot_lanes`], [`unary_row`], [`binary_row`] and the
+//! op → scalar-function tables behind them) and index helpers, never
 //! its loops — and not its GEMM rows: the oracle runs one zero-skipping
 //! row kernel per row behind a finiteness gate, production runs
 //! segment tiles that never skip (`hector_tensor::microkernel` argues
@@ -27,7 +28,6 @@
 //! `Vec`, no bounds checks in the multiply-accumulate). See the
 //! [`crate::scratch`] module docs for the operand-view lifetime contract.
 
-use hector_ir::interop::LEAKY_RELU_SLOPE;
 use hector_ir::{
     AggNorm, BinOp, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Scatter,
     Space, TraversalDomain, TraversalSpec, TypeIndex, UnOp, VarId,
@@ -291,85 +291,133 @@ fn read_operand<'a>(
     }
 }
 
-/// Applies a unary op elementwise, writing into `out` (same length).
-pub(crate) fn apply_unary_into(op: UnOp, x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = match op {
+/// Runs `$body` with `$f` bound to the scalar function of unary op
+/// `$op`. The `match` is hoisted out of every element loop: it runs once
+/// per expansion — per row in the oracle, per (op, block) in production —
+/// and each arm is one monomorphic loop over the same scalar function,
+/// so the two executors cannot diverge in a bit.
+macro_rules! with_unary_fn {
+    ($op:expr, $f:ident => $body:expr) => {{
+        use hector_ir::{interop::LEAKY_RELU_SLOPE, UnOp};
+        match $op {
             UnOp::LeakyRelu => {
-                if v >= 0.0 {
-                    v
-                } else {
-                    LEAKY_RELU_SLOPE * v
-                }
+                let $f = |v: f32| if v >= 0.0 { v } else { LEAKY_RELU_SLOPE * v };
+                $body
             }
-            UnOp::Relu => v.max(0.0),
-            UnOp::Exp => v.exp(),
-            UnOp::Copy => v,
-            UnOp::Neg => -v,
+            UnOp::Relu => {
+                let $f = |v: f32| v.max(0.0);
+                $body
+            }
+            UnOp::Exp => {
+                let $f = f32::exp;
+                $body
+            }
+            UnOp::Copy => {
+                let $f = |v: f32| v;
+                $body
+            }
+            UnOp::Neg => {
+                let $f = |v: f32| -v;
+                $body
+            }
             UnOp::LeakyReluGrad => {
-                if v >= 0.0 {
-                    1.0
-                } else {
-                    LEAKY_RELU_SLOPE
-                }
+                let $f = |v: f32| if v >= 0.0 { 1.0 } else { LEAKY_RELU_SLOPE };
+                $body
             }
             UnOp::ReluGrad => {
-                if v >= 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        };
-    }
-}
-
-#[inline]
-fn binary_scalar(op: BinOp, x: f32, y: f32) -> f32 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        // `0/0` yields `0` instead of the IEEE `NaN`: a zero denominator
-        // with a zero numerator is a normalization group no edge touched
-        // (e.g. a softmax/mean read at a zero-in-degree destination), and
-        // the convention mirrors the `AggNorm::Max` sweep-back — untouched
-        // groups produce a finite default, never a poisoned row. Any
-        // other division keeps IEEE semantics (`x/0 = ±inf`, `NaN`
-        // operands propagate). Pinned by `tests/numeric_edge_cases.rs`.
-        BinOp::Div => {
-            if x == 0.0 && y == 0.0 {
-                0.0
-            } else {
-                x / y
+                let $f = |v: f32| if v >= 0.0 { 1.0 } else { 0.0 };
+                $body
             }
         }
+    }};
+}
+pub(crate) use with_unary_fn;
+
+/// [`with_unary_fn`] for binary ops.
+macro_rules! with_binary_fn {
+    ($op:expr, $f:ident => $body:expr) => {{
+        use hector_ir::BinOp;
+        match $op {
+            BinOp::Add => {
+                let $f = |x: f32, y: f32| x + y;
+                $body
+            }
+            BinOp::Sub => {
+                let $f = |x: f32, y: f32| x - y;
+                $body
+            }
+            BinOp::Mul => {
+                let $f = |x: f32, y: f32| x * y;
+                $body
+            }
+            BinOp::Div => {
+                let $f = $crate::exec::norm_div;
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_binary_fn;
+
+/// `0/0` yields `0` instead of the IEEE `NaN`: a zero denominator with a
+/// zero numerator is a normalization group no edge touched (e.g. a
+/// softmax/mean read at a zero-in-degree destination), and the
+/// convention mirrors the `AggNorm::Max` sweep-back — untouched groups
+/// produce a finite default, never a poisoned row. Any other division
+/// keeps IEEE semantics (`x/0 = ±inf`, `NaN` operands propagate). Pinned
+/// by `tests/numeric_edge_cases.rs`.
+#[inline]
+pub(crate) fn norm_div(x: f32, y: f32) -> f32 {
+    if x == 0.0 && y == 0.0 {
+        0.0
+    } else {
+        x / y
     }
 }
 
-/// Applies a binary op elementwise with scalar broadcasting, writing the
-/// `max(a.len(), b.len())`-wide result into `out`.
-pub(crate) fn apply_binary_into(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+/// `out[i] = f(x[i])` (same length).
+#[inline(always)]
+pub(crate) fn unary_row(f: impl Fn(f32) -> f32, x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = f(v);
+    }
+}
+
+/// `out[i] = f(a[i], b[i])` with scalar broadcasting: `out` is
+/// `max(a.len(), b.len())` wide.
+#[inline(always)]
+pub(crate) fn binary_row(f: impl Fn(f32, f32) -> f32, a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = out.len();
     debug_assert_eq!(n, a.len().max(b.len()));
     debug_assert!(a.len() == n || a.len() == 1);
     debug_assert!(b.len() == n || b.len() == 1);
     if a.len() == n && b.len() == n {
         for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = binary_scalar(op, x, y);
+            *o = f(x, y);
         }
     } else if a.len() == 1 {
         let x = a[0];
         for (o, &y) in out.iter_mut().zip(b) {
-            *o = binary_scalar(op, x, y);
+            *o = f(x, y);
         }
     } else {
         let y = b[0];
         for (o, &x) in out.iter_mut().zip(a) {
-            *o = binary_scalar(op, x, y);
+            *o = f(x, y);
         }
     }
+}
+
+/// Applies a unary op elementwise, writing into `out` (same length).
+fn apply_unary_into(op: UnOp, x: &[f32], out: &mut [f32]) {
+    with_unary_fn!(op, f => unary_row(f, x, out));
+}
+
+/// Applies a binary op elementwise with scalar broadcasting, writing the
+/// `max(a.len(), b.len())`-wide result into `out`.
+fn apply_binary_into(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
+    with_binary_fn!(op, f => binary_row(f, a, b, out));
 }
 
 /// Max-aggregate outputs of a kernel: seeded to `-inf` before execution so
@@ -397,29 +445,27 @@ pub(crate) fn sweep_neg_inf(xs: &mut [f32]) {
     }
 }
 
-/// Max-aggregates of a dst-node kernel at stage `pass` that write the
-/// iterated destination's own node row. Their row for node `v` is final
-/// once `v`'s in-edge loop for `pass` completes, so a zero-in-degree
-/// destination must have its `-inf` seed swept back to `0` *there* —
-/// later stages of the same fused kernel (hoisted node ops, per-edge
-/// consumers) read the row mid-kernel, before the end-of-kernel sweep.
+/// Max-aggregates (op index, output) of a dst-node kernel at stage `pass`
+/// that write the iterated destination's own node row. Their row for
+/// node `v` is final once `v`'s in-edge loop for `pass` completes, so a
+/// zero-in-degree destination must have its `-inf` seed swept back to
+/// `0` *there* — later stages of the same fused kernel (hoisted node
+/// ops, per-edge consumers) read the row mid-kernel, before the
+/// end-of-kernel sweep.
 pub(crate) fn dst_private_max_aggs<'a>(
     spec: &'a TraversalSpec,
     program: &'a Program,
     pass: usize,
-) -> impl Iterator<Item = VarId> + 'a {
-    spec.ops
-        .iter()
-        .zip(&spec.stages)
-        .filter_map(move |(op, &st)| match op.kind {
-            OpKind::NodeAggregate {
-                norm: AggNorm::Max,
-                out,
-                endpoint: Endpoint::Dst,
-                ..
-            } if st == pass && program.var(out).space == Space::Node => Some(out),
-            _ => None,
-        })
+) -> impl Iterator<Item = (usize, VarId)> + 'a {
+    let ops = spec.ops.iter().zip(&spec.stages).enumerate();
+    ops.filter_map(move |(i, (op, &st))| match op.kind {
+        OpKind::NodeAggregate {
+            norm: AggNorm::Max,
+            out,
+            ..
+        } if st == pass && spec.dst_private(program, &op.kind) => Some((i, out)),
+        _ => None,
+    })
 }
 
 /// Executes a traversal-template instance.
@@ -519,7 +565,7 @@ pub(crate) fn exec_traversal(
                     // 0-neighbor convention to `0` *now* — hoisted node
                     // ops below and later passes read the row mid-kernel,
                     // long before the end-of-kernel sweep.
-                    for out in dst_private_max_aggs(spec, program, pass) {
+                    for (_, out) in dst_private_max_aggs(spec, program, pass) {
                         sweep_neg_inf(vars.get_mut(out).tensor_mut().row_mut(v));
                     }
                     for (i, op) in spec.ops.iter().enumerate() {
@@ -546,7 +592,7 @@ pub(crate) fn exec_traversal(
 }
 
 /// The oracle's op interpreter: one op at one row. The production
-/// executor's `run_rows` must reproduce these float operations in this
+/// executor's `BoundOp::run` must reproduce these float operations in this
 /// order; divergence is caught by `tests/backend_parity.rs`.
 ///
 /// Results are computed into `scratch` while the operand views borrow
@@ -642,6 +688,22 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).fold(0.0f32, |acc, (&x, &y)| acc + x * y)
 }
 
+/// [`dot`] over `N` row pairs at once. Lane `k` folds pair `k` in
+/// exactly [`dot`]'s order, so each result has its bits; interleaving
+/// the independent folds hides the add latency that bounds a single
+/// sequential one (production runs a block's dot products four abreast).
+pub(crate) fn dot_lanes<const N: usize>(a: [&[f32]; N], b: [&[f32]; N]) -> [f32; N] {
+    let len = a[0].len();
+    let (a, b) = (a.map(|x| &x[..len]), b.map(|y| &y[..len]));
+    let mut acc = [0.0f32; N];
+    for i in 0..len {
+        for k in 0..N {
+            acc[k] += a[k][i] * b[k][i];
+        }
+    }
+    acc
+}
+
 fn write_row(
     out: VarId,
     ctx: Ctx,
@@ -662,4 +724,27 @@ fn write_row(
         (c, s) => unreachable!("write of {s:?} var in context {c:?}"),
     };
     vars.get_mut(out).tensor_mut().set_row(idx, y);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each lane of [`dot_lanes`] is [`dot`] of its own pair, to the bit
+    /// — including the orders of magnitude a reassociated sum would lose.
+    #[test]
+    fn dot_lanes_fold_like_dot() {
+        let value = |i: usize| ((i * 37 % 23) as f32 - 11.0) * 10f32.powi((i % 9) as i32 - 4);
+        for len in [0, 1, 7, 64] {
+            let rows: Vec<Vec<f32>> = (0..8)
+                .map(|k| (0..len).map(|i| value(i * 8 + k)).collect())
+                .collect();
+            let (a, b) = ([0, 1, 2, 3], [4, 5, 6, 7]);
+            let got = dot_lanes(a.map(|k| &rows[k][..]), b.map(|k| &rows[k][..]));
+            for lane in 0..4 {
+                let want = dot(&rows[a[lane]], &rows[b[lane]]);
+                assert_eq!(got[lane].to_bits(), want.to_bits(), "len {len} lane {lane}");
+            }
+        }
+    }
 }

@@ -19,6 +19,10 @@
 //! then write the finished row back into the output tensor. The three
 //! slots (`y`, `a`, `b`) are distinct fields precisely so an op can hold
 //! the output slot mutably while staged operand copies stay readable.
+//!
+//! The production executor's chunks also keep their traversal kernel's
+//! register-local variables here (`locals`): a block of rows per local,
+//! never a whole-graph tensor.
 
 /// Growable, reusable scratch slots owned by one executor (or one
 /// parallel worker chunk).
@@ -31,6 +35,9 @@ pub(crate) struct Scratch {
     a: Vec<f32>,
     /// Staged operand copy B (`GradW` dy rows).
     b: Vec<f32>,
+    /// Block-resident locals of the running traversal chunk (production
+    /// executor): a block of rows per register-local variable.
+    locals: Vec<f32>,
     /// Per-type-slab finiteness flags of the running GEMM's weight.
     finite: Vec<bool>,
     /// Buffer-growth (heap allocation) events since construction.
@@ -74,6 +81,12 @@ impl Scratch {
         Self::grow_to(&mut self.a, a, &mut self.grows);
         Self::grow_to(&mut self.y, y, &mut self.grows);
         (&mut self.a[..a], &mut self.y[..y])
+    }
+
+    /// The locals slot, contents unspecified, exactly `n` floats.
+    pub(crate) fn locals(&mut self, n: usize) -> &mut [f32] {
+        Self::grow_to(&mut self.locals, n, &mut self.grows);
+        &mut self.locals[..n]
     }
 
     /// The first `n` finished elements of the output slot.
@@ -142,7 +155,8 @@ impl Scratch {
 
     /// Current arena footprint in bytes (all slots' capacities).
     pub(crate) fn bytes(&self) -> usize {
-        (self.y.capacity() + self.a.capacity() + self.b.capacity()) * std::mem::size_of::<f32>()
+        (self.y.capacity() + self.a.capacity() + self.b.capacity() + self.locals.capacity())
+            * std::mem::size_of::<f32>()
             + self.finite.capacity() * std::mem::size_of::<bool>()
     }
 }

@@ -443,9 +443,23 @@ impl Session {
         Ok(())
     }
 
-    /// Materialises a register-local buffer (no device memory charged).
-    fn insert_local(&mut self, program: &Program, graph: &GraphData, v: VarId) {
-        if self.mode == Mode::Modeled {
+    /// Materialises a buffer for register-local `v` of kernel `ki` (no
+    /// device memory charged) — only where something reads it through
+    /// the store: on the oracle backend, in a kernel the production
+    /// resolver handed back to the oracle, or for a local the fused loop
+    /// cannot keep in block scratch (one read at a source endpoint, or
+    /// scattered into). Every other local of a production run never
+    /// leaves its chunk's scratch block and has no buffer at all.
+    fn insert_local(
+        &mut self,
+        program: &Program,
+        graph: &GraphData,
+        phase: Phase,
+        ki: usize,
+        v: VarId,
+    ) {
+        let in_scratch = |plan: &ExecPlan| plan.holds_local(phase, ki, v);
+        if self.mode == Mode::Modeled || self.exec_plan.as_ref().is_some_and(in_scratch) {
             return;
         }
         let info = program.var(v);
@@ -527,7 +541,8 @@ impl Session {
             // parallel executors alike); a single relaxed load when
             // tracing is off, keeping the warm path allocation-free.
             let tr = span_start();
-            // Materialise outputs (locals stay off-device).
+            // Materialise outputs (locals stay off-device, and on the
+            // production executor out of the store altogether).
             match spec {
                 KernelSpec::Gemm(g) => {
                     if let Some(out) = g.op.kind.out_var() {
@@ -538,7 +553,7 @@ impl Session {
                     for op in &t.ops {
                         if let Some(out) = op.kind.out_var() {
                             if t.local_vars.contains(&out) {
-                                self.insert_local(program, graph, out);
+                                self.insert_local(program, graph, phase, ki, out);
                             } else {
                                 self.alloc_var(program, graph, out)?;
                             }

@@ -222,10 +222,11 @@ fn backend_stats_count_prepares_reuses_and_kernels() {
 /// Regression: the plan cache used to key on the module's *address*
 /// (+ name + kernel counts), so two modules occupying one stack slot —
 /// same model, same kernel counts, different options — shared a plan,
-/// and the second ran closures built from the first. Plans are keyed on
-/// `CompiledModule::id` now (`hector-runtime` pins one executor across
-/// two modules in its own tests); at the handle level every engine built
-/// in one loop-body local must prepare afresh and match a fresh engine.
+/// and the second ran closures built from the first. There is no plan
+/// cache to key any more: an engine runs one module and prepares its own
+/// plan on its first real run. At the handle level that still means
+/// every engine built in one loop-body local must prepare afresh and
+/// match a fresh engine.
 #[test]
 fn plan_cache_does_not_alias_modules_sharing_an_address() {
     let _g = LOCK.lock().unwrap();

@@ -116,3 +116,91 @@ fn hgt_gradients_match_finite_differences() {
         check_model(ModelKind::Hgt, &opts, 6, 37);
     }
 }
+
+/// A dense graph — 30 nodes, ~600 edges over 3 relations (mean in-degree
+/// ≈ 20) with node 7's in-edges removed — where a per-destination sum
+/// read back while it is still accumulating is far from the finished
+/// one. The 14-node / 40-edge graph above is too sparse to tell them
+/// apart within its tolerance.
+fn dense_graph() -> GraphData {
+    let full = hector::generate(&DatasetSpec {
+        name: "grad-dense".into(),
+        num_nodes: 30,
+        num_node_types: 2,
+        num_edges: 620,
+        num_edge_types: 3,
+        compaction_ratio: 0.5,
+        type_skew: 1.0,
+        seed: 91,
+    });
+    let mut b = HeteroGraphBuilder::new();
+    for t in 0..full.num_node_types() {
+        b.add_node_type(full.nodes_of_type(t));
+    }
+    b.reserve_edge_types(full.num_edge_types());
+    for e in 0..full.num_edges() {
+        if full.dst()[e] != 7 {
+            b.add_edge(full.src()[e], full.dst()[e], full.etype()[e]);
+        }
+    }
+    let graph = b.build();
+    assert_eq!(graph.in_degree()[7], 0);
+    assert!(graph.num_edges() >= 10 * graph.num_nodes());
+    GraphData::new(graph)
+}
+
+/// Every model × every option combination on [`dense_graph`]: per
+/// weight, the relative L2 error of the analytic gradient against
+/// central differences stays below 2 %. (HGT under compact
+/// materialisation once fused its softmax-denominator gradient into an
+/// edge-order kernel that read the per-destination sum mid-accumulation:
+/// 17–56 % here.)
+#[test]
+fn dense_graph_gradients_match_finite_differences() {
+    let graph = dense_graph();
+    let (dim, eps) = (6, 3e-3f32);
+    let labels: Vec<usize> = (0..graph.graph().num_nodes()).map(|i| i % 4).collect();
+    for kind in ModelKind::all() {
+        for opts in [
+            CompileOptions::unopt(),
+            CompileOptions::compact_only(),
+            CompileOptions::reorder_only(),
+            CompileOptions::best(),
+        ] {
+            let mut engine = builder(kind, dim, &opts, 41)
+                .training(true)
+                .build()
+                .unwrap();
+            engine.bind(&graph).unwrap();
+            reseed_features(&mut engine, 42);
+            engine.train_step(&labels, &mut NoOp).unwrap();
+            let weights = engine.module().forward.weights.clone();
+            for (wi, info) in weights.iter().enumerate() {
+                if info.derived {
+                    continue;
+                }
+                let wid = WeightId(wi as u32);
+                let analytic = engine.params().grad(wid).clone();
+                let (mut err2, mut norm2) = (0.0f64, 0.0f64);
+                for idx in 0..analytic.len() {
+                    let orig = engine.params().weight(wid).data()[idx];
+                    let mut loss_with = |v: f32| {
+                        engine.params_mut().weight_mut(wid).data_mut()[idx] = v;
+                        loss_at(&mut engine, &labels)
+                    };
+                    let fd = (loss_with(orig + eps) - loss_with(orig - eps)) / (2.0 * eps);
+                    engine.params_mut().weight_mut(wid).data_mut()[idx] = orig;
+                    err2 += f64::from(fd - analytic.data()[idx]).powi(2);
+                    norm2 += f64::from(fd).powi(2);
+                }
+                let rel = (err2 / norm2.max(1e-12)).sqrt();
+                assert!(
+                    rel <= 0.02,
+                    "{kind:?} {} weight '{}': relative L2 error {rel:.3}",
+                    opts.label(),
+                    info.name,
+                );
+            }
+        }
+    }
+}
