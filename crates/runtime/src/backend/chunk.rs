@@ -24,10 +24,15 @@
 //! the kernel's register-local variables in the chunk's own scratch
 //! ([`block_resident`]) — so two chunks never share a local, and the
 //! three rules above cover everything a chunk writes outside it. A
-//! kernel whose dataflow does not fit them runs as one chunk: a dst-node
-//! op reading an in-kernel value at a source endpoint
-//! ([`par_traversal_safe`] says no), and — through the oracle, because
-//! the resolver declines it — one that reads back a deferred aggregate.
+//! dst-node kernel walks its range in destination tiles that never cross
+//! the range's end, so a tile, its in-edges and its per-destination
+//! locals belong to one chunk. Each block resolves its row tables (the
+//! row every position reads or writes, per addressing) once, in the
+//! chunk's stack frame. A kernel whose dataflow does not fit the rules
+//! runs as one chunk: a dst-node op reading an in-kernel value at a
+//! source endpoint ([`par_traversal_safe`] says no; its tiles are also
+//! one destination each), and — through the oracle, because the resolver
+//! declines it — one that reads back a deferred aggregate.
 //!
 //! # Pooled worker arenas
 //!
@@ -137,11 +142,9 @@ impl RawRows {
     /// and no other chunk writes row `r` concurrently.
     #[inline]
     pub(crate) unsafe fn row(&self, r: usize) -> &[f32] {
-        debug_assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
-        // SAFETY: `r < rows` (caller) keeps the range inside the buffer
-        // the view was built from; liveness and non-aliasing are the
-        // caller's too.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(r * self.width), self.width) }
+        // SAFETY: forwarded to the caller; liveness and non-aliasing are
+        // the caller's too.
+        unsafe { std::slice::from_raw_parts(self.row_ptr(r), self.width) }
     }
 
     /// # Safety
@@ -152,9 +155,22 @@ impl RawRows {
     #[allow(clippy::mut_from_ref)]
     #[inline]
     pub(crate) unsafe fn row_mut(&self, r: usize) -> &mut [f32] {
-        debug_assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
         // SAFETY: as in `row`, with exclusivity the caller's.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.width) }
+        unsafe { std::slice::from_raw_parts_mut(self.row_ptr(r), self.width) }
+    }
+
+    /// The first float of row `r`, for single-float loads and stores.
+    ///
+    /// # Safety
+    ///
+    /// `r < self.rows()`, and the pointer is used under the contract of
+    /// [`Self::row`] (a load) or [`Self::row_mut`] (a store).
+    #[inline]
+    pub(crate) unsafe fn row_ptr(&self, r: usize) -> *mut f32 {
+        debug_assert!(r < self.rows, "row {r} outside a {}-row view", self.rows);
+        // SAFETY: `r < rows` (caller) keeps the offset inside the buffer
+        // the view was built from.
+        unsafe { self.ptr.add(r * self.width) }
     }
 
     /// The contiguous block of rows `rs`.
@@ -507,11 +523,11 @@ pub(crate) fn buffered_agg_outs(spec: &TraversalSpec, program: &Program) -> Hash
 /// the production executor and never get a buffer: those every in-kernel
 /// access addresses through the iterated row itself. In a row domain
 /// that is a local of the iterated space written by a pure op; in a
-/// dst-node kernel an edge-space local (addressed by in-edge position,
-/// so it survives from one pass of a destination to the next) or a
-/// node-space one (one row, the owned destination's) that is written by
-/// a pure op or a dst-private aggregate and never read at a source
-/// endpoint. Anything else — and every local of a kernel the resolver
+/// dst-node kernel an edge-space local (addressed by its position in the
+/// tile's in-edge list, so it survives from one pass of a tile to the
+/// next) or a node-space one (a row per tile destination) that is
+/// written by a pure op or a dst-private aggregate and never read at a
+/// source endpoint. Anything else — and every local of a kernel the resolver
 /// declines — is materialised like a global.
 pub(crate) fn block_resident(spec: &TraversalSpec, program: &Program) -> Vec<VarId> {
     let row_space = match spec.domain {

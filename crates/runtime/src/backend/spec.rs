@@ -20,14 +20,24 @@
 //! then walks its rows in blocks of [`BLOCK`] and runs *all* ops over a
 //! block before moving on; dispatch on the op kind is per (op, block),
 //! never per element. Row domains (edges, unique pairs, nodes) block
-//! their range; a dst-node kernel (edge softmax and friends) runs the
-//! same body per destination, passing over blocks of its in-edge list
-//! once per inner pass, with the hoisted node ops and the mid-pass `-inf`
-//! sweep a zero-in-degree destination needs after each pass. The
-//! **register-local** variables of the kernel ([`block_resident`]) are
-//! rows of the chunk's scratch — a block per local, or a destination's
-//! in-edge list — so a fused temporary is written and read back while it
-//! is still in cache and no `[E, w]` tensor exists for it.
+//! their range. A dst-node kernel (edge softmax and friends) walks
+//! **destination tiles** — maximal runs of consecutive destinations
+//! whose in-edges fit one block together (at most [`BLOCK`] in-edges and
+//! [`BLOCK`] destinations), or one heavier destination alone. Each inner
+//! pass runs the edge ops over blocks of the tile's concatenated CSC
+//! in-edge list, then the mid-pass `-inf` sweep (for zero-in-degree
+//! destinations) and the hoisted node ops once over the tile's
+//! destinations as one node block. The **register-local** variables
+//! ([`block_resident`]) are rows of the chunk's scratch — a block, the
+//! tile's in-edge list, or a row per tile destination — so a fused
+//! temporary is read back while still in cache and no `[E, w]` tensor
+//! exists for it.
+//!
+//! **Row tables.** Each bound operand names one addressing ([`Idx`]): the
+//! iterated row, a map array, the block position, or the destination
+//! owning an in-edge. A block resolves every addressing its ops use into
+//! one row table, once ([`Tables`]); ops index the tables, width-1
+//! operands (the `Edge×1` attention scalars) as direct loads and stores.
 //!
 //! This is the oracle's row-major order (`for row { for op }`)
 //! interchanged only *inside* a block, which is bit-exact: pure ops are
@@ -35,7 +45,12 @@
 //! contributions in ascending iterated-row order, because the resolver
 //! declines a kernel in which two ops write one output or an op reads
 //! back an aggregate other than the owned destination's (whose reads the
-//! compiler stages into a later pass).
+//! compiler stages into a later pass). Tiles keep that: a destination
+//! finishes pass `p` over its in-edges, in order, before pass `p + 1`,
+//! and a scatter (one op of one pass) sees the tile's edges in CSC
+//! order. Only different destinations' passes interleave, which only an
+//! op reading an in-kernel value at a source endpoint can observe — the
+//! `solo` kernels ([`par_traversal_safe`]), tiled one destination each.
 //!
 //! **GEMMs** ([`LinearKernel`], [`GradWKernel`]) are resolved and bound
 //! here and run by [`super::gemm`]. A kernel the resolver declines runs
@@ -45,6 +60,7 @@
 use std::collections::HashSet;
 use std::ops::Range;
 
+use hector_graph::Csc;
 use hector_ir::{
     AggNorm, BinOp, Endpoint, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
     TraversalDomain, TraversalSpec, UnOp, VarId, WeightId,
@@ -117,6 +133,10 @@ pub(super) enum RowMap {
     EdgeToUnique,
     /// Unique-pair row → its representative node row.
     UniqueRowIdx,
+    /// Edge row → its edge type (a weight vector's slab).
+    Etype,
+    /// Unique-pair row → its edge type.
+    UniqueEtype,
 }
 
 /// An operand (or output) with every space/endpoint decision already
@@ -126,9 +146,9 @@ pub(super) enum RowMap {
 pub(super) enum PreOperand {
     /// An inline IR constant (broadcast scalar).
     Const(f32),
-    /// Per-edge-type weight vector; the slab index comes from the
-    /// iterated domain's edge-type array (`true`: unique-pair rows).
-    WVec(WeightId, bool),
+    /// Per-edge-type weight vector; the slab index comes through the
+    /// iterated domain's edge-type map.
+    WVec(WeightId, RowMap),
     /// A launch-table variable through a prepare-time row map.
     Var(usize, RowMap),
     /// A block-resident local (index into [`MicroKernel::locals`]).
@@ -202,8 +222,8 @@ impl Resolver<'_> {
         Some(match o {
             Operand::Const(c) => PreOperand::Const(*c),
             Operand::WeightVec(w) => match rows {
-                RowDomain::Edges => PreOperand::WVec(*w, false),
-                RowDomain::UniquePairs => PreOperand::WVec(*w, true),
+                RowDomain::Edges => PreOperand::WVec(*w, RowMap::Etype),
+                RowDomain::UniquePairs => PreOperand::WVec(*w, RowMap::UniqueEtype),
                 RowDomain::Nodes => return None,
             },
             Operand::Node(v, ep) => {
@@ -300,8 +320,8 @@ struct DstSched {
 enum Shape {
     /// Blocks of the chunk's row range.
     Rows(RowDomain),
-    /// Destination nodes with staged inner passes over blocks of their
-    /// in-edges.
+    /// Tiles of destination nodes with staged inner passes over blocks
+    /// of their in-edges.
     DstNodes(DstSched),
 }
 
@@ -309,8 +329,8 @@ enum Shape {
 struct LocalVar {
     var: VarId,
     width: usize,
-    /// Only row 0 is used (a dst-node kernel's per-destination value)
-    /// rather than one row per block position.
+    /// A dst-node kernel's per-destination value: one row per tile
+    /// destination rather than one per in-edge position.
     one: bool,
     /// Offset in the chunk's locals block, in rows of one float per
     /// position.
@@ -432,20 +452,38 @@ pub(super) struct Launch<'a> {
     pub(super) table: &'a [RawRows],
 }
 
-/// Which row of a bound view a row position addresses.
+/// How a bound operand picks its row at each position of a block. Each
+/// addressing is one row table of the block ([`Tables`]), whatever the
+/// number of ops that use it.
 #[derive(Clone, Copy)]
 pub(super) enum Idx<'a> {
-    /// The iterated row.
-    This,
-    /// The iterated row through a row map (or, for a weight vector, the
-    /// edge-type array).
-    Map(&'a [u32]),
-    /// The owned destination's row (dst-node kernels).
-    Owned,
+    /// The iterated row through a row map (`None`: [`RowMap::This`]).
+    Row(RowMap, Option<&'a [u32]>),
     /// The block position: a block-resident local.
     Pos,
-    /// Row 0: a block-resident per-destination local.
-    One,
+    /// The tile destination that owns the in-edge at a position (its
+    /// `dst`, read off the CSC offsets): an in-edge's own destination
+    /// row in a dst-node kernel.
+    Owned,
+    /// [`Idx::Owned`] counted from the tile's first destination: a
+    /// per-destination local, read or folded per in-edge.
+    Tile,
+}
+
+/// Row tables a block can hold: the three positional addressings, then
+/// one per [`RowMap`].
+const TABLES: usize = 10;
+
+impl Idx<'_> {
+    /// The number of this addressing's row table.
+    fn table(self) -> usize {
+        match self {
+            Idx::Pos => 0,
+            Idx::Owned => 1,
+            Idx::Tile => 2,
+            Idx::Row(map, _) => 3 + map as usize,
+        }
+    }
 }
 
 /// A [`PreOperand`] bound to its storage for one chunk.
@@ -454,6 +492,9 @@ pub(super) enum Bound<'a> {
     Const(f32),
     Rows(RawRows, Idx<'a>),
 }
+
+/// A constant's row table: every position reads its one row.
+static ROW_ZERO: [u32; BLOCK] = [0; BLOCK];
 
 impl Bound<'_> {
     /// The operand at iterated row `r` of a row domain (GEMM kernels,
@@ -468,57 +509,45 @@ impl Bound<'_> {
         match self {
             Bound::Const(v) => std::slice::from_ref(v),
             // SAFETY: `Launch::bind` checked the view against the space
-            // the index lands in; the rest is the caller's.
-            Bound::Rows(t, Idx::This) => unsafe { t.row(r) },
-            // SAFETY: as above.
-            Bound::Rows(t, Idx::Map(m)) => unsafe { t.row(m[r] as usize) },
+            // the map lands in; the rest is the caller's.
+            Bound::Rows(t, Idx::Row(_, map)) => unsafe { t.row(map.map_or(r, |m| m[r] as usize)) },
             Bound::Rows(..) => unreachable!("block addressing outside a traversal"),
         }
     }
 
-    /// Resolves the operand's row for every position of `blk`: the one
-    /// place a block looks at the addressing mode. The cursor points
-    /// into `self` for a constant, so it must not outlive the operand.
+    /// The operand's rows over the block whose tables are `t`.
     #[inline]
-    fn cursor(&self, blk: &Block<'_>) -> Cursor {
-        fn fill(rows: &mut [usize], row_of: impl Fn(usize) -> usize) {
-            (0..).zip(rows).for_each(|(j, row)| *row = row_of(j));
+    fn over<'s>(&'s self, t: &'s Tables<'_>) -> Rows<'s> {
+        match self {
+            Bound::Const(v) => Rows {
+                view: RawRows::reading(std::slice::from_ref(v), 1),
+                at: &ROW_ZERO,
+            },
+            Bound::Rows(view, idx) => Rows {
+                view: *view,
+                at: &t.rows[idx.table()],
+            },
         }
-        let mut rows = [0usize; BLOCK];
-        let at = &mut rows[..blk.len];
-        let view = match self {
-            Bound::Const(v) => RawRows::reading(std::slice::from_ref(v), 1),
-            Bound::Rows(t, idx) => {
-                match idx {
-                    Idx::This => fill(at, |j| blk.row(j)),
-                    Idx::Map(m) => fill(at, |j| m[blk.row(j)] as usize),
-                    Idx::Owned => at.fill(blk.v),
-                    Idx::Pos => fill(at, |j| blk.p0 + j),
-                    Idx::One => {}
-                }
-                *t
-            }
-        };
-        debug_assert!(rows[..blk.len].iter().all(|&r| r < view.rows()));
-        Cursor { view, rows }
     }
 }
 
-/// One operand's rows over a block, ready to index by block position.
-struct Cursor {
+/// One operand over one block: its view and its row table. A constant's
+/// view points into its [`Bound`], so this must not outlive it.
+#[derive(Clone, Copy)]
+struct Rows<'s> {
     view: RawRows,
-    rows: [usize; BLOCK],
+    at: &'s [u32; BLOCK],
 }
 
-impl Cursor {
+impl Rows<'_> {
     /// # Safety
     ///
-    /// `j` is a position of the block the cursor was made for, under the
-    /// contract of [`BoundOp::run`].
+    /// `j` is a position of the block the tables were filled for, under
+    /// the contract of [`BoundOp::run`].
     #[inline]
     unsafe fn get(&self, j: usize) -> &[f32] {
         // SAFETY: forwarded to the caller.
-        unsafe { self.view.row(self.rows[j]) }
+        unsafe { self.view.row(self.at[j] as usize) }
     }
 
     /// # Safety
@@ -528,18 +557,34 @@ impl Cursor {
     #[inline]
     unsafe fn get_mut(&self, j: usize) -> &mut [f32] {
         // SAFETY: forwarded to the caller.
-        unsafe { self.view.row_mut(self.rows[j]) }
+        unsafe { self.view.row_mut(self.at[j] as usize) }
+    }
+
+    /// The first float of the row at position `j`: a width-1 operand's
+    /// value, loaded or stored directly.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::get`] (a store: [`Self::get_mut`]), and the view's
+    /// rows are not empty.
+    #[inline]
+    unsafe fn ptr(&self, j: usize) -> *mut f32 {
+        // SAFETY: forwarded to the caller.
+        unsafe { self.view.row_ptr(self.at[j] as usize) }
     }
 }
 
 impl<'a> Launch<'a> {
     pub(super) fn map(&self, map: RowMap) -> Option<&'a [u32]> {
+        let g = self.graph.graph();
         match map {
             RowMap::This => None,
-            RowMap::Src => Some(self.graph.graph().src()),
-            RowMap::Dst => Some(self.graph.graph().dst()),
+            RowMap::Src => Some(g.src()),
+            RowMap::Dst => Some(g.dst()),
             RowMap::EdgeToUnique => Some(self.graph.compact().edge_to_unique()),
             RowMap::UniqueRowIdx => Some(self.graph.compact().unique_row_idx()),
+            RowMap::Etype => Some(g.etype()),
+            RowMap::UniqueEtype => Some(self.graph.unique_etype()),
         }
     }
 
@@ -549,77 +594,103 @@ impl<'a> Launch<'a> {
     /// row map lands in, and the graph's index arrays only hold rows of
     /// that space.
     pub(super) fn bind(&self, o: &PreOperand, rows: RowDomain) -> Bound<'a> {
-        match o {
-            PreOperand::Const(c) => Bound::Const(*c),
-            PreOperand::WVec(w, unique) => {
-                let (wt, et) = (self.params.weight(*w), self.graph.graph().num_edge_types());
-                assert!(
-                    wt.shape()[0] >= et,
-                    "weight vector without a slab per edge type"
-                );
-                let etype = if *unique {
-                    self.graph.unique_etype()
-                } else {
-                    self.graph.graph().etype()
-                };
-                Bound::Rows(RawRows::reading(wt.data(), wt.width()), Idx::Map(etype))
+        let (view, map) = match o {
+            PreOperand::Const(c) => return Bound::Const(*c),
+            PreOperand::WVec(w, map) => {
+                let wt = self.params.weight(*w);
+                (RawRows::reading(wt.data(), wt.width()), *map)
             }
-            PreOperand::Var(slot, map) => {
-                let view = self.table[*slot];
-                let target = match map {
-                    RowMap::This => self.graph.rows_of(rows),
-                    RowMap::Src | RowMap::Dst | RowMap::UniqueRowIdx => {
-                        self.graph.graph().num_nodes()
-                    }
-                    RowMap::EdgeToUnique => self.graph.compact().num_unique(),
-                };
-                assert!(view.rows() >= target, "variable narrower than its space");
-                Bound::Rows(view, self.map(*map).map_or(Idx::This, Idx::Map))
-            }
+            PreOperand::Var(slot, map) => (self.table[*slot], *map),
             PreOperand::Local(_) => unreachable!("locals are bound by their kernel"),
-        }
+        };
+        let g = self.graph.graph();
+        let target = match map {
+            RowMap::This => self.graph.rows_of(rows),
+            RowMap::Src | RowMap::Dst | RowMap::UniqueRowIdx => g.num_nodes(),
+            RowMap::EdgeToUnique => self.graph.compact().num_unique(),
+            RowMap::Etype | RowMap::UniqueEtype => g.num_edge_types(),
+        };
+        assert!(view.rows() >= target, "{o:?} narrower than its space");
+        Bound::Rows(view, Idx::Row(map, self.map(map)))
     }
 }
 
-/// One block of a chunk: up to [`BLOCK`] iterated rows — consecutive
-/// from `start`, or the listed in-edges of destination `v` — whose
-/// block-resident locals sit at positions `p0..`.
-struct Block<'a> {
-    ids: Option<&'a [u32]>,
-    start: usize,
-    len: usize,
-    p0: usize,
-    v: usize,
+/// The row tables of one kind of block: for every addressing its ops
+/// use, the row each position resolves to. Filled once per block and
+/// indexed by every op ([`Bound::over`]).
+struct Tables<'a> {
+    /// The addressing behind each table, where an op uses it.
+    used: [Option<Idx<'a>>; TABLES],
+    /// Rows are `u32`, like the graph's index arrays.
+    rows: [[u32; BLOCK]; TABLES],
 }
 
-impl<'a> Block<'a> {
-    /// `len` consecutive rows from `start` (for a node-level position of
-    /// a dst-node kernel: the destination itself).
-    fn rows(start: usize, len: usize) -> Block<'a> {
-        Block {
-            ids: None,
-            start,
-            len,
-            p0: 0,
-            v: start,
+impl<'a> Tables<'a> {
+    /// The tables of blocks that run `ops[i]` for each `i` of `which`.
+    fn of(ops: &[BoundOp<'a>], which: impl IntoIterator<Item = usize>) -> Tables<'a> {
+        let mut used = [None; TABLES];
+        for op in which.into_iter().map(|i| &ops[i]) {
+            for b in [&op.a, &op.b, &op.out] {
+                if let Bound::Rows(_, idx) = b {
+                    used[idx.table()] = Some(*idx);
+                }
+            }
+        }
+        Tables {
+            used,
+            rows: [[0; BLOCK]; TABLES],
         }
     }
 
-    /// In-edges `ids` of destination `v`, the first at position `p0`.
-    fn in_edges(ids: &'a [u32], p0: usize, v: usize) -> Block<'a> {
-        Block {
-            ids: Some(ids),
-            start: 0,
-            len: ids.len(),
-            p0,
-            v,
-        }
+    /// Resolves the tables at `len` consecutive rows from `start`: a
+    /// block of a row domain, or a tile's destinations.
+    fn fill_rows(&mut self, start: usize, len: usize) {
+        self.fill(len, 0, |j| start + j, &[], 0);
     }
 
-    /// The iterated row at position `j`.
-    #[inline]
-    fn row(&self, j: usize) -> usize {
-        self.ids.map_or(self.start + j, |ids| ids[j] as usize)
+    /// Resolves the tables at the in-edges at positions `p0..` of the
+    /// tile from destination `v0`, up to a block of them and the tile's
+    /// end `p1`.
+    fn fill_in_edges(&mut self, csc: &Csc, v0: usize, p0: usize, p1: usize) {
+        let e0 = csc.ptr[v0] + p0;
+        let ids = &csc.edge_idx[e0..e0 + (p1 - p0).min(BLOCK)];
+        // A tile's in-edges are consecutive CSC positions, grouped by the
+        // destination that owns them.
+        let (mut owner, mut v) = ([0; BLOCK], v0);
+        for (e, o) in (e0..).zip(&mut owner[..ids.len()]) {
+            while csc.ptr[v + 1] <= e {
+                v += 1;
+            }
+            *o = v;
+        }
+        self.fill(ids.len(), p0, |j| ids[j] as usize, &owner, v0);
+    }
+
+    /// Resolves the tables at `len` positions from `p0`: iterated row
+    /// `row(j)`, owned by destination `owner[j]` of a tile from `v0`.
+    #[inline(always)]
+    fn fill(
+        &mut self,
+        len: usize,
+        p0: usize,
+        row: impl Fn(usize) -> usize,
+        owner: &[usize],
+        v0: usize,
+    ) {
+        fn set(t: &mut [u32], at: impl Fn(usize) -> usize) {
+            (0..).zip(t).for_each(|(j, r)| *r = at(j) as u32);
+        }
+        for (idx, t) in self.used.iter().zip(&mut self.rows) {
+            let t = &mut t[..len];
+            match *idx {
+                None => {}
+                Some(Idx::Row(_, None)) => set(t, &row),
+                Some(Idx::Row(_, Some(m))) => set(t, |j| m[row(j)] as usize),
+                Some(Idx::Pos) => set(t, |j| p0 + j),
+                Some(Idx::Owned) => set(t, |j| owner[j]),
+                Some(Idx::Tile) => set(t, |j| owner[j] - v0),
+            }
+        }
     }
 }
 
@@ -632,68 +703,84 @@ pub(super) struct BoundOp<'a> {
     kind: Kind,
     /// Launch-table slot of a deferred aggregate's output.
     slot: usize,
-    /// What a per-destination local aggregate starts every destination
-    /// from: `0` for sums, `-inf` for maxima.
+    /// What a per-destination local aggregate starts every tile from:
+    /// `0` for sums, `-inf` for maxima.
     seed: Option<f32>,
 }
 
 impl BoundOp<'_> {
-    /// Runs the op over every row of `blk` — the single home of each op
-    /// kind's row semantics, performing the oracle's float operations in
-    /// ascending row order. Row-aligned results land directly in the
-    /// output rows; aggregate contributions fold in place, or — when the
-    /// launch split (`sink` present) and the target row may be another
-    /// chunk's — are recorded in `sink` for the ordered merge.
+    /// Runs the op over positions `0..len` of the block whose tables are
+    /// `t` — the single home of each op kind's row semantics, performing
+    /// the oracle's float operations in ascending position order.
+    /// Row-aligned results land directly in the output rows; aggregate
+    /// contributions fold in place, or — when the launch split (`sink`
+    /// present) and the target row may be another chunk's — are recorded
+    /// in `sink` for the ordered merge.
     ///
     /// # Safety
     ///
-    /// The op was bound for the calling chunk of a live launch, `blk`
-    /// lies inside that chunk (its rows, or a claimed destination and
-    /// that destination's in-edges, at positions inside the locals
-    /// block), and the chunk holds its range exclusively. With that,
-    /// every row a cursor resolves is inside its view (sized and checked
-    /// at bind time against the space the graph's index arrays land in),
-    /// each write targets a row only this chunk touches (its own rows,
-    /// its scratch, the owned destination; a launch that did not split
-    /// owns every row), every operand row is read-only in this kernel,
-    /// written by this chunk, or the owned destination's
+    /// The op was bound for the calling chunk of a live launch, `t` was
+    /// filled for a block inside that chunk (its rows, or a tile of its
+    /// destinations and their in-edges, at positions inside the locals
+    /// block) with `len` rows, and the chunk holds its range exclusively.
+    /// With that, every row a table resolves is inside its view (sized
+    /// and checked at bind time against the space the graph's index
+    /// arrays land in), each write targets a row only this chunk touches
+    /// (its own rows, its scratch, its tile's destinations; a launch that
+    /// did not split owns every row), every operand row is read-only in
+    /// this kernel, written by this chunk, or its own destination's
     /// ([`par_traversal_safe`]), and since prepare rejects ops that read
     /// their own output no shared and mutable view of one row coexist.
-    unsafe fn run(&self, blk: &Block<'_>, sink: Option<&mut ContribBuf>) {
-        let (a, b, out) = (self.a.cursor(blk), self.b.cursor(blk), self.out.cursor(blk));
-        let rows = 0..blk.len;
-        // SAFETY: every `get`/`get_mut` below is at a position of `blk`,
-        // under this function's contract.
+    unsafe fn run(&self, t: &Tables<'_>, len: usize, sink: Option<&mut ContribBuf>) {
+        assert!(len <= BLOCK, "a block of {len} rows");
+        let (a, b, out) = (self.a.over(t), self.b.over(t), self.out.over(t));
+        let (rows, scalar) = (0..len, |x: &Rows<'_>| x.view.width() == 1);
+        // SAFETY: every access below is at a position of the block, under
+        // this function's contract; `ptr` only where the width is 1 (an
+        // aggregate's scale: checked at bind).
         unsafe {
             match self.kind {
                 Kind::Dot => {
-                    let lanes = blk.len - blk.len % 4;
+                    assert_eq!(out.view.width(), 1, "a dot product's output");
+                    let lanes = len - len % 4;
                     for j in (0..lanes).step_by(4) {
                         let at = [j, j + 1, j + 2, j + 3];
                         let dots = dot_lanes(at.map(|j| a.get(j)), at.map(|j| b.get(j)));
                         for (j, d) in at.into_iter().zip(dots) {
-                            out.get_mut(j).copy_from_slice(&[d]);
+                            *out.ptr(j) = d;
                         }
                     }
-                    for j in lanes..blk.len {
-                        out.get_mut(j).copy_from_slice(&[dot(a.get(j), b.get(j))]);
+                    for j in lanes..len {
+                        *out.ptr(j) = dot(a.get(j), b.get(j));
                     }
                 }
-                Kind::Bin(op) => with_binary_fn!(op, f => rows.for_each(|j| {
-                    binary_row(f, a.get(j), b.get(j), out.get_mut(j));
-                })),
-                Kind::Un(op) => with_unary_fn!(op, f => rows.for_each(|j| {
-                    unary_row(f, a.get(j), out.get_mut(j));
-                })),
+                Kind::Bin(op) => with_binary_fn!(op, f => if [a, b, out].iter().all(scalar) {
+                    rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j), *b.ptr(j)));
+                } else {
+                    rows.for_each(|j| binary_row(f, a.get(j), b.get(j), out.get_mut(j)));
+                }),
+                Kind::Un(op) => with_unary_fn!(op, f => if scalar(&a) && scalar(&out) {
+                    rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j)));
+                } else {
+                    rows.for_each(|j| unary_row(f, a.get(j), out.get_mut(j)));
+                }),
                 Kind::Agg { max, deferred } => match sink.filter(|_| deferred) {
                     Some(buf) => rows.for_each(|j| {
-                        let (x, i) = (a.get(j), out.rows[j]);
+                        let (x, i) = (a.get(j), out.at[j] as usize);
                         if max {
                             buf.push(self.slot, i, x.iter().copied(), true);
                         } else {
-                            let s = b.get(j)[0];
+                            let s = *b.ptr(j);
                             buf.push(self.slot, i, x.iter().map(|v| v * s), false);
                         }
+                    }),
+                    None if scalar(&a) && scalar(&out) => rows.for_each(|j| {
+                        let (x, acc) = (*a.ptr(j), out.ptr(j));
+                        *acc = if max {
+                            (*acc).max(x)
+                        } else {
+                            *acc + x * *b.ptr(j)
+                        };
                     }),
                     None => rows.for_each(|j| {
                         let (x, acc) = (a.get(j), out.get_mut(j));
@@ -702,7 +789,7 @@ impl BoundOp<'_> {
                                 *acc = acc.max(*v);
                             }
                         } else {
-                            let s = b.get(j)[0];
+                            let s = *b.ptr(j);
                             for (acc, &v) in acc.iter_mut().zip(x) {
                                 *acc += v * s;
                             }
@@ -713,22 +800,27 @@ impl BoundOp<'_> {
         }
     }
 
-    /// Hands `f` the output row of the node-level position `node` (a
-    /// dst-node kernel's owned destination, or its stand-in in the
-    /// chunk's scratch).
+    /// Hands `f` the output rows of the destinations `tile` of a
+    /// dst-node kernel's per-destination aggregate: rows `tile` of its
+    /// buffer, or rows from 0 of its local in the chunk's scratch.
     ///
     /// # Safety
     ///
-    /// As [`Self::run`], for the one-row block `node`.
-    unsafe fn with_out_row(&self, node: &Block<'_>, f: impl FnOnce(&mut [f32])) {
-        // SAFETY: forwarded to the caller.
-        f(unsafe { self.out.cursor(node).get_mut(0) });
+    /// As [`Self::run`], for the node block `tile`.
+    unsafe fn with_tile_rows(&self, tile: Range<usize>, f: impl FnOnce(&mut [f32])) {
+        let (view, rows) = match self.out {
+            Bound::Rows(view, Idx::Tile) => (view, 0..tile.len()),
+            Bound::Rows(view, _) => (view, tile),
+            Bound::Const(_) => unreachable!("an op writes a constant"),
+        };
+        // SAFETY: forwarded to the caller; `rows_mut` checks the range.
+        f(unsafe { view.rows_mut(&rows) });
     }
 }
 
 impl MicroKernel {
     /// Binds op `m` for a chunk whose locals block starts at `locals`
-    /// and holds `positions` rows per block-position local.
+    /// and holds `positions` rows per local.
     fn bind<'a>(
         &self,
         m: &MicroOp,
@@ -745,22 +837,31 @@ impl MicroKernel {
                 // local's `positions * width` floats from its offset lie
                 // inside it.
                 let at = unsafe { locals.add(l.offset * positions) };
-                let idx = if l.one { Idx::One } else { Idx::Pos };
+                // A per-destination local has a row per tile destination:
+                // an in-edge finds it through its destination, the node
+                // block by position.
+                let idx = match m.rows {
+                    RowDomain::Edges if l.one => Idx::Tile,
+                    _ => Idx::Pos,
+                };
                 Bound::Rows(RawRows::at(at, positions, l.width), idx)
             }
-            // Every in-edge of a destination maps back to it.
+            // An in-edge's destination is the tile destination owning it.
             PreOperand::Var(_, RowMap::Dst) if dst_kernel => match cx.bind(o, m.rows) {
                 Bound::Rows(view, _) => Bound::Rows(view, Idx::Owned),
                 constant => constant,
             },
             _ => cx.bind(o, m.rows),
         };
-        let out = bind(&m.out);
+        let (out, b) = (bind(&m.out), m.b.as_ref().map_or(Bound::Const(1.0), bind));
+        if let (Kind::Agg { .. }, Bound::Rows(scale, _)) = (m.kind, b) {
+            assert_eq!(scale.width(), 1, "an aggregate's scale is a scalar");
+        }
         BoundOp {
             a: bind(&m.a),
-            b: m.b.as_ref().map_or(Bound::Const(1.0), bind),
+            b,
             seed: match (m.kind, &out) {
-                (Kind::Agg { max, .. }, Bound::Rows(_, Idx::One)) => {
+                (Kind::Agg { max, .. }, Bound::Rows(_, Idx::Tile)) => {
                     Some(if max { f32::NEG_INFINITY } else { 0.0 })
                 }
                 _ => None,
@@ -772,6 +873,18 @@ impl MicroKernel {
             out,
             kind: m.kind,
         }
+    }
+
+    /// The end of the tile that starts at destination `v0` of a chunk
+    /// ending at `end`: as many destinations as fit one block together,
+    /// at least `v0` itself — and only `v0` in a `solo` kernel.
+    fn tile_end(&self, ptr: &[usize], v0: usize, end: usize) -> usize {
+        if self.solo {
+            return v0 + 1;
+        }
+        let last = end.min(v0 + BLOCK);
+        let fits = ptr[v0 + 1..=last].partition_point(|&p| p - ptr[v0] <= BLOCK);
+        v0 + fits.max(1)
     }
 
     /// One chunk's share of the launch: `range` of the kernel's domain.
@@ -788,15 +901,12 @@ impl MicroKernel {
             ops: pooled,
             mut sink,
         } = chunk;
-        let csc = cx.graph.csc();
         // Rows per local: a block, or (dst-node kernels, whose edge locals
-        // survive from pass to pass) the chunk's longest in-edge list.
+        // survive from pass to pass of a tile) the longest tile's in-edge
+        // list — a block, or the heaviest destination's.
         let positions = match &self.shape {
             Shape::Rows(_) => BLOCK,
-            Shape::DstNodes(_) => {
-                let degrees = range.clone().map(|v| csc.in_edges(v).len());
-                degrees.max().unwrap_or(0).max(1)
-            }
+            Shape::DstNodes(_) => BLOCK.max(cx.graph.max_in_degree),
         };
         let floats = self.locals.iter().map(|l| l.width * positions);
         // The pooled list is empty, so shortening its element lifetime to
@@ -808,52 +918,70 @@ impl MicroKernel {
         let locals = scratch.locals(floats.sum()).as_mut_ptr();
         ops.extend(self.ops.iter().map(|m| self.bind(m, cx, locals, positions)));
         // Every `BoundOp::run` below inherits this function's contract:
-        // the rows of a block are `range`'s (row domains), or a claimed
-        // destination `v` and `v`'s in-edges (dst-node kernels).
+        // a block is rows of `range` (row domains), or a tile of
+        // `range`'s destinations or their in-edges (dst-node kernels).
         match &self.shape {
             Shape::Rows(_) => {
+                let mut t = Tables::of(&ops, 0..ops.len());
                 for start in range.clone().step_by(BLOCK) {
-                    let blk = Block::rows(start, BLOCK.min(range.end - start));
+                    let len = BLOCK.min(range.end - start);
+                    t.fill_rows(start, len);
                     for op in &ops {
                         // SAFETY: see above.
-                        unsafe { op.run(&blk, sink.as_deref_mut()) };
+                        unsafe { op.run(&t, len, sink.as_deref_mut()) };
                     }
                 }
             }
             Shape::DstNodes(sched) => {
-                for v in range.clone() {
-                    let node = Block::rows(v, 1);
-                    // The scratch row still holds the previous
-                    // destination's value: start over, exactly as a
-                    // zero-filled (`-inf`-seeded) tensor row would.
+                let of = |group: &[Vec<usize>]| Tables::of(&ops, group.iter().flatten().copied());
+                let (mut edge_t, mut node_t) = (of(&sched.edge_ops), of(&sched.node_ops));
+                let csc = cx.graph.csc();
+                let mut v0 = range.start;
+                while v0 < range.end {
+                    let v1 = self.tile_end(&csc.ptr, v0, range.end);
+                    let (tile, in_edges) = (v0..v1, csc.ptr[v1] - csc.ptr[v0]);
+                    // The scratch rows still hold the previous tile's
+                    // values: start over, exactly as a zero-filled
+                    // (`-inf`-seeded) tensor row would.
                     for op in &ops {
                         if let Some(seed) = op.seed {
-                            // SAFETY: the chunk's own scratch row.
-                            unsafe { op.with_out_row(&node, |row| row.fill(seed)) };
+                            // SAFETY: the chunk's own scratch rows.
+                            unsafe { op.with_tile_rows(tile.clone(), |rows| rows.fill(seed)) };
                         }
                     }
+                    node_t.fill_rows(v0, tile.len());
+                    // A tile of one block resolves its in-edges once for
+                    // every pass.
+                    let one_block = in_edges <= BLOCK;
+                    if one_block {
+                        edge_t.fill_in_edges(csc, v0, 0, in_edges);
+                    }
                     for pass in 0..sched.edge_ops.len() {
-                        for (b, ids) in csc.in_edges(v).chunks(BLOCK).enumerate() {
-                            let blk = Block::in_edges(ids, b * BLOCK, v);
+                        for p0 in (0..in_edges).step_by(BLOCK) {
+                            if !one_block {
+                                edge_t.fill_in_edges(csc, v0, p0, in_edges);
+                            }
+                            let len = in_edges.min(p0 + BLOCK) - p0;
                             for &i in &sched.edge_ops[pass] {
                                 // SAFETY: see above.
-                                unsafe { ops[i].run(&blk, sink.as_deref_mut()) };
+                                unsafe { ops[i].run(&edge_t, len, sink.as_deref_mut()) };
                             }
                         }
-                        // A zero-in-degree `v` still holds the `-inf`
-                        // seed, and the hoisted ops below and later
-                        // passes read the row mid-kernel — long before
-                        // the end-of-launch sweep.
+                        // A zero-in-degree destination still holds the
+                        // `-inf` seed, and the hoisted ops below and later
+                        // passes read the row mid-kernel — long before the
+                        // end-of-launch sweep.
                         for &i in &sched.mid_sweeps[pass] {
-                            // SAFETY: the owned destination's row (or its
-                            // stand-in in the chunk's scratch).
-                            unsafe { ops[i].with_out_row(&node, sweep_neg_inf) };
+                            // SAFETY: the tile's own rows (or their
+                            // stand-ins in the chunk's scratch).
+                            unsafe { ops[i].with_tile_rows(tile.clone(), sweep_neg_inf) };
                         }
                         for &i in &sched.node_ops[pass] {
                             // SAFETY: see above.
-                            unsafe { ops[i].run(&node, sink.as_deref_mut()) };
+                            unsafe { ops[i].run(&node_t, tile.len(), sink.as_deref_mut()) };
                         }
                     }
+                    v0 = v1;
                 }
             }
         }
@@ -902,57 +1030,4 @@ impl MicroKernel {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use hector_compiler::{compile, CompileOptions};
-
-    /// `check(where, lowered kernel, prepared kernel)` for every kernel
-    /// of every built-in model × option combination, forward and backward.
-    fn for_each_model_kernel(check: impl Fn(&str, &KernelSpec, &PreparedKernel)) {
-        let combos = [
-            CompileOptions::unopt(),
-            CompileOptions::compact_only(),
-            CompileOptions::reorder_only(),
-            CompileOptions::best(),
-        ];
-        for (kind, opts) in hector_models::ModelKind::all()
-            .into_iter()
-            .flat_map(|kind| combos.iter().map(move |opts| (kind, opts)))
-        {
-            let src = hector_models::source(kind, 8, 8);
-            let module = compile(&src, &opts.clone().with_training(true));
-            let bw = module.backward.as_ref().expect("compiled for training");
-            for (phase, kernels, program) in [
-                ("fw", &module.fw_kernels, &module.forward),
-                ("bw", &module.bw_kernels, bw),
-            ] {
-                let at = format!("{} / {} / {phase}", kind.name(), opts.label());
-                for (spec, k) in kernels.iter().zip(&compile_kernels(kernels, program)) {
-                    check(&format!("{at}: {spec:?}"), spec, k);
-                }
-            }
-        }
-    }
-
-    /// "Specialized × threads composes" as a checked fact: every
-    /// traversal and GEMM kernel compiles to a prepared body — the
-    /// resolver never hands a kernel back to the oracle.
-    #[test]
-    fn every_model_kernel_compiles() {
-        for_each_model_kernel(|at, spec, k| {
-            let declined = matches!(k, PreparedKernel::Oracle);
-            assert_eq!(declined, matches!(spec, KernelSpec::Fallback(_)), "{at}");
-        });
-    }
-
-    /// Register-local means register-local: no local variable of any
-    /// model needs a buffer.
-    #[test]
-    fn every_model_local_is_block_resident() {
-        for_each_model_kernel(|at, spec, k| {
-            if let KernelSpec::Traversal(t) = spec {
-                assert!(t.local_vars.iter().all(|&v| k.holds_local(v)), "{at}");
-            }
-        });
-    }
-}
+mod tests;

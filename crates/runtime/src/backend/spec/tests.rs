@@ -1,0 +1,199 @@
+//! Prepare-time facts about every built-in model's kernels, and the
+//! tile walk of a kernel no built-in model produces.
+
+use super::*;
+use hector_compiler::{compile, CompileOptions};
+
+/// `check(where, lowered kernel, prepared kernel)` for every kernel
+/// of every built-in model × option combination, forward and backward.
+fn for_each_model_kernel(check: impl Fn(&str, &KernelSpec, &PreparedKernel)) {
+    let combos = [
+        CompileOptions::unopt(),
+        CompileOptions::compact_only(),
+        CompileOptions::reorder_only(),
+        CompileOptions::best(),
+    ];
+    for (kind, opts) in hector_models::ModelKind::all()
+        .into_iter()
+        .flat_map(|kind| combos.iter().map(move |opts| (kind, opts)))
+    {
+        let src = hector_models::source(kind, 8, 8);
+        let module = compile(&src, &opts.clone().with_training(true));
+        let bw = module.backward.as_ref().expect("compiled for training");
+        for (phase, kernels, program) in [
+            ("fw", &module.fw_kernels, &module.forward),
+            ("bw", &module.bw_kernels, bw),
+        ] {
+            let at = format!("{} / {} / {phase}", kind.name(), opts.label());
+            for (spec, k) in kernels.iter().zip(&compile_kernels(kernels, program)) {
+                check(&format!("{at}: {spec:?}"), spec, k);
+            }
+        }
+    }
+}
+
+/// "Specialized × threads composes" as a checked fact: every
+/// traversal and GEMM kernel compiles to a prepared body — the
+/// resolver never hands a kernel back to the oracle.
+#[test]
+fn every_model_kernel_compiles() {
+    for_each_model_kernel(|at, spec, k| {
+        let declined = matches!(k, PreparedKernel::Oracle);
+        assert_eq!(declined, matches!(spec, KernelSpec::Fallback(_)), "{at}");
+    });
+}
+
+/// Register-local means register-local: no local variable of any
+/// model needs a buffer.
+#[test]
+fn every_model_local_is_block_resident() {
+    for_each_model_kernel(|at, spec, k| {
+        if let KernelSpec::Traversal(t) = spec {
+            assert!(t.local_vars.iter().all(|&v| k.holds_local(v)), "{at}");
+        }
+    });
+}
+
+/// Tiles reach every model: no dst-node kernel of a built-in model is
+/// `solo`, so each walks tiles of many destinations.
+#[test]
+fn every_model_dst_node_kernel_tiles_many_destinations() {
+    let seen = std::cell::Cell::new(0);
+    for_each_model_kernel(|at, _, k| {
+        if let PreparedKernel::Micro(
+            m @ MicroKernel {
+                shape: Shape::DstNodes(_),
+                ..
+            },
+        ) = k
+        {
+            assert!(!m.solo, "{at}");
+            seen.set(seen.get() + 1);
+        }
+    });
+    assert!(seen.get() >= 3 * 4, "every model has dst-node kernels");
+}
+
+/// A dst-node kernel that reads an in-kernel value at a source
+/// endpoint — `top` of the next destination, still unfolded in the
+/// oracle's destination order — is `solo`: it walks one destination
+/// per tile and matches the oracle bit for bit, where tiles of many
+/// destinations would read the finished maximum instead.
+#[test]
+fn source_read_of_an_in_kernel_value_tiles_one_destination() {
+    use crate::backend::chunk::WorkerArenas;
+    use crate::exec::exec_traversal;
+    use crate::scratch::Scratch;
+    use crate::store::{Buffer, VarStore};
+    use hector_graph::HeteroGraphBuilder;
+    use hector_ir::{stage_assignments, AdjacencyAccess};
+    use hector_par::ThreadPool;
+    use hector_tensor::Tensor;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let n = 12;
+    let mut b = HeteroGraphBuilder::new();
+    b.add_node_type(n);
+    for v in 0..n as u32 - 1 {
+        b.add_edge(v + 1, v, 0);
+        if v + 2 < n as u32 {
+            b.add_edge(v + 2, v, 0);
+        }
+    }
+    let g = GraphData::new(b.build());
+    let mut p = Program::new("source_read");
+    let score = p.add_var("score", Space::Edge, 1);
+    let top = p.add_var("top", Space::Node, 1);
+    let z = p.add_var("z", Space::Edge, 1);
+    let out = p.add_var("out", Space::Node, 1);
+    for kind in [
+        OpKind::NodeAggregate {
+            edge_val: Operand::Edge(score),
+            scale: None,
+            norm: AggNorm::Max,
+            endpoint: Endpoint::Dst,
+            out: top,
+        },
+        OpKind::Binary {
+            op: BinOp::Sub,
+            a: Operand::Edge(score),
+            b: Operand::Node(top, Endpoint::Src),
+            out: z,
+        },
+        OpKind::NodeAggregate {
+            edge_val: Operand::Edge(z),
+            scale: None,
+            norm: AggNorm::None,
+            endpoint: Endpoint::Dst,
+            out,
+        },
+    ] {
+        p.push_op(kind);
+    }
+    let spec = TraversalSpec {
+        kid: 0,
+        name: "traversal_0".into(),
+        domain: TraversalDomain::DstNodes,
+        adjacency: AdjacencyAccess::Coo,
+        stages: stage_assignments(&p.ops, &p),
+        ops: p.ops.clone(),
+        hoisted: Vec::new(),
+        partial_agg: false,
+        atomic: false,
+        local_vars: vec![z],
+    };
+    let mut kernel = compile_traversal(&spec, &p).expect("the resolver takes it");
+    assert!(kernel.solo && kernel.locals.iter().any(|l| l.var == z));
+    let ptr = &g.csc().ptr;
+    assert!((0..n).all(|v| kernel.tile_end(ptr, v, n) == v + 1));
+
+    let pool = ThreadPool::new(4);
+    // `out` and `top` after one launch: production when `kernel` is
+    // given (on `pool`, which a `solo` kernel does not split over),
+    // else the oracle.
+    let run = |kernel: Option<&MicroKernel>, pool: Option<&ThreadPool>| {
+        let mut vars = VarStore::new();
+        for (i, info) in p.vars.iter().enumerate() {
+            let rows = g.rows_of_space(info.space);
+            let t = Tensor::zeros(&[rows, info.width]);
+            vars.insert(VarId(i as u32), Buffer::Real(t));
+        }
+        let scores = vars.get_mut(score).tensor_mut().data_mut();
+        for (e, s) in scores.iter_mut().enumerate() {
+            *s = (e * 7 % 5) as f32 - 2.5;
+        }
+        let mut params = ParamStore::init(&p, &g, &mut StdRng::seed_from_u64(0));
+        let (mut scratch, mut arenas) = (Scratch::new(), WorkerArenas::new());
+        match kernel {
+            Some(k) => {
+                k.run(&mut ExecCtx {
+                    program: &p,
+                    graph: &g,
+                    params: &mut params,
+                    vars: &mut vars,
+                    pool,
+                    min_chunk: 4,
+                    scratch: &mut scratch,
+                    arenas: &mut arenas,
+                });
+            }
+            None => exec_traversal(&spec, &p, &g, &mut params, &mut vars, &mut scratch),
+        }
+        [out, top].map(|v| {
+            vars.tensor(v)
+                .data()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        })
+    };
+    let oracle = run(None, None);
+    assert_eq!(run(Some(&kernel), Some(&pool)), oracle);
+    kernel.solo = false;
+    assert!(kernel.tile_end(ptr, 0, n) > 1);
+    assert_ne!(
+        run(Some(&kernel), None),
+        oracle,
+        "tiles of many destinations"
+    );
+}

@@ -17,6 +17,9 @@ pub struct GraphData {
     /// [`GraphData::pair_type_of`]) at least one edge uses: the only
     /// slabs of a reorder-fused pair weight any kernel reads.
     live_pairs: Vec<u32>,
+    /// The largest in-degree: the longest in-edge list a dst-node
+    /// traversal tile holds.
+    pub(crate) max_in_degree: usize,
 }
 
 impl GraphData {
@@ -31,12 +34,14 @@ impl GraphData {
         let csc = graph.csc();
         let compact = graph.compaction_map();
         let unique_etype = compact.unique_etype();
+        let max_in_degree = csc.ptr.windows(2).map(|w| w[1] - w[0]).max();
         let mut data = GraphData {
             graph,
             csc,
             compact,
             unique_etype,
             live_pairs: Vec::new(),
+            max_in_degree: max_in_degree.unwrap_or(0),
         };
         let mut live = vec![false; data.type_count(hector_ir::TypeIndex::NodeEdgePair)];
         for e in 0..data.graph.num_edges() {

@@ -1,13 +1,14 @@
 //! Failure modes of the block-fused traversal loop.
 //!
 //! The production executor keeps a fused kernel's register-local
-//! variables in per-chunk scratch — a block of rows, a destination's
-//! in-edge list, one row per destination — instead of `[E, w]` tensors.
-//! Scratch is *reused*: whatever the previous block or destination left
-//! there is still there. Every case below is built so that a stale row,
-//! a missed seed or a mis-sized block changes bits against the
-//! sequential oracle (`BackendKind::Interp`), which still runs every
-//! local through a zero-filled tensor.
+//! variables in per-chunk scratch — a block of rows, a destination
+//! tile's in-edge list, one row per tile destination — instead of
+//! `[E, w]` tensors. Scratch is *reused*: whatever the previous block or
+//! tile left there is still there. Every case below is built so that a
+//! stale row, a missed seed, a mis-sized block or a tile that lets a
+//! destination start a pass early changes bits against the sequential
+//! oracle (`BackendKind::Interp`), which still runs every local through
+//! a zero-filled tensor, one destination at a time.
 
 mod common;
 
@@ -58,6 +59,36 @@ fn scratch_graph() -> GraphData {
         [degree[1], degree[5], degree[7], degree[8]],
         [40, 70, 33, 32]
     );
+    GraphData::new(graph)
+}
+
+/// 100 nodes whose in-degrees close destination tiles every way a tile
+/// can close (at most 32 in-edges and 32 destinations): 40 zero-in-degree
+/// destinations in a row (the destination budget), neighbours whose
+/// in-degrees sum to exactly 32 and then one more, and to 33 (the edge
+/// budget), lone destinations of 33 and 70 in-edges (tiles of several
+/// blocks), a zero-in-degree destination between two fed ones (the
+/// mid-pass sweep inside a tile), then a sparse tail.
+fn tile_graph() -> GraphData {
+    let mut degrees: Vec<u32> = vec![3];
+    degrees.extend([0; 40]);
+    degrees.extend([10, 12, 10, 1]);
+    degrees.extend([16, 17]);
+    degrees.extend([33, 2, 70, 5]);
+    degrees.extend([2, 0, 3]);
+    degrees.extend((0..46).map(|i| i % 6));
+    let n = degrees.len() as u32;
+    let mut b = HeteroGraphBuilder::new();
+    b.add_node_type(45);
+    b.add_node_type(n as usize - 45);
+    b.reserve_edge_types(3);
+    for (dst, &degree) in (0..).zip(&degrees) {
+        for k in 0..degree {
+            b.add_edge((dst + 1 + k * 7) % n, dst, k % 3);
+        }
+    }
+    let graph = b.build();
+    assert_eq!((n, graph.in_degree()), (100, degrees));
     GraphData::new(graph)
 }
 
@@ -306,4 +337,77 @@ fn served_row_survives_losing_its_last_in_edge() {
         assert_eq!(expect, got, "node {node}");
     }
     srv.shutdown();
+}
+
+#[test]
+fn tiles_closing_every_way_match_oracle() {
+    assert_matches_oracle(&tile_graph(), "tile graph");
+}
+
+#[test]
+fn stacked_two_layer_models_match_oracle_on_tiles() {
+    let g = tile_graph();
+    for kind in ModelKind::all() {
+        assert_chain_matches_oracle(&format!("{kind:?} × 2"), &g, |threads, backend| {
+            EngineBuilder::new(kind)
+                .dims(32, 32)
+                .layers(2)
+                .options(CompileOptions::best())
+                .parallel(par(threads, 4))
+                .backend(backend)
+                .seed(47)
+        });
+    }
+}
+
+/// A per-destination maximum over all-negative scores, read by a hoisted
+/// node op and by an edge softmax: inside a tile, the zero-in-degree
+/// destination between two fed ones must read the swept `0` and the fed
+/// ones their own maximum, not a neighbour's and not the `-inf` seed.
+#[test]
+fn negative_maxima_inside_a_tile_are_swept_per_destination() {
+    let g = tile_graph();
+    let (nodes, edges) = (g.graph().num_nodes(), g.graph().num_edges());
+    let hoisted_reader = || {
+        let mut m = ModelBuilder::new("tile_max", 1);
+        let bias = m.node_input("bias", 1);
+        let score = m.edge_input("score", 1);
+        let top = m.aggregate("top", m.edge(score), None, AggNorm::Max);
+        let out = m.add("out", m.this(top), m.this(bias));
+        m.output(out);
+        m.finish()
+    };
+    let softmax = || {
+        let mut m = ModelBuilder::new("tile_softmax", 1);
+        let bias = m.node_input("bias", 1);
+        let score = m.edge_input("score", 1);
+        let att = m.edge_softmax("att", score);
+        let out = m.aggregate("out", m.edge(score), Some(m.edge(att)), AggNorm::None);
+        let out = m.add("shifted", m.this(out), m.this(bias));
+        m.output(out);
+        m.finish()
+    };
+    let mut inputs = Bindings::new();
+    let bias = (0..nodes).map(|v| v as f32 * 0.5).collect();
+    inputs.set("bias", Tensor::from_vec(bias, &[nodes, 1]));
+    let scores = (0..edges).map(|e| -2.0 - (e % 7) as f32).collect();
+    inputs.set("score", Tensor::from_vec(scores, &[edges, 1]));
+    for source in [hoisted_reader, softmax] {
+        for threads in [1, 4] {
+            let [oracle, production] = BACKENDS.map(|backend| {
+                let mut engine = EngineBuilder::from_source(source())
+                    .parallel(par(threads, 4))
+                    .backend(backend)
+                    .build()
+                    .unwrap();
+                engine.bind(&g).unwrap();
+                engine.set_bindings(inputs.clone());
+                engine.forward().unwrap();
+                engine.output().clone()
+            });
+            assert_eq!(production.row(52), [26.0], "{threads} thread(s)");
+            assert!(production.row(51)[0] < 25.5 && production.row(53)[0] < 26.5);
+            assert_eq!(bits(&oracle), bits(&production), "{threads} thread(s)");
+        }
+    }
 }

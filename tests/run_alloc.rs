@@ -18,8 +18,9 @@
 //! claim: every executor loop calls `hector_trace::span_start()` (one
 //! relaxed atomic load when disabled, as here — tracing is never enabled
 //! in this binary), so a zero-allocation warm run proves the disabled
-//! hot path allocates nothing. The `trace_overhead` bench covers the
-//! wall-clock half of the claim.
+//! hot path allocates nothing. `hector_benchmark`'s
+//! `trace.overhead_ratio` metric covers the wall-clock half of the
+//! claim.
 
 mod common;
 
