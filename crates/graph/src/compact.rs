@@ -27,30 +27,48 @@ pub struct CompactionMap {
 }
 
 impl CompactionMap {
-    /// Builds the map for `graph` in `O(E log E)`.
+    /// Builds the map for `graph` in `O(E + N)`.
     ///
-    /// Edges are already sorted by edge type, so unique pairs are found by
-    /// sorting each type's source list and de-duplicating.
+    /// A counting sort orders edge ids by source node (ties in id order);
+    /// a stable scatter then drops them into their edge type's segment,
+    /// so each segment lists its edges in `(src, edge id)` order and
+    /// unique pairs are runs of equal sources.
     #[must_use]
     pub fn build(graph: &HeteroGraph) -> CompactionMap {
         let num_et = graph.num_edge_types();
+        let (src, etype) = (graph.src(), graph.etype());
+        let mut src_ptr = vec![0u32; graph.num_nodes() + 1];
+        for &s in src {
+            src_ptr[s as usize + 1] += 1;
+        }
+        for v in 0..graph.num_nodes() {
+            src_ptr[v + 1] += src_ptr[v];
+        }
+        let mut by_src = vec![0u32; src.len()];
+        for (e, &s) in src.iter().enumerate() {
+            by_src[src_ptr[s as usize] as usize] = e as u32;
+            src_ptr[s as usize] += 1;
+        }
+        let mut cursor = graph.etype_ptr()[..num_et].to_vec();
+        let mut order = vec![0u32; src.len()];
+        for &e in &by_src {
+            let t = etype[e as usize] as usize;
+            order[cursor[t]] = e;
+            cursor[t] += 1;
+        }
+
         let mut unique_row_idx = Vec::new();
         let mut unique_etype_ptr = vec![0usize; num_et + 1];
-        let mut edge_to_unique = vec![0u32; graph.num_edges()];
+        let mut edge_to_unique = vec![0u32; src.len()];
         for t in 0..num_et {
-            let lo = graph.etype_ptr()[t];
-            let hi = graph.etype_ptr()[t + 1];
-            // Sort this type's edge indices by source node.
-            let mut order: Vec<usize> = (lo..hi).collect();
-            order.sort_by_key(|&e| graph.src()[e]);
             let mut last_src = u32::MAX;
-            for &e in &order {
-                let s = graph.src()[e];
+            for &e in &order[graph.etype_ptr()[t]..graph.etype_ptr()[t + 1]] {
+                let s = src[e as usize];
                 if s != last_src {
                     unique_row_idx.push(s);
                     last_src = s;
                 }
-                edge_to_unique[e] = (unique_row_idx.len() - 1) as u32;
+                edge_to_unique[e as usize] = (unique_row_idx.len() - 1) as u32;
             }
             unique_etype_ptr[t + 1] = unique_row_idx.len();
         }

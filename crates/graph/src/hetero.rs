@@ -110,7 +110,7 @@ impl HeteroGraph {
     }
 
     /// Builds the compaction map of unique `(source node, edge type)`
-    /// pairs (paper §3.2.2). O(E log E).
+    /// pairs (paper §3.2.2). O(E + N).
     #[must_use]
     pub fn compaction_map(&self) -> CompactionMap {
         CompactionMap::build(self)

@@ -21,8 +21,17 @@
 //! (empty segments included), so per-relation and per-type parameter
 //! stacks keep their shapes across every extraction and one parameter
 //! store serves them all.
+//!
+//! Endpoints are renumbered through a dense local-id table: one `u32`
+//! per full-graph node, holding the node's local id or a sentinel for
+//! nodes outside the extraction. Filling it costs O(N) — the same order
+//! as the sampler's own per-batch visited array — and every edge then
+//! resolves both endpoints with two array reads.
 
 use crate::{HeteroGraph, HeteroGraphBuilder};
+
+/// Local-id table entry of a full-graph node the extraction left out.
+const NOT_EXTRACTED: u32 = u32::MAX;
 
 /// A re-packed induced graph plus the remap tables tying local ids back
 /// to the full graph. Produced by [`extract_mapped`].
@@ -79,8 +88,15 @@ pub fn extract_mapped(full: &HeteroGraph, node_map: Vec<u32>, edge_map: Vec<u32>
         edge_map.windows(2).all(|w| w[0] < w[1]),
         "edge_map must be strictly ascending"
     );
-    let local =
-        |orig: u32| -> u32 { node_map.binary_search(&orig).expect("node not extracted") as u32 };
+    let mut local_of = vec![NOT_EXTRACTED; full.num_nodes()];
+    for (l, &orig) in node_map.iter().enumerate() {
+        local_of[orig as usize] = l as u32;
+    }
+    let local = |orig: u32| -> u32 {
+        let l = local_of[orig as usize];
+        assert!(l != NOT_EXTRACTED, "node not extracted");
+        l
+    };
 
     let mut b = HeteroGraphBuilder::new();
     // Declare every full-graph node type, empty segments included. The
@@ -165,6 +181,19 @@ mod tests {
             let (lo, hi) = (ex.graph.etype_ptr()[t], ex.graph.etype_ptr()[t + 1]);
             assert!(ex.edge_map[lo..hi].windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "node not extracted")]
+    fn edge_with_an_unextracted_endpoint_panics() {
+        let g = graph();
+        let e = (0..g.num_edges())
+            .find(|&e| g.src()[e] != g.dst()[e])
+            .expect("not every edge is a self-loop");
+        let nodes: Vec<u32> = (0..g.num_nodes() as u32)
+            .filter(|&v| v != g.dst()[e])
+            .collect();
+        let _ = extract_mapped(&g, nodes, vec![e as u32]);
     }
 
     #[test]

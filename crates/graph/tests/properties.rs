@@ -1,7 +1,83 @@
 //! Property-based tests for the graph substrate.
+//!
+//! The `*_matches_*_reference` properties hold the linear-pass builders
+//! (compaction map, extraction) to the sort- and search-based
+//! formulations they replaced, array for array.
 
-use hector_graph::{generate, DatasetSpec, HeteroGraphBuilder};
+use hector_graph::{extract_mapped, generate, DatasetSpec, HeteroGraph, HeteroGraphBuilder};
 use proptest::prelude::*;
+
+/// A small multigraph with every awkward case in reach: few sources, so
+/// `(src, etype)` pairs repeat; node types and trailing relations that
+/// may be empty; zero-in-degree and isolated nodes.
+fn arb_multigraph() -> impl Strategy<Value = HeteroGraph> {
+    (
+        proptest::collection::vec(0usize..7, 1..4),
+        1u32..6,
+        0usize..3,
+        1u32..9,
+        proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..120),
+    )
+        .prop_map(|(types, rels, spare, sources, edges)| {
+            let mut b = HeteroGraphBuilder::new();
+            for &c in &types {
+                b.add_node_type(c);
+            }
+            let n = types.iter().sum::<usize>() as u32;
+            b.reserve_edge_types(rels as usize + spare);
+            if n > 0 {
+                for (s, d, t) in edges {
+                    b.add_edge(s % sources.min(n), d % n, t % rels);
+                }
+            }
+            b.build()
+        })
+}
+
+/// Either a small multigraph or a generated dataset-shaped graph.
+fn arb_graph() -> impl Strategy<Value = HeteroGraph> {
+    prop_oneof![arb_multigraph(), arb_spec().prop_map(|s| generate(&s))]
+}
+
+/// The compaction map as it was built before the counting sort: a
+/// stable per-relation sort of edge ids by source, then run detection.
+fn compaction_reference(g: &HeteroGraph) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    let mut unique_row_idx = Vec::new();
+    let mut unique_etype_ptr = vec![0usize; g.num_edge_types() + 1];
+    let mut edge_to_unique = vec![0u32; g.num_edges()];
+    for t in 0..g.num_edge_types() {
+        let mut order: Vec<usize> = (g.etype_ptr()[t]..g.etype_ptr()[t + 1]).collect();
+        order.sort_by_key(|&e| g.src()[e]);
+        let mut last = u32::MAX;
+        for e in order {
+            if g.src()[e] != last {
+                last = g.src()[e];
+                unique_row_idx.push(last);
+            }
+            edge_to_unique[e] = (unique_row_idx.len() - 1) as u32;
+        }
+        unique_etype_ptr[t + 1] = unique_row_idx.len();
+    }
+    (unique_row_idx, unique_etype_ptr, edge_to_unique)
+}
+
+/// Extraction as it was done before the dense local-id table: a binary
+/// search of `node_map` per endpoint.
+fn extraction_reference(full: &HeteroGraph, node_map: &[u32], edge_map: &[u32]) -> HeteroGraph {
+    let local = |orig: u32| node_map.binary_search(&orig).expect("node not extracted") as u32;
+    let mut b = HeteroGraphBuilder::new();
+    for t in 0..full.num_node_types() {
+        let lo = node_map.partition_point(|&n| (n as usize) < full.ntype_ptr()[t]);
+        let hi = node_map.partition_point(|&n| (n as usize) < full.ntype_ptr()[t + 1]);
+        b.add_node_type(hi - lo);
+    }
+    b.reserve_edge_types(full.num_edge_types());
+    for &e in edge_map {
+        let e = e as usize;
+        b.add_edge(local(full.src()[e]), local(full.dst()[e]), full.etype()[e]);
+    }
+    b.build()
+}
 
 fn arb_spec() -> impl Strategy<Value = DatasetSpec> {
     (
@@ -88,6 +164,44 @@ proptest! {
                 .sum();
             prop_assert_eq!(s, total[v]);
         }
+    }
+
+    #[test]
+    fn compaction_map_matches_stable_sort_reference(g in arb_graph()) {
+        let c = g.compaction_map();
+        let (rows, ptr, e2u) = compaction_reference(&g);
+        prop_assert_eq!(c.unique_row_idx(), &rows[..]);
+        prop_assert_eq!(c.unique_etype_ptr(), &ptr[..]);
+        prop_assert_eq!(c.edge_to_unique(), &e2u[..]);
+    }
+
+    #[test]
+    fn extraction_matches_binary_search_reference(
+        g in arb_graph(),
+        node_bits in proptest::collection::vec(any::<u64>(), 4),
+        edge_keep in 0u32..4,
+    ) {
+        // A random node subset, and a random share of the edges with both
+        // endpoints inside it (the subset may leave nodes isolated).
+        let keep = |v: usize| (node_bits[v % 4] >> (v / 4 % 64)) & 1 == 1;
+        let pick = |e: usize| {
+            ((e as u64 ^ node_bits[0]).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62) >= u64::from(edge_keep)
+        };
+        let node_map: Vec<u32> = (0..g.num_nodes()).filter(|&v| keep(v)).map(|v| v as u32).collect();
+        let edge_map: Vec<u32> = (0..g.num_edges())
+            .filter(|&e| keep(g.src()[e] as usize) && keep(g.dst()[e] as usize) && pick(e))
+            .map(|e| e as u32)
+            .collect();
+        let want = extraction_reference(&g, &node_map, &edge_map);
+        let got = extract_mapped(&g, node_map.clone(), edge_map.clone());
+        prop_assert_eq!(&got.node_map, &node_map);
+        prop_assert_eq!(&got.edge_map, &edge_map);
+        prop_assert_eq!(got.graph.node_type(), want.node_type());
+        prop_assert_eq!(got.graph.ntype_ptr(), want.ntype_ptr());
+        prop_assert_eq!(got.graph.src(), want.src());
+        prop_assert_eq!(got.graph.dst(), want.dst());
+        prop_assert_eq!(got.graph.etype(), want.etype());
+        prop_assert_eq!(got.graph.etype_ptr(), want.etype_ptr());
     }
 
     #[test]

@@ -906,7 +906,7 @@ impl MicroKernel {
         // list — a block, or the heaviest destination's.
         let positions = match &self.shape {
             Shape::Rows(_) => BLOCK,
-            Shape::DstNodes(_) => BLOCK.max(cx.graph.max_in_degree),
+            Shape::DstNodes(_) => BLOCK.max(cx.graph.max_in_degree()),
         };
         let floats = self.locals.iter().map(|l| l.width * positions);
         // The pooled list is empty, so shortening its element lifetime to

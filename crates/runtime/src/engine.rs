@@ -1269,6 +1269,23 @@ mod tests {
         }))
     }
 
+    /// Binding shares the caller's derived structures instead of copying
+    /// them: engines and trainers on one graph read the same arrays.
+    #[test]
+    fn bind_shares_the_graph_structures() {
+        let data = graph();
+        let mut engine = EngineBuilder::new(ModelKind::Rgcn).build().unwrap();
+        engine.bind(&data).unwrap();
+        let mut trainer = EngineBuilder::new(ModelKind::Rgcn)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        trainer.bind(&data).unwrap();
+        for bound in [engine.graph(), trainer.engine().graph()] {
+            assert!(std::ptr::eq(bound.graph(), data.graph()));
+            assert!(std::ptr::eq(bound.compact(), data.compact()));
+        }
+    }
+
     /// After a warm production step no register-local variable has a
     /// buffer in the plan, and the executor's scratch is a few blocks —
     /// `(BLOCK + max in-degree) × Σ widths` per chunk, plus GEMM staging

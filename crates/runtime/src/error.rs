@@ -63,6 +63,14 @@ pub enum HectorError {
     /// [`hector_device::OomError`]; these are the paper's legitimate
     /// OOM events, recorded rather than panicked).
     Oom(OomError),
+    /// A streaming delta batch does not fit the graph it was applied to
+    /// (an out-of-range node or relation, an edge removal that matches
+    /// no remaining edge, an insert touching a removed node). Rejected
+    /// before anything changes.
+    InvalidDelta {
+        /// What was invalid.
+        detail: String,
+    },
 }
 
 impl HectorError {
@@ -78,6 +86,7 @@ impl HectorError {
             HectorError::BackendUnavailable { .. } => "backend_unavailable",
             HectorError::InvalidConfig { .. } => "invalid_config",
             HectorError::Oom(_) => "oom",
+            HectorError::InvalidDelta { .. } => "invalid_delta",
         }
     }
 }
@@ -111,6 +120,7 @@ impl fmt::Display for HectorError {
                 write!(f, "invalid configuration: {detail}")
             }
             HectorError::Oom(e) => write!(f, "{e}"),
+            HectorError::InvalidDelta { detail } => write!(f, "invalid delta: {detail}"),
         }
     }
 }

@@ -2,13 +2,25 @@
 //! maps, and the byte accounting for the structures a GPU run would hold
 //! resident.
 
+use std::sync::Arc;
+
 use hector_graph::{CompactionMap, Csc, HeteroGraph};
 
 /// A heterogeneous graph plus every derived index structure the generated
 /// kernels read: CSC (incoming edges), the compaction map of unique
 /// `(src, etype)` pairs, and cached per-unique-pair edge types.
+///
+/// The structures live behind one `Arc`, so cloning a `GraphData` — as
+/// every [`Engine::bind`](crate::Engine::bind) does — shares them
+/// instead of copying: each engine, trainer and deployment bound to one
+/// graph reads the same arrays.
 #[derive(Clone, Debug)]
 pub struct GraphData {
+    derived: Arc<Derived>,
+}
+
+#[derive(Clone, Debug)]
+struct Derived {
     graph: HeteroGraph,
     csc: Csc,
     compact: CompactionMap,
@@ -19,7 +31,7 @@ pub struct GraphData {
     live_pairs: Vec<u32>,
     /// The largest in-degree: the longest in-edge list a dst-node
     /// traversal tile holds.
-    pub(crate) max_in_degree: usize,
+    max_in_degree: usize,
 }
 
 impl GraphData {
@@ -36,18 +48,22 @@ impl GraphData {
         let unique_etype = compact.unique_etype();
         let max_in_degree = csc.ptr.windows(2).map(|w| w[1] - w[0]).max();
         let mut data = GraphData {
-            graph,
-            csc,
-            compact,
-            unique_etype,
-            live_pairs: Vec::new(),
-            max_in_degree: max_in_degree.unwrap_or(0),
+            derived: Arc::new(Derived {
+                graph,
+                csc,
+                compact,
+                unique_etype,
+                live_pairs: Vec::new(),
+                max_in_degree: max_in_degree.unwrap_or(0),
+            }),
         };
         let mut live = vec![false; data.type_count(hector_ir::TypeIndex::NodeEdgePair)];
-        for e in 0..data.graph.num_edges() {
+        for e in 0..data.graph().num_edges() {
             live[data.pair_type_of(hector_ir::RowDomain::Edges, e)] = true;
         }
-        data.live_pairs = (0..live.len() as u32)
+        Arc::get_mut(&mut data.derived)
+            .expect("a graph being built is not shared yet")
+            .live_pairs = (0..live.len() as u32)
             .filter(|&p| live[p as usize])
             .collect();
         data
@@ -56,47 +72,56 @@ impl GraphData {
     /// The dense-pair reference: every pair marked live, as if preps
     /// still visited all `nt × et` slabs.
     #[cfg(test)]
-    pub(crate) fn with_dense_pairs(mut self) -> GraphData {
+    pub(crate) fn with_dense_pairs(self) -> GraphData {
         let pairs = self.type_count(hector_ir::TypeIndex::NodeEdgePair);
-        self.live_pairs = (0..pairs as u32).collect();
-        self
+        let mut derived = (*self.derived).clone();
+        derived.live_pairs = (0..pairs as u32).collect();
+        GraphData {
+            derived: Arc::new(derived),
+        }
     }
 
     pub(crate) fn live_pairs(&self) -> &[u32] {
-        &self.live_pairs
+        &self.derived.live_pairs
+    }
+
+    /// The largest in-degree: the longest in-edge list a dst-node
+    /// traversal tile holds.
+    pub(crate) fn max_in_degree(&self) -> usize {
+        self.derived.max_in_degree
     }
 
     /// The underlying graph.
     #[must_use]
     pub fn graph(&self) -> &HeteroGraph {
-        &self.graph
+        &self.derived.graph
     }
 
     /// Incoming-edge view (dst-node traversal kernels).
     #[must_use]
     pub fn csc(&self) -> &Csc {
-        &self.csc
+        &self.derived.csc
     }
 
     /// The compaction map.
     #[must_use]
     pub fn compact(&self) -> &CompactionMap {
-        &self.compact
+        &self.derived.compact
     }
 
     /// Edge type of each unique `(src, etype)` pair.
     #[must_use]
     pub fn unique_etype(&self) -> &[u32] {
-        &self.unique_etype
+        &self.derived.unique_etype
     }
 
     /// Number of rows in each row domain.
     #[must_use]
     pub fn rows_of(&self, rows: hector_ir::RowDomain) -> usize {
         match rows {
-            hector_ir::RowDomain::Edges => self.graph.num_edges(),
-            hector_ir::RowDomain::UniquePairs => self.compact.num_unique(),
-            hector_ir::RowDomain::Nodes => self.graph.num_nodes(),
+            hector_ir::RowDomain::Edges => self.graph().num_edges(),
+            hector_ir::RowDomain::UniquePairs => self.compact().num_unique(),
+            hector_ir::RowDomain::Nodes => self.graph().num_nodes(),
         }
     }
 
@@ -104,9 +129,9 @@ impl GraphData {
     #[must_use]
     pub fn rows_of_space(&self, space: hector_ir::Space) -> usize {
         match space {
-            hector_ir::Space::Node => self.graph.num_nodes(),
-            hector_ir::Space::Edge => self.graph.num_edges(),
-            hector_ir::Space::Compact => self.compact.num_unique(),
+            hector_ir::Space::Node => self.graph().num_nodes(),
+            hector_ir::Space::Edge => self.graph().num_edges(),
+            hector_ir::Space::Compact => self.compact().num_unique(),
         }
     }
 
@@ -114,17 +139,17 @@ impl GraphData {
     /// occupy on the GPU (counted toward the run's footprint).
     #[must_use]
     pub fn structure_bytes(&self) -> usize {
-        let e = self.graph.num_edges();
-        let n = self.graph.num_nodes();
-        let u = self.compact.num_unique();
+        let e = self.graph().num_edges();
+        let n = self.graph().num_nodes();
+        let u = self.compact().num_unique();
         // COO (src, dst, etype) + etype_ptr + CSC (ptr + edge idx)
         // + unique_row_idx + unique_etype_ptr + edge_to_unique.
         e * 4 * 3
-            + (self.graph.num_edge_types() + 1) * 8
+            + (self.graph().num_edge_types() + 1) * 8
             + (n + 1) * 8
             + e * 4
             + u * 4
-            + (self.graph.num_edge_types() + 1) * 8
+            + (self.graph().num_edge_types() + 1) * 8
             + e * 4
     }
 
@@ -132,10 +157,10 @@ impl GraphData {
     #[must_use]
     pub fn type_count(&self, per: hector_ir::TypeIndex) -> usize {
         match per {
-            hector_ir::TypeIndex::EdgeType => self.graph.num_edge_types(),
-            hector_ir::TypeIndex::NodeType => self.graph.num_node_types(),
+            hector_ir::TypeIndex::EdgeType => self.graph().num_edge_types(),
+            hector_ir::TypeIndex::NodeType => self.graph().num_node_types(),
             hector_ir::TypeIndex::NodeEdgePair => {
-                self.graph.num_node_types() * self.graph.num_edge_types()
+                self.graph().num_node_types() * self.graph().num_edge_types()
             }
             hector_ir::TypeIndex::Shared => 1,
         }
@@ -145,15 +170,15 @@ impl GraphData {
     /// the given domain, used by reorder-fused pair weights.
     #[must_use]
     pub fn pair_type_of(&self, rows: hector_ir::RowDomain, row: usize) -> usize {
-        let et = self.graph.num_edge_types();
+        let et = self.graph().num_edge_types();
         match rows {
             hector_ir::RowDomain::Edges => {
-                let src = self.graph.src()[row] as usize;
-                self.graph.node_type()[src] as usize * et + self.graph.etype()[row] as usize
+                let src = self.graph().src()[row] as usize;
+                self.graph().node_type()[src] as usize * et + self.graph().etype()[row] as usize
             }
             hector_ir::RowDomain::UniquePairs => {
-                let src = self.compact.unique_row_idx()[row] as usize;
-                self.graph.node_type()[src] as usize * et + self.unique_etype[row] as usize
+                let src = self.compact().unique_row_idx()[row] as usize;
+                self.graph().node_type()[src] as usize * et + self.unique_etype()[row] as usize
             }
             hector_ir::RowDomain::Nodes => unreachable!("pair weights need edge context"),
         }

@@ -143,16 +143,28 @@ fn fnv1a(s: &str) -> u64 {
 
 /// Per-edge `1/c_{v,r}` normalisation constants (c = in-degree of the
 /// destination under the edge's relation).
+///
+/// Edges are relation-sorted, so one dense per-node counter serves every
+/// relation: each segment counts its destinations, writes its constants,
+/// then clears only the counters it touched.
 #[must_use]
 pub fn cnorm_tensor(graph: &GraphData) -> Tensor {
     let g = graph.graph();
-    let mut count: HashMap<(u32, u32), u32> = HashMap::new();
-    for e in 0..g.num_edges() {
-        *count.entry((g.dst()[e], g.etype()[e])).or_insert(0) += 1;
+    let dst = g.dst();
+    let mut count = vec![0u32; g.num_nodes()];
+    let mut data = vec![0.0f32; g.num_edges()];
+    for t in 0..g.num_edge_types() {
+        let seg = g.etype_ptr()[t]..g.etype_ptr()[t + 1];
+        for &d in &dst[seg.clone()] {
+            count[d as usize] += 1;
+        }
+        for (c, &d) in data[seg.clone()].iter_mut().zip(&dst[seg.clone()]) {
+            *c = 1.0 / count[d as usize] as f32;
+        }
+        for &d in &dst[seg] {
+            count[d as usize] = 0;
+        }
     }
-    let data: Vec<f32> = (0..g.num_edges())
-        .map(|e| 1.0 / count[&(g.dst()[e], g.etype()[e])] as f32)
-        .collect();
     Tensor::from_vec(data, &[g.num_edges(), 1])
 }
 
@@ -880,7 +892,7 @@ mod tests {
     use super::*;
     use crate::EngineBuilder;
     use hector_compiler::CompileOptions;
-    use hector_graph::HeteroGraphBuilder;
+    use hector_graph::{HeteroGraph, HeteroGraphBuilder};
     use hector_ir::builder::ModelSource;
     use hector_ir::{AggNorm, ModelBuilder};
     use hector_tensor::seeded_rng;
@@ -1040,5 +1052,58 @@ mod tests {
             .unwrap();
         let err = engine.bind(&toy_graph()).unwrap().forward().unwrap_err();
         assert!(matches!(err, HectorError::Oom(e) if e.capacity == 64));
+    }
+
+    /// The `(dst, etype)` hash-count formulation the dense per-relation
+    /// counter replaced, kept as the oracle.
+    fn cnorm_reference(g: &HeteroGraph) -> Vec<f32> {
+        let mut count: HashMap<(u32, u32), u32> = HashMap::new();
+        for e in 0..g.num_edges() {
+            *count.entry((g.dst()[e], g.etype()[e])).or_insert(0) += 1;
+        }
+        (0..g.num_edges())
+            .map(|e| 1.0 / count[&(g.dst()[e], g.etype()[e])] as f32)
+            .collect()
+    }
+
+    #[test]
+    fn cnorm_matches_the_hash_count_reference_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Relation 1 is empty, node 7 isolated, node 2 gets the same
+        // destination under two relations, and (0, 2, 0) is a parallel
+        // edge.
+        let mut b = HeteroGraphBuilder::new();
+        b.add_node_type(5);
+        b.add_node_type(3);
+        for (s, d, t) in [
+            (0, 2, 0),
+            (0, 2, 0),
+            (1, 2, 2),
+            (3, 2, 0),
+            (6, 4, 2),
+            (4, 6, 3),
+        ] {
+            b.add_edge(s, d, t);
+        }
+        let mut graphs = vec![toy_graph(), GraphData::new(b.build())];
+        for seed in 0..6u64 {
+            graphs.push(GraphData::new(hector_graph::generate(
+                &hector_graph::DatasetSpec {
+                    name: "cnorm".into(),
+                    num_nodes: 40 + 30 * seed as usize,
+                    num_node_types: 1 + seed as usize % 3,
+                    num_edges: 300 * (seed as usize + 1),
+                    num_edge_types: 1 + 3 * seed as usize,
+                    compaction_ratio: 0.3,
+                    type_skew: 1.0,
+                    seed,
+                },
+            )));
+        }
+        for g in &graphs {
+            let got = cnorm_tensor(g);
+            assert_eq!(got.shape(), &[g.graph().num_edges(), 1]);
+            assert_eq!(bits(got.data()), bits(&cnorm_reference(g.graph())));
+        }
     }
 }

@@ -500,14 +500,12 @@ impl ServeHandle {
     ///
     /// # Errors
     ///
-    /// As [`ServeHandle::swap`]. On error the sharded graph HAS already
-    /// advanced (the delta applies first); retry the swap with
-    /// [`ServeHandle::swap_versioned`] rather than re-applying the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed batch (see [`ShardedGraph::apply`]), before
-    /// any serving state changes.
+    /// [`ServeError::BadRequest`] for a batch [`DeltaBatch::validate`]
+    /// rejects; neither the sharded graph nor the deployment changes.
+    /// Otherwise as [`ServeHandle::swap`]: on such an error the sharded
+    /// graph HAS already advanced (the delta applies first); retry the
+    /// swap with [`ServeHandle::swap_versioned`] rather than re-applying
+    /// the batch.
     pub fn apply_delta(
         &self,
         name: &str,
@@ -515,6 +513,9 @@ impl ServeHandle {
         sharded: &mut ShardedGraph,
         batch: &DeltaBatch,
     ) -> Result<u64, ServeError> {
+        batch
+            .validate(sharded.full())
+            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
         let outcome = sharded.apply(batch);
         let graph = GraphData::new(sharded.full().clone());
         self.swap_versioned(name, builder, &graph, outcome.version)?;
@@ -1063,6 +1064,59 @@ mod tests {
         let r = srv.submit("m", 3).unwrap().wait().unwrap();
         assert_eq!(r.version, 1);
         assert_eq!(srv.stats("m").unwrap().swaps, 0);
+        srv.shutdown();
+    }
+
+    /// A malformed delta is the caller's error, returned before anything
+    /// moves: the graph keeps its version and edges, the deployment its
+    /// version, and it keeps serving.
+    #[test]
+    fn malformed_delta_is_a_bad_request_and_changes_nothing() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(15, 48);
+        srv.deploy("m", builder(), &g).unwrap();
+        let full = g.graph();
+        let mut sharded = ShardedGraph::partition(
+            full.clone(),
+            Box::new(hector_shard::RangePartitioner),
+            hector_shard::ShardConfig::new(2),
+        );
+        let (n, r) = (full.num_nodes() as u32, full.num_edge_types() as u32);
+        let edge = (full.src()[0], full.dst()[0], full.etype()[0]);
+        let copies = (0..full.num_edges())
+            .filter(|&e| (full.src()[e], full.dst()[e], full.etype()[e]) == edge)
+            .count();
+        let mut claim_one_edge_twice = DeltaBatch::new();
+        for _ in 0..=copies {
+            claim_one_edge_twice = claim_one_edge_twice.remove_edge(edge.0, edge.1, edge.2);
+        }
+        let unmatched = (0..n)
+            .map(|d| (0, d, 0))
+            .find(|&k| {
+                !(0..full.num_edges()).any(|e| (full.src()[e], full.dst()[e], full.etype()[e]) == k)
+            })
+            .expect("node 0 does not feed every node under relation 0");
+        let batches = [
+            DeltaBatch::new().add_edge(n, 0, 0),
+            DeltaBatch::new().add_edge(0, 1, r),
+            DeltaBatch::new().remove_edge(unmatched.0, unmatched.1, unmatched.2),
+            claim_one_edge_twice,
+        ];
+        for batch in &batches {
+            let err = srv
+                .apply_delta("m", builder(), &mut sharded, batch)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadRequest(d) if d.contains("invalid delta")),
+                "{err}"
+            );
+            assert_eq!(sharded.version(), 0);
+            assert_eq!(sharded.full().num_edges(), full.num_edges());
+            let stats = srv.stats("m").unwrap();
+            assert_eq!((stats.version, stats.graph_version, stats.swaps), (1, 0, 0));
+        }
+        let r = srv.submit("m", 3).unwrap().wait().unwrap();
+        assert_eq!(r.version, 1);
         srv.shutdown();
     }
 

@@ -8,6 +8,9 @@
 //! invalidate only the shards whose interior contains a touched
 //! destination; batches with node operations shift node ids and force a
 //! full re-partition (documented on [`DeltaBatch::add_node`]).
+//! [`DeltaBatch::validate`] checks a batch against its graph before
+//! anything changes, so a malformed batch from outside is an error, not
+//! a panic.
 //!
 //! # Id coordinates
 //!
@@ -33,6 +36,7 @@
 use std::collections::HashMap;
 
 use hector_graph::{HeteroGraph, HeteroGraphBuilder};
+use hector_runtime::HectorError;
 
 /// A batch of structural updates (edge/node inserts and deletes),
 /// applied atomically by [`ShardedGraph::apply`](crate::ShardedGraph::apply).
@@ -129,6 +133,92 @@ impl DeltaBatch {
         dsts.dedup();
         dsts
     }
+
+    /// Checks the batch against the graph it is about to be applied to,
+    /// without changing anything: every condition under which
+    /// [`ShardedGraph::apply`](crate::ShardedGraph::apply) would panic
+    /// is reported here instead. Only the relations that removals name
+    /// are scanned.
+    ///
+    /// # Errors
+    ///
+    /// [`HectorError::InvalidDelta`] for the first problem found: a node
+    /// removal or inserted node type out of range, an edge insert whose
+    /// relation is out of range or whose endpoint is neither a surviving
+    /// node nor a node this batch adds, or an edge removal left without
+    /// a distinct matching edge (its relation is out of range, nothing
+    /// matches, or more removals name a key than the graph has edges
+    /// with it).
+    pub fn validate(&self, graph: &HeteroGraph) -> Result<(), HectorError> {
+        let invalid = |detail: String| Err(HectorError::InvalidDelta { detail });
+        let (n, ntypes, nrel) = (
+            graph.num_nodes(),
+            graph.num_node_types(),
+            graph.num_edge_types(),
+        );
+        if let Some(v) = self.remove_nodes.iter().find(|&&v| v as usize >= n) {
+            return invalid(format!("node removal {v} out of range for {n} nodes"));
+        }
+        if let Some(t) = self.add_nodes.iter().find(|&&t| t as usize >= ntypes) {
+            return invalid(format!("node insert type {t} out of range for {ntypes}"));
+        }
+        let mut removed = self.remove_nodes.clone();
+        removed.sort_unstable();
+        let ids = n + self.add_nodes.len();
+        for &(s, d, t) in &self.add_edges {
+            if t as usize >= nrel {
+                return invalid(format!("edge insert relation {t} out of range for {nrel}"));
+            }
+            if s as usize >= ids || d as usize >= ids {
+                return invalid(format!(
+                    "edge insert ({s}, {d}) out of range for {n} nodes and {} added",
+                    self.add_nodes.len()
+                ));
+            }
+            if let Some(v) = [s, d]
+                .into_iter()
+                .find(|v| removed.binary_search(v).is_ok())
+            {
+                return invalid(format!(
+                    "edge insert ({s}, {d}) references removed node {v}"
+                ));
+            }
+        }
+
+        // Each removal claims one distinct matching edge: count the
+        // edges of every named key inside the relations removals name.
+        let mut matched: HashMap<(u32, u32, u32), (usize, usize)> = HashMap::new();
+        for &key in &self.remove_edges {
+            if key.2 as usize >= nrel {
+                return invalid(format!(
+                    "edge removal {key:?}: relation out of range for {nrel}"
+                ));
+            }
+            matched.entry(key).or_default().0 += 1;
+        }
+        let mut rels: Vec<u32> = self.remove_edges.iter().map(|&(_, _, t)| t).collect();
+        rels.sort_unstable();
+        rels.dedup();
+        for t in rels {
+            for e in graph.etype_ptr()[t as usize]..graph.etype_ptr()[t as usize + 1] {
+                if let Some((_, found)) = matched.get_mut(&(graph.src()[e], graph.dst()[e], t)) {
+                    *found += 1;
+                }
+            }
+        }
+        for key in &self.remove_edges {
+            let (wanted, found) = matched[key];
+            if found == 0 {
+                return invalid(format!("edge removal {key:?} matches no edge in the graph"));
+            }
+            if found < wanted {
+                return invalid(format!(
+                    "edge removal {key:?} is queued {wanted} times but matches {found} edges"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What one [`ShardedGraph::apply`](crate::ShardedGraph::apply) did.
@@ -155,15 +245,29 @@ fn removal_counts(batch: &DeltaBatch) -> HashMap<(u32, u32, u32), usize> {
     m
 }
 
+/// Whether `key` is a pending removal; if so, consumes one count (the
+/// earliest surviving match is the one removed).
+fn take_removal(pending: &mut HashMap<(u32, u32, u32), usize>, key: (u32, u32, u32)) -> bool {
+    match pending.get_mut(&key) {
+        Some(c) if *c > 0 => {
+            *c -= 1;
+            true
+        }
+        _ => false,
+    }
+}
+
 /// Applies an edge-only batch by splicing the relation-sorted edge
-/// arrays. Returns the new graph plus the old→new edge id map
-/// (`None` for removed edges) used to shift unaffected shards' remap
-/// tables without re-extraction.
+/// arrays. Relations without a removal are copied through unprobed; only
+/// relations a removal names consult the removal multiset. Returns the
+/// new graph plus the old→new edge id map (`None` for removed edges)
+/// used to shift unaffected shards' remap tables without re-extraction.
 ///
 /// # Panics
 ///
 /// Panics if a removal matches no edge, or an insertion references an
-/// out-of-range node or relation.
+/// out-of-range node or relation ([`DeltaBatch::validate`] reports the
+/// same conditions as errors).
 pub(crate) fn splice_edges(
     full: &HeteroGraph,
     batch: &DeltaBatch,
@@ -183,6 +287,12 @@ pub(crate) fn splice_edges(
         );
         adds_by_rel[t as usize].push((s, d));
     }
+    let mut removes_in_rel = vec![false; nrel];
+    for &(_, _, t) in &batch.remove_edges {
+        if let Some(r) = removes_in_rel.get_mut(t as usize) {
+            *r = true; // an out-of-range relation stays pending below
+        }
+    }
     let mut pending = removal_counts(batch);
 
     let mut b = HeteroGraphBuilder::new();
@@ -192,15 +302,12 @@ pub(crate) fn splice_edges(
     b.reserve_edge_types(nrel);
     let mut old_to_new = vec![None; full.num_edges()];
     let mut next = 0u32;
-    #[allow(clippy::needless_range_loop)] // `t`/`e` index several parallel arrays
+    let (src, dst) = (full.src(), full.dst());
     for t in 0..nrel {
         for e in full.etype_ptr()[t]..full.etype_ptr()[t + 1] {
-            let key = (full.src()[e], full.dst()[e], t as u32);
-            if let Some(c) = pending.get_mut(&key) {
-                if *c > 0 {
-                    *c -= 1;
-                    continue;
-                }
+            let key = (src[e], dst[e], t as u32);
+            if removes_in_rel[t] && take_removal(&mut pending, key) {
+                continue;
             }
             b.add_edge(key.0, key.1, key.2);
             old_to_new[e] = Some(next);
@@ -307,12 +414,8 @@ pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> H
     for t in 0..nrel {
         for e in full.etype_ptr()[t]..full.etype_ptr()[t + 1] {
             let (s, d) = (full.src()[e], full.dst()[e]);
-            let key = (s, d, t as u32);
-            if let Some(c) = pending.get_mut(&key) {
-                if *c > 0 {
-                    *c -= 1;
-                    continue;
-                }
+            if take_removal(&mut pending, (s, d, t as u32)) {
+                continue;
             }
             if removed[s as usize] || removed[d as usize] {
                 continue; // incident edge drops with its node
@@ -333,6 +436,7 @@ pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> H
 mod tests {
     use super::*;
     use hector_graph::{generate, DatasetSpec};
+    use proptest::prelude::*;
 
     fn graph() -> HeteroGraph {
         generate(&DatasetSpec {
@@ -360,52 +464,128 @@ mod tests {
         assert!(DeltaBatch::new().is_empty());
     }
 
-    /// The splice must be indistinguishable from building the post-delta
-    /// edge list from scratch with the same ordering rules.
-    #[test]
-    fn splice_matches_fresh_build() {
-        let g = graph();
-        let victim = 0usize; // remove the first edge of relation 0
-        let (vs, vd) = (g.src()[victim], g.dst()[victim]);
-        let batch = DeltaBatch::new()
-            .remove_edge(vs, vd, 0)
-            .add_edge(3, 4, 1)
-            .add_edge(5, 6, 1);
-        let (spliced, old_to_new) = splice_edges(&g, &batch);
-        spliced.validate();
-        assert_eq!(spliced.num_edges(), g.num_edges() + 1);
-        assert!(old_to_new[victim].is_none(), "removed edge has no new id");
-
-        // Fresh build: same per-relation order, insertions at the end.
+    /// The splice's reference: a fresh build of the post-delta edge list
+    /// that probes the removal multiset at every edge of every relation
+    /// (the formulation the per-relation skip replaced). Returns the
+    /// graph and the old→new edge id map.
+    fn fresh_build(g: &HeteroGraph, batch: &DeltaBatch) -> (HeteroGraph, Vec<Option<u32>>) {
+        let mut pending = removal_counts(batch);
         let mut b = HeteroGraphBuilder::new();
         for t in 0..g.num_node_types() {
             b.add_node_type(g.nodes_of_type(t));
         }
         b.reserve_edge_types(g.num_edge_types());
-        for t in 0..g.num_edge_types() {
-            for e in g.etype_ptr()[t]..g.etype_ptr()[t + 1] {
-                if e == victim {
-                    continue;
+        let mut old_to_new = vec![None; g.num_edges()];
+        let mut next = 0u32;
+        for t in 0..g.num_edge_types() as u32 {
+            #[allow(clippy::needless_range_loop)] // `e` indexes several parallel arrays
+            for e in g.etype_ptr()[t as usize]..g.etype_ptr()[t as usize + 1] {
+                let key = (g.src()[e], g.dst()[e], t);
+                match pending.get_mut(&key) {
+                    Some(c) if *c > 0 => *c -= 1, // the earliest survivor goes
+                    _ => {
+                        b.add_edge(key.0, key.1, t);
+                        old_to_new[e] = Some(next);
+                        next += 1;
+                    }
                 }
-                b.add_edge(g.src()[e], g.dst()[e], t as u32);
             }
-            if t == 1 {
-                b.add_edge(3, 4, 1);
-                b.add_edge(5, 6, 1);
+            for &(s, d, _) in batch.add_edges.iter().filter(|a| a.2 == t) {
+                b.add_edge(s, d, t);
+                next += 1;
             }
         }
-        let fresh = b.build();
-        assert_eq!(spliced.src(), fresh.src());
-        assert_eq!(spliced.dst(), fresh.dst());
-        assert_eq!(spliced.etype(), fresh.etype());
-        assert_eq!(spliced.etype_ptr(), fresh.etype_ptr());
+        (b.build(), old_to_new)
+    }
 
-        // The id map shifts surviving edges onto their new positions.
-        for (old, new) in old_to_new.iter().enumerate() {
-            if let Some(new) = new {
-                assert_eq!(spliced.src()[*new as usize], g.src()[old]);
-                assert_eq!(spliced.dst()[*new as usize], g.dst()[old]);
-                assert_eq!(spliced.etype()[*new as usize], g.etype()[old]);
+    /// A small multigraph: few nodes, so parallel duplicate edges and
+    /// repeated keys are common; `spare` relations stay empty.
+    fn arb_multigraph() -> impl Strategy<Value = HeteroGraph> {
+        (
+            proptest::collection::vec(1usize..6, 1..4),
+            1u32..5,
+            0usize..3,
+            proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..90),
+        )
+            .prop_map(|(types, rels, spare, edges)| {
+                let mut b = HeteroGraphBuilder::new();
+                for &c in &types {
+                    b.add_node_type(c);
+                }
+                let n: usize = types.iter().sum();
+                b.reserve_edge_types(rels as usize + spare);
+                for (s, d, t) in edges {
+                    b.add_edge(s % n as u32, d % n as u32, t % rels);
+                }
+                b.build()
+            })
+    }
+
+    /// An edge-only batch: removals of distinct existing edges (so a key
+    /// with parallel copies can be named several times), in a shuffled
+    /// order, plus insertions that may duplicate existing edges.
+    fn arb_edge_batch(g: &HeteroGraph, picks: &[(u32, u32, u32)], adds: usize) -> DeltaBatch {
+        let (n, e, r) = (
+            g.num_nodes() as u32,
+            g.num_edges(),
+            g.num_edge_types() as u32,
+        );
+        let mut batch = DeltaBatch::new();
+        let mut taken = vec![false; e];
+        for &(pick, _, _) in picks.iter().filter(|_| e > 0) {
+            let victim = pick as usize % e;
+            if !std::mem::replace(&mut taken[victim], true) {
+                batch = batch.remove_edge(g.src()[victim], g.dst()[victim], g.etype()[victim]);
+            }
+        }
+        for &(_, s, d) in picks.iter().take(adds) {
+            let copy = s as usize % (e + 1);
+            batch = if copy < e && d % 2 == 0 {
+                batch.add_edge(g.src()[copy], g.dst()[copy], g.etype()[copy])
+            } else {
+                batch.add_edge(s % n, d % n, (s ^ d) % r)
+            };
+        }
+        batch
+    }
+
+    proptest! {
+        /// The splice must be indistinguishable from building the
+        /// post-delta edge list from scratch with the same ordering
+        /// rules, and its old→new map must name the same survivors.
+        #[test]
+        fn splice_matches_fresh_build(
+            g in arb_multigraph(),
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..12),
+            adds in 0usize..12,
+        ) {
+            let batch = arb_edge_batch(&g, &picks, adds);
+            prop_assert!(batch.validate(&g).is_ok());
+            let (spliced, old_to_new) = splice_edges(&g, &batch);
+            spliced.validate();
+            let (fresh, fresh_old_to_new) = fresh_build(&g, &batch);
+            prop_assert_eq!(spliced.src(), fresh.src());
+            prop_assert_eq!(spliced.dst(), fresh.dst());
+            prop_assert_eq!(spliced.etype(), fresh.etype());
+            prop_assert_eq!(spliced.etype_ptr(), fresh.etype_ptr());
+            prop_assert_eq!(&old_to_new, &fresh_old_to_new);
+            prop_assert_eq!(
+                old_to_new.iter().filter(|m| m.is_none()).count(),
+                batch.remove_edges.len()
+            );
+
+            // One removal more of a named key than the graph holds is
+            // rejected up front.
+            if let Some(&key) = batch.remove_edges.first() {
+                let copies = (0..g.num_edges())
+                    .filter(|&e| (g.src()[e], g.dst()[e], g.etype()[e]) == key)
+                    .count();
+                let named = batch.remove_edges.iter().filter(|&&k| k == key).count();
+                let mut over = batch.clone();
+                for _ in named..=copies {
+                    over = over.remove_edge(key.0, key.1, key.2);
+                }
+                prop_assert!(over.validate(&g).is_err());
             }
         }
     }
@@ -448,6 +628,39 @@ mod tests {
         let new_id = (rebuilt.ntype_ptr()[2] - 1) as u32;
         assert!((0..rebuilt.num_edges())
             .any(|e| rebuilt.src()[e] == new_id && rebuilt.dst()[e] == new_id));
+    }
+
+    #[test]
+    fn validate_reports_every_panic_condition_as_an_error() {
+        let g = graph();
+        let (n, r) = (g.num_nodes() as u32, g.num_edge_types() as u32);
+        let (s, d, t) = (g.src()[0], g.dst()[0], g.etype()[0]);
+        let prov = n; // provisional id of the batch's first added node
+        let ok = [
+            DeltaBatch::new().remove_edge(s, d, t).add_edge(0, 1, 0),
+            DeltaBatch::new()
+                .add_node(1)
+                .add_edge(prov, 0, 0)
+                .remove_node(5)
+                .remove_edge(s, d, t),
+        ];
+        for batch in &ok {
+            assert_eq!(batch.validate(&g), Ok(()));
+        }
+        let bad = [
+            DeltaBatch::new().add_edge(0, n, 0),
+            DeltaBatch::new().add_edge(0, 1, r),
+            DeltaBatch::new().remove_edge(s, d, r),
+            DeltaBatch::new().remove_node(n),
+            DeltaBatch::new().add_node(g.num_node_types() as u32),
+            DeltaBatch::new().add_node(0).add_edge(prov + 1, 0, 0),
+            DeltaBatch::new().remove_node(4).add_edge(4, 0, 0),
+            DeltaBatch::new().remove_node(4).add_edge(0, 4, 0),
+        ];
+        for batch in &bad {
+            let err = batch.validate(&g).unwrap_err();
+            assert_eq!(err.kind(), "invalid_delta", "{err}");
+        }
     }
 
     #[test]

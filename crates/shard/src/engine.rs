@@ -309,12 +309,11 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures (e.g. a delta that empties the graph).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed batches (see [`ShardedGraph::apply`]).
+    /// [`HectorError::InvalidDelta`] for a batch [`DeltaBatch::validate`]
+    /// rejects, before anything changes; otherwise propagates bind
+    /// failures (e.g. a delta that empties the graph).
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, HectorError> {
+        batch.validate(self.sharded.full())?;
         let outcome = self.sharded.apply(batch);
         self.full_data = GraphData::new(self.sharded.full().clone());
         self.full.bind(&self.full_data)?;
@@ -499,6 +498,60 @@ mod tests {
             oracle.output().data(),
             "post-delta sharded forward diverged from the fresh oracle"
         );
+    }
+
+    #[test]
+    fn full_engine_shares_the_full_graph_data_across_deltas() {
+        let g = graph();
+        let sharded = ShardedGraph::partition(
+            g.clone(),
+            Box::new(HashPartitioner::new(2)),
+            ShardConfig::new(2),
+        );
+        let mut eng = builder().bind_sharded(sharded).unwrap();
+        let shared = |eng: &ShardedEngine| {
+            std::ptr::eq(eng.full_engine().graph().graph(), eng.full_data.graph())
+        };
+        assert!(shared(&eng));
+        eng.apply_delta(&DeltaBatch::new().add_edge(0, 1, 0))
+            .unwrap();
+        assert!(shared(&eng));
+    }
+
+    #[test]
+    fn malformed_delta_is_an_error_and_changes_nothing() {
+        let g = graph();
+        let sharded = ShardedGraph::partition(
+            g.clone(),
+            Box::new(HashPartitioner::new(2)),
+            ShardConfig::new(2),
+        );
+        let mut eng = builder().bind_sharded(sharded).unwrap();
+        eng.forward().unwrap();
+        let before = eng.output().data().to_vec();
+        let n = g.num_nodes() as u32;
+        let (s, d, t) = (g.src()[0], g.dst()[0], g.etype()[0]);
+        let twice = (0..g.num_edges())
+            .filter(|&e| (g.src()[e], g.dst()[e], g.etype()[e]) == (s, d, t))
+            .count();
+        let mut claim_too_many = DeltaBatch::new();
+        for _ in 0..=twice {
+            claim_too_many = claim_too_many.remove_edge(s, d, t);
+        }
+        for batch in [
+            DeltaBatch::new().add_edge(0, n, 0),
+            DeltaBatch::new().add_edge(0, 1, g.num_edge_types() as u32),
+            DeltaBatch::new().remove_edge(s, d, g.num_edge_types() as u32),
+            claim_too_many,
+            DeltaBatch::new().remove_node(n),
+        ] {
+            let err = eng.apply_delta(&batch).unwrap_err();
+            assert_eq!(err.kind(), "invalid_delta", "{err}");
+            assert_eq!(eng.sharded().version(), 0);
+            assert_eq!(eng.full_graph().num_edges(), g.num_edges());
+        }
+        eng.forward().unwrap();
+        assert_eq!(eng.output().data(), &before[..]);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //! edge-only batches splice the relation-sorted edge arrays and
 //! re-extract **only the shards whose interior contains a touched
 //! destination** (other shards just shift their edge remap tables);
-//! node batches force a full re-partition. Every apply bumps
+//! node batches force a full re-partition. A batch that
+//! [`DeltaBatch::validate`] rejects changes nothing. Every apply bumps
 //! [`ShardedGraph::version`], which `hector-serve` hot-swap consumes.
 //! Activity is observable via `hector_device::shard_probe::snapshot()`
 //! ([`hector_device::ShardStats`]).
@@ -180,10 +181,10 @@ fn build_shard(full: &HeteroGraph, owner: &[u32], s: u32, hops: usize) -> Shard 
         .filter(|&v| interior_set[v as usize])
         .collect();
 
-    let mut node_set = interior_set;
+    let mut node_set = interior_set.clone();
     let mut edges: Vec<u32> = Vec::new();
     for e in 0..full.num_edges() {
-        if interior.binary_search(&full.dst()[e]).is_ok() {
+        if interior_set[full.dst()[e] as usize] {
             edges.push(e as u32);
             node_set[full.src()[e] as usize] = true;
         }
@@ -378,9 +379,13 @@ impl ShardedGraph {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range ids, on a removal that matches nothing,
-    /// and on an inserted edge referencing a removed node.
+    /// Panics, before changing anything, on a batch that
+    /// [`DeltaBatch::validate`] rejects: out-of-range ids, a removal that
+    /// matches nothing, an inserted edge referencing a removed node.
     pub fn apply(&mut self, batch: &DeltaBatch) -> DeltaOutcome {
+        if let Err(e) = batch.validate(&self.full) {
+            panic!("{e}");
+        }
         let tr = hector_trace::span_start();
         let ops = batch.ops();
         let (affected, repartitioned) = if batch.has_node_ops() {
@@ -547,25 +552,24 @@ mod tests {
         // must equal what a from-scratch partition of the new graph
         // produces.
         let g = graph();
-        let mut sg = ShardedGraph::partition(
-            g.clone(),
-            Box::new(HashPartitioner::new(9)),
-            ShardConfig::new(3).hops(2),
-        );
-        let batch = DeltaBatch::new()
-            .add_edge(g.src()[5], g.dst()[5], g.etype()[5])
-            .remove_edge(g.src()[10], g.dst()[10], g.etype()[10]);
-        sg.apply(&batch);
-        let fresh = ShardedGraph::partition(
-            sg.full().clone(),
-            Box::new(HashPartitioner::new(9)),
-            ShardConfig::new(3).hops(2),
-        );
-        for s in 0..3 {
-            assert_eq!(sg.shard(s).node_map(), fresh.shard(s).node_map());
-            assert_eq!(sg.shard(s).edge_map(), fresh.shard(s).edge_map());
-            assert_eq!(sg.shard(s).graph().src(), fresh.shard(s).graph().src());
-            assert_eq!(sg.shard(s).graph().dst(), fresh.shard(s).graph().dst());
+        for hops in [1, 2] {
+            let cfg = ShardConfig::new(3).hops(hops);
+            let mut sg = ShardedGraph::partition(g.clone(), Box::new(HashPartitioner::new(9)), cfg);
+            let batch = DeltaBatch::new()
+                .add_edge(g.src()[5], g.dst()[5], g.etype()[5])
+                .remove_edge(g.src()[10], g.dst()[10], g.etype()[10]);
+            sg.apply(&batch);
+            let fresh =
+                ShardedGraph::partition(sg.full().clone(), Box::new(HashPartitioner::new(9)), cfg);
+            for s in 0..3 {
+                let (got, want) = (sg.shard(s), fresh.shard(s));
+                assert_eq!(got.interior(), want.interior(), "hops={hops} shard {s}");
+                assert_eq!(got.node_map(), want.node_map(), "hops={hops} shard {s}");
+                assert_eq!(got.edge_map(), want.edge_map(), "hops={hops} shard {s}");
+                assert_eq!(got.graph().src(), want.graph().src());
+                assert_eq!(got.graph().dst(), want.graph().dst());
+                assert_eq!(got.graph().etype_ptr(), want.graph().etype_ptr());
+            }
         }
     }
 
