@@ -12,13 +12,14 @@
 //! * `GET /stats` — per-deployment serving counters as JSON.
 //! * `GET /infer/<deployment>/<node>` — single-node inference; the
 //!   response carries the output row, serving engine version, and the
-//!   coalescing factor of the traversal that served it.
+//!   size of the dispatch group that served it.
 //!
 //! Serving-policy outcomes map onto status codes: shed load is `503`
 //! with a `Retry-After` header, queue expiry is `504`, an unknown
 //! deployment is `404`, malformed requests are `400`, and engine errors
-//! are `500` with the [`HectorError`](hector_runtime::HectorError)
-//! rendered in the body.
+//! (a [`HectorError`](hector_runtime::HectorError) or a panicked
+//! forward) are `500` with the error rendered in the body. Every
+//! interpolated string is JSON-escaped.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -185,7 +186,8 @@ fn route(path: &str, handle: &ServeHandle) -> (u16, Vec<String>, String) {
                         200,
                         Vec::new(),
                         format!(
-                            "{{\"deployment\":\"{dep}\",\"node\":{node},\"version\":{},\"coalesced\":{},\"row\":[{}]}}\n",
+                            "{{\"deployment\":{},\"node\":{node},\"version\":{},\"coalesced\":{},\"row\":[{}]}}\n",
+                            json_str(dep),
                             resp.version,
                             resp.coalesced,
                             row.join(",")
@@ -208,9 +210,13 @@ fn error_response(e: &ServeError) -> (u16, Vec<String>, String) {
         }
         ServeError::Timeout => (504, Vec::new()),
         ServeError::ShuttingDown => (503, vec!["Retry-After: 1".to_string()]),
-        ServeError::Hector(_) => (500, Vec::new()),
+        ServeError::Hector(_) | ServeError::Internal(_) => (500, Vec::new()),
     };
-    (status, headers, format!("{{\"error\":\"{e}\"}}\n"))
+    (
+        status,
+        headers,
+        format!("{{\"error\":{}}}\n", json_str(&e.to_string())),
+    )
 }
 
 fn stats_json(handle: &ServeHandle) -> String {
@@ -223,7 +229,8 @@ fn stats_json(handle: &ServeHandle) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\"{name}\":{{\"submitted\":{},\"completed\":{},\"shed\":{},\"timed_out\":{},\"failed\":{},\"forwards\":{},\"coalesced_requests\":{},\"coalescing_factor\":{:.3},\"swaps\":{},\"version\":{}}}",
+            "{}:{{\"submitted\":{},\"completed\":{},\"shed\":{},\"timed_out\":{},\"failed\":{},\"forwards\":{},\"coalesced_requests\":{},\"coalescing_factor\":{:.3},\"swaps\":{},\"version\":{},\"graph_version\":{}}}",
+            json_str(name),
             s.submitted,
             s.completed,
             s.shed,
@@ -233,10 +240,32 @@ fn stats_json(handle: &ServeHandle) -> String {
             s.coalesced_requests,
             s.coalescing_factor(),
             s.swaps,
-            s.version
+            s.version,
+            s.graph_version
         ));
     }
     out.push_str("}\n");
+    out
+}
+
+/// `s` as a quoted JSON string. Every string the responses interpolate
+/// (deployment names from the request path, error text) goes through
+/// here, so a `"` or `\` in either cannot break the document.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 
@@ -351,6 +380,48 @@ mod tests {
         assert_eq!(status, 400);
         let (status, _, _) = get(http.addr(), "/nope");
         assert_eq!(status, 404);
+        http.shutdown();
+        srv.shutdown();
+    }
+
+    /// Regression: deployment names from the path and error text were
+    /// pasted into the JSON raw, so `"` or `\` produced invalid JSON.
+    #[test]
+    fn quotes_and_backslashes_are_escaped_in_every_body() {
+        let (srv, http) = server();
+        let g = GraphData::new(generate(&DatasetSpec {
+            name: "http_unit_escape".into(),
+            num_nodes: 16,
+            num_node_types: 2,
+            num_edges: 64,
+            num_edge_types: 2,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 7,
+        }));
+        let b = EngineBuilder::new(ModelKind::Rgcn)
+            .dims(4, 4)
+            .mode(Mode::Real)
+            .seed(3);
+        srv.deploy(r#"q"\t"#, b, &g).unwrap();
+
+        let (status, _, body) = get(http.addr(), r#"/infer/a"b\c/0"#);
+        assert_eq!(status, 404);
+        assert_eq!(body, "{\"error\":\"unknown deployment 'a\\\"b\\\\c'\"}\n");
+
+        let (status, _, body) = get(http.addr(), r#"/infer/q"\t/2"#);
+        assert_eq!(status, 200);
+        assert!(
+            body.starts_with(r#"{"deployment":"q\"\\t","node":2,"#),
+            "{body}"
+        );
+
+        let (status, _, body) = get(http.addr(), "/stats");
+        assert_eq!(status, 200);
+        assert!(body.contains(r#""q\"\\t":{"submitted":1,"#), "{body}");
+        assert!(body.contains("\"graph_version\":0}"), "{body}");
+
+        assert_eq!(json_str("a\nb\u{1}"), r#""a\nb\u0001""#);
         http.shutdown();
         srv.shutdown();
     }

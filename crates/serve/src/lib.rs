@@ -6,8 +6,14 @@
 //! the process-wide `ModuleCache`), concurrent callers submit
 //! single-node or multi-node inference requests through a bounded
 //! queue, and a dispatcher **coalesces** every pending request for the
-//! same deployment into one batched graph traversal per tick — k
-//! requests cost one `Engine::forward`, not k.
+//! same deployment into one group per tick.
+//!
+//! A full-graph forward yields every node's output at once, and a
+//! deployment's weights, features and graph change only when a swap or
+//! delta installs a new engine. So each deployment runs **one**
+//! `Engine::forward` per engine version — lazily, at the first group
+//! that reads it — and answers every later request from that output
+//! until the next swap or delta. A swap runs no forward itself.
 //!
 //! ```text
 //!   submit()──►[ bounded queue ]──►dispatcher──►┌─────────────────┐
@@ -19,8 +25,9 @@
 //!                                               ┌──▼───┐ ┌──▼───┐
 //!                                               │engine│ │engine│ ...
 //!                                               └──┬───┘ └──┬───┘
-//!                                    one forward per group; rows are
-//!                                    scattered back to each ticket
+//!                                    a forward only if this engine has
+//!                                    not run one; rows are scattered
+//!                                    back to each ticket
 //! ```
 //!
 //! Design points, in paper terms: the engines' kernels and run plans
@@ -31,7 +38,9 @@
 //! every thread count). Hot model/graph swap builds the replacement
 //! engine off to the side and replaces the resident one atomically
 //! under the deployment lock, so in-flight requests either run on the
-//! old engine or the new one — never on neither.
+//! old engine or the new one — never on neither. The memoized output
+//! is replaced together with its engine, so no request can read a new
+//! engine's version with an old engine's rows.
 //!
 //! The crate is deliberately std-only (no async runtime): the public
 //! in-process API is [`ServeHandle::submit`] / [`ServeHandle::submit_batch`],
@@ -43,6 +52,7 @@
 pub mod http;
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -81,6 +91,9 @@ pub enum ServeError {
     BadRequest(String),
     /// The underlying engine reported an error.
     Hector(HectorError),
+    /// The forward panicked. Only the group that ran it fails; the
+    /// deployment keeps serving and retries the forward at its next read.
+    Internal(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -96,6 +109,7 @@ impl std::fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::BadRequest(detail) => write!(f, "bad request: {detail}"),
             ServeError::Hector(e) => write!(f, "engine error: {e}"),
+            ServeError::Internal(detail) => write!(f, "internal error: {detail}"),
         }
     }
 }
@@ -121,9 +135,10 @@ impl From<HectorError> for ServeError {
 pub struct ServeConfig {
     /// Maximum queued requests before [`ServeHandle::submit`] sheds load.
     pub queue_capacity: usize,
-    /// Maximum requests folded into one traversal per deployment per
-    /// tick. `1` disables coalescing (the naive baseline
-    /// `tests/serve.rs` contrasts traversal counts against).
+    /// Maximum requests folded into one group per deployment per tick.
+    /// Only the first group to read a new engine version runs a
+    /// forward; every other group is answered from its output, so this
+    /// cap only shapes the groups of that refill tick.
     pub max_coalesce: usize,
     /// Queue-residency budget per request; exceeded ⇒ [`ServeError::Timeout`].
     pub default_timeout: Duration,
@@ -183,7 +198,8 @@ pub struct Response {
     pub rows: Vec<Vec<f32>>,
     /// Engine version (bumped by hot swap) that served the request.
     pub version: u64,
-    /// Requests folded into the traversal that served this one (≥ 1).
+    /// Requests in the dispatch group that served this one (≥ 1),
+    /// whether or not that group ran a forward.
     pub coalesced: usize,
 }
 
@@ -198,12 +214,16 @@ pub struct DeploymentStats {
     pub shed: u64,
     /// Requests expired in the queue.
     pub timed_out: u64,
-    /// Requests failed at dispatch: an engine error, or a node a swap /
-    /// delta removed while the request was queued.
+    /// Requests failed at dispatch: an engine error, a panicked
+    /// forward, or a node a swap / delta removed while the request was
+    /// queued.
     pub failed: u64,
-    /// Batched traversals executed (`Engine::forward` calls).
+    /// Successful `Engine::forward` calls: at most one per engine
+    /// version that was read (a failed forward is retried, and counts
+    /// only once it succeeds).
     pub forwards: u64,
-    /// Requests served by those traversals (≥ `forwards` when coalescing).
+    /// Requests answered from a deployment output, whether their group
+    /// ran the forward or read the memoized one.
     pub coalesced_requests: u64,
     /// Hot swaps applied.
     pub swaps: u64,
@@ -216,7 +236,7 @@ pub struct DeploymentStats {
 }
 
 impl DeploymentStats {
-    /// Requests served per traversal: the coalescing factor (1.0 = naive).
+    /// Requests answered per forward (1.0 = a forward per request).
     #[must_use]
     pub fn coalescing_factor(&self) -> f64 {
         if self.forwards == 0 {
@@ -237,36 +257,6 @@ struct StatCells {
     forwards: AtomicU64,
     coalesced_requests: AtomicU64,
     swaps: AtomicU64,
-}
-
-/// A resident (model × graph) pair: the bound engine plus its serving
-/// metadata. The engine lives behind a mutex — a dispatch group or a
-/// hot swap holds it for the duration of one forward / one replacement.
-struct Deployment {
-    name: String,
-    slot: Mutex<Engine>,
-    stats: StatCells,
-    version: AtomicU64,
-    graph_version: AtomicU64,
-    num_nodes: AtomicUsize,
-    out_width: AtomicUsize,
-}
-
-impl Deployment {
-    fn snapshot(&self) -> DeploymentStats {
-        DeploymentStats {
-            submitted: self.stats.submitted.load(Ordering::Relaxed),
-            completed: self.stats.completed.load(Ordering::Relaxed),
-            shed: self.stats.shed.load(Ordering::Relaxed),
-            timed_out: self.stats.timed_out.load(Ordering::Relaxed),
-            failed: self.stats.failed.load(Ordering::Relaxed),
-            forwards: self.stats.forwards.load(Ordering::Relaxed),
-            coalesced_requests: self.stats.coalesced_requests.load(Ordering::Relaxed),
-            swaps: self.stats.swaps.load(Ordering::Relaxed),
-            version: self.version.load(Ordering::Relaxed),
-            graph_version: self.graph_version.load(Ordering::Relaxed),
-        }
-    }
 }
 
 struct TicketInner {
@@ -396,15 +386,7 @@ impl ServeHandle {
         }
         map.insert(
             name.to_string(),
-            Arc::new(Deployment {
-                name: name.to_string(),
-                slot: Mutex::new(engine),
-                stats: StatCells::default(),
-                version: AtomicU64::new(1),
-                graph_version: AtomicU64::new(0),
-                num_nodes: AtomicUsize::new(num_nodes),
-                out_width: AtomicUsize::new(out_width),
-            }),
+            Arc::new(Deployment::new(name, engine, num_nodes, out_width)),
         );
         trace::record_instant("serve.deploy", SpanCat::Pipeline, || {
             format!("{name}: {num_nodes} nodes")
@@ -417,7 +399,9 @@ impl ServeHandle {
     /// engine keeps serving), then substituted atomically under the
     /// deployment lock. No in-flight request is dropped — each one runs
     /// on whichever engine holds the slot when its group dispatches,
-    /// and the response's [`Response::version`] says which.
+    /// and the response's [`Response::version`] says which. The swap
+    /// runs no forward: the new engine's output is computed at the
+    /// first read after it, and a version that is never read costs none.
     ///
     /// # Errors
     ///
@@ -474,7 +458,7 @@ impl ServeHandle {
         let num_nodes = graph.graph().num_nodes();
         let version = {
             let mut slot = dep.slot.lock().expect("deployment lock");
-            *slot = engine;
+            *slot = Slot::new(engine);
             dep.num_nodes.store(num_nodes, Ordering::SeqCst);
             dep.out_width.store(out_width, Ordering::SeqCst);
             if let Some(gv) = graph_version {
@@ -802,26 +786,109 @@ fn dispatch_loop(inner: &Arc<ServerInner>) {
     }
 }
 
-/// Executes one coalesced group: a single `Engine::forward`, then the
-/// requested output rows are scattered back to every ticket.
+// `Deployment` and its test-only hook stay below every `pub` item:
+// tests/api_surface.rs stops reading a file at its first `#[cfg(test)]`.
+
+/// A resident (model × graph) pair: the bound engine plus its serving
+/// metadata. The engine lives behind a mutex — a dispatch group or a
+/// hot swap holds it for the duration of one lookup (or forward) / one
+/// replacement.
+struct Deployment {
+    name: String,
+    slot: Mutex<Slot>,
+    stats: StatCells,
+    version: AtomicU64,
+    graph_version: AtomicU64,
+    num_nodes: AtomicUsize,
+    out_width: AtomicUsize,
+    #[cfg(test)]
+    faults: Faults,
+}
+
+/// The resident engine and whether its output buffer holds this
+/// engine's forward. Deploy and swap install a whole new `Slot`, so a
+/// new engine is never paired with an old output.
+struct Slot {
+    engine: Engine,
+    fresh: bool,
+}
+
+impl Slot {
+    fn new(engine: Engine) -> Slot {
+        Slot {
+            engine,
+            fresh: false,
+        }
+    }
+}
+
+/// Fault injection for the dispatcher's panic containment.
+#[cfg(test)]
+#[derive(Default)]
+struct Faults {
+    /// Panic inside the next forward attempt.
+    panic_next: std::sync::atomic::AtomicBool,
+    /// Forward attempts, successful or not.
+    attempts: AtomicU64,
+}
+
+impl Deployment {
+    fn new(name: &str, engine: Engine, num_nodes: usize, out_width: usize) -> Deployment {
+        Deployment {
+            name: name.to_string(),
+            slot: Mutex::new(Slot::new(engine)),
+            stats: StatCells::default(),
+            version: AtomicU64::new(1),
+            graph_version: AtomicU64::new(0),
+            num_nodes: AtomicUsize::new(num_nodes),
+            out_width: AtomicUsize::new(out_width),
+            #[cfg(test)]
+            faults: Faults::default(),
+        }
+    }
+
+    fn snapshot(&self) -> DeploymentStats {
+        DeploymentStats {
+            submitted: self.stats.submitted.load(Ordering::Relaxed),
+            completed: self.stats.completed.load(Ordering::Relaxed),
+            shed: self.stats.shed.load(Ordering::Relaxed),
+            timed_out: self.stats.timed_out.load(Ordering::Relaxed),
+            failed: self.stats.failed.load(Ordering::Relaxed),
+            forwards: self.stats.forwards.load(Ordering::Relaxed),
+            coalesced_requests: self.stats.coalesced_requests.load(Ordering::Relaxed),
+            swaps: self.stats.swaps.load(Ordering::Relaxed),
+            version: self.version.load(Ordering::Relaxed),
+            graph_version: self.graph_version.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Answers one coalesced group: runs `Engine::forward` only if the
+/// resident engine has not yet produced its output, then scatters the
+/// requested output rows back to every ticket.
 fn run_group(dep: &Deployment, reqs: Vec<Request>) {
     let coalesced = reqs.len();
     let span = trace::span_start();
     let mut slot = dep.slot.lock().expect("deployment lock");
     let version = dep.version.load(Ordering::SeqCst);
+    let ran_forward = !slot.fresh;
+    let filled = if ran_forward {
+        fill(dep, &mut slot)
+    } else {
+        Ok(())
+    };
     // Counters are bumped BEFORE tickets are fulfilled: a client that
     // observes its response must also observe the stats that produced
     // it (tests and dashboards read stats right after wait()).
-    match slot.forward() {
-        Ok(_) => {
-            let out = slot.output();
+    match filled {
+        Ok(()) => {
+            let out = slot.engine.output();
             // Submit-time range checks saw the graph deployed *then*; a
             // swap or delta may have installed a smaller one since. Such
             // a request fails alone — indexing past `out` would panic
             // under the slot lock and poison the deployment.
             let in_range = |r: &Request| r.nodes.iter().all(|&n| n < out.rows());
             let stale = reqs.iter().filter(|r| !in_range(r)).count() as u64;
-            dep.stats.forwards.fetch_add(1, Ordering::Relaxed);
             dep.stats
                 .coalesced_requests
                 .fetch_add(coalesced as u64, Ordering::Relaxed);
@@ -851,12 +918,12 @@ fn run_group(dep: &Deployment, reqs: Vec<Request>) {
                 .failed
                 .fetch_add(coalesced as u64, Ordering::Relaxed);
             for r in &reqs {
-                r.ticket.fulfill(Err(ServeError::Hector(e.clone())));
+                r.ticket.fulfill(Err(e.clone()));
             }
         }
     }
     drop(slot);
-    if let Some(t0) = span {
+    if let (Some(t0), true) = (span, ran_forward) {
         trace::record_span(
             "serve.forward",
             SpanCat::Pipeline,
@@ -865,6 +932,39 @@ fn run_group(dep: &Deployment, reqs: Vec<Request>) {
             0,
             0.0,
         );
+    }
+}
+
+/// Runs the resident engine's forward and marks its output fresh. A
+/// panic is caught here, while the slot lock is held, so it neither
+/// poisons the deployment nor unwinds through the dispatcher; the
+/// output stays stale and the next read retries.
+fn fill(dep: &Deployment, slot: &mut Slot) -> Result<(), ServeError> {
+    #[cfg(test)]
+    dep.faults.attempts.fetch_add(1, Ordering::Relaxed);
+    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        assert!(
+            !dep.faults.panic_next.swap(false, Ordering::SeqCst),
+            "injected forward panic"
+        );
+        slot.engine.forward()
+    }));
+    match ran {
+        Ok(Ok(_)) => {
+            slot.fresh = true;
+            dep.stats.forwards.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+        Ok(Err(e)) => Err(ServeError::Hector(e)),
+        Err(payload) => {
+            let detail = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(ServeError::Internal(format!("forward panicked: {detail}")))
+        }
     }
 }
 
@@ -1118,6 +1218,220 @@ mod tests {
         let r = srv.submit("m", 3).unwrap().wait().unwrap();
         assert_eq!(r.version, 1);
         srv.shutdown();
+    }
+
+    /// Polls `t` until it resolves, failing the test (instead of hanging
+    /// it) if the dispatcher never answers.
+    fn wait_for(t: &Ticket) -> Result<Response, ServeError> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(r) = t.try_wait() {
+                return r;
+            }
+            assert!(Instant::now() < deadline, "ticket never resolved");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// One standalone engine's forward, every row as raw bits.
+    fn oracle(b: EngineBuilder, g: &GraphData) -> Vec<Vec<u32>> {
+        let mut e = b.build().unwrap();
+        e.bind(g).unwrap();
+        e.forward().unwrap();
+        let out = e.output();
+        (0..out.rows())
+            .map(|i| out.row(i).iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    fn read(srv: &ServeHandle, name: &str, node: usize) -> Response {
+        wait_for(&srv.submit(name, node).unwrap()).unwrap()
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn sequential_requests_share_one_forward() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(20, 48);
+        let want = oracle(builder(), &g);
+        srv.deploy("m", builder(), &g).unwrap();
+        for (node, want) in want.iter().enumerate().take(12) {
+            let r = read(&srv, "m", node);
+            assert_eq!(&bits(&r.rows[0]), want, "node {node}");
+            assert_eq!(r.coalesced, 1);
+        }
+        let stats = srv.stats("m").unwrap();
+        assert_eq!(stats.forwards, 1, "one forward per engine version");
+        assert_eq!((stats.completed, stats.coalesced_requests), (12, 12));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_swap_costs_one_forward_at_its_first_read_and_none_unread() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let (g1, g2) = (graph(21, 48), graph(22, 64));
+        let b2 = || builder().seed(8);
+        srv.deploy("m", builder(), &g1).unwrap();
+        read(&srv, "m", 3);
+        srv.swap("m", b2(), &g2).unwrap();
+        assert_eq!(
+            srv.stats("m").unwrap().forwards,
+            1,
+            "a swap runs no forward"
+        );
+        let want = oracle(b2(), &g2);
+        for node in [3, 60] {
+            let r = read(&srv, "m", node);
+            assert_eq!((r.version, bits(&r.rows[0])), (2, want[node].clone()));
+        }
+        assert_eq!(srv.stats("m").unwrap().forwards, 2);
+        // Versions 3 and 4 are never read; only version 5 is.
+        srv.swap("m", builder(), &g1).unwrap();
+        srv.swap("m", b2(), &g1).unwrap();
+        srv.swap("m", builder(), &g2).unwrap();
+        assert_eq!(srv.stats("m").unwrap().forwards, 2);
+        let want = oracle(builder(), &g2);
+        let r = read(&srv, "m", 60);
+        assert_eq!((r.version, bits(&r.rows[0])), (5, want[60].clone()));
+        assert_eq!(srv.stats("m").unwrap().forwards, 3);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_delta_invalidates_the_memo_and_serves_the_post_delta_rows() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(23, 48);
+        srv.deploy("m", builder(), &g).unwrap();
+        let mut sharded = ShardedGraph::partition(
+            g.graph().clone(),
+            Box::new(hector_shard::RangePartitioner),
+            hector_shard::ShardConfig::new(2),
+        );
+        let target = 17usize;
+        let before = read(&srv, "m", target);
+        // Three new in-edges change the target's aggregate.
+        let batch = DeltaBatch::new()
+            .add_edge(1, target as u32, 0)
+            .add_edge(2, target as u32, 1)
+            .add_edge(5, target as u32, 2);
+        let gv = srv
+            .apply_delta("m", builder(), &mut sharded, &batch)
+            .unwrap();
+        assert_eq!(
+            srv.stats("m").unwrap().forwards,
+            1,
+            "a delta runs no forward"
+        );
+        let want = oracle(builder(), &GraphData::new(sharded.full().clone()));
+        let after = read(&srv, "m", target);
+        assert_eq!(after.version, 2);
+        assert_eq!(bits(&after.rows[0]), want[target]);
+        assert_ne!(
+            bits(&before.rows[0]),
+            bits(&after.rows[0]),
+            "the delta must change the served row"
+        );
+        let stats = srv.stats("m").unwrap();
+        assert_eq!((stats.forwards, stats.graph_version), (2, gv));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_failed_swap_keeps_serving_the_old_memo() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(24, 48);
+        srv.deploy("m", builder(), &g).unwrap();
+        let first = read(&srv, "m", 9);
+        let bad = EngineBuilder::new(ModelKind::Rgcn).dims(8, 8).layers(0);
+        assert!(srv.swap("m", bad, &g).is_err());
+        let again = read(&srv, "m", 9);
+        assert_eq!(again, first);
+        let stats = srv.stats("m").unwrap();
+        assert_eq!((stats.forwards, stats.version, stats.swaps), (1, 1, 0));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_failing_forward_is_never_memoized() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let tiny = hector_device::DeviceConfig::rtx3090().with_capacity(2048);
+        let oomy = builder().dims(16, 16).device(tiny).mode(Mode::Modeled);
+        srv.deploy("m", oomy, &graph(25, 48)).unwrap();
+        for attempt in 1..=2u64 {
+            let err = wait_for(&srv.submit("m", 0).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Hector(HectorError::Oom(_))),
+                "{err}"
+            );
+            let dep = srv.deployment("m").unwrap();
+            assert_eq!(dep.faults.attempts.load(Ordering::Relaxed), attempt);
+        }
+        let stats = srv.stats("m").unwrap();
+        assert_eq!((stats.failed, stats.forwards), (2, 0));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn paused_burst_at_four_workers_costs_one_forward() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(4).with_max_coalesce(4));
+        let g = graph(26, 64);
+        let want = oracle(builder(), &g);
+        srv.deploy("m", builder(), &g).unwrap();
+        srv.pause();
+        let tickets: Vec<Ticket> = (0..16).map(|n| srv.submit("m", n).unwrap()).collect();
+        srv.resume();
+        for (n, t) in tickets.iter().enumerate() {
+            let r = wait_for(t).unwrap();
+            assert_eq!((r.coalesced, bits(&r.rows[0])), (4, want[n].clone()));
+        }
+        let stats = srv.stats("m").unwrap();
+        assert_eq!((stats.forwards, stats.coalesced_requests), (1, 16));
+        srv.shutdown();
+    }
+
+    /// A panicking forward fails its own group with `Internal`, leaves a
+    /// second tenant's group in the same tick served, poisons nothing,
+    /// and the next read retries the forward.
+    #[test]
+    fn a_panicking_forward_fails_only_its_group() {
+        let g = graph(27, 48);
+        let b_other = || builder().seed(9);
+        let (want, want_other) = (oracle(builder(), &g), oracle(b_other(), &g));
+        for workers in [1usize, 4] {
+            let srv = ServeHandle::start(ServeConfig::default().with_workers(workers));
+            srv.deploy("bad", builder(), &g).unwrap();
+            srv.deploy("ok", b_other(), &g).unwrap();
+            srv.deployment("bad")
+                .unwrap()
+                .faults
+                .panic_next
+                .store(true, Ordering::SeqCst);
+            srv.pause();
+            let doomed: Vec<Ticket> = (0..3).map(|n| srv.submit("bad", n).unwrap()).collect();
+            let other: Vec<Ticket> = (0..3).map(|n| srv.submit("ok", n).unwrap()).collect();
+            srv.resume();
+            for t in &doomed {
+                let err = wait_for(t).unwrap_err();
+                assert!(
+                    matches!(&err, ServeError::Internal(d) if d.contains("injected forward panic")),
+                    "workers={workers}: {err}"
+                );
+            }
+            for (n, t) in other.iter().enumerate() {
+                let r = wait_for(t).unwrap();
+                assert_eq!(bits(&r.rows[0]), want_other[n], "workers={workers}");
+            }
+            let stats = srv.stats("bad").unwrap();
+            assert_eq!((stats.failed, stats.forwards), (3, 0));
+            let r = read(&srv, "bad", 7);
+            assert_eq!(bits(&r.rows[0]), want[7], "workers={workers}");
+            let stats = srv.stats("bad").unwrap();
+            assert_eq!((stats.failed, stats.completed, stats.forwards), (3, 1, 1));
+            srv.shutdown();
+        }
     }
 
     #[test]

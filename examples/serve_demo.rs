@@ -87,7 +87,7 @@ fn main() {
     for name in ["rgcn_products", "hgt_reviews"] {
         let s = srv.stats(name).expect("deployed");
         println!(
-            "{name}: {} completed over {} traversals (coalescing {:.1}x), v{}",
+            "{name}: {} completed from {} forward(s) ({:.1} requests answered per forward), v{}",
             s.completed,
             s.forwards,
             s.coalescing_factor(),
