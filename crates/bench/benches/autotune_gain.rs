@@ -21,7 +21,8 @@ fn main() {
             println!("{:<10} {:>24} {:>9}", "dataset", "winner", "gain");
             let mut gains = Vec::new();
             for d in &datasets {
-                let r = hector::autotune(kind, 64, 64, &d.graph, &cfg, training);
+                let r = hector::autotune(kind, 64, 64, &d.graph, &cfg, training)
+                    .expect("every bench dataset fits some configuration");
                 let gain = r.gain_over_fixed();
                 gains.push(gain);
                 println!(

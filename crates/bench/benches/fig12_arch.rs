@@ -35,15 +35,10 @@ fn main() {
                 ("U", CompileOptions::unopt()),
                 ("C", CompileOptions::compact_only()),
             ] {
-                let mut trainer = EngineBuilder::new(ModelKind::Rgat)
-                    .dims(dim, dim)
-                    .options(opts)
-                    .device(cfg.clone())
-                    .mode(Mode::Modeled)
-                    .build_trainer(Sgd::new(0.01))
-                    .expect("valid bench configuration");
-                trainer.bind(&d.graph).expect("bench graphs are non-empty");
-                if trainer.step().is_err() {
+                let source = EngineBuilder::new(ModelKind::Rgat).dims(dim, dim).source();
+                let module = hector::compile_cached(&source, &opts.with_training(true));
+                let mut device = hector::Device::new(cfg.clone());
+                if hector::model_run(&module, &d.graph, &mut device, true).is_err() {
                     println!("{dim:<5} {label:<4} | OOM");
                     continue;
                 }
@@ -52,7 +47,7 @@ fn main() {
                         Phase::Forward => "Fw",
                         Phase::Backward => "Bck",
                     };
-                    let counters = trainer.engine().device().counters();
+                    let counters = device.counters();
                     let g = counters.get(KernelCategory::Gemm, phase);
                     let t = counters.get(KernelCategory::Traversal, phase);
                     println!(

@@ -15,8 +15,8 @@
 //! dataset's node/edge counts. The simulated device's memory capacity is
 //! scaled by the same factor, so out-of-memory behaviour is preserved at
 //! reduced scale (footprints are dominated by edge-proportional tensors).
-//! Runs use the cost-model-only [`Mode::Modeled`], so even paper scale
-//! completes in seconds of host time.
+//! Runs read each compiled plan with [`hector::model_run`] — nothing
+//! executes — so even paper scale completes in seconds of host time.
 
 #![warn(missing_docs)]
 
@@ -121,12 +121,9 @@ impl From<SystemReport> for Outcome {
     }
 }
 
-/// Runs Hector (modeled) and returns a unified outcome.
-///
-/// # Panics
-///
-/// Panics on an empty graph or an invalid configuration — the harness
-/// binaries generate both themselves.
+/// Runs Hector's modeled reading of one configuration —
+/// [`hector::model_run`] over the module an engine built from the same
+/// settings runs — and returns a unified outcome.
 #[must_use]
 pub fn run_hector(
     kind: ModelKind,
@@ -137,23 +134,10 @@ pub fn run_hector(
     training: bool,
     config: &DeviceConfig,
 ) -> Outcome {
-    let builder = EngineBuilder::new(kind)
-        .dims(dim_in, dim_out)
-        .options(opts.clone())
-        .device(config.clone())
-        .mode(Mode::Modeled);
-    let (result, peak_bytes) = if training {
-        let mut trainer = builder
-            .build_trainer(Sgd::new(0.01))
-            .expect("valid bench configuration");
-        trainer.bind(graph).expect("bench graphs are non-empty");
-        (trainer.step(), trainer.engine().device().memory().peak())
-    } else {
-        let mut engine = builder.build().expect("valid bench configuration");
-        engine.bind(graph).expect("bench graphs are non-empty");
-        (engine.forward(), engine.device().memory().peak())
-    };
-    match result {
+    let source = EngineBuilder::new(kind).dims(dim_in, dim_out).source();
+    let module = hector::compile_cached(&source, &opts.clone().with_training(training));
+    let mut device = hector::Device::new(config.clone());
+    match hector::model_run(&module, graph, &mut device, training) {
         Ok(r) => Outcome {
             time_ms: Some(r.elapsed_us / 1e3),
             peak_bytes: r.peak_bytes,
@@ -165,7 +149,7 @@ pub fn run_hector(
         },
         Err(_) => Outcome {
             time_ms: None,
-            peak_bytes,
+            peak_bytes: device.memory().peak(),
             launches: 0,
             gemm_ms: 0.0,
             traversal_ms: 0.0,

@@ -6,13 +6,14 @@
 //! strategy, and leaves the selection algorithm to future work. Because
 //! this reproduction's cost model is deterministic and cheap, exhaustive
 //! search over the configuration space is practical: compile each
-//! candidate, dry-run it in modeled mode, keep the fastest.
+//! candidate, read its simulated time with [`model_run`], keep the
+//! fastest.
 
-use hector_compiler::CompileOptions;
-use hector_device::DeviceConfig;
+use hector_compiler::{compile_cached, CompileOptions};
+use hector_device::{Device, DeviceConfig, OomError};
 use hector_ir::GemmSchedule;
 use hector_models::ModelKind;
-use hector_runtime::{EngineBuilder, GraphData, Mode, ParallelConfig, Sgd};
+use hector_runtime::{model_run, EngineBuilder, GraphData, HectorError, ParallelConfig, Sgd};
 
 /// Result of an autotuning sweep.
 #[derive(Clone, Debug)]
@@ -65,10 +66,10 @@ pub fn candidate_space(training: bool) -> Vec<CompileOptions> {
     out
 }
 
-/// Builds a modeled-mode engine for one candidate and dry-runs it.
-/// Candidate modules flow through the process-wide `ModuleCache`, so
-/// re-tuning the same model (or tuning after a normal run) recompiles
-/// nothing.
+/// Simulated time of one candidate: [`model_run`] over the module an
+/// engine built with `opts` runs. Candidate modules flow through the
+/// process-wide `ModuleCache`, so re-tuning the same model (or tuning
+/// after a normal run) recompiles nothing.
 fn dry_run(
     kind: ModelKind,
     in_dim: usize,
@@ -77,22 +78,11 @@ fn dry_run(
     graph: &GraphData,
     config: &DeviceConfig,
     training: bool,
-) -> Option<f64> {
-    let builder = EngineBuilder::new(kind)
-        .dims(in_dim, out_dim)
-        .options(opts.clone())
-        .device(config.clone())
-        .mode(Mode::Modeled)
-        .seed(1);
-    let report = if training {
-        let mut trainer = builder.build_trainer(Sgd::new(0.01)).ok()?;
-        trainer.bind(graph).ok()?;
-        trainer.step().ok()?
-    } else {
-        let mut engine = builder.build().ok()?;
-        engine.bind(graph).ok()?.forward().ok()?
-    };
-    Some(report.elapsed_us)
+) -> Result<f64, OomError> {
+    let source = EngineBuilder::new(kind).dims(in_dim, out_dim).source();
+    let module = compile_cached(&source, opts);
+    let mut device = Device::new(config.clone());
+    Ok(model_run(&module, graph, &mut device, training)?.elapsed_us)
 }
 
 /// Exhaustively tunes a built-in model for `graph` on `config`.
@@ -100,10 +90,10 @@ fn dry_run(
 /// Returns the winning configuration plus the full candidate trace. OOM
 /// candidates are recorded but never win.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if every candidate OOMs (no viable configuration).
-#[must_use]
+/// Returns [`HectorError::Oom`] with the fixed C+R candidate's error when
+/// no candidate fits the device.
 pub fn autotune(
     kind: ModelKind,
     in_dim: usize,
@@ -111,11 +101,11 @@ pub fn autotune(
     graph: &GraphData,
     config: &DeviceConfig,
     training: bool,
-) -> TuneResult {
+) -> Result<TuneResult, HectorError> {
     let mut best: Option<(CompileOptions, f64)> = None;
     let mut candidates = Vec::new();
     for opts in candidate_space(training) {
-        let t = dry_run(kind, in_dim, out_dim, &opts, graph, config, training);
+        let t = dry_run(kind, in_dim, out_dim, &opts, graph, config, training).ok();
         candidates.push((
             format!(
                 "{} tile={} coarsen={}",
@@ -131,16 +121,21 @@ pub fn autotune(
             }
         }
     }
-    let (options, best_us) = best.expect("at least one configuration must fit");
     let fixed = CompileOptions::best().with_training(training);
-    let fixed_best_us =
-        dry_run(kind, in_dim, out_dim, &fixed, graph, config, training).unwrap_or(f64::INFINITY);
-    TuneResult {
+    let fixed_us = dry_run(kind, in_dim, out_dim, &fixed, graph, config, training);
+    let (options, best_us) = match (best, &fixed_us) {
+        (Some(best), _) => best,
+        // Footprints do not depend on the schedule knobs the candidates
+        // vary, so C+R fits here only if its candidates did.
+        (None, Ok(us)) => (fixed, *us),
+        (None, Err(e)) => return Err(HectorError::Oom(e.clone())),
+    };
+    Ok(TuneResult {
         options,
         best_us,
-        fixed_best_us,
+        fixed_best_us: fixed_us.unwrap_or(f64::INFINITY),
         candidates,
-    }
+    })
 }
 
 /// Result of a thread-count sweep over the real-mode executor.
@@ -284,7 +279,7 @@ mod tests {
         let g = graph(0.3);
         let cfg = DeviceConfig::rtx3090();
         for kind in ModelKind::all() {
-            let r = autotune(kind, 64, 64, &g, &cfg, false);
+            let r = autotune(kind, 64, 64, &g, &cfg, false).unwrap();
             assert!(
                 r.gain_over_fixed() >= 1.0 - 1e-9,
                 "{kind:?}: best {} vs fixed {}",
@@ -299,8 +294,19 @@ mod tests {
     fn low_ratio_graphs_tune_to_compaction() {
         let g = graph(0.15);
         let cfg = DeviceConfig::rtx3090();
-        let r = autotune(ModelKind::Rgat, 64, 64, &g, &cfg, false);
+        let r = autotune(ModelKind::Rgat, 64, 64, &g, &cfg, false).unwrap();
         assert!(r.options.compact, "ratio 0.15 should pick compaction");
+    }
+
+    #[test]
+    fn nothing_fits_on_a_tiny_device_is_an_oom_error() {
+        let g = graph(0.5);
+        let tiny = DeviceConfig::rtx3090().with_capacity(1024);
+        let err = autotune(ModelKind::Rgcn, 16, 16, &g, &tiny, false).unwrap_err();
+        assert!(
+            matches!(&err, HectorError::Oom(e) if e.capacity == 1024 && e.label == "graph"),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -328,7 +334,7 @@ mod tests {
     fn training_tuning_works() {
         let g = graph(0.5);
         let cfg = DeviceConfig::rtx3090();
-        let r = autotune(ModelKind::Rgcn, 32, 32, &g, &cfg, true);
+        let r = autotune(ModelKind::Rgcn, 32, 32, &g, &cfg, true).unwrap();
         assert!(r.best_us > 0.0);
         assert!(r.options.training);
     }

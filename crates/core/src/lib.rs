@@ -9,10 +9,10 @@
 //! your own, written in a small builder DSL) through a two-level IR into
 //! kernel specifications derived from two templates — a **GEMM template**
 //! with flexible gather/scatter access schemes and a **node/edge
-//! traversal template** — plus CUDA-like source text. Kernels execute on
-//! a simulated GPU: functionally on the CPU for exact numerics, or in a
-//! cost-model-only mode that reproduces the paper's timing, memory, and
-//! out-of-memory behaviour at full dataset scale.
+//! traversal template** — plus CUDA-like source text. Kernels execute
+//! functionally on the CPU for exact numerics; [`model_run`] reads the
+//! compiled plan alone to reproduce the paper's simulated-GPU timing,
+//! memory, and out-of-memory behaviour at full dataset scale.
 //!
 //! Two optimizations from the paper are implemented as IR passes:
 //! **compact materialization** (§3.2.2) and **linear operator
@@ -88,8 +88,8 @@ pub use hector_graph::{
 pub use hector_ir::{builder::ModelSource, ModelBuilder};
 pub use hector_models::{source as model_source, stacked, ModelKind};
 pub use hector_runtime::{
-    chunk_ranges, trace, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder, EpochReport,
-    GraphData, HectorError, Minibatches, Mode, ParallelConfig, ParamStore, ProfileReport,
+    chunk_ranges, model_run, trace, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder,
+    EpochReport, GraphData, HectorError, Minibatches, ParallelConfig, ParamStore, ProfileReport,
     RunReport, TraceConfig, Trainer,
 };
 pub use hector_serve as serve;

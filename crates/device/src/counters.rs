@@ -58,8 +58,8 @@ impl CategoryMetrics {
     }
 }
 
-/// Host-side parallel-execution statistics for one run (real mode only:
-/// modeled runs never execute kernels, so they never record here). These
+/// Host-side parallel-execution statistics for one run (executed kernels
+/// only: a cost-model walk runs no kernel, so it never records here). These
 /// measure *wall-clock host time* of the functional interpreter, unlike
 /// every other counter in this module, which measures *simulated device
 /// time* — the two must never be summed.

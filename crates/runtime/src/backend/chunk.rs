@@ -363,7 +363,7 @@ impl WorkerArenas {
     fn bind(&mut self, vars: &[VarId], store: &mut VarStore) {
         self.table.clear();
         for &v in vars {
-            let view = RawRows::of(store.get_mut(v).tensor_mut());
+            let view = RawRows::of(store.get_mut(v));
             self.table.push(view);
         }
     }

@@ -993,8 +993,10 @@ impl MicroKernel {
 
     pub(super) fn run(&self, ctx: &mut ExecCtx<'_>) -> bool {
         for &slot in &self.max_outs {
-            let t = ctx.vars.get_mut(self.vars[slot]).tensor_mut();
-            t.data_mut().fill(f32::NEG_INFINITY);
+            ctx.vars
+                .get_mut(self.vars[slot])
+                .data_mut()
+                .fill(f32::NEG_INFINITY);
         }
         let graph = ctx.graph;
         let rows = match &self.shape {
@@ -1023,7 +1025,7 @@ impl MicroKernel {
         );
         ctx.scratch.note_external_grows(grows);
         for &slot in &self.max_outs {
-            sweep_neg_inf(ctx.vars.get_mut(self.vars[slot]).tensor_mut().data_mut());
+            sweep_neg_inf(ctx.vars.get_mut(self.vars[slot]).data_mut());
         }
         split
     }

@@ -84,7 +84,7 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
     use crate::backend::chunk::WorkerArenas;
     use crate::exec::exec_traversal;
     use crate::scratch::Scratch;
-    use crate::store::{Buffer, VarStore};
+    use crate::store::VarStore;
     use hector_graph::HeteroGraphBuilder;
     use hector_ir::{stage_assignments, AdjacencyAccess};
     use hector_par::ThreadPool;
@@ -155,10 +155,9 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
         let mut vars = VarStore::new();
         for (i, info) in p.vars.iter().enumerate() {
             let rows = g.rows_of_space(info.space);
-            let t = Tensor::zeros(&[rows, info.width]);
-            vars.insert(VarId(i as u32), Buffer::Real(t));
+            vars.insert(VarId(i as u32), Tensor::zeros(&[rows, info.width]));
         }
-        let scores = vars.get_mut(score).tensor_mut().data_mut();
+        let scores = vars.get_mut(score).data_mut();
         for (e, s) in scores.iter_mut().enumerate() {
             *s = (e * 7 % 5) as f32 - 2.5;
         }
@@ -180,7 +179,7 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
             None => exec_traversal(&spec, &p, &g, &mut params, &mut vars, &mut scratch),
         }
         [out, top].map(|v| {
-            vars.tensor(v)
+            vars.get(v)
                 .data()
                 .iter()
                 .map(|x| x.to_bits())

@@ -3,16 +3,180 @@
 //! This is the bridge between the compiler's output and the simulated
 //! GPU: each spec's FLOP count, memory traffic, atomic-update count, and
 //! parallelism are computed from the graph's row counts and the program's
-//! tensor widths. Both execution modes charge identical costs, so modeled
-//! runs reproduce real runs' timing exactly.
+//! tensor widths. [`model_run`] walks a compiled plan with them and is
+//! the only place that charges the simulated device: every real run
+//! charges through it too, so modeled and real reports agree by
+//! construction.
 
-use hector_device::{KernelCategory, KernelCost, Phase};
+use hector_compiler::CompiledModule;
+use hector_device::{Device, KernelCategory, KernelCost, OomError, Phase};
 use hector_ir::{
     Gather, GemmSpec, KernelSpec, OpKind, Operand, Program, Scatter, Space, TraversalDomain,
-    TraversalSpec, WeightPrep,
+    TraversalSpec, VarId, WeightPrep,
 };
 
+use crate::session::RunReport;
 use crate::GraphData;
+
+/// Charges one run of `module` on `graph` to `device` and reports it: a
+/// forward pass, or with `train` a training step. The simulated time,
+/// peak footprint and OOM point are a reading of the compiled plan and
+/// the graph's shape, so nothing executes and no parameters or inputs
+/// are needed — paper-scale graphs take milliseconds. Every real run
+/// charges its device through this walk before its kernels execute, so
+/// its report equals this one except for `loss` (always `None` here).
+///
+/// After `device.reset()`, the walk charges, in order: the graph
+/// structures, the weights (and in training their gradients), each
+/// input, then per forward kernel its non-local outputs — once per
+/// variable per run — and its launch. Training adds the loss, the
+/// output-gradient seeds, the backward kernels and one framework call
+/// for the prep chain rule and optimizer.
+///
+/// # Errors
+///
+/// Returns [`OomError`] at the first allocation that exceeds device
+/// memory.
+///
+/// # Panics
+///
+/// Panics if `train` is set for a module compiled without training.
+pub fn model_run(
+    module: &CompiledModule,
+    graph: &GraphData,
+    device: &mut Device,
+    train: bool,
+) -> Result<RunReport, OomError> {
+    charge_run(module, graph, device, train, &mut Vec::new())
+}
+
+/// [`model_run`] over a caller-owned per-variable flag buffer, so a warm
+/// session charges its device without allocating.
+pub(crate) fn charge_run(
+    module: &CompiledModule,
+    graph: &GraphData,
+    device: &mut Device,
+    train: bool,
+    charged: &mut Vec<bool>,
+) -> Result<RunReport, OomError> {
+    let fw = &module.forward;
+    let bw = train.then(|| {
+        let bw = module.backward.as_ref();
+        bw.expect("module was not compiled for training")
+    });
+    device.reset();
+    device.alloc(graph.structure_bytes(), "graph")?;
+    let weights: usize = fw
+        .weights
+        .iter()
+        .map(|w| graph.type_count(w.per) * w.rows * w.cols * 4)
+        .sum();
+    device.alloc(weights, "weights")?;
+    if bw.is_some() {
+        device.alloc(weights, "weight_grads")?;
+    }
+    charged.clear();
+    charged.resize(fw.vars.len().max(bw.map_or(0, |p| p.vars.len())), false);
+    let mut walk = Walk {
+        graph,
+        device,
+        charged,
+    };
+    for &v in &fw.inputs {
+        walk.charge(fw, v)?;
+    }
+    walk.kernels(&module.fw_kernels, fw, Phase::Forward)?;
+    if let Some(bw) = bw {
+        walk.device.launch(&loss_cost(fw, graph, fw.outputs[0]));
+        for &seed in &bw.inputs[..fw.outputs.len()] {
+            walk.charge(bw, seed)?;
+        }
+        walk.kernels(&module.bw_kernels, bw, Phase::Backward)?;
+        // Prep backward + optimizer run as framework calls.
+        walk.device.charge_api_call();
+    }
+    Ok(report(walk.device))
+}
+
+/// The report of everything charged to `device` since its reset.
+fn report(device: &Device) -> RunReport {
+    let c = device.counters();
+    RunReport {
+        elapsed_us: device.elapsed_us(),
+        peak_bytes: device.memory().peak(),
+        launches: c.total_launches(),
+        gemm_us: c.category_duration_us(KernelCategory::Gemm),
+        traversal_us: c.category_duration_us(KernelCategory::Traversal),
+        copy_us: c.category_duration_us(KernelCategory::Copy),
+        fallback_us: c.category_duration_us(KernelCategory::Fallback) + device.host_api_us(),
+        forward_us: c.phase_duration_us(Phase::Forward),
+        backward_us: c.phase_duration_us(Phase::Backward),
+        loss: None,
+    }
+}
+
+/// The device and per-variable charge flags of one [`charge_run`].
+struct Walk<'a> {
+    graph: &'a GraphData,
+    device: &'a mut Device,
+    charged: &'a mut [bool],
+}
+
+impl Walk<'_> {
+    /// Allocates `v`'s buffer unless this run already did.
+    fn charge(&mut self, program: &Program, v: VarId) -> Result<(), OomError> {
+        if std::mem::replace(&mut self.charged[v.0 as usize], true) {
+            return Ok(());
+        }
+        let bytes = var_bytes(program, self.graph, v);
+        self.device.alloc(bytes, &program.var(v).name)?;
+        Ok(())
+    }
+
+    /// Charges each kernel's materialised outputs, then its launch.
+    fn kernels(
+        &mut self,
+        specs: &[KernelSpec],
+        program: &Program,
+        phase: Phase,
+    ) -> Result<(), OomError> {
+        for spec in specs {
+            for (v, local) in kernel_outputs(spec) {
+                if !local {
+                    self.charge(program, v)?;
+                }
+            }
+            let cost = kernel_cost(spec, program, self.graph, phase);
+            self.device.launch(&cost);
+        }
+        Ok(())
+    }
+}
+
+/// Each variable `spec` writes, with whether it is one of the kernel's
+/// register locals (never charged to device memory, §3.4.2).
+pub(crate) fn kernel_outputs(spec: &KernelSpec) -> impl Iterator<Item = (VarId, bool)> + '_ {
+    let (ops, locals): (&[hector_ir::Op], &[VarId]) = match spec {
+        KernelSpec::Gemm(g) => (std::slice::from_ref(&g.op), &[]),
+        KernelSpec::Traversal(t) => (t.ops.as_slice(), t.local_vars.as_slice()),
+        KernelSpec::Fallback(_) => (&[], &[]),
+    };
+    ops.iter()
+        .filter_map(|op| op.kind.out_var())
+        .map(move |v| (v, locals.contains(&v)))
+}
+
+/// Cost of the NLL loss and its gradient over the model output `out`.
+fn loss_cost(program: &Program, graph: &GraphData, out: VarId) -> KernelCost {
+    let info = program.var(out);
+    let rows = graph.rows_of_space(info.space) as f64;
+    let mut c = KernelCost::new(KernelCategory::Fallback, Phase::Backward);
+    c.flops = rows * info.width as f64 * 4.0;
+    c.bytes_read = rows * info.width as f64 * 4.0;
+    c.bytes_written = rows * info.width as f64 * 4.0;
+    c.items = rows * info.width as f64 / 32.0;
+    c
+}
 
 /// Cost of one kernel launch of `spec` for `program` on `graph`.
 #[must_use]

@@ -3,7 +3,7 @@
 //! The paper's pitch is a *concise programming model* backed by an
 //! aggressive compiler; these handles make the runtime side match. An
 //! [`EngineBuilder`] assembles the whole stack — model, dimensions,
-//! [`CompileOptions`], device, mode, parallelism, seed — and yields an
+//! [`CompileOptions`], device, parallelism, seed — and yields an
 //! [`Engine`] that owns the compiled module (shared through the
 //! process-wide [`hector_compiler::ModuleCache`]), the simulated device,
 //! the scratch arena, and the run plan. [`Engine::bind`] attaches a
@@ -58,10 +58,8 @@
 //! (pinned by `tests/api_parity.rs`):
 //!
 //! 1. `ParamStore::init(&module.forward, graph, &mut rng)`,
-//! 2. `Bindings::standard(&module.forward, graph, &mut rng)`
-//!    (real mode; modeled engines bind nothing),
-//! 3. `random_labels(&mut rng, num_nodes, classes)` (trainers only,
-//!    real mode).
+//! 2. `Bindings::standard(&module.forward, graph, &mut rng)`,
+//! 3. `random_labels(&mut rng, num_nodes, classes)` (trainers only).
 
 use hector_compiler::{CompileOptions, CompiledModule, ModuleCache};
 use hector_device::{Device, DeviceConfig};
@@ -96,7 +94,7 @@ enum ModelSpec {
 ///
 /// Defaults: dims 64×64 (the paper's §4.1 setting), one layer, hidden =
 /// `out_dim`, [`CompileOptions::best`], the simulated RTX 3090,
-/// [`Mode::Real`], parallelism from the environment
+/// parallelism from the environment
 /// ([`ParallelConfig::from_env`]), seed 0, `classes` = the model's
 /// output width.
 #[derive(Clone, Debug)]
@@ -108,7 +106,6 @@ pub struct EngineBuilder {
     layers: usize,
     options: CompileOptions,
     device: DeviceConfig,
-    mode: Mode,
     par: Option<ParallelConfig>,
     backend: Option<BackendKind>,
     seed: u64,
@@ -128,7 +125,6 @@ impl EngineBuilder {
             layers: 1,
             options: CompileOptions::best(),
             device: DeviceConfig::rtx3090(),
-            mode: Mode::Real,
             par: None,
             backend: None,
             seed: 0,
@@ -227,14 +223,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Execution mode (real CPU numerics vs. cost-model-only).
+    /// Accepts the one [`Mode`] and does nothing. Kept only because
+    /// `hector_benchmark` still calls it; cost-model-only accounting is
+    /// [`crate::model_run`].
     #[must_use]
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
+    pub fn mode(self, _mode: Mode) -> Self {
         self
     }
 
-    /// Host-parallelism configuration for the real-mode executor
+    /// Host-parallelism configuration for the executor
     /// (defaults to `HECTOR_THREADS` via [`ParallelConfig::from_env`]).
     #[must_use]
     pub fn parallel(mut self, par: ParallelConfig) -> Self {
@@ -242,7 +239,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Execution backend for real-mode kernels (defaults to
+    /// Execution backend for kernels (defaults to
     /// [`BackendKind::Specialized`], the production executor). Backends
     /// are bit-identical; [`BackendKind::Interp`] is the sequential
     /// oracle the parity suites compare against, and ignores the thread
@@ -383,7 +380,7 @@ impl EngineBuilder {
         };
         let par = self.par.unwrap_or_else(ParallelConfig::from_env);
         let backend = self.backend.unwrap_or_default();
-        let session = Session::new(module, self.device, self.mode, par, backend)?;
+        let session = Session::new(module, self.device, par, backend)?;
         Ok(Engine {
             session,
             seed: self.seed,
@@ -459,12 +456,6 @@ impl Engine {
         self.session.device()
     }
 
-    /// Execution mode.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.session.mode()
-    }
-
     /// The engine seed (parameter/input/label derivation).
     #[must_use]
     pub fn seed(&self) -> u64 {
@@ -486,10 +477,9 @@ impl Engine {
 
     /// Binds a graph: clones its derived structures into the engine and
     /// (re)derives parameters and standard input bindings from the
-    /// engine seed (see the module-level seed contract; modeled
-    /// engines skip input materialisation). Rebinding — the same graph
-    /// or a new one — restarts from freshly seeded parameters; the
-    /// engine's run plan and scratch arena persist and are reused
+    /// engine seed (see the module-level seed contract). Rebinding — the
+    /// same graph or a new one — restarts from freshly seeded parameters;
+    /// the engine's run plan and scratch arena persist and are reused
     /// shape-compatibly.
     ///
     /// # Errors
@@ -513,10 +503,7 @@ impl Engine {
         let mut rng = seeded_rng(self.seed);
         let program = &self.module().forward;
         let params = ParamStore::init(program, graph, &mut rng);
-        let bindings = match self.session.mode() {
-            Mode::Real => Bindings::standard(program, graph, &mut rng),
-            Mode::Modeled => Bindings::new(),
-        };
+        let bindings = Bindings::standard(program, graph, &mut rng);
         self.state = Some(BoundState {
             graph: graph.clone(),
             params,
@@ -600,9 +587,7 @@ impl Engine {
     pub fn forward(&mut self) -> Result<RunReport, HectorError> {
         let state = self.state.as_mut().ok_or_else(not_bound)?;
         let program = &self.session.module().forward;
-        if self.session.mode() == Mode::Real {
-            validate_bindings(program, &state.graph, &state.bindings)?;
-        }
+        validate_bindings(program, &state.graph, &state.bindings)?;
         Ok(self
             .session
             .forward(&state.graph, &mut state.params, &state.bindings)?)
@@ -617,8 +602,8 @@ impl Engine {
     /// [`HectorError::InvalidConfig`] when the module was not compiled
     /// for training or a label is out of class range,
     /// [`HectorError::ShapeMismatch`] for a label vector that does not
-    /// cover the graph's nodes (real mode), and [`HectorError::Oom`]
-    /// when the run exceeds device memory.
+    /// cover the graph's nodes, and [`HectorError::Oom`] when the run
+    /// exceeds device memory.
     pub fn train_step(
         &mut self,
         labels: &[usize],
@@ -627,10 +612,8 @@ impl Engine {
         self.check_trainable()?;
         let state = self.state.as_mut().ok_or_else(not_bound)?;
         let program = &self.session.module().forward;
-        if self.session.mode() == Mode::Real {
-            validate_bindings(program, &state.graph, &state.bindings)?;
-            validate_labels(program, &state.graph, labels)?;
-        }
+        validate_bindings(program, &state.graph, &state.bindings)?;
+        validate_labels(program, &state.graph, labels)?;
         Ok(self.session.train_step(
             &state.graph,
             &mut state.params,
@@ -677,10 +660,8 @@ impl Engine {
             });
         }
         let program = &self.session.module().forward;
-        if self.session.mode() == Mode::Real {
-            validate_bindings(program, graph, bindings)?;
-            validate_labels(program, graph, labels)?;
-        }
+        validate_bindings(program, graph, bindings)?;
+        validate_labels(program, graph, labels)?;
         Ok(self
             .session
             .train_step(graph, &mut state.params, bindings, labels, optimizer)?)
@@ -700,21 +681,20 @@ impl Engine {
     }
 
     /// The run plan's variable store after the latest run (outputs live
-    /// here in real mode).
+    /// here).
     #[must_use]
     pub fn outputs(&self) -> &VarStore {
         self.session.vars()
     }
 
-    /// The model's first output tensor from the latest real-mode run.
+    /// The model's first output tensor from the latest run.
     ///
     /// # Panics
     ///
-    /// Panics before the first run or on modeled engines (no data is
-    /// materialised there).
+    /// Panics before the first run.
     #[must_use]
     pub fn output(&self) -> &Tensor {
-        self.outputs().tensor(self.module().forward.outputs[0])
+        self.outputs().get(self.module().forward.outputs[0])
     }
 
     /// Label classes used when a trainer derives labels for this engine.
@@ -807,7 +787,7 @@ fn not_bound() -> HectorError {
     }
 }
 
-/// Pre-validates real-mode input bindings against the program and
+/// Pre-validates input bindings against the program and
 /// graph, so misuse surfaces as a [`HectorError`] here instead of a
 /// panic inside the run (whose own checks remain internal-invariant
 /// panics — the engine path has already screened caller input).
@@ -835,7 +815,7 @@ fn validate_bindings(
     Ok(())
 }
 
-/// Pre-validates a real-mode label vector: one label per node, each
+/// Pre-validates a label vector: one label per node, each
 /// indexing within the model's output logits.
 fn validate_labels(
     program: &Program,
@@ -895,12 +875,12 @@ impl Bound<'_> {
         self.engine.forward()
     }
 
-    /// The model's first output tensor from the latest real-mode run
-    /// (see [`Engine::output`]).
+    /// The model's first output tensor from the latest run (see
+    /// [`Engine::output`]).
     ///
     /// # Panics
     ///
-    /// Panics before the first run or on modeled engines.
+    /// Panics before the first run.
     #[must_use]
     pub fn output(&self) -> &Tensor {
         self.engine.output()
@@ -920,37 +900,26 @@ impl Bound<'_> {
 }
 
 /// Summary of one [`Trainer::epoch`] or
-/// [`Trainer::minibatch_epoch`] call.
-///
-/// `steps` counts the steps that actually executed; `losses` holds one
-/// entry per step *that produced a loss*. The two deliberately
-/// disagree in modeled mode — the cost model never computes numerics,
-/// so `losses` stays empty ("no loss available") while `steps` still
-/// counts the simulated steps. An all-steps-executed epoch with an
-/// empty loss curve therefore means "modeled mode", never "zero steps"
-/// (`epoch(0)` panics instead of returning an empty report).
+/// [`Trainer::minibatch_epoch`] call. An epoch runs at least one step
+/// (`epoch(0)` is an error), and every step produces a loss.
 #[derive(Clone, Debug)]
 pub struct EpochReport {
-    /// Per-step losses, in step order. One entry per executed step in
-    /// real mode; empty in modeled mode (no loss is computed there —
-    /// check `steps` for how many steps ran).
+    /// Per-step losses, in step order: one entry per executed step.
     pub losses: Vec<f32>,
-    /// Number of training steps that executed (counted in both modes).
+    /// Number of training steps that executed.
     pub steps: usize,
     /// Run report of the final step.
     pub last: RunReport,
 }
 
 impl EpochReport {
-    /// Loss of the final step, when one was computed ([`None`] in
-    /// modeled mode — distinguishable from "zero steps" because an
-    /// epoch always runs at least one step).
+    /// Loss of the final step.
     #[must_use]
     pub fn final_loss(&self) -> Option<f32> {
         self.losses.last().copied()
     }
 
-    /// Mean loss across the epoch's steps ([`None`] in modeled mode).
+    /// Mean loss across the epoch's steps.
     #[must_use]
     pub fn mean_loss(&self) -> Option<f32> {
         if self.losses.is_empty() {
@@ -992,7 +961,6 @@ impl Trainer {
     /// Binds a graph: delegates to [`Engine::bind`], then derives the
     /// label tensor (`random_labels`, one class id per node) from the
     /// same seeded stream — step 3 of the module-level seed contract.
-    /// Modeled engines train label-free (loss is not computed there).
     ///
     /// # Label preservation
     ///
@@ -1010,14 +978,9 @@ impl Trainer {
     pub fn bind(&mut self, graph: &GraphData) -> Result<&mut Trainer, HectorError> {
         let classes = self.engine.classes;
         let mut rng = self.engine.bind_internal(graph)?;
-        let keep_pinned = self.labels_pinned
-            && self.engine.mode() == Mode::Real
-            && self.labels.len() == graph.graph().num_nodes();
-        if !keep_pinned {
-            self.labels = match self.engine.mode() {
-                Mode::Real => random_labels(&mut rng, graph.graph().num_nodes(), classes),
-                Mode::Modeled => Vec::new(),
-            };
+        let nodes = graph.graph().num_nodes();
+        if !(self.labels_pinned && self.labels.len() == nodes) {
+            self.labels = random_labels(&mut rng, nodes, classes);
             self.labels_pinned = false;
         }
         self.optimizer.reset();
@@ -1115,7 +1078,6 @@ impl Trainer {
             inputs,
             state.bindings.clone(),
             self.labels.clone(),
-            self.engine.mode(),
         );
         Minibatches::new(source, cfg.pipeline)
     }
@@ -1151,8 +1113,7 @@ impl Trainer {
 
     /// Runs one full epoch of sampled mini-batch training: every batch
     /// of [`Trainer::minibatch`], trained in order. The loss curve has
-    /// one entry per batch (empty in modeled mode — see
-    /// [`EpochReport`]).
+    /// one entry per batch.
     ///
     /// # Errors
     ///
@@ -1217,7 +1178,7 @@ impl Trainer {
         self.steps
     }
 
-    /// Loss of the most recent step (real mode only).
+    /// Loss of the most recent step.
     #[must_use]
     pub fn loss(&self) -> Option<f32> {
         self.last_loss
@@ -1384,39 +1345,6 @@ mod tests {
     }
 
     #[test]
-    fn modeled_epoch_reports_steps_without_losses() {
-        // Modeled mode never computes numerics, so the loss curve is
-        // empty by design — the report must still say how many steps
-        // ran, so "no loss available" and "zero steps" are
-        // distinguishable.
-        let graph = graph();
-        let mut trainer = EngineBuilder::new(ModelKind::Rgcn)
-            .dims(8, 8)
-            .mode(Mode::Modeled)
-            .build_trainer(Sgd::new(0.1))
-            .unwrap();
-        trainer.bind(&graph).unwrap();
-        let epoch = trainer.epoch(4).expect("fits");
-        assert_eq!(epoch.steps, 4, "steps count in modeled mode");
-        assert!(epoch.losses.is_empty(), "no loss is computed there");
-        assert_eq!(epoch.final_loss(), None);
-        assert_eq!(epoch.mean_loss(), None);
-        assert_eq!(trainer.steps(), 4);
-
-        // Real mode: both views populated and consistent.
-        let mut real = EngineBuilder::new(ModelKind::Rgcn)
-            .dims(8, 8)
-            .seed(3)
-            .build_trainer(Sgd::new(0.1))
-            .unwrap();
-        real.bind(&graph).unwrap();
-        let epoch = real.epoch(4).expect("fits");
-        assert_eq!(epoch.steps, 4);
-        assert_eq!(epoch.losses.len(), 4);
-        assert_eq!(epoch.final_loss(), epoch.losses.last().copied());
-    }
-
-    #[test]
     fn set_labels_survive_rebind() {
         let graph = graph();
         let n = graph.graph().num_nodes();
@@ -1510,13 +1438,16 @@ mod tests {
 
     #[test]
     fn modeled_engine_runs_without_bindings() {
+        // The modeled reading needs the compiled plan and the graph's
+        // shape only: no bind, parameters or features.
         let graph = graph();
-        let mut engine = EngineBuilder::new(ModelKind::Hgt)
+        let engine = EngineBuilder::new(ModelKind::Hgt)
             .dims(16, 16)
-            .mode(Mode::Modeled)
             .build()
             .unwrap();
-        let report = engine.bind(&graph).unwrap().forward().expect("fits");
+        assert!(!engine.is_bound());
+        let mut device = Device::new(DeviceConfig::rtx3090());
+        let report = crate::model_run(engine.module(), &graph, &mut device, false).expect("fits");
         assert!(report.elapsed_us > 0.0);
         assert!(report.peak_bytes > 0);
     }

@@ -130,13 +130,11 @@ pub(crate) fn exec_gemm(
                 }
                 match scatter {
                     None => {
-                        vars.get_mut(*out)
-                            .tensor_mut()
-                            .set_row(r, scratch.y(out_width));
+                        vars.get_mut(*out).set_row(r, scratch.y(out_width));
                     }
                     Some(ep) => {
                         let idx = scatter_index(spec.rows, *ep, r, graph);
-                        let row = vars.get_mut(*out).tensor_mut().row_mut(idx);
+                        let row = vars.get_mut(*out).row_mut(idx);
                         for (a, b) in row.iter_mut().zip(scratch.y(out_width)) {
                             *a += b;
                         }
@@ -276,7 +274,7 @@ fn read_operand<'a>(
                 (Ctx::Node(n), Endpoint::This | Endpoint::Dst) => n,
                 (c, e) => unreachable!("node read {e:?} in context {c:?}"),
             };
-            OperandRef::Slice(vars.tensor(*v).row(row))
+            OperandRef::Slice(vars.get(*v).row(row))
         }
         Operand::Edge(v) => {
             let space = program.var(*v).space;
@@ -286,7 +284,7 @@ fn read_operand<'a>(
                 (Ctx::Unique(u), Space::Compact) => u,
                 (c, s) => unreachable!("edge read of {s:?} var in context {c:?}"),
             };
-            OperandRef::Slice(vars.tensor(*v).row(row))
+            OperandRef::Slice(vars.get(*v).row(row))
         }
     }
 }
@@ -482,10 +480,7 @@ pub(crate) fn exec_traversal(
     scratch: &mut Scratch,
 ) {
     for v in max_agg_outputs(spec) {
-        vars.get_mut(v)
-            .tensor_mut()
-            .data_mut()
-            .fill(f32::NEG_INFINITY);
+        vars.get_mut(v).data_mut().fill(f32::NEG_INFINITY);
     }
     match spec.domain {
         TraversalDomain::Edges => {
@@ -566,7 +561,7 @@ pub(crate) fn exec_traversal(
                     // ops below and later passes read the row mid-kernel,
                     // long before the end-of-kernel sweep.
                     for (_, out) in dst_private_max_aggs(spec, program, pass) {
-                        sweep_neg_inf(vars.get_mut(out).tensor_mut().row_mut(v));
+                        sweep_neg_inf(vars.get_mut(out).row_mut(v));
                     }
                     for (i, op) in spec.ops.iter().enumerate() {
                         if st[i] != pass || !spec.hoisted.contains(&op.id) {
@@ -587,7 +582,7 @@ pub(crate) fn exec_traversal(
         }
     }
     for v in max_agg_outputs(spec) {
-        sweep_neg_inf(vars.get_mut(v).tensor_mut().data_mut());
+        sweep_neg_inf(vars.get_mut(v).data_mut());
     }
 }
 
@@ -663,7 +658,7 @@ fn exec_op(
                 (Ctx::Unique(u), Space::Node) => graph.compact().unique_row_idx()[u] as usize,
                 (c, s0) => unreachable!("aggregate {s0:?} in context {c:?}"),
             };
-            let row = vars.get_mut(*out).tensor_mut().row_mut(idx);
+            let row = vars.get_mut(*out).row_mut(idx);
             if *norm == AggNorm::Max {
                 // Rows are seeded with -inf before the kernel runs (see
                 // `exec_traversal`) so the true maximum survives even when
@@ -723,7 +718,7 @@ fn write_row(
         }
         (c, s) => unreachable!("write of {s:?} var in context {c:?}"),
     };
-    vars.get_mut(out).tensor_mut().set_row(idx, y);
+    vars.get_mut(out).set_row(idx, y);
 }
 
 #[cfg(test)]

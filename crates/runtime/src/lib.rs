@@ -9,21 +9,17 @@
 //! allocation-free by construction.
 //!
 //! Underneath, an engine executes the kernel sequence of a
-//! `hector_compiler::CompiledModule` against a [`GraphData`] instance on a
-//! simulated GPU ([`hector_device::Device`]), in one of two modes:
-//!
-//! * [`Mode::Real`] — kernels are interpreted functionally on the CPU
-//!   (exact numerics, usable for correctness tests, small graphs);
-//! * [`Mode::Modeled`] — only shapes, allocations, and the analytical
-//!   cost model run, letting paper-scale experiments finish in
-//!   milliseconds while producing the same simulated timings, memory
-//!   footprints, OOM events, and architectural counters.
-//!
-//! Both modes charge the device identically: every kernel launch derives
-//! a [`hector_device::KernelCost`] from its spec and the graph statistics
-//! (see [`cost`]), and every tensor materialisation allocates device
-//! memory (locals excluded — fused temporaries stay in registers,
-//! §3.4.2).
+//! `hector_compiler::CompiledModule` against a [`GraphData`] instance
+//! functionally on the CPU (exact numerics), and charges a simulated GPU
+//! ([`hector_device::Device`]) for it. The charge is a reading of the
+//! plan alone: [`model_run`] derives each launch's
+//! [`hector_device::KernelCost`] from its spec and the graph statistics,
+//! and allocates device memory for every tensor materialisation (locals
+//! excluded — fused temporaries stay in registers, §3.4.2). Every real
+//! run charges its device through that walk before any kernel executes,
+//! and paper-scale experiments call it directly: they finish in
+//! milliseconds with the simulated timings, memory footprints, OOM
+//! events, and architectural counters a real run reports.
 //!
 //! Training support follows the paper's recipe (§4.1): negative
 //! log-likelihood against a seeded random label tensor, full-graph steps,
@@ -34,7 +30,7 @@
 #![warn(missing_docs)]
 
 mod backend;
-pub mod cost;
+mod cost;
 mod engine;
 mod error;
 mod exec;
@@ -48,6 +44,7 @@ mod session;
 mod store;
 
 pub use backend::BackendKind;
+pub use cost::model_run;
 pub use engine::{Bound, Engine, EngineBuilder, EpochReport, Trainer};
 pub use error::HectorError;
 pub use graphdata::GraphData;
@@ -61,4 +58,4 @@ pub use minibatch::{Batch, Minibatches};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::ParamStore;
 pub use session::{cnorm_tensor, gather_bindings, Bindings, Mode, RunReport};
-pub use store::{Buffer, VarStore};
+pub use store::VarStore;

@@ -30,7 +30,7 @@ use hector_graph::{HeteroGraph, NeighborSampler, SamplerConfig, Subgraph};
 use hector_ir::VarInfo;
 use hector_par::Prefetcher;
 
-use crate::session::{gather_bindings, Bindings, Mode};
+use crate::session::{gather_bindings, Bindings};
 use crate::GraphData;
 
 /// How many batches the background producer may run ahead of training.
@@ -51,7 +51,7 @@ pub struct Batch {
     pub graph: GraphData,
     /// Input bindings in batch-local row order.
     pub bindings: Bindings,
-    /// Labels in batch-local node order (empty in modeled mode).
+    /// Labels in batch-local node order.
     pub labels: Vec<usize>,
     /// Host wall-clock time spent producing this batch, µs.
     pub sample_wall_us: f64,
@@ -71,7 +71,6 @@ pub(crate) struct BatchSource {
     inputs: Vec<VarInfo>,
     full_bindings: Bindings,
     full_labels: Vec<usize>,
-    mode: Mode,
 }
 
 impl BatchSource {
@@ -82,7 +81,6 @@ impl BatchSource {
         inputs: Vec<VarInfo>,
         full_bindings: Bindings,
         full_labels: Vec<usize>,
-        mode: Mode,
     ) -> BatchSource {
         BatchSource {
             full: full.clone(),
@@ -90,7 +88,6 @@ impl BatchSource {
             inputs,
             full_bindings,
             full_labels,
-            mode,
         }
     }
 
@@ -108,24 +105,16 @@ impl BatchSource {
         let sampled = self.sampler.sample(&self.full, k);
         let subgraph = Subgraph::extract(&self.full, &sampled);
         let graph = GraphData::new(subgraph.graph().clone());
-        let bindings = if self.mode == Mode::Real {
-            // The slicing (node/edge gathers, subgraph-local cnorm) is
-            // the shared rebind helper, also used by sharded execution.
-            gather_bindings(
-                &self.inputs,
-                &graph,
-                &self.full_bindings,
-                subgraph.node_map(),
-                subgraph.edge_map(),
-            )
-        } else {
-            Bindings::new()
-        };
-        let labels = if self.mode == Mode::Real {
-            subgraph.gather_node_values(&self.full_labels)
-        } else {
-            Vec::new()
-        };
+        // The slicing (node/edge gathers, subgraph-local cnorm) is the
+        // shared rebind helper, also used by sharded execution.
+        let bindings = gather_bindings(
+            &self.inputs,
+            &graph,
+            &self.full_bindings,
+            subgraph.node_map(),
+            subgraph.edge_map(),
+        );
+        let labels = subgraph.gather_node_values(&self.full_labels);
         let sample_wall_us = t0.elapsed().as_secs_f64() * 1e6;
         if let Some(ts) = tr {
             hector_trace::record_span(

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hector_compiler::CompiledModule;
-use hector_device::{Device, DeviceConfig, KernelCategory, KernelCost, OomError, Phase};
+use hector_device::{Device, DeviceConfig, KernelCategory, OomError, Phase};
 use hector_ir::{KernelSpec, Program, Space, VarId, VarInfo};
 use hector_par::{ParallelConfig, ThreadPool};
 use hector_tensor::Tensor;
@@ -28,24 +28,23 @@ use rand::{Rng, SeedableRng};
 use hector_trace::{record_span, span_start, SpanCat};
 
 use crate::backend::{BackendKind, ExecCtx, ExecPlan, WorkerArenas};
-use crate::cost::{kernel_cost, var_bytes};
+use crate::cost::{charge_run, kernel_cost, kernel_outputs};
 use crate::error::HectorError;
 use crate::exec::kernel_trace_meta;
 use crate::loss::nll_loss_and_grad_into;
 use crate::optim::Optimizer;
 use crate::scratch::Scratch;
-use crate::store::{Buffer, VarStore};
+use crate::store::VarStore;
 use crate::{GraphData, ParamStore};
 
-/// Execution mode of a session.
+/// The one execution mode: every run executes its kernels. Kept only
+/// because `hector_benchmark` still calls
+/// [`crate::EngineBuilder::mode`]`(Mode::Real)`; simulated-only
+/// accounting is [`crate::model_run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Functional CPU interpretation of every kernel (exact numerics).
     Real,
-    /// Shape/cost-only execution: same simulated timings, memory
-    /// footprints, and OOM events, without touching data. Paper-scale
-    /// graphs run in milliseconds.
-    Modeled,
 }
 
 /// Summary of one inference or training run.
@@ -69,7 +68,8 @@ pub struct RunReport {
     pub forward_us: f64,
     /// Backward-phase time, microseconds.
     pub backward_us: f64,
-    /// Training loss (real-mode training runs only).
+    /// Training loss (training steps only; `None` from
+    /// [`crate::model_run`]).
     pub loss: Option<f32>,
 }
 
@@ -80,7 +80,7 @@ pub struct Bindings {
 }
 
 impl Bindings {
-    /// Empty bindings (sufficient for modeled runs).
+    /// Empty bindings.
     #[must_use]
     pub fn new() -> Bindings {
         Bindings::default()
@@ -221,7 +221,7 @@ pub fn gather_bindings(
     bindings
 }
 
-/// Run-level reuse plan: the variable store, device-charge flags, and
+/// Run-level reuse plan: the variable store, first-touch flags, and
 /// loss staging buffer that persist across successive [`Session::forward`]
 /// / [`Session::train_step`] calls.
 ///
@@ -229,19 +229,17 @@ pub fn gather_bindings(
 /// the first run materialises every output/gradient tensor, every later
 /// run zero-fills and reuses them (a zeroed persistent buffer is
 /// indistinguishable from a freshly allocated one, so a warm run is
-/// bit-identical to a cold one). Simulated-device memory is
-/// still charged per run through the `charged` flags, so timing, peak
-/// footprint, and OOM behaviour exactly match a fresh run. Plan growth
-/// events and footprint surface through
-/// [`hector_device::ScratchStats::plan_grows`] on the device counters;
-/// `tests/run_alloc.rs` pins that a warm sequential `train_step`
-/// performs **zero** heap allocations.
+/// bit-identical to a cold one). Plan growth events and footprint
+/// surface through [`hector_device::ScratchStats::plan_grows`] on the
+/// device counters; `tests/run_alloc.rs` pins that a warm sequential
+/// `train_step` performs **zero** heap allocations.
 #[derive(Debug, Default)]
 struct RunPlan {
     vars: VarStore,
-    /// Per-`VarId` device-charge flags for the current run (reset each
-    /// run; capacity persists).
-    charged: Vec<bool>,
+    /// Per-`VarId` flags, one per variable of the current run (capacity
+    /// persists). The device walk borrows them first for its charges;
+    /// then they mark each variable's first touch by the executor.
+    touched: Vec<bool>,
     /// Reused NLL loss-gradient staging buffer.
     loss_grad: Vec<f32>,
     /// Buffer (re)materialisation events since construction.
@@ -249,72 +247,39 @@ struct RunPlan {
 }
 
 impl RunPlan {
-    /// Starts a run: clears the charge flags. Buffers are zero-filled
-    /// lazily, at each variable's first charge of the run
+    /// Marks `v` touched this run; returns whether it already was.
+    /// Buffers are zero-filled lazily, at each variable's first touch
     /// ([`RunPlan::ensure`]) — only the current program's variables pay
-    /// the memset, input buffers (fully overwritten by `bind_inputs`)
-    /// skip it, and stale buffers from other modules the session ran
-    /// earlier are left untouched.
-    fn begin(&mut self, var_count: usize) {
-        if self.charged.len() < var_count {
-            self.charged.resize(var_count, false);
-        }
-        self.charged.fill(false);
+    /// the memset, and input buffers (fully overwritten by
+    /// `bind_inputs`) skip it.
+    fn touch(&mut self, v: VarId) -> bool {
+        std::mem::replace(&mut self.touched[v.0 as usize], true)
     }
 
-    fn charged(&self, v: VarId) -> bool {
-        self.charged.get(v.0 as usize).copied().unwrap_or(false)
-    }
-
-    fn set_charged(&mut self, v: VarId) {
-        let i = v.0 as usize;
-        if i >= self.charged.len() {
-            self.charged.resize(i + 1, false);
-        }
-        self.charged[i] = true;
-    }
-
-    /// Makes sure `v` has a reusable buffer of the right mode and shape,
+    /// Makes sure `v` has a reusable buffer of the right shape,
     /// materialising (and counting a growth event) only on mismatch. A
-    /// reused real buffer is zero-filled here — its first charge of the
-    /// run — making it indistinguishable from freshly allocated
-    /// zeros. Callers guarantee at most one call
-    /// per variable per run (the `charged` flags for device-backed vars;
-    /// single assignment for register locals), so a mid-run re-zero of a
-    /// scatter target can never happen.
-    fn ensure(&mut self, v: VarId, rows: usize, width: usize, mode: Mode) {
-        match (mode, self.vars.try_get(v)) {
-            (Mode::Real, Some(Buffer::Real(t))) if t.shape() == [rows, width] => {
-                self.vars.get_mut(v).tensor_mut().data_mut().fill(0.0);
-            }
-            (Mode::Real, Some(Buffer::Real(_))) => {
+    /// reused buffer is zero-filled here — its first touch of the run —
+    /// making it indistinguishable from freshly allocated zeros. Callers
+    /// guarantee at most one call per variable per run (the `touched`
+    /// flags for device-backed vars; single assignment for register
+    /// locals), so a mid-run re-zero of a scatter target can never
+    /// happen.
+    fn ensure(&mut self, v: VarId, rows: usize, width: usize) {
+        match self.vars.try_get(v).map(|t| t.shape() == [rows, width]) {
+            Some(true) => self.vars.get_mut(v).data_mut().fill(0.0),
+            Some(false) => {
                 // Shape changed — e.g. successive mini-batch subgraphs of
                 // different sizes. Re-shape the buffer in place; the
                 // allocation is reused whenever capacity suffices, and a
                 // growth event counts only when it actually reallocates,
                 // so warm batch steps whose shapes fit stay alloc-free.
-                if self
-                    .vars
-                    .get_mut(v)
-                    .tensor_mut()
-                    .reset_shape_zeroed(&[rows, width])
-                {
+                if self.vars.get_mut(v).reset_shape_zeroed(&[rows, width]) {
                     self.grows += 1;
                 }
             }
-            (Mode::Modeled, Some(Buffer::Modeled { rows: r, width: w }))
-                if *r == rows && *w == width => {}
-            (Mode::Modeled, Some(Buffer::Modeled { .. })) => {
-                // Modeled buffers carry no storage: re-shape silently.
-                self.vars.insert(v, Buffer::Modeled { rows, width });
-            }
-            _ => {
+            None => {
                 self.grows += 1;
-                let buf = match mode {
-                    Mode::Real => Buffer::Real(Tensor::zeros(&[rows, width])),
-                    Mode::Modeled => Buffer::Modeled { rows, width },
-                };
-                self.vars.insert(v, buf);
+                self.vars.insert(v, Tensor::zeros(&[rows, width]));
             }
         }
     }
@@ -334,13 +299,12 @@ pub(crate) struct Session {
     /// cache with every engine built from the same key).
     module: Arc<CompiledModule>,
     device: Device,
-    mode: Mode,
     par: ParallelConfig,
     /// Worker pool of the production executor. `None` when
-    /// `num_threads == 1` (every kernel is one chunk), on the sequential
-    /// oracle backend, or in modeled mode (nothing to execute).
+    /// `num_threads == 1` (every kernel is one chunk) or on the
+    /// sequential oracle backend.
     pool: Option<ThreadPool>,
-    /// Reusable scratch arena for the real-mode hot path (the oracle's
+    /// Reusable scratch arena for the hot path (the oracle's
     /// row staging, the production executor's per-launch weight flags):
     /// buffers grow to the widest kernel row once, then every later
     /// kernel (and run) reuses them — zero per-row heap allocations in
@@ -351,10 +315,10 @@ pub(crate) struct Session {
     /// blocks, contribution buffers, the launch table) — what makes
     /// warm runs allocation-free at every thread count.
     arenas: WorkerArenas,
-    /// Which executor real-mode kernels run on — see [`crate::backend`].
+    /// Which executor kernels run on — see [`crate::backend`].
     backend: BackendKind,
-    /// `module` prepared for `backend`: built by the first real-mode run,
-    /// reused by every later one.
+    /// `module` prepared for `backend`: built by the first run, reused
+    /// by every later one.
     exec_plan: Option<ExecPlan>,
     /// See [`RunPlan`].
     plan: RunPlan,
@@ -363,7 +327,7 @@ pub(crate) struct Session {
 impl Session {
     /// Creates a session running `module` on backend `kind`.
     /// `num_threads = 1` runs every kernel as one chunk (no pool is
-    /// created); any higher count splits real-mode kernels across a
+    /// created); any higher count splits kernels across a
     /// work-stealing pool with outputs bit-identical to the one-chunk run
     /// (see the [`crate::backend`] module docs). [`BackendKind::Interp`]
     /// is sequential by definition: it ignores `par.num_threads` and
@@ -378,7 +342,6 @@ impl Session {
     pub(crate) fn new(
         module: Arc<CompiledModule>,
         config: DeviceConfig,
-        mode: Mode,
         par: ParallelConfig,
         kind: BackendKind,
     ) -> Result<Session, HectorError> {
@@ -392,7 +355,7 @@ impl Session {
                 detail: "ParallelConfig.min_chunk_rows must be >= 1".into(),
             });
         }
-        let pool = if mode == Mode::Real && kind == BackendKind::Specialized {
+        let pool = if kind == BackendKind::Specialized {
             ThreadPool::from_config(&par)
         } else {
             None
@@ -400,7 +363,6 @@ impl Session {
         Ok(Session {
             module,
             device: Device::new(config),
-            mode,
             par,
             pool,
             scratch: Scratch::new(),
@@ -426,33 +388,20 @@ impl Session {
         &mut self.device
     }
 
-    /// Execution mode.
-    pub(crate) fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// The run plan's variable store — the buffers runs write outputs
     /// and gradients into. Empty until the first run.
     pub(crate) fn vars(&self) -> &VarStore {
         &self.plan.vars
     }
 
-    fn alloc_var(
-        &mut self,
-        program: &Program,
-        graph: &GraphData,
-        v: VarId,
-    ) -> Result<(), OomError> {
-        if self.plan.charged(v) {
-            return Ok(());
+    /// Materialises device-backed `v` at its first touch of the run.
+    fn alloc_var(&mut self, program: &Program, graph: &GraphData, v: VarId) {
+        if self.plan.touch(v) {
+            return;
         }
         let info = program.var(v);
         let rows = graph.rows_of_space(info.space);
-        self.device
-            .alloc(var_bytes(program, graph, v), &info.name)?;
-        self.plan.set_charged(v);
-        self.plan.ensure(v, rows, info.width, self.mode);
-        Ok(())
+        self.plan.ensure(v, rows, info.width);
     }
 
     /// Materialises a buffer for register-local `v` of kernel `ki` (no
@@ -471,73 +420,49 @@ impl Session {
         v: VarId,
     ) {
         let in_scratch = |plan: &ExecPlan| plan.holds_local(phase, ki, v);
-        if self.mode == Mode::Modeled || self.exec_plan.as_ref().is_some_and(in_scratch) {
+        if self.exec_plan.as_ref().is_some_and(in_scratch) {
             return;
         }
         let info = program.var(v);
         let rows = graph.rows_of_space(info.space);
-        self.plan.ensure(v, rows, info.width, Mode::Real);
+        self.plan.ensure(v, rows, info.width);
     }
 
-    fn bind_inputs(
-        &mut self,
-        program: &Program,
-        graph: &GraphData,
-        inputs: &Bindings,
-    ) -> Result<(), OomError> {
+    fn bind_inputs(&mut self, program: &Program, graph: &GraphData, inputs: &Bindings) {
         for &v in &program.inputs {
-            if self.plan.charged(v) {
+            if self.plan.touch(v) {
                 continue;
             }
             let info = program.var(v);
-            match self.mode {
-                Mode::Real => {
-                    let t = inputs
-                        .get(&info.name)
-                        .unwrap_or_else(|| panic!("missing input binding '{}'", info.name));
-                    let rows = graph.rows_of_space(info.space);
-                    assert_eq!(
-                        t.shape(),
-                        &[rows, info.width],
-                        "binding '{}' has the wrong shape",
-                        info.name
-                    );
-                    self.device.alloc(t.byte_size(), &info.name)?;
-                    let plan = &mut self.plan;
-                    plan.set_charged(v);
-                    // Copy into the persistent buffer, re-shaping it in
-                    // place on mismatch (batch inputs change shape every
-                    // batch); a growth event counts only when the buffer
-                    // actually reallocates.
-                    match plan.vars.try_get(v) {
-                        Some(Buffer::Real(prev)) => {
-                            if prev.shape() != t.shape()
-                                && plan
-                                    .vars
-                                    .get_mut(v)
-                                    .tensor_mut()
-                                    .reset_shape_zeroed(t.shape())
-                            {
-                                plan.grows += 1;
-                            }
-                            plan.vars
-                                .get_mut(v)
-                                .tensor_mut()
-                                .data_mut()
-                                .copy_from_slice(t.data());
-                        }
-                        _ => {
-                            plan.grows += 1;
-                            plan.vars.insert(v, Buffer::Real(t.clone()));
-                        }
+            let t = inputs
+                .get(&info.name)
+                .unwrap_or_else(|| panic!("missing input binding '{}'", info.name));
+            let rows = graph.rows_of_space(info.space);
+            assert_eq!(
+                t.shape(),
+                &[rows, info.width],
+                "binding '{}' has the wrong shape",
+                info.name
+            );
+            let plan = &mut self.plan;
+            // Copy into the persistent buffer, re-shaping it in place on
+            // mismatch (batch inputs change shape every batch); a growth
+            // event counts only when the buffer actually reallocates.
+            match plan.vars.try_get(v) {
+                Some(prev) => {
+                    if prev.shape() != t.shape()
+                        && plan.vars.get_mut(v).reset_shape_zeroed(t.shape())
+                    {
+                        plan.grows += 1;
                     }
+                    plan.vars.get_mut(v).data_mut().copy_from_slice(t.data());
                 }
-                Mode::Modeled => {
-                    self.alloc_var(program, graph, v)?;
+                None => {
+                    plan.grows += 1;
+                    plan.vars.insert(v, t.clone());
                 }
             }
         }
-        Ok(())
     }
 
     fn run_kernels(
@@ -547,7 +472,7 @@ impl Session {
         graph: &GraphData,
         params: &mut ParamStore,
         phase: Phase,
-    ) -> Result<(), OomError> {
+    ) {
         for (ki, spec) in kernels.iter().enumerate() {
             // One trace span per kernel invocation (sequential and
             // parallel executors alike); a single relaxed load when
@@ -555,90 +480,65 @@ impl Session {
             let tr = span_start();
             // Materialise outputs (locals stay off-device, and on the
             // production executor out of the store altogether).
-            match spec {
-                KernelSpec::Gemm(g) => {
-                    if let Some(out) = g.op.kind.out_var() {
-                        self.alloc_var(program, graph, out)?;
-                    }
+            for (v, local) in kernel_outputs(spec) {
+                if local {
+                    self.insert_local(program, graph, phase, ki, v);
+                } else {
+                    self.alloc_var(program, graph, v);
                 }
-                KernelSpec::Traversal(t) => {
-                    for op in &t.ops {
-                        if let Some(out) = op.kind.out_var() {
-                            if t.local_vars.contains(&out) {
-                                self.insert_local(program, graph, phase, ki, out);
-                            } else {
-                                self.alloc_var(program, graph, out)?;
-                            }
-                        }
-                    }
-                }
-                KernelSpec::Fallback(_) => {}
             }
-            let cost = kernel_cost(spec, program, graph, phase);
-            self.device.launch(&cost);
-            if self.mode == Mode::Real {
-                let vars = &mut self.plan.vars;
-                let stats_before = self.pool.as_ref().map(ThreadPool::stats);
-                let grows_before = self.scratch.grows();
-                let start = Instant::now();
-                let exec_plan = self
-                    .exec_plan
-                    .as_ref()
-                    .expect("backend plan prepared before kernels run");
-                let mut ctx = ExecCtx {
-                    program,
-                    graph,
-                    params,
-                    vars,
-                    pool: self.pool.as_ref(),
-                    min_chunk: self.par.min_chunk_rows,
-                    scratch: &mut self.scratch,
-                    arenas: &mut self.arenas,
+            let vars = &mut self.plan.vars;
+            let stats_before = self.pool.as_ref().map(ThreadPool::stats);
+            let grows_before = self.scratch.grows();
+            let start = Instant::now();
+            let exec_plan = self
+                .exec_plan
+                .as_ref()
+                .expect("backend plan prepared before kernels run");
+            let mut ctx = ExecCtx {
+                program,
+                graph,
+                params,
+                vars,
+                pool: self.pool.as_ref(),
+                min_chunk: self.par.min_chunk_rows,
+                scratch: &mut self.scratch,
+                arenas: &mut self.arenas,
+            };
+            // Whether the kernel actually split across chunks —
+            // one-chunk launches count as sequential in the
+            // ParallelStats report.
+            let ran_parallel = exec_plan.run_kernel(phase, ki, spec, &mut ctx);
+            if !matches!(spec, KernelSpec::Fallback(_)) {
+                let wall_us = start.elapsed().as_secs_f64() * 1e6;
+                let bytes = self.scratch.bytes() + self.arenas.bytes();
+                self.device
+                    .record_scratch(self.scratch.grows() - grows_before, bytes);
+                let (chunks, steals) = match (stats_before, self.pool.as_ref()) {
+                    (Some(before), Some(pool)) => {
+                        let after = pool.stats();
+                        (
+                            usize::try_from(after.executed - before.executed).unwrap_or(usize::MAX),
+                            after.steals - before.steals,
+                        )
+                    }
+                    _ => (0, 0),
                 };
-                // Whether the kernel actually split across chunks —
-                // one-chunk launches count as sequential in the
-                // ParallelStats report.
-                let ran_parallel = exec_plan.run_kernel(phase, ki, spec, &mut ctx);
-                if !matches!(spec, KernelSpec::Fallback(_)) {
-                    let wall_us = start.elapsed().as_secs_f64() * 1e6;
-                    let bytes = self.scratch.bytes() + self.arenas.bytes();
-                    self.device
-                        .record_scratch(self.scratch.grows() - grows_before, bytes);
-                    let (chunks, steals) = match (stats_before, self.pool.as_ref()) {
-                        (Some(before), Some(pool)) => {
-                            let after = pool.stats();
-                            (
-                                usize::try_from(after.executed - before.executed)
-                                    .unwrap_or(usize::MAX),
-                                after.steals - before.steals,
-                            )
-                        }
-                        _ => (0, 0),
-                    };
-                    let category = match spec {
-                        KernelSpec::Gemm(_) => KernelCategory::Gemm,
-                        _ => KernelCategory::Traversal,
-                    };
-                    self.device
-                        .record_host_exec(category, ran_parallel, wall_us, chunks, steals);
-                }
+                let category = match spec {
+                    KernelSpec::Gemm(_) => KernelCategory::Gemm,
+                    _ => KernelCategory::Traversal,
+                };
+                self.device
+                    .record_host_exec(category, ran_parallel, wall_us, chunks, steals);
             }
             if let Some(t0) = tr {
                 let (tname, trows) = kernel_trace_meta(spec, graph);
-                record_span(
-                    tname,
-                    SpanCat::Kernel,
-                    t0,
-                    trows,
-                    u32::try_from(ki).unwrap_or(u32::MAX),
-                    cost.flops,
-                );
+                let flops = kernel_cost(spec, program, graph, phase).flops;
+                let ki = u32::try_from(ki).unwrap_or(u32::MAX);
+                record_span(tname, SpanCat::Kernel, t0, trows, ki, flops);
             }
         }
-        if self.mode == Mode::Real {
-            self.device.record_backend_kernels(kernels.len() as u64);
-        }
-        Ok(())
+        self.device.record_backend_kernels(kernels.len() as u64);
     }
 
     /// Runs full-graph inference: one forward pass. Output tensors are
@@ -649,12 +549,12 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`OomError`] when the run exceeds device memory, matching
-    /// the paper's OOM accounting.
+    /// the paper's OOM accounting; no kernel has executed then.
     ///
     /// # Panics
     ///
-    /// Panics in real mode if an input binding is missing or mis-shaped
-    /// (the engine screens caller input first).
+    /// Panics if an input binding is missing or mis-shaped (the engine
+    /// screens caller input first).
     pub(crate) fn forward(
         &mut self,
         graph: &GraphData,
@@ -665,21 +565,21 @@ impl Session {
     }
 
     /// Runs one full-graph training step: forward, NLL loss against
-    /// `labels` (may be empty in modeled mode), backward, prep chain
-    /// rule, optimizer update. Output/gradient tensors, the loss staging
-    /// buffer, and the scratch arena are all reused, so after the first
-    /// step a training loop performs **zero** heap allocations —
-    /// sequential *and* threaded (pinned by `tests/run_alloc.rs`).
+    /// `labels`, backward, prep chain rule, optimizer update.
+    /// Output/gradient tensors, the loss staging buffer, and the scratch
+    /// arena are all reused, so after the first step a training loop
+    /// performs **zero** heap allocations — sequential *and* threaded
+    /// (pinned by `tests/run_alloc.rs`).
     ///
     /// # Errors
     ///
-    /// Returns [`OomError`] when the run exceeds device memory.
+    /// Returns [`OomError`] when the run exceeds device memory; no
+    /// kernel has executed then.
     ///
     /// # Panics
     ///
-    /// Panics if the module was not compiled with training enabled, or in
-    /// real mode if labels/bindings are inconsistent (the engine screens
-    /// both first).
+    /// Panics if the module was not compiled with training enabled, or if
+    /// labels/bindings are inconsistent (the engine screens both first).
     pub(crate) fn train_step(
         &mut self,
         graph: &GraphData,
@@ -722,32 +622,29 @@ impl Session {
         let training = train.is_some();
         let run0 = span_start();
         let tr = span_start();
-        self.device.reset();
-        if self.mode == Mode::Real {
-            // Prepared lazily, so counters attribute the build to the
-            // first real run: `prepares` 1 cold, `plan_reuses` 1 warm.
-            let reused = self.exec_plan.is_some();
-            if !reused {
-                self.exec_plan = Some(ExecPlan::prepare(self.backend, module));
-            }
-            self.device.record_backend(self.backend.name(), reused);
+        // Prepared lazily, so counters attribute the build to the first
+        // run: `prepares` 1 cold, `plan_reuses` 1 warm.
+        let reused = self.exec_plan.is_some();
+        if !reused {
+            self.exec_plan = Some(ExecPlan::prepare(self.backend, module));
         }
-        self.device.alloc(graph.structure_bytes(), "graph")?;
-        self.device.alloc(params.byte_size(), "weights")?;
-        let mut var_count = module.forward.vars.len();
+        // The whole run's device accounting, before anything executes:
+        // an OOM fails here with no kernel run. The walk resets the
+        // device, so the host-side records follow it.
+        let touched = &mut self.plan.touched;
+        let walk = charge_run(module, graph, &mut self.device, training, touched);
+        self.device.record_backend(self.backend.name(), reused);
+        let mut report = walk?;
+        // The walk sized the flags to this run's variables.
+        self.plan.touched.fill(false);
         if training {
-            let bw = module.backward.as_ref();
-            let bw = bw.expect("module was not compiled for training");
-            self.device.alloc(params.byte_size(), "weight_grads")?;
             params.zero_grads();
-            var_count = var_count.max(bw.vars.len());
         }
-        self.plan.begin(var_count);
         if let Some(t0) = tr {
             record_span("phase/setup", SpanCat::Phase, t0, 0, 0, 0.0);
         }
         let tr = span_start();
-        self.bind_inputs(&module.forward, graph, inputs)?;
+        self.bind_inputs(&module.forward, graph, inputs);
         if let Some(t0) = tr {
             record_span("phase/bind_inputs", SpanCat::Phase, t0, 0, 0, 0.0);
         }
@@ -757,12 +654,10 @@ impl Session {
             graph,
             params,
             Phase::Forward,
-        )?;
-        let mut loss = None;
+        );
         if let Some((labels, optimizer)) = train {
-            loss = self.backward(graph, params, labels, optimizer)?;
+            report.loss = Some(self.backward(graph, params, labels, optimizer));
         }
-        let report = self.report(loss);
         if let Some(t0) = run0 {
             let name = if training {
                 "run/train_step"
@@ -777,56 +672,45 @@ impl Session {
 
     /// The training half of a step, after the forward kernels: NLL loss
     /// and output-gradient seeds, backward kernels, prep chain rule,
-    /// optimizer update. Returns the loss (real mode only).
+    /// optimizer update. Returns the loss.
     fn backward(
         &mut self,
         graph: &GraphData,
         params: &mut ParamStore,
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
-    ) -> Result<Option<f32>, OomError> {
+    ) -> f32 {
         let module = &Arc::clone(&self.module);
         let bw_program = module.backward.as_ref().expect("checked by the caller");
         let out_var = *module.forward.outputs.first().expect("model has an output");
         let n_outputs = module.forward.outputs.len();
         let seeds = &bw_program.inputs[..n_outputs];
-        let mut loss_value = None;
         let tr = span_start();
-        let loss_cost = self.loss_cost(&module.forward, graph, out_var);
-        self.device.launch(&loss_cost);
-        if self.mode == Mode::Real {
-            // The gradient is staged in the plan's reusable buffer
-            // while the logits borrow the store, then copied into
-            // the seed variable once the borrow ends.
-            let RunPlan {
-                vars,
-                loss_grad,
-                grows,
-                ..
-            } = &mut self.plan;
-            let logits = vars.tensor(out_var);
-            let need = logits.len();
-            if loss_grad.len() < need {
-                loss_grad.resize(need, 0.0);
-                *grows += 1;
-            }
-            loss_value = Some(nll_loss_and_grad_into(
-                logits,
-                labels,
-                &mut loss_grad[..need],
-            ));
+        // The gradient is staged in the plan's reusable buffer while the
+        // logits borrow the store, then copied into the seed variable
+        // once the borrow ends.
+        let RunPlan {
+            vars,
+            loss_grad,
+            grows,
+            ..
+        } = &mut self.plan;
+        let logits = vars.get(out_var);
+        let need = logits.len();
+        if loss_grad.len() < need {
+            loss_grad.resize(need, 0.0);
+            *grows += 1;
         }
+        let loss = nll_loss_and_grad_into(logits, labels, &mut loss_grad[..need]);
         // Multi-output models: seed gradients beyond the loss-bearing
         // first output stay zero.
         for &s in seeds {
-            self.alloc_var(bw_program, graph, s)?;
+            self.alloc_var(bw_program, graph, s);
         }
-        if self.mode == Mode::Real {
-            let seed = self.plan.vars.get_mut(seeds[0]).tensor_mut();
-            let need = seed.len();
-            seed.data_mut()
-                .copy_from_slice(&self.plan.loss_grad[..need]);
-        }
+        let seed = self.plan.vars.get_mut(seeds[0]);
+        let need = seed.len();
+        seed.data_mut()
+            .copy_from_slice(&self.plan.loss_grad[..need]);
         if let Some(t0) = tr {
             record_span(
                 "phase/loss",
@@ -844,46 +728,14 @@ impl Session {
             graph,
             params,
             Phase::Backward,
-        )?;
+        );
         let tr = span_start();
-        if self.mode == Mode::Real {
-            params.backprop_preps(&module.forward, graph);
-            optimizer.step(params, &module.forward);
-        }
-        // Prep backward + optimizer run as framework calls.
-        self.device.charge_api_call();
+        params.backprop_preps(&module.forward, graph);
+        optimizer.step(params, &module.forward);
         if let Some(t0) = tr {
             record_span("phase/optimizer", SpanCat::Phase, t0, 0, 0, 0.0);
         }
-        Ok(loss_value)
-    }
-
-    fn loss_cost(&self, program: &Program, graph: &GraphData, out: VarId) -> KernelCost {
-        let info = program.var(out);
-        let rows = graph.rows_of_space(info.space) as f64;
-        let mut c = KernelCost::new(KernelCategory::Fallback, Phase::Backward);
-        c.flops = rows * info.width as f64 * 4.0;
-        c.bytes_read = rows * info.width as f64 * 4.0;
-        c.bytes_written = rows * info.width as f64 * 4.0;
-        c.items = rows * info.width as f64 / 32.0;
-        c
-    }
-
-    fn report(&self, loss: Option<f32>) -> RunReport {
-        let c = self.device.counters();
-        RunReport {
-            elapsed_us: self.device.elapsed_us(),
-            peak_bytes: self.device.memory().peak(),
-            launches: c.total_launches(),
-            gemm_us: c.category_duration_us(KernelCategory::Gemm),
-            traversal_us: c.category_duration_us(KernelCategory::Traversal),
-            copy_us: c.category_duration_us(KernelCategory::Copy),
-            fallback_us: c.category_duration_us(KernelCategory::Fallback)
-                + self.device.host_api_us(),
-            forward_us: c.phase_duration_us(Phase::Forward),
-            backward_us: c.phase_duration_us(Phase::Backward),
-            loss,
-        }
+        loss
     }
 }
 
@@ -1032,11 +884,10 @@ mod tests {
     #[test]
     fn modeled_mode_matches_real_mode_timing() {
         let graph = toy_graph();
-        let report = |mode| {
-            let mut engine = unopt_rgcn(8, 1).mode(mode).build().unwrap();
-            engine.bind(&graph).unwrap().forward().unwrap()
-        };
-        let (r1, r2) = (report(Mode::Real), report(Mode::Modeled));
+        let mut engine = unopt_rgcn(8, 1).build().unwrap();
+        let r1 = engine.bind(&graph).unwrap().forward().unwrap();
+        let mut device = Device::new(DeviceConfig::rtx3090());
+        let r2 = crate::model_run(engine.module(), &graph, &mut device, false).unwrap();
         assert!((r1.elapsed_us - r2.elapsed_us).abs() < 1e-9);
         assert_eq!(r1.peak_bytes, r2.peak_bytes);
         assert_eq!(r1.launches, r2.launches);
@@ -1045,11 +896,7 @@ mod tests {
     #[test]
     fn oom_is_reported_not_panicked() {
         let tiny = DeviceConfig::rtx3090().with_capacity(64);
-        let mut engine = unopt_rgcn(8, 3)
-            .device(tiny)
-            .mode(Mode::Modeled)
-            .build()
-            .unwrap();
+        let mut engine = unopt_rgcn(8, 3).device(tiny).build().unwrap();
         let err = engine.bind(&toy_graph()).unwrap().forward().unwrap_err();
         assert!(matches!(err, HectorError::Oom(e) if e.capacity == 64));
     }

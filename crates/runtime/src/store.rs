@@ -1,64 +1,14 @@
-//! Variable buffers for one run: real tensors or shape-only records.
+//! Variable buffers for one run.
 
 use std::collections::HashMap;
 
 use hector_ir::VarId;
 use hector_tensor::Tensor;
 
-/// Storage for one variable.
-#[derive(Clone, Debug)]
-pub enum Buffer {
-    /// Materialised data (real execution mode).
-    Real(Tensor),
-    /// Shape-only record (modeled execution mode): `rows × width` floats.
-    Modeled {
-        /// Row count.
-        rows: usize,
-        /// Elements per row.
-        width: usize,
-    },
-}
-
-impl Buffer {
-    /// Bytes of device memory this buffer occupies.
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        match self {
-            Buffer::Real(t) => t.byte_size(),
-            Buffer::Modeled { rows, width } => rows * width * 4,
-        }
-    }
-
-    /// The tensor, if real.
-    ///
-    /// # Panics
-    ///
-    /// Panics on modeled buffers.
-    #[must_use]
-    pub fn tensor(&self) -> &Tensor {
-        match self {
-            Buffer::Real(t) => t,
-            Buffer::Modeled { .. } => panic!("modeled buffer has no data"),
-        }
-    }
-
-    /// Mutable tensor access.
-    ///
-    /// # Panics
-    ///
-    /// Panics on modeled buffers.
-    pub fn tensor_mut(&mut self) -> &mut Tensor {
-        match self {
-            Buffer::Real(t) => t,
-            Buffer::Modeled { .. } => panic!("modeled buffer has no data"),
-        }
-    }
-}
-
 /// Per-run variable storage, keyed by [`VarId`].
 #[derive(Clone, Debug, Default)]
 pub struct VarStore {
-    bufs: HashMap<VarId, Buffer>,
+    bufs: HashMap<VarId, Tensor>,
 }
 
 impl VarStore {
@@ -68,9 +18,9 @@ impl VarStore {
         VarStore::default()
     }
 
-    /// Inserts a buffer for `v`, replacing any previous one.
-    pub fn insert(&mut self, v: VarId, buf: Buffer) {
-        self.bufs.insert(v, buf);
+    /// Inserts a tensor for `v`, replacing any previous one.
+    pub fn insert(&mut self, v: VarId, t: Tensor) {
+        self.bufs.insert(v, t);
     }
 
     /// Whether `v` has a buffer.
@@ -79,55 +29,44 @@ impl VarStore {
         self.bufs.contains_key(&v)
     }
 
-    /// Buffer lookup.
+    /// Tensor lookup.
     ///
     /// # Panics
     ///
     /// Panics if `v` has no buffer (an executor ordering bug).
     #[must_use]
-    pub fn get(&self, v: VarId) -> &Buffer {
+    pub fn get(&self, v: VarId) -> &Tensor {
         self.bufs
             .get(&v)
             .unwrap_or_else(|| panic!("no buffer for {v:?}"))
     }
 
-    /// Optional buffer lookup.
+    /// Optional tensor lookup.
     #[must_use]
-    pub fn try_get(&self, v: VarId) -> Option<&Buffer> {
+    pub fn try_get(&self, v: VarId) -> Option<&Tensor> {
         self.bufs.get(&v)
     }
 
-    /// Mutable buffer lookup.
+    /// Mutable tensor lookup.
     ///
     /// # Panics
     ///
     /// Panics if `v` has no buffer.
-    pub fn get_mut(&mut self, v: VarId) -> &mut Buffer {
+    pub fn get_mut(&mut self, v: VarId) -> &mut Tensor {
         self.bufs
             .get_mut(&v)
             .unwrap_or_else(|| panic!("no buffer for {v:?}"))
     }
 
-    /// Tensor of a real buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if missing or modeled.
-    #[must_use]
-    pub fn tensor(&self, v: VarId) -> &Tensor {
-        self.get(v).tensor()
-    }
-
     /// Removes a buffer (e.g. to hand an output to the caller).
-    pub fn remove(&mut self, v: VarId) -> Option<Buffer> {
+    pub fn remove(&mut self, v: VarId) -> Option<Tensor> {
         self.bufs.remove(&v)
     }
 
-    /// Total bytes held across all buffers (real payloads and modeled
-    /// footprints alike).
+    /// Total bytes held across all buffers.
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.bufs.values().map(Buffer::byte_size).sum()
+        self.bufs.values().map(Tensor::byte_size).sum()
     }
 }
 
@@ -139,23 +78,10 @@ mod tests {
     fn insert_and_get() {
         let mut s = VarStore::new();
         let v = VarId(0);
-        s.insert(v, Buffer::Real(Tensor::zeros(&[2, 3])));
+        s.insert(v, Tensor::zeros(&[2, 3]));
         assert!(s.contains(v));
-        assert_eq!(s.tensor(v).shape(), &[2, 3]);
-        assert_eq!(s.get(v).byte_size(), 24);
-    }
-
-    #[test]
-    fn modeled_buffer_sizes() {
-        let b = Buffer::Modeled { rows: 10, width: 4 };
-        assert_eq!(b.byte_size(), 160);
-    }
-
-    #[test]
-    #[should_panic(expected = "no data")]
-    fn modeled_buffer_has_no_tensor() {
-        let b = Buffer::Modeled { rows: 1, width: 1 };
-        let _ = b.tensor();
+        assert_eq!(s.get(v).shape(), &[2, 3]);
+        assert_eq!(s.byte_size(), 24);
     }
 
     #[test]

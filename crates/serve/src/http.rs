@@ -21,7 +21,7 @@
 //! forward) are `500` with the error rendered in the body. Every
 //! interpolated string is JSON-escaped.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -135,21 +135,28 @@ impl HttpServer {
     }
 }
 
+/// Most bytes a request head (request line plus headers) may take. The
+/// head is read through this limit, so a client that never ends a line
+/// cannot grow a worker's buffer; a longer head is answered `431`.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
 fn serve_connection(conn: TcpStream, handle: &ServeHandle) -> std::io::Result<()> {
     conn.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(conn.try_clone()?);
+    let mut head = BufReader::new(conn.try_clone()?.take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     // Drain headers; the API is GET-only so bodies are ignored.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
+    let (mut line, mut ended) = (String::new(), false);
+    while !ended && head.read_line(&mut line)? > 0 {
+        ended = line == "\r\n" || line == "\n";
+        line.clear();
     }
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, headers, body) = if method != "GET" {
+    let (status, headers, body) = if !ended && head.get_ref().limit() == 0 {
+        let body = "{\"error\":\"request head too large\"}\n".to_string();
+        (431, Vec::new(), body)
+    } else if method != "GET" {
         (405, Vec::new(), "{\"error\":\"GET only\"}\n".to_string())
     } else {
         route(path, handle)
@@ -280,6 +287,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
@@ -305,7 +313,7 @@ mod tests {
     use crate::ServeConfig;
     use hector_graph::{generate, DatasetSpec};
     use hector_models::ModelKind;
-    use hector_runtime::{EngineBuilder, GraphData, Mode};
+    use hector_runtime::{EngineBuilder, GraphData};
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
         let mut conn = TcpStream::connect(addr).expect("connect");
@@ -344,10 +352,7 @@ mod tests {
             type_skew: 1.0,
             seed: 5,
         }));
-        let b = EngineBuilder::new(ModelKind::Rgcn)
-            .dims(4, 4)
-            .mode(Mode::Real)
-            .seed(3);
+        let b = EngineBuilder::new(ModelKind::Rgcn).dims(4, 4).seed(3);
         srv.deploy("m", b, &g).unwrap();
         let http = HttpServer::start(srv.clone(), "127.0.0.1:0", 2).expect("bind");
         (srv, http)
@@ -384,6 +389,34 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A 1 MiB request line is refused with 431 once the head limit is
+    /// read, and the server goes on answering.
+    #[test]
+    fn oversized_request_head_is_refused_with_431() {
+        let (srv, http) = server();
+        let mut conn = TcpStream::connect(http.addr()).expect("connect");
+        let mut writer = conn.try_clone().unwrap();
+        // The server stops reading at its limit, so these writes may fail.
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'A'; 1 << 20]);
+            let _ = writer.write_all(b" / HTTP/1.1\r\n\r\n");
+        });
+        let mut status_line = String::new();
+        BufReader::new(&mut conn)
+            .read_line(&mut status_line)
+            .unwrap();
+        assert!(
+            status_line.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+            "{status_line}"
+        );
+        drop(conn);
+        sender.join().unwrap();
+        let (status, _, body) = get(http.addr(), "/healthz");
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        http.shutdown();
+        srv.shutdown();
+    }
+
     /// Regression: deployment names from the path and error text were
     /// pasted into the JSON raw, so `"` or `\` produced invalid JSON.
     #[test]
@@ -399,10 +432,7 @@ mod tests {
             type_skew: 1.0,
             seed: 7,
         }));
-        let b = EngineBuilder::new(ModelKind::Rgcn)
-            .dims(4, 4)
-            .mode(Mode::Real)
-            .seed(3);
+        let b = EngineBuilder::new(ModelKind::Rgcn).dims(4, 4).seed(3);
         srv.deploy(r#"q"\t"#, b, &g).unwrap();
 
         let (status, _, body) = get(http.addr(), r#"/infer/a"b\c/0"#);
@@ -443,10 +473,7 @@ mod tests {
             type_skew: 1.0,
             seed: 6,
         }));
-        let b = EngineBuilder::new(ModelKind::Rgcn)
-            .dims(4, 4)
-            .mode(Mode::Real)
-            .seed(3);
+        let b = EngineBuilder::new(ModelKind::Rgcn).dims(4, 4).seed(3);
         srv.deploy("m", b, &g).unwrap();
         srv.pause();
         let _fill = srv.submit("m", 0).unwrap();

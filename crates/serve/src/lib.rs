@@ -973,7 +973,6 @@ mod tests {
     use super::*;
     use hector_graph::{generate, DatasetSpec};
     use hector_models::ModelKind;
-    use hector_runtime::Mode;
 
     fn graph(seed: u64, nodes: usize) -> GraphData {
         GraphData::new(generate(&DatasetSpec {
@@ -989,10 +988,7 @@ mod tests {
     }
 
     fn builder() -> EngineBuilder {
-        EngineBuilder::new(ModelKind::Rgcn)
-            .dims(8, 8)
-            .mode(Mode::Real)
-            .seed(7)
+        EngineBuilder::new(ModelKind::Rgcn).dims(8, 8).seed(7)
     }
 
     #[test]
@@ -1358,7 +1354,7 @@ mod tests {
     fn a_failing_forward_is_never_memoized() {
         let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
         let tiny = hector_device::DeviceConfig::rtx3090().with_capacity(2048);
-        let oomy = builder().dims(16, 16).device(tiny).mode(Mode::Modeled);
+        let oomy = builder().dims(16, 16).device(tiny);
         srv.deploy("m", oomy, &graph(25, 48)).unwrap();
         for attempt in 1..=2u64 {
             let err = wait_for(&srv.submit("m", 0).unwrap()).unwrap_err();

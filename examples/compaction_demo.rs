@@ -64,30 +64,26 @@ fn main() {
         big.compact().ratio(),
         capacity >> 20
     );
+    // The simulated runs read the compiled plans alone: nothing executes.
+    let source = EngineBuilder::new(ModelKind::Rgat).dims(64, 64).source();
     for (label, opts) in [
         ("vanilla (U)", CompileOptions::unopt()),
         ("compact (C)", CompileOptions::compact_only()),
     ] {
-        let mut engine = EngineBuilder::new(ModelKind::Rgat)
-            .dims(64, 64)
-            .options(opts)
-            .device(cfg.clone())
-            .mode(Mode::Modeled)
-            .build()
-            .expect("valid configuration");
-        match engine.bind(&big).and_then(|mut bound| bound.forward()) {
+        let module = hector::compile_cached(&source, &opts);
+        let mut device = hector::Device::new(cfg.clone());
+        match hector::model_run(&module, &big, &mut device, false) {
             Ok(r) => println!(
                 "  {label}: OK, peak {:.0} MB, {:.2} ms simulated",
                 r.peak_bytes as f64 / (1 << 20) as f64,
                 r.elapsed_us / 1e3
             ),
-            Err(HectorError::Oom(e)) => println!(
+            Err(e) => println!(
                 "  {label}: OUT OF MEMORY allocating '{}' ({:.0} MB requested on top of {:.0} MB)",
                 e.label,
                 e.requested as f64 / (1 << 20) as f64,
                 e.in_use as f64 / (1 << 20) as f64
             ),
-            Err(e) => panic!("{label}: {e}"),
         }
     }
 }

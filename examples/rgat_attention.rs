@@ -39,25 +39,21 @@ fn main() {
         ),
         ("C+R (both)", CompileOptions::best()),
     ];
+    let source = EngineBuilder::new(ModelKind::Rgat).dims(64, 64).source();
     for (label, opts) in combos {
-        let mut engine = EngineBuilder::new(ModelKind::Rgat)
-            .dims(64, 64)
-            .options(opts)
-            .mode(Mode::Modeled)
-            .seed(2)
-            .build()
-            .unwrap();
+        let module = hector::compile_cached(&source, &opts);
         let mut gemms = 0;
         let mut travs = 0;
         let mut fallbacks = 0;
-        for k in &engine.module().fw_kernels {
+        for k in &module.fw_kernels {
             match k {
                 KernelSpec::Gemm(_) => gemms += 1,
                 KernelSpec::Traversal(_) => travs += 1,
                 KernelSpec::Fallback(_) => fallbacks += 1,
             }
         }
-        let report = engine.bind(&graph).unwrap().forward().expect("fits");
+        let mut device = hector::Device::new(DeviceConfig::rtx3090());
+        let report = hector::model_run(&module, &graph, &mut device, false).expect("fits");
         println!("{label}");
         println!("  kernel plan: {gemms} GEMM + {travs} traversal + {fallbacks} weight-prep");
         println!(

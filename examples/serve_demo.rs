@@ -29,7 +29,6 @@ fn builder(kind: ModelKind, dims: usize, seed: u64) -> EngineBuilder {
     EngineBuilder::new(kind)
         .dims(dims, dims)
         .options(CompileOptions::best())
-        .mode(Mode::Real)
         .seed(seed)
 }
 

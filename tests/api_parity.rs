@@ -147,20 +147,3 @@ fn engine_parallel_and_sequential_agree() {
         assert_eq!(outputs[0], outputs[1], "{kind:?}: thread-count invariance");
     }
 }
-
-#[test]
-fn modeled_engine_matches_legacy_modeled_accounting() {
-    // Modeled mode binds no features and runs no numerics, yet charges
-    // the device exactly what the real run does.
-    let graph = graph();
-    let mut real = chain(ModelKind::Hgt, 1, SEED).build().unwrap();
-    let real_report = real.bind(&graph).unwrap().forward().expect("fits");
-    let mut modeled = chain(ModelKind::Hgt, 1, SEED)
-        .mode(Mode::Modeled)
-        .build()
-        .unwrap();
-    let report = modeled.bind(&graph).unwrap().forward().expect("fits");
-    assert!((real_report.elapsed_us - report.elapsed_us).abs() < 1e-9);
-    assert_eq!(real_report.peak_bytes, report.peak_bytes);
-    assert_eq!(real_report.launches, report.launches);
-}

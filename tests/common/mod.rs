@@ -14,7 +14,7 @@ pub fn par(threads: usize, min_chunk: usize) -> ParallelConfig {
 }
 
 /// `kind` at `dim × dim` under `opts`, seeded; everything else at the
-/// builder's defaults (real mode, production backend, the simulated
+/// builder's defaults (production backend, the simulated
 /// RTX 3090, parallelism from the environment) — chain on the result.
 pub fn builder(kind: ModelKind, dim: usize, opts: &CompileOptions, seed: u64) -> EngineBuilder {
     EngineBuilder::new(kind)
@@ -89,7 +89,8 @@ pub fn training_bits(chain: EngineBuilder, g: &GraphData, steps: usize) -> (Vec<
 }
 
 /// One modeled (cost-model-only) inference pass or training step of
-/// `kind` at `dim × dim` on `device`.
+/// `kind` at `dim × dim` on `device`: [`hector::model_run`] over the
+/// module the matching engine runs.
 pub fn modeled(
     kind: ModelKind,
     dim: usize,
@@ -98,14 +99,10 @@ pub fn modeled(
     graph: &GraphData,
     device: DeviceConfig,
 ) -> Result<hector::RunReport, HectorError> {
-    let b = builder(kind, dim, opts, 0)
-        .device(device)
-        .mode(Mode::Modeled);
-    if training {
-        b.build_trainer(Sgd::new(0.01))?.bind(graph)?.step()
-    } else {
-        b.build()?.bind(graph)?.forward()
-    }
+    let source = builder(kind, dim, opts, 0).source();
+    let module = hector::compile_cached(&source, &opts.clone().with_training(training));
+    let mut device = hector::Device::new(device);
+    Ok(hector::model_run(&module, graph, &mut device, training)?)
 }
 
 /// Replaces the bound engine's features with `Bindings::standard` drawn

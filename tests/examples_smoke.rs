@@ -207,7 +207,7 @@ fn minibatch_training_path() {
 /// simulated time.
 #[test]
 fn rgat_attention_path() {
-    // The example's exact spec: modeled mode never touches the numerics,
+    // The example's exact spec: `model_run` never touches the numerics,
     // so full scale is cheap, and the C+R-beats-U contrast needs the low
     // compaction ratio to have enough edges to amortise against.
     let spec = DatasetSpec {
@@ -228,18 +228,15 @@ fn rgat_attention_path() {
         CompileOptions::reorder_only(),
         CompileOptions::best(),
     ] {
-        let mut engine = builder(ModelKind::Rgat, 64, &opts, 2)
-            .mode(Mode::Modeled)
-            .build()
-            .unwrap();
-        let gemms = engine
-            .module()
+        let source = builder(ModelKind::Rgat, 64, &opts, 2).source();
+        let gemms = hector::compile_cached(&source, &opts)
             .fw_kernels
             .iter()
             .filter(|k| matches!(k, KernelSpec::Gemm(_)))
             .count();
         assert!(gemms > 0, "{}: RGAT always has GEMM kernels", opts.label());
-        let report = engine.bind(&graph).unwrap().forward().expect("fits");
+        let device = DeviceConfig::rtx3090();
+        let report = modeled(ModelKind::Rgat, 64, &opts, false, &graph, device).expect("fits");
         assert!(report.elapsed_us > 0.0);
         elapsed.push(report.elapsed_us);
     }
@@ -274,7 +271,6 @@ fn serve_demo_path() {
         EngineBuilder::new(kind)
             .dims(dims, dims)
             .options(CompileOptions::best())
-            .mode(Mode::Real)
             .seed(seed)
     };
 

@@ -34,7 +34,6 @@ fn builder(kind: ModelKind, dims: usize, seed: u64) -> EngineBuilder {
     EngineBuilder::new(kind)
         .dims(dims, dims)
         .options(CompileOptions::best())
-        .mode(Mode::Real)
         .seed(seed)
 }
 
@@ -380,7 +379,6 @@ fn oom_surfaces_as_typed_error_not_panic() {
     let tiny = DeviceConfig::rtx3090().with_capacity(2048);
     let mut engine = builder(ModelKind::Rgcn, 16, 4)
         .device(tiny)
-        .mode(Mode::Modeled)
         .build()
         .unwrap();
     let err = engine.bind(&g).unwrap().forward().unwrap_err();
@@ -396,14 +394,8 @@ fn serve_wraps_engine_errors_and_policy_errors_distinctly() {
     // a wrapped HectorError, not a panic or a hang.
     let tiny = DeviceConfig::rtx3090().with_capacity(2048);
     let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
-    srv.deploy(
-        "oomy",
-        builder(ModelKind::Rgcn, 16, 5)
-            .device(tiny)
-            .mode(Mode::Modeled),
-        &g,
-    )
-    .unwrap();
+    srv.deploy("oomy", builder(ModelKind::Rgcn, 16, 5).device(tiny), &g)
+        .unwrap();
     let err = srv.submit("oomy", 0).unwrap().wait().unwrap_err();
     assert!(
         matches!(err, ServeError::Hector(HectorError::Oom(_))),
