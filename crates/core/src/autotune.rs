@@ -123,12 +123,11 @@ pub fn autotune(
     }
     let fixed = CompileOptions::best().with_training(training);
     let fixed_us = dry_run(kind, in_dim, out_dim, &fixed, graph, config, training);
-    let (options, best_us) = match (best, &fixed_us) {
-        (Some(best), _) => best,
+    let Some((options, best_us)) = best else {
         // Footprints do not depend on the schedule knobs the candidates
-        // vary, so C+R fits here only if its candidates did.
-        (None, Ok(us)) => (fixed, *us),
-        (None, Err(e)) => return Err(HectorError::Oom(e.clone())),
+        // vary, so C+R cannot fit when none of its candidates did.
+        let e = fixed_us.expect_err("C+R fits only if one of its candidates does");
+        return Err(HectorError::Oom(e));
     };
     Ok(TuneResult {
         options,
