@@ -510,8 +510,8 @@ fn emit_traversal(p: &Program, t: &TraversalSpec) -> String {
                 operand_expr(p, b)
             ),
             // Div goes through `norm_div` (0/0 -> 0, plain IEEE `/`
-            // otherwise): the normalization convention of the real-mode
-            // interpreter (`apply_binary_into`) for groups no edge
+            // otherwise): the normalization convention of both runtime
+            // executors (`hector_runtime`'s `norm_div`) for groups no edge
             // touched, mirrored here like atomicMaxFloat mirrors the
             // Max-aggregate sweep-back.
             OpKind::Binary {
@@ -785,8 +785,8 @@ mod tests {
     #[test]
     fn division_emits_norm_div_convention() {
         // The softmax normalization must go through `norm_div` (0/0 -> 0
-        // for groups no edge touched), matching the real-mode
-        // interpreter's `apply_binary_into` exactly — the same
+        // for groups no edge touched), matching the runtime's
+        // `norm_div` exactly — the same
         // interpreter/codegen mirroring as atomicMaxFloat for the Max
         // sweep-back.
         let (p, ks) = rgat();

@@ -5,7 +5,9 @@
 //! from GEMM templates. Then, it fuses each remaining region and lowers
 //! them to as few traversal instances as possible." Operator preference
 //! levels (§3.4.2) order the passes: GEMM template first, traversal
-//! template second, framework fallback last.
+//! template second. Every operator kind lowers to one of the two; the
+//! framework fallback runs only the weight precomputations of linear
+//! reordering.
 //!
 //! Fusion follows the feasibility rules of §3.4.2: traversal-eligible
 //! operators fuse as long as they share a loop nest after the
@@ -89,11 +91,17 @@ fn op_iter_space(p: &Program, kind: &OpKind) -> IterSpace {
 
 /// Lowers a program to an ordered kernel sequence.
 ///
+/// Whether a kernel is executable is decided here: the fusion rules
+/// (`Lowerer::fusion_blocker`) never put an op in a kernel that reads
+/// an aggregate still being accumulated in it, and single assignment
+/// ([`Program::validate`]) never gives two ops of a kernel one output.
+/// The runtime prepares every kernel this returns.
+///
 /// # Panics
 ///
-/// Panics if an operator cannot be lowered by any of the three passes
-/// (cannot happen for programs produced by the builder/backward
-/// generator).
+/// Panics if the schedule is invalid, or on an operand no GEMM gather
+/// scheme reads (cannot happen for programs produced by the
+/// builder/backward generator).
 #[must_use]
 pub fn lower_program(p: &Program, opts: &LowerOptions) -> Vec<KernelSpec> {
     opts.schedule.validate();
@@ -106,12 +114,12 @@ pub fn lower_program(p: &Program, opts: &LowerOptions) -> Vec<KernelSpec> {
     };
     // Weight-space precomputations run first through the fallback path
     // ("rewritten operator instances use PyTorch BMM", §3.2.3).
-    for (i, _prep) in p.preps.iter().enumerate() {
+    for i in 0..p.preps.len() {
         let kid = lw.next_kid();
         lw.kernels.push(KernelSpec::Fallback(FallbackSpec {
             kid,
             name: format!("prep_bmm_{kid}"),
-            prep_index: Some(i),
+            prep_index: i,
         }));
     }
     for op in &p.ops {
@@ -221,25 +229,24 @@ impl<'a> Lowerer<'a> {
     }
 
     fn place(&mut self, op: &Op) {
-        if op.kind.is_gemm_eligible() {
-            if self.reads_group_def(op) {
-                hector_trace::record_instant(
-                    "fusion/break",
-                    hector_trace::SpanCat::Compiler,
-                    || {
-                        format!(
-                            "'{}': GEMM reads the open group's output; flushing traversal first",
-                            self.op_label(op)
-                        )
-                    },
-                );
-                self.flush();
-            }
-            let spec = self.gemm_spec(op);
-            self.kernels.push(KernelSpec::Gemm(spec));
-            return;
-        }
         match &op.kind {
+            OpKind::TypedLinear { .. } | OpKind::TypedLinearGradW { .. } => {
+                if self.reads_group_def(op) {
+                    hector_trace::record_instant(
+                        "fusion/break",
+                        hector_trace::SpanCat::Compiler,
+                        || {
+                            format!(
+                                "'{}': GEMM reads the open group's output; flushing traversal first",
+                                self.op_label(op)
+                            )
+                        },
+                    );
+                    self.flush();
+                }
+                let spec = self.gemm_spec(op);
+                self.kernels.push(KernelSpec::Gemm(spec));
+            }
             OpKind::DotProduct { .. }
             | OpKind::Binary { .. }
             | OpKind::Unary { .. }
@@ -269,26 +276,6 @@ impl<'a> Lowerer<'a> {
                     None => {}
                 }
                 self.admit(op);
-            }
-            // Pass 3: anything else falls back to a framework routine.
-            _ => {
-                hector_trace::record_instant(
-                    "fusion/break",
-                    hector_trace::SpanCat::Compiler,
-                    || {
-                        format!(
-                            "'{}': unsupported op falls back to a framework routine",
-                            self.op_label(op)
-                        )
-                    },
-                );
-                self.flush();
-                let kid = self.next_kid();
-                self.kernels.push(KernelSpec::Fallback(FallbackSpec {
-                    kid,
-                    name: format!("fallback_{kid}"),
-                    prep_index: None,
-                }));
             }
         }
     }
@@ -717,6 +704,40 @@ mod tests {
         assert_eq!(g.rows, RowDomain::Nodes);
         assert_eq!(g.gather, Gather::None);
         assert_eq!(g.scatter, Scatter::None);
+    }
+
+    /// An aggregate scattered to source endpoints is still accumulating
+    /// while its kernel runs, so an edge op reading it starts a new
+    /// kernel. The runtime relies on this: it does not check it.
+    #[test]
+    fn reading_a_source_scatter_starts_a_new_kernel() {
+        let mut p = Program::new("source_scatter_read_back");
+        let x = p.add_var("x", Space::Edge, 1);
+        let s = p.add_var("s", Space::Node, 1);
+        let y = p.add_var("y", Space::Edge, 1);
+        p.inputs.push(x);
+        p.push_op(OpKind::NodeAggregate {
+            edge_val: Operand::Edge(x),
+            scale: None,
+            norm: AggNorm::None,
+            endpoint: Endpoint::Src,
+            out: s,
+        });
+        p.push_op(OpKind::Binary {
+            op: hector_ir::BinOp::Mul,
+            a: Operand::Edge(x),
+            b: Operand::Node(s, Endpoint::Src),
+            out: y,
+        });
+        p.outputs.push(y);
+        p.validate();
+        let kernels = lower_program(&p, &LowerOptions::default());
+        assert_eq!(traversal_count(&kernels), 2, "{kernels:?}");
+        let KernelSpec::Traversal(scatter) = &kernels[0] else {
+            panic!()
+        };
+        assert_eq!(scatter.domain, TraversalDomain::Edges);
+        assert_eq!(scatter.ops.len(), 1, "the scatter alone");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use hector_compiler::{compile, CompileOptions};
 use hector_ir::builder::ModelSource;
-use hector_ir::{KernelSpec, OpKind, TraversalDomain, VarId};
+use hector_ir::{KernelSpec, OpKind, VarId};
+use hector_models::stacked::stack;
 use hector_models::{source, ModelKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -139,32 +140,44 @@ proptest! {
     }
 
     /// Only a dst-node loop completes a per-destination aggregate before
-    /// a later op reads it (the read is staged one pass after). In edge
-    /// or unique-pair order the read would see the partial sum over the
-    /// rows so far — HGT's backward once did, under compaction.
+    /// a later op of its kernel reads it (the read is staged one pass
+    /// after). Every other aggregate — in edge or unique-pair order, or
+    /// scattered to a source or compact row — is a partial sum while its
+    /// kernel runs (HGT's backward once read one, under compaction). Nor
+    /// does a kernel write one variable twice. The production executor
+    /// relies on both and checks neither.
     #[test]
     fn aggregates_are_read_back_only_inside_dst_node_loops(
         kind in models(),
         opts in options(),
+        layers in 1usize..=2,
     ) {
-        let module = compile(&source(kind, 16, 16), &opts);
-        let kernels = module.fw_kernels.iter().chain(&module.bw_kernels);
-        for k in kernels {
-            let KernelSpec::Traversal(t) = k else { continue };
-            let aggregated: HashSet<VarId> = t
-                .ops
-                .iter()
-                .filter(|o| matches!(o.kind, OpKind::NodeAggregate { .. }))
-                .filter_map(|o| o.kind.out_var())
-                .collect();
-            let mut reads = t.ops.iter().flat_map(|o| o.kind.operands().filter_map(|x| x.var()));
-            let reads_back = reads.any(|v| aggregated.contains(&v));
-            prop_assert!(
-                !reads_back || t.domain == TraversalDomain::DstNodes,
-                "{} ({:?}) reads an aggregate it is still accumulating",
-                t.name,
-                t.domain
-            );
+        let module = compile(&stack(kind, layers, 16, 16, 16), &opts);
+        let phases = [(&module.forward, &module.fw_kernels)]
+            .into_iter()
+            .chain(module.backward.iter().map(|bw| (bw, &module.bw_kernels)));
+        for (program, kernels) in phases {
+            for k in kernels {
+                let KernelSpec::Traversal(t) = k else { continue };
+                let mut outs = HashSet::new();
+                for v in t.ops.iter().filter_map(|o| o.kind.out_var()) {
+                    prop_assert!(outs.insert(v), "{} writes '{}' twice", t.name, program.var(v).name);
+                }
+                let unfinished: HashSet<VarId> = t
+                    .ops
+                    .iter()
+                    .filter(|o| matches!(o.kind, OpKind::NodeAggregate { .. }))
+                    .filter(|o| !t.dst_private(program, &o.kind))
+                    .filter_map(|o| o.kind.out_var())
+                    .collect();
+                let mut reads = t.ops.iter().flat_map(|o| o.kind.operands().filter_map(|x| x.var()));
+                prop_assert!(
+                    !reads.any(|v| unfinished.contains(&v)),
+                    "{} ({:?}) reads an aggregate it is still accumulating",
+                    t.name,
+                    t.domain
+                );
+            }
         }
     }
 

@@ -246,19 +246,17 @@ pub fn stage_assignments(ops: &[Op], program: &crate::Program) -> Vec<usize> {
     out
 }
 
-/// An operator that fell back to a framework routine (the paper falls
-/// back to PyTorch for unsupported operators, §3.1; weight-space
-/// precomputations from linear reordering also run here as "PyTorch BMM",
-/// §3.2.3).
+/// A weight-space precomputation from linear reordering, run through the
+/// framework-fallback path ("PyTorch BMM", §3.2.3). Every operator kind
+/// lowers to a GEMM or traversal instance, so this is the only fallback.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FallbackSpec {
     /// Unique kernel id.
     pub kid: usize,
     /// Routine name.
     pub name: String,
-    /// Index into the program's `preps` table, when this fallback runs a
-    /// weight precomputation.
-    pub prep_index: Option<usize>,
+    /// Index into the program's `preps` table.
+    pub prep_index: usize,
 }
 
 /// One generated kernel.
@@ -268,7 +266,7 @@ pub enum KernelSpec {
     Gemm(GemmSpec),
     /// Traversal-template instance.
     Traversal(TraversalSpec),
-    /// Framework fallback.
+    /// Framework fallback: a weight precomputation.
     Fallback(FallbackSpec),
 }
 
@@ -333,7 +331,7 @@ mod tests {
         let f = KernelSpec::Fallback(FallbackSpec {
             kid: 7,
             name: "bmm_prep".into(),
-            prep_index: Some(0),
+            prep_index: 0,
         });
         assert_eq!(f.name(), "bmm_prep");
         assert_eq!(f.kid(), 7);

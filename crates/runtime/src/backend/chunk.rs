@@ -31,8 +31,8 @@
 //! chunk's stack frame. A kernel whose dataflow does not fit the rules
 //! runs as one chunk: a dst-node op reading an in-kernel value at a
 //! source endpoint ([`par_traversal_safe`] says no; its tiles are also
-//! one destination each), and — through the oracle, because the resolver
-//! declines it — one that reads back a deferred aggregate.
+//! one destination each). No op reads back a deferred aggregate, nor do
+//! two ops write one variable: the lowering never builds such a kernel.
 //!
 //! # Pooled worker arenas
 //!
@@ -527,8 +527,7 @@ pub(crate) fn buffered_agg_outs(spec: &TraversalSpec, program: &Program) -> Hash
 /// tile's in-edge list, so it survives from one pass of a tile to the
 /// next) or a node-space one (a row per tile destination) that is
 /// written by a pure op or a dst-private aggregate and never read at a
-/// source endpoint. Anything else — and every local of a kernel the resolver
-/// declines — is materialised like a global.
+/// source endpoint. Anything else is materialised like a global.
 pub(crate) fn block_resident(spec: &TraversalSpec, program: &Program) -> Vec<VarId> {
     let row_space = match spec.domain {
         TraversalDomain::Edges => Some(Space::Edge),
@@ -551,44 +550,16 @@ pub(crate) fn block_resident(spec: &TraversalSpec, program: &Program) -> Vec<Var
     spec.local_vars.iter().filter(resident).copied().collect()
 }
 
-/// Whether the kernel's dataflow permits the chunked execution scheme.
-/// One chunk it is when an op would *read* a deferred aggregate (its
-/// value would still be a partial sum), when a dst-node op reads an
-/// in-kernel value at a source endpoint (a row another chunk owns), or
-/// when a variable mixes aggregate and direct writes (replay would
-/// reorder them).
-pub(crate) fn par_traversal_safe(spec: &TraversalSpec, program: &Program) -> bool {
-    let buffered = buffered_agg_outs(spec, program);
-    let mut agg_outs = HashSet::new();
-    let mut direct_outs = HashSet::new();
-    for op in &spec.ops {
-        if let Some(v) = op.kind.out_var() {
-            if matches!(op.kind, OpKind::NodeAggregate { .. }) {
-                agg_outs.insert(v);
-            } else {
-                direct_outs.insert(v);
-            }
-        }
-    }
-    if agg_outs.intersection(&direct_outs).next().is_some() {
-        return false;
-    }
-    let all_outs: HashSet<VarId> = agg_outs.union(&direct_outs).copied().collect();
-    for op in &spec.ops {
-        for o in op.kind.operands() {
-            if let Some(v) = o.var() {
-                if buffered.contains(&v) {
-                    return false;
-                }
-                if spec.domain == TraversalDomain::DstNodes {
-                    if let Operand::Node(nv, Endpoint::Src) = o {
-                        if all_outs.contains(nv) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    true
+/// Whether the kernel's dataflow permits the chunked execution scheme
+/// (and, in a dst-node kernel, tiles of many destinations): not when a
+/// dst-node op reads an in-kernel value at a source endpoint, a row
+/// another destination owns and the oracle's destination order has not
+/// finished yet. The lowering rules out the other hazards — reading a
+/// deferred aggregate (a `fusion/break`) and mixing aggregate and direct
+/// writes to one variable (single assignment).
+pub(crate) fn par_traversal_safe(spec: &TraversalSpec) -> bool {
+    let outs: HashSet<VarId> = spec.ops.iter().filter_map(|op| op.kind.out_var()).collect();
+    let at_src = |o: &Operand| matches!(o, Operand::Node(v, Endpoint::Src) if outs.contains(v));
+    spec.domain != TraversalDomain::DstNodes
+        || !spec.ops.iter().any(|op| op.kind.operands().any(at_src))
 }

@@ -26,14 +26,21 @@ use super::chunk::{record_chunk_span, Chunk, RawRows, RawSlabs};
 use super::spec::{space_of, Launch, PreOperand, PreparedKernel, Resolver, RowMap};
 use super::ExecCtx;
 
-pub(super) fn compile_gemm(spec: &GemmSpec, program: &Program) -> Option<PreparedKernel> {
+/// Resolves a GEMM kernel.
+///
+/// # Panics
+///
+/// Panics, naming the kernel, on a scatter or operand the executor
+/// cannot address, or an operand that is the output.
+pub(super) fn compile_gemm(spec: &GemmSpec, program: &Program) -> PreparedKernel {
     let mut rs = Resolver {
         program,
+        kernel: &spec.name,
         vars: Vec::new(),
         resident: Vec::new(),
     };
     let rows = spec.rows;
-    Some(match &spec.op.kind {
+    match &spec.op.kind {
         OpKind::TypedLinear {
             input,
             weight,
@@ -51,42 +58,42 @@ pub(super) fn compile_gemm(spec: &GemmSpec, program: &Program) -> Option<Prepare
                 (Some(Endpoint::This), RowDomain::Edges) | (Some(_), RowDomain::Nodes) => {
                     Some(RowMap::This)
                 }
-                (Some(_), RowDomain::UniquePairs) => return None,
+                (Some(ep), RowDomain::UniquePairs) => {
+                    rs.reject(format_args!("unique pairs scatter to {ep:?}"))
+                }
             };
-            let k = LinearKernel {
-                input: rs.operand(input, rows)?,
-                out: match scatter {
-                    None if program.var(*out).space != space_of(rows) => return None,
-                    _ => rs.slot(*out),
-                },
+            if scatter.is_none() && program.var(*out).space != space_of(rows) {
+                rs.reject(format_args!("a {rows:?} row writes {out:?} unaligned"));
+            }
+            let (input, out) = (rs.operand(input, rows), rs.slot(*out));
+            let scale = fused_scale.as_ref().map(|s| rs.operand(s, rows));
+            // The GEMM reads operand rows while it holds output rows.
+            let reads_out = |o: &PreOperand| matches!(o, PreOperand::Var(s, _) if *s == out);
+            if reads_out(&input) || scale.as_ref().is_some_and(reads_out) {
+                rs.reject(format_args!("an operand is its output"));
+            }
+            PreparedKernel::Linear(LinearKernel {
+                input,
+                out,
                 weight: *weight,
                 transpose_w: *transpose_w,
                 types: spec.weight_index,
                 rows,
-                scale: match fused_scale {
-                    Some(s) => Some(rs.operand(s, rows)?),
-                    None => None,
-                },
+                scale,
                 scatter,
                 vars: rs.vars,
-            };
-            // The GEMM reads operand rows while it holds output rows.
-            let reads_out = |o: &PreOperand| matches!(o, PreOperand::Var(s, _) if *s == k.out);
-            if reads_out(&k.input) || k.scale.as_ref().is_some_and(reads_out) {
-                return None;
-            }
-            PreparedKernel::Linear(k)
+            })
         }
         OpKind::TypedLinearGradW { x, dy, out_w } => PreparedKernel::GradW(GradWKernel {
-            x: rs.operand(x, rows)?,
-            dy: rs.operand(dy, rows)?,
+            x: rs.operand(x, rows),
+            dy: rs.operand(dy, rows),
             out_w: *out_w,
             types: spec.weight_index,
             rows,
             vars: rs.vars,
         }),
-        _ => return None,
-    })
+        other => rs.reject(format_args!("not a GEMM op: {other:?}")),
+    }
 }
 
 /// A `TypedLinear` kernel: `y[r] = x[r] · W[type(r)]`, stored

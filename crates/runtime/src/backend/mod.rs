@@ -1,13 +1,14 @@
 //! Execution backends: the production executor and its oracle.
 //!
-//! The compiler lowers a model to a sequence of [`KernelSpec`]s; *how*
-//! those kernels execute is decided once per engine, when its first
-//! real-mode run prepares an `ExecPlan` — one `PreparedKernel` per
-//! lowered kernel — for the engine's module and [`BackendKind`]. Every
-//! later run reuses the plan, so warm runs pay none of the analysis and
-//! stay allocation-free; `ExecPlan::run_kernel` executes one kernel of
-//! it against an `ExecCtx` (graph, parameters, variable buffers, scratch
-//! arenas).
+//! The compiler lowers a model to a sequence of [`KernelSpec`]s and, in
+//! doing so, alone decides that each is executable; *how* they execute is
+//! decided once per engine, when its first run prepares an `ExecPlan` —
+//! one `PreparedKernel` per lowered kernel — for the engine's module and
+//! [`BackendKind`]. Every later run reuses the plan, so warm runs pay
+//! none of the analysis and stay allocation-free; `ExecPlan::run_kernel`
+//! executes one kernel of it against an `ExecCtx` (graph, parameters,
+//! variable buffers, scratch arenas). A weight prep is the same
+//! `PreparedKernel::Prep` on both backends: `ParamStore::run_prep`.
 //!
 //! Two backends, two roles:
 //!
@@ -20,12 +21,12 @@
 //!   one chunk with aggregates folded in place on a single thread,
 //!   disjoint chunks on the engine's pool with an ordered merge
 //!   otherwise (`chunk.rs`). Outputs are bit-identical at every thread
-//!   count.
+//!   count. Every lowered kernel prepares; none runs through `exec.rs`.
 //! * **`interp`** ([`BackendKind::Interp`]) is the **sequential
 //!   oracle**: the small, obviously-correct row-at-a-time interpreter in
 //!   `exec.rs` that the parity suites compare production against
-//!   (`tests/backend_parity.rs`). Its plan is every kernel
-//!   `PreparedKernel::Oracle`. It is sequential by definition — it
+//!   (`tests/backend_parity.rs`). Its plan is every GEMM and traversal
+//!   `PreparedKernel::Oracle`, the only route to `exec.rs`. It is sequential by definition — it
 //!   ignores the engine's thread count and creates no pool — and shares
 //!   only leaf numerics (dot products, elementwise ops, the GEMM row
 //!   microkernels) with production.
@@ -78,31 +79,6 @@ impl BackendKind {
             BackendKind::Specialized => "specialized",
         }
     }
-
-    /// Parses a backend name ([`BackendKind::name`] or a common alias).
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<BackendKind> {
-        match s.trim() {
-            "interp" | "interpreter" => Some(BackendKind::Interp),
-            "specialized" | "spec" => Some(BackendKind::Specialized),
-            _ => None,
-        }
-    }
-
-    /// Fallible counterpart of [`BackendKind::from_name`]: parses a
-    /// backend name, reporting an unknown one as
-    /// [`HectorError::BackendUnavailable`](crate::HectorError::BackendUnavailable) instead of [`None`] — the
-    /// form server front ends and config loaders want.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HectorError::BackendUnavailable`](crate::HectorError::BackendUnavailable) for any name
-    /// [`BackendKind::from_name`] does not recognise.
-    pub fn parse(s: &str) -> Result<BackendKind, crate::HectorError> {
-        BackendKind::from_name(s).ok_or_else(|| crate::HectorError::BackendUnavailable {
-            name: s.to_string(),
-        })
-    }
 }
 
 /// Everything a prepared kernel needs to execute: the program and
@@ -140,14 +116,21 @@ impl std::fmt::Debug for ExecPlan {
 impl ExecPlan {
     /// Analyses `module` for backend `kind`: the production executor
     /// resolves each kernel into micro-ops, the oracle's plan is every
-    /// kernel [`PreparedKernel::Oracle`].
+    /// GEMM and traversal [`PreparedKernel::Oracle`]. Weight preps are
+    /// [`PreparedKernel::Prep`] on both.
     ///
     /// Outputs must stay **bit-identical** across kinds —
     /// `tests/backend_parity.rs` pins forward outputs, losses, and
     /// trained weights across backends and thread counts.
     pub(crate) fn prepare(kind: BackendKind, module: &CompiledModule) -> ExecPlan {
         let prepare = |kernels: &[KernelSpec], program: &Program| match kind {
-            BackendKind::Interp => kernels.iter().map(|_| PreparedKernel::Oracle).collect(),
+            BackendKind::Interp => kernels
+                .iter()
+                .map(|spec| match spec {
+                    KernelSpec::Fallback(f) => PreparedKernel::Prep(f.prep_index),
+                    _ => PreparedKernel::Oracle,
+                })
+                .collect(),
             BackendKind::Specialized => spec::compile_kernels(kernels, program),
         };
         ExecPlan {
@@ -190,15 +173,19 @@ impl ExecPlan {
             PreparedKernel::Micro(k) => k.run(ctx),
             PreparedKernel::Linear(k) => k.run(ctx),
             PreparedKernel::GradW(k) => k.run(ctx),
+            PreparedKernel::Prep(i) => {
+                let program = ctx.program;
+                ctx.params.run_prep(&program.preps[*i], program, ctx.graph);
+                false
+            }
             PreparedKernel::Oracle => run_oracle(spec, ctx),
         }
     }
 }
 
-/// Runs one kernel through the oracle's routines (`exec.rs`): the whole
-/// of [`BackendKind::Interp`], and the production executor's one-chunk
-/// route for weight preps and kernels its resolver declined. Never
-/// splits, so always reports `false`.
+/// Runs one GEMM or traversal through the oracle's routines (`exec.rs`):
+/// [`BackendKind::Interp`]'s plan, and nothing else. Never splits, so
+/// always reports `false`.
 fn run_oracle(spec: &KernelSpec, ctx: &mut ExecCtx<'_>) -> bool {
     match spec {
         KernelSpec::Gemm(g) => {
@@ -207,12 +194,7 @@ fn run_oracle(spec: &KernelSpec, ctx: &mut ExecCtx<'_>) -> bool {
         KernelSpec::Traversal(t) => {
             exec_traversal(t, ctx.program, ctx.graph, ctx.params, ctx.vars, ctx.scratch);
         }
-        KernelSpec::Fallback(f) => {
-            if let Some(i) = f.prep_index {
-                ctx.params
-                    .run_prep(&ctx.program.preps[i], ctx.program, ctx.graph);
-            }
-        }
+        KernelSpec::Fallback(_) => unreachable!("a weight prep prepares to `Prep`"),
     }
     false
 }
@@ -223,10 +205,8 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in [BackendKind::Interp, BackendKind::Specialized] {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::from_name("wgpu"), None);
+        assert_eq!(BackendKind::Interp.name(), "interp");
+        assert_eq!(BackendKind::Specialized.name(), "specialized");
         assert_eq!(BackendKind::default(), BackendKind::Specialized);
     }
 }

@@ -42,10 +42,11 @@
 //! This is the oracle's row-major order (`for row { for op }`)
 //! interchanged only *inside* a block, which is bit-exact: pure ops are
 //! row-local, and every aggregate output still receives its
-//! contributions in ascending iterated-row order, because the resolver
-//! declines a kernel in which two ops write one output or an op reads
-//! back an aggregate other than the owned destination's (whose reads the
-//! compiler stages into a later pass). Tiles keep that: a destination
+//! contributions in ascending iterated-row order, because the lowering
+//! never builds a kernel in which two ops write one output (single
+//! assignment) or an op reads back an aggregate other than the owned
+//! destination's (a `fusion/break`; the owned destination's reads it
+//! stages into a later pass). Tiles keep that: a destination
 //! finishes pass `p` over its in-edges, in order, before pass `p + 1`,
 //! and a scatter (one op of one pass) sees the tile's edges in CSC
 //! order. Only different destinations' passes interleave, which only an
@@ -53,9 +54,11 @@
 //! `solo` kernels ([`par_traversal_safe`]), tiled one destination each.
 //!
 //! **GEMMs** ([`LinearKernel`], [`GradWKernel`]) are resolved and bound
-//! here and run by [`super::gemm`]. A kernel the resolver declines runs
-//! through the oracle's loop as one chunk; `every_model_kernel_compiles`
-//! pins that no built-in model produces one.
+//! here and run by [`super::gemm`]; a weight prep runs
+//! `ParamStore::run_prep`. Preparing is total: every lowered kernel
+//! prepares, and a kernel whose operands the executor cannot address, or
+//! whose op reads its own output, panics at prepare time naming the
+//! kernel — the lowering never builds one.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -92,8 +95,10 @@ pub(crate) enum PreparedKernel {
     Linear(LinearKernel),
     /// A `TypedLinearGradW` GEMM (type-slab scheme).
     GradW(GradWKernel),
-    /// No prepared body — weight-prep fallbacks, and kernels the
-    /// resolver declined: the oracle's routine runs it, as one chunk.
+    /// A weight prep: `ParamStore::run_prep` on the program's prep `i`.
+    Prep(usize),
+    /// The oracle's routine (`exec.rs`), as one chunk — the plan of
+    /// [`BackendKind::Interp`](super::BackendKind::Interp) only.
     Oracle,
 }
 
@@ -106,15 +111,18 @@ impl PreparedKernel {
 }
 
 /// Resolves each lowered kernel of `program` into its prepared form.
+///
+/// # Panics
+///
+/// Panics, naming the kernel, on a kernel the lowering never builds (see
+/// the module docs).
 pub(super) fn compile_kernels(kernels: &[KernelSpec], program: &Program) -> Vec<PreparedKernel> {
     kernels
         .iter()
         .map(|spec| match spec {
-            KernelSpec::Traversal(t) => {
-                compile_traversal(t, program).map_or(PreparedKernel::Oracle, PreparedKernel::Micro)
-            }
-            KernelSpec::Gemm(g) => compile_gemm(g, program).unwrap_or(PreparedKernel::Oracle),
-            KernelSpec::Fallback(_) => PreparedKernel::Oracle,
+            KernelSpec::Traversal(t) => PreparedKernel::Micro(compile_traversal(t, program)),
+            KernelSpec::Gemm(g) => compile_gemm(g, program),
+            KernelSpec::Fallback(f) => PreparedKernel::Prep(f.prep_index),
         })
         .collect()
 }
@@ -195,6 +203,8 @@ pub(super) fn space_of(rows: RowDomain) -> Space {
 /// into launch-table slot order as it goes.
 pub(super) struct Resolver<'a> {
     pub(super) program: &'a Program,
+    /// The kernel being resolved, for the prepare-time assertions.
+    pub(super) kernel: &'a str,
     pub(super) vars: Vec<VarId>,
     /// The kernel's block-resident locals, in [`MicroKernel::locals`]
     /// order: resolved to [`PreOperand::Local`], never given a slot.
@@ -216,15 +226,23 @@ impl Resolver<'_> {
         }
     }
 
-    /// Mirrors the oracle's `read_operand` context × operand table;
-    /// `None` for any combination it calls unreachable.
-    pub(super) fn operand(&mut self, o: &Operand, rows: RowDomain) -> Option<PreOperand> {
-        Some(match o {
+    /// Fails the prepare-time assertion `what`, naming the kernel: the
+    /// lowering never builds a kernel that gets here.
+    pub(super) fn reject(&self, what: std::fmt::Arguments<'_>) -> ! {
+        panic!("{}: {what}", self.kernel)
+    }
+
+    /// Mirrors the oracle's `read_operand` context × operand table,
+    /// rejecting every combination it calls unreachable.
+    pub(super) fn operand(&mut self, o: &Operand, rows: RowDomain) -> PreOperand {
+        let unreadable =
+            |rs: &Self| -> ! { rs.reject(format_args!("no {rows:?} row reads {o:?}")) };
+        match o {
             Operand::Const(c) => PreOperand::Const(*c),
             Operand::WeightVec(w) => match rows {
                 RowDomain::Edges => PreOperand::WVec(*w, RowMap::Etype),
                 RowDomain::UniquePairs => PreOperand::WVec(*w, RowMap::UniqueEtype),
-                RowDomain::Nodes => return None,
+                RowDomain::Nodes => unreadable(self),
             },
             Operand::Node(v, ep) => {
                 let map = match (rows, ep) {
@@ -232,7 +250,7 @@ impl Resolver<'_> {
                     (RowDomain::Edges, Endpoint::Dst) => RowMap::Dst,
                     (RowDomain::UniquePairs, Endpoint::Src) => RowMap::UniqueRowIdx,
                     (RowDomain::Nodes, Endpoint::This | Endpoint::Dst) => RowMap::This,
-                    _ => return None,
+                    _ => unreadable(self),
                 };
                 self.var(*v, map)
             }
@@ -241,16 +259,19 @@ impl Resolver<'_> {
                     (RowDomain::Edges, Space::Edge) => RowMap::This,
                     (RowDomain::Edges, Space::Compact) => RowMap::EdgeToUnique,
                     (RowDomain::UniquePairs, Space::Compact) => RowMap::This,
-                    _ => return None,
+                    _ => unreadable(self),
                 };
                 self.var(*v, map)
             }
-        })
+        }
     }
 
     /// A row-aligned output: its space must be the iterated domain's.
-    fn aligned_out(&mut self, out: VarId, rows: RowDomain) -> Option<PreOperand> {
-        (self.program.var(out).space == space_of(rows)).then(|| self.var(out, RowMap::This))
+    fn aligned_out(&mut self, out: VarId, rows: RowDomain) -> PreOperand {
+        if self.program.var(out).space != space_of(rows) {
+            self.reject(format_args!("a {rows:?} row writes {out:?} unaligned"));
+        }
+        self.var(out, RowMap::This)
     }
 
     /// One fused traversal op, resolved in the `rows` context.
@@ -259,15 +280,15 @@ impl Resolver<'_> {
         kind: &OpKind,
         rows: RowDomain,
         deferred: &HashSet<VarId>,
-    ) -> Option<MicroOp> {
+    ) -> MicroOp {
         let (a, b, out, kind) = match kind {
             OpKind::DotProduct { a, b, out } => {
-                (a, Some(b), self.aligned_out(*out, rows)?, Kind::Dot)
+                (a, Some(b), self.aligned_out(*out, rows), Kind::Dot)
             }
             OpKind::Binary { op, a, b, out } => {
-                (a, Some(b), self.aligned_out(*out, rows)?, Kind::Bin(*op))
+                (a, Some(b), self.aligned_out(*out, rows), Kind::Bin(*op))
             }
-            OpKind::Unary { op, a, out } => (a, None, self.aligned_out(*out, rows)?, Kind::Un(*op)),
+            OpKind::Unary { op, a, out } => (a, None, self.aligned_out(*out, rows), Kind::Un(*op)),
             OpKind::NodeAggregate {
                 edge_val,
                 scale,
@@ -280,7 +301,7 @@ impl Resolver<'_> {
                     (RowDomain::Edges, Space::Node, Endpoint::Src) => RowMap::Src,
                     (RowDomain::Edges, Space::Compact, _) => RowMap::EdgeToUnique,
                     (RowDomain::UniquePairs, Space::Node, _) => RowMap::UniqueRowIdx,
-                    _ => return None,
+                    _ => self.reject(format_args!("a {rows:?} row aggregates into {out:?}")),
                 };
                 let kind = Kind::Agg {
                     max: *norm == AggNorm::Max,
@@ -288,18 +309,17 @@ impl Resolver<'_> {
                 };
                 (edge_val, scale.as_ref(), self.var(*out, map), kind)
             }
-            OpKind::TypedLinear { .. } | OpKind::TypedLinearGradW { .. } => return None,
+            OpKind::TypedLinear { .. } | OpKind::TypedLinearGradW { .. } => {
+                self.reject(format_args!("a GEMM op in a traversal"))
+            }
         };
-        Some(MicroOp {
-            a: self.operand(a, rows)?,
-            b: match b {
-                Some(b) => Some(self.operand(b, rows)?),
-                None => None,
-            },
+        MicroOp {
+            a: self.operand(a, rows),
+            b: b.map(|b| self.operand(b, rows)),
             out,
             kind,
             rows,
-        })
+        }
     }
 }
 
@@ -353,23 +373,14 @@ pub(crate) struct MicroKernel {
     shape: Shape,
 }
 
-fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKernel> {
+fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
     let mut rs = Resolver {
         program,
+        kernel: &spec.name,
         vars: Vec::new(),
         resident: block_resident(spec, program),
     };
     let buffered = buffered_agg_outs(spec, program);
-    // The block interchange keeps the oracle's bits only while no op
-    // sees a partially folded aggregate other than through the staged
-    // passes of a dst-node kernel.
-    let reads_back = |op: &hector_ir::Op| {
-        let mut vars = op.kind.operands().filter_map(Operand::var);
-        vars.any(|v| buffered.contains(&v))
-    };
-    if spec.ops.iter().any(reads_back) {
-        return None;
-    }
     let domain = match spec.domain {
         TraversalDomain::Edges => Some(RowDomain::Edges),
         TraversalDomain::UniquePairs => Some(RowDomain::UniquePairs),
@@ -384,7 +395,7 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKer
         } else {
             RowDomain::Edges
         });
-        let m = rs.traversal_op(&op.kind, rows, &buffered)?;
+        let m = rs.traversal_op(&op.kind, rows, &buffered);
         // A bound op holds a shared view of its operand rows and a
         // mutable one of its output row at once, and two ops folding
         // into one output would interleave differently per block.
@@ -393,7 +404,7 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKer
             (x, y) => x == y,
         };
         if is_out(m.a) || m.b.is_some_and(is_out) || ops.iter().any(|o| is_out(o.out)) {
-            return None;
+            rs.reject(format_args!("op {:?} aliases an output", op.id));
         }
         ops.push(m);
     }
@@ -430,7 +441,7 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKer
             offset: offset - info.width,
         }
     });
-    Some(MicroKernel {
+    MicroKernel {
         locals: locals.collect(),
         max_outs: max_agg_outputs(spec)
             .filter_map(|v| match rs.var(v, RowMap::This) {
@@ -438,11 +449,11 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> Option<MicroKer
                 _ => None,
             })
             .collect(),
-        solo: !par_traversal_safe(spec, program),
+        solo: !par_traversal_safe(spec),
         vars: rs.vars,
         ops,
         shape,
-    })
+    }
 }
 
 /// Everything the chunks of one launch share, read-only.

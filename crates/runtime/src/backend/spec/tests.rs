@@ -32,15 +32,53 @@ fn for_each_model_kernel(check: impl Fn(&str, &KernelSpec, &PreparedKernel)) {
     }
 }
 
-/// "Specialized × threads composes" as a checked fact: every
-/// traversal and GEMM kernel compiles to a prepared body — the
-/// resolver never hands a kernel back to the oracle.
+/// Every kernel prepares to the body of its kind — a traversal to
+/// micro-ops, a GEMM to a tile kernel, a weight prep to `Prep` of its
+/// own prep — and none to the oracle.
 #[test]
 fn every_model_kernel_compiles() {
     for_each_model_kernel(|at, spec, k| {
-        let declined = matches!(k, PreparedKernel::Oracle);
-        assert_eq!(declined, matches!(spec, KernelSpec::Fallback(_)), "{at}");
+        let prepared = match (spec, k) {
+            (KernelSpec::Traversal(_), PreparedKernel::Micro(_)) => true,
+            (KernelSpec::Gemm(_), PreparedKernel::Linear(_) | PreparedKernel::GradW(_)) => true,
+            (KernelSpec::Fallback(f), PreparedKernel::Prep(i)) => *i == f.prep_index,
+            _ => false,
+        };
+        assert!(prepared, "{at}");
     });
+}
+
+/// An edge op reading an aggregate scattered to source endpoints: the
+/// lowering splits it from the scatter, and both kernels prepare.
+#[test]
+fn a_source_scatter_read_back_prepares_as_two_kernels() {
+    use hector_compiler::lower::{lower_program, LowerOptions};
+
+    let mut p = Program::new("source_scatter_read_back");
+    let x = p.add_var("x", Space::Edge, 1);
+    let s = p.add_var("s", Space::Node, 1);
+    let y = p.add_var("y", Space::Edge, 1);
+    p.inputs.push(x);
+    p.push_op(OpKind::NodeAggregate {
+        edge_val: Operand::Edge(x),
+        scale: None,
+        norm: AggNorm::None,
+        endpoint: Endpoint::Src,
+        out: s,
+    });
+    p.push_op(OpKind::Binary {
+        op: BinOp::Mul,
+        a: Operand::Edge(x),
+        b: Operand::Node(s, Endpoint::Src),
+        out: y,
+    });
+    p.outputs.push(y);
+    p.validate();
+    let kernels = lower_program(&p, &LowerOptions::default());
+    assert_eq!(kernels.len(), 2);
+    for k in compile_kernels(&kernels, &p) {
+        assert!(matches!(k, PreparedKernel::Micro(_)));
+    }
 }
 
 /// Register-local means register-local: no local variable of any
@@ -142,7 +180,7 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
         atomic: false,
         local_vars: vec![z],
     };
-    let mut kernel = compile_traversal(&spec, &p).expect("the resolver takes it");
+    let mut kernel = compile_traversal(&spec, &p);
     assert!(kernel.solo && kernel.locals.iter().any(|l| l.var == z));
     let ptr = &g.csc().ptr;
     assert!((0..n).all(|v| kernel.tile_end(ptr, v, n) == v + 1));
@@ -176,7 +214,7 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
                     arenas: &mut arenas,
                 });
             }
-            None => exec_traversal(&spec, &p, &g, &mut params, &mut vars, &mut scratch),
+            None => exec_traversal(&spec, &p, &g, &params, &mut vars, &mut scratch),
         }
         [out, top].map(|v| {
             vars.get(v)

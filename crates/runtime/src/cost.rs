@@ -354,42 +354,41 @@ pub fn traversal_cost(
     c
 }
 
-/// Cost of a framework-fallback kernel (weight preps and unsupported
-/// operators). Prep costs are weight-space only — independent of the
-/// graph's edge count, which is exactly why reordering pays off. Pair
+/// Cost of a framework-fallback kernel: the weight prep
+/// `program.preps[prep_index]`. Prep costs are weight-space only —
+/// independent of the graph's edge count, which is exactly why
+/// reordering pays off. Pair
 /// preps are charged for the `(ntype, etype)` pairs the graph's edges
 /// use, the only slabs the prep computes.
 #[must_use]
 pub fn fallback_cost(
-    prep_index: Option<usize>,
+    prep_index: usize,
     program: &Program,
     graph: &GraphData,
     phase: Phase,
 ) -> KernelCost {
     let mut c = KernelCost::new(KernelCategory::Fallback, phase);
-    if let Some(i) = prep_index {
-        match &program.preps[i] {
-            WeightPrep::MatVec { w, .. } => {
-                let info = program.weight(*w);
-                let t = graph.type_count(info.per) as f64;
-                let (k, n) = (info.rows as f64, info.cols as f64);
-                c.flops = 2.0 * t * k * n;
-                c.bytes_read = t * (k * n + n) * 4.0;
-                c.bytes_written = t * k * 4.0;
-                c.items = t * k / 32.0;
-            }
-            WeightPrep::MatMulPairs { a, b, .. } => {
-                let ia = program.weight(*a);
-                let ib = program.weight(*b);
-                let pairs = graph.live_pairs().len() as f64;
-                let nt = (graph.type_count(ia.per) as f64).min(pairs);
-                let et = (graph.type_count(ib.per) as f64).min(pairs);
-                let (k, m, n) = (ia.rows as f64, ia.cols as f64, ib.cols as f64);
-                c.flops = 2.0 * pairs * k * m * n;
-                c.bytes_read = (nt * k * m + et * m * n) * 4.0;
-                c.bytes_written = pairs * k * n * 4.0;
-                c.items = pairs * k * n / 32.0;
-            }
+    match &program.preps[prep_index] {
+        WeightPrep::MatVec { w, .. } => {
+            let info = program.weight(*w);
+            let t = graph.type_count(info.per) as f64;
+            let (k, n) = (info.rows as f64, info.cols as f64);
+            c.flops = 2.0 * t * k * n;
+            c.bytes_read = t * (k * n + n) * 4.0;
+            c.bytes_written = t * k * 4.0;
+            c.items = t * k / 32.0;
+        }
+        WeightPrep::MatMulPairs { a, b, .. } => {
+            let ia = program.weight(*a);
+            let ib = program.weight(*b);
+            let pairs = graph.live_pairs().len() as f64;
+            let nt = (graph.type_count(ia.per) as f64).min(pairs);
+            let et = (graph.type_count(ib.per) as f64).min(pairs);
+            let (k, m, n) = (ia.rows as f64, ia.cols as f64, ib.cols as f64);
+            c.flops = 2.0 * pairs * k * m * n;
+            c.bytes_read = (nt * k * m + et * m * n) * 4.0;
+            c.bytes_written = pairs * k * n * 4.0;
+            c.items = pairs * k * n / 32.0;
         }
     }
     c

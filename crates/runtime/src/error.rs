@@ -47,11 +47,6 @@ pub enum HectorError {
         /// What the compiler rejected.
         detail: String,
     },
-    /// The named execution backend does not exist in this build.
-    BackendUnavailable {
-        /// The unrecognised backend name.
-        name: String,
-    },
     /// A builder or session was configured inconsistently (classes
     /// beyond the output width, zero threads, a missing input binding,
     /// an untrained module asked to train, …).
@@ -83,7 +78,6 @@ impl HectorError {
             HectorError::GraphMismatch { .. } => "graph_mismatch",
             HectorError::ShapeMismatch { .. } => "shape_mismatch",
             HectorError::CompileError { .. } => "compile_error",
-            HectorError::BackendUnavailable { .. } => "backend_unavailable",
             HectorError::InvalidConfig { .. } => "invalid_config",
             HectorError::Oom(_) => "oom",
             HectorError::InvalidDelta { .. } => "invalid_delta",
@@ -109,12 +103,6 @@ impl fmt::Display for HectorError {
             }
             HectorError::CompileError { detail } => {
                 write!(f, "compile error: {detail}")
-            }
-            HectorError::BackendUnavailable { name } => {
-                write!(
-                    f,
-                    "backend '{name}' is unavailable (expected 'interp' or 'specialized')"
-                )
             }
             HectorError::InvalidConfig { detail } => {
                 write!(f, "invalid configuration: {detail}")

@@ -29,8 +29,8 @@
 //! [`crate::scratch`] module docs for the operand-view lifetime contract.
 
 use hector_ir::{
-    AggNorm, BinOp, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Scatter,
-    Space, TraversalDomain, TraversalSpec, TypeIndex, UnOp, VarId,
+    AggNorm, Endpoint, GemmSpec, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
+    TraversalDomain, TraversalSpec, TypeIndex, VarId,
 };
 use hector_tensor::microkernel;
 
@@ -164,10 +164,6 @@ pub(crate) fn exec_gemm(
         }
         other => unreachable!("not a GEMM op: {other:?}"),
     }
-    debug_assert!(matches!(
-        spec.scatter,
-        Scatter::None | Scatter::AtomicNode(_)
-    ));
 }
 
 /// Trace-span name and row count for one kernel spec — the per-kernel
@@ -215,7 +211,8 @@ fn scatter_index(rows: RowDomain, ep: Endpoint, r: usize, graph: &GraphData) -> 
             Endpoint::This => r,
         },
         RowDomain::UniquePairs => {
-            debug_assert_eq!(ep, Endpoint::Src, "unique pairs scatter to their source");
+            // The production resolver rejects any other endpoint too.
+            assert_eq!(ep, Endpoint::Src, "unique pairs scatter to their source");
             graph.compact().unique_row_idx()[r] as usize
         }
         RowDomain::Nodes => r,
@@ -407,17 +404,6 @@ pub(crate) fn binary_row(f: impl Fn(f32, f32) -> f32, a: &[f32], b: &[f32], out:
     }
 }
 
-/// Applies a unary op elementwise, writing into `out` (same length).
-fn apply_unary_into(op: UnOp, x: &[f32], out: &mut [f32]) {
-    with_unary_fn!(op, f => unary_row(f, x, out));
-}
-
-/// Applies a binary op elementwise with scalar broadcasting, writing the
-/// `max(a.len(), b.len())`-wide result into `out`.
-fn apply_binary_into(op: BinOp, a: &[f32], b: &[f32], out: &mut [f32]) {
-    with_binary_fn!(op, f => binary_row(f, a, b, out));
-}
-
 /// Max-aggregate outputs of a kernel: seeded to `-inf` before execution so
 /// the true maximum survives all-negative inputs, and swept back to `0`
 /// afterwards for groups no edge touched (those rows are never read, but
@@ -475,59 +461,17 @@ pub(crate) fn exec_traversal(
     spec: &TraversalSpec,
     program: &Program,
     graph: &GraphData,
-    params: &mut ParamStore,
+    params: &ParamStore,
     vars: &mut VarStore,
     scratch: &mut Scratch,
 ) {
     for v in max_agg_outputs(spec) {
         vars.get_mut(v).data_mut().fill(f32::NEG_INFINITY);
     }
+    let mut run = |op: &hector_ir::Op, ctx: Ctx, vars: &mut VarStore| {
+        exec_op(&op.kind, ctx, program, graph, params, vars, scratch);
+    };
     match spec.domain {
-        TraversalDomain::Edges => {
-            for e in 0..graph.graph().num_edges() {
-                for op in &spec.ops {
-                    exec_op(
-                        &op.kind,
-                        Ctx::Edge(e),
-                        program,
-                        graph,
-                        params,
-                        vars,
-                        scratch,
-                    );
-                }
-            }
-        }
-        TraversalDomain::UniquePairs => {
-            for u in 0..graph.compact().num_unique() {
-                for op in &spec.ops {
-                    exec_op(
-                        &op.kind,
-                        Ctx::Unique(u),
-                        program,
-                        graph,
-                        params,
-                        vars,
-                        scratch,
-                    );
-                }
-            }
-        }
-        TraversalDomain::Nodes => {
-            for n in 0..graph.graph().num_nodes() {
-                for op in &spec.ops {
-                    exec_op(
-                        &op.kind,
-                        Ctx::Node(n),
-                        program,
-                        graph,
-                        params,
-                        vars,
-                        scratch,
-                    );
-                }
-            }
-        }
         TraversalDomain::DstNodes => {
             // Stage assignments are precomputed at lowering
             // (`hector_ir::stage_assignments`) so executing a kernel
@@ -537,21 +481,11 @@ pub(crate) fn exec_traversal(
             let csc = graph.csc();
             for v in 0..graph.graph().num_nodes() {
                 for pass in 0..=max_stage {
-                    for &eidx in csc.in_edges(v) {
-                        let e = eidx as usize;
+                    for &e in csc.in_edges(v) {
                         for (i, op) in spec.ops.iter().enumerate() {
-                            if st[i] != pass || spec.hoisted.contains(&op.id) {
-                                continue;
+                            if st[i] == pass && !spec.hoisted.contains(&op.id) {
+                                run(op, Ctx::Edge(e as usize), vars);
                             }
-                            exec_op(
-                                &op.kind,
-                                Ctx::Edge(e),
-                                program,
-                                graph,
-                                params,
-                                vars,
-                                scratch,
-                            );
                         }
                     }
                     // Zero-in-degree destinations: the in-edge loop above
@@ -564,19 +498,22 @@ pub(crate) fn exec_traversal(
                         sweep_neg_inf(vars.get_mut(out).row_mut(v));
                     }
                     for (i, op) in spec.ops.iter().enumerate() {
-                        if st[i] != pass || !spec.hoisted.contains(&op.id) {
-                            continue;
+                        if st[i] == pass && spec.hoisted.contains(&op.id) {
+                            run(op, Ctx::Node(v), vars);
                         }
-                        exec_op(
-                            &op.kind,
-                            Ctx::Node(v),
-                            program,
-                            graph,
-                            params,
-                            vars,
-                            scratch,
-                        );
                     }
+                }
+            }
+        }
+        domain => {
+            let rows = match domain {
+                TraversalDomain::Edges => RowDomain::Edges,
+                TraversalDomain::UniquePairs => RowDomain::UniquePairs,
+                _ => RowDomain::Nodes,
+            };
+            for r in 0..graph.rows_of(rows) {
+                for op in &spec.ops {
+                    run(op, row_ctx(rows, r), vars);
                 }
             }
         }
@@ -608,7 +545,7 @@ fn exec_op(
                 let bv = read_operand(b, ctx, program, graph, params, vars);
                 dot(av.as_slice(), bv.as_slice())
             };
-            write_row(*out, ctx, &[acc], program, graph, vars);
+            write_row(*out, ctx, &[acc], program, vars);
         }
         OpKind::Binary { op, a, b, out } => {
             let n = {
@@ -616,19 +553,19 @@ fn exec_op(
                 let bv = read_operand(b, ctx, program, graph, params, vars);
                 let (av, bv) = (av.as_slice(), bv.as_slice());
                 let n = av.len().max(bv.len());
-                apply_binary_into(*op, av, bv, scratch.y_uninit(n));
+                with_binary_fn!(*op, f => binary_row(f, av, bv, scratch.y_uninit(n)));
                 n
             };
-            write_row(*out, ctx, scratch.y(n), program, graph, vars);
+            write_row(*out, ctx, scratch.y(n), program, vars);
         }
         OpKind::Unary { op, a, out } => {
             let n = {
                 let av = read_operand(a, ctx, program, graph, params, vars);
                 let av = av.as_slice();
-                apply_unary_into(*op, av, scratch.y_uninit(av.len()));
+                with_unary_fn!(*op, f => unary_row(f, av, scratch.y_uninit(av.len())));
                 av.len()
             };
-            write_row(*out, ctx, scratch.y(n), program, graph, vars);
+            write_row(*out, ctx, scratch.y(n), program, vars);
         }
         OpKind::NodeAggregate {
             edge_val,
@@ -699,23 +636,11 @@ pub(crate) fn dot_lanes<const N: usize>(a: [&[f32]; N], b: [&[f32]; N]) -> [f32;
     acc
 }
 
-fn write_row(
-    out: VarId,
-    ctx: Ctx,
-    y: &[f32],
-    program: &Program,
-    _graph: &GraphData,
-    vars: &mut VarStore,
-) {
-    let space = program.var(out).space;
-    let idx = match (ctx, space) {
+fn write_row(out: VarId, ctx: Ctx, y: &[f32], program: &Program, vars: &mut VarStore) {
+    let idx = match (ctx, program.var(out).space) {
         (Ctx::Edge(e), Space::Edge) => e,
         (Ctx::Unique(u), Space::Compact) => u,
         (Ctx::Node(n), Space::Node) => n,
-        // Nodewise riders in a dst-node kernel write per-node rows.
-        (Ctx::Edge(_), Space::Node) | (Ctx::Unique(_), Space::Node) => {
-            unreachable!("node-space write from row context")
-        }
         (c, s) => unreachable!("write of {s:?} var in context {c:?}"),
     };
     vars.get_mut(out).set_row(idx, y);
@@ -724,6 +649,57 @@ fn write_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A unique-pair GEMM that scatters to its destination is rejected
+    /// in every build, as the production resolver rejects it — not sent
+    /// to the pair's source row.
+    #[test]
+    #[should_panic(expected = "unique pairs scatter to their source")]
+    fn unique_pair_scatter_to_a_destination_is_rejected() {
+        use hector_graph::HeteroGraphBuilder;
+        use hector_ir::{Gather, GemmSchedule, Op, OpId, Scatter};
+        use hector_tensor::Tensor;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut b = HeteroGraphBuilder::new();
+        b.add_node_type(2);
+        b.add_edge(0, 1, 0);
+        let g = GraphData::new(b.build());
+        let mut p = Program::new("unique_pair_scatter");
+        let x = p.add_var("x", Space::Compact, 2);
+        let out = p.add_var("out", Space::Node, 2);
+        let weight = p.add_weight("W", TypeIndex::EdgeType, 2, 2);
+        let spec = GemmSpec {
+            kid: 0,
+            name: "gemm_0".into(),
+            op: Op {
+                id: OpId(0),
+                kind: OpKind::TypedLinear {
+                    input: Operand::Edge(x),
+                    weight,
+                    transpose_w: false,
+                    scatter: Some(Endpoint::Dst),
+                    fused_scale: None,
+                    out,
+                },
+            },
+            rows: RowDomain::UniquePairs,
+            gather: Gather::None,
+            scatter: Scatter::AtomicNode(Endpoint::Dst),
+            weight_index: TypeIndex::EdgeType,
+            transpose_w: false,
+            k: 2,
+            n: 2,
+            fused_scale: false,
+            schedule: GemmSchedule::default(),
+        };
+        let mut vars = VarStore::new();
+        for (v, info) in [x, out].into_iter().zip(&p.vars) {
+            vars.insert(v, Tensor::zeros(&[g.rows_of_space(info.space), info.width]));
+        }
+        let mut params = ParamStore::init(&p, &g, &mut StdRng::seed_from_u64(0));
+        exec_gemm(&spec, &p, &g, &mut params, &mut vars, &mut Scratch::new());
+    }
 
     /// Each lane of [`dot_lanes`] is [`dot`] of its own pair, to the bit
     /// — including the orders of magnitude a reassociated sum would lose.

@@ -1,9 +1,9 @@
 //! Reusable scratch buffers for the interpreter hot path.
 //!
-//! The real-mode interpreter used to allocate a fresh `Vec<f32>` for
-//! every operand read, every unary/binary op result, and every GEMM
-//! output row — allocator traffic dominated arithmetic at every thread
-//! count. A [`Scratch`] arena replaces all of that: the session owns
+//! Without them, the oracle interpreter (`exec.rs`) would allocate a fresh
+//! `Vec<f32>` for every operand read, every unary/binary op result, and
+//! every GEMM output row — allocator traffic would dominate arithmetic.
+//! A [`Scratch`] arena replaces all of that: the session owns
 //! one arena for its whole lifetime (the production executor also pools
 //! one block per chunk), buffers grow to the widest row a kernel
 //! produces and are then reused verbatim, so a steady-state forward pass

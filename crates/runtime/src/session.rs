@@ -406,8 +406,7 @@ impl Session {
 
     /// Materialises a buffer for register-local `v` of kernel `ki` (no
     /// device memory charged) — only where something reads it through
-    /// the store: on the oracle backend, in a kernel the production
-    /// resolver handed back to the oracle, or for a local the fused loop
+    /// the store: on the oracle backend, or for a local the fused loop
     /// cannot keep in block scratch (one read at a source endpoint, or
     /// scattered into). Every other local of a production run never
     /// leaves its chunk's scratch block and has no buffer at all.

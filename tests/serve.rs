@@ -332,17 +332,6 @@ fn compile_error_custom_source_without_outputs() {
 }
 
 #[test]
-fn backend_unavailable_for_unknown_backend_name() {
-    let err = BackendKind::parse("tpu_v9").unwrap_err();
-    assert!(
-        matches!(err, HectorError::BackendUnavailable { ref name } if name == "tpu_v9"),
-        "{err}"
-    );
-    assert_eq!(err.kind(), "backend_unavailable");
-    assert!(BackendKind::parse("specialized").is_ok());
-}
-
-#[test]
 fn invalid_config_zero_layers_zero_threads_and_untrained_step() {
     let err = builder(ModelKind::Rgcn, 8, 3)
         .layers(0)
