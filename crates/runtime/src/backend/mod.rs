@@ -26,10 +26,10 @@
 //!   oracle**: the small, obviously-correct row-at-a-time interpreter in
 //!   `exec.rs` that the parity suites compare production against
 //!   (`tests/backend_parity.rs`). Its plan is every GEMM and traversal
-//!   `PreparedKernel::Oracle`, the only route to `exec.rs`. It is sequential by definition — it
-//!   ignores the engine's thread count and creates no pool — and shares
-//!   only leaf numerics (dot products, elementwise ops, the GEMM row
-//!   microkernels) with production.
+//!   `PreparedKernel::Oracle`, the only route to `exec.rs`. It is
+//!   sequential by definition — it ignores the engine's thread count and
+//!   creates no pool — and shares only leaf numerics (dot products,
+//!   elementwise ops, the GEMM row microkernels) with production.
 //!
 //! The CUDA code generator (`CompiledModule::code`) is *not* a backend:
 //! it is a text-only emission target — nothing in this crate executes
