@@ -19,31 +19,23 @@ fn main() {
     for kind in ModelKind::all() {
         // Training modules generate both forward and backward kernels,
         // matching the paper's end-to-end counting.
+        let lines = hector::model_source(kind, 64, 64).lines;
         let module =
             hector::compile_model_cached(kind, 64, 64, &CompileOptions::best().with_training(true));
-        let cuda = module.code.cuda_lines();
-        let host = module
-            .code
-            .host
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .count();
-        let py = module
-            .code
-            .python
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .count();
+        let code = hector::emit(&module);
+        let cuda = code.cuda_lines();
+        let host = code.host.lines().filter(|l| !l.trim().is_empty()).count();
+        let py = code.python.lines().filter(|l| !l.trim().is_empty()).count();
         println!(
             "{:<8} {:>10} {:>12} {:>11} {:>11} {:>11}",
             kind.name(),
-            module.source_lines,
+            lines,
             cuda,
             host,
             py,
             cuda + host + py,
         );
-        total_in += module.source_lines;
+        total_in += lines;
         total_out += cuda + host + py;
     }
     println!(
@@ -66,7 +58,7 @@ fn main() {
             CompileOptions::best(),
         ] {
             let m = hector::compile_model_cached(kind, 64, 64, &opts.with_training(true));
-            all_combos += m.code.total_lines();
+            all_combos += hector::emit(&m).total_lines();
         }
     }
     println!(

@@ -5,313 +5,179 @@
 //! cache exploits that — [`ModuleCache::get_or_compile`] keys each
 //! module by a structural fingerprint of the source program (which
 //! covers the model's dimensions: they are baked into the weight and
-//! variable tables) crossed with every compile-option axis, and hands
-//! out `Arc`-shared modules. Constructing ten engines over the same
+//! variable tables) together with the exact options, and hands out
+//! `Arc`-shared modules. Constructing ten engines over the same
 //! `(source, dims, options)` key — a stacked-model sweep, the
 //! autotuner's thread axis, repeated test setup — compiles once and
-//! serves nine hits.
+//! serves nine hits. The DSL line count ([`ModelSource::lines`]) is not
+//! part of the key: it does not change the module.
 //!
-//! Observability: hit/miss/eviction counters plus the entry count and a
-//! byte estimate are mirrored into
-//! [`hector_device::module_cache_probe`], so they surface on every
-//! session's `counters().module_cache()`. [`ModuleCache::clear`] empties
-//! the cache and resets the counters (tests that pin exact hit/miss
-//! deltas start from a clean slate).
+//! [`ModuleCache::stats`] reports the hit/miss/eviction counts and the
+//! entry count; [`ModuleCache::clear`] empties the cache and zeroes them
+//! (tests that pin exact deltas start from a clean slate).
 //!
 //! # Eviction
 //!
-//! The cache is byte-bounded: entries carry a last-use stamp, and an
-//! insert that pushes the estimated footprint past the budget evicts
-//! least-recently-used entries until it fits (the incoming module is
-//! never evicted by its own insert — callers hold the `Arc` either
-//! way). The budget defaults to 256 MiB, is overridable with
-//! `HECTOR_MODULE_CACHE_BYTES`, and is adjustable at runtime via
-//! [`ModuleCache::set_capacity_bytes`] — a long-lived multi-tenant
-//! server cycling through many models stays bounded instead of leaking
-//! one compiled module per (model, options) key forever. Evicted
-//! modules stay alive as long as some engine still holds their `Arc`;
-//! eviction only forgets the cache's copy.
+//! The cache holds at most `MAX_MODULES` (256) modules. An insert into a
+//! full cache first forgets the least-recently-used entry, the one hit
+//! or inserted longest ago, so a long-lived multi-tenant server cycling
+//! through many models stays bounded. An evicted module stays alive as
+//! long as some engine still holds its `Arc`; the next request for its
+//! key compiles again and counts as a miss.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use hector_device::module_cache_probe;
-use hector_device::ModuleCacheStats;
 use hector_ir::builder::ModelSource;
-use hector_ir::{OpKind, Operand, Program, WeightPrep};
 
 use crate::pipeline::{compile, CompileOptions, CompiledModule};
 
-/// Cache key: the source fingerprint crossed with every option axis the
-/// pipeline branches on. Options are stored field-by-field (exact), the
-/// source as a 64-bit structural hash — a collision would need two
-/// distinct programs agreeing on all 64 bits, which we accept as
-/// negligible for a process-lifetime cache.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    source: u64,
-    compact: bool,
-    reorder: bool,
-    training: bool,
-    adjacency: hector_ir::AdjacencyAccess,
-    tile: usize,
-    coarsen: usize,
-    launch_bounds: bool,
-}
+/// Most modules the process cache holds. The most distinct keys any
+/// test binary of this workspace holds at once is 83 (the `hector`
+/// crate's unit tests; the most of any bench target is 64), so no test
+/// or paper table sees an eviction it did not ask for.
+const MAX_MODULES: usize = 256;
 
-impl CacheKey {
-    fn new(src: &ModelSource, options: &CompileOptions) -> CacheKey {
-        CacheKey {
-            source: source_fingerprint(src),
-            compact: options.compact,
-            reorder: options.reorder,
-            training: options.training,
-            adjacency: options.adjacency,
-            tile: options.schedule.tile,
-            coarsen: options.schedule.coarsen,
-            launch_bounds: options.schedule.launch_bounds,
-        }
-    }
-}
+/// Cache key: the source fingerprint with the exact options. A collision
+/// would need two distinct programs agreeing on all 64 bits of the
+/// fingerprint, which we accept as negligible for a process-lifetime
+/// cache.
+type CacheKey = (u64, CompileOptions);
 
-/// Structural 64-bit fingerprint of a model source: hashes the program
-/// name, variable/weight tables (names, spaces, widths — so the model
-/// dimensions are part of the key), operators, weight preps, inputs,
-/// outputs, and the DSL line count. Deterministic across runs
-/// ([`DefaultHasher`] is keyed with constants).
+/// Structural 64-bit fingerprint of a model source: the derived `Hash`
+/// of its program — name, variable and weight tables (so the model
+/// dimensions are part of it), weight preps, operators (constants by bit
+/// pattern), inputs and outputs. The DSL line count is not part of it.
+/// Deterministic across runs ([`DefaultHasher::new`] is keyed with
+/// constants).
 #[must_use]
 pub fn source_fingerprint(src: &ModelSource) -> u64 {
     let mut h = DefaultHasher::new();
-    hash_program(&src.program, &mut h);
-    src.lines.hash(&mut h);
+    src.program.hash(&mut h);
     h.finish()
 }
 
-fn hash_program(p: &Program, h: &mut impl Hasher) {
-    p.name.hash(h);
-    p.vars.len().hash(h);
-    for v in &p.vars {
-        v.name.hash(h);
-        v.space.hash(h);
-        v.width.hash(h);
-    }
-    p.weights.len().hash(h);
-    for w in &p.weights {
-        w.name.hash(h);
-        w.per.hash(h);
-        w.rows.hash(h);
-        w.cols.hash(h);
-        w.derived.hash(h);
-    }
-    p.preps.len().hash(h);
-    for prep in &p.preps {
-        match prep {
-            WeightPrep::MatVec { w, v, out } => {
-                0u8.hash(h);
-                w.hash(h);
-                v.hash(h);
-                out.hash(h);
-            }
-            WeightPrep::MatMulPairs { a, b, out } => {
-                1u8.hash(h);
-                a.hash(h);
-                b.hash(h);
-                out.hash(h);
-            }
-        }
-    }
-    p.ops.len().hash(h);
-    for op in &p.ops {
-        op.id.hash(h);
-        hash_opkind(&op.kind, h);
-    }
-    p.inputs.hash(h);
-    p.outputs.hash(h);
+/// Snapshot of the process-wide module cache ([`ModuleCache::stats`]).
+/// The cache is shared by the whole process, so every engine reads the
+/// same numbers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ModuleCacheStats {
+    /// Compilations avoided: lookups that found a cached module.
+    pub hits: u64,
+    /// Lookups that had to run the compiler pipeline.
+    pub misses: u64,
+    /// Entries forgotten by the least-recently-used bound.
+    pub evictions: u64,
+    /// Modules currently cached.
+    pub entries: usize,
 }
 
-fn hash_operand(o: &Operand, h: &mut impl Hasher) {
-    match o {
-        Operand::Node(v, e) => {
-            0u8.hash(h);
-            v.hash(h);
-            e.hash(h);
-        }
-        Operand::Edge(v) => {
-            1u8.hash(h);
-            v.hash(h);
-        }
-        Operand::WeightVec(w) => {
-            2u8.hash(h);
-            w.hash(h);
-        }
-        Operand::Const(c) => {
-            3u8.hash(h);
-            c.to_bits().hash(h);
-        }
-    }
-}
-
-fn hash_opkind(k: &OpKind, h: &mut impl Hasher) {
-    match k {
-        OpKind::TypedLinear {
-            input,
-            weight,
-            transpose_w,
-            scatter,
-            fused_scale,
-            out,
-        } => {
-            0u8.hash(h);
-            hash_operand(input, h);
-            weight.hash(h);
-            transpose_w.hash(h);
-            scatter.hash(h);
-            if let Some(s) = fused_scale {
-                hash_operand(s, h);
-            } else {
-                u8::MAX.hash(h);
-            }
-            out.hash(h);
-        }
-        OpKind::TypedLinearGradW { x, dy, out_w } => {
-            1u8.hash(h);
-            hash_operand(x, h);
-            hash_operand(dy, h);
-            out_w.hash(h);
-        }
-        OpKind::DotProduct { a, b, out } => {
-            2u8.hash(h);
-            hash_operand(a, h);
-            hash_operand(b, h);
-            out.hash(h);
-        }
-        OpKind::Binary { op, a, b, out } => {
-            3u8.hash(h);
-            op.hash(h);
-            hash_operand(a, h);
-            hash_operand(b, h);
-            out.hash(h);
-        }
-        OpKind::Unary { op, a, out } => {
-            4u8.hash(h);
-            op.hash(h);
-            hash_operand(a, h);
-            out.hash(h);
-        }
-        OpKind::NodeAggregate {
-            edge_val,
-            scale,
-            norm,
-            endpoint,
-            out,
-        } => {
-            5u8.hash(h);
-            hash_operand(edge_val, h);
-            if let Some(s) = scale {
-                hash_operand(s, h);
-            } else {
-                u8::MAX.hash(h);
-            }
-            norm.hash(h);
-            endpoint.hash(h);
-            out.hash(h);
-        }
-    }
-}
-
-/// Rough footprint estimate of one cached module: generated-source
-/// strings dominate; program tables are charged a fixed per-entry cost.
-fn module_bytes(m: &CompiledModule) -> usize {
-    let code = m.code.host.len()
-        + m.code.python.len()
-        + m.code
-            .kernels
-            .iter()
-            .map(|(name, text)| name.len() + text.len())
-            .sum::<usize>();
-    fn program(p: &Program) -> usize {
-        p.vars.len() * 64 + p.weights.len() * 64 + p.ops.len() * 96 + p.preps.len() * 32
-    }
-    let programs = program(&m.forward) + m.backward.as_ref().map(program).unwrap_or_default();
-    let kernels = (m.fw_kernels.len() + m.bw_kernels.len()) * 256;
-    code + programs + kernels + std::mem::size_of::<CompiledModule>()
-}
-
-/// One cached module plus the bookkeeping the LRU policy needs.
+/// One cached module plus its recency stamp.
 struct Entry {
     module: Arc<CompiledModule>,
-    bytes: usize,
     /// Logical clock value of the entry's last hit (or its insert).
     last_use: u64,
 }
 
-/// Default eviction budget when `HECTOR_MODULE_CACHE_BYTES` is unset.
-const DEFAULT_CAPACITY_BYTES: usize = 256 * 1024 * 1024;
-
 struct CacheState {
     modules: HashMap<CacheKey, Entry>,
+    /// Most entries held: `MAX_MODULES` for the process cache.
+    max: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
-    bytes: usize,
-    capacity: usize,
     /// Logical clock: bumped on every hit/insert to stamp recency.
     tick: u64,
 }
 
 impl CacheState {
-    /// Evicts least-recently-used entries until the footprint fits the
-    /// budget. `keep` (the key just inserted) is never evicted by its
-    /// own insert — a module larger than the whole budget would
-    /// otherwise thrash on every request.
-    fn evict_to_budget(&mut self, keep: CacheKey) {
-        while self.bytes > self.capacity {
+    fn new(max: usize) -> CacheState {
+        CacheState {
+            modules: HashMap::new(),
+            max,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            tick: 0,
+        }
+    }
+
+    /// The cached module for `key`, counted as a hit and stamped most
+    /// recently used.
+    fn hit(&mut self, key: &CacheKey) -> Option<Arc<CompiledModule>> {
+        let e = self.modules.get_mut(key)?;
+        self.tick += 1;
+        e.last_use = self.tick;
+        self.hits += 1;
+        Some(Arc::clone(&e.module))
+    }
+
+    /// Counts a compile of `key` (a miss) and caches its `module`,
+    /// forgetting the least-recently-used entry first when the cache is
+    /// full. A caller that raced on the same cold key and inserted first
+    /// wins: its module is returned and `module` is dropped, so every
+    /// caller shares one `Arc`.
+    fn insert(&mut self, key: CacheKey, module: Arc<CompiledModule>) -> Arc<CompiledModule> {
+        self.misses += 1;
+        if let Some(e) = self.modules.get(&key) {
+            return Arc::clone(&e.module);
+        }
+        if self.modules.len() >= self.max {
             let victim = self
                 .modules
                 .iter()
-                .filter(|(k, _)| **k != keep)
                 .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            let Some(key) = victim else {
-                break; // Only `keep` remains; nothing more to shed.
-            };
-            if let Some(e) = self.modules.remove(&key) {
-                self.bytes -= e.bytes;
+                .map(|(k, _)| k.clone());
+            if let Some(k) = victim {
+                self.modules.remove(&k);
                 self.evictions += 1;
-                module_cache_probe::record_eviction();
             }
+        }
+        self.tick += 1;
+        let entry = Entry {
+            module: Arc::clone(&module),
+            last_use: self.tick,
+        };
+        self.modules.insert(key, entry);
+        module
+    }
+
+    fn stats(&self) -> ModuleCacheStats {
+        ModuleCacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            entries: self.modules.len(),
         }
     }
 }
 
-fn state() -> &'static Mutex<CacheState> {
-    static CACHE: OnceLock<Mutex<CacheState>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let capacity = std::env::var("HECTOR_MODULE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY_BYTES);
-        Mutex::new(CacheState {
-            modules: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            bytes: 0,
-            capacity,
-            tick: 0,
-        })
-    })
-}
-
-fn lock() -> std::sync::MutexGuard<'static, CacheState> {
+fn lock(cache: &Mutex<CacheState>) -> MutexGuard<'_, CacheState> {
     // The guard only ever wraps map/counter bookkeeping (compiles run
     // outside the lock), so a poisoned mutex — a panicking test thread
     // mid-update — leaves nothing half-built; recovering is safe.
-    state()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Looks `(src, options)` up in `cache`, compiling on a miss outside the
+/// lock. The `bool` is `true` on a hit.
+fn get_or_compile(
+    cache: &Mutex<CacheState>,
+    src: &ModelSource,
+    options: &CompileOptions,
+) -> (Arc<CompiledModule>, bool) {
+    let key = (source_fingerprint(src), options.clone());
+    if let Some(module) = lock(cache).hit(&key) {
+        return (module, true);
+    }
+    let module = Arc::new(compile(src, options));
+    (lock(cache).insert(key, module), false)
+}
+
+fn process_cache() -> &'static Mutex<CacheState> {
+    static CACHE: OnceLock<Mutex<CacheState>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(CacheState::new(MAX_MODULES)))
 }
 
 /// The process-wide compiled-module cache (a namespace: all state lives
@@ -334,110 +200,19 @@ impl ModuleCache {
         src: &ModelSource,
         options: &CompileOptions,
     ) -> (Arc<CompiledModule>, bool) {
-        let key = CacheKey::new(src, options);
-        {
-            let mut s = lock();
-            if let Some(e) = s.modules.get(&key) {
-                let m = Arc::clone(&e.module);
-                s.tick += 1;
-                let now = s.tick;
-                if let Some(e) = s.modules.get_mut(&key) {
-                    e.last_use = now;
-                }
-                s.hits += 1;
-                module_cache_probe::record_hit();
-                return (m, true);
-            }
-        }
-        let module = Arc::new(compile(src, options));
-        let mut s = lock();
-        s.misses += 1;
-        module_cache_probe::record_miss();
-        let module = match s.modules.get(&key) {
-            // Lost a same-key race: keep the first-inserted module.
-            Some(existing) => Arc::clone(&existing.module),
-            None => {
-                let bytes = module_bytes(&module);
-                s.bytes += bytes;
-                s.tick += 1;
-                let last_use = s.tick;
-                s.modules.insert(
-                    key,
-                    Entry {
-                        module: Arc::clone(&module),
-                        bytes,
-                        last_use,
-                    },
-                );
-                s.evict_to_budget(key);
-                module
-            }
-        };
-        module_cache_probe::set_footprint(s.modules.len(), s.bytes);
-        (module, false)
+        get_or_compile(process_cache(), src, options)
     }
 
     /// Drops every cached module and zeroes the hit/miss/eviction
-    /// counters (both here and on the device probe). The configured
-    /// byte budget persists. Tests that pin exact counter deltas call
-    /// this first.
+    /// counters. Tests that pin exact counter deltas call this first.
     pub fn clear() {
-        let mut s = lock();
-        s.modules.clear();
-        s.hits = 0;
-        s.misses = 0;
-        s.evictions = 0;
-        s.bytes = 0;
-        s.tick = 0;
-        module_cache_probe::reset();
+        *lock(process_cache()) = CacheState::new(MAX_MODULES);
     }
 
-    /// The LRU eviction budget in bytes.
-    #[must_use]
-    pub fn capacity_bytes() -> usize {
-        lock().capacity
-    }
-
-    /// Sets the LRU eviction budget, immediately evicting
-    /// least-recently-used entries until the cache fits. Returns the
-    /// previous budget so callers (tests, admin endpoints) can restore
-    /// it. A zero budget is clamped to one byte — "cache nothing
-    /// durable" — rather than rejected.
-    pub fn set_capacity_bytes(capacity: usize) -> usize {
-        let mut s = lock();
-        let prev = s.capacity;
-        s.capacity = capacity.max(1);
-        // No just-inserted key to protect: evict strictly by recency
-        // until the new budget holds (or the cache is empty).
-        while s.bytes > s.capacity {
-            let victim = s
-                .modules
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            let Some(key) = victim else { break };
-            if let Some(e) = s.modules.remove(&key) {
-                s.bytes -= e.bytes;
-                s.evictions += 1;
-                module_cache_probe::record_eviction();
-            }
-        }
-        module_cache_probe::set_footprint(s.modules.len(), s.bytes);
-        prev
-    }
-
-    /// Current cache statistics (same numbers as
-    /// `counters().module_cache()` on any device).
+    /// Current cache statistics.
     #[must_use]
     pub fn stats() -> ModuleCacheStats {
-        let s = lock();
-        ModuleCacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            entries: s.modules.len(),
-            bytes: s.bytes,
-        }
+        lock(process_cache()).stats()
     }
 }
 
@@ -453,12 +228,8 @@ pub fn compile_cached(src: &ModelSource, options: &CompileOptions) -> Arc<Compil
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::emit;
     use hector_ir::{AggNorm, ModelBuilder};
-
-    /// Serializes tests that either mutate the process-global budget or
-    /// assert a hit across two lookups — a concurrent capacity shrink
-    /// would otherwise evict between them and flake.
-    static CACHE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn toy_source(name: &str, dim: usize) -> ModelSource {
         let mut m = ModelBuilder::new(name, dim);
@@ -466,6 +237,18 @@ mod tests {
         let w = m.weight_per_etype("W", dim, dim);
         let y = m.typed_linear("y", m.src(h), w);
         let out = m.aggregate("out", m.edge(y), None, AggNorm::None);
+        m.output(out);
+        m.finish()
+    }
+
+    /// `toy_source` with its messages scaled by the constant `c`.
+    fn scaled_source(c: f32) -> ModelSource {
+        let mut m = ModelBuilder::new("cache_fp_scaled", 8);
+        let h = m.node_input("h", 8);
+        let w = m.weight_per_etype("W", 8, 8);
+        let y = m.typed_linear("y", m.src(h), w);
+        let s = m.mul("s", m.edge(y), m.konst(c));
+        let out = m.aggregate("out", m.edge(s), None, AggNorm::None);
         m.output(out);
         m.finish()
     }
@@ -482,10 +265,34 @@ mod tests {
     }
 
     #[test]
+    fn line_count_is_not_part_of_the_fingerprint() {
+        let src = toy_source("cache_fp_lines", 8);
+        let mut longer = src.clone();
+        longer.lines += 1;
+        assert_eq!(source_fingerprint(&src), source_fingerprint(&longer));
+    }
+
+    #[test]
+    fn constants_and_derived_flags_are_part_of_the_fingerprint() {
+        assert_ne!(
+            source_fingerprint(&scaled_source(0.5)),
+            source_fingerprint(&scaled_source(0.25)),
+            "one constant differs"
+        );
+        let src = toy_source("cache_fp_derived", 8);
+        let mut derived = src.clone();
+        derived.program.weights[0].derived = true;
+        assert_ne!(
+            source_fingerprint(&src),
+            source_fingerprint(&derived),
+            "one derived flag differs"
+        );
+    }
+
+    #[test]
     fn second_compile_is_a_hit_and_shares_the_module() {
         // Unique name + dims so concurrently running tests in this
         // binary can never collide with the key.
-        let _g = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let src = toy_source("cache_hit_test_model", 23);
         let opts = CompileOptions::best();
         let (first, hit1) = ModuleCache::get_or_compile(&src, &opts);
@@ -507,52 +314,28 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_entries_when_over_budget() {
-        // Shrinking the budget must shed least-recently-used entries
-        // (and count them); restoring it afterwards keeps the other
-        // tests in this binary unaffected. The entries evicted here may
-        // belong to concurrently running tests — that is safe (they
-        // recompile on miss) and unavoidable for a process-global cache.
-        let _g = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let a = toy_source("cache_lru_model_a", 37);
-        let b = toy_source("cache_lru_model_b", 37);
+        // A local cache bounded at two entries runs the policy; the
+        // process cache is untouched.
+        let cache = Mutex::new(CacheState::new(2));
         let opts = CompileOptions::best();
-        let (ma, _) = ModuleCache::get_or_compile(&a, &opts);
-        let (_mb, _) = ModuleCache::get_or_compile(&b, &opts);
-        let before = ModuleCache::stats();
-        assert!(before.bytes > 0 && before.entries >= 2);
-
-        let prev = ModuleCache::set_capacity_bytes(1);
-        let after = ModuleCache::stats();
-        assert!(
-            after.entries < before.entries,
-            "a 1-byte budget must evict: {after:?}"
-        );
-        assert!(
-            after.evictions > before.evictions,
-            "evictions must be counted: {after:?}"
-        );
-        assert!(after.bytes < before.bytes);
-        // An evicted module recompiles as a miss, not a stale hit.
-        let (ma2, hit) = ModuleCache::get_or_compile(&a, &opts);
-        assert!(!hit, "evicted entries must recompile");
-        assert_eq!(ma.forward, ma2.forward, "recompile is deterministic");
-        ModuleCache::set_capacity_bytes(prev);
-    }
-
-    #[test]
-    fn insert_never_evicts_itself() {
-        let _g = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let src = toy_source("cache_lru_self_model", 41);
-        let opts = CompileOptions::best();
-        let prev = ModuleCache::set_capacity_bytes(1);
-        // Budget is far below any module's footprint: the insert stays
-        // resident (callers hold the Arc; the cache keeps serving it
-        // until a *later* insert pushes it out).
-        let (_, h1) = ModuleCache::get_or_compile(&src, &opts);
-        let (_, h2) = ModuleCache::get_or_compile(&src, &opts);
-        assert!(!h1);
-        assert!(h2, "the just-inserted module must not evict itself");
-        ModuleCache::set_capacity_bytes(prev);
+        let [a, b, c] = ["cache_lru_a", "cache_lru_b", "cache_lru_c"].map(|n| toy_source(n, 37));
+        let counts = || {
+            let s = lock(&cache).stats();
+            (s.hits, s.misses, s.evictions, s.entries)
+        };
+        get_or_compile(&cache, &a, &opts);
+        let (mb, _) = get_or_compile(&cache, &b, &opts);
+        // Hitting `a` leaves `b` the least recently hit.
+        assert!(get_or_compile(&cache, &a, &opts).1);
+        assert!(!get_or_compile(&cache, &c, &opts).1);
+        assert_eq!(counts(), (1, 3, 1, 2), "inserting c evicts one entry");
+        assert!(get_or_compile(&cache, &a, &opts).1, "a survives");
+        assert!(get_or_compile(&cache, &c, &opts).1, "c never evicts itself");
+        // `b` was the victim: it recompiles as a miss, to the same plan.
+        let (mb2, hit) = get_or_compile(&cache, &b, &opts);
+        assert!(!hit, "an evicted key recompiles");
+        assert_eq!(mb.forward, mb2.forward, "recompile is deterministic");
+        assert_eq!(counts(), (3, 4, 2, 2), "and evicts a, now the oldest");
     }
 
     #[test]
@@ -563,6 +346,7 @@ mod tests {
         let fresh = compile(&src, &opts);
         assert_eq!(cached.forward, fresh.forward);
         assert_eq!(cached.backward, fresh.backward);
-        assert_eq!(cached.code.kernels, fresh.code.kernels);
+        let (c, f) = (emit(&cached), emit(&fresh));
+        assert_eq!((c.kernels, c.host, c.python), (f.kernels, f.host, f.python));
     }
 }

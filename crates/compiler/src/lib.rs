@@ -1,8 +1,8 @@
 //! Compiler passes and code generation for the Hector RGNN framework.
 //!
 //! This crate implements everything between a validated inter-operator
-//! program (from `hector-ir`) and executable kernel specifications plus
-//! CUDA-like source text:
+//! program (from `hector-ir`) and executable kernel specifications, plus
+//! the CUDA-like source text those specifications read as:
 //!
 //! * [`reorder`] — **linear operator reordering** (paper §3.2.3): rewrites
 //!   chains of linear operators whenever switching their order produces an
@@ -17,10 +17,12 @@
 //!   instances first, then maximal fusion into traversal-template
 //!   instances, with framework fallback as the last resort, all driven by
 //!   operator preference levels (§3.4.2);
-//! * [`codegen`] — emission of CUDA-like kernel source and host wrappers
-//!   (§3.6), reproducing the paper's generated-code-size accounting;
 //! * [`pipeline`] — the `@hector.compile` equivalent: one call from model
-//!   source to a [`CompiledModule`];
+//!   source to a [`CompiledModule`], the optimized programs and their
+//!   kernel sequences;
+//! * [`codegen`] — [`emit`] renders a module's CUDA-like kernel source
+//!   and host wrappers (§3.6) on demand, reproducing the paper's
+//!   generated-code-size accounting; compilation never calls it;
 //! * [`cache`] — the process-wide [`ModuleCache`]: compilation is
 //!   deterministic, so identical `(source, dims, options)` requests
 //!   compile once per process and share one `Arc<CompiledModule>`.
@@ -36,6 +38,6 @@ pub mod lower;
 pub mod pipeline;
 pub mod reorder;
 
-pub use cache::{compile_cached, source_fingerprint, ModuleCache};
-pub use codegen::GeneratedCode;
+pub use cache::{compile_cached, source_fingerprint, ModuleCache, ModuleCacheStats};
+pub use codegen::{emit, GeneratedCode};
 pub use pipeline::{compile, CompileOptions, CompiledModule};

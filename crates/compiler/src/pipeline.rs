@@ -4,7 +4,6 @@ use hector_ir::builder::ModelSource;
 use hector_ir::{AdjacencyAccess, GemmSchedule, KernelSpec, Program};
 
 use crate::backward::generate_backward;
-use crate::codegen::{generate_code, GeneratedCode};
 use crate::compact::compact_materialization;
 use crate::lower::{lower_program, LowerOptions};
 use crate::reorder::linear_operator_reordering;
@@ -13,7 +12,7 @@ use crate::reorder::linear_operator_reordering;
 ///
 /// The four combinations of `compact` × `reorder` are the U/C/R/C+R
 /// configurations of Table 5 and Fig. 9.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
     /// Enable compact materialization (§3.2.2).
     pub compact: bool,
@@ -93,8 +92,9 @@ impl CompileOptions {
     }
 }
 
-/// A fully compiled module: optimized programs, kernel sequences, and
-/// generated source artifacts.
+/// A fully compiled module: the optimized programs and the kernel
+/// sequences the runtime executes. Its CUDA-like text is a view of this
+/// plan, rendered on demand by [`crate::codegen::emit`].
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// Module name (model name).
@@ -107,10 +107,6 @@ pub struct CompiledModule {
     pub fw_kernels: Vec<KernelSpec>,
     /// Backward kernel sequence.
     pub bw_kernels: Vec<KernelSpec>,
-    /// Model source-line count (the "51 lines" metric input side).
-    pub source_lines: usize,
-    /// Generated CUDA/C++/Python artifacts (the output side).
-    pub code: GeneratedCode,
     /// Options the module was compiled with.
     pub options: CompileOptions,
 }
@@ -127,8 +123,8 @@ impl CompiledModule {
 /// Pass order matches the paper: inter-operator rewrites first (linear
 /// operator reordering, then compact materialization — reordering can
 /// expose additional compaction opportunities), then backward generation
-/// on the optimized program, then lowering and code generation for both
-/// directions.
+/// on the optimized program, then lowering for both directions. Code
+/// generation is not a pass: the text is rendered only when asked for.
 ///
 /// # Panics
 ///
@@ -198,24 +194,12 @@ pub fn compile(src: &ModelSource, options: &CompileOptions) -> CompiledModule {
         }
     }
 
-    let t0 = hector_trace::span_start();
-    let mut code = generate_code(&fw, &fw_kernels);
-    if let Some(bw) = &backward {
-        let bw_code = generate_code(bw, &bw_kernels);
-        code.kernels.extend(bw_code.kernels);
-        code.host.push_str(&bw_code.host);
-        code.python.push_str(&bw_code.python);
-    }
-    pass("compile/codegen", t0);
-
     CompiledModule {
         name: src.program.name.clone(),
         forward: fw,
         backward,
         fw_kernels,
         bw_kernels,
-        source_lines: src.lines,
-        code,
         options: options.clone(),
     }
 }
@@ -303,8 +287,9 @@ mod tests {
     fn generated_code_is_nontrivial() {
         let src = rgat_source();
         let m = compile(&src, &CompileOptions::best().with_training(true));
-        assert!(m.code.total_lines() > 200, "got {}", m.code.total_lines());
-        assert!(m.source_lines < 20);
+        let code = crate::codegen::emit(&m);
+        assert!(code.total_lines() > 200, "got {}", code.total_lines());
+        assert!(src.lines < 20);
     }
 
     #[test]

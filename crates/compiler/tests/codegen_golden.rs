@@ -15,7 +15,7 @@
 //! then review the diff of the golden file in the commit like any other
 //! source change.
 
-use hector_compiler::{compile, CompileOptions};
+use hector_compiler::{compile, emit, CompileOptions};
 use hector_models::{source, ModelKind};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -25,12 +25,12 @@ fn golden_path() -> PathBuf {
 }
 
 fn render() -> String {
-    let module = compile(
+    let code = emit(&compile(
         &source(ModelKind::Rgcn, 16, 16),
         &CompileOptions::best().with_training(true),
-    );
+    ));
     let mut out = String::new();
-    for (name, text) in &module.code.kernels {
+    for (name, text) in &code.kernels {
         writeln!(out, "// ===== kernel: {name} =====").unwrap();
         out.push_str(text);
         if !text.ends_with('\n') {
@@ -38,7 +38,7 @@ fn render() -> String {
         }
     }
     writeln!(out, "// ===== host =====").unwrap();
-    out.push_str(&module.code.host);
+    out.push_str(&code.host);
     if !out.ends_with('\n') {
         out.push('\n');
     }
@@ -109,11 +109,11 @@ fn max_stabilised_softmax_codegen_is_complete() {
     // -INFINITY fill before launch. An atomicMaxFloat call without the
     // helper or the fill would reintroduce the exp-overflow bug in any
     // real port of the generated code.
-    let module = compile(
+    let code = emit(&compile(
         &source(ModelKind::Rgat, 16, 16),
         &CompileOptions::best().with_training(true),
-    );
-    let cuda = module.code.cuda_source();
+    ));
+    let cuda = code.cuda_source();
     let uses_atomic_max = cuda.contains("atomicMaxFloat(");
     let uses_seeded_acc = cuda.contains("_acc = -INFINITY");
     assert!(
@@ -126,7 +126,7 @@ fn max_stabilised_softmax_codegen_is_complete() {
             "atomicMaxFloat is called but its CAS helper is not emitted"
         );
         assert!(
-            module.code.host.contains("infinity()"),
+            code.host.contains("infinity()"),
             "host wrapper must seed max-aggregation outputs with -INFINITY"
         );
     }

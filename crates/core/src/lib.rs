@@ -75,12 +75,10 @@ pub mod autotune;
 pub use autotune::{autotune, autotune_threads, ThreadTuneResult, TuneResult};
 pub use hector_baselines as baselines;
 pub use hector_compiler::{
-    compile, compile_cached, source_fingerprint, CompileOptions, CompiledModule, GeneratedCode,
-    ModuleCache,
+    compile, compile_cached, emit, source_fingerprint, CompileOptions, CompiledModule,
+    GeneratedCode, ModuleCache, ModuleCacheStats,
 };
-pub use hector_device::{
-    BackendStats, Device, DeviceConfig, ModuleCacheStats, SamplerStats, ScratchStats,
-};
+pub use hector_device::{BackendStats, Device, DeviceConfig, SamplerStats, ScratchStats};
 pub use hector_graph::{
     datasets, generate, DatasetSpec, GraphStats, HeteroGraph, HeteroGraphBuilder, NeighborSampler,
     SampledBatch, SamplerConfig, Subgraph,

@@ -189,100 +189,8 @@ impl SamplerStats {
     }
 }
 
-/// Snapshot of the process-wide compiled-module cache
-/// (`hector_compiler::ModuleCache`). Unlike every other counter in this
-/// module, which is scoped to one device, the module cache is shared by
-/// the whole process — constructing ten engines over the same
-/// `(model source, dims, options)` key compiles once and reads back nine
-/// hits — so this snapshot reads the same numbers regardless of which
-/// device's [`Counters`] it is taken from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ModuleCacheStats {
-    /// Compilations avoided: lookups that found a cached module.
-    pub hits: u64,
-    /// Lookups that had to run the compiler pipeline.
-    pub misses: u64,
-    /// Entries dropped by the byte-bounded LRU policy.
-    pub evictions: u64,
-    /// Modules currently cached.
-    pub entries: usize,
-    /// Estimated footprint of the cached modules, bytes.
-    pub bytes: usize,
-}
-
-impl ModuleCacheStats {
-    /// Fraction of lookups served from the cache.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Process-global probe the compiler's module cache reports into. The
-/// device crate hosts the storage (it is the observability leaf of the
-/// workspace DAG) so [`Counters::module_cache`] can surface cache
-/// activity without a dependency on the compiler.
-pub mod module_cache_probe {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    use super::ModuleCacheStats;
-
-    static HITS: AtomicU64 = AtomicU64::new(0);
-    static MISSES: AtomicU64 = AtomicU64::new(0);
-    static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-    static ENTRIES: AtomicUsize = AtomicUsize::new(0);
-    static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-    /// Records one cache hit.
-    pub fn record_hit() {
-        HITS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one cache miss (a compilation).
-    pub fn record_miss() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one LRU eviction.
-    pub fn record_eviction() {
-        EVICTIONS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the cache's current entry count and byte estimate.
-    pub fn set_footprint(entries: usize, bytes: usize) {
-        ENTRIES.store(entries, Ordering::Relaxed);
-        BYTES.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Clears all probe state (used by `ModuleCache::clear` in tests).
-    pub fn reset() {
-        HITS.store(0, Ordering::Relaxed);
-        MISSES.store(0, Ordering::Relaxed);
-        EVICTIONS.store(0, Ordering::Relaxed);
-        ENTRIES.store(0, Ordering::Relaxed);
-        BYTES.store(0, Ordering::Relaxed);
-    }
-
-    /// Reads the current counters.
-    #[must_use]
-    pub fn snapshot() -> ModuleCacheStats {
-        ModuleCacheStats {
-            hits: HITS.load(Ordering::Relaxed),
-            misses: MISSES.load(Ordering::Relaxed),
-            evictions: EVICTIONS.load(Ordering::Relaxed),
-            entries: ENTRIES.load(Ordering::Relaxed),
-            bytes: BYTES.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Sharded-execution statistics: partition quality and the dynamic-graph
-/// activity of `hector-shard`. Process-global like [`ModuleCacheStats`] —
+/// activity of `hector-shard`. Process-global, not per device —
 /// sharded execution spans many per-shard devices, so the numbers live in
 /// a shared probe ([`shard_probe`]) rather than any single device's
 /// counter store, and [`Counters::reset`] does not touch them (clear
@@ -433,11 +341,10 @@ pub struct BackendStats {
 ///   because mini-batch records land *between* runs; measure an epoch as
 ///   the difference of two snapshots.
 ///
-/// The process-global probes ([`ModuleCacheStats`] via
-/// [`Counters::module_cache`], [`ShardStats`] via
+/// The process-global probes ([`ShardStats`] via
 /// [`shard_probe::snapshot`], `hector_trace::stats()`) are snapshots of
-/// shared state no `Counters` method clears; use `ModuleCache::clear` /
-/// [`shard_probe::reset`] / `hector_trace::clear` respectively.
+/// shared state no `Counters` method clears; use [`shard_probe::reset`] /
+/// `hector_trace::clear` respectively.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
     buckets: HashMap<(KernelCategory, Phase), CategoryMetrics>,
@@ -615,13 +522,6 @@ impl Counters {
         &self.sampler
     }
 
-    /// Snapshot of the process-wide compiled-module cache, shared across
-    /// engines and devices (see [`ModuleCacheStats`]).
-    #[must_use]
-    pub fn module_cache(&self) -> ModuleCacheStats {
-        module_cache_probe::snapshot()
-    }
-
     /// Clears the per-run counters (kernel buckets, parallel, scratch,
     /// backend). Sampler statistics survive: they describe a mini-batch
     /// *epoch* spanning many runs — the per-run reset at the start of
@@ -736,7 +636,6 @@ mod tests {
         assert_eq!(c.scratch().steady_fraction(), 0.0);
         assert_eq!(c.sampler().overlap_fraction(), 0.0);
         assert_eq!(c.sampler().nodes_per_sec(), 0.0);
-        assert_eq!(ModuleCacheStats::default().hit_rate(), 0.0);
         // Zero-duration but non-zero work: still finite, still zero.
         let z = SamplerStats {
             batches: 1,

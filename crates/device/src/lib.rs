@@ -23,7 +23,9 @@
 //!   reporting.
 //!
 //! Nothing in this crate performs numerics; it is pure bookkeeping driven
-//! by the kernel specifications the compiler emits.
+//! by the kernel specifications the compiler emits. It depends on no
+//! other Hector crate and mirrors none of their state: the compiler's
+//! module cache reports its own counters (`ModuleCache::stats`).
 
 #![warn(missing_docs)]
 
@@ -36,8 +38,8 @@ mod memory;
 pub use config::DeviceConfig;
 pub use cost::{KernelCategory, KernelCost, Phase};
 pub use counters::{
-    module_cache_probe, shard_probe, BackendStats, CategoryMetrics, Counters, ModuleCacheStats,
-    ParallelStats, SamplerStats, ScratchStats, ShardStats,
+    shard_probe, BackendStats, CategoryMetrics, Counters, ParallelStats, SamplerStats,
+    ScratchStats, ShardStats,
 };
 pub use device::Device;
 pub use memory::{AllocId, MemoryPool, OomError};

@@ -8,6 +8,7 @@
 //! and node aggregation over incoming edges.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Negative slope of [`UnOp::LeakyRelu`], matching DGL/PyTorch's default.
 pub const LEAKY_RELU_SLOPE: f32 = 0.01;
@@ -49,7 +50,7 @@ pub struct WeightId(pub u32);
 pub struct OpId(pub u32);
 
 /// A graph-attached variable: name, space, and width.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct VarInfo {
     /// Human-readable name (`"msg"`, `"att"`, …).
     pub name: String,
@@ -75,7 +76,7 @@ pub enum TypeIndex {
 
 /// A learnable parameter: a stack of matrices (or vectors) indexed by
 /// [`TypeIndex`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct WeightInfo {
     /// Parameter name.
     pub name: String,
@@ -94,7 +95,7 @@ pub struct WeightInfo {
 /// One-time weight-space precomputations inserted by linear operator
 /// reordering (paper §3.2.3). Executed via the framework-fallback path
 /// ("PyTorch BMM" in the paper) before the main kernel sequence.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum WeightPrep {
     /// `out[t] = w[t] × v[t]` where `v` is a per-type vector:
     /// collapses `dot(x·W[t], v[t])` into `dot(x, out[t])`.
@@ -130,6 +131,20 @@ pub enum Operand {
     WeightVec(WeightId),
     /// A compile-time constant scalar.
     Const(f32),
+}
+
+/// Hashes `Const` by its bit pattern (`f32` has no `Hash`), so two
+/// programs differing in one constant fingerprint differently.
+impl Hash for Operand {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Operand::Node(v, e) => (v, e).hash(h),
+            Operand::Edge(v) => v.hash(h),
+            Operand::WeightVec(w) => w.hash(h),
+            Operand::Const(c) => c.to_bits().hash(h),
+        }
+    }
 }
 
 impl Operand {
@@ -195,7 +210,7 @@ pub enum AggNorm {
 }
 
 /// Operator kinds of the inter-operator IR.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum OpKind {
     /// Typed linear transformation — the GEMM-eligible workhorse
     /// (`e["msg"] = e.src.feature * W[e.etype]`).
@@ -329,7 +344,7 @@ impl OpKind {
 }
 
 /// One operator instance.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Op {
     /// Identifier (dense, in program order).
     pub id: OpId,
@@ -339,7 +354,7 @@ pub struct Op {
 
 /// A complete inter-operator-level program (one RGNN layer's forward or
 /// backward pass).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Hash)]
 pub struct Program {
     /// Program name (used in generated kernel names).
     pub name: String,

@@ -311,7 +311,7 @@ impl EngineBuilder {
     /// [`ModuleCache`]) and assembles the execution stack. Building a
     /// second engine with identical `(source, dims, options)` performs
     /// zero compilations — check [`Engine::was_cache_hit`] or
-    /// `counters().module_cache()`.
+    /// [`ModuleCache::stats`].
     ///
     /// # Errors
     ///

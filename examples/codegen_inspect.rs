@@ -3,8 +3,9 @@
 //! program, the kernel plan, and an excerpt of the generated CUDA-like
 //! source — the paper's Fig. 5 workflow end to end.
 //!
-//! Note the CUDA-like source is a **text-only emission target**: it is
-//! never compiled or executed (no CUDA toolchain exists here). Runs
+//! Note the CUDA-like source is a **text-only emission target**,
+//! rendered on demand by `hector::emit`: it is never compiled or
+//! executed (no CUDA toolchain exists here). Runs
 //! execute the kernel *specs* on the CPU through an execution backend —
 //! the production micro-op executor by default, or the sequential
 //! oracle when selected with `EngineBuilder::backend`.
@@ -60,11 +61,12 @@ fn main() {
         BackendKind::default().name()
     );
 
+    let code = hector::emit(&module);
     println!(
         "\n=== first generated kernel ({} CUDA lines total) ===",
-        module.code.cuda_lines()
+        code.cuda_lines()
     );
-    let (name, src) = &module.code.kernels[0];
+    let (name, src) = &code.kernels[0];
     println!("--- {name} ---");
     for line in src.lines().take(30) {
         println!("{line}");
@@ -75,8 +77,7 @@ fn main() {
     );
 
     println!("\n=== host registration excerpt ===");
-    for line in module
-        .code
+    for line in code
         .host
         .lines()
         .rev()

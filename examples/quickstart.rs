@@ -35,9 +35,9 @@ fn main() {
     println!(
         "compiled '{}': {} model lines -> {} kernels, {} generated lines (cache {})",
         module.name,
-        module.source_lines,
+        hector::model_source(ModelKind::Rgat, 32, 32).lines,
         module.fw_kernels.len(),
-        module.code.total_lines(),
+        hector::emit(module).total_lines(),
         if engine.was_cache_hit() {
             "hit"
         } else {
@@ -74,12 +74,10 @@ fn main() {
         .options(CompileOptions::best())
         .build()
         .unwrap();
-    let stats = twin.device().counters().module_cache();
+    assert!(twin.was_cache_hit());
+    let stats = ModuleCache::stats();
     println!(
-        "module cache: {} hits / {} misses over {} entries ({} KB)",
-        stats.hits,
-        stats.misses,
-        stats.entries,
-        stats.bytes / 1024,
+        "module cache: {} hits / {} misses over {} entries",
+        stats.hits, stats.misses, stats.entries,
     );
 }

@@ -37,6 +37,7 @@ const SURFACE_FILES: &[&str] = &[
     "crates/runtime/src/optim.rs",
     "crates/compiler/src/cache.rs",
     "crates/compiler/src/pipeline.rs",
+    "crates/compiler/src/codegen.rs",
     "crates/device/src/counters.rs",
     "crates/trace/src/lib.rs",
     "crates/trace/src/report.rs",
@@ -165,7 +166,7 @@ fn surface_covers_the_handle_api() {
         "pub struct Trainer",
         "pub struct Bound<",
         "pub struct ModuleCache",
-        "pub fn module_cache",
+        "pub fn emit(module: &CompiledModule) -> GeneratedCode",
         "pub fn compile_model_cached",
     ] {
         assert!(rendered.contains(needle), "API surface lost '{needle}'");

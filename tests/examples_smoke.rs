@@ -22,8 +22,8 @@ fn quickstart_path() {
     let mut engine = builder(ModelKind::Rgat, 16, &CompileOptions::best(), 7)
         .build()
         .unwrap();
-    assert!(engine.module().source_lines > 0);
-    assert!(engine.module().code.total_lines() > 0);
+    assert!(hector::model_source(ModelKind::Rgat, 16, 16).lines > 0);
+    assert!(hector::emit(engine.module()).total_lines() > 0);
 
     let mut bound = engine.bind(&graph).unwrap();
     let report = bound.forward().expect("fits comfortably");
@@ -86,8 +86,9 @@ fn codegen_inspect_path() {
 
     let module = hector::compile(&source, &CompileOptions::best().with_training(true));
     assert!(module.all_kernels().count() > 0);
-    assert!(module.code.cuda_lines() > 0);
-    let (_, first_kernel) = &module.code.kernels[0];
+    let code = hector::emit(&module);
+    assert!(code.cuda_lines() > 0);
+    let (_, first_kernel) = &code.kernels[0];
     assert!(first_kernel.contains("__global__"));
 }
 

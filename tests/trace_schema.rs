@@ -153,7 +153,6 @@ fn schema_covers_every_layer() {
     let has = |f: &dyn Fn(&TraceEvent) -> bool| events.iter().any(f);
     assert!(has(&|e| e.name == "compile/reorder"));
     assert!(has(&|e| e.name == "compile/lower_fw"));
-    assert!(has(&|e| e.name == "compile/codegen"));
     assert!(has(&|e| e.instant && e.name.starts_with("fusion/")));
     assert!(has(&|e| e.name == "run/forward"));
     assert!(has(&|e| e.name == "phase/setup"));
