@@ -339,6 +339,22 @@ mod tests {
     }
 
     #[test]
+    fn insert_never_evicts_itself() {
+        // A local cache bounded at one entry: every insert into it is an
+        // insert into a full cache, and the entry it forgets must be the
+        // older one, never the module just inserted.
+        let cache = Mutex::new(CacheState::new(1));
+        let opts = CompileOptions::best();
+        let [a, b] = ["cache_lru_self_a", "cache_lru_self_b"].map(|n| toy_source(n, 41));
+        assert!(!get_or_compile(&cache, &a, &opts).1);
+        assert!(get_or_compile(&cache, &a, &opts).1, "a stays resident");
+        assert!(!get_or_compile(&cache, &b, &opts).1);
+        assert!(get_or_compile(&cache, &b, &opts).1, "b must not evict itself");
+        let s = lock(&cache).stats();
+        assert_eq!((s.evictions, s.entries), (1, 1), "inserting b evicts a");
+    }
+
+    #[test]
     fn cached_module_matches_a_fresh_compile() {
         let src = toy_source("cache_equiv_test_model", 31);
         let opts = CompileOptions::best().with_training(true);
