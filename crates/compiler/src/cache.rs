@@ -349,7 +349,10 @@ mod tests {
         assert!(!get_or_compile(&cache, &a, &opts).1);
         assert!(get_or_compile(&cache, &a, &opts).1, "a stays resident");
         assert!(!get_or_compile(&cache, &b, &opts).1);
-        assert!(get_or_compile(&cache, &b, &opts).1, "b must not evict itself");
+        assert!(
+            get_or_compile(&cache, &b, &opts).1,
+            "b must not evict itself"
+        );
         let s = lock(&cache).stats();
         assert_eq!((s.evictions, s.entries), (1, 1), "inserting b evicts a");
     }

@@ -590,6 +590,71 @@ mod tests {
         }
     }
 
+    /// Any batch over `g`: ids in `0..n + 4` (past the end, or
+    /// provisional), relations and node types up to two past the end,
+    /// removals of existing edges and of arbitrary keys, node adds and
+    /// removes — every kind mixed in one batch.
+    fn arb_any_batch(g: &HeteroGraph, ops: &[(u8, u32, u32, u32)]) -> DeltaBatch {
+        let (n, e) = (g.num_nodes() as u32, g.num_edges());
+        let (r, nt) = (g.num_edge_types() as u32, g.num_node_types() as u32);
+        ops.iter().fold(DeltaBatch::new(), |b, &(kind, s, d, t)| {
+            let (s, d) = (s % (n + 4), d % (n + 4));
+            match kind {
+                0 | 1 => b.add_edge(s, d, t % (r + 2)),
+                2 if e > 0 => {
+                    let v = t as usize % e;
+                    b.remove_edge(g.src()[v], g.dst()[v], g.etype()[v])
+                }
+                2 | 3 => b.remove_edge(s, d, t % (r + 2)),
+                4 => b.add_node(t % (nt + 2)),
+                _ => b.remove_node(s),
+            }
+        })
+    }
+
+    proptest! {
+        /// `validate` is exactly the apply path's panic condition: a batch
+        /// it accepts splices (or rebuilds, with node ops) without
+        /// panicking into a well-formed graph with the expected node and
+        /// edge counts, and a batch it rejects would have panicked.
+        #[test]
+        fn validate_accepts_exactly_the_batches_that_apply(
+            g in arb_multigraph(),
+            ops in proptest::collection::vec(
+                (0u8..6, any::<u32>(), any::<u32>(), any::<u32>()),
+                0..10,
+            ),
+        ) {
+            let batch = arb_any_batch(&g, &ops);
+            let applied = std::panic::catch_unwind(|| {
+                if batch.has_node_ops() {
+                    rebuild_with_node_ops(&g, &batch)
+                } else {
+                    splice_edges(&g, &batch).0
+                }
+            });
+            let verdict = batch.validate(&g);
+            prop_assert_eq!(verdict.is_ok(), applied.is_ok(), "{:?}: {:?}", batch, verdict);
+            if let Ok(next) = applied {
+                next.validate();
+                let mut gone = batch.remove_nodes.clone();
+                gone.sort_unstable();
+                gone.dedup();
+                prop_assert_eq!(
+                    next.num_nodes(),
+                    g.num_nodes() + batch.add_nodes.len() - gone.len()
+                );
+                prop_assert_eq!(next.num_edge_types(), g.num_edge_types());
+                if !batch.has_node_ops() {
+                    prop_assert_eq!(
+                        next.num_edges(),
+                        g.num_edges() + batch.add_edges.len() - batch.remove_edges.len()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "matches no edge")]
     fn removing_a_missing_edge_panics() {

@@ -297,6 +297,8 @@ enum Level {
     Generic,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
@@ -306,10 +308,13 @@ impl Isa {
     /// Every instantiation the host can run, narrowest first.
     pub fn available() -> impl Iterator<Item = Isa> {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2").then_some(Isa(Level::Avx2));
+        let wide = [
+            std::arch::is_x86_feature_detected!("avx2").then_some(Isa(Level::Avx2)),
+            std::arch::is_x86_feature_detected!("avx512f").then_some(Isa(Level::Avx512)),
+        ];
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = None;
-        std::iter::once(Isa::GENERIC).chain(avx2)
+        let wide: [Option<Isa>; 0] = [];
+        std::iter::once(Isa::GENERIC).chain(wide.into_iter().flatten())
     }
 
     /// The widest instantiation the host can run, detected once per
@@ -414,13 +419,6 @@ fn gemm_tile_body<const R: usize, const NW: usize>(
     n: usize,
     ys: &mut [f32],
 ) {
-    assert_eq!(ys.len(), xs.len() * n, "output block must be [rows, n]");
-    if n == 0 {
-        return;
-    }
-    let k = slab.len() / n;
-    assert_eq!(slab.len(), k * n, "weight slab must be [k, n]");
-    assert!(xs.iter().all(|x| x.len() == k), "input rows must be k wide");
     let mut xt = xs.chunks_exact(R);
     let mut yt = ys.chunks_exact_mut(R * n);
     for (x, y) in (&mut xt).zip(&mut yt) {
@@ -446,6 +444,13 @@ unsafe fn gemm_tile_avx2(xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) 
 
 /// One block (≤ [`BLOCK_ROWS`] rows) of [`gemm_rows`] on `isa`.
 fn gemm_tile(isa: Isa, xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) {
+    assert_eq!(ys.len(), xs.len() * n, "output block must be [rows, n]");
+    if n == 0 {
+        return;
+    }
+    let k = slab.len() / n;
+    assert_eq!(slab.len(), k * n, "weight slab must be [k, n]");
+    assert!(xs.iter().all(|x| x.len() == k), "input rows must be k wide");
     match isa.0 {
         Level::Generic => {
             gemm_tile_body::<{ GENERIC_TILE.0 }, { GENERIC_TILE.1 }>(xs, slab, n, ys);
@@ -454,6 +459,10 @@ fn gemm_tile(isa: Isa, xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) {
         // SAFETY: an `Isa` naming AVX2 only comes from `Isa::available`,
         // which detected the feature on this host.
         Level::Avx2 => unsafe { gemm_tile_avx2(xs, slab, n, ys) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` naming AVX-512 only comes from
+        // `Isa::available`, which detected `avx512f` on this host.
+        Level::Avx512 => unsafe { avx512::gemm_tile(xs, slab, n, ys) },
     }
 }
 
@@ -576,14 +585,6 @@ fn outer_tile_body<const I: usize, const NW: usize>(
     n: usize,
     slab: &mut [f32],
 ) {
-    assert_eq!(xs.len(), dys.len(), "one dy row per x row");
-    if n == 0 {
-        return;
-    }
-    let k = slab.len() / n;
-    assert_eq!(slab.len(), k * n, "gradient slab must be [k, n]");
-    assert!(xs.iter().all(|x| x.len() == k), "x rows must be k wide");
-    assert!(dys.iter().all(|d| d.len() == n), "dy rows must be n wide");
     let mut tiles = slab.chunks_exact_mut(I * n);
     let mut i = 0;
     for tile in &mut tiles {
@@ -609,6 +610,14 @@ unsafe fn outer_tile_avx2(xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f
 
 /// One block (≤ [`BLOCK_ROWS`] rows) of [`outer_rows`] on `isa`.
 fn outer_tile(isa: Isa, xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32]) {
+    assert_eq!(xs.len(), dys.len(), "one dy row per x row");
+    if n == 0 {
+        return;
+    }
+    let k = slab.len() / n;
+    assert_eq!(slab.len(), k * n, "gradient slab must be [k, n]");
+    assert!(xs.iter().all(|x| x.len() == k), "x rows must be k wide");
+    assert!(dys.iter().all(|d| d.len() == n), "dy rows must be n wide");
     match isa.0 {
         Level::Generic => {
             outer_tile_body::<{ GENERIC_TILE.0 }, { GENERIC_TILE.1 }>(xs, dys, n, slab);
@@ -616,6 +625,9 @@ fn outer_tile(isa: Isa, xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `gemm_tile`.
         Level::Avx2 => unsafe { outer_tile_avx2(xs, dys, n, slab) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_tile`.
+        Level::Avx512 => unsafe { avx512::outer_tile(xs, dys, n, slab) },
     }
 }
 
@@ -649,6 +661,241 @@ pub fn outer_rows<'a>(
             break;
         }
         outer_tile(isa, &xs[..count], &dys[..count], n, slab);
+    }
+}
+
+/// The AVX-512 tiles, in explicit `std::arch` intrinsics.
+///
+/// Each output is one lane of a `__m512` accumulator that starts at
+/// `+0.0` (or at the slab's value) and takes `_mm512_add_ps` of one
+/// `_mm512_mul_ps` product per reduction step, in ascending order — the
+/// same IEEE operations, in the same order, as the generic body. Column
+/// panels cascade 64 → 32 → 16 lanes, and a ragged tail (`n % 16 ≠ 0`)
+/// is one masked 16-lane panel whose masked-off lanes are neither
+/// loaded nor stored, so every `n` stays on this level.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512, __mmask16, _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+
+    /// `f32` lanes of one `__m512` register.
+    const ZMM: usize = 16;
+
+    /// Rows of a `y = x · W` tile: 4 rows × four 16-lane panels is 16
+    /// of the 32 vector registers in accumulators, beside the four
+    /// weight registers and the broadcast. Divides
+    /// [`BLOCK_ROWS`](super::BLOCK_ROWS).
+    pub(super) const GEMM_ROWS: usize = 4;
+
+    /// Slab rows of a `dW += xᵀ · dy` tile (4 × four panels, as above).
+    const OUTER_ROWS: usize = 4;
+
+    /// The mask of a ragged tail's `lanes` (`1..16`) low lanes.
+    fn tail_mask(lanes: usize) -> __mmask16 {
+        ((1u32 << lanes) - 1) as __mmask16
+    }
+
+    /// Lanes a panel access touches from its first column: all of `P`
+    /// panels, or with `MASK` up to the highest lane set in `m`.
+    fn reach<const P: usize, const MASK: bool>(m: __mmask16) -> usize {
+        if MASK {
+            (__mmask16::BITS - m.leading_zeros()) as usize
+        } else {
+            P * ZMM
+        }
+    }
+
+    /// Loads `P` panels of `row` from column `j` (with `MASK`, the one
+    /// panel's lanes set in `m`; the others read as zero and are never
+    /// touched in memory).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load<const P: usize, const MASK: bool>(row: &[f32], j: usize, m: __mmask16) -> [__m512; P] {
+        let src = &row[j..j + reach::<P, MASK>(m)];
+        let mut v = [_mm512_setzero_ps(); P];
+        for (q, v) in v.iter_mut().enumerate() {
+            // SAFETY: an unmasked load reads lanes `[16q, 16q + 16)` and
+            // `src` is `16P` long; a masked one reads only the lanes set
+            // in `m`, all below `src.len()`.
+            *v = unsafe {
+                let at = src.as_ptr().add(q * ZMM);
+                if MASK {
+                    _mm512_maskz_loadu_ps(m, at)
+                } else {
+                    _mm512_loadu_ps(at)
+                }
+            };
+        }
+        v
+    }
+
+    /// Stores `P` panels into `row` from column `j` (with `MASK`, only
+    /// the lanes set in `m`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store<const P: usize, const MASK: bool>(
+        row: &mut [f32],
+        j: usize,
+        m: __mmask16,
+        v: &[__m512; P],
+    ) {
+        let dst = &mut row[j..j + reach::<P, MASK>(m)];
+        for (q, &v) in v.iter().enumerate() {
+            // SAFETY: as in `load`, every lane written is inside `dst`.
+            unsafe {
+                let at = dst.as_mut_ptr().add(q * ZMM);
+                if MASK {
+                    _mm512_mask_storeu_ps(at, m, v);
+                } else {
+                    _mm512_storeu_ps(at, v);
+                }
+            }
+        }
+    }
+
+    /// `acc[q] += xv · v[q]`, one multiply then one add per lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn mul_acc<const P: usize>(acc: &mut [__m512; P], xv: f32, v: &[__m512; P]) {
+        let xv = _mm512_set1_ps(xv);
+        for (a, &v) in acc.iter_mut().zip(v) {
+            *a = _mm512_add_ps(*a, _mm512_mul_ps(xv, v));
+        }
+    }
+
+    /// One register tile of `y = x · W`: `R` rows × `P` panels from
+    /// column `j`, accumulated from `+0.0` in ascending `p` and stored
+    /// once.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn gemm_panel<const R: usize, const P: usize, const MASK: bool>(
+        xs: &[&[f32]; R],
+        slab: &[f32],
+        n: usize,
+        j: usize,
+        m: __mmask16,
+        ys: &mut [f32],
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); P]; R];
+        for (p, wrow) in slab.chunks_exact(n).enumerate() {
+            let w = load::<P, MASK>(wrow, j, m);
+            for (a, x) in acc.iter_mut().zip(xs) {
+                mul_acc(a, x[p], &w);
+            }
+        }
+        for (a, y) in acc.iter().zip(ys.chunks_exact_mut(n)) {
+            store::<P, MASK>(y, j, m, a);
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn gemm_row_tile<const R: usize>(xs: &[&[f32]; R], slab: &[f32], n: usize, ys: &mut [f32]) {
+        let mut j = 0;
+        while j + 4 * ZMM <= n {
+            gemm_panel::<R, 4, false>(xs, slab, n, j, 0, ys);
+            j += 4 * ZMM;
+        }
+        if j + 2 * ZMM <= n {
+            gemm_panel::<R, 2, false>(xs, slab, n, j, 0, ys);
+            j += 2 * ZMM;
+        }
+        if j + ZMM <= n {
+            gemm_panel::<R, 1, false>(xs, slab, n, j, 0, ys);
+            j += ZMM;
+        }
+        if j < n {
+            gemm_panel::<R, 1, true>(xs, slab, n, j, tail_mask(n - j), ys);
+        }
+    }
+
+    /// One block of `gemm_rows`, shapes checked by the caller.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_tile(xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) {
+        let mut xt = xs.chunks_exact(GEMM_ROWS);
+        let mut yt = ys.chunks_exact_mut(GEMM_ROWS * n);
+        for (x, y) in (&mut xt).zip(&mut yt) {
+            let x: &[&[f32]; GEMM_ROWS] = x.try_into().expect("tile height");
+            gemm_row_tile(x, slab, n, y);
+        }
+        let ytail = yt.into_remainder().chunks_exact_mut(n);
+        for (x, y) in xt.remainder().iter().zip(ytail) {
+            gemm_row_tile::<1>(&[x], slab, n, y);
+        }
+    }
+
+    /// One register tile of `dW += xᵀ · dy`: `I` slab rows from `i` ×
+    /// `P` panels from column `j`, loaded once, advanced over every row
+    /// of the block in ascending order, stored once.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn outer_panel<const I: usize, const P: usize, const MASK: bool>(
+        xs: &[&[f32]],
+        dys: &[&[f32]],
+        i: usize,
+        n: usize,
+        j: usize,
+        m: __mmask16,
+        tile: &mut [f32],
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); P]; I];
+        for (a, t) in acc.iter_mut().zip(tile.chunks_exact(n)) {
+            *a = load::<P, MASK>(t, j, m);
+        }
+        for (x, dy) in xs.iter().zip(dys) {
+            let d = load::<P, MASK>(dy, j, m);
+            let xi: &[f32; I] = x[i..i + I].try_into().expect("tile height");
+            for (a, &xv) in acc.iter_mut().zip(xi) {
+                mul_acc(a, xv, &d);
+            }
+        }
+        for (a, t) in acc.iter().zip(tile.chunks_exact_mut(n)) {
+            store::<P, MASK>(t, j, m, a);
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn outer_row_tile<const I: usize>(
+        xs: &[&[f32]],
+        dys: &[&[f32]],
+        i: usize,
+        n: usize,
+        tile: &mut [f32],
+    ) {
+        let mut j = 0;
+        while j + 4 * ZMM <= n {
+            outer_panel::<I, 4, false>(xs, dys, i, n, j, 0, tile);
+            j += 4 * ZMM;
+        }
+        if j + 2 * ZMM <= n {
+            outer_panel::<I, 2, false>(xs, dys, i, n, j, 0, tile);
+            j += 2 * ZMM;
+        }
+        if j + ZMM <= n {
+            outer_panel::<I, 1, false>(xs, dys, i, n, j, 0, tile);
+            j += ZMM;
+        }
+        if j < n {
+            outer_panel::<I, 1, true>(xs, dys, i, n, j, tail_mask(n - j), tile);
+        }
+    }
+
+    /// One block of `outer_rows`, shapes checked by the caller.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn outer_tile(xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32]) {
+        let mut tiles = slab.chunks_exact_mut(OUTER_ROWS * n);
+        let mut i = 0;
+        for tile in &mut tiles {
+            outer_row_tile::<OUTER_ROWS>(xs, dys, i, n, tile);
+            i += OUTER_ROWS;
+        }
+        for tile in tiles.into_remainder().chunks_exact_mut(n) {
+            outer_row_tile::<1>(xs, dys, i, n, tile);
+            i += 1;
+        }
     }
 }
 
@@ -762,9 +1009,11 @@ mod tests {
 
     #[test]
     fn tiles_match_the_row_kernels_on_every_instantiation() {
-        // 15 rows = two AVX2 tiles + three single-row tails; 19 columns
-        // = one 16-panel (or none of the generic 32) + scalar columns.
-        let (rows, k, n) = (15, 9, 19);
+        // 15 rows = two AVX2 tiles (three AVX-512 ones) + single-row
+        // tails; 115 columns = 64 + 32 + 16 + a masked 3-lane panel on
+        // AVX-512, seven 16-panels + 3 scalar columns on AVX2, three
+        // 32-panels + two 8-panels + 3 scalar columns on the generic body.
+        let (rows, k, n) = (15, 9, 115);
         let (x, w, dy) = (
             pattern(rows * k, 0.3),
             pattern(k * n, 0.8),
@@ -784,6 +1033,16 @@ mod tests {
             gemm_rows(isa, x.chunks_exact(k), &w, n, &mut y);
             outer_rows(isa, x.chunks_exact(k).zip(dy.chunks_exact(n)), n, &mut g);
             assert_eq!((y, g), (want_y.clone(), want_g.clone()), "{isa:?}");
+        }
+    }
+
+    #[test]
+    fn avx512_hosts_offer_three_instantiations_and_pick_avx512() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let all: Vec<Isa> = Isa::available().collect();
+            assert_eq!(all, [Isa::GENERIC, Isa(Level::Avx2), Isa(Level::Avx512)]);
+            assert_eq!(Isa::best(), Isa(Level::Avx512));
         }
     }
 }

@@ -8,8 +8,10 @@
 //! `pack_transposed`) are pinned against the same scalar row references:
 //! ragged `k`/`n`, run lengths around the tile height and the block
 //! size, gathered rows, signed zeros and non-finite values — on the
-//! generic instantiation **and** every one the host detects, so the
-//! fallback body is exercised on AVX2 machines too.
+//! generic instantiation **and** every one the host detects (AVX2,
+//! AVX-512), so the narrower bodies are exercised on wide machines too.
+//! Fixed shapes past the proptests' range reach every AVX-512 column
+//! panel and its masked tail.
 
 use hector_tensor::microkernel::{
     gemm_row_blocked, gemm_row_scalar, gemm_row_tb_blocked, gemm_row_tb_scalar, gemm_rows,
@@ -333,4 +335,65 @@ fn generic_instantiation_is_always_available() {
     let all: Vec<Isa> = Isa::available().collect();
     assert_eq!(all[0], Isa::GENERIC);
     assert_eq!(Isa::best(), *all.last().expect("generic at least"));
+}
+
+/// A host that reports `avx512f` runs the AVX-512 tiles: generic, AVX2
+/// and AVX-512 are offered, and production takes the widest.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx512_hosts_run_the_avx512_tiles() {
+    if !std::arch::is_x86_feature_detected!("avx512f") {
+        return;
+    }
+    let all: Vec<Isa> = Isa::available().collect();
+    assert_eq!(all.len(), 3, "{all:?}");
+    assert_eq!(format!("{:?}", Isa::best()), "Isa(Avx512)");
+}
+
+/// Fixed shapes past the proptests' `1..=70` range: widths that cover
+/// every AVX-512 column panel (64, 32, 16) and the masked tail, run
+/// lengths around one gather block, `inf` / `NaN` / `-0.0` in inputs and
+/// slabs — all three tiles on every instantiation.
+#[test]
+fn wide_fixed_shapes_are_bit_identical_on_every_instantiation() {
+    let special = Fill {
+        zero_pct: 20,
+        special: true,
+    };
+    for n in [80, 96, 115, 128, 129] {
+        for k in [64, 128] {
+            for rows in [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1] {
+                let mut s = (n * 1_000 + k * 10 + rows) as u64;
+                let xpool = values((rows + 3) * k, &mut s, special);
+                let dpool = values((rows + 2) * n, &mut s, special);
+                let slab = values(k * n, &mut s, special);
+                let start = values(k * n, &mut s, special);
+                let xs = gathered(&xpool, k, rows, s);
+                let dys = gathered(&dpool, n, rows, s ^ 0x55);
+                let mut packed = vec![0.0f32; k * n];
+                pack_transposed(&slab, n, k, &mut packed);
+                let (mut want_y, mut want_t, mut want_g) = (
+                    vec![0.0f32; rows * n],
+                    vec![0.0f32; rows * n],
+                    start.clone(),
+                );
+                for (r, x) in xs.iter().enumerate() {
+                    gemm_row_scalar(x, &slab, n, false, &mut want_y[r * n..][..n]);
+                    gemm_row_tb_scalar(x, &slab, k, &mut want_t[r * n..][..n]);
+                    outer_accum_scalar(x, dys[r], &mut want_g, false);
+                }
+                for isa in Isa::available() {
+                    let shape = format!("{isa:?} k={k} n={n} rows={rows}");
+                    let mut y = vec![f32::NAN; rows * n];
+                    gemm_rows(isa, xs.iter().copied(), &slab, n, &mut y);
+                    assert_eq!(tile_bits(&y), tile_bits(&want_y), "x·W {shape}");
+                    gemm_rows(isa, xs.iter().copied(), &packed, n, &mut y);
+                    assert_eq!(tile_bits(&y), tile_bits(&want_t), "x·Wᵀ {shape}");
+                    let mut g = start.clone();
+                    outer_rows(isa, xs.iter().copied().zip(dys.iter().copied()), n, &mut g);
+                    assert_eq!(tile_bits(&g), tile_bits(&want_g), "dW {shape}");
+                }
+            }
+        }
+    }
 }
