@@ -8,16 +8,12 @@
 //!
 //! * [`ThreadPool::scope`] — structured task spawning borrowing stack
 //!   data (crossbeam-style scoped lifetimes, panic propagation);
-//! * [`ThreadPool::parallel_for`] — run a closure over contiguous index
-//!   chunks of `0..n`;
-//! * [`ThreadPool::for_each_chunk`] — the allocation-free core of
-//!   `parallel_for`: the chunk job is published through pool-owned
-//!   atomics and workers claim chunk indices with a `fetch_add`, so a
-//!   warm parallel run performs zero heap allocations (callers keep
-//!   per-chunk state in pooled slots indexed by the chunk index);
-//! * [`ThreadPool::parallel_chunks`] — same split, collecting one result
-//!   per chunk **in chunk order** (the primitive the deterministic merge
-//!   of scatter/aggregate partials is built on);
+//! * [`ThreadPool::for_each_chunk`] — run a closure over contiguous
+//!   index chunks of `0..n`: the chunk job is published through
+//!   pool-owned atomics and workers claim chunk indices with a
+//!   `fetch_add`, so a warm parallel run performs zero heap allocations
+//!   (callers keep per-chunk state in pooled slots indexed by the chunk
+//!   index);
 //! * [`ParallelConfig`] — `num_threads` / `min_chunk_rows`, defaulted
 //!   from the `HECTOR_THREADS` and `HECTOR_MIN_CHUNK_ROWS` environment
 //!   variables;
@@ -41,9 +37,10 @@
 //! The pool itself makes no ordering promises — chunks run whenever a
 //! worker picks them up. Deterministic numerics are the *callers'*
 //! contract: chunk boundaries are a pure function of `(n, min_chunk,
-//! parallelism)` via [`chunk_ranges`], and [`ThreadPool::parallel_chunks`]
-//! returns results indexed by chunk, so callers can merge partial results
-//! in fixed chunk order regardless of execution interleaving.
+//! parallelism)` via [`chunk_ranges`], and [`ThreadPool::for_each_chunk`]
+//! hands every call its chunk index, so callers can keep partial results
+//! in per-chunk slots and merge them in fixed chunk order regardless of
+//! execution interleaving.
 
 #![warn(missing_docs)]
 
@@ -643,44 +640,6 @@ impl ThreadPool {
             }
         });
     }
-
-    /// Splits `0..n` into contiguous chunks (see [`chunk_ranges`]) and
-    /// runs `f(chunk_index, range)` for each, in parallel. A single-chunk
-    /// split runs inline on the caller with no pool round-trip. Empty
-    /// domains (`n == 0`) are a no-op. Allocation-free — a thin wrapper
-    /// over [`ThreadPool::for_each_chunk`].
-    pub fn parallel_for<F>(&self, n: usize, min_chunk: usize, f: F)
-    where
-        F: Fn(usize, Range<usize>) + Send + Sync,
-    {
-        self.for_each_chunk(n, min_chunk, f);
-    }
-
-    /// Like [`ThreadPool::parallel_for`], but collects each chunk's
-    /// return value and hands them back **ordered by chunk index** —
-    /// execution order never leaks into the result, which is what lets
-    /// callers merge floating-point partials deterministically. Allocates
-    /// one slot per chunk; use [`ThreadPool::for_each_chunk`] with
-    /// caller-pooled slots on allocation-free paths.
-    pub fn parallel_chunks<R, F>(&self, n: usize, min_chunk: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, Range<usize>) -> R + Send + Sync,
-    {
-        let chunks = chunk_count(n, min_chunk, self.parallelism());
-        let slots: Vec<Mutex<Option<R>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-        self.for_each_chunk(n, min_chunk, |i, range| {
-            *slots[i].lock().unwrap() = Some(f(i, range));
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap()
-                    .expect("for_each_chunk returned, so every chunk completed")
-            })
-            .collect()
-    }
 }
 
 impl Drop for ThreadPool {
@@ -760,26 +719,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
-        let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
-        pool.parallel_for(1000, 16, |_c, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn parallel_for_empty_and_single_item() {
         let pool = ThreadPool::new(4);
         let calls = AtomicU32::new(0);
-        pool.parallel_for(0, 8, |_c, _r| {
+        pool.for_each_chunk(0, 8, |_c, _r| {
             calls.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 0, "empty domain: no calls");
-        pool.parallel_for(1, 8, |c, r| {
+        pool.for_each_chunk(1, 8, |c, r| {
             assert_eq!((c, r), (0, 0..1));
             calls.fetch_add(1, Ordering::Relaxed);
         });
@@ -791,28 +738,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_chunks_results_are_in_chunk_order() {
-        let pool = ThreadPool::new(4);
-        let out = pool.parallel_chunks(1024, 8, |ci, range| (ci, range.start));
-        assert!(out.len() > 1, "1024 rows at min_chunk 8 must split");
-        for (i, (ci, _)) in out.iter().enumerate() {
-            assert_eq!(i, *ci);
-        }
-        let starts: Vec<usize> = out.iter().map(|(_, s)| *s).collect();
-        let mut sorted = starts.clone();
-        sorted.sort_unstable();
-        assert_eq!(starts, sorted, "chunk order == ascending range order");
-    }
-
-    #[test]
     fn zero_worker_pool_runs_everything_inline() {
         let pool = ThreadPool::new(1);
         assert_eq!(pool.stats().workers, 0);
-        let sum: u64 = pool
-            .parallel_chunks(100, 1, |_c, range| range.map(|i| i as u64).sum::<u64>())
-            .into_iter()
-            .sum();
-        assert_eq!(sum, 4950);
+        let sum = AtomicU64::new(0);
+        let chunks = pool.for_each_chunk(100, 1, |_c, range| {
+            sum.fetch_add(range.map(|i| i as u64).sum::<u64>(), Ordering::Relaxed);
+        });
+        assert_eq!(chunks, 4, "a zero-worker pool still splits");
+        assert_eq!(sum.load(Ordering::Relaxed), 4950);
     }
 
     #[test]
@@ -862,7 +796,7 @@ mod tests {
         // The pool survives a panicked scope and stays usable.
         let mut v = vec![0u32; 64];
         let slots: Vec<Mutex<u32>> = (0..64).map(|_| Mutex::new(0)).collect();
-        pool.parallel_for(64, 1, |_c, range| {
+        pool.for_each_chunk(64, 1, |_c, range| {
             for i in range {
                 *slots[i].lock().unwrap() = i as u32 + 1;
             }
@@ -878,7 +812,7 @@ mod tests {
         let pool = ThreadPool::new(6);
         assert_eq!(pool.stats().workers, 5);
         // Give the workers something to chew on before shutdown.
-        pool.parallel_for(500, 1, |_c, _r| {});
+        pool.for_each_chunk(500, 1, |_c, _r| {});
         let shared = Arc::clone(&pool.shared);
         drop(pool);
         assert_eq!(
@@ -892,7 +826,7 @@ mod tests {
     fn executed_counter_tracks_chunks() {
         let pool = ThreadPool::new(2);
         let before = pool.stats().executed;
-        pool.parallel_for(1000, 10, |_c, _r| {});
+        pool.for_each_chunk(1000, 10, |_c, _r| {});
         let after = pool.stats().executed;
         let chunks = chunk_ranges(1000, 10, pool.parallelism()).len() as u64;
         assert_eq!(after - before, chunks);
@@ -1008,9 +942,19 @@ mod tests {
         // A scope used while another scope is draining (sequentially on
         // the caller) must not deadlock.
         let pool = ThreadPool::new(2);
-        let outer = pool.parallel_chunks(4, 1, |ci, _r| ci);
-        assert_eq!(outer, vec![0, 1, 2, 3]);
-        let inner = pool.parallel_chunks(4, 1, |ci, _r| ci * 2);
-        assert_eq!(inner, vec![0, 2, 4, 6]);
+        let in_chunk_order = |scale: usize| {
+            let slots: Vec<Mutex<usize>> = (0..4).map(|_| Mutex::new(usize::MAX)).collect();
+            pool.scope(|s| {
+                for (ci, slot) in slots.iter().enumerate() {
+                    s.spawn(move || *slot.lock().unwrap() = ci * scale);
+                }
+            });
+            slots
+                .into_iter()
+                .map(|m| m.into_inner().unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(in_chunk_order(1), vec![0, 1, 2, 3]);
+        assert_eq!(in_chunk_order(2), vec![0, 2, 4, 6]);
     }
 }

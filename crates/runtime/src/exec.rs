@@ -7,10 +7,10 @@
 //! only this module's elementwise leaf numerics ([`dot`] and its
 //! row-interleaved [`dot_lanes`], [`unary_row`], [`binary_row`] and the
 //! op → scalar-function tables behind them) and index helpers, never
-//! its loops — and not its GEMM rows: the oracle runs one zero-skipping
-//! row kernel per row behind a finiteness gate, production runs
-//! segment tiles that never skip (`hector_tensor::microkernel` argues
-//! why the two agree; the backend parity suites check it).
+//! its loops — and not its GEMM rows: the oracle runs the plain scalar
+//! references of `hector_tensor::microkernel` one row at a time,
+//! production runs the segment tiles pinned to them bit for bit (the
+//! backend parity suites check the whole kernels).
 //!
 //! Each kernel spec is executed exactly as the generated CUDA would run:
 //! GEMM instances gather rows through their access schemes, apply the
@@ -103,23 +103,17 @@ pub(crate) fn exec_gemm(
             let wt = params.weight(*weight);
             let (wrows, wcols) = (wt.shape()[1], wt.shape()[2]);
             let out_width = program.var(*out).width;
-            if !*transpose_w {
-                scratch.set_slab_finite(wt);
-            }
             for r in 0..m {
                 let ctx = row_ctx(spec.rows, r);
                 let ty = weight_type_index(wt.shape()[0], spec.weight_index, spec.rows, r, graph);
-                let slab_finite = *transpose_w || scratch.slab_finite(ty);
                 {
                     let x = read_operand(input, ctx, program, graph, params, vars);
                     let (x, y) = (x.as_slice(), scratch.y_zeroed(out_width));
                     debug_assert_eq!(x.len(), if *transpose_w { wcols } else { wrows });
                     if *transpose_w {
-                        microkernel::gemm_row_tb_blocked(x, wt.slab(ty), wcols, y);
+                        microkernel::gemm_row_tb_scalar(x, wt.slab(ty), wcols, y);
                     } else {
-                        // The `x == 0.0` skip is only IEEE-sound over a
-                        // finite slab (`0 × inf` must produce `NaN`).
-                        microkernel::gemm_row_blocked(x, wt.slab(ty), wcols, slab_finite, y);
+                        microkernel::gemm_row_scalar(x, wt.slab(ty), wcols, y);
                     }
                 }
                 if let Some(s) = fused_scale {
@@ -156,10 +150,7 @@ pub(crate) fn exec_gemm(
                 let ty = weight_type_index(t_count, spec.weight_index, spec.rows, r, graph);
                 let g = params.grad_mut(*out_w);
                 let slab = &mut g.data_mut()[ty * k * n..(ty + 1) * k * n];
-                // Skipping `0 × inf` would hide the IEEE-mandated `NaN`:
-                // the skip is gated on `dy` being finite, once per row.
-                let dy_finite = scratch.b(n).iter().all(|v| v.is_finite());
-                microkernel::outer_accum_blocked(scratch.a(k), scratch.b(n), slab, dy_finite);
+                microkernel::outer_accum_scalar(scratch.a(k), scratch.b(n), slab);
             }
         }
         other => unreachable!("not a GEMM op: {other:?}"),

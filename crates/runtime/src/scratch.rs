@@ -38,8 +38,6 @@ pub(crate) struct Scratch {
     /// Block-resident locals of the running traversal chunk (production
     /// executor): a block of rows per register-local variable.
     locals: Vec<f32>,
-    /// Per-type-slab finiteness flags of the running GEMM's weight.
-    finite: Vec<bool>,
     /// Buffer-growth (heap allocation) events since construction.
     grows: usize,
 }
@@ -122,25 +120,6 @@ impl Scratch {
         &self.b[..n]
     }
 
-    /// Recomputes the per-slab finiteness flags for a `[t, rows, cols]`
-    /// weight stack — one scan per kernel launch, so the `x == 0.0` GEMM
-    /// fast path can be gated per slab instead of per element.
-    pub(crate) fn set_slab_finite(&mut self, weight: &hector_tensor::Tensor) {
-        let t = weight.shape()[0];
-        if t > self.finite.capacity() {
-            self.grows += 1;
-        }
-        self.finite.clear();
-        self.finite
-            .extend((0..t).map(|ty| weight.slab(ty).iter().all(|v| v.is_finite())));
-    }
-
-    /// Whether slab `ty` of the last [`Scratch::set_slab_finite`] weight
-    /// was entirely finite.
-    pub(crate) fn slab_finite(&self, ty: usize) -> bool {
-        self.finite[ty]
-    }
-
     /// Buffer-growth (allocation) events since construction.
     pub(crate) fn grows(&self) -> usize {
         self.grows
@@ -157,14 +136,12 @@ impl Scratch {
     pub(crate) fn bytes(&self) -> usize {
         (self.y.capacity() + self.a.capacity() + self.b.capacity() + self.locals.capacity())
             * std::mem::size_of::<f32>()
-            + self.finite.capacity() * std::mem::size_of::<bool>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hector_tensor::Tensor;
 
     #[test]
     fn slots_grow_then_reuse() {
@@ -192,19 +169,6 @@ mod tests {
         assert_eq!(s.a(2), &[1.0, 2.0]);
         assert_eq!(s.b(1), &[3.0]);
         assert!(s.bytes() >= 3 * 4);
-    }
-
-    #[test]
-    fn slab_finite_flags() {
-        let mut s = Scratch::new();
-        let mut w = Tensor::zeros(&[2, 2, 2]);
-        w.data_mut()[5] = f32::INFINITY;
-        s.set_slab_finite(&w);
-        assert!(s.slab_finite(0));
-        assert!(!s.slab_finite(1));
-        // Refreshing with a finite weight flips the flag back.
-        s.set_slab_finite(&Tensor::zeros(&[2, 2, 2]));
-        assert!(s.slab_finite(1));
     }
 
     #[test]

@@ -1,23 +1,17 @@
 //! Dense tensor substrate for the Hector RGNN compiler.
 //!
-//! This crate provides the minimal dense linear-algebra layer every other
-//! Hector crate builds on: a row-major `f32` [`Tensor`] supporting one to
-//! three dimensions, plus the operation families that dominate relational
-//! graph neural network (RGNN) workloads:
+//! This crate is the dense layer every other Hector crate builds on: a
+//! row-major `f32` [`Tensor`] of rank one to three (feature matrices,
+//! per-type weight stacks, per-row scalars), seeded randomness, and the
+//! register-tiled GEMM [`microkernel`]s.
 //!
-//! * plain and transposed GEMM ([`Tensor::matmul`], [`Tensor::matmul_tb`]),
-//! * batched matrix multiply over a leading type/batch dimension
-//!   ([`Tensor::bmm`]),
-//! * *segment* matrix multiply, where rows are pre-sorted into per-type
-//!   segments and each segment is multiplied by its own weight slice
-//!   ([`segment::segment_mm`]),
-//! * row gather/scatter with optional accumulation, which the Hector GEMM
-//!   template uses to fetch operands "on the fly" instead of materialising
-//!   copies ([`Tensor::gather_rows`], [`Tensor::scatter_add_rows`]),
-//! * the elementwise / reduction helpers needed by message passing
-//!   (leaky ReLU, exponentials, per-row dot products, outer products, …),
-//! * the register-blocked [`microkernel`]s every dense inner loop above
-//!   (and the interpreter's GEMM rows) funnels through.
+//! The paper's point is that two templates — one GEMM, one traversal —
+//! replace a per-operator kernel library, and this crate keeps to it:
+//! there is one optimised GEMM family, the segment tiles
+//! ([`microkernel::gemm_rows`], [`microkernel::outer_rows`]) that the
+//! runtime's GEMM kernels run, plus the scalar row loops they are pinned
+//! against bit for bit. [`matmul_into`] is a plain `out = x · w` over the
+//! same tiles.
 //!
 //! Everything is deterministic and CPU-only: Hector's simulated GPU executes
 //! kernels functionally through this crate while a separate cost model
@@ -26,12 +20,13 @@
 //! # Example
 //!
 //! ```
-//! use hector_tensor::Tensor;
+//! use hector_tensor::{matmul_into, Tensor};
 //!
 //! let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let w = Tensor::eye(2);
-//! let y = x.matmul(&w);
-//! assert_eq!(y.data(), x.data());
+//! let w = [1.0, 0.0, 0.0, 1.0]; // the 2 × 2 identity
+//! let mut y = [f32::NAN; 4]; // overwritten
+//! matmul_into(x.data(), &w, &mut y, 2, 2, 2);
+//! assert_eq!(y, [1.0, 2.0, 3.0, 4.0]);
 //! ```
 
 #![warn(missing_docs)]
@@ -39,15 +34,11 @@
 pub mod microkernel;
 mod ops;
 mod random;
-pub mod segment;
 mod tensor;
 
 pub use ops::matmul_into;
 pub use random::{seeded_rng, xavier_uniform};
-pub use tensor::{Tensor, TensorError};
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub use tensor::Tensor;
 
 /// Tolerance-aware float comparison used across Hector's test suites.
 ///

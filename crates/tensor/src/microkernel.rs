@@ -1,31 +1,30 @@
-//! Register-blocked GEMM microkernels.
+//! Register-tiled GEMM microkernels.
 //!
-//! Every dense inner loop in Hector funnels through this module. It has
-//! two families:
+//! Every optimised GEMM in Hector runs through this module's one family,
+//! the **segment tiles** ([`gemm_rows`], [`outer_rows`]) — the production
+//! GEMM template. Rows arrive type-sorted, so the executor walks each
+//! chunk as *runs* of consecutive rows sharing one weight slab
+//! ([`for_each_run`]) and hands a run to a tile block by block: a
+//! register tile of gathered input rows × a column panel of `W` for
+//! `y = x · W`, a tile of `dW` rows × a column panel over a block of rows
+//! for `dW += xᵀ · dy`. `y = x · Wᵀ` packs `Wᵀ` once per run
+//! ([`pack_transposed`]) and reuses the forward tile.
 //!
-//! * **Segment tiles** ([`gemm_rows`], [`outer_rows`]) — the production
-//!   GEMM template. Rows arrive type-sorted, so the executor walks each
-//!   chunk as *runs* of consecutive rows sharing one weight slab
-//!   ([`for_each_run`]) and
-//!   hands a run to a tile block by block: a register tile of gathered
-//!   input rows × a column panel of `W` for `y = x · W`, a tile of `dW`
-//!   rows × a column panel over a block of rows for `dW += xᵀ · dy`.
-//!   `y = x · Wᵀ` packs `Wᵀ` once per run ([`pack_transposed`]) and
-//!   reuses the forward tile.
-//! * **Row kernels** (`gemm_row_*`, `outer_accum_*`) — one GEMV / rank-1
-//!   update per row, used by the sequential oracle (`exec.rs`), the
-//!   tensor-level `matmul` family, and as the scalar references the
-//!   tiles are pinned against.
+//! Beside them sit the **scalar references** ([`gemm_row_scalar`],
+//! [`gemm_row_tb_scalar`], [`outer_accum_scalar`]): one plain GEMV or
+//! rank-1 update per row. They define what the tiles compute, and the
+//! sequential oracle (`hector-runtime`'s `exec.rs`) runs them as they
+//! are.
 //!
 //! # Bit-identity contract
 //!
 //! Every kernel here adds the contributions of one output element in
 //! the same order (ascending reduction index, starting from the
-//! element's prior value or `+0.0`). Blocking and tiling only change
-//! *which* outputs advance together, never the per-output association
-//! order — so tiles, row kernels and scalar references agree **bit for
-//! bit** (pinned by `tests/simd_gemm.rs` over ragged dims, run lengths
-//! around the tile height, gathered rows and non-finite values).
+//! element's prior value or `+0.0`). Tiling only changes *which* outputs
+//! advance together, never the per-output association order — so tiles
+//! and scalar references agree **bit for bit** (pinned by
+//! `tests/simd_gemm.rs` over ragged dims, run lengths around the tile
+//! height, gathered rows and non-finite values).
 //! *Whether* an output is NaN is inside the contract; a NaN's sign and
 //! payload are not — Rust leaves them unspecified, and they follow the
 //! operand order the compiler picks when two NaNs meet in an addition.
@@ -59,173 +58,62 @@
 //! never contracts `a * b + c`. All three perform the same IEEE
 //! operations and differ only in register width.
 //!
-//! # Zeros are not skipped — the signed-zero argument
+//! # Zeros are not skipped
 //!
-//! The row kernels take a `skip_zero_x` flag: skipping a zero input
-//! element saves a panel of multiply-adds, but is only IEEE-sound when
-//! the slab holds no `inf`/`NaN` (`0 × inf` must produce `NaN`), so
-//! their callers scan the slab for finiteness first. The tiles drop
-//! both the branch and the scan, and still agree with a gated row
-//! kernel bit for bit:
+//! No kernel here branches on a zero input element, so `0 × inf` and
+//! `0 × NaN` produce `NaN` as IEEE demands, with no finiteness scan of
+//! the operands. Over a finite slab a skip would not change the result
+//! either — the signed-zero argument:
 //!
 //! * a product with a zero input and a *finite* weight is `±0`;
 //! * an accumulator that starts at `+0.0` can never become `-0.0` under
 //!   round-to-nearest (a sum is `-0.0` only when both addends are), so
 //!   adding `±0` to it is the identity — whether the accumulator is
-//!   still `+0.0` or already non-zero;
-//! * against a *non-finite* slab the gate was off and nothing was
-//!   skipped to begin with.
+//!   still `+0.0` or already non-zero.
 //!
-//! Forward outputs start at `+0.0` by construction and weight gradients
-//! are zero-filled before every step, so the premise holds wherever the
-//! executor calls a tile. Measured, the branch *costs* time once it is
-//! taken half the time (mispredictions), which is why it left the
-//! production path instead of being kept as an optimisation.
+//! Measured, the branch *costs* time once it is taken half the time
+//! (mispredictions).
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// SIMD lane width the row kernels' and generic/AVX2 tiles' panels are
-/// built from (`f32x8`, one AVX2 register; narrower ISAs split each
-/// panel into several registers). The AVX-512 tiles use 16-lane
-/// registers of their own.
+/// SIMD lane width the generic and AVX2 tiles' panels are built from
+/// (`f32x8`, one AVX2 register; narrower ISAs split each panel into
+/// several registers). The AVX-512 tiles use 16-lane registers of their
+/// own.
 pub const LANES: usize = 8;
 
-/// Column panels held live per register block: `PANELS × LANES`
-/// accumulators fill a small register file's worth of vector registers
-/// while still leaving room for the broadcast multiplier and the weight
-/// panel itself.
-pub const PANELS: usize = 4;
+/// Panel width of the generic tile in columns: four [`LANES`]-wide
+/// panels fill a small register file's worth of vector registers while
+/// still leaving room for the broadcast multiplier and the weight panel
+/// itself.
+pub const BLOCK: usize = 4 * LANES;
 
-/// Main-block width in columns.
-pub const BLOCK: usize = LANES * PANELS;
-
-/// One register-blocked panel of `y += x · W`: accumulates columns
-/// `[j, j + W)` of every weight row into a register array seeded from
-/// `y`, then stores the panel back once.
-#[inline]
-fn gemm_panel<const W: usize>(
-    x: &[f32],
-    slab: &[f32],
-    wcols: usize,
-    j: usize,
-    skip_zero_x: bool,
-    y: &mut [f32],
-) {
-    let mut acc = [0.0f32; W];
-    acc.copy_from_slice(&y[j..j + W]);
-    for (row, &xv) in slab.chunks_exact(wcols).zip(x) {
-        if xv == 0.0 && skip_zero_x {
-            continue;
-        }
-        let w: &[f32; W] = row[j..j + W].try_into().expect("panel width");
-        for (a, &wv) in acc.iter_mut().zip(w) {
-            *a += xv * wv;
-        }
-    }
-    y[j..j + W].copy_from_slice(&acc);
-}
-
-/// Blocked `y += x · W` where `W` is `[x.len(), wcols]` row-major and
-/// `y` is `wcols` wide. Per-output contributions are added in ascending
-/// input index — bit-identical to [`gemm_row_scalar`].
+/// Scalar `y += x · W` where `W` is `[x.len(), wcols]` row-major and `y`
+/// is `wcols` wide: one axpy per input element, in ascending input
+/// index. The reference of the `y = x · W` tile (from a zeroed `y`).
 ///
 /// # Panics
 ///
-/// Panics if `y.len() != wcols` or the slab is shorter than
-/// `x.len() * wcols`.
-pub fn gemm_row_blocked(x: &[f32], slab: &[f32], wcols: usize, skip_zero_x: bool, y: &mut [f32]) {
-    assert_eq!(y.len(), wcols, "output width must equal weight columns");
-    assert!(slab.len() >= x.len() * wcols, "weight slab too short");
-    let mut j = 0;
-    while j + BLOCK <= wcols {
-        gemm_panel::<BLOCK>(x, slab, wcols, j, skip_zero_x, y);
-        j += BLOCK;
-    }
-    while j + LANES <= wcols {
-        gemm_panel::<LANES>(x, slab, wcols, j, skip_zero_x, y);
-        j += LANES;
-    }
-    // Scalar tail for dims not a multiple of the lane width.
-    for jj in j..wcols {
-        let mut acc = y[jj];
-        for (row, &xv) in slab.chunks_exact(wcols).zip(x) {
-            if xv == 0.0 && skip_zero_x {
-                continue;
-            }
-            acc += xv * row[jj];
-        }
-        y[jj] = acc;
-    }
-}
-
-/// Scalar reference for [`gemm_row_blocked`]: the pre-blocking axpy loop
-/// (kept as the reference of the bit-identity proptests).
-pub fn gemm_row_scalar(x: &[f32], slab: &[f32], wcols: usize, skip_zero_x: bool, y: &mut [f32]) {
+/// Panics if `y.len() != wcols`.
+pub fn gemm_row_scalar(x: &[f32], slab: &[f32], wcols: usize, y: &mut [f32]) {
     assert_eq!(y.len(), wcols, "output width must equal weight columns");
     if wcols == 0 {
         return;
     }
     for (&xv, row) in x.iter().zip(slab.chunks_exact(wcols)) {
-        if xv == 0.0 && skip_zero_x {
-            continue;
-        }
         for (yj, &wv) in y.iter_mut().zip(row) {
             *yj += xv * wv;
         }
     }
 }
 
-/// Blocked `y = x · Wᵀ` where `W` is `[y.len(), wcols]` row-major and
-/// `x` is `wcols` wide: `LANES` independent row dots advance together,
-/// each accumulating in ascending `p` — bit-identical to the serial dot
-/// per output of [`gemm_row_tb_scalar`]. Overwrites `y`.
-///
-/// # Panics
-///
-/// Panics if the slab is shorter than `y.len() * wcols`.
-pub fn gemm_row_tb_blocked(x: &[f32], slab: &[f32], wcols: usize, y: &mut [f32]) {
-    assert_eq!(x.len(), wcols, "input width must equal weight columns");
-    assert!(slab.len() >= y.len() * wcols, "weight slab too short");
-    if wcols == 0 {
-        // Zero-length dots: every output is the empty sum.
-        y.fill(0.0);
-        return;
-    }
-    const TB_ROWS: usize = 4;
-    let panels = y.chunks_exact_mut(TB_ROWS);
-    let done = panels.len() * TB_ROWS;
-    for (ypanel, wpanel) in panels.zip(slab.chunks_exact(wcols * TB_ROWS)) {
-        // Four independent row dots advance together: each keeps its
-        // serial accumulation order over `p`, while the shared `x[p]`
-        // load and the four multiply-then-add chains overlap in flight.
-        let (r0, rest) = wpanel.split_at(wcols);
-        let (r1, rest) = rest.split_at(wcols);
-        let (r2, r3) = rest.split_at(wcols);
-        let mut acc = [0.0f32; TB_ROWS];
-        for ((((&xv, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-            acc[0] += xv * w0;
-            acc[1] += xv * w1;
-            acc[2] += xv * w2;
-            acc[3] += xv * w3;
-        }
-        ypanel.copy_from_slice(&acc);
-    }
-    for (yj, row) in y[done..]
-        .iter_mut()
-        .zip(slab[done * wcols..].chunks_exact(wcols))
-    {
-        *yj = x
-            .iter()
-            .zip(row)
-            .fold(0.0f32, |acc, (&xv, &wv)| acc + xv * wv);
-    }
-}
-
-/// Scalar reference for [`gemm_row_tb_blocked`]: one serial dot per
-/// output.
+/// Scalar `y = x · Wᵀ` where `W` is `[y.len(), wcols]` row-major and `x`
+/// is `wcols` wide: one serial dot per output, overwriting `y`. The
+/// reference of the tile over [`pack_transposed`] slabs.
 pub fn gemm_row_tb_scalar(x: &[f32], slab: &[f32], wcols: usize, y: &mut [f32]) {
     if wcols == 0 {
+        // Zero-length dots: every output is the empty sum.
         y.fill(0.0);
         return;
     }
@@ -237,61 +125,15 @@ pub fn gemm_row_tb_scalar(x: &[f32], slab: &[f32], wcols: usize, y: &mut [f32]) 
     }
 }
 
-/// One register-panelled axpy `row += xv * dy`: the panels move through
-/// fixed-size register arrays (`try_into` proves the width to the
-/// compiler, so the multiply-accumulate carries no bounds checks), with
-/// a scalar tail for ragged widths.
-#[inline]
-fn axpy_panels(xv: f32, dy: &[f32], row: &mut [f32]) {
-    let mut rp = row.chunks_exact_mut(LANES);
-    let mut dp = dy.chunks_exact(LANES);
-    for (r, d) in (&mut rp).zip(&mut dp) {
-        let r: &mut [f32; LANES] = r.try_into().expect("panel width");
-        let d: &[f32; LANES] = d.try_into().expect("panel width");
-        for (rv, &dv) in r.iter_mut().zip(d) {
-            *rv += xv * dv;
-        }
-    }
-    for (rv, &dv) in rp.into_remainder().iter_mut().zip(dp.remainder()) {
-        *rv += xv * dv;
-    }
-}
-
-/// Blocked outer-product accumulate `slab += x ⊗ dy` (`slab` is
-/// `[x.len(), dy.len()]` row-major): each slab row streams through
-/// memory exactly once (the cache-friendly order — column-panel-outer
-/// layouts re-walk the whole slab per panel and lose badly once the
-/// slab outgrows L1) while the arithmetic runs in register panels.
-/// Each slab element receives exactly one contribution per call, so the
-/// result is trivially bit-identical to [`outer_accum_scalar`].
-///
-/// # Panics
-///
-/// Panics if the slab is shorter than `x.len() * dy.len()`.
-pub fn outer_accum_blocked(x: &[f32], dy: &[f32], slab: &mut [f32], skip_zero_x: bool) {
-    let n = dy.len();
-    assert!(slab.len() >= x.len() * n, "gradient slab too short");
-    if n == 0 {
-        return;
-    }
-    for (&xv, row) in x.iter().zip(slab.chunks_exact_mut(n)) {
-        if xv == 0.0 && skip_zero_x {
-            continue;
-        }
-        axpy_panels(xv, dy, row);
-    }
-}
-
-/// Scalar reference for [`outer_accum_blocked`]: one axpy per slab row.
-pub fn outer_accum_scalar(x: &[f32], dy: &[f32], slab: &mut [f32], skip_zero_x: bool) {
+/// Scalar outer-product accumulate `slab += x ⊗ dy` (`slab` is
+/// `[x.len(), dy.len()]` row-major): one axpy per slab row. The
+/// reference of the `dW += xᵀ · dy` tile, one call per row.
+pub fn outer_accum_scalar(x: &[f32], dy: &[f32], slab: &mut [f32]) {
     let n = dy.len();
     if n == 0 {
         return;
     }
     for (&xv, row) in x.iter().zip(slab.chunks_exact_mut(n)) {
-        if xv == 0.0 && skip_zero_x {
-            continue;
-        }
         for (g, &dv) in row.iter_mut().zip(dy) {
             *g += xv * dv;
         }
@@ -490,8 +332,7 @@ fn gemm_tile(isa: Isa, xs: &[&[f32]], slab: &[f32], n: usize, ys: &mut [f32]) {
 /// rows, each `k` wide, and `ys` is the run's `[rows, n]` output block
 /// (overwritten). Each output accumulates from `+0.0` in ascending `p`
 /// without skipping zeros — bit-identical to [`gemm_row_scalar`] into a
-/// zeroed row with the skip gate off, and (see the module docs) with it
-/// on over a finite slab.
+/// zeroed row.
 ///
 /// # Panics
 ///
@@ -654,9 +495,7 @@ fn outer_tile(isa: Isa, xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32
 /// one `[k, n]` gradient slab: `rows` yields the (gathered) `(x, dy)`
 /// row pairs, `k` and `n` wide. Every slab element receives the rows'
 /// contributions in ascending `r` without skipping zeros —
-/// bit-identical to one [`outer_accum_scalar`] per row with the skip
-/// gate off, and (see the module docs) with it on over finite `dy` rows
-/// when the slab was accumulated from `+0.0`.
+/// bit-identical to one [`outer_accum_scalar`] per row.
 ///
 /// # Panics
 ///
@@ -931,83 +770,19 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_scalar_across_ragged_dims() {
-        for &k in &[1usize, 3, 8, 17] {
-            for &n in &[1usize, 7, 8, 9, 31, 32, 33, 40, 64] {
-                let x = pattern(k, 0.1);
-                let w = pattern(k * n, 0.7);
-                let mut yb = vec![0.25f32; n];
-                let mut ys = yb.clone();
-                gemm_row_blocked(&x, &w, n, true, &mut yb);
-                gemm_row_scalar(&x, &w, n, true, &mut ys);
-                assert_eq!(yb, ys, "k={k} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_blocked_matches_scalar() {
-        for &rows in &[1usize, 7, 8, 9, 16, 33] {
-            for &k in &[1usize, 5, 32] {
-                let x = pattern(k, 0.4);
-                let w = pattern(rows * k, 0.9);
-                let mut yb = vec![0.0f32; rows];
-                let mut ys = yb.clone();
-                gemm_row_tb_blocked(&x, &w, k, &mut yb);
-                gemm_row_tb_scalar(&x, &w, k, &mut ys);
-                assert_eq!(yb, ys, "rows={rows} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn outer_blocked_matches_scalar() {
-        for &m in &[1usize, 4, 9] {
-            for &n in &[1usize, 7, 8, 33] {
-                let mut x = pattern(m, 0.2);
-                if m > 2 {
-                    x[2] = 0.0; // exercise the zero-skip
-                }
-                let dy = pattern(n, 0.6);
-                let mut gb = pattern(m * n, 1.3);
-                let mut gs = gb.clone();
-                outer_accum_blocked(&x, &dy, &mut gb, true);
-                outer_accum_scalar(&x, &dy, &mut gs, true);
-                assert_eq!(gb, gs, "m={m} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_skip_gate_preserves_nan_when_disabled() {
-        // 0 × inf must be NaN when the gate says the slab is not finite.
-        let x = [0.0f32, 1.0];
-        let w = [f32::INFINITY, 2.0, 3.0, 4.0];
-        let mut y = [0.0f32; 2];
-        gemm_row_blocked(&x, &w, 2, false, &mut y);
-        assert!(y[0].is_nan());
-        // With the gate on (finite slab claim), the zero row is skipped.
-        let mut y2 = [0.0f32; 2];
-        gemm_row_blocked(&x, &w, 2, true, &mut y2);
-        assert_eq!(y2, [3.0, 4.0]);
-    }
-
-    #[test]
     fn zero_width_dims_are_empty_sums_not_panics() {
-        // wcols == 0: every kernel degenerates to the empty sum (the
-        // pre-blocking loop-based code returned zeros here too).
-        let mut y = [1.0f32; 3];
-        gemm_row_tb_blocked(&[], &[], 0, &mut y);
-        assert_eq!(y, [0.0; 3]);
+        // wcols == 0: every kernel degenerates to the empty sum.
         let mut y = [1.0f32; 3];
         gemm_row_tb_scalar(&[], &[], 0, &mut y);
         assert_eq!(y, [0.0; 3]);
         let mut empty: [f32; 0] = [];
-        gemm_row_blocked(&[1.0], &[], 0, true, &mut empty);
-        gemm_row_scalar(&[1.0], &[], 0, true, &mut empty);
+        gemm_row_scalar(&[1.0], &[], 0, &mut empty);
         let mut slab: [f32; 0] = [];
-        outer_accum_blocked(&[1.0], &[], &mut slab, true);
-        outer_accum_scalar(&[1.0], &[], &mut slab, true);
+        outer_accum_scalar(&[1.0], &[], &mut slab);
+        for isa in Isa::available() {
+            gemm_rows(isa, [&[1.0f32][..]], &[], 0, &mut empty);
+            outer_rows(isa, [(&[1.0f32][..], &[][..])], 0, &mut slab);
+        }
     }
 
     #[test]
@@ -1015,7 +790,7 @@ mod tests {
         let x = [1.0f32];
         let w = [2.0f32, 3.0];
         let mut y = [10.0f32, 20.0];
-        gemm_row_blocked(&x, &w, 2, true, &mut y);
+        gemm_row_scalar(&x, &w, 2, &mut y);
         assert_eq!(y, [12.0, 23.0]);
     }
 
@@ -1043,8 +818,8 @@ mod tests {
         let (mut want_y, mut want_g) = (vec![0.0f32; rows * n], pattern(k * n, 2.0));
         let start_g = want_g.clone();
         for r in 0..rows {
-            gemm_row_scalar(&x[r * k..][..k], &w, n, false, &mut want_y[r * n..][..n]);
-            outer_accum_scalar(&x[r * k..][..k], &dy[r * n..][..n], &mut want_g, false);
+            gemm_row_scalar(&x[r * k..][..k], &w, n, &mut want_y[r * n..][..n]);
+            outer_accum_scalar(&x[r * k..][..k], &dy[r * n..][..n], &mut want_g);
         }
         let mut wt = vec![0.0f32; k * n];
         pack_transposed(&w, k, n, &mut wt);

@@ -1,397 +1,23 @@
-//! Dense operations on [`Tensor`]: GEMM variants, elementwise math,
-//! reductions, gather/scatter, and the small vector helpers RGNN message
-//! passing needs.
-//!
-//! The GEMM family (`matmul`, `matmul_tb`, `matmul_ta`, `bmm`) runs on
-//! the register-blocked [`crate::microkernel`]s; blocking never changes
-//! a per-output accumulation order, so results are bit-identical to the
-//! scalar loops they replaced.
+//! The two dense helpers outside the tiles: an elementwise map on
+//! [`Tensor`] and a plain `out = x · w` over slices.
 
-use crate::microkernel::{gemm_row_blocked, gemm_row_tb_blocked, outer_accum_blocked};
+use crate::microkernel::{gemm_rows, Isa};
 use crate::Tensor;
 
 impl Tensor {
-    /// Matrix multiply: `self [m,k] × rhs [k,n] -> [m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are rank 2 with matching inner dimension.
-    #[must_use]
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul lhs must be rank 2");
-        assert_eq!(rhs.rank(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        assert_eq!(k, k2, "matmul inner dimensions must agree");
-        let mut out = Tensor::zeros(&[m, n]);
-        matmul_into(self.data(), rhs.data(), out.data_mut(), m, k, n);
-        out
-    }
-
-    /// Matrix multiply with transposed right operand:
-    /// `self [m,k] × rhs^T` where `rhs` is `[n,k]`, producing `[m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are rank 2 with matching `k`.
-    #[must_use]
-    pub fn matmul_tb(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        assert_eq!(rhs.rank(), 2);
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (n, k2) = (rhs.shape()[0], rhs.shape()[1]);
-        assert_eq!(k, k2, "matmul_tb inner dimensions must agree");
-        let mut out = Tensor::zeros(&[m, n]);
-        if k == 0 || n == 0 {
-            return out;
-        }
-        for (xi, orow) in self
-            .data()
-            .chunks_exact(k)
-            .zip(out.data_mut().chunks_exact_mut(n))
-        {
-            gemm_row_tb_blocked(xi, rhs.data(), k, orow);
-        }
-        out
-    }
-
-    /// Matrix multiply with transposed left operand:
-    /// `self^T × rhs` where `self` is `[k,m]` and `rhs` is `[k,n]`,
-    /// producing `[m,n]`. This is the shape of weight-gradient outer
-    /// products in backward propagation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are rank 2 with matching `k`.
-    #[must_use]
-    pub fn matmul_ta(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        assert_eq!(rhs.rank(), 2);
-        let (k, m) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        assert_eq!(k, k2, "matmul_ta inner dimensions must agree");
-        let mut out = Tensor::zeros(&[m, n]);
-        // One rank-1 update per shared row: the blocked outer-product
-        // kernel accumulates each, in ascending `p` per output element.
-        for p in 0..k {
-            outer_accum_blocked(self.row(p), rhs.row(p), out.data_mut(), true);
-        }
-        out
-    }
-
-    /// Batched matrix multiply: `self [b,m,k] × rhs [b,k,n] -> [b,m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless shapes are rank 3 with matching batch and inner dims.
-    #[must_use]
-    pub fn bmm(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 3);
-        assert_eq!(rhs.rank(), 3);
-        let (b, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (b2, k2, n) = (rhs.shape()[0], rhs.shape()[1], rhs.shape()[2]);
-        assert_eq!(b, b2, "bmm batch dimensions must agree");
-        assert_eq!(k, k2, "bmm inner dimensions must agree");
-        let mut out = Tensor::zeros(&[b, m, n]);
-        for bi in 0..b {
-            let x = self.slab(bi);
-            let w = rhs.slab(bi);
-            let o = &mut out.data_mut()[bi * m * n..(bi + 1) * m * n];
-            matmul_into(x, w, o, m, k, n);
-        }
-        out
-    }
-
-    /// Transpose of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is rank 2.
-    #[must_use]
-    pub fn transpose2(&self) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = Tensor::zeros(&[n, m]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data_mut()[j * m + i] = self.data()[i * n + j];
-            }
-        }
-        out
-    }
-
-    /// Elementwise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn add(&self, rhs: &Tensor) -> Tensor {
-        self.zip_with(rhs, |a, b| a + b)
-    }
-
-    /// Elementwise subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        self.zip_with(rhs, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn mul_elem(&self, rhs: &Tensor) -> Tensor {
-        self.zip_with(rhs, |a, b| a * b)
-    }
-
-    /// In-place accumulation `self += rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_assign(&mut self, rhs: &Tensor) {
-        assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
-        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data().iter()) {
-            *a += b;
-        }
-    }
-
-    /// Multiplies every element by `s`.
-    #[must_use]
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
-    }
-
     /// Applies `f` to every element, producing a new tensor.
     #[must_use]
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let data = self.data().iter().map(|&x| f(x)).collect();
         Tensor::from_vec(data, self.shape())
     }
-
-    fn zip_with(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(self.shape(), rhs.shape(), "elementwise shape mismatch");
-        let data = self
-            .data()
-            .iter()
-            .zip(rhs.data().iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Tensor::from_vec(data, self.shape())
-    }
-
-    /// Leaky rectified linear unit with negative slope `slope`.
-    #[must_use]
-    pub fn leaky_relu(&self, slope: f32) -> Tensor {
-        self.map(|x| if x >= 0.0 { x } else { slope * x })
-    }
-
-    /// Elementwise natural exponential.
-    #[must_use]
-    pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
-    }
-
-    /// Sum of all elements.
-    #[must_use]
-    pub fn sum(&self) -> f32 {
-        self.data().iter().sum()
-    }
-
-    /// Per-row sums of a rank-2 tensor, producing a rank-1 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is rank 2.
-    #[must_use]
-    pub fn row_sums(&self) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = Tensor::zeros(&[m]);
-        for i in 0..m {
-            out.data_mut()[i] = self.data()[i * n..(i + 1) * n].iter().sum();
-        }
-        out
-    }
-
-    /// Gathers rows by `indices`: output row `i` is `self` row `indices[i]`.
-    ///
-    /// This is the functional core of the GEMM template's `GATHER(row_idx)`
-    /// access scheme (paper Fig. 7, step 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is rank 2 and all indices are in range.
-    #[must_use]
-    pub fn gather_rows(&self, indices: &[u32]) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        let n = self.shape()[1];
-        let mut out = Tensor::zeros(&[indices.len(), n]);
-        for (i, &src) in indices.iter().enumerate() {
-            out.set_row(i, self.row(src as usize));
-        }
-        out
-    }
-
-    /// Scatter-accumulates rows: for each input row `i`,
-    /// `out[indices[i]] += self[i]`. Functional analog of the template's
-    /// atomic scatter stores.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are rank 2 with equal column counts and
-    /// all indices are in range.
-    pub fn scatter_add_rows(&self, indices: &[u32], out: &mut Tensor) {
-        assert_eq!(self.rank(), 2);
-        assert_eq!(out.rank(), 2);
-        assert_eq!(self.shape()[1], out.shape()[1], "scatter column mismatch");
-        assert_eq!(indices.len(), self.rows(), "one index per input row");
-        let n = self.shape()[1];
-        for (i, &dst) in indices.iter().enumerate() {
-            let src = &self.data()[i * n..(i + 1) * n];
-            let drow = out.row_mut(dst as usize);
-            for j in 0..n {
-                drow[j] += src[j];
-            }
-        }
-    }
-
-    /// Per-row dot products of two equal-shape rank-2 tensors, producing a
-    /// rank-1 tensor of length `rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ or tensors are not rank 2.
-    #[must_use]
-    pub fn row_dot(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        assert_eq!(self.shape(), rhs.shape(), "row_dot shape mismatch");
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = Tensor::zeros(&[m]);
-        for i in 0..m {
-            let a = self.row(i);
-            let b = rhs.row(i);
-            let mut acc = 0.0;
-            for j in 0..n {
-                acc += a[j] * b[j];
-            }
-            out.data_mut()[i] = acc;
-        }
-        out
-    }
-
-    /// Multiplies each row `i` by scalar `scalars[i]`.
-    ///
-    /// This mirrors the GEMM template's fused per-row scalar described in
-    /// paper §3.4.1 (weighting message rows by attention or norm).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is rank 2 and `scalars` is rank 1 of length
-    /// `rows`.
-    #[must_use]
-    pub fn mul_rows_by_scalar(&self, scalars: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        assert_eq!(scalars.rank(), 1);
-        assert_eq!(scalars.len(), self.rows());
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = self.clone();
-        for i in 0..m {
-            let s = scalars.data()[i];
-            for v in &mut out.data_mut()[i * n..(i + 1) * n] {
-                *v *= s;
-            }
-        }
-        out
-    }
-
-    /// Outer product of two rank-1 tensors: `[m] ⊗ [n] -> [m,n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are rank 1.
-    #[must_use]
-    pub fn outer(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 1);
-        assert_eq!(rhs.rank(), 1);
-        let (m, n) = (self.len(), rhs.len());
-        let mut out = Tensor::zeros(&[m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data_mut()[i * n + j] = self.data()[i] * rhs.data()[j];
-            }
-        }
-        out
-    }
-
-    /// Row-wise softmax of a rank-2 tensor (numerically stabilised).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is rank 2.
-    #[must_use]
-    pub fn softmax_rows(&self) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = self.clone();
-        for i in 0..m {
-            let row = &mut out.data_mut()[i * n..(i + 1) * n];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-        out
-    }
-
-    /// Index of the maximum element in each row of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is rank 2 with at least one column.
-    #[must_use]
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.rank(), 2);
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        assert!(n > 0);
-        (0..m)
-            .map(|i| {
-                let row = self.row(i);
-                let mut best = 0;
-                for j in 1..n {
-                    if row[j] > row[best] {
-                        best = j;
-                    }
-                }
-                best
-            })
-            .collect()
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn norm(&self) -> f32 {
-        self.data().iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
 }
 
-/// Inner GEMM used by [`Tensor::matmul`] and [`Tensor::bmm`]:
-/// accumulates `out += x · w` row by row through the register-blocked
-/// microkernel. Zero input elements are skipped (the historical
-/// semantics of this function — callers with non-finite weights should
-/// not rely on `0 × inf` here; the interpreter's gated entry point is
-/// `hector-runtime`'s `gemm_row_into`).
+/// `out = x · w` for row-major `x [m, k]`, `w [k, n]` and `out [m, n]`,
+/// on the production segment tiles ([`gemm_rows`] at [`Isa::best`]).
+/// `out` is overwritten: each element sums from `+0.0` in ascending `k`
+/// without skipping zeros, so `0 × inf` is `NaN`. With `k == 0` every
+/// output is the empty sum, `+0.0`.
 ///
 /// # Panics
 ///
@@ -400,161 +26,9 @@ pub fn matmul_into(x: &[f32], w: &[f32], out: &mut [f32], m: usize, k: usize, n:
     assert_eq!(x.len(), m * k);
     assert_eq!(w.len(), k * n);
     assert_eq!(out.len(), m * n);
-    if k == 0 || n == 0 {
+    if k == 0 {
+        out.fill(0.0);
         return;
     }
-    for (xrow, orow) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        gemm_row_blocked(xrow, w, n, true, orow);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{assert_close, Tensor};
-
-    fn t2(data: &[f32], r: usize, c: usize) -> Tensor {
-        Tensor::from_vec(data.to_vec(), &[r, c])
-    }
-
-    #[test]
-    fn matmul_matches_hand_computed() {
-        let a = t2(&[1.0, 2.0, 3.0, 4.0], 2, 2);
-        let b = t2(&[5.0, 6.0, 7.0, 8.0], 2, 2);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = t2(&[1.0, -2.0, 0.5, 3.0, 4.0, -1.0], 2, 3);
-        let y = a.matmul(&Tensor::eye(3));
-        assert_close(&y, &a, 1e-6, 1e-6);
-    }
-
-    #[test]
-    fn matmul_tb_equals_matmul_of_transpose() {
-        let a = t2(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-        let b = t2(
-            &[1.0, 0.0, 2.0, -1.0, 3.0, 1.0, 0.5, 2.0, 0.0, 1.0, 1.0, 1.0],
-            4,
-            3,
-        );
-        let direct = a.matmul_tb(&b);
-        let via_t = a.matmul(&b.transpose2());
-        assert_close(&direct, &via_t, 1e-5, 1e-6);
-    }
-
-    #[test]
-    fn matmul_ta_equals_matmul_of_transpose() {
-        let a = t2(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2);
-        let b = t2(&[1.0, -1.0, 0.5, 2.0, 0.0, 1.0], 3, 2);
-        let direct = a.matmul_ta(&b);
-        let via_t = a.transpose2().matmul(&b);
-        assert_close(&direct, &via_t, 1e-5, 1e-6);
-    }
-
-    #[test]
-    fn bmm_per_batch() {
-        let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0], &[2, 2, 2]);
-        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0], &[2, 2, 2]);
-        let y = x.bmm(&w);
-        assert_eq!(y.shape(), &[2, 2, 2]);
-        assert_eq!(y.slab(0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(y.slab(1), &[2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn transpose_involutive() {
-        let a = t2(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-        assert_close(&a.transpose2().transpose2(), &a, 0.0, 0.0);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = t2(&[1.0, 2.0], 1, 2);
-        let b = t2(&[3.0, 4.0], 1, 2);
-        assert_eq!(a.add(&b).data(), &[4.0, 6.0]);
-        assert_eq!(b.sub(&a).data(), &[2.0, 2.0]);
-        assert_eq!(a.mul_elem(&b).data(), &[3.0, 8.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn add_assign_accumulates() {
-        let mut a = t2(&[1.0, 1.0], 1, 2);
-        a.add_assign(&t2(&[2.0, 3.0], 1, 2));
-        assert_eq!(a.data(), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn leaky_relu_splits_sign() {
-        let a = Tensor::from_vec(vec![-2.0, 0.0, 3.0], &[3]);
-        assert_eq!(a.leaky_relu(0.1).data(), &[-0.2, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn gather_then_scatter_roundtrip() {
-        let x = t2(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2);
-        let g = x.gather_rows(&[2, 0]);
-        assert_eq!(g.row(0), &[5.0, 6.0]);
-        assert_eq!(g.row(1), &[1.0, 2.0]);
-        let mut out = Tensor::zeros(&[3, 2]);
-        g.scatter_add_rows(&[2, 0], &mut out);
-        assert_eq!(out.row(0), &[1.0, 2.0]);
-        assert_eq!(out.row(1), &[0.0, 0.0]);
-        assert_eq!(out.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn scatter_accumulates_duplicates() {
-        let x = t2(&[1.0, 1.0, 2.0, 2.0], 2, 2);
-        let mut out = Tensor::zeros(&[1, 2]);
-        x.scatter_add_rows(&[0, 0], &mut out);
-        assert_eq!(out.row(0), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn row_dot_matches_manual() {
-        let a = t2(&[1.0, 2.0, 3.0, 4.0], 2, 2);
-        let b = t2(&[5.0, 6.0, 7.0, 8.0], 2, 2);
-        assert_eq!(a.row_dot(&b).data(), &[17.0, 53.0]);
-    }
-
-    #[test]
-    fn mul_rows_by_scalar_scales_rows() {
-        let a = t2(&[1.0, 1.0, 2.0, 2.0], 2, 2);
-        let s = Tensor::from_vec(vec![2.0, 0.5], &[2]);
-        assert_eq!(a.mul_rows_by_scalar(&s).data(), &[2.0, 2.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn outer_product() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0, 5.0], &[3]);
-        let o = a.outer(&b);
-        assert_eq!(o.shape(), &[2, 3]);
-        assert_eq!(o.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let a = t2(&[1.0, 2.0, 3.0, -1.0, 0.0, 1.0], 2, 3);
-        let s = a.softmax_rows();
-        for i in 0..2 {
-            let sum: f32 = s.row(i).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn argmax_rows_picks_max() {
-        let a = t2(&[1.0, 3.0, 2.0, 5.0, 4.0, 0.0], 2, 3);
-        assert_eq!(a.argmax_rows(), vec![1, 0]);
-    }
-
-    #[test]
-    fn row_sums_matches_manual() {
-        let a = t2(&[1.0, 2.0, 3.0, 4.0], 2, 2);
-        assert_eq!(a.row_sums().data(), &[3.0, 7.0]);
-    }
+    gemm_rows(Isa::best(), x.chunks_exact(k), w, n, out);
 }

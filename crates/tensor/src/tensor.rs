@@ -2,53 +2,6 @@
 
 use std::fmt;
 
-/// Errors produced by tensor construction and shape manipulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
-    /// Data length does not match the product of the requested shape.
-    ShapeDataMismatch {
-        /// Number of elements implied by the shape.
-        expected: usize,
-        /// Number of elements actually provided.
-        actual: usize,
-    },
-    /// Two shapes that were required to match did not.
-    ShapeMismatch {
-        /// Left-hand shape.
-        lhs: Vec<usize>,
-        /// Right-hand shape.
-        rhs: Vec<usize>,
-    },
-    /// An index was out of bounds for the tensor's shape.
-    IndexOutOfBounds {
-        /// Offending index.
-        index: usize,
-        /// Length of the dimension being indexed.
-        len: usize,
-    },
-}
-
-impl fmt::Display for TensorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TensorError::ShapeDataMismatch { expected, actual } => {
-                write!(f, "shape expects {expected} elements but data has {actual}")
-            }
-            TensorError::ShapeMismatch { lhs, rhs } => {
-                write!(f, "shape mismatch: {lhs:?} vs {rhs:?}")
-            }
-            TensorError::IndexOutOfBounds { index, len } => {
-                write!(
-                    f,
-                    "index {index} out of bounds for dimension of length {len}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TensorError {}
-
 /// A dense, row-major, owned `f32` tensor of rank 1 to 3.
 ///
 /// `Tensor` is deliberately simple: RGNN workloads in Hector only need 2-D
@@ -92,26 +45,16 @@ impl Tensor {
     /// Panics if `data.len()` does not equal the product of `shape`.
     #[must_use]
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
-        Self::try_from_vec(data, shape).expect("shape/data mismatch")
-    }
-
-    /// Fallible variant of [`Tensor::from_vec`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeDataMismatch`] if sizes disagree.
-    pub fn try_from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
         let expected: usize = shape.iter().product();
-        if data.len() != expected {
-            return Err(TensorError::ShapeDataMismatch {
-                expected,
-                actual: data.len(),
-            });
-        }
-        Ok(Self {
+        assert_eq!(
+            data.len(),
+            expected,
+            "shape/data mismatch: shape {shape:?} expects {expected} elements"
+        );
+        Self {
             shape: shape.to_vec(),
             data,
-        })
+        }
     }
 
     /// Creates a zero-filled tensor of the given shape.
@@ -146,16 +89,6 @@ impl Tensor {
             shape: shape.to_vec(),
             data: vec![value; n],
         }
-    }
-
-    /// Creates the `n`-by-`n` identity matrix.
-    #[must_use]
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// The tensor's shape.
@@ -222,31 +155,6 @@ impl Tensor {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its storage.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    #[must_use]
-    pub fn reshape(&self, shape: &[usize]) -> Self {
-        let expected: usize = shape.iter().product();
-        assert_eq!(
-            self.data.len(),
-            expected,
-            "reshape to incompatible shape {shape:?}"
-        );
-        Self {
-            shape: shape.to_vec(),
-            data: self.data.clone(),
-        }
     }
 
     /// Element accessor for rank-2 tensors.
@@ -355,40 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn try_from_vec_rejects_bad_shape() {
-        let err = Tensor::try_from_vec(vec![1.0; 5], &[2, 3]).unwrap_err();
-        assert_eq!(
-            err,
-            TensorError::ShapeDataMismatch {
-                expected: 6,
-                actual: 5
-            }
-        );
-    }
-
-    #[test]
-    fn eye_is_identity() {
-        let i = Tensor::eye(3);
-        assert_eq!(i.at2(0, 0), 1.0);
-        assert_eq!(i.at2(0, 1), 0.0);
-        assert_eq!(i.at2(2, 2), 1.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let r = t.reshape(&[4]);
-        assert_eq!(r.shape(), &[4]);
-        assert_eq!(r.data(), t.data());
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible")]
-    fn reshape_rejects_wrong_size() {
-        let _ = Tensor::zeros(&[2, 2]).reshape(&[5]);
-    }
-
-    #[test]
     fn rank3_accessors() {
         let t = Tensor::from_vec((0..24).map(|x| x as f32).collect(), &[2, 3, 4]);
         assert_eq!(t.at3(1, 2, 3), 23.0);
@@ -407,14 +281,5 @@ mod tests {
     #[test]
     fn byte_size_counts_f32() {
         assert_eq!(Tensor::zeros(&[3, 3]).byte_size(), 36);
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        let e = TensorError::ShapeMismatch {
-            lhs: vec![2],
-            rhs: vec![3],
-        };
-        assert!(e.to_string().contains("mismatch"));
     }
 }

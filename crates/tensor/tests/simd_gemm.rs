@@ -1,160 +1,24 @@
-//! SIMD tail handling: blocked and scalar GEMM microkernels must be
-//! **bit-identical** — per-output accumulation order never changes, only
-//! the register layout — including at dimensions that are not a multiple
-//! of the lane width (scalar-tail coverage at 1, 7, 9, 31, 33) and for
-//! non-finite weight slabs flowing through the zero-skip gate.
-//!
-//! The segment tiles (`gemm_rows`, `outer_rows`, and `x · Wᵀ` through
-//! `pack_transposed`) are pinned against the same scalar row references:
-//! ragged `k`/`n`, run lengths around the tile height and the block
-//! size, gathered rows, signed zeros and non-finite values — on the
-//! generic instantiation **and** every one the host detects (AVX2,
-//! AVX-512), so the narrower bodies are exercised on wide machines too.
-//! Fixed shapes past the proptests' range reach every AVX-512 column
-//! panel and its masked tail.
+//! The GEMM tiles (`gemm_rows`, `outer_rows`, and `x · Wᵀ` through
+//! `pack_transposed`) must be **bit-identical** to the scalar row
+//! references: ragged `k`/`n`, run lengths around the tile height and
+//! the block size, gathered rows, signed zeros and non-finite values —
+//! on the generic instantiation **and** every one the host detects
+//! (AVX2, AVX-512), so the narrower bodies are exercised on wide
+//! machines too. Fixed shapes past the proptests' range reach every
+//! AVX-512 column panel and its masked tail. `matmul_into`, the plain
+//! `out = x · w` on the same tiles, is held to the same references.
 
+use hector_tensor::matmul_into;
 use hector_tensor::microkernel::{
-    gemm_row_blocked, gemm_row_scalar, gemm_row_tb_blocked, gemm_row_tb_scalar, gemm_rows,
-    outer_accum_blocked, outer_accum_scalar, outer_rows, pack_transposed, Isa, BLOCK, BLOCK_ROWS,
-    LANES,
+    gemm_row_scalar, gemm_row_tb_scalar, gemm_rows, outer_accum_scalar, outer_rows,
+    pack_transposed, Isa, BLOCK_ROWS,
 };
 use proptest::prelude::*;
-
-/// The lane-ragged dims the satellite spec pins, plus panel-aligned
-/// sizes so both the main blocks and the tails get coverage.
-const DIMS: &[usize] = &[1, 7, 9, 31, 33, LANES, BLOCK, 2 * BLOCK];
-const RAGGED_DIMS: &[usize] = &[1, 7, 9, 31, 33];
-
-/// Strategy: an index pair into [`DIMS`].
-fn dims() -> impl Strategy<Value = (usize, usize)> {
-    (0..DIMS.len(), 0..DIMS.len()).prop_map(|(i, j)| (DIMS[i], DIMS[j]))
-}
-
-proptest! {
-    #[test]
-    fn blocked_gemm_row_is_bit_identical_to_scalar(
-        (k, n) in dims(),
-        seed in 0u32..1000,
-    ) {
-        let (x, w) = deterministic_inputs(k, n, seed);
-        for skip in [false, true] {
-            let mut yb = vec![0.5f32; n];
-            let mut ys = yb.clone();
-            gemm_row_blocked(&x, &w, n, skip, &mut yb);
-            gemm_row_scalar(&x, &w, n, skip, &mut ys);
-            prop_assert_eq!(bits(&yb), bits(&ys), "k={} n={} skip={}", k, n, skip);
-        }
-    }
-
-    #[test]
-    fn blocked_tb_is_bit_identical_to_scalar(
-        (k, rows) in dims(),
-        seed in 0u32..1000,
-    ) {
-        let (_, w) = deterministic_inputs(rows, k, seed);
-        let x: Vec<f32> = (0..k).map(|i| ((i as f32) * 0.7 + seed as f32 * 0.01).cos()).collect();
-        let mut yb = vec![0.0f32; rows];
-        let mut ys = yb.clone();
-        gemm_row_tb_blocked(&x, &w[..rows * k], k, &mut yb);
-        gemm_row_tb_scalar(&x, &w[..rows * k], k, &mut ys);
-        prop_assert_eq!(bits(&yb), bits(&ys), "rows={} k={}", rows, k);
-    }
-
-    #[test]
-    fn blocked_outer_is_bit_identical_to_scalar(
-        (m, n) in dims(),
-        seed in 0u32..1000,
-    ) {
-        let (x, base) = deterministic_inputs(m, n, seed);
-        let dy: Vec<f32> = (0..n).map(|j| base[j] * 0.5 - 0.1).collect();
-        for skip in [false, true] {
-            let mut gb = base.clone();
-            let mut gs = base.clone();
-            outer_accum_blocked(&x, &dy, &mut gb, skip);
-            outer_accum_scalar(&x, &dy, &mut gs, skip);
-            prop_assert_eq!(bits(&gb), bits(&gs), "m={} n={} skip={}", m, n, skip);
-        }
-    }
-
-    #[test]
-    fn nonfinite_slabs_agree_through_the_gate(
-        (k, n) in dims(),
-        poison_at in 0usize..4096,
-        poison_inf in 0u8..2,
-    ) {
-        // A slab with an injected inf/NaN: with the skip gate OFF (the
-        // caller detected non-finiteness) blocked and scalar must
-        // propagate the identical NaN pattern; zeros in x must NOT hide
-        // it (0 × inf = NaN).
-        let (x, _) = deterministic_inputs(k, n, 17);
-        let mut w = vec![1.0f32; k * n];
-        let poison = poison_at % (k * n);
-        w[poison] = if poison_inf == 0 { f32::INFINITY } else { f32::NAN };
-        let mut yb = vec![0.0f32; n];
-        let mut ys = vec![0.0f32; n];
-        gemm_row_blocked(&x, &w, n, false, &mut yb);
-        gemm_row_scalar(&x, &w, n, false, &mut ys);
-        prop_assert_eq!(bits(&yb), bits(&ys), "k={} n={}", k, n);
-        // And the finiteness contract itself: if the poisoned weight row
-        // meets a zero input element with the gate off, the output must
-        // be NaN there (0 × inf / 0 × NaN), never silently skipped.
-        if x[poison / n] == 0.0 {
-            prop_assert!(
-                yb[poison % n].is_nan(),
-                "0 × non-finite must poison, got {}",
-                yb[poison % n]
-            );
-        }
-    }
-}
-
-/// Deterministic pseudo-random inputs: x is k wide with one injected
-/// zero (exercising the skip path), w is k×n.
-fn deterministic_inputs(k: usize, n: usize, seed: u32) -> (Vec<f32>, Vec<f32>) {
-    let f = |i: usize, s: f32| ((i as f32).mul_add(0.618, s).sin() * 2.5) - 0.3;
-    let mut x: Vec<f32> = (0..k).map(|i| f(i, seed as f32 * 0.01)).collect();
-    if k > 2 {
-        x[seed as usize % k] = 0.0;
-    }
-    let w: Vec<f32> = (0..k * n).map(|i| f(i, 1.7 + seed as f32 * 0.02)).collect();
-    (x, w)
-}
 
 /// Bit patterns of a float slice — equality on these is exact
 /// bit-identity (NaN payloads included), not `==` (which NaN fails).
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// The exact dims the satellite spec names, as a plain (non-proptest)
-/// exhaustive check: every (k, n) pair from {1, 7, 9, 31, 33}² through
-/// all three kernels.
-#[test]
-fn ragged_dim_matrix_is_bit_identical() {
-    for &k in RAGGED_DIMS {
-        for &n in RAGGED_DIMS {
-            let (x, w) = deterministic_inputs(k, n, 42);
-            let mut yb = vec![0.0f32; n];
-            let mut ys = vec![0.0f32; n];
-            gemm_row_blocked(&x, &w, n, true, &mut yb);
-            gemm_row_scalar(&x, &w, n, true, &mut ys);
-            assert_eq!(bits(&yb), bits(&ys), "k={k} n={n}");
-
-            let xn: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
-            let mut tb = vec![0.0f32; k];
-            let mut ts = vec![0.0f32; k];
-            gemm_row_tb_blocked(&xn, &w[..k * n], n, &mut tb);
-            gemm_row_tb_scalar(&xn, &w[..k * n], n, &mut ts);
-            assert_eq!(bits(&tb), bits(&ts), "tb k={k} n={n}");
-
-            let dy: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).sin() + 0.2).collect();
-            let mut gb = w.clone();
-            let mut gs = w.clone();
-            outer_accum_blocked(&x, &dy, &mut gb, true);
-            outer_accum_scalar(&x, &dy, &mut gs, true);
-            assert_eq!(bits(&gb), bits(&gs), "outer k={k} n={n}");
-        }
-    }
 }
 
 /// Run lengths the tile proptests draw from: `0..=2R + 1` for the
@@ -232,10 +96,6 @@ fn tile_bits(v: &[f32]) -> Vec<u32> {
         .collect()
 }
 
-fn finite(v: &[f32]) -> bool {
-    v.iter().all(|x| x.is_finite())
-}
-
 proptest! {
     #[test]
     fn tile_gemm_is_bit_identical_to_the_scalar_rows(
@@ -247,17 +107,10 @@ proptest! {
         let pool = values((rows + 3) * k, &mut s, xfill);
         let slab = values(k * n, &mut s, wfill);
         let xs = gathered(&pool, k, rows, seed);
-        // Reference: one scalar row per input row from a zeroed output,
-        // gate off — and, over a finite slab, gate on as well (the
-        // signed-zero argument: skipping changes nothing).
+        // Reference: one scalar row per input row from a zeroed output.
         let mut want = vec![0.0f32; rows * n];
         for (x, y) in xs.iter().zip(want.chunks_exact_mut(n)) {
-            gemm_row_scalar(x, &slab, n, false, y);
-            if finite(&slab) {
-                let mut skipped = vec![0.0f32; n];
-                gemm_row_scalar(x, &slab, n, true, &mut skipped);
-                prop_assert_eq!(tile_bits(&skipped), tile_bits(y), "skip gate k={} n={}", k, n);
-            }
+            gemm_row_scalar(x, &slab, n, y);
         }
         for isa in Isa::available() {
             let mut got = vec![f32::NAN; rows * n]; // tiles overwrite
@@ -303,7 +156,7 @@ proptest! {
         let xs = gathered(&xpool, k, rows, seed);
         let dys = gathered(&dpool, n, rows, seed ^ 0x55);
         // A gradient slab mid-accumulation (any values), or a freshly
-        // zeroed one — where the gated skip must change nothing either.
+        // zeroed one.
         let start = if from_zero {
             vec![0.0f32; k * n]
         } else {
@@ -311,19 +164,58 @@ proptest! {
         };
         let mut want = start.clone();
         for (x, dy) in xs.iter().zip(&dys) {
-            outer_accum_scalar(x, dy, &mut want, false);
-        }
-        if from_zero {
-            let mut gated = start.clone();
-            for (x, dy) in xs.iter().zip(&dys) {
-                outer_accum_scalar(x, dy, &mut gated, finite(dy));
-            }
-            prop_assert_eq!(tile_bits(&gated), tile_bits(&want), "skip gate k={} n={}", k, n);
+            outer_accum_scalar(x, dy, &mut want);
         }
         for isa in Isa::available() {
             let mut got = start.clone();
             outer_rows(isa, xs.iter().copied().zip(dys.iter().copied()), n, &mut got);
             prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} k={} n={} rows={}", isa, k, n, rows);
+        }
+    }
+}
+
+/// The lane-ragged dims as a plain (non-proptest) exhaustive check:
+/// every `(k, n)` pair from {1, 7, 9, 31, 33}² through all three tiles
+/// on every instantiation, over a run of 7 rows with zeros and `-0.0`.
+#[test]
+fn ragged_dim_matrix_is_bit_identical() {
+    const RAGGED: [usize; 5] = [1, 7, 9, 31, 33];
+    let fill = Fill {
+        zero_pct: 50,
+        special: false,
+    };
+    let rows = 7;
+    for k in RAGGED {
+        for n in RAGGED {
+            let mut s = (k * 100 + n) as u64;
+            let (x, dy) = (
+                values(rows * k, &mut s, fill),
+                values(rows * n, &mut s, fill),
+            );
+            let (slab, start) = (values(k * n, &mut s, fill), values(k * n, &mut s, fill));
+            let (mut want_y, mut want_t, mut want_g) = (
+                vec![0.0f32; rows * n],
+                vec![0.0f32; rows * n],
+                start.clone(),
+            );
+            for r in 0..rows {
+                let (xr, yr) = (&x[r * k..][..k], r * n..(r + 1) * n);
+                gemm_row_scalar(xr, &slab, n, &mut want_y[yr.clone()]);
+                gemm_row_tb_scalar(xr, &slab, k, &mut want_t[yr.clone()]);
+                outer_accum_scalar(xr, &dy[yr], &mut want_g);
+            }
+            let mut packed = vec![0.0f32; k * n];
+            pack_transposed(&slab, n, k, &mut packed);
+            for isa in Isa::available() {
+                let mut y = vec![f32::NAN; rows * n];
+                gemm_rows(isa, x.chunks_exact(k), &slab, n, &mut y);
+                assert_eq!(bits(&y), bits(&want_y), "{isa:?} x·W k={k} n={n}");
+                gemm_rows(isa, x.chunks_exact(k), &packed, n, &mut y);
+                assert_eq!(bits(&y), bits(&want_t), "{isa:?} x·Wᵀ k={k} n={n}");
+                let mut g = start.clone();
+                outer_rows(isa, x.chunks_exact(k).zip(dy.chunks_exact(n)), n, &mut g);
+                assert_eq!(bits(&g), bits(&want_g), "{isa:?} dW k={k} n={n}");
+            }
         }
     }
 }
@@ -378,9 +270,9 @@ fn wide_fixed_shapes_are_bit_identical_on_every_instantiation() {
                     start.clone(),
                 );
                 for (r, x) in xs.iter().enumerate() {
-                    gemm_row_scalar(x, &slab, n, false, &mut want_y[r * n..][..n]);
+                    gemm_row_scalar(x, &slab, n, &mut want_y[r * n..][..n]);
                     gemm_row_tb_scalar(x, &slab, k, &mut want_t[r * n..][..n]);
-                    outer_accum_scalar(x, dys[r], &mut want_g, false);
+                    outer_accum_scalar(x, dys[r], &mut want_g);
                 }
                 for isa in Isa::available() {
                     let shape = format!("{isa:?} k={k} n={n} rows={rows}");
@@ -396,4 +288,47 @@ fn wide_fixed_shapes_are_bit_identical_on_every_instantiation() {
             }
         }
     }
+}
+
+/// `matmul_into` overwrites `out` with `x · w`: the bits of one scalar
+/// row per input row from `+0.0`, whatever `out` held (here NaN), over
+/// ragged `k`/`n` and row counts past one gather block. `k = 0` writes
+/// zeros, `n = 0` is a no-op, and a zero input meeting an `inf` weight
+/// is `NaN`, never skipped.
+#[test]
+fn matmul_into_overwrites_out_with_the_scalar_rows() {
+    let fill = Fill {
+        zero_pct: 20,
+        special: false,
+    };
+    for (m, k, n) in [
+        (5, 7, 9),
+        (13, 33, 31),
+        (BLOCK_ROWS + 1, 64, 115),
+        (3, 0, 5),
+        (4, 6, 0),
+        (0, 3, 4),
+    ] {
+        let mut s = (m * 10_000 + k * 100 + n) as u64;
+        let x = values(m * k, &mut s, fill);
+        let w = values(k * n, &mut s, fill);
+        let mut want = vec![0.0f32; m * n];
+        for r in 0..m {
+            gemm_row_scalar(&x[r * k..][..k], &w, n, &mut want[r * n..][..n]);
+        }
+        let mut out = vec![f32::NAN; m * n];
+        matmul_into(&x, &w, &mut out, m, k, n);
+        assert_eq!(bits(&out), bits(&want), "m={m} k={k} n={n}");
+    }
+    let mut out = [f32::NAN; 2];
+    matmul_into(
+        &[0.0, 1.0],
+        &[f32::INFINITY, 2.0, 3.0, 4.0],
+        &mut out,
+        1,
+        2,
+        2,
+    );
+    assert!(out[0].is_nan(), "0 × inf must be NaN, got {}", out[0]);
+    assert_eq!(out[1], 4.0);
 }

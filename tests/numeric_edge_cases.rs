@@ -6,13 +6,11 @@
 //!
 //! Two classes of numeric corner pinned here:
 //!
-//! 1. **Non-finite weight slabs.** The GEMM templates skip `x == 0.0`
-//!    input elements as a sparsity fast path. Skipping is only sound
-//!    when the weight slab is finite — IEEE mandates `0 × inf = NaN`, so
-//!    a poisoned slab must poison the output, never be silently masked.
-//!    The interpreter gates the skip on a per-slab finiteness check
-//!    (once per kernel) and, for weight gradients, on the incoming `dy`
-//!    row (once per row).
+//! 1. **Non-finite weight slabs.** IEEE mandates `0 × inf = NaN`, so a
+//!    poisoned slab must poison the output, never be silently masked.
+//!    No GEMM kernel skips a `x == 0.0` input element — neither the
+//!    production tiles nor the oracle's scalar rows — so a zero input
+//!    meeting an `inf` weight yields `NaN` on both backends.
 //!
 //! 2. **Zero-in-degree destinations.** Softmax/mean normalization at a
 //!    node no edge touched divides an all-zero aggregate by a zero
