@@ -72,8 +72,6 @@ pub struct ParallelStats {
     pub sequential_launches: usize,
     /// Total row chunks executed across all parallel kernels.
     pub chunks: usize,
-    /// Pool work-steal events attributed to these kernels.
-    pub steals: u64,
     /// Host wall-clock time in GEMM-template kernel execution, µs.
     pub gemm_wall_us: f64,
     /// Host wall-clock time in traversal-template kernel execution, µs.
@@ -416,14 +414,13 @@ impl Counters {
     }
 
     /// Records one real-mode host kernel execution (parallel or
-    /// sequential) for the per-stage wall-clock/steal report.
+    /// sequential) for the per-stage wall-clock and chunk report.
     pub fn record_host_exec(
         &mut self,
         category: KernelCategory,
         parallel: bool,
         wall_us: f64,
         chunks: usize,
-        steals: u64,
     ) {
         let p = &mut self.parallel;
         if parallel {
@@ -432,7 +429,6 @@ impl Counters {
             p.sequential_launches += 1;
         }
         p.chunks += chunks;
-        p.steals += steals;
         match category {
             KernelCategory::Gemm => p.gemm_wall_us += wall_us,
             KernelCategory::Traversal => p.traversal_wall_us += wall_us,
@@ -588,14 +584,13 @@ mod tests {
     #[test]
     fn parallel_stats_record_merge_reset() {
         let mut c = Counters::new();
-        c.record_host_exec(KernelCategory::Gemm, true, 120.0, 8, 3);
-        c.record_host_exec(KernelCategory::Traversal, true, 80.0, 4, 1);
-        c.record_host_exec(KernelCategory::Traversal, false, 5.0, 0, 0);
+        c.record_host_exec(KernelCategory::Gemm, true, 120.0, 8);
+        c.record_host_exec(KernelCategory::Traversal, true, 80.0, 4);
+        c.record_host_exec(KernelCategory::Traversal, false, 5.0, 0);
         let p = c.parallel();
         assert_eq!(p.parallel_launches, 2);
         assert_eq!(p.sequential_launches, 1);
         assert_eq!(p.chunks, 12);
-        assert_eq!(p.steals, 4);
         assert!((p.gemm_wall_us - 120.0).abs() < 1e-12);
         assert!((p.traversal_wall_us - 85.0).abs() < 1e-12);
         assert!((p.total_wall_us() - 205.0).abs() < 1e-12);
@@ -680,7 +675,7 @@ mod tests {
         let cfg = DeviceConfig::rtx3090();
         let mut c = Counters::new();
         c.record(&cost(KernelCategory::Gemm, Phase::Forward, 1e9), &cfg);
-        c.record_host_exec(KernelCategory::Gemm, true, 10.0, 2, 0);
+        c.record_host_exec(KernelCategory::Gemm, true, 10.0, 2);
         c.record_scratch(1, 64);
         c.record_sampler_batch(100, 50, 20.0, 5.0);
 

@@ -66,7 +66,7 @@ impl Device {
     }
 
     /// Records one real-mode host kernel execution for the parallel
-    /// executor's wall-clock/steal report (see
+    /// executor's wall-clock and chunk report (see
     /// [`crate::ParallelStats`]). Does not advance the simulated clock:
     /// host interpreter time and simulated device time are separate
     /// books.
@@ -76,10 +76,9 @@ impl Device {
         parallel: bool,
         wall_us: f64,
         chunks: usize,
-        steals: u64,
     ) {
         self.counters
-            .record_host_exec(category, parallel, wall_us, chunks, steals);
+            .record_host_exec(category, parallel, wall_us, chunks);
     }
 
     /// Records one real-mode kernel execution's scratch-arena activity

@@ -1,46 +1,38 @@
-//! `hector-par`: a vendored, zero-dependency scoped work-stealing
-//! threadpool.
+//! `hector-par`: a vendored, zero-dependency chunked threadpool.
 //!
 //! The build environment has no crates.io access, so the rayon-style
 //! work splitting the parallel real-mode executor needs is vendored here,
 //! like the `rand`/`proptest` stand-ins under `crates/vendor/`.
 //! The API surface is the small slice Hector uses:
 //!
-//! * [`ThreadPool::scope`] — structured task spawning borrowing stack
-//!   data (crossbeam-style scoped lifetimes, panic propagation);
-//! * [`ThreadPool::for_each_chunk`] — run a closure over contiguous
-//!   index chunks of `0..n`: the chunk job is published through
-//!   pool-owned atomics and workers claim chunk indices with a
-//!   `fetch_add`, so a warm parallel run performs zero heap allocations
-//!   (callers keep per-chunk state in pooled slots indexed by the chunk
-//!   index);
+//! * [`ThreadPool::for_each_chunk`] — the pool's only way to run work:
+//!   a closure over contiguous index chunks of `0..n`, claimed by index
+//!   with a `fetch_add`, so a warm parallel run performs zero heap
+//!   allocations (callers keep per-chunk state in slots indexed by the
+//!   chunk index). A fan-out of `k` jobs is `for_each_chunk(k, 1, ..)`;
 //! * [`ParallelConfig`] — `num_threads` / `min_chunk_rows`, defaulted
-//!   from the `HECTOR_THREADS` and `HECTOR_MIN_CHUNK_ROWS` environment
-//!   variables;
+//!   from the `HECTOR_THREADS` / `HECTOR_MIN_CHUNK_ROWS` variables;
 //! * [`Prefetcher`] — a bounded background producer for pipelines that
 //!   must keep work in flight *across* the caller's returns (mini-batch
-//!   prefetch), which the structured `scope` cannot express.
+//!   prefetch), which the structured `for_each_chunk` cannot express.
 //!
 //! # Scheduling
 //!
 //! A pool of `num_threads` means `num_threads - 1` background workers
-//! plus the caller, which helps execute tasks while it waits for a scope
-//! to drain — `ThreadPool::new(1)` is a valid pool with zero workers
-//! where every task runs inline on the caller. Tasks are distributed
-//! round-robin across per-worker deques; idle workers (and the helping
-//! caller) steal from the back of other workers' deques. Steal and
-//! execution counts are exposed through [`ThreadPool::stats`] and are
-//! surfaced per-kernel by the runtime through the device counters.
+//! plus the caller, which claims chunks too while it waits for a job to
+//! drain — `ThreadPool::new(1)` is a valid pool with zero workers where
+//! every chunk runs inline on the caller. One chunk job is live per pool
+//! at a time; a nested or concurrent call runs its chunks inline on its
+//! own caller. Chunk counts ([`ThreadPool::stats`]) surface per-kernel
+//! through the runtime's device counters.
 //!
 //! # Determinism
 //!
-//! The pool itself makes no ordering promises — chunks run whenever a
-//! worker picks them up. Deterministic numerics are the *callers'*
-//! contract: chunk boundaries are a pure function of `(n, min_chunk,
-//! parallelism)` via [`chunk_ranges`], and [`ThreadPool::for_each_chunk`]
-//! hands every call its chunk index, so callers can keep partial results
-//! in per-chunk slots and merge them in fixed chunk order regardless of
-//! execution interleaving.
+//! The pool makes no ordering promises — chunks run whenever a thread
+//! claims them. Deterministic numerics are the *callers'* contract: chunk
+//! boundaries are a pure function of `(n, min_chunk, parallelism)` via
+//! [`chunk_ranges`], and every call gets its chunk index, so callers keep
+//! partial results in per-chunk slots and merge them in chunk order.
 
 #![warn(missing_docs)]
 
@@ -49,23 +41,15 @@ mod pipeline;
 pub use pipeline::Prefetcher;
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A type-erased unit of work. Lifetimes are erased by [`Scope::spawn`];
-/// soundness rests on [`ThreadPool::scope`] not returning until every
-/// spawned job has finished.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Type-erased entry point for the allocation-free chunk dispatcher:
-/// `(closure, chunk_index, row_range)`. Monomorphized per closure type by
-/// [`chunk_harness`].
+/// Type-erased chunk entry point `(closure, chunk_index, row_range)`,
+/// monomorphized per closure type by [`chunk_harness`].
 type ChunkHarness = unsafe fn(*const (), usize, Range<usize>);
 
 /// Calls the published `Fn(usize, Range<usize>)` closure through its
@@ -161,11 +145,9 @@ impl Default for ParallelConfig {
 /// Snapshot of pool activity counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs executed (by workers, the helping caller, or inline
-    /// single-chunk fast paths).
+    /// Chunks executed (by workers, the helping caller, or inline on a
+    /// caller that found the dispatcher busy or had one chunk).
     pub executed: u64,
-    /// Jobs obtained by stealing from another queue.
-    pub steals: u64,
     /// Background worker threads the pool was built with.
     pub workers: usize,
     /// Worker threads currently alive (0 after drop — the no-leak
@@ -174,36 +156,22 @@ pub struct PoolStats {
 }
 
 struct Shared {
-    /// One deque per background worker. Jobs are pushed round-robin;
-    /// idle workers steal from the back of others' deques.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Overflow queue used when the pool has no workers (pure
-    /// caller-inline mode) and by external pushes racing a busy pool.
-    injector: Mutex<VecDeque<Job>>,
     idle_lock: Mutex<()>,
     work_cv: Condvar,
     /// Workers that have reached their run loop. [`ThreadPool::new`]
-    /// blocks until every worker checks in, so thread-startup work (the
-    /// runtime allocates per-thread state in the spawn prologue) is done
-    /// before the pool is handed to the caller — warm-path allocation
-    /// accounting never sees a straggling worker's startup.
+    /// waits for all of them, so warm-path allocation accounting never
+    /// sees a straggling worker's startup (per-thread runtime state).
     started: Mutex<usize>,
     started_cv: Condvar,
     shutdown: AtomicBool,
-    next_queue: AtomicUsize,
     executed: AtomicU64,
-    steals: AtomicU64,
     live_workers: AtomicUsize,
 
-    // --- Allocation-free chunk dispatcher (`for_each_chunk`) state. ---
-    // One chunk job can be live at a time (`chunk_active` guards it);
-    // concurrent/nested publishers fall back to the boxed scope path.
     /// Packed claim word: `(total_chunks << 32) | next_index`. Zero when
     /// idle; claimed by `fetch_add(1)`, so each index is handed out once.
     chunk_claim: AtomicU64,
     /// Chunks published but not yet finished. The publisher blocks until
-    /// this reaches zero, which is what pins the closure pointed to by
-    /// `chunk_ctx` for the workers.
+    /// this reaches zero, which pins the closure `chunk_ctx` points to.
     chunk_pending: AtomicUsize,
     /// Domain size `n` of the active job (for `chunk_range`).
     chunk_n: AtomicUsize,
@@ -211,7 +179,8 @@ struct Shared {
     chunk_ctx: AtomicPtr<()>,
     /// Monomorphized [`ChunkHarness`] for `chunk_ctx`'s concrete type.
     chunk_harness: AtomicPtr<()>,
-    /// Publisher exclusivity flag for the chunk dispatcher.
+    /// Publisher exclusivity flag: one chunk job is live at a time, and a
+    /// nested or concurrent publisher runs its chunks inline.
     chunk_active: AtomicBool,
     chunk_done_lock: Mutex<()>,
     chunk_done_cv: Condvar,
@@ -220,77 +189,35 @@ struct Shared {
 }
 
 impl Shared {
-    fn push(&self, job: Job) {
-        if self.queues.is_empty() {
-            self.injector.lock().unwrap().push_back(job);
-        } else {
-            let i = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-            self.queues[i].lock().unwrap().push_back(job);
-        }
-        // Take the idle lock so a worker between its last queue check and
-        // its condvar wait cannot miss this wakeup.
-        let _g = self.idle_lock.lock().unwrap();
-        self.work_cv.notify_all();
-    }
-
-    /// Pops a job: own queue front first (`me`), then the injector, then
-    /// steal from the back of another worker's deque.
-    fn find_job(&self, me: Option<usize>) -> Option<Job> {
-        if let Some(m) = me {
-            if let Some(j) = self.queues[m].lock().unwrap().pop_front() {
-                return Some(j);
-            }
-        }
-        if let Some(j) = self.injector.lock().unwrap().pop_front() {
-            return Some(j);
-        }
-        let n = self.queues.len();
-        if n == 0 {
-            return None;
-        }
-        let start = self.next_queue.load(Ordering::Relaxed);
-        for k in 0..n {
-            let v = (start + k) % n;
-            if me == Some(v) {
-                continue;
-            }
-            if let Some(j) = self.queues[v].lock().unwrap().pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(j);
-            }
-        }
-        None
-    }
-
-    fn has_work(&self) -> bool {
-        if self.chunk_work_available() {
-            return true;
-        }
-        if !self.injector.lock().unwrap().is_empty() {
-            return true;
-        }
-        self.queues.iter().any(|q| !q.lock().unwrap().is_empty())
-    }
-
     /// Whether the active chunk job (if any) still has unclaimed chunks.
     fn chunk_work_available(&self) -> bool {
         let w = self.chunk_claim.load(Ordering::Acquire);
         (w >> 32) > (w & CHUNK_IDX_MASK)
     }
 
+    /// Wakes idle workers. Taking the idle lock means a worker between its
+    /// last check and its condvar wait cannot miss the wakeup.
+    fn wake_workers(&self) {
+        // The lock guards no data, so a poisoned one is still usable (and
+        // `Drop` calls this, where a panic would abort).
+        let _g = self
+            .idle_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.work_cv.notify_all();
+    }
+
     /// Claims and runs chunks of the active chunk job until none remain.
-    /// Returns whether any chunk was run. Safe to call at any time — an
-    /// idle dispatcher hands out a claim index past the (zero) total.
-    fn run_chunk_jobs(&self) -> bool {
-        let mut ran = false;
+    /// Safe to call at any time — an idle dispatcher hands out a claim
+    /// index past the (zero) total.
+    fn run_chunk_jobs(&self) {
         loop {
             let word = self.chunk_claim.fetch_add(1, Ordering::AcqRel);
             let total = (word >> 32) as usize;
             let i = (word & CHUNK_IDX_MASK) as usize;
             if i >= total {
-                return ran;
+                return;
             }
-            ran = true;
             // SAFETY: a successful claim (`i < total`) pins the
             // publishing `for_each_chunk` frame: `chunk_pending` cannot
             // reach zero before this chunk's decrement below, and the
@@ -316,28 +243,34 @@ impl Shared {
             }
         }
     }
+
+    /// Runs every chunk of the split on the calling thread, in chunk
+    /// order, with [`ThreadPool::for_each_chunk`]'s panic semantics.
+    fn run_inline<F: Fn(usize, Range<usize>)>(&self, n: usize, chunks: usize, f: &F) {
+        let mut first_panic = None;
+        for i in 0..chunks {
+            self.executed.fetch_add(1, Ordering::Relaxed);
+            let range = chunk_range(n, chunks, i);
+            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| f(i, range))) {
+                first_panic.get_or_insert(p);
+            }
+        }
+        if let Some(p) = first_panic {
+            panic::resume_unwind(p);
+        }
+    }
 }
 
-fn worker_loop(shared: &Arc<Shared>, me: usize) {
+fn worker_loop(shared: &Shared) {
     {
         let mut started = shared.started.lock().unwrap();
         *started += 1;
         shared.started_cv.notify_one();
     }
-    loop {
-        if shared.run_chunk_jobs() {
-            continue;
-        }
-        if let Some(job) = shared.find_job(Some(me)) {
-            shared.executed.fetch_add(1, Ordering::Relaxed);
-            job();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    while !shared.shutdown.load(Ordering::Acquire) {
+        shared.run_chunk_jobs();
         let guard = shared.idle_lock.lock().unwrap();
-        if shared.has_work() || shared.shutdown.load(Ordering::Acquire) {
+        if shared.chunk_work_available() || shared.shutdown.load(Ordering::Acquire) {
             continue;
         }
         // Timeout bounds the cost of any wakeup race to one tick.
@@ -349,56 +282,8 @@ fn worker_loop(shared: &Arc<Shared>, me: usize) {
     shared.live_workers.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Per-scope completion state: outstanding job count plus the first
-/// captured panic payload.
-struct ScopeState {
-    pending: AtomicUsize,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
-}
-
-/// Handle for spawning tasks that may borrow data living at least as
-/// long as `'scope` (crossbeam-style structured concurrency).
-pub struct Scope<'pool, 'scope> {
-    pool: &'pool ThreadPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'scope` so the borrow checker pins the lifetime.
-    _scope: PhantomData<std::cell::Cell<&'scope mut ()>>,
-}
-
-impl<'pool, 'scope> Scope<'pool, 'scope> {
-    /// Spawns a task onto the pool. The task may borrow anything that
-    /// outlives the enclosing [`ThreadPool::scope`] call. A panicking
-    /// task does not abort the others; the first panic payload is
-    /// re-raised on the caller once the scope has fully drained.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = Arc::clone(&self.state);
-        let task = move || {
-            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = state.panic.lock().unwrap();
-                slot.get_or_insert(p);
-            }
-            if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _g = state.done_lock.lock().unwrap();
-                state.done_cv.notify_all();
-            }
-        };
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(task);
-        // SAFETY: `ThreadPool::scope` does not return (normally or by
-        // unwinding) until `pending` reaches zero, i.e. until this job has
-        // run to completion, so every borrow with lifetime `'scope` is
-        // still live whenever the job executes.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        self.pool.shared.push(job);
-    }
-}
-
-/// A scoped work-stealing threadpool.
+/// A chunked threadpool: [`ThreadPool::for_each_chunk`] is the one way
+/// to run work on it.
 ///
 /// Dropping the pool shuts the workers down and joins them — no worker
 /// threads outlive the pool.
@@ -428,18 +313,12 @@ impl ThreadPool {
         assert!(num_threads >= 1, "a pool needs at least one thread");
         let n_workers = num_threads - 1;
         let shared = Arc::new(Shared {
-            queues: (0..n_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            injector: Mutex::new(VecDeque::new()),
             idle_lock: Mutex::new(()),
             work_cv: Condvar::new(),
             started: Mutex::new(0),
             started_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            next_queue: AtomicUsize::new(0),
             executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             live_workers: AtomicUsize::new(n_workers),
             chunk_claim: AtomicU64::new(0),
             chunk_pending: AtomicUsize::new(0),
@@ -456,7 +335,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hector-par-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -490,78 +369,30 @@ impl ThreadPool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             executed: self.shared.executed.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
             workers: self.workers.len(),
             live_workers: self.shared.live_workers.load(Ordering::Acquire),
         }
     }
 
-    /// Runs `f` with a [`Scope`] on which tasks borrowing stack data can
-    /// be spawned, then blocks until every spawned task has finished.
-    /// The caller helps execute queued tasks while it waits. If `f` or
-    /// any task panicked, the (first) panic resumes on the caller after
-    /// the scope has drained — tasks never outlive their borrows.
-    pub fn scope<'pool, 'scope, R>(&'pool self, f: impl FnOnce(&Scope<'pool, 'scope>) -> R) -> R {
-        let state = Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        });
-        let scope = Scope {
-            pool: self,
-            state: Arc::clone(&state),
-            _scope: PhantomData,
-        };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
-
-        // Drain: help run jobs; park only when nothing is runnable.
-        loop {
-            while let Some(job) = self.shared.find_job(None) {
-                self.shared.executed.fetch_add(1, Ordering::Relaxed);
-                job();
-            }
-            let guard = state.done_lock.lock().unwrap();
-            if state.pending.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            if self.shared.has_work() {
-                continue; // new work appeared; go help instead of waiting
-            }
-            let _ = state
-                .done_cv
-                .wait_timeout(guard, Duration::from_millis(5))
-                .unwrap();
-        }
-
-        let task_panic = state.panic.lock().unwrap().take();
-        match result {
-            Err(p) => panic::resume_unwind(p),
-            Ok(r) => {
-                if let Some(p) = task_panic {
-                    panic::resume_unwind(p);
-                }
-                r
-            }
-        }
-    }
-
-    /// Splits `0..n` into contiguous chunks (the exact split of
-    /// [`chunk_ranges`]) and runs `f(chunk_index, range)` for each, in
-    /// parallel, **without allocating**: no boxed jobs, no scope state,
-    /// no range vector. The chunk job is published through pool-owned
-    /// atomics, workers claim indices with a `fetch_add`, and the caller
-    /// helps until every chunk has run. Returns the number of chunks
-    /// (what [`chunk_count`] predicts), so callers can index
-    /// caller-owned per-chunk slots — the primitive the runtime's pooled
-    /// worker arenas are built on. A single-chunk split runs inline on
-    /// the caller; empty domains (`n == 0`) are a no-op returning 0.
+    /// Splits `0..n` into the chunks of [`chunk_ranges`] and runs
+    /// `f(chunk_index, range)` for each, in parallel, **without
+    /// allocating**: the job is published through pool-owned atomics,
+    /// workers claim indices with a `fetch_add`, and the caller helps
+    /// until every chunk has run. Returns the chunk count (what
+    /// [`chunk_count`] predicts), so callers can index per-chunk slots;
+    /// `n == 0` is a no-op returning 0.
     ///
-    /// Chunk panics are captured and the first one resumes on the caller
-    /// after every chunk has finished, like [`ThreadPool::scope`].
-    /// Nested or concurrent calls fall back to an equivalent (allocating)
-    /// scope-based dispatch — only one lock-free chunk job is live at a
-    /// time per pool.
+    /// A single-chunk split runs inline on the caller, and so does a
+    /// nested or concurrent call (the dispatcher is busy): in chunk order,
+    /// same split, each chunk counted in [`PoolStats::executed`]. Results
+    /// cannot differ, because callers key determinism on the chunk index.
+    ///
+    /// # Panics
+    ///
+    /// A panic in `f` stops the rest of *its own* chunk's range only; the
+    /// first payload resumes on the caller once every chunk has finished.
+    /// (A fan-out of ≤ `4 × parallelism` jobs at `min_chunk = 1` has one
+    /// job per chunk, so no job skips another.)
     pub fn for_each_chunk<F>(&self, n: usize, min_chunk: usize, f: F) -> usize
     where
         F: Fn(usize, Range<usize>) + Sync,
@@ -570,19 +401,13 @@ impl ThreadPool {
         if chunks == 0 {
             return 0;
         }
-        if chunks == 1 {
-            self.shared.executed.fetch_add(1, Ordering::Relaxed);
-            f(0, 0..n);
-            return 1;
-        }
         let s = &*self.shared;
-        if s.chunk_active
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
+        if chunks == 1
+            || s.chunk_active
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
         {
-            // Another chunk job is live (nested use, or a second thread
-            // driving the same pool): take the boxed scope path instead.
-            self.scoped_chunks(n, chunks, &f);
+            s.run_inline(n, chunks, &f);
             return chunks;
         }
         s.chunk_ctx
@@ -595,10 +420,7 @@ impl ThreadPool {
         // `run_chunk_jobs`, making the stores above visible to claimers.
         s.chunk_claim
             .store((chunks as u64) << 32, Ordering::Release);
-        {
-            let _g = s.idle_lock.lock().unwrap();
-            s.work_cv.notify_all();
-        }
+        s.wake_workers();
         // The caller is one of the pool's threads: claim chunks too.
         s.run_chunk_jobs();
         // Wait for straggler workers still running claimed chunks.
@@ -625,30 +447,12 @@ impl ThreadPool {
         }
         chunks
     }
-
-    /// Scope-based fallback for [`ThreadPool::for_each_chunk`] when the
-    /// lock-free dispatcher is already in use. Same split, same
-    /// semantics, one boxed job per chunk.
-    fn scoped_chunks<F>(&self, n: usize, chunks: usize, f: &F)
-    where
-        F: Fn(usize, Range<usize>) + Sync,
-    {
-        self.scope(|s| {
-            for i in 0..chunks {
-                let range = chunk_range(n, chunks, i);
-                s.spawn(move || f(i, range));
-            }
-        });
-    }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.shared.idle_lock.lock().unwrap();
-            self.shared.work_cv.notify_all();
-        }
+        self.shared.wake_workers();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -658,9 +462,9 @@ impl Drop for ThreadPool {
 /// Splits `0..n` into contiguous, balanced chunks of at least
 /// `min_chunk` items (except when `n < min_chunk`, which yields one
 /// undersized chunk). At most `4 × parallelism` chunks are produced so
-/// per-chunk overhead stays bounded while still leaving slack for work
-/// stealing. Pure function of its arguments — chunk boundaries never
-/// depend on scheduling, which the determinism tests rely on.
+/// per-chunk overhead stays bounded while uneven chunks still balance
+/// across threads. Pure function of its arguments — chunk boundaries
+/// never depend on scheduling, which the determinism tests rely on.
 #[must_use]
 pub fn chunk_ranges(n: usize, min_chunk: usize, parallelism: usize) -> Vec<Range<usize>> {
     let chunks = chunk_count(n, min_chunk, parallelism);
@@ -747,64 +551,6 @@ mod tests {
         });
         assert_eq!(chunks, 4, "a zero-worker pool still splits");
         assert_eq!(sum.load(Ordering::Relaxed), 4950);
-    }
-
-    #[test]
-    fn scope_tasks_borrow_stack_data() {
-        let pool = ThreadPool::new(3);
-        let data: Vec<u64> = (0..256).collect();
-        let partial: Vec<Mutex<u64>> = (0..4).map(|_| Mutex::new(0)).collect();
-        pool.scope(|s| {
-            for (i, chunk) in data.chunks(64).enumerate() {
-                let partial = &partial;
-                s.spawn(move || {
-                    *partial[i].lock().unwrap() = chunk.iter().sum::<u64>();
-                });
-            }
-        });
-        let total: u64 = partial.iter().map(|m| *m.lock().unwrap()).sum();
-        assert_eq!(total, (0..256).sum::<u64>());
-    }
-
-    #[test]
-    fn task_panic_propagates_after_scope_drains() {
-        let pool = ThreadPool::new(4);
-        let completed = AtomicU32::new(0);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..8 {
-                    let completed = &completed;
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("task 3 exploded");
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        let p = result.expect_err("panic must propagate to the scope caller");
-        let msg = p
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| p.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("task 3 exploded"), "payload preserved: {msg}");
-        // Every non-panicking task still ran: the scope drained fully.
-        assert_eq!(completed.load(Ordering::Relaxed), 7);
-        // The pool survives a panicked scope and stays usable.
-        let mut v = vec![0u32; 64];
-        let slots: Vec<Mutex<u32>> = (0..64).map(|_| Mutex::new(0)).collect();
-        pool.for_each_chunk(64, 1, |_c, range| {
-            for i in range {
-                *slots[i].lock().unwrap() = i as u32 + 1;
-            }
-        });
-        for (i, s) in slots.iter().enumerate() {
-            v[i] = *s.lock().unwrap();
-            assert_eq!(v[i], i as u32 + 1);
-        }
     }
 
     #[test]
@@ -899,7 +645,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let hits: Vec<AtomicU32> = (0..256).map(|_| AtomicU32::new(0)).collect();
         pool.for_each_chunk(4, 1, |outer, _r| {
-            // Nested call while the dispatcher is busy: scope fallback.
+            // Nested call while the dispatcher is busy: runs inline.
             pool.for_each_chunk(64, 8, |_c, range| {
                 for i in range {
                     hits[outer * 64 + i].fetch_add(1, Ordering::Relaxed);
@@ -929,6 +675,11 @@ mod tests {
             .or_else(|| p.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("chunk 3 exploded"), "payload preserved: {msg}");
+        // Every other chunk still ran: the job drained fully.
+        assert_eq!(
+            completed.load(Ordering::Relaxed) as usize,
+            chunk_count(64, 1, pool.parallelism()) - 1
+        );
         // The pool stays usable after a panicked chunk job.
         let sum = AtomicU64::new(0);
         pool.for_each_chunk(100, 1, |_c, range| {
@@ -938,23 +689,41 @@ mod tests {
     }
 
     #[test]
-    fn nested_scopes_on_caller_complete() {
-        // A scope used while another scope is draining (sequentially on
-        // the caller) must not deadlock.
-        let pool = ThreadPool::new(2);
-        let in_chunk_order = |scale: usize| {
-            let slots: Vec<Mutex<usize>> = (0..4).map(|_| Mutex::new(usize::MAX)).collect();
-            pool.scope(|s| {
-                for (ci, slot) in slots.iter().enumerate() {
-                    s.spawn(move || *slot.lock().unwrap() = ci * scale);
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().unwrap())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(in_chunk_order(1), vec![0, 1, 2, 3]);
-        assert_eq!(in_chunk_order(2), vec![0, 2, 4, 6]);
+    fn concurrent_publishers_each_visit_every_index_once() {
+        // Two threads share one pool: whichever finds the dispatcher busy
+        // runs its chunks inline, and neither loses nor repeats an index.
+        let pool = ThreadPool::new(4);
+        let before = pool.stats().executed;
+        let total = AtomicU64::new(0);
+        // Both publishers enter every round together, so their calls race
+        // for the dispatcher 50 times.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|t| {
+            for publisher in 0..2usize {
+                let (pool, total, start) = (&pool, &total, &start);
+                t.spawn(move || {
+                    for round in 0..50usize {
+                        let n = 100 + 37 * publisher + round;
+                        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                        start.wait();
+                        let chunks = pool.for_each_chunk(n, 4, |_c, range| {
+                            for i in range {
+                                hits[i].fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
+                        assert_eq!(chunks, chunk_count(n, 4, pool.parallelism()));
+                        assert!(
+                            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                            "publisher {publisher} round {round}"
+                        );
+                        total.fetch_add(chunks as u64, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            pool.stats().executed - before,
+            total.load(Ordering::Relaxed)
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Bounded single-producer prefetch pipeline.
 //!
-//! [`ThreadPool::scope`](crate::ThreadPool::scope) is *structured*: it
-//! blocks until every spawned task finishes, so it cannot keep work in
-//! flight across the caller's returns — exactly what a mini-batch
+//! [`ThreadPool::for_each_chunk`](crate::ThreadPool::for_each_chunk) is
+//! *structured*: it blocks until every chunk finishes, so it cannot keep
+//! work in flight across the caller's returns — exactly what a mini-batch
 //! prefetcher needs (sample batch `k+1` on a worker while the caller
 //! trains on batch `k`). [`Prefetcher`] fills that gap with one detached
 //! producer thread and a bounded channel.

@@ -31,9 +31,9 @@
 //!   creates no pool — and shares only leaf numerics (dot products,
 //!   elementwise ops, the GEMM row microkernels) with production.
 //!
-//! The CUDA code generator (`CompiledModule::code`) is *not* a backend:
-//! it is a text-only emission target — nothing in this crate executes
-//! it. See `GeneratedCode` in `hector-compiler`.
+//! The CUDA code generator (`hector::emit`, which renders a module's
+//! `GeneratedCode` on demand) is *not* a backend: it is a text-only
+//! emission target — nothing in this crate executes it.
 
 use hector_compiler::CompiledModule;
 use hector_device::Phase;

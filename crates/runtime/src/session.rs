@@ -328,7 +328,7 @@ impl Session {
     /// Creates a session running `module` on backend `kind`.
     /// `num_threads = 1` runs every kernel as one chunk (no pool is
     /// created); any higher count splits kernels across a
-    /// work-stealing pool with outputs bit-identical to the one-chunk run
+    /// `hector-par` pool with outputs bit-identical to the one-chunk run
     /// (see the [`crate::backend`] module docs). [`BackendKind::Interp`]
     /// is sequential by definition: it ignores `par.num_threads` and
     /// creates no pool.
@@ -513,22 +513,18 @@ impl Session {
                 let bytes = self.scratch.bytes() + self.arenas.bytes();
                 self.device
                     .record_scratch(self.scratch.grows() - grows_before, bytes);
-                let (chunks, steals) = match (stats_before, self.pool.as_ref()) {
-                    (Some(before), Some(pool)) => {
-                        let after = pool.stats();
-                        (
-                            usize::try_from(after.executed - before.executed).unwrap_or(usize::MAX),
-                            after.steals - before.steals,
-                        )
-                    }
-                    _ => (0, 0),
-                };
+                let chunks = stats_before
+                    .zip(self.pool.as_ref())
+                    .map_or(0, |(before, pool)| {
+                        usize::try_from(pool.stats().executed - before.executed)
+                            .unwrap_or(usize::MAX)
+                    });
                 let category = match spec {
                     KernelSpec::Gemm(_) => KernelCategory::Gemm,
                     _ => KernelCategory::Traversal,
                 };
                 self.device
-                    .record_host_exec(category, ran_parallel, wall_us, chunks, steals);
+                    .record_host_exec(category, ran_parallel, wall_us, chunks);
             }
             if let Some(t0) = tr {
                 let (tname, trows) = kernel_trace_meta(spec, graph);

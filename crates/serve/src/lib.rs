@@ -20,7 +20,7 @@
 //!   submit()──►   (load-shed /       (tick)     │ coalesce by     │
 //!   submit()──►    timeout)                     │ deployment      │
 //!                                               └──┬───────┬──────┘
-//!                                          hector-par scope (groups
+//!                                  hector-par for_each_chunk (groups
 //!                                          execute concurrently)
 //!                                               ┌──▼───┐ ┌──▼───┐
 //!                                               │engine│ │engine│ ...
@@ -733,43 +733,38 @@ fn dispatch_loop(inner: &Arc<ServerInner>) {
         }
         inner.in_flight.fetch_sub(served, Ordering::SeqCst);
 
-        // Split each deployment's backlog into coalesced chunks and run
-        // them. Chunks of distinct deployments execute concurrently;
-        // chunks of one deployment serialize on its slot lock (the
-        // engine is stateful), preserving bit-identical outputs.
+        // Split each deployment's backlog into coalesced groups and run
+        // them: concurrently on the pool (each group taken once, by the
+        // chunk that owns it), else in order on this thread. Groups of one
+        // deployment serialize on its slot lock (the engine is stateful),
+        // preserving bit-identical outputs.
         let max = inner.config.max_coalesce.max(1);
-        let mut work: Vec<(Arc<Deployment>, Vec<Request>)> = Vec::new();
+        let mut work = Vec::new();
         for dep in order {
             let mut reqs = groups.remove(&dep.name).unwrap_or_default();
             while reqs.len() > max {
                 let rest = reqs.split_off(max);
-                work.push((Arc::clone(&dep), reqs));
+                work.push(Mutex::new(Some((Arc::clone(&dep), reqs))));
                 reqs = rest;
             }
             if !reqs.is_empty() {
-                work.push((Arc::clone(&dep), reqs));
+                work.push(Mutex::new(Some((Arc::clone(&dep), reqs))));
             }
         }
-        match (&pool, work.len()) {
-            (Some(pool), 2..) => {
-                pool.scope(|s| {
-                    for (dep, reqs) in work.drain(..) {
-                        let inner = Arc::clone(inner);
-                        s.spawn(move || {
-                            let n = reqs.len();
-                            run_group(&dep, reqs);
-                            inner.in_flight.fetch_sub(n, Ordering::SeqCst);
-                        });
-                    }
-                });
+        let serve = |_: usize, r: std::ops::Range<usize>| {
+            for group in &work[r] {
+                let Some((dep, reqs)) = group.lock().expect("group lock").take() else {
+                    continue;
+                };
+                let n = reqs.len();
+                run_group(&dep, reqs);
+                inner.in_flight.fetch_sub(n, Ordering::SeqCst);
             }
-            _ => {
-                for (dep, reqs) in work.drain(..) {
-                    let n = reqs.len();
-                    run_group(&dep, reqs);
-                    inner.in_flight.fetch_sub(n, Ordering::SeqCst);
-                }
-            }
+        };
+        if let Some(pool) = &pool {
+            pool.for_each_chunk(work.len(), 1, serve);
+        } else {
+            serve(0, 0..work.len());
         }
         inner.idle_cv.notify_all();
 

@@ -33,6 +33,8 @@
 //!   the post-delta graph, the oracle the serving tests compare
 //!   against), and re-binds only the affected shards.
 
+use std::sync::Mutex;
+
 use hector_graph::HeteroGraph;
 use hector_ir::VarInfo;
 use hector_par::{ParallelConfig, ThreadPool};
@@ -223,34 +225,39 @@ impl ShardedEngine {
         if self.params_dirty {
             self.resync_params();
         }
-        let n = self.engines.len();
-        let mut results: Vec<Option<Result<RunReport, HectorError>>> =
-            (0..n).map(|_| None).collect();
-        self.pool.scope(|scope| {
-            for (eng, slot) in self.engines.iter_mut().zip(results.iter_mut()) {
-                let Some(eng) = eng.as_mut() else { continue };
-                scope.spawn(move || {
-                    let tr = hector_trace::span_start();
-                    let rows = eng.graph().graph().num_edges() as u64;
-                    let out = eng.forward();
-                    if let Some(t0) = tr {
-                        hector_trace::record_span(
-                            "shard/forward",
-                            hector_trace::SpanCat::Shard,
-                            t0,
-                            rows,
-                            0,
-                            0.0,
-                        );
-                    }
-                    *slot = Some(out);
-                });
+        // One job (engine, output slot) per bound shard; uncontended locks.
+        let jobs: Vec<Mutex<(&mut Engine, Option<_>)>> = self
+            .engines
+            .iter_mut()
+            .flatten()
+            .map(|eng| Mutex::new((eng, None)))
+            .collect();
+        self.pool.for_each_chunk(jobs.len(), 1, |_, r| {
+            for job in &jobs[r] {
+                let (eng, slot) = &mut *job.lock().expect("shard job lock");
+                let tr = hector_trace::span_start();
+                let rows = eng.graph().graph().num_edges() as u64;
+                *slot = Some(eng.forward());
+                if let Some(t0) = tr {
+                    hector_trace::record_span(
+                        "shard/forward",
+                        hector_trace::SpanCat::Shard,
+                        t0,
+                        rows,
+                        0,
+                        0.0,
+                    );
+                }
             }
         });
 
         let mut report = zero_report();
-        for r in results.into_iter().flatten() {
-            accumulate(&mut report, &r?);
+        for job in jobs {
+            // A panicked shard forward already resumed on this thread, so
+            // no lock is poisoned here.
+            if let (_, Some(r)) = job.into_inner().expect("shard job lock") {
+                accumulate(&mut report, &r?);
+            }
         }
 
         // Boundary exchange: owned rows land in the merged output in
