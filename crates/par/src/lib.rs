@@ -44,7 +44,7 @@ use std::any::Any;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -193,18 +193,6 @@ impl Shared {
     fn chunk_work_available(&self) -> bool {
         let w = self.chunk_claim.load(Ordering::Acquire);
         (w >> 32) > (w & CHUNK_IDX_MASK)
-    }
-
-    /// Wakes idle workers. Taking the idle lock means a worker between its
-    /// last check and its condvar wait cannot miss the wakeup.
-    fn wake_workers(&self) {
-        // The lock guards no data, so a poisoned one is still usable (and
-        // `Drop` calls this, where a panic would abort).
-        let _g = self
-            .idle_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.work_cv.notify_all();
     }
 
     /// Claims and runs chunks of the active chunk job until none remain.
@@ -420,7 +408,10 @@ impl ThreadPool {
         // `run_chunk_jobs`, making the stores above visible to claimers.
         s.chunk_claim
             .store((chunks as u64) << 32, Ordering::Release);
-        s.wake_workers();
+        {
+            let _g = s.idle_lock.lock().unwrap();
+            s.work_cv.notify_all();
+        }
         // The caller is one of the pool's threads: claim chunks too.
         s.run_chunk_jobs();
         // Wait for straggler workers still running claimed chunks.
@@ -452,7 +443,10 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake_workers();
+        {
+            let _g = self.shared.idle_lock.lock().unwrap();
+            self.shared.work_cv.notify_all();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -597,15 +591,22 @@ mod tests {
     #[test]
     fn for_each_chunk_visits_every_index_once() {
         let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
-        let chunks = pool.for_each_chunk(1000, 16, |_c, range| {
+        let chunks = visit_each_once(&pool, 1000, 16);
+        assert!(chunks > 1, "1000 rows at min_chunk 16 must split");
+    }
+
+    /// Runs one `for_each_chunk` over `0..n` and checks that it visited
+    /// every index exactly once, in the predicted number of chunks.
+    fn visit_each_once(pool: &ThreadPool, n: usize, min_chunk: usize) -> usize {
+        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let chunks = pool.for_each_chunk(n, min_chunk, |_c, range| {
             for i in range {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
         });
-        assert_eq!(chunks, chunk_count(1000, 16, pool.parallelism()));
-        assert!(chunks > 1, "1000 rows at min_chunk 16 must split");
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(chunks, chunk_count(n, min_chunk, pool.parallelism()));
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n}");
+        chunks
     }
 
     #[test]
@@ -690,32 +691,19 @@ mod tests {
 
     #[test]
     fn concurrent_publishers_each_visit_every_index_once() {
-        // Two threads share one pool: whichever finds the dispatcher busy
-        // runs its chunks inline, and neither loses nor repeats an index.
+        // Two threads start together and race for the dispatcher over 50
+        // calls each; a loser runs inline. No index is lost or repeated.
         let pool = ThreadPool::new(4);
         let before = pool.stats().executed;
         let total = AtomicU64::new(0);
-        // Both publishers enter every round together, so their calls race
-        // for the dispatcher 50 times.
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|t| {
             for publisher in 0..2usize {
                 let (pool, total, start) = (&pool, &total, &start);
                 t.spawn(move || {
+                    start.wait();
                     for round in 0..50usize {
-                        let n = 100 + 37 * publisher + round;
-                        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-                        start.wait();
-                        let chunks = pool.for_each_chunk(n, 4, |_c, range| {
-                            for i in range {
-                                hits[i].fetch_add(1, Ordering::Relaxed);
-                            }
-                        });
-                        assert_eq!(chunks, chunk_count(n, 4, pool.parallelism()));
-                        assert!(
-                            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                            "publisher {publisher} round {round}"
-                        );
+                        let chunks = visit_each_once(pool, 100 + 37 * publisher + round, 4);
                         total.fetch_add(chunks as u64, Ordering::Relaxed);
                     }
                 });

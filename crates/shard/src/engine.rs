@@ -253,9 +253,7 @@ impl ShardedEngine {
 
         let mut report = zero_report();
         for job in jobs {
-            // A panicked shard forward already resumed on this thread, so
-            // no lock is poisoned here.
-            if let (_, Some(r)) = job.into_inner().expect("shard job lock") {
+            if let (_, Some(r)) = job.into_inner().expect("a shard panic resumed above") {
                 accumulate(&mut report, &r?);
             }
         }
