@@ -119,11 +119,14 @@ pub struct ScratchStats {
     /// Total real-mode kernel executions recorded.
     pub kernels: usize,
     /// Run-plan buffer (re)materialisation events across runs
-    /// (`Engine::forward` / `Engine::train_step`): output and
-    /// gradient tensors are keyed by variable and shape and grown
-    /// monotonically, so a warm run records zero.
+    /// (`Engine::forward` / `Engine::train_step`): variables whose live
+    /// intervals never overlap share one buffer, which grows only to fit
+    /// its biggest member, so a warm run records zero.
     pub plan_grows: usize,
-    /// High-water footprint of the run plan's persistent buffers, bytes.
+    /// High-water footprint of the run plan's persistent buffers, bytes:
+    /// the shared variable buffers plus the loss-gradient staging buffer.
+    /// It follows the peak of simultaneously live variables, not their
+    /// sum.
     pub plan_bytes: usize,
 }
 

@@ -126,7 +126,6 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
     use hector_graph::HeteroGraphBuilder;
     use hector_ir::{stage_assignments, AdjacencyAccess};
     use hector_par::ThreadPool;
-    use hector_tensor::Tensor;
     use rand::{rngs::StdRng, SeedableRng};
 
     let n = 12;
@@ -190,11 +189,7 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
     // given (on `pool`, which a `solo` kernel does not split over),
     // else the oracle.
     let run = |kernel: Option<&MicroKernel>, pool: Option<&ThreadPool>| {
-        let mut vars = VarStore::new();
-        for (i, info) in p.vars.iter().enumerate() {
-            let rows = g.rows_of_space(info.space);
-            vars.insert(VarId(i as u32), Tensor::zeros(&[rows, info.width]));
-        }
+        let mut vars = VarStore::one_per_var(&p, &g);
         let scores = vars.get_mut(score).data_mut();
         for (e, s) in scores.iter_mut().enumerate() {
             *s = (e * 7 % 5) as f32 - 2.5;

@@ -79,7 +79,6 @@ use crate::loss::random_labels;
 use crate::minibatch::{Batch, BatchSource, Minibatches};
 use crate::optim::Optimizer;
 use crate::session::{Bindings, Mode, RunReport, Session};
-use crate::store::VarStore;
 use crate::{GraphData, ParamStore};
 
 /// What the builder compiles: a built-in model kind (optionally stacked
@@ -680,13 +679,6 @@ impl Engine {
         Ok(())
     }
 
-    /// The run plan's variable store after the latest run (outputs live
-    /// here).
-    #[must_use]
-    pub fn outputs(&self) -> &VarStore {
-        self.session.vars()
-    }
-
     /// The model's first output tensor from the latest run.
     ///
     /// # Panics
@@ -694,7 +686,7 @@ impl Engine {
     /// Panics before the first run.
     #[must_use]
     pub fn output(&self) -> &Tensor {
-        self.outputs().get(self.module().forward.outputs[0])
+        self.session.vars().get(self.module().forward.outputs[0])
     }
 
     /// Label classes used when a trainer derives labels for this engine.
@@ -884,12 +876,6 @@ impl Bound<'_> {
     #[must_use]
     pub fn output(&self) -> &Tensor {
         self.engine.output()
-    }
-
-    /// The run plan's variable store (all outputs).
-    #[must_use]
-    pub fn outputs(&self) -> &VarStore {
-        self.engine.outputs()
     }
 
     /// The underlying engine.
@@ -1195,12 +1181,6 @@ impl Trainer {
         &mut self.engine
     }
 
-    /// Unwraps the engine, dropping the optimizer state.
-    #[must_use]
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
     /// Profiles a closure over this trainer — the training-loop
     /// counterpart of [`Engine::profile`]: tracing is enabled for the
     /// closure's duration and the recorded spans (kernels, phases,
@@ -1288,7 +1268,7 @@ mod tests {
                         continue;
                     };
                     for &v in &t.local_vars {
-                        assert!(!vars.contains(v), "{kind:?}: local {v:?} has a buffer");
+                        assert!(!vars.has_slot(v), "{kind:?}: local {v:?} has a buffer");
                     }
                     locals += t.local_vars.len();
                     widest = widest.max(t.local_vars.iter().map(|&v| program.var(v).width).sum());

@@ -35,7 +35,8 @@ use hector_ir::{
 use hector_tensor::microkernel;
 
 use crate::scratch::Scratch;
-use crate::{GraphData, ParamStore, VarStore};
+use crate::store::VarStore;
+use crate::{GraphData, ParamStore};
 
 /// A row position in one of the three iteration spaces.
 #[derive(Clone, Copy, Debug)]
@@ -649,7 +650,6 @@ mod tests {
     fn unique_pair_scatter_to_a_destination_is_rejected() {
         use hector_graph::HeteroGraphBuilder;
         use hector_ir::{Gather, GemmSchedule, Op, OpId, Scatter};
-        use hector_tensor::Tensor;
         use rand::{rngs::StdRng, SeedableRng};
 
         let mut b = HeteroGraphBuilder::new();
@@ -684,10 +684,7 @@ mod tests {
             fused_scale: false,
             schedule: GemmSchedule::default(),
         };
-        let mut vars = VarStore::new();
-        for (v, info) in [x, out].into_iter().zip(&p.vars) {
-            vars.insert(v, Tensor::zeros(&[g.rows_of_space(info.space), info.width]));
-        }
+        let mut vars = VarStore::one_per_var(&p, &g);
         let mut params = ParamStore::init(&p, &g, &mut StdRng::seed_from_u64(0));
         exec_gemm(&spec, &p, &g, &mut params, &mut vars, &mut Scratch::new());
     }

@@ -58,4 +58,3 @@ pub use minibatch::{Batch, Minibatches};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::ParamStore;
 pub use session::{cnorm_tensor, gather_bindings, Bindings, Mode, RunReport};
-pub use store::VarStore;

@@ -225,14 +225,17 @@ pub fn gather_bindings(
 /// loss staging buffer that persist across successive [`Session::forward`]
 /// / [`Session::train_step`] calls.
 ///
-/// Buffers are keyed by variable id and shape and grow monotonically:
-/// the first run materialises every output/gradient tensor, every later
-/// run zero-fills and reuses them (a zeroed persistent buffer is
+/// Buffers follow liveness: the engine's first run packs every variable
+/// it materialises into shared slots by live interval over the kernel
+/// sequence (see [`crate::store`]), and each variable takes its slot at
+/// its first touch of the run, zero-filled. A zeroed reused buffer is
 /// indistinguishable from a freshly allocated one, so a warm run is
-/// bit-identical to a cold one). Plan growth events and footprint
-/// surface through [`hector_device::ScratchStats::plan_grows`] on the
-/// device counters; `tests/run_alloc.rs` pins that a warm sequential
-/// `train_step` performs **zero** heap allocations.
+/// bit-identical to a cold one, and the plan holds the peak of live
+/// variables rather than their sum. A slot grows only to its biggest
+/// member; growth events and footprint surface through
+/// [`hector_device::ScratchStats::plan_grows`] on the device counters;
+/// `tests/run_alloc.rs` pins that a warm sequential `train_step`
+/// performs **zero** heap allocations.
 #[derive(Debug, Default)]
 struct RunPlan {
     vars: VarStore,
@@ -250,37 +253,21 @@ impl RunPlan {
     /// Marks `v` touched this run; returns whether it already was.
     /// Buffers are zero-filled lazily, at each variable's first touch
     /// ([`RunPlan::ensure`]) — only the current program's variables pay
-    /// the memset, and input buffers (fully overwritten by
-    /// `bind_inputs`) skip it.
+    /// the memset.
     fn touch(&mut self, v: VarId) -> bool {
         std::mem::replace(&mut self.touched[v.0 as usize], true)
     }
 
-    /// Makes sure `v` has a reusable buffer of the right shape,
-    /// materialising (and counting a growth event) only on mismatch. A
-    /// reused buffer is zero-filled here — its first touch of the run —
-    /// making it indistinguishable from freshly allocated zeros. Callers
-    /// guarantee at most one call per variable per run (the `touched`
-    /// flags for device-backed vars; single assignment for register
-    /// locals), so a mid-run re-zero of a scatter target can never
-    /// happen.
+    /// Hands `v` its slot, shaped `[rows, width]` and zero-filled — its
+    /// first touch of the run — counting a growth event only when the
+    /// slot reallocates, so warm runs (and warm batch steps whose shapes
+    /// fit) stay allocation-free. Callers guarantee at most one call per
+    /// variable per run (the `touched` flags for device-backed vars;
+    /// single assignment for register locals), so a mid-run re-zero of a
+    /// scatter target can never happen.
     fn ensure(&mut self, v: VarId, rows: usize, width: usize) {
-        match self.vars.try_get(v).map(|t| t.shape() == [rows, width]) {
-            Some(true) => self.vars.get_mut(v).data_mut().fill(0.0),
-            Some(false) => {
-                // Shape changed — e.g. successive mini-batch subgraphs of
-                // different sizes. Re-shape the buffer in place; the
-                // allocation is reused whenever capacity suffices, and a
-                // growth event counts only when it actually reallocates,
-                // so warm batch steps whose shapes fit stay alloc-free.
-                if self.vars.get_mut(v).reset_shape_zeroed(&[rows, width]) {
-                    self.grows += 1;
-                }
-            }
-            None => {
-                self.grows += 1;
-                self.vars.insert(v, Tensor::zeros(&[rows, width]));
-            }
+        if self.vars.take(v, &[rows, width]) {
+            self.grows += 1;
         }
     }
 
@@ -388,8 +375,8 @@ impl Session {
         &mut self.device
     }
 
-    /// The run plan's variable store — the buffers runs write outputs
-    /// and gradients into. Empty until the first run.
+    /// The run plan's variable store — the slots runs write outputs and
+    /// gradients into. Empty until the first run.
     pub(crate) fn vars(&self) -> &VarStore {
         &self.plan.vars
     }
@@ -443,24 +430,12 @@ impl Session {
                 "binding '{}' has the wrong shape",
                 info.name
             );
-            let plan = &mut self.plan;
-            // Copy into the persistent buffer, re-shaping it in place on
-            // mismatch (batch inputs change shape every batch); a growth
-            // event counts only when the buffer actually reallocates.
-            match plan.vars.try_get(v) {
-                Some(prev) => {
-                    if prev.shape() != t.shape()
-                        && plan.vars.get_mut(v).reset_shape_zeroed(t.shape())
-                    {
-                        plan.grows += 1;
-                    }
-                    plan.vars.get_mut(v).data_mut().copy_from_slice(t.data());
-                }
-                None => {
-                    plan.grows += 1;
-                    plan.vars.insert(v, t.clone());
-                }
-            }
+            self.plan.ensure(v, rows, info.width);
+            self.plan
+                .vars
+                .get_mut(v)
+                .data_mut()
+                .copy_from_slice(t.data());
         }
     }
 
@@ -621,7 +596,9 @@ impl Session {
         // run: `prepares` 1 cold, `plan_reuses` 1 warm.
         let reused = self.exec_plan.is_some();
         if !reused {
-            self.exec_plan = Some(ExecPlan::prepare(self.backend, module));
+            let exec_plan = ExecPlan::prepare(self.backend, module);
+            self.plan.vars = VarStore::planned(module, &exec_plan, graph);
+            self.exec_plan = Some(exec_plan);
         }
         // The whole run's device accounting, before anything executes:
         // an OOM fails here with no kernel run. The walk resets the

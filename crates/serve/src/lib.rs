@@ -603,12 +603,6 @@ impl ServeHandle {
         self.deployment(deployment).map(|d| d.snapshot())
     }
 
-    /// Requests currently queued (excludes in-flight groups).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().expect("queue lock").requests.len()
-    }
-
     /// Pauses dispatch: requests keep queueing (and can shed or expire)
     /// but no tick runs until [`ServeHandle::resume`]. Test hook for
     /// exercising the queue policies deterministically.
