@@ -23,9 +23,9 @@ const NO_SLOT: u32 = u32::MAX;
 /// `i`, the loss and output-gradient seeds at `F` (the forward kernel
 /// count), backward kernel `j` at `F + 1 + j`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Interval {
-    pub(crate) first: u32,
-    pub(crate) last: u32,
+struct Interval {
+    first: u32,
+    last: u32,
 }
 
 impl Interval {
@@ -38,7 +38,7 @@ impl Interval {
         self.last = self.last.max(p);
     }
 
-    pub(crate) fn overlaps(self, other: Interval) -> bool {
+    fn overlaps(self, other: Interval) -> bool {
         self.first <= other.last && other.first <= self.last
     }
 }
@@ -51,7 +51,7 @@ impl Interval {
 /// forward — to the last kernel that reads or writes it. Forward outputs
 /// stay live to the end of the run: the loss, [`crate::Engine::output`],
 /// serving and shards read them after their last kernel.
-pub(crate) fn intervals(module: &CompiledModule, plan: &ExecPlan) -> Vec<Option<Interval>> {
+fn intervals(module: &CompiledModule, plan: &ExecPlan) -> Vec<Option<Interval>> {
     let fw = &module.forward;
     let bw = module.backward.as_ref();
     let mut live = vec![None; bw.unwrap_or(fw).vars.len()];
@@ -106,17 +106,14 @@ fn walk(
     }
 }
 
-/// Packs variables into slots: biggest first (`bytes`, ties by id),
+/// Packs variables into slots: biggest first (`size`, ties by id),
 /// each into the first slot none of whose members' intervals overlaps
 /// its own. Returns each variable's slot ([`NO_SLOT`] without an
 /// interval) and the slot count. Sizes only order the packing — any
 /// graph can run on the result; a different one changes capacities.
-pub(crate) fn assign_slots(
-    live: &[Option<Interval>],
-    bytes: impl Fn(usize) -> usize,
-) -> (Vec<u32>, usize) {
+fn assign_slots(live: &[Option<Interval>], size: impl Fn(usize) -> usize) -> (Vec<u32>, usize) {
     let mut order: Vec<usize> = (0..live.len()).filter(|&v| live[v].is_some()).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(bytes(v)));
+    order.sort_by_key(|&v| std::cmp::Reverse(size(v)));
     let mut members: Vec<Vec<Interval>> = Vec::new();
     let mut slot_of = vec![NO_SLOT; live.len()];
     for v in order {
@@ -160,11 +157,11 @@ impl VarStore {
     /// Every slot starts empty.
     pub(crate) fn planned(module: &CompiledModule, plan: &ExecPlan, graph: &GraphData) -> VarStore {
         let program = module.backward.as_ref().unwrap_or(&module.forward);
-        let bytes = |v: usize| {
+        let size = |v: usize| {
             let info = &program.vars[v];
             graph.rows_of_space(info.space) * info.width
         };
-        let (slot_of, slots) = assign_slots(&intervals(module, plan), bytes);
+        let (slot_of, slots) = assign_slots(&intervals(module, plan), size);
         VarStore {
             slot_of,
             slots: (0..slots).map(|_| Slot::default()).collect(),
@@ -246,7 +243,7 @@ impl VarStore {
         if owner != Some(v) {
             let now = owner.map_or_else(|| "nobody".to_string(), |o| self.name(o));
             panic!(
-                "{} read outside its live interval: its slot belongs to {now}",
+                "{} used outside its live interval: its slot belongs to {now}",
                 self.name(v)
             );
         }
