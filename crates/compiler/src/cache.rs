@@ -7,8 +7,8 @@
 //! covers the model's dimensions: they are baked into the weight and
 //! variable tables) together with the exact options, and hands out
 //! `Arc`-shared modules. Constructing ten engines over the same
-//! `(source, dims, options)` key — a stacked-model sweep, the
-//! autotuner's thread axis, repeated test setup — compiles once and
+//! `(source, dims, options)` key — a stacked-model sweep, repeated
+//! test setup — compiles once and
 //! serves nine hits. The DSL line count ([`ModelSource::lines`]) is not
 //! part of the key: it does not change the module.
 //!

@@ -13,7 +13,7 @@ use hector_compiler::{compile_cached, CompileOptions};
 use hector_device::{Device, DeviceConfig, OomError};
 use hector_ir::GemmSchedule;
 use hector_models::ModelKind;
-use hector_runtime::{model_run, EngineBuilder, GraphData, HectorError, ParallelConfig, Sgd};
+use hector_runtime::{model_run, EngineBuilder, GraphData, HectorError};
 
 /// Result of an autotuning sweep.
 #[derive(Clone, Debug)]
@@ -137,116 +137,6 @@ pub fn autotune(
     })
 }
 
-/// Result of a thread-count sweep over the real-mode executor.
-#[derive(Clone, Debug)]
-pub struct ThreadTuneResult {
-    /// The fastest thread count measured.
-    pub best_threads: usize,
-    /// Host wall-clock microseconds at the winning thread count.
-    pub best_wall_us: f64,
-    /// Every `(num_threads, wall µs)` sample, in sweep order.
-    pub samples: Vec<(usize, f64)>,
-}
-
-impl ThreadTuneResult {
-    /// Speedup of the winner over the 1-thread sample (1.0 when the
-    /// sweep did not include 1 thread).
-    #[must_use]
-    pub fn speedup_over_sequential(&self) -> f64 {
-        let seq = self
-            .samples
-            .iter()
-            .find(|(t, _)| *t == 1)
-            .map(|(_, us)| *us);
-        match seq {
-            Some(us) if self.best_wall_us > 0.0 => us / self.best_wall_us,
-            _ => 1.0,
-        }
-    }
-}
-
-/// The thread-count axis of the tuning space: unlike the option/schedule
-/// axes, which are scored by the deterministic *simulated* cost model,
-/// thread count only affects *host* wall-clock time of the real-mode
-/// interpreter (the parallel executor is bit-deterministic, so the
-/// simulated timings are identical across thread counts). This sweep
-/// therefore runs each candidate for real and measures the host clock —
-/// one discarded warm-up, then best-of-2 inferences (or training steps)
-/// per thread count; lowest wall time wins.
-///
-/// # Panics
-///
-/// Panics if `thread_counts` is empty.
-#[must_use]
-pub fn autotune_threads(
-    kind: ModelKind,
-    in_dim: usize,
-    out_dim: usize,
-    graph: &GraphData,
-    config: &DeviceConfig,
-    training: bool,
-    thread_counts: &[usize],
-) -> ThreadTuneResult {
-    assert!(
-        !thread_counts.is_empty(),
-        "thread sweep needs at least one candidate"
-    );
-    let opts = CompileOptions::best().with_training(training);
-    let classes = out_dim.max(2);
-    // One engine per thread count; the module itself compiles once for
-    // the whole sweep (every engine after the first is a ModuleCache
-    // hit — the cache is what makes a ten-engine sweep cheap).
-    let run = |threads: usize| -> f64 {
-        let par = ParallelConfig::from_env().with_threads(threads);
-        let builder = EngineBuilder::new(kind)
-            .dims(in_dim, out_dim)
-            .options(opts.clone())
-            .device(config.clone())
-            .parallel(par)
-            .classes(classes)
-            .seed(1);
-        if training {
-            let mut trainer = builder
-                .build_trainer(Sgd::new(0.01))
-                .expect("thread sweep uses a valid builder");
-            trainer.bind(graph).expect("thread sweep graph is valid");
-            let start = std::time::Instant::now();
-            trainer
-                .step()
-                .expect("thread sweep must fit in device memory");
-            start.elapsed().as_secs_f64() * 1e6
-        } else {
-            let mut engine = builder.build().expect("thread sweep uses a valid builder");
-            let mut bound = engine.bind(graph).expect("thread sweep graph is valid");
-            let start = std::time::Instant::now();
-            bound
-                .forward()
-                .expect("thread sweep must fit in device memory");
-            start.elapsed().as_secs_f64() * 1e6
-        }
-    };
-    // One discarded warm-up absorbs process-wide first-touch costs
-    // (page faults, allocator growth, cold code) so they don't inflate
-    // the first candidate; best-of-2 per candidate damps scheduler
-    // noise. The runs themselves are bit-deterministic, so repetition
-    // only affects the clock, never the numerics.
-    run(thread_counts[0]);
-    let mut samples = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
-        samples.push((threads, run(threads).min(run(threads))));
-    }
-    let (best_threads, best_wall_us) = samples
-        .iter()
-        .copied()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("non-empty sweep");
-    ThreadTuneResult {
-        best_threads,
-        best_wall_us,
-        samples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,27 +196,6 @@ mod tests {
             matches!(&err, HectorError::Oom(e) if e.capacity == 1024 && e.label == "graph"),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn thread_sweep_samples_every_candidate() {
-        let g = graph(0.5);
-        let cfg = DeviceConfig::rtx3090();
-        let r = autotune_threads(ModelKind::Rgcn, 16, 16, &g, &cfg, false, &[1, 2, 4]);
-        assert_eq!(r.samples.len(), 3);
-        assert!(r.samples.iter().any(|(t, _)| *t == r.best_threads));
-        assert!(r.samples.iter().all(|(_, us)| *us > 0.0));
-        assert!([1, 2, 4].contains(&r.best_threads));
-        assert!(r.speedup_over_sequential() > 0.0);
-    }
-
-    #[test]
-    fn thread_sweep_supports_training() {
-        let g = graph(0.5);
-        let cfg = DeviceConfig::rtx3090();
-        let r = autotune_threads(ModelKind::Rgcn, 8, 8, &g, &cfg, true, &[1, 2]);
-        assert_eq!(r.samples.len(), 2);
-        assert!(r.best_wall_us > 0.0);
     }
 
     #[test]

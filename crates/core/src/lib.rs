@@ -72,7 +72,7 @@ use std::sync::Arc;
 
 pub mod autotune;
 
-pub use autotune::{autotune, autotune_threads, ThreadTuneResult, TuneResult};
+pub use autotune::{autotune, TuneResult};
 pub use hector_baselines as baselines;
 pub use hector_compiler::{
     compile, compile_cached, emit, source_fingerprint, CompileOptions, CompiledModule,

@@ -3,39 +3,47 @@
 //! A long-lived, multi-tenant inference server on the
 //! [`Engine`] substrate: N models × M graphs
 //! stay resident as bound engine handles (compilation deduplicated by
-//! the process-wide `ModuleCache`), concurrent callers submit
-//! single-node or multi-node inference requests through a bounded
-//! queue, and a dispatcher **coalesces** every pending request for the
-//! same deployment into one group per tick.
+//! the process-wide `ModuleCache`), and concurrent callers submit
+//! single-node or multi-node inference requests.
 //!
 //! A full-graph forward yields every node's output at once, and a
 //! deployment's weights, features and graph change only when a swap or
 //! delta installs a new engine. So each deployment runs **one**
-//! `Engine::forward` per engine version — lazily, at the first group
-//! that reads it — and answers every later request from that output
-//! until the next swap or delta. A swap runs no forward itself.
+//! `Engine::forward` per engine version — lazily, at the first read of
+//! it — and answers every later request from that output until the next
+//! swap or delta. A swap runs no forward itself.
+//!
+//! A read of a deployment whose output is fresh is a row copy, answered
+//! on the caller's thread: `submit` returns a ticket that is already
+//! resolved. Every other request (the first read of a new engine, a read
+//! while a refill or swap holds the deployment, any read while the
+//! server is paused) goes through a bounded queue, and a dispatcher
+//! **coalesces** every pending request for the same deployment into one
+//! group per tick:
 //!
 //! ```text
-//!   submit()──►[ bounded queue ]──►dispatcher──►┌─────────────────┐
-//!   submit()──►   (load-shed /       (tick)     │ coalesce by     │
-//!   submit()──►    timeout)                     │ deployment      │
-//!                                               └──┬───────┬──────┘
+//!               output fresh, slot free: copy the rows ──► resolved Ticket
+//!   submit()──┤
+//!               otherwise ──►[ bounded queue ]──►dispatcher──►┌─────────────┐
+//!                              (load-shed /       (tick)      │ coalesce by │
+//!                               timeout)                      │ deployment  │
+//!                                                             └──┬──────┬───┘
 //!                                  hector-par for_each_chunk (groups
 //!                                          execute concurrently)
-//!                                               ┌──▼───┐ ┌──▼───┐
-//!                                               │engine│ │engine│ ...
-//!                                               └──┬───┘ └──┬───┘
-//!                                    a forward only if this engine has
-//!                                    not run one; rows are scattered
-//!                                    back to each ticket
+//!                                                             ┌──▼───┐┌─▼────┐
+//!                                                             │engine││engine│ ...
+//!                                                             └──┬───┘└──┬───┘
+//!                                  a forward only if this engine has not
+//!                                  run one; rows are scattered back to
+//!                                  each ticket
 //! ```
 //!
 //! Design points, in paper terms: the engines' kernels and run plans
 //! are exactly the ones the compiler produced — serving adds *no* new
-//! numeric path, so a coalesced response is bit-identical to a
-//! standalone `Engine::forward` of the same deployment (the
-//! `tests/serve.rs` suite pins this against a sequential oracle at
-//! every thread count). Hot model/graph swap builds the replacement
+//! numeric path, so a response, coalesced or answered at submit, is
+//! bit-identical to a standalone `Engine::forward` of the same
+//! deployment (the `tests/serve.rs` suite pins this against a
+//! sequential oracle at every thread count). Hot model/graph swap builds the replacement
 //! engine off to the side and replaces the resident one atomically
 //! under the deployment lock, so in-flight requests either run on the
 //! old engine or the new one — never on neither. The memoized output
@@ -136,9 +144,10 @@ pub struct ServeConfig {
     /// Maximum queued requests before [`ServeHandle::submit`] sheds load.
     pub queue_capacity: usize,
     /// Maximum requests folded into one group per deployment per tick.
-    /// Only the first group to read a new engine version runs a
-    /// forward; every other group is answered from its output, so this
-    /// cap only shapes the groups of that refill tick.
+    /// Only requests that take the queue are grouped: the first reads
+    /// of a new engine version, reads that meet a refill or swap in
+    /// progress, and reads while paused. A read of a fresh output is
+    /// answered at submit and never counts against this cap.
     pub max_coalesce: usize,
     /// Queue-residency budget per request; exceeded ⇒ [`ServeError::Timeout`].
     pub default_timeout: Duration,
@@ -199,16 +208,18 @@ pub struct Response {
     /// Engine version (bumped by hot swap) that served the request.
     pub version: u64,
     /// Requests in the dispatch group that served this one (≥ 1),
-    /// whether or not that group ran a forward.
+    /// whether or not that group ran a forward; 1 for a read answered
+    /// at submit.
     pub coalesced: usize,
 }
 
 /// Per-deployment serving counters (monotonic since deploy).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeploymentStats {
-    /// Requests accepted into the queue.
+    /// Requests accepted: queued, or answered at submit.
     pub submitted: u64,
-    /// Requests fulfilled with a response.
+    /// Requests fulfilled with a response, by a dispatch group or at
+    /// submit.
     pub completed: u64,
     /// Requests rejected at submit because the queue was full.
     pub shed: u64,
@@ -222,8 +233,9 @@ pub struct DeploymentStats {
     /// version that was read (a failed forward is retried, and counts
     /// only once it succeeds).
     pub forwards: u64,
-    /// Requests answered from a deployment output, whether their group
-    /// ran the forward or read the memoized one.
+    /// Requests answered from a deployment output: by a group that ran
+    /// the forward, by one that read the memoized output, or at submit.
+    /// A request that fails is not counted.
     pub coalesced_requests: u64,
     /// Hot swaps applied.
     pub swaps: u64,
@@ -281,7 +293,8 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Blocks until the dispatcher fulfills or fails the request.
+    /// Blocks until the dispatcher fulfills or fails the request (a read
+    /// answered at submit returns at once).
     pub fn wait(self) -> Result<Response, ServeError> {
         let mut g = self.inner.state.lock().expect("ticket lock");
         loop {
@@ -559,6 +572,21 @@ impl ServeHandle {
             state: Mutex::new(None),
             cv: Condvar::new(),
         });
+        let paused = {
+            let q = self.inner.queue.lock().expect("queue lock");
+            if q.shutdown {
+                return Err(ServeError::ShuttingDown);
+            }
+            q.paused
+        };
+        // A read of a fresh output is a row copy: answer it here, with
+        // the queue lock released and the slot lock only tried.
+        if !paused {
+            if let Some(response) = dep.read_fresh(nodes) {
+                ticket.fulfill(Ok(response));
+                return Ok(Ticket { inner: ticket });
+            }
+        }
         {
             let mut q = self.inner.queue.lock().expect("queue lock");
             if q.shutdown {
@@ -603,9 +631,10 @@ impl ServeHandle {
         self.deployment(deployment).map(|d| d.snapshot())
     }
 
-    /// Pauses dispatch: requests keep queueing (and can shed or expire)
-    /// but no tick runs until [`ServeHandle::resume`]. Test hook for
-    /// exercising the queue policies deterministically.
+    /// Pauses dispatch: every request queues, reads of a fresh output
+    /// too (and can shed or expire), but no tick runs until
+    /// [`ServeHandle::resume`]. Test hook for exercising the queue
+    /// policies deterministically.
     pub fn pause(&self) {
         self.inner.queue.lock().expect("queue lock").paused = true;
         self.inner.queue_cv.notify_all();
@@ -836,6 +865,48 @@ impl Deployment {
         }
     }
 
+    /// Copies the rows of `nodes` out of the resident output, tagged with
+    /// its version; `slot` is this deployment's, locked by the caller.
+    /// Submit-time range checks saw the graph deployed *then*; a swap or
+    /// delta may have installed a smaller one since. Such a request fails
+    /// alone — indexing past the output would panic under the slot lock
+    /// and poison the deployment.
+    fn answer(&self, slot: &Slot, nodes: &[usize], group: usize) -> Result<Response, ServeError> {
+        let version = self.version.load(Ordering::SeqCst);
+        let out = slot.engine.output();
+        if nodes.iter().any(|&n| n >= out.rows()) {
+            return Err(ServeError::BadRequest(format!(
+                "node out of range for '{}' v{version} ({} nodes)",
+                self.name,
+                out.rows()
+            )));
+        }
+        Ok(Response {
+            rows: nodes.iter().map(|&n| out.row(n).to_vec()).collect(),
+            version,
+            coalesced: group,
+        })
+    }
+
+    /// Answers a read on the caller's thread if the resident output is
+    /// fresh and no refill or swap holds the slot. `None` (slot busy,
+    /// poisoned or stale, or a node the output does not have) sends the
+    /// request through the queue. Counters move before the caller can
+    /// see the response.
+    fn read_fresh(&self, nodes: &[usize]) -> Option<Response> {
+        let slot = self.slot.try_lock().ok()?;
+        if !slot.fresh {
+            return None;
+        }
+        let response = self.answer(&slot, nodes, 1).ok()?;
+        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .coalesced_requests
+            .fetch_add(1, Ordering::Relaxed);
+        self.stats.completed.fetch_add(1, Ordering::Relaxed);
+        Some(response)
+    }
+
     fn snapshot(&self) -> DeploymentStats {
         DeploymentStats {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
@@ -859,7 +930,6 @@ fn run_group(dep: &Deployment, reqs: Vec<Request>) {
     let coalesced = reqs.len();
     let span = trace::span_start();
     let mut slot = dep.slot.lock().expect("deployment lock");
-    let version = dep.version.load(Ordering::SeqCst);
     let ran_forward = !slot.fresh;
     let filled = if ran_forward {
         fill(dep, &mut slot)
@@ -871,35 +941,19 @@ fn run_group(dep: &Deployment, reqs: Vec<Request>) {
     // it (tests and dashboards read stats right after wait()).
     match filled {
         Ok(()) => {
-            let out = slot.engine.output();
-            // Submit-time range checks saw the graph deployed *then*; a
-            // swap or delta may have installed a smaller one since. Such
-            // a request fails alone — indexing past `out` would panic
-            // under the slot lock and poison the deployment.
-            let in_range = |r: &Request| r.nodes.iter().all(|&n| n < out.rows());
-            let stale = reqs.iter().filter(|r| !in_range(r)).count() as u64;
+            let answers: Vec<_> = reqs
+                .iter()
+                .map(|r| dep.answer(&slot, &r.nodes, coalesced))
+                .collect();
+            let stale = answers.iter().filter(|a| a.is_err()).count() as u64;
+            let served = coalesced as u64 - stale;
             dep.stats
                 .coalesced_requests
-                .fetch_add(coalesced as u64, Ordering::Relaxed);
-            dep.stats
-                .completed
-                .fetch_add(coalesced as u64 - stale, Ordering::Relaxed);
+                .fetch_add(served, Ordering::Relaxed);
+            dep.stats.completed.fetch_add(served, Ordering::Relaxed);
             dep.stats.failed.fetch_add(stale, Ordering::Relaxed);
-            for r in &reqs {
-                if !in_range(r) {
-                    r.ticket.fulfill(Err(ServeError::BadRequest(format!(
-                        "node out of range for '{}' v{version} ({} nodes)",
-                        dep.name,
-                        out.rows()
-                    ))));
-                    continue;
-                }
-                let rows: Vec<Vec<f32>> = r.nodes.iter().map(|&n| out.row(n).to_vec()).collect();
-                r.ticket.fulfill(Ok(Response {
-                    rows,
-                    version,
-                    coalesced,
-                }));
+            for (r, a) in reqs.iter().zip(answers) {
+                r.ticket.fulfill(a);
             }
         }
         Err(e) => {
@@ -1132,6 +1186,10 @@ mod tests {
         assert_eq!(srv.submit("m", 47).unwrap().wait().unwrap().version, 2);
         let stats = srv.stats("m").unwrap();
         assert_eq!((stats.failed, stats.completed), (1, 2));
+        assert_eq!(
+            stats.coalesced_requests, 2,
+            "a request failed as out of range was not answered from an output"
+        );
         srv.shutdown();
     }
 
@@ -1415,6 +1473,117 @@ mod tests {
             assert_eq!(bits(&r.rows[0]), want[7], "workers={workers}");
             let stats = srv.stats("bad").unwrap();
             assert_eq!((stats.failed, stats.completed, stats.forwards), (3, 1, 1));
+            srv.shutdown();
+        }
+    }
+
+    /// A read of a fresh output resolves inside `submit`, even while the
+    /// dispatcher is stuck behind another deployment's slot.
+    #[test]
+    fn a_fresh_read_is_answered_at_submit() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(28, 48);
+        let want = oracle(builder(), &g);
+        srv.deploy("a", builder(), &g).unwrap();
+        srv.deploy("b", builder().seed(9), &g).unwrap();
+        read(&srv, "a", 0);
+        let b = srv.deployment("b").unwrap();
+        let held = b.slot.lock().unwrap();
+        let blocked = srv.submit("b", 1).unwrap();
+        let t = srv.submit_batch("a", &[5, 11]).unwrap();
+        let r = t
+            .try_wait()
+            .expect("a fresh read resolves at submit")
+            .unwrap();
+        let got: Vec<Vec<u32>> = r.rows.iter().map(|row| bits(row)).collect();
+        assert_eq!(got, vec![want[5].clone(), want[11].clone()]);
+        assert_eq!((r.version, r.coalesced), (1, 1));
+        assert!(blocked.try_wait().is_none(), "b's group waits on its slot");
+        drop(held);
+        wait_for(&blocked).unwrap();
+        let stats = srv.stats("a").unwrap();
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.completed,
+                stats.coalesced_requests,
+                stats.forwards
+            ),
+            (2, 2, 2, 1)
+        );
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_paused_server_queues_and_coalesces_fresh_reads() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(29, 48);
+        let want = oracle(builder(), &g);
+        srv.deploy("m", builder(), &g).unwrap();
+        read(&srv, "m", 0);
+        srv.pause();
+        let tickets: Vec<Ticket> = (0..6).map(|n| srv.submit("m", n).unwrap()).collect();
+        assert!(tickets.iter().all(|t| t.try_wait().is_none()));
+        srv.resume();
+        for (n, t) in tickets.iter().enumerate() {
+            let r = wait_for(t).unwrap();
+            assert_eq!((r.coalesced, bits(&r.rows[0])), (6, want[n].clone()));
+        }
+        let stats = srv.stats("m").unwrap();
+        assert_eq!((stats.forwards, stats.coalesced_requests), (1, 7));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_read_of_a_fresh_slot_after_shutdown_is_rejected() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        srv.deploy("m", builder(), &graph(30, 48)).unwrap();
+        read(&srv, "m", 0);
+        srv.shutdown();
+        assert_eq!(srv.submit("m", 1).err(), Some(ServeError::ShuttingDown));
+        assert_eq!(srv.stats("m").unwrap().submitted, 1);
+    }
+
+    /// Reads race swaps between two seeds: whichever path answers a read
+    /// (at submit or in a group), its rows are those of the engine its
+    /// version names, and no ticket hangs.
+    #[test]
+    fn reads_racing_swaps_get_the_rows_their_version_names() {
+        let g = graph(31, 48);
+        // Version 1 is the deploy and each swap installs the next one:
+        // seed 7 at odd versions, seed 8 at even ones.
+        let seed = |version: u64| if version % 2 == 1 { 7 } else { 8 };
+        let want = [oracle(builder(), &g), oracle(builder().seed(8), &g)];
+        for workers in [1usize, 4] {
+            let srv = ServeHandle::start(ServeConfig::default().with_workers(workers));
+            srv.deploy("m", builder(), &g).unwrap();
+            std::thread::scope(|s| {
+                let readers: Vec<_> = (0..3usize)
+                    .map(|t| {
+                        let (srv, want) = (&srv, &want);
+                        s.spawn(move || {
+                            for i in 0..150usize {
+                                let node = (t * 17 + i) % 48;
+                                let r = wait_for(&srv.submit("m", node).unwrap()).unwrap();
+                                let w = &want[usize::from(seed(r.version) == 8)];
+                                assert_eq!(bits(&r.rows[0]), w[node], "v{}", r.version);
+                            }
+                        })
+                    })
+                    .collect();
+                for v in 2u64.. {
+                    assert_eq!(srv.swap("m", builder().seed(seed(v)), &g).unwrap(), v);
+                    if readers.iter().all(|r| r.is_finished()) {
+                        break;
+                    }
+                }
+            });
+            let stats = srv.stats("m").unwrap();
+            assert_eq!(
+                (stats.completed, stats.failed),
+                (450, 0),
+                "workers={workers}"
+            );
             srv.shutdown();
         }
     }

@@ -356,17 +356,6 @@ impl ShardedEngine {
         self.sharded.full()
     }
 
-    /// The authoritative full-graph engine (training, parameter source).
-    #[must_use]
-    pub fn full_engine(&self) -> &Engine {
-        &self.full
-    }
-
-    /// Mutable access to the authoritative engine.
-    pub fn full_engine_mut(&mut self) -> &mut Engine {
-        &mut self.full
-    }
-
     /// Number of shards (including ones that own no nodes).
     #[must_use]
     pub fn num_shards(&self) -> usize {
@@ -514,9 +503,8 @@ mod tests {
             ShardConfig::new(2),
         );
         let mut eng = builder().bind_sharded(sharded).unwrap();
-        let shared = |eng: &ShardedEngine| {
-            std::ptr::eq(eng.full_engine().graph().graph(), eng.full_data.graph())
-        };
+        let shared =
+            |eng: &ShardedEngine| std::ptr::eq(eng.full.graph().graph(), eng.full_data.graph());
         assert!(shared(&eng));
         eng.apply_delta(&DeltaBatch::new().add_edge(0, 1, 0))
             .unwrap();

@@ -1,7 +1,8 @@
 //! Multi-tenant serving: keep several models resident behind one
-//! [`ServeHandle`], submit concurrent single-node requests (coalesced
-//! into batched traversals per dispatch tick), hot-swap a tenant's
-//! graph under load, and read the per-tenant counters.
+//! [`ServeHandle`], submit concurrent single-node requests (the first
+//! reads of an engine coalesced into one forward per dispatch tick,
+//! later ones answered at submit), hot-swap a tenant's graph under
+//! load, and read the per-tenant counters.
 //!
 //! ```bash
 //! cargo run --release --example serve_demo
@@ -54,9 +55,11 @@ fn main() {
         .expect("hgt deploys");
     println!("deployments: {:?}", srv.deployments());
 
-    // 3. Fire a burst of single-node requests at both tenants. The
-    //    dispatcher coalesces same-deployment requests arriving within
-    //    one tick into a single batched traversal.
+    // 3. Fire a burst of single-node requests at both tenants. Reads
+    //    that arrive before a tenant's output exists queue, and the
+    //    dispatcher coalesces each tenant's into one group that runs the
+    //    tenant's one forward. Once that output is fresh, a read is a
+    //    row copy answered at submit, without the queue.
     let tickets: Vec<_> = (0..24)
         .map(|i| {
             let (name, g) = if i % 3 == 0 {
@@ -77,11 +80,12 @@ fn main() {
         assert!(!r.rows[0].is_empty());
     }
     let r = batch.wait().expect("batch served");
-    println!(
-        "batch of 4 served by engine v{} (coalesced with {} single-node requests)",
-        r.version,
-        r.coalesced - 1
-    );
+    let how = if r.coalesced == 1 {
+        "answered at submit".to_string()
+    } else {
+        format!("coalesced with {} queued requests", r.coalesced - 1)
+    };
+    println!("batch of 4 served by engine v{} ({how})", r.version);
 
     for name in ["rgcn_products", "hgt_reviews"] {
         let s = srv.stats(name).expect("deployed");
