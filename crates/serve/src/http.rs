@@ -12,7 +12,8 @@
 //! * `GET /stats` — per-deployment serving counters as JSON.
 //! * `GET /infer/<deployment>/<node>` — single-node inference; the
 //!   response carries the output row, serving engine version, and the
-//!   size of the dispatch group that served it.
+//!   size of the dispatch group that served it (1 for a read answered
+//!   at submit).
 //!
 //! Serving-policy outcomes map onto status codes: shed load is `503`
 //! with a `Retry-After` header, queue expiry is `504`, an unknown

@@ -22,9 +22,9 @@
 //! group per tick:
 //!
 //! ```text
-//!               output fresh, slot free: copy the rows ──► resolved Ticket
+//!             ┌ output fresh, slot free: copy the rows ──► resolved Ticket
 //!   submit()──┤
-//!               otherwise ──►[ bounded queue ]──►dispatcher──►┌─────────────┐
+//!             └ otherwise ──►[ bounded queue ]──►dispatcher──►┌─────────────┐
 //!                              (load-shed /       (tick)      │ coalesce by │
 //!                               timeout)                      │ deployment  │
 //!                                                             └──┬──────┬───┘
