@@ -8,9 +8,9 @@
 //! variable tables) together with the exact options, and hands out
 //! `Arc`-shared modules. Constructing ten engines over the same
 //! `(source, dims, options)` key — a stacked-model sweep, repeated
-//! test setup — compiles once and
-//! serves nine hits. The DSL line count ([`ModelSource::lines`]) is not
-//! part of the key: it does not change the module.
+//! test setup — compiles once and serves nine hits. The DSL line count
+//! ([`ModelSource::lines`]) is not part of the key: it does not change
+//! the module.
 //!
 //! [`ModuleCache::stats`] reports the hit/miss/eviction counts and the
 //! entry count; [`ModuleCache::clear`] empties the cache and zeroes them
