@@ -38,7 +38,7 @@ use crate::interop::{
 
 /// A finished model definition: the inter-operator program plus the
 /// source-line count of the DSL statements that produced it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelSource {
     /// The inter-operator-level program.
     pub program: Program,

@@ -60,11 +60,19 @@
 //! 1. `ParamStore::init(&module.forward, graph, &mut rng)`,
 //! 2. `Bindings::standard(&module.forward, graph, &mut rng)`,
 //! 3. `random_labels(&mut rng, num_nodes, classes)` (trainers only).
+//!
+//! [`Engine::rebind`] draws nothing: it moves a bound engine onto a new
+//! graph with its parameters and seed-derived inputs as they are, and
+//! recomputes only the inputs the graph determines (`cnorm`). An
+//! engine whose state is still the seed's then forwards bit for bit
+//! what a fresh [`Engine::bind`] of the new graph would: the weights
+//! depend only on the type counts and the seed-derived inputs only on
+//! their row counts, and rebind refuses a graph that changes either.
 
 use hector_compiler::{CompileOptions, CompiledModule, ModuleCache};
 use hector_device::{Device, DeviceConfig};
 use hector_ir::builder::ModelSource;
-use hector_ir::Program;
+use hector_ir::{Program, WeightId};
 use hector_models::{stacked, ModelKind};
 use hector_par::ParallelConfig;
 use hector_tensor::{seeded_rng, Tensor};
@@ -78,12 +86,12 @@ use crate::error::HectorError;
 use crate::loss::random_labels;
 use crate::minibatch::{Batch, BatchSource, Minibatches};
 use crate::optim::Optimizer;
-use crate::session::{Bindings, Mode, RunReport, Session};
+use crate::session::{graph_input, Bindings, Mode, RunReport, Session};
 use crate::{GraphData, ParamStore};
 
 /// What the builder compiles: a built-in model kind (optionally stacked
 /// into multiple layers) or a custom DSL source.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum ModelSpec {
     Builtin(ModelKind),
     Custom(Box<ModelSource>),
@@ -96,7 +104,7 @@ enum ModelSpec {
 /// parallelism from the environment
 /// ([`ParallelConfig::from_env`]), seed 0, `classes` = the model's
 /// output width.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EngineBuilder {
     spec: ModelSpec,
     in_dim: usize,
@@ -476,9 +484,10 @@ impl Engine {
 
     /// Binds a graph: clones its derived structures into the engine and
     /// (re)derives parameters and standard input bindings from the
-    /// engine seed (see the module-level seed contract). Rebinding — the
-    /// same graph or a new one — restarts from freshly seeded parameters;
-    /// the engine's run plan and scratch arena persist and are reused
+    /// engine seed (see the module-level seed contract). Binding again —
+    /// the same graph or a new one — restarts from freshly seeded
+    /// parameters; [`Engine::rebind`] keeps them instead. The engine's
+    /// run plan and scratch arena persist and are reused
     /// shape-compatibly.
     ///
     /// # Errors
@@ -494,11 +503,7 @@ impl Engine {
     /// Seed-contract steps 1–2; returns the RNG so [`Trainer::bind`]
     /// can continue the same stream for label derivation (step 3).
     fn bind_internal(&mut self, graph: &GraphData) -> Result<rand::rngs::StdRng, HectorError> {
-        if graph.graph().num_nodes() == 0 {
-            return Err(HectorError::GraphMismatch {
-                detail: "cannot bind an empty graph (zero nodes)".into(),
-            });
-        }
+        check_nonempty(graph)?;
         let mut rng = seeded_rng(self.seed);
         let program = &self.module().forward;
         let params = ParamStore::init(program, graph, &mut rng);
@@ -509,6 +514,63 @@ impl Engine {
             bindings,
         });
         Ok(rng)
+    }
+
+    /// Moves the bound engine onto a new graph and keeps its state:
+    /// parameters (edits through [`Engine::params_mut`] included), input
+    /// bindings, run plan and scratch. Only the inputs the graph
+    /// determines (the RGCN `cnorm` constants) are recomputed; nothing is
+    /// drawn from the seed (see the module-level seed contract).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HectorError::GraphMismatch`], and leaves the engine
+    /// bound as it was, when no graph is bound, when the new graph
+    /// changes a weight's type count, or when it changes the row count
+    /// of a seed-derived input (a node-feature input on a graph with
+    /// another node count, say). [`Engine::bind`] re-seeds instead.
+    pub fn rebind(&mut self, graph: &GraphData) -> Result<Bound<'_>, HectorError> {
+        let state = self.state.as_mut().ok_or_else(not_bound)?;
+        check_nonempty(graph)?;
+        let program = &self.session.module().forward;
+        let mismatch = |detail: String| HectorError::GraphMismatch { detail };
+        for (i, info) in program.weights.iter().enumerate() {
+            let (have, want) = (
+                state.params.type_count(WeightId(i as u32)),
+                graph.type_count(info.per),
+            );
+            if have != want {
+                return Err(mismatch(format!(
+                    "weight '{}' has {have} type slabs but the graph has {want} types \
+                     (rebind keeps the weights; bind re-seeds them)",
+                    info.name
+                )));
+            }
+        }
+        let mut derived = Vec::new();
+        for &v in &program.inputs {
+            let info = program.var(v);
+            if let Some(derive) = graph_input(&info.name) {
+                derived.push((&info.name, derive));
+                continue;
+            }
+            let want = graph.rows_of_space(info.space);
+            if let Some(t) = state.bindings.get(&info.name) {
+                if t.rows() != want {
+                    return Err(mismatch(format!(
+                        "input '{}' has {} rows but the graph has {want} \
+                         (rebind keeps the inputs; bind re-seeds them)",
+                        info.name,
+                        t.rows()
+                    )));
+                }
+            }
+        }
+        for (name, derive) in derived {
+            state.bindings.set(name, derive(graph));
+        }
+        state.graph = graph.clone();
+        Ok(Bound { engine: self })
     }
 
     /// The current binding, if [`Engine::bind`] was called.
@@ -777,6 +839,17 @@ fn not_bound() -> HectorError {
     HectorError::GraphMismatch {
         detail: "no graph is bound (call Engine::bind first)".into(),
     }
+}
+
+/// A graph with no nodes has nothing to derive parameters or features
+/// over: [`Engine::bind`] and [`Engine::rebind`] refuse it.
+fn check_nonempty(graph: &GraphData) -> Result<(), HectorError> {
+    if graph.graph().num_nodes() == 0 {
+        return Err(HectorError::GraphMismatch {
+            detail: "cannot bind an empty graph (zero nodes)".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Pre-validates input bindings against the program and
@@ -1208,6 +1281,115 @@ mod tests {
             type_skew: 1.0,
             seed: 21,
         }))
+    }
+
+    /// `graph()` with other edges: same node count and type counts.
+    fn rewired() -> GraphData {
+        let g = graph();
+        let moved = GraphData::new(generate(&DatasetSpec {
+            name: "engine".into(),
+            num_nodes: 60,
+            num_node_types: 2,
+            num_edges: 400,
+            num_edge_types: 3,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 22,
+        }));
+        assert_ne!(moved.graph().dst(), g.graph().dst());
+        moved
+    }
+
+    fn out_bits(engine: &Engine) -> Vec<u32> {
+        engine.output().data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn fresh_bits(b: EngineBuilder, graph: &GraphData) -> Vec<u32> {
+        let mut e = b.build().unwrap();
+        e.bind(graph).unwrap().forward().unwrap();
+        out_bits(&e)
+    }
+
+    /// Rebinding a warm engine onto other edges serves exactly what a
+    /// fresh engine bound to them serves: the seed-derived state is the
+    /// same and `cnorm` (RGCN) follows the new edges.
+    #[test]
+    fn rebind_after_an_edge_change_equals_a_fresh_bind() {
+        let (g, moved) = (graph(), rewired());
+        for kind in [ModelKind::Rgcn, ModelKind::Rgat, ModelKind::Hgt] {
+            let b = || EngineBuilder::new(kind).dims(8, 8).seed(3);
+            let mut engine = b().build().unwrap();
+            engine.bind(&g).unwrap().forward().unwrap();
+            let before = out_bits(&engine);
+            engine.rebind(&moved).unwrap().forward().unwrap();
+            let after = out_bits(&engine);
+            assert_eq!(after, fresh_bits(b(), &moved), "{kind:?}");
+            assert_ne!(after, before, "{kind:?}: the edges must matter");
+            assert!(std::ptr::eq(engine.graph().graph(), moved.graph()));
+        }
+    }
+
+    /// A graph the kept state cannot run on is refused, and the engine
+    /// keeps serving the graph it had.
+    #[test]
+    fn rebind_refuses_a_graph_that_changes_the_state_shapes() {
+        let g = graph();
+        let spec = |num_nodes, num_edge_types| DatasetSpec {
+            name: "engine".into(),
+            num_nodes,
+            num_node_types: 2,
+            num_edges: 400,
+            num_edge_types,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 21,
+        };
+        let more_types = GraphData::new(generate(&spec(60, 4)));
+        let more_nodes = GraphData::new(generate(&spec(61, 3)));
+        for kind in [ModelKind::Rgcn, ModelKind::Hgt] {
+            let b = EngineBuilder::new(kind).dims(8, 8).seed(3);
+            let mut unbound = b.clone().build().unwrap();
+            let err = unbound.rebind(&g).unwrap_err();
+            assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err}");
+            assert!(!unbound.is_bound());
+            let mut engine = b.build().unwrap();
+            engine.bind(&g).unwrap().forward().unwrap();
+            let want = out_bits(&engine);
+            for (what, other) in [("types", &more_types), ("nodes", &more_nodes)] {
+                let err = engine.rebind(other).unwrap_err();
+                assert!(
+                    matches!(err, HectorError::GraphMismatch { .. }),
+                    "{kind:?} {what}: {err}"
+                );
+                assert!(std::ptr::eq(engine.graph().graph(), g.graph()));
+                engine.forward().unwrap();
+                assert_eq!(out_bits(&engine), want, "{kind:?} {what}");
+            }
+        }
+    }
+
+    /// Rebind keeps edited weights; bind re-seeds them.
+    #[test]
+    fn rebind_keeps_edited_weights_and_bind_reseeds() {
+        let (g, moved) = (graph(), rewired());
+        let b = || EngineBuilder::new(ModelKind::Rgcn).dims(8, 8).seed(3);
+        let edit = |e: &mut Engine| {
+            for x in e.params_mut().weight_mut(WeightId(0)).data_mut() {
+                *x *= 2.0;
+            }
+        };
+        let mut want = b().build().unwrap();
+        want.bind(&moved).unwrap();
+        edit(&mut want);
+        want.forward().unwrap();
+        let mut engine = b().build().unwrap();
+        engine.bind(&g).unwrap();
+        edit(&mut engine);
+        engine.rebind(&moved).unwrap().forward().unwrap();
+        assert_eq!(out_bits(&engine), out_bits(&want));
+        engine.bind(&moved).unwrap().forward().unwrap();
+        assert_eq!(out_bits(&engine), fresh_bits(b(), &moved));
+        assert_ne!(out_bits(&engine), out_bits(&want));
     }
 
     /// Binding shares the caller's derived structures instead of copying

@@ -116,8 +116,8 @@ impl Bindings {
         for &v in &program.inputs {
             let info = program.var(v);
             let rows = graph.rows_of_space(info.space);
-            if info.name == "cnorm" {
-                b.set(&info.name, cnorm_tensor(graph));
+            if let Some(derive) = graph_input(&info.name) {
+                b.set(&info.name, derive(graph));
             } else {
                 let mut sub = StdRng::seed_from_u64(base ^ fnv1a(&info.name));
                 let data = (0..rows * info.width)
@@ -128,6 +128,16 @@ impl Bindings {
         }
         b
     }
+}
+
+/// How to compute input `name` from the graph itself, for an input the
+/// graph determines (the RGCN `cnorm` constants); `None` for an input
+/// drawn from the seed. The one rule [`Bindings::standard`],
+/// [`gather_bindings`] and [`crate::Engine::rebind`] share: a
+/// graph-derived input is recomputed on every graph it runs on, a
+/// seed-derived one depends only on the seed and its row count.
+pub(crate) fn graph_input(name: &str) -> Option<fn(&GraphData) -> Tensor> {
+    (name == "cnorm").then_some(cnorm_tensor as fn(&GraphData) -> Tensor)
 }
 
 /// FNV-1a hash of an input name: the stable, order-independent component
@@ -198,8 +208,8 @@ pub fn gather_bindings(
     let mut bindings = Bindings::new();
     for info in inputs {
         let rows = graph.rows_of_space(info.space);
-        if info.name == "cnorm" {
-            bindings.set(&info.name, cnorm_tensor(graph));
+        if let Some(derive) = graph_input(&info.name) {
+            bindings.set(&info.name, derive(graph));
             continue;
         }
         let src = full

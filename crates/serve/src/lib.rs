@@ -7,11 +7,10 @@
 //! single-node or multi-node inference requests.
 //!
 //! A full-graph forward yields every node's output at once, and a
-//! deployment's weights, features and graph change only when a swap or
-//! delta installs a new engine. So each deployment runs **one**
-//! `Engine::forward` per engine version — lazily, at the first read of
-//! it — and answers every later request from that output until the next
-//! swap or delta. A swap runs no forward itself.
+//! deployment's model and graph change only at a swap or delta. So each
+//! deployment runs **one** `Engine::forward` per version — lazily, at
+//! the first read of it — and answers every later request from that
+//! output until the next swap or delta. A swap runs no forward itself.
 //!
 //! A read of a deployment whose output is fresh is a row copy, answered
 //! on the caller's thread: `submit` returns a ticket that is already
@@ -43,12 +42,18 @@
 //! numeric path, so a response, coalesced or answered at submit, is
 //! bit-identical to a standalone `Engine::forward` of the same
 //! deployment (the `tests/serve.rs` suite pins this against a
-//! sequential oracle at every thread count). Hot model/graph swap builds the replacement
-//! engine off to the side and replaces the resident one atomically
-//! under the deployment lock, so in-flight requests either run on the
-//! old engine or the new one — never on neither. The memoized output
-//! is replaced together with its engine, so no request can read a new
-//! engine's version with an old engine's rows.
+//! sequential oracle at every thread count). A hot swap or delta that
+//! keeps the model (an equal `EngineBuilder`) on a graph with the same
+//! node and type counts — an edge delta, typically — rebinds the
+//! resident engine in place (`Engine::rebind`): its weights, features
+//! and warm run plan stay, and only the graph-derived inputs are
+//! recomputed. A deployment never trains, so that state is the seed's,
+//! bit for bit what a fresh bind would derive. Any other swap builds the
+//! replacement engine off to the side and replaces the resident one
+//! atomically under the deployment lock. Either way in-flight requests
+//! run on the old graph or the new one — never on neither — and the
+//! memoized output is invalidated under the same lock, so no request
+//! can read a new version with an old version's rows.
 //!
 //! The crate is deliberately std-only (no async runtime): the public
 //! in-process API is [`ServeHandle::submit`] / [`ServeHandle::submit_batch`],
@@ -383,14 +388,9 @@ impl ServeHandle {
         builder: EngineBuilder,
         graph: &GraphData,
     ) -> Result<(), ServeError> {
-        let engine = prepare_engine(builder, graph)?;
+        let engine = prepare_engine(&builder, graph)?;
         let num_nodes = graph.graph().num_nodes();
-        let out_width = engine
-            .module()
-            .forward
-            .outputs
-            .first()
-            .map_or(0, |&v| engine.module().forward.var(v).width);
+        let out_width = out_width(&engine);
         let mut map = self.inner.deployments.write().expect("deployments lock");
         if map.contains_key(name) {
             return Err(ServeError::BadRequest(format!(
@@ -399,7 +399,12 @@ impl ServeHandle {
         }
         map.insert(
             name.to_string(),
-            Arc::new(Deployment::new(name, engine, num_nodes, out_width)),
+            Arc::new(Deployment::new(
+                name,
+                Slot::new(engine, builder),
+                num_nodes,
+                out_width,
+            )),
         );
         trace::record_instant("serve.deploy", SpanCat::Pipeline, || {
             format!("{name}: {num_nodes} nodes")
@@ -407,14 +412,19 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Hot-swaps the model and/or graph behind `name`: the replacement
-    /// engine is fully built and bound **off to the side** (the old
-    /// engine keeps serving), then substituted atomically under the
-    /// deployment lock. No in-flight request is dropped — each one runs
-    /// on whichever engine holds the slot when its group dispatches,
-    /// and the response's [`Response::version`] says which. The swap
-    /// runs no forward: the new engine's output is computed at the
-    /// first read after it, and a version that is never read costs none.
+    /// Hot-swaps the model and/or graph behind `name`. When `builder`
+    /// equals the one the resident engine was built from and the graph
+    /// keeps its node and type counts, the resident engine is rebound
+    /// in place under the deployment lock ([`Engine::rebind`]: no
+    /// re-derived weights or features, a warm run plan). Otherwise the
+    /// replacement engine is fully built and bound **off to the side**
+    /// (the old engine keeps serving), then substituted atomically under
+    /// the deployment lock. Both paths serve the same rows. No in-flight
+    /// request is dropped — each one runs on whichever graph the slot
+    /// holds when its group dispatches, and the response's
+    /// [`Response::version`] says which. The swap runs no forward: the
+    /// new version's output is computed at the first read after it, and
+    /// a version that is never read costs none.
     ///
     /// # Errors
     ///
@@ -459,26 +469,17 @@ impl ServeHandle {
         let dep = self
             .deployment(name)
             .ok_or_else(|| ServeError::UnknownDeployment(name.to_string()))?;
-        // Build and bind outside the slot lock: the expensive part of a
-        // swap must not stall serving.
-        let engine = prepare_engine(builder, graph)?;
-        let out_width = engine
-            .module()
-            .forward
-            .outputs
-            .first()
-            .map_or(0, |&v| engine.module().forward.var(v).width);
         let num_nodes = graph.graph().num_nodes();
-        let version = {
-            let mut slot = dep.slot.lock().expect("deployment lock");
-            *slot = Slot::new(engine);
-            dep.num_nodes.store(num_nodes, Ordering::SeqCst);
-            dep.out_width.store(out_width, Ordering::SeqCst);
-            if let Some(gv) = graph_version {
-                dep.graph_version.store(gv, Ordering::SeqCst);
+        let version = match dep.rebind(&builder, graph, graph_version) {
+            Some(version) => version,
+            None => {
+                // Build and bind outside the slot lock: the expensive
+                // part of a swap must not stall serving.
+                let engine = prepare_engine(&builder, graph)?;
+                let mut slot = dep.slot.lock().expect("deployment lock");
+                *slot = Slot::new(engine, builder);
+                dep.install(&slot.engine, num_nodes, graph_version)
             }
-            dep.stats.swaps.fetch_add(1, Ordering::Relaxed);
-            dep.version.fetch_add(1, Ordering::SeqCst) + 1
         };
         trace::record_instant("serve.swap", SpanCat::Pipeline, || {
             format!("{name}: v{version}, {num_nodes} nodes")
@@ -489,9 +490,11 @@ impl ServeHandle {
     /// Applies one streaming [`DeltaBatch`] to a [`ShardedGraph`] and
     /// hot-swaps the deployment onto the post-delta graph, tagging it
     /// with the sharded graph's new delta generation. The swap inherits
-    /// `swap`'s guarantees: the replacement engine binds off to the
-    /// side, in-flight requests run on whichever engine holds the slot
-    /// when their group dispatches, and none are dropped. Returns the
+    /// `swap`'s rule and guarantees: an edge-only delta under the
+    /// deployed builder rebinds the resident engine in place, anything
+    /// else binds a replacement off to the side; in-flight requests run
+    /// on whichever graph the slot holds when their group dispatches,
+    /// and none are dropped. Returns the
     /// new graph version ([`ShardedGraph::version`]), readable back via
     /// [`DeploymentStats::graph_version`].
     ///
@@ -689,10 +692,16 @@ impl ServeHandle {
     }
 }
 
-fn prepare_engine(builder: EngineBuilder, graph: &GraphData) -> Result<Engine, ServeError> {
-    let mut engine = builder.build()?;
+fn prepare_engine(builder: &EngineBuilder, graph: &GraphData) -> Result<Engine, ServeError> {
+    let mut engine = builder.clone().build()?;
     engine.bind(graph)?;
     Ok(engine)
+}
+
+/// Width of the engine's first output: the row length a read returns.
+fn out_width(engine: &Engine) -> usize {
+    let program = &engine.module().forward;
+    program.outputs.first().map_or(0, |&v| program.var(v).width)
 }
 
 /// The dispatcher: waits for work, drains the queue, expires stale
@@ -810,7 +819,7 @@ fn dispatch_loop(inner: &Arc<ServerInner>) {
 /// A resident (model × graph) pair: the bound engine plus its serving
 /// metadata. The engine lives behind a mutex — a dispatch group or a
 /// hot swap holds it for the duration of one lookup (or forward) / one
-/// replacement.
+/// rebind or replacement.
 struct Deployment {
     name: String,
     slot: Mutex<Slot>,
@@ -823,24 +832,29 @@ struct Deployment {
     faults: Faults,
 }
 
-/// The resident engine and whether its output buffer holds this
-/// engine's forward. Deploy and swap install a whole new `Slot`, so a
-/// new engine is never paired with an old output.
+/// The resident engine, the builder it was built from, and whether its
+/// output buffer holds a forward of the engine's current graph. A swap
+/// either installs a whole new `Slot` or rebinds the resident engine and
+/// clears `fresh`, under one lock, so an engine is never paired with an
+/// output of another engine or graph.
 struct Slot {
     engine: Engine,
+    builder: EngineBuilder,
     fresh: bool,
 }
 
 impl Slot {
-    fn new(engine: Engine) -> Slot {
+    fn new(engine: Engine, builder: EngineBuilder) -> Slot {
         Slot {
             engine,
+            builder,
             fresh: false,
         }
     }
 }
 
-/// Fault injection for the dispatcher's panic containment.
+/// Fault injection for the dispatcher's panic containment, and which
+/// path a swap took.
 #[cfg(test)]
 #[derive(Default)]
 struct Faults {
@@ -848,13 +862,15 @@ struct Faults {
     panic_next: std::sync::atomic::AtomicBool,
     /// Forward attempts, successful or not.
     attempts: AtomicU64,
+    /// Swaps that rebound the resident engine in place.
+    rebinds: AtomicU64,
 }
 
 impl Deployment {
-    fn new(name: &str, engine: Engine, num_nodes: usize, out_width: usize) -> Deployment {
+    fn new(name: &str, slot: Slot, num_nodes: usize, out_width: usize) -> Deployment {
         Deployment {
             name: name.to_string(),
-            slot: Mutex::new(Slot::new(engine)),
+            slot: Mutex::new(slot),
             stats: StatCells::default(),
             version: AtomicU64::new(1),
             graph_version: AtomicU64::new(0),
@@ -863,6 +879,41 @@ impl Deployment {
             #[cfg(test)]
             faults: Faults::default(),
         }
+    }
+
+    /// Rebinds the resident engine onto `graph` in place when `builder`
+    /// is the one it was built from and `graph` fits its state
+    /// ([`Engine::rebind`]), and returns the new version. A deployment
+    /// never trains, so the kept weights and features are the seed's:
+    /// what a fresh bind would derive. `None` (nothing changed) asks for
+    /// a fresh engine.
+    fn rebind(
+        &self,
+        builder: &EngineBuilder,
+        graph: &GraphData,
+        graph_version: Option<u64>,
+    ) -> Option<u64> {
+        let mut slot = self.slot.lock().expect("deployment lock");
+        if slot.builder != *builder || slot.engine.rebind(graph).is_err() {
+            return None;
+        }
+        #[cfg(test)]
+        self.faults.rebinds.fetch_add(1, Ordering::Relaxed);
+        slot.fresh = false;
+        Some(self.install(&slot.engine, graph.graph().num_nodes(), graph_version))
+    }
+
+    /// Publishes the graph `engine` now runs on and returns the new
+    /// version; the caller holds the slot lock, so a reader sees the
+    /// engine and its version change together.
+    fn install(&self, engine: &Engine, num_nodes: usize, graph_version: Option<u64>) -> u64 {
+        self.num_nodes.store(num_nodes, Ordering::SeqCst);
+        self.out_width.store(out_width(engine), Ordering::SeqCst);
+        if let Some(gv) = graph_version {
+            self.graph_version.store(gv, Ordering::SeqCst);
+        }
+        self.stats.swaps.fetch_add(1, Ordering::Relaxed);
+        self.version.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Copies the rows of `nodes` out of the resident output, tagged with
@@ -1368,6 +1419,8 @@ mod tests {
             1,
             "a delta runs no forward"
         );
+        let dep = srv.deployment("m").unwrap();
+        assert_eq!(dep.faults.rebinds.load(Ordering::Relaxed), 1, "in place");
         let want = oracle(builder(), &GraphData::new(sharded.full().clone()));
         let after = read(&srv, "m", target);
         assert_eq!(after.version, 2);
@@ -1586,6 +1639,109 @@ mod tests {
             );
             srv.shutdown();
         }
+    }
+
+    /// The same-builder sibling of the test above: swaps alternate
+    /// between two graphs with equal node and type counts but different
+    /// edges, so every swap rebinds the resident engine in place. Each
+    /// read's rows are those of the graph its version names.
+    #[test]
+    fn reads_racing_rebinds_get_the_rows_their_version_names() {
+        let graphs = [graph(31, 48), graph(32, 48)];
+        // Version 1 is the deploy onto graphs[0]; odd versions serve it,
+        // even ones graphs[1].
+        let at = |version: u64| usize::from(version.is_multiple_of(2));
+        let want = [oracle(builder(), &graphs[0]), oracle(builder(), &graphs[1])];
+        assert_ne!(want[0], want[1], "the edges must matter");
+        for workers in [1usize, 4] {
+            let srv = ServeHandle::start(ServeConfig::default().with_workers(workers));
+            srv.deploy("m", builder(), &graphs[0]).unwrap();
+            let swaps = std::thread::scope(|s| {
+                let readers: Vec<_> = (0..3usize)
+                    .map(|t| {
+                        let (srv, want) = (&srv, &want);
+                        s.spawn(move || {
+                            for i in 0..150usize {
+                                let node = (t * 17 + i) % 48;
+                                let r = wait_for(&srv.submit("m", node).unwrap()).unwrap();
+                                let w = &want[at(r.version)];
+                                assert_eq!(bits(&r.rows[0]), w[node], "v{}", r.version);
+                            }
+                        })
+                    })
+                    .collect();
+                for v in 2u64.. {
+                    assert_eq!(srv.swap("m", builder(), &graphs[at(v)]).unwrap(), v);
+                    if readers.iter().all(|r| r.is_finished()) {
+                        return v - 1;
+                    }
+                }
+                unreachable!()
+            });
+            let dep = srv.deployment("m").unwrap();
+            assert_eq!(dep.faults.rebinds.load(Ordering::Relaxed), swaps);
+            let stats = srv.stats("m").unwrap();
+            assert_eq!(
+                (stats.completed, stats.failed),
+                (450, 0),
+                "workers={workers}"
+            );
+            srv.shutdown();
+        }
+    }
+
+    /// A delta under another builder than the deployed one takes the
+    /// build-off-to-the-side path and serves the new model.
+    #[test]
+    fn a_delta_under_another_builder_serves_that_model() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = graph(33, 48);
+        srv.deploy("m", builder(), &g).unwrap();
+        read(&srv, "m", 0);
+        let mut sharded = ShardedGraph::partition(
+            g.graph().clone(),
+            Box::new(hector_shard::RangePartitioner),
+            hector_shard::ShardConfig::new(2),
+        );
+        let batch = DeltaBatch::new().add_edge(1, 17, 0).add_edge(2, 17, 1);
+        srv.apply_delta("m", builder().seed(8), &mut sharded, &batch)
+            .unwrap();
+        let dep = srv.deployment("m").unwrap();
+        assert_eq!(dep.faults.rebinds.load(Ordering::Relaxed), 0);
+        let want = oracle(builder().seed(8), &GraphData::new(sharded.full().clone()));
+        for node in [0, 17, 40] {
+            let r = read(&srv, "m", node);
+            assert_eq!((r.version, bits(&r.rows[0])), (2, want[node].clone()));
+        }
+        srv.shutdown();
+    }
+
+    /// A same-builder swap onto a graph whose type counts differ cannot
+    /// keep the weights: it binds a fresh engine and serves its rows.
+    #[test]
+    fn a_same_builder_swap_onto_other_type_counts_binds_afresh() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        srv.deploy("m", builder(), &graph(34, 48)).unwrap();
+        read(&srv, "m", 0);
+        let other = GraphData::new(generate(&DatasetSpec {
+            name: "serve_unit".into(),
+            num_nodes: 48,
+            num_node_types: 2,
+            num_edges: 192,
+            num_edge_types: 4,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 34,
+        }));
+        assert_eq!(srv.swap("m", builder(), &other).unwrap(), 2);
+        let dep = srv.deployment("m").unwrap();
+        assert_eq!(dep.faults.rebinds.load(Ordering::Relaxed), 0);
+        let want = oracle(builder(), &other);
+        for node in [0, 17, 47] {
+            let r = read(&srv, "m", node);
+            assert_eq!((r.version, bits(&r.rows[0])), (2, want[node].clone()));
+        }
+        srv.shutdown();
     }
 
     #[test]
