@@ -98,10 +98,11 @@ fn main() {
         );
     }
 
-    // 4. Hot swap: rebind the RGCN tenant to a fresh (larger) graph.
-    //    The replacement engine is built off to the side; requests
-    //    in flight during the swap all complete on one version or the
-    //    other — none are dropped.
+    // 4. Hot swap: move the RGCN tenant to a fresh (larger) graph.
+    //    More nodes means new node features, so the resident engine
+    //    cannot rebind in place: the replacement engine is built off
+    //    to the side. Requests in flight during the swap all complete
+    //    on one version or the other — none are dropped.
     let g3 = graph(3, 128);
     let inflight: Vec<_> = (0..8)
         .map(|n| srv.submit("rgcn_products", n).expect("queue has room"))
