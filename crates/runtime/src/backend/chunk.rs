@@ -36,13 +36,13 @@
 //!
 //! # Pooled worker arenas
 //!
-//! The session owns one [`WorkerArenas`]: a [`WorkerSlot`] per chunk
+//! The run plan owns one [`WorkerArenas`]: a [`WorkerSlot`] per chunk
 //! index (scratch block for GEMM staging and traversal locals, bound-op
 //! list, contribution buffer), the per-launch [`RawRows`] table, and the
 //! GradW type buckets. Every buffer's capacity persists across kernels
 //! and runs, so warm runs perform **zero** heap allocations at any
 //! thread count (`tests/run_alloc.rs`); slot growth events are folded
-//! into the session scratch counter after each launch so the device
+//! into the plan's scratch counter after each launch so the device
 //! statistics see every allocation.
 
 use std::cell::UnsafeCell;
@@ -278,7 +278,7 @@ struct WorkerSlot {
     /// is why the `'static` never names a real borrow.
     ops: Vec<BoundOp<'static>>,
     buf: ContribBuf,
-    /// Scratch growth events already folded into the session counter.
+    /// Scratch growth events already folded into the plan's counter.
     folded_grows: usize,
 }
 
@@ -313,7 +313,7 @@ struct SlotCell(UnsafeCell<WorkerSlot>);
 // `for_each_chunk` returns, which happens-after every chunk completion.
 unsafe impl Sync for SlotCell {}
 
-/// Session-owned pool of per-chunk worker state — the reason warm
+/// The run plan's pool of per-chunk worker state — the reason warm
 /// threaded runs are as allocation-free as one-chunk ones. See the
 /// module docs ("Pooled worker arenas").
 pub(crate) struct WorkerArenas {
@@ -404,7 +404,7 @@ impl WorkerArenas {
     /// one chunk the sink is the chunk's [`ContribBuf`], replayed here
     /// in ascending chunk order. Returns whether the launch split, and
     /// the slots' scratch growth events for the caller to fold into the
-    /// session counter.
+    /// plan's scratch counter.
     pub(super) fn run_chunks(
         &mut self,
         vars: &[VarId],

@@ -83,7 +83,7 @@ impl BackendKind {
 
 /// Everything a prepared kernel needs to execute: the program and
 /// graph being run, parameter and variable stores, the optional thread
-/// pool, and the session-owned scratch arenas. Constructed per kernel
+/// pool, and the run plan's scratch arenas. Constructed per kernel
 /// launch.
 pub(crate) struct ExecCtx<'a> {
     pub(crate) program: &'a Program,
@@ -98,7 +98,7 @@ pub(crate) struct ExecCtx<'a> {
 
 /// The prepared execution state of one [`CompiledModule`] on one
 /// [`BackendKind`]: a [`PreparedKernel`] per lowered kernel. Built once
-/// by [`ExecPlan::prepare`] and kept by the session for its lifetime.
+/// by [`ExecPlan::prepare`] and kept by the run plan for its lifetime.
 pub(crate) struct ExecPlan {
     fw: Vec<PreparedKernel>,
     bw: Vec<PreparedKernel>,

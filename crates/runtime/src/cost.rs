@@ -51,7 +51,7 @@ pub fn model_run(
 }
 
 /// [`model_run`] over a caller-owned per-variable flag buffer, so a warm
-/// session charges its device without allocating.
+/// run plan charges its device without allocating.
 pub(crate) fn charge_run(
     module: &CompiledModule,
     graph: &GraphData,

@@ -86,7 +86,7 @@ use crate::error::HectorError;
 use crate::loss::random_labels;
 use crate::minibatch::{Batch, BatchSource, Minibatches};
 use crate::optim::Optimizer;
-use crate::session::{graph_input, Bindings, Mode, RunReport, Session};
+use crate::session::{graph_input, Bindings, Mode, RunPlan, RunReport};
 use crate::{GraphData, ParamStore};
 
 /// What the builder compiles: a built-in model kind (optionally stacked
@@ -387,13 +387,12 @@ impl EngineBuilder {
         };
         let par = self.par.unwrap_or_else(ParallelConfig::from_env);
         let backend = self.backend.unwrap_or_default();
-        let session = Session::new(module, self.device, par, backend)?;
         Ok(Engine {
-            session,
+            plan: RunPlan::new(module, self.device, par, backend)?,
+            state: None,
             seed: self.seed,
             classes,
             cache_hit,
-            state: None,
             trace,
             last_trace: Vec::new(),
         })
@@ -430,19 +429,20 @@ struct BoundState {
     bindings: Bindings,
 }
 
-/// An owning handle over one compiled model and its execution stack:
-/// the `Arc`-shared [`CompiledModule`], the execution stack (simulated
-/// device, scratch arena, persistent run plan), and the seed
-/// that derives parameters and inputs at [`Engine::bind`] time.
+/// An owning handle over one compiled model: its persistent run plan
+/// (the `Arc`-shared [`CompiledModule`], simulated device, scratch
+/// arenas and variable store), the bound graph with its parameters and
+/// inputs, and the seed that derives them at [`Engine::bind`] time.
 ///
 /// Built by [`EngineBuilder`]; see the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct Engine {
-    session: Session,
+    /// The execution stack every run goes through.
+    plan: RunPlan,
+    state: Option<BoundState>,
     seed: u64,
     classes: usize,
     cache_hit: bool,
-    state: Option<BoundState>,
     trace: TraceConfig,
     /// Events drained by the latest [`Engine::profile`] call, kept so
     /// [`Engine::write_trace`] can export the same run.
@@ -454,13 +454,13 @@ impl Engine {
     /// the same `(source, dims, options)` key).
     #[must_use]
     pub fn module(&self) -> &CompiledModule {
-        self.session.module()
+        &self.plan.module
     }
 
     /// The simulated device (counters, memory state).
     #[must_use]
     pub fn device(&self) -> &Device {
-        self.session.device()
+        &self.plan.device
     }
 
     /// The engine seed (parameter/input/label derivation).
@@ -532,7 +532,7 @@ impl Engine {
     pub fn rebind(&mut self, graph: &GraphData) -> Result<Bound<'_>, HectorError> {
         let state = self.state.as_mut().ok_or_else(not_bound)?;
         check_nonempty(graph)?;
-        let program = &self.session.module().forward;
+        let program = &self.plan.module.forward;
         let mismatch = |detail: String| HectorError::GraphMismatch { detail };
         for (i, info) in program.weights.iter().enumerate() {
             let (have, want) = (
@@ -571,20 +571,6 @@ impl Engine {
         }
         state.graph = graph.clone();
         Ok(Bound { engine: self })
-    }
-
-    /// The current binding, if [`Engine::bind`] was called.
-    pub fn bound(&mut self) -> Option<Bound<'_>> {
-        if self.state.is_some() {
-            Some(Bound { engine: self })
-        } else {
-            None
-        }
-    }
-
-    /// Drops the graph-specific state (parameters, inputs).
-    pub fn unbind(&mut self) {
-        self.state = None;
     }
 
     /// Learnable parameters of the bound graph.
@@ -646,12 +632,7 @@ impl Engine {
     /// bindings, and [`HectorError::Oom`] when the run exceeds device
     /// memory.
     pub fn forward(&mut self) -> Result<RunReport, HectorError> {
-        let state = self.state.as_mut().ok_or_else(not_bound)?;
-        let program = &self.session.module().forward;
-        validate_bindings(program, &state.graph, &state.bindings)?;
-        Ok(self
-            .session
-            .forward(&state.graph, &mut state.params, &state.bindings)?)
+        self.run(None, None)
     }
 
     /// Runs one training step (forward, NLL loss, backward, optimizer)
@@ -670,75 +651,49 @@ impl Engine {
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
     ) -> Result<RunReport, HectorError> {
-        self.check_trainable()?;
-        let state = self.state.as_mut().ok_or_else(not_bound)?;
-        let program = &self.session.module().forward;
-        validate_bindings(program, &state.graph, &state.bindings)?;
-        validate_labels(program, &state.graph, labels)?;
-        Ok(self.session.train_step(
-            &state.graph,
-            &mut state.params,
-            &state.bindings,
-            labels,
-            optimizer,
-        )?)
+        self.run(None, Some((labels, optimizer)))
     }
 
-    /// Runs one training step on an *alternate* graph — a sampled
-    /// mini-batch subgraph — with caller-provided bindings and labels,
-    /// while keeping the bound graph's parameters and the engine's
-    /// persistent run plan. The subgraph must declare the same node/edge
-    /// type counts as the bound graph (guaranteed by
-    /// `hector_graph::Subgraph::extract`) so the parameter shapes match.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Engine::train_step`] reports, plus
-    /// [`HectorError::GraphMismatch`] when the subgraph's node/edge type
-    /// counts differ from the bound graph's (the parameter shapes would
-    /// not match).
-    pub fn train_step_on(
+    /// The one run path: screens caller input, then runs the plan on the
+    /// bound parameters. `on` runs an *alternate* graph — a sampled
+    /// mini-batch subgraph — with its own bindings in place of the bound
+    /// graph's; it must declare the bound graph's node/edge type counts
+    /// (guaranteed by `hector_graph::Subgraph::extract`) so the parameter
+    /// shapes match. `train` makes the run a training step against its
+    /// labels.
+    fn run(
         &mut self,
-        graph: &GraphData,
-        bindings: &Bindings,
-        labels: &[usize],
-        optimizer: &mut dyn Optimizer,
+        on: Option<(&GraphData, &Bindings)>,
+        train: Option<(&[usize], &mut dyn Optimizer)>,
     ) -> Result<RunReport, HectorError> {
-        self.check_trainable()?;
-        let state = self.state.as_mut().ok_or_else(not_bound)?;
-        let (bg, sg) = (state.graph.graph(), graph.graph());
-        if sg.num_node_types() != bg.num_node_types() || sg.num_edge_types() != bg.num_edge_types()
-        {
-            return Err(HectorError::GraphMismatch {
-                detail: format!(
-                    "subgraph declares {}/{} node/edge types but the bound graph has {}/{} \
-                     (parameter shapes would not match)",
-                    sg.num_node_types(),
-                    sg.num_edge_types(),
-                    bg.num_node_types(),
-                    bg.num_edge_types()
-                ),
-            });
-        }
-        let program = &self.session.module().forward;
-        validate_bindings(program, graph, bindings)?;
-        validate_labels(program, graph, labels)?;
-        Ok(self
-            .session
-            .train_step(graph, &mut state.params, bindings, labels, optimizer)?)
-    }
-
-    /// [`HectorError::InvalidConfig`] unless the module was compiled
-    /// for training.
-    fn check_trainable(&self) -> Result<(), HectorError> {
-        if self.module().backward.is_none() {
+        let program = &self.plan.module.forward;
+        if train.is_some() && self.plan.module.backward.is_none() {
             return Err(HectorError::InvalidConfig {
                 detail: "module was not compiled for training \
                          (build with .training(true) or build_trainer)"
                     .into(),
             });
         }
-        Ok(())
+        let state = self.state.as_mut().ok_or_else(not_bound)?;
+        if let Some((graph, _)) = on {
+            let types = |g: &GraphData| (g.graph().num_node_types(), g.graph().num_edge_types());
+            let (got, want) = (types(graph), types(&state.graph));
+            if got != want {
+                return Err(HectorError::GraphMismatch {
+                    detail: format!(
+                        "subgraph declares {}/{} node/edge types but the bound graph has {}/{} \
+                         (parameter shapes would not match)",
+                        got.0, got.1, want.0, want.1
+                    ),
+                });
+            }
+        }
+        let (graph, bindings) = on.unwrap_or((&state.graph, &state.bindings));
+        validate_bindings(program, graph, bindings)?;
+        if let Some((labels, _)) = &train {
+            validate_labels(program, graph, labels)?;
+        }
+        Ok(self.plan.run(graph, &mut state.params, bindings, train)?)
     }
 
     /// The model's first output tensor from the latest run.
@@ -748,13 +703,7 @@ impl Engine {
     /// Panics before the first run.
     #[must_use]
     pub fn output(&self) -> &Tensor {
-        self.session.vars().get(self.module().forward.outputs[0])
-    }
-
-    /// Label classes used when a trainer derives labels for this engine.
-    #[must_use]
-    pub fn classes(&self) -> usize {
-        self.classes
+        self.plan.vars.get(self.plan.module.forward.outputs[0])
     }
 
     /// Profiles a closure over this engine: enables tracing for its
@@ -922,8 +871,8 @@ impl Drop for Engine {
 }
 
 /// A typed view over an [`Engine`] with a graph bound — the receiver of
-/// the one-liner run methods. Obtained from [`Engine::bind`] (or
-/// [`Engine::bound`]); it borrows the engine, so it is cheap and
+/// the one-liner run methods. Obtained from [`Engine::bind`] or
+/// [`Engine::rebind`]; it borrows the engine, so it is cheap and
 /// re-obtainable at any time.
 #[derive(Debug)]
 pub struct Bound<'e> {
@@ -1150,16 +1099,17 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// See [`Engine::train_step_on`].
+    /// Everything [`Engine::train_step`] reports (on the batch's
+    /// bindings and labels), plus [`HectorError::GraphMismatch`] when the
+    /// batch subgraph's node/edge type counts differ from the bound
+    /// graph's (the parameter shapes would not match).
     pub fn train_batch(&mut self, batch: &Batch) -> Result<RunReport, HectorError> {
-        let report = self.engine.train_step_on(
-            &batch.graph,
-            &batch.bindings,
-            &batch.labels,
-            self.optimizer.as_mut(),
+        let report = self.engine.run(
+            Some((&batch.graph, &batch.bindings)),
+            Some((&batch.labels, self.optimizer.as_mut())),
         )?;
         let g = batch.graph.graph();
-        self.engine.session.device_mut().record_sampler_batch(
+        self.engine.plan.device.record_sampler_batch(
             g.num_nodes(),
             g.num_edges(),
             batch.sample_wall_us,
@@ -1216,13 +1166,6 @@ impl Trainer {
         self.labels = labels;
         self.labels_pinned = true;
         Ok(())
-    }
-
-    /// Whether the current labels were installed by
-    /// [`Trainer::set_labels`] (as opposed to seed-derived).
-    #[must_use]
-    pub fn labels_pinned(&self) -> bool {
-        self.labels_pinned
     }
 
     /// The current label tensor.
@@ -1437,7 +1380,7 @@ mod tests {
             trainer.step().unwrap();
             trainer.step().unwrap();
             let engine = trainer.engine();
-            let vars = engine.session.vars();
+            let vars = &engine.plan.vars;
             let module = engine.module();
             let bw = module.backward.as_ref().unwrap();
             let (mut locals, mut widest) = (0, 0);
@@ -1516,10 +1459,10 @@ mod tests {
             .build_trainer(Sgd::new(0.1))
             .unwrap();
         trainer.bind(&graph).unwrap();
-        assert!(!trainer.labels_pinned(), "derived labels are not pinned");
+        assert!(!trainer.labels_pinned, "derived labels are not pinned");
         let custom: Vec<usize> = (0..n).map(|i| i % 3).collect();
         trainer.set_labels(custom.clone()).unwrap();
-        assert!(trainer.labels_pinned());
+        assert!(trainer.labels_pinned);
         // Rebind to restart training: custom labels must survive.
         trainer.bind(&graph).unwrap();
         assert_eq!(
@@ -1527,7 +1470,7 @@ mod tests {
             &custom[..],
             "rebind silently discarded set_labels"
         );
-        assert!(trainer.labels_pinned());
+        assert!(trainer.labels_pinned);
     }
 
     #[test]
@@ -1556,7 +1499,7 @@ mod tests {
         }));
         trainer.bind(&other).unwrap();
         assert_eq!(trainer.labels().len(), other.graph().num_nodes());
-        assert!(!trainer.labels_pinned(), "mismatched rebind un-pins");
+        assert!(!trainer.labels_pinned, "mismatched rebind un-pins");
         assert!(trainer.labels().iter().any(|&l| l != 0), "re-derived");
     }
 
@@ -1728,7 +1671,7 @@ mod tests {
             &derived[..],
             "rejected labels must not land"
         );
-        assert!(!trainer.labels_pinned());
+        assert!(!trainer.labels_pinned);
     }
 
     #[test]
@@ -1741,6 +1684,79 @@ mod tests {
             .minibatch_epoch(&SamplerConfig::new(16))
             .unwrap_err();
         assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err:?}");
+    }
+
+    /// Every refusal of a mini-batch step — an unbound trainer, a
+    /// subgraph with other type counts, a mis-shaped binding, short or
+    /// out-of-range labels — comes back as an error before anything runs:
+    /// parameters, step count and loss stay as they were, and the
+    /// untouched batch still trains.
+    #[test]
+    fn train_batch_refuses_misuse_and_leaves_the_trainer_unchanged() {
+        let graph = graph();
+        let b = || {
+            EngineBuilder::new(ModelKind::Rgcn)
+                .dims(8, 8)
+                .seed(4)
+                .build_trainer(Adam::new(0.01))
+                .unwrap()
+        };
+        let mut trainer = b();
+        trainer.bind(&graph).unwrap();
+        trainer.step().unwrap();
+        let mut batch = trainer
+            .minibatch(&SamplerConfig::new(16).fanouts(&[4]))
+            .next()
+            .unwrap();
+        let err = b().train_batch(&batch).unwrap_err();
+        assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err}");
+        let state = |t: &Trainer| {
+            let params = t.engine().params();
+            let bits = (0..params.len() as u32)
+                .flat_map(|w| {
+                    let w = WeightId(w);
+                    [params.weight(w).data(), params.grad(w).data()]
+                })
+                .flat_map(|d| d.iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>();
+            (bits, t.steps(), t.loss().map(f32::to_bits))
+        };
+        let before = state(&trainer);
+        let mut refuse = |batch: &Batch, ok: fn(&HectorError) -> bool| {
+            let err = trainer.train_batch(batch).unwrap_err();
+            assert!(ok(&err), "{err}");
+            assert_eq!(
+                state(&trainer),
+                before,
+                "a refused batch changed the trainer"
+            );
+        };
+        let more_types = GraphData::new(generate(&DatasetSpec {
+            name: "engine".into(),
+            num_nodes: 60,
+            num_node_types: 2,
+            num_edges: 400,
+            num_edge_types: 4,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 21,
+        }));
+        let good = std::mem::replace(&mut batch.graph, more_types);
+        refuse(&batch, |e| matches!(e, HectorError::GraphMismatch { .. }));
+        batch.graph = good;
+        let good = batch.bindings.clone();
+        batch.bindings.set("h", Tensor::zeros(&[3, 3]));
+        refuse(&batch, |e| matches!(e, HectorError::ShapeMismatch { .. }));
+        batch.bindings = good;
+        let last = batch.labels.pop().unwrap();
+        refuse(&batch, |e| matches!(e, HectorError::ShapeMismatch { .. }));
+        batch.labels.push(last);
+        let first = std::mem::replace(&mut batch.labels[0], 8);
+        refuse(&batch, |e| matches!(e, HectorError::InvalidConfig { .. }));
+        batch.labels[0] = first;
+        trainer.train_batch(&batch).unwrap();
+        assert_eq!(trainer.steps(), before.1 + 1);
+        assert_ne!(state(&trainer).0, before.0, "the batch trained");
     }
 
     #[test]
@@ -1791,7 +1807,7 @@ mod tests {
             "second identical engine must not compile"
         );
         assert!(
-            std::sync::Arc::ptr_eq(a.session.module(), b.session.module()),
+            std::sync::Arc::ptr_eq(&a.plan.module, &b.plan.module),
             "one shared module"
         );
     }

@@ -47,7 +47,7 @@ pub enum HectorError {
         /// What the compiler rejected.
         detail: String,
     },
-    /// A builder or session was configured inconsistently (classes
+    /// A builder or engine was configured inconsistently (classes
     /// beyond the output width, zero threads, a missing input binding,
     /// an untrained module asked to train, …).
     InvalidConfig {

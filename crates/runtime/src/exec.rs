@@ -159,7 +159,7 @@ pub(crate) fn exec_gemm(
 }
 
 /// Trace-span name and row count for one kernel spec — the per-kernel
-/// metadata `Session::run_kernels` attaches to the span wrapping each
+/// metadata `RunPlan::run_kernels` attaches to the span wrapping each
 /// invocation (on either backend). Names are
 /// stable `category/domain` strings so profile aggregation and the
 /// chrome-trace golden schema stay deterministic.

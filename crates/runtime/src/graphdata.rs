@@ -1,4 +1,4 @@
-//! Graph-derived data bound into a session: adjacency views, compaction
+//! Graph-derived data bound into an engine: adjacency views, compaction
 //! maps, and the byte accounting for the structures a GPU run would hold
 //! resident.
 

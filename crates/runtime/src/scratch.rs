@@ -3,7 +3,7 @@
 //! Without them, the oracle interpreter (`exec.rs`) would allocate a fresh
 //! `Vec<f32>` for every operand read, every unary/binary op result, and
 //! every GEMM output row — allocator traffic would dominate arithmetic.
-//! A [`Scratch`] arena replaces all of that: the session owns
+//! A [`Scratch`] arena replaces all of that: the run plan owns
 //! one arena for its whole lifetime (the production executor also pools
 //! one block per chunk), buffers grow to the widest row a kernel
 //! produces and are then reused verbatim, so a steady-state forward pass
@@ -127,7 +127,7 @@ impl Scratch {
 
     /// Adds externally observed growth events (the production
     /// executor's per-chunk arenas report theirs through the owning
-    /// session's arena so the device counters see every allocation).
+    /// run plan's arena so the device counters see every allocation).
     pub(crate) fn note_external_grows(&mut self, n: usize) {
         self.grows += n;
     }

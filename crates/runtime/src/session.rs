@@ -1,6 +1,6 @@
-//! The execution stack under the [`crate::Engine`] handle, and the
-//! run-level types the handles share ([`Mode`], [`RunReport`],
-//! [`Bindings`]).
+//! The engine's run plan — the execution stack every run of an
+//! [`crate::Engine`] goes through — and the run-level types the handles
+//! share ([`Mode`], [`RunReport`], [`Bindings`]).
 //!
 //! # Seed contract
 //!
@@ -231,9 +231,11 @@ pub fn gather_bindings(
     bindings
 }
 
-/// Run-level reuse plan: the variable store, first-touch flags, and
-/// loss staging buffer that persist across successive [`Session::forward`]
-/// / [`Session::train_step`] calls.
+/// The execution stack under one [`crate::Engine`], persistent across
+/// its runs: the compiled module it runs, a simulated device, the
+/// production executor's pool and arenas, and the reuse plan — the
+/// variable store, first-touch flags and loss staging buffer — that
+/// every forward pass and training step goes through.
 ///
 /// Buffers follow liveness: the engine's first run packs every variable
 /// it materialises into shared slots by live interval over the kernel
@@ -246,56 +248,13 @@ pub fn gather_bindings(
 /// [`hector_device::ScratchStats::plan_grows`] on the device counters;
 /// `tests/run_alloc.rs` pins that a warm sequential `train_step`
 /// performs **zero** heap allocations.
-#[derive(Debug, Default)]
-struct RunPlan {
-    vars: VarStore,
-    /// Per-`VarId` flags, one per variable of the current run (capacity
-    /// persists). The device walk borrows them first for its charges;
-    /// then they mark each variable's first touch by the executor.
-    touched: Vec<bool>,
-    /// Reused NLL loss-gradient staging buffer.
-    loss_grad: Vec<f32>,
-    /// Buffer (re)materialisation events since construction.
-    grows: usize,
-}
-
-impl RunPlan {
-    /// Marks `v` touched this run; returns whether it already was.
-    /// Buffers are zero-filled lazily, at each variable's first touch
-    /// ([`RunPlan::ensure`]) — only the current program's variables pay
-    /// the memset.
-    fn touch(&mut self, v: VarId) -> bool {
-        std::mem::replace(&mut self.touched[v.0 as usize], true)
-    }
-
-    /// Hands `v` its slot, shaped `[rows, width]` and zero-filled — its
-    /// first touch of the run — counting a growth event only when the
-    /// slot reallocates, so warm runs (and warm batch steps whose shapes
-    /// fit) stay allocation-free. Callers guarantee at most one call per
-    /// variable per run (the `touched` flags for device-backed vars;
-    /// single assignment for register locals), so a mid-run re-zero of a
-    /// scatter target can never happen.
-    fn ensure(&mut self, v: VarId, rows: usize, width: usize) {
-        if self.vars.take(v, &[rows, width]) {
-            self.grows += 1;
-        }
-    }
-
-    /// Current plan footprint in bytes (persistent buffers + staging).
-    fn bytes(&self) -> usize {
-        self.vars.byte_size() + self.loss_grad.capacity() * std::mem::size_of::<f32>()
-    }
-}
-
-/// The execution stack under one [`crate::Engine`]: the compiled module
-/// it runs, a simulated device, the production executor's pool and
-/// arenas, and the persistent run plan every run goes through.
 #[derive(Debug)]
-pub(crate) struct Session {
-    /// The one module this session runs (shared through the module
-    /// cache with every engine built from the same key).
-    module: Arc<CompiledModule>,
-    device: Device,
+pub(crate) struct RunPlan {
+    /// The one module this plan runs (shared through the module cache
+    /// with every engine built from the same key).
+    pub(crate) module: Arc<CompiledModule>,
+    /// The simulated device (counters, memory state).
+    pub(crate) device: Device,
     par: ParallelConfig,
     /// Worker pool of the production executor. `None` when
     /// `num_threads == 1` (every kernel is one chunk) or on the
@@ -317,12 +276,21 @@ pub(crate) struct Session {
     /// `module` prepared for `backend`: built by the first run, reused
     /// by every later one.
     exec_plan: Option<ExecPlan>,
-    /// See [`RunPlan`].
-    plan: RunPlan,
+    /// The slots runs write outputs and gradients into. Empty until the
+    /// first run.
+    pub(crate) vars: VarStore,
+    /// Per-`VarId` flags, one per variable of the current run (capacity
+    /// persists). The device walk borrows them first for its charges;
+    /// then they mark each variable's first touch by the executor.
+    touched: Vec<bool>,
+    /// Reused NLL loss-gradient staging buffer.
+    loss_grad: Vec<f32>,
+    /// Buffer (re)materialisation events since construction.
+    grows: usize,
 }
 
-impl Session {
-    /// Creates a session running `module` on backend `kind`.
+impl RunPlan {
+    /// Creates a plan running `module` on backend `kind`.
     /// `num_threads = 1` runs every kernel as one chunk (no pool is
     /// created); any higher count splits kernels across a
     /// `hector-par` pool with outputs bit-identical to the one-chunk run
@@ -341,7 +309,7 @@ impl Session {
         config: DeviceConfig,
         par: ParallelConfig,
         kind: BackendKind,
-    ) -> Result<Session, HectorError> {
+    ) -> Result<RunPlan, HectorError> {
         if par.num_threads == 0 {
             return Err(HectorError::InvalidConfig {
                 detail: "ParallelConfig.num_threads must be >= 1".into(),
@@ -357,7 +325,7 @@ impl Session {
         } else {
             None
         };
-        Ok(Session {
+        Ok(RunPlan {
             module,
             device: Device::new(config),
             par,
@@ -366,86 +334,66 @@ impl Session {
             arenas: WorkerArenas::new(),
             backend: kind,
             exec_plan: None,
-            plan: RunPlan::default(),
+            vars: VarStore::default(),
+            touched: Vec::new(),
+            loss_grad: Vec::new(),
+            grows: 0,
         })
     }
 
-    /// The compiled module this session runs.
-    pub(crate) fn module(&self) -> &Arc<CompiledModule> {
-        &self.module
+    /// Marks `v` touched this run; returns whether it already was.
+    /// Buffers are zero-filled lazily, at each variable's first touch
+    /// ([`RunPlan::ensure`]) — only the current program's variables pay
+    /// the memset.
+    fn touch(&mut self, v: VarId) -> bool {
+        std::mem::replace(&mut self.touched[v.0 as usize], true)
     }
 
-    /// The underlying device (counters, memory state).
-    pub(crate) fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Mutable device access (host-side counter recording).
-    pub(crate) fn device_mut(&mut self) -> &mut Device {
-        &mut self.device
-    }
-
-    /// The run plan's variable store — the slots runs write outputs and
-    /// gradients into. Empty until the first run.
-    pub(crate) fn vars(&self) -> &VarStore {
-        &self.plan.vars
+    /// Hands `v` its slot, shaped for `v` on `graph` and zero-filled —
+    /// its first touch of the run — counting a growth event only when
+    /// the slot reallocates, so warm runs (and warm batch steps whose
+    /// shapes fit) stay allocation-free. Callers guarantee at most one
+    /// call per variable per run (the `touched` flags for device-backed
+    /// vars; single assignment for register locals), so a mid-run
+    /// re-zero of a scatter target can never happen.
+    fn ensure(&mut self, program: &Program, graph: &GraphData, v: VarId) {
+        let info = program.var(v);
+        let rows = graph.rows_of_space(info.space);
+        if self.vars.take(v, &[rows, info.width]) {
+            self.grows += 1;
+        }
     }
 
     /// Materialises device-backed `v` at its first touch of the run.
     fn alloc_var(&mut self, program: &Program, graph: &GraphData, v: VarId) {
-        if self.plan.touch(v) {
-            return;
+        if !self.touch(v) {
+            self.ensure(program, graph, v);
         }
-        let info = program.var(v);
-        let rows = graph.rows_of_space(info.space);
-        self.plan.ensure(v, rows, info.width);
     }
 
-    /// Materialises a buffer for register-local `v` of kernel `ki` (no
-    /// device memory charged) — only where something reads it through
-    /// the store: on the oracle backend, or for a local the fused loop
-    /// cannot keep in block scratch (one read at a source endpoint, or
-    /// scattered into). Every other local of a production run never
-    /// leaves its chunk's scratch block and has no buffer at all.
-    fn insert_local(
-        &mut self,
-        program: &Program,
-        graph: &GraphData,
-        phase: Phase,
-        ki: usize,
-        v: VarId,
-    ) {
-        let in_scratch = |plan: &ExecPlan| plan.holds_local(phase, ki, v);
-        if self.exec_plan.as_ref().is_some_and(in_scratch) {
-            return;
-        }
-        let info = program.var(v);
-        let rows = graph.rows_of_space(info.space);
-        self.plan.ensure(v, rows, info.width);
+    /// Current plan footprint in bytes (persistent buffers + staging).
+    fn bytes(&self) -> usize {
+        self.vars.byte_size() + self.loss_grad.capacity() * std::mem::size_of::<f32>()
     }
 
     fn bind_inputs(&mut self, program: &Program, graph: &GraphData, inputs: &Bindings) {
         for &v in &program.inputs {
-            if self.plan.touch(v) {
+            if self.touch(v) {
                 continue;
             }
             let info = program.var(v);
             let t = inputs
                 .get(&info.name)
                 .unwrap_or_else(|| panic!("missing input binding '{}'", info.name));
-            let rows = graph.rows_of_space(info.space);
+            self.ensure(program, graph, v);
+            let slot = self.vars.get_mut(v);
             assert_eq!(
                 t.shape(),
-                &[rows, info.width],
+                slot.shape(),
                 "binding '{}' has the wrong shape",
                 info.name
             );
-            self.plan.ensure(v, rows, info.width);
-            self.plan
-                .vars
-                .get_mut(v)
-                .data_mut()
-                .copy_from_slice(t.data());
+            slot.data_mut().copy_from_slice(t.data());
         }
     }
 
@@ -462,16 +410,22 @@ impl Session {
             // parallel executors alike); a single relaxed load when
             // tracing is off, keeping the warm path allocation-free.
             let tr = span_start();
-            // Materialise outputs (locals stay off-device, and on the
-            // production executor out of the store altogether).
+            // Materialise outputs. A register local (no device memory
+            // charged) gets a buffer only where something reads it
+            // through the store: on the oracle backend, or where the
+            // fused loop cannot keep it in block scratch (one read at a
+            // source endpoint, or scattered into).
             for (v, local) in kernel_outputs(spec) {
-                if local {
-                    self.insert_local(program, graph, phase, ki, v);
-                } else {
+                if !local {
                     self.alloc_var(program, graph, v);
+                } else if !self
+                    .exec_plan
+                    .as_ref()
+                    .is_some_and(|plan| plan.holds_local(phase, ki, v))
+                {
+                    self.ensure(program, graph, v);
                 }
             }
-            let vars = &mut self.plan.vars;
             let stats_before = self.pool.as_ref().map(ThreadPool::stats);
             let grows_before = self.scratch.grows();
             let start = Instant::now();
@@ -483,7 +437,7 @@ impl Session {
                 program,
                 graph,
                 params,
-                vars,
+                vars: &mut self.vars,
                 pool: self.pool.as_ref(),
                 min_chunk: self.par.min_chunk_rows,
                 scratch: &mut self.scratch,
@@ -521,10 +475,14 @@ impl Session {
         self.device.record_backend_kernels(kernels.len() as u64);
     }
 
-    /// Runs full-graph inference: one forward pass. Output tensors are
-    /// reused across calls (zero-filled at first touch), so after the
-    /// first call a warm forward pass — sequential or threaded —
-    /// performs no heap allocation.
+    /// One run: a forward pass or — with `train` — a training step
+    /// (forward, NLL loss against the labels, backward, prep chain rule,
+    /// optimizer update), with the plan's growth recorded on the device
+    /// counters whether or not the run fits. Output and gradient
+    /// tensors, the loss staging buffer and the scratch arenas are all
+    /// reused, so after the first run a forward pass or a training step
+    /// performs **zero** heap allocations — sequential *and* threaded
+    /// (pinned by `tests/run_alloc.rs`).
     ///
     /// # Errors
     ///
@@ -533,57 +491,20 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if an input binding is missing or mis-shaped (the engine
-    /// screens caller input first).
-    pub(crate) fn forward(
-        &mut self,
-        graph: &GraphData,
-        params: &mut ParamStore,
-        inputs: &Bindings,
-    ) -> Result<RunReport, OomError> {
-        self.run(graph, params, inputs, None)
-    }
-
-    /// Runs one full-graph training step: forward, NLL loss against
-    /// `labels`, backward, prep chain rule, optimizer update.
-    /// Output/gradient tensors, the loss staging buffer, and the scratch
-    /// arena are all reused, so after the first step a training loop
-    /// performs **zero** heap allocations — sequential *and* threaded
-    /// (pinned by `tests/run_alloc.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] when the run exceeds device memory; no
-    /// kernel has executed then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the module was not compiled with training enabled, or if
-    /// labels/bindings are inconsistent (the engine screens both first).
-    pub(crate) fn train_step(
-        &mut self,
-        graph: &GraphData,
-        params: &mut ParamStore,
-        inputs: &Bindings,
-        labels: &[usize],
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<RunReport, OomError> {
-        self.run(graph, params, inputs, Some((labels, optimizer)))
-    }
-
-    /// One run through the persistent plan, with its growth recorded on
-    /// the device counters whether or not the run fits.
-    fn run(
+    /// Panics if an input binding is missing or mis-shaped, if a label
+    /// is inconsistent, or on a training run of a module not compiled
+    /// for training (the engine screens all three first).
+    pub(crate) fn run(
         &mut self,
         graph: &GraphData,
         params: &mut ParamStore,
         inputs: &Bindings,
         train: Option<(&[usize], &mut dyn Optimizer)>,
     ) -> Result<RunReport, OomError> {
-        let grows_before = self.plan.grows;
+        let grows_before = self.grows;
         let res = self.run_phases(graph, params, inputs, train);
         self.device
-            .record_plan(self.plan.grows - grows_before, self.plan.bytes());
+            .record_plan(self.grows - grows_before, self.bytes());
         res
     }
 
@@ -607,18 +528,18 @@ impl Session {
         let reused = self.exec_plan.is_some();
         if !reused {
             let exec_plan = ExecPlan::prepare(self.backend, module);
-            self.plan.vars = VarStore::planned(module, &exec_plan, graph);
+            self.vars = VarStore::planned(module, &exec_plan, graph);
             self.exec_plan = Some(exec_plan);
         }
         // The whole run's device accounting, before anything executes:
         // an OOM fails here with no kernel run. The walk resets the
         // device, so the host-side records follow it.
-        let touched = &mut self.plan.touched;
+        let touched = &mut self.touched;
         let walk = charge_run(module, graph, &mut self.device, training, touched);
         self.device.record_backend(self.backend.name(), reused);
         let mut report = walk?;
         // The walk sized the flags to this run's variables.
-        self.plan.touched.fill(false);
+        self.touched.fill(false);
         if training {
             params.zero_grads();
         }
@@ -676,7 +597,7 @@ impl Session {
             loss_grad,
             grows,
             ..
-        } = &mut self.plan;
+        } = &mut *self;
         let logits = vars.get(out_var);
         let need = logits.len();
         if loss_grad.len() < need {
@@ -689,10 +610,9 @@ impl Session {
         for &s in seeds {
             self.alloc_var(bw_program, graph, s);
         }
-        let seed = self.plan.vars.get_mut(seeds[0]);
+        let seed = self.vars.get_mut(seeds[0]);
         let need = seed.len();
-        seed.data_mut()
-            .copy_from_slice(&self.plan.loss_grad[..need]);
+        seed.data_mut().copy_from_slice(&self.loss_grad[..need]);
         if let Some(t0) = tr {
             record_span(
                 "phase/loss",
