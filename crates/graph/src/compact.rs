@@ -8,7 +8,7 @@
 //! GEMM rows and shrinks the materialised tensor, which is what removes
 //! the paper's out-of-memory failures (Table 4, Fig. 10).
 
-use crate::HeteroGraph;
+use crate::{EdgeSplice, HeteroGraph};
 
 /// Precomputed mapping between edges and unique `(src, etype)` pairs.
 ///
@@ -19,7 +19,7 @@ use crate::HeteroGraph;
 ///   per-type weight can be applied segment-wise;
 /// * `edge_to_unique` — for each edge, the row of the compact tensor that
 ///   holds its data (used by downstream edgewise consumers).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompactionMap {
     unique_row_idx: Vec<u32>,
     unique_etype_ptr: Vec<usize>,
@@ -71,6 +71,116 @@ impl CompactionMap {
                 edge_to_unique[e as usize] = (unique_row_idx.len() - 1) as u32;
             }
             unique_etype_ptr[t + 1] = unique_row_idx.len();
+        }
+        CompactionMap {
+            unique_row_idx,
+            unique_etype_ptr,
+            edge_to_unique,
+        }
+    }
+
+    /// The map of `new`, which `splice` made from `old` (the graph this
+    /// map indexes), without a rebuild. Only the relations of removed
+    /// edges are scanned, for pairs that lost their last edge; those
+    /// drop out, pairs an insertion creates join their relation's
+    /// source-ordered run, and every edge's compact row is remapped.
+    /// Equal to `new.compaction_map()`.
+    #[must_use]
+    pub fn spliced(
+        &self,
+        old: &HeteroGraph,
+        new: &HeteroGraph,
+        splice: &EdgeSplice,
+    ) -> CompactionMap {
+        const GONE: u32 = u32::MAX;
+        let old_to_new = splice.old_to_new();
+        // Pairs of removed edges, and whether an edge still holds each.
+        let mut lost: Vec<u32> = splice
+            .removed()
+            .iter()
+            .map(|&e| self.edge_to_unique[e as usize])
+            .collect();
+        lost.sort_unstable();
+        lost.dedup();
+        let mut held = vec![false; lost.len()];
+        let mut rels: Vec<u32> = splice
+            .removed()
+            .iter()
+            .map(|&e| old.etype()[e as usize])
+            .collect();
+        rels.dedup(); // removed ids ascend, so relations do too
+        for t in rels {
+            let seg = old.etype_ptr()[t as usize]..old.etype_ptr()[t as usize + 1];
+            for (&m, u) in old_to_new[seg.clone()]
+                .iter()
+                .zip(&self.edge_to_unique[seg])
+            {
+                if m != EdgeSplice::REMOVED {
+                    if let Ok(i) = lost.binary_search(u) {
+                        held[i] = true;
+                    }
+                }
+            }
+        }
+        // Inserted edges either land on an existing pair (which then
+        // survives) or create one.
+        let mut fresh: Vec<(usize, u32)> = Vec::new();
+        for &e in splice.inserted() {
+            let (t, s) = (new.etype()[e as usize] as usize, new.src()[e as usize]);
+            let (lo, hi) = (self.unique_etype_ptr[t], self.unique_etype_ptr[t + 1]);
+            match self.unique_row_idx[lo..hi].binary_search(&s) {
+                Ok(i) => {
+                    if let Ok(j) = lost.binary_search(&((lo + i) as u32)) {
+                        held[j] = true;
+                    }
+                }
+                Err(_) => fresh.push((t, s)),
+            }
+        }
+        fresh.sort_unstable();
+        fresh.dedup();
+        let mut gone = lost
+            .iter()
+            .zip(&held)
+            .filter(|&(_, &h)| !h)
+            .map(|(&u, _)| u as usize)
+            .peekable();
+        let mut fresh = fresh.into_iter().peekable();
+
+        let num_et = self.unique_etype_ptr.len() - 1;
+        let mut unique_row_idx = Vec::with_capacity(self.num_unique() + fresh.len());
+        let mut unique_etype_ptr = vec![0usize; num_et + 1];
+        let mut renumber = vec![GONE; self.num_unique()];
+        for t in 0..num_et {
+            let seg = self.unique_etype_ptr[t]..self.unique_etype_ptr[t + 1];
+            for (u, &s) in seg.clone().zip(&self.unique_row_idx[seg]) {
+                while let Some((_, f)) = fresh.next_if(|&(ft, f)| ft == t && f < s) {
+                    unique_row_idx.push(f);
+                }
+                if gone.next_if(|&g| g == u).is_none() {
+                    renumber[u] = unique_row_idx.len() as u32;
+                    unique_row_idx.push(s);
+                }
+            }
+            while let Some((_, f)) = fresh.next_if(|&(ft, _)| ft == t) {
+                unique_row_idx.push(f);
+            }
+            unique_etype_ptr[t + 1] = unique_row_idx.len();
+        }
+
+        let mut edge_to_unique = vec![0u32; new.num_edges()];
+        for (e, &m) in old_to_new.iter().enumerate() {
+            if m != EdgeSplice::REMOVED {
+                edge_to_unique[m as usize] = renumber[self.edge_to_unique[e] as usize];
+            }
+        }
+        for &e in splice.inserted() {
+            let (t, s) = (new.etype()[e as usize] as usize, new.src()[e as usize]);
+            let lo = unique_etype_ptr[t];
+            let i = unique_row_idx[lo..unique_etype_ptr[t + 1]]
+                .binary_search(&s)
+                .expect("every inserted pair is listed");
+            edge_to_unique[e as usize] = (lo + i) as u32;
         }
         CompactionMap {
             unique_row_idx,

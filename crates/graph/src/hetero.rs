@@ -4,7 +4,9 @@ use crate::CompactionMap;
 
 /// A heterogeneous graph in the storage layout Hector's kernels consume.
 ///
-/// Invariants maintained by [`HeteroGraphBuilder`]:
+/// Invariants checked by [`HeteroGraph::validate`] in its one
+/// constructor, [`HeteroGraph::from_relation_parts`], which the builder,
+/// the edge splice and extraction all end in:
 ///
 /// * nodes are numbered `0..num_nodes` and **sorted by node type**, with
 ///   `ntype_ptr` delimiting each type's contiguous id range (this is the
@@ -12,7 +14,7 @@ use crate::CompactionMap;
 /// * edges are **sorted by edge type**, with `etype_ptr[t]..etype_ptr[t+1]`
 ///   delimiting the edges of type `t` (Fig. 5's "Layout choices");
 /// * `src`, `dst`, `etype` are parallel arrays (COO encoding).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HeteroGraph {
     num_node_types: usize,
     num_edge_types: usize,
@@ -25,6 +27,121 @@ pub struct HeteroGraph {
 }
 
 impl HeteroGraph {
+    /// Assembles a graph from relation-sorted parts:
+    /// `node_type_counts[t]` nodes of type `t`, and parallel `src` /
+    /// `dst` arrays whose edges of relation `t` occupy
+    /// `etype_ptr[t]..etype_ptr[t + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `etype_ptr` does not delimit the edge arrays, or (through
+    /// [`HeteroGraph::validate`]) if an endpoint is out of range.
+    #[must_use]
+    pub fn from_relation_parts(
+        node_type_counts: &[usize],
+        etype_ptr: Vec<usize>,
+        src: Vec<u32>,
+        dst: Vec<u32>,
+    ) -> HeteroGraph {
+        assert_eq!(etype_ptr.first(), Some(&0), "etype_ptr starts at 0");
+        assert_eq!(etype_ptr.last(), Some(&src.len()), "etype_ptr ends at E");
+        let mut ntype_ptr = vec![0usize; node_type_counts.len() + 1];
+        for (t, &c) in node_type_counts.iter().enumerate() {
+            ntype_ptr[t + 1] = ntype_ptr[t] + c;
+        }
+        let mut node_type = vec![0u32; ntype_ptr[node_type_counts.len()]];
+        for t in 0..node_type_counts.len() {
+            node_type[ntype_ptr[t]..ntype_ptr[t + 1]].fill(t as u32);
+        }
+        let mut etype = vec![0u32; src.len()];
+        for (t, w) in etype_ptr.windows(2).enumerate() {
+            etype[w[0]..w[1]].fill(t as u32);
+        }
+        let g = HeteroGraph {
+            num_node_types: node_type_counts.len(),
+            num_edge_types: etype_ptr.len() - 1,
+            node_type,
+            ntype_ptr,
+            src,
+            dst,
+            etype,
+            etype_ptr,
+        };
+        g.validate();
+        g
+    }
+
+    /// Removes the edges `removed` (ids, strictly ascending) and appends
+    /// `inserts` (`(src, dst, etype)`) at their relation segment's end in
+    /// call order. Surviving edges keep their relative order within every
+    /// relation, so the result equals a builder fed the survivors and
+    /// then the insertions; it is written by bulk copies of the runs
+    /// between removals. Returns the new graph and the id renumbering
+    /// ([`EdgeSplice`]) the index derivations ([`Csc::spliced`],
+    /// [`CompactionMap::spliced`]) read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a removed id or an insert's relation is out of range, or
+    /// an inserted endpoint is not a node.
+    #[must_use]
+    pub fn splice_edges(
+        &self,
+        removed: &[u32],
+        inserts: &[(u32, u32, u32)],
+    ) -> (HeteroGraph, EdgeSplice) {
+        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
+        let nrel = self.num_edge_types;
+        let mut adds = inserts.to_vec();
+        adds.sort_by_key(|&(_, _, t)| t); // stable: call order within a relation
+        if let Some(&(_, _, t)) = adds.last() {
+            assert!((t as usize) < nrel, "edge insert relation {t} out of range");
+        }
+        let cap = self.num_edges() - removed.len() + adds.len();
+        let (mut src, mut dst) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut etype_ptr = Vec::with_capacity(nrel + 1);
+        etype_ptr.push(0);
+        let mut old_to_new = vec![EdgeSplice::REMOVED; self.num_edges()];
+        let mut inserted = Vec::with_capacity(adds.len());
+        let mut gone = removed.iter().map(|&e| e as usize).peekable();
+        let mut added = adds.iter().peekable();
+        for t in 0..nrel {
+            let (mut run, hi) = (self.etype_ptr[t], self.etype_ptr[t + 1]);
+            loop {
+                let end = gone.next_if(|&e| e < hi).unwrap_or(hi);
+                let base = src.len();
+                src.extend_from_slice(&self.src[run..end]);
+                dst.extend_from_slice(&self.dst[run..end]);
+                for (i, m) in old_to_new[run..end].iter_mut().enumerate() {
+                    *m = (base + i) as u32;
+                }
+                if end == hi {
+                    break;
+                }
+                run = end + 1;
+            }
+            while let Some(&(s, d, _)) = added.next_if(|a| a.2 as usize == t) {
+                inserted.push(src.len() as u32);
+                src.push(s);
+                dst.push(d);
+            }
+            etype_ptr.push(src.len());
+        }
+        assert!(gone.next().is_none(), "removed edge id out of range");
+        let counts: Vec<usize> = (0..self.num_node_types)
+            .map(|t| self.nodes_of_type(t))
+            .collect();
+        let splice = EdgeSplice {
+            old_to_new,
+            removed: removed.to_vec(),
+            inserted,
+        };
+        (
+            HeteroGraph::from_relation_parts(&counts, etype_ptr, src, dst),
+            splice,
+        )
+    }
+
     /// Total number of nodes.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
@@ -156,7 +273,8 @@ impl HeteroGraph {
         deg
     }
 
-    /// Checks every structural invariant; used by tests and the generator.
+    /// Checks every structural invariant; run by
+    /// [`HeteroGraph::from_relation_parts`] on every graph it assembles.
     ///
     /// # Panics
     ///
@@ -233,7 +351,7 @@ impl Csr {
 }
 
 /// Compressed sparse column view (incoming edges by destination node).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Csc {
     /// Column offsets, length `num_nodes + 1`.
     pub ptr: Vec<usize>,
@@ -246,6 +364,79 @@ impl Csc {
     #[must_use]
     pub fn in_edges(&self, v: usize) -> &[u32] {
         &self.edge_idx[self.ptr[v]..self.ptr[v + 1]]
+    }
+
+    /// The CSC of `new`, which `splice` made from the graph this view
+    /// indexes, without a rebuild: every in-edge list is remapped through
+    /// the splice's old→new ids (survivors keep their ascending order),
+    /// and only a destination that gained an edge re-sorts its list.
+    /// Equal to `new.csc()`.
+    #[must_use]
+    pub fn spliced(&self, new: &HeteroGraph, splice: &EdgeSplice) -> Csc {
+        let n = self.ptr.len() - 1;
+        let mut gained: Vec<(u32, u32)> = splice
+            .inserted
+            .iter()
+            .map(|&e| (new.dst()[e as usize], e))
+            .collect();
+        gained.sort_unstable();
+        let mut gained = gained.into_iter().peekable();
+        let mut ptr = Vec::with_capacity(n + 1);
+        let mut edge_idx = Vec::with_capacity(new.num_edges());
+        for v in 0..n {
+            let start = edge_idx.len();
+            ptr.push(start);
+            for &e in self.in_edges(v) {
+                let e = splice.old_to_new[e as usize];
+                if e != EdgeSplice::REMOVED {
+                    edge_idx.push(e);
+                }
+            }
+            let mut grew = false;
+            while let Some((_, e)) = gained.next_if(|&(d, _)| d as usize == v) {
+                edge_idx.push(e);
+                grew = true;
+            }
+            if grew {
+                edge_idx[start..].sort_unstable();
+            }
+        }
+        ptr.push(edge_idx.len());
+        Csc { ptr, edge_idx }
+    }
+}
+
+/// How [`HeteroGraph::splice_edges`] renumbered a graph's edges: the
+/// input of the index derivations that carry a graph's CSC and
+/// compaction map across an edge-only splice.
+#[derive(Clone, Debug)]
+pub struct EdgeSplice {
+    old_to_new: Vec<u32>,
+    removed: Vec<u32>,
+    inserted: Vec<u32>,
+}
+
+impl EdgeSplice {
+    /// The [`EdgeSplice::old_to_new`] entry of a removed edge.
+    pub const REMOVED: u32 = u32::MAX;
+
+    /// New id of each old edge, or [`EdgeSplice::REMOVED`]. Increasing
+    /// over the survivors.
+    #[must_use]
+    pub fn old_to_new(&self) -> &[u32] {
+        &self.old_to_new
+    }
+
+    /// Old ids of the removed edges, ascending.
+    #[must_use]
+    pub fn removed(&self) -> &[u32] {
+        &self.removed
+    }
+
+    /// New ids of the inserted edges, ascending.
+    #[must_use]
+    pub fn inserted(&self) -> &[u32] {
+        &self.inserted
     }
 }
 
@@ -290,24 +481,14 @@ impl HeteroGraphBuilder {
         self.min_edge_types = self.min_edge_types.max(n);
     }
 
-    /// Finalises the graph.
+    /// Finalises the graph: a stable counting sort by edge type, so
+    /// insertion order survives within every relation.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
     #[must_use]
-    pub fn build(mut self) -> HeteroGraph {
-        let num_nodes: usize = self.node_type_counts.iter().sum();
-        let num_node_types = self.node_type_counts.len();
-        let mut ntype_ptr = vec![0usize; num_node_types + 1];
-        for (t, &c) in self.node_type_counts.iter().enumerate() {
-            ntype_ptr[t + 1] = ntype_ptr[t] + c;
-        }
-        let mut node_type = vec![0u32; num_nodes];
-        for t in 0..num_node_types {
-            node_type[ntype_ptr[t]..ntype_ptr[t + 1]].fill(t as u32);
-        }
-        self.edges.sort_by_key(|&(_, _, t)| t);
+    pub fn build(self) -> HeteroGraph {
         let num_edge_types = self
             .edges
             .iter()
@@ -322,30 +503,15 @@ impl HeteroGraphBuilder {
         for t in 0..num_edge_types {
             etype_ptr[t + 1] += etype_ptr[t];
         }
-        let (mut src, mut dst, mut etype) = (
-            Vec::with_capacity(self.edges.len()),
-            Vec::with_capacity(self.edges.len()),
-            Vec::with_capacity(self.edges.len()),
-        );
-        for (s, d, t) in self.edges {
-            assert!((s as usize) < num_nodes, "src {s} out of range");
-            assert!((d as usize) < num_nodes, "dst {d} out of range");
-            src.push(s);
-            dst.push(d);
-            etype.push(t);
+        let mut cursor = etype_ptr.clone();
+        let (mut src, mut dst) = (vec![0u32; self.edges.len()], vec![0u32; self.edges.len()]);
+        for &(s, d, t) in &self.edges {
+            let c = &mut cursor[t as usize];
+            src[*c] = s;
+            dst[*c] = d;
+            *c += 1;
         }
-        let g = HeteroGraph {
-            num_node_types,
-            num_edge_types,
-            node_type,
-            ntype_ptr,
-            src,
-            dst,
-            etype,
-            etype_ptr,
-        };
-        g.validate();
-        g
+        HeteroGraph::from_relation_parts(&self.node_type_counts, etype_ptr, src, dst)
     }
 }
 

@@ -8,6 +8,10 @@
 //!   paper's kernels expect: edges sorted by edge type with an
 //!   `etype_ptr` segment array (enabling segment matrix multiply), plus
 //!   COO arrays and on-demand CSR/CSC views for traversal kernels;
+//!   [`HeteroGraph::splice_edges`] removes and inserts edges by bulk
+//!   segment copies, and its [`EdgeSplice`] lets [`Csc::spliced`] and
+//!   [`CompactionMap::spliced`] carry the indices across instead of
+//!   rebuilding them;
 //! * [`CompactionMap`] — the unique `(source node, edge type)` index used
 //!   by *compact materialization* (paper §3.2.2), including the
 //!   `unique_row_idx` / `unique_etype_ptr` arrays of Fig. 7(b);
@@ -49,7 +53,7 @@ mod subgraph;
 
 pub use compact::CompactionMap;
 pub use generate::{generate, DatasetSpec};
-pub use hetero::{Csc, Csr, HeteroGraph, HeteroGraphBuilder};
+pub use hetero::{Csc, Csr, EdgeSplice, HeteroGraph, HeteroGraphBuilder};
 pub use remap::{extract_mapped, Extraction};
 pub use sample::{batch_stream_seed, NeighborSampler, SampledBatch, SamplerConfig};
 pub use stats::GraphStats;

@@ -9,9 +9,10 @@
 //! * full-graph node ids are sorted by node type, so an **ascending**
 //!   original-id order automatically groups local nodes by type — the
 //!   local id order *is* the type-segmented order;
-//! * full-graph edges are sorted by relation and the builder's sort is
-//!   stable, so inserting edges in ascending original order reproduces
-//!   relation-sorted COO with local edge `i` ↔ `edge_map[i]`, preserving
+//! * full-graph edges are sorted by relation, so ascending original
+//!   edge ids are relation-sorted COO as they stand: local edge `i` ↔
+//!   `edge_map[i]`, written straight into
+//!   [`HeteroGraph::from_relation_parts`], preserving
 //!   the **relative original edge order within every relation**. That
 //!   last property is what makes extraction-based execution bit-exact:
 //!   per-destination aggregation visits the same contributions in the
@@ -28,7 +29,7 @@
 //! as the sampler's own per-batch visited array — and every edge then
 //! resolves both endpoints with two array reads.
 
-use crate::{HeteroGraph, HeteroGraphBuilder};
+use crate::HeteroGraph;
 
 /// Local-id table entry of a full-graph node the extraction left out.
 const NOT_EXTRACTED: u32 = u32::MAX;
@@ -98,22 +99,26 @@ pub fn extract_mapped(full: &HeteroGraph, node_map: Vec<u32>, edge_map: Vec<u32>
         l
     };
 
-    let mut b = HeteroGraphBuilder::new();
     // Declare every full-graph node type, empty segments included. The
     // ascending node_map is type-grouped, so each type's local count is
-    // one partition_point window over the original type boundaries.
-    let ntype_ptr = full.ntype_ptr();
-    for t in 0..full.num_node_types() {
-        let lo = node_map.partition_point(|&n| (n as usize) < ntype_ptr[t]);
-        let hi = node_map.partition_point(|&n| (n as usize) < ntype_ptr[t + 1]);
-        b.add_node_type(hi - lo);
-    }
-    b.reserve_edge_types(full.num_edge_types());
-    for &e in &edge_map {
-        let e = e as usize;
-        b.add_edge(local(full.src()[e]), local(full.dst()[e]), full.etype()[e]);
-    }
-    let graph = b.build();
+    // one partition_point window over the original type boundaries; the
+    // ascending edge_map is relation-sorted, so each relation's local
+    // segment is one window over the original relation boundaries.
+    let window = |ids: &[u32], ptr: &[usize]| -> Vec<usize> {
+        ptr.iter()
+            .map(|&p| ids.partition_point(|&i| (i as usize) < p))
+            .collect()
+    };
+    let counts: Vec<usize> = window(&node_map, full.ntype_ptr())
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .collect();
+    let etype_ptr = window(&edge_map, full.etype_ptr());
+    let (src, dst): (Vec<u32>, Vec<u32>) = edge_map
+        .iter()
+        .map(|&e| (local(full.src()[e as usize]), local(full.dst()[e as usize])))
+        .unzip();
+    let graph = HeteroGraph::from_relation_parts(&counts, etype_ptr, src, dst);
     debug_assert_eq!(graph.num_edge_types(), full.num_edge_types());
     debug_assert_eq!(graph.num_node_types(), full.num_node_types());
 

@@ -1,10 +1,13 @@
 //! Property-based tests for the graph substrate.
 //!
 //! The `*_matches_*_reference` properties hold the linear-pass builders
-//! (compaction map, extraction) to the sort- and search-based
-//! formulations they replaced, array for array.
+//! (compaction map, extraction, edge splice) to the sort- and
+//! search-based formulations they replaced, array for array, and the
+//! splice's carried indices to a rebuild of the spliced graph.
 
-use hector_graph::{extract_mapped, generate, DatasetSpec, HeteroGraph, HeteroGraphBuilder};
+use hector_graph::{
+    extract_mapped, generate, DatasetSpec, EdgeSplice, HeteroGraph, HeteroGraphBuilder,
+};
 use proptest::prelude::*;
 
 /// A small multigraph with every awkward case in reach: few sources, so
@@ -75,6 +78,25 @@ fn extraction_reference(full: &HeteroGraph, node_map: &[u32], edge_map: &[u32]) 
     for &e in edge_map {
         let e = e as usize;
         b.add_edge(local(full.src()[e]), local(full.dst()[e]), full.etype()[e]);
+    }
+    b.build()
+}
+
+/// The splice as a rebuild: a builder fed every survivor, then each
+/// relation's insertions in call order.
+fn splice_reference(g: &HeteroGraph, removed: &[u32], inserts: &[(u32, u32, u32)]) -> HeteroGraph {
+    let mut b = HeteroGraphBuilder::new();
+    for t in 0..g.num_node_types() {
+        b.add_node_type(g.nodes_of_type(t));
+    }
+    b.reserve_edge_types(g.num_edge_types());
+    for e in 0..g.num_edges() {
+        if removed.binary_search(&(e as u32)).is_err() {
+            b.add_edge(g.src()[e], g.dst()[e], g.etype()[e]);
+        }
+    }
+    for &(s, d, t) in inserts {
+        b.add_edge(s, d, t);
     }
     b.build()
 }
@@ -216,5 +238,47 @@ proptest! {
         let g = b.build();
         g.validate();
         prop_assert_eq!(g.num_edges(), edges.len());
+    }
+
+    #[test]
+    fn edge_splice_matches_builder_reference_and_carries_indices(
+        g in arb_graph(),
+        drop_bits in any::<u64>(),
+        drop_share in 0u32..4,
+        inserts in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..10),
+    ) {
+        // Removals: a random share of the edges (every edge at share 0,
+        // none at 3, parallel copies included). Insertions: random edges,
+        // half of them copies of an existing edge's endpoints and relation
+        // so that they land on existing (src, etype) pairs.
+        let removed: Vec<u32> = (0..g.num_edges() as u32)
+            .filter(|&e| ((u64::from(e) ^ drop_bits).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62) >= u64::from(drop_share))
+            .collect();
+        let (n, e, r) = (g.num_nodes() as u32, g.num_edges(), g.num_edge_types() as u32);
+        let inserts: Vec<(u32, u32, u32)> = if n == 0 || r == 0 {
+            Vec::new()
+        } else {
+            inserts
+                .iter()
+                .map(|&(s, d, t)| match s as usize % (e + 1) {
+                    c if c < e && t % 2 == 0 => (g.src()[c], d % n, g.etype()[c]),
+                    _ => (s % n, d % n, t % r),
+                })
+                .collect()
+        };
+        let (new, splice) = g.splice_edges(&removed, &inserts);
+        prop_assert_eq!(&new, &splice_reference(&g, &removed, &inserts));
+        prop_assert_eq!(splice.removed(), &removed[..]);
+        prop_assert_eq!(splice.inserted().len(), inserts.len());
+        for (old, &m) in splice.old_to_new().iter().enumerate() {
+            if m != EdgeSplice::REMOVED {
+                prop_assert_eq!(
+                    (new.src()[m as usize], new.dst()[m as usize], new.etype()[m as usize]),
+                    (g.src()[old], g.dst()[old], g.etype()[old])
+                );
+            }
+        }
+        prop_assert_eq!(g.csc().spliced(&new, &splice), new.csc());
+        prop_assert_eq!(g.compaction_map().spliced(&g, &new, &splice), new.compaction_map());
     }
 }

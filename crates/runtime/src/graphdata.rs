@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hector_graph::{CompactionMap, Csc, HeteroGraph};
+use hector_graph::{CompactionMap, Csc, EdgeSplice, HeteroGraph};
 
 /// A heterogeneous graph plus every derived index structure the generated
 /// kernels read: CSC (incoming edges), the compaction map of unique
@@ -13,13 +13,13 @@ use hector_graph::{CompactionMap, Csc, HeteroGraph};
 /// The structures live behind one `Arc`, so cloning a `GraphData` — as
 /// every [`Engine::bind`](crate::Engine::bind) does — shares them
 /// instead of copying: each engine, trainer and deployment bound to one
-/// graph reads the same arrays.
-#[derive(Clone, Debug)]
+/// graph reads the same arrays. Equality compares every structure.
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphData {
     derived: Arc<Derived>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Derived {
     graph: HeteroGraph,
     csc: Csc,
@@ -45,28 +45,43 @@ impl GraphData {
     pub fn new(graph: HeteroGraph) -> GraphData {
         let csc = graph.csc();
         let compact = graph.compaction_map();
+        GraphData::from_indices(graph, csc, compact)
+    }
+
+    /// The data of `graph`, which `splice` made from this data's graph,
+    /// with the CSC and compaction map derived from this data's
+    /// ([`Csc::spliced`], [`CompactionMap::spliced`]) instead of rebuilt.
+    /// Equal to `GraphData::new(graph)`.
+    #[must_use]
+    pub fn spliced(&self, graph: HeteroGraph, splice: &EdgeSplice) -> GraphData {
+        let csc = self.csc().spliced(&graph, splice);
+        let compact = self.compact().spliced(self.graph(), &graph, splice);
+        GraphData::from_indices(graph, csc, compact)
+    }
+
+    fn from_indices(graph: HeteroGraph, csc: Csc, compact: CompactionMap) -> GraphData {
         let unique_etype = compact.unique_etype();
         let max_in_degree = csc.ptr.windows(2).map(|w| w[1] - w[0]).max();
-        let mut data = GraphData {
+        // Every edge has its unique pair and every pair an edge, so the
+        // pairs name the live (ntype(src), etype) slabs.
+        let et = graph.num_edge_types();
+        let mut live = vec![false; graph.num_node_types() * et];
+        for (&s, &t) in compact.unique_row_idx().iter().zip(&unique_etype) {
+            live[graph.node_type()[s as usize] as usize * et + t as usize] = true;
+        }
+        let live_pairs = (0..live.len() as u32)
+            .filter(|&p| live[p as usize])
+            .collect();
+        GraphData {
             derived: Arc::new(Derived {
                 graph,
                 csc,
                 compact,
                 unique_etype,
-                live_pairs: Vec::new(),
+                live_pairs,
                 max_in_degree: max_in_degree.unwrap_or(0),
             }),
-        };
-        let mut live = vec![false; data.type_count(hector_ir::TypeIndex::NodeEdgePair)];
-        for e in 0..data.graph().num_edges() {
-            live[data.pair_type_of(hector_ir::RowDomain::Edges, e)] = true;
         }
-        Arc::get_mut(&mut data.derived)
-            .expect("a graph being built is not shared yet")
-            .live_pairs = (0..live.len() as u32)
-            .filter(|&p| live[p as usize])
-            .collect();
-        data
     }
 
     /// The dense-pair reference: every pair marked live, as if preps

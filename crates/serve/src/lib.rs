@@ -501,7 +501,8 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for a batch [`DeltaBatch::validate`]
-    /// rejects; neither the sharded graph nor the deployment changes.
+    /// rejects (a batch that removes every node included); neither the
+    /// sharded graph nor the deployment changes.
     /// Otherwise as [`ServeHandle::swap`]: on such an error the sharded
     /// graph HAS already advanced (the delta applies first); retry the
     /// swap with [`ServeHandle::swap_versioned`] rather than re-applying
@@ -513,12 +514,12 @@ impl ServeHandle {
         sharded: &mut ShardedGraph,
         batch: &DeltaBatch,
     ) -> Result<u64, ServeError> {
-        batch
-            .validate(sharded.full())
+        let outcome = sharded
+            .try_apply(batch)
             .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        let outcome = sharded.apply(batch);
-        let graph = GraphData::new(sharded.full().clone());
-        self.swap_versioned(name, builder, &graph, outcome.version)?;
+        // The store carries its graph data across the delta; the
+        // deployment binds it as an `Arc` clone.
+        self.swap_versioned(name, builder, sharded.full_data(), outcome.version)?;
         Ok(outcome.version)
     }
 
@@ -1295,6 +1296,7 @@ mod tests {
             DeltaBatch::new().add_edge(0, 1, r),
             DeltaBatch::new().remove_edge(unmatched.0, unmatched.1, unmatched.2),
             claim_one_edge_twice,
+            (0..n).fold(DeltaBatch::new(), |b, v| b.remove_node(v)),
         ];
         for batch in &batches {
             let err = srv

@@ -2,15 +2,18 @@
 //! full-graph splice that applies one.
 //!
 //! A delta batch names edge and node insertions/deletions against the
-//! graph it is applied to. [`ShardedGraph::apply`](crate::ShardedGraph::apply)
-//! consumes batches incrementally: edge-only batches splice the
-//! relation-sorted edge arrays in place of a rebuild-from-scratch and
-//! invalidate only the shards whose interior contains a touched
-//! destination; batches with node operations shift node ids and force a
-//! full re-partition (documented on [`DeltaBatch::add_node`]).
-//! [`DeltaBatch::validate`] checks a batch against its graph before
-//! anything changes, so a malformed batch from outside is an error, not
-//! a panic.
+//! graph it is applied to.
+//! [`ShardedGraph::try_apply`](crate::ShardedGraph::try_apply) consumes
+//! batches incrementally: edge-only batches splice the relation-sorted
+//! edge arrays ([`HeteroGraph::splice_edges`]) in place of a
+//! rebuild-from-scratch and invalidate only the shards whose interior
+//! contains a touched destination; batches with node operations shift
+//! node ids and force a full re-partition (documented on
+//! [`DeltaBatch::add_node`]). The batch is checked against its graph
+//! once, before anything changes ([`DeltaBatch::validate`] runs the same
+//! checks alone), so a malformed batch from outside is an error, not a
+//! panic. The check's one scan of the relations removals name also
+//! locates the edges they remove, which the splice then drops.
 //!
 //! # Id coordinates
 //!
@@ -26,14 +29,12 @@
 //! The splice preserves the relative order of surviving edges within
 //! every relation and appends insertions at their relation segment's
 //! end — the same order a from-scratch
-//! [`HeteroGraphBuilder`] with the
+//! [`HeteroGraphBuilder`](hector_graph::HeteroGraphBuilder) with the
 //! stable relation sort would produce, so a spliced graph is
 //! indistinguishable from a freshly built one (pinned by
 //! `splice_matches_fresh_build`). That keeps post-delta sharded
 //! execution bit-identical to a fresh unsharded oracle over the same
 //! edge list.
-
-use std::collections::HashMap;
 
 use hector_graph::{HeteroGraph, HeteroGraphBuilder};
 use hector_runtime::HectorError;
@@ -137,19 +138,28 @@ impl DeltaBatch {
     /// Checks the batch against the graph it is about to be applied to,
     /// without changing anything: every condition under which
     /// [`ShardedGraph::apply`](crate::ShardedGraph::apply) would panic
-    /// is reported here instead. Only the relations that removals name
-    /// are scanned.
+    /// is reported here instead, and
+    /// [`ShardedGraph::try_apply`](crate::ShardedGraph::try_apply) runs
+    /// the same check. Only the relations that removals name are
+    /// scanned.
     ///
     /// # Errors
     ///
     /// [`HectorError::InvalidDelta`] for the first problem found: a node
-    /// removal or inserted node type out of range, an edge insert whose
-    /// relation is out of range or whose endpoint is neither a surviving
-    /// node nor a node this batch adds, or an edge removal left without
-    /// a distinct matching edge (its relation is out of range, nothing
-    /// matches, or more removals name a key than the graph has edges
-    /// with it).
+    /// removal or inserted node type out of range, a batch that removes
+    /// every node and adds none, an edge insert whose relation is out of
+    /// range or whose endpoint is neither a surviving node nor a node
+    /// this batch adds, or an edge removal left without a distinct
+    /// matching edge (its relation is out of range, nothing matches, or
+    /// more removals name a key than the graph has edges with it).
     pub fn validate(&self, graph: &HeteroGraph) -> Result<(), HectorError> {
+        self.claimed_edges(graph).map(drop)
+    }
+
+    /// [`DeltaBatch::validate`]'s check, returning on success the ids of
+    /// the edges the removals claim (ascending): for each removal, the
+    /// earliest matching edge no earlier removal of the same key took.
+    pub(crate) fn claimed_edges(&self, graph: &HeteroGraph) -> Result<Vec<u32>, HectorError> {
         let invalid = |detail: String| Err(HectorError::InvalidDelta { detail });
         let (n, ntypes, nrel) = (
             graph.num_nodes(),
@@ -164,6 +174,10 @@ impl DeltaBatch {
         }
         let mut removed = self.remove_nodes.clone();
         removed.sort_unstable();
+        removed.dedup();
+        if !removed.is_empty() && removed.len() == n && self.add_nodes.is_empty() {
+            return invalid(format!("the batch removes all {n} nodes and adds none"));
+        }
         let ids = n + self.add_nodes.len();
         for &(s, d, t) in &self.add_edges {
             if t as usize >= nrel {
@@ -184,40 +198,63 @@ impl DeltaBatch {
                 ));
             }
         }
-
-        // Each removal claims one distinct matching edge: count the
-        // edges of every named key inside the relations removals name.
-        let mut matched: HashMap<(u32, u32, u32), (usize, usize)> = HashMap::new();
-        for &key in &self.remove_edges {
-            if key.2 as usize >= nrel {
-                return invalid(format!(
-                    "edge removal {key:?}: relation out of range for {nrel}"
-                ));
-            }
-            matched.entry(key).or_default().0 += 1;
+        if let Some(key) = self.remove_edges.iter().find(|k| k.2 as usize >= nrel) {
+            return invalid(format!(
+                "edge removal {key:?}: relation out of range for {nrel}"
+            ));
         }
-        let mut rels: Vec<u32> = self.remove_edges.iter().map(|&(_, _, t)| t).collect();
-        rels.sort_unstable();
-        rels.dedup();
-        for t in rels {
+
+        // Each removal claims one distinct matching edge. The distinct
+        // keys, as (etype, dst, src) with how often each is named, sort
+        // by relation; one scan of each named relation claims the
+        // earliest matches of its keys.
+        let mut keys: Vec<(u32, u32, u32)> = self
+            .remove_edges
+            .iter()
+            .map(|&(s, d, t)| (t, d, s))
+            .collect();
+        keys.sort_unstable();
+        let mut wanted: Vec<((u32, u32, u32), usize)> = Vec::new();
+        for key in keys {
+            match wanted.last_mut() {
+                Some((k, c)) if *k == key => *c += 1,
+                _ => wanted.push((key, 1)),
+            }
+        }
+        let mut found = vec![0usize; wanted.len()];
+        let mut claimed = Vec::with_capacity(self.remove_edges.len());
+        let (src, dst) = (graph.src(), graph.dst());
+        let mut lo = 0;
+        while lo < wanted.len() {
+            let t = wanted[lo].0 .0;
+            let hi = lo + wanted[lo..].partition_point(|w| w.0 .0 == t);
+            let rel = &wanted[lo..hi];
             for e in graph.etype_ptr()[t as usize]..graph.etype_ptr()[t as usize + 1] {
-                if let Some((_, found)) = matched.get_mut(&(graph.src()[e], graph.dst()[e], t)) {
-                    *found += 1;
+                if let Ok(k) = rel.binary_search_by_key(&(t, dst[e], src[e]), |w| w.0) {
+                    if found[lo + k] < rel[k].1 {
+                        found[lo + k] += 1;
+                        claimed.push(e as u32);
+                    }
                 }
             }
+            lo = hi;
         }
-        for key in &self.remove_edges {
-            let (wanted, found) = matched[key];
-            if found == 0 {
+        for &(s, d, t) in &self.remove_edges {
+            let k = wanted
+                .binary_search_by_key(&(t, d, s), |w| w.0)
+                .expect("every removal is a key");
+            let key = (s, d, t);
+            if found[k] == 0 {
                 return invalid(format!("edge removal {key:?} matches no edge in the graph"));
             }
-            if found < wanted {
+            if found[k] < wanted[k].1 {
                 return invalid(format!(
-                    "edge removal {key:?} is queued {wanted} times but matches {found} edges"
+                    "edge removal {key:?} is queued {} times but matches {} edges",
+                    wanted[k].1, found[k]
                 ));
             }
         }
-        Ok(())
+        Ok(claimed)
     }
 }
 
@@ -227,8 +264,10 @@ pub struct DeltaOutcome {
     /// Graph version after the batch (monotonic; starts at 0 and bumps
     /// once per applied batch).
     pub version: u64,
-    /// Shards whose plans were invalidated (re-extracted). Ascending;
-    /// every shard when `repartitioned`.
+    /// Shards whose plans were invalidated: their interior holds a
+    /// destination the batch touched, so they are re-extracted (on their
+    /// next read, after an edge-only batch). Ascending; every shard when
+    /// `repartitioned`.
     pub affected: Vec<usize>,
     /// Operations applied.
     pub ops: usize,
@@ -236,105 +275,23 @@ pub struct DeltaOutcome {
     pub repartitioned: bool,
 }
 
-/// Multiset of pending edge removals keyed by `(src, dst, etype)`.
-fn removal_counts(batch: &DeltaBatch) -> HashMap<(u32, u32, u32), usize> {
-    let mut m = HashMap::new();
-    for &key in &batch.remove_edges {
-        *m.entry(key).or_insert(0) += 1;
-    }
-    m
-}
-
-/// Whether `key` is a pending removal; if so, consumes one count (the
-/// earliest surviving match is the one removed).
-fn take_removal(pending: &mut HashMap<(u32, u32, u32), usize>, key: (u32, u32, u32)) -> bool {
-    match pending.get_mut(&key) {
-        Some(c) if *c > 0 => {
-            *c -= 1;
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Applies an edge-only batch by splicing the relation-sorted edge
-/// arrays. Relations without a removal are copied through unprobed; only
-/// relations a removal names consult the removal multiset. Returns the
-/// new graph plus the old→new edge id map (`None` for removed edges)
-/// used to shift unaffected shards' remap tables without re-extraction.
-///
-/// # Panics
-///
-/// Panics if a removal matches no edge, or an insertion references an
-/// out-of-range node or relation ([`DeltaBatch::validate`] reports the
-/// same conditions as errors).
-pub(crate) fn splice_edges(
-    full: &HeteroGraph,
-    batch: &DeltaBatch,
-) -> (HeteroGraph, Vec<Option<u32>>) {
-    debug_assert!(!batch.has_node_ops(), "node ops need the rebuild path");
-    let n = full.num_nodes() as u32;
-    let nrel = full.num_edge_types();
-    let mut adds_by_rel: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nrel];
-    for &(s, d, t) in &batch.add_edges {
-        assert!(
-            s < n && d < n,
-            "edge insert ({s}, {d}) out of range for {n} nodes"
-        );
-        assert!(
-            (t as usize) < nrel,
-            "edge insert relation {t} out of range for {nrel}"
-        );
-        adds_by_rel[t as usize].push((s, d));
-    }
-    let mut removes_in_rel = vec![false; nrel];
-    for &(_, _, t) in &batch.remove_edges {
-        if let Some(r) = removes_in_rel.get_mut(t as usize) {
-            *r = true; // an out-of-range relation stays pending below
-        }
-    }
-    let mut pending = removal_counts(batch);
-
-    let mut b = HeteroGraphBuilder::new();
-    for t in 0..full.num_node_types() {
-        b.add_node_type(full.nodes_of_type(t));
-    }
-    b.reserve_edge_types(nrel);
-    let mut old_to_new = vec![None; full.num_edges()];
-    let mut next = 0u32;
-    let (src, dst) = (full.src(), full.dst());
-    for t in 0..nrel {
-        for e in full.etype_ptr()[t]..full.etype_ptr()[t + 1] {
-            let key = (src[e], dst[e], t as u32);
-            if removes_in_rel[t] && take_removal(&mut pending, key) {
-                continue;
-            }
-            b.add_edge(key.0, key.1, key.2);
-            old_to_new[e] = Some(next);
-            next += 1;
-        }
-        for &(s, d) in &adds_by_rel[t] {
-            b.add_edge(s, d, t as u32);
-            next += 1;
-        }
-    }
-    if let Some((key, _)) = pending.iter().find(|(_, &c)| c > 0) {
-        panic!("edge removal {key:?} matches no edge in the graph");
-    }
-    (b.build(), old_to_new)
-}
-
 /// Applies a batch with node operations by rebuilding the graph: removed
 /// nodes (and their incident edges) drop out, added nodes land at their
 /// type segment's end, surviving node ids compact downward, and the edge
-/// operations apply on top. Shard state cannot survive the id shift —
-/// the caller re-partitions.
+/// operations apply on top; `claimed` are the edges the removals claim
+/// ([`DeltaBatch::claimed_edges`]). Shard state cannot survive the id
+/// shift — the caller re-partitions.
 ///
 /// # Panics
 ///
-/// Panics on out-of-range ids, on a removal that matches nothing, and on
-/// an inserted edge referencing a removed node.
-pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> HeteroGraph {
+/// Panics on out-of-range ids, on a batch that removes every node, and
+/// on an inserted edge referencing a removed node (conditions the check
+/// reports first).
+pub(crate) fn rebuild_with_node_ops(
+    full: &HeteroGraph,
+    batch: &DeltaBatch,
+    claimed: &[u32],
+) -> HeteroGraph {
     let old_n = full.num_nodes();
     let ntypes = full.num_node_types();
     let mut removed = vec![false; old_n];
@@ -394,6 +351,11 @@ pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> H
         }
     };
 
+    assert!(
+        new_ptr[ntypes] > 0,
+        "the batch removes every node: nothing is left to bind"
+    );
+
     let nrel = full.num_edge_types();
     let mut adds_by_rel: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nrel];
     for &(s, d, t) in &batch.add_edges {
@@ -403,7 +365,7 @@ pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> H
         );
         adds_by_rel[t as usize].push((resolve(s), resolve(d)));
     }
-    let mut pending = removal_counts(batch);
+    let mut claimed = claimed.iter().peekable();
 
     let mut b = HeteroGraphBuilder::new();
     for (t, &kept) in kept_of_type.iter().enumerate() {
@@ -413,10 +375,10 @@ pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> H
     #[allow(clippy::needless_range_loop)] // `t` indexes several parallel arrays
     for t in 0..nrel {
         for e in full.etype_ptr()[t]..full.etype_ptr()[t + 1] {
-            let (s, d) = (full.src()[e], full.dst()[e]);
-            if take_removal(&mut pending, (s, d, t as u32)) {
+            if claimed.next_if(|&&c| c as usize == e).is_some() {
                 continue;
             }
+            let (s, d) = (full.src()[e], full.dst()[e]);
             if removed[s as usize] || removed[d as usize] {
                 continue; // incident edge drops with its node
             }
@@ -426,17 +388,15 @@ pub(crate) fn rebuild_with_node_ops(full: &HeteroGraph, batch: &DeltaBatch) -> H
             b.add_edge(s, d, t as u32);
         }
     }
-    if let Some((key, _)) = pending.iter().find(|(_, &c)| c > 0) {
-        panic!("edge removal {key:?} matches no edge in the graph");
-    }
     b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hector_graph::{generate, DatasetSpec};
+    use hector_graph::{generate, DatasetSpec, EdgeSplice};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn graph() -> HeteroGraph {
         generate(&DatasetSpec {
@@ -464,10 +424,40 @@ mod tests {
         assert!(DeltaBatch::new().is_empty());
     }
 
+    /// Multiset of pending edge removals keyed by `(src, dst, etype)`.
+    fn removal_counts(batch: &DeltaBatch) -> HashMap<(u32, u32, u32), usize> {
+        let mut m = HashMap::new();
+        for &key in &batch.remove_edges {
+            *m.entry(key).or_insert(0) += 1;
+        }
+        m
+    }
+
+    /// The removal claim as it was before the relation scan: the removal
+    /// multiset probed at every edge, the earliest surviving match
+    /// claimed. Panics if a removal is left unmatched.
+    fn claimed_by_probe(g: &HeteroGraph, batch: &DeltaBatch) -> Vec<u32> {
+        let mut pending = removal_counts(batch);
+        let mut claimed = Vec::new();
+        for e in 0..g.num_edges() {
+            match pending.get_mut(&(g.src()[e], g.dst()[e], g.etype()[e])) {
+                Some(c) if *c > 0 => {
+                    *c -= 1;
+                    claimed.push(e as u32);
+                }
+                _ => {}
+            }
+        }
+        if let Some((key, _)) = pending.iter().find(|(_, &c)| c > 0) {
+            panic!("edge removal {key:?} matches no edge in the graph");
+        }
+        claimed
+    }
+
     /// The splice's reference: a fresh build of the post-delta edge list
     /// that probes the removal multiset at every edge of every relation
-    /// (the formulation the per-relation skip replaced). Returns the
-    /// graph and the old→new edge id map.
+    /// (the formulation the relation scan replaced). Returns the graph
+    /// and the old→new edge id map.
     fn fresh_build(g: &HeteroGraph, batch: &DeltaBatch) -> (HeteroGraph, Vec<Option<u32>>) {
         let mut pending = removal_counts(batch);
         let mut b = HeteroGraphBuilder::new();
@@ -560,9 +550,14 @@ mod tests {
             adds in 0usize..12,
         ) {
             let batch = arb_edge_batch(&g, &picks, adds);
-            prop_assert!(batch.validate(&g).is_ok());
-            let (spliced, old_to_new) = splice_edges(&g, &batch);
-            spliced.validate();
+            let claimed = batch.claimed_edges(&g).expect("a batch of existing edges");
+            prop_assert_eq!(&claimed, &claimed_by_probe(&g, &batch));
+            let (spliced, splice) = g.splice_edges(&claimed, &batch.add_edges);
+            let old_to_new: Vec<Option<u32>> = splice
+                .old_to_new()
+                .iter()
+                .map(|&m| (m != EdgeSplice::REMOVED).then_some(m))
+                .collect();
             let (fresh, fresh_old_to_new) = fresh_build(&g, &batch);
             prop_assert_eq!(spliced.src(), fresh.src());
             prop_assert_eq!(spliced.dst(), fresh.dst());
@@ -616,7 +611,8 @@ mod tests {
         /// `validate` is exactly the apply path's panic condition: a batch
         /// it accepts splices (or rebuilds, with node ops) without
         /// panicking into a well-formed graph with the expected node and
-        /// edge counts, and a batch it rejects would have panicked.
+        /// edge counts, and a batch it rejects would have panicked, its
+        /// removals claimed by the per-edge multiset probe.
         #[test]
         fn validate_accepts_exactly_the_batches_that_apply(
             g in arb_multigraph(),
@@ -627,15 +623,18 @@ mod tests {
         ) {
             let batch = arb_any_batch(&g, &ops);
             let applied = std::panic::catch_unwind(|| {
-                if batch.has_node_ops() {
-                    rebuild_with_node_ops(&g, &batch)
+                let claimed = claimed_by_probe(&g, &batch);
+                let next = if batch.has_node_ops() {
+                    rebuild_with_node_ops(&g, &batch, &claimed)
                 } else {
-                    splice_edges(&g, &batch).0
-                }
+                    g.splice_edges(&claimed, &batch.add_edges).0
+                };
+                (next, claimed)
             });
-            let verdict = batch.validate(&g);
+            let verdict = batch.claimed_edges(&g);
             prop_assert_eq!(verdict.is_ok(), applied.is_ok(), "{:?}: {:?}", batch, verdict);
-            if let Ok(next) = applied {
+            if let Ok((next, claimed)) = applied {
+                prop_assert_eq!(verdict.unwrap(), claimed);
                 next.validate();
                 let mut gone = batch.remove_nodes.clone();
                 gone.sort_unstable();
@@ -667,7 +666,12 @@ mod tests {
                 !(0..g.num_edges()).any(|e| g.src()[e] == s && g.dst()[e] == d && g.etype()[e] == 0)
             })
             .expect("graph is not complete");
-        let _ = splice_edges(&g, &DeltaBatch::new().remove_edge(miss.0, miss.1, 0));
+        let mut sharded = crate::ShardedGraph::partition(
+            g,
+            Box::new(crate::RangePartitioner),
+            crate::ShardConfig::new(2),
+        );
+        let _ = sharded.apply(&DeltaBatch::new().remove_edge(miss.0, miss.1, 0));
     }
 
     #[test]
@@ -682,7 +686,7 @@ mod tests {
             .remove_node(victim)
             .add_node(1)
             .add_edge(prov, prov, 2); // self-loop on the new node
-        let rebuilt = rebuild_with_node_ops(&g, &batch);
+        let rebuilt = rebuild_with_node_ops(&g, &batch, &batch.claimed_edges(&g).unwrap());
         rebuilt.validate();
         assert_eq!(rebuilt.num_nodes(), g.num_nodes());
         assert_eq!(rebuilt.nodes_of_type(0), g.nodes_of_type(0) - 1);

@@ -104,7 +104,6 @@ fn accumulate(into: &mut RunReport, r: &RunReport) {
 pub struct ShardedEngine {
     builder: EngineBuilder,
     full: Engine,
-    full_data: GraphData,
     sharded: ShardedGraph,
     /// Per-shard engines; `None` for shards that own no nodes (an empty
     /// graph cannot be bound — and has no rows to contribute anyway).
@@ -130,9 +129,8 @@ impl std::fmt::Debug for ShardedEngine {
 
 impl ShardedEngine {
     fn new(builder: EngineBuilder, sharded: ShardedGraph) -> Result<ShardedEngine, HectorError> {
-        let full_data = GraphData::new(sharded.full().clone());
         let mut full = builder.clone().build()?;
-        full.bind(&full_data)?;
+        full.bind(sharded.full_data())?;
         let inputs: Vec<VarInfo> = full
             .module()
             .forward
@@ -154,7 +152,6 @@ impl ShardedEngine {
         let mut engine = ShardedEngine {
             builder,
             full,
-            full_data,
             sharded,
             engines: Vec::new(),
             inputs,
@@ -306,22 +303,21 @@ impl ShardedEngine {
         Ok(report)
     }
 
-    /// Applies one delta batch: updates the sharded storage, re-binds
-    /// the full engine against the post-delta graph (freshly
-    /// seed-derived parameters and bindings — the fresh-oracle
-    /// contract), re-binds exactly the affected shards, and refreshes
-    /// every shard's parameter mirror and sliced bindings.
+    /// Applies one delta batch: updates the sharded storage
+    /// ([`ShardedGraph::try_apply`]), re-binds the full engine against
+    /// the store's post-delta graph data (freshly seed-derived
+    /// parameters and bindings — the fresh-oracle contract), re-binds
+    /// exactly the affected shards, and refreshes every shard's
+    /// parameter mirror and sliced bindings.
     ///
     /// # Errors
     ///
     /// [`HectorError::InvalidDelta`] for a batch [`DeltaBatch::validate`]
-    /// rejects, before anything changes; otherwise propagates bind
-    /// failures (e.g. a delta that empties the graph).
+    /// rejects (a batch that removes every node included), before
+    /// anything changes; otherwise propagates bind failures.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, HectorError> {
-        batch.validate(self.sharded.full())?;
-        let outcome = self.sharded.apply(batch);
-        self.full_data = GraphData::new(self.sharded.full().clone());
-        self.full.bind(&self.full_data)?;
+        let outcome = self.sharded.try_apply(batch)?;
+        self.full.bind(self.sharded.full_data())?;
         self.output = Tensor::zeros(&[self.sharded.full().num_nodes(), self.out_width]);
         for s in 0..self.engines.len() {
             if outcome.repartitioned || outcome.affected.contains(&s) {
@@ -503,8 +499,9 @@ mod tests {
             ShardConfig::new(2),
         );
         let mut eng = builder().bind_sharded(sharded).unwrap();
-        let shared =
-            |eng: &ShardedEngine| std::ptr::eq(eng.full.graph().graph(), eng.full_data.graph());
+        let shared = |eng: &ShardedEngine| {
+            std::ptr::eq(eng.full.graph().graph(), eng.sharded.full_data().graph())
+        };
         assert!(shared(&eng));
         eng.apply_delta(&DeltaBatch::new().add_edge(0, 1, 0))
             .unwrap();
@@ -545,6 +542,36 @@ mod tests {
         }
         eng.forward().unwrap();
         assert_eq!(eng.output().data(), &before[..]);
+    }
+
+    #[test]
+    fn a_delta_that_removes_every_node_is_refused_and_changes_nothing() {
+        let mut b = hector_graph::HeteroGraphBuilder::new();
+        b.add_node_type(4);
+        for (s, d) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            b.add_edge(s, d, 0);
+        }
+        let g = b.build();
+        let sharded = ShardedGraph::partition(
+            g.clone(),
+            Box::new(crate::RangePartitioner),
+            ShardConfig::new(2),
+        );
+        let mut eng = builder().bind_sharded(sharded).unwrap();
+        eng.forward().unwrap();
+        let before = eng.output().data().to_vec();
+        let everything = (0..4).fold(DeltaBatch::new(), |b, v| b.remove_node(v));
+        assert_eq!(everything.validate(&g).unwrap_err().kind(), "invalid_delta");
+        let err = eng.apply_delta(&everything).unwrap_err();
+        assert_eq!(err.kind(), "invalid_delta", "{err}");
+        assert_eq!(eng.sharded().version(), 0);
+        assert_eq!(eng.full_graph(), &g);
+        eng.forward().unwrap();
+        assert_eq!(eng.output().data(), &before[..]);
+        // Removing every node but adding one leaves a graph to bind.
+        let replaced = everything.add_node(0);
+        assert!(eng.apply_delta(&replaced).is_ok());
+        assert_eq!(eng.full_graph().num_nodes(), 1);
     }
 
     #[test]

@@ -39,15 +39,30 @@
 //!
 //! # Streaming deltas
 //!
-//! [`ShardedGraph::apply`] consumes [`DeltaBatch`]es incrementally:
-//! edge-only batches splice the relation-sorted edge arrays and
-//! re-extract **only the shards whose interior contains a touched
-//! destination** (other shards just shift their edge remap tables);
-//! node batches force a full re-partition. A batch that
-//! [`DeltaBatch::validate`] rejects changes nothing. Every apply bumps
-//! [`ShardedGraph::version`], which `hector-serve` hot-swap consumes.
-//! Activity is observable via `hector_device::shard_probe::snapshot()`
-//! ([`hector_device::ShardStats`]).
+//! The store owns its full graph as a [`GraphData`]: the graph plus the
+//! CSC and compaction indices every engine bound to it reads
+//! ([`ShardedGraph::full_data`]; engines take it as an `Arc` clone).
+//! [`ShardedGraph::try_apply`] consumes [`DeltaBatch`]es incrementally,
+//! and an edge-only batch costs what it changes:
+//!
+//! * the batch is checked once, and that check's one scan of the
+//!   relations its removals name also locates the removed edges;
+//! * the edge arrays are spliced by bulk relation-segment copies
+//!   ([`HeteroGraph::splice_edges`]), and the CSC and compaction map
+//!   are carried across ([`GraphData::spliced`]) instead of rebuilt;
+//! * the edge cut is adjusted from the batch's own edges;
+//! * the shards whose interior contains a touched destination go
+//!   stale and are re-extracted on their next read
+//!   ([`ShardedGraph::shard`]), so a delta nobody reads the shards of
+//!   (a serve delta) extracts none; other shards shift their edge remap
+//!   tables.
+//!
+//! What is left is O(E) array copying and remapping, with no sort, hash
+//! probe or rebuild of any index. Node batches rebuild the graph and
+//! force a full re-partition. A batch the check rejects changes
+//! nothing. Every apply bumps [`ShardedGraph::version`], which
+//! `hector-serve` hot-swap consumes. Activity is observable via
+//! `hector_device::shard_probe::snapshot()` ([`hector_device::ShardStats`]).
 
 #![warn(missing_docs)]
 
@@ -55,8 +70,11 @@ pub mod delta;
 pub mod engine;
 pub mod partition;
 
+use std::sync::OnceLock;
+
 use hector_device::shard_probe;
 use hector_graph::{extract_mapped, Extraction, HeteroGraph};
+use hector_runtime::{GraphData, HectorError};
 
 pub use delta::{DeltaBatch, DeltaOutcome};
 pub use engine::{BindSharded, ShardedEngine};
@@ -204,12 +222,14 @@ fn build_shard(full: &HeteroGraph, owner: &[u32], s: u32, hops: usize) -> Shard 
 /// per-shard compacted subgraphs with halo replication. See the crate
 /// docs for the ownership and bit-identity contracts.
 pub struct ShardedGraph {
-    full: HeteroGraph,
+    full: GraphData,
     cfg: ShardConfig,
     partitioner: Box<dyn Partitioner>,
     partitioner_name: &'static str,
     owner: Vec<u32>,
-    shards: Vec<Shard>,
+    /// Empty while stale: an edge delta that touches a shard's interior
+    /// leaves it to [`ShardedGraph::shard`] to re-extract.
+    shards: Vec<OnceLock<Shard>>,
     edges_cut: u64,
     version: u64,
 }
@@ -220,8 +240,8 @@ impl std::fmt::Debug for ShardedGraph {
             .field("num_shards", &self.cfg.num_shards)
             .field("hops", &self.cfg.hops)
             .field("partitioner", &self.partitioner_name)
-            .field("nodes", &self.full.num_nodes())
-            .field("edges", &self.full.num_edges())
+            .field("nodes", &self.full().num_nodes())
+            .field("edges", &self.full().num_edges())
             .field("edge_cut_fraction", &self.edge_cut_fraction())
             .field("version", &self.version)
             .finish()
@@ -247,7 +267,7 @@ impl ShardedGraph {
         assert!(cfg.num_shards > 0, "need at least one shard");
         let partitioner_name = partitioner.name();
         let mut sharded = ShardedGraph {
-            full,
+            full: GraphData::new(full),
             cfg,
             partitioner,
             partitioner_name,
@@ -264,24 +284,23 @@ impl ShardedGraph {
     /// every shard.
     fn repartition(&mut self) {
         let tr = hector_trace::span_start();
-        let owner = self.partitioner.assign(&self.full, self.cfg.num_shards);
-        assert_eq!(owner.len(), self.full.num_nodes(), "one owner per node");
+        let full = self.full.graph();
+        let owner = self.partitioner.assign(full, self.cfg.num_shards);
+        assert_eq!(owner.len(), full.num_nodes(), "one owner per node");
         assert!(
             owner.iter().all(|&o| (o as usize) < self.cfg.num_shards),
             "owner out of shard range"
         );
         self.shards = (0..self.cfg.num_shards)
-            .map(|s| build_shard(&self.full, &owner, s as u32, self.cfg.hops))
+            .map(|s| OnceLock::from(build_shard(full, &owner, s as u32, self.cfg.hops)))
             .collect();
-        self.owner = owner;
-        self.edges_cut = (0..self.full.num_edges())
-            .filter(|&e| {
-                self.owner[self.full.src()[e] as usize] != self.owner[self.full.dst()[e] as usize]
-            })
+        self.edges_cut = (0..full.num_edges())
+            .filter(|&e| owner[full.src()[e] as usize] != owner[full.dst()[e] as usize])
             .count() as u64;
+        self.owner = owner;
         shard_probe::record_partition(
             self.cfg.num_shards,
-            self.full.num_edges() as u64,
+            self.full().num_edges() as u64,
             self.edges_cut,
             self.halo_rows() as u64,
         );
@@ -290,7 +309,7 @@ impl ShardedGraph {
                 "shard/partition",
                 hector_trace::SpanCat::Shard,
                 t0,
-                self.full.num_edges() as u64,
+                self.full().num_edges() as u64,
                 0,
                 0.0,
             );
@@ -300,6 +319,13 @@ impl ShardedGraph {
     /// The full (unsharded) graph.
     #[must_use]
     pub fn full(&self) -> &HeteroGraph {
+        self.full.graph()
+    }
+
+    /// The full graph with its derived indices, carried across edge
+    /// deltas. Engines bind it as an `Arc` clone.
+    #[must_use]
+    pub fn full_data(&self) -> &GraphData {
         &self.full
     }
 
@@ -321,16 +347,12 @@ impl ShardedGraph {
         self.partitioner_name
     }
 
-    /// One shard.
+    /// One shard, re-extracted from the current full graph first if an
+    /// edge delta left it stale.
     #[must_use]
     pub fn shard(&self, s: usize) -> &Shard {
-        &self.shards[s]
-    }
-
-    /// All shards, in shard order.
-    #[must_use]
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
+        self.shards[s]
+            .get_or_init(|| build_shard(self.full(), &self.owner, s as u32, self.cfg.hops))
     }
 
     /// Owner shard of each original node.
@@ -348,17 +370,20 @@ impl ShardedGraph {
     /// Fraction of edges whose endpoints are owned by different shards.
     #[must_use]
     pub fn edge_cut_fraction(&self) -> f64 {
-        if self.full.num_edges() == 0 {
+        if self.full().num_edges() == 0 {
             0.0
         } else {
-            self.edges_cut as f64 / self.full.num_edges() as f64
+            self.edges_cut as f64 / self.full().num_edges() as f64
         }
     }
 
-    /// Total replicated halo rows across all shards.
+    /// Total replicated halo rows across all shards (re-extracting any
+    /// stale one).
     #[must_use]
     pub fn halo_rows(&self) -> usize {
-        self.shards.iter().map(Shard::halo_rows).sum()
+        (0..self.cfg.num_shards)
+            .map(|s| self.shard(s).halo_rows())
+            .sum()
     }
 
     /// Approximate bytes of replicated structure: the halo share of
@@ -368,56 +393,64 @@ impl ShardedGraph {
         self.halo_rows() * std::mem::size_of::<u32>() * 2
     }
 
-    /// Applies one delta batch. Edge-only batches splice the edge arrays
-    /// and re-extract only the shards whose interior contains a touched
-    /// destination — every other shard keeps its compacted graph and has
+    /// Applies one delta batch, panicking where
+    /// [`ShardedGraph::try_apply`] returns an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before changing anything, on a batch
+    /// [`DeltaBatch::validate`] rejects: out-of-range ids, a removal that
+    /// matches nothing, an inserted edge referencing a removed node, a
+    /// batch that removes every node.
+    pub fn apply(&mut self, batch: &DeltaBatch) -> DeltaOutcome {
+        self.try_apply(batch).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Applies one delta batch. The batch is checked once; an edge-only
+    /// batch then splices the edge arrays, carries the full graph's
+    /// indices across, and marks stale exactly the shards whose
+    /// interior contains a touched destination (re-extracted on their
+    /// next read). Every other shard keeps its compacted graph and has
     /// its edge remap table shifted in place. Batches with node
     /// operations rebuild the graph and re-partition everything (node
     /// ids shift; see [`DeltaBatch::add_node`]). Bumps
     /// [`ShardedGraph::version`] and records the batch into the shard
     /// probe either way.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics, before changing anything, on a batch that
-    /// [`DeltaBatch::validate`] rejects: out-of-range ids, a removal that
-    /// matches nothing, an inserted edge referencing a removed node.
-    pub fn apply(&mut self, batch: &DeltaBatch) -> DeltaOutcome {
-        if let Err(e) = batch.validate(&self.full) {
-            panic!("{e}");
-        }
+    /// [`HectorError::InvalidDelta`] for a batch [`DeltaBatch::validate`]
+    /// rejects; nothing changes.
+    pub fn try_apply(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, HectorError> {
+        let claimed = batch.claimed_edges(self.full())?;
         let tr = hector_trace::span_start();
         let ops = batch.ops();
         let (affected, repartitioned) = if batch.has_node_ops() {
-            self.full = delta::rebuild_with_node_ops(&self.full, batch);
+            self.full = GraphData::new(delta::rebuild_with_node_ops(self.full(), batch, &claimed));
             self.repartition();
             shard_probe::record_invalidations(self.cfg.num_shards as u64);
             ((0..self.cfg.num_shards).collect(), true)
         } else {
-            let touched = batch.touched_dsts(self.full.num_nodes());
-            let (new_full, old_to_new) = delta::splice_edges(&self.full, batch);
-            self.full = new_full;
-            let affected: Vec<usize> = (0..self.cfg.num_shards)
-                .filter(|&s| touched.iter().any(|&d| self.shards[s].is_interior(d)))
-                .collect();
-            for s in 0..self.cfg.num_shards {
-                if affected.contains(&s) {
-                    self.shards[s] = build_shard(&self.full, &self.owner, s as u32, self.cfg.hops);
-                } else {
+            let affected = self.interiors_holding(&batch.touched_dsts(self.full().num_nodes()));
+            let (graph, splice) = self.full().splice_edges(&claimed, &batch.add_edges);
+            self.full = self.full.spliced(graph, &splice);
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                if affected.binary_search(&s).is_ok() {
+                    *shard = OnceLock::new();
+                } else if let Some(shard) = shard.get_mut() {
                     // Unaffected shards keep their graph verbatim; only
                     // the original edge indices shifted under them.
-                    for e in &mut self.shards[s].extraction.edge_map {
-                        *e = old_to_new[*e as usize]
-                            .expect("an edge of an unaffected shard was removed");
+                    for e in &mut shard.extraction.edge_map {
+                        *e = splice.old_to_new()[*e as usize];
+                        debug_assert_ne!(*e, hector_graph::EdgeSplice::REMOVED);
                     }
                 }
             }
-            self.edges_cut = (0..self.full.num_edges())
-                .filter(|&e| {
-                    self.owner[self.full.src()[e] as usize]
-                        != self.owner[self.full.dst()[e] as usize]
-                })
-                .count() as u64;
+            let cut =
+                |&(s, d, _): &(u32, u32, u32)| self.owner[s as usize] != self.owner[d as usize];
+            let added = batch.add_edges.iter().filter(|e| cut(e)).count() as u64;
+            let removed = batch.remove_edges.iter().filter(|e| cut(e)).count() as u64;
+            self.edges_cut = self.edges_cut + added - removed;
             shard_probe::record_invalidations(affected.len() as u64);
             (affected, false)
         };
@@ -433,12 +466,40 @@ impl ShardedGraph {
                 0.0,
             );
         }
-        DeltaOutcome {
+        Ok(DeltaOutcome {
             version: self.version,
             affected,
             ops,
             repartitioned,
+        })
+    }
+
+    /// The shards (ascending) whose interior holds a node of `touched`,
+    /// read off the current graph: a shard's interior is every node with
+    /// a path of at most `hops - 1` edges to a node it owns, so these are
+    /// the owners of everything `touched` reaches in that many steps. No
+    /// shard needs to be extracted to answer.
+    fn interiors_holding(&self, touched: &[u32]) -> Vec<usize> {
+        let full = self.full();
+        let mut reached = vec![false; full.num_nodes()];
+        for &v in touched {
+            reached[v as usize] = true;
         }
+        for _ in 1..self.cfg.hops {
+            // One synchronous step, as the interior closure expands.
+            let next: Vec<u32> = (0..full.num_edges())
+                .filter(|&e| reached[full.src()[e] as usize])
+                .map(|e| full.dst()[e])
+                .collect();
+            for v in next {
+                reached[v as usize] = true;
+            }
+        }
+        let mut hit = vec![false; self.cfg.num_shards];
+        for (v, _) in reached.iter().enumerate().filter(|(_, &r)| r) {
+            hit[self.owner[v] as usize] = true;
+        }
+        (0..self.cfg.num_shards).filter(|&s| hit[s]).collect()
     }
 }
 
@@ -471,7 +532,7 @@ mod tests {
             );
             // Every node owned exactly once.
             let mut seen = vec![0usize; g.num_nodes()];
-            for sh in sg.shards() {
+            for sh in (0..k).map(|s| sg.shard(s)) {
                 sh.graph().validate();
                 for &v in sh.owned() {
                     seen[v as usize] += 1;
@@ -480,7 +541,7 @@ mod tests {
             assert!(seen.iter().all(|&c| c == 1), "k={k}: ownership partition");
             // Owned nodes retain their full in-edge sets.
             let in_deg = g.in_degree();
-            for sh in sg.shards() {
+            for sh in (0..k).map(|s| sg.shard(s)) {
                 for (&orig, &local) in sh.owned().iter().zip(sh.owned_local()) {
                     let local_deg = sh.graph().dst().iter().filter(|&&d| d == local).count() as u32;
                     assert_eq!(
@@ -534,7 +595,7 @@ mod tests {
         assert_eq!(sg.full().num_edges(), g.num_edges() + 1);
 
         // Unaffected shards still index real edges after the remap shift.
-        for (i, sh) in sg.shards().iter().enumerate() {
+        for (i, sh) in (0..4).map(|s| sg.shard(s)).enumerate() {
             for (le, &oe) in sh.edge_map().iter().enumerate() {
                 assert_eq!(
                     sh.node_map()[sh.graph().src()[le] as usize],
