@@ -29,7 +29,7 @@
 //! The splice preserves the relative order of surviving edges within
 //! every relation and appends insertions at their relation segment's
 //! end — the same order a from-scratch
-//! [`HeteroGraphBuilder`](hector_graph::HeteroGraphBuilder) with the
+//! [`HeteroGraphBuilder`] with the
 //! stable relation sort would produce, so a spliced graph is
 //! indistinguishable from a freshly built one (pinned by
 //! `splice_matches_fresh_build`). That keeps post-delta sharded
