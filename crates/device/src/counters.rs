@@ -192,10 +192,10 @@ impl SamplerStats {
 
 /// Sharded-execution statistics: partition quality and the dynamic-graph
 /// activity of `hector-shard`. Process-global, not per device —
-/// sharded execution spans many per-shard devices, so the numbers live in
-/// a shared probe ([`shard_probe`]) rather than any single device's
-/// counter store, and [`Counters::reset`] does not touch them (clear
-/// with [`shard_probe::reset`]).
+/// partitioning and delta application run on no device, so the numbers
+/// live in a shared probe ([`shard_probe`]) rather than any single
+/// device's counter store, and [`Counters::reset`] does not touch them
+/// (clear with [`shard_probe::reset`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Partitioning passes performed (initial + delta-forced repartitions).
@@ -214,7 +214,7 @@ pub struct ShardStats {
     pub exchanges: u64,
     /// Owned output rows gathered across all exchanges.
     pub rows_exchanged: u64,
-    /// Per-shard run plans invalidated by delta application.
+    /// Shards a delta made stale (their graphs are rebuilt).
     pub plan_invalidations: u64,
     /// Delta batches applied.
     pub delta_batches: u64,
@@ -269,7 +269,7 @@ pub mod shard_probe {
         ROWS_EXCHANGED.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Records `n` per-shard plan invalidations.
+    /// Records `n` shards made stale by a delta.
     pub fn record_invalidations(n: u64) {
         PLAN_INVALIDATIONS.fetch_add(n, Ordering::Relaxed);
     }

@@ -444,6 +444,38 @@ impl Program {
             .collect()
     }
 
+    /// How many edge hops back the outputs read: a node operand read at
+    /// [`Endpoint::Src`] adds one hop to what it reads; reads at
+    /// [`Endpoint::Dst`] / [`Endpoint::This`], edge operands and
+    /// aggregation into destinations add none. One layer of a built-in
+    /// model has depth 1, and an `n`-layer stack depth `n` — the halo a
+    /// destination shard needs for exact owned rows.
+    #[must_use]
+    pub fn receptive_depth(&self) -> usize {
+        let mut depth = vec![0usize; self.vars.len()];
+        for op in &self.ops {
+            let Some(out) = op.kind.out_var() else {
+                continue;
+            };
+            let read = op
+                .kind
+                .operands()
+                .map(|o| match o {
+                    Operand::Node(v, Endpoint::Src) => depth[v.0 as usize] + 1,
+                    _ => o.var().map_or(0, |v| depth[v.0 as usize]),
+                })
+                .max()
+                .unwrap_or(0);
+            // `max`, so a scatter-accumulated variable keeps its deepest write.
+            depth[out.0 as usize] = depth[out.0 as usize].max(read);
+        }
+        self.outputs
+            .iter()
+            .map(|v| depth[v.0 as usize])
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The width (scalar=1 / vector) of an operand.
     #[must_use]
     pub fn operand_width(&self, o: &Operand) -> usize {
@@ -659,6 +691,42 @@ mod tests {
     #[test]
     fn valid_program_validates() {
         rgcn_fragment().validate();
+    }
+
+    #[test]
+    fn receptive_depth_counts_source_reads() {
+        let mut p = rgcn_fragment();
+        assert_eq!(p.receptive_depth(), 1);
+        // A nodewise op on the output stays at depth 1; a second
+        // message from it, read at the source, reaches two hops back.
+        let agg = VarId(2);
+        let h1 = p.add_var("h1", Space::Node, 16);
+        let msg1 = p.add_var("msg1", Space::Edge, 16);
+        let agg1 = p.add_var("agg1", Space::Node, 16);
+        p.push_op(OpKind::Unary {
+            op: UnOp::Relu,
+            a: Operand::Node(agg, Endpoint::This),
+            out: h1,
+        });
+        p.outputs = vec![h1];
+        assert_eq!(p.receptive_depth(), 1);
+        p.push_op(OpKind::Binary {
+            op: BinOp::Mul,
+            a: Operand::Node(h1, Endpoint::Src),
+            b: Operand::Node(h1, Endpoint::Dst),
+            out: msg1,
+        });
+        p.push_op(OpKind::NodeAggregate {
+            edge_val: Operand::Edge(msg1),
+            scale: None,
+            norm: AggNorm::None,
+            endpoint: Endpoint::Dst,
+            out: agg1,
+        });
+        p.outputs = vec![agg1];
+        assert_eq!(p.receptive_depth(), 2);
+        p.outputs = vec![h1, agg1];
+        assert_eq!(p.receptive_depth(), 2);
     }
 
     #[test]

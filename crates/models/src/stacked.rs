@@ -227,6 +227,17 @@ mod tests {
     }
 
     #[test]
+    fn receptive_depth_is_the_layer_count() {
+        for kind in ModelKind::all() {
+            assert_eq!(crate::source(kind, 8, 8).program.receptive_depth(), 1);
+            for layers in 1..=3 {
+                let s = stack(kind, layers, 8, 12, 4);
+                assert_eq!(s.program.receptive_depth(), layers, "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
     fn dimensions_thread_through_layers() {
         let s = rgcn_stack(3, 10, 20, 5);
         let p = &s.program;

@@ -635,6 +635,27 @@ impl Engine {
         self.run(None, None)
     }
 
+    /// Runs one forward pass of the bound parameters on another graph —
+    /// a shard or any subgraph that declares the bound graph's node/edge
+    /// type counts — with that graph's own input bindings, through the
+    /// engine's run plan. [`Engine::output`] then holds that graph's
+    /// rows; the bound graph, parameters and bindings are left as they
+    /// were.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HectorError::GraphMismatch`] when no graph is bound or
+    /// `graph`'s type counts differ from the bound graph's (the parameter
+    /// shapes would not match), and otherwise what [`Engine::forward`]
+    /// returns, checked against `graph` and `bindings`.
+    pub fn forward_on(
+        &mut self,
+        graph: &GraphData,
+        bindings: &Bindings,
+    ) -> Result<RunReport, HectorError> {
+        self.run(Some((graph, bindings)), None)
+    }
+
     /// Runs one training step (forward, NLL loss, backward, optimizer)
     /// through the persistent run plan.
     ///
@@ -656,10 +677,10 @@ impl Engine {
 
     /// The one run path: screens caller input, then runs the plan on the
     /// bound parameters. `on` runs an *alternate* graph — a sampled
-    /// mini-batch subgraph — with its own bindings in place of the bound
-    /// graph's; it must declare the bound graph's node/edge type counts
-    /// (guaranteed by `hector_graph::Subgraph::extract`) so the parameter
-    /// shapes match. `train` makes the run a training step against its
+    /// mini-batch subgraph or a shard — with its own bindings in place of
+    /// the bound graph's; it must declare the bound graph's node/edge
+    /// type counts (guaranteed by `hector_graph::Subgraph::extract` and
+    /// shard extraction) so the parameter shapes match. `train` makes the run a training step against its
     /// labels.
     fn run(
         &mut self,
@@ -1757,6 +1778,66 @@ mod tests {
         trainer.train_batch(&batch).unwrap();
         assert_eq!(trainer.steps(), before.1 + 1);
         assert_ne!(state(&trainer).0, before.0, "the batch trained");
+    }
+
+    /// `forward_on` computes what a fresh engine bound to the other graph
+    /// with the same parameters and bindings computes; a graph or binding
+    /// it refuses leaves the engine exactly as it was.
+    #[test]
+    fn forward_on_runs_another_graph_and_refusals_change_nothing() {
+        let g = graph();
+        let spec = |num_nodes, num_edges, num_edge_types| DatasetSpec {
+            name: "engine".into(),
+            num_nodes,
+            num_node_types: 2,
+            num_edges,
+            num_edge_types,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 23,
+        };
+        let sub = GraphData::new(generate(&spec(25, 120, 3)));
+        let more_types = GraphData::new(generate(&spec(25, 120, 4)));
+        for kind in ModelKind::all() {
+            let b = |seed| EngineBuilder::new(kind).dims(8, 8).seed(seed);
+            let mut engine = b(3).build().unwrap();
+            engine.bind(&g).unwrap().forward().unwrap();
+            let bound_out = out_bits(&engine);
+            // Other bindings than the engine would draw for `sub`.
+            let mut oracle = b(9).build().unwrap();
+            oracle.bind(&sub).unwrap();
+            *oracle.params_mut() = engine.params().clone();
+            oracle.forward().unwrap();
+            let bindings = oracle.bindings().clone();
+            engine.forward_on(&sub, &bindings).unwrap();
+            assert_eq!(out_bits(&engine), out_bits(&oracle), "{kind:?}");
+
+            let state = |e: &Engine| {
+                let params = e.params();
+                let program = &e.module().forward;
+                let weights = (0..params.len() as u32).map(|w| params.weight(WeightId(w)));
+                let inputs = program
+                    .inputs
+                    .iter()
+                    .map(|&v| e.bindings().get(&program.var(v).name).expect("bound input"));
+                let bits = weights
+                    .chain(inputs)
+                    .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                    .collect::<Vec<_>>();
+                (bits, e.graph().graph().clone())
+            };
+            let before = state(&engine);
+            let err = engine.forward_on(&more_types, &bindings).unwrap_err();
+            assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err}");
+            assert!(state(&engine) == before, "{kind:?}: refused graph");
+            let mut bad = bindings.clone();
+            bad.set("h", Tensor::zeros(&[3, 3]));
+            let err = engine.forward_on(&sub, &bad).unwrap_err();
+            assert!(matches!(err, HectorError::ShapeMismatch { .. }), "{err}");
+            assert!(state(&engine) == before, "{kind:?}: refused binding");
+            engine.forward().unwrap();
+            assert_eq!(out_bits(&engine), bound_out, "{kind:?}");
+        }
     }
 
     #[test]

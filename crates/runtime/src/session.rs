@@ -48,7 +48,7 @@ pub enum Mode {
 }
 
 /// Summary of one inference or training run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Total simulated time, microseconds.
     pub elapsed_us: f64,

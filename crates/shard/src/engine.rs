@@ -1,46 +1,43 @@
-//! Parallel per-shard execution: [`ShardedEngine`] and the
-//! [`BindSharded`] builder extension.
+//! Sharded execution: [`ShardedEngine`] and the [`BindSharded`] builder
+//! extension.
 //!
-//! `builder.bind_sharded(sharded)` produces one engine (run plan) per
-//! shard plus one **authoritative full-graph engine**, all built from
-//! the same [`EngineBuilder`] template (the process-wide module cache
-//! deduplicates compilation). Forward passes run the shards concurrently
-//! on a `hector-par` pool, then perform a deterministic **boundary
-//! exchange**: each shard's owned output rows are copied into the merged
-//! output in fixed shard order. Ownership is a partition, so the rows
-//! are disjoint and the merge is order-independent data-wise — the fixed
+//! `builder.bind_sharded(sharded)` builds **one engine**, bound to the
+//! full graph, plus one view per shard: the shard's graph and its input
+//! bindings sliced from the engine's ([`gather_bindings`]). A shard is
+//! only another graph for the same kernels, so a forward pass runs the
+//! engine's parameters on each shard's view in turn
+//! ([`Engine::forward_on`]) and, after each, performs the
+//! **boundary exchange**: the shard's owned output rows are copied into
+//! the merged output. Shards run in fixed order, one after another, each
+//! on the engine's own pool. Ownership is a partition, so the rows are
+//! disjoint and the merge is order-independent data-wise — the fixed
 //! order makes it deterministic byte-for-byte anyway.
 //!
 //! # Parity contracts
 //!
 //! * **Forward** is bitwise identical to the unsharded engine at every
 //!   shard count and thread count (see the crate docs for why; pinned by
-//!   `tests/shard_parity.rs`). Per-shard inputs are sliced from the full
-//!   engine's seed-derived bindings through the shard remap tables
-//!   ([`gather_bindings`]), and per-shard parameters are clones of the
-//!   full engine's — extraction preserves type counts, so shapes match.
-//! * **Training** executes on the authoritative full-graph engine:
-//!   gradient accumulation order is not reproducible from per-shard
-//!   partial sums under floating-point addition, so
-//!   [`ShardedEngine::train_step`] delegates to the full engine
-//!   (bit-identical to unsharded training by construction) and marks the
-//!   shard parameter mirrors dirty; the next forward resynchronises
-//!   them. Distributed backward with a deterministic gradient reduction
-//!   is future work (see ROADMAP).
+//!   `tests/shard_parity.rs`). Shard inputs are sliced from the engine's
+//!   seed-derived bindings through the shard remap tables, and the
+//!   parameters are the engine's own — extraction preserves type counts,
+//!   so shapes match.
+//! * **Training** runs on the full graph: gradient accumulation order is
+//!   not reproducible from per-shard partial sums under floating-point
+//!   addition, so [`ShardedEngine::train_step`] is the engine's
+//!   (bit-identical to unsharded training by construction). The next
+//!   forward runs the trained parameters on every shard. Distributed
+//!   backward with a deterministic gradient reduction is future work
+//!   (see ROADMAP).
 //! * **Deltas**: [`ShardedEngine::apply_delta`] applies the batch to the
-//!   sharded graph, re-binds the full engine (freshly seed-derived
-//!   parameters — the post-delta state equals a fresh engine built on
-//!   the post-delta graph, the oracle the serving tests compare
-//!   against), and re-binds only the affected shards.
-
-use std::sync::Mutex;
+//!   sharded graph, re-binds the engine (freshly seed-derived parameters
+//!   — the post-delta state equals a fresh engine built on the post-delta
+//!   graph, the oracle the serving tests compare against), rebuilds the
+//!   graphs of the affected shards and re-slices every shard's inputs.
 
 use hector_graph::HeteroGraph;
-use hector_ir::VarInfo;
-use hector_par::{ParallelConfig, ThreadPool};
 use hector_runtime::{
-    gather_bindings, Engine, EngineBuilder, GraphData, HectorError, Optimizer, ProfileReport,
-    RunReport, ShardSummary,
+    gather_bindings, Bindings, Engine, EngineBuilder, GraphData, HectorError, Optimizer,
+    ProfileReport, RunReport, ShardSummary,
 };
 use hector_tensor::Tensor;
 
@@ -54,34 +51,24 @@ use crate::{DeltaBatch, DeltaOutcome, ShardedGraph};
 /// DAG).
 pub trait BindSharded {
     /// Consumes the builder and the sharded graph, producing one engine
-    /// per shard plus the authoritative full-graph engine.
+    /// bound to the full graph with a view per shard.
     ///
     /// # Errors
     ///
-    /// Propagates [`EngineBuilder::build`] / `Engine::bind` failures
-    /// (invalid configuration, an empty full graph).
+    /// [`HectorError::InvalidConfig`] when the sharded graph's halo is
+    /// shallower than the model reads ([`ShardConfig::hops`] below the
+    /// forward program's receptive depth: owned rows would miss
+    /// contributions); otherwise propagates [`EngineBuilder::build`] /
+    /// `Engine::bind` failures (invalid configuration, an empty full
+    /// graph).
+    ///
+    /// [`ShardConfig::hops`]: crate::ShardConfig::hops
     fn bind_sharded(self, sharded: ShardedGraph) -> Result<ShardedEngine, HectorError>;
 }
 
 impl BindSharded for EngineBuilder {
     fn bind_sharded(self, sharded: ShardedGraph) -> Result<ShardedEngine, HectorError> {
         ShardedEngine::new(self, sharded)
-    }
-}
-
-/// A zeroed report for aggregation.
-fn zero_report() -> RunReport {
-    RunReport {
-        elapsed_us: 0.0,
-        peak_bytes: 0,
-        launches: 0,
-        gemm_us: 0.0,
-        traversal_us: 0.0,
-        copy_us: 0.0,
-        fallback_us: 0.0,
-        forward_us: 0.0,
-        backward_us: 0.0,
-        loss: None,
     }
 }
 
@@ -97,198 +84,130 @@ fn accumulate(into: &mut RunReport, r: &RunReport) {
     into.backward_us += r.backward_us;
 }
 
-/// One engine per shard, a boundary-exchange merge, and an authoritative
-/// full-graph engine for training and delta re-derivation. Built by
-/// [`BindSharded::bind_sharded`]; see the module docs for the parity
-/// contracts.
+/// Records a shard span begun at `start` (when tracing was on).
+fn shard_span(name: &'static str, start: Option<u64>, rows: u64) {
+    if let Some(t0) = start {
+        hector_trace::record_span(name, hector_trace::SpanCat::Shard, t0, rows, 0, 0.0);
+    }
+}
+
+/// One engine bound to the full graph, run on each shard's view, with a
+/// boundary-exchange merge. Built by [`BindSharded::bind_sharded`]; see
+/// the module docs for the parity contracts.
 pub struct ShardedEngine {
-    builder: EngineBuilder,
     full: Engine,
     sharded: ShardedGraph,
-    /// Per-shard engines; `None` for shards that own no nodes (an empty
-    /// graph cannot be bound — and has no rows to contribute anyway).
-    engines: Vec<Option<Engine>>,
-    inputs: Vec<VarInfo>,
-    pool: ThreadPool,
+    /// Per shard, its graph and its inputs sliced from the engine's
+    /// bindings; `None` for a shard that owns no nodes (it has no rows to
+    /// contribute).
+    views: Vec<Option<(GraphData, Bindings)>>,
     output: Tensor,
-    out_width: usize,
-    /// Set by [`ShardedEngine::train_step`]; the next forward clones the
-    /// full engine's parameters back into every shard engine.
-    params_dirty: bool,
 }
 
 impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("sharded", &self.sharded)
-            .field("out_width", &self.out_width)
-            .field("params_dirty", &self.params_dirty)
             .finish_non_exhaustive()
     }
 }
 
 impl ShardedEngine {
     fn new(builder: EngineBuilder, sharded: ShardedGraph) -> Result<ShardedEngine, HectorError> {
-        let mut full = builder.clone().build()?;
-        full.bind(sharded.full_data())?;
-        let inputs: Vec<VarInfo> = full
-            .module()
-            .forward
-            .inputs
-            .iter()
-            .map(|&v| full.module().forward.var(v).clone())
-            .collect();
-        let out_width = full
-            .module()
-            .forward
-            .var(full.module().forward.outputs[0])
-            .width;
-        let threads = ParallelConfig::from_env()
-            .num_threads
-            .min(sharded.num_shards())
-            .max(1);
-        let pool = ThreadPool::new(threads);
-        let output = Tensor::zeros(&[sharded.full().num_nodes(), out_width]);
-        let mut engine = ShardedEngine {
-            builder,
-            full,
-            sharded,
-            engines: Vec::new(),
-            inputs,
-            pool,
-            output,
-            out_width,
-            params_dirty: false,
-        };
-        engine.engines = (0..engine.sharded.num_shards()).map(|_| None).collect();
-        for s in 0..engine.sharded.num_shards() {
-            engine.rebind_shard(s)?;
+        let mut full = builder.build()?;
+        let forward = &full.module().forward;
+        let (depth, hops) = (forward.receptive_depth(), sharded.config().hops);
+        if hops < depth {
+            return Err(HectorError::InvalidConfig {
+                detail: format!(
+                    "the model reads {depth} hops back but the shards carry a {hops}-hop halo \
+                     (partition with ShardConfig::hops({depth}))"
+                ),
+            });
         }
+        let out_width = forward.var(forward.outputs[0]).width;
+        full.bind(sharded.full_data())?;
+        let mut engine = ShardedEngine {
+            full,
+            views: vec![None; sharded.num_shards()],
+            output: Tensor::zeros(&[sharded.full().num_nodes(), out_width]),
+            sharded,
+        };
+        engine.refresh_views(|_| true);
         Ok(engine)
     }
 
-    /// (Re)creates shard `s`'s engine against the shard's current graph,
-    /// then installs mirrored parameters and sliced bindings.
-    fn rebind_shard(&mut self, s: usize) -> Result<(), HectorError> {
-        let shard = self.sharded.shard(s);
-        if shard.owned().is_empty() {
-            self.engines[s] = None;
-            return Ok(());
+    /// Re-slices every shard's inputs from the engine's bindings, and
+    /// rebuilds the graph of each shard that has none yet or for which
+    /// `stale` holds (a shard whose structure a delta changed).
+    fn refresh_views(&mut self, stale: impl Fn(usize) -> bool) {
+        let program = &self.full.module().forward;
+        let inputs: Vec<_> = program
+            .inputs
+            .iter()
+            .map(|&v| program.var(v).clone())
+            .collect();
+        for (s, view) in self.views.iter_mut().enumerate() {
+            let shard = self.sharded.shard(s);
+            if shard.owned().is_empty() {
+                *view = None;
+                continue;
+            }
+            let graph = match view.take() {
+                Some((graph, _)) if !stale(s) => graph,
+                _ => GraphData::new(shard.graph().clone()),
+            };
+            let bindings = gather_bindings(
+                &inputs,
+                &graph,
+                self.full.bindings(),
+                shard.node_map(),
+                shard.edge_map(),
+            );
+            *view = Some((graph, bindings));
         }
-        let data = GraphData::new(shard.graph().clone());
-        let mut eng = match self.engines[s].take() {
-            Some(eng) => eng, // keep the session's warm plan/scratch
-            None => self.builder.clone().build()?,
-        };
-        eng.bind(&data)?;
-        self.resync_shard(s, eng)
     }
 
-    /// Installs the full engine's parameters and freshly sliced bindings
-    /// into a shard engine (the shard graph is already bound).
-    fn resync_shard(&mut self, s: usize, mut eng: Engine) -> Result<(), HectorError> {
-        let shard = self.sharded.shard(s);
-        *eng.params_mut() = self.full.params().clone();
-        let bindings = gather_bindings(
-            &self.inputs,
-            eng.graph(),
-            self.full.bindings(),
-            shard.node_map(),
-            shard.edge_map(),
-        );
-        eng.set_bindings(bindings);
-        self.engines[s] = Some(eng);
-        Ok(())
-    }
-
-    /// Clones the full engine's current parameters into every shard
-    /// engine (after training steps advanced them).
-    fn resync_params(&mut self) {
-        for eng in self.engines.iter_mut().flatten() {
-            *eng.params_mut() = self.full.params().clone();
-        }
-        self.params_dirty = false;
-    }
-
-    /// Runs one forward pass: every shard concurrently on the pool, then
-    /// the deterministic boundary exchange (owned rows copied in fixed
-    /// shard order). The merged output is bitwise identical to the
-    /// unsharded engine's.
+    /// Runs one forward pass: the engine's parameters on every shard in
+    /// fixed order, each run followed by its part of the boundary
+    /// exchange (its owned rows copied into the merged output). The
+    /// merged output is bitwise identical to the unsharded engine's.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing shard's error (in shard order).
+    /// Propagates the first failing shard's error (in shard order); only
+    /// the shards before it have then refreshed their merged rows.
     pub fn forward(&mut self) -> Result<RunReport, HectorError> {
-        if self.params_dirty {
-            self.resync_params();
-        }
-        // One job (engine, output slot) per bound shard; uncontended locks.
-        let jobs: Vec<Mutex<(&mut Engine, Option<_>)>> = self
-            .engines
-            .iter_mut()
-            .flatten()
-            .map(|eng| Mutex::new((eng, None)))
-            .collect();
-        self.pool.for_each_chunk(jobs.len(), 1, |_, r| {
-            for job in &jobs[r] {
-                let (eng, slot) = &mut *job.lock().expect("shard job lock");
-                let tr = hector_trace::span_start();
-                let rows = eng.graph().graph().num_edges() as u64;
-                *slot = Some(eng.forward());
-                if let Some(t0) = tr {
-                    hector_trace::record_span(
-                        "shard/forward",
-                        hector_trace::SpanCat::Shard,
-                        t0,
-                        rows,
-                        0,
-                        0.0,
-                    );
-                }
-            }
-        });
-
-        let mut report = zero_report();
-        for job in jobs {
-            if let (_, Some(r)) = job.into_inner().expect("a shard panic resumed above") {
-                accumulate(&mut report, &r?);
-            }
-        }
-
-        // Boundary exchange: owned rows land in the merged output in
-        // fixed shard order. Rows are disjoint (ownership partitions the
-        // nodes), so the order only pins byte-level determinism.
-        let tr = hector_trace::span_start();
-        let w = self.out_width;
+        let mut report = RunReport::default();
+        let w = self.output.cols();
         let mut exchanged = 0u64;
-        for (s, eng) in self.engines.iter().enumerate() {
-            let Some(eng) = eng.as_ref() else { continue };
+        for (s, view) in self.views.iter().enumerate() {
+            let Some((graph, bindings)) = view else {
+                continue;
+            };
+            let tr = hector_trace::span_start();
+            accumulate(&mut report, &self.full.forward_on(graph, bindings)?);
+            shard_span("shard/forward", tr, graph.graph().num_edges() as u64);
+            // Boundary exchange. Rows are disjoint (ownership partitions
+            // the nodes), so the shard order only pins byte-level
+            // determinism.
+            let tr = hector_trace::span_start();
             let shard = self.sharded.shard(s);
-            let local = eng.output().data();
-            let merged = self.output.data_mut();
+            let (local, merged) = (self.full.output().data(), self.output.data_mut());
             for (&orig, &loc) in shard.owned().iter().zip(shard.owned_local()) {
                 let (o, l) = (orig as usize * w, loc as usize * w);
                 merged[o..o + w].copy_from_slice(&local[l..l + w]);
             }
             exchanged += shard.owned().len() as u64;
+            shard_span("shard/exchange", tr, shard.owned().len() as u64);
         }
         shard_probe::record_exchange(exchanged);
-        if let Some(t0) = tr {
-            hector_trace::record_span(
-                "shard/exchange",
-                hector_trace::SpanCat::Shard,
-                t0,
-                exchanged,
-                0,
-                0.0,
-            );
-        }
         Ok(report)
     }
 
-    /// Runs one training step on the **authoritative full-graph engine**
-    /// (bit-identical to unsharded training; see the module docs) and
-    /// marks the shard parameter mirrors dirty for the next forward.
+    /// Runs one training step on the full graph (bit-identical to
+    /// unsharded training; see the module docs). The next forward runs
+    /// the updated parameters on every shard.
     ///
     /// # Errors
     ///
@@ -298,17 +217,15 @@ impl ShardedEngine {
         labels: &[usize],
         optimizer: &mut dyn Optimizer,
     ) -> Result<RunReport, HectorError> {
-        let report = self.full.train_step(labels, optimizer)?;
-        self.params_dirty = true;
-        Ok(report)
+        self.full.train_step(labels, optimizer)
     }
 
     /// Applies one delta batch: updates the sharded storage
-    /// ([`ShardedGraph::try_apply`]), re-binds the full engine against
-    /// the store's post-delta graph data (freshly seed-derived
-    /// parameters and bindings — the fresh-oracle contract), re-binds
-    /// exactly the affected shards, and refreshes every shard's
-    /// parameter mirror and sliced bindings.
+    /// ([`ShardedGraph::try_apply`]), re-binds the engine against the
+    /// store's post-delta graph data (freshly seed-derived parameters and
+    /// bindings — the fresh-oracle contract), rebuilds the graphs of
+    /// exactly the affected shards (every shard on a repartition), and
+    /// re-slices every shard's inputs.
     ///
     /// # Errors
     ///
@@ -318,18 +235,8 @@ impl ShardedEngine {
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, HectorError> {
         let outcome = self.sharded.try_apply(batch)?;
         self.full.bind(self.sharded.full_data())?;
-        self.output = Tensor::zeros(&[self.sharded.full().num_nodes(), self.out_width]);
-        for s in 0..self.engines.len() {
-            if outcome.repartitioned || outcome.affected.contains(&s) {
-                self.rebind_shard(s)?;
-            } else if let Some(eng) = self.engines[s].take() {
-                // Structure unchanged, but edge-space bindings shifted
-                // with the splice and the full engine re-derived its
-                // parameters — refresh both.
-                self.resync_shard(s, eng)?;
-            }
-        }
-        self.params_dirty = false;
+        self.output = Tensor::zeros(&[self.sharded.full().num_nodes(), self.output.cols()]);
+        self.refresh_views(|s| outcome.repartitioned || outcome.affected.contains(&s));
         Ok(outcome)
     }
 
@@ -355,7 +262,7 @@ impl ShardedEngine {
     /// Number of shards (including ones that own no nodes).
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.engines.len()
+        self.views.len()
     }
 
     /// Profiles a closure over this engine — the sharded counterpart of
@@ -391,7 +298,7 @@ mod tests {
     use crate::{HashPartitioner, ShardConfig};
     use hector_graph::{generate, DatasetSpec};
     use hector_models::ModelKind;
-    use hector_runtime::Sgd;
+    use hector_runtime::{ParallelConfig, Sgd};
 
     fn graph() -> HeteroGraph {
         generate(&DatasetSpec {
@@ -590,5 +497,103 @@ mod tests {
         assert_eq!(stats.shards, 2);
         assert!(!report.shard.is_empty(), "shard spans recorded");
         assert!(report.shard.iter().any(|a| a.name == "shard/exchange"));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn oracle_bits(builder: &EngineBuilder, g: &HeteroGraph) -> Vec<u32> {
+        let mut oracle = builder.clone().build().unwrap();
+        oracle.bind(&GraphData::new(g.clone())).unwrap();
+        oracle.forward().unwrap();
+        bits(oracle.output())
+    }
+
+    fn two_layers(kind: ModelKind, threads: usize) -> EngineBuilder {
+        EngineBuilder::new(kind)
+            .dims(8, 8)
+            .layers(2)
+            .parallel(ParallelConfig {
+                num_threads: threads,
+                min_chunk_rows: 16,
+            })
+            .seed(7)
+    }
+
+    /// A halo shallower than the model's receptive depth would leave
+    /// owned rows short of contributions: the bind refuses it, and the
+    /// exact depth binds and merges bit for bit.
+    #[test]
+    fn a_halo_shallower_than_the_model_is_refused() {
+        let g = graph();
+        for kind in ModelKind::all() {
+            let builder = two_layers(kind, 1);
+            let want = oracle_bits(&builder, &g);
+            for k in [2usize, 3] {
+                let partition = |hops| {
+                    ShardedGraph::partition(
+                        g.clone(),
+                        Box::new(HashPartitioner::new(2)),
+                        ShardConfig::new(k).hops(hops),
+                    )
+                };
+                let err = builder.clone().bind_sharded(partition(1)).unwrap_err();
+                assert_eq!(err.kind(), "invalid_config", "{kind:?} k={k}: {err}");
+                let mut eng = builder.clone().bind_sharded(partition(2)).unwrap();
+                eng.forward().unwrap();
+                assert_eq!(bits(eng.output()), want, "{kind:?} k={k}");
+            }
+        }
+    }
+
+    /// Multi-layer attention models stay on the unsharded engine's bits
+    /// through a forward, two training steps and an edge delta (against
+    /// a fresh engine on the post-delta graph).
+    #[test]
+    fn two_layer_attention_models_match_unsharded_through_training_and_deltas() {
+        let g = graph();
+        let labels: Vec<usize> = (0..g.num_nodes()).map(|v| v % 4).collect();
+        for kind in [ModelKind::Rgat, ModelKind::Hgt] {
+            for threads in [1usize, 4] {
+                let builder = two_layers(kind, threads).training(true);
+                let what = format!("{kind:?} threads={threads}");
+                let mut oracle = builder.clone().build().unwrap();
+                oracle.bind(&GraphData::new(g.clone())).unwrap();
+                oracle.forward().unwrap();
+                let sharded = ShardedGraph::partition(
+                    g.clone(),
+                    Box::new(HashPartitioner::new(2)),
+                    ShardConfig::new(3).hops(2),
+                );
+                let mut eng = builder.clone().bind_sharded(sharded).unwrap();
+                eng.forward().unwrap();
+                assert_eq!(bits(eng.output()), bits(oracle.output()), "{what}");
+
+                let (mut opt, mut opt2) = (Sgd::new(0.1), Sgd::new(0.1));
+                for _ in 0..2 {
+                    oracle.train_step(&labels, &mut opt).unwrap();
+                    eng.train_step(&labels, &mut opt2).unwrap();
+                }
+                oracle.forward().unwrap();
+                eng.forward().unwrap();
+                assert_eq!(
+                    bits(eng.output()),
+                    bits(oracle.output()),
+                    "{what}: after training"
+                );
+
+                let batch = DeltaBatch::new()
+                    .add_edge(g.src()[0], g.dst()[0], g.etype()[0])
+                    .remove_edge(g.src()[1], g.dst()[1], g.etype()[1]);
+                eng.apply_delta(&batch).unwrap();
+                eng.forward().unwrap();
+                assert_eq!(
+                    bits(eng.output()),
+                    oracle_bits(&builder, eng.full_graph()),
+                    "{what}: after a delta"
+                );
+            }
+        }
     }
 }

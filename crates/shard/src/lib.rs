@@ -1,14 +1,15 @@
-//! Sharded graph storage with parallel per-shard execution and
+//! Sharded graph storage, sharded execution over one engine, and
 //! streaming delta ingestion.
 //!
 //! Scaling past one engine's working set means cutting the graph into
-//! **shards** that execute concurrently. This crate partitions a
-//! heterogeneous graph over **destination nodes**: shard `s` owns a
-//! subset of nodes and is responsible for computing exactly those nodes'
-//! output rows. Each shard stores a compacted, self-contained
-//! [`HeteroGraph`] (built by the audited
-//! [`extract_mapped`] re-pack, the same
-//! helper mini-batch extraction uses) covering:
+//! **shards**, each a subgraph the same kernels run on
+//! ([`ShardedEngine`] runs its one engine on every shard in turn). This
+//! crate partitions a heterogeneous graph over **destination nodes**:
+//! shard `s` owns a subset of nodes and is responsible for computing
+//! exactly those nodes' output rows. Each shard stores a compacted,
+//! self-contained [`HeteroGraph`] (built by the audited
+//! [`extract_mapped`] re-pack, the same helper mini-batch extraction
+//! uses) covering:
 //!
 //! * its **interior** — the owned nodes expanded `hops - 1` steps
 //!   backward along edges (so a `hops`-layer model sees every
@@ -33,9 +34,12 @@
 //! 3. the boundary exchange copies owned output rows in fixed shard
 //!    order, and ownership is a partition — rows never race.
 //!
-//! Set [`ShardConfig::hops`] to the model's layer count; a too-shallow
-//! halo truncates multi-layer receptive fields (the parity tests pin the
-//! exact-depth configuration).
+//! Set [`ShardConfig::hops`] to the model's layer count: a too-shallow
+//! halo would truncate multi-layer receptive fields, so
+//! [`BindSharded::bind_sharded`] refuses one with
+//! [`HectorError::InvalidConfig`] (the depth is the forward program's
+//! `receptive_depth`; the parity tests pin the exact-depth
+//! configuration).
 //!
 //! # Streaming deltas
 //!

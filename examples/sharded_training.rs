@@ -2,7 +2,7 @@
 //! partitioned over destination nodes (`HECTOR_SHARDS`, default 4),
 //! trained and served through a [`ShardedEngine`] whose merged outputs
 //! are **bit-identical** to the unsharded engine, then mutated in place
-//! with a [`DeltaBatch`] that re-plans only the affected shards.
+//! with a [`DeltaBatch`] that rebuilds only the affected shards' graphs.
 //!
 //! [`ShardedEngine`]: hector::ShardedEngine
 //! [`DeltaBatch`]: hector::DeltaBatch
@@ -52,9 +52,9 @@ fn main() {
         .bind_sharded(sharded)
         .expect("sharded engine builds");
 
-    // Training runs on the authoritative full-graph engine (bitwise the
-    // unsharded trajectory); forwards fan out across the shards and
-    // merge owned rows in fixed shard order.
+    // One engine, bound to the full graph: training runs there (bitwise
+    // the unsharded trajectory); a forward runs its parameters on each
+    // shard in turn and merges owned rows in fixed shard order.
     let labels: Vec<usize> = (0..graph.num_nodes()).map(|v| v % classes).collect();
     let mut opt = Adam::new(0.02);
     println!("\nstep   loss");
@@ -70,14 +70,15 @@ fn main() {
     );
 
     // Streaming deltas: splice edges in and out of the compacted CSRs.
-    // Only shards whose interiors saw a touched destination re-plan.
+    // Only shards whose interiors saw a touched destination rebuild
+    // their graphs; every shard re-slices its inputs.
     let batch = DeltaBatch::new()
         .add_edge(0, 1, 0)
         .add_edge(2, 3, 1)
         .remove_edge(graph.src()[0], graph.dst()[0], graph.etype()[0]);
     let outcome = engine.apply_delta(&batch).expect("delta applies");
     println!(
-        "\ndelta v{}: {} ops, {} of {} shard plans invalidated{}",
+        "\ndelta v{}: {} ops, {} of {} shard graphs rebuilt{}",
         outcome.version,
         outcome.ops,
         outcome.affected.len(),
