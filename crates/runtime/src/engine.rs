@@ -65,9 +65,11 @@
 //! graph with its parameters and seed-derived inputs as they are, and
 //! recomputes only the inputs the graph determines (`cnorm`). An
 //! engine whose state is still the seed's then forwards bit for bit
-//! what a fresh [`Engine::bind`] of the new graph would: the weights
-//! depend only on the type counts and the seed-derived inputs only on
-//! their row counts, and rebind refuses a graph that changes either.
+//! what a fresh [`Engine::bind`] of the new graph would: the base
+//! weights depend only on the type counts and the seed-derived inputs
+//! only on their row counts, and rebind refuses a graph that changes
+//! either. (Derived weights draw nothing and are recomputed by every
+//! run for the graph it runs.)
 
 use hector_compiler::{CompileOptions, CompiledModule, ModuleCache};
 use hector_device::{Device, DeviceConfig};
@@ -505,8 +507,9 @@ impl Engine {
     fn bind_internal(&mut self, graph: &GraphData) -> Result<rand::rngs::StdRng, HectorError> {
         check_nonempty(graph)?;
         let mut rng = seeded_rng(self.seed);
-        let program = &self.module().forward;
-        let params = ParamStore::init(program, graph, &mut rng);
+        let module = self.module();
+        let program = &module.forward;
+        let params = ParamStore::init_for(program, graph, &mut rng, module.backward.is_some());
         let bindings = Bindings::standard(program, graph, &mut rng);
         self.state = Some(BoundState {
             graph: graph.clone(),
@@ -526,15 +529,21 @@ impl Engine {
     ///
     /// Returns [`HectorError::GraphMismatch`], and leaves the engine
     /// bound as it was, when no graph is bound, when the new graph
-    /// changes a weight's type count, or when it changes the row count
-    /// of a seed-derived input (a node-feature input on a graph with
-    /// another node count, say). [`Engine::bind`] re-seeds instead.
+    /// changes a base weight's type count (derived pair stacks follow
+    /// whichever graph runs, so a new live pair is no mismatch), or when
+    /// it changes the row count of a seed-derived input (a node-feature
+    /// input on a graph with another node count, say). [`Engine::bind`]
+    /// re-seeds instead.
     pub fn rebind(&mut self, graph: &GraphData) -> Result<Bound<'_>, HectorError> {
         let state = self.state.as_mut().ok_or_else(not_bound)?;
         check_nonempty(graph)?;
         let program = &self.plan.module.forward;
         let mismatch = |detail: String| HectorError::GraphMismatch { detail };
         for (i, info) in program.weights.iter().enumerate() {
+            if info.derived {
+                // Per-run scratch: it follows whichever graph runs.
+                continue;
+            }
             let (have, want) = (
                 state.params.type_count(WeightId(i as u32)),
                 graph.type_count(info.per),
@@ -573,7 +582,8 @@ impl Engine {
         Ok(Bound { engine: self })
     }
 
-    /// Learnable parameters of the bound graph.
+    /// Learnable parameters of the bound graph. On an engine compiled
+    /// without backward every gradient ([`ParamStore::grad`]) is empty.
     ///
     /// # Panics
     ///
@@ -1891,6 +1901,155 @@ mod tests {
             std::sync::Arc::ptr_eq(&a.plan.module, &b.plan.module),
             "one shared module"
         );
+    }
+
+    /// Edge type 0 has sources of node types 0 and 1, edge type 1 of
+    /// node type 1 only: live pairs `[0, 2, 3]` of 4. `more` adds an edge
+    /// of the dead pair 1 (node type 0, edge type 1).
+    fn two_pair_graph(more: bool) -> GraphData {
+        let mut b = HeteroGraphBuilder::new();
+        b.add_node_type(3);
+        b.add_node_type(3);
+        for (s, d, t) in [(0, 3, 0), (4, 1, 0), (1, 5, 0), (3, 4, 1), (5, 0, 1)] {
+            b.add_edge(s, d, t);
+        }
+        if more {
+            b.add_edge(1, 2, 1);
+        }
+        GraphData::new(b.build())
+    }
+
+    /// The derived pair stacks of `engine`'s module.
+    fn pair_stacks(engine: &Engine) -> Vec<WeightId> {
+        let weights = &engine.module().forward.weights;
+        (0u32..)
+            .zip(weights)
+            .filter(|(_, i)| i.derived && i.per == hector_ir::TypeIndex::NodeEdgePair)
+            .map(|(w, _)| WeightId(w))
+            .collect()
+    }
+
+    /// After `bind`, a derived pair stack and its gradient hold one slab
+    /// per live pair of the bound graph — on the serving benchmark's
+    /// graph (aifb ×0.3), 122 of HGT's 7 × 104 pairs.
+    #[test]
+    fn derived_pair_stacks_hold_the_live_pairs() {
+        let aifb = GraphData::new(generate(&hector_graph::datasets::aifb().scaled(0.3)));
+        assert_eq!(aifb.live_pairs().len(), 122);
+        assert_eq!(aifb.type_count(hector_ir::TypeIndex::NodeEdgePair), 728);
+        for graph in [two_pair_graph(false), aifb] {
+            let live = graph.live_pairs().len();
+            let mut trainer = EngineBuilder::new(ModelKind::Hgt)
+                .dims(8, 8)
+                .layers(2)
+                .build_trainer(Sgd::new(0.1))
+                .unwrap();
+            trainer.bind(&graph).unwrap();
+            let (engine, mut stacks) = (trainer.engine(), 0);
+            for w in pair_stacks(engine) {
+                let params = engine.params();
+                assert_eq!(params.type_count(w), live);
+                assert_eq!(params.weight(w).shape(), &[live, 8, 8]);
+                assert_eq!(params.grad(w).shape(), &[live, 8, 8]);
+                stacks += 1;
+            }
+            assert_eq!(stacks, 2, "one fused pair weight per HGT layer");
+        }
+    }
+
+    /// An engine built without training holds no gradient stack; a
+    /// trainer of the same model holds one per weight.
+    #[test]
+    fn only_engines_with_backward_hold_gradients() {
+        let graph = graph();
+        for kind in ModelKind::all() {
+            let b = || EngineBuilder::new(kind).dims(8, 8).seed(2);
+            let mut engine = b().build().unwrap();
+            engine.bind(&graph).unwrap().forward().unwrap();
+            let mut trainer = b().build_trainer(Sgd::new(0.1)).unwrap();
+            trainer.bind(&graph).unwrap();
+            let (inference, training) = (engine.params(), trainer.engine().params());
+            let weights = &engine.module().forward.weights;
+            assert_eq!(inference.len(), weights.len());
+            for (w, info) in (0u32..).map(WeightId).zip(weights) {
+                assert_eq!(inference.grad(w).len(), 0, "{kind:?} {w:?}");
+                let (g, wt) = (training.grad(w), training.weight(w));
+                assert_eq!(g.shape(), wt.shape(), "{kind:?} {w:?}");
+                if !info.derived {
+                    assert_eq!(
+                        inference.weight(w).data(),
+                        wt.data(),
+                        "{kind:?}: same draws"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A run on a graph with one more live pair grows the pair stacks
+    /// (and their gradients) once; warm runs on it, and on the bound
+    /// graph again, keep the same buffers.
+    #[test]
+    fn one_more_live_pair_grows_the_stacks_once() {
+        let (g, more) = (two_pair_graph(false), two_pair_graph(true));
+        assert_eq!(g.live_pairs(), [0, 2, 3]);
+        assert_eq!(more.live_pairs(), [0, 1, 2, 3]);
+        let mut t = EngineBuilder::new(ModelKind::Hgt)
+            .dims(8, 8)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        t.bind(&g).unwrap();
+        t.step().unwrap();
+        let bindings = t.engine().bindings().clone();
+        let buffers = |t: &Trainer| {
+            let params = t.engine().params();
+            let stacks = pair_stacks(t.engine());
+            assert!(!stacks.is_empty());
+            let ptrs = stacks.iter().map(|&w| {
+                let (wt, g) = (params.weight(w), params.grad(w));
+                (
+                    params.type_count(w),
+                    wt.data().as_ptr(),
+                    g.data().as_ptr(),
+                    g.len(),
+                )
+            });
+            ptrs.collect::<Vec<_>>()
+        };
+        let bound = buffers(&t);
+        assert!(bound.iter().all(|b| b.0 == 3));
+        t.engine_mut().forward_on(&more, &bindings).unwrap();
+        let grown = buffers(&t);
+        assert!(
+            grown.iter().all(|b| b.0 == 4 && b.3 == 4 * 8 * 8),
+            "{grown:?}"
+        );
+        assert!(grown
+            .iter()
+            .zip(&bound)
+            .all(|(a, b)| a.1 != b.1 && a.2 != b.2));
+        t.engine_mut().forward_on(&more, &bindings).unwrap();
+        assert_eq!(buffers(&t), grown, "a warm run allocates nothing");
+        t.step().unwrap();
+        t.engine_mut().forward().unwrap();
+        assert_eq!(buffers(&t), grown, "the bound graph fits the grown stacks");
+    }
+
+    /// A store without gradients moved into a trainer (warm-starting it
+    /// from a served engine) gets them on its first step.
+    #[test]
+    fn a_trainer_given_an_inference_store_trains() {
+        let graph = graph();
+        let b = || EngineBuilder::new(ModelKind::Hgt).dims(8, 8).seed(6);
+        let mut engine = b().build().unwrap();
+        engine.bind(&graph).unwrap();
+        let mut want = b().build_trainer(Adam::new(0.01)).unwrap();
+        want.bind(&graph).unwrap();
+        let mut got = b().build_trainer(Adam::new(0.01)).unwrap();
+        got.bind(&graph).unwrap();
+        *got.engine_mut().params_mut() = engine.params().clone();
+        let losses = |t: &mut Trainer| t.epoch(3).unwrap().losses;
+        assert_eq!(losses(&mut got), losses(&mut want));
     }
 
     /// Live-pair preps against the dense-pair reference (all `nt × et`

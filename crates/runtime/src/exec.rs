@@ -211,6 +211,9 @@ fn scatter_index(rows: RowDomain, ep: Endpoint, r: usize, graph: &GraphData) -> 
     }
 }
 
+/// The slab of a `per`-typed weight that row `r` of `rows` reads: its
+/// type, or for a pair weight the slot of its live pair (derived pair
+/// stacks hold live pairs only, see [`ParamStore`]).
 pub(crate) fn weight_type_index(
     t_count: usize,
     per: TypeIndex,
@@ -229,7 +232,7 @@ pub(crate) fn weight_type_index(
             RowDomain::Nodes => graph.graph().node_type()[r] as usize,
             _ => unreachable!("node-typed weight outside node rows"),
         },
-        TypeIndex::NodeEdgePair => graph.pair_type_of(rows, r),
+        TypeIndex::NodeEdgePair => graph.pair_slot_of(rows, r),
     };
     debug_assert!(idx < t_count, "type index out of range");
     idx

@@ -27,8 +27,11 @@ struct Derived {
     unique_etype: Vec<u32>,
     /// Sorted `(ntype(src), etype)` pair ids (see
     /// [`GraphData::pair_type_of`]) at least one edge uses: the only
-    /// slabs of a reorder-fused pair weight any kernel reads.
+    /// pairs a reorder-fused pair weight holds a slab for.
     live_pairs: Vec<u32>,
+    /// Dense pair id → slot map: `pair_slot[live_pairs[i]] == i`, and
+    /// `u32::MAX` for a dead pair.
+    pair_slot: Vec<u32>,
     /// The largest in-degree: the longest in-edge list a dst-node
     /// traversal tile holds.
     max_in_degree: usize,
@@ -69,9 +72,10 @@ impl GraphData {
         for (&s, &t) in compact.unique_row_idx().iter().zip(&unique_etype) {
             live[graph.node_type()[s as usize] as usize * et + t as usize] = true;
         }
-        let live_pairs = (0..live.len() as u32)
+        let live_pairs: Vec<u32> = (0..live.len() as u32)
             .filter(|&p| live[p as usize])
             .collect();
+        let pair_slot = slots_of(&live_pairs, live.len());
         GraphData {
             derived: Arc::new(Derived {
                 graph,
@@ -79,6 +83,7 @@ impl GraphData {
                 compact,
                 unique_etype,
                 live_pairs,
+                pair_slot,
                 max_in_degree: max_in_degree.unwrap_or(0),
             }),
         }
@@ -91,13 +96,22 @@ impl GraphData {
         let pairs = self.type_count(hector_ir::TypeIndex::NodeEdgePair);
         let mut derived = (*self.derived).clone();
         derived.live_pairs = (0..pairs as u32).collect();
+        derived.pair_slot = slots_of(&derived.live_pairs, pairs);
         GraphData {
             derived: Arc::new(derived),
         }
     }
 
+    /// The live pairs, ascending: slot `i` of a derived pair stack holds
+    /// pair `live_pairs()[i]`.
     pub(crate) fn live_pairs(&self) -> &[u32] {
         &self.derived.live_pairs
+    }
+
+    /// The derived-stack slot of the pair of row `row` of `rows` (see
+    /// [`GraphData::pair_type_of`]).
+    pub(crate) fn pair_slot_of(&self, rows: hector_ir::RowDomain, row: usize) -> usize {
+        self.derived.pair_slot[self.pair_type_of(rows, row)] as usize
     }
 
     /// The largest in-degree: the longest in-edge list a dst-node
@@ -200,6 +214,15 @@ impl GraphData {
     }
 }
 
+/// The dense slot map of `live` over `pairs` pair ids.
+fn slots_of(live: &[u32], pairs: usize) -> Vec<u32> {
+    let mut slot = vec![u32::MAX; pairs];
+    for (i, &p) in (0u32..).zip(live) {
+        slot[p as usize] = i;
+    }
+    slot
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +263,10 @@ mod tests {
         assert_eq!(g.pair_type_of(hector_ir::RowDomain::Edges, 0), 0);
         // Edge 2: src 1 (ntype 0), etype 1 → pair 1.
         assert_eq!(g.pair_type_of(hector_ir::RowDomain::Edges, 2), 1);
+        // Pairs 0 and 1 are the live ones, in slots 0 and 1.
+        assert_eq!(g.live_pairs(), [0, 1]);
+        assert_eq!(g.pair_slot_of(hector_ir::RowDomain::Edges, 2), 1);
+        assert_eq!(g.pair_slot_of(hector_ir::RowDomain::UniquePairs, 0), 0);
     }
 
     #[test]

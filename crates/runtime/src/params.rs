@@ -11,18 +11,27 @@ use crate::GraphData;
 /// Learnable parameters of one compiled module, shaped for a particular
 /// graph (the type dimension depends on the graph's type counts).
 ///
-/// Weights are stored as `[T, rows, cols]` stacks. Weights flagged
-/// `derived` in the program were introduced by linear operator reordering;
-/// they are recomputed from their base weights through the program's
-/// [`WeightPrep`] list at the start of every forward pass, and their
-/// gradients are distributed back to the base weights by
-/// [`ParamStore::backprop_preps`] (the chain rule through the weight-space
-/// product).
+/// Base weights are stored as `[T, rows, cols]` stacks, one slab per
+/// type of their [`TypeIndex`]. Weights flagged `derived` in the program
+/// were introduced by linear operator reordering; they are not state but
+/// per-run scratch: recomputed from their base weights through the
+/// program's [`WeightPrep`] list at the start of every forward pass,
+/// their gradients distributed back to the base weights and cleared by
+/// [`ParamStore::backprop_preps`] (the chain rule through the
+/// weight-space product), and skipped by the optimizers. A derived
+/// `NodeEdgePair` stack holds one slab per live `(ntype(src), etype)`
+/// pair of the graph being run — slot `i` for its `i`-th live pair —
+/// not `nt × et`: its capacity starts at the bound graph's live-pair
+/// count and grows, once, on a run whose graph has more.
+///
+/// A store bound by an engine compiled without backward holds no
+/// gradient stacks: every [`ParamStore::grad`] is empty.
 #[derive(Clone, Debug)]
 pub struct ParamStore {
     weights: Vec<Tensor>,
+    /// Empty tensors unless `grads_held`.
     grads: Vec<Tensor>,
-    type_counts: Vec<usize>,
+    grads_held: bool,
     /// Which weights are derived: their gradients are cleared by
     /// [`ParamStore::backprop_preps`], not [`ParamStore::zero_grads`].
     derived: Vec<bool>,
@@ -37,32 +46,63 @@ pub struct ParamStore {
 
 impl ParamStore {
     /// Initialises parameters for `program` on `graph`, Xavier-uniform,
-    /// from the given RNG (derived weights start at zero and are filled
-    /// by [`ParamStore::run_preps`]).
+    /// from the given RNG, with a gradient stack per weight (derived
+    /// weights draw nothing: they start at zero and are filled by
+    /// [`ParamStore::run_preps`]).
     #[must_use]
     pub fn init(program: &Program, graph: &GraphData, rng: &mut StdRng) -> ParamStore {
-        let mut weights = Vec::with_capacity(program.weights.len());
-        let mut grads = Vec::with_capacity(program.weights.len());
-        let mut type_counts = Vec::with_capacity(program.weights.len());
-        for info in &program.weights {
-            let t = graph.type_count(info.per);
-            let shape = [t, info.rows, info.cols];
-            if info.derived {
-                weights.push(Tensor::zeros(&shape));
-            } else {
-                weights.push(xavier_uniform(rng, &shape));
-            }
-            grads.push(Tensor::zeros(&shape));
-            type_counts.push(t);
-        }
-        ParamStore {
+        ParamStore::init_for(program, graph, rng, true)
+    }
+
+    /// [`ParamStore::init`], with gradient stacks only when `grads`
+    /// (the engine's module has a backward program). The draws are the
+    /// same either way.
+    pub(crate) fn init_for(
+        program: &Program,
+        graph: &GraphData,
+        rng: &mut StdRng,
+        grads: bool,
+    ) -> ParamStore {
+        let weights: Vec<Tensor> = program
+            .weights
+            .iter()
+            .map(|info| {
+                let slabs = if info.derived && info.per == TypeIndex::NodeEdgePair {
+                    graph.live_pairs().len()
+                } else {
+                    graph.type_count(info.per)
+                };
+                let shape = [slabs, info.rows, info.cols];
+                if info.derived {
+                    Tensor::zeros(&shape)
+                } else {
+                    xavier_uniform(rng, &shape)
+                }
+            })
+            .collect();
+        let mut params = ParamStore {
+            grads: vec![Tensor::default(); weights.len()],
             weights,
-            grads,
-            type_counts,
+            grads_held: false,
             derived: program.weights.iter().map(|info| info.derived).collect(),
             derived_grads_dirty: false,
             prep: Vec::new(),
+        };
+        if grads {
+            params.hold_grads();
         }
+        params
+    }
+
+    /// Allocates a zero gradient stack shaped like each weight.
+    fn hold_grads(&mut self) {
+        self.grads = self
+            .weights
+            .iter()
+            .map(|w| Tensor::zeros(w.shape()))
+            .collect();
+        self.grads_held = true;
+        self.derived_grads_dirty = false;
     }
 
     /// The weight stack of `w`.
@@ -82,7 +122,8 @@ impl ParamStore {
         &mut self.weights[w.0 as usize]
     }
 
-    /// The gradient stack of `w`.
+    /// The gradient stack of `w`; empty on a store bound by an engine
+    /// compiled without backward.
     #[must_use]
     pub fn grad(&self, w: WeightId) -> &Tensor {
         &self.grads[w.0 as usize]
@@ -102,10 +143,11 @@ impl ParamStore {
         (&mut self.weights[i], &self.grads[i])
     }
 
-    /// Number of type slabs of `w`.
+    /// Number of type slabs of `w` (for a derived pair stack, its
+    /// live-pair capacity).
     #[must_use]
     pub fn type_count(&self, w: WeightId) -> usize {
-        self.type_counts[w.0 as usize]
+        self.dims(w)[0]
     }
 
     /// Number of weights.
@@ -129,7 +171,13 @@ impl ParamStore {
     /// Zeroes all gradients (start of a training step). Derived
     /// gradients are skipped while they are known clear: they start at
     /// zero and [`ParamStore::backprop_preps`] clears what a step wrote.
+    /// A store without gradient stacks (one bound by an engine compiled
+    /// without backward, then moved into a trainer) gets them here.
     pub fn zero_grads(&mut self) {
+        if !self.grads_held {
+            self.hold_grads();
+            return;
+        }
         for (g, &derived) in self.grads.iter_mut().zip(&self.derived) {
             if !derived || self.derived_grads_dirty {
                 g.data_mut().fill(0.0);
@@ -140,11 +188,12 @@ impl ParamStore {
 
     /// Executes one weight prep (called by the fallback kernels at the
     /// start of every forward pass, since base weights change between
-    /// steps). Writes into the derived weight's existing storage — the
-    /// tensor was shaped at [`ParamStore::init`] — so a warm prep run
-    /// performs no heap allocation. Pair preps fill only the
-    /// `(ntype, etype)` slabs `graph`'s edges use: no kernel on `graph`
-    /// reads another.
+    /// steps). Writes into the derived weight's existing storage, so a
+    /// warm prep run performs no heap allocation. Pair preps fill one
+    /// slab per live pair of `graph`, slot `i` for pair
+    /// `live_pairs()[i]`: no kernel on `graph` reads another pair. The
+    /// stack (and its gradient, if the store holds gradients) grows only
+    /// when `graph` has more live pairs than it has slots.
     pub fn run_prep(&mut self, prep: &WeightPrep, program: &Program, graph: &GraphData) {
         match prep {
             WeightPrep::MatVec { w, v, out } => {
@@ -170,18 +219,24 @@ impl ParamStore {
                 self.weights[out.0 as usize] = fused;
             }
             WeightPrep::MatMulPairs { a, b, out } => {
-                let ([nt, k, m], [et, m2, n]) = (self.dims(*a), self.dims(*b));
+                let ([_, k, m], [et, m2, n]) = (self.dims(*a), self.dims(*b));
                 assert_eq!(m, m2, "prep inner dims must agree");
                 debug_assert_eq!(program.weight(*out).per, TypeIndex::NodeEdgePair);
-                let mut fused = std::mem::take(&mut self.weights[out.0 as usize]);
-                debug_assert_eq!(fused.shape(), &[nt * et, k, n]);
-                for &pair in graph.live_pairs() {
-                    let idx = pair as usize;
-                    let dst = &mut fused.data_mut()[idx * k * n..(idx + 1) * k * n];
-                    let arows = self.weight(*a).slab(idx / et).chunks_exact(m.max(1));
-                    gemm_rows(Isa::best(), arows, self.weight(*b).slab(idx % et), n, dst);
+                let (o, live) = (out.0 as usize, graph.live_pairs());
+                if self.weights[o].shape()[0] < live.len() {
+                    self.weights[o] = Tensor::zeros(&[live.len(), k, n]);
+                    if self.grads_held {
+                        self.grads[o] = Tensor::zeros(&[live.len(), k, n]);
+                    }
                 }
-                self.weights[out.0 as usize] = fused;
+                let mut fused = std::mem::take(&mut self.weights[o]);
+                debug_assert_eq!(&fused.shape()[1..], &[k, n]);
+                for (dst, &pair) in fused.data_mut().chunks_exact_mut((k * n).max(1)).zip(live) {
+                    let (i, j) = (pair as usize / et, pair as usize % et);
+                    let arows = self.weight(*a).slab(i).chunks_exact(m.max(1));
+                    gemm_rows(Isa::best(), arows, self.weight(*b).slab(j), n, dst);
+                }
+                self.weights[o] = fused;
             }
         }
     }
@@ -198,8 +253,9 @@ impl ParamStore {
     /// clears the derived gradients. Staging goes through the store's
     /// reusable `prep` buffer (preserving the exact accumulation
     /// order of the former temporary-tensor formulation), so warm steps
-    /// are allocation-free. Pair preps visit only `graph`'s live pairs:
-    /// no kernel on `graph` wrote another pair's gradient slab.
+    /// are allocation-free. Pair preps visit `graph`'s live pairs in
+    /// ascending order, reading and clearing slot `i` for pair
+    /// `live_pairs()[i]`: no kernel on `graph` wrote another slot.
     pub fn backprop_preps(&mut self, program: &Program, graph: &GraphData) {
         for prep in program.preps.iter().rev() {
             match prep {
@@ -246,10 +302,11 @@ impl ParamStore {
                     let (da, rest) = prep.split_at_mut(k * m);
                     let (db, bt) = rest.split_at_mut(m * n);
                     let isa = Isa::best();
-                    for &pair in graph.live_pairs() {
+                    for (slot, &pair) in graph.live_pairs().iter().enumerate() {
                         let (i, j) = (pair as usize / et, pair as usize % et);
-                        let d = dout.slab(pair as usize).chunks_exact(n.max(1)); // [k, n]
-                                                                                 // da = d · Bᵀ through the packed slab (≡ matmul_tb).
+                        // d = dout[slot], [k, n]; da = d · Bᵀ through the
+                        // packed slab (≡ matmul_tb).
+                        let d = dout.slab(slot).chunks_exact(n.max(1));
                         pack_transposed(self.weights[b.0 as usize].slab(j), m, n, bt);
                         gemm_rows(isa, d.clone(), bt, m, da);
                         // db = Aᵀ · d, one shared row at a time (≡ matmul_ta).
@@ -264,7 +321,7 @@ impl ParamStore {
                         for (g, &x) in gb.iter_mut().zip(&*db) {
                             *g += x;
                         }
-                        dout.data_mut()[pair as usize * k * n..][..k * n].fill(0.0);
+                        dout.data_mut()[slot * k * n..][..k * n].fill(0.0);
                     }
                     self.prep = prep;
                     self.grads[out.0 as usize] = dout;

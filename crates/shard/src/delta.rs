@@ -264,7 +264,7 @@ pub struct DeltaOutcome {
     /// Graph version after the batch (monotonic; starts at 0 and bumps
     /// once per applied batch).
     pub version: u64,
-    /// Shards whose plans were invalidated: their interior holds a
+    /// Shards the batch made stale: their interior holds a
     /// destination the batch touched, so they are re-extracted (on their
     /// next read, after an edge-only batch). Ascending; every shard when
     /// `repartitioned`.

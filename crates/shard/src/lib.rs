@@ -268,10 +268,27 @@ impl ShardedGraph {
         partitioner: Box<dyn Partitioner>,
         cfg: ShardConfig,
     ) -> ShardedGraph {
+        ShardedGraph::partition_data(GraphData::new(full), partitioner, cfg)
+    }
+
+    /// [`ShardedGraph::partition`] of a graph whose derived indices the
+    /// caller already holds: the store keeps `full` itself (an `Arc`
+    /// clone shares it), so a deployment that binds and then partitions
+    /// one graph holds one copy of it and its indices.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedGraph::partition`].
+    #[must_use]
+    pub fn partition_data(
+        full: GraphData,
+        partitioner: Box<dyn Partitioner>,
+        cfg: ShardConfig,
+    ) -> ShardedGraph {
         assert!(cfg.num_shards > 0, "need at least one shard");
         let partitioner_name = partitioner.name();
         let mut sharded = ShardedGraph {
-            full: GraphData::new(full),
+            full,
             cfg,
             partitioner,
             partitioner_name,
@@ -648,6 +665,28 @@ mod tests {
         assert_eq!(out.affected, vec![0, 1]);
         assert_eq!(sg.full().num_nodes(), g.num_nodes() + 1);
         assert_eq!(sg.version(), 1);
+    }
+
+    /// `partition_data` keeps the caller's graph data (no second copy)
+    /// and partitions exactly as `partition` does.
+    #[test]
+    fn partition_data_keeps_the_callers_graph() {
+        let g = graph();
+        let data = GraphData::new(g.clone());
+        let cfg = ShardConfig::new(3).hops(2);
+        let kept = ShardedGraph::partition_data(data.clone(), Box::new(GreedyEdgeCut), cfg);
+        let built = ShardedGraph::partition(g, Box::new(GreedyEdgeCut), cfg);
+        assert!(std::ptr::eq(kept.full_data().graph(), data.graph()));
+        assert_eq!(kept.owner(), built.owner());
+        assert_eq!(kept.edge_cut_fraction(), built.edge_cut_fraction());
+        for s in 0..3 {
+            let (got, want) = (kept.shard(s), built.shard(s));
+            assert_eq!(got.graph(), want.graph(), "shard {s}");
+            assert_eq!(got.node_map(), want.node_map(), "shard {s}");
+            assert_eq!(got.edge_map(), want.edge_map(), "shard {s}");
+            assert_eq!(got.owned(), want.owned(), "shard {s}");
+            assert_eq!(got.interior(), want.interior(), "shard {s}");
+        }
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub struct ShardSummary {
     pub edge_cut_fraction: f64,
     /// Halo rows (replicated non-owned nodes) across all shards.
     pub halo_rows: u64,
-    /// Per-shard run plans invalidated by delta application.
+    /// Shards delta applications made stale (each is re-extracted on
+    /// its next read).
     pub plan_invalidations: u64,
     /// Individual delta operations applied.
     pub delta_ops: u64,
@@ -288,7 +289,7 @@ impl fmt::Display for ProfileReport {
         if let Some(s) = &self.shard_stats {
             writeln!(
                 f,
-                "shards: {} ({:.1}% edge cut, {} halo rows, {} plan invalidations, {} delta ops)",
+                "shards: {} ({:.1}% edge cut, {} halo rows, {} stale shards, {} delta ops)",
                 s.shards,
                 s.edge_cut_fraction * 100.0,
                 s.halo_rows,
@@ -394,6 +395,7 @@ mod tests {
         assert!(shown.contains("sharding:"));
         assert!(shown.contains("shard/exchange"));
         assert!(shown.contains("shards: 4 (25.0% edge cut, 80 halo rows"));
+        assert!(shown.contains("1 stale shards, 3 delta ops)"));
     }
 
     #[test]
