@@ -1232,6 +1232,10 @@ impl Trainer {
     /// counterpart of [`Engine::profile`]: tracing is enabled for the
     /// closure's duration and the recorded spans (kernels, phases,
     /// minibatch pipeline) are aggregated into a [`ProfileReport`].
+    /// A step's tail shows as three phases: `phase/loss` (NLL loss and
+    /// output-gradient seed), `phase/prep_grad` (the weight-prep chain
+    /// rule, recorded only when the program has preps) and
+    /// `phase/optimizer` (the update alone).
     /// Export the same run with `trainer.engine_mut().write_trace(..)`.
     pub fn profile<T>(&mut self, f: impl FnOnce(&mut Trainer) -> T) -> (T, ProfileReport) {
         Engine::profile_host(self, |t| &mut t.engine, f)

@@ -204,17 +204,12 @@ impl ParamStore {
                 // same store).
                 let mut fused = std::mem::take(&mut self.weights[out.0 as usize]);
                 debug_assert_eq!(fused.shape(), &[t, k, 1]);
-                for ty in 0..t {
-                    let wslab = self.weight(*w).slab(ty);
-                    let vslab = self.weight(*v).slab(ty); // [n, 1]
-                    let dst = &mut fused.data_mut()[ty * k..(ty + 1) * k];
-                    for (i, d) in dst.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for j in 0..n {
-                            acc += wslab[i * n + j] * vslab[j];
-                        }
-                        *d = acc;
-                    }
+                let isa = Isa::best();
+                for (ty, dst) in fused.data_mut().chunks_exact_mut(k.max(1)).enumerate() {
+                    // out[t] = W[t] · v[t]: W's rows through the tile,
+                    // v[t] an [n, 1] slab.
+                    let wrows = self.weight(*w).slab(ty).chunks_exact(n.max(1));
+                    gemm_rows(isa, wrows, self.weight(*v).slab(ty), 1, dst);
                 }
                 self.weights[out.0 as usize] = fused;
             }
@@ -265,30 +260,26 @@ impl ParamStore {
                     // dv[t][j]   += Σ_i dout[t][i] · W[t][i,j]
                     let mut dout = std::mem::take(&mut self.grads[out.0 as usize]);
                     let [t, k, n] = self.dims(*w);
+                    let mut prep = std::mem::take(&mut self.prep);
+                    prep.resize(n, 0.0);
+                    let isa = Isa::best();
                     for ty in 0..t {
                         let dslab = dout.slab(ty); // [k]
-                        {
-                            let vslab = self.weights[v.0 as usize].slab(ty); // [n]
-                            let gw = &mut self.grads[w.0 as usize].data_mut()
-                                [ty * k * n..(ty + 1) * k * n];
-                            for i in 0..k {
-                                for j in 0..n {
-                                    gw[i * n + j] += dslab[i] * vslab[j];
-                                }
-                            }
-                        }
-                        {
-                            let wslab = self.weights[w.0 as usize].slab(ty); // [k, n]
-                            let gv = &mut self.grads[v.0 as usize].data_mut()[ty * n..(ty + 1) * n];
-                            for (j, g) in gv.iter_mut().enumerate() {
-                                let mut acc = 0.0;
-                                for i in 0..k {
-                                    acc += dslab[i] * wslab[i * n + j];
-                                }
-                                *g += acc;
-                            }
+                        let (wslab, vslab) = (
+                            self.weights[w.0 as usize].slab(ty),
+                            self.weights[v.0 as usize].slab(ty),
+                        );
+                        let gw = &mut self.grads[w.0 as usize].data_mut()[ty * k * n..][..k * n];
+                        // dW += dout ⊗ v, one rank-1 row through the tile.
+                        outer_rows(isa, [(dslab, vslab)], n, gw);
+                        // dv = dout · W[t], one [1, n] row through the tile.
+                        gemm_rows(isa, [dslab], wslab, n, &mut prep);
+                        let gv = &mut self.grads[v.0 as usize].data_mut()[ty * n..][..n];
+                        for (g, &x) in gv.iter_mut().zip(&prep) {
+                            *g += x;
                         }
                     }
+                    self.prep = prep;
                     dout.data_mut().fill(0.0);
                     self.grads[out.0 as usize] = dout;
                 }
@@ -431,6 +422,117 @@ mod tests {
         }
         // Derived grad cleared.
         assert!(ps.grad(fused).data().iter().all(|&x| x == 0.0));
+    }
+
+    /// The scalar loops the MatVec prep ran before it moved onto the
+    /// tiles: `out[t][i] = Σ_j W[t][i,j] · v[t][j]`, one serial dot per
+    /// row.
+    fn matvec_loop(w: &[f32], v: &[f32], [t, k, n]: [usize; 3]) -> Vec<f32> {
+        let mut out = vec![0.0; t * k];
+        for ty in 0..t {
+            for i in 0..k {
+                let mut acc = 0.0;
+                for j in 0..n {
+                    acc += w[ty * k * n + i * n + j] * v[ty * n + j];
+                }
+                out[ty * k + i] = acc;
+            }
+        }
+        out
+    }
+
+    /// The scalar chain-rule loops of the MatVec prep: `dW += dout ⊗ v`,
+    /// then `dv += dout · W`, each `dv` entry summed from `+0.0`.
+    fn matvec_chain_loop(
+        (w, v, dout): (&[f32], &[f32], &[f32]),
+        gw: &mut [f32],
+        gv: &mut [f32],
+        [t, k, n]: [usize; 3],
+    ) {
+        for ty in 0..t {
+            let dslab = &dout[ty * k..][..k];
+            for i in 0..k {
+                for j in 0..n {
+                    gw[ty * k * n + i * n + j] += dslab[i] * v[ty * n + j];
+                }
+            }
+            for j in 0..n {
+                let mut acc = 0.0;
+                for i in 0..k {
+                    acc += dslab[i] * w[ty * k * n + i * n + j];
+                }
+                gv[ty * n + j] += acc;
+            }
+        }
+    }
+
+    /// Equal bits, or NaN on both sides (a NaN's payload is not part of
+    /// the tiles' contract).
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    #[test]
+    fn matvec_preps_match_the_scalar_loops_bit_for_bit() {
+        use rand::Rng;
+        for (k, n) in [(1, 1), (5, 5), (33, 33), (64, 64), (5, 33), (64, 1)] {
+            let mut m = ModelBuilder::new("t", k);
+            let h = m.node_input("h", k);
+            let w = m.weight_per_etype("W", k, n);
+            let v = m.weight_vec_per_etype("v", n);
+            let ht = m.typed_linear("ht", m.dst(h), w);
+            let att = m.dot("att", m.edge(ht), m.wvec(v));
+            let s = m.aggregate("s", m.edge(att), None, hector_ir::AggNorm::None);
+            m.output(s);
+            let mut p = m.finish().program;
+            hector_compiler::reorder::linear_operator_reordering(&mut p);
+            assert!(matches!(p.preps[..], [WeightPrep::MatVec { .. }]));
+            let fused = hector_ir::WeightId((p.weights.len() - 1) as u32);
+            let g = toy_graph();
+            let mut rng = seeded_rng(7 + k as u64 * 100 + n as u64);
+            let mut ps = ParamStore::init(&p, &g, &mut rng);
+            let dims = ps.dims(w);
+            for x in [w, v, fused]
+                .into_iter()
+                .flat_map(|id| [(id, true), (id, false)])
+            {
+                let data = match x {
+                    (id, true) => ps.weight_mut(id).data_mut(),
+                    (id, false) => ps.grad_mut(id).data_mut(),
+                };
+                data.iter_mut().for_each(|d| *d = rng.gen_range(-2.0..2.0));
+            }
+            // One inf in W, meeting a zero in v (forward) and in dout
+            // (chain rule): 0 × inf must come out NaN, as in the loops.
+            let (row, col) = (k / 2, n / 2);
+            ps.weight_mut(w).data_mut()[row * n + col] = f32::INFINITY;
+            ps.weight_mut(v).data_mut()[col] = 0.0;
+            ps.grad_mut(fused).data_mut()[row] = 0.0;
+            let (wd, vd) = (ps.weight(w).data().to_vec(), ps.weight(v).data().to_vec());
+            let dout = ps.grad(fused).data().to_vec();
+            let (mut gw, mut gv) = (ps.grad(w).data().to_vec(), ps.grad(v).data().to_vec());
+
+            ps.run_preps(&p, &g);
+            let want = matvec_loop(&wd, &vd, dims);
+            assert!(want[row].is_nan(), "0 × inf in the forward dot");
+            assert!(
+                same_bits(ps.weight(fused).data(), &want),
+                "forward at {k}x{n}"
+            );
+
+            // The forward prep overwrote the derived weight; the chain
+            // rule reads only the base weights and the derived gradient.
+            ps.backprop_preps(&p, &g);
+            matvec_chain_loop((&wd, &vd, &dout), &mut gw, &mut gv, dims);
+            assert!(gv[col].is_nan(), "0 × inf in the chain rule");
+            assert!(same_bits(ps.grad(w).data(), &gw), "dW at {k}x{n}");
+            assert!(same_bits(ps.grad(v).data(), &gv), "dv at {k}x{n}");
+            assert!(ps.grad(fused).data().iter().all(|&x| x == 0.0));
+        }
     }
 
     #[test]

@@ -574,8 +574,9 @@ impl RunPlan {
     }
 
     /// The training half of a step, after the forward kernels: NLL loss
-    /// and output-gradient seeds, backward kernels, prep chain rule,
-    /// optimizer update. Returns the loss.
+    /// and output-gradient seeds (`phase/loss`), backward kernels, prep
+    /// chain rule (`phase/prep_grad`), optimizer update
+    /// (`phase/optimizer`). Returns the loss.
     fn backward(
         &mut self,
         graph: &GraphData,
@@ -631,8 +632,14 @@ impl RunPlan {
             params,
             Phase::Backward,
         );
-        let tr = span_start();
+        // The prep chain rule is a phase of its own, recorded only for
+        // programs that have preps.
+        let tr = span_start().filter(|_| !module.forward.preps.is_empty());
         params.backprop_preps(&module.forward, graph);
+        if let Some(t0) = tr {
+            record_span("phase/prep_grad", SpanCat::Phase, t0, 0, 0, 0.0);
+        }
+        let tr = span_start();
         optimizer.step(params, &module.forward);
         if let Some(t0) = tr {
             record_span("phase/optimizer", SpanCat::Phase, t0, 0, 0, 0.0);

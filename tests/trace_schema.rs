@@ -305,3 +305,36 @@ fn profile_attributes_95_percent_of_train_wall() {
     assert!(shown.contains("gemm/typed_linear"));
     hector::trace::clear();
 }
+
+#[test]
+fn prep_chain_rule_is_a_phase_of_its_own() {
+    let _g = LOCK.lock().unwrap();
+    hector::trace::disable();
+    hector::trace::clear();
+    let graph = fixed_graph();
+    // Reordered RGAT has MatVec weight preps, RGCN none: only RGAT's step
+    // times a chain rule, beside the loss and the optimizer.
+    for (kind, preps) in [(ModelKind::Rgat, true), (ModelKind::Rgcn, false)] {
+        let mut trainer = EngineBuilder::new(kind)
+            .dims(8, 8)
+            .options(CompileOptions::best())
+            .seed(4)
+            .build_trainer(Adam::new(0.01))
+            .unwrap();
+        trainer.bind(&graph).unwrap();
+        trainer.step().expect("warm-up fits");
+        let (result, report) = trainer.profile(|t| t.step());
+        result.expect("fits");
+        let count = |name: &str| {
+            report
+                .phases
+                .iter()
+                .find(|p| p.name == name)
+                .map_or(0, |p| p.count)
+        };
+        assert_eq!(count("phase/loss"), 1, "{kind:?}");
+        assert_eq!(count("phase/optimizer"), 1, "{kind:?}");
+        assert_eq!(count("phase/prep_grad"), u64::from(preps), "{kind:?}");
+    }
+    hector::trace::clear();
+}
