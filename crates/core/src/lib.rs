@@ -81,14 +81,14 @@ pub use hector_compiler::{
 pub use hector_device::{BackendStats, Device, DeviceConfig, SamplerStats, ScratchStats};
 pub use hector_graph::{
     datasets, generate, DatasetSpec, GraphStats, HeteroGraph, HeteroGraphBuilder, NeighborSampler,
-    SampledBatch, SamplerConfig, Subgraph,
+    SampledBatch, SamplerConfig,
 };
 pub use hector_ir::{builder::ModelSource, ModelBuilder};
 pub use hector_models::{source as model_source, stacked, ModelKind};
 pub use hector_runtime::{
     chunk_ranges, model_run, trace, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder,
     EpochReport, GraphData, HectorError, Minibatches, ParallelConfig, ParamStore, ProfileReport,
-    RunReport, TraceConfig, Trainer,
+    RunReport, Subgraph, TraceConfig, Trainer,
 };
 pub use hector_serve as serve;
 pub use hector_shard as shard;

@@ -84,17 +84,6 @@ impl ParallelStats {
     pub fn total_wall_us(&self) -> f64 {
         self.gemm_wall_us + self.traversal_wall_us
     }
-
-    /// Fraction of real-mode kernel executions that ran parallel.
-    #[must_use]
-    pub fn parallel_fraction(&self) -> f64 {
-        let total = self.parallel_launches + self.sequential_launches;
-        if total == 0 {
-            0.0
-        } else {
-            self.parallel_launches as f64 / total as f64
-        }
-    }
 }
 
 /// Scratch-arena statistics of the real-mode interpreter hot path (host
@@ -176,16 +165,6 @@ impl SamplerStats {
             0.0
         } else {
             (1.0 - self.wait_wall_us / self.sample_wall_us).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Sampled nodes per second of production time.
-    #[must_use]
-    pub fn nodes_per_sec(&self) -> f64 {
-        if self.sample_wall_us <= 0.0 {
-            0.0
-        } else {
-            self.nodes as f64 / (self.sample_wall_us * 1e-6)
         }
     }
 }
@@ -382,12 +361,6 @@ impl Counters {
             .get(&(category, phase))
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// Total simulated time across all buckets, microseconds.
-    #[must_use]
-    pub fn total_duration_us(&self) -> f64 {
-        self.buckets.values().map(|m| m.duration_us).sum()
     }
 
     /// Total launches across all buckets.
@@ -597,11 +570,9 @@ mod tests {
         assert!((p.gemm_wall_us - 120.0).abs() < 1e-12);
         assert!((p.traversal_wall_us - 85.0).abs() < 1e-12);
         assert!((p.total_wall_us() - 205.0).abs() < 1e-12);
-        assert!((p.parallel_fraction() - 2.0 / 3.0).abs() < 1e-12);
 
         c.reset();
         assert_eq!(*c.parallel(), ParallelStats::default());
-        assert!((c.parallel().parallel_fraction()).abs() < 1e-12);
     }
 
     #[test]
@@ -614,8 +585,9 @@ mod tests {
         let fw = c.phase_duration_us(Phase::Forward);
         let bw = c.phase_duration_us(Phase::Backward);
         let gemm = c.category_duration_us(KernelCategory::Gemm);
+        let trav = c.category_duration_us(KernelCategory::Traversal);
         assert!(fw > 0.0 && bw > 0.0 && gemm > 0.0);
-        assert!((fw + bw - c.total_duration_us()).abs() < 1e-9);
+        assert!((fw + bw - (gemm + trav)).abs() < 1e-9);
     }
 
     /// Every rate helper must return 0.0 — never NaN or a panic — on an
@@ -630,10 +602,8 @@ mod tests {
         assert_eq!(m.achieved_gflops(), 0.0);
         assert_eq!(m.dram_throughput_pct(&cfg), 0.0);
         assert_eq!(m.avg_ipc(), 0.0);
-        assert_eq!(c.parallel().parallel_fraction(), 0.0);
         assert_eq!(c.scratch().steady_fraction(), 0.0);
         assert_eq!(c.sampler().overlap_fraction(), 0.0);
-        assert_eq!(c.sampler().nodes_per_sec(), 0.0);
         // Zero-duration but non-zero work: still finite, still zero.
         let z = SamplerStats {
             batches: 1,
@@ -643,7 +613,6 @@ mod tests {
             wait_wall_us: 0.0,
         };
         assert_eq!(z.overlap_fraction(), 0.0);
-        assert_eq!(z.nodes_per_sec(), 0.0);
     }
 
     /// The shard probe accumulates across records, derives the edge-cut

@@ -21,11 +21,13 @@
 //!   including their entity-compaction ratios;
 //! * [`GraphStats`] — the per-dataset statistics reported in Table 3 and
 //!   Fig. 10;
-//! * [`NeighborSampler`] / [`Subgraph`] — seeded per-relation fanout
-//!   sampling and batch subgraph extraction for mini-batch training
-//!   (the PIGEON direction); batch content is a pure function of
-//!   `(seed, epoch, batch index)`, independent of thread count and
-//!   prefetch pipelining.
+//! * [`NeighborSampler`] — seeded per-relation fanout sampling for
+//!   mini-batch training (the PIGEON direction); batch content is a
+//!   pure function of `(seed, epoch, batch index)`, independent of
+//!   thread count and prefetch pipelining;
+//! * [`extract_mapped`] — the re-pack of a node and edge id set as a
+//!   self-contained graph with the full graph's type counts, under the
+//!   runtime's `Subgraph` view of a sampled batch or a shard.
 //!
 //! # Example
 //!
@@ -49,12 +51,10 @@ mod hetero;
 pub mod remap;
 mod sample;
 mod stats;
-mod subgraph;
 
 pub use compact::CompactionMap;
 pub use generate::{generate, DatasetSpec};
 pub use hetero::{Csc, Csr, EdgeSplice, HeteroGraph, HeteroGraphBuilder};
-pub use remap::{extract_mapped, Extraction};
+pub use remap::extract_mapped;
 pub use sample::{batch_stream_seed, NeighborSampler, SampledBatch, SamplerConfig};
 pub use stats::GraphStats;
-pub use subgraph::Subgraph;

@@ -2,9 +2,9 @@
 //! and edges of the full graph and re-pack them as a self-contained
 //! [`HeteroGraph`]" operation in the workspace.
 //!
-//! Two consumers exist today — mini-batch [`Subgraph`](crate::Subgraph)
-//! extraction and shard halo extraction (`hector-shard`) — and both rely
-//! on the same two layout properties of the full graph:
+//! Its one consumer is the runtime's `Subgraph` view, which both a
+//! sampled mini-batch and a shard (`hector-shard`) are; both rely on the
+//! same two layout properties of the full graph:
 //!
 //! * full-graph node ids are sorted by node type, so an **ascending**
 //!   original-id order automatically groups local nodes by type — the
@@ -34,42 +34,10 @@ use crate::HeteroGraph;
 /// Local-id table entry of a full-graph node the extraction left out.
 const NOT_EXTRACTED: u32 = u32::MAX;
 
-/// A re-packed induced graph plus the remap tables tying local ids back
-/// to the full graph. Produced by [`extract_mapped`].
-#[derive(Clone, Debug)]
-pub struct Extraction {
-    /// The extracted graph (local ids; full type counts declared).
-    pub graph: HeteroGraph,
-    /// Original node id of each local node (`node_map[local] = original`;
-    /// strictly ascending).
-    pub node_map: Vec<u32>,
-    /// Original edge index of each local edge (strictly ascending).
-    pub edge_map: Vec<u32>,
-}
-
-impl Extraction {
-    /// Local id of an original node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `orig` is not in the extraction's node set.
-    #[must_use]
-    pub fn local_node(&self, orig: u32) -> u32 {
-        self.node_map
-            .binary_search(&orig)
-            .expect("node not extracted") as u32
-    }
-
-    /// Whether an original node is in the extraction's node set.
-    #[must_use]
-    pub fn contains_node(&self, orig: u32) -> bool {
-        self.node_map.binary_search(&orig).is_ok()
-    }
-}
-
 /// Extracts the given node and edge id sets of `full` as a
 /// self-contained [`HeteroGraph`] (see module docs for the layout and
-/// type-count guarantees).
+/// type-count guarantees): local node `i` is `node_map[i]`, local edge
+/// `i` is `edge_map[i]`.
 ///
 /// `node_map` must be strictly ascending (sorted, deduplicated) original
 /// node ids; `edge_map` must be strictly ascending original edge
@@ -80,7 +48,7 @@ impl Extraction {
 /// Panics if the maps reference ids outside `full`, if an edge endpoint
 /// is missing from `node_map`, or if `node_map` contains duplicates.
 #[must_use]
-pub fn extract_mapped(full: &HeteroGraph, node_map: Vec<u32>, edge_map: Vec<u32>) -> Extraction {
+pub fn extract_mapped(full: &HeteroGraph, node_map: &[u32], edge_map: &[u32]) -> HeteroGraph {
     debug_assert!(
         node_map.windows(2).all(|w| w[0] < w[1]),
         "node_map must be strictly ascending"
@@ -109,11 +77,11 @@ pub fn extract_mapped(full: &HeteroGraph, node_map: Vec<u32>, edge_map: Vec<u32>
             .map(|&p| ids.partition_point(|&i| (i as usize) < p))
             .collect()
     };
-    let counts: Vec<usize> = window(&node_map, full.ntype_ptr())
+    let counts: Vec<usize> = window(node_map, full.ntype_ptr())
         .windows(2)
         .map(|w| w[1] - w[0])
         .collect();
-    let etype_ptr = window(&edge_map, full.etype_ptr());
+    let etype_ptr = window(edge_map, full.etype_ptr());
     let (src, dst): (Vec<u32>, Vec<u32>) = edge_map
         .iter()
         .map(|&e| (local(full.src()[e as usize]), local(full.dst()[e as usize])))
@@ -121,12 +89,7 @@ pub fn extract_mapped(full: &HeteroGraph, node_map: Vec<u32>, edge_map: Vec<u32>
     let graph = HeteroGraph::from_relation_parts(&counts, etype_ptr, src, dst);
     debug_assert_eq!(graph.num_edge_types(), full.num_edge_types());
     debug_assert_eq!(graph.num_node_types(), full.num_node_types());
-
-    Extraction {
-        graph,
-        node_map,
-        edge_map,
-    }
+    graph
 }
 
 #[cfg(test)]
@@ -156,21 +119,20 @@ mod tests {
         let edges: Vec<u32> = (0..g.num_edges() as u32)
             .filter(|&e| inside(g.src()[e as usize]) && inside(g.dst()[e as usize]))
             .collect();
-        let ex = extract_mapped(&g, nodes.clone(), edges.clone());
-        ex.graph.validate();
-        assert_eq!(ex.graph.num_nodes(), nodes.len());
-        assert_eq!(ex.graph.num_edges(), edges.len());
-        assert_eq!(ex.graph.num_node_types(), g.num_node_types());
-        assert_eq!(ex.graph.num_edge_types(), g.num_edge_types());
-        for le in 0..ex.graph.num_edges() {
-            let oe = ex.edge_map[le] as usize;
-            assert_eq!(ex.node_map[ex.graph.src()[le] as usize], g.src()[oe]);
-            assert_eq!(ex.node_map[ex.graph.dst()[le] as usize], g.dst()[oe]);
-            assert_eq!(ex.graph.etype()[le], g.etype()[oe]);
+        let ex = extract_mapped(&g, &nodes, &edges);
+        ex.validate();
+        assert_eq!(ex.num_nodes(), nodes.len());
+        assert_eq!(ex.num_edges(), edges.len());
+        assert_eq!(ex.num_node_types(), g.num_node_types());
+        assert_eq!(ex.num_edge_types(), g.num_edge_types());
+        for le in 0..ex.num_edges() {
+            let oe = edges[le] as usize;
+            assert_eq!(nodes[ex.src()[le] as usize], g.src()[oe]);
+            assert_eq!(nodes[ex.dst()[le] as usize], g.dst()[oe]);
+            assert_eq!(ex.etype()[le], g.etype()[oe]);
         }
-        for (l, &o) in ex.node_map.iter().enumerate() {
-            assert_eq!(ex.graph.node_type()[l], g.node_type()[o as usize]);
-            assert_eq!(ex.local_node(o), l as u32);
+        for (l, &o) in nodes.iter().enumerate() {
+            assert_eq!(ex.node_type()[l], g.node_type()[o as usize]);
         }
     }
 
@@ -179,12 +141,16 @@ mod tests {
         let g = graph();
         let nodes: Vec<u32> = (0..g.num_nodes() as u32).collect();
         let edges: Vec<u32> = (0..g.num_edges() as u32).filter(|e| e % 2 == 0).collect();
-        let ex = extract_mapped(&g, nodes, edges);
+        let ex = extract_mapped(&g, &nodes, &edges);
         // Local edges ascend in original index within each relation
-        // segment (the bit-exactness precondition).
-        for t in 0..ex.graph.num_edge_types() {
-            let (lo, hi) = (ex.graph.etype_ptr()[t], ex.graph.etype_ptr()[t + 1]);
-            assert!(ex.edge_map[lo..hi].windows(2).all(|w| w[0] < w[1]));
+        // segment (the bit-exactness precondition), and each relation
+        // segment holds exactly that relation's edges.
+        for t in 0..ex.num_edge_types() {
+            let (lo, hi) = (ex.etype_ptr()[t], ex.etype_ptr()[t + 1]);
+            assert!(edges[lo..hi].windows(2).all(|w| w[0] < w[1]));
+            assert!(edges[lo..hi]
+                .iter()
+                .all(|&e| g.etype()[e as usize] == t as u32));
         }
     }
 
@@ -198,16 +164,15 @@ mod tests {
         let nodes: Vec<u32> = (0..g.num_nodes() as u32)
             .filter(|&v| v != g.dst()[e])
             .collect();
-        let _ = extract_mapped(&g, nodes, vec![e as u32]);
+        let _ = extract_mapped(&g, &nodes, &[e as u32]);
     }
 
     #[test]
     fn empty_sets_keep_full_type_counts() {
         let g = graph();
-        let ex = extract_mapped(&g, vec![0, 1], Vec::new());
-        assert_eq!(ex.graph.num_edges(), 0);
-        assert_eq!(ex.graph.num_node_types(), g.num_node_types());
-        assert_eq!(ex.graph.etype_ptr().len(), g.num_edge_types() + 1);
-        assert!(!ex.contains_node(5));
+        let ex = extract_mapped(&g, &[0, 1], &[]);
+        assert_eq!(ex.num_edges(), 0);
+        assert_eq!(ex.num_node_types(), g.num_node_types());
+        assert_eq!(ex.etype_ptr().len(), g.num_edge_types() + 1);
     }
 }

@@ -5,8 +5,9 @@
 //! Training by Reducing CUDA Kernels") moves the cost to *sampled
 //! subgraphs*: pick a batch of seed nodes, walk their incoming edges a
 //! fixed number of hops with a per-relation fanout cap, and train on the
-//! induced subgraph. This module provides the sampling half;
-//! [`crate::Subgraph`] provides the extraction half.
+//! induced subgraph. This module provides the sampling half; the
+//! runtime's `Subgraph` provides the extraction half (through
+//! [`crate::extract_mapped`]).
 //!
 //! # Determinism contract
 //!

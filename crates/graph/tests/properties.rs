@@ -215,15 +215,13 @@ proptest! {
             .map(|e| e as u32)
             .collect();
         let want = extraction_reference(&g, &node_map, &edge_map);
-        let got = extract_mapped(&g, node_map.clone(), edge_map.clone());
-        prop_assert_eq!(&got.node_map, &node_map);
-        prop_assert_eq!(&got.edge_map, &edge_map);
-        prop_assert_eq!(got.graph.node_type(), want.node_type());
-        prop_assert_eq!(got.graph.ntype_ptr(), want.ntype_ptr());
-        prop_assert_eq!(got.graph.src(), want.src());
-        prop_assert_eq!(got.graph.dst(), want.dst());
-        prop_assert_eq!(got.graph.etype(), want.etype());
-        prop_assert_eq!(got.graph.etype_ptr(), want.etype_ptr());
+        let got = extract_mapped(&g, &node_map, &edge_map);
+        prop_assert_eq!(got.node_type(), want.node_type());
+        prop_assert_eq!(got.ntype_ptr(), want.ntype_ptr());
+        prop_assert_eq!(got.src(), want.src());
+        prop_assert_eq!(got.dst(), want.dst());
+        prop_assert_eq!(got.etype(), want.etype());
+        prop_assert_eq!(got.etype_ptr(), want.etype_ptr());
     }
 
     #[test]

@@ -325,7 +325,8 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns [`HectorError::InvalidConfig`] on invalid `layers`
-    /// (zero, or `layers > 1` on a custom source) or when
+    /// (zero, or `layers > 1` on a custom source), on a zero width
+    /// (`dims` or `hidden` of a built-in model), or when
     /// [`EngineBuilder::classes`] exceeds the model's output width (NLL
     /// labels index the output logits — failing here beats a confusing
     /// panic inside the first training step),
@@ -343,6 +344,19 @@ impl EngineBuilder {
         if self.layers == 0 {
             return Err(HectorError::InvalidConfig {
                 detail: "layers(0): a model needs at least one layer".into(),
+            });
+        }
+        let widths = [
+            self.in_dim,
+            self.out_dim,
+            self.hidden.unwrap_or(self.out_dim),
+        ];
+        if matches!(self.spec, ModelSpec::Builtin(_)) && widths.contains(&0) {
+            return Err(HectorError::InvalidConfig {
+                detail: format!(
+                    "dims({}, {}) / hidden({}): every width must be at least 1",
+                    widths[0], widths[1], widths[2]
+                ),
             });
         }
         if let ModelSpec::Custom(src) = &self.spec {
@@ -689,9 +703,9 @@ impl Engine {
     /// bound parameters. `on` runs an *alternate* graph — a sampled
     /// mini-batch subgraph or a shard — with its own bindings in place of
     /// the bound graph's; it must declare the bound graph's node/edge
-    /// type counts (guaranteed by `hector_graph::Subgraph::extract` and
-    /// shard extraction) so the parameter shapes match. `train` makes the run a training step against its
-    /// labels.
+    /// type counts (guaranteed by every [`crate::Subgraph`] view) so the
+    /// parameter shapes match. `train` makes the run a training step
+    /// against its labels.
     fn run(
         &mut self,
         on: Option<(&GraphData, &Bindings)>,
@@ -1631,6 +1645,49 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, HectorError::InvalidConfig { .. }), "{err:?}");
+    }
+
+    /// A zero width is refused at build, as `layers(0)` is: before it
+    /// could reach the compiler (whose backward pass panics on it).
+    #[test]
+    fn zero_widths_fail_at_build() {
+        for kind in [ModelKind::Rgcn, ModelKind::Rgat, ModelKind::Hgt] {
+            let zeroes = [
+                EngineBuilder::new(kind).dims(0, 8),
+                EngineBuilder::new(kind).dims(8, 0),
+                EngineBuilder::new(kind).dims(8, 8).hidden(0).layers(2),
+                EngineBuilder::new(kind).dims(8, 8).hidden(0),
+            ];
+            for b in zeroes {
+                let what = format!("{b:?}");
+                let err = b.clone().build().unwrap_err();
+                assert_eq!(err.kind(), "invalid_config", "{what}: {err}");
+                let err = b.build_trainer(Sgd::new(0.1)).unwrap_err();
+                assert_eq!(err.kind(), "invalid_config", "{what}: {err}");
+            }
+        }
+    }
+
+    /// Every batch holds one copy of its graph: the batch's `graph` is
+    /// its view's, pipelined or not.
+    #[test]
+    fn a_batch_shares_its_views_graph() {
+        let mut t = EngineBuilder::new(ModelKind::Rgcn)
+            .dims(8, 8)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        t.bind(&graph()).unwrap();
+        for pipeline in [false, true] {
+            let cfg = SamplerConfig::new(16).fanouts(&[2]).pipeline(pipeline);
+            let batches = t.minibatch(&cfg);
+            assert_eq!(batches.is_pipelined(), pipeline);
+            let mut n = 0;
+            for batch in batches {
+                assert!(std::ptr::eq(batch.graph.graph(), batch.subgraph.graph()));
+                n += 1;
+            }
+            assert!(n > 1, "pipeline={pipeline}: {n} batches");
+        }
     }
 
     #[test]

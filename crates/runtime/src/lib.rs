@@ -42,13 +42,14 @@ mod params;
 mod scratch;
 mod session;
 mod store;
+mod subgraph;
 
 pub use backend::BackendKind;
 pub use cost::model_run;
 pub use engine::{Bound, Engine, EngineBuilder, EpochReport, Trainer};
 pub use error::HectorError;
 pub use graphdata::GraphData;
-pub use hector_graph::{NeighborSampler, SampledBatch, SamplerConfig, Subgraph};
+pub use hector_graph::{NeighborSampler, SampledBatch, SamplerConfig};
 pub use hector_par::{chunk_ranges, ParallelConfig, PoolStats};
 pub use hector_trace as trace;
 pub use hector_trace::report::{ProfileReport, RelationAgg, ShardSummary, SpanAgg};
@@ -57,4 +58,5 @@ pub use loss::{nll_loss_and_grad, nll_loss_and_grad_into, random_labels, LossRes
 pub use minibatch::{Batch, Minibatches};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::ParamStore;
-pub use session::{cnorm_tensor, gather_bindings, Bindings, Mode, RunReport};
+pub use session::{cnorm_tensor, Bindings, Mode, RunReport};
+pub use subgraph::Subgraph;

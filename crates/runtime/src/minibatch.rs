@@ -1,16 +1,18 @@
 //! Mini-batch sampled training: batch materialisation and the prefetch
 //! pipeline behind [`Trainer::minibatch`](crate::Trainer::minibatch).
 //!
-//! The sampling math lives in `hector-graph`
-//! ([`NeighborSampler`] / [`Subgraph`]); this module turns a sampled
-//! batch into everything a training step consumes — a [`GraphData`]
-//! instance (CSC, compaction map), input bindings sliced from the
-//! full-graph bindings through the node/edge remap tables (the RGCN
-//! `cnorm` constants are *recomputed* on the subgraph: normalisation
-//! denominators are subgraph in-degrees, not sliced full-graph ones),
-//! and labels gathered through the node map — and streams those batches
-//! to the consumer, optionally producing them on a background
-//! [`Prefetcher`] so batch `k+1` is sampled while batch `k` trains.
+//! The sampling math lives in `hector-graph` ([`NeighborSampler`]);
+//! this module turns a sampled batch into everything a training step
+//! consumes — its [`Subgraph`] view (the extracted graph with its CSC
+//! and compaction map, built once and shared by the batch), input
+//! bindings sliced from the full-graph bindings through the view
+//! ([`Subgraph::gather_inputs`]: the RGCN `cnorm` constants are
+//! *recomputed* on the subgraph — normalisation denominators are
+//! subgraph in-degrees, not sliced full-graph ones), and labels gathered
+//! through the node map — and streams those batches to the consumer,
+//! optionally producing them on a background [`Prefetcher`] so batch
+//! `k+1` is sampled while batch `k` trains. A shard is the same view
+//! (`hector-shard`), run by the same engine path.
 //!
 //! # Determinism
 //!
@@ -26,28 +28,28 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hector_graph::{HeteroGraph, NeighborSampler, SamplerConfig, Subgraph};
+use hector_graph::{HeteroGraph, NeighborSampler, SamplerConfig};
 use hector_ir::VarInfo;
 use hector_par::Prefetcher;
 
-use crate::session::{gather_bindings, Bindings};
-use crate::GraphData;
+use crate::session::Bindings;
+use crate::{GraphData, Subgraph};
 
 /// How many batches the background producer may run ahead of training.
 /// Two is enough to hide sampling (the consumer always finds batch `k+1`
 /// ready) without tripling peak batch memory.
 const PREFETCH_DEPTH: usize = 2;
 
-/// One ready-to-train mini-batch: the extracted subgraph with its remap
-/// tables, the derived [`GraphData`], sliced bindings and labels, and
-/// the host time that went into producing it.
+/// One ready-to-train mini-batch: the extracted subgraph view, sliced
+/// bindings and labels, and the host time that went into producing it.
 #[derive(Debug)]
 pub struct Batch {
     /// Batch index within the epoch.
     pub index: usize,
-    /// Remap tables tying local ids to the full graph.
+    /// The batch's view: its graph, remap tables and seed rows.
     pub subgraph: Subgraph,
-    /// The batch graph with derived structures (CSC, compaction map).
+    /// The view's graph with derived structures (CSC, compaction map):
+    /// an `Arc` share of `subgraph.data()`, not a second copy.
     pub graph: GraphData,
     /// Input bindings in batch-local row order.
     pub bindings: Bindings,
@@ -104,16 +106,7 @@ impl BatchSource {
         let t0 = Instant::now();
         let sampled = self.sampler.sample(&self.full, k);
         let subgraph = Subgraph::extract(&self.full, &sampled);
-        let graph = GraphData::new(subgraph.graph().clone());
-        // The slicing (node/edge gathers, subgraph-local cnorm) is the
-        // shared rebind helper, also used by sharded execution.
-        let bindings = gather_bindings(
-            &self.inputs,
-            &graph,
-            &self.full_bindings,
-            subgraph.node_map(),
-            subgraph.edge_map(),
-        );
+        let bindings = subgraph.gather_inputs(&self.inputs, &self.full_bindings);
         let labels = subgraph.gather_node_values(&self.full_labels);
         let sample_wall_us = t0.elapsed().as_secs_f64() * 1e6;
         if let Some(ts) = tr {
@@ -128,8 +121,8 @@ impl BatchSource {
         }
         Batch {
             index: k,
+            graph: subgraph.data().clone(),
             subgraph,
-            graph,
             bindings,
             labels,
             sample_wall_us,

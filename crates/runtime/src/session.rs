@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use hector_compiler::CompiledModule;
 use hector_device::{Device, DeviceConfig, KernelCategory, OomError, Phase};
-use hector_ir::{KernelSpec, Program, Space, VarId, VarInfo};
+use hector_ir::{KernelSpec, Program, VarId};
 use hector_par::{ParallelConfig, ThreadPool};
 use hector_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -133,7 +133,7 @@ impl Bindings {
 /// How to compute input `name` from the graph itself, for an input the
 /// graph determines (the RGCN `cnorm` constants); `None` for an input
 /// drawn from the seed. The one rule [`Bindings::standard`],
-/// [`gather_bindings`] and [`crate::Engine::rebind`] share: a
+/// [`crate::Subgraph::gather_inputs`] and [`crate::Engine::rebind`] share: a
 /// graph-derived input is recomputed on every graph it runs on, a
 /// seed-derived one depends only on the seed and its row count.
 pub(crate) fn graph_input(name: &str) -> Option<fn(&GraphData) -> Tensor> {
@@ -176,59 +176,6 @@ pub fn cnorm_tensor(graph: &GraphData) -> Tensor {
         }
     }
     Tensor::from_vec(data, &[g.num_edges(), 1])
-}
-
-/// Slices full-graph input bindings into extraction-local row order
-/// through the node/edge remap tables of a
-/// [`hector_graph::Extraction`] / [`hector_graph::Subgraph`]: node-space
-/// inputs gather `node_map` rows, edge-space inputs gather `edge_map`
-/// rows, and the RGCN `cnorm` constants are **recomputed on the
-/// extracted graph** (normalisation denominators are local in-degrees;
-/// slicing the full-graph constants would under-count destinations whose
-/// edges were sampled or sharded away — for shard interiors, which keep
-/// every in-edge, the recomputed values equal the full-graph ones
-/// bitwise).
-///
-/// Shared by the mini-batch pipeline and sharded execution
-/// (`hector-shard`), so both rebind paths stay one audited
-/// implementation.
-///
-/// # Panics
-///
-/// Panics if a non-`cnorm` input is missing from `full`, or if a remap
-/// entry indexes outside the full binding's rows.
-#[must_use]
-pub fn gather_bindings(
-    inputs: &[VarInfo],
-    graph: &GraphData,
-    full: &Bindings,
-    node_map: &[u32],
-    edge_map: &[u32],
-) -> Bindings {
-    let mut bindings = Bindings::new();
-    for info in inputs {
-        let rows = graph.rows_of_space(info.space);
-        if let Some(derive) = graph_input(&info.name) {
-            bindings.set(&info.name, derive(graph));
-            continue;
-        }
-        let src = full
-            .get(&info.name)
-            .unwrap_or_else(|| panic!("missing input binding '{}'", info.name));
-        let mut data = vec![0.0f32; rows * info.width];
-        let map = match info.space {
-            Space::Node => node_map,
-            Space::Edge => edge_map,
-            Space::Compact => unreachable!("programs declare node/edge inputs only"),
-        };
-        for (local, &orig) in map.iter().enumerate() {
-            let o = orig as usize * info.width;
-            data[local * info.width..(local + 1) * info.width]
-                .copy_from_slice(&src.data()[o..o + info.width]);
-        }
-        bindings.set(&info.name, Tensor::from_vec(data, &[rows, info.width]));
-    }
-    bindings
 }
 
 /// The execution stack under one [`crate::Engine`], persistent across

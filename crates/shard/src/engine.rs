@@ -2,16 +2,20 @@
 //! extension.
 //!
 //! `builder.bind_sharded(sharded)` builds **one engine**, bound to the
-//! full graph, plus one view per shard: the shard's graph and its input
-//! bindings sliced from the engine's ([`gather_bindings`]). A shard is
-//! only another graph for the same kernels, so a forward pass runs the
-//! engine's parameters on each shard's view in turn
-//! ([`Engine::forward_on`]) and, after each, performs the
-//! **boundary exchange**: the shard's owned output rows are copied into
-//! the merged output. Shards run in fixed order, one after another, each
-//! on the engine's own pool. Ownership is a partition, so the rows are
-//! disjoint and the merge is order-independent data-wise — the fixed
-//! order makes it deterministic byte-for-byte anyway.
+//! full graph, plus each shard's inputs sliced from the engine's through
+//! the shard's `Subgraph` view ([`Subgraph::gather_inputs`]). A shard
+//! is only another graph for the same kernels, so a forward pass runs
+//! the engine's parameters on each shard's own graph data in turn
+//! ([`Engine::forward_on`] on [`Subgraph::data`], no copy of it) and,
+//! after each, performs the **boundary exchange**: the shard's owned
+//! output rows are copied into the merged output. Shards run in fixed
+//! order, one after another, each on the engine's own pool. Ownership is
+//! a partition, so the rows are disjoint and the merge is
+//! order-independent data-wise — the fixed order makes it deterministic
+//! byte-for-byte anyway.
+//!
+//! [`Subgraph::gather_inputs`]: hector_runtime::Subgraph::gather_inputs
+//! [`Subgraph::data`]: hector_runtime::Subgraph::data
 //!
 //! # Parity contracts
 //!
@@ -31,19 +35,19 @@
 //! * **Deltas**: [`ShardedEngine::apply_delta`] applies the batch to the
 //!   sharded graph, re-binds the engine (freshly seed-derived parameters
 //!   — the post-delta state equals a fresh engine built on the post-delta
-//!   graph, the oracle the serving tests compare against), rebuilds the
-//!   graphs of the affected shards and re-slices every shard's inputs.
+//!   graph, the oracle the serving tests compare against) and re-slices
+//!   every shard's inputs; reading a shard the delta left stale
+//!   re-extracts it ([`ShardedGraph::shard`]).
 
 use hector_graph::HeteroGraph;
 use hector_runtime::{
-    gather_bindings, Bindings, Engine, EngineBuilder, GraphData, HectorError, Optimizer,
-    ProfileReport, RunReport, ShardSummary,
+    Bindings, Engine, EngineBuilder, HectorError, Optimizer, ProfileReport, RunReport, ShardSummary,
 };
 use hector_tensor::Tensor;
 
 use hector_device::shard_probe;
 
-use crate::{DeltaBatch, DeltaOutcome, ShardedGraph};
+use crate::{DeltaBatch, DeltaOutcome, Shard, ShardedGraph};
 
 /// Builder extension that produces a [`ShardedEngine`]. Implemented for
 /// [`EngineBuilder`]; a separate trait because the runtime crate cannot
@@ -51,7 +55,7 @@ use crate::{DeltaBatch, DeltaOutcome, ShardedGraph};
 /// DAG).
 pub trait BindSharded {
     /// Consumes the builder and the sharded graph, producing one engine
-    /// bound to the full graph with a view per shard.
+    /// bound to the full graph with each shard's inputs sliced from it.
     ///
     /// # Errors
     ///
@@ -91,16 +95,27 @@ fn shard_span(name: &'static str, start: Option<u64>, rows: u64) {
     }
 }
 
+/// The shard runs of a sharded forward, in shard order: each shard that
+/// owns nodes, with its sliced inputs.
+fn runs<'a>(
+    sharded: &'a ShardedGraph,
+    inputs: &'a [Option<Bindings>],
+) -> impl Iterator<Item = (usize, &'a Shard, &'a Bindings)> {
+    inputs
+        .iter()
+        .enumerate()
+        .filter_map(|(s, b)| Some((s, sharded.shard(s), b.as_ref()?)))
+}
+
 /// One engine bound to the full graph, run on each shard's view, with a
 /// boundary-exchange merge. Built by [`BindSharded::bind_sharded`]; see
 /// the module docs for the parity contracts.
 pub struct ShardedEngine {
     full: Engine,
     sharded: ShardedGraph,
-    /// Per shard, its graph and its inputs sliced from the engine's
-    /// bindings; `None` for a shard that owns no nodes (it has no rows to
-    /// contribute).
-    views: Vec<Option<(GraphData, Bindings)>>,
+    /// Per shard, its inputs sliced from the engine's bindings; `None`
+    /// for a shard that owns no nodes (it has no rows to contribute).
+    inputs: Vec<Option<Bindings>>,
     output: Tensor,
 }
 
@@ -129,43 +144,30 @@ impl ShardedEngine {
         full.bind(sharded.full_data())?;
         let mut engine = ShardedEngine {
             full,
-            views: vec![None; sharded.num_shards()],
+            inputs: Vec::new(),
             output: Tensor::zeros(&[sharded.full().num_nodes(), out_width]),
             sharded,
         };
-        engine.refresh_views(|_| true);
+        engine.slice_inputs();
         Ok(engine)
     }
 
-    /// Re-slices every shard's inputs from the engine's bindings, and
-    /// rebuilds the graph of each shard that has none yet or for which
-    /// `stale` holds (a shard whose structure a delta changed).
-    fn refresh_views(&mut self, stale: impl Fn(usize) -> bool) {
+    /// Re-slices every shard's inputs from the engine's bindings
+    /// (re-extracting any shard a delta left stale).
+    fn slice_inputs(&mut self) {
         let program = &self.full.module().forward;
-        let inputs: Vec<_> = program
+        let vars: Vec<_> = program
             .inputs
             .iter()
             .map(|&v| program.var(v).clone())
             .collect();
-        for (s, view) in self.views.iter_mut().enumerate() {
-            let shard = self.sharded.shard(s);
-            if shard.owned().is_empty() {
-                *view = None;
-                continue;
-            }
-            let graph = match view.take() {
-                Some((graph, _)) if !stale(s) => graph,
-                _ => GraphData::new(shard.graph().clone()),
-            };
-            let bindings = gather_bindings(
-                &inputs,
-                &graph,
-                self.full.bindings(),
-                shard.node_map(),
-                shard.edge_map(),
-            );
-            *view = Some((graph, bindings));
-        }
+        self.inputs = (0..self.sharded.num_shards())
+            .map(|s| {
+                let shard = self.sharded.shard(s);
+                (!shard.owned().is_empty())
+                    .then(|| shard.view().gather_inputs(&vars, self.full.bindings()))
+            })
+            .collect();
     }
 
     /// Runs one forward pass: the engine's parameters on every shard in
@@ -181,18 +183,15 @@ impl ShardedEngine {
         let mut report = RunReport::default();
         let w = self.output.cols();
         let mut exchanged = 0u64;
-        for (s, view) in self.views.iter().enumerate() {
-            let Some((graph, bindings)) = view else {
-                continue;
-            };
+        for (_, shard, bindings) in runs(&self.sharded, &self.inputs) {
             let tr = hector_trace::span_start();
-            accumulate(&mut report, &self.full.forward_on(graph, bindings)?);
-            shard_span("shard/forward", tr, graph.graph().num_edges() as u64);
+            let data = shard.view().data();
+            accumulate(&mut report, &self.full.forward_on(data, bindings)?);
+            shard_span("shard/forward", tr, data.graph().num_edges() as u64);
             // Boundary exchange. Rows are disjoint (ownership partitions
             // the nodes), so the shard order only pins byte-level
             // determinism.
             let tr = hector_trace::span_start();
-            let shard = self.sharded.shard(s);
             let (local, merged) = (self.full.output().data(), self.output.data_mut());
             for (&orig, &loc) in shard.owned().iter().zip(shard.owned_local()) {
                 let (o, l) = (orig as usize * w, loc as usize * w);
@@ -223,9 +222,9 @@ impl ShardedEngine {
     /// Applies one delta batch: updates the sharded storage
     /// ([`ShardedGraph::try_apply`]), re-binds the engine against the
     /// store's post-delta graph data (freshly seed-derived parameters and
-    /// bindings — the fresh-oracle contract), rebuilds the graphs of
-    /// exactly the affected shards (every shard on a repartition), and
-    /// re-slices every shard's inputs.
+    /// bindings — the fresh-oracle contract), and re-slices every
+    /// shard's inputs, which re-extracts exactly the shards the delta
+    /// left stale (every shard on a repartition).
     ///
     /// # Errors
     ///
@@ -236,7 +235,7 @@ impl ShardedEngine {
         let outcome = self.sharded.try_apply(batch)?;
         self.full.bind(self.sharded.full_data())?;
         self.output = Tensor::zeros(&[self.sharded.full().num_nodes(), self.output.cols()]);
-        self.refresh_views(|s| outcome.repartitioned || outcome.affected.contains(&s));
+        self.slice_inputs();
         Ok(outcome)
     }
 
@@ -262,7 +261,7 @@ impl ShardedEngine {
     /// Number of shards (including ones that own no nodes).
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.views.len()
+        self.sharded.num_shards()
     }
 
     /// Profiles a closure over this engine — the sharded counterpart of
@@ -298,7 +297,7 @@ mod tests {
     use crate::{HashPartitioner, ShardConfig};
     use hector_graph::{generate, DatasetSpec};
     use hector_models::ModelKind;
-    use hector_runtime::{ParallelConfig, Sgd};
+    use hector_runtime::{GraphData, ParallelConfig, Sgd};
 
     fn graph() -> HeteroGraph {
         generate(&DatasetSpec {
@@ -413,6 +412,35 @@ mod tests {
         eng.apply_delta(&DeltaBatch::new().add_edge(0, 1, 0))
             .unwrap();
         assert!(shared(&eng));
+    }
+
+    /// A shard run executes on the store's own view of the shard: one
+    /// graph copy per shard, before and after a delta re-extracts some.
+    #[test]
+    fn shard_runs_use_the_shards_own_graph_data() {
+        let g = graph();
+        let sharded = ShardedGraph::partition(
+            g.clone(),
+            Box::new(HashPartitioner::new(2)),
+            ShardConfig::new(3),
+        );
+        let mut eng = builder().bind_sharded(sharded).unwrap();
+        let check = |eng: &ShardedEngine| {
+            let mut ran = 0;
+            for (s, shard, _) in runs(&eng.sharded, &eng.inputs) {
+                let stored = eng.sharded().shard(s).view().data();
+                assert!(std::ptr::eq(shard.view().data(), stored), "shard {s}");
+                assert!(std::ptr::eq(stored.graph(), eng.sharded().shard(s).graph()));
+                ran += 1;
+            }
+            assert!(ran > 0);
+        };
+        eng.forward().unwrap();
+        check(&eng);
+        eng.apply_delta(&DeltaBatch::new().add_edge(g.src()[0], g.dst()[0], g.etype()[0]))
+            .unwrap();
+        eng.forward().unwrap();
+        check(&eng);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! ([`ShardedEngine`] runs its one engine on every shard in turn). This
 //! crate partitions a heterogeneous graph over **destination nodes**:
 //! shard `s` owns a subset of nodes and is responsible for computing
-//! exactly those nodes' output rows. Each shard stores a compacted,
-//! self-contained [`HeteroGraph`] (built by the audited
-//! [`extract_mapped`] re-pack, the same helper mini-batch extraction
-//! uses) covering:
+//! exactly those nodes' output rows. Each shard is a runtime
+//! [`Subgraph`] view — the same view a sampled mini-batch is — whose
+//! compacted, self-contained graph (with its CSC and compaction map)
+//! covers:
 //!
 //! * its **interior** — the owned nodes expanded `hops - 1` steps
 //!   backward along edges (so a `hops`-layer model sees every
@@ -59,7 +59,7 @@
 //!   stale and are re-extracted on their next read
 //!   ([`ShardedGraph::shard`]), so a delta nobody reads the shards of
 //!   (a serve delta) extracts none; other shards shift their edge remap
-//!   tables.
+//!   tables ([`Subgraph::follow_splice`]).
 //!
 //! What is left is O(E) array copying and remapping, with no sort, hash
 //! probe or rebuild of any index. Node batches rebuild the graph and
@@ -77,8 +77,8 @@ pub mod partition;
 use std::sync::OnceLock;
 
 use hector_device::shard_probe;
-use hector_graph::{extract_mapped, Extraction, HeteroGraph};
-use hector_runtime::{GraphData, HectorError};
+use hector_graph::HeteroGraph;
+use hector_runtime::{GraphData, HectorError, Subgraph};
 
 pub use delta::{DeltaBatch, DeltaOutcome};
 pub use engine::{BindSharded, ShardedEngine};
@@ -113,33 +113,39 @@ impl ShardConfig {
     }
 }
 
-/// One shard: a compacted subgraph of interior + halo nodes, plus the
-/// ownership bookkeeping the execution layer needs.
+/// One shard: the [`Subgraph`] view of its interior + halo nodes,
+/// answering for the nodes it owns, plus the ownership bookkeeping the
+/// execution layer needs.
 #[derive(Clone, Debug)]
 pub struct Shard {
-    extraction: Extraction,
+    view: Subgraph,
     owned: Vec<u32>,
-    owned_local: Vec<u32>,
     interior: Vec<u32>,
 }
 
 impl Shard {
+    /// The shard's view: what a sharded forward runs on.
+    #[must_use]
+    pub fn view(&self) -> &Subgraph {
+        &self.view
+    }
+
     /// The shard's self-contained graph (local ids; full type counts).
     #[must_use]
     pub fn graph(&self) -> &HeteroGraph {
-        &self.extraction.graph
+        self.view.graph()
     }
 
     /// Original node id of each local node (strictly ascending).
     #[must_use]
     pub fn node_map(&self) -> &[u32] {
-        &self.extraction.node_map
+        self.view.node_map()
     }
 
     /// Original edge index of each local edge (strictly ascending).
     #[must_use]
     pub fn edge_map(&self) -> &[u32] {
-        &self.extraction.edge_map
+        self.view.edge_map()
     }
 
     /// Original ids of the nodes this shard owns (ascending). The shard
@@ -153,7 +159,7 @@ impl Shard {
     /// [`Shard::owned`].
     #[must_use]
     pub fn owned_local(&self) -> &[u32] {
-        &self.owned_local
+        self.view.seed_local()
     }
 
     /// Original ids of the interior nodes (owned closure; ascending).
@@ -212,12 +218,9 @@ fn build_shard(full: &HeteroGraph, owner: &[u32], s: u32, hops: usize) -> Shard 
         }
     }
     let node_map: Vec<u32> = (0..n as u32).filter(|&v| node_set[v as usize]).collect();
-    let extraction = extract_mapped(full, node_map, edges);
-    let owned_local: Vec<u32> = owned.iter().map(|&v| extraction.local_node(v)).collect();
     Shard {
-        extraction,
+        view: Subgraph::new(full, node_map, edges, &owned),
         owned,
-        owned_local,
         interior,
     }
 }
@@ -461,10 +464,7 @@ impl ShardedGraph {
                 } else if let Some(shard) = shard.get_mut() {
                     // Unaffected shards keep their graph verbatim; only
                     // the original edge indices shifted under them.
-                    for e in &mut shard.extraction.edge_map {
-                        *e = splice.old_to_new()[*e as usize];
-                        debug_assert_ne!(*e, hector_graph::EdgeSplice::REMOVED);
-                    }
+                    shard.view.follow_splice(&splice);
                 }
             }
             let cut =

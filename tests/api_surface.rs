@@ -34,6 +34,7 @@ const SURFACE_FILES: &[&str] = &[
     "crates/shard/src/engine.rs",
     "crates/runtime/src/engine.rs",
     "crates/runtime/src/session.rs",
+    "crates/runtime/src/subgraph.rs",
     "crates/runtime/src/optim.rs",
     "crates/compiler/src/cache.rs",
     "crates/compiler/src/pipeline.rs",
