@@ -38,6 +38,23 @@
 //! owning an in-edge. A block resolves every addressing its ops use into
 //! one row table, once ([`Tables`]); ops index the tables, width-1
 //! operands (the `Edge×1` attention scalars) as direct loads and stores.
+//! A dot product runs the block's row pairs through the row-parallel dot
+//! tile (`hector_tensor::microkernel::dot_rows`), whose lanes fold each
+//! pair in the oracle's sequential order.
+//!
+//! **Products folded into their aggregates.** A row × scalar product
+//! `t = x · s` whose output is a block-resident local read only by an
+//! unscaled sum aggregate of the same pass and row context (`agg += t`)
+//! leaves the kernel at prepare time: the aggregate takes `x` as its
+//! value and `s` as its scale, and `t` gets neither a buffer nor scratch
+//! rows ([`product_folds`]). The bits hold because the aggregate used to
+//! add `t · 1.0`, and `t · 1.0 == t` for every float, while
+//! `x · s == s · x` in IEEE arithmetic (a NaN's payload aside, which the
+//! contract leaves open) — in place and through the [`ContribBuf`]
+//! replay alike, which records the same scaled values. No op between the
+//! two may write `x` or `s`, so the aggregate reads the values the
+//! product read. The IR, the lowering, the oracle and the modeled costs
+//! still see the product.
 //!
 //! This is the oracle's row-major order (`for row { for op }`)
 //! interchanged only *inside* a block, which is bit-exact: pure ops are
@@ -69,9 +86,11 @@ use hector_ir::{
     TraversalDomain, TraversalSpec, UnOp, VarId, WeightId,
 };
 
+use hector_tensor::microkernel::{dot_rows, Isa};
+
 use crate::exec::{
-    binary_row, dot, dot_lanes, dst_private_max_aggs, max_agg_outputs, sweep_neg_inf, unary_row,
-    with_binary_fn, with_unary_fn,
+    binary_row, dst_private_max_aggs, max_agg_outputs, sweep_neg_inf, unary_row, with_binary_fn,
+    with_unary_fn,
 };
 use crate::{GraphData, ParamStore};
 
@@ -104,9 +123,10 @@ pub(crate) enum PreparedKernel {
 
 impl PreparedKernel {
     /// Whether register-local `v` of this kernel lives in block scratch
-    /// and needs no buffer.
+    /// (or was folded away with its product) and needs no buffer.
     pub(super) fn holds_local(&self, v: VarId) -> bool {
-        matches!(self, PreparedKernel::Micro(k) if k.locals.iter().any(|l| l.var == v))
+        matches!(self, PreparedKernel::Micro(k)
+            if k.locals.iter().any(|l| l.var == v) || k.folded.contains(&v))
     }
 }
 
@@ -363,6 +383,9 @@ pub(crate) struct MicroKernel {
     /// by index.
     vars: Vec<VarId>,
     locals: Vec<LocalVar>,
+    /// Locals of products folded into their aggregates: written by no
+    /// op, so held nowhere at all.
+    folded: Vec<VarId>,
     ops: Vec<MicroOp>,
     /// Slots of buffer-backed max-aggregate outputs: seeded `-inf`
     /// before the launch so the true maximum survives all-negative
@@ -373,12 +396,115 @@ pub(crate) struct MicroKernel {
     shape: Shape,
 }
 
+/// A product an aggregate folds in: op `mul` writes the block-resident
+/// local `var` as `row × scalar`, and its one reader, the unscaled sum
+/// aggregate `agg`, takes the product's operands instead (`kind`): the
+/// row as its value, the scalar as its scale.
+struct Fold {
+    mul: usize,
+    agg: usize,
+    var: VarId,
+    kind: OpKind,
+}
+
+/// The products of `spec` an aggregate folds in (see the module docs).
+/// A `Binary{Mul}` qualifies when its output is one of the `resident`
+/// locals, read by exactly one op — an unscaled sum aggregate of the
+/// same pass and row context, as its value — one operand is a scalar
+/// and the other as wide as the local, and no op between the two writes
+/// an operand or the aggregate writes one.
+fn product_folds(spec: &TraversalSpec, program: &Program, resident: &[VarId]) -> Vec<Fold> {
+    // Width of a row an operand reads; a weight vector never folds.
+    let width = |o: &Operand| match o {
+        Operand::Const(_) => Some(1),
+        Operand::Node(v, _) | Operand::Edge(v) => Some(program.var(*v).width),
+        Operand::WeightVec(_) => None,
+    };
+    let context = |i: usize| {
+        let hoisted = spec.hoisted.contains(&spec.ops[i].id);
+        (spec.stages.get(i).copied().unwrap_or(0), hoisted)
+    };
+    let mut folds = Vec::new();
+    for (mul, op) in spec.ops.iter().enumerate() {
+        let OpKind::Binary {
+            op: BinOp::Mul,
+            a,
+            b,
+            out: var,
+        } = &op.kind
+        else {
+            continue;
+        };
+        if !resident.contains(var) {
+            continue;
+        }
+        let reads = |o: &Operand| o.var() == Some(*var);
+        let mut readers = (0..spec.ops.len()).filter(|&i| spec.ops[i].kind.operands().any(reads));
+        let (Some(agg), None) = (readers.next(), readers.next()) else {
+            continue;
+        };
+        let OpKind::NodeAggregate {
+            edge_val,
+            scale: None,
+            norm: AggNorm::None,
+            endpoint,
+            out,
+        } = &spec.ops[agg].kind
+        else {
+            continue;
+        };
+        let w = program.var(*var).width;
+        let (value, scalar) = match (width(a), width(b)) {
+            (Some(wa), Some(1)) if wa == w => (a, b),
+            (Some(1), Some(wb)) if wb == w => (b, a),
+            _ => continue,
+        };
+        let written = |o: &Operand| {
+            o.var().is_some_and(|v| {
+                v == *out
+                    || spec.ops[mul + 1..agg]
+                        .iter()
+                        .any(|x| x.kind.out_var() == Some(v))
+            })
+        };
+        let fits = reads(edge_val) && mul < agg && context(mul) == context(agg);
+        if !fits || written(value) || written(scalar) {
+            continue;
+        }
+        folds.push(Fold {
+            mul,
+            agg,
+            var: *var,
+            kind: OpKind::NodeAggregate {
+                edge_val: value.clone(),
+                scale: Some(scalar.clone()),
+                norm: AggNorm::None,
+                endpoint: *endpoint,
+                out: *out,
+            },
+        });
+    }
+    folds
+}
+
 fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
+    let resident = block_resident(spec, program);
+    let folds = product_folds(spec, program, &resident);
+    let folded = |v: &VarId| folds.iter().any(|f| f.var == *v);
+    // The kernel's ops, by index into `spec.ops`: a folded product leaves
+    // the kernel and its aggregate takes the product's operands.
+    let kernel_ops: Vec<(usize, &OpKind)> = (spec.ops.iter().enumerate())
+        .filter(|&(i, _)| !folds.iter().any(|f| f.mul == i))
+        .map(|(i, op)| match folds.iter().find(|f| f.agg == i) {
+            Some(f) => (i, &f.kind),
+            None => (i, &op.kind),
+        })
+        .collect();
     let mut rs = Resolver {
         program,
         kernel: &spec.name,
         vars: Vec::new(),
-        resident: block_resident(spec, program),
+        resident: resident.iter().copied().filter(|v| !folded(v)).collect(),
     };
     let buffered = buffered_agg_outs(spec, program);
     let domain = match spec.domain {
@@ -387,15 +513,16 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
         TraversalDomain::Nodes => Some(RowDomain::Nodes),
         TraversalDomain::DstNodes => None,
     };
-    let mut ops: Vec<MicroOp> = Vec::with_capacity(spec.ops.len());
-    for op in &spec.ops {
+    let hoisted = |i: usize| spec.hoisted.contains(&spec.ops[i].id);
+    let mut ops: Vec<MicroOp> = Vec::with_capacity(kernel_ops.len());
+    for &(i, kind) in &kernel_ops {
         // Dst-node kernels: hoisted ops see the node, the rest an in-edge.
-        let rows = domain.unwrap_or(if spec.hoisted.contains(&op.id) {
+        let rows = domain.unwrap_or(if hoisted(i) {
             RowDomain::Nodes
         } else {
             RowDomain::Edges
         });
-        let m = rs.traversal_op(&op.kind, rows, &buffered);
+        let m = rs.traversal_op(kind, rows, &buffered);
         // A bound op holds a shared view of its operand rows and a
         // mutable one of its output row at once, and two ops folding
         // into one output would interleave differently per block.
@@ -404,7 +531,7 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
             (x, y) => x == y,
         };
         if is_out(m.a) || m.b.is_some_and(is_out) || ops.iter().any(|o| is_out(o.out)) {
-            rs.reject(format_args!("op {:?} aliases an output", op.id));
+            rs.reject(format_args!("op {:?} aliases an output", spec.ops[i].id));
         }
         ops.push(m);
     }
@@ -417,15 +544,19 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
                 node_ops: vec![Vec::new(); passes],
                 mid_sweeps: vec![Vec::new(); passes],
             };
-            for (i, op) in spec.ops.iter().enumerate() {
-                if spec.hoisted.contains(&op.id) {
-                    sched.node_ops[spec.stages[i]].push(i);
+            for (k, &(i, _)) in kernel_ops.iter().enumerate() {
+                if hoisted(i) {
+                    sched.node_ops[spec.stages[i]].push(k);
                 } else {
-                    sched.edge_ops[spec.stages[i]].push(i);
+                    sched.edge_ops[spec.stages[i]].push(k);
                 }
             }
+            let at = |i: usize| kernel_ops.iter().position(|&(j, _)| j == i);
             for (pass, sweeps) in sched.mid_sweeps.iter_mut().enumerate() {
-                sweeps.extend(dst_private_max_aggs(spec, program, pass).map(|(i, _)| i));
+                sweeps.extend(
+                    dst_private_max_aggs(spec, program, pass)
+                        .map(|(i, _)| at(i).expect("a max-aggregate never folds")),
+                );
             }
             Shape::DstNodes(sched)
         }
@@ -443,6 +574,7 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
     });
     MicroKernel {
         locals: locals.collect(),
+        folded: folds.iter().map(|f| f.var).collect(),
         max_outs: max_agg_outputs(spec)
             .filter_map(|v| match rs.var(v, RowMap::This) {
                 PreOperand::Var(slot, _) => Some(slot),
@@ -753,17 +885,13 @@ impl BoundOp<'_> {
             match self.kind {
                 Kind::Dot => {
                     assert_eq!(out.view.width(), 1, "a dot product's output");
-                    let lanes = len - len % 4;
-                    for j in (0..lanes).step_by(4) {
-                        let at = [j, j + 1, j + 2, j + 3];
-                        let dots = dot_lanes(at.map(|j| a.get(j)), at.map(|j| b.get(j)));
-                        for (j, d) in at.into_iter().zip(dots) {
-                            *out.ptr(j) = d;
-                        }
+                    let (mut ra, mut rb) = ([&[][..]; BLOCK], [&[][..]; BLOCK]);
+                    for j in rows.clone() {
+                        (ra[j], rb[j]) = (a.get(j), b.get(j));
                     }
-                    for j in lanes..len {
-                        *out.ptr(j) = dot(a.get(j), b.get(j));
-                    }
+                    let mut dots = [0.0f32; BLOCK];
+                    dot_rows(Isa::best(), &ra[..len], &rb[..len], &mut dots[..len]);
+                    rows.for_each(|j| *out.ptr(j) = dots[j]);
                 }
                 Kind::Bin(op) => with_binary_fn!(op, f => if [a, b, out].iter().all(scalar) {
                     rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j), *b.ptr(j)));

@@ -229,3 +229,184 @@ fn source_read_of_an_in_kernel_value_tiles_one_destination() {
         "tiles of many destinations"
     );
 }
+
+/// The products each built-in model folds into an aggregate, per option
+/// combination (unopt, compact, reorder, both): all in backward, none in
+/// forward. A lowering change that silently stops a fold fails here.
+#[test]
+fn every_model_folds_its_row_scalar_products() {
+    let want = [
+        (hector_models::ModelKind::Rgcn, [0, 1, 0, 1]),
+        (hector_models::ModelKind::Rgat, [0, 1, 0, 1]),
+        (hector_models::ModelKind::Hgt, [1, 3, 1, 3]),
+    ];
+    let combos = [
+        CompileOptions::unopt(),
+        CompileOptions::compact_only(),
+        CompileOptions::reorder_only(),
+        CompileOptions::best(),
+    ];
+    let folds = |kernels: &[KernelSpec], program: &Program| -> usize {
+        compile_kernels(kernels, program)
+            .iter()
+            .map(|k| match k {
+                PreparedKernel::Micro(m) => m.folded.len(),
+                _ => 0,
+            })
+            .sum()
+    };
+    assert_eq!(want.len(), hector_models::ModelKind::all().len());
+    for (kind, counts) in want {
+        for (opts, count) in combos.iter().zip(counts) {
+            let module = compile(
+                &hector_models::source(kind, 8, 8),
+                &opts.clone().with_training(true),
+            );
+            let bw = module.backward.as_ref().expect("compiled for training");
+            let at = format!("{} / {}", kind.name(), opts.label());
+            assert_eq!(folds(&module.fw_kernels, &module.forward), 0, "{at} fw");
+            assert_eq!(folds(&module.bw_kernels, bw), count, "{at} bw");
+        }
+    }
+}
+
+/// The custom programs of the fold properties: `(name, source, the
+/// products the forward kernels fold, whether they are in a dst-node
+/// kernel)`. A row × scalar product feeding an unscaled sum folds in an
+/// `Edges` kernel (a sum scattered to the source endpoint; either
+/// operand order), in a dst-node kernel, and there after an edge
+/// softmax; a product read twice, or feeding a `Max` aggregate, does
+/// not.
+fn fold_programs(
+    width: usize,
+) -> Vec<(&'static str, hector_ir::builder::ModelSource, usize, bool)> {
+    use hector_ir::builder::ModelBuilder;
+    let start = |name: &str| {
+        let mut m = ModelBuilder::new(name, width);
+        let x = m.node_input("x", width);
+        let s = m.edge_input("s", 1);
+        (m, x, s)
+    };
+    let mut cases = Vec::new();
+    for (name, endpoint) in [("src_sum", Endpoint::Src), ("dst_sum", Endpoint::Dst)] {
+        for scalar_first in [false, true] {
+            let (mut m, x, s) = start(name);
+            let (row, scalar) = (m.src(x), m.edge(s));
+            let t = match scalar_first {
+                false => m.mul("t", row, scalar),
+                true => m.mul("t", scalar, row),
+            };
+            let out = m.aggregate("out", m.edge(t), None, AggNorm::None);
+            m.output(out);
+            let mut src = m.finish();
+            for op in &mut src.program.ops {
+                if let OpKind::NodeAggregate { endpoint: at, .. } = &mut op.kind {
+                    *at = endpoint;
+                }
+            }
+            cases.push((name, src, 1, endpoint == Endpoint::Dst));
+        }
+    }
+    let (mut m, x, s) = start("softmax_sum");
+    let att = m.edge_softmax("att", s);
+    let t = m.mul("t", m.src(x), m.edge(att));
+    let out = m.aggregate("out", m.edge(t), None, AggNorm::None);
+    m.output(out);
+    cases.push(("softmax_sum", m.finish(), 1, true));
+
+    let (mut m, x, s) = start("read_twice");
+    let t = m.mul("t", m.src(x), m.edge(s));
+    let u = m.relu("u", m.edge(t));
+    let a = m.aggregate("a", m.edge(t), None, AggNorm::None);
+    let b = m.aggregate("b", m.edge(u), None, AggNorm::None);
+    let out = m.add("out", m.this(a), m.this(b));
+    m.output(out);
+    cases.push(("read_twice", m.finish(), 0, true));
+
+    let (mut m, x, s) = start("max_agg");
+    let t = m.mul("t", m.src(x), m.edge(s));
+    let out = m.aggregate("out", m.edge(t), None, AggNorm::Max);
+    m.output(out);
+    cases.push(("max_agg", m.finish(), 0, true));
+    cases
+}
+
+proptest::proptest! {
+    /// Folding a product into its aggregate changes no bit: each custom
+    /// program's forward on a generated graph (zero-in-degree
+    /// destinations, signed zeros, infinities) runs production against
+    /// the oracle (`BackendKind::Interp`) bit for bit at one and four
+    /// threads, and its kernels fold exactly the products
+    /// [`fold_programs`] names.
+    #[test]
+    fn folded_products_match_the_oracle(
+        width in 1usize..=9,
+        (nodes, edges) in (2usize..=40, 0usize..=160),
+        specials in proptest::prelude::any::<bool>(),
+        compact in proptest::prelude::any::<bool>(),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        use crate::{BackendKind, Bindings, EngineBuilder, ParallelConfig};
+        use hector_graph::{generate, DatasetSpec};
+        use hector_tensor::Tensor;
+
+        let g = GraphData::new(generate(&DatasetSpec {
+            name: "fold".into(),
+            num_nodes: nodes,
+            num_node_types: 2,
+            num_edges: edges,
+            num_edge_types: 3,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed,
+        }));
+        let (n, e) = (g.graph().num_nodes(), g.graph().num_edges());
+        let value = |i: usize| -> f32 {
+            let r = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            match r % 17 {
+                0 if specials => -0.0,
+                1 if specials => f32::INFINITY,
+                2 if specials => f32::NEG_INFINITY,
+                _ => (r % 4001) as f32 / 1000.0 - 2.0,
+            }
+        };
+        let mut inputs = Bindings::new();
+        inputs.set("x", Tensor::from_vec((0..n * width).map(value).collect(), &[n, width]));
+        inputs.set("s", Tensor::from_vec((0..e).map(|i| value(i + 7_919)).collect(), &[e, 1]));
+        let opts = if compact { CompileOptions::best() } else { CompileOptions::unopt() };
+        for (name, src, want, in_dst_kernel) in fold_programs(width) {
+            let module = compile(&src, &opts);
+            let prepared = compile_kernels(&module.fw_kernels, &module.forward);
+            let folded = |dst: bool| -> usize {
+                prepared
+                    .iter()
+                    .map(|k| match k {
+                        PreparedKernel::Micro(m) if matches!(m.shape, Shape::DstNodes(_)) == dst => {
+                            m.folded.len()
+                        }
+                        _ => 0,
+                    })
+                    .sum()
+            };
+            proptest::prop_assert_eq!(folded(in_dst_kernel), want, "{} folds", name);
+            proptest::prop_assert_eq!(folded(!in_dst_kernel), 0, "{} folds elsewhere", name);
+            let run = |threads: usize, backend: BackendKind| -> Vec<u32> {
+                let mut engine = EngineBuilder::from_source(src.clone())
+                    .options(opts.clone())
+                    .parallel(ParallelConfig::sequential().with_threads(threads).with_min_chunk_rows(4))
+                    .backend(backend)
+                    .build()
+                    .expect("valid engine");
+                engine.bind(&g).expect("binds");
+                engine.set_bindings(inputs.clone());
+                engine.forward().expect("runs");
+                engine.output().data().iter().map(|v| v.to_bits()).collect()
+            };
+            let oracle = run(1, BackendKind::Interp);
+            for threads in [1, 4] {
+                let got = run(threads, BackendKind::Specialized);
+                proptest::prop_assert!(got == oracle, "{} at {} thread(s)", name, threads);
+            }
+        }
+    }
+}

@@ -4,13 +4,14 @@
 //! computes — one row at a time, in ascending row order, on the calling
 //! thread — that the production micro-op executor
 //! ([`crate::backend`]) is pinned against bit for bit. Production shares
-//! only this module's elementwise leaf numerics ([`dot`] and its
-//! row-interleaved [`dot_lanes`], [`unary_row`], [`binary_row`] and the
-//! op → scalar-function tables behind them) and index helpers, never
-//! its loops — and not its GEMM rows: the oracle runs the plain scalar
-//! references of `hector_tensor::microkernel` one row at a time,
-//! production runs the segment tiles pinned to them bit for bit (the
-//! backend parity suites check the whole kernels).
+//! only this module's elementwise leaf numerics ([`unary_row`],
+//! [`binary_row`] and the op → scalar-function tables behind them) and
+//! index helpers, never its loops — and not its GEMM rows or dot
+//! products: the oracle runs the plain scalar references of
+//! `hector_tensor::microkernel` one row at a time and its own sequential
+//! [`dot`], production runs the segment tiles and the row-parallel dot
+//! tile pinned to them bit for bit (the backend parity suites check the
+//! whole kernels).
 //!
 //! Each kernel spec is executed exactly as the generated CUDA would run:
 //! GEMM instances gather rows through their access schemes, apply the
@@ -608,27 +609,11 @@ fn exec_op(
     }
 }
 
-/// Sequential dot product — shared with the production executor so
-/// both fold in the identical order.
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+/// Sequential dot product from `+0.0` in ascending index: the order each
+/// lane of production's dot tile (`microkernel::dot_rows`) folds in.
+fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).fold(0.0f32, |acc, (&x, &y)| acc + x * y)
-}
-
-/// [`dot`] over `N` row pairs at once. Lane `k` folds pair `k` in
-/// exactly [`dot`]'s order, so each result has its bits; interleaving
-/// the independent folds hides the add latency that bounds a single
-/// sequential one (production runs a block's dot products four abreast).
-pub(crate) fn dot_lanes<const N: usize>(a: [&[f32]; N], b: [&[f32]; N]) -> [f32; N] {
-    let len = a[0].len();
-    let (a, b) = (a.map(|x| &x[..len]), b.map(|y| &y[..len]));
-    let mut acc = [0.0f32; N];
-    for i in 0..len {
-        for k in 0..N {
-            acc[k] += a[k][i] * b[k][i];
-        }
-    }
-    acc
 }
 
 fn write_row(out: VarId, ctx: Ctx, y: &[f32], program: &Program, vars: &mut VarStore) {
@@ -692,20 +677,48 @@ mod tests {
         exec_gemm(&spec, &p, &g, &mut params, &mut vars, &mut Scratch::new());
     }
 
-    /// Each lane of [`dot_lanes`] is [`dot`] of its own pair, to the bit
-    /// — including the orders of magnitude a reassociated sum would lose.
-    #[test]
-    fn dot_lanes_fold_like_dot() {
-        let value = |i: usize| ((i * 37 % 23) as f32 - 11.0) * 10f32.powi((i % 9) as i32 - 4);
-        for len in [0, 1, 7, 64] {
-            let rows: Vec<Vec<f32>> = (0..8)
-                .map(|k| (0..len).map(|i| value(i * 8 + k)).collect())
-                .collect();
-            let (a, b) = ([0, 1, 2, 3], [4, 5, 6, 7]);
-            let got = dot_lanes(a.map(|k| &rows[k][..]), b.map(|k| &rows[k][..]));
-            for lane in 0..4 {
-                let want = dot(&rows[a[lane]], &rows[b[lane]]);
-                assert_eq!(got[lane].to_bits(), want.to_bits(), "len {len} lane {lane}");
+    proptest::proptest! {
+        /// Every lane of the dot tile is [`dot`] of its own pair, to the
+        /// bit, on every instantiation the host runs: widths `0..=70`
+        /// (past a column block, ragged tails), row counts that are no
+        /// multiple of 8, signed zeros, `±inf` and `NaN` (whether a lane
+        /// is NaN is pinned, not its payload).
+        #[test]
+        fn dot_tile_lanes_fold_like_dot(
+            w in 0usize..=70,
+            rows in 0usize..=32,
+            specials in 0u64..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use hector_tensor::microkernel::{dot_rows, Isa};
+            let mut s = seed;
+            let mut next = || {
+                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                s >> 33
+            };
+            let mut value = || {
+                let r = next();
+                match (r % 16, specials) {
+                    (0, 1..) => [0.0, -0.0][(r >> 4) as usize % 2],
+                    (1, 2..) => [f32::INFINITY, f32::NEG_INFINITY][(r >> 4) as usize % 2],
+                    (2, 3) => f32::NAN,
+                    // Magnitudes apart by orders, so a reassociated sum
+                    // would lose bits.
+                    _ => (((r >> 8) % 2001) as f32 / 1000.0 - 1.0)
+                        * 10f32.powi((r >> 4) as i32 % 9 - 4),
+                }
+            };
+            let a: Vec<f32> = (0..rows * w).map(|_| value()).collect();
+            let b: Vec<f32> = (0..rows * w).map(|_| value()).collect();
+            let ra: Vec<&[f32]> = (0..rows).map(|r| &a[r * w..][..w]).collect();
+            let rb: Vec<&[f32]> = (0..rows).map(|r| &b[r * w..][..w]).collect();
+            let canon = |x: f32| if x.is_nan() { f32::NAN } else { x }.to_bits();
+            let want: Vec<u32> = ra.iter().zip(&rb).map(|(x, y)| canon(dot(x, y))).collect();
+            for isa in Isa::available() {
+                let mut got = vec![f32::NAN; rows];
+                dot_rows(isa, &ra, &rb, &mut got);
+                let got: Vec<u32> = got.into_iter().map(canon).collect();
+                proptest::prop_assert_eq!(&got, &want, "{:?} w={} rows={}", isa, w, rows);
             }
         }
     }

@@ -6,6 +6,10 @@
 //! a small worker pool, GET-only routing, hand-rolled JSON. No async
 //! runtime, no external dependencies.
 //!
+//! The acceptor blocks in `accept`, so a connection is queued the moment
+//! it arrives; [`HttpServer::shutdown`] wakes it by connecting once to
+//! its own address. Workers take connections in arrival order.
+//!
 //! Routes:
 //!
 //! * `GET /healthz` — liveness probe, `200 ok`.
@@ -22,8 +26,9 @@
 //! forward) are `500` with the error rendered in the body. Every
 //! interpolated string is JSON-escaped.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -31,7 +36,7 @@ use std::time::Duration;
 use crate::{ServeError, ServeHandle};
 
 struct ConnQueue {
-    conns: Mutex<Vec<TcpStream>>,
+    conns: Mutex<VecDeque<TcpStream>>,
     cv: Condvar,
 }
 
@@ -53,10 +58,9 @@ impl HttpServer {
     pub fn start(handle: ServeHandle, addr: &str, workers: usize) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(ConnQueue {
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
         });
 
@@ -68,18 +72,19 @@ impl HttpServer {
                 std::thread::Builder::new()
                     .name("hector-serve-accept".into())
                     .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            match listener.accept() {
-                                Ok((conn, _)) => {
-                                    queue.conns.lock().expect("conn lock").push(conn);
-                                    queue.cv.notify_one();
-                                }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(Duration::from_millis(2));
-                                }
-                                Err(_) => break,
+                        // `shutdown` sets `stop`, then connects once:
+                        // that connection (or any other arriving after
+                        // `stop`) ends the loop unanswered.
+                        while let Ok((conn, _)) = listener.accept() {
+                            if stop.load(Ordering::SeqCst) {
+                                break;
                             }
+                            queue.conns.lock().expect("conn lock").push_back(conn);
+                            queue.cv.notify_one();
                         }
+                        // Under the lock, so no worker is between its
+                        // `stop` check and its wait.
+                        let _guard = queue.conns.lock().expect("conn lock");
                         queue.cv.notify_all();
                     })
                     .expect("spawn acceptor"),
@@ -96,7 +101,7 @@ impl HttpServer {
                         let conn = {
                             let mut g = queue.conns.lock().expect("conn lock");
                             loop {
-                                if let Some(c) = g.pop() {
+                                if let Some(c) = g.pop_front() {
                                     break c;
                                 }
                                 if stop.load(Ordering::SeqCst) {
@@ -130,6 +135,17 @@ impl HttpServer {
     /// Stops the acceptor and workers; in-progress responses finish.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Wake the acceptor out of `accept`. A wildcard bind is reached
+        // through loopback; if the connect fails, the acceptor has
+        // already left its loop.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -453,6 +469,64 @@ mod tests {
         assert!(body.contains("\"graph_version\":0}"), "{body}");
 
         assert_eq!(json_str("a\nb\u{1}"), r#""a\nb\u0001""#);
+        http.shutdown();
+        srv.shutdown();
+    }
+
+    /// The acceptor blocks in `accept`: `shutdown` must wake it itself,
+    /// not wait for a client that never comes.
+    #[test]
+    fn shutdown_without_a_client_returns_promptly() {
+        let (srv, http) = server();
+        let t0 = std::time::Instant::now();
+        http.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+        srv.shutdown();
+    }
+
+    /// One worker answers queued connections first come, first served:
+    /// while it is held by a connection that has sent nothing yet, an
+    /// inference and then a stats request queue up, and the stats
+    /// request must see the inference completed.
+    #[test]
+    fn queued_connections_are_answered_in_arrival_order() {
+        let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+        let g = GraphData::new(generate(&DatasetSpec {
+            name: "http_unit_fifo".into(),
+            num_nodes: 16,
+            num_node_types: 2,
+            num_edges: 64,
+            num_edge_types: 2,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 8,
+        }));
+        let b = EngineBuilder::new(ModelKind::Rgcn).dims(4, 4).seed(3);
+        srv.deploy("m", b, &g).unwrap();
+        let http = HttpServer::start(srv.clone(), "127.0.0.1:0", 1).expect("bind");
+        let mut holder = TcpStream::connect(http.addr()).expect("connect");
+        // The worker is now (or soon) reading `holder`'s request line.
+        std::thread::sleep(Duration::from_millis(100));
+        let send = |path: &str| {
+            let mut conn = TcpStream::connect(http.addr()).expect("connect");
+            write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            conn
+        };
+        let read = |conn: TcpStream| {
+            let mut body = String::new();
+            BufReader::new(conn).read_to_string(&mut body).unwrap();
+            body
+        };
+        let infer = send("/infer/m/3");
+        std::thread::sleep(Duration::from_millis(50));
+        let stats = send("/stats");
+        std::thread::sleep(Duration::from_millis(100));
+        write!(holder, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        assert!(read(holder).ends_with("ok\n"));
+        assert!(read(infer).contains("\"row\":["));
+        let body = read(stats);
+        assert!(body.contains("\"completed\":1"), "{body}");
         http.shutdown();
         srv.shutdown();
     }

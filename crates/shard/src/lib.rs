@@ -77,7 +77,7 @@ pub mod partition;
 use std::sync::OnceLock;
 
 use hector_device::shard_probe;
-use hector_graph::HeteroGraph;
+use hector_graph::{EdgeSplice, HeteroGraph};
 use hector_runtime::{GraphData, HectorError, Subgraph};
 
 pub use delta::{DeltaBatch, DeltaOutcome};
@@ -115,37 +115,49 @@ impl ShardConfig {
 
 /// One shard: the [`Subgraph`] view of its interior + halo nodes,
 /// answering for the nodes it owns, plus the ownership bookkeeping the
-/// execution layer needs.
+/// execution layer needs. The node and edge maps, `owned` and
+/// `interior` are built with the shard; the view's graph and its
+/// indices only on the first read of the view ([`Shard::view`],
+/// [`Shard::graph`], [`Shard::owned_local`]), so a store no engine runs
+/// on — and halo or edge-cut statistics — never extracts one.
 #[derive(Clone, Debug)]
 pub struct Shard {
-    view: Subgraph,
+    /// The full graph the maps index (an `Arc` share of the store's).
+    full: GraphData,
+    node_map: Vec<u32>,
+    edge_map: Vec<u32>,
+    view: OnceLock<Subgraph>,
     owned: Vec<u32>,
     interior: Vec<u32>,
 }
 
 impl Shard {
-    /// The shard's view: what a sharded forward runs on.
+    /// The shard's view: what a sharded forward runs on. Extracted from
+    /// the full graph on the first call.
     #[must_use]
     pub fn view(&self) -> &Subgraph {
-        &self.view
+        self.view.get_or_init(|| {
+            let (nodes, edges) = (self.node_map.clone(), self.edge_map.clone());
+            Subgraph::new(self.full.graph(), nodes, edges, &self.owned)
+        })
     }
 
     /// The shard's self-contained graph (local ids; full type counts).
     #[must_use]
     pub fn graph(&self) -> &HeteroGraph {
-        self.view.graph()
+        self.view().graph()
     }
 
     /// Original node id of each local node (strictly ascending).
     #[must_use]
     pub fn node_map(&self) -> &[u32] {
-        self.view.node_map()
+        &self.node_map
     }
 
     /// Original edge index of each local edge (strictly ascending).
     #[must_use]
     pub fn edge_map(&self) -> &[u32] {
-        self.view.edge_map()
+        &self.edge_map
     }
 
     /// Original ids of the nodes this shard owns (ascending). The shard
@@ -159,7 +171,7 @@ impl Shard {
     /// [`Shard::owned`].
     #[must_use]
     pub fn owned_local(&self) -> &[u32] {
-        self.view.seed_local()
+        self.view().seed_local()
     }
 
     /// Original ids of the interior nodes (owned closure; ascending).
@@ -179,15 +191,29 @@ impl Shard {
     /// Halo rows: replicated nodes this shard reads but does not own.
     #[must_use]
     pub fn halo_rows(&self) -> usize {
-        self.node_map().len() - self.owned.len()
+        self.node_map.len() - self.owned.len()
+    }
+
+    /// Re-points the shard at `full`, which `splice` made from its old
+    /// full graph without touching this shard's edges: the edge map (and
+    /// a built view's) follows the shifted edge ids.
+    fn follow_splice(&mut self, full: &GraphData, splice: &EdgeSplice) {
+        self.full = full.clone();
+        for e in &mut self.edge_map {
+            *e = splice.old_to_new()[*e as usize];
+        }
+        if let Some(view) = self.view.get_mut() {
+            view.follow_splice(splice);
+        }
     }
 }
 
 /// Builds one shard: interior = owned expanded `hops - 1` steps backward
 /// along edges; included edges = everything terminating interior; node
 /// set = interior plus the sources of included edges.
-fn build_shard(full: &HeteroGraph, owner: &[u32], s: u32, hops: usize) -> Shard {
+fn build_shard(data: &GraphData, owner: &[u32], s: u32, hops: usize) -> Shard {
     assert!(hops >= 1, "halo depth must cover at least one layer");
+    let full = data.graph();
     let n = full.num_nodes();
     let owned: Vec<u32> = (0..n as u32).filter(|&v| owner[v as usize] == s).collect();
     let mut interior_set = vec![false; n];
@@ -217,9 +243,11 @@ fn build_shard(full: &HeteroGraph, owner: &[u32], s: u32, hops: usize) -> Shard 
             node_set[full.src()[e] as usize] = true;
         }
     }
-    let node_map: Vec<u32> = (0..n as u32).filter(|&v| node_set[v as usize]).collect();
     Shard {
-        view: Subgraph::new(full, node_map, edges, &owned),
+        full: data.clone(),
+        node_map: (0..n as u32).filter(|&v| node_set[v as usize]).collect(),
+        edge_map: edges,
+        view: OnceLock::new(),
         owned,
         interior,
     }
@@ -316,7 +344,7 @@ impl ShardedGraph {
             "owner out of shard range"
         );
         self.shards = (0..self.cfg.num_shards)
-            .map(|s| OnceLock::from(build_shard(full, &owner, s as u32, self.cfg.hops)))
+            .map(|s| OnceLock::from(build_shard(&self.full, &owner, s as u32, self.cfg.hops)))
             .collect();
         self.edges_cut = (0..full.num_edges())
             .filter(|&e| owner[full.src()[e] as usize] != owner[full.dst()[e] as usize])
@@ -375,8 +403,7 @@ impl ShardedGraph {
     /// edge delta left it stale.
     #[must_use]
     pub fn shard(&self, s: usize) -> &Shard {
-        self.shards[s]
-            .get_or_init(|| build_shard(self.full(), &self.owner, s as u32, self.cfg.hops))
+        self.shards[s].get_or_init(|| build_shard(&self.full, &self.owner, s as u32, self.cfg.hops))
     }
 
     /// Owner shard of each original node.
@@ -464,7 +491,7 @@ impl ShardedGraph {
                 } else if let Some(shard) = shard.get_mut() {
                     // Unaffected shards keep their graph verbatim; only
                     // the original edge indices shifted under them.
-                    shard.view.follow_splice(&splice);
+                    shard.follow_splice(&self.full, &splice);
                 }
             }
             let cut =
@@ -597,6 +624,53 @@ mod tests {
                     assert!(two.shard(s).is_interior(g.src()[e]));
                 }
             }
+        }
+    }
+
+    /// A store no engine runs on extracts no shard: partitioning, an
+    /// edge-only delta (a removal and an addition) and the halo and
+    /// edge-cut statistics read only the eager maps. The first read of a
+    /// view extracts that shard alone, and a later delta carries the
+    /// built view across.
+    #[test]
+    fn partition_and_edge_deltas_build_no_shard_graph_data() {
+        let g = graph();
+        let mut sg = ShardedGraph::partition(
+            g.clone(),
+            Box::new(HashPartitioner::new(5)),
+            ShardConfig::new(4),
+        );
+        let built = |sg: &ShardedGraph| -> Vec<bool> {
+            sg.shards
+                .iter()
+                .map(|c| c.get().is_some_and(|sh| sh.view.get().is_some()))
+                .collect()
+        };
+        let (s0, d0, t0) = (g.src()[0], g.dst()[0], g.etype()[0]);
+        let (s1, d1, t1) = (g.src()[9], g.dst()[9], g.etype()[9]);
+        sg.try_apply(
+            &DeltaBatch::new()
+                .remove_edge(s0, d0, t0)
+                .add_edge(s1, d1, t1),
+        )
+        .unwrap();
+        assert!(sg.halo_rows() > 0 && sg.edge_cut_fraction() > 0.0);
+        assert_eq!(built(&sg), [false; 4]);
+        let edges = sg.shard(2).view().data().graph().num_edges();
+        assert_eq!(edges, sg.shard(2).edge_map().len());
+        assert_eq!(built(&sg), [false, false, true, false]);
+        sg.try_apply(&DeltaBatch::new().add_edge(s0, d0, t0))
+            .unwrap();
+        let fresh = ShardedGraph::partition(
+            sg.full().clone(),
+            Box::new(HashPartitioner::new(5)),
+            ShardConfig::new(4),
+        );
+        for s in 0..4 {
+            let (got, want) = (sg.shard(s), fresh.shard(s));
+            assert_eq!(got.graph(), want.graph(), "shard {s}");
+            assert_eq!(got.edge_map(), want.edge_map(), "shard {s}");
+            assert_eq!(got.view().edge_map(), want.edge_map(), "shard {s}");
         }
     }
 

@@ -16,6 +16,36 @@
 //! sequential oracle (`hector-runtime`'s `exec.rs`) runs them as they
 //! are.
 //!
+//! The traversal template's per-edge dot products (RGAT's and HGT's
+//! attention scores and their backward) run the **dot tile**
+//! ([`dot_rows`]): a block of row pairs, one lane per pair. Each lane
+//! folds its pair from `+0.0` in ascending index — the oracle's
+//! sequential `dot` — so the free axis it vectorises is the rows, not
+//! the reduction.
+//!
+//! # Width-1 operands
+//!
+//! Two reductions meet a one-wide operand, and both vectorise across the
+//! axis the pinned order leaves free:
+//!
+//! * **Dot products across rows.** The AVX2 dot tile (which the AVX-512
+//!   level runs too) loads eight rows of both operands eight columns at
+//!   a time, multiplies them row by row, and transposes the eight
+//!   product vectors in registers (`unpacklo`/`unpackhi`, `shuffle`,
+//!   `permute2f128`), so column `c` becomes one vector holding every
+//!   row's product at `c`; eight adds in ascending `c` advance all eight
+//!   folds. Two such groups run side by side to hide the add latency.
+//!   A ragged last column block is loaded masked and only its real
+//!   columns are added. The generic body folds four pairs abreast with
+//!   scalar adds.
+//! * **`n = 1` weight gradients across `k`.** A `[k, 1]` gradient slab
+//!   (an attention weight vector's) is one `k`-wide row, so
+//!   [`outer_rows`] at `n == 1` swaps the roles of `x` and `dy`: the
+//!   tile's lanes run over `k`, and each row adds `dy[0] · x[p]` to every
+//!   slab element at once. Multiplication commutes and every element
+//!   still receives its rows in ascending order, so the result is
+//!   [`outer_accum_scalar`]'s, bit for bit.
+//!
 //! # Bit-identity contract
 //!
 //! Every kernel here adds the contributions of one output element in
@@ -478,6 +508,11 @@ fn outer_tile(isa: Isa, xs: &[&[f32]], dys: &[&[f32]], n: usize, slab: &mut [f32
     assert_eq!(slab.len(), k * n, "gradient slab must be [k, n]");
     assert!(xs.iter().all(|x| x.len() == k), "x rows must be k wide");
     assert!(dys.iter().all(|d| d.len() == n), "dy rows must be n wide");
+    // A `[k, 1]` slab is one `k`-wide row: with the roles of `x` and `dy`
+    // swapped, the tile's lanes run over `k` and each row adds
+    // `dy[0] · x[p]` (`x[p] · dy[0]`, multiplication commuting) to every
+    // slab element at once, still in ascending row order.
+    let (xs, dys, n) = if n == 1 { (dys, xs, k) } else { (xs, dys, n) };
     match isa.0 {
         Level::Generic => {
             outer_tile_body::<{ GENERIC_TILE.0 }, { GENERIC_TILE.1 }>(xs, dys, n, slab);
@@ -519,6 +554,237 @@ pub fn outer_rows<'a>(
             break;
         }
         outer_tile(isa, &xs[..count], &dys[..count], n, slab);
+    }
+}
+
+/// Row pairs the generic dot tile folds abreast: four independent
+/// chains hide the add latency that bounds one sequential fold.
+const GENERIC_DOT: usize = 4;
+
+/// `N` dot products at once: lane `k` folds pair `k` from `+0.0` in
+/// ascending index — one sequential fold per pair, interleaved.
+#[inline(always)]
+fn dot_fold<const N: usize>(a: [&[f32]; N], b: [&[f32]; N], w: usize) -> [f32; N] {
+    let (a, b) = (a.map(|x| &x[..w]), b.map(|y| &y[..w]));
+    let mut acc = [0.0f32; N];
+    for i in 0..w {
+        for k in 0..N {
+            acc[k] += a[k][i] * b[k][i];
+        }
+    }
+    acc
+}
+
+/// `N` rows of `rows` from `r`; a short last group repeats its first
+/// row, and those lanes are computed and dropped.
+#[inline(always)]
+fn dot_group<'a, const N: usize>(rows: &[&'a [f32]], r: usize) -> [&'a [f32]; N] {
+    let mut group = [rows[r]; N];
+    for (slot, &row) in group.iter_mut().zip(&rows[r..]) {
+        *slot = row;
+    }
+    group
+}
+
+#[inline(always)]
+fn dot_tile_body<const N: usize>(a: &[&[f32]], b: &[&[f32]], w: usize, out: &mut [f32]) {
+    for (r, out) in (0..).step_by(N).zip(out.chunks_mut(N)) {
+        let dots = dot_fold::<N>(dot_group(a, r), dot_group(b, r), w);
+        out.copy_from_slice(&dots[..out.len()]);
+    }
+}
+
+/// The row-parallel dot tile: `out[r] = a[r] · b[r]` over a block of row
+/// pairs, all `w` wide. Lane `r` folds pair `r` from `+0.0` in ascending
+/// index, one multiply then one add per element — bit-identical to one
+/// sequential fold per pair (the oracle's `dot`), whatever the
+/// instantiation.
+///
+/// # Panics
+///
+/// Panics if `a`, `b` and `out` differ in length, or the rows of `a`
+/// and `b` are not all one width.
+pub fn dot_rows(isa: Isa, a: &[&[f32]], b: &[&[f32]], out: &mut [f32]) {
+    assert!(
+        a.len() == out.len() && b.len() == out.len(),
+        "one output per row pair"
+    );
+    let Some(w) = a.first().map(|row| row.len()) else {
+        return;
+    };
+    assert!(
+        a.iter().chain(b).all(|row| row.len() == w),
+        "row pairs must share one width"
+    );
+    match isa.0 {
+        Level::Generic => dot_tile_body::<GENERIC_DOT>(a, b, w, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` naming AVX2 or AVX-512 only comes from
+        // `Isa::available`, which detected the feature on this host
+        // (`avx512f` implies AVX2); every row is `w` wide (checked above).
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::dot_tile(a, b, w, out) },
+    }
+}
+
+/// The AVX2 dot tile, in explicit `std::arch` intrinsics (the AVX-512
+/// level runs it too).
+///
+/// Eight row pairs advance together, eight columns at a time: one
+/// `_mm256_mul_ps` per row gives that row's eight products, an in-register
+/// 8 × 8 transpose (`unpacklo`/`unpackhi`, `shuffle`, `permute2f128`)
+/// turns them into eight column vectors — lane `r` of column `c` is row
+/// `r`'s product at `c` — and one `_mm256_add_ps` per column, in
+/// ascending order, folds them into the accumulator that started at
+/// `+0.0`. Lane `r` therefore performs exactly the sequential fold of
+/// pair `r`. A ragged last block of columns is loaded masked (nothing
+/// past a row's end is touched) and only its real columns are added.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256, __m256i, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+        _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
+        _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    };
+
+    /// `f32` lanes of one `__m256` register: the row pairs of one group.
+    const YMM: usize = 8;
+
+    /// Eight all-ones then eight zero lanes: the window from `8 - rem`
+    /// masks a block's first `rem` columns.
+    static TAIL: [i32; 2 * YMM] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// The transpose of the 8 × 8 block whose row `r` is `p[r]`: element
+    /// `c` of the result holds column `c`, one lane per row.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose(p: &[__m256; YMM]) -> [__m256; YMM] {
+        // Pairs of rows interleaved, then quads, per 128-bit half…
+        let t = [
+            _mm256_unpacklo_ps(p[0], p[1]),
+            _mm256_unpackhi_ps(p[0], p[1]),
+            _mm256_unpacklo_ps(p[2], p[3]),
+            _mm256_unpackhi_ps(p[2], p[3]),
+            _mm256_unpacklo_ps(p[4], p[5]),
+            _mm256_unpackhi_ps(p[4], p[5]),
+            _mm256_unpacklo_ps(p[6], p[7]),
+            _mm256_unpackhi_ps(p[6], p[7]),
+        ];
+        let q = [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+            _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+            _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+            _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+            _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+        ];
+        // …then the low halves of rows 0–3 and 4–7 are columns 0–3, the
+        // high halves columns 4–7.
+        [
+            _mm256_permute2f128_ps::<0x20>(q[0], q[4]),
+            _mm256_permute2f128_ps::<0x20>(q[1], q[5]),
+            _mm256_permute2f128_ps::<0x20>(q[2], q[6]),
+            _mm256_permute2f128_ps::<0x20>(q[3], q[7]),
+            _mm256_permute2f128_ps::<0x31>(q[0], q[4]),
+            _mm256_permute2f128_ps::<0x31>(q[1], q[5]),
+            _mm256_permute2f128_ps::<0x31>(q[2], q[6]),
+            _mm256_permute2f128_ps::<0x31>(q[3], q[7]),
+        ]
+    }
+
+    /// Each row's products over columns `[i, i + 8)`; with `mask`, only
+    /// the masked columns are loaded (the rest read as zero).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn products(
+        a: &[&[f32]; YMM],
+        b: &[&[f32]; YMM],
+        i: usize,
+        mask: Option<__m256i>,
+    ) -> [__m256; YMM] {
+        let mut p = [_mm256_setzero_ps(); YMM];
+        for ((p, a), b) in p.iter_mut().zip(a).zip(b) {
+            // SAFETY: an unmasked load reads `[i, i + 8)`, inside both
+            // rows (`i + 8 <= w`, caller); a masked one reads only the
+            // masked columns, all below `w`.
+            *p = unsafe {
+                let (a, b) = (a.as_ptr().add(i), b.as_ptr().add(i));
+                match mask {
+                    None => _mm256_mul_ps(_mm256_loadu_ps(a), _mm256_loadu_ps(b)),
+                    Some(m) => _mm256_mul_ps(_mm256_maskload_ps(a, m), _mm256_maskload_ps(b, m)),
+                }
+            };
+        }
+        p
+    }
+
+    /// `G` groups of eight row pairs from row `r` (every group starting
+    /// inside the block), their accumulators advancing side by side: `G`
+    /// independent add chains.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn groups<const G: usize>(a: &[&[f32]], b: &[&[f32]], r: usize, w: usize) -> [__m256; G] {
+        let mut ga = [[a[r]; YMM]; G];
+        let mut gb = [[b[r]; YMM]; G];
+        for (g, (ga, gb)) in ga.iter_mut().zip(&mut gb).enumerate() {
+            let at = r + g * YMM;
+            (*ga, *gb) = (super::dot_group(a, at), super::dot_group(b, at));
+        }
+        let mut acc = [_mm256_setzero_ps(); G];
+        let mut i = 0;
+        while i + YMM <= w {
+            for ((acc, ga), gb) in acc.iter_mut().zip(&ga).zip(&gb) {
+                for c in transpose(&products(ga, gb, i, None)) {
+                    *acc = _mm256_add_ps(*acc, c);
+                }
+            }
+            i += YMM;
+        }
+        if i < w {
+            let rem = w - i;
+            // SAFETY: the window `[8 - rem, 16 - rem)` lies inside `TAIL`
+            // for `rem` in `1..8`.
+            let m = unsafe { _mm256_loadu_si256(TAIL[YMM - rem..].as_ptr().cast()) };
+            for ((acc, ga), gb) in acc.iter_mut().zip(&ga).zip(&gb) {
+                let cols = transpose(&products(ga, gb, i, Some(m)));
+                for &c in &cols[..rem] {
+                    *acc = _mm256_add_ps(*acc, c);
+                }
+            }
+        }
+        acc
+    }
+
+    /// One block of `dot_rows`: two groups at a time while more than
+    /// one is left.
+    ///
+    /// # Safety
+    ///
+    /// Every row of `a` and `b` is `w` wide and as many as `out` is long
+    /// (checked by the caller).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_tile(a: &[&[f32]], b: &[&[f32]], w: usize, out: &mut [f32]) {
+        let mut r = 0;
+        while r < out.len() {
+            let mut lanes = [0.0f32; 2 * YMM];
+            let take = if out.len() - r > YMM {
+                let acc = groups::<2>(a, b, r, w);
+                // SAFETY: `lanes` holds sixteen floats.
+                unsafe {
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc[0]);
+                    _mm256_storeu_ps(lanes.as_mut_ptr().add(YMM), acc[1]);
+                }
+                2 * YMM
+            } else {
+                // SAFETY: as above.
+                unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), groups::<1>(a, b, r, w)[0]) };
+                YMM
+            };
+            let end = out.len().min(r + take);
+            out[r..end].copy_from_slice(&lanes[..end - r]);
+            r = end;
+        }
     }
 }
 
@@ -782,6 +1048,28 @@ mod tests {
         for isa in Isa::available() {
             gemm_rows(isa, [&[1.0f32][..]], &[], 0, &mut empty);
             outer_rows(isa, [(&[1.0f32][..], &[][..])], 0, &mut slab);
+        }
+    }
+
+    #[test]
+    fn dot_tile_lanes_are_sequential_folds() {
+        // 13 rows = one full group of 8 (AVX2) or three of 4 (generic)
+        // plus a short one; widths below, at and past a column block.
+        for w in [0, 1, 7, 8, 9, 64, 70] {
+            let (a, b) = (pattern(13 * w, 0.3), pattern(13 * w, 1.7));
+            let ra: Vec<&[f32]> = (0..13).map(|r| &a[r * w..][..w]).collect();
+            let rb: Vec<&[f32]> = (0..13).map(|r| &b[r * w..][..w]).collect();
+            let want: Vec<u32> = ra
+                .iter()
+                .zip(&rb)
+                .map(|(x, y)| x.iter().zip(*y).fold(0.0f32, |s, (p, q)| s + p * q))
+                .map(f32::to_bits)
+                .collect();
+            for isa in Isa::available() {
+                let mut got = [f32::NAN; 13];
+                dot_rows(isa, &ra, &rb, &mut got);
+                assert_eq!(got.map(f32::to_bits).to_vec(), want, "{isa:?} w={w}");
+            }
         }
     }
 

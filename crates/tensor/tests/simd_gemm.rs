@@ -174,6 +174,40 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `n = 1`, the attention weight-vector gradient: the tile's lanes run
+    /// over `k` instead of a single-lane panel, and every slab element
+    /// must still receive its rows in ascending order — runs around one
+    /// and two gather blocks (48, 96), `k` past a column panel, a `dy`
+    /// with `±inf` / `NaN` / `-0.0`.
+    #[test]
+    fn tile_outer_n1_lanes_over_k_match_the_scalar_rank1_updates(
+        k in 1usize..=140,
+        rows in prop_oneof![
+            Just(BLOCK_ROWS - 1), Just(BLOCK_ROWS), Just(BLOCK_ROWS + 1),
+            Just(2 * BLOCK_ROWS - 1), Just(2 * BLOCK_ROWS), Just(2 * BLOCK_ROWS + 1),
+            0usize..=20,
+        ],
+        (xfill, dfill) in (fill(), fill()),
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed;
+        let xpool = values((rows + 3) * k, &mut s, xfill);
+        let dy = values(rows, &mut s, Fill { special: true, ..dfill });
+        let xs = gathered(&xpool, k, rows, seed);
+        let start = values(k, &mut s, Fill { zero_pct: 0, special: false });
+        let mut want = start.clone();
+        for (x, d) in xs.iter().zip(dy.chunks_exact(1)) {
+            outer_accum_scalar(x, d, &mut want);
+        }
+        for isa in Isa::available() {
+            let mut got = start.clone();
+            outer_rows(isa, xs.iter().copied().zip(dy.chunks_exact(1)), 1, &mut got);
+            prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} k={} rows={}", isa, k, rows);
+        }
+    }
+}
+
 /// The lane-ragged dims as a plain (non-proptest) exhaustive check:
 /// every `(k, n)` pair from {1, 7, 9, 31, 33}² through all three tiles
 /// on every instantiation, over a run of 7 rows with zeros and `-0.0`.
