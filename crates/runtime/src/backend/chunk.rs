@@ -26,9 +26,10 @@
 //! three rules above cover everything a chunk writes outside it. A
 //! dst-node kernel walks its range in destination tiles that never cross
 //! the range's end, so a tile, its in-edges and its per-destination
-//! locals belong to one chunk. Each block resolves its row tables (the
-//! row every position reads or writes, per addressing) once, in the
-//! chunk's stack frame. A kernel whose dataflow does not fit the rules
+//! locals belong to one chunk. Each block sets up its row tables (where
+//! every position reads or writes, per addressing: views of the graph's
+//! maps, a run of rows or one row) once, in the chunk's stack frame. A
+//! kernel whose dataflow does not fit the rules
 //! runs as one chunk: a dst-node op reading an in-kernel value at a
 //! source endpoint ([`par_traversal_safe`] says no; its tiles are also
 //! one destination each). No op reads back a deferred aggregate, nor do

@@ -33,14 +33,51 @@
 //! temporary is read back while still in cache and no `[E, w]` tensor
 //! exists for it.
 //!
-//! **Row tables.** Each bound operand names one addressing ([`Idx`]): the
-//! iterated row, a map array, the block position, or the destination
-//! owning an in-edge. A block resolves every addressing its ops use into
-//! one row table, once ([`Tables`]); ops index the tables, width-1
-//! operands (the `Edge×1` attention scalars) as direct loads and stores.
-//! A dot product runs the block's row pairs through the row-parallel dot
-//! tile (`hector_tensor::microkernel::dot_rows`), whose lanes fold each
-//! pair in the oracle's sequential order.
+//! **Row tables are views.** Each bound operand names one addressing
+//! ([`Idx`]): the iterated row, a map array, the block position, or the
+//! destination owning an in-edge. A block sets up every addressing its
+//! ops use once ([`Tables`]), and none of them is filled element by
+//! element: a Rows-shape block's mapped table is a slice of the map
+//! itself; an in-edge block's tables are slices, at the tile's CSC
+//! offset, of `csc.edge_idx` (edge-space rows) or of the graph's
+//! CSC-ordered copies of the source, destination, edge-type and
+//! unique-pair maps (built once per graph, on the first dst-node launch:
+//! `GraphData::in_edge_maps`). Block positions are a run of rows, and
+//! the owning destination of a single-destination tile one row; only a
+//! tile of several destinations reads its owners off the destination
+//! map. So a width-1 operand (the `Edge×1` attention scalars) is
+//! *contiguous* (a block-resident local, a Rows-shape `This` row),
+//! *uniform* (a constant, a single-destination tile's own row) or
+//! *gathered* (anything else). A `Bin` or `Un` op whose width-1 operands
+//! are all contiguous or uniform runs a loop without index lookups, and a
+//! scalar sum or max aggregate into a uniform target keeps the running
+//! value in a register and stores it once — the same operations in the
+//! same order.
+//!
+//! **Tiles for the row work.** A dot product runs the block's row pairs
+//! through the row-parallel dot tile
+//! (`hector_tensor::microkernel::dot_rows`), whose lanes fold each pair
+//! in the oracle's sequential order. A row-wide sum aggregate folded in
+//! place (non-deferred: a dst-node kernel's own destination or its
+//! per-destination local) runs the aggregate tile
+//! (`microkernel::accumulate_rows`): each position adds its scaled row
+//! to its target in position order, one multiply then one add per
+//! element, and a run of positions with one target — a
+//! single-destination tile's whole in-edge list — keeps the target's
+//! columns in registers and stores them once. Max aggregates and
+//! contributions recorded for the ordered merge ([`ContribBuf`]) keep
+//! the plain loops.
+//!
+//! **Destination dots are reused.** An in-edge dot product whose
+//! operands are both constant along one destination's run of one edge
+//! type — the owning destination's row, a per-destination local, a
+//! per-edge-type weight vector or a constant; RGAT's `h_dst · a_r` — is
+//! decided at prepare time ([`dot_reuse`]) to take one dot per run of
+//! consecutive positions whose operand rows are both equal, copied to
+//! every position of the run. The inputs are the same rows, so the dot
+//! tile's lane gives the same bits; a position in the run reads nothing
+//! else. On a graph whose in-edges are sorted by edge type within each
+//! destination, that is one dot per (destination, edge type).
 //!
 //! **Products folded into their aggregates.** A row × scalar product
 //! `t = x · s` whose output is a block-resident local read only by an
@@ -80,13 +117,12 @@
 use std::collections::HashSet;
 use std::ops::Range;
 
-use hector_graph::Csc;
 use hector_ir::{
     AggNorm, BinOp, Endpoint, KernelSpec, OpKind, Operand, Program, RowDomain, Space,
     TraversalDomain, TraversalSpec, UnOp, VarId, WeightId,
 };
 
-use hector_tensor::microkernel::{dot_rows, Isa};
+use hector_tensor::microkernel::{accumulate_rows, dot_rows, Isa};
 
 use crate::exec::{
     binary_row, dst_private_max_aggs, max_agg_outputs, sweep_neg_inf, unary_row, with_binary_fn,
@@ -199,7 +235,12 @@ struct MicroOp {
 
 #[derive(Clone, Copy, Debug)]
 enum Kind {
-    Dot,
+    Dot {
+        /// Both operands are constant along one destination's run of one
+        /// edge type: one dot per run of equal operand rows
+        /// ([`dot_reuse`]).
+        reuse: bool,
+    },
     Bin(BinOp),
     Un(UnOp),
     Agg {
@@ -303,7 +344,8 @@ impl Resolver<'_> {
     ) -> MicroOp {
         let (a, b, out, kind) = match kind {
             OpKind::DotProduct { a, b, out } => {
-                (a, Some(b), self.aligned_out(*out, rows), Kind::Dot)
+                let kind = Kind::Dot { reuse: false };
+                (a, Some(b), self.aligned_out(*out, rows), kind)
             }
             OpKind::Binary { op, a, b, out } => {
                 (a, Some(b), self.aligned_out(*out, rows), Kind::Bin(*op))
@@ -487,6 +529,22 @@ fn product_folds(spec: &TraversalSpec, program: &Program, resident: &[VarId]) ->
     folds
 }
 
+/// Whether both operands of an in-edge dot product `m` of a dst-node
+/// kernel are constant along one destination's run of one edge type:
+/// the owning destination's row, a per-destination local, a per-edge-type
+/// weight vector or a constant. Such a dot is computed once per run of
+/// equal operand rows and copied to the run ([`dot_block`]) — RGAT's
+/// `h_dst · a_r`. Decided here, once, never per position.
+fn dot_reuse(m: &MicroOp, rs: &Resolver<'_>) -> bool {
+    let per_run = |o: &PreOperand| match *o {
+        PreOperand::Const(_) | PreOperand::WVec(_, RowMap::Etype) => true,
+        PreOperand::Var(_, RowMap::Dst) => true,
+        PreOperand::Local(i) => rs.program.var(rs.resident[i]).space == Space::Node,
+        _ => false,
+    };
+    per_run(&m.a) && m.b.as_ref().is_some_and(per_run)
+}
+
 fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
     let resident = block_resident(spec, program);
     let folds = product_folds(spec, program, &resident);
@@ -522,7 +580,11 @@ fn compile_traversal(spec: &TraversalSpec, program: &Program) -> MicroKernel {
         } else {
             RowDomain::Edges
         });
-        let m = rs.traversal_op(kind, rows, &buffered);
+        let mut m = rs.traversal_op(kind, rows, &buffered);
+        if let Kind::Dot { .. } = m.kind {
+            let reuse = domain.is_none() && rows == RowDomain::Edges && dot_reuse(&m, &rs);
+            m.kind = Kind::Dot { reuse };
+        }
         // A bound op holds a shared view of its operand rows and a
         // mutable one of its output row at once, and two ops folding
         // into one output would interleave differently per block.
@@ -605,8 +667,8 @@ pub(super) enum Idx<'a> {
     /// The block position: a block-resident local.
     Pos,
     /// The tile destination that owns the in-edge at a position (its
-    /// `dst`, read off the CSC offsets): an in-edge's own destination
-    /// row in a dst-node kernel.
+    /// `dst`, from the CSC-ordered destination map): an in-edge's own
+    /// destination row in a dst-node kernel.
     Owned,
     /// [`Idx::Owned`] counted from the tile's first destination: a
     /// per-destination local, read or folded per in-edge.
@@ -617,7 +679,16 @@ pub(super) enum Idx<'a> {
 /// one per [`RowMap`].
 const TABLES: usize = 10;
 
-impl Idx<'_> {
+impl<'a> Idx<'a> {
+    /// The row map an addressing of an iterated row reads (empty for the
+    /// row itself and the positional ones).
+    fn map(self) -> &'a [u32] {
+        match self {
+            Idx::Row(_, Some(map)) => map,
+            _ => &[],
+        }
+    }
+
     /// The number of this addressing's row table.
     fn table(self) -> usize {
         match self {
@@ -635,9 +706,6 @@ pub(super) enum Bound<'a> {
     Const(f32),
     Rows(RawRows, Idx<'a>),
 }
-
-/// A constant's row table: every position reads its one row.
-static ROW_ZERO: [u32; BLOCK] = [0; BLOCK];
 
 impl Bound<'_> {
     /// The operand at iterated row `r` of a row domain (GEMM kernels,
@@ -660,26 +728,102 @@ impl Bound<'_> {
 
     /// The operand's rows over the block whose tables are `t`.
     #[inline]
-    fn over<'s>(&'s self, t: &'s Tables<'_>) -> Rows<'s> {
+    fn over<'s>(&'s self, t: &Tables<'s>) -> Rows<'s> {
         match self {
             Bound::Const(v) => Rows {
                 view: RawRows::reading(std::slice::from_ref(v), 1),
-                at: &ROW_ZERO,
+                at: At::one(0),
             },
             Bound::Rows(view, idx) => Rows {
                 view: *view,
-                at: &t.rows[idx.table()],
+                at: t.at[idx.table()],
             },
         }
     }
 }
 
-/// One operand over one block: its view and its row table. A constant's
-/// view points into its [`Bound`], so this must not outlive it.
+/// Where the rows of one addressing sit over a block — what a block's
+/// [`Tables`] hold per addressing: position `j` reads row `rows[j] +
+/// add` (in wrapping `u32`), one load and one add whatever the layout.
+#[derive(Clone, Copy)]
+struct At<'a> {
+    rows: &'a [u32],
+    add: u32,
+    lay: Lay,
+}
+
+/// How an [`At`]'s rows lie.
+#[derive(Clone, Copy, PartialEq)]
+enum Lay {
+    /// Consecutive rows from `add` (`rows` counts positions).
+    Run,
+    /// Row `add` at every position (`rows` is zeros).
+    One,
+    /// A slice of a row map, less an offset.
+    Map,
+}
+
+/// Block positions, and zeros: the tables of runs and of single rows.
+static STEPS: [u32; BLOCK] = {
+    let mut s = [0; BLOCK];
+    let mut i = 0;
+    while i < BLOCK {
+        s[i] = i as u32;
+        i += 1;
+    }
+    s
+};
+static ZEROS: [u32; BLOCK] = [0; BLOCK];
+
+impl<'a> At<'a> {
+    /// Rows `base + j`.
+    fn run(base: usize) -> At<'a> {
+        At {
+            rows: &STEPS,
+            add: base as u32,
+            lay: Lay::Run,
+        }
+    }
+
+    /// Row `r` at every position.
+    fn one(r: usize) -> At<'a> {
+        At {
+            rows: &ZEROS,
+            add: r as u32,
+            lay: Lay::One,
+        }
+    }
+
+    /// Rows `map[j] - off`.
+    fn map(map: &'a [u32], off: u32) -> At<'a> {
+        At {
+            rows: map,
+            add: off.wrapping_neg(),
+            lay: Lay::Map,
+        }
+    }
+
+    /// The row at position `j`.
+    ///
+    /// # Safety
+    ///
+    /// `j` is a position of the block the tables were set for: a map's
+    /// slice covers the block, and a block holds at most [`BLOCK`].
+    #[inline(always)]
+    unsafe fn row(self, j: usize) -> usize {
+        debug_assert!(j < self.rows.len(), "position {j} outside its block");
+        // SAFETY: `j < rows.len()` (caller).
+        unsafe { self.rows.get_unchecked(j).wrapping_add(self.add) as usize }
+    }
+}
+
+/// One operand over one block: its view and where its rows sit. A
+/// constant's view points into its [`Bound`], so this must not outlive
+/// it.
 #[derive(Clone, Copy)]
 struct Rows<'s> {
     view: RawRows,
-    at: &'s [u32; BLOCK],
+    at: At<'s>,
 }
 
 impl Rows<'_> {
@@ -690,7 +834,7 @@ impl Rows<'_> {
     #[inline]
     unsafe fn get(&self, j: usize) -> &[f32] {
         // SAFETY: forwarded to the caller.
-        unsafe { self.view.row(self.at[j] as usize) }
+        unsafe { self.view.row(self.at.row(j)) }
     }
 
     /// # Safety
@@ -700,7 +844,7 @@ impl Rows<'_> {
     #[inline]
     unsafe fn get_mut(&self, j: usize) -> &mut [f32] {
         // SAFETY: forwarded to the caller.
-        unsafe { self.view.row_mut(self.at[j] as usize) }
+        unsafe { self.view.row_mut(self.at.row(j)) }
     }
 
     /// The first float of the row at position `j`: a width-1 operand's
@@ -713,8 +857,84 @@ impl Rows<'_> {
     #[inline]
     unsafe fn ptr(&self, j: usize) -> *mut f32 {
         // SAFETY: forwarded to the caller.
-        unsafe { self.view.row_ptr(self.at[j] as usize) }
+        unsafe { self.view.row_ptr(self.at.row(j)) }
     }
+
+    /// A width-1 operand as a lane that needs no row lookup: contiguous
+    /// (consecutive rows) or uniform (one row, loaded once); `None` for
+    /// a gathered one.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::get`] at a position of a non-empty block, and the
+    /// view is one float wide.
+    #[inline]
+    unsafe fn lane(&self) -> Option<Lane> {
+        // SAFETY: forwarded to the caller.
+        unsafe {
+            let first = self.view.row_ptr(self.at.row(0));
+            match self.at.lay {
+                Lay::Run => Some(Lane::Run(first)),
+                Lay::One => Some(Lane::One(*first)),
+                Lay::Map => None,
+            }
+        }
+    }
+}
+
+/// A width-1 operand over a block whose rows need no lookup.
+#[derive(Clone, Copy)]
+enum Lane {
+    /// Position `j` is the float at `j` from here.
+    Run(*mut f32),
+    /// Every position reads this value.
+    One(f32),
+}
+
+/// A [`Lane`] as the loop body sees it, so each pair of kinds compiles
+/// to its own loop.
+trait LaneAt: Copy {
+    /// # Safety
+    ///
+    /// `j` is a position of the block the lane was taken over.
+    unsafe fn at(self, j: usize) -> f32;
+}
+
+#[derive(Clone, Copy)]
+struct Contiguous(*mut f32);
+
+impl LaneAt for Contiguous {
+    #[inline(always)]
+    unsafe fn at(self, j: usize) -> f32 {
+        // SAFETY: the lane's block holds position `j` (caller).
+        unsafe { *self.0.add(j) }
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Uniform(f32);
+
+impl LaneAt for Uniform {
+    #[inline(always)]
+    unsafe fn at(self, _: usize) -> f32 {
+        self.0
+    }
+}
+
+/// Runs `$body` with `$x` bound to the [`LaneAt`] of lane `$lane`.
+macro_rules! with_lane {
+    ($lane:expr, $x:ident => $body:expr) => {
+        match $lane {
+            Lane::Run(p) => {
+                let $x = Contiguous(p);
+                $body
+            }
+            Lane::One(v) => {
+                let $x = Uniform(v);
+                $body
+            }
+        }
+    };
 }
 
 impl<'a> Launch<'a> {
@@ -728,6 +948,24 @@ impl<'a> Launch<'a> {
             RowMap::UniqueRowIdx => Some(self.graph.compact().unique_row_idx()),
             RowMap::Etype => Some(g.etype()),
             RowMap::UniqueEtype => Some(self.graph.unique_etype()),
+        }
+    }
+
+    /// The row an in-edge addressing lands in for every in-edge, in CSC
+    /// order: an in-edge block's table is a slice of it. Positional
+    /// addressings have none.
+    fn in_edge_map(&self, idx: Idx<'a>) -> &'a [u32] {
+        let maps = self.graph.in_edge_maps();
+        match idx {
+            Idx::Row(RowMap::This, _) => &self.graph.csc().edge_idx,
+            Idx::Row(RowMap::Src, _) => &maps.src,
+            Idx::Row(RowMap::Dst, _) | Idx::Owned | Idx::Tile => &maps.dst,
+            Idx::Row(RowMap::Etype, _) => &maps.etype,
+            Idx::Row(RowMap::EdgeToUnique, _) => &maps.edge_to_unique,
+            Idx::Row(map @ (RowMap::UniqueRowIdx | RowMap::UniqueEtype), _) => {
+                unreachable!("an in-edge read through {map:?}")
+            }
+            Idx::Pos => &[],
         }
     }
 
@@ -758,80 +996,69 @@ impl<'a> Launch<'a> {
     }
 }
 
-/// The row tables of one kind of block: for every addressing its ops
-/// use, the row each position resolves to. Filled once per block and
-/// indexed by every op ([`Bound::over`]).
+/// Where every addressing the ops of one kind of block use lands over
+/// the current block ([`Bound::over`]). A table is a slice of a row map
+/// — the graph's, or its CSC-ordered copy for in-edges — or a run of
+/// rows, or one row: setting one up per block reads no index.
 struct Tables<'a> {
-    /// The addressing behind each table, where an op uses it.
-    used: [Option<Idx<'a>>; TABLES],
-    /// Rows are `u32`, like the graph's index arrays.
-    rows: [[u32; BLOCK]; TABLES],
+    /// Per addressing an op uses: the addressing and the row map its
+    /// blocks slice (empty for a positional one).
+    used: [Option<(Idx<'a>, &'a [u32])>; TABLES],
+    at: [At<'a>; TABLES],
 }
 
 impl<'a> Tables<'a> {
-    /// The tables of blocks that run `ops[i]` for each `i` of `which`.
-    fn of(ops: &[BoundOp<'a>], which: impl IntoIterator<Item = usize>) -> Tables<'a> {
+    /// The tables of blocks that run `ops[i]` for each `i` of `which`,
+    /// slicing the row map `map` names per addressing.
+    fn of(
+        ops: &[BoundOp<'a>],
+        which: impl IntoIterator<Item = usize>,
+        map: impl Fn(Idx<'a>) -> &'a [u32],
+    ) -> Tables<'a> {
         let mut used = [None; TABLES];
         for op in which.into_iter().map(|i| &ops[i]) {
             for b in [&op.a, &op.b, &op.out] {
-                if let Bound::Rows(_, idx) = b {
-                    used[idx.table()] = Some(*idx);
+                if let Bound::Rows(_, idx) = *b {
+                    used[idx.table()] = Some((idx, map(idx)));
                 }
             }
         }
         Tables {
             used,
-            rows: [[0; BLOCK]; TABLES],
+            at: [At::one(0); TABLES],
         }
     }
 
-    /// Resolves the tables at `len` consecutive rows from `start`: a
+    /// Sets the tables to the `len` consecutive rows from `start`: a
     /// block of a row domain, or a tile's destinations.
-    fn fill_rows(&mut self, start: usize, len: usize) {
-        self.fill(len, 0, |j| start + j, &[], 0);
-    }
-
-    /// Resolves the tables at the in-edges at positions `p0..` of the
-    /// tile from destination `v0`, up to a block of them and the tile's
-    /// end `p1`.
-    fn fill_in_edges(&mut self, csc: &Csc, v0: usize, p0: usize, p1: usize) {
-        let e0 = csc.ptr[v0] + p0;
-        let ids = &csc.edge_idx[e0..e0 + (p1 - p0).min(BLOCK)];
-        // A tile's in-edges are consecutive CSC positions, grouped by the
-        // destination that owns them.
-        let (mut owner, mut v) = ([0; BLOCK], v0);
-        for (e, o) in (e0..).zip(&mut owner[..ids.len()]) {
-            while csc.ptr[v + 1] <= e {
-                v += 1;
+    fn rows(&mut self, start: usize, len: usize) {
+        for (used, at) in self.used.iter().zip(&mut self.at) {
+            if let Some((idx, map)) = *used {
+                *at = match idx {
+                    Idx::Row(_, None) => At::run(start),
+                    Idx::Row(..) => At::map(&map[start..start + len], 0),
+                    Idx::Pos => At::run(0),
+                    Idx::Owned | Idx::Tile => unreachable!("an in-edge addressing of a row"),
+                };
             }
-            *o = v;
         }
-        self.fill(ids.len(), p0, |j| ids[j] as usize, &owner, v0);
     }
 
-    /// Resolves the tables at `len` positions from `p0`: iterated row
-    /// `row(j)`, owned by destination `owner[j]` of a tile from `v0`.
-    #[inline(always)]
-    fn fill(
-        &mut self,
-        len: usize,
-        p0: usize,
-        row: impl Fn(usize) -> usize,
-        owner: &[usize],
-        v0: usize,
-    ) {
-        fn set(t: &mut [u32], at: impl Fn(usize) -> usize) {
-            (0..).zip(t).for_each(|(j, r)| *r = at(j) as u32);
-        }
-        for (idx, t) in self.used.iter().zip(&mut self.rows) {
-            let t = &mut t[..len];
-            match *idx {
-                None => {}
-                Some(Idx::Row(_, None)) => set(t, &row),
-                Some(Idx::Row(_, Some(m))) => set(t, |j| m[row(j)] as usize),
-                Some(Idx::Pos) => set(t, |j| p0 + j),
-                Some(Idx::Owned) => set(t, |j| owner[j]),
-                Some(Idx::Tile) => set(t, |j| owner[j] - v0),
+    /// Sets the tables to the `len` in-edges from CSC position `e`, tile
+    /// position `p0`, of the tile of destinations `tile`.
+    fn in_edges(&mut self, tile: &Range<usize>, e: usize, p0: usize, len: usize) {
+        let single = tile.len() == 1;
+        for (used, at) in self.used.iter().zip(&mut self.at) {
+            if let Some((idx, map)) = *used {
+                let map = || &map[e..e + len];
+                *at = match idx {
+                    Idx::Row(..) => At::map(map(), 0),
+                    Idx::Pos => At::run(p0),
+                    Idx::Owned if single => At::one(tile.start),
+                    Idx::Owned => At::map(map(), 0),
+                    Idx::Tile if single => At::one(0),
+                    Idx::Tile => At::map(map(), tile.start as u32),
+                };
             }
         }
     }
@@ -863,7 +1090,7 @@ impl BoundOp<'_> {
     /// # Safety
     ///
     /// The op was bound for the calling chunk of a live launch, `t` was
-    /// filled for a block inside that chunk (its rows, or a tile of its
+    /// set for a block inside that chunk (its rows, or a tile of its
     /// destinations and their in-edges, at positions inside the locals
     /// block) with `len` rows, and the chunk holds its range exclusively.
     /// With that, every row a table resolves is inside its view (sized
@@ -879,33 +1106,38 @@ impl BoundOp<'_> {
         let (a, b, out) = (self.a.over(t), self.b.over(t), self.out.over(t));
         let (rows, scalar) = (0..len, |x: &Rows<'_>| x.view.width() == 1);
         // SAFETY: every access below is at a position of the block, under
-        // this function's contract; `ptr` only where the width is 1 (an
-        // aggregate's scale: checked at bind).
+        // this function's contract; `ptr` and `lane` only where the width
+        // is 1 (an aggregate's scale: checked at bind).
         unsafe {
             match self.kind {
-                Kind::Dot => {
-                    assert_eq!(out.view.width(), 1, "a dot product's output");
-                    let (mut ra, mut rb) = ([&[][..]; BLOCK], [&[][..]; BLOCK]);
-                    for j in rows.clone() {
-                        (ra[j], rb[j]) = (a.get(j), b.get(j));
-                    }
-                    let mut dots = [0.0f32; BLOCK];
-                    dot_rows(Isa::best(), &ra[..len], &rb[..len], &mut dots[..len]);
-                    rows.for_each(|j| *out.ptr(j) = dots[j]);
-                }
+                Kind::Dot { reuse } => dot_block(reuse, a, b, out, len),
                 Kind::Bin(op) => with_binary_fn!(op, f => if [a, b, out].iter().all(scalar) {
-                    rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j), *b.ptr(j)));
+                    match (a.lane(), b.lane(), out.at.lay) {
+                        (Some(la), Some(lb), Lay::Run) => {
+                            let o = out.ptr(0);
+                            with_lane!(la, x => with_lane!(lb, y => {
+                                rows.for_each(|j| *o.add(j) = f(x.at(j), y.at(j)));
+                            }));
+                        }
+                        _ => rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j), *b.ptr(j))),
+                    }
                 } else {
                     rows.for_each(|j| binary_row(f, a.get(j), b.get(j), out.get_mut(j)));
                 }),
                 Kind::Un(op) => with_unary_fn!(op, f => if scalar(&a) && scalar(&out) {
-                    rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j)));
+                    match (a.lane(), out.at.lay) {
+                        (Some(la), Lay::Run) => {
+                            let o = out.ptr(0);
+                            with_lane!(la, x => rows.for_each(|j| *o.add(j) = f(x.at(j))));
+                        }
+                        _ => rows.for_each(|j| *out.ptr(j) = f(*a.ptr(j))),
+                    }
                 } else {
                     rows.for_each(|j| unary_row(f, a.get(j), out.get_mut(j)));
                 }),
                 Kind::Agg { max, deferred } => match sink.filter(|_| deferred) {
                     Some(buf) => rows.for_each(|j| {
-                        let (x, i) = (a.get(j), out.at[j] as usize);
+                        let (x, i) = (a.get(j), out.at.row(j));
                         if max {
                             buf.push(self.slot, i, x.iter().copied(), true);
                         } else {
@@ -913,14 +1145,30 @@ impl BoundOp<'_> {
                             buf.push(self.slot, i, x.iter().map(|v| v * s), false);
                         }
                     }),
-                    None if scalar(&a) && scalar(&out) => rows.for_each(|j| {
-                        let (x, acc) = (*a.ptr(j), out.ptr(j));
-                        *acc = if max {
-                            (*acc).max(x)
-                        } else {
-                            *acc + x * *b.ptr(j)
+                    None if scalar(&a) && scalar(&out) => {
+                        let step = |acc: f32, j: usize| {
+                            let x = *a.ptr(j);
+                            if max {
+                                acc.max(x)
+                            } else {
+                                acc + x * *b.ptr(j)
+                            }
                         };
-                    }),
+                        match out.at.lay {
+                            // One target: its value stays in a register.
+                            Lay::One => {
+                                let acc = out.ptr(0);
+                                *acc = rows.fold(*acc, step);
+                            }
+                            _ => rows.for_each(|j| {
+                                let acc = out.ptr(j);
+                                *acc = step(*acc, j);
+                            }),
+                        }
+                    }
+                    None if !deferred && !max && a.view.width() == out.view.width() => {
+                        sum_block(a, b, out, len);
+                    }
                     None => rows.for_each(|j| {
                         let (x, acc) = (a.get(j), out.get_mut(j));
                         if max {
@@ -955,6 +1203,78 @@ impl BoundOp<'_> {
         // SAFETY: forwarded to the caller; `rows_mut` checks the range.
         f(unsafe { view.rows_mut(&rows) });
     }
+}
+
+/// A dot product over a block: the row pairs through the row-parallel
+/// dot tile. With `reuse`, a run of consecutive positions whose operands
+/// both read the rows of the run's first position takes that position's
+/// dot: the same inputs, so the same bits.
+///
+/// # Safety
+///
+/// As [`BoundOp::run`].
+unsafe fn dot_block(reuse: bool, a: Rows<'_>, b: Rows<'_>, out: Rows<'_>, len: usize) {
+    assert_eq!(out.view.width(), 1, "a dot product's output");
+    let (mut ra, mut rb) = ([&[][..]; BLOCK], [&[][..]; BLOCK]);
+    // Pair `k` covers the positions up to `ends[k]`.
+    let (mut ends, mut pairs, mut j) = ([0; BLOCK], 0, 0);
+    let mut dots = [0.0f32; BLOCK];
+    // SAFETY: every access is at a position of the block (caller), and
+    // the output is one float wide.
+    unsafe {
+        let rows = |j| (a.at.row(j), b.at.row(j));
+        while j < len {
+            let first = rows(j);
+            (ra[pairs], rb[pairs]) = (a.view.row(first.0), b.view.row(first.1));
+            j += 1;
+            while reuse && j < len && rows(j) == first {
+                j += 1;
+            }
+            ends[pairs] = j;
+            pairs += 1;
+        }
+        dot_rows(Isa::best(), &ra[..pairs], &rb[..pairs], &mut dots[..pairs]);
+        let mut j = 0;
+        for (&end, &dot) in ends[..pairs].iter().zip(&dots) {
+            (j..end).for_each(|p| *out.ptr(p) = dot);
+            j = end;
+        }
+    }
+}
+
+/// A row-wide sum aggregate over a block, folded in place: the rows,
+/// scales and targets through the aggregate tile
+/// (`hector_tensor::microkernel::accumulate_rows`), which adds each
+/// position's scaled row in position order and keeps a run of one
+/// target in registers.
+///
+/// # Safety
+///
+/// As [`BoundOp::run`], with the chunk owning every output row between
+/// the block's lowest and highest target (its tile's destinations or
+/// their scratch rows; every row of a launch that did not split).
+unsafe fn sum_block(a: Rows<'_>, b: Rows<'_>, out: Rows<'_>, len: usize) {
+    if len == 0 {
+        return;
+    }
+    let (mut xs, mut s, mut at) = ([&[][..]; BLOCK], [0.0f32; BLOCK], [0u32; BLOCK]);
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    // SAFETY: every access is at a position of the block (caller), the
+    // scale is one float wide (checked at bind), and the rows between
+    // the targets are the chunk's and none of them an operand's.
+    let acc = unsafe {
+        for j in 0..len {
+            let r = out.at.row(j);
+            (lo, hi) = (lo.min(r), hi.max(r));
+            (xs[j], s[j], at[j]) = (a.get(j), *b.ptr(j), r as u32);
+        }
+        out.view.rows_mut(&(lo..hi + 1))
+    };
+    for t in &mut at[..len] {
+        *t -= lo as u32;
+    }
+    let w = out.view.width();
+    accumulate_rows(Isa::best(), &xs[..len], &s[..len], &at[..len], w, acc);
 }
 
 impl MicroKernel {
@@ -1034,7 +1354,7 @@ impl MicroKernel {
     /// holds `range` exclusively: no other chunk of the launch is given
     /// an overlapping range, and a `solo` kernel is given the whole
     /// domain as its only chunk.
-    unsafe fn run_chunk(&self, range: Range<usize>, cx: &Launch<'_>, chunk: Chunk<'_>) {
+    unsafe fn run_chunk<'a>(&self, range: Range<usize>, cx: &Launch<'a>, chunk: Chunk<'_>) {
         let Chunk {
             scratch,
             ops: pooled,
@@ -1050,7 +1370,7 @@ impl MicroKernel {
         let floats = self.locals.iter().map(|l| l.width * positions);
         // The pooled list is empty, so shortening its element lifetime to
         // this launch's borrows (covariance) moves no borrow anywhere.
-        let mut ops: Vec<BoundOp<'_>> = std::mem::take(pooled);
+        let mut ops: Vec<BoundOp<'a>> = std::mem::take(pooled);
         if ops.capacity() < self.ops.len() {
             scratch.note_external_grows(1);
         }
@@ -1061,10 +1381,10 @@ impl MicroKernel {
         // `range`'s destinations or their in-edges (dst-node kernels).
         match &self.shape {
             Shape::Rows(_) => {
-                let mut t = Tables::of(&ops, 0..ops.len());
+                let mut t = Tables::of(&ops, 0..ops.len(), Idx::map);
                 for start in range.clone().step_by(BLOCK) {
                     let len = BLOCK.min(range.end - start);
-                    t.fill_rows(start, len);
+                    t.rows(start, len);
                     for op in &ops {
                         // SAFETY: see above.
                         unsafe { op.run(&t, len, sink.as_deref_mut()) };
@@ -1072,8 +1392,10 @@ impl MicroKernel {
                 }
             }
             Shape::DstNodes(sched) => {
-                let of = |group: &[Vec<usize>]| Tables::of(&ops, group.iter().flatten().copied());
-                let (mut edge_t, mut node_t) = (of(&sched.edge_ops), of(&sched.node_ops));
+                let (edge_ops, node_ops) = (sched.edge_ops.iter(), sched.node_ops.iter());
+                let in_edge_map = |idx| cx.in_edge_map(idx);
+                let mut edge_t = Tables::of(&ops, edge_ops.flatten().copied(), in_edge_map);
+                let mut node_t = Tables::of(&ops, node_ops.flatten().copied(), Idx::map);
                 let csc = cx.graph.csc();
                 let mut v0 = range.start;
                 while v0 < range.end {
@@ -1088,19 +1410,11 @@ impl MicroKernel {
                             unsafe { op.with_tile_rows(tile.clone(), |rows| rows.fill(seed)) };
                         }
                     }
-                    node_t.fill_rows(v0, tile.len());
-                    // A tile of one block resolves its in-edges once for
-                    // every pass.
-                    let one_block = in_edges <= BLOCK;
-                    if one_block {
-                        edge_t.fill_in_edges(csc, v0, 0, in_edges);
-                    }
+                    node_t.rows(v0, tile.len());
                     for pass in 0..sched.edge_ops.len() {
                         for p0 in (0..in_edges).step_by(BLOCK) {
-                            if !one_block {
-                                edge_t.fill_in_edges(csc, v0, p0, in_edges);
-                            }
                             let len = in_edges.min(p0 + BLOCK) - p0;
+                            edge_t.in_edges(&tile, csc.ptr[v0] + p0, p0, len);
                             for &i in &sched.edge_ops[pass] {
                                 // SAFETY: see above.
                                 unsafe { ops[i].run(&edge_t, len, sink.as_deref_mut()) };

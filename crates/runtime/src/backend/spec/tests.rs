@@ -270,6 +270,124 @@ fn every_model_folds_its_row_scalar_products() {
     }
 }
 
+/// The dot products each built-in model computes once per run of one
+/// destination's in-edges of one edge type, per option combination
+/// (unopt, compact, reorder, both): RGAT's `h_dst · a_r` in forward,
+/// where reordering puts it in the edge softmax's dst-node kernel;
+/// nothing else. A resolver change that silently stops the reuse fails
+/// here.
+#[test]
+fn every_model_reuses_its_destination_dots() {
+    let want = [
+        (hector_models::ModelKind::Rgcn, [0, 0, 0, 0]),
+        (hector_models::ModelKind::Rgat, [0, 0, 1, 1]),
+        (hector_models::ModelKind::Hgt, [0, 0, 0, 0]),
+    ];
+    let reused = |kernels: &[KernelSpec], program: &Program| -> usize {
+        compile_kernels(kernels, program)
+            .iter()
+            .map(|k| match k {
+                PreparedKernel::Micro(m) => m
+                    .ops
+                    .iter()
+                    .filter(|op| matches!(op.kind, Kind::Dot { reuse: true }))
+                    .count(),
+                _ => 0,
+            })
+            .sum()
+    };
+    assert_eq!(want.len(), hector_models::ModelKind::all().len());
+    for (kind, counts) in want {
+        for (opts, fw) in [
+            CompileOptions::unopt(),
+            CompileOptions::compact_only(),
+            CompileOptions::reorder_only(),
+            CompileOptions::best(),
+        ]
+        .into_iter()
+        .zip(counts)
+        {
+            let module = compile(
+                &hector_models::source(kind, 8, 8),
+                &opts.clone().with_training(true),
+            );
+            let bw = module.backward.as_ref().expect("compiled for training");
+            let at = format!("{} / {}", kind.name(), opts.label());
+            assert_eq!(reused(&module.fw_kernels, &module.forward), fw, "{at} fw");
+            assert_eq!(reused(&module.bw_kernels, bw), 0, "{at} bw");
+        }
+    }
+}
+
+/// Every model at 64 × 64 — the aggregate tile's 64-column panel — on a
+/// graph whose destinations need every in-edge table shape: one of 150
+/// in-edges in runs of one edge type (a tile of five blocks, the dot
+/// reuse across block ends), ones of 65 and 33, tiles of many
+/// destinations, zero in-degrees between fed destinations. Forward
+/// output, three Adam losses and the trained weights of production at
+/// one and four threads against the oracle, bit for bit.
+#[test]
+fn heavy_destinations_at_width_64_match_the_oracle() {
+    use crate::{Adam, BackendKind, EngineBuilder, ParallelConfig};
+    use hector_graph::HeteroGraphBuilder;
+
+    let mut degrees = vec![2, 150, 0, 3, 65, 0, 1, 33];
+    degrees.extend((0..40).map(|i| i % 5));
+    let n = degrees.len() as u32;
+    let mut b = HeteroGraphBuilder::new();
+    b.add_node_type(20);
+    b.add_node_type(n as usize - 20);
+    b.reserve_edge_types(3);
+    for (dst, &degree) in (0..).zip(&degrees) {
+        for k in 0..degree {
+            // Runs of one edge type: the first half of a heavy
+            // destination's in-edges type 0, then types 1 and 2.
+            b.add_edge((dst + 1 + k * 7) % n, dst, (3 * k / degree.max(1)).min(2));
+        }
+    }
+    let g = GraphData::new(b.build());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for kind in hector_models::ModelKind::all() {
+        for opts in [CompileOptions::unopt(), CompileOptions::best()] {
+            let chain = |threads: usize, backend: BackendKind| {
+                EngineBuilder::new(kind)
+                    .dims(64, 64)
+                    .options(opts.clone())
+                    .seed(41)
+                    .parallel(
+                        ParallelConfig::sequential()
+                            .with_threads(threads)
+                            .with_min_chunk_rows(4),
+                    )
+                    .backend(backend)
+            };
+            let run = |threads, backend| {
+                let mut engine = chain(threads, backend).build().expect("valid engine");
+                engine.bind(&g).expect("binds");
+                engine.forward().expect("runs");
+                let out = bits(engine.output().data());
+                let mut trainer = chain(threads, backend)
+                    .build_trainer(Adam::new(0.01))
+                    .expect("valid trainer");
+                trainer.bind(&g).expect("binds");
+                let labels = (0..g.graph().num_nodes()).map(|i| i % 4).collect();
+                trainer.set_labels(labels).expect("labels fit");
+                let losses = trainer.epoch(3).expect("steps run").losses;
+                let params = trainer.engine().params();
+                let weights: Vec<u32> = (0..params.len())
+                    .flat_map(|w| bits(params.weight(hector_ir::WeightId(w as u32)).data()))
+                    .collect();
+                (out, bits(&losses), weights)
+            };
+            let oracle = run(1, BackendKind::Interp);
+            for threads in [1, 4] {
+                let at = format!("{} / {} at {threads} thread(s)", kind.name(), opts.label());
+                assert!(run(threads, BackendKind::Specialized) == oracle, "{at}");
+            }
+        }
+    }
+}
+
 /// The custom programs of the fold properties: `(name, source, the
 /// products the forward kernels fold, whether they are in a dst-node
 /// kernel)`. A row × scalar product feeding an unscaled sum folds in an

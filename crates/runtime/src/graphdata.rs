@@ -2,7 +2,7 @@
 //! maps, and the byte accounting for the structures a GPU run would hold
 //! resident.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hector_graph::{CompactionMap, Csc, EdgeSplice, HeteroGraph};
 
@@ -13,7 +13,9 @@ use hector_graph::{CompactionMap, Csc, EdgeSplice, HeteroGraph};
 /// The structures live behind one `Arc`, so cloning a `GraphData` — as
 /// every [`Engine::bind`](crate::Engine::bind) does — shares them
 /// instead of copying: each engine, trainer and deployment bound to one
-/// graph reads the same arrays. Equality compares every structure.
+/// graph reads the same arrays. Equality compares every structure but
+/// the CSC-ordered per-edge maps, which are built on first use from the
+/// others.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphData {
     derived: Arc<Derived>,
@@ -35,6 +37,42 @@ struct Derived {
     /// The largest in-degree: the longest in-edge list a dst-node
     /// traversal tile holds.
     max_in_degree: usize,
+    in_edges: InEdgeCache,
+}
+
+/// Per-edge maps in CSC order: entry `i` of each describes the in-edge
+/// at CSC position `i` (edge `csc.edge_idx[i]`), so a run of in-edges
+/// reads each map as one slice.
+#[derive(Clone, Debug)]
+pub(crate) struct InEdgeMaps {
+    pub(crate) src: Vec<u32>,
+    /// The destination owning each in-edge.
+    pub(crate) dst: Vec<u32>,
+    pub(crate) etype: Vec<u32>,
+    pub(crate) edge_to_unique: Vec<u32>,
+}
+
+impl InEdgeMaps {
+    fn new(graph: &HeteroGraph, csc: &Csc, compact: &CompactionMap) -> InEdgeMaps {
+        let in_csc = |map: &[u32]| csc.edge_idx.iter().map(|&e| map[e as usize]).collect();
+        InEdgeMaps {
+            src: in_csc(graph.src()),
+            dst: in_csc(graph.dst()),
+            etype: in_csc(graph.etype()),
+            edge_to_unique: in_csc(compact.edge_to_unique()),
+        }
+    }
+}
+
+/// The lazily built [`InEdgeMaps`]: derived from the other structures,
+/// so two data equal in those are equal whether or not either built them.
+#[derive(Clone, Debug, Default)]
+struct InEdgeCache(OnceLock<InEdgeMaps>);
+
+impl PartialEq for InEdgeCache {
+    fn eq(&self, _: &InEdgeCache) -> bool {
+        true
+    }
 }
 
 impl GraphData {
@@ -85,6 +123,7 @@ impl GraphData {
                 live_pairs,
                 pair_slot,
                 max_in_degree: max_in_degree.unwrap_or(0),
+                in_edges: InEdgeCache::default(),
             }),
         }
     }
@@ -118,6 +157,16 @@ impl GraphData {
     /// traversal tile holds.
     pub(crate) fn max_in_degree(&self) -> usize {
         self.derived.max_in_degree
+    }
+
+    /// The per-edge maps in CSC order, built on the first call (the
+    /// first dst-node traversal): edge deltas and data no traversal
+    /// walks never pay for them.
+    pub(crate) fn in_edge_maps(&self) -> &InEdgeMaps {
+        let d = &*self.derived;
+        d.in_edges
+            .0
+            .get_or_init(|| InEdgeMaps::new(&d.graph, &d.csc, &d.compact))
     }
 
     /// The underlying graph.
@@ -267,6 +316,45 @@ mod tests {
         assert_eq!(g.live_pairs(), [0, 1]);
         assert_eq!(g.pair_slot_of(hector_ir::RowDomain::Edges, 2), 1);
         assert_eq!(g.pair_slot_of(hector_ir::RowDomain::UniquePairs, 0), 0);
+    }
+
+    /// Each CSC-ordered map is the per-edge map read through
+    /// `csc.edge_idx`, on built and spliced data alike, and building the
+    /// maps changes no equality.
+    #[test]
+    fn in_edge_maps_are_the_edge_maps_in_csc_order() {
+        use hector_graph::{generate, DatasetSpec};
+
+        let g = GraphData::new(generate(&DatasetSpec {
+            name: "csc_maps".into(),
+            num_nodes: 40,
+            num_node_types: 2,
+            num_edges: 300,
+            num_edge_types: 3,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 7,
+        }));
+        let (graph, splice) = g
+            .graph()
+            .splice_edges(&[0, 5, 17, 120], &[(3, 4, 1), (9, 2, 0), (9, 2, 0)]);
+        let spliced = g.spliced(graph, &splice);
+        for data in [&g, &spliced] {
+            let fresh = GraphData::new(data.graph().clone());
+            assert_eq!(*data, fresh);
+            let (m, graph, csc) = (data.in_edge_maps(), data.graph(), data.csc());
+            let via_csc = |map: &[u32]| -> Vec<u32> {
+                csc.edge_idx.iter().map(|&e| map[e as usize]).collect()
+            };
+            assert_eq!(m.src, via_csc(graph.src()));
+            assert_eq!(m.dst, via_csc(graph.dst()));
+            assert_eq!(m.etype, via_csc(graph.etype()));
+            assert_eq!(m.edge_to_unique, via_csc(data.compact().edge_to_unique()));
+            // Built on one side only, equal still, both ways round.
+            assert!(fresh.derived.in_edges.0.get().is_none());
+            assert_eq!(*data, fresh);
+            assert_eq!(fresh, *data);
+        }
     }
 
     #[test]

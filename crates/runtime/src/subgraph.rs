@@ -19,6 +19,8 @@
 //! per-relation and per-type parameter stacks keep their shapes across
 //! every view and one parameter store serves them all.
 
+use std::sync::Arc;
+
 use hector_graph::{extract_mapped, EdgeSplice, HeteroGraph, SampledBatch};
 use hector_ir::{Space, VarInfo};
 use hector_tensor::Tensor;
@@ -28,12 +30,14 @@ use crate::GraphData;
 
 /// Part of a full graph re-packed as a self-contained graph with its
 /// derived indices, plus the remap tables tying local ids back to the
-/// full graph and the local rows the view answers for.
+/// full graph and the local rows the view answers for. The maps are
+/// shared (`Arc`), so an owner that keeps them too — a shard — holds one
+/// copy.
 #[derive(Clone, Debug)]
 pub struct Subgraph {
     data: GraphData,
-    node_map: Vec<u32>,
-    edge_map: Vec<u32>,
+    node_map: Arc<[u32]>,
+    edge_map: Arc<[u32]>,
     rows: Vec<u32>,
 }
 
@@ -68,10 +72,11 @@ impl Subgraph {
     #[must_use]
     pub fn new(
         full: &HeteroGraph,
-        node_map: Vec<u32>,
-        edge_map: Vec<u32>,
+        node_map: impl Into<Arc<[u32]>>,
+        edge_map: impl Into<Arc<[u32]>>,
         rows: &[u32],
     ) -> Subgraph {
+        let (node_map, edge_map) = (node_map.into(), edge_map.into());
         let data = GraphData::new(extract_mapped(full, &node_map, &edge_map));
         let mut view = Subgraph {
             data,
@@ -131,8 +136,9 @@ impl Subgraph {
 
     /// Re-points the edge map at the full graph's edge ids after `splice`
     /// changed them, for a view whose edges the splice left in place.
+    /// The map is rewritten in place when no one else holds it.
     pub fn follow_splice(&mut self, splice: &EdgeSplice) {
-        for e in &mut self.edge_map {
+        for e in Arc::make_mut(&mut self.edge_map) {
             *e = splice.old_to_new()[*e as usize];
             debug_assert_ne!(*e, EdgeSplice::REMOVED);
         }

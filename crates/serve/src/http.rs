@@ -8,7 +8,9 @@
 //!
 //! The acceptor blocks in `accept`, so a connection is queued the moment
 //! it arrives; [`HttpServer::shutdown`] wakes it by connecting once to
-//! its own address. Workers take connections in arrival order.
+//! its own address. Workers take connections in arrival order and, while
+//! the queue is empty, wait on it without polling: every exit of the
+//! acceptor sets the stop flag and wakes them.
 //!
 //! Routes:
 //!
@@ -82,9 +84,11 @@ impl HttpServer {
                             queue.conns.lock().expect("conn lock").push_back(conn);
                             queue.cv.notify_one();
                         }
-                        // Under the lock, so no worker is between its
-                        // `stop` check and its wait.
+                        // Every exit, an `accept` error included, stops
+                        // the workers. Under the lock, so no worker is
+                        // between its `stop` check and its wait.
                         let _guard = queue.conns.lock().expect("conn lock");
+                        stop.store(true, Ordering::SeqCst);
                         queue.cv.notify_all();
                     })
                     .expect("spawn acceptor"),
@@ -107,11 +111,7 @@ impl HttpServer {
                                 if stop.load(Ordering::SeqCst) {
                                     return;
                                 }
-                                let (guard, _) = queue
-                                    .cv
-                                    .wait_timeout(g, Duration::from_millis(20))
-                                    .expect("conn lock");
-                                g = guard;
+                                g = queue.cv.wait(g).expect("conn lock");
                             }
                         };
                         let _ = serve_connection(conn, &handle);

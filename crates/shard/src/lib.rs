@@ -74,7 +74,7 @@ pub mod delta;
 pub mod engine;
 pub mod partition;
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use hector_device::shard_probe;
 use hector_graph::{EdgeSplice, HeteroGraph};
@@ -119,13 +119,16 @@ impl ShardConfig {
 /// `interior` are built with the shard; the view's graph and its
 /// indices only on the first read of the view ([`Shard::view`],
 /// [`Shard::graph`], [`Shard::owned_local`]), so a store no engine runs
-/// on — and halo or edge-cut statistics — never extracts one.
+/// on — and halo or edge-cut statistics — never extracts one. The view
+/// shares the shard's maps: a shard holds one copy of each.
 #[derive(Clone, Debug)]
 pub struct Shard {
     /// The full graph the maps index (an `Arc` share of the store's).
     full: GraphData,
-    node_map: Vec<u32>,
-    edge_map: Vec<u32>,
+    node_map: Arc<[u32]>,
+    /// Left empty once a built view followed a splice: the view's map is
+    /// then the one copy ([`Shard::edge_map`] reads it).
+    edge_map: Arc<[u32]>,
     view: OnceLock<Subgraph>,
     owned: Vec<u32>,
     interior: Vec<u32>,
@@ -137,7 +140,7 @@ impl Shard {
     #[must_use]
     pub fn view(&self) -> &Subgraph {
         self.view.get_or_init(|| {
-            let (nodes, edges) = (self.node_map.clone(), self.edge_map.clone());
+            let (nodes, edges) = (Arc::clone(&self.node_map), Arc::clone(&self.edge_map));
             Subgraph::new(self.full.graph(), nodes, edges, &self.owned)
         })
     }
@@ -157,7 +160,7 @@ impl Shard {
     /// Original edge index of each local edge (strictly ascending).
     #[must_use]
     pub fn edge_map(&self) -> &[u32] {
-        &self.edge_map
+        self.view.get().map_or(&self.edge_map, Subgraph::edge_map)
     }
 
     /// Original ids of the nodes this shard owns (ascending). The shard
@@ -199,11 +202,18 @@ impl Shard {
     /// a built view's) follows the shifted edge ids.
     fn follow_splice(&mut self, full: &GraphData, splice: &EdgeSplice) {
         self.full = full.clone();
-        for e in &mut self.edge_map {
-            *e = splice.old_to_new()[*e as usize];
-        }
-        if let Some(view) = self.view.get_mut() {
-            view.follow_splice(splice);
+        match self.view.get_mut() {
+            // Drop the shard's share first, so the view rewrites the one
+            // copy in place.
+            Some(view) => {
+                self.edge_map = Arc::default();
+                view.follow_splice(splice);
+            }
+            None => {
+                for e in Arc::make_mut(&mut self.edge_map) {
+                    *e = splice.old_to_new()[*e as usize];
+                }
+            }
         }
     }
 }
@@ -246,7 +256,7 @@ fn build_shard(data: &GraphData, owner: &[u32], s: u32, hops: usize) -> Shard {
     Shard {
         full: data.clone(),
         node_map: (0..n as u32).filter(|&v| node_set[v as usize]).collect(),
-        edge_map: edges,
+        edge_map: edges.into(),
         view: OnceLock::new(),
         owned,
         interior,

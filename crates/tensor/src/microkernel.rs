@@ -21,7 +21,11 @@
 //! ([`dot_rows`]): a block of row pairs, one lane per pair. Each lane
 //! folds its pair from `+0.0` in ascending index — the oracle's
 //! sequential `dot` — so the free axis it vectorises is the rows, not
-//! the reduction.
+//! the reduction. Its sum aggregates (a destination's in-edge rows,
+//! scaled by their attention weights or normalisers) run the **aggregate
+//! tile** ([`accumulate_rows`]): `acc[t_j] += x_j · s_j` over a block of
+//! positions, vectorised along the columns (the free axis), with a run
+//! of positions sharing one target kept in registers and stored once.
 //!
 //! # Width-1 operands
 //!
@@ -54,7 +58,13 @@
 //! advance together, never the per-output association order — so tiles
 //! and scalar references agree **bit for bit** (pinned by
 //! `tests/simd_gemm.rs` over ragged dims, run lengths around the tile
-//! height, gathered rows and non-finite values).
+//! height, gathered rows and non-finite values). The aggregate tile is
+//! held to the loop that folds one position after another: each target
+//! element takes `x · s` (one multiply, then one add) once per position,
+//! in position order, whether its running value sits in a register for
+//! a run or is reloaded — the AVX2 body (64-, 32-, 16- and 8-column
+//! panels of compile-time width, then single columns; the AVX-512 level
+//! runs it too) and the generic loop perform the same operations.
 //! *Whether* an output is NaN is inside the contract; a NaN's sign and
 //! payload are not — Rust leaves them unspecified, and they follow the
 //! operand order the compiler picks when two NaNs meet in an addition.
@@ -626,8 +636,55 @@ pub fn dot_rows(isa: Isa, a: &[&[f32]], b: &[&[f32]], out: &mut [f32]) {
     }
 }
 
-/// The AVX2 dot tile, in explicit `std::arch` intrinsics (the AVX-512
-/// level runs it too).
+/// `acc[at[j]] += xs[j] · s[j]` over rows `w` wide, for positions `j` in
+/// ascending order: one multiply, then one add per element.
+#[inline(always)]
+fn accumulate_body(xs: &[&[f32]], s: &[f32], at: &[u32], w: usize, acc: &mut [f32]) {
+    for ((x, &s), &t) in xs.iter().zip(s).zip(at) {
+        let row = &mut acc[t as usize * w..][..w];
+        for (a, &v) in row.iter_mut().zip(*x) {
+            *a += v * s;
+        }
+    }
+}
+
+/// The aggregate tile: `acc[at[j]][c] += xs[j][c] · s[j]` for positions
+/// `j` in ascending order, where `acc` is `[rows, w]` row-major and every
+/// row of `xs` is `w` wide. Each element takes one multiply, then one
+/// add per position, never a fused multiply-add, so every target
+/// element receives its contributions in position order — bit-identical
+/// to the loop that folds one position after another (an unscaled
+/// aggregate passes scales of `1.0`, and `x · 1.0 == x`). A run of
+/// consecutive positions with one target keeps that target's columns in
+/// registers and stores them once, whatever the instantiation's width.
+///
+/// # Panics
+///
+/// Panics if `xs`, `s` and `at` differ in length, a row of `xs` is not
+/// `w` wide, `acc` is not whole rows, or a target is not a row of `acc`.
+pub fn accumulate_rows(isa: Isa, xs: &[&[f32]], s: &[f32], at: &[u32], w: usize, acc: &mut [f32]) {
+    assert!(
+        s.len() == xs.len() && at.len() == xs.len(),
+        "one scale and one target per row"
+    );
+    assert!(xs.iter().all(|x| x.len() == w), "rows must be w wide");
+    let rows = acc.len().checked_div(w).unwrap_or(0);
+    assert_eq!(rows * w, acc.len(), "accumulator must be [rows, w]");
+    assert!(
+        w == 0 || at.iter().all(|&t| (t as usize) < rows),
+        "targets must be rows of the accumulator"
+    );
+    match isa.0 {
+        Level::Generic => accumulate_body(xs, s, at, w, acc),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot_rows`; every row of `xs` is `w` wide and
+        // every target a row of `acc` (checked above).
+        Level::Avx2 | Level::Avx512 => unsafe { avx2::accumulate_tile(xs, s, at, w, acc) },
+    }
+}
+
+/// The AVX2 dot and aggregate tiles, in explicit `std::arch` intrinsics
+/// (the AVX-512 level runs them too).
 ///
 /// Eight row pairs advance together, eight columns at a time: one
 /// `_mm256_mul_ps` per row gives that row's eight products, an in-register
@@ -642,8 +699,8 @@ pub fn dot_rows(isa: Isa, a: &[&[f32]], b: &[&[f32]], out: &mut [f32]) {
 mod avx2 {
     use std::arch::x86_64::{
         __m256, __m256i, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
-        _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
-        _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+        _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
     };
 
     /// `f32` lanes of one `__m256` register: the row pairs of one group.
@@ -784,6 +841,89 @@ mod avx2 {
             let end = out.len().min(r + take);
             out[r..end].copy_from_slice(&lanes[..end - r]);
             r = end;
+        }
+    }
+
+    /// `P` registers of one target row from column `c`, loaded once,
+    /// advanced by every row of a run in order, stored once. `P` is a
+    /// constant, so the accumulators stay in registers.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn accumulate_panel<const P: usize>(xs: &[&[f32]], s: &[f32], c: usize, row: &mut [f32]) {
+        let dst = &mut row[c..c + P * YMM];
+        let mut acc = [_mm256_setzero_ps(); P];
+        for (q, a) in acc.iter_mut().enumerate() {
+            // SAFETY: lanes `[8q, 8q + 8)` of `dst`, which is `8P` long.
+            *a = unsafe { _mm256_loadu_ps(dst.as_ptr().add(q * YMM)) };
+        }
+        for (x, &sv) in xs.iter().zip(s) {
+            let (x, sv) = (&x[c..c + P * YMM], _mm256_set1_ps(sv));
+            for (q, a) in acc.iter_mut().enumerate() {
+                // SAFETY: as above, inside `x`'s `8P` columns.
+                let v = unsafe { _mm256_loadu_ps(x.as_ptr().add(q * YMM)) };
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(v, sv));
+            }
+        }
+        for (q, a) in acc.iter().enumerate() {
+            // SAFETY: as the load.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr().add(q * YMM), *a) };
+        }
+    }
+
+    /// One run of `accumulate_rows`: every row of `xs` into `row`, in
+    /// panels of 64, 32, 16 and 8 columns, then single columns.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn accumulate_run(xs: &[&[f32]], s: &[f32], row: &mut [f32]) {
+        let w = row.len();
+        let mut c = 0;
+        while c + 8 * YMM <= w {
+            accumulate_panel::<8>(xs, s, c, row);
+            c += 8 * YMM;
+        }
+        if c + 4 * YMM <= w {
+            accumulate_panel::<4>(xs, s, c, row);
+            c += 4 * YMM;
+        }
+        if c + 2 * YMM <= w {
+            accumulate_panel::<2>(xs, s, c, row);
+            c += 2 * YMM;
+        }
+        if c + YMM <= w {
+            accumulate_panel::<1>(xs, s, c, row);
+            c += YMM;
+        }
+        for (c, a) in row.iter_mut().enumerate().skip(c) {
+            for (x, &sv) in xs.iter().zip(s) {
+                *a += x[c] * sv;
+            }
+        }
+    }
+
+    /// `accumulate_rows`, one run of equal targets at a time.
+    ///
+    /// # Safety
+    ///
+    /// Every row of `xs` is `w` wide and every target a row of `acc`
+    /// (checked by the caller).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn accumulate_tile(
+        xs: &[&[f32]],
+        s: &[f32],
+        at: &[u32],
+        w: usize,
+        acc: &mut [f32],
+    ) {
+        let mut j = 0;
+        while j < at.len() {
+            let t = at[j];
+            let end = at[j..]
+                .iter()
+                .position(|&u| u != t)
+                .map_or(at.len(), |n| j + n);
+            let row = &mut acc[t as usize * w..][..w];
+            accumulate_run(&xs[j..end], &s[j..end], row);
+            j = end;
         }
     }
 }

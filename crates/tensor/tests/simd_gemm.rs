@@ -6,12 +6,14 @@
 //! (AVX2, AVX-512), so the narrower bodies are exercised on wide
 //! machines too. Fixed shapes past the proptests' range reach every
 //! AVX-512 column panel and its masked tail. `matmul_into`, the plain
-//! `out = x · w` on the same tiles, is held to the same references.
+//! `out = x · w` on the same tiles, is held to the same references, and
+//! the traversal's aggregate tile (`accumulate_rows`) to the loop that
+//! folds one scaled row after another.
 
 use hector_tensor::matmul_into;
 use hector_tensor::microkernel::{
-    gemm_row_scalar, gemm_row_tb_scalar, gemm_rows, outer_accum_scalar, outer_rows,
-    pack_transposed, Isa, BLOCK_ROWS,
+    accumulate_rows, gemm_row_scalar, gemm_row_tb_scalar, gemm_rows, outer_accum_scalar,
+    outer_rows, pack_transposed, Isa, BLOCK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -204,6 +206,82 @@ proptest! {
             let mut got = start.clone();
             outer_rows(isa, xs.iter().copied().zip(dy.chunks_exact(1)), 1, &mut got);
             prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} k={} rows={}", isa, k, rows);
+        }
+    }
+}
+
+/// How the aggregate-tile proptest lays out its targets over the
+/// positions.
+#[derive(Clone, Copy, Debug)]
+enum Targets {
+    /// Every position into one row: one run.
+    One,
+    /// Two rows in turn: runs of one.
+    Alternating,
+    /// Rows drawn from a few, so a row recurs after others.
+    Scattered,
+    /// Runs of random length over random rows.
+    Runs,
+}
+
+fn targets(layout: Targets, n: usize, rows: usize, seed: &mut u64) -> Vec<u32> {
+    let mut next = || {
+        *seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (*seed >> 33) as usize
+    };
+    let mut at = Vec::with_capacity(n);
+    while at.len() < n {
+        let (row, len) = match layout {
+            Targets::One => (rows - 1, n),
+            Targets::Alternating => (at.len() % 2, 1),
+            Targets::Scattered => (next() % rows, 1),
+            Targets::Runs => (next() % rows, 1 + next() % 9),
+        };
+        at.extend(std::iter::repeat_n(row as u32, len.min(n - at.len())));
+    }
+    at
+}
+
+proptest! {
+    /// The aggregate tile on every instantiation: `acc[at[j]] += xs[j] ·
+    /// s[j]` in position order, bit for bit the loop that folds one
+    /// position after another — widths across every column panel (8, 16,
+    /// 32, 64) and ragged ones, one target, alternating targets, targets
+    /// recurring after others, runs; unscaled (`1.0`) and general scales;
+    /// `±0`, `±inf` and `NaN` in rows and scales.
+    #[test]
+    fn tile_accumulate_rows_matches_the_scalar_loop(
+        w in prop_oneof![Just(8usize), Just(16), Just(32), Just(64), 0usize..=70],
+        n in 0usize..=40,
+        layout in prop_oneof![
+            Just(Targets::One), Just(Targets::Alternating),
+            Just(Targets::Scattered), Just(Targets::Runs),
+        ],
+        unscaled in any::<bool>(),
+        (xfill, sfill) in (fill(), fill()),
+        seed in any::<u64>(),
+    ) {
+        let rows = 5;
+        let mut s = seed;
+        let xpool = values((n + 3) * w.max(1), &mut s, xfill);
+        let xs: Vec<&[f32]> = if w == 0 {
+            vec![&[]; n]
+        } else {
+            gathered(&xpool, w, n, seed)
+        };
+        let scales = if unscaled { vec![1.0; n] } else { values(n, &mut s, sfill) };
+        let at = targets(layout, n, rows, &mut s);
+        let start = values(rows * w, &mut s, Fill { zero_pct: 20, special: false });
+        let mut want = start.clone();
+        for ((x, &sc), &t) in xs.iter().zip(&scales).zip(&at) {
+            for (a, &v) in want[t as usize * w..][..w].iter_mut().zip(*x) {
+                *a += v * sc;
+            }
+        }
+        for isa in Isa::available() {
+            let mut got = start.clone();
+            accumulate_rows(isa, &xs, &scales, &at, w, &mut got);
+            prop_assert_eq!(tile_bits(&got), tile_bits(&want), "{:?} w={} {:?}", isa, w, layout);
         }
     }
 }
