@@ -169,31 +169,16 @@ impl SamplerStats {
     }
 }
 
-/// Sharded-execution statistics: partition quality and the dynamic-graph
-/// activity of `hector-shard`. Process-global, not per device —
-/// partitioning and delta application run on no device, so the numbers
-/// live in a shared probe ([`shard_probe`]) rather than any single
-/// device's counter store, and [`Counters::reset`] does not touch them
-/// (clear with [`shard_probe::reset`]).
+/// Delta activity of `hector-shard`'s stores. Process-global, not per
+/// device — delta application runs on no device, so the numbers live in
+/// a shared probe ([`shard_probe`]) rather than any single device's
+/// counter store, and [`Counters::reset`] does not touch them (clear
+/// with [`shard_probe::reset`]). They count every store in the process;
+/// one store's own partition facts are
+/// `ShardedGraph::{num_shards, edge_cut_fraction, halo_rows}`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Partitioning passes performed (initial + delta-forced repartitions).
-    pub partitions: u64,
-    /// Shards produced by the most recent partitioning.
-    pub shards: usize,
-    /// Edges in the full graph at the most recent partitioning.
-    pub edges_total: u64,
-    /// Edges whose source and destination owners differ (cut edges) at
-    /// the most recent partitioning.
-    pub edges_cut: u64,
-    /// Halo rows (replicated non-owned nodes) across all shards at the
-    /// most recent partitioning.
-    pub halo_rows: u64,
-    /// Boundary-exchange steps performed (one per sharded forward).
-    pub exchanges: u64,
-    /// Owned output rows gathered across all exchanges.
-    pub rows_exchanged: u64,
-    /// Shards a delta made stale (their graphs are rebuilt).
+    /// Shards a delta made stale (each is rebuilt on its next read).
     pub plan_invalidations: u64,
     /// Delta batches applied.
     pub delta_batches: u64,
@@ -201,52 +186,17 @@ pub struct ShardStats {
     pub delta_ops: u64,
 }
 
-impl ShardStats {
-    /// Fraction of full-graph edges cut by the current partitioning.
-    #[must_use]
-    pub fn edge_cut_fraction(&self) -> f64 {
-        if self.edges_total == 0 {
-            0.0
-        } else {
-            self.edges_cut as f64 / self.edges_total as f64
-        }
-    }
-}
-
 /// Process-global probe `hector-shard` reports into and
 /// [`shard_probe::snapshot`] reads back. The device crate hosts the
 /// storage because it is the observability leaf of the workspace DAG.
 pub mod shard_probe {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     use super::ShardStats;
 
-    static PARTITIONS: AtomicU64 = AtomicU64::new(0);
-    static SHARDS: AtomicUsize = AtomicUsize::new(0);
-    static EDGES_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static EDGES_CUT: AtomicU64 = AtomicU64::new(0);
-    static HALO_ROWS: AtomicU64 = AtomicU64::new(0);
-    static EXCHANGES: AtomicU64 = AtomicU64::new(0);
-    static ROWS_EXCHANGED: AtomicU64 = AtomicU64::new(0);
     static PLAN_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
     static DELTA_BATCHES: AtomicU64 = AtomicU64::new(0);
     static DELTA_OPS: AtomicU64 = AtomicU64::new(0);
-
-    /// Records one partitioning pass and publishes its quality numbers
-    /// (shard count, total/cut edges, total halo rows).
-    pub fn record_partition(shards: usize, edges_total: u64, edges_cut: u64, halo_rows: u64) {
-        PARTITIONS.fetch_add(1, Ordering::Relaxed);
-        SHARDS.store(shards, Ordering::Relaxed);
-        EDGES_TOTAL.store(edges_total, Ordering::Relaxed);
-        EDGES_CUT.store(edges_cut, Ordering::Relaxed);
-        HALO_ROWS.store(halo_rows, Ordering::Relaxed);
-    }
-
-    /// Records one boundary-exchange step gathering `rows` owned rows.
-    pub fn record_exchange(rows: u64) {
-        EXCHANGES.fetch_add(1, Ordering::Relaxed);
-        ROWS_EXCHANGED.fetch_add(rows, Ordering::Relaxed);
-    }
 
     /// Records `n` shards made stale by a delta.
     pub fn record_invalidations(n: u64) {
@@ -261,13 +211,6 @@ pub mod shard_probe {
 
     /// Clears all probe state (tests pin deltas against a clean slate).
     pub fn reset() {
-        PARTITIONS.store(0, Ordering::Relaxed);
-        SHARDS.store(0, Ordering::Relaxed);
-        EDGES_TOTAL.store(0, Ordering::Relaxed);
-        EDGES_CUT.store(0, Ordering::Relaxed);
-        HALO_ROWS.store(0, Ordering::Relaxed);
-        EXCHANGES.store(0, Ordering::Relaxed);
-        ROWS_EXCHANGED.store(0, Ordering::Relaxed);
         PLAN_INVALIDATIONS.store(0, Ordering::Relaxed);
         DELTA_BATCHES.store(0, Ordering::Relaxed);
         DELTA_OPS.store(0, Ordering::Relaxed);
@@ -277,13 +220,6 @@ pub mod shard_probe {
     #[must_use]
     pub fn snapshot() -> ShardStats {
         ShardStats {
-            partitions: PARTITIONS.load(Ordering::Relaxed),
-            shards: SHARDS.load(Ordering::Relaxed),
-            edges_total: EDGES_TOTAL.load(Ordering::Relaxed),
-            edges_cut: EDGES_CUT.load(Ordering::Relaxed),
-            halo_rows: HALO_ROWS.load(Ordering::Relaxed),
-            exchanges: EXCHANGES.load(Ordering::Relaxed),
-            rows_exchanged: ROWS_EXCHANGED.load(Ordering::Relaxed),
             plan_invalidations: PLAN_INVALIDATIONS.load(Ordering::Relaxed),
             delta_batches: DELTA_BATCHES.load(Ordering::Relaxed),
             delta_ops: DELTA_OPS.load(Ordering::Relaxed),
@@ -321,10 +257,11 @@ pub struct BackendStats {
 ///   because mini-batch records land *between* runs; measure an epoch as
 ///   the difference of two snapshots.
 ///
-/// The process-global probes ([`ShardStats`] via
-/// [`shard_probe::snapshot`], `hector_trace::stats()`) are snapshots of
-/// shared state no `Counters` method clears; use [`shard_probe::reset`] /
-/// `hector_trace::clear` respectively.
+/// The process-global probes — the shard-delta counters ([`ShardStats`]
+/// via [`shard_probe::snapshot`]: stale shards, delta batches and ops,
+/// summed over every store in the process) and `hector_trace::stats()`
+/// — are snapshots of shared state no `Counters` method clears; use
+/// [`shard_probe::reset`] / `hector_trace::clear` respectively.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
     buckets: HashMap<(KernelCategory, Phase), CategoryMetrics>,
@@ -615,24 +552,14 @@ mod tests {
         assert_eq!(z.overlap_fraction(), 0.0);
     }
 
-    /// The shard probe accumulates across records, derives the edge-cut
-    /// fraction safely, and clears via its own `reset`.
+    /// The shard probe accumulates across records and clears via its own
+    /// `reset`.
     #[test]
     fn shard_probe_records_and_resets() {
         shard_probe::reset();
-        assert_eq!(ShardStats::default().edge_cut_fraction(), 0.0);
-        shard_probe::record_partition(4, 1000, 250, 80);
-        shard_probe::record_exchange(500);
-        shard_probe::record_exchange(500);
         shard_probe::record_invalidations(2);
         shard_probe::record_delta(3);
         let s = shard_probe::snapshot();
-        assert_eq!(s.partitions, 1);
-        assert_eq!(s.shards, 4);
-        assert!((s.edge_cut_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(s.halo_rows, 80);
-        assert_eq!(s.exchanges, 2);
-        assert_eq!(s.rows_exchanged, 1000);
         assert_eq!(s.plan_invalidations, 2);
         assert_eq!(s.delta_batches, 1);
         assert_eq!(s.delta_ops, 3);

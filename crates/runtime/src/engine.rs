@@ -1125,7 +1125,7 @@ impl Trainer {
             .collect();
         let state = self.engine.expect_state();
         let source = BatchSource::new(
-            state.graph.graph(),
+            &state.graph,
             cfg,
             self.engine.seed,
             inputs,

@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hector_graph::{HeteroGraph, NeighborSampler, SamplerConfig};
+use hector_graph::{NeighborSampler, SamplerConfig};
 use hector_ir::VarInfo;
 use hector_par::Prefetcher;
 
@@ -64,11 +64,12 @@ pub struct Batch {
 }
 
 /// Everything batch production needs, shared immutably with the
-/// producer thread. Construction snapshots the trainer's state, so a
-/// later `set_labels`/`set_bindings` does not affect an iterator already
-/// in flight.
+/// producer thread. Construction snapshots the trainer's state (the
+/// graph as an `Arc` share of the trainer's, not a copy), so a later
+/// `set_labels`/`set_bindings` does not affect an iterator already in
+/// flight.
 pub(crate) struct BatchSource {
-    full: HeteroGraph,
+    full: GraphData,
     sampler: NeighborSampler,
     inputs: Vec<VarInfo>,
     full_bindings: Bindings,
@@ -77,7 +78,7 @@ pub(crate) struct BatchSource {
 
 impl BatchSource {
     pub(crate) fn new(
-        full: &HeteroGraph,
+        full: &GraphData,
         cfg: &SamplerConfig,
         seed: u64,
         inputs: Vec<VarInfo>,
@@ -86,7 +87,7 @@ impl BatchSource {
     ) -> BatchSource {
         BatchSource {
             full: full.clone(),
-            sampler: NeighborSampler::new(full, cfg, seed),
+            sampler: NeighborSampler::new(full.graph(), cfg, seed),
             inputs,
             full_bindings,
             full_labels,
@@ -104,8 +105,8 @@ impl BatchSource {
         // trace timeline shows sampling overlapping training.
         let tr = hector_trace::span_start();
         let t0 = Instant::now();
-        let sampled = self.sampler.sample(&self.full, k);
-        let subgraph = Subgraph::extract(&self.full, &sampled);
+        let sampled = self.sampler.sample(self.full.graph(), k);
+        let subgraph = Subgraph::extract(self.full.graph(), &sampled);
         let bindings = subgraph.gather_inputs(&self.inputs, &self.full_bindings);
         let labels = subgraph.gather_node_values(&self.full_labels);
         let sample_wall_us = t0.elapsed().as_secs_f64() * 1e6;
@@ -249,3 +250,40 @@ impl Iterator for Minibatches {
 }
 
 impl ExactSizeIterator for Minibatches {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EngineBuilder, Sgd};
+    use hector_graph::{generate, DatasetSpec};
+    use hector_models::ModelKind;
+
+    /// A minibatch iterator samples the trainer's own graph (an `Arc`
+    /// share), not a copy of it.
+    #[test]
+    fn minibatches_share_the_trainers_graph() {
+        let mut t = EngineBuilder::new(ModelKind::Rgcn)
+            .dims(8, 8)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        t.bind(&GraphData::new(generate(&DatasetSpec {
+            name: "minibatch".into(),
+            num_nodes: 60,
+            num_node_types: 2,
+            num_edges: 400,
+            num_edge_types: 3,
+            compaction_ratio: 0.5,
+            type_skew: 1.0,
+            seed: 21,
+        })))
+        .unwrap();
+        let batches = t.minibatch(&SamplerConfig::new(16).fanouts(&[2]).pipeline(false));
+        let Producer::Sync(source) = &batches.producer else {
+            panic!("a pipeline-off iterator samples inline");
+        };
+        assert!(std::ptr::eq(
+            source.full.graph(),
+            t.engine().graph().graph()
+        ));
+    }
+}

@@ -12,14 +12,18 @@
 //! give the two layout properties that make it cheap, deterministic and
 //! bit-exact. The extracted graph is moved into the view's
 //! [`GraphData`] (CSC, compaction map) once: the view holds the one
-//! copy, and a [`crate::Batch`] or an engine run shares it.
+//! copy, and a [`crate::Batch`] or an engine run shares it. A sampled
+//! batch is extracted at once ([`Subgraph::extract`]); a view built
+//! from its maps ([`Subgraph::new`], a shard) holds a share of the full
+//! graph and extracts on the first read of its graph, so what reads
+//! only its maps extracts nothing.
 //!
 //! The subgraph always declares the **full graph's type counts** —
 //! relations or node types absent from it get empty segments — so
 //! per-relation and per-type parameter stacks keep their shapes across
 //! every view and one parameter store serves them all.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hector_graph::{extract_mapped, EdgeSplice, HeteroGraph, SampledBatch};
 use hector_ir::{Space, VarInfo};
@@ -30,20 +34,33 @@ use crate::GraphData;
 
 /// Part of a full graph re-packed as a self-contained graph with its
 /// derived indices, plus the remap tables tying local ids back to the
-/// full graph and the local rows the view answers for. The maps are
-/// shared (`Arc`), so an owner that keeps them too — a shard — holds one
-/// copy.
-#[derive(Clone, Debug)]
+/// full graph and the local rows the view answers for. The view is the
+/// one owner of its maps and of its extracted graph.
+#[derive(Clone)]
 pub struct Subgraph {
-    data: GraphData,
+    /// The full graph the maps index, while the view is yet to extract
+    /// from it (an `Arc` share); `None` for an extracted batch.
+    full: Option<GraphData>,
+    data: OnceLock<GraphData>,
     node_map: Arc<[u32]>,
     edge_map: Arc<[u32]>,
     rows: Vec<u32>,
 }
 
+impl std::fmt::Debug for Subgraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Subgraph")
+            .field("nodes", &self.node_map.len())
+            .field("edges", &self.edge_map.len())
+            .field("rows", &self.rows.len())
+            .field("extracted", &self.data.get().is_some())
+            .finish()
+    }
+}
+
 impl Subgraph {
-    /// Extracts a sampled batch from `full`; its seeds are the rows the
-    /// view answers for.
+    /// Extracts a sampled batch from `full` at once; its seeds are the
+    /// rows the view answers for.
     ///
     /// # Panics
     ///
@@ -57,29 +74,42 @@ impl Subgraph {
         debug_assert!(node_map.windows(2).all(|w| w[0] < w[1]), "duplicate node");
         let mut edge_map = batch.edges.clone();
         edge_map.sort_unstable();
-        Subgraph::new(full, node_map, edge_map, &batch.seeds)
+        let mut view = Subgraph::with_maps(None, node_map.into(), edge_map.into(), &batch.seeds);
+        view.data = OnceLock::from(extract_data(full, &view.node_map, &view.edge_map));
+        view
     }
 
     /// The view of `full` on the nodes `node_map` and the edges
     /// `edge_map` (both strictly ascending original ids; every edge's
     /// endpoints among the nodes), answering for the original nodes
-    /// `rows`, in that order.
+    /// `rows`, in that order. The view keeps a share of `full` and
+    /// extracts its graph on the first [`Subgraph::data`] or
+    /// [`Subgraph::graph`].
     ///
     /// # Panics
     ///
-    /// Panics if the maps reference ids outside `full`, if an edge
-    /// endpoint or a row is missing from `node_map`.
+    /// Panics if a row is missing from `node_map`; the first read of the
+    /// graph panics if the maps reference ids outside `full` or an edge
+    /// endpoint is missing from `node_map`.
     #[must_use]
     pub fn new(
-        full: &HeteroGraph,
+        full: &GraphData,
         node_map: impl Into<Arc<[u32]>>,
         edge_map: impl Into<Arc<[u32]>>,
         rows: &[u32],
     ) -> Subgraph {
-        let (node_map, edge_map) = (node_map.into(), edge_map.into());
-        let data = GraphData::new(extract_mapped(full, &node_map, &edge_map));
+        Subgraph::with_maps(Some(full.clone()), node_map.into(), edge_map.into(), rows)
+    }
+
+    fn with_maps(
+        full: Option<GraphData>,
+        node_map: Arc<[u32]>,
+        edge_map: Arc<[u32]>,
+        rows: &[u32],
+    ) -> Subgraph {
         let mut view = Subgraph {
-            data,
+            full,
+            data: OnceLock::new(),
             node_map,
             edge_map,
             rows: Vec::new(),
@@ -89,16 +119,19 @@ impl Subgraph {
     }
 
     /// The extracted graph with its derived indices: what a run of this
-    /// view executes on.
+    /// view executes on. Extracted from the full graph on the first call.
     #[must_use]
     pub fn data(&self) -> &GraphData {
-        &self.data
+        self.data.get_or_init(|| {
+            let full = self.full.as_ref().expect("unextracted view");
+            extract_data(full.graph(), &self.node_map, &self.edge_map)
+        })
     }
 
     /// The extracted graph (local ids).
     #[must_use]
     pub fn graph(&self) -> &HeteroGraph {
-        self.data.graph()
+        self.data().graph()
     }
 
     /// Original node id of each local node (`node_map[local] = original`;
@@ -134,14 +167,17 @@ impl Subgraph {
             .expect("node not extracted") as u32
     }
 
-    /// Re-points the edge map at the full graph's edge ids after `splice`
-    /// changed them, for a view whose edges the splice left in place.
-    /// The map is rewritten in place when no one else holds it.
-    pub fn follow_splice(&mut self, splice: &EdgeSplice) {
+    /// Re-points the view at `full`, which `splice` made from its old
+    /// full graph without touching the view's edges: the edge map follows
+    /// the shifted edge ids (rewritten in place), and a view yet to
+    /// extract will extract from `full`. An extracted view's graph is
+    /// unchanged by such a splice, so it drops its full-graph share.
+    pub fn follow_splice(&mut self, full: &GraphData, splice: &EdgeSplice) {
         for e in Arc::make_mut(&mut self.edge_map) {
             *e = splice.old_to_new()[*e as usize];
             debug_assert_ne!(*e, EdgeSplice::REMOVED);
         }
+        self.full = self.data.get().is_none().then(|| full.clone());
     }
 
     /// Gathers per-node rows from a full-graph array into local order:
@@ -178,7 +214,7 @@ impl Subgraph {
         let mut bindings = Bindings::new();
         for info in inputs {
             if let Some(derive) = graph_input(&info.name) {
-                bindings.set(&info.name, derive(&self.data));
+                bindings.set(&info.name, derive(self.data()));
                 continue;
             }
             let src = full
@@ -195,6 +231,12 @@ impl Subgraph {
         }
         bindings
     }
+}
+
+/// The one re-pack of a view: `full` on `node_map` and `edge_map`, moved
+/// into its graph data.
+fn extract_data(full: &HeteroGraph, node_map: &[u32], edge_map: &[u32]) -> GraphData {
+    GraphData::new(extract_mapped(full, node_map, edge_map))
 }
 
 /// `out[local * width ..]` gets `src[map[local] * width ..]`.
@@ -221,6 +263,82 @@ mod tests {
             type_skew: 1.2,
             seed: 21,
         })
+    }
+
+    /// A shard-like view of `full`: the destinations `dsts`, every edge
+    /// into them, and those edges' sources.
+    fn shard_view(full: &GraphData, dsts: &[u32]) -> Subgraph {
+        let g = full.graph();
+        let edges: Vec<u32> = (0..g.num_edges() as u32)
+            .filter(|&e| dsts.contains(&g.dst()[e as usize]))
+            .collect();
+        let mut nodes: Vec<u32> = dsts.to_vec();
+        nodes.extend(edges.iter().map(|&e| g.src()[e as usize]));
+        nodes.sort_unstable();
+        nodes.dedup();
+        Subgraph::new(full, nodes, edges, dsts)
+    }
+
+    fn extracted(view: &Subgraph) -> bool {
+        view.data.get().is_some()
+    }
+
+    /// A view built from its maps extracts on its first read of the
+    /// graph, and equals the eager extraction of the same maps.
+    #[test]
+    fn new_extracts_on_first_read_and_equals_the_eager_extraction() {
+        let full = GraphData::new(graph());
+        let view = shard_view(&full, &[3, 17, 40, 41]);
+        assert!(!extracted(&view));
+        assert_eq!(view.seed_local().len(), 4);
+        assert!(!extracted(&view));
+        let batch = SampledBatch {
+            index: 0,
+            seeds: vec![3, 17, 40, 41],
+            nodes: view.node_map().to_vec(),
+            edges: view.edge_map().to_vec(),
+        };
+        let eager = Subgraph::extract(full.graph(), &batch);
+        assert!(extracted(&eager));
+        assert_eq!(view.data(), eager.data());
+        assert!(extracted(&view));
+        assert_eq!(view.graph(), eager.graph());
+        assert_eq!(view.edge_map(), eager.edge_map());
+        assert_eq!(view.seed_local(), eager.seed_local());
+    }
+
+    /// A view that followed one or two splices before its first read
+    /// equals a fresh view of the post-splice graph, and so does one
+    /// extracted before the splices.
+    #[test]
+    fn a_view_that_followed_splices_equals_a_fresh_view() {
+        let dsts = [5u32, 6, 60];
+        let mut full = GraphData::new(graph());
+        let (mut lazy, mut built) = (shard_view(&full, &dsts), shard_view(&full, &dsts));
+        let _ = built.data();
+        for round in 0..2 {
+            // Remove one edge outside the view and add one; the view's
+            // edges stay in place.
+            let g = full.graph();
+            let outside: Vec<u32> = (0..g.num_edges() as u32)
+                .filter(|&e| !dsts.contains(&g.dst()[e as usize]))
+                .collect();
+            let gone = outside[7 + round];
+            let add = (g.src()[0], g.dst()[gone as usize], g.etype()[gone as usize]);
+            let (next, splice) = g.splice_edges(&[gone], &[add]);
+            full = full.spliced(next, &splice);
+            lazy.follow_splice(&full, &splice);
+            built.follow_splice(&full, &splice);
+            assert!(!extracted(&lazy), "round {round}");
+            let fresh = shard_view(&full, &dsts);
+            assert_eq!(lazy.edge_map(), fresh.edge_map(), "round {round}");
+            assert_eq!(built.edge_map(), fresh.edge_map(), "round {round}");
+            assert_eq!(lazy.node_map(), fresh.node_map(), "round {round}");
+        }
+        let fresh = shard_view(&full, &dsts);
+        assert_eq!(lazy.data(), fresh.data());
+        assert_eq!(built.graph(), fresh.graph());
+        assert_eq!(lazy.seed_local(), fresh.seed_local());
     }
 
     #[test]

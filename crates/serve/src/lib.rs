@@ -332,16 +332,6 @@ struct Queue {
     paused: bool,
 }
 
-struct ServerInner {
-    config: ServeConfig,
-    deployments: RwLock<HashMap<String, Arc<Deployment>>>,
-    queue: Mutex<Queue>,
-    queue_cv: Condvar,
-    idle_cv: Condvar,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    in_flight: AtomicUsize,
-}
-
 /// Handle to a running server. Cheap to clone; every clone talks to the
 /// same queue, dispatcher, and deployments.
 #[derive(Clone)]
@@ -354,15 +344,7 @@ impl ServeHandle {
     /// execution threads) with no deployments.
     #[must_use]
     pub fn start(config: ServeConfig) -> ServeHandle {
-        let inner = Arc::new(ServerInner {
-            config,
-            deployments: RwLock::new(HashMap::new()),
-            queue: Mutex::new(Queue::default()),
-            queue_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            dispatcher: Mutex::new(None),
-            in_flight: AtomicUsize::new(0),
-        });
+        let inner = Arc::new(ServerInner::new(config));
         let run = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("hector-serve-dispatch".into())
@@ -650,16 +632,13 @@ impl ServeHandle {
         self.inner.queue_cv.notify_all();
     }
 
-    /// Blocks until the queue is empty and no group is executing.
+    /// Blocks until the queue is empty and no group is executing. The
+    /// dispatcher notifies under the queue lock after every tick and on
+    /// exit, so the condition checked here cannot change unseen.
     pub fn drain(&self) {
         let mut q = self.inner.queue.lock().expect("queue lock");
         while !q.requests.is_empty() || self.inner.in_flight.load(Ordering::SeqCst) > 0 {
-            let (guard, _) = self
-                .inner
-                .idle_cv
-                .wait_timeout(q, Duration::from_millis(10))
-                .expect("queue lock");
-            q = guard;
+            q = self.inner.idle_cv.wait(q).expect("queue lock");
         }
     }
 
@@ -708,7 +687,9 @@ fn out_width(engine: &Engine) -> usize {
 /// The dispatcher: waits for work, drains the queue, expires stale
 /// requests, groups the rest by deployment (respecting `max_coalesce`),
 /// and executes the groups — concurrently over the worker pool when one
-/// is configured.
+/// is configured. It sleeps until notified: every change to what it
+/// waits for (requests, pause, shutdown) is made under the queue lock
+/// and followed by a notify.
 fn dispatch_loop(inner: &Arc<ServerInner>) {
     let pool = if inner.config.workers > 1 {
         Some(ThreadPool::new(inner.config.workers))
@@ -725,17 +706,17 @@ fn dispatch_loop(inner: &Arc<ServerInner>) {
                 if !q.paused && !q.requests.is_empty() {
                     break;
                 }
-                let (guard, _) = inner
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("queue lock");
-                q = guard;
+                q = inner.queue_cv.wait(q).expect("queue lock");
+                #[cfg(test)]
+                inner.wakes.fetch_add(1, Ordering::Relaxed);
             }
             if q.shutdown {
-                // Fail everything still queued, then exit.
+                // Fail everything still queued, then exit; a `drain`
+                // waiting on the queue sees it empty.
                 for r in q.requests.drain(..) {
                     r.ticket.fulfill(Err(ServeError::ShuttingDown));
                 }
+                inner.idle_cv.notify_all();
                 return;
             }
             let n = q.requests.len();
@@ -799,7 +780,12 @@ fn dispatch_loop(inner: &Arc<ServerInner>) {
         } else {
             serve(0, 0..work.len());
         }
-        inner.idle_cv.notify_all();
+        // Notify under the queue lock: `in_flight` fell outside it, and a
+        // `drain` between its check and its wait would miss a bare notify.
+        {
+            let _q = inner.queue.lock().expect("queue lock");
+            inner.idle_cv.notify_all();
+        }
 
         if let Some(t0) = tick_start {
             trace::record_span(
@@ -814,8 +800,38 @@ fn dispatch_loop(inner: &Arc<ServerInner>) {
     }
 }
 
-// `Deployment` and its test-only hook stay below every `pub` item:
-// tests/api_surface.rs stops reading a file at its first `#[cfg(test)]`.
+// `ServerInner`, `Deployment` and their test-only hooks stay below every
+// `pub` item: tests/api_surface.rs stops reading a file at its first
+// `#[cfg(test)]`.
+
+struct ServerInner {
+    config: ServeConfig,
+    deployments: RwLock<HashMap<String, Arc<Deployment>>>,
+    queue: Mutex<Queue>,
+    queue_cv: Condvar,
+    idle_cv: Condvar,
+    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    in_flight: AtomicUsize,
+    /// Times the dispatcher woke from its wait for work.
+    #[cfg(test)]
+    wakes: AtomicU64,
+}
+
+impl ServerInner {
+    fn new(config: ServeConfig) -> ServerInner {
+        ServerInner {
+            config,
+            deployments: RwLock::new(HashMap::new()),
+            queue: Mutex::new(Queue::default()),
+            queue_cv: Condvar::new(),
+            idle_cv: Condvar::new(),
+            dispatcher: Mutex::new(None),
+            in_flight: AtomicUsize::new(0),
+            #[cfg(test)]
+            wakes: AtomicU64::new(0),
+        }
+    }
+}
 
 /// A resident (model × graph) pair: the bound engine plus its serving
 /// metadata. The engine lives behind a mutex — a dispatch group or a
@@ -1756,5 +1772,88 @@ mod tests {
         };
         assert!(o.to_string().contains("25 ms"));
         assert!(std::error::Error::source(&o).is_none());
+    }
+
+    /// Runs `f` on its own thread and fails if it has not returned
+    /// within `limit`: a lost wakeup shows as a hang, not a pass.
+    fn returns_within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+            panic!("{what} did not return within {limit:?}");
+        }
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// An idle dispatcher sleeps until work arrives: no timed wake-ups.
+    #[test]
+    fn an_idle_dispatcher_does_not_poll() {
+        let srv = ServeHandle::start(ServeConfig::default());
+        let g = graph(8, 32);
+        srv.deploy("m", builder(), &g).unwrap();
+        srv.submit("m", 1).unwrap().wait().unwrap();
+        // The dispatcher is back in its wait by now; a pause wakes it.
+        std::thread::sleep(Duration::from_millis(20));
+        srv.pause();
+        srv.resume();
+        std::thread::sleep(Duration::from_millis(20));
+        let woke = srv.inner.wakes.load(Ordering::Relaxed);
+        assert!(woke >= 1, "a pause wakes the dispatcher");
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(srv.inner.wakes.load(Ordering::Relaxed), woke);
+        srv.shutdown();
+    }
+
+    /// `drain` racing the completion of the last group it waits for
+    /// returns every time, with the group's ticket answered.
+    #[test]
+    fn drain_racing_the_last_groups_completion_returns() {
+        let srv = ServeHandle::start(ServeConfig::default());
+        let g = graph(9, 32);
+        srv.deploy("m", builder(), &g).unwrap();
+        let run = srv.clone();
+        returns_within(Duration::from_secs(60), "drain", move || {
+            for i in 0..1000 {
+                run.pause();
+                let ticket = run.submit("m", i % 32).unwrap();
+                run.resume();
+                run.drain();
+                assert!(ticket.try_wait().is_some_and(|r| r.is_ok()), "round {i}");
+            }
+        });
+        srv.shutdown();
+    }
+
+    /// `drain` waiting on a paused queue returns when `shutdown` fails
+    /// what is queued.
+    #[test]
+    fn drain_racing_shutdown_returns() {
+        let g = graph(10, 32);
+        for i in 0..20 {
+            let srv = ServeHandle::start(ServeConfig::default());
+            srv.deploy("m", builder(), &g).unwrap();
+            srv.pause();
+            let ticket = srv.submit("m", 3).unwrap();
+            let (waiter, (stop, stopped)) = (srv.clone(), std::sync::mpsc::channel());
+            std::thread::spawn(move || {
+                if i % 2 == 1 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                srv.shutdown();
+                let _ = stop.send(());
+            });
+            returns_within(Duration::from_secs(30), "drain", move || waiter.drain());
+            stopped.recv_timeout(Duration::from_secs(30)).unwrap();
+            assert_eq!(
+                ticket.wait().unwrap_err(),
+                ServeError::ShuttingDown,
+                "round {i}"
+            );
+        }
     }
 }

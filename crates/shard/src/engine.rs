@@ -37,15 +37,13 @@
 //!   — the post-delta state equals a fresh engine built on the post-delta
 //!   graph, the oracle the serving tests compare against) and re-slices
 //!   every shard's inputs; reading a shard the delta left stale
-//!   re-extracts it ([`ShardedGraph::shard`]).
+//!   rebuilds it ([`ShardedGraph::shard`]).
 
 use hector_graph::HeteroGraph;
 use hector_runtime::{
     Bindings, Engine, EngineBuilder, HectorError, Optimizer, ProfileReport, RunReport, ShardSummary,
 };
 use hector_tensor::Tensor;
-
-use hector_device::shard_probe;
 
 use crate::{DeltaBatch, DeltaOutcome, Shard, ShardedGraph};
 
@@ -153,7 +151,7 @@ impl ShardedEngine {
     }
 
     /// Re-slices every shard's inputs from the engine's bindings
-    /// (re-extracting any shard a delta left stale).
+    /// (building any shard not yet read or left stale by a delta).
     fn slice_inputs(&mut self) {
         let program = &self.full.module().forward;
         let vars: Vec<_> = program
@@ -182,7 +180,6 @@ impl ShardedEngine {
     pub fn forward(&mut self) -> Result<RunReport, HectorError> {
         let mut report = RunReport::default();
         let w = self.output.cols();
-        let mut exchanged = 0u64;
         for (_, shard, bindings) in runs(&self.sharded, &self.inputs) {
             let tr = hector_trace::span_start();
             let data = shard.view().data();
@@ -197,10 +194,8 @@ impl ShardedEngine {
                 let (o, l) = (orig as usize * w, loc as usize * w);
                 merged[o..o + w].copy_from_slice(&local[l..l + w]);
             }
-            exchanged += shard.owned().len() as u64;
             shard_span("shard/exchange", tr, shard.owned().len() as u64);
         }
-        shard_probe::record_exchange(exchanged);
         Ok(report)
     }
 
@@ -267,8 +262,8 @@ impl ShardedEngine {
     /// Profiles a closure over this engine — the sharded counterpart of
     /// `Engine::profile`: tracing covers the closure, and the report
     /// additionally carries the shard span table (`shard/forward`,
-    /// `shard/exchange`, ...) and a [`ShardSummary`] snapshot of the
-    /// shard probe.
+    /// `shard/exchange`, ...) and a [`ShardSummary`] of this engine's
+    /// store (shard count, edge cut, halo rows).
     pub fn profile<T>(&mut self, f: impl FnOnce(&mut ShardedEngine) -> T) -> (T, ProfileReport) {
         let was_on = hector_trace::is_enabled();
         let _stale = hector_trace::take_events();
@@ -279,13 +274,10 @@ impl ShardedEngine {
         }
         let events = hector_trace::take_events();
         let mut report = hector_trace::report::build_report(&events, &[]);
-        let stats = shard_probe::snapshot();
         report.shard_stats = Some(ShardSummary {
             shards: self.sharded.num_shards(),
             edge_cut_fraction: self.sharded.edge_cut_fraction(),
             halo_rows: self.sharded.halo_rows() as u64,
-            plan_invalidations: stats.plan_invalidations,
-            delta_ops: stats.delta_ops,
         });
         (out, report)
     }

@@ -55,18 +55,29 @@
 //!   ([`HeteroGraph::splice_edges`]), and the CSC and compaction map
 //!   are carried across ([`GraphData::spliced`]) instead of rebuilt;
 //! * the edge cut is adjusted from the batch's own edges;
-//! * the shards whose interior contains a touched destination go
-//!   stale and are re-extracted on their next read
-//!   ([`ShardedGraph::shard`]), so a delta nobody reads the shards of
-//!   (a serve delta) extracts none; other shards shift their edge remap
-//!   tables ([`Subgraph::follow_splice`]).
+//! * the built shards whose interior contains a touched destination go
+//!   stale and are rebuilt on their next read ([`ShardedGraph::shard`]);
+//!   other built shards shift their edge remap tables
+//!   ([`Subgraph::follow_splice`]).
 //!
 //! What is left is O(E) array copying and remapping, with no sort, hash
 //! probe or rebuild of any index. Node batches rebuild the graph and
 //! force a full re-partition. A batch the check rejects changes
 //! nothing. Every apply bumps [`ShardedGraph::version`], which
-//! `hector-serve` hot-swap consumes. Activity is observable via
-//! `hector_device::shard_probe::snapshot()` ([`hector_device::ShardStats`]).
+//! `hector-serve` hot-swap consumes, and counts into the process-global
+//! delta probe (`hector_device::shard_probe::snapshot()`:
+//! [`hector_device::ShardStats`]).
+//!
+//! # Shards are built on read
+//!
+//! Partitioning assigns owners and counts the edge cut; it builds no
+//! shard. A shard's maps (`owned`, `interior`, node and edge maps) are
+//! built on its first read ([`ShardedGraph::shard`], which
+//! [`ShardedGraph::halo_rows`] reads too), and its graph only on the
+//! first read of its view's graph ([`Shard::graph`], [`Subgraph::data`]).
+//! So a store no engine runs on — a serve store taking deltas — builds
+//! nothing after partitioning, and a delta costs nothing per unbuilt
+//! shard.
 
 #![warn(missing_docs)]
 
@@ -74,10 +85,10 @@ pub mod delta;
 pub mod engine;
 pub mod partition;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use hector_device::shard_probe;
-use hector_graph::{EdgeSplice, HeteroGraph};
+use hector_graph::HeteroGraph;
 use hector_runtime::{GraphData, HectorError, Subgraph};
 
 pub use delta::{DeltaBatch, DeltaOutcome};
@@ -115,52 +126,41 @@ impl ShardConfig {
 
 /// One shard: the [`Subgraph`] view of its interior + halo nodes,
 /// answering for the nodes it owns, plus the ownership bookkeeping the
-/// execution layer needs. The node and edge maps, `owned` and
-/// `interior` are built with the shard; the view's graph and its
-/// indices only on the first read of the view ([`Shard::view`],
-/// [`Shard::graph`], [`Shard::owned_local`]), so a store no engine runs
-/// on — and halo or edge-cut statistics — never extracts one. The view
-/// shares the shard's maps: a shard holds one copy of each.
+/// execution layer needs. The view is the one holder of the shard's
+/// node and edge maps and of its graph, which it extracts on the first
+/// read of the graph ([`Shard::graph`], [`Subgraph::data`]); the maps,
+/// the owned rows and the halo read no graph.
 #[derive(Clone, Debug)]
 pub struct Shard {
-    /// The full graph the maps index (an `Arc` share of the store's).
-    full: GraphData,
-    node_map: Arc<[u32]>,
-    /// Left empty once a built view followed a splice: the view's map is
-    /// then the one copy ([`Shard::edge_map`] reads it).
-    edge_map: Arc<[u32]>,
-    view: OnceLock<Subgraph>,
+    view: Subgraph,
     owned: Vec<u32>,
     interior: Vec<u32>,
 }
 
 impl Shard {
-    /// The shard's view: what a sharded forward runs on. Extracted from
-    /// the full graph on the first call.
+    /// The shard's view: what a sharded forward runs on.
     #[must_use]
     pub fn view(&self) -> &Subgraph {
-        self.view.get_or_init(|| {
-            let (nodes, edges) = (Arc::clone(&self.node_map), Arc::clone(&self.edge_map));
-            Subgraph::new(self.full.graph(), nodes, edges, &self.owned)
-        })
+        &self.view
     }
 
-    /// The shard's self-contained graph (local ids; full type counts).
+    /// The shard's self-contained graph (local ids; full type counts),
+    /// extracted on the first read.
     #[must_use]
     pub fn graph(&self) -> &HeteroGraph {
-        self.view().graph()
+        self.view.graph()
     }
 
     /// Original node id of each local node (strictly ascending).
     #[must_use]
     pub fn node_map(&self) -> &[u32] {
-        &self.node_map
+        self.view.node_map()
     }
 
     /// Original edge index of each local edge (strictly ascending).
     #[must_use]
     pub fn edge_map(&self) -> &[u32] {
-        self.view.get().map_or(&self.edge_map, Subgraph::edge_map)
+        self.view.edge_map()
     }
 
     /// Original ids of the nodes this shard owns (ascending). The shard
@@ -174,7 +174,7 @@ impl Shard {
     /// [`Shard::owned`].
     #[must_use]
     pub fn owned_local(&self) -> &[u32] {
-        self.view().seed_local()
+        self.view.seed_local()
     }
 
     /// Original ids of the interior nodes (owned closure; ascending).
@@ -194,35 +194,15 @@ impl Shard {
     /// Halo rows: replicated nodes this shard reads but does not own.
     #[must_use]
     pub fn halo_rows(&self) -> usize {
-        self.node_map.len() - self.owned.len()
-    }
-
-    /// Re-points the shard at `full`, which `splice` made from its old
-    /// full graph without touching this shard's edges: the edge map (and
-    /// a built view's) follows the shifted edge ids.
-    fn follow_splice(&mut self, full: &GraphData, splice: &EdgeSplice) {
-        self.full = full.clone();
-        match self.view.get_mut() {
-            // Drop the shard's share first, so the view rewrites the one
-            // copy in place.
-            Some(view) => {
-                self.edge_map = Arc::default();
-                view.follow_splice(splice);
-            }
-            None => {
-                for e in Arc::make_mut(&mut self.edge_map) {
-                    *e = splice.old_to_new()[*e as usize];
-                }
-            }
-        }
+        self.view.node_map().len() - self.owned.len()
     }
 }
 
-/// Builds one shard: interior = owned expanded `hops - 1` steps backward
-/// along edges; included edges = everything terminating interior; node
-/// set = interior plus the sources of included edges.
+/// Builds one shard's maps: interior = owned expanded `hops - 1` steps
+/// backward along edges; included edges = everything terminating
+/// interior; node set = interior plus the sources of included edges. The
+/// view extracts its graph from `data` on its first read.
 fn build_shard(data: &GraphData, owner: &[u32], s: u32, hops: usize) -> Shard {
-    assert!(hops >= 1, "halo depth must cover at least one layer");
     let full = data.graph();
     let n = full.num_nodes();
     let owned: Vec<u32> = (0..n as u32).filter(|&v| owner[v as usize] == s).collect();
@@ -253,11 +233,9 @@ fn build_shard(data: &GraphData, owner: &[u32], s: u32, hops: usize) -> Shard {
             node_set[full.src()[e] as usize] = true;
         }
     }
+    let node_map: Vec<u32> = (0..n as u32).filter(|&v| node_set[v as usize]).collect();
     Shard {
-        full: data.clone(),
-        node_map: (0..n as u32).filter(|&v| node_set[v as usize]).collect(),
-        edge_map: edges.into(),
-        view: OnceLock::new(),
+        view: Subgraph::new(data, node_map, edges, &owned),
         owned,
         interior,
     }
@@ -272,8 +250,8 @@ pub struct ShardedGraph {
     partitioner: Box<dyn Partitioner>,
     partitioner_name: &'static str,
     owner: Vec<u32>,
-    /// Empty while stale: an edge delta that touches a shard's interior
-    /// leaves it to [`ShardedGraph::shard`] to re-extract.
+    /// Empty until read, and again once an edge delta touches the
+    /// shard's interior: [`ShardedGraph::shard`] builds it.
     shards: Vec<OnceLock<Shard>>,
     edges_cut: u64,
     version: u64,
@@ -294,9 +272,9 @@ impl std::fmt::Debug for ShardedGraph {
 }
 
 impl ShardedGraph {
-    /// Partitions `full` with the given partitioner. Records the
-    /// partitioning's quality numbers into the process-global shard
-    /// probe (`hector_device::shard_probe`).
+    /// Partitions `full` with the given partitioner: assigns every node
+    /// an owner and counts the edge cut. No shard is built until it is
+    /// read ([`ShardedGraph::shard`]).
     ///
     /// # Panics
     ///
@@ -327,6 +305,7 @@ impl ShardedGraph {
         cfg: ShardConfig,
     ) -> ShardedGraph {
         assert!(cfg.num_shards > 0, "need at least one shard");
+        assert!(cfg.hops >= 1, "halo depth must cover at least one layer");
         let partitioner_name = partitioner.name();
         let mut sharded = ShardedGraph {
             full,
@@ -342,8 +321,8 @@ impl ShardedGraph {
         sharded
     }
 
-    /// Re-runs the partitioner over the current full graph and rebuilds
-    /// every shard.
+    /// Re-runs the partitioner over the current full graph and leaves
+    /// every shard to be built on its next read.
     fn repartition(&mut self) {
         let tr = hector_trace::span_start();
         let full = self.full.graph();
@@ -353,19 +332,11 @@ impl ShardedGraph {
             owner.iter().all(|&o| (o as usize) < self.cfg.num_shards),
             "owner out of shard range"
         );
-        self.shards = (0..self.cfg.num_shards)
-            .map(|s| OnceLock::from(build_shard(&self.full, &owner, s as u32, self.cfg.hops)))
-            .collect();
+        self.shards = (0..self.cfg.num_shards).map(|_| OnceLock::new()).collect();
         self.edges_cut = (0..full.num_edges())
             .filter(|&e| owner[full.src()[e] as usize] != owner[full.dst()[e] as usize])
             .count() as u64;
         self.owner = owner;
-        shard_probe::record_partition(
-            self.cfg.num_shards,
-            self.full().num_edges() as u64,
-            self.edges_cut,
-            self.halo_rows() as u64,
-        );
         if let Some(t0) = tr {
             hector_trace::record_span(
                 "shard/partition",
@@ -409,8 +380,9 @@ impl ShardedGraph {
         self.partitioner_name
     }
 
-    /// One shard, re-extracted from the current full graph first if an
-    /// edge delta left it stale.
+    /// One shard, built from the current full graph on its first read
+    /// after partitioning or after an edge delta left it stale. Its graph
+    /// is extracted only when its view's graph is read.
     #[must_use]
     pub fn shard(&self, s: usize) -> &Shard {
         self.shards[s].get_or_init(|| build_shard(&self.full, &self.owner, s as u32, self.cfg.hops))
@@ -438,8 +410,8 @@ impl ShardedGraph {
         }
     }
 
-    /// Total replicated halo rows across all shards (re-extracting any
-    /// stale one).
+    /// Total replicated halo rows across all shards (building any shard
+    /// not yet read: its maps, not its graph).
     #[must_use]
     pub fn halo_rows(&self) -> usize {
         (0..self.cfg.num_shards)
@@ -470,8 +442,8 @@ impl ShardedGraph {
     /// Applies one delta batch. The batch is checked once; an edge-only
     /// batch then splices the edge arrays, carries the full graph's
     /// indices across, and marks stale exactly the shards whose
-    /// interior contains a touched destination (re-extracted on their
-    /// next read). Every other shard keeps its compacted graph and has
+    /// interior contains a touched destination (rebuilt on their next
+    /// read). Every other built shard keeps its compacted graph and has
     /// its edge remap table shifted in place. Batches with node
     /// operations rebuild the graph and re-partition everything (node
     /// ids shift; see [`DeltaBatch::add_node`]). Bumps
@@ -501,7 +473,7 @@ impl ShardedGraph {
                 } else if let Some(shard) = shard.get_mut() {
                     // Unaffected shards keep their graph verbatim; only
                     // the original edge indices shifted under them.
-                    shard.follow_splice(&self.full, &splice);
+                    shard.view.follow_splice(&self.full, &splice);
                 }
             }
             let cut =
@@ -637,11 +609,26 @@ mod tests {
         }
     }
 
-    /// A store no engine runs on extracts no shard: partitioning, an
-    /// edge-only delta (a removal and an addition) and the halo and
-    /// edge-cut statistics read only the eager maps. The first read of a
-    /// view extracts that shard alone, and a later delta carries the
-    /// built view across.
+    /// Which shard slots are built.
+    fn built(sg: &ShardedGraph) -> Vec<bool> {
+        sg.shards.iter().map(|c| c.get().is_some()).collect()
+    }
+
+    /// Which shards' views extracted their graph (the view's `Debug`
+    /// reports it; its graph slot is private to the runtime).
+    fn extracted(sg: &ShardedGraph) -> Vec<bool> {
+        let extracted = |sh: &Shard| format!("{:?}", sh.view()).contains("extracted: true");
+        sg.shards
+            .iter()
+            .map(|c| c.get().is_some_and(extracted))
+            .collect()
+    }
+
+    /// A store no engine runs on builds no shard: partitioning and an
+    /// edge-only delta (a removal and an addition) build none, and the
+    /// halo and edge-cut statistics build the maps but extract no graph.
+    /// The first read of a view's data extracts that shard alone, and a
+    /// later delta carries the built view across.
     #[test]
     fn partition_and_edge_deltas_build_no_shard_graph_data() {
         let g = graph();
@@ -650,12 +637,7 @@ mod tests {
             Box::new(HashPartitioner::new(5)),
             ShardConfig::new(4),
         );
-        let built = |sg: &ShardedGraph| -> Vec<bool> {
-            sg.shards
-                .iter()
-                .map(|c| c.get().is_some_and(|sh| sh.view.get().is_some()))
-                .collect()
-        };
+        assert_eq!(built(&sg), [false; 4]);
         let (s0, d0, t0) = (g.src()[0], g.dst()[0], g.etype()[0]);
         let (s1, d1, t1) = (g.src()[9], g.dst()[9], g.etype()[9]);
         sg.try_apply(
@@ -664,11 +646,13 @@ mod tests {
                 .add_edge(s1, d1, t1),
         )
         .unwrap();
-        assert!(sg.halo_rows() > 0 && sg.edge_cut_fraction() > 0.0);
         assert_eq!(built(&sg), [false; 4]);
+        assert!(sg.halo_rows() > 0 && sg.edge_cut_fraction() > 0.0);
+        assert_eq!(built(&sg), [true; 4]);
+        assert_eq!(extracted(&sg), [false; 4]);
         let edges = sg.shard(2).view().data().graph().num_edges();
         assert_eq!(edges, sg.shard(2).edge_map().len());
-        assert_eq!(built(&sg), [false, false, true, false]);
+        assert_eq!(extracted(&sg), [false, false, true, false]);
         sg.try_apply(&DeltaBatch::new().add_edge(s0, d0, t0))
             .unwrap();
         let fresh = ShardedGraph::partition(
@@ -682,6 +666,38 @@ mod tests {
             assert_eq!(got.edge_map(), want.edge_map(), "shard {s}");
             assert_eq!(got.view().edge_map(), want.edge_map(), "shard {s}");
         }
+    }
+
+    /// A node-operation repartition leaves every shard unbuilt too, and
+    /// the first read builds the post-delta shard.
+    #[test]
+    fn node_op_repartition_builds_no_shard() {
+        let g = graph();
+        let mut sg =
+            ShardedGraph::partition(g.clone(), Box::new(RangePartitioner), ShardConfig::new(3));
+        assert_eq!(
+            sg.shard(1).graph().num_nodes(),
+            sg.shard(1).node_map().len()
+        );
+        sg.apply(&DeltaBatch::new().add_node(1).remove_node(4));
+        assert_eq!(built(&sg), [false; 3]);
+        let fresh = ShardedGraph::partition(
+            sg.full().clone(),
+            Box::new(RangePartitioner),
+            ShardConfig::new(3),
+        );
+        assert_eq!(sg.shard(1).graph(), fresh.shard(1).graph());
+        assert_eq!(built(&sg), [false, true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "halo depth")]
+    fn zero_hops_panics_in_partition() {
+        let _ = ShardedGraph::partition(
+            graph(),
+            Box::new(RangePartitioner),
+            ShardConfig::new(2).hops(0),
+        );
     }
 
     #[test]

@@ -71,11 +71,10 @@ pub struct RelationAgg {
     pub gemm_us: f64,
 }
 
-/// Sharded-execution summary mirrored into a [`ProfileReport`] by
+/// Sharded-execution summary of one store, set in a [`ProfileReport`] by
 /// `ShardedEngine::profile` (`hector-shard`). The trace crate defines the
-/// shape so reports can carry it without a dependency on the shard or
-/// device crates; the numbers themselves come from the device's
-/// process-global shard probe.
+/// shape so reports can carry it without a dependency on the shard
+/// crate.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardSummary {
     /// Shards in the current partitioning.
@@ -85,11 +84,6 @@ pub struct ShardSummary {
     pub edge_cut_fraction: f64,
     /// Halo rows (replicated non-owned nodes) across all shards.
     pub halo_rows: u64,
-    /// Shards delta applications made stale (each is re-extracted on
-    /// its next read).
-    pub plan_invalidations: u64,
-    /// Individual delta operations applied.
-    pub delta_ops: u64,
 }
 
 /// Structured profile built from one drained trace.
@@ -289,12 +283,10 @@ impl fmt::Display for ProfileReport {
         if let Some(s) = &self.shard_stats {
             writeln!(
                 f,
-                "shards: {} ({:.1}% edge cut, {} halo rows, {} stale shards, {} delta ops)",
+                "shards: {} ({:.1}% edge cut, {} halo rows)",
                 s.shards,
                 s.edge_cut_fraction * 100.0,
-                s.halo_rows,
-                s.plan_invalidations,
-                s.delta_ops
+                s.halo_rows
             )?;
         }
         if !self.relations.is_empty() {
@@ -388,14 +380,11 @@ mod tests {
             shards: 4,
             edge_cut_fraction: 0.25,
             halo_rows: 80,
-            plan_invalidations: 1,
-            delta_ops: 3,
         });
         let shown = format!("{r}");
         assert!(shown.contains("sharding:"));
         assert!(shown.contains("shard/exchange"));
-        assert!(shown.contains("shards: 4 (25.0% edge cut, 80 halo rows"));
-        assert!(shown.contains("1 stale shards, 3 delta ops)"));
+        assert!(shown.contains("shards: 4 (25.0% edge cut, 80 halo rows)"));
     }
 
     #[test]

@@ -91,7 +91,8 @@ fn main() {
     );
 
     // Profile a post-delta forward: the report carries per-shard spans
-    // plus a ShardSummary snapshot of the process-wide shard probe.
+    // plus a ShardSummary of the engine's own store (shards, edge cut,
+    // halo rows).
     let (_, report) = engine.profile(|e| e.forward().expect("fits"));
     println!("\n{report}");
     println!(
