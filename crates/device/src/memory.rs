@@ -113,12 +113,6 @@ impl MemoryPool {
         self.capacity
     }
 
-    /// Number of live (unfreed) allocations.
-    #[must_use]
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Frees everything and resets the peak.
     pub fn reset(&mut self) {
         self.in_use = 0;
@@ -172,9 +166,11 @@ mod tests {
         let _a = p.alloc(10, "a").unwrap();
         let b = p.alloc(10, "b").unwrap();
         p.free(b);
-        assert_eq!(p.live_count(), 1);
+        assert_eq!(p.live.iter().flatten().count(), 1);
+        assert_eq!(p.in_use(), 10);
         p.reset();
-        assert_eq!(p.live_count(), 0);
+        assert_eq!(p.live.iter().flatten().count(), 0);
+        assert_eq!(p.in_use(), 0);
         assert_eq!(p.peak(), 0);
     }
 

@@ -49,22 +49,6 @@ impl GraphStats {
             n.to_string()
         }
     }
-
-    /// One table row in the style of Table 3:
-    /// `name  #nodes (#types)  #edges (#types)`.
-    #[must_use]
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<10} {:>8} ({:>3}) {:>8} ({:>3})  deg={:>6.1}  compact={:.2}",
-            self.name,
-            Self::humanize(self.num_nodes),
-            self.num_node_types,
-            Self::humanize(self.num_edges),
-            self.num_edge_types,
-            self.avg_degree,
-            self.compaction_ratio,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -94,6 +78,5 @@ mod tests {
         assert_eq!(s.num_node_types, 2);
         assert_eq!(s.num_edge_types, 2);
         assert!((s.avg_degree - 0.75).abs() < 1e-12);
-        assert!(s.table_row().contains("toy"));
     }
 }

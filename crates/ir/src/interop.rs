@@ -331,16 +331,6 @@ impl OpKind {
         };
         std::iter::once(first).chain(second)
     }
-
-    /// Whether this op is eligible for the GEMM template (preference
-    /// level 1 during lowering, §3.2.5).
-    #[must_use]
-    pub fn is_gemm_eligible(&self) -> bool {
-        matches!(
-            self,
-            OpKind::TypedLinear { .. } | OpKind::TypedLinearGradW { .. }
-        )
-    }
 }
 
 /// One operator instance.
@@ -432,16 +422,6 @@ impl Program {
     #[must_use]
     pub fn def_of(&self, v: VarId) -> Option<&Op> {
         self.ops.iter().find(|op| op.kind.out_var() == Some(v))
-    }
-
-    /// Ids of ops that read `v`.
-    #[must_use]
-    pub fn users_of(&self, v: VarId) -> Vec<OpId> {
-        self.ops
-            .iter()
-            .filter(|op| op.kind.operands().any(|o| o.var() == Some(v)))
-            .map(|op| op.id)
-            .collect()
     }
 
     /// How many edge hops back the outputs read: a node operand read at
@@ -734,7 +714,6 @@ mod tests {
         let p = rgcn_fragment();
         let msg = VarId(1);
         assert_eq!(p.def_of(msg).unwrap().id, OpId(0));
-        assert_eq!(p.users_of(msg), vec![OpId(1)]);
     }
 
     #[test]
@@ -805,13 +784,6 @@ mod tests {
         });
         p.outputs.push(o);
         p.validate();
-    }
-
-    #[test]
-    fn gemm_eligibility() {
-        let p = rgcn_fragment();
-        assert!(p.ops[0].kind.is_gemm_eligible());
-        assert!(!p.ops[1].kind.is_gemm_eligible());
     }
 
     #[test]

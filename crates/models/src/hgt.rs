@@ -11,7 +11,7 @@
 //!   projection).
 
 use hector_ir::builder::ModelSource;
-use hector_ir::{AggNorm, ModelBuilder, WeightId};
+use hector_ir::{AggNorm, ModelBuilder, VarId, WeightId};
 
 /// Weight ids in declaration order.
 pub mod weights {
@@ -31,26 +31,31 @@ pub mod weights {
 /// Builds one single-headed HGT layer.
 #[must_use]
 pub fn source(in_dim: usize, out_dim: usize) -> ModelSource {
-    let d = out_dim;
-    let scale = 1.0 / (d as f32).sqrt();
     let mut m = ModelBuilder::new("hgt", out_dim);
     let h = m.node_input("h", in_dim);
-    let wk = m.weight_per_ntype("Wk", in_dim, d);
-    let wq = m.weight_per_ntype("Wq", in_dim, d);
-    let wm = m.weight_per_etype("Wm", in_dim, d);
-    let wa = m.weight_per_etype("Wa", d, d);
-    let wo = m.weight_per_ntype("Wo", d, out_dim);
-    let k = m.typed_linear("k", m.this(h), wk);
-    let q = m.typed_linear("q", m.this(h), wq);
-    let kw = m.typed_linear("kw", m.src(k), wa);
-    let att_raw = m.dot("att_raw", m.edge(kw), m.dst(q));
-    let att_sc = m.mul("att_sc", m.edge(att_raw), m.konst(scale));
-    let att = m.edge_softmax("att", att_sc);
-    let msg = m.typed_linear("msg", m.src(h), wm);
-    let agg = m.aggregate("agg", m.edge(msg), Some(m.edge(att)), AggNorm::None);
-    let out = m.typed_linear("h_out", m.this(agg), wo);
+    let out = layer(&mut m, h, in_dim, out_dim, "");
     m.output(out);
     m.finish()
+}
+
+/// One HGT layer on `h`: its weights, then its ops, named `<op>{tag}`.
+pub(crate) fn layer(m: &mut ModelBuilder, h: VarId, d_in: usize, d: usize, tag: &str) -> VarId {
+    let name = |op: &str| format!("{op}{tag}");
+    let scale = 1.0 / (d as f32).sqrt();
+    let wk = m.weight_per_ntype(&name("Wk"), d_in, d);
+    let wq = m.weight_per_ntype(&name("Wq"), d_in, d);
+    let wm = m.weight_per_etype(&name("Wm"), d_in, d);
+    let wa = m.weight_per_etype(&name("Wa"), d, d);
+    let wo = m.weight_per_ntype(&name("Wo"), d, d);
+    let k = m.typed_linear(&name("k"), m.this(h), wk);
+    let q = m.typed_linear(&name("q"), m.this(h), wq);
+    let kw = m.typed_linear(&name("kw"), m.src(k), wa);
+    let att_raw = m.dot(&name("att_raw"), m.edge(kw), m.dst(q));
+    let att_sc = m.mul(&name("att_sc"), m.edge(att_raw), m.konst(scale));
+    let att = m.edge_softmax(&name("att"), att_sc);
+    let msg = m.typed_linear(&name("msg"), m.src(h), wm);
+    let agg = m.aggregate(&name("agg"), m.edge(msg), Some(m.edge(att)), AggNorm::None);
+    m.typed_linear(&name("h_out"), m.this(agg), wo)
 }
 
 #[cfg(test)]

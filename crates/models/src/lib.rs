@@ -1,8 +1,8 @@
 //! RGNN model definitions for the Hector framework.
 //!
-//! The three models of the paper's evaluation, expressed in the Hector
-//! builder DSL (the "51 lines of code" input side of the programming-
-//! effort claim):
+//! The three models of the paper's evaluation, each written once in the
+//! Hector builder DSL (the "51 lines of code" input side of the
+//! programming-effort claim):
 //!
 //! * [`rgcn`] — relational graph convolutional network
 //!   (Schlichtkrull et al.), Eq. 1 of the paper;
@@ -12,9 +12,10 @@
 //!   key/query/message formulation with per-node-type and per-edge-type
 //!   projections.
 //!
-//! Each module also provides a *reference implementation*: plain dense
-//! tensor math computing the same layer, used as the correctness oracle
-//! for the compiled kernels in the integration test suite.
+//! Each module holds one layer body: its `source` calls it once, and a
+//! [`stacked`] network is that layer looped. The dense reference
+//! implementations the integration suites check the compiled kernels
+//! against live in [`mod@reference`].
 
 #![warn(missing_docs)]
 
@@ -66,15 +67,6 @@ pub fn source(kind: ModelKind, in_dim: usize, out_dim: usize) -> ModelSource {
     }
 }
 
-/// Total DSL lines across the three models (the paper reports 51).
-#[must_use]
-pub fn total_source_lines(in_dim: usize, out_dim: usize) -> usize {
-    ModelKind::all()
-        .iter()
-        .map(|&k| source(k, in_dim, out_dim).lines)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +82,10 @@ mod tests {
 
     #[test]
     fn total_lines_matches_papers_order_of_magnitude() {
-        let lines = total_source_lines(64, 64);
+        let lines: usize = ModelKind::all()
+            .iter()
+            .map(|&k| source(k, 64, 64).lines)
+            .sum();
         assert!(
             (30..=60).contains(&lines),
             "expected ~51 lines for the three models, got {lines}"

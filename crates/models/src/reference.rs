@@ -23,6 +23,12 @@ fn row_matmul(x: &[f32], w: &Tensor, ty: usize) -> Vec<f32> {
     y
 }
 
+/// Source, destination and type of edge `e`.
+fn endpoints(g: &HeteroGraph, e: usize) -> (usize, usize, usize) {
+    let at = |col: &[u32]| col[e] as usize;
+    (at(g.src()), at(g.dst()), at(g.etype()))
+}
+
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
@@ -69,11 +75,7 @@ pub fn rgcn_forward(
         out.row_mut(v).copy_from_slice(&selfl);
     }
     for e in 0..g.num_edges() {
-        let (s, d, ty) = (
-            g.src()[e] as usize,
-            g.dst()[e] as usize,
-            g.etype()[e] as usize,
-        );
+        let (s, d, ty) = endpoints(g, e);
         let msg = row_matmul(h.row(s), w, ty);
         let c = cnorm.at2(e, 0);
         let drow = out.row_mut(d);
@@ -96,11 +98,7 @@ pub fn rgat_forward(g: &HeteroGraph, h: &Tensor, w: &Tensor, w_s: &Tensor, w_t: 
     let mut hs_rows = Vec::with_capacity(e_count);
     let mut logits = vec![0.0f32; e_count];
     for (e, logit) in logits.iter_mut().enumerate().take(e_count) {
-        let (s, d, ty) = (
-            g.src()[e] as usize,
-            g.dst()[e] as usize,
-            g.etype()[e] as usize,
-        );
+        let (s, d, ty) = endpoints(g, e);
         let hs = row_matmul(h.row(s), w, ty);
         let ht = row_matmul(h.row(d), w, ty);
         let atts = dot(&hs, w_s.slab(ty));
@@ -158,11 +156,7 @@ pub fn hgt_forward(
     let mut logits = vec![0.0f32; e_count];
     let mut msgs = Vec::with_capacity(e_count);
     for (e, logit) in logits.iter_mut().enumerate().take(e_count) {
-        let (s, dd, ty) = (
-            g.src()[e] as usize,
-            g.dst()[e] as usize,
-            g.etype()[e] as usize,
-        );
+        let (s, dd, ty) = endpoints(g, e);
         let kw = row_matmul(&k_rows[s], wa, ty);
         *logit = dot(&kw, &q_rows[dd]) * scale;
         msgs.push(row_matmul(h.row(s), wm, ty));

@@ -6,7 +6,7 @@
 //! of `hs` as the message.
 
 use hector_ir::builder::ModelSource;
-use hector_ir::{AggNorm, ModelBuilder, WeightId};
+use hector_ir::{AggNorm, ModelBuilder, VarId, WeightId};
 
 /// Weight ids in declaration order.
 pub mod weights {
@@ -24,19 +24,25 @@ pub mod weights {
 pub fn source(in_dim: usize, out_dim: usize) -> ModelSource {
     let mut m = ModelBuilder::new("rgat", out_dim);
     let h = m.node_input("h", in_dim);
-    let w = m.weight_per_etype("W", in_dim, out_dim);
-    let w_s = m.weight_vec_per_etype("w_s", out_dim);
-    let w_t = m.weight_vec_per_etype("w_t", out_dim);
-    let hs = m.typed_linear("hs", m.src(h), w);
-    let atts = m.dot("atts", m.edge(hs), m.wvec(w_s));
-    let ht = m.typed_linear("ht", m.dst(h), w);
-    let attt = m.dot("attt", m.edge(ht), m.wvec(w_t));
-    let raw = m.add("att_raw", m.edge(atts), m.edge(attt));
-    let act = m.leaky_relu("att_act", m.edge(raw));
-    let att = m.edge_softmax("att", act);
-    let out = m.aggregate("h_out", m.edge(hs), Some(m.edge(att)), AggNorm::None);
+    let out = layer(&mut m, h, in_dim, out_dim, "");
     m.output(out);
     m.finish()
+}
+
+/// One RGAT layer on `h`: its weights, then its ops, named `<op>{tag}`.
+pub(crate) fn layer(m: &mut ModelBuilder, h: VarId, d_in: usize, d_out: usize, tag: &str) -> VarId {
+    let name = |op: &str| format!("{op}{tag}");
+    let w = m.weight_per_etype(&name("W"), d_in, d_out);
+    let w_s = m.weight_vec_per_etype(&name("w_s"), d_out);
+    let w_t = m.weight_vec_per_etype(&name("w_t"), d_out);
+    let hs = m.typed_linear(&name("hs"), m.src(h), w);
+    let atts = m.dot(&name("atts"), m.edge(hs), m.wvec(w_s));
+    let ht = m.typed_linear(&name("ht"), m.dst(h), w);
+    let attt = m.dot(&name("attt"), m.edge(ht), m.wvec(w_t));
+    let raw = m.add(&name("att_raw"), m.edge(atts), m.edge(attt));
+    let act = m.leaky_relu(&name("att_act"), m.edge(raw));
+    let att = m.edge_softmax(&name("att"), act);
+    m.aggregate(&name("h_out"), m.edge(hs), Some(m.edge(att)), AggNorm::None)
 }
 
 #[cfg(test)]

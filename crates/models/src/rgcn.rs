@@ -8,7 +8,7 @@
 //! aggregation operator uniform and differentiable.
 
 use hector_ir::builder::ModelSource;
-use hector_ir::{AggNorm, ModelBuilder, WeightId};
+use hector_ir::{AggNorm, ModelBuilder, VarId, WeightId};
 
 /// Weight ids in declaration order.
 pub mod weights {
@@ -25,15 +25,29 @@ pub fn source(in_dim: usize, out_dim: usize) -> ModelSource {
     let mut m = ModelBuilder::new("rgcn", out_dim);
     let h = m.node_input("h", in_dim);
     let cnorm = m.edge_input("cnorm", 1);
-    let w = m.weight_per_etype("W", in_dim, out_dim);
-    let w0 = m.weight_shared("W0", in_dim, out_dim);
-    let msg = m.typed_linear("msg", m.src(h), w);
-    let agg = m.aggregate("agg", m.edge(msg), Some(m.edge(cnorm)), AggNorm::None);
-    let selfl = m.typed_linear("selfl", m.this(h), w0);
-    let sum = m.add("sum", m.this(agg), m.this(selfl));
+    let sum = layer(&mut m, h, cnorm, in_dim, out_dim, "");
     let out = m.relu("h_out", m.this(sum));
     m.output(out);
     m.finish()
+}
+
+/// One RGCN layer on `h`, before its ReLU: its weights, then its ops, named `<op>{tag}`.
+pub(crate) fn layer(
+    m: &mut ModelBuilder,
+    h: VarId,
+    cnorm: VarId,
+    d_in: usize,
+    d_out: usize,
+    tag: &str,
+) -> VarId {
+    let name = |op: &str| format!("{op}{tag}");
+    let w = m.weight_per_etype(&name("W"), d_in, d_out);
+    let w0 = m.weight_shared(&name("W0"), d_in, d_out);
+    let msg = m.typed_linear(&name("msg"), m.src(h), w);
+    let scale = Some(m.edge(cnorm));
+    let agg = m.aggregate(&name("agg"), m.edge(msg), scale, AggNorm::None);
+    let selfl = m.typed_linear(&name("selfl"), m.this(h), w0);
+    m.add(&name("sum"), m.this(agg), m.this(selfl))
 }
 
 #[cfg(test)]

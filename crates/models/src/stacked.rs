@@ -1,22 +1,23 @@
 //! Multi-layer model stacks.
 //!
 //! The paper evaluates single layers (§4.1); a deployable library also
-//! needs stacked models. A stack is expressed as one inter-operator
-//! program — layer `l+1` consumes layer `l`'s node output directly — so
-//! the whole network flows through the same passes, lowering, and
-//! backward generation, and inter-layer fusion opportunities remain
-//! visible to the compiler.
+//! needs stacked models. A stack is the model's one layer body looped,
+//! the same body its single-layer `source` calls once, so each model is
+//! written once. It is one inter-operator program (layer `l+1` reads
+//! layer `l`'s node output directly), so the whole network flows through
+//! the same passes, lowering and backward generation.
 
 use hector_ir::builder::ModelSource;
-use hector_ir::{AggNorm, ModelBuilder, VarId};
+use hector_ir::ModelBuilder;
 
-use crate::ModelKind;
+use crate::{hgt, rgat, rgcn, ModelKind};
 
 /// Builds a `layers`-deep stack of any built-in model,
-/// `in_dim → hidden → … → out_dim`. `layers == 1` returns the plain
-/// single-layer source (identical to [`crate::source`]), so callers can
-/// treat depth as just another dimension — this is what
-/// `EngineBuilder::layers` feeds on.
+/// `in_dim → hidden → … → out_dim`: layer `l`'s names end in `_{l}`, a
+/// ReLU `h{l+1}` follows each layer but the last, and the last emits raw
+/// logits. `layers == 1` returns [`crate::source`] (so RGCN keeps its
+/// ReLU): depth is just another dimension, which `EngineBuilder::layers`
+/// feeds on.
 ///
 /// # Panics
 ///
@@ -33,134 +34,23 @@ pub fn stack(
     if layers == 1 {
         return crate::source(kind, in_dim, out_dim);
     }
-    match kind {
-        ModelKind::Rgcn => rgcn_stack(layers, in_dim, hidden, out_dim),
-        ModelKind::Rgat => rgat_stack(layers, in_dim, hidden, out_dim),
-        ModelKind::Hgt => hgt_stack(layers, in_dim, hidden, out_dim),
-    }
-}
-
-/// Builds an `layers`-deep RGCN, `in_dim → hidden → … → out_dim`.
-///
-/// # Panics
-///
-/// Panics if `layers == 0`.
-#[must_use]
-pub fn rgcn_stack(layers: usize, in_dim: usize, hidden: usize, out_dim: usize) -> ModelSource {
-    assert!(layers > 0, "need at least one layer");
-    let mut m = ModelBuilder::new("rgcn_stack", hidden);
-    let h0 = m.node_input("h", in_dim);
-    let cnorm = m.edge_input("cnorm", 1);
-    let mut h: VarId = h0;
-    let mut d_in = in_dim;
+    let mut m = ModelBuilder::new(&format!("{}_stack", kind.name().to_lowercase()), hidden);
+    let mut h = m.node_input("h", in_dim);
+    let cnorm = (kind == ModelKind::Rgcn).then(|| m.edge_input("cnorm", 1));
     for l in 0..layers {
+        let d_in = if l == 0 { in_dim } else { hidden };
         let d_out = if l + 1 == layers { out_dim } else { hidden };
-        let w = m.weight_per_etype(&format!("W{l}"), d_in, d_out);
-        let w0 = m.weight_shared(&format!("W0_{l}"), d_in, d_out);
-        let msg = m.typed_linear(&format!("msg{l}"), m.src(h), w);
-        let agg = m.aggregate(
-            &format!("agg{l}"),
-            m.edge(msg),
-            Some(m.edge(cnorm)),
-            AggNorm::None,
-        );
-        let selfl = m.typed_linear(&format!("self{l}"), m.this(h), w0);
-        let sum = m.add(&format!("sum{l}"), m.this(agg), m.this(selfl));
-        h = if l + 1 == layers {
-            sum // final layer: logits, no activation
-        } else {
-            m.relu(&format!("h{}", l + 1), m.this(sum))
+        let tag = format!("_{l}");
+        h = match kind {
+            ModelKind::Rgcn => {
+                rgcn::layer(&mut m, h, cnorm.expect("declared above"), d_in, d_out, &tag)
+            }
+            ModelKind::Rgat => rgat::layer(&mut m, h, d_in, d_out, &tag),
+            ModelKind::Hgt => hgt::layer(&mut m, h, d_in, d_out, &tag),
         };
-        d_in = d_out;
-    }
-    m.output(h);
-    m.finish()
-}
-
-/// Builds a `layers`-deep single-headed RGAT stack.
-///
-/// # Panics
-///
-/// Panics if `layers == 0`.
-#[must_use]
-pub fn rgat_stack(layers: usize, in_dim: usize, hidden: usize, out_dim: usize) -> ModelSource {
-    assert!(layers > 0, "need at least one layer");
-    let mut m = ModelBuilder::new("rgat_stack", hidden);
-    let h0 = m.node_input("h", in_dim);
-    let mut h: VarId = h0;
-    let mut d_in = in_dim;
-    for l in 0..layers {
-        let d_out = if l + 1 == layers { out_dim } else { hidden };
-        let w = m.weight_per_etype(&format!("W{l}"), d_in, d_out);
-        let w_s = m.weight_vec_per_etype(&format!("w_s{l}"), d_out);
-        let w_t = m.weight_vec_per_etype(&format!("w_t{l}"), d_out);
-        let hs = m.typed_linear(&format!("hs{l}"), m.src(h), w);
-        let atts = m.dot(&format!("atts{l}"), m.edge(hs), m.wvec(w_s));
-        let ht = m.typed_linear(&format!("ht{l}"), m.dst(h), w);
-        let attt = m.dot(&format!("attt{l}"), m.edge(ht), m.wvec(w_t));
-        let raw = m.add(&format!("raw{l}"), m.edge(atts), m.edge(attt));
-        let act = m.leaky_relu(&format!("act{l}"), m.edge(raw));
-        let att = m.edge_softmax(&format!("att{l}"), act);
-        let agg = m.aggregate(
-            &format!("agg{l}"),
-            m.edge(hs),
-            Some(m.edge(att)),
-            AggNorm::None,
-        );
-        h = if l + 1 == layers {
-            agg
-        } else {
-            m.relu(&format!("h{}", l + 1), m.this(agg))
-        };
-        d_in = d_out;
-    }
-    m.output(h);
-    m.finish()
-}
-
-/// Builds a `layers`-deep single-headed HGT stack (per-layer
-/// key/query/message/attention/output projections, ReLU between layers,
-/// raw logits on the last layer — consistent with the other stacks).
-///
-/// # Panics
-///
-/// Panics if `layers == 0`.
-#[must_use]
-pub fn hgt_stack(layers: usize, in_dim: usize, hidden: usize, out_dim: usize) -> ModelSource {
-    assert!(layers > 0, "need at least one layer");
-    let mut m = ModelBuilder::new("hgt_stack", hidden);
-    let h0 = m.node_input("h", in_dim);
-    let mut h: VarId = h0;
-    let mut d_in = in_dim;
-    for l in 0..layers {
-        let d_out = if l + 1 == layers { out_dim } else { hidden };
-        let d = d_out;
-        let scale = 1.0 / (d as f32).sqrt();
-        let wk = m.weight_per_ntype(&format!("Wk{l}"), d_in, d);
-        let wq = m.weight_per_ntype(&format!("Wq{l}"), d_in, d);
-        let wm = m.weight_per_etype(&format!("Wm{l}"), d_in, d);
-        let wa = m.weight_per_etype(&format!("Wa{l}"), d, d);
-        let wo = m.weight_per_ntype(&format!("Wo{l}"), d, d_out);
-        let k = m.typed_linear(&format!("k{l}"), m.this(h), wk);
-        let q = m.typed_linear(&format!("q{l}"), m.this(h), wq);
-        let kw = m.typed_linear(&format!("kw{l}"), m.src(k), wa);
-        let att_raw = m.dot(&format!("att_raw{l}"), m.edge(kw), m.dst(q));
-        let att_sc = m.mul(&format!("att_sc{l}"), m.edge(att_raw), m.konst(scale));
-        let att = m.edge_softmax(&format!("att{l}"), att_sc);
-        let msg = m.typed_linear(&format!("msg{l}"), m.src(h), wm);
-        let agg = m.aggregate(
-            &format!("agg{l}"),
-            m.edge(msg),
-            Some(m.edge(att)),
-            AggNorm::None,
-        );
-        let proj = m.typed_linear(&format!("ho{l}"), m.this(agg), wo);
-        h = if l + 1 == layers {
-            proj
-        } else {
-            m.relu(&format!("h{}", l + 1), m.this(proj))
-        };
-        d_in = d_out;
+        if l + 1 < layers {
+            h = m.relu(&format!("h{}", l + 1), m.this(h));
+        }
     }
     m.output(h);
     m.finish()
@@ -169,12 +59,12 @@ pub fn hgt_stack(layers: usize, in_dim: usize, hidden: usize, out_dim: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hector_ir::Space;
+    use hector_ir::{Program, Space, VarId, WeightId};
 
     #[test]
     fn rgcn_stack_builds_and_validates() {
         for layers in 1..=3 {
-            let s = rgcn_stack(layers, 16, 32, 8);
+            let s = stack(ModelKind::Rgcn, layers, 16, 32, 8);
             s.program.validate();
             assert_eq!(s.program.weights.len(), 2 * layers);
         }
@@ -182,7 +72,7 @@ mod tests {
 
     #[test]
     fn rgat_stack_builds_and_validates() {
-        let s = rgat_stack(2, 16, 16, 4);
+        let s = stack(ModelKind::Rgat, 2, 16, 16, 4);
         s.program.validate();
         assert_eq!(s.program.weights.len(), 6);
         // The final output is nodewise logits.
@@ -192,18 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn single_layer_stack_matches_plain_shape() {
-        let stack = rgcn_stack(1, 8, 999, 8);
-        let plain = crate::rgcn::source(8, 8);
-        // Same operator count modulo the final activation (the stack's
-        // last layer emits raw logits).
-        assert_eq!(stack.program.ops.len() + 1, plain.program.ops.len());
-    }
-
-    #[test]
     fn hgt_stack_builds_and_validates() {
         for layers in 1..=3 {
-            let s = hgt_stack(layers, 8, 12, 4);
+            let s = stack(ModelKind::Hgt, layers, 8, 12, 4);
             s.program.validate();
             if layers > 1 {
                 assert_eq!(s.program.weights.len(), 5 * layers);
@@ -239,11 +120,80 @@ mod tests {
 
     #[test]
     fn dimensions_thread_through_layers() {
-        let s = rgcn_stack(3, 10, 20, 5);
+        let s = stack(ModelKind::Rgcn, 3, 10, 20, 5);
         let p = &s.program;
-        assert_eq!(p.weight(hector_ir::WeightId(0)).rows, 10);
-        assert_eq!(p.weight(hector_ir::WeightId(0)).cols, 20);
-        assert_eq!(p.weight(hector_ir::WeightId(4)).rows, 20);
-        assert_eq!(p.weight(hector_ir::WeightId(4)).cols, 5);
+        assert_eq!(p.weight(WeightId(0)).rows, 10);
+        assert_eq!(p.weight(WeightId(0)).cols, 20);
+        assert_eq!(p.weight(WeightId(4)).rows, 20);
+        assert_eq!(p.weight(WeightId(4)).cols, 5);
+    }
+
+    /// `text` (an op's or a weight's Debug text) with every `VarId(n)`
+    /// replaced by that variable's space and width and every
+    /// `WeightId(n)` by that weight's type index and shape: everything
+    /// about an op but its names and ids.
+    fn anonymous(p: &Program, text: &str) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(at) = rest.find("Id(") {
+            let close = at + rest[at..].find(')').unwrap();
+            let id: u32 = rest[at + 3..close].parse().unwrap();
+            let head = &rest[..at];
+            if let Some(head) = head.strip_suffix("Var") {
+                let v = p.var(VarId(id));
+                out += &format!("{head}{:?}x{}", v.space, v.width);
+            } else {
+                let head = head.strip_suffix("Weight").unwrap();
+                let w = p.weight(WeightId(id));
+                out += &format!("{head}{:?}[{}x{}]", w.per, w.rows, w.cols);
+            }
+            rest = &rest[close + 1..];
+        }
+        out + rest
+    }
+
+    /// The program's ops and weight declarations, anonymous.
+    fn layout(p: &Program) -> (Vec<String>, Vec<String>) {
+        let ops = p
+            .ops
+            .iter()
+            .map(|op| anonymous(p, &format!("{:?}", op.kind)));
+        let weights =
+            (0..p.weights.len() as u32).map(|w| anonymous(p, &format!("{:?}", WeightId(w))));
+        (ops.collect(), weights.collect())
+    }
+
+    /// A stack is its model's single layer written out `layers` times,
+    /// a ReLU between two layers: same op kinds, operand spaces and
+    /// endpoints, widths, weight type indices and shapes, in the same
+    /// order. RGCN's single layer ends in a ReLU the stack's layers drop.
+    #[test]
+    fn a_stack_is_the_single_layer_repeated() {
+        let (in_dim, hidden, out_dim) = (8, 12, 4);
+        // The separator: the ReLU that ends a hidden-wide RGCN layer.
+        let (rgcn, _) = layout(&crate::source(ModelKind::Rgcn, hidden, hidden).program);
+        let relu = rgcn.last().unwrap().clone();
+        assert!(relu.starts_with("Unary { op: Relu"), "{relu}");
+        for kind in ModelKind::all() {
+            for layers in [2, 3] {
+                let (mut ops, mut weights) = (Vec::new(), Vec::new());
+                for l in 0..layers {
+                    let d_in = if l == 0 { in_dim } else { hidden };
+                    let d_out = if l + 1 == layers { out_dim } else { hidden };
+                    let (mut layer_ops, layer_weights) =
+                        layout(&crate::source(kind, d_in, d_out).program);
+                    if kind == ModelKind::Rgcn {
+                        assert!(layer_ops.pop().unwrap().starts_with("Unary { op: Relu"));
+                    }
+                    if l > 0 {
+                        ops.push(relu.clone());
+                    }
+                    ops.extend(layer_ops);
+                    weights.extend(layer_weights);
+                }
+                let got = layout(&stack(kind, layers, in_dim, hidden, out_dim).program);
+                assert_eq!(got, (ops, weights), "{kind:?} x{layers}");
+            }
+        }
     }
 }

@@ -1113,7 +1113,9 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if no graph is bound.
+    /// Panics if no graph is bound, or if `cfg.fanouts` is empty (a
+    /// struct literal can build such a config; [`Trainer::minibatch_epoch`]
+    /// refuses both with an error instead).
     #[must_use]
     pub fn minibatch(&self, cfg: &SamplerConfig) -> Minibatches {
         let module = self.engine.module();
@@ -1171,11 +1173,17 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// [`HectorError::GraphMismatch`] when no graph is bound, plus
-    /// everything [`Trainer::train_batch`] reports.
+    /// [`HectorError::GraphMismatch`] when no graph is bound,
+    /// [`HectorError::InvalidConfig`] when `cfg.fanouts` is empty (no
+    /// hop to sample), plus everything [`Trainer::train_batch`] reports.
     pub fn minibatch_epoch(&mut self, cfg: &SamplerConfig) -> Result<EpochReport, HectorError> {
         if !self.engine.is_bound() {
             return Err(not_bound());
+        }
+        if cfg.fanouts.is_empty() {
+            return Err(HectorError::InvalidConfig {
+                detail: "a sampler needs at least one hop (fanouts is empty)".into(),
+            });
         }
         let batches = self.minibatch(cfg);
         let mut losses = Vec::with_capacity(batches.num_batches());
@@ -1776,6 +1784,22 @@ mod tests {
             .minibatch_epoch(&SamplerConfig::new(16))
             .unwrap_err();
         assert!(matches!(err, HectorError::GraphMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn minibatch_epoch_with_no_hops_is_an_error_not_a_panic() {
+        let mut trainer = EngineBuilder::new(ModelKind::Rgcn)
+            .dims(8, 8)
+            .build_trainer(Sgd::new(0.1))
+            .unwrap();
+        trainer.bind(&graph()).unwrap();
+        let cfg = SamplerConfig {
+            fanouts: vec![],
+            ..SamplerConfig::new(16)
+        };
+        let err = trainer.minibatch_epoch(&cfg).unwrap_err();
+        assert!(matches!(err, HectorError::InvalidConfig { .. }), "{err:?}");
+        assert_eq!(trainer.steps(), 0);
     }
 
     /// Every refusal of a mini-batch step — an unbound trainer, a

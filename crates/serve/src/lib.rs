@@ -638,6 +638,7 @@ impl ServeHandle {
     pub fn drain(&self) {
         let mut q = self.inner.queue.lock().expect("queue lock");
         while !q.requests.is_empty() || self.inner.in_flight.load(Ordering::SeqCst) > 0 {
+            self.inner.before_idle_wait();
             q = self.inner.idle_cv.wait(q).expect("queue lock");
         }
     }
@@ -815,6 +816,9 @@ struct ServerInner {
     /// Times the dispatcher woke from its wait for work.
     #[cfg(test)]
     wakes: AtomicU64,
+    /// Run by [`ServerInner::before_idle_wait`].
+    #[cfg(test)]
+    drain_hook: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl ServerInner {
@@ -829,6 +833,18 @@ impl ServerInner {
             in_flight: AtomicUsize::new(0),
             #[cfg(test)]
             wakes: AtomicU64::new(0),
+            #[cfg(test)]
+            drain_hook: Mutex::new(None),
+        }
+    }
+
+    /// Runs in `drain` between its busy check and its wait, queue lock
+    /// held: a test's hook forces a group's completion into that window.
+    /// Does nothing outside tests.
+    fn before_idle_wait(&self) {
+        #[cfg(test)]
+        if let Some(hook) = &*self.drain_hook.lock().expect("hook lock") {
+            hook();
         }
     }
 }
@@ -1826,6 +1842,53 @@ mod tests {
                 assert!(ticket.try_wait().is_some_and(|r| r.is_ok()), "round {i}");
             }
         });
+        srv.shutdown();
+    }
+
+    /// `drain` sees the last group in flight, and the group completes
+    /// between that check and its wait: it still wakes, because the
+    /// dispatcher notifies under the queue lock, so after the wait. The
+    /// test holds the deployment's slot to keep the group in flight; a
+    /// hook in that window releases it and waits for the group's
+    /// `in_flight` decrement. The closing sleep is for a dispatcher that
+    /// notifies outside the lock: its notify lands then and is lost, and
+    /// `drain` hangs. A correct notify cannot land in the window at all,
+    /// so no channel could wait for it.
+    #[test]
+    fn drain_woken_by_a_completion_between_its_check_and_its_wait() {
+        let srv = ServeHandle::start(ServeConfig::default());
+        let g = graph(9, 32);
+        srv.deploy("m", builder(), &g).unwrap();
+        let dep = srv.deployment("m").unwrap();
+        let (held, is_held) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _slot = dep.slot.lock().unwrap();
+            held.send(()).unwrap();
+            released.recv().is_ok()
+        });
+        is_held.recv().unwrap();
+        srv.pause();
+        let ticket = srv.submit("m", 5).unwrap();
+        srv.resume();
+        // The dispatcher took the request and waits on the slot.
+        while srv.inner.in_flight.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let inner = Arc::downgrade(&srv.inner);
+        *srv.inner.drain_hook.lock().unwrap() = Some(Box::new(move || {
+            let Some(inner) = inner.upgrade() else { return };
+            let _ = release.send(());
+            while inner.in_flight.load(Ordering::SeqCst) > 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }));
+        let waiter = srv.clone();
+        returns_within(Duration::from_secs(10), "drain", move || waiter.drain());
+        assert!(holder.join().unwrap(), "the hook ran inside the window");
+        assert!(ticket.try_wait().is_some_and(|r| r.is_ok()));
+        srv.inner.drain_hook.lock().unwrap().take();
         srv.shutdown();
     }
 

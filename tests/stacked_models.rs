@@ -78,7 +78,7 @@ fn rgcn_stack_reference(
 fn two_layer_rgcn_matches_layerwise_reference() {
     let graph = graph();
     for opts in [CompileOptions::unopt(), CompileOptions::best()] {
-        let mut engine = EngineBuilder::from_source(stacked::rgcn_stack(2, 12, 10, 6))
+        let mut engine = EngineBuilder::from_source(stacked::stack(ModelKind::Rgcn, 2, 12, 10, 6))
             .options(opts)
             .seed(3)
             .build()
@@ -99,7 +99,7 @@ fn two_layer_rgcn_matches_layerwise_reference() {
 #[test]
 fn three_layer_stack_compiles_and_runs() {
     let graph = graph();
-    let mut trainer = EngineBuilder::from_source(stacked::rgcn_stack(3, 8, 12, 4))
+    let mut trainer = EngineBuilder::from_source(stacked::stack(ModelKind::Rgcn, 3, 8, 12, 4))
         .seed(4)
         .build_trainer(Adam::new(0.02))
         .unwrap();
@@ -117,7 +117,7 @@ fn three_layer_stack_compiles_and_runs() {
 #[test]
 fn stacked_rgat_all_option_combos_agree() {
     let graph = graph();
-    let src = stacked::rgat_stack(2, 10, 8, 5);
+    let src = stacked::stack(ModelKind::Rgat, 2, 10, 8, 5);
     let mut outputs = Vec::new();
     for opts in [
         CompileOptions::unopt(),
@@ -143,7 +143,7 @@ fn deep_stacks_gain_from_reordering_each_layer() {
     // Reordering should remove one GEMM per RGAT layer.
     use hector_ir::KernelSpec;
     let count = |opts: &CompileOptions| {
-        hector::compile(&stacked::rgat_stack(3, 16, 16, 16), opts)
+        hector::compile(&stacked::stack(ModelKind::Rgat, 3, 16, 16, 16), opts)
             .fw_kernels
             .iter()
             .filter(|k| matches!(k, KernelSpec::Gemm(_)))
