@@ -178,8 +178,6 @@ impl SamplerStats {
 /// `ShardedGraph::{num_shards, edge_cut_fraction, halo_rows}`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Shards a delta made stale (each is rebuilt on its next read).
-    pub plan_invalidations: u64,
     /// Delta batches applied.
     pub delta_batches: u64,
     /// Individual delta operations (edge/node inserts + deletes) applied.
@@ -194,14 +192,8 @@ pub mod shard_probe {
 
     use super::ShardStats;
 
-    static PLAN_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
     static DELTA_BATCHES: AtomicU64 = AtomicU64::new(0);
     static DELTA_OPS: AtomicU64 = AtomicU64::new(0);
-
-    /// Records `n` shards made stale by a delta.
-    pub fn record_invalidations(n: u64) {
-        PLAN_INVALIDATIONS.fetch_add(n, Ordering::Relaxed);
-    }
 
     /// Records one applied delta batch comprising `ops` operations.
     pub fn record_delta(ops: u64) {
@@ -211,7 +203,6 @@ pub mod shard_probe {
 
     /// Clears all probe state (tests pin deltas against a clean slate).
     pub fn reset() {
-        PLAN_INVALIDATIONS.store(0, Ordering::Relaxed);
         DELTA_BATCHES.store(0, Ordering::Relaxed);
         DELTA_OPS.store(0, Ordering::Relaxed);
     }
@@ -220,7 +211,6 @@ pub mod shard_probe {
     #[must_use]
     pub fn snapshot() -> ShardStats {
         ShardStats {
-            plan_invalidations: PLAN_INVALIDATIONS.load(Ordering::Relaxed),
             delta_batches: DELTA_BATCHES.load(Ordering::Relaxed),
             delta_ops: DELTA_OPS.load(Ordering::Relaxed),
         }
@@ -258,7 +248,7 @@ pub struct BackendStats {
 ///   the difference of two snapshots.
 ///
 /// The process-global probes — the shard-delta counters ([`ShardStats`]
-/// via [`shard_probe::snapshot`]: stale shards, delta batches and ops,
+/// via [`shard_probe::snapshot`]: delta batches and ops,
 /// summed over every store in the process) and `hector_trace::stats()`
 /// — are snapshots of shared state no `Counters` method clears; use
 /// [`shard_probe::reset`] / `hector_trace::clear` respectively.
@@ -557,10 +547,8 @@ mod tests {
     #[test]
     fn shard_probe_records_and_resets() {
         shard_probe::reset();
-        shard_probe::record_invalidations(2);
         shard_probe::record_delta(3);
         let s = shard_probe::snapshot();
-        assert_eq!(s.plan_invalidations, 2);
         assert_eq!(s.delta_batches, 1);
         assert_eq!(s.delta_ops, 3);
         shard_probe::reset();

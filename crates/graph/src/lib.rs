@@ -27,7 +27,7 @@
 //!   thread count and prefetch pipelining;
 //! * [`extract_mapped`] — the re-pack of a node and edge id set as a
 //!   self-contained graph with the full graph's type counts, under the
-//!   runtime's `Subgraph` view of a sampled batch or a shard.
+//!   runtime's `Subgraph` view of a sampled batch or a row closure.
 //!
 //! # Example
 //!

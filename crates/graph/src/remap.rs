@@ -3,8 +3,8 @@
 //! [`HeteroGraph`]" operation in the workspace.
 //!
 //! Its one consumer is the runtime's `Subgraph` view, which both a
-//! sampled mini-batch and a shard (`hector-shard`) are; both rely on the
-//! same two layout properties of the full graph:
+//! sampled mini-batch and a row-scoped forward's closure are; both rely
+//! on the same two layout properties of the full graph:
 //!
 //! * full-graph node ids are sorted by node type, so an **ascending**
 //!   original-id order automatically groups local nodes by type — the

@@ -55,7 +55,8 @@ fn edge_softmax(g: &HeteroGraph, logits: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// RGCN layer: `relu(h·W0 + Σ_r Σ_{u∈N_r(v)} cnorm_e · h_u·W_r)`.
+/// RGCN layer: `relu(h·W0 + Σ_r Σ_{u∈N_r(v)} cnorm_e · h_u·W_r)`, the
+/// ReLU of [`rgcn_layer`].
 ///
 /// # Panics
 ///
@@ -68,6 +69,17 @@ pub fn rgcn_forward(
     w: &Tensor,
     w0: &Tensor,
 ) -> Tensor {
+    rgcn_layer(g, h, cnorm, w, w0).map(|x| x.max(0.0))
+}
+
+/// RGCN layer before its activation: `h·W0 + Σ_r Σ_{u∈N_r(v)} cnorm_e ·
+/// h_u·W_r` (the logits a stack's last layer emits).
+///
+/// # Panics
+///
+/// Panics on shape mismatches.
+#[must_use]
+pub fn rgcn_layer(g: &HeteroGraph, h: &Tensor, cnorm: &Tensor, w: &Tensor, w0: &Tensor) -> Tensor {
     let out_dim = w.shape()[2];
     let mut out = Tensor::zeros(&[g.num_nodes(), out_dim]);
     for v in 0..g.num_nodes() {
@@ -83,7 +95,7 @@ pub fn rgcn_forward(
             *acc += c * m;
         }
     }
-    out.map(|x| x.max(0.0))
+    out
 }
 
 /// RGAT layer (single head), matching [`crate::rgat::source`].

@@ -74,7 +74,7 @@
 use hector_compiler::{CompileOptions, CompiledModule, ModuleCache};
 use hector_device::{Device, DeviceConfig};
 use hector_ir::builder::ModelSource;
-use hector_ir::{Program, WeightId};
+use hector_ir::{Program, VarInfo, WeightId};
 use hector_models::{stacked, ModelKind};
 use hector_par::ParallelConfig;
 use hector_tensor::{seeded_rng, Tensor};
@@ -89,7 +89,7 @@ use crate::loss::random_labels;
 use crate::minibatch::{Batch, BatchSource, Minibatches};
 use crate::optim::Optimizer;
 use crate::session::{graph_input, Bindings, Mode, RunPlan, RunReport};
-use crate::{GraphData, ParamStore};
+use crate::{GraphData, ParamStore, Subgraph};
 
 /// What the builder compiles: a built-in model kind (optionally stacked
 /// into multiple layers) or a custom DSL source.
@@ -660,11 +660,11 @@ impl Engine {
     }
 
     /// Runs one forward pass of the bound parameters on another graph —
-    /// a shard or any subgraph that declares the bound graph's node/edge
-    /// type counts — with that graph's own input bindings, through the
-    /// engine's run plan. [`Engine::output`] then holds that graph's
-    /// rows; the bound graph, parameters and bindings are left as they
-    /// were.
+    /// a row closure or any subgraph that declares the bound graph's
+    /// node/edge type counts — with that graph's own input bindings,
+    /// through the engine's run plan. [`Engine::output`] then holds that
+    /// graph's rows; the bound graph, parameters and bindings are left as
+    /// they were.
     ///
     /// # Errors
     ///
@@ -678,6 +678,51 @@ impl Engine {
         bindings: &Bindings,
     ) -> Result<RunReport, HectorError> {
         self.run(Some((graph, bindings)), None)
+    }
+
+    /// Runs one forward pass for the bound graph's nodes `rows` alone and
+    /// returns their output rows, in the order given (a repeated row
+    /// answers twice). The run covers the rows' exact in-closure at the
+    /// forward program's receptive depth — the rows expanded `depth - 1`
+    /// steps backward, every in-edge of that interior and its sources —
+    /// extracted as a [`crate::Subgraph`] with the bound inputs gathered
+    /// through it ([`Engine::forward_on`]), so the result is bit for bit
+    /// those rows of [`Engine::forward`]'s output. [`Engine::output`]
+    /// then holds the closure's rows; the bound graph, parameters and
+    /// bindings are left as they were.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HectorError::GraphMismatch`] when no graph is bound or a
+    /// row is out of range for the bound graph, and otherwise what
+    /// [`Engine::forward_on`] returns.
+    pub fn forward_rows(&mut self, rows: &[u32]) -> Result<Tensor, HectorError> {
+        let state = self.state.as_ref().ok_or_else(not_bound)?;
+        let program = &self.plan.module.forward;
+        let width = program.var(program.outputs[0]).width;
+        let nodes = state.graph.graph().num_nodes();
+        if let Some(bad) = rows.iter().find(|&&v| v as usize >= nodes) {
+            return Err(HectorError::GraphMismatch {
+                detail: format!("row {bad} is out of range for the bound graph's {nodes} nodes"),
+            });
+        }
+        if rows.is_empty() {
+            return Ok(Tensor::zeros(&[0, width]));
+        }
+        let view = Subgraph::in_closure(&state.graph, rows, program.receptive_depth());
+        let inputs: Vec<VarInfo> = program
+            .inputs
+            .iter()
+            .map(|&v| program.var(v).clone())
+            .collect();
+        let bindings = view.gather_inputs(&inputs, &state.bindings);
+        self.forward_on(view.data(), &bindings)?;
+        let out = self.output();
+        let mut picked = Tensor::zeros(&[rows.len(), width]);
+        for (i, &local) in view.seed_local().iter().enumerate() {
+            picked.row_mut(i).copy_from_slice(out.row(local as usize));
+        }
+        Ok(picked)
     }
 
     /// Runs one training step (forward, NLL loss, backward, optimizer)
@@ -701,11 +746,11 @@ impl Engine {
 
     /// The one run path: screens caller input, then runs the plan on the
     /// bound parameters. `on` runs an *alternate* graph — a sampled
-    /// mini-batch subgraph or a shard — with its own bindings in place of
-    /// the bound graph's; it must declare the bound graph's node/edge
-    /// type counts (guaranteed by every [`crate::Subgraph`] view) so the
-    /// parameter shapes match. `train` makes the run a training step
-    /// against its labels.
+    /// mini-batch subgraph or a row closure — with its own bindings in
+    /// place of the bound graph's; it must declare the bound graph's
+    /// node/edge type counts (guaranteed by every [`crate::Subgraph`]
+    /// view) so the parameter shapes match. `train` makes the run a
+    /// training step against its labels.
     fn run(
         &mut self,
         on: Option<(&GraphData, &Bindings)>,

@@ -52,7 +52,7 @@ pub use graphdata::GraphData;
 pub use hector_graph::{NeighborSampler, SampledBatch, SamplerConfig};
 pub use hector_par::{chunk_ranges, ParallelConfig, PoolStats};
 pub use hector_trace as trace;
-pub use hector_trace::report::{ProfileReport, RelationAgg, ShardSummary, SpanAgg};
+pub use hector_trace::report::{ProfileReport, RelationAgg, SpanAgg};
 pub use hector_trace::TraceConfig;
 pub use loss::{nll_loss_and_grad, nll_loss_and_grad_into, random_labels, LossResult};
 pub use minibatch::{Batch, Minibatches};

@@ -11,8 +11,9 @@
 //! subgraph in-degrees, not sliced full-graph ones), and labels gathered
 //! through the node map — and streams those batches to the consumer,
 //! optionally producing them on a background [`Prefetcher`] so batch
-//! `k+1` is sampled while batch `k` trains. A shard is the same view
-//! (`hector-shard`), run by the same engine path.
+//! `k+1` is sampled while batch `k` trains. A row-scoped forward
+//! ([`crate::Engine::forward_rows`]) runs the same view through the same
+//! engine path.
 //!
 //! # Determinism
 //!

@@ -1,31 +1,27 @@
 //! The one view a run takes of part of a graph: [`Subgraph`].
 //!
-//! A sampled mini-batch and a shard are the same thing to the kernels:
-//! an induced subgraph of the full graph, re-packed as a small,
-//! self-contained [`HeteroGraph`] in the same kernel-ready layout
+//! A sampled mini-batch and a row-scoped forward are the same thing to
+//! the kernels: an induced subgraph of the full graph, re-packed as a
+//! small, self-contained [`HeteroGraph`] in the same kernel-ready layout
 //! (type-sorted nodes, relation-sorted edges, segment pointers), plus
 //! the remap tables (`node_map`, `edge_map`) that slice full-graph
 //! features, labels and edge data into local order, and the local rows
-//! the view answers for — a batch's seeds, a shard's owned nodes.
+//! the view answers for — a batch's seeds, the rows
+//! [`crate::Engine::forward_rows`] was asked for.
 //!
 //! The re-pack is [`hector_graph::extract_mapped`], whose module docs
 //! give the two layout properties that make it cheap, deterministic and
 //! bit-exact. The extracted graph is moved into the view's
-//! [`GraphData`] (CSC, compaction map) once: the view holds the one
-//! copy, and a [`crate::Batch`] or an engine run shares it. A sampled
-//! batch is extracted at once ([`Subgraph::extract`]); a view built
-//! from its maps ([`Subgraph::new`], a shard) holds a share of the full
-//! graph and extracts on the first read of its graph, so what reads
-//! only its maps extracts nothing.
+//! [`GraphData`] (CSC, compaction map) once, when the view is built: the
+//! view holds the one copy, and a [`crate::Batch`] or an engine run
+//! shares it.
 //!
 //! The subgraph always declares the **full graph's type counts** —
 //! relations or node types absent from it get empty segments — so
 //! per-relation and per-type parameter stacks keep their shapes across
 //! every view and one parameter store serves them all.
 
-use std::sync::{Arc, OnceLock};
-
-use hector_graph::{extract_mapped, EdgeSplice, HeteroGraph, SampledBatch};
+use hector_graph::{extract_mapped, HeteroGraph, SampledBatch};
 use hector_ir::{Space, VarInfo};
 use hector_tensor::Tensor;
 
@@ -34,33 +30,18 @@ use crate::GraphData;
 
 /// Part of a full graph re-packed as a self-contained graph with its
 /// derived indices, plus the remap tables tying local ids back to the
-/// full graph and the local rows the view answers for. The view is the
-/// one owner of its maps and of its extracted graph.
-#[derive(Clone)]
+/// full graph and the local rows the view answers for.
+#[derive(Clone, Debug)]
 pub struct Subgraph {
-    /// The full graph the maps index, while the view is yet to extract
-    /// from it (an `Arc` share); `None` for an extracted batch.
-    full: Option<GraphData>,
-    data: OnceLock<GraphData>,
-    node_map: Arc<[u32]>,
-    edge_map: Arc<[u32]>,
+    data: GraphData,
+    node_map: Vec<u32>,
+    edge_map: Vec<u32>,
     rows: Vec<u32>,
 }
 
-impl std::fmt::Debug for Subgraph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Subgraph")
-            .field("nodes", &self.node_map.len())
-            .field("edges", &self.edge_map.len())
-            .field("rows", &self.rows.len())
-            .field("extracted", &self.data.get().is_some())
-            .finish()
-    }
-}
-
 impl Subgraph {
-    /// Extracts a sampled batch from `full` at once; its seeds are the
-    /// rows the view answers for.
+    /// Extracts a sampled batch from `full`; its seeds are the rows the
+    /// view answers for.
     ///
     /// # Panics
     ///
@@ -74,42 +55,28 @@ impl Subgraph {
         debug_assert!(node_map.windows(2).all(|w| w[0] < w[1]), "duplicate node");
         let mut edge_map = batch.edges.clone();
         edge_map.sort_unstable();
-        let mut view = Subgraph::with_maps(None, node_map.into(), edge_map.into(), &batch.seeds);
-        view.data = OnceLock::from(extract_data(full, &view.node_map, &view.edge_map));
-        view
+        Subgraph::new(full, node_map, edge_map, &batch.seeds)
     }
 
-    /// The view of `full` on the nodes `node_map` and the edges
+    /// Extracts the view of `full` on the nodes `node_map` and the edges
     /// `edge_map` (both strictly ascending original ids; every edge's
     /// endpoints among the nodes), answering for the original nodes
-    /// `rows`, in that order. The view keeps a share of `full` and
-    /// extracts its graph on the first [`Subgraph::data`] or
-    /// [`Subgraph::graph`].
+    /// `rows`, in that order.
     ///
     /// # Panics
     ///
-    /// Panics if a row is missing from `node_map`; the first read of the
-    /// graph panics if the maps reference ids outside `full` or an edge
-    /// endpoint is missing from `node_map`.
+    /// Panics if the maps reference ids outside `full`, if an edge
+    /// endpoint or a row is missing from `node_map`.
     #[must_use]
     pub fn new(
-        full: &GraphData,
-        node_map: impl Into<Arc<[u32]>>,
-        edge_map: impl Into<Arc<[u32]>>,
+        full: &HeteroGraph,
+        node_map: Vec<u32>,
+        edge_map: Vec<u32>,
         rows: &[u32],
     ) -> Subgraph {
-        Subgraph::with_maps(Some(full.clone()), node_map.into(), edge_map.into(), rows)
-    }
-
-    fn with_maps(
-        full: Option<GraphData>,
-        node_map: Arc<[u32]>,
-        edge_map: Arc<[u32]>,
-        rows: &[u32],
-    ) -> Subgraph {
+        let data = GraphData::new(extract_mapped(full, &node_map, &edge_map));
         let mut view = Subgraph {
-            full,
-            data: OnceLock::new(),
+            data,
             node_map,
             edge_map,
             rows: Vec::new(),
@@ -118,20 +85,58 @@ impl Subgraph {
         view
     }
 
+    /// The exact in-closure of `rows` through `depth` aggregation layers:
+    /// the rows expanded `depth - 1` steps backward along edges (the
+    /// interior), every in-edge of the interior, and those edges'
+    /// sources. Every interior node keeps all its in-edges, so a
+    /// `depth`-layer model computes the rows' outputs here exactly as on
+    /// `full`. Duplicate rows answer twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range for `full`.
+    pub(crate) fn in_closure(full: &GraphData, rows: &[u32], depth: usize) -> Subgraph {
+        let (g, csc) = (full.graph(), full.csc());
+        let mut reached = vec![false; g.num_nodes()];
+        let mut frontier: Vec<u32> = rows
+            .iter()
+            .copied()
+            .filter(|&v| !std::mem::replace(&mut reached[v as usize], true))
+            .collect();
+        let mut edge_map = Vec::new();
+        // Step `i` takes the nodes `i` edges back: interior while
+        // `i < depth`, so their in-edges and sources join.
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for &e in csc.in_edges(v as usize) {
+                    edge_map.push(e);
+                    let s = g.src()[e as usize];
+                    if !std::mem::replace(&mut reached[s as usize], true) {
+                        next.push(s);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        edge_map.sort_unstable();
+        let node_map = (0..g.num_nodes() as u32)
+            .filter(|&v| reached[v as usize])
+            .collect();
+        Subgraph::new(g, node_map, edge_map, rows)
+    }
+
     /// The extracted graph with its derived indices: what a run of this
-    /// view executes on. Extracted from the full graph on the first call.
+    /// view executes on.
     #[must_use]
     pub fn data(&self) -> &GraphData {
-        self.data.get_or_init(|| {
-            let full = self.full.as_ref().expect("unextracted view");
-            extract_data(full.graph(), &self.node_map, &self.edge_map)
-        })
+        &self.data
     }
 
     /// The extracted graph (local ids).
     #[must_use]
     pub fn graph(&self) -> &HeteroGraph {
-        self.data().graph()
+        self.data.graph()
     }
 
     /// Original node id of each local node (`node_map[local] = original`;
@@ -148,8 +153,8 @@ impl Subgraph {
     }
 
     /// Local ids of the rows the view answers for, in the order given at
-    /// construction: a batch's seeds (the rows the loss reads), a
-    /// shard's owned nodes.
+    /// construction: a batch's seeds (the rows the loss reads), the rows
+    /// of a row-scoped forward.
     #[must_use]
     pub fn seed_local(&self) -> &[u32] {
         &self.rows
@@ -165,19 +170,6 @@ impl Subgraph {
         self.node_map
             .binary_search(&orig)
             .expect("node not extracted") as u32
-    }
-
-    /// Re-points the view at `full`, which `splice` made from its old
-    /// full graph without touching the view's edges: the edge map follows
-    /// the shifted edge ids (rewritten in place), and a view yet to
-    /// extract will extract from `full`. An extracted view's graph is
-    /// unchanged by such a splice, so it drops its full-graph share.
-    pub fn follow_splice(&mut self, full: &GraphData, splice: &EdgeSplice) {
-        for e in Arc::make_mut(&mut self.edge_map) {
-            *e = splice.old_to_new()[*e as usize];
-            debug_assert_ne!(*e, EdgeSplice::REMOVED);
-        }
-        self.full = self.data.get().is_none().then(|| full.clone());
     }
 
     /// Gathers per-node rows from a full-graph array into local order:
@@ -201,9 +193,9 @@ impl Subgraph {
     /// rows, and a graph-derived input (the RGCN `cnorm` constants) is
     /// **recomputed on the view's graph** (normalisation denominators
     /// are local in-degrees; slicing the full-graph constants would
-    /// under-count destinations whose edges were sampled or sharded
-    /// away — for shard interiors, which keep every in-edge, the
-    /// recomputed values equal the full-graph ones bitwise).
+    /// under-count destinations whose edges were sampled away — for an
+    /// in-closure's interior, which keeps every in-edge, the recomputed
+    /// values equal the full-graph ones bitwise).
     ///
     /// # Panics
     ///
@@ -214,7 +206,7 @@ impl Subgraph {
         let mut bindings = Bindings::new();
         for info in inputs {
             if let Some(derive) = graph_input(&info.name) {
-                bindings.set(&info.name, derive(self.data()));
+                bindings.set(&info.name, derive(&self.data));
                 continue;
             }
             let src = full
@@ -231,12 +223,6 @@ impl Subgraph {
         }
         bindings
     }
-}
-
-/// The one re-pack of a view: `full` on `node_map` and `edge_map`, moved
-/// into its graph data.
-fn extract_data(full: &HeteroGraph, node_map: &[u32], edge_map: &[u32]) -> GraphData {
-    GraphData::new(extract_mapped(full, node_map, edge_map))
 }
 
 /// `out[local * width ..]` gets `src[map[local] * width ..]`.
@@ -265,80 +251,65 @@ mod tests {
         })
     }
 
-    /// A shard-like view of `full`: the destinations `dsts`, every edge
-    /// into them, and those edges' sources.
-    fn shard_view(full: &GraphData, dsts: &[u32]) -> Subgraph {
-        let g = full.graph();
-        let edges: Vec<u32> = (0..g.num_edges() as u32)
-            .filter(|&e| dsts.contains(&g.dst()[e as usize]))
-            .collect();
-        let mut nodes: Vec<u32> = dsts.to_vec();
-        nodes.extend(edges.iter().map(|&e| g.src()[e as usize]));
-        nodes.sort_unstable();
-        nodes.dedup();
-        Subgraph::new(full, nodes, edges, dsts)
-    }
-
-    fn extracted(view: &Subgraph) -> bool {
-        view.data.get().is_some()
-    }
-
-    /// A view built from its maps extracts on its first read of the
-    /// graph, and equals the eager extraction of the same maps.
-    #[test]
-    fn new_extracts_on_first_read_and_equals_the_eager_extraction() {
-        let full = GraphData::new(graph());
-        let view = shard_view(&full, &[3, 17, 40, 41]);
-        assert!(!extracted(&view));
-        assert_eq!(view.seed_local().len(), 4);
-        assert!(!extracted(&view));
-        let batch = SampledBatch {
-            index: 0,
-            seeds: vec![3, 17, 40, 41],
-            nodes: view.node_map().to_vec(),
-            edges: view.edge_map().to_vec(),
-        };
-        let eager = Subgraph::extract(full.graph(), &batch);
-        assert!(extracted(&eager));
-        assert_eq!(view.data(), eager.data());
-        assert!(extracted(&view));
-        assert_eq!(view.graph(), eager.graph());
-        assert_eq!(view.edge_map(), eager.edge_map());
-        assert_eq!(view.seed_local(), eager.seed_local());
-    }
-
-    /// A view that followed one or two splices before its first read
-    /// equals a fresh view of the post-splice graph, and so does one
-    /// extracted before the splices.
-    #[test]
-    fn a_view_that_followed_splices_equals_a_fresh_view() {
-        let dsts = [5u32, 6, 60];
-        let mut full = GraphData::new(graph());
-        let (mut lazy, mut built) = (shard_view(&full, &dsts), shard_view(&full, &dsts));
-        let _ = built.data();
-        for round in 0..2 {
-            // Remove one edge outside the view and add one; the view's
-            // edges stay in place.
-            let g = full.graph();
-            let outside: Vec<u32> = (0..g.num_edges() as u32)
-                .filter(|&e| !dsts.contains(&g.dst()[e as usize]))
-                .collect();
-            let gone = outside[7 + round];
-            let add = (g.src()[0], g.dst()[gone as usize], g.etype()[gone as usize]);
-            let (next, splice) = g.splice_edges(&[gone], &[add]);
-            full = full.spliced(next, &splice);
-            lazy.follow_splice(&full, &splice);
-            built.follow_splice(&full, &splice);
-            assert!(!extracted(&lazy), "round {round}");
-            let fresh = shard_view(&full, &dsts);
-            assert_eq!(lazy.edge_map(), fresh.edge_map(), "round {round}");
-            assert_eq!(built.edge_map(), fresh.edge_map(), "round {round}");
-            assert_eq!(lazy.node_map(), fresh.node_map(), "round {round}");
+    /// The in-closure as a whole-graph scan: the rows expanded
+    /// `depth - 1` steps backward one edge sweep at a time, every edge
+    /// into that interior, and the sources of those edges.
+    fn closure_by_scan(g: &HeteroGraph, rows: &[u32], depth: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut interior = vec![false; g.num_nodes()];
+        for &v in rows {
+            interior[v as usize] = true;
         }
-        let fresh = shard_view(&full, &dsts);
-        assert_eq!(lazy.data(), fresh.data());
-        assert_eq!(built.graph(), fresh.graph());
-        assert_eq!(lazy.seed_local(), fresh.seed_local());
+        for _ in 1..depth {
+            let frontier: Vec<usize> = (0..g.num_edges())
+                .filter(|&e| interior[g.dst()[e] as usize])
+                .map(|e| g.src()[e] as usize)
+                .collect();
+            for v in frontier {
+                interior[v] = true;
+            }
+        }
+        let mut nodes = interior.clone();
+        let mut edges = Vec::new();
+        for e in 0..g.num_edges() {
+            if interior[g.dst()[e] as usize] {
+                edges.push(e as u32);
+                nodes[g.src()[e] as usize] = true;
+            }
+        }
+        let nodes = (0..g.num_nodes() as u32)
+            .filter(|&v| nodes[v as usize])
+            .collect();
+        (nodes, edges)
+    }
+
+    /// The frontier walk over the CSC selects what the whole-graph scan
+    /// does, at every depth, with repeated rows answered in order; and a
+    /// view built from the same maps equals the batch extraction.
+    #[test]
+    fn in_closure_equals_the_scan_and_the_batch_extraction() {
+        let full = GraphData::new(graph());
+        let rows = [40u32, 3, 17, 40, 41];
+        for depth in 1..4 {
+            let view = Subgraph::in_closure(&full, &rows, depth);
+            let (nodes, edges) = closure_by_scan(full.graph(), &rows, depth);
+            assert_eq!(view.node_map(), nodes, "depth {depth}");
+            assert_eq!(view.edge_map(), edges, "depth {depth}");
+            let batch = SampledBatch {
+                index: 0,
+                seeds: rows.to_vec(),
+                nodes,
+                edges,
+            };
+            let eager = Subgraph::extract(full.graph(), &batch);
+            assert_eq!(view.data(), eager.data(), "depth {depth}");
+            assert_eq!(view.seed_local(), eager.seed_local(), "depth {depth}");
+            let answered: Vec<u32> = view
+                .seed_local()
+                .iter()
+                .map(|&l| view.node_map()[l as usize])
+                .collect();
+            assert_eq!(answered, rows);
+        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! [`ShardedGraph::try_apply`](crate::ShardedGraph::try_apply) consumes
 //! batches incrementally: edge-only batches splice the relation-sorted
 //! edge arrays ([`HeteroGraph::splice_edges`]) in place of a
-//! rebuild-from-scratch and invalidate only the shards whose interior
-//! contains a touched destination; batches with node operations shift
-//! node ids and force a full re-partition (documented on
+//! rebuild-from-scratch; batches with node operations shift node ids
+//! and force a full re-partition (documented on
 //! [`DeltaBatch::add_node`]). The batch is checked against its graph
 //! once, before anything changes ([`DeltaBatch::validate`] runs the same
 //! checks alone), so a malformed batch from outside is an error, not a
@@ -115,24 +114,6 @@ impl DeltaBatch {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ops() == 0
-    }
-
-    /// Original (pre-delta) destination ids this batch touches — the
-    /// seed of the affected-shard computation. Provisional destinations
-    /// (nodes added by this batch) are excluded: no existing shard
-    /// interior can contain them.
-    #[must_use]
-    pub fn touched_dsts(&self, old_num_nodes: usize) -> Vec<u32> {
-        let mut dsts: Vec<u32> = self
-            .add_edges
-            .iter()
-            .chain(self.remove_edges.iter())
-            .map(|&(_, d, _)| d)
-            .filter(|&d| (d as usize) < old_num_nodes)
-            .collect();
-        dsts.sort_unstable();
-        dsts.dedup();
-        dsts
     }
 
     /// Checks the batch against the graph it is about to be applied to,
@@ -264,11 +245,6 @@ pub struct DeltaOutcome {
     /// Graph version after the batch (monotonic; starts at 0 and bumps
     /// once per applied batch).
     pub version: u64,
-    /// Shards the batch made stale: their interior holds a
-    /// destination the batch touched, so they are re-extracted (on their
-    /// next read, after an edge-only batch). Ascending; every shard when
-    /// `repartitioned`.
-    pub affected: Vec<usize>,
     /// Operations applied.
     pub ops: usize,
     /// Whether node operations forced a full re-partition.
@@ -279,7 +255,7 @@ pub struct DeltaOutcome {
 /// nodes (and their incident edges) drop out, added nodes land at their
 /// type segment's end, surviving node ids compact downward, and the edge
 /// operations apply on top; `claimed` are the edges the removals claim
-/// ([`DeltaBatch::claimed_edges`]). Shard state cannot survive the id
+/// ([`DeltaBatch::claimed_edges`]). Ownership cannot survive the id
 /// shift — the caller re-partitions.
 ///
 /// # Panics
@@ -730,15 +706,5 @@ mod tests {
             let err = batch.validate(&g).unwrap_err();
             assert_eq!(err.kind(), "invalid_delta", "{err}");
         }
-    }
-
-    #[test]
-    fn touched_dsts_dedup_and_skip_provisional() {
-        let b = DeltaBatch::new()
-            .add_edge(0, 5, 0)
-            .add_edge(1, 5, 0)
-            .remove_edge(2, 7, 1)
-            .add_edge(3, 100, 0); // provisional dst, excluded
-        assert_eq!(b.touched_dsts(50), vec![5, 7]);
     }
 }

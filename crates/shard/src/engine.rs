@@ -2,50 +2,34 @@
 //! extension.
 //!
 //! `builder.bind_sharded(sharded)` builds **one engine**, bound to the
-//! full graph, plus each shard's inputs sliced from the engine's through
-//! the shard's `Subgraph` view ([`Subgraph::gather_inputs`]). A shard
-//! is only another graph for the same kernels, so a forward pass runs
-//! the engine's parameters on each shard's own graph data in turn
-//! ([`Engine::forward_on`] on [`Subgraph::data`], no copy of it) and,
-//! after each, performs the **boundary exchange**: the shard's owned
-//! output rows are copied into the merged output. Shards run in fixed
-//! order, one after another, each on the engine's own pool. Ownership is
-//! a partition, so the rows are disjoint and the merge is
-//! order-independent data-wise — the fixed order makes it deterministic
-//! byte-for-byte anyway.
-//!
-//! [`Subgraph::gather_inputs`]: hector_runtime::Subgraph::gather_inputs
-//! [`Subgraph::data`]: hector_runtime::Subgraph::data
+//! full graph. A sharded forward runs that engine's
+//! [`Engine::forward_rows`] on each shard's owned rows in fixed shard
+//! order, and writes the rows it returns into the merged output (the
+//! **boundary exchange**). Ownership is a partition, so the rows are
+//! disjoint and the merge is order-independent data-wise — the fixed
+//! order makes it deterministic byte for byte anyway.
 //!
 //! # Parity contracts
 //!
 //! * **Forward** is bitwise identical to the unsharded engine at every
 //!   shard count and thread count (see the crate docs for why; pinned by
-//!   `tests/shard_parity.rs`). Shard inputs are sliced from the engine's
-//!   seed-derived bindings through the shard remap tables, and the
-//!   parameters are the engine's own — extraction preserves type counts,
-//!   so shapes match.
+//!   `tests/shard_parity.rs`).
 //! * **Training** runs on the full graph: gradient accumulation order is
 //!   not reproducible from per-shard partial sums under floating-point
 //!   addition, so [`ShardedEngine::train_step`] is the engine's
 //!   (bit-identical to unsharded training by construction). The next
-//!   forward runs the trained parameters on every shard. Distributed
-//!   backward with a deterministic gradient reduction is future work
-//!   (see ROADMAP).
+//!   forward runs the trained parameters on every shard.
 //! * **Deltas**: [`ShardedEngine::apply_delta`] applies the batch to the
-//!   sharded graph, re-binds the engine (freshly seed-derived parameters
-//!   — the post-delta state equals a fresh engine built on the post-delta
-//!   graph, the oracle the serving tests compare against) and re-slices
-//!   every shard's inputs; reading a shard the delta left stale
-//!   rebuilds it ([`ShardedGraph::shard`]).
+//!   sharded graph and re-binds the engine (freshly seed-derived
+//!   parameters — the post-delta state equals a fresh engine built on
+//!   the post-delta graph, the oracle the serving tests compare
+//!   against).
 
 use hector_graph::HeteroGraph;
-use hector_runtime::{
-    Bindings, Engine, EngineBuilder, HectorError, Optimizer, ProfileReport, RunReport, ShardSummary,
-};
+use hector_runtime::{Engine, EngineBuilder, HectorError, Optimizer, RunReport};
 use hector_tensor::Tensor;
 
-use crate::{DeltaBatch, DeltaOutcome, Shard, ShardedGraph};
+use crate::{DeltaBatch, DeltaOutcome, ShardedGraph};
 
 /// Builder extension that produces a [`ShardedEngine`]. Implemented for
 /// [`EngineBuilder`]; a separate trait because the runtime crate cannot
@@ -53,16 +37,15 @@ use crate::{DeltaBatch, DeltaOutcome, Shard, ShardedGraph};
 /// DAG).
 pub trait BindSharded {
     /// Consumes the builder and the sharded graph, producing one engine
-    /// bound to the full graph with each shard's inputs sliced from it.
+    /// bound to the full graph.
     ///
     /// # Errors
     ///
     /// [`HectorError::InvalidConfig`] when the sharded graph's halo is
     /// shallower than the model reads ([`ShardConfig::hops`] below the
-    /// forward program's receptive depth: owned rows would miss
-    /// contributions); otherwise propagates [`EngineBuilder::build`] /
-    /// `Engine::bind` failures (invalid configuration, an empty full
-    /// graph).
+    /// forward program's receptive depth); otherwise propagates
+    /// [`EngineBuilder::build`] / `Engine::bind` failures (invalid
+    /// configuration, an empty full graph).
     ///
     /// [`ShardConfig::hops`]: crate::ShardConfig::hops
     fn bind_sharded(self, sharded: ShardedGraph) -> Result<ShardedEngine, HectorError>;
@@ -74,46 +57,12 @@ impl BindSharded for EngineBuilder {
     }
 }
 
-fn accumulate(into: &mut RunReport, r: &RunReport) {
-    into.elapsed_us += r.elapsed_us;
-    into.peak_bytes = into.peak_bytes.max(r.peak_bytes);
-    into.launches += r.launches;
-    into.gemm_us += r.gemm_us;
-    into.traversal_us += r.traversal_us;
-    into.copy_us += r.copy_us;
-    into.fallback_us += r.fallback_us;
-    into.forward_us += r.forward_us;
-    into.backward_us += r.backward_us;
-}
-
-/// Records a shard span begun at `start` (when tracing was on).
-fn shard_span(name: &'static str, start: Option<u64>, rows: u64) {
-    if let Some(t0) = start {
-        hector_trace::record_span(name, hector_trace::SpanCat::Shard, t0, rows, 0, 0.0);
-    }
-}
-
-/// The shard runs of a sharded forward, in shard order: each shard that
-/// owns nodes, with its sliced inputs.
-fn runs<'a>(
-    sharded: &'a ShardedGraph,
-    inputs: &'a [Option<Bindings>],
-) -> impl Iterator<Item = (usize, &'a Shard, &'a Bindings)> {
-    inputs
-        .iter()
-        .enumerate()
-        .filter_map(|(s, b)| Some((s, sharded.shard(s), b.as_ref()?)))
-}
-
-/// One engine bound to the full graph, run on each shard's view, with a
-/// boundary-exchange merge. Built by [`BindSharded::bind_sharded`]; see
-/// the module docs for the parity contracts.
+/// One engine bound to the full graph, run on each shard's owned rows,
+/// with a boundary-exchange merge. Built by [`BindSharded::bind_sharded`];
+/// see the module docs for the parity contracts.
 pub struct ShardedEngine {
     full: Engine,
     sharded: ShardedGraph,
-    /// Per shard, its inputs sliced from the engine's bindings; `None`
-    /// for a shard that owns no nodes (it has no rows to contribute).
-    inputs: Vec<Option<Bindings>>,
     output: Tensor,
 }
 
@@ -140,63 +89,46 @@ impl ShardedEngine {
         }
         let out_width = forward.var(forward.outputs[0]).width;
         full.bind(sharded.full_data())?;
-        let mut engine = ShardedEngine {
+        Ok(ShardedEngine {
             full,
-            inputs: Vec::new(),
             output: Tensor::zeros(&[sharded.full().num_nodes(), out_width]),
             sharded,
-        };
-        engine.slice_inputs();
-        Ok(engine)
+        })
     }
 
-    /// Re-slices every shard's inputs from the engine's bindings
-    /// (building any shard not yet read or left stale by a delta).
-    fn slice_inputs(&mut self) {
-        let program = &self.full.module().forward;
-        let vars: Vec<_> = program
-            .inputs
-            .iter()
-            .map(|&v| program.var(v).clone())
-            .collect();
-        self.inputs = (0..self.sharded.num_shards())
-            .map(|s| {
-                let shard = self.sharded.shard(s);
-                (!shard.owned().is_empty())
-                    .then(|| shard.view().gather_inputs(&vars, self.full.bindings()))
-            })
-            .collect();
-    }
-
-    /// Runs one forward pass: the engine's parameters on every shard in
-    /// fixed order, each run followed by its part of the boundary
-    /// exchange (its owned rows copied into the merged output). The
+    /// Runs one forward pass: [`Engine::forward_rows`] on every shard's
+    /// owned rows in fixed order, each followed by its part of the
+    /// boundary exchange (the rows copied into the merged output). The
     /// merged output is bitwise identical to the unsharded engine's.
     ///
     /// # Errors
     ///
     /// Propagates the first failing shard's error (in shard order); only
     /// the shards before it have then refreshed their merged rows.
-    pub fn forward(&mut self) -> Result<RunReport, HectorError> {
-        let mut report = RunReport::default();
-        let w = self.output.cols();
-        for (_, shard, bindings) in runs(&self.sharded, &self.inputs) {
+    pub fn forward(&mut self) -> Result<(), HectorError> {
+        let owner = self.sharded.owner();
+        for s in 0..self.sharded.num_shards() as u32 {
+            let owned: Vec<u32> = (0..owner.len() as u32)
+                .filter(|&v| owner[v as usize] == s)
+                .collect();
             let tr = hector_trace::span_start();
-            let data = shard.view().data();
-            accumulate(&mut report, &self.full.forward_on(data, bindings)?);
-            shard_span("shard/forward", tr, data.graph().num_edges() as u64);
-            // Boundary exchange. Rows are disjoint (ownership partitions
-            // the nodes), so the shard order only pins byte-level
-            // determinism.
-            let tr = hector_trace::span_start();
-            let (local, merged) = (self.full.output().data(), self.output.data_mut());
-            for (&orig, &loc) in shard.owned().iter().zip(shard.owned_local()) {
-                let (o, l) = (orig as usize * w, loc as usize * w);
-                merged[o..o + w].copy_from_slice(&local[l..l + w]);
+            let rows = self.full.forward_rows(&owned)?;
+            for (i, &v) in owned.iter().enumerate() {
+                self.output.row_mut(v as usize).copy_from_slice(rows.row(i));
             }
-            shard_span("shard/exchange", tr, shard.owned().len() as u64);
+            if let Some(t0) = tr {
+                let rows = owned.len() as u64;
+                hector_trace::record_span(
+                    "shard/forward",
+                    hector_trace::SpanCat::Shard,
+                    t0,
+                    rows,
+                    0,
+                    0.0,
+                );
+            }
         }
-        Ok(report)
+        Ok(())
     }
 
     /// Runs one training step on the full graph (bit-identical to
@@ -215,11 +147,9 @@ impl ShardedEngine {
     }
 
     /// Applies one delta batch: updates the sharded storage
-    /// ([`ShardedGraph::try_apply`]), re-binds the engine against the
+    /// ([`ShardedGraph::try_apply`]) and re-binds the engine against the
     /// store's post-delta graph data (freshly seed-derived parameters and
-    /// bindings — the fresh-oracle contract), and re-slices every
-    /// shard's inputs, which re-extracts exactly the shards the delta
-    /// left stale (every shard on a repartition).
+    /// bindings — the fresh-oracle contract).
     ///
     /// # Errors
     ///
@@ -230,7 +160,6 @@ impl ShardedEngine {
         let outcome = self.sharded.try_apply(batch)?;
         self.full.bind(self.sharded.full_data())?;
         self.output = Tensor::zeros(&[self.sharded.full().num_nodes(), self.output.cols()]);
-        self.slice_inputs();
         Ok(outcome)
     }
 
@@ -251,35 +180,6 @@ impl ShardedEngine {
     #[must_use]
     pub fn full_graph(&self) -> &HeteroGraph {
         self.sharded.full()
-    }
-
-    /// Number of shards (including ones that own no nodes).
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.sharded.num_shards()
-    }
-
-    /// Profiles a closure over this engine — the sharded counterpart of
-    /// `Engine::profile`: tracing covers the closure, and the report
-    /// additionally carries the shard span table (`shard/forward`,
-    /// `shard/exchange`, ...) and a [`ShardSummary`] of this engine's
-    /// store (shard count, edge cut, halo rows).
-    pub fn profile<T>(&mut self, f: impl FnOnce(&mut ShardedEngine) -> T) -> (T, ProfileReport) {
-        let was_on = hector_trace::is_enabled();
-        let _stale = hector_trace::take_events();
-        hector_trace::enable();
-        let out = f(self);
-        if !was_on {
-            hector_trace::disable();
-        }
-        let events = hector_trace::take_events();
-        let mut report = hector_trace::report::build_report(&events, &[]);
-        report.shard_stats = Some(ShardSummary {
-            shards: self.sharded.num_shards(),
-            edge_cut_fraction: self.sharded.edge_cut_fraction(),
-            halo_rows: self.sharded.halo_rows() as u64,
-        });
-        (out, report)
     }
 }
 
@@ -406,35 +306,6 @@ mod tests {
         assert!(shared(&eng));
     }
 
-    /// A shard run executes on the store's own view of the shard: one
-    /// graph copy per shard, before and after a delta re-extracts some.
-    #[test]
-    fn shard_runs_use_the_shards_own_graph_data() {
-        let g = graph();
-        let sharded = ShardedGraph::partition(
-            g.clone(),
-            Box::new(HashPartitioner::new(2)),
-            ShardConfig::new(3),
-        );
-        let mut eng = builder().bind_sharded(sharded).unwrap();
-        let check = |eng: &ShardedEngine| {
-            let mut ran = 0;
-            for (s, shard, _) in runs(&eng.sharded, &eng.inputs) {
-                let stored = eng.sharded().shard(s).view().data();
-                assert!(std::ptr::eq(shard.view().data(), stored), "shard {s}");
-                assert!(std::ptr::eq(stored.graph(), eng.sharded().shard(s).graph()));
-                ran += 1;
-            }
-            assert!(ran > 0);
-        };
-        eng.forward().unwrap();
-        check(&eng);
-        eng.apply_delta(&DeltaBatch::new().add_edge(g.src()[0], g.dst()[0], g.etype()[0]))
-            .unwrap();
-        eng.forward().unwrap();
-        check(&eng);
-    }
-
     #[test]
     fn malformed_delta_is_an_error_and_changes_nothing() {
         let g = graph();
@@ -499,24 +370,6 @@ mod tests {
         let replaced = everything.add_node(0);
         assert!(eng.apply_delta(&replaced).is_ok());
         assert_eq!(eng.full_graph().num_nodes(), 1);
-    }
-
-    #[test]
-    fn profile_carries_shard_summary() {
-        let g = graph();
-        let sharded = ShardedGraph::partition(
-            g.clone(),
-            Box::new(HashPartitioner::new(2)),
-            ShardConfig::new(2),
-        );
-        let mut eng = builder().bind_sharded(sharded).unwrap();
-        let (_, report) = eng.profile(|e| e.forward().unwrap());
-        let stats = report
-            .shard_stats
-            .expect("sharded profile sets the summary");
-        assert_eq!(stats.shards, 2);
-        assert!(!report.shard.is_empty(), "shard spans recorded");
-        assert!(report.shard.iter().any(|a| a.name == "shard/exchange"));
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -168,17 +168,6 @@ impl Tensor {
         self.data[i * self.shape[1] + j]
     }
 
-    /// Mutable element accessor for rank-2 tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2 or indices are out of range.
-    pub fn at2_mut(&mut self, i: usize, j: usize) -> &mut f32 {
-        assert_eq!(self.rank(), 2);
-        let c = self.shape[1];
-        &mut self.data[i * c + j]
-    }
-
     /// Element accessor for rank-3 tensors.
     ///
     /// # Panics

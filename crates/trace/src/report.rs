@@ -71,21 +71,6 @@ pub struct RelationAgg {
     pub gemm_us: f64,
 }
 
-/// Sharded-execution summary of one store, set in a [`ProfileReport`] by
-/// `ShardedEngine::profile` (`hector-shard`). The trace crate defines the
-/// shape so reports can carry it without a dependency on the shard
-/// crate.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ShardSummary {
-    /// Shards in the current partitioning.
-    pub shards: usize,
-    /// Fraction of full-graph edges whose endpoints live on different
-    /// shards.
-    pub edge_cut_fraction: f64,
-    /// Halo rows (replicated non-owned nodes) across all shards.
-    pub halo_rows: u64,
-}
-
 /// Structured profile built from one drained trace.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileReport {
@@ -102,9 +87,6 @@ pub struct ProfileReport {
     /// Sharded-execution aggregates (per-shard runs, boundary exchange,
     /// delta application); empty outside sharded execution.
     pub shard: Vec<SpanAgg>,
-    /// Sharding counters, set by `ShardedEngine::profile`; `None` for
-    /// unsharded profiles.
-    pub shard_stats: Option<ShardSummary>,
     /// Per-relation estimates (see module docs); empty when no graph
     /// relation mix was supplied.
     pub relations: Vec<RelationAgg>,
@@ -214,7 +196,6 @@ pub fn build_report(events: &[TraceEvent], relations: &[RelationShare]) -> Profi
         passes,
         pipeline,
         shard,
-        shard_stats: None,
         relations: rel,
         coverage,
         events: events.len(),
@@ -280,15 +261,6 @@ impl fmt::Display for ProfileReport {
         table(f, "compiler passes:", &self.passes)?;
         table(f, "pipeline:", &self.pipeline)?;
         table(f, "sharding:", &self.shard)?;
-        if let Some(s) = &self.shard_stats {
-            writeln!(
-                f,
-                "shards: {} ({:.1}% edge cut, {} halo rows)",
-                s.shards,
-                s.edge_cut_fraction * 100.0,
-                s.halo_rows
-            )?;
-        }
         if !self.relations.is_empty() {
             writeln!(f, "relations (estimated from edge/pair shares):")?;
             writeln!(
@@ -367,24 +339,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_spans_and_summary_render() {
+    fn shard_spans_render() {
         let evs = vec![
             span("run/forward", SpanCat::Run, 100.0, 0),
             span("shard/forward", SpanCat::Shard, 40.0, 64),
             span("shard/exchange", SpanCat::Shard, 5.0, 64),
         ];
-        let mut r = build_report(&evs, &[]);
+        let r = build_report(&evs, &[]);
         assert_eq!(r.shard.len(), 2);
         assert_eq!(r.shard[0].name, "shard/forward");
-        r.shard_stats = Some(ShardSummary {
-            shards: 4,
-            edge_cut_fraction: 0.25,
-            halo_rows: 80,
-        });
         let shown = format!("{r}");
         assert!(shown.contains("sharding:"));
         assert!(shown.contains("shard/exchange"));
-        assert!(shown.contains("shards: 4 (25.0% edge cut, 80 halo rows)"));
     }
 
     #[test]

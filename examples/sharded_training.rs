@@ -2,7 +2,7 @@
 //! partitioned over destination nodes (`HECTOR_SHARDS`, default 4),
 //! trained and served through a [`ShardedEngine`] whose merged outputs
 //! are **bit-identical** to the unsharded engine, then mutated in place
-//! with a [`DeltaBatch`] that rebuilds only the affected shards' graphs.
+//! with a [`DeltaBatch`] that splices the store's full graph.
 //!
 //! [`ShardedEngine`]: hector::ShardedEngine
 //! [`DeltaBatch`]: hector::DeltaBatch
@@ -26,19 +26,18 @@ fn main() {
     );
 
     // Partition over destination nodes: each shard owns its output rows
-    // and replicates a halo of foreign source nodes those rows read.
+    // and reads a halo of foreign source nodes those rows depend on.
     let sharded = ShardedGraph::partition(
         graph.clone(),
         Box::new(GreedyEdgeCut),
         ShardConfig::new(shards),
     );
     println!(
-        "partitioned into {} shards ({}): {:.1}% edge cut, {} halo rows ({} halo bytes)",
+        "partitioned into {} shards ({}): {:.1}% edge cut, {} halo rows",
         sharded.num_shards(),
         sharded.partitioner_name(),
         sharded.edge_cut_fraction() * 100.0,
         sharded.halo_rows(),
-        sharded.halo_bytes(),
     );
 
     let classes = 8;
@@ -53,8 +52,8 @@ fn main() {
         .expect("sharded engine builds");
 
     // One engine, bound to the full graph: training runs there (bitwise
-    // the unsharded trajectory); a forward runs its parameters on each
-    // shard in turn and merges owned rows in fixed shard order.
+    // the unsharded trajectory); a forward runs `Engine::forward_rows`
+    // on each shard's owned rows and merges them in fixed shard order.
     let labels: Vec<usize> = (0..graph.num_nodes()).map(|v| v % classes).collect();
     let mut opt = Adam::new(0.02);
     println!("\nstep   loss");
@@ -69,32 +68,28 @@ fn main() {
         engine.output().cols()
     );
 
-    // Streaming deltas: splice edges in and out of the compacted CSRs.
-    // Only shards whose interiors saw a touched destination rebuild
-    // their graphs; every shard re-slices its inputs.
+    // Streaming deltas: splice edges in and out of the store's full
+    // graph, carrying its indices across; the next forward extracts
+    // each shard's closure from the post-delta graph.
     let batch = DeltaBatch::new()
         .add_edge(0, 1, 0)
         .add_edge(2, 3, 1)
         .remove_edge(graph.src()[0], graph.dst()[0], graph.etype()[0]);
     let outcome = engine.apply_delta(&batch).expect("delta applies");
+    let store = engine.sharded();
     println!(
-        "\ndelta v{}: {} ops, {} of {} shard graphs rebuilt{}",
+        "\ndelta v{}: {} ops{}; {:.1}% edge cut, {} halo rows",
         outcome.version,
         outcome.ops,
-        outcome.affected.len(),
-        engine.num_shards(),
         if outcome.repartitioned {
             " (full repartition)"
         } else {
             ""
         },
+        store.edge_cut_fraction() * 100.0,
+        store.halo_rows(),
     );
-
-    // Profile a post-delta forward: the report carries per-shard spans
-    // plus a ShardSummary of the engine's own store (shards, edge cut,
-    // halo rows).
-    let (_, report) = engine.profile(|e| e.forward().expect("fits"));
-    println!("\n{report}");
+    engine.forward().expect("fits");
     println!(
         "Rerun with HECTOR_SHARDS={} (or any count): every merged output\n\
          above is bit-identical — sharding changes where rows are\n\

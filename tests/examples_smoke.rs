@@ -323,8 +323,8 @@ fn serve_demo_path() {
 
 /// `examples/sharded_training.rs`: a destination-partitioned graph
 /// trains and runs through a [`hector::ShardedEngine`] bit-identically
-/// to the unsharded engine, and a streaming delta re-plans only the
-/// affected shards.
+/// to the unsharded engine, and a streaming delta advances the store
+/// it reports its edge cut and halo rows from.
 #[test]
 fn sharded_training_path() {
     use hector::{BindSharded, DeltaBatch, GreedyEdgeCut, ShardConfig, ShardedGraph};
@@ -364,8 +364,8 @@ fn sharded_training_path() {
         "sharded training/forward must be bit-identical to unsharded"
     );
 
-    // A streaming delta touches one destination: at most a handful of
-    // shard plans re-derive, and the graph version advances.
+    // A streaming delta advances the graph version; the store reports
+    // its edge cut and halo rows from the post-delta graph.
     let batch = DeltaBatch::new().add_edge(0, 1, 0).remove_edge(
         graph.src()[0],
         graph.dst()[0],
@@ -373,15 +373,11 @@ fn sharded_training_path() {
     );
     let outcome = engine.apply_delta(&batch).expect("delta applies");
     assert_eq!(outcome.version, 1);
-    assert!(!outcome.affected.is_empty());
+    assert!(!outcome.repartitioned);
+    let store = engine.sharded();
+    assert!(store.edge_cut_fraction() <= 1.0);
+    assert!(store.halo_rows() > 0);
     engine.forward().expect("fits");
-
-    let (_, report) = engine.profile(|e| e.forward().expect("fits"));
-    let stats = report
-        .shard_stats
-        .expect("sharded profile sets the summary");
-    assert_eq!(stats.shards, 3);
-    assert!(format!("{report}").contains("shards:"));
 }
 
 /// `examples/profiling.rs`: a profiled training epoch yields a populated

@@ -1,7 +1,7 @@
-//! Sharded-execution parity: partition → per-shard execute → merge must
-//! be **bit-identical** to the unsharded engine, at every shard count,
-//! thread count, model, and backend — sharding is a storage/execution
-//! layout, never a numeric path.
+//! Sharded-execution parity: partition → `Engine::forward_rows` over
+//! each shard's owned rows → merge must be **bit-identical** to the
+//! unsharded engine, at every shard count, thread count, model, and
+//! backend — sharding is an execution layout, never a numeric path.
 //!
 //! * Forward outputs match the unsharded oracle bitwise at shard counts
 //!   {1, 2, 3, 8} × executor threads {1, 4} × three models, on both
@@ -9,10 +9,9 @@
 //! * Zero-in-degree nodes and shards whose owned nodes are fully
 //!   isolated merge correctly.
 //! * Training through the sharded engine stays bitwise on the unsharded
-//!   trajectory (authoritative full-graph step + mirror resync).
-//! * A delta batch invalidates exactly the affected shards' plans
-//!   (pinned through the `shard_probe` counters), and post-delta
-//!   outputs equal a fresh engine on the post-delta graph.
+//!   trajectory (the step runs on the full graph).
+//! * A delta batch is counted once by the `shard_probe` counters, and
+//!   post-delta outputs equal a fresh engine on the post-delta graph.
 //! * Property: random graph × random partitioner × random shard count
 //!   never diverges.
 
@@ -149,8 +148,11 @@ fn zero_in_degree_and_isolated_shards_merge_correctly() {
     // Range over 3 shards: the last shard owns only isolated nodes.
     let sharded =
         ShardedGraph::partition(g.clone(), Box::new(RangePartitioner), ShardConfig::new(3));
+    // A one-hop shard's closure holds exactly the in-edges of the nodes
+    // it owns: it is edge-free when no edge ends at one of them.
+    let owner = sharded.owner();
     assert!(
-        (0..sharded.num_shards()).any(|s| sharded.shard(s).graph().num_edges() == 0),
+        (0..sharded.num_shards() as u32).any(|s| g.dst().iter().all(|&d| owner[d as usize] != s)),
         "the test graph must actually produce an edge-free shard"
     );
     let mut eng = builder
@@ -206,26 +208,19 @@ fn training_through_the_sharded_engine_stays_on_the_unsharded_trajectory() {
 
 /// The only test in this binary that applies deltas, so the
 /// process-global `shard_probe` deltas it asserts on are race-free
-/// (partitioning elsewhere touches different counters).
+/// (partitioning records nothing).
 #[test]
 fn deltas_invalidate_only_affected_shards_and_match_a_fresh_engine() {
     let g = graph(55, 60, 300);
     let mut sharded =
         ShardedGraph::partition(g.clone(), Box::new(RangePartitioner), ShardConfig::new(4));
     let dst = 5u32;
-    let owner = sharded.owner()[dst as usize] as usize;
 
     let before = hector_device::shard_probe::snapshot();
     let outcome = sharded.apply(&DeltaBatch::new().add_edge(0, dst, 0));
     let after = hector_device::shard_probe::snapshot();
-    assert_eq!(
-        outcome.affected,
-        vec![owner],
-        "a single-destination edge delta touches exactly its owner's plan"
-    );
     assert!(!outcome.repartitioned);
     assert_eq!(outcome.version, 1);
-    assert_eq!(after.plan_invalidations - before.plan_invalidations, 1);
     assert_eq!(after.delta_batches - before.delta_batches, 1);
     assert_eq!(after.delta_ops - before.delta_ops, 1);
 

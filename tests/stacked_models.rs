@@ -36,40 +36,10 @@ fn rgcn_stack_reference(
     for l in 0..layers {
         let w = params.weight(hector_ir::WeightId((2 * l) as u32));
         let w0 = params.weight(hector_ir::WeightId((2 * l + 1) as u32));
-        // reference::rgcn_forward applies a trailing relu; undo it on the
-        // last layer by recomputing without activation.
-        let full = reference::rgcn_forward(g, &cur, cnorm, w, w0);
         if l + 1 == layers {
-            // Recompute the pre-activation output: relu(x) == x wherever
-            // x >= 0, so rebuild from scratch with a no-relu pass.
-            let mut out = Tensor::zeros(full.shape());
-            for v in 0..g.num_nodes() {
-                let mut row = vec![0.0f32; w0.shape()[2]];
-                for (j, r) in row.iter_mut().enumerate() {
-                    for p in 0..w0.shape()[1] {
-                        *r += cur.at2(v, p) * w0.at3(0, p, j);
-                    }
-                }
-                out.row_mut(v).copy_from_slice(&row);
-            }
-            for e in 0..g.num_edges() {
-                let (s, d, ty) = (
-                    g.src()[e] as usize,
-                    g.dst()[e] as usize,
-                    g.etype()[e] as usize,
-                );
-                let c = cnorm.at2(e, 0);
-                for j in 0..w.shape()[2] {
-                    let mut m = 0.0;
-                    for p in 0..w.shape()[1] {
-                        m += cur.at2(s, p) * w.at3(ty, p, j);
-                    }
-                    *out.at2_mut(d, j) += c * m;
-                }
-            }
-            return out;
+            return reference::rgcn_layer(g, &cur, cnorm, w, w0);
         }
-        cur = full;
+        cur = reference::rgcn_forward(g, &cur, cnorm, w, w0);
     }
     cur
 }
