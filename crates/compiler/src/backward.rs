@@ -487,7 +487,7 @@ mod tests {
 
     /// RGCN-style layer with explicit normalisation input.
     fn rgcn_program() -> Program {
-        let mut m = ModelBuilder::new("rgcn", 8);
+        let mut m = ModelBuilder::new("rgcn");
         let h = m.node_input("h", 8);
         let cnorm = m.edge_input("cnorm", 1);
         let w = m.weight_per_etype("W", 8, 8);
@@ -554,7 +554,7 @@ mod tests {
     fn attention_chain_backward_validates() {
         // RGAT-like: exercises dot, softmax (exp/agg/div), scaled
         // aggregation, and the edge→node gradient routing.
-        let mut m = ModelBuilder::new("rgat", 8);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_s = m.weight_vec_per_etype("w_s", 8);
@@ -606,7 +606,7 @@ mod tests {
 
     #[test]
     fn reordered_forward_backward_targets_derived_weights() {
-        let mut m = ModelBuilder::new("r", 8);
+        let mut m = ModelBuilder::new("r");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_t = m.weight_vec_per_etype("w_t", 8);

@@ -232,7 +232,7 @@ mod tests {
     use hector_ir::{AggNorm, ModelBuilder};
 
     fn toy_source(name: &str, dim: usize) -> ModelSource {
-        let mut m = ModelBuilder::new(name, dim);
+        let mut m = ModelBuilder::new(name);
         let h = m.node_input("h", dim);
         let w = m.weight_per_etype("W", dim, dim);
         let y = m.typed_linear("y", m.src(h), w);
@@ -243,7 +243,7 @@ mod tests {
 
     /// `toy_source` with its messages scaled by the constant `c`.
     fn scaled_source(c: f32) -> ModelSource {
-        let mut m = ModelBuilder::new("cache_fp_scaled", 8);
+        let mut m = ModelBuilder::new("cache_fp_scaled");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let y = m.typed_linear("y", m.src(h), w);

@@ -761,7 +761,7 @@ mod tests {
     use hector_ir::{AggNorm, ModelBuilder};
 
     fn rgat() -> (Program, Vec<KernelSpec>) {
-        let mut m = ModelBuilder::new("rgat", 8);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_s = m.weight_vec_per_etype("w_s", 8);
@@ -850,7 +850,7 @@ mod tests {
 
     #[test]
     fn compacted_code_uses_unique_row_idx() {
-        let mut m = ModelBuilder::new("c", 8);
+        let mut m = ModelBuilder::new("c");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let msg = m.typed_linear("msg", m.src(h), w);
@@ -869,7 +869,7 @@ mod tests {
         // intermediate node gradient (needed for the first weight's
         // gradient) survives dead-code elimination: its edge→node scatter
         // must be atomic.
-        let mut m = ModelBuilder::new("bw", 8);
+        let mut m = ModelBuilder::new("bw");
         let h = m.node_input("h", 8);
         let w0 = m.weight_shared("W0", 8, 8);
         let w = m.weight_per_etype("W", 8, 8);

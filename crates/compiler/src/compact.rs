@@ -59,7 +59,7 @@ mod tests {
 
     /// RGAT-like fragment: hs and atts are compactible; ht/attt are not.
     fn rgat_like() -> Program {
-        let mut m = ModelBuilder::new("rgat", 8);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_s = m.weight_vec_per_etype("w_s", 8);
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn outputs_are_never_compacted() {
-        let mut m = ModelBuilder::new("edge_out", 4);
+        let mut m = ModelBuilder::new("edge_out");
         let h = m.node_input("h", 4);
         let w = m.weight_per_etype("W", 4, 4);
         let msg = m.typed_linear("msg", m.src(h), w);
@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn dst_dependent_ops_stay_edgewise() {
-        let mut m = ModelBuilder::new("dst", 4);
+        let mut m = ModelBuilder::new("dst");
         let h = m.node_input("h", 4);
         let q = m.node_input("q", 4);
         let att = m.dot("att", m.src(h), m.dst(q));

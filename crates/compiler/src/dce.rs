@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn removes_orphaned_chain() {
-        let mut m = ModelBuilder::new("dead", 4);
+        let mut m = ModelBuilder::new("dead");
         let h = m.node_input("h", 4);
         let w = m.weight_per_etype("W", 4, 4);
         let msg = m.typed_linear("msg", m.src(h), w);
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn keeps_everything_reachable() {
-        let mut m = ModelBuilder::new("live", 4);
+        let mut m = ModelBuilder::new("live");
         let h = m.node_input("h", 4);
         let w = m.weight_per_etype("W", 4, 4);
         let msg = m.typed_linear("msg", m.src(h), w);
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn grad_w_ops_are_roots() {
         use hector_ir::{Endpoint, Operand};
-        let mut m = ModelBuilder::new("gw", 4);
+        let mut m = ModelBuilder::new("gw");
         let h = m.node_input("h", 4);
         let w = m.weight_per_etype("W", 4, 4);
         let msg = m.typed_linear("msg", m.src(h), w);

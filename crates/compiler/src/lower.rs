@@ -499,7 +499,7 @@ mod tests {
     use hector_ir::{AggNorm, ModelBuilder};
 
     fn rgat_program() -> Program {
-        let mut m = ModelBuilder::new("rgat", 8);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_s = m.weight_vec_per_etype("w_s", 8);
@@ -517,7 +517,7 @@ mod tests {
     }
 
     fn rgcn_program() -> Program {
-        let mut m = ModelBuilder::new("rgcn", 8);
+        let mut m = ModelBuilder::new("rgcn");
         let h = m.node_input("h", 8);
         let c = m.edge_input("cnorm", 1);
         let w = m.weight_per_etype("W", 8, 8);
@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn backward_gemm_after_traversal_flushes_group() {
-        let mut m = ModelBuilder::new("rgcn_bw", 4);
+        let mut m = ModelBuilder::new("rgcn_bw");
         let h = m.node_input("h", 4);
         let c = m.edge_input("cnorm", 1);
         let w = m.weight_per_etype("W", 4, 4);
@@ -674,7 +674,7 @@ mod tests {
 
     #[test]
     fn prep_fallbacks_come_first() {
-        let mut m = ModelBuilder::new("r", 8);
+        let mut m = ModelBuilder::new("r");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_t = m.weight_vec_per_etype("w_t", 8);
@@ -690,7 +690,7 @@ mod tests {
 
     #[test]
     fn nodewise_linear_lowers_to_plain_gemm() {
-        let mut m = ModelBuilder::new("n", 4);
+        let mut m = ModelBuilder::new("n");
         let h = m.node_input("h", 4);
         let w0 = m.weight_shared("W0", 4, 4);
         let y = m.typed_linear("y", m.this(h), w0);
@@ -742,7 +742,7 @@ mod tests {
 
     #[test]
     fn pure_nodewise_chain_gets_nodes_domain() {
-        let mut m = ModelBuilder::new("nodes", 4);
+        let mut m = ModelBuilder::new("nodes");
         let a = m.node_input("a", 4);
         let b = m.node_input("b", 4);
         let s = m.add("s", m.this(a), m.this(b));

@@ -210,7 +210,7 @@ mod tests {
     use hector_ir::{AggNorm, ModelBuilder, Space};
 
     fn rgat_source() -> ModelSource {
-        let mut m = ModelBuilder::new("rgat", 16);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 16);
         let w = m.weight_per_etype("W", 16, 16);
         let w_s = m.weight_vec_per_etype("w_s", 16);

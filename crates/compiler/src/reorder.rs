@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn rgat_attention_dot_is_rewritten_and_gemm_removed() {
-        let mut m = ModelBuilder::new("rgat", 8);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_t = m.weight_vec_per_etype("w_t", 8);
@@ -194,7 +194,7 @@ mod tests {
     fn shared_message_keeps_gemm_alive() {
         // When hs also feeds the message aggregation, the GEMM survives
         // but the attention path still switches to the fused vector.
-        let mut m = ModelBuilder::new("rgat2", 8);
+        let mut m = ModelBuilder::new("rgat2");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_s = m.weight_vec_per_etype("w_s", 8);
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn hgt_chain_fuses_into_pair_weight() {
-        let mut m = ModelBuilder::new("hgt", 8);
+        let mut m = ModelBuilder::new("hgt");
         let h = m.node_input("h", 8);
         let wk = m.weight_per_ntype("Wk", 8, 8);
         let wa = m.weight_per_etype("Wa", 8, 8);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn no_rewrite_without_weight_weight_product() {
         // dot of two data tensors: nothing to reorder.
-        let mut m = ModelBuilder::new("plain", 8);
+        let mut m = ModelBuilder::new("plain");
         let h = m.node_input("h", 8);
         let q = m.node_input("q", 8);
         let att = m.dot("att", m.src(h), m.dst(q));
@@ -253,7 +253,7 @@ mod tests {
     fn reorder_then_compact_compacts_the_dot() {
         // After reordering, RGAT's source attention term depends only on
         // (src, etype) and becomes compactible.
-        let mut m = ModelBuilder::new("rc", 8);
+        let mut m = ModelBuilder::new("rc");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let w_s = m.weight_vec_per_etype("w_s", 8);

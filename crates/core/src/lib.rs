@@ -41,7 +41,7 @@
 //!     .options(CompileOptions::best())
 //!     .seed(0)
 //!     .build()?;
-//! let mut bound = engine.bind(&graph)?;
+//! let bound = engine.bind(&graph)?;
 //! let report = bound.forward()?;
 //! assert!(report.elapsed_us > 0.0);
 //! assert_eq!(bound.output().rows(), graph.graph().num_nodes());
@@ -60,7 +60,7 @@
 //! ## Errors
 //!
 //! Every fallible entry point of the handle API — [`EngineBuilder::build`],
-//! [`Engine::bind`], [`Bound::forward`], [`Trainer::step`], and friends —
+//! [`Engine::bind`], [`Engine::forward`], [`Trainer::step`], and friends —
 //! returns [`Result`]`<_, `[`HectorError`]`>`. Caller misuse (an unbound
 //! engine, a misshapen binding, an unknown backend, a zero-thread
 //! configuration) is reported as a typed, matchable error rather than a
@@ -86,7 +86,7 @@ pub use hector_graph::{
 pub use hector_ir::{builder::ModelSource, ModelBuilder};
 pub use hector_models::{source as model_source, stacked, ModelKind};
 pub use hector_runtime::{
-    chunk_ranges, model_run, trace, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder,
+    chunk_ranges, model_run, trace, BackendKind, Batch, Bindings, Engine, EngineBuilder,
     EpochReport, GraphData, HectorError, Minibatches, ParallelConfig, ParamStore, ProfileReport,
     RunReport, Subgraph, TraceConfig, Trainer,
 };
@@ -118,7 +118,7 @@ pub mod prelude {
     pub use hector_ir::ModelBuilder;
     pub use hector_models::ModelKind;
     pub use hector_runtime::{
-        Adam, BackendKind, Batch, Bindings, Bound, Engine, EngineBuilder, EpochReport, GraphData,
+        Adam, BackendKind, Batch, Bindings, Engine, EngineBuilder, EpochReport, GraphData,
         HectorError, Minibatches, Mode, Optimizer, ParallelConfig, ParamStore, ProfileReport, Sgd,
         TraceConfig, Trainer,
     };

@@ -169,54 +169,6 @@ impl SamplerStats {
     }
 }
 
-/// Delta activity of `hector-shard`'s stores. Process-global, not per
-/// device — delta application runs on no device, so the numbers live in
-/// a shared probe ([`shard_probe`]) rather than any single device's
-/// counter store, and [`Counters::reset`] does not touch them (clear
-/// with [`shard_probe::reset`]). They count every store in the process;
-/// one store's own partition facts are
-/// `ShardedGraph::{num_shards, edge_cut_fraction, halo_rows}`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Delta batches applied.
-    pub delta_batches: u64,
-    /// Individual delta operations (edge/node inserts + deletes) applied.
-    pub delta_ops: u64,
-}
-
-/// Process-global probe `hector-shard` reports into and
-/// [`shard_probe::snapshot`] reads back. The device crate hosts the
-/// storage because it is the observability leaf of the workspace DAG.
-pub mod shard_probe {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use super::ShardStats;
-
-    static DELTA_BATCHES: AtomicU64 = AtomicU64::new(0);
-    static DELTA_OPS: AtomicU64 = AtomicU64::new(0);
-
-    /// Records one applied delta batch comprising `ops` operations.
-    pub fn record_delta(ops: u64) {
-        DELTA_BATCHES.fetch_add(1, Ordering::Relaxed);
-        DELTA_OPS.fetch_add(ops, Ordering::Relaxed);
-    }
-
-    /// Clears all probe state (tests pin deltas against a clean slate).
-    pub fn reset() {
-        DELTA_BATCHES.store(0, Ordering::Relaxed);
-        DELTA_OPS.store(0, Ordering::Relaxed);
-    }
-
-    /// Reads the current counters.
-    #[must_use]
-    pub fn snapshot() -> ShardStats {
-        ShardStats {
-            delta_batches: DELTA_BATCHES.load(Ordering::Relaxed),
-            delta_ops: DELTA_OPS.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Execution-backend statistics for one run (real mode only). Identifies
 /// *which* backend (`hector_runtime::BackendKind`) ran the kernels and
 /// whether the engine's execution plan was built by this run or reused —
@@ -247,11 +199,10 @@ pub struct BackendStats {
 ///   because mini-batch records land *between* runs; measure an epoch as
 ///   the difference of two snapshots.
 ///
-/// The process-global probes — the shard-delta counters ([`ShardStats`]
-/// via [`shard_probe::snapshot`]: delta batches and ops,
-/// summed over every store in the process) and `hector_trace::stats()`
-/// — are snapshots of shared state no `Counters` method clears; use
-/// [`shard_probe::reset`] / `hector_trace::clear` respectively.
+/// The process-global trace (`hector_trace::stats()`) is shared state
+/// no `Counters` method clears; use `hector_trace::clear`. A graph
+/// store counts its own deltas (`ShardedGraph::version` and each
+/// `DeltaOutcome`), so nothing here does.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
     buckets: HashMap<(KernelCategory, Phase), CategoryMetrics>,
@@ -540,19 +491,6 @@ mod tests {
             wait_wall_us: 0.0,
         };
         assert_eq!(z.overlap_fraction(), 0.0);
-    }
-
-    /// The shard probe accumulates across records and clears via its own
-    /// `reset`.
-    #[test]
-    fn shard_probe_records_and_resets() {
-        shard_probe::reset();
-        shard_probe::record_delta(3);
-        let s = shard_probe::snapshot();
-        assert_eq!(s.delta_batches, 1);
-        assert_eq!(s.delta_ops, 3);
-        shard_probe::reset();
-        assert_eq!(shard_probe::snapshot(), ShardStats::default());
     }
 
     /// `reset()` is run-scoped: sampler stats survive it and keep

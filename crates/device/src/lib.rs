@@ -38,8 +38,7 @@ mod memory;
 pub use config::DeviceConfig;
 pub use cost::{KernelCategory, KernelCost, Phase};
 pub use counters::{
-    shard_probe, BackendStats, CategoryMetrics, Counters, ParallelStats, SamplerStats,
-    ScratchStats, ShardStats,
+    BackendStats, CategoryMetrics, Counters, ParallelStats, SamplerStats, ScratchStats,
 };
 pub use device::Device;
 pub use memory::{AllocId, MemoryPool, OomError};

@@ -75,10 +75,15 @@ impl HeteroGraph {
     /// `inserts` (`(src, dst, etype)`) at their relation segment's end in
     /// call order. Surviving edges keep their relative order within every
     /// relation, so the result equals a builder fed the survivors and
-    /// then the insertions; it is written by bulk copies of the runs
-    /// between removals. Returns the new graph and the id renumbering
+    /// then the insertions. Returns the new graph and the id renumbering
     /// ([`EdgeSplice`]) the index derivations ([`Csc::spliced`],
     /// [`CompactionMap::spliced`]) read.
+    ///
+    /// Without `nodes` the node set is kept and the runs between removals
+    /// are written by bulk copies. With `nodes` the survivors' endpoints
+    /// are renumbered through it during the copy, an edge incident to a
+    /// node it removes drops too (and is listed in
+    /// [`EdgeSplice::removed`]), and `inserts` name new ids.
     ///
     /// # Panics
     ///
@@ -89,6 +94,7 @@ impl HeteroGraph {
         &self,
         removed: &[u32],
         inserts: &[(u32, u32, u32)],
+        nodes: Option<&NodeMap>,
     ) -> (HeteroGraph, EdgeSplice) {
         debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
         let nrel = self.num_edge_types;
@@ -102,6 +108,7 @@ impl HeteroGraph {
         let mut etype_ptr = Vec::with_capacity(nrel + 1);
         etype_ptr.push(0);
         let mut old_to_new = vec![EdgeSplice::REMOVED; self.num_edges()];
+        let mut dropped = Vec::with_capacity(removed.len());
         let mut inserted = Vec::with_capacity(adds.len());
         let mut gone = removed.iter().map(|&e| e as usize).peekable();
         let mut added = adds.iter().peekable();
@@ -109,15 +116,31 @@ impl HeteroGraph {
             let (mut run, hi) = (self.etype_ptr[t], self.etype_ptr[t + 1]);
             loop {
                 let end = gone.next_if(|&e| e < hi).unwrap_or(hi);
-                let base = src.len();
-                src.extend_from_slice(&self.src[run..end]);
-                dst.extend_from_slice(&self.dst[run..end]);
-                for (i, m) in old_to_new[run..end].iter_mut().enumerate() {
-                    *m = (base + i) as u32;
+                if let Some(map) = nodes {
+                    #[allow(clippy::needless_range_loop)] // `e` indexes several parallel arrays
+                    for e in run..end {
+                        let s = map.old_to_new[self.src[e] as usize];
+                        let d = map.old_to_new[self.dst[e] as usize];
+                        if s == NodeMap::REMOVED || d == NodeMap::REMOVED {
+                            dropped.push(e as u32);
+                            continue;
+                        }
+                        old_to_new[e] = src.len() as u32;
+                        src.push(s);
+                        dst.push(d);
+                    }
+                } else {
+                    let base = src.len();
+                    src.extend_from_slice(&self.src[run..end]);
+                    dst.extend_from_slice(&self.dst[run..end]);
+                    for (i, m) in old_to_new[run..end].iter_mut().enumerate() {
+                        *m = (base + i) as u32;
+                    }
                 }
                 if end == hi {
                     break;
                 }
+                dropped.push(end as u32);
                 run = end + 1;
             }
             while let Some(&(s, d, _)) = added.next_if(|a| a.2 as usize == t) {
@@ -128,12 +151,15 @@ impl HeteroGraph {
             etype_ptr.push(src.len());
         }
         assert!(gone.next().is_none(), "removed edge id out of range");
-        let counts: Vec<usize> = (0..self.num_node_types)
-            .map(|t| self.nodes_of_type(t))
-            .collect();
+        let counts: Vec<usize> = match nodes {
+            Some(map) => map.counts.clone(),
+            None => (0..self.num_node_types)
+                .map(|t| self.nodes_of_type(t))
+                .collect(),
+        };
         let splice = EdgeSplice {
             old_to_new,
-            removed: removed.to_vec(),
+            removed: dropped,
             inserted,
         };
         (
@@ -427,7 +453,8 @@ impl EdgeSplice {
         &self.old_to_new
     }
 
-    /// Old ids of the removed edges, ascending.
+    /// Old ids of the removed edges, ascending: the named ones and,
+    /// under a [`NodeMap`], those incident to a removed node.
     #[must_use]
     pub fn removed(&self) -> &[u32] {
         &self.removed
@@ -438,6 +465,22 @@ impl EdgeSplice {
     pub fn inserted(&self) -> &[u32] {
         &self.inserted
     }
+}
+
+/// A renumbering of a graph's nodes, the node input of
+/// [`HeteroGraph::splice_edges`]: how many nodes of each type the spliced
+/// graph has, and where each old node lands.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeMap {
+    /// Nodes of each type in the spliced graph.
+    pub counts: Vec<usize>,
+    /// New id of each old node, or [`NodeMap::REMOVED`].
+    pub old_to_new: Vec<u32>,
+}
+
+impl NodeMap {
+    /// The [`NodeMap::old_to_new`] entry of a removed node.
+    pub const REMOVED: u32 = u32::MAX;
 }
 
 /// Incremental builder for [`HeteroGraph`].

@@ -9,9 +9,10 @@
 //!   `etype_ptr` segment array (enabling segment matrix multiply), plus
 //!   COO arrays and on-demand CSR/CSC views for traversal kernels;
 //!   [`HeteroGraph::splice_edges`] removes and inserts edges by bulk
-//!   segment copies, and its [`EdgeSplice`] lets [`Csc::spliced`] and
-//!   [`CompactionMap::spliced`] carry the indices across instead of
-//!   rebuilding them;
+//!   segment copies (renumbering endpoints through a [`NodeMap`] when
+//!   nodes come and go), and its [`EdgeSplice`] lets [`Csc::spliced`]
+//!   and [`CompactionMap::spliced`] carry the indices across an
+//!   edge-only splice instead of rebuilding them;
 //! * [`CompactionMap`] — the unique `(source node, edge type)` index used
 //!   by *compact materialization* (paper §3.2.2), including the
 //!   `unique_row_idx` / `unique_etype_ptr` arrays of Fig. 7(b);
@@ -54,7 +55,7 @@ mod stats;
 
 pub use compact::CompactionMap;
 pub use generate::{generate, DatasetSpec};
-pub use hetero::{Csc, Csr, EdgeSplice, HeteroGraph, HeteroGraphBuilder};
+pub use hetero::{Csc, Csr, EdgeSplice, HeteroGraph, HeteroGraphBuilder, NodeMap};
 pub use remap::extract_mapped;
 pub use sample::{batch_stream_seed, NeighborSampler, SampledBatch, SamplerConfig};
 pub use stats::GraphStats;

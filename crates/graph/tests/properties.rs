@@ -264,7 +264,7 @@ proptest! {
                 })
                 .collect()
         };
-        let (new, splice) = g.splice_edges(&removed, &inserts);
+        let (new, splice) = g.splice_edges(&removed, &inserts, None);
         prop_assert_eq!(&new, &splice_reference(&g, &removed, &inserts));
         prop_assert_eq!(splice.removed(), &removed[..]);
         prop_assert_eq!(splice.inserted().len(), inserts.len());

@@ -13,7 +13,7 @@
 //! ```
 //! use hector_ir::{AggNorm, ModelBuilder};
 //!
-//! let mut m = ModelBuilder::new("rgat_attention", 64);
+//! let mut m = ModelBuilder::new("rgat_attention");
 //! let h = m.node_input("h", 64);
 //! let w = m.weight_per_etype("W", 64, 64);
 //! let w_s = m.weight_vec_per_etype("w_s", 64);
@@ -56,24 +56,16 @@ pub struct ModelSource {
 pub struct ModelBuilder {
     program: Program,
     lines: usize,
-    hidden: usize,
 }
 
 impl ModelBuilder {
-    /// Starts a model named `name` with the given default hidden size.
+    /// Starts a model named `name`.
     #[must_use]
-    pub fn new(name: &str, hidden: usize) -> ModelBuilder {
+    pub fn new(name: &str) -> ModelBuilder {
         ModelBuilder {
             program: Program::new(name),
             lines: 0,
-            hidden,
         }
-    }
-
-    /// Default hidden dimension passed at construction.
-    #[must_use]
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 
     // ---- inputs and weights ------------------------------------------
@@ -342,7 +334,7 @@ mod tests {
 
     #[test]
     fn rgcn_like_fragment_builds() {
-        let mut m = ModelBuilder::new("rgcn", 16);
+        let mut m = ModelBuilder::new("rgcn");
         let h = m.node_input("h", 16);
         let w = m.weight_per_etype("W", 16, 16);
         let w0 = m.weight_shared("W0", 16, 16);
@@ -366,7 +358,7 @@ mod tests {
 
     #[test]
     fn edge_softmax_expands_to_stabilised_form() {
-        let mut m = ModelBuilder::new("sm", 4);
+        let mut m = ModelBuilder::new("sm");
         let h = m.node_input("h", 4);
         let w_s = m.weight_vec_per_etype("w_s", 4);
         let att = m.dot("att", m.src(h), m.wvec(w_s));
@@ -393,7 +385,7 @@ mod tests {
 
     #[test]
     fn nodewise_results_stay_nodewise() {
-        let mut m = ModelBuilder::new("n", 8);
+        let mut m = ModelBuilder::new("n");
         let h = m.node_input("h", 8);
         let w = m.weight_per_ntype("Wk", 8, 8);
         let k = m.typed_linear("k", m.this(h), w);
@@ -402,7 +394,7 @@ mod tests {
 
     #[test]
     fn dot_with_dst_operand_is_edgewise() {
-        let mut m = ModelBuilder::new("d", 8);
+        let mut m = ModelBuilder::new("d");
         let h = m.node_input("h", 8);
         let q = m.node_input("q", 8);
         let att = m.dot("att", m.src(h), m.dst(q));
@@ -412,7 +404,7 @@ mod tests {
 
     #[test]
     fn line_counting_ignores_reference_helpers() {
-        let mut m = ModelBuilder::new("lines", 4);
+        let mut m = ModelBuilder::new("lines");
         let h = m.node_input("h", 4); // 1
         let w = m.weight_per_etype("W", 4, 4); // 2
         let msg = m.typed_linear("m", m.src(h), w); // 3 (src() is free)

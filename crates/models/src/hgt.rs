@@ -31,7 +31,7 @@ pub mod weights {
 /// Builds one single-headed HGT layer.
 #[must_use]
 pub fn source(in_dim: usize, out_dim: usize) -> ModelSource {
-    let mut m = ModelBuilder::new("hgt", out_dim);
+    let mut m = ModelBuilder::new("hgt");
     let h = m.node_input("h", in_dim);
     let out = layer(&mut m, h, in_dim, out_dim, "");
     m.output(out);

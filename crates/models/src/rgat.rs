@@ -22,7 +22,7 @@ pub mod weights {
 /// Builds one single-headed RGAT layer.
 #[must_use]
 pub fn source(in_dim: usize, out_dim: usize) -> ModelSource {
-    let mut m = ModelBuilder::new("rgat", out_dim);
+    let mut m = ModelBuilder::new("rgat");
     let h = m.node_input("h", in_dim);
     let out = layer(&mut m, h, in_dim, out_dim, "");
     m.output(out);

@@ -22,7 +22,7 @@ pub mod weights {
 /// Builds one RGCN layer.
 #[must_use]
 pub fn source(in_dim: usize, out_dim: usize) -> ModelSource {
-    let mut m = ModelBuilder::new("rgcn", out_dim);
+    let mut m = ModelBuilder::new("rgcn");
     let h = m.node_input("h", in_dim);
     let cnorm = m.edge_input("cnorm", 1);
     let sum = layer(&mut m, h, cnorm, in_dim, out_dim, "");

@@ -34,7 +34,7 @@ pub fn stack(
     if layers == 1 {
         return crate::source(kind, in_dim, out_dim);
     }
-    let mut m = ModelBuilder::new(&format!("{}_stack", kind.name().to_lowercase()), hidden);
+    let mut m = ModelBuilder::new(&format!("{}_stack", kind.name().to_lowercase()));
     let mut h = m.node_input("h", in_dim);
     let cnorm = (kind == ModelKind::Rgcn).then(|| m.edge_input("cnorm", 1));
     for l in 0..layers {

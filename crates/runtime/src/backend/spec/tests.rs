@@ -400,7 +400,7 @@ fn fold_programs(
 ) -> Vec<(&'static str, hector_ir::builder::ModelSource, usize, bool)> {
     use hector_ir::builder::ModelBuilder;
     let start = |name: &str| {
-        let mut m = ModelBuilder::new(name, width);
+        let mut m = ModelBuilder::new(name);
         let x = m.node_input("x", width);
         let s = m.edge_input("s", 1);
         (m, x, s)

@@ -423,7 +423,7 @@ mod tests {
     }
 
     fn rgat_kernels(compact: bool) -> (Program, Vec<KernelSpec>) {
-        let mut m = ModelBuilder::new("rgat", 32);
+        let mut m = ModelBuilder::new("rgat");
         let h = m.node_input("h", 32);
         let w = m.weight_per_etype("W", 32, 32);
         let w_s = m.weight_vec_per_etype("w_s", 32);

@@ -8,7 +8,7 @@
 //! process-wide [`hector_compiler::ModuleCache`]), the simulated device,
 //! the scratch arena, and the run plan. [`Engine::bind`] attaches a
 //! graph (deriving parameters and inputs from the engine seed), and
-//! every [`Bound::forward`] / [`Trainer::step`] call goes through the
+//! every [`Engine::forward`] / [`Trainer::step`] call goes through the
 //! engine's persistent run plan — the zero-allocation path — by
 //! construction.
 //!
@@ -31,7 +31,7 @@
 //!
 //! // Inference: build → bind → forward.
 //! let mut engine = EngineBuilder::new(ModelKind::Rgcn).dims(4, 4).seed(7).build()?;
-//! let mut bound = engine.bind(&graph)?;
+//! let bound = engine.bind(&graph)?;
 //! let report = bound.forward()?;
 //! assert!(report.elapsed_us > 0.0);
 //! assert_eq!(bound.output().rows(), 4);
@@ -511,9 +511,9 @@ impl Engine {
     /// Returns [`HectorError::GraphMismatch`] for a graph this model
     /// cannot run on (no nodes — there is nothing to derive parameters
     /// or features over).
-    pub fn bind(&mut self, graph: &GraphData) -> Result<Bound<'_>, HectorError> {
+    pub fn bind(&mut self, graph: &GraphData) -> Result<&mut Engine, HectorError> {
         let _ = self.bind_internal(graph)?;
-        Ok(Bound { engine: self })
+        Ok(self)
     }
 
     /// Seed-contract steps 1–2; returns the RNG so [`Trainer::bind`]
@@ -548,7 +548,7 @@ impl Engine {
     /// it changes the row count of a seed-derived input (a node-feature
     /// input on a graph with another node count, say). [`Engine::bind`]
     /// re-seeds instead.
-    pub fn rebind(&mut self, graph: &GraphData) -> Result<Bound<'_>, HectorError> {
+    pub fn rebind(&mut self, graph: &GraphData) -> Result<&mut Engine, HectorError> {
         let state = self.state.as_mut().ok_or_else(not_bound)?;
         check_nonempty(graph)?;
         let program = &self.plan.module.forward;
@@ -593,7 +593,7 @@ impl Engine {
             state.bindings.set(name, derive(graph));
         }
         state.graph = graph.clone();
-        Ok(Bound { engine: self })
+        Ok(self)
     }
 
     /// Learnable parameters of the bound graph. On an engine compiled
@@ -957,43 +957,6 @@ impl Drop for Engine {
         if let Err(e) = self.write_trace(&path) {
             eprintln!("HECTOR_TRACE export to {path} failed: {e}");
         }
-    }
-}
-
-/// A typed view over an [`Engine`] with a graph bound — the receiver of
-/// the one-liner run methods. Obtained from [`Engine::bind`] or
-/// [`Engine::rebind`]; it borrows the engine, so it is cheap and
-/// re-obtainable at any time.
-#[derive(Debug)]
-pub struct Bound<'e> {
-    engine: &'e mut Engine,
-}
-
-impl Bound<'_> {
-    /// Runs one forward pass (see [`Engine::forward`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::forward`].
-    pub fn forward(&mut self) -> Result<RunReport, HectorError> {
-        self.engine.forward()
-    }
-
-    /// The model's first output tensor from the latest run (see
-    /// [`Engine::output`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics before the first run.
-    #[must_use]
-    pub fn output(&self) -> &Tensor {
-        self.engine.output()
-    }
-
-    /// The underlying engine.
-    #[must_use]
-    pub fn engine(&mut self) -> &mut Engine {
-        self.engine
     }
 }
 
@@ -1638,7 +1601,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(engine.module().forward.weights.len(), 6);
-        let mut bound = engine.bind(&graph).unwrap();
+        let bound = engine.bind(&graph).unwrap();
         bound.forward().expect("fits");
         assert_eq!(bound.output().cols(), 4);
     }
@@ -1663,7 +1626,7 @@ mod tests {
     fn custom_source_engine() {
         use hector_ir::{AggNorm, ModelBuilder};
         let graph = graph();
-        let mut m = ModelBuilder::new("custom", 8);
+        let mut m = ModelBuilder::new("custom");
         let h = m.node_input("h", 8);
         let w = m.weight_per_etype("W", 8, 8);
         let y = m.typed_linear("y", m.src(h), w);
@@ -1999,7 +1962,7 @@ mod tests {
     #[should_panic(expected = "dims() applies to built-in model kinds")]
     fn dims_on_custom_source_fails_fast() {
         use hector_ir::{AggNorm, ModelBuilder};
-        let mut m = ModelBuilder::new("custom_dims", 4);
+        let mut m = ModelBuilder::new("custom_dims");
         let h = m.node_input("h", 4);
         let w = m.weight_per_etype("W", 4, 4);
         let y = m.typed_linear("y", m.src(h), w);

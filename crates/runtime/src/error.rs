@@ -5,7 +5,7 @@
 //! panicking substrate, so the public entry points —
 //! [`EngineBuilder::build`](crate::EngineBuilder::build),
 //! [`Engine::bind`](crate::Engine::bind),
-//! [`Bound::forward`](crate::Bound::forward),
+//! [`Engine::forward`](crate::Engine::forward),
 //! [`Trainer::step`](crate::Trainer::step) and
 //! [`Trainer::train_batch`](crate::Trainer::train_batch) — return
 //! `Result<_, HectorError>` instead. *Internal invariant* checks (state

@@ -335,9 +335,9 @@ mod tests {
             type_skew: 1.0,
             seed: 7,
         }));
-        let (graph, splice) = g
-            .graph()
-            .splice_edges(&[0, 5, 17, 120], &[(3, 4, 1), (9, 2, 0), (9, 2, 0)]);
+        let (graph, splice) =
+            g.graph()
+                .splice_edges(&[0, 5, 17, 120], &[(3, 4, 1), (9, 2, 0), (9, 2, 0)], None);
         let spliced = g.spliced(graph, &splice);
         for data in [&g, &spliced] {
             let fresh = GraphData::new(data.graph().clone());

@@ -46,7 +46,7 @@ mod subgraph;
 
 pub use backend::BackendKind;
 pub use cost::model_run;
-pub use engine::{Bound, Engine, EngineBuilder, EpochReport, Trainer};
+pub use engine::{Engine, EngineBuilder, EpochReport, Trainer};
 pub use error::HectorError;
 pub use graphdata::GraphData;
 pub use hector_graph::{NeighborSampler, SampledBatch, SamplerConfig};

@@ -126,7 +126,7 @@ mod tests {
     use hector_tensor::seeded_rng;
 
     fn setup() -> (Program, ParamStore, WeightId) {
-        let mut m = ModelBuilder::new("t", 2);
+        let mut m = ModelBuilder::new("t");
         let h = m.node_input("h", 2);
         let w = m.weight_per_etype("W", 2, 2);
         let y = m.typed_linear("y", m.src(h), w);

@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn init_shapes_follow_type_counts() {
-        let mut m = ModelBuilder::new("t", 4);
+        let mut m = ModelBuilder::new("t");
         let h = m.node_input("h", 4);
         let we = m.weight_per_etype("We", 4, 4);
         let wn = m.weight_per_ntype("Wn", 4, 4);
@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn matvec_prep_matches_manual() {
-        let mut m = ModelBuilder::new("t", 2);
+        let mut m = ModelBuilder::new("t");
         let h = m.node_input("h", 2);
         let w = m.weight_per_etype("W", 2, 2);
         let v = m.weight_vec_per_etype("v", 2);
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn matvec_prep_backward_chain_rule() {
         // Finite-difference check of backprop through the fused weight.
-        let mut m = ModelBuilder::new("t", 2);
+        let mut m = ModelBuilder::new("t");
         let h = m.node_input("h", 2);
         let w = m.weight_per_etype("W", 2, 2);
         let v = m.weight_vec_per_etype("v", 2);
@@ -480,7 +480,7 @@ mod tests {
     fn matvec_preps_match_the_scalar_loops_bit_for_bit() {
         use rand::Rng;
         for (k, n) in [(1, 1), (5, 5), (33, 33), (64, 64), (5, 33), (64, 1)] {
-            let mut m = ModelBuilder::new("t", k);
+            let mut m = ModelBuilder::new("t");
             let h = m.node_input("h", k);
             let w = m.weight_per_etype("W", k, n);
             let v = m.weight_vec_per_etype("v", n);
@@ -537,7 +537,7 @@ mod tests {
 
     #[test]
     fn zero_grads_clears() {
-        let mut m = ModelBuilder::new("t", 2);
+        let mut m = ModelBuilder::new("t");
         let h = m.node_input("h", 2);
         let w = m.weight_per_etype("W", 2, 2);
         let y = m.typed_linear("y", m.src(h), w);

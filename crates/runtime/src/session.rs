@@ -620,7 +620,7 @@ mod tests {
     }
 
     fn rgcn_source(dim: usize) -> ModelSource {
-        let mut m = ModelBuilder::new("rgcn", dim);
+        let mut m = ModelBuilder::new("rgcn");
         let h = m.node_input("h", dim);
         let c = m.edge_input("cnorm", 1);
         let w = m.weight_per_etype("W", dim, dim);
@@ -700,7 +700,7 @@ mod tests {
         // iteration index into the seed would fail both assertions.
         let graph = toy_graph();
         let build = |flip: bool| {
-            let mut m = ModelBuilder::new("order", 4);
+            let mut m = ModelBuilder::new("order");
             let (a, b) = if flip {
                 let b = m.node_input("b_feat", 4);
                 let a = m.node_input("a_feat", 4);

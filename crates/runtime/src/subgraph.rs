@@ -67,13 +67,7 @@ impl Subgraph {
     ///
     /// Panics if the maps reference ids outside `full`, if an edge
     /// endpoint or a row is missing from `node_map`.
-    #[must_use]
-    pub fn new(
-        full: &HeteroGraph,
-        node_map: Vec<u32>,
-        edge_map: Vec<u32>,
-        rows: &[u32],
-    ) -> Subgraph {
+    fn new(full: &HeteroGraph, node_map: Vec<u32>, edge_map: Vec<u32>, rows: &[u32]) -> Subgraph {
         let data = GraphData::new(extract_mapped(full, &node_map, &edge_map));
         let mut view = Subgraph {
             data,
@@ -85,17 +79,31 @@ impl Subgraph {
         view
     }
 
-    /// The exact in-closure of `rows` through `depth` aggregation layers:
-    /// the rows expanded `depth - 1` steps backward along edges (the
-    /// interior), every in-edge of the interior, and those edges'
-    /// sources. Every interior node keeps all its in-edges, so a
-    /// `depth`-layer model computes the rows' outputs here exactly as on
-    /// `full`. Duplicate rows answer twice.
+    /// The exact in-closure of `rows` through `depth` aggregation layers,
+    /// extracted: see [`Subgraph::in_closure_maps`]. Every interior node
+    /// keeps all its in-edges, so a `depth`-layer model computes the
+    /// rows' outputs here exactly as on `full`. Duplicate rows answer
+    /// twice.
     ///
     /// # Panics
     ///
     /// Panics if a row is out of range for `full`.
     pub(crate) fn in_closure(full: &GraphData, rows: &[u32], depth: usize) -> Subgraph {
+        let (node_map, edge_map) = Subgraph::in_closure_maps(full, rows, depth);
+        Subgraph::new(full.graph(), node_map, edge_map, rows)
+    }
+
+    /// The closure walk behind [`crate::Engine::forward_rows`],
+    /// extracting nothing: the rows expanded `depth - 1` steps backward
+    /// along edges over the CSC (the interior), every in-edge of the
+    /// interior, and those edges' sources. Returns the reached node ids
+    /// and the interior's in-edges, both ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range for `full`.
+    #[must_use]
+    pub fn in_closure_maps(full: &GraphData, rows: &[u32], depth: usize) -> (Vec<u32>, Vec<u32>) {
         let (g, csc) = (full.graph(), full.csc());
         let mut reached = vec![false; g.num_nodes()];
         let mut frontier: Vec<u32> = rows
@@ -123,7 +131,7 @@ impl Subgraph {
         let node_map = (0..g.num_nodes() as u32)
             .filter(|&v| reached[v as usize])
             .collect();
-        Subgraph::new(g, node_map, edge_map, rows)
+        (node_map, edge_map)
     }
 
     /// The extracted graph with its derived indices: what a run of this

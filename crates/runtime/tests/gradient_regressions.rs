@@ -99,7 +99,7 @@ fn check(src: hector_ir::builder::ModelSource, names: &[&str]) {
 
 #[test]
 fn dot_weightvec_grad() {
-    let mut m = ModelBuilder::new("mini", 2);
+    let mut m = ModelBuilder::new("mini");
     let h = m.node_input("h", 2);
     let w = m.weight_per_etype("W", 2, 2);
     let w_s = m.weight_vec_per_etype("w_s", 2);
@@ -113,7 +113,7 @@ fn dot_weightvec_grad() {
 
 #[test]
 fn no_softmax_grad() {
-    let mut m = ModelBuilder::new("mini2", 2);
+    let mut m = ModelBuilder::new("mini2");
     let h = m.node_input("h", 2);
     let w = m.weight_per_etype("W", 2, 2);
     let w_s = m.weight_vec_per_etype("w_s", 2);
@@ -126,7 +126,7 @@ fn no_softmax_grad() {
 
 #[test]
 fn full_rgat_tiny() {
-    let mut m = ModelBuilder::new("mini3", 2);
+    let mut m = ModelBuilder::new("mini3");
     let h = m.node_input("h", 2);
     let w = m.weight_per_etype("W", 2, 2);
     let w_s = m.weight_vec_per_etype("w_s", 2);
@@ -147,7 +147,7 @@ fn full_rgat_tiny() {
 fn full_rgat_generated_graph() {
     let g = generated_graph();
     let dim = 4;
-    let mut m = ModelBuilder::new("mini4", dim);
+    let mut m = ModelBuilder::new("mini4");
     let h = m.node_input("h", dim);
     let w = m.weight_per_etype("W", dim, dim);
     let w_s = m.weight_vec_per_etype("w_s", dim);
@@ -174,7 +174,7 @@ fn check_on_generated(src: hector_ir::builder::ModelSource, names: &[&str]) {
 
 #[test]
 fn gen_no_softmax() {
-    let mut m = ModelBuilder::new("g1", 2);
+    let mut m = ModelBuilder::new("g1");
     let h = m.node_input("h", 2);
     let w = m.weight_per_etype("W", 2, 2);
     let w_s = m.weight_vec_per_etype("w_s", 2);
@@ -187,7 +187,7 @@ fn gen_no_softmax() {
 
 #[test]
 fn gen_softmax() {
-    let mut m = ModelBuilder::new("g2", 2);
+    let mut m = ModelBuilder::new("g2");
     let h = m.node_input("h", 2);
     let w = m.weight_per_etype("W", 2, 2);
     let w_s = m.weight_vec_per_etype("w_s", 2);
@@ -201,7 +201,7 @@ fn gen_softmax() {
 
 #[test]
 fn gen_plain_agg() {
-    let mut m = ModelBuilder::new("g3", 2);
+    let mut m = ModelBuilder::new("g3");
     let h = m.node_input("h", 2);
     let w = m.weight_per_etype("W", 2, 2);
     let hs = m.typed_linear("hs", m.src(h), w);

@@ -136,9 +136,15 @@ impl std::error::Error for ServeError {
     }
 }
 
+/// A malformed [`DeltaBatch`] is the caller's error
+/// ([`ServeError::BadRequest`]); every other engine error is
+/// [`ServeError::Hector`].
 impl From<HectorError> for ServeError {
     fn from(e: HectorError) -> ServeError {
-        ServeError::Hector(e)
+        match e {
+            HectorError::InvalidDelta { .. } => ServeError::BadRequest(e.to_string()),
+            e => ServeError::Hector(e),
+        }
     }
 }
 
@@ -476,19 +482,17 @@ impl ServeHandle {
     /// deployed builder rebinds the resident engine in place, anything
     /// else binds a replacement off to the side; in-flight requests run
     /// on whichever graph the slot holds when their group dispatches,
-    /// and none are dropped. Returns the
-    /// new graph version ([`ShardedGraph::version`]), readable back via
-    /// [`DeploymentStats::graph_version`].
+    /// and none are dropped. The sharded graph commits the delta only
+    /// after the swap succeeds ([`ShardedGraph::try_apply_with`]).
+    /// Returns the new graph version ([`ShardedGraph::version`]),
+    /// readable back via [`DeploymentStats::graph_version`].
     ///
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for a batch [`DeltaBatch::validate`]
-    /// rejects (a batch that removes every node included); neither the
-    /// sharded graph nor the deployment changes.
-    /// Otherwise as [`ServeHandle::swap`]: on such an error the sharded
-    /// graph HAS already advanced (the delta applies first); retry the
-    /// swap with [`ServeHandle::swap_versioned`] rather than re-applying
-    /// the batch.
+    /// rejects (a batch that removes every node included); otherwise as
+    /// [`ServeHandle::swap`]. On any error neither the sharded graph nor
+    /// the deployment changes.
     pub fn apply_delta(
         &self,
         name: &str,
@@ -496,12 +500,11 @@ impl ServeHandle {
         sharded: &mut ShardedGraph,
         batch: &DeltaBatch,
     ) -> Result<u64, ServeError> {
-        let outcome = sharded
-            .try_apply(batch)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
         // The store carries its graph data across the delta; the
         // deployment binds it as an `Arc` clone.
-        self.swap_versioned(name, builder, sharded.full_data(), outcome.version)?;
+        let outcome = sharded.try_apply_with(batch, |data, version| {
+            self.swap_versioned(name, builder, data, version).map(drop)
+        })?;
         Ok(outcome.version)
     }
 

@@ -1,18 +1,19 @@
-//! Streaming structural updates: [`DeltaBatch`] construction and the
-//! full-graph splice that applies one.
+//! Streaming structural updates: [`DeltaBatch`] construction, its check
+//! against a graph, and the one splice that applies it.
 //!
 //! A delta batch names edge and node insertions/deletions against the
 //! graph it is applied to.
-//! [`ShardedGraph::try_apply`](crate::ShardedGraph::try_apply) consumes
-//! batches incrementally: edge-only batches splice the relation-sorted
-//! edge arrays ([`HeteroGraph::splice_edges`]) in place of a
-//! rebuild-from-scratch; batches with node operations shift node ids
-//! and force a full re-partition (documented on
-//! [`DeltaBatch::add_node`]). The batch is checked against its graph
-//! once, before anything changes ([`DeltaBatch::validate`] runs the same
-//! checks alone), so a malformed batch from outside is an error, not a
-//! panic. The check's one scan of the relations removals name also
-//! locates the edges they remove, which the splice then drops.
+//! [`ShardedGraph::try_apply`](crate::ShardedGraph::try_apply) checks a
+//! batch once, before anything changes ([`DeltaBatch::validate`] runs
+//! the same check alone), so a malformed batch from outside is an error,
+//! not a panic. The check's one scan of the relations removals name
+//! locates the edges they remove; for a batch with node operations it
+//! also fixes the batch's node renumbering and resolves the insertions'
+//! provisional ids. Every batch then goes through one splice,
+//! [`HeteroGraph::splice_edges`]: an edge-only batch by bulk
+//! relation-segment copies, a node batch renumbering endpoints during
+//! the same copy (node ids shift, so the store re-partitions; see
+//! [`DeltaBatch::add_node`]).
 //!
 //! # Id coordinates
 //!
@@ -20,22 +21,23 @@
 //! [`DeltaBatch::add_edge`] may additionally reference nodes created by
 //! the *same* batch through provisional ids: the `i`-th
 //! [`DeltaBatch::add_node`] call gets provisional id
-//! `old_num_nodes + i`, remapped to its final (type-grouped) id when the
-//! batch lands.
+//! `old_num_nodes + i`. Post-delta ids are type-grouped: per node type,
+//! the surviving old nodes in ascending order, then the batch's added
+//! nodes of that type in call order.
 //!
 //! # Edge order
 //!
 //! The splice preserves the relative order of surviving edges within
 //! every relation and appends insertions at their relation segment's
-//! end — the same order a from-scratch
-//! [`HeteroGraphBuilder`] with the
-//! stable relation sort would produce, so a spliced graph is
-//! indistinguishable from a freshly built one (pinned by
-//! `splice_matches_fresh_build`). That keeps post-delta sharded
-//! execution bit-identical to a fresh unsharded oracle over the same
-//! edge list.
+//! end, the order a from-scratch graph builder fed the survivors
+//! (renumbered) and then the insertions produces. So a
+//! spliced graph is indistinguishable from a freshly built one (pinned
+//! by `splice_matches_fresh_build` and
+//! `node_batches_splice_to_a_fresh_build`), which keeps post-delta
+//! sharded execution bit-identical to a fresh unsharded oracle over the
+//! same edge list.
 
-use hector_graph::{HeteroGraph, HeteroGraphBuilder};
+use hector_graph::{EdgeSplice, HeteroGraph, NodeMap};
 use hector_runtime::HectorError;
 
 /// A batch of structural updates (edge/node inserts and deletes),
@@ -134,13 +136,22 @@ impl DeltaBatch {
     /// matching edge (its relation is out of range, nothing matches, or
     /// more removals name a key than the graph has edges with it).
     pub fn validate(&self, graph: &HeteroGraph) -> Result<(), HectorError> {
-        self.claimed_edges(graph).map(drop)
+        self.claim(graph).map(drop)
     }
 
-    /// [`DeltaBatch::validate`]'s check, returning on success the ids of
-    /// the edges the removals claim (ascending): for each removal, the
-    /// earliest matching edge no earlier removal of the same key took.
-    pub(crate) fn claimed_edges(&self, graph: &HeteroGraph) -> Result<Vec<u32>, HectorError> {
+    /// Checks the batch against `graph` and splices it: the post-delta
+    /// graph and the edge renumbering. The one way a batch applies.
+    pub(crate) fn splice(
+        &self,
+        graph: &HeteroGraph,
+    ) -> Result<(HeteroGraph, EdgeSplice), HectorError> {
+        let claim = self.claim(graph)?;
+        Ok(graph.splice_edges(&claim.edges, &claim.inserts, claim.nodes.as_ref()))
+    }
+
+    /// [`DeltaBatch::validate`]'s check, returning on success what the
+    /// splice reads ([`Claim`]).
+    pub(crate) fn claim(&self, graph: &HeteroGraph) -> Result<Claim, HectorError> {
         let invalid = |detail: String| Err(HectorError::InvalidDelta { detail });
         let (n, ntypes, nrel) = (
             graph.num_nodes(),
@@ -235,8 +246,78 @@ impl DeltaBatch {
                 ));
             }
         }
-        Ok(claimed)
+        let (nodes, inserts) = if self.has_node_ops() {
+            let (nodes, provisional) = self.renumbering(graph, &removed);
+            let resolve = |v: u32| match (v as usize).checked_sub(n) {
+                Some(i) => provisional[i],
+                None => nodes.old_to_new[v as usize],
+            };
+            let inserts = self
+                .add_edges
+                .iter()
+                .map(|&(s, d, t)| (resolve(s), resolve(d), t))
+                .collect();
+            (Some(nodes), inserts)
+        } else {
+            (None, self.add_edges.clone())
+        };
+        Ok(Claim {
+            edges: claimed,
+            nodes,
+            inserts,
+        })
     }
+
+    /// The batch's node renumbering over `graph`, whose nodes `removed`
+    /// (ascending, distinct) go: per type, the surviving old nodes in
+    /// ascending order, then this batch's added nodes of that type in
+    /// call order. Also returns the new id of each provisional id.
+    fn renumbering(&self, graph: &HeteroGraph, removed: &[u32]) -> (NodeMap, Vec<u32>) {
+        let ntypes = graph.num_node_types();
+        let mut old_to_new = vec![0u32; graph.num_nodes()];
+        for &v in removed {
+            old_to_new[v as usize] = NodeMap::REMOVED;
+        }
+        let mut added = vec![0u32; ntypes];
+        for &t in &self.add_nodes {
+            added[t as usize] += 1;
+        }
+        let (mut counts, mut first_added) = (vec![0usize; ntypes], vec![0u32; ntypes]);
+        let mut next = 0u32;
+        for t in 0..ntypes {
+            let first = next;
+            for m in &mut old_to_new[graph.ntype_ptr()[t]..graph.ntype_ptr()[t + 1]] {
+                if *m != NodeMap::REMOVED {
+                    *m = next;
+                    next += 1;
+                }
+            }
+            first_added[t] = next;
+            next += added[t];
+            counts[t] = (next - first) as usize;
+        }
+        let provisional = self
+            .add_nodes
+            .iter()
+            .map(|&t| {
+                first_added[t as usize] += 1;
+                first_added[t as usize] - 1
+            })
+            .collect();
+        (NodeMap { counts, old_to_new }, provisional)
+    }
+}
+
+/// A batch checked against its graph: what
+/// [`HeteroGraph::splice_edges`] reads to apply it.
+pub(crate) struct Claim {
+    /// The edges the removals claim, ascending: for each removal, the
+    /// earliest matching edge no earlier removal of the same key took.
+    pub(crate) edges: Vec<u32>,
+    /// The node renumbering of a batch with node operations.
+    pub(crate) nodes: Option<NodeMap>,
+    /// The insertions in post-delta ids (provisional ids resolved).
+    pub(crate) inserts: Vec<(u32, u32, u32)>,
 }
 
 /// What one [`ShardedGraph::apply`](crate::ShardedGraph::apply) did.
@@ -251,126 +332,10 @@ pub struct DeltaOutcome {
     pub repartitioned: bool,
 }
 
-/// Applies a batch with node operations by rebuilding the graph: removed
-/// nodes (and their incident edges) drop out, added nodes land at their
-/// type segment's end, surviving node ids compact downward, and the edge
-/// operations apply on top; `claimed` are the edges the removals claim
-/// ([`DeltaBatch::claimed_edges`]). Ownership cannot survive the id
-/// shift — the caller re-partitions.
-///
-/// # Panics
-///
-/// Panics on out-of-range ids, on a batch that removes every node, and
-/// on an inserted edge referencing a removed node (conditions the check
-/// reports first).
-pub(crate) fn rebuild_with_node_ops(
-    full: &HeteroGraph,
-    batch: &DeltaBatch,
-    claimed: &[u32],
-) -> HeteroGraph {
-    let old_n = full.num_nodes();
-    let ntypes = full.num_node_types();
-    let mut removed = vec![false; old_n];
-    for &v in &batch.remove_nodes {
-        assert!(
-            (v as usize) < old_n,
-            "node removal {v} out of range for {old_n} nodes"
-        );
-        removed[v as usize] = true;
-    }
-    for &t in &batch.add_nodes {
-        assert!(
-            (t as usize) < ntypes,
-            "node insert type {t} out of range for {ntypes}"
-        );
-    }
-
-    // New id layout: per type, surviving old nodes in ascending order,
-    // then this batch's insertions of that type in call order.
-    let ptr = full.ntype_ptr();
-    let mut kept_of_type = vec![0usize; ntypes];
-    for t in 0..ntypes {
-        kept_of_type[t] = (ptr[t]..ptr[t + 1]).filter(|&v| !removed[v]).count();
-    }
-    let adds_of_type = |t: usize| batch.add_nodes.iter().filter(|&&a| a as usize == t).count();
-    let mut new_ptr = vec![0usize; ntypes + 1];
-    for t in 0..ntypes {
-        new_ptr[t + 1] = new_ptr[t] + kept_of_type[t] + adds_of_type(t);
-    }
-    let mut node_map = vec![None; old_n];
-    for t in 0..ntypes {
-        let mut next = new_ptr[t];
-        for v in ptr[t]..ptr[t + 1] {
-            if !removed[v] {
-                node_map[v] = Some(next as u32);
-                next += 1;
-            }
-        }
-    }
-    // Provisional ids old_n + i resolve to slots after each type's kept
-    // nodes, in batch order.
-    let mut prov_map = Vec::with_capacity(batch.add_nodes.len());
-    let mut placed_of_type = vec![0usize; ntypes];
-    for &t in &batch.add_nodes {
-        let t = t as usize;
-        prov_map.push((new_ptr[t] + kept_of_type[t] + placed_of_type[t]) as u32);
-        placed_of_type[t] += 1;
-    }
-    let resolve = |v: u32| -> u32 {
-        if (v as usize) < old_n {
-            node_map[v as usize].unwrap_or_else(|| panic!("edge references removed node {v}"))
-        } else {
-            let i = v as usize - old_n;
-            *prov_map
-                .get(i)
-                .unwrap_or_else(|| panic!("provisional node id {v} was never added"))
-        }
-    };
-
-    assert!(
-        new_ptr[ntypes] > 0,
-        "the batch removes every node: nothing is left to bind"
-    );
-
-    let nrel = full.num_edge_types();
-    let mut adds_by_rel: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nrel];
-    for &(s, d, t) in &batch.add_edges {
-        assert!(
-            (t as usize) < nrel,
-            "edge insert relation {t} out of range for {nrel}"
-        );
-        adds_by_rel[t as usize].push((resolve(s), resolve(d)));
-    }
-    let mut claimed = claimed.iter().peekable();
-
-    let mut b = HeteroGraphBuilder::new();
-    for (t, &kept) in kept_of_type.iter().enumerate() {
-        b.add_node_type(kept + adds_of_type(t));
-    }
-    b.reserve_edge_types(nrel);
-    #[allow(clippy::needless_range_loop)] // `t` indexes several parallel arrays
-    for t in 0..nrel {
-        for e in full.etype_ptr()[t]..full.etype_ptr()[t + 1] {
-            if claimed.next_if(|&&c| c as usize == e).is_some() {
-                continue;
-            }
-            let (s, d) = (full.src()[e], full.dst()[e]);
-            if removed[s as usize] || removed[d as usize] {
-                continue; // incident edge drops with its node
-            }
-            b.add_edge(resolve(s), resolve(d), t as u32);
-        }
-        for &(s, d) in &adds_by_rel[t] {
-            b.add_edge(s, d, t as u32);
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hector_graph::{generate, DatasetSpec, EdgeSplice};
+    use hector_graph::{generate, DatasetSpec, HeteroGraphBuilder};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -430,38 +395,96 @@ mod tests {
         claimed
     }
 
-    /// The splice's reference: a fresh build of the post-delta edge list
-    /// that probes the removal multiset at every edge of every relation
-    /// (the formulation the relation scan replaced). Returns the graph
-    /// and the old→new edge id map.
+    /// The splice's reference: a fresh build of the post-delta graph.
+    /// Removals are claimed by probing the removal multiset at every
+    /// edge of every relation (the formulation the relation scan
+    /// replaced); node ids are laid out from a removed-node mask, per
+    /// type the survivors then the added nodes; the builder is fed the
+    /// surviving edges, renumbered, then the insertions. Panics on a
+    /// malformed batch. Returns the graph and the old→new edge id map.
     fn fresh_build(g: &HeteroGraph, batch: &DeltaBatch) -> (HeteroGraph, Vec<Option<u32>>) {
-        let mut pending = removal_counts(batch);
-        let mut b = HeteroGraphBuilder::new();
-        for t in 0..g.num_node_types() {
-            b.add_node_type(g.nodes_of_type(t));
+        let (n, nrel) = (g.num_nodes(), g.num_edge_types());
+        let mut removed = vec![false; n];
+        for &v in &batch.remove_nodes {
+            removed[v as usize] = true;
         }
-        b.reserve_edge_types(g.num_edge_types());
+        let mut new_id = vec![None; n];
+        let mut provisional = vec![0u32; batch.add_nodes.len()];
+        let mut b = HeteroGraphBuilder::new();
+        let mut next = 0u32;
+        for t in 0..g.num_node_types() {
+            let first = next;
+            for v in g.ntype_ptr()[t]..g.ntype_ptr()[t + 1] {
+                if !removed[v] {
+                    new_id[v] = Some(next);
+                    next += 1;
+                }
+            }
+            for (i, _) in batch
+                .add_nodes
+                .iter()
+                .enumerate()
+                .filter(|a| *a.1 as usize == t)
+            {
+                provisional[i] = next;
+                next += 1;
+            }
+            b.add_node_type((next - first) as usize);
+        }
+        assert!(
+            batch
+                .add_nodes
+                .iter()
+                .all(|&t| (t as usize) < g.num_node_types()),
+            "node insert type out of range"
+        );
+        assert!(next > 0 || !batch.has_node_ops(), "every node removed");
+        assert!(
+            batch.add_edges.iter().all(|a| (a.2 as usize) < nrel),
+            "edge insert relation out of range"
+        );
+        let resolve = |v: u32| match (v as usize).checked_sub(n) {
+            Some(i) => provisional[i],
+            None => new_id[v as usize].expect("edge insert references a removed node"),
+        };
+        b.reserve_edge_types(nrel);
+        let mut pending = removal_counts(batch);
         let mut old_to_new = vec![None; g.num_edges()];
         let mut next = 0u32;
-        for t in 0..g.num_edge_types() as u32 {
+        for t in 0..nrel as u32 {
             #[allow(clippy::needless_range_loop)] // `e` indexes several parallel arrays
             for e in g.etype_ptr()[t as usize]..g.etype_ptr()[t as usize + 1] {
                 let key = (g.src()[e], g.dst()[e], t);
                 match pending.get_mut(&key) {
                     Some(c) if *c > 0 => *c -= 1, // the earliest survivor goes
                     _ => {
-                        b.add_edge(key.0, key.1, t);
-                        old_to_new[e] = Some(next);
-                        next += 1;
+                        if let (Some(s), Some(d)) = (new_id[key.0 as usize], new_id[key.1 as usize])
+                        {
+                            b.add_edge(s, d, t);
+                            old_to_new[e] = Some(next);
+                            next += 1;
+                        }
                     }
                 }
             }
             for &(s, d, _) in batch.add_edges.iter().filter(|a| a.2 == t) {
-                b.add_edge(s, d, t);
+                b.add_edge(resolve(s), resolve(d), t);
                 next += 1;
             }
         }
+        if let Some((key, _)) = pending.iter().find(|(_, &c)| c > 0) {
+            panic!("edge removal {key:?} matches no edge in the graph");
+        }
         (b.build(), old_to_new)
+    }
+
+    /// The splice's old→new edge map, as options.
+    fn old_to_new(splice: &EdgeSplice) -> Vec<Option<u32>> {
+        splice
+            .old_to_new()
+            .iter()
+            .map(|&m| (m != EdgeSplice::REMOVED).then_some(m))
+            .collect()
     }
 
     /// A small multigraph: few nodes, so parallel duplicate edges and
@@ -526,14 +549,10 @@ mod tests {
             adds in 0usize..12,
         ) {
             let batch = arb_edge_batch(&g, &picks, adds);
-            let claimed = batch.claimed_edges(&g).expect("a batch of existing edges");
-            prop_assert_eq!(&claimed, &claimed_by_probe(&g, &batch));
-            let (spliced, splice) = g.splice_edges(&claimed, &batch.add_edges);
-            let old_to_new: Vec<Option<u32>> = splice
-                .old_to_new()
-                .iter()
-                .map(|&m| (m != EdgeSplice::REMOVED).then_some(m))
-                .collect();
+            let claim = batch.claim(&g).expect("a batch of existing edges");
+            prop_assert_eq!(&claim.edges, &claimed_by_probe(&g, &batch));
+            let (spliced, splice) = batch.splice(&g).unwrap();
+            let old_to_new = old_to_new(&splice);
             let (fresh, fresh_old_to_new) = fresh_build(&g, &batch);
             prop_assert_eq!(spliced.src(), fresh.src());
             prop_assert_eq!(spliced.dst(), fresh.dst());
@@ -584,11 +603,10 @@ mod tests {
     }
 
     proptest! {
-        /// `validate` is exactly the apply path's panic condition: a batch
-        /// it accepts splices (or rebuilds, with node ops) without
-        /// panicking into a well-formed graph with the expected node and
-        /// edge counts, and a batch it rejects would have panicked, its
-        /// removals claimed by the per-edge multiset probe.
+        /// `validate` is exactly the reference's panic condition: a batch
+        /// it accepts splices, node operations and all, to what the
+        /// reference builds, with the expected node and edge counts, and
+        /// a batch it rejects makes the reference panic.
         #[test]
         fn validate_accepts_exactly_the_batches_that_apply(
             g in arb_multigraph(),
@@ -598,20 +616,13 @@ mod tests {
             ),
         ) {
             let batch = arb_any_batch(&g, &ops);
-            let applied = std::panic::catch_unwind(|| {
-                let claimed = claimed_by_probe(&g, &batch);
-                let next = if batch.has_node_ops() {
-                    rebuild_with_node_ops(&g, &batch, &claimed)
-                } else {
-                    g.splice_edges(&claimed, &batch.add_edges).0
-                };
-                (next, claimed)
-            });
-            let verdict = batch.claimed_edges(&g);
-            prop_assert_eq!(verdict.is_ok(), applied.is_ok(), "{:?}: {:?}", batch, verdict);
-            if let Ok((next, claimed)) = applied {
-                prop_assert_eq!(verdict.unwrap(), claimed);
-                next.validate();
+            let reference = std::panic::catch_unwind(|| fresh_build(&g, &batch));
+            let verdict = batch.splice(&g);
+            prop_assert_eq!(verdict.is_ok(), reference.is_ok(), "{:?}: {:?}", batch, verdict.err());
+            prop_assert_eq!(batch.validate(&g).is_ok(), reference.is_ok());
+            if let (Ok((next, splice)), Ok((fresh, fresh_old_to_new))) = (verdict, reference) {
+                prop_assert_eq!(&next, &fresh);
+                prop_assert_eq!(old_to_new(&splice), fresh_old_to_new);
                 let mut gone = batch.remove_nodes.clone();
                 gone.sort_unstable();
                 gone.dedup();
@@ -627,6 +638,65 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A batch with node operations that `validate` accepts: removals of
+    /// distinct existing edges, the removal of the first removed edge's
+    /// source (a removed node with a claimed incident edge) and of a few
+    /// more nodes, the node insertions `added`, an edge from the first
+    /// added node to the last (provisional ids on both endpoints), and
+    /// insertions between surviving or added nodes.
+    fn arb_node_batch(g: &HeteroGraph, picks: &[(u32, u32, u32)], added: &[u32]) -> DeltaBatch {
+        let (n, r, nt) = (
+            g.num_nodes() as u32,
+            g.num_edge_types() as u32,
+            g.num_node_types() as u32,
+        );
+        let mut batch = arb_edge_batch(g, picks, 0);
+        if let Some(&(s, _, _)) = batch.remove_edges.first() {
+            batch = batch.remove_node(s);
+        }
+        for &(v, _, _) in picks.iter().step_by(4) {
+            batch = batch.remove_node(v % n);
+        }
+        for &t in added {
+            batch = batch.add_node(t % nt);
+        }
+        let last = n + added.len() as u32 - 1;
+        batch = batch.add_edge(n, last, last % r);
+        let alive: Vec<u32> = (0..=last)
+            .filter(|v| !batch.remove_nodes.contains(v))
+            .collect();
+        for &(s, d, t) in picks {
+            let at = |v: u32| alive[v as usize % alive.len()];
+            batch = batch.add_edge(at(s), at(d), t % r);
+        }
+        batch
+    }
+
+    proptest! {
+        /// Every accepted node batch splices to exactly what a builder
+        /// fed the surviving edges, renumbered, and then the insertions
+        /// makes, and its edge map names the same survivors.
+        #[test]
+        fn node_batches_splice_to_a_fresh_build(
+            g in arb_multigraph(),
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..12),
+            added in proptest::collection::vec(any::<u32>(), 1..4),
+        ) {
+            let batch = arb_node_batch(&g, &picks, &added);
+            prop_assert!(batch.validate(&g).is_ok(), "{:?}", batch);
+            let (spliced, splice) = batch.splice(&g).unwrap();
+            let (fresh, fresh_old_to_new) = fresh_build(&g, &batch);
+            prop_assert_eq!(&spliced, &fresh);
+            prop_assert_eq!(old_to_new(&splice), fresh_old_to_new);
+            prop_assert!(splice.removed().windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(splice.inserted().len(), batch.add_edges.len());
+            prop_assert_eq!(
+                spliced.num_edges(),
+                g.num_edges() - splice.removed().len() + batch.add_edges.len()
+            );
         }
     }
 
@@ -651,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn node_ops_rebuild_shifts_ids_and_drops_incident_edges() {
+    fn node_batches_shift_ids_and_drop_incident_edges() {
         let g = graph();
         let victim = 0u32; // first node of type 0
         let incident = (0..g.num_edges())
@@ -662,17 +732,17 @@ mod tests {
             .remove_node(victim)
             .add_node(1)
             .add_edge(prov, prov, 2); // self-loop on the new node
-        let rebuilt = rebuild_with_node_ops(&g, &batch, &batch.claimed_edges(&g).unwrap());
-        rebuilt.validate();
-        assert_eq!(rebuilt.num_nodes(), g.num_nodes());
-        assert_eq!(rebuilt.nodes_of_type(0), g.nodes_of_type(0) - 1);
-        assert_eq!(rebuilt.nodes_of_type(1), g.nodes_of_type(1) + 1);
-        assert_eq!(rebuilt.num_edges(), g.num_edges() - incident + 1);
+        let (spliced, _) = batch.splice(&g).unwrap();
+        spliced.validate();
+        assert_eq!(spliced.num_nodes(), g.num_nodes());
+        assert_eq!(spliced.nodes_of_type(0), g.nodes_of_type(0) - 1);
+        assert_eq!(spliced.nodes_of_type(1), g.nodes_of_type(1) + 1);
+        assert_eq!(spliced.num_edges(), g.num_edges() - incident + 1);
         // The added node sits at the end of type 1's segment, carrying
         // the new self-loop.
-        let new_id = (rebuilt.ntype_ptr()[2] - 1) as u32;
-        assert!((0..rebuilt.num_edges())
-            .any(|e| rebuilt.src()[e] == new_id && rebuilt.dst()[e] == new_id));
+        let new_id = (spliced.ntype_ptr()[2] - 1) as u32;
+        assert!((0..spliced.num_edges())
+            .any(|e| spliced.src()[e] == new_id && spliced.dst()[e] == new_id));
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //!   addition, so [`ShardedEngine::train_step`] is the engine's
 //!   (bit-identical to unsharded training by construction). The next
 //!   forward runs the trained parameters on every shard.
-//! * **Deltas**: [`ShardedEngine::apply_delta`] applies the batch to the
-//!   sharded graph and re-binds the engine (freshly seed-derived
-//!   parameters — the post-delta state equals a fresh engine built on
-//!   the post-delta graph, the oracle the serving tests compare
-//!   against).
+//! * **Deltas**: [`ShardedEngine::apply_delta`] re-binds the engine to
+//!   the store's post-delta graph data and commits the delta only if
+//!   the bind succeeds ([`ShardedGraph::try_apply_with`]). The bind
+//!   derives parameters afresh from the seed, so the post-delta state
+//!   equals a fresh engine built on the post-delta graph, the oracle
+//!   the serving tests compare against.
 
 use hector_graph::HeteroGraph;
 use hector_runtime::{Engine, EngineBuilder, HectorError, Optimizer, RunReport};
@@ -41,9 +42,10 @@ pub trait BindSharded {
     ///
     /// # Errors
     ///
-    /// [`HectorError::InvalidConfig`] when the sharded graph's halo is
-    /// shallower than the model reads ([`ShardConfig::hops`] below the
-    /// forward program's receptive depth); otherwise propagates
+    /// [`HectorError::InvalidConfig`] when the sharded graph's halo
+    /// depth is not the depth the model reads ([`ShardConfig::hops`]
+    /// other than the forward program's receptive depth); otherwise
+    /// propagates
     /// [`EngineBuilder::build`] / `Engine::bind` failures (invalid
     /// configuration, an empty full graph).
     ///
@@ -79,7 +81,7 @@ impl ShardedEngine {
         let mut full = builder.build()?;
         let forward = &full.module().forward;
         let (depth, hops) = (forward.receptive_depth(), sharded.config().hops);
-        if hops < depth {
+        if hops != depth {
             return Err(HectorError::InvalidConfig {
                 detail: format!(
                     "the model reads {depth} hops back but the shards carry a {hops}-hop halo \
@@ -146,19 +148,22 @@ impl ShardedEngine {
         self.full.train_step(labels, optimizer)
     }
 
-    /// Applies one delta batch: updates the sharded storage
-    /// ([`ShardedGraph::try_apply`]) and re-binds the engine against the
-    /// store's post-delta graph data (freshly seed-derived parameters and
-    /// bindings — the fresh-oracle contract).
+    /// Applies one delta batch: re-binds the engine against the store's
+    /// post-delta graph data (freshly seed-derived parameters and
+    /// bindings — the fresh-oracle contract), and commits the delta to
+    /// the store only if that bind succeeds
+    /// ([`ShardedGraph::try_apply_with`]).
     ///
     /// # Errors
     ///
     /// [`HectorError::InvalidDelta`] for a batch [`DeltaBatch::validate`]
     /// rejects (a batch that removes every node included), before
-    /// anything changes; otherwise propagates bind failures.
+    /// anything changes; otherwise propagates bind failures, after which
+    /// the store is unchanged.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, HectorError> {
-        let outcome = self.sharded.try_apply(batch)?;
-        self.full.bind(self.sharded.full_data())?;
+        let outcome = self
+            .sharded
+            .try_apply_with(batch, |data, _| self.full.bind(data).map(drop))?;
         self.output = Tensor::zeros(&[self.sharded.full().num_nodes(), self.output.cols()]);
         Ok(outcome)
     }
@@ -395,8 +400,9 @@ mod tests {
     }
 
     /// A halo shallower than the model's receptive depth would leave
-    /// owned rows short of contributions: the bind refuses it, and the
-    /// exact depth binds and merges bit for bit.
+    /// owned rows short of contributions, and a deeper one would count
+    /// halo rows no forward reads: the bind refuses both, and the exact
+    /// depth binds and merges bit for bit.
     #[test]
     fn a_halo_shallower_than_the_model_is_refused() {
         let g = graph();
@@ -411,8 +417,10 @@ mod tests {
                         ShardConfig::new(k).hops(hops),
                     )
                 };
-                let err = builder.clone().bind_sharded(partition(1)).unwrap_err();
-                assert_eq!(err.kind(), "invalid_config", "{kind:?} k={k}: {err}");
+                for hops in [1, 3] {
+                    let err = builder.clone().bind_sharded(partition(hops)).unwrap_err();
+                    assert_eq!(err.kind(), "invalid_config", "{kind:?} k={k}: {err}");
+                }
                 let mut eng = builder.clone().bind_sharded(partition(2)).unwrap();
                 eng.forward().unwrap();
                 assert_eq!(bits(eng.output()), want, "{kind:?} k={k}");

@@ -29,31 +29,40 @@
 //! once, in fixed shard order.
 //!
 //! Set [`ShardConfig::hops`] to the model's layer count:
-//! [`BindSharded::bind_sharded`] refuses a halo shallower than the
-//! forward program's receptive depth with [`HectorError::InvalidConfig`].
+//! [`BindSharded::bind_sharded`] refuses a halo depth other than the
+//! forward program's receptive depth with [`HectorError::InvalidConfig`]
+//! (a shallower halo misses contributions, a deeper one counts rows no
+//! forward reads).
 //!
 //! # Streaming deltas
 //!
 //! The store owns its full graph as a [`GraphData`]: the graph plus the
 //! CSC and compaction indices every engine bound to it reads
 //! ([`ShardedGraph::full_data`]; engines take it as an `Arc` clone).
-//! [`ShardedGraph::try_apply`] consumes [`DeltaBatch`]es incrementally,
-//! and an edge-only batch costs what it changes:
+//! [`ShardedGraph::try_apply`] consumes [`DeltaBatch`]es in two steps:
+//! it first computes the post-delta graph data, owners and edge cut
+//! without changing anything, then commits them.
+//! [`ShardedGraph::try_apply_with`] runs a caller's step between the two
+//! (a rebind or a deployment swap), and commits only if it succeeds.
 //!
-//! * the batch is checked once, and that check's one scan of the
-//!   relations its removals name also locates the removed edges;
-//! * the edge arrays are spliced by bulk relation-segment copies
-//!   ([`HeteroGraph::splice_edges`]), and the CSC and compaction map
-//!   are carried across ([`GraphData::spliced`]) instead of rebuilt;
+//! Every batch is checked once and goes through one splice
+//! ([`HeteroGraph::splice_edges`]). An edge-only batch costs what it
+//! changes:
+//!
+//! * the check's one scan of the relations its removals name also
+//!   locates the removed edges;
+//! * the edge arrays are spliced by bulk relation-segment copies, and
+//!   the CSC and compaction map are carried across
+//!   ([`GraphData::spliced`]) instead of rebuilt;
 //! * the edge cut is adjusted from the batch's own edges.
 //!
 //! What is left is O(E) array copying, with no sort, hash probe or
-//! rebuild of any index. Node batches rebuild the graph and force a
-//! full re-partition. A batch the check rejects changes nothing. Every
-//! apply bumps [`ShardedGraph::version`], which `hector-serve` hot-swap
-//! consumes, and counts into the process-global delta probe
-//! (`hector_device::shard_probe::snapshot()`:
-//! [`hector_device::ShardStats`]).
+//! rebuild of any index. A node batch renumbers endpoints during the
+//! same splice, then rebuilds the indices and re-partitions. A batch the
+//! check rejects changes nothing. The store is the one count of what
+//! was applied: every commit bumps [`ShardedGraph::version`], which
+//! `hector-serve` hot-swap consumes, and returns a [`DeltaOutcome`]
+//! with the batch's operation count.
 
 #![warn(missing_docs)]
 
@@ -61,9 +70,8 @@ pub mod delta;
 pub mod engine;
 pub mod partition;
 
-use hector_device::shard_probe;
 use hector_graph::HeteroGraph;
-use hector_runtime::{GraphData, HectorError};
+use hector_runtime::{GraphData, HectorError, Subgraph};
 
 pub use delta::{DeltaBatch, DeltaOutcome};
 pub use engine::{BindSharded, ShardedEngine};
@@ -169,34 +177,34 @@ impl ShardedGraph {
             edges_cut: 0,
             version: 0,
         };
-        sharded.repartition();
+        (sharded.owner, sharded.edges_cut) = sharded.assign(sharded.full());
         sharded
     }
 
-    /// Re-runs the partitioner over the current full graph.
-    fn repartition(&mut self) {
+    /// Runs the partitioner over `full`: each node's owner and the edge
+    /// cut.
+    fn assign(&self, full: &HeteroGraph) -> (Vec<u32>, u64) {
         let tr = hector_trace::span_start();
-        let full = self.full.graph();
         let owner = self.partitioner.assign(full, self.cfg.num_shards);
         assert_eq!(owner.len(), full.num_nodes(), "one owner per node");
         assert!(
             owner.iter().all(|&o| (o as usize) < self.cfg.num_shards),
             "owner out of shard range"
         );
-        self.edges_cut = (0..full.num_edges())
+        let cut = (0..full.num_edges())
             .filter(|&e| owner[full.src()[e] as usize] != owner[full.dst()[e] as usize])
             .count() as u64;
-        self.owner = owner;
         if let Some(t0) = tr {
             hector_trace::record_span(
                 "shard/partition",
                 hector_trace::SpanCat::Shard,
                 t0,
-                self.full().num_edges() as u64,
+                full.num_edges() as u64,
                 0,
                 0.0,
             );
         }
+        (owner, cut)
     }
 
     /// The full (unsharded) graph.
@@ -254,32 +262,17 @@ impl ShardedGraph {
 
     /// Total halo rows across all shards: per shard, the nodes of its
     /// owned rows' in-closure at [`ShardConfig::hops`] that it does not
-    /// own (the crate docs define the closure). Counted by a walk of the
-    /// full graph's CSC; nothing is extracted.
+    /// own (the crate docs define the closure). Counted by the closure
+    /// walk ([`Subgraph::in_closure_maps`]); nothing is extracted.
     #[must_use]
     pub fn halo_rows(&self) -> usize {
-        let (g, csc) = (self.full(), self.full.csc());
         (0..self.cfg.num_shards as u32)
             .map(|s| {
-                let mut reached: Vec<bool> = self.owner.iter().map(|&o| o == s).collect();
-                let mut frontier: Vec<u32> = (0..g.num_nodes() as u32)
-                    .filter(|&v| reached[v as usize])
+                let owned: Vec<u32> = (0..self.owner.len() as u32)
+                    .filter(|&v| self.owner[v as usize] == s)
                     .collect();
-                let mut halo = 0;
-                for _ in 0..self.cfg.hops {
-                    let mut next = Vec::new();
-                    for &v in &frontier {
-                        for &e in csc.in_edges(v as usize) {
-                            let src = g.src()[e as usize];
-                            if !std::mem::replace(&mut reached[src as usize], true) {
-                                next.push(src);
-                            }
-                        }
-                    }
-                    halo += next.len();
-                    frontier = next;
-                }
-                halo
+                let (nodes, _) = Subgraph::in_closure_maps(&self.full, &owned, self.cfg.hops);
+                nodes.len() - owned.len()
             })
             .sum()
     }
@@ -297,51 +290,72 @@ impl ShardedGraph {
         self.try_apply(batch).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Applies one delta batch. The batch is checked once; an edge-only
-    /// batch then splices the edge arrays, carries the full graph's
-    /// indices across and adjusts the edge cut. Batches with node
-    /// operations rebuild the graph and re-partition (node ids shift;
-    /// see [`DeltaBatch::add_node`]). Bumps [`ShardedGraph::version`] and
-    /// records the batch into the shard probe either way.
+    /// Applies one delta batch: [`ShardedGraph::try_apply_with`] with
+    /// nothing between computing the post-delta state and committing it.
     ///
     /// # Errors
     ///
     /// [`HectorError::InvalidDelta`] for a batch [`DeltaBatch::validate`]
     /// rejects; nothing changes.
     pub fn try_apply(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, HectorError> {
-        let claimed = batch.claimed_edges(self.full())?;
+        self.try_apply_with(batch, |_, _| Ok(()))
+    }
+
+    /// Applies one delta batch in two steps. First, without changing
+    /// anything, the batch is checked once and spliced
+    /// ([`HeteroGraph::splice_edges`]): an edge-only batch carries the
+    /// full graph's indices across and adjusts the edge cut, a batch
+    /// with node operations rebuilds the indices and re-partitions (node
+    /// ids shift; see [`DeltaBatch::add_node`]). Then `f` sees the
+    /// post-delta graph data and version, and only if it returns `Ok`
+    /// are graph, owners, edge cut and version committed.
+    ///
+    /// # Errors
+    ///
+    /// [`HectorError::InvalidDelta`] (converted) for a batch
+    /// [`DeltaBatch::validate`] rejects, or `f`'s error; either way
+    /// nothing changes.
+    pub fn try_apply_with<E: From<HectorError>>(
+        &mut self,
+        batch: &DeltaBatch,
+        f: impl FnOnce(&GraphData, u64) -> Result<(), E>,
+    ) -> Result<DeltaOutcome, E> {
         let tr = hector_trace::span_start();
-        let ops = batch.ops();
-        let repartitioned = batch.has_node_ops();
-        if repartitioned {
-            self.full = GraphData::new(delta::rebuild_with_node_ops(self.full(), batch, &claimed));
-            self.repartition();
+        let (graph, splice) = batch.splice(self.full())?;
+        let outcome = DeltaOutcome {
+            version: self.version + 1,
+            ops: batch.ops(),
+            repartitioned: batch.has_node_ops(),
+        };
+        let (full, owner, edges_cut) = if outcome.repartitioned {
+            let (owner, cut) = self.assign(&graph);
+            (GraphData::new(graph), Some(owner), cut)
         } else {
-            let (graph, splice) = self.full().splice_edges(&claimed, &batch.add_edges);
-            self.full = self.full.spliced(graph, &splice);
             let cut =
                 |&(s, d, _): &(u32, u32, u32)| self.owner[s as usize] != self.owner[d as usize];
             let added = batch.add_edges.iter().filter(|e| cut(e)).count() as u64;
             let removed = batch.remove_edges.iter().filter(|e| cut(e)).count() as u64;
-            self.edges_cut = self.edges_cut + added - removed;
-        }
-        shard_probe::record_delta(ops as u64);
-        self.version += 1;
+            let cut = self.edges_cut + added - removed;
+            (self.full.spliced(graph, &splice), None, cut)
+        };
         if let Some(t0) = tr {
             hector_trace::record_span(
                 "shard/delta",
                 hector_trace::SpanCat::Shard,
                 t0,
-                ops as u64,
+                outcome.ops as u64,
                 0,
                 0.0,
             );
         }
-        Ok(DeltaOutcome {
-            version: self.version,
-            ops,
-            repartitioned,
-        })
+        f(&full, outcome.version)?;
+        self.full = full;
+        if let Some(owner) = owner {
+            self.owner = owner;
+        }
+        self.edges_cut = edges_cut;
+        self.version = outcome.version;
+        Ok(outcome)
     }
 }
 

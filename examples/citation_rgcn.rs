@@ -39,7 +39,7 @@ fn main() {
         .seed(1)
         .build()
         .unwrap();
-    let mut bound = engine.bind(&graph).unwrap();
+    let bound = engine.bind(&graph).unwrap();
     bound.forward().expect("tiny graph");
     let h = bound.output();
 

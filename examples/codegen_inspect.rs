@@ -16,7 +16,7 @@ use hector_ir::{AggNorm, KernelSpec};
 fn main() {
     // A custom model: typed-linear messages gated by a per-relation
     // learned source score (a mini RGAT without the target term).
-    let mut m = ModelBuilder::new("gated_rgcn", 32);
+    let mut m = ModelBuilder::new("gated_rgcn");
     let h = m.node_input("h", 32);
     let w = m.weight_per_etype("W", 32, 32);
     let gate_vec = m.weight_vec_per_etype("g", 32);

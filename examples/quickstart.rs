@@ -48,7 +48,7 @@ fn main() {
     // 3. Bind the graph (parameters + inputs derive from the engine
     //    seed) and run. Warm reruns through the same engine reuse every
     //    buffer — zero heap allocations.
-    let mut bound = engine.bind(&graph).unwrap();
+    let bound = engine.bind(&graph).unwrap();
     let report = bound.forward().expect("fits comfortably in 24 GB");
 
     let h_out = bound.output();

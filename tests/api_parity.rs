@@ -65,7 +65,7 @@ fn engine_inference_is_bit_identical_to_legacy_session_flow() {
 
             // Seed-derived: build, bind, forward.
             let mut engine = chain(kind, threads, SEED).build().unwrap();
-            let mut bound = engine.bind(&graph).unwrap();
+            let bound = engine.bind(&graph).unwrap();
             let report = bound.forward().expect("fits");
 
             assert_eq!(
@@ -139,7 +139,7 @@ fn engine_parallel_and_sequential_agree() {
             .iter()
             .map(|&threads| {
                 let mut engine = chain(kind, threads, SEED).build().unwrap();
-                let mut bound = engine.bind(&graph).unwrap();
+                let bound = engine.bind(&graph).unwrap();
                 bound.forward().expect("fits");
                 bits(bound.output())
             })

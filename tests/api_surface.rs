@@ -165,7 +165,7 @@ fn surface_covers_the_handle_api() {
         "pub struct Engine",
         "pub struct EngineBuilder",
         "pub struct Trainer",
-        "pub struct Bound<",
+        "pub fn bind(&mut self, graph: &GraphData) -> Result<&mut Engine, HectorError>",
         "pub struct ModuleCache",
         "pub fn emit(module: &CompiledModule) -> GeneratedCode",
         "pub fn compile_model_cached",

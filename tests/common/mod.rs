@@ -66,7 +66,7 @@ pub fn trainer(
 /// One inference of `chain` on `g`; the output tensor as raw bits.
 pub fn inference_bits(chain: EngineBuilder, g: &GraphData) -> Vec<u32> {
     let mut engine = chain.build().expect("valid engine configuration");
-    let mut bound = engine.bind(g).unwrap();
+    let bound = engine.bind(g).unwrap();
     bound.forward().expect("inference fits");
     bits(bound.output())
 }

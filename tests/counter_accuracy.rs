@@ -59,13 +59,13 @@ fn traced_forward(
         .build()
         .unwrap();
     let kernel_count = engine.module().fw_kernels.len();
-    let mut bound = engine.bind(&graph).unwrap();
+    let bound = engine.bind(&graph).unwrap();
     hector::trace::clear();
     hector::trace::enable();
     bound.forward().expect("tiny graph fits");
     hector::trace::disable();
     let events = hector::trace::take_events();
-    let p = *bound.engine().device().counters().parallel();
+    let p = *bound.device().counters().parallel();
     (
         events,
         p.chunks,
@@ -199,10 +199,10 @@ fn backend_stats_count_prepares_reuses_and_kernels() {
             .build()
             .unwrap();
         let kernel_count = engine.module().fw_kernels.len() as u64;
-        let mut bound = engine.bind(&graph).unwrap();
+        let bound = engine.bind(&graph).unwrap();
 
         bound.forward().expect("tiny graph fits");
-        let b = *bound.engine().device().counters().backend();
+        let b = *bound.device().counters().backend();
         assert_eq!(b.name, kind.name(), "counters identify the backend");
         assert_eq!(b.prepares, 1, "{kind:?}: cold run prepares once");
         assert_eq!(b.plan_reuses, 0);
@@ -212,7 +212,7 @@ fn backend_stats_count_prepares_reuses_and_kernels() {
         );
 
         bound.forward().expect("warm forward fits");
-        let b = *bound.engine().device().counters().backend();
+        let b = *bound.device().counters().backend();
         assert_eq!(b.prepares, 0, "{kind:?}: warm run prepares nothing");
         assert_eq!(b.plan_reuses, 1, "{kind:?}: warm run reuses the plan");
         assert_eq!(b.kernels, kernel_count, "backend stats are run-scoped");

@@ -15,7 +15,7 @@ use hector_ir::AggNorm;
 /// score and an edge softmax; the output per destination node is the sum
 /// of its incoming softmax weights, which must be exactly 1.
 fn softmax_model(width: usize) -> hector::ModelSource {
-    let mut m = ModelBuilder::new("softmax_stability", width);
+    let mut m = ModelBuilder::new("softmax_stability");
     let h = m.node_input("h", width);
     let w_s = m.weight_vec_per_etype("w_s", width);
     let att = m.dot("att", m.src(h), m.wvec(w_s));

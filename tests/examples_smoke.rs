@@ -25,7 +25,7 @@ fn quickstart_path() {
     assert!(hector::model_source(ModelKind::Rgat, 16, 16).lines > 0);
     assert!(hector::emit(engine.module()).total_lines() > 0);
 
-    let mut bound = engine.bind(&graph).unwrap();
+    let bound = engine.bind(&graph).unwrap();
     let report = bound.forward().expect("fits comfortably");
 
     let h_out = bound.output();
@@ -59,7 +59,7 @@ fn citation_rgcn_path() {
     let mut engine = builder(ModelKind::Rgcn, dim, &CompileOptions::unopt(), 1)
         .build()
         .unwrap();
-    let mut bound = engine.bind(&graph).unwrap();
+    let bound = engine.bind(&graph).unwrap();
     bound.forward().expect("tiny graph");
     let h = bound.output();
     assert_eq!(h.rows(), 6);
@@ -72,7 +72,7 @@ fn citation_rgcn_path() {
 /// kernel plan with inspectable generated source.
 #[test]
 fn codegen_inspect_path() {
-    let mut m = ModelBuilder::new("gated_rgcn", 16);
+    let mut m = ModelBuilder::new("gated_rgcn");
     let h = m.node_input("h", 16);
     let w = m.weight_per_etype("W", 16, 16);
     let gate_vec = m.weight_vec_per_etype("g", 16);

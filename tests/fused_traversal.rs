@@ -150,7 +150,7 @@ fn all_negative_scores_seed_the_max_per_destination() {
     let g = scratch_graph();
     let (nodes, edges, width) = (g.graph().num_nodes(), g.graph().num_edges(), 8);
     let source = || {
-        let mut m = ModelBuilder::new("negative_scores", width);
+        let mut m = ModelBuilder::new("negative_scores");
         let h = m.node_input("h", width);
         let score = m.edge_input("score", 1);
         let w = m.weight_per_etype("W", width, width);
@@ -209,7 +209,7 @@ fn hoisted_reader_of_a_local_max_sees_zero_without_in_edges() {
     let g = scratch_graph();
     let (nodes, edges) = (g.graph().num_nodes(), g.graph().num_edges());
     let source = || {
-        let mut m = ModelBuilder::new("local_max", 1);
+        let mut m = ModelBuilder::new("local_max");
         let bias = m.node_input("bias", 1);
         let score = m.edge_input("score", 1);
         let top = m.aggregate("top", m.edge(score), None, AggNorm::Max);
@@ -369,7 +369,7 @@ fn negative_maxima_inside_a_tile_are_swept_per_destination() {
     let g = tile_graph();
     let (nodes, edges) = (g.graph().num_nodes(), g.graph().num_edges());
     let hoisted_reader = || {
-        let mut m = ModelBuilder::new("tile_max", 1);
+        let mut m = ModelBuilder::new("tile_max");
         let bias = m.node_input("bias", 1);
         let score = m.edge_input("score", 1);
         let top = m.aggregate("top", m.edge(score), None, AggNorm::Max);
@@ -378,7 +378,7 @@ fn negative_maxima_inside_a_tile_are_swept_per_destination() {
         m.finish()
     };
     let softmax = || {
-        let mut m = ModelBuilder::new("tile_softmax", 1);
+        let mut m = ModelBuilder::new("tile_softmax");
         let bias = m.node_input("bias", 1);
         let score = m.edge_input("score", 1);
         let att = m.edge_softmax("att", score);

@@ -76,7 +76,7 @@ fn zero_input_times_inf_weight_is_nan_not_silently_skipped() {
         // out = h · W0 (shared weight, node rows). Poison W0[1][0] with inf
         // and zero node 2's features: IEEE says out[2][0] = 0 × inf = NaN.
         let dim = 4;
-        let mut m = ModelBuilder::new("inf_w", dim);
+        let mut m = ModelBuilder::new("inf_w");
         let h = m.node_input("h", dim);
         let w0 = m.weight_shared("W0", dim, dim);
         let out = m.typed_linear("out", m.this(h), w0);
@@ -121,7 +121,7 @@ fn grad_w_keeps_nan_for_zero_input_columns() {
         // whose input column is all zeros, which the `x == 0` fast path
         // would otherwise silently leave at 0 (0 × NaN must be NaN).
         let dim = 4;
-        let mut m = ModelBuilder::new("inf_gw", dim);
+        let mut m = ModelBuilder::new("inf_gw");
         let h = m.node_input("h", dim);
         let w0 = m.weight_shared("W0", dim, dim);
         let out = m.typed_linear("out", m.this(h), w0);
@@ -178,7 +178,7 @@ fn node_space_normalization_is_zero_not_nan_at_isolated_nodes() {
         // convention must produce 0, mirroring the Max sweep-back, instead
         // of poisoning the output row with NaN.
         let dim = 4;
-        let mut m = ModelBuilder::new("mean_norm", dim);
+        let mut m = ModelBuilder::new("mean_norm");
         let h = m.node_input("h", dim);
         let w = m.weight_per_etype("W", dim, dim);
         let msg = m.typed_linear("msg", m.src(h), w);
@@ -221,7 +221,7 @@ fn sampled_subgraphs_pin_zero_in_degree_convention_to_zero() {
         // parallel executors, and max-aggregation must sweep untouched rows
         // back to the same finite default.
         let dim = 4;
-        let mut m = ModelBuilder::new("sub_mean_norm", dim);
+        let mut m = ModelBuilder::new("sub_mean_norm");
         let h = m.node_input("h", dim);
         let w = m.weight_per_etype("W", dim, dim);
         let msg = m.typed_linear("msg", m.src(h), w);

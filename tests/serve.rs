@@ -41,7 +41,7 @@ fn builder(kind: ModelKind, dims: usize, seed: u64) -> EngineBuilder {
 /// raw bits.
 fn oracle_rows(kind: ModelKind, dims: usize, seed: u64, g: &GraphData) -> Vec<Vec<u32>> {
     let mut engine = builder(kind, dims, seed).build().expect("oracle builds");
-    let mut bound = engine.bind(g).expect("oracle binds");
+    let bound = engine.bind(g).expect("oracle binds");
     bound.forward().expect("oracle fits");
     let out = bound.output();
     (0..out.rows())
@@ -284,6 +284,66 @@ fn delta_ingestion_under_load_drops_nothing_and_matches_fresh_oracle() {
     srv.shutdown();
 }
 
+/// A delta whose swap fails (its builder cannot build) is an error that
+/// moves nothing: the store keeps its version and graph, the deployment
+/// its versions, and it serves the rows it served before. The same
+/// batch under the deployed builder then applies as the next version.
+#[test]
+fn a_delta_whose_swap_fails_changes_nothing() {
+    let g = graph(42, 48);
+    let mut sharded = ShardedGraph::partition(
+        g.graph().clone(),
+        Box::new(HashPartitioner::new(3)),
+        ShardConfig::new(2),
+    );
+    let srv = ServeHandle::start(ServeConfig::default().with_workers(1));
+    srv.deploy("m", builder(ModelKind::Rgcn, 8, 22), &g)
+        .unwrap();
+    let first = DeltaBatch::new().add_edge(1, 2, 0);
+    srv.apply_delta("m", builder(ModelKind::Rgcn, 8, 22), &mut sharded, &first)
+        .unwrap();
+    let served = |srv: &ServeHandle| -> Vec<(u64, Vec<u32>)> {
+        (0..48)
+            .map(|v| {
+                let r = srv.submit("m", v).unwrap().wait().unwrap();
+                (r.version, row_bits(&r.rows[0]))
+            })
+            .collect()
+    };
+    let (rows, full, stats) = (
+        served(&srv),
+        sharded.full().clone(),
+        srv.stats("m").unwrap(),
+    );
+
+    let full_g = g.graph();
+    let batch = DeltaBatch::new().add_edge(3, 4, 1).remove_edge(
+        full_g.src()[0],
+        full_g.dst()[0],
+        full_g.etype()[0],
+    );
+    let unbuildable = builder(ModelKind::Rgcn, 8, 22).dims(0, 4);
+    let err = srv
+        .apply_delta("m", unbuildable, &mut sharded, &batch)
+        .unwrap_err();
+    assert!(matches!(err, ServeError::Hector(_)), "{err}");
+    assert_eq!(sharded.version(), 1, "the store did not advance");
+    assert_eq!(sharded.full(), &full, "the store kept its graph");
+    let after = srv.stats("m").unwrap();
+    assert_eq!(
+        (after.graph_version, after.version, after.swaps),
+        (stats.graph_version, stats.version, stats.swaps),
+        "the deployment did not move"
+    );
+    assert_eq!(served(&srv), rows, "the deployment serves the same rows");
+
+    let v = srv
+        .apply_delta("m", builder(ModelKind::Rgcn, 8, 22), &mut sharded, &batch)
+        .unwrap();
+    assert_eq!((v, srv.stats("m").unwrap().graph_version), (2, 2));
+    srv.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Fallible-API contract: every `HectorError` variant is reachable as a
 // typed error, and misuse never panics.
@@ -325,7 +385,7 @@ fn shape_mismatch_misshapen_binding_and_wrong_label_count() {
 
 #[test]
 fn compile_error_custom_source_without_outputs() {
-    let m = ModelBuilder::new("no_outputs", 8);
+    let m = ModelBuilder::new("no_outputs");
     let err = EngineBuilder::from_source(m.finish()).build().unwrap_err();
     assert!(matches!(err, HectorError::CompileError { .. }), "{err}");
     assert_eq!(err.kind(), "compile_error");

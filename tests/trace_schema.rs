@@ -114,7 +114,7 @@ fn traced_build_and_forward(dims: usize) -> Vec<TraceEvent> {
         !engine.was_cache_hit(),
         "dims {dims} must be unique to its test so compiler passes record"
     );
-    let mut bound = engine.bind(&graph).unwrap();
+    let bound = engine.bind(&graph).unwrap();
     bound.forward().expect("tiny graph fits");
     hector::trace::disable();
     hector::trace::take_events()
@@ -235,12 +235,12 @@ fn tracing_on_is_bit_identical() {
     };
 
     let mut plain = build();
-    let mut b = plain.bind(&graph).unwrap();
+    let b = plain.bind(&graph).unwrap();
     b.forward().expect("fits");
     let reference: Vec<f32> = b.output().data().to_vec();
 
     let mut traced = build();
-    let mut b = traced.bind(&graph).unwrap();
+    let b = traced.bind(&graph).unwrap();
     hector::trace::enable();
     b.forward().expect("fits");
     hector::trace::disable();
